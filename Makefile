@@ -7,7 +7,7 @@ GO ?= go
 # hosts. Usage: make bench-lanes GOAMD64=v3
 GOAMD64 ?=
 
-.PHONY: check build test vet race faults bench-warm bench-lanes bench-far obs perfgate net
+.PHONY: check build test vet race faults bench-warm bench-lanes bench-far bench-lists obs perfgate net
 
 ## check: the tier-1 gate — vet, build, full test suite, race detector,
 ## the fault-injection matrix, the observability suite, and the perf
@@ -50,7 +50,7 @@ faults:
 ## <2% disabled-path overhead guard (DESIGN.md §8, §13, §14).
 obs:
 	$(GO) test -race ./internal/obs/... ./cmd/gbtrace/
-	$(GO) test -run 'TestSharedRunTrace|TestResilientTraceTimeline|TestKernelHotLoopZeroAllocs|TestDisabledObsOverhead|TestNetTelemetryMergedTrace|TestNetObsEndpoint' -v ./internal/core/
+	$(GO) test -run 'TestSharedRunTrace|TestResilientTraceTimeline|TestKernelHotLoopZeroAllocs|TestDisabledObsOverhead|TestRepairSpans|TestNetTelemetryMergedTrace|TestNetObsEndpoint' -v ./internal/core/
 	$(GO) test -race -run 'TestNetWatchdogAcceptance' -v ./internal/core/
 
 ## net: the real multi-process transport under the race detector — wire
@@ -90,6 +90,12 @@ bench-lanes:
 bench-far:
 	$(GO) run ./cmd/gbbench -exp pareto -reps 3
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmPoseFarOrder' -benchtime 3x -count 2 ./internal/core/
+
+## bench-lists: the interaction-list back-end at the ledger's fixture
+## (20 000 atoms, 2 workers): a full compile and one repaired local
+## jiggle, with bytes and objects allocated per call (DESIGN.md §6, §10).
+bench-lists:
+	$(GO) test -run '^$$' -bench 'Benchmark(Compile|Repair)Lists20k' -benchtime 5x -count 2 -benchmem ./internal/core/
 
 ## bench-cold: the cold-path pair — octree construction benchmarks
 ## (recursive vs Morton at 1k/10k/100k points) and the coldstart

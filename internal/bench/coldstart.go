@@ -109,7 +109,7 @@ func coldstart(cfg Config) ([]*Table, error) {
 	t2.Notes = append(t2.Notes,
 		"repair recomputes only rows whose per-entry drift certificates fail; clean rows keep decayed (lower-bound) margins",
 		"every repaired list is byte-identical to a fresh compile (RecheckLists in the repair tests)",
-		"the certificate scan is serial, so on few cores wall speedup tracks the row savings only loosely; a leaf materialized high in the tree forces rows that descended that node to redo (exactness)")
+		"a repair still certifies, carries over and re-splits every row, so at this size it costs about what the (equally parallel) recompile does; a leaf materialized high in the tree forces rows that descended that node to redo (exactness)")
 	return []*Table{t1, t2}, nil
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/obs"
@@ -146,17 +145,53 @@ func (cl *CompiledLists) MemoryBytes() int64 {
 	return cl.Born.MemoryBytes() + cl.Epol.MemoryBytes()
 }
 
-// rowLists is one row's lists during compilation.
-type rowLists struct {
-	far, near, sym, cede []int32
-	// farM/nearM are the per-entry opening-test slacks; farP/nearP the
-	// per-entry path minima over internal tests (see the margin block in
-	// InteractionLists). nearM stays nil for leaf-first (E_pol) rows;
-	// symP/cedeP are carved out of nearP by symmetrizeNear.
-	farM, farP, nearM, nearP, symP, cedeP []float64
-	// farO is the per-entry admitted order; nil when compiled at
-	// FarOrder = 0.
-	farO []uint8
+// listPhase is one phase's classification problem, shared by the full
+// compile and the incremental repair (ilist_repair.go): the row clusters
+// are rowTree's leaves in Leaves() order, each classified against the
+// atoms octree under the opening-multiplier ladder macs/pmax
+// (farorder.go; macs[0] is the base multiplier, and pmax = 0 degenerates
+// to the original single-multiplier classification, margins included, bit
+// for bit). leafFirst selects the traversal ordering (see classify) and
+// says the rows are atom leaves, which drift under an update; symmetrize
+// moves mutual near leaf pairs into the Sym list of the lower-indexed row
+// (valid only when rowTree == atoms, i.e. the E_pol phase).
+type listPhase struct {
+	atoms, rowTree *octree.Tree
+	macs           [maxFarOrder + 1]float64
+	pmax           int
+	leafFirst      bool
+	symmetrize     bool
+}
+
+// listPhases returns the Born phase (q-point leaf rows, Figure 2) and the
+// E_pol phase (atom leaf rows, Figure 3) under cl's opening criteria.
+func (s *System) listPhases(cl *CompiledLists) (born, epol listPhase) {
+	born = listPhase{atoms: s.Atoms, rowTree: s.QPts, pmax: cl.farOrder,
+		macs: macLadder(cl.bornMAC, cl.farOrder, bornLadderDeg(s.Params.Kernel))}
+	epol = listPhase{atoms: s.Atoms, rowTree: s.Atoms, pmax: cl.farOrder,
+		macs: macLadder(cl.epolFar, cl.farOrder, epolLadderDeg), leafFirst: true, symmetrize: true}
+	return born, epol
+}
+
+// nearLists is a CSR of near leaves with their margins, in classification
+// emission order: the PRE-symmetrization lists. For an unsymmetrized
+// phase they are the final Near arrays.
+type nearLists struct {
+	off  []int32
+	n    []int32
+	m, p []float64 // own-test slack (nil for leaf-first rows), path minimum
+}
+
+// rowSink receives one row's classification. A counting sink (fill
+// unset) only advances the cursors nf/nn; a filling sink starts them at
+// the row's offsets and writes each entry into the final arrays, which
+// all rows share at disjoint ranges — the two halves of count-then-fill,
+// so no list is ever grown or copied.
+type rowSink struct {
+	fill   bool
+	nf, nn int32
+	il     *InteractionLists
+	near   *nearLists
 }
 
 // classify descends the atoms octree from node n against a row cluster
@@ -165,18 +200,17 @@ type rowLists struct {
 // structural difference: APPROX-EPOL tests u.IsLeaf BEFORE the opening
 // test (a leaf U is always evaluated exactly), while APPROX-INTEGRALS
 // tests openness first (a far leaf uses the pseudo-q-point shortcut).
-// leafFirst selects between the two orderings. macs/pmax are the opening
-// multiplier ladder (farorder.go); pmax = 0 degenerates to the original
-// single-multiplier classification, margins included, bit for bit. pmin
-// is the minimum internal-test slack accumulated on the root path so far
-// (math.Inf(1) at the root): every emitted entry records it, so the
+// pmin is the minimum internal-test slack accumulated on the root path so
+// far (math.Inf(1) at the root): every emitted entry records it, so the
 // repair can check each entry's path against the drift on THAT path
 // alone.
-func classify(t *octree.Tree, n int32, center geom.Vec3, radius float64, macs *[maxFarOrder + 1]float64, pmax int, leafFirst bool, pmin float64, out *rowLists) {
-	node := &t.Nodes[n]
-	if leafFirst && node.IsLeaf {
-		out.near = append(out.near, n)
-		out.nearP = append(out.nearP, pmin)
+func (ph *listPhase) classify(n int32, center geom.Vec3, radius, pmin float64, out *rowSink) {
+	node := &ph.atoms.Nodes[n]
+	if ph.leafFirst && node.IsLeaf {
+		if out.fill {
+			out.near.n[out.nn], out.near.p[out.nn] = n, pmin
+		}
+		out.nn++
 		return
 	}
 	d2 := center.Sub(node.Center).Norm2()
@@ -187,11 +221,28 @@ func classify(t *octree.Tree, n int32, center geom.Vec3, radius float64, macs *[
 	// multiplier alone (identical to pre-ladder), and rungs ≥ 1 fire
 	// exactly where they pay: a rung admission at an internal node
 	// replaces its subtree's whole far/near expansion with one entry.
-	p := pmax
+	p := ph.pmax
 	if node.IsLeaf {
 		p = 0
 	}
+	macs := &ph.macs
 	ord, far := farOrderOf(d2, node.Radius, radius, macs, p)
+	if !out.fill {
+		// Counting pass: the same verdicts, no margins.
+		switch {
+		case far:
+			out.nf++
+		case node.IsLeaf:
+			out.nn++
+		default:
+			for _, child := range node.Children {
+				if child != octree.NoChild {
+					ph.classify(child, center, radius, pmin, out)
+				}
+			}
+		}
+		return
+	}
 	dist := math.Sqrt(d2)
 	if far {
 		// The slack is the distance to the nearest boundary that would
@@ -208,12 +259,12 @@ func classify(t *octree.Tree, n int32, center geom.Vec3, radius float64, macs *[
 				m = up
 			}
 		}
-		out.far = append(out.far, n)
-		out.farM = append(out.farM, m)
-		out.farP = append(out.farP, pmin)
-		if pmax > 0 {
-			out.farO = append(out.farO, uint8(ord))
+		il := out.il
+		il.Far[out.nf], il.FarMargin[out.nf], il.FarPath[out.nf] = n, m, pmin
+		if il.FarOrd != nil {
+			il.FarOrd[out.nf] = uint8(ord)
 		}
+		out.nf++
 		return
 	}
 	// Not admitted at any order: the nearest boundary is the loosest
@@ -222,9 +273,8 @@ func classify(t *octree.Tree, n int32, center geom.Vec3, radius float64, macs *[
 	// difference yields the same bits).
 	m := (node.Radius+radius)*macs[p] - dist
 	if node.IsLeaf {
-		out.near = append(out.near, n)
-		out.nearM = append(out.nearM, m)
-		out.nearP = append(out.nearP, pmin)
+		out.near.n[out.nn], out.near.m[out.nn], out.near.p[out.nn] = n, m, pmin
+		out.nn++
 		return
 	}
 	// Descending: an internal test, owned by the row (the node appears
@@ -234,161 +284,243 @@ func classify(t *octree.Tree, n int32, center geom.Vec3, radius float64, macs *[
 	}
 	for _, child := range node.Children {
 		if child != octree.NoChild {
-			classify(t, child, center, radius, macs, pmax, leafFirst, pmin, out)
+			ph.classify(child, center, radius, pmin, out)
 		}
 	}
 }
 
-// compileLists builds the CSR lists for all rows in parallel (serially
-// when pool is nil). Rows are rowTree's leaves in Leaves() order, each
-// classified against the atoms octree. symmetrize moves mutual near leaf
-// pairs into the Sym list of the lower-indexed row (valid only when
-// rowTree == atoms, i.e. the E_pol phase).
-func compileLists(atoms *octree.Tree, rowTree *octree.Tree, mac float64, pmax, deg int, leafFirst bool, symmetrize bool, pool *sched.Pool) *InteractionLists {
-	macs := macLadder(mac, pmax, deg)
-	rows := rowTree.Leaves()
-	per := make([]rowLists, len(rows))
-	compileRow := func(i int) {
-		rn := &rowTree.Nodes[rows[i]]
-		classify(atoms, atoms.Root(), rn.Center, rn.Radius, &macs, pmax, leafFirst, math.Inf(1), &per[i])
-	}
+// classifyRow classifies the row cluster of rowTree leaf r from the root.
+func (ph *listPhase) classifyRow(r int32, out *rowSink) {
+	rn := &ph.rowTree.Nodes[r]
+	ph.classify(ph.atoms.Root(), rn.Center, rn.Radius, math.Inf(1), out)
+}
+
+// forRows runs fn over [0, n) in ranges on the pool's workers, or as
+// worker 0 over the whole range when pool is nil.
+func forRows(pool *sched.Pool, n int, fn func(lo, hi, worker int)) {
 	if pool == nil {
-		for i := range rows {
-			compileRow(i)
+		fn(0, n, 0)
+		return
+	}
+	sched.ParallelFor(pool, n, n/(8*pool.NumWorkers())+1, fn)
+}
+
+// prefixSum turns per-row counts stored at off[k+1] into CSR offsets and
+// returns the total.
+func prefixSum(off []int32) int32 {
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	return off[len(off)-1]
+}
+
+// build produces the phase's CSR lists: a full compile when old is nil,
+// otherwise the repair of old against the updated atoms tree, in which the
+// rows cert certifies clean carry their cached entries over
+// (ilist_repair.go). Both run the same linear, pool-parallel steps, so a
+// repaired list is byte-for-byte what a fresh compile produces: count
+// every row's entries (rows to classify descend once without writing),
+// size the final arrays once, fill them in place (those rows descend
+// again, now writing at their offsets), and split the near lists into
+// near/sym/cede. Nothing is appended to, so nothing grows or is copied,
+// and the only transient arrays — the E_pol phase's pre-symmetrization
+// lists and their transpose — die with the call. It returns the lists and
+// the number of rows classified. o (nil for a compile) receives the
+// repair's sub-phase spans.
+func (ph *listPhase) build(old *InteractionLists, cert *repairCert, pool *sched.Pool, o *obs.Obs) (il *InteractionLists, classified int) {
+	// The lists own their row ids: rowTree's live leaf slice is rewritten
+	// in place by a later tracked update (rebuildLeafList), and an aliased
+	// cache would silently renumber.
+	rows := append([]int32(nil), ph.rowTree.Leaves()...)
+	n := len(rows)
+	il = &InteractionLists{Rows: rows, FarOff: make([]int32, n+1), NearOff: make([]int32, n+1),
+		SymOff: make([]int32, n+1), CedeOff: make([]int32, n+1)}
+	// src[k] is the cached row that row k carries over, −1 for a row to
+	// classify.
+	src := make([]int32, n)
+	if old == nil {
+		for k := range src {
+			src[k] = -1
 		}
 	} else {
-		grain := len(rows)/(8*pool.NumWorkers()) + 1
-		sched.ParallelFor(pool, len(rows), grain, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				compileRow(i)
+		sp := o.Begin(0, "ilist", "ilist.repair.certify", obs.NoVirtual)
+		ph.certify(old, cert, rows, src, pool)
+		sp.End(obs.NoVirtual)
+	}
+
+	sp := o.Begin(0, "ilist", "ilist.repair.classify", obs.NoVirtual)
+	pre := nearLists{off: il.NearOff}
+	if ph.symmetrize {
+		pre.off = make([]int32, n+1)
+	}
+	dirty := make([]int32, 0, n)
+	for k, i := range src {
+		if i < 0 {
+			dirty = append(dirty, int32(k))
+			continue
+		}
+		il.FarOff[k+1] = old.FarOff[i+1] - old.FarOff[i]
+		pre.off[k+1] = old.NearOff[i+1] - old.NearOff[i] + old.SymOff[i+1] - old.SymOff[i] + old.CedeOff[i+1] - old.CedeOff[i]
+	}
+	forRows(pool, len(dirty), func(lo, hi, _ int) {
+		for _, k := range dirty[lo:hi] {
+			var sink rowSink
+			ph.classifyRow(rows[k], &sink)
+			il.FarOff[k+1], pre.off[k+1] = sink.nf, sink.nn
+		}
+	})
+	nf, nn := prefixSum(il.FarOff), prefixSum(pre.off)
+	il.Far = make([]int32, nf)
+	il.FarMargin = make([]float64, nf)
+	il.FarPath = make([]float64, nf)
+	if ph.pmax > 0 && nf > 0 { // ladder compiles; every far entry carries its order
+		il.FarOrd = make([]uint8, nf)
+	}
+	pre.n = make([]int32, nn)
+	pre.p = make([]float64, nn)
+	if !ph.leafFirst && nn > 0 { // Born lists; E_pol's leaf-first rows carry no near tests
+		pre.m = make([]float64, nn)
+	}
+	forRows(pool, len(dirty), func(lo, hi, _ int) {
+		for _, k := range dirty[lo:hi] {
+			sink := rowSink{fill: true, nf: il.FarOff[k], nn: pre.off[k], il: il, near: &pre}
+			ph.classifyRow(rows[k], &sink)
+		}
+	})
+	sp.End(obs.NoVirtual)
+
+	if old != nil {
+		sp = o.Begin(0, "ilist", "ilist.repair.assemble", obs.NoVirtual)
+		forRows(pool, n, func(lo, hi, _ int) {
+			for k := lo; k < hi; k++ {
+				if i := src[k]; i >= 0 {
+					ph.carryRow(il, &pre, old, cert, k, i)
+				}
 			}
 		})
+		sp.End(obs.NoVirtual)
 	}
-	if symmetrize {
-		symmetrizeNear(rowTree, rows, per)
+
+	if ph.symmetrize {
+		sp = o.Begin(0, "ilist", "ilist.repair.symmetrize", obs.NoVirtual)
+		symmetrizeNear(il, &pre, len(ph.atoms.Nodes), pool)
+		sp.End(obs.NoVirtual)
+	} else {
+		il.Near, il.NearMargin, il.NearPath = pre.n, pre.m, pre.p
+		il.Sym, il.Cede, il.SymPath, il.CedePath = []int32{}, []int32{}, []float64{}, []float64{}
 	}
-	return assembleLists(rows, per)
+	return il, len(dirty)
 }
 
-// assembleLists packs per-row compilation results into CSR form. Shared
-// by the full compile and the incremental repair, so a repaired list is
-// byte-for-byte the structure a fresh compile would produce.
-func assembleLists(rows []int32, per []rowLists) *InteractionLists {
-	il := &InteractionLists{
-		// rows is typically the rowTree's live leaf slice, which a later
-		// tracked update rewrites in place (rebuildLeafList) — the lists
-		// must own their row ids or a cached compile silently renumbers.
-		Rows:    append([]int32(nil), rows...),
-		FarOff:  make([]int32, len(rows)+1),
-		NearOff: make([]int32, len(rows)+1),
-		SymOff:  make([]int32, len(rows)+1),
-		CedeOff: make([]int32, len(rows)+1),
-	}
-	var nf, nn, ns, nc int32
-	for i := range per {
-		il.FarOff[i], il.NearOff[i], il.SymOff[i], il.CedeOff[i] = nf, nn, ns, nc
-		nf += int32(len(per[i].far))
-		nn += int32(len(per[i].near))
-		ns += int32(len(per[i].sym))
-		nc += int32(len(per[i].cede))
-	}
-	il.FarOff[len(rows)], il.NearOff[len(rows)], il.SymOff[len(rows)], il.CedeOff[len(rows)] = nf, nn, ns, nc
-	il.Far = make([]int32, 0, nf)
-	il.Near = make([]int32, 0, nn)
-	il.Sym = make([]int32, 0, ns)
-	il.Cede = make([]int32, 0, nc)
-	il.FarMargin = make([]float64, 0, nf)
-	il.FarPath = make([]float64, 0, nf)
-	il.NearPath = make([]float64, 0, nn)
-	il.SymPath = make([]float64, 0, ns)
-	il.CedePath = make([]float64, 0, nc)
-	withNearM, withFarO := false, false
-	for i := range per {
-		il.Far = append(il.Far, per[i].far...)
-		il.Near = append(il.Near, per[i].near...)
-		il.Sym = append(il.Sym, per[i].sym...)
-		il.Cede = append(il.Cede, per[i].cede...)
-		il.FarMargin = append(il.FarMargin, per[i].farM...)
-		il.FarPath = append(il.FarPath, per[i].farP...)
-		il.NearPath = append(il.NearPath, per[i].nearP...)
-		il.SymPath = append(il.SymPath, per[i].symP...)
-		il.CedePath = append(il.CedePath, per[i].cedeP...)
-		if per[i].nearM != nil {
-			withNearM = true
-		}
-		if per[i].farO != nil {
-			withFarO = true
-		}
-	}
-	if withNearM { // Born lists; E_pol's leaf-first rows carry no near tests
-		il.NearMargin = make([]float64, 0, nn)
-		for i := range per {
-			il.NearMargin = append(il.NearMargin, per[i].nearM...)
-		}
-	}
-	if withFarO { // ladder compiles; every far entry carries its order
-		il.FarOrd = make([]uint8, 0, nf)
-		for i := range per {
-			il.FarOrd = append(il.FarOrd, per[i].farO...)
-		}
-	}
-	return il
-}
+// Split classes of a pre-symmetrization near entry.
+const (
+	kindNear = iota // one-directional or diagonal: stays in Near
+	kindSym         // mutual and this row is the lower-indexed: swept here, with double weight
+	kindCede        // mutual and the lower-indexed partner sweeps it
+)
 
-// symmetrizeNear splits each row's near list into mutual pairs (moved to
-// the lower row's sym list, swept once with double weight) and
-// one-directional entries (kept in near). Mutuality must be checked
-// against the ORIGINAL near sets: the leaf-first ordering of APPROX-EPOL
-// can classify U near V while row U resolves V's subtree through an
-// ancestor's far aggregate, and such one-way blocks must keep their
-// single-direction exact evaluation to match the recursion.
-func symmetrizeNear(t *octree.Tree, rows []int32, per []rowLists) {
-	rowOf := make([]int32, len(t.Nodes))
-	for i := range rowOf {
-		rowOf[i] = -1
+// symmetrizeNear splits each row's pre-symmetrization near list (pre, over
+// il's rows, entries indexing a tree of numNodes nodes) into mutual pairs
+// — moved to the lower row's Sym list, swept once with double weight, and
+// recorded in the higher row's Cede list — and one-directional entries,
+// kept in Near. Mutuality must be checked against the ORIGINAL near sets:
+// the leaf-first ordering of APPROX-EPOL can classify U near V while row U
+// resolves V's subtree through an ancestor's far aggregate, and such
+// one-way blocks must keep their single-direction exact evaluation to
+// match the recursion.
+//
+// The check is linear in entries: one counting sort builds the transpose
+// of the near relation (T(k) = the rows whose list holds rows[k]); each
+// row then stamps T(k) into its worker's array and reads its partners'
+// stamps. Rows run in parallel and race-free, since a row reads only pre
+// and T and writes only its own ranges: a first pass classes and counts
+// the entries, a second scatters them into the arrays the counts sized.
+func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sched.Pool) {
+	n := len(il.Rows)
+	rowOf := make([]int32, numNodes)
+	for k, r := range il.Rows {
+		rowOf[r] = int32(k)
 	}
-	for i, r := range rows {
-		rowOf[r] = int32(i)
+	workers := 1
+	if pool != nil {
+		workers = pool.NumWorkers()
 	}
-	sorted := make([][]int32, len(per))
-	for i := range per {
-		c := append([]int32(nil), per[i].near...)
-		slices.Sort(c)
-		sorted[i] = c
+	// The counting sort runs one contiguous block of rows per worker:
+	// next[b·n+j] first counts block b's entries naming row j, then —
+	// after the scan over (j, b) — is the slot in T(j) where block b writes
+	// its next one.
+	tOff, next := make([]int32, n+1), make([]int32, workers*n)
+	bound := func(b int) int32 { return int32(b * n / workers) }
+	forRows(pool, workers, func(lo, hi, _ int) {
+		for b := lo; b < hi; b++ {
+			for _, u := range pre.n[pre.off[bound(b)]:pre.off[bound(b+1)]] {
+				next[b*n+int(rowOf[u])]++
+			}
+		}
+	})
+	for j := 0; j < n; j++ {
+		at := tOff[j]
+		for b := 0; b < workers; b++ {
+			next[b*n+j], at = at, at+next[b*n+j]
+		}
+		tOff[j+1] = at
 	}
-	for i := range per {
-		kept := per[i].near[:0]
-		keptP := per[i].nearP[:0]
-		for x, u := range per[i].near {
-			p := per[i].nearP[x]
-			j := int(rowOf[u])
-			switch {
-			case j == i:
-				kept = append(kept, u)
-				keptP = append(keptP, p)
-			case j > i:
-				if _, ok := slices.BinarySearch(sorted[j], rows[i]); ok {
-					per[i].sym = append(per[i].sym, u)
-					per[i].symP = append(per[i].symP, p)
-				} else {
-					kept = append(kept, u)
-					keptP = append(keptP, p)
-				}
-			default:
-				// Row j already claimed the mutual pair; keep only if it
-				// was one-directional, recording the cession (and this
-				// row's path certificate for it) otherwise.
-				if _, ok := slices.BinarySearch(sorted[j], rows[i]); !ok {
-					kept = append(kept, u)
-					keptP = append(keptP, p)
-				} else {
-					per[i].cede = append(per[i].cede, u)
-					per[i].cedeP = append(per[i].cedeP, p)
+	tr := make([]int32, len(pre.n))
+	forRows(pool, workers, func(lo, hi, _ int) {
+		for b := lo; b < hi; b++ {
+			for k := bound(b); k < bound(b+1); k++ {
+				for _, u := range pre.n[pre.off[k]:pre.off[k+1]] {
+					slot := &next[b*n+int(rowOf[u])]
+					tr[*slot] = k
+					*slot++
 				}
 			}
 		}
-		per[i].near, per[i].nearP = kept, keptP
-	}
+	})
+
+	stamps := make([][]int32, workers)
+	kind := make([]uint8, len(pre.n))
+	forRows(pool, n, func(lo, hi, w int) {
+		if stamps[w] == nil {
+			stamps[w] = make([]int32, n)
+		}
+		stamp := stamps[w]
+		for k := lo; k < hi; k++ {
+			mark := int32(k + 1)
+			for _, j := range tr[tOff[k]:tOff[k+1]] {
+				stamp[j] = mark
+			}
+			var cnt [3]int32
+			for x := pre.off[k]; x < pre.off[k+1]; x++ {
+				kd := kindNear
+				if j := int(rowOf[pre.n[x]]); j != k && stamp[j] == mark {
+					kd = kindSym
+					if j < k {
+						kd = kindCede
+					}
+				}
+				kind[x] = uint8(kd)
+				cnt[kd]++
+			}
+			il.NearOff[k+1], il.SymOff[k+1], il.CedeOff[k+1] = cnt[kindNear], cnt[kindSym], cnt[kindCede]
+		}
+	})
+	nn, ns, nc := prefixSum(il.NearOff), prefixSum(il.SymOff), prefixSum(il.CedeOff)
+	il.Near, il.NearPath = make([]int32, nn), make([]float64, nn)
+	il.Sym, il.SymPath = make([]int32, ns), make([]float64, ns)
+	il.Cede, il.CedePath = make([]int32, nc), make([]float64, nc)
+	forRows(pool, n, func(lo, hi, _ int) {
+		dstN := [3][]int32{il.Near, il.Sym, il.Cede}
+		dstP := [3][]float64{il.NearPath, il.SymPath, il.CedePath}
+		for k := lo; k < hi; k++ {
+			at := [3]int32{il.NearOff[k], il.SymOff[k], il.CedeOff[k]}
+			for x := pre.off[k]; x < pre.off[k+1]; x++ {
+				kd := kind[x]
+				dstN[kd][at[kd]], dstP[kd][at[kd]] = pre.n[x], pre.p[x]
+				at[kd]++
+			}
+		}
+	})
 }
 
 // compile builds both phases' lists from the system's current geometry
@@ -399,8 +531,9 @@ func (s *System) compile(pool *sched.Pool) *CompiledLists {
 		epolFar:  epolFarFactor(s.Params.EpsEpol),
 		farOrder: s.Params.FarOrder,
 	}
-	cl.Born = compileLists(s.Atoms, s.QPts, cl.bornMAC, cl.farOrder, bornLadderDeg(s.Params.Kernel), false, false, pool)
-	cl.Epol = compileLists(s.Atoms, s.Atoms, cl.epolFar, cl.farOrder, epolLadderDeg, true, true, pool)
+	born, epol := s.listPhases(cl)
+	cl.Born, _ = born.build(nil, nil, pool, nil)
+	cl.Epol, _ = epol.build(nil, nil, pool, nil)
 	cl.nodeC, cl.nodeR = snapshotNodes(s.Atoms)
 	return cl
 }

@@ -1,0 +1,315 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+
+	"gbpolar/internal/molecule"
+	"gbpolar/internal/sched"
+	"gbpolar/internal/surface"
+)
+
+// Differential tests of the list back-end (ilist.go, ilist_repair.go):
+// the transpose-based symmetrization against the sort + binary-search
+// implementation it replaced, pooled against serial compiles, and chains
+// of repairs against fresh compiles. `make race` runs all of it under the
+// race detector.
+
+// oracleRow is one row's lists in the oracle's per-row form.
+type oracleRow struct {
+	near, sym, cede    []int32
+	nearP, symP, cedeP []float64
+}
+
+// symmetrizeNearOracle is the production symmetrization up to PR 11, kept
+// verbatim as the reference: per row a sorted copy of its near list, per
+// entry a binary search of the partner's.
+func symmetrizeNearOracle(numNodes int, rows []int32, per []oracleRow) {
+	rowOf := make([]int32, numNodes)
+	for i := range rowOf {
+		rowOf[i] = -1
+	}
+	for i, r := range rows {
+		rowOf[r] = int32(i)
+	}
+	sorted := make([][]int32, len(per))
+	for i := range per {
+		c := append([]int32(nil), per[i].near...)
+		slices.Sort(c)
+		sorted[i] = c
+	}
+	for i := range per {
+		kept := per[i].near[:0]
+		keptP := per[i].nearP[:0]
+		for x, u := range per[i].near {
+			p := per[i].nearP[x]
+			j := int(rowOf[u])
+			switch {
+			case j == i:
+				kept = append(kept, u)
+				keptP = append(keptP, p)
+			case j > i:
+				if _, ok := slices.BinarySearch(sorted[j], rows[i]); ok {
+					per[i].sym = append(per[i].sym, u)
+					per[i].symP = append(per[i].symP, p)
+				} else {
+					kept = append(kept, u)
+					keptP = append(keptP, p)
+				}
+			default:
+				if _, ok := slices.BinarySearch(sorted[j], rows[i]); !ok {
+					kept = append(kept, u)
+					keptP = append(keptP, p)
+				} else {
+					per[i].cede = append(per[i].cede, u)
+					per[i].cedeP = append(per[i].cedeP, p)
+				}
+			}
+		}
+		per[i].near, per[i].nearP = kept, keptP
+	}
+}
+
+// listFixtures are the molecule shapes of the table: a globular protein,
+// a hollow shell (deep tree near the surface, empty inside), a molecule
+// that fits one leaf, and two atoms.
+func listFixtures() []*molecule.Molecule {
+	return []*molecule.Molecule{
+		molecule.GenProtein("globular", 700, 301),
+		molecule.GenCapsid("shell", 900, 14, 19, 302),
+		molecule.GenProtein("one-leaf", 6, 303),
+		molecule.GenProtein("two-atom", 2, 304),
+	}
+}
+
+func fixtureSystem(t testing.TB, mol *molecule.Molecule, farOrder int) *System {
+	t.Helper()
+	surf, err := surface.ForMolecule(mol, surface.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mortonParams()
+	p.FarOrder = farOrder
+	sys, err := NewSystem(mol, surf, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// forPools runs fn with no pool and with pools of 1, 2 and 4 workers.
+func forPools(t *testing.T, fn func(t *testing.T, pool *sched.Pool)) {
+	t.Run("serial", func(t *testing.T) { fn(t, nil) })
+	for _, w := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("pool%d", w), func(t *testing.T) {
+			pool := sched.NewPool(w)
+			defer pool.Close()
+			fn(t, pool)
+		})
+	}
+}
+
+// forFixtures runs fn on every fixture at FarOrder 0 and 2; build returns
+// a fresh system each call.
+func forFixtures(t *testing.T, fn func(t *testing.T, build func() *System)) {
+	for _, mol := range listFixtures() {
+		for _, fo := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/order%d", mol.Name, fo), func(t *testing.T) {
+				fn(t, func() *System { return fixtureSystem(t, mol.Clone(), fo) })
+			})
+		}
+	}
+}
+
+// The new symmetrization must split every row exactly as the oracle does:
+// same near/sym/cede entries in the same order, same path margins.
+func TestSymmetrizeMatchesOracle(t *testing.T) {
+	forFixtures(t, func(t *testing.T, build func() *System) {
+		sys := build()
+		_, epol := sys.listPhases(sys.compile(nil))
+		// The same phase without the split: its Near lists are the
+		// pre-symmetrization lists the oracle starts from.
+		unsplit := epol
+		unsplit.symmetrize = false
+		pre, _ := unsplit.build(nil, nil, nil, nil)
+		per := make([]oracleRow, len(pre.Rows))
+		for i := range per {
+			lo, hi := pre.NearOff[i], pre.NearOff[i+1]
+			per[i].near = slices.Clone(pre.Near[lo:hi])
+			per[i].nearP = slices.Clone(pre.NearPath[lo:hi])
+		}
+		symmetrizeNearOracle(len(sys.Atoms.Nodes), pre.Rows, per)
+		var want oracleRow
+		off := [3][]int32{{0}, {0}, {0}}
+		for i := range per {
+			want.near, want.nearP = append(want.near, per[i].near...), append(want.nearP, per[i].nearP...)
+			want.sym, want.symP = append(want.sym, per[i].sym...), append(want.symP, per[i].symP...)
+			want.cede, want.cedeP = append(want.cede, per[i].cede...), append(want.cedeP, per[i].cedeP...)
+			off[0] = append(off[0], int32(len(want.near)))
+			off[1] = append(off[1], int32(len(want.sym)))
+			off[2] = append(off[2], int32(len(want.cede)))
+		}
+		forPools(t, func(t *testing.T, pool *sched.Pool) {
+			got, _ := epol.build(nil, nil, pool, nil)
+			for _, c := range []struct {
+				name      string
+				got, want any
+			}{
+				{"NearOff", got.NearOff, off[0]}, {"SymOff", got.SymOff, off[1]}, {"CedeOff", got.CedeOff, off[2]},
+				{"Near", got.Near, want.near}, {"Sym", got.Sym, want.sym}, {"Cede", got.Cede, want.cede},
+				{"NearPath", got.NearPath, want.nearP}, {"SymPath", got.SymPath, want.symP}, {"CedePath", got.CedePath, want.cedeP},
+			} {
+				// An empty list is empty either way.
+				if reflect.ValueOf(c.got).Len()+reflect.ValueOf(c.want).Len() > 0 && !reflect.DeepEqual(c.got, c.want) {
+					t.Errorf("%s differs from the oracle", c.name)
+				}
+			}
+		})
+	})
+}
+
+// A compile on a pool must be byte-identical to the serial compile.
+func TestCompilePoolMatchesSerial(t *testing.T) {
+	forFixtures(t, func(t *testing.T, build func() *System) {
+		sys := build()
+		want := sys.compile(nil)
+		forPools(t, func(t *testing.T, pool *sched.Pool) {
+			if got := sys.compile(pool); !reflect.DeepEqual(got, want) {
+				t.Error("pooled compile differs from the serial compile")
+			}
+		})
+	})
+}
+
+// structure is the part of a list a repair must reproduce exactly; the
+// margins of carried rows are decayed lower bounds instead.
+func structure(il *InteractionLists) []any {
+	return []any{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near, il.SymOff, il.Sym, il.CedeOff, il.Cede, il.FarOrd}
+}
+
+// checkRepaired asserts repaired lists are structurally a fresh compile
+// and that every margin is a lower bound on the fresh one.
+func checkRepaired(t *testing.T, phase string, got, fresh *InteractionLists) {
+	t.Helper()
+	if !reflect.DeepEqual(structure(got), structure(fresh)) {
+		t.Fatalf("%s: repaired structure differs from a fresh compile", phase)
+	}
+	for _, m := range []struct {
+		name       string
+		got, fresh []float64
+	}{
+		{"FarMargin", got.FarMargin, fresh.FarMargin}, {"FarPath", got.FarPath, fresh.FarPath},
+		{"NearMargin", got.NearMargin, fresh.NearMargin}, {"NearPath", got.NearPath, fresh.NearPath},
+		{"SymPath", got.SymPath, fresh.SymPath}, {"CedePath", got.CedePath, fresh.CedePath},
+	} {
+		if len(m.got) != len(m.fresh) {
+			t.Fatalf("%s: %s has %d entries, fresh compile %d", phase, m.name, len(m.got), len(m.fresh))
+		}
+		for k := range m.got {
+			if m.got[k] > m.fresh[k]+repairSlop {
+				t.Fatalf("%s: %s[%d] = %g exceeds the true slack %g", phase, m.name, k, m.got[k], m.fresh[k])
+			}
+		}
+	}
+}
+
+// Ten cumulative local jiggles, each repaired in place: after every step
+// RecheckLists must pass and the cached lists must be a fresh compile's
+// structure with sound margins — through carried, merged and freshly
+// classified rows alike.
+func TestRepairChainMatchesFreshCompile(t *testing.T) {
+	forFixtures(t, func(t *testing.T, build func() *System) {
+		forPools(t, func(t *testing.T, pool *sched.Pool) {
+			sys := build()
+			sys.Lists(pool)
+			rng := rand.New(rand.NewSource(305))
+			pos := sys.Mol.Positions()
+			repaired, carried := 0, 0
+			for step := 0; step < 10; step++ {
+				pos = localJiggle(rng, pos, 0.05)
+				stats, err := sys.UpdateAtomsRepair(pos, pool, nil)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if err := sys.RecheckLists(pool); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if !stats.Repaired {
+					sys.Lists(pool) // rebuilt octree: compile afresh and go on
+					continue
+				}
+				repaired++
+				carried += stats.RowsTotal - stats.RowsRepaired
+				fresh := sys.compile(nil)
+				checkRepaired(t, fmt.Sprintf("step %d born", step), sys.lists.Born, fresh.Born)
+				checkRepaired(t, fmt.Sprintf("step %d epol", step), sys.lists.Epol, fresh.Epol)
+			}
+			if sys.Mol.NumAtoms() > 100 && (repaired < 8 || carried == 0) {
+				t.Errorf("%d of 10 steps repaired, %d rows carried: the chain exercised too little", repaired, carried)
+			}
+		})
+	})
+}
+
+// The allocation budget of the back-end: a compile and a repair allocate
+// a number of objects that depends on the worker and chunk count, not on
+// rows or entries (the per-row appends of PR 11 made 290 000 at this
+// size), at most twice the bytes of the lists they return (PR 11: 4.2×),
+// and keep nothing but those lists alive.
+func TestListBackendAllocBudget(t *testing.T) {
+	sys, _, _ := testSystem(t, 4000, 2, mortonParams())
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	// Objects: a fixed set of arrays per phase plus one task closure per
+	// chunk of each parallel loop (8 chunks per worker, ~10 loops, 2
+	// phases), and the octree update's own scratch on the repair path.
+	maxObjects := uint64(32 * 8 * pool.NumWorkers())
+	measure := func(fn func()) (objects, bytes, live uint64) {
+		var a, b runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&a)
+		fn()
+		runtime.ReadMemStats(&b)
+		objects, bytes = b.Mallocs-a.Mallocs, b.TotalAlloc-a.TotalAlloc
+		runtime.GC()
+		runtime.ReadMemStats(&b)
+		return objects, bytes, b.HeapAlloc - min(a.HeapAlloc, b.HeapAlloc)
+	}
+	check := func(what string, objects, bytes, live uint64, lists, liveWant int64) {
+		t.Logf("%s: %d objects, %.2f x list bytes allocated, %.2f x live", what, objects,
+			float64(bytes)/float64(lists), float64(live)/float64(lists))
+		if objects > maxObjects {
+			t.Errorf("%s allocates %d objects, budget %d", what, objects, maxObjects)
+		}
+		if bytes > 2*uint64(lists) {
+			t.Errorf("%s allocates %d bytes for %d bytes of lists, budget 2x", what, bytes, lists)
+		}
+		if live > uint64(liveWant+lists/8) {
+			t.Errorf("%s leaves %d more bytes alive, want %d: scratch retained", what, live, liveWant)
+		}
+	}
+	var cl *CompiledLists
+	objects, bytes, live := measure(func() { cl = sys.compile(pool) })
+	check("compile", objects, bytes, live, cl.MemoryBytes(), cl.MemoryBytes())
+
+	sys.Lists(pool)
+	cl = nil
+	pos := localJiggle(rand.New(rand.NewSource(306)), sys.Mol.Positions(), 0.05)
+	var stats UpdateStats
+	objects, bytes, live = measure(func() {
+		var err error
+		if stats, err = sys.UpdateAtomsRepair(pos, pool, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !stats.Repaired {
+		t.Fatalf("not repaired: %+v", stats)
+	}
+	// The old lists die with the call, so the live heap must not grow.
+	check("repair", objects, bytes, live, sys.lists.MemoryBytes(), 0)
+	runtime.KeepAlive(cl)
+}

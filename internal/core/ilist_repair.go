@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/obs"
@@ -57,9 +56,11 @@ type UpdateStats struct {
 // structural-change report to repair the compiled interaction lists in
 // place instead of discarding them. When repair is impossible — the
 // octree rebuilt, or there were no cached lists — it degrades to
-// UpdateAtoms semantics (lists invalidated). The pool parallelizes row
-// reclassification; o (may be nil) receives the "octree.keys.moved",
-// "ilist.rows.repaired" and "ilist.repair.fallbacks" counters.
+// UpdateAtoms semantics (lists invalidated). The pool parallelizes every
+// step of the repair; o (may be nil) receives the "octree.keys.moved",
+// "ilist.rows.repaired" and "ilist.repair.fallbacks" counters and, per
+// call, the sub-phase spans "ilist.repair.cert" and, for each phase,
+// "ilist.repair.{certify,classify,assemble,symmetrize}".
 func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o *obs.Obs) (UpdateStats, error) {
 	if len(newPositions) != s.Mol.NumAtoms() {
 		return UpdateStats{}, fmt.Errorf("core: UpdateAtomsRepair with %d positions for %d atoms",
@@ -87,9 +88,12 @@ func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o
 		}
 		return stats, nil
 	}
+	sp := o.Begin(0, "ilist", "ilist.repair.cert", obs.NoVirtual)
 	cert := buildRepairCert(s.Atoms, cl.nodeC, cl.nodeR, res.Struct)
-	born, nb := repairPhase(s.Atoms, s.QPts, cl.Born, cert, cl.bornMAC, cl.farOrder, bornLadderDeg(s.Params.Kernel), false, false, pool)
-	epol, ne := repairPhase(s.Atoms, s.Atoms, cl.Epol, cert, cl.epolFar, cl.farOrder, epolLadderDeg, true, true, pool)
+	sp.End(obs.NoVirtual)
+	bornPh, epolPh := s.listPhases(cl)
+	born, nb := bornPh.build(cl.Born, cert, pool, o)
+	epol, ne := epolPh.build(cl.Epol, cert, pool, o)
 	nc, nr := snapshotNodes(s.Atoms)
 	s.lists = &CompiledLists{
 		bornMAC: cl.bornMAC, epolFar: cl.epolFar, farOrder: cl.farOrder,
@@ -123,13 +127,12 @@ func (s *System) commitAtomPositions(newPositions []geom.Vec3) {
 // repairCert holds the per-node certification state one tracked update
 // induces on the atoms tree, shared by both phases' repairs.
 type repairCert struct {
-	// reached marks ids reachable from the root; entries referencing
-	// pruned nodes fail their row's certificate through it.
-	reached []bool
-	// pathBad[id] is true iff any node on root→id (inclusive) changed
-	// structure: a classification descending that path cannot be trusted
-	// to revisit the same children.
-	pathBad []bool
+	// bad[id] is true unless id is reachable from the root AND no node on
+	// root→id (inclusive) changed structure: an entry referencing a pruned
+	// node is gone, and a classification descending a restructured path
+	// cannot be trusted to revisit the same children. Either fails the
+	// row's certificate.
+	bad []bool
 	// dc/dr are the node's own center/radius drift vs the snapshot;
 	// upDc/upDr are the maxima over the STRICT ancestors root→parent(id)
 	// — the nodes a classification descended through (and tested) on its
@@ -141,7 +144,7 @@ type repairCert struct {
 	// dfsIdx numbers nodes in classification visit order (pre-order,
 	// children in octant order) — node IDS stop being in visit order once
 	// tracked updates materialize leaves, so reassembling a row's
-	// pre-symmetrization near list must sort by this, not by id.
+	// pre-symmetrization near list must merge by this, not by id.
 	dfsIdx []int32
 }
 
@@ -151,13 +154,15 @@ type repairCert struct {
 func buildRepairCert(atoms *octree.Tree, snapC []geom.Vec3, snapR []float64, strct []bool) *repairCert {
 	nn := len(atoms.Nodes)
 	c := &repairCert{
-		reached: make([]bool, nn),
-		pathBad: make([]bool, nn),
-		dc:      make([]float64, nn),
-		dr:      make([]float64, nn),
-		upDc:    make([]float64, nn),
-		upDr:    make([]float64, nn),
-		dfsIdx:  make([]int32, nn),
+		bad:    make([]bool, nn),
+		dc:     make([]float64, nn),
+		dr:     make([]float64, nn),
+		upDc:   make([]float64, nn),
+		upDr:   make([]float64, nn),
+		dfsIdx: make([]int32, nn),
+	}
+	for i := range c.bad {
+		c.bad[i] = true // until the walk reaches it
 	}
 	var next int32
 	var walk func(id int32, bad bool, mdc, mdr float64)
@@ -173,8 +178,7 @@ func buildRepairCert(atoms *octree.Tree, snapC []geom.Vec3, snapR []float64, str
 		if strct != nil && int(id) < len(strct) && strct[id] {
 			bad = true
 		}
-		c.reached[id] = true
-		c.pathBad[id] = bad
+		c.bad[id] = bad
 		c.dc[id], c.dr[id] = dc, dr
 		c.upDc[id], c.upDr[id] = mdc, mdr
 		c.dfsIdx[id] = next
@@ -200,22 +204,21 @@ func buildRepairCert(atoms *octree.Tree, snapC []geom.Vec3, snapR []float64, str
 	return c
 }
 
-// repairPhase repairs one phase's lists against the updated atoms tree.
-// Rows follow the rowTree's CURRENT leaves: rows whose leaf survived
-// reuse their certificate, rows for new leaves (materializations,
-// splits) classify fresh, rows for dead leaves drop. A surviving row is
-// certified clean iff every cached entry is still reachable, no visited
-// path changed structure, and every opening test's recorded slack
-// dominates the drift of ITS operands: for the test that admitted entry
-// e, the entry's own dc[e] + mac·dr[e]; for the internal tests on e's
-// root path, the path minimum slack (FarPath/NearPath/…) against the
-// ancestor drift maxima upDc[e] + mac·upDr[e] — each plus the row
-// cluster's own drift when the rows are atom leaves (E_pol; Born rows
-// are static q-point leaves). Keeping the internal certificate per entry
-// matters as much as the per-entry own-test margins: one hot node (a
-// leaf that lost an atom drifts by its cell size) sits on only a few
-// entries' paths, and only those entries' rows need recomputing. It
-// returns the repaired lists and the number of rows recomputed.
+// The repair half of listPhase.build. Rows follow the rowTree's CURRENT
+// leaves: rows whose leaf survived reuse their certificate, rows for new
+// leaves (materializations, splits) classify fresh, rows for dead leaves
+// drop. A surviving row is certified clean iff every cached entry is
+// still reachable, no visited path changed structure, and every opening
+// test's recorded slack dominates the drift of ITS operands: for the test
+// that admitted entry e, the entry's own dc[e] + mac·dr[e]; for the
+// internal tests on e's root path, the path minimum slack
+// (FarPath/NearPath/…) against the ancestor drift maxima
+// upDc[e] + mac·upDr[e] — each plus the row cluster's own drift when the
+// rows are atom leaves (E_pol; Born rows are static q-point leaves).
+// Keeping the internal certificate per entry matters as much as the
+// per-entry own-test margins: one hot node (a leaf that lost an atom
+// drifts by its cell size) sits on only a few entries' paths, and only
+// those entries' rows need recomputing.
 //
 // Under an opening-multiplier ladder (pmax > 0) the certificate is
 // unchanged: all drift scaling keeps the BASE multiplier mac = macs[0],
@@ -225,159 +228,142 @@ func buildRepairCert(atoms *octree.Tree, snapC []geom.Vec3, snapR []float64, str
 // boundary of each entry's admitted order (classify), so a certified
 // row's FarOrd annotations are exactly what a fresh classification would
 // emit.
-func repairPhase(atoms, rowTree *octree.Tree, il *InteractionLists, cert *repairCert, mac float64, pmax, deg int, leafFirst, symmetrize bool, pool *sched.Pool) (*InteractionLists, int) {
-	macs := macLadder(mac, pmax, deg)
-	oldIdx := make([]int32, len(rowTree.Nodes))
+
+// rowDrift is the drift bound of row leaf r's own cluster.
+func (ph *listPhase) rowDrift(cert *repairCert, r int32) float64 {
+	if !ph.leafFirst {
+		return 0
+	}
+	return cert.dc[r] + ph.macs[0]*cert.dr[r]
+}
+
+// certify fills src (see build): the cached row of every current row
+// whose leaf survived and whose certificate holds. It runs in parallel — a
+// row's certificate reads only the cached lists and cert.
+func (ph *listPhase) certify(old *InteractionLists, cert *repairCert, rows, src []int32, pool *sched.Pool) {
+	oldIdx := make([]int32, len(ph.rowTree.Nodes))
 	for i := range oldIdx {
 		oldIdx[i] = -1
 	}
-	for i, r := range il.Rows {
+	for i, r := range old.Rows {
 		oldIdx[r] = int32(i)
 	}
+	forRows(pool, len(rows), func(lo, hi, _ int) {
+		for k := lo; k < hi; k++ {
+			i := oldIdx[rows[k]] // −1 for a new leaf: no cached row
+			if i >= 0 && !cert.rowClean(old, i, ph.rowDrift(cert, rows[k]), ph.macs[0]) {
+				i = -1
+			}
+			src[k] = i
+		}
+	})
+}
 
-	rows := rowTree.Leaves()
-	per := make([]rowLists, len(rows))
-	var dirtyRows []int32
-	repaired := 0
-	for k, r := range rows {
-		i := int32(-1)
-		if int(r) < len(oldIdx) {
-			i = oldIdx[r]
-		}
-		redo := i < 0 // new leaf: no cached row
-		var drow float64
-		if !redo && leafFirst {
-			drow = cert.dc[r] + mac*cert.dr[r]
-		}
-		// Reconstruct the row's pre-symmetrization near list — the cached
-		// near entries plus the mutual pairs symmetrization moved to Sym
-		// or ceded to a partner row — merged back into classification
-		// visit order, each with its stored path certificate. (Surviving
-		// nodes keep their relative pre-order under materializations,
-		// prunes and splits, and any structural change on a visited path
-		// forces a redo, so dfs order reproduces the compile emission
-		// order exactly.)
-		var pn []int32
-		var pnP []float64
-		if !redo {
-			near := il.Near[il.NearOff[i]:il.NearOff[i+1]]
-			if !symmetrize {
-				pn, pnP = near, il.NearPath[il.NearOff[i]:il.NearOff[i+1]]
-			} else {
-				sym := il.Sym[il.SymOff[i]:il.SymOff[i+1]]
-				cede := il.Cede[il.CedeOff[i]:il.CedeOff[i+1]]
-				pn = make([]int32, 0, len(near)+len(sym)+len(cede))
-				pnP = make([]float64, 0, cap(pn))
-				pn = append(append(append(pn, near...), sym...), cede...)
-				pnP = append(pnP, il.NearPath[il.NearOff[i]:il.NearOff[i+1]]...)
-				pnP = append(pnP, il.SymPath[il.SymOff[i]:il.SymOff[i+1]]...)
-				pnP = append(pnP, il.CedePath[il.CedeOff[i]:il.CedeOff[i+1]]...)
-				ord := make([]int32, len(pn))
-				for x := range ord {
-					ord[x] = int32(x)
-				}
-				slices.SortFunc(ord, func(a, b int32) int {
-					return int(cert.dfsIdx[pn[a]]) - int(cert.dfsIdx[pn[b]])
-				})
-				spn := make([]int32, len(pn))
-				spnP := make([]float64, len(pn))
-				for x, o := range ord {
-					spn[x], spnP[x] = pn[o], pnP[o]
-				}
-				pn, pnP = spn, spnP
-			}
-		}
-		if !redo {
-			for fi := il.FarOff[i]; fi < il.FarOff[i+1]; fi++ {
-				e := il.Far[fi]
-				if !cert.reached[e] || cert.pathBad[e] ||
-					il.FarMargin[fi] <= drow+cert.dc[e]+mac*cert.dr[e]+repairSlop ||
-					il.FarPath[fi] <= drow+cert.upDc[e]+mac*cert.upDr[e]+repairSlop {
-					redo = true
-					break
-				}
-			}
-		}
-		if !redo {
-			for x, e := range pn {
-				if !cert.reached[e] || cert.pathBad[e] ||
-					pnP[x] <= drow+cert.upDc[e]+mac*cert.upDr[e]+repairSlop {
-					redo = true
-					break
-				}
-				// Born near leaves were admitted by a failed far test of
-				// their own; E_pol's leaf-first near entries were never
-				// tested (NearMargin nil) and need only the path checks.
-				if il.NearMargin != nil &&
-					il.NearMargin[il.NearOff[i]+int32(x)] <= drow+cert.dc[e]+mac*cert.dr[e]+repairSlop {
-					redo = true
-					break
-				}
-			}
-		}
-		if redo {
-			dirtyRows = append(dirtyRows, int32(k))
-			repaired++
-			continue
-		}
-		// Certified clean: the cached entries are exactly what a fresh
-		// classification would produce. Every margin decays by the drift
-		// bound its test was certified under — a lower bound on the true
-		// slack from here on; once one dips under the next drift the row
-		// recomputes and refreshes them all.
-		farM := make([]float64, il.FarOff[i+1]-il.FarOff[i])
-		farP := make([]float64, len(farM))
-		for x := range farM {
-			fi := il.FarOff[i] + int32(x)
-			e := il.Far[fi]
-			farM[x] = il.FarMargin[fi] - (drow + cert.dc[e] + mac*cert.dr[e])
-			farP[x] = il.FarPath[fi] - (drow + cert.upDc[e] + mac*cert.upDr[e])
-		}
-		nearP := make([]float64, len(pn))
-		for x, e := range pn {
-			nearP[x] = pnP[x] - (drow + cert.upDc[e] + mac*cert.upDr[e])
-		}
-		var nearM []float64
-		if il.NearMargin != nil {
-			nearM = make([]float64, len(pn))
-			for x, e := range pn {
-				nearM[x] = il.NearMargin[il.NearOff[i]+int32(x)] - (drow + cert.dc[e] + mac*cert.dr[e])
-			}
-		}
-		var farO []uint8
-		if il.FarOrd != nil {
-			farO = il.FarOrd[il.FarOff[i]:il.FarOff[i+1]]
-		}
-		per[k] = rowLists{
-			far:   il.Far[il.FarOff[i]:il.FarOff[i+1]],
-			near:  pn,
-			farM:  farM,
-			farP:  farP,
-			nearM: nearM,
-			nearP: nearP,
-			farO:  farO,
+// rowClean certifies cached row i against the drift (drow is the row
+// cluster's own).
+func (c *repairCert) rowClean(il *InteractionLists, i int32, drow, mac float64) bool {
+	for fi := il.FarOff[i]; fi < il.FarOff[i+1]; fi++ {
+		e := il.Far[fi]
+		if c.bad[e] ||
+			il.FarMargin[fi] <= drow+c.dc[e]+mac*c.dr[e]+repairSlop ||
+			il.FarPath[fi] <= drow+c.upDc[e]+mac*c.upDr[e]+repairSlop {
+			return false
 		}
 	}
-	recompute := func(j int) {
-		k := dirtyRows[j]
-		per[k] = rowLists{}
-		rn := &rowTree.Nodes[rows[k]]
-		classify(atoms, atoms.Root(), rn.Center, rn.Radius, &macs, pmax, leafFirst, math.Inf(1), &per[k])
-	}
-	if pool == nil || len(dirtyRows) < 16 {
-		for j := range dirtyRows {
-			recompute(j)
-		}
-	} else {
-		grain := len(dirtyRows)/(8*pool.NumWorkers()) + 1
-		sched.ParallelFor(pool, len(dirtyRows), grain, func(lo, hi, _ int) {
-			for j := lo; j < hi; j++ {
-				recompute(j)
+	for _, run := range il.nearRuns(i) {
+		for x, e := range run.es {
+			if c.bad[e] || run.ps[x] <= drow+c.upDc[e]+mac*c.upDr[e]+repairSlop {
+				return false
 			}
-		})
+		}
 	}
-	if symmetrize {
-		symmetrizeNear(rowTree, rows, per)
+	// Born near leaves were admitted by a failed far test of their own;
+	// E_pol's leaf-first near entries were never tested (NearMargin nil)
+	// and need only the path checks.
+	if il.NearMargin != nil {
+		for x := il.NearOff[i]; x < il.NearOff[i+1]; x++ {
+			if e := il.Near[x]; il.NearMargin[x] <= drow+c.dc[e]+mac*c.dr[e]+repairSlop {
+				return false
+			}
+		}
 	}
-	return assembleLists(rows, per), repaired
+	return true
+}
+
+// decay carries the margins src of entries es into dst, each reduced by
+// the drift bound its test was just certified under (dC/dR select the
+// entry's own drift or its ancestors') — a lower bound on the true slack
+// from here on; once one dips under the next drift the row recomputes and
+// refreshes them all. It writes straight into the output arrays: a clean
+// row allocates nothing.
+func decay(dst, src []float64, es []int32, drow, mac float64, dC, dR []float64) {
+	for x, e := range es {
+		dst[x] = src[x] - (drow + dC[e] + mac*dR[e])
+	}
+}
+
+// carryRow copies certified-clean cached row i into row k of il and pre:
+// the far entries and the pre-symmetrization near list, which for a
+// symmetrized phase is the cached Near, Sym and Cede runs merged back into
+// classification visit order.
+func (ph *listPhase) carryRow(il *InteractionLists, pre *nearLists, old *InteractionLists, c *repairCert, k int, i int32) {
+	drow, mac := ph.rowDrift(c, il.Rows[k]), ph.macs[0]
+	at, lo, hi := il.FarOff[k], old.FarOff[i], old.FarOff[i+1]
+	es := old.Far[lo:hi]
+	copy(il.Far[at:], es)
+	if il.FarOrd != nil {
+		copy(il.FarOrd[at:], old.FarOrd[lo:hi])
+	}
+	decay(il.FarMargin[at:], old.FarMargin[lo:hi], es, drow, mac, c.dc, c.dr)
+	decay(il.FarPath[at:], old.FarPath[lo:hi], es, drow, mac, c.upDc, c.upDr)
+	at = pre.off[k]
+	if ph.symmetrize {
+		c.mergeNear(pre.n[at:pre.off[k+1]], pre.p[at:], old.nearRuns(i), drow, mac)
+		return
+	}
+	lo, hi = old.NearOff[i], old.NearOff[i+1]
+	es = old.Near[lo:hi]
+	copy(pre.n[at:], es)
+	decay(pre.m[at:], old.NearMargin[lo:hi], es, drow, mac, c.dc, c.dr)
+	decay(pre.p[at:], old.NearPath[lo:hi], es, drow, mac, c.upDc, c.upDr)
+}
+
+// nearRun is one of a row's Near, Sym and Cede runs with its path margins.
+type nearRun struct {
+	es []int32
+	ps []float64
+}
+
+// nearRuns returns row i's three runs — together, its pre-symmetrization
+// near list.
+func (il *InteractionLists) nearRuns(i int32) [3]nearRun {
+	return [3]nearRun{
+		{il.Near[il.NearOff[i]:il.NearOff[i+1]], il.NearPath[il.NearOff[i]:il.NearOff[i+1]]},
+		{il.Sym[il.SymOff[i]:il.SymOff[i+1]], il.SymPath[il.SymOff[i]:il.SymOff[i+1]]},
+		{il.Cede[il.CedeOff[i]:il.CedeOff[i+1]], il.CedePath[il.CedeOff[i]:il.CedeOff[i+1]]},
+	}
+}
+
+// mergeNear rebuilds a cached row's pre-symmetrization near list into
+// dstN/dstP (path margins decayed) by a 3-way merge of its runs on dfsIdx.
+// Each run is already in that order: symmetrization split the row's
+// emission into three order-preserving subsequences, the emission was in
+// visit order when the row was classified, and surviving nodes keep their
+// relative pre-order under materializations, prunes and splits (any
+// structural change on a visited path has failed the row's certificate).
+// So the merge reproduces exactly what a fresh classification would emit,
+// without sorting.
+func (c *repairCert) mergeNear(dstN []int32, dstP []float64, runs [3]nearRun, drow, mac float64) {
+	for x := range dstN {
+		b := -1
+		for r := range runs {
+			if len(runs[r].es) > 0 && (b < 0 || c.dfsIdx[runs[r].es[0]] < c.dfsIdx[runs[b].es[0]]) {
+				b = r
+			}
+		}
+		e := runs[b].es[0]
+		dstN[x] = e
+		dstP[x] = runs[b].ps[0] - (drow + c.upDc[e] + mac*c.upDr[e])
+		runs[b].es, runs[b].ps = runs[b].es[1:], runs[b].ps[1:]
+	}
 }

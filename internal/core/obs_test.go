@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -246,19 +248,18 @@ func TestKernelHotLoopZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDisabledObsOverhead is the issue's overhead guard: attaching the
-// observability layer to the 5k-atom shared energy path must cost under
-// 2% — and with Obs=nil the instrumented runner pays one pointer test
-// per phase boundary, so the nil path can only be cheaper still.
-// Interleaved min-of-N absorbs scheduler and thermal noise; a small
-// absolute floor keeps sub-millisecond jitter from failing the ratio on
-// fast machines.
+// TestDisabledObsOverhead is the overhead guard: attaching the
+// observability layer to the 5k-atom shared energy path, and to the list
+// repair (whose spans open per call, never per row), must cost under 2% —
+// and with Obs=nil the instrumented code pays one pointer test per phase
+// boundary, so the nil path can only be cheaper still. Interleaved
+// min-of-N absorbs scheduler and thermal noise; a small absolute floor
+// keeps sub-millisecond jitter from failing the ratio on fast machines.
 func TestDisabledObsOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
 	sys, _, _ := testSystem(t, 5000, 11, Params{})
-
 	run := func(o *obs.Obs) float64 {
 		res, err := RunShared(sys, SharedOptions{Threads: 4, Obs: o})
 		if err != nil {
@@ -267,7 +268,35 @@ func TestDisabledObsOverhead(t *testing.T) {
 		return res.WallSeconds
 	}
 	run(nil) // warm lists, pools, caches
+	guardObsOverhead(t, "shared run", func() (off, on float64) { return run(nil), run(obs.New()) })
 
+	// Two copies of one system walk the same trajectory, one observed.
+	pool := sched.NewPool(4)
+	defer pool.Close()
+	plain, mol, _ := testSystem(t, 5000, 11, mortonParams())
+	traced, _, _ := testSystem(t, 5000, 11, mortonParams())
+	plain.Lists(pool)
+	traced.Lists(pool)
+	rng := rand.New(rand.NewSource(12))
+	pos := mol.Positions()
+	repair := func(s *System, o *obs.Obs) float64 {
+		start := time.Now()
+		if stats, err := s.UpdateAtomsRepair(pos, pool, o); err != nil || !stats.Repaired {
+			t.Fatalf("repair: %+v %v", stats, err)
+		}
+		return time.Since(start).Seconds()
+	}
+	guardObsOverhead(t, "list repair", func() (off, on float64) {
+		pos = localJiggle(rng, pos, 0.05)
+		return repair(plain, nil), repair(traced, obs.New())
+	})
+}
+
+// guardObsOverhead times interleaved (unobserved, observed) pairs and
+// fails unless, in one of three attempts, the fastest observed run is
+// within 2% — or 10 ms — of the fastest unobserved one.
+func guardObsOverhead(t *testing.T, what string, pair func() (off, on float64)) {
+	t.Helper()
 	const (
 		reps     = 3
 		attempts = 3
@@ -278,17 +307,40 @@ func TestDisabledObsOverhead(t *testing.T) {
 	for attempt := 0; attempt < attempts; attempt++ {
 		off, on = time.Hour.Seconds(), time.Hour.Seconds()
 		for rep := 0; rep < reps; rep++ {
-			if w := run(nil); w < off {
-				off = w
-			}
-			if w := run(obs.New()); w < on {
-				on = w
-			}
+			a, b := pair()
+			off, on = min(off, a), min(on, b)
 		}
 		if on-off < floorSec || on/off-1 < bound {
 			return
 		}
 	}
-	t.Errorf("observability overhead %.2f%% (off %.4fs, on %.4fs), want < %.0f%%",
-		100*(on/off-1), off, on, 100*bound)
+	t.Errorf("%s: observability overhead %.2f%% (off %.4fs, on %.4fs), want < %.0f%%",
+		what, 100*(on/off-1), off, on, 100*bound)
+}
+
+// TestRepairSpans: an observed repair decomposes into its sub-phases — the
+// certificate walk once, then certify / classify / assemble / symmetrize
+// per phase (the Born phase has nothing to symmetrize) — with a span count
+// that does not depend on the number of rows.
+func TestRepairSpans(t *testing.T) {
+	for _, atoms := range []int{300, 1200} {
+		sys, mol, _ := testSystem(t, atoms, 13, mortonParams())
+		sys.Lists(nil)
+		o := obs.New()
+		pos := localJiggle(rand.New(rand.NewSource(14)), mol.Positions(), 0.05)
+		if stats, err := sys.UpdateAtomsRepair(pos, nil, o); err != nil || !stats.Repaired {
+			t.Fatalf("%d atoms: %+v %v", atoms, stats, err)
+		}
+		got := map[string]int{}
+		for _, ev := range o.Trace.Events() {
+			if ev.Cat == "ilist" && ev.Ph == "X" {
+				got[ev.Name]++
+			}
+		}
+		want := map[string]int{"ilist.repair.cert": 1, "ilist.repair.certify": 2,
+			"ilist.repair.classify": 2, "ilist.repair.assemble": 2, "ilist.repair.symmetrize": 1}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d atoms: repair spans %v, want %v", atoms, got, want)
+		}
+	}
 }

@@ -212,3 +212,115 @@ func TestUpdateAtomsRepairFallbacks(t *testing.T) {
 		t.Error("length mismatch accepted")
 	}
 }
+
+// TestSnapshotAfterRepairs: a system that went through structural repairs
+// must still checkpoint. Tracked updates append materialized leaves and
+// orphan pruned ones, so the live leaf order stops being ascending node
+// order; the decoded tree has to derive the same order the compiled rows
+// follow, and evaluate to the same energy with no recompile.
+func TestSnapshotAfterRepairs(t *testing.T) {
+	sys, mol, _ := testSystem(t, 4000, 2, mortonParams())
+	sys.Lists(nil)
+	rng := rand.New(rand.NewSource(223))
+	pos := mol.Positions()
+	structural := 0
+	for step := 0; step < 8; step++ {
+		pos = localJiggle(rng, pos, 0.3)
+		stats, err := sys.UpdateAtomsRepair(pos, nil, nil)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if stats.Repaired && stats.Moved > 0 {
+			structural++
+		}
+		data, err := EncodeSnapshot(sys)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		got, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatalf("step %d (%+v): %v", step, stats, err)
+		}
+		if stats.Repaired && got.lists == nil {
+			t.Fatalf("step %d: the snapshot dropped the repaired lists", step)
+		}
+		want, err := RunShared(sys, SharedOptions{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunShared(got, SharedOptions{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if relErr(res.Epol, want.Epol) > 1e-12 {
+			t.Fatalf("step %d: decoded system gives E_pol %.17g, live system %.17g", step, res.Epol, want.Epol)
+		}
+	}
+	if structural == 0 {
+		t.Fatal("no step repaired across a leaf change; test exercised nothing")
+	}
+}
+
+// TestReposeThenRepair: a rigid transform moves points and node centers
+// but cannot carry the octree's root cube and Morton keys, so an update
+// after it must rebuild the atoms octree in the new frame rather than
+// rekey against the old cube (which moved nearly every key and gave a
+// 3e-2 wrong energy). The pose is a quarter turn about the center of the
+// q-point cube: that maps the q-points octree's cells onto themselves, so
+// the re-posed system and a fresh one on the same coordinates hold the
+// same decomposition and must agree to rounding.
+func TestReposeThenRepair(t *testing.T) {
+	sys, mol, surf := testSystem(t, 4000, 2, mortonParams())
+	sys.Lists(nil)
+	qpts := make([]geom.Vec3, len(surf.Points))
+	for i, p := range surf.Points {
+		qpts[i] = p.Pos
+	}
+	c := geom.Bound(qpts).Center()
+	tr := geom.Translate(c).Compose(geom.RotateAxis(geom.V(0, 0, 1), math.Pi/2)).Compose(geom.Translate(c.Scale(-1)))
+	mol.ApplyTransform(tr)
+	surf.ApplyTransform(tr)
+	sys.ApplyRigidTransform(tr)
+
+	stats, err := sys.UpdateAtomsRepair(mol.Positions(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Rebuilt || stats.Repaired {
+		t.Fatalf("update after a re-pose: %+v, want the rebuild path with lists invalidated", stats)
+	}
+	if err := sys.Atoms.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunShared(sys, SharedOptions{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSystem(mol, surf, mortonParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunShared(fresh, SharedOptions{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if relErr(got.Epol, want.Epol) > 1e-9 {
+		t.Errorf("re-posed then updated E_pol %.17g vs fresh system %.17g (rel %.3g)",
+			got.Epol, want.Epol, relErr(got.Epol, want.Epol))
+	}
+	data, err := EncodeSnapshot(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunShared(dec, SharedOptions{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if relErr(res.Epol, got.Epol) > 1e-12 {
+		t.Errorf("decoded E_pol %.17g vs live %.17g", res.Epol, got.Epol)
+	}
+}

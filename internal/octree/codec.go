@@ -78,7 +78,11 @@ const encodedNodeBytes = 3*8 + 8 + 8*4 + 4 + 4 + 4 + 1
 // DecodeTree reads a tree encoded by AppendTo and re-validates every
 // structural invariant, so a corrupted input yields an error rather than
 // a tree that panics inside a kernel sweep. The leaf list is recomputed
-// (ascending node order, as finalize produces it) instead of trusted.
+// instead of trusted, the way the live tree derives it: the leaves
+// reachable from the root in slot order. For a built tree that is
+// ascending node order; after tracked updates it is not — materialized
+// leaves sit at the end of Nodes and pruned ones stay in it, unreachable —
+// and the compiled lists' rows follow the live order.
 func DecodeTree(r *wire.Reader) (*Tree, error) {
 	nNodes := int(r.U32())
 	if r.Err() != nil || nNodes <= 0 || nNodes > r.Remaining()/encodedNodeBytes {
@@ -183,11 +187,7 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 				i, t.Nodes[i].Start, t.Nodes[i].End)
 		}
 	}
-	for i := range t.Nodes {
-		if t.Nodes[i].IsLeaf {
-			t.leaves = append(t.leaves, int32(i))
-		}
-	}
+	t.rebuildLeafList()
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}

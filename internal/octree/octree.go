@@ -272,6 +272,13 @@ func (t *Tree) MemoryBytes() int64 {
 // rebuild is needed. This is the paper's "move the same octree to
 // different positions or rotate it ... by multiplying with proper
 // transformation matrices" (Section IV.C, Step 1).
+//
+// The cells themselves are not carried: the root cube and the Morton keys
+// belong to the frame the tree was built in, and a rotated cube is no
+// longer axis-aligned. The cube is therefore emptied — it contains no
+// point, so the next Update or UpdateTracked takes its rebuild path and
+// re-derives cells and keys in the new frame instead of routing the moved
+// points through the old one.
 func (t *Tree) ApplyTransform(tr geom.Transform) {
 	for i := range t.Pts {
 		t.Pts[i] = tr.Apply(t.Pts[i])
@@ -279,6 +286,7 @@ func (t *Tree) ApplyTransform(tr geom.Transform) {
 	for i := range t.Nodes {
 		t.Nodes[i].Center = tr.Apply(t.Nodes[i].Center)
 	}
+	t.rootBox = geom.Empty()
 	t.rotateMoments(tr)
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gbpolar/internal/geom"
+	"gbpolar/internal/wire"
 )
 
 // checkKeyConsistency asserts the tracked-update invariants: every
@@ -250,5 +251,96 @@ func TestUpdateTrackedFallbacks(t *testing.T) {
 	}
 	if !res.Rebuilt {
 		t.Error("stale-key tree should fall back")
+	}
+}
+
+// TestUpdateAfterTransformRebuilds: ApplyTransform carries points and node
+// centers into a new frame but not the root cube and the keys, so the
+// next update — tracked or not — must rebuild in that frame, and leave
+// the tree an in-frame build leaves: same cells, consistent keys.
+func TestUpdateAfterTransformRebuilds(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	// A ball rotated about its center stays inside the old cube, where
+	// only the stale frame can force the rebuild.
+	var pts []geom.Vec3
+	for _, p := range randPts(rng, 1600, 15) {
+		if p.Norm() < 7.5 {
+			pts = append(pts, p)
+		}
+	}
+	c := geom.Bound(pts).Center()
+	tr := geom.Translate(c).Compose(geom.RotateAxis(geom.V(1, 2, 3), 0.7)).Compose(geom.Translate(c.Scale(-1)))
+	posed := make([]geom.Vec3, len(pts))
+	for i, p := range pts {
+		posed[i] = tr.Apply(p)
+	}
+	want, err := Build(posed, Options{Builder: BuilderMorton})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tracked, err := Build(pts, Options{Builder: BuilderMorton})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracked.ApplyTransform(tr)
+	res, err := tracked.UpdateTracked(posed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Rebuilt {
+		t.Errorf("tracked update after a transform: %+v, want a rebuild", res)
+	}
+	checkKeyConsistency(t, tracked)
+
+	plain, err := Build(pts, Options{Builder: BuilderMorton})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.ApplyTransform(tr)
+	if moved, err := plain.Update(posed); err != nil || moved != len(pts) {
+		t.Errorf("untracked update after a transform moved %d of %d (%v), want a rebuild", moved, len(pts), err)
+	}
+	for name, got := range map[string]*Tree{"tracked": tracked, "untracked": plain} {
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(got.Leaves(), want.Leaves()) || !slices.Equal(got.Index, want.Index) {
+			t.Errorf("%s: tree differs from a build in the new frame", name)
+		}
+	}
+}
+
+// TestCodecKeepsLeafOrderAfterTrackedUpdates: tracked updates append
+// materialized leaves and orphan pruned ones, so the live leaf order is
+// no longer ascending node order; a decoded tree must list the same
+// leaves in the same order, since compiled list rows are keyed to it.
+func TestCodecKeepsLeafOrderAfterTrackedUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	pts := randPts(rng, 1500, 15)
+	tr, err := Build(pts, Options{Builder: BuilderMorton})
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := false
+	for step := 0; step < 6; step++ {
+		pts = jiggle(rng, pts, 0.4)
+		res, err := tr.UpdateTracked(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		changed = changed || (res.LeavesChanged && !res.Rebuilt)
+		var w wire.Writer
+		tr.AppendTo(&w)
+		got, err := DecodeTree(wire.NewReader(w.Bytes()))
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if !slices.Equal(got.Leaves(), tr.Leaves()) {
+			t.Fatalf("step %d: decoded leaf order differs from the live tree's", step)
+		}
+	}
+	if !changed {
+		t.Fatal("no update changed the leaf set; test exercised nothing")
 	}
 }

@@ -150,14 +150,18 @@ func (w *Worker) loop() {
 	p := w.pool
 	defer p.wg.Done()
 	for {
+		// Record the epoch BEFORE searching, and sleep only if it has not
+		// moved since: a task pushed at any point after this load — while
+		// the search runs or after it came back empty — bumps the epoch and
+		// sends the worker round again. (Loading it after the search loses
+		// a root that Run pushes in between: every worker goes to sleep on
+		// the new epoch and Run waits forever.)
+		e := atomic.LoadUint64(&p.epoch)
 		t := w.findWork()
 		if t != nil {
 			w.exec(t)
 			continue
 		}
-		// Nothing found: record the epoch, then sleep unless new work
-		// arrived since the search started.
-		e := atomic.LoadUint64(&p.epoch)
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()

@@ -279,3 +279,27 @@ func BenchmarkSpawnOverhead(b *testing.B) {
 		}
 	})
 }
+
+// TestBackToBackRuns: a Run that starts just as the workers finish
+// searching after the previous one must still get its root executed. The
+// worker loop used to read the wake-up epoch AFTER its search, so a root
+// pushed in between was slept on and Run never returned — a few hundred
+// thousand empty Runs hit the window on any pool size.
+func TestBackToBackRuns(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		p := NewPool(workers)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 300000; i++ {
+				p.Run(func(*Worker) {})
+			}
+		}()
+		select {
+		case <-done:
+			p.Close()
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%d workers: a Run never returned", workers)
+		}
+	}
+}
