@@ -7,15 +7,16 @@ GO ?= go
 # hosts. Usage: make bench-lanes GOAMD64=v3
 GOAMD64 ?=
 
-.PHONY: check build test vet race faults bench-warm bench-lanes bench-far bench-lists obs perfgate net
+.PHONY: check build test vet race faults bench-warm bench-lanes bench-far bench-lists bench-kernels obs perfgate net kernels
 
-## check: the tier-1 gate — vet, build, full test suite, race detector,
-## the fault-injection matrix, the observability suite, and the perf
-## regression gate.
+## check: the tier-1 gate — vet, build, full test suite, the kernels with
+## and without their assembly, race detector, the fault-injection matrix,
+## the observability suite, and the perf regression gate.
 check:
 	$(MAKE) vet
 	$(GO) build ./...
 	$(GO) test ./...
+	$(MAKE) kernels
 	$(MAKE) race
 	$(MAKE) faults
 	$(MAKE) obs
@@ -30,6 +31,16 @@ vet:
 
 test:
 	$(GO) test ./...
+
+## kernels: the compiled kernels on both dispatch sides — the assembly
+## (vet's asmdecl checks every TEXT against its Go declaration) and, under
+## -tags purego, the portable Go kernels this host would otherwise never
+## run (DESIGN.md §11).
+kernels:
+	$(GO) vet -asmdecl ./internal/core/
+	$(GO) test ./internal/core/ ./internal/mathx/
+	$(GO) vet -tags purego ./internal/core/ ./internal/mathx/
+	$(GO) test -tags purego ./internal/core/ ./internal/mathx/
 
 ## race: the concurrency-heavy packages under the race detector.
 race:
@@ -56,7 +67,8 @@ obs:
 ## net: the real multi-process transport under the race detector — wire
 ## protocol, death/heal/rejoin, sentinel parity across transports, and
 ## the acceptance runs (5k-atom TCP parity, SIGKILL chaos with real
-## worker processes, coordinator restart from checkpoint, cancellation).
+## worker processes, coordinator restart from checkpoint, cancellation,
+## 500 back-to-back unobserved clean teardowns).
 net:
 	$(GO) test -race -count=1 ./internal/cluster/net/
 	$(GO) test -race -count=1 -run 'TestNet|TestRunContext|TestElasticSpans' ./internal/core/ ./internal/cluster/
@@ -96,6 +108,13 @@ bench-far:
 ## jiggle, with bytes and objects allocated per call (DESIGN.md §6, §10).
 bench-lists:
 	$(GO) test -run '^$$' -bench 'Benchmark(Compile|Repair)Lists20k' -benchtime 5x -count 2 -benchmem ./internal/core/
+
+## bench-kernels: the E_pol stream kernels at the ledger's fixture (20 000
+## atoms, one worker): a whole compiled sweep — gather included — per
+## tier, the exact tier with and without its assembly, in ns per streamed
+## term (EXPERIMENTS.md "Stream kernels").
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'BenchmarkEpolStream' -benchtime 5x -count 2 ./internal/core/
 
 ## bench-cold: the cold-path pair — octree construction benchmarks
 ## (recursive vs Morton at 1k/10k/100k points) and the coldstart

@@ -116,8 +116,8 @@ func (o Options) params() core.Params {
 	return p
 }
 
-// KernelISA reports the instruction set the non-exact precision tiers'
-// kernels execute on ("avx2+fma" or "portable").
+// KernelISA reports the instruction set the compiled kernels of every
+// precision tier execute on ("avx2+fma" or "portable").
 func KernelISA() string { return core.KernelISA() }
 
 // Observer re-exports the observability bundle: a hierarchical trace

@@ -97,7 +97,7 @@ func lanes(cfg Config) ([]*Table, error) {
 			fmt.Sprintf("%.3f", best), fmt.Sprintf("%.2fx", baseMS/best))
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("near-block kernel ISA: %s (runtime-detected; portable lane fallback elsewhere)", core.KernelISA()),
+		fmt.Sprintf("kernel ISA: %s (runtime-detected; portable fallback elsewhere)", core.KernelISA()),
 		"ms/pose includes the rigid transform, SoA refresh (and, for f32, the float32 mirror reconversion) plus both energy phases",
 		"the portable laned-f64 path is bit-identical to a scalar-approx run (TestLanesTierBitCompatible); the avx2+fma path is pinned to it at ~1e-11 (TestAsmKernelsMatchPortable); f32 is budgeted at ≤1e-4 relative (TestF32TierErrorBudget)",
 		"paper Section V.E reports 1.42× from approximate math alone; GOAMD64=v3 (make bench-lanes GOAMD64=v3) additionally lifts the compiled Go code to the AVX2 baseline")

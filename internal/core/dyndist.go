@@ -189,7 +189,7 @@ type dynEpol struct {
 	pool  *sched.Pool
 	ctx   *EpolContext
 	il    *InteractionLists // compiled E_pol lists; row i is leaves[i]
-	conv  [][]float64       // per-worker far-field convolution scratch
+	scr   []epolScratch     // per-worker gather-then-stream scratch
 	st    *DynStats
 	out   *rankOut
 	eaccs []epolAccum
@@ -223,7 +223,7 @@ func dynRank(sys *System, c *Comm, out *rankOut, st *DynStats) error {
 		eaccs:  make([]epolAccum, pool.NumWorkers()),
 		leaves: sys.Atoms.Leaves(),
 	}
-	d.conv = newConvScratch(d.ctx, pool.NumWorkers())
+	d.scr = newEpolScratch(d.ctx, d.il, pool.NumWorkers())
 	d.front, d.back = segment(len(d.leaves), P, rank)
 	d.batch = (d.back - d.front) / 64
 	if d.batch < 1 {
@@ -255,7 +255,7 @@ func dynRank(sys *System, c *Comm, out *rankOut, st *DynStats) error {
 		}
 	}
 	sp.End(c.Clock(), obs.F("rows", float64(d.leavesDone)))
-	o.Counter("kernel.epol.batches").Add(int64(d.leavesDone))
+	recordEpolSweep(o, d.leavesDone, d.eaccs)
 	o.Counter("dyn.steals").Add(int64(st.Steals))
 	o.Counter("dyn.leaves_migrated").Add(int64(st.LeavesMigrated))
 	o.Counter("sched.steals").Add(pool.Steals())
@@ -268,7 +268,7 @@ func dynRank(sys *System, c *Comm, out *rankOut, st *DynStats) error {
 func (d *dynEpol) processRange(l, h int) {
 	sched.ParallelFor(d.pool, h-l, 1, func(pl, ph, w int) {
 		for i := pl; i < ph; i++ {
-			epolRow(d.ctx, d.il, l+i, d.conv[w], &d.eaccs[w])
+			epolRow(d.ctx, d.il, l+i, &d.scr[w], &d.eaccs[w])
 		}
 	})
 	var tot float64

@@ -343,7 +343,7 @@ func elasticRank(sys *System, c cluster.Transport, out *rankOut, startPhase int,
 
 	// Phase 3 (step 6): E_pol over owned atom-leaf rows.
 	ctx := NewEpolContext(sys, slotRadii)
-	conv := newConvScratch(ctx, p)
+	scratch := newEpolScratch(ctx, lists.Epol, p)
 	epolDone := make([]bool, len(aLeaves))
 	var raw float64
 	computeEpol := func(events []cluster.MemberEvent) {
@@ -356,7 +356,7 @@ func elasticRank(sys *System, c cluster.Transport, out *rankOut, startPhase int,
 		sched.ParallelFor(pool, len(rows), rowGrain(len(rows), p), func(l, h, w int) {
 			for k := l; k < h; k++ {
 				before := eaccs[w].ops
-				epolRow(ctx, lists.Epol, rows[k], conv[w], &eaccs[w])
+				epolRow(ctx, lists.Epol, rows[k], &scratch[w], &eaccs[w])
 				if d := eaccs[w].ops - before; d > eaccs[w].maxTask {
 					eaccs[w].maxTask = d
 				}
@@ -380,7 +380,7 @@ func elasticRank(sys *System, c cluster.Transport, out *rankOut, startPhase int,
 			testPhaseDrag(rank, "epol")
 		}
 		sp.End(c.Clock(), obs.F("rows", float64(len(rows))), obs.F("inherited", float64(inherited)))
-		o.Counter("kernel.epol.batches").Add(int64(len(rows)))
+		recordEpolSweep(o, len(rows), eaccs)
 		if inherited > 0 {
 			c.NoteRecovery(inherited, charged/rate*float64(inherited)/float64(len(rows)))
 		}

@@ -34,11 +34,11 @@ type EpolContext struct {
 	// rr[k] = R_min²·(1+ε)^k for k < 2·MEps: the R_u·R_v surrogate of
 	// the far-field kernel, indexed by i+j.
 	rr []float64
-	// invRadii[i] = 1/Radii[i] and inv4rr[k] = 1/(4·rr[k]): reciprocal
-	// tables that let the exact-mode compiled kernels (kernels.go) form
-	// the f_GB exponent by multiplication instead of a per-pair divide.
-	invRadii []float64
-	inv4rr   []float64
+	// aLo[n], aHi[n] are node n's atom slot range (Nodes[n].Start/End) as
+	// flat tables: the near gather of the compiled sweep reads two of them
+	// per list entry, and an 80-byte Node per entry would miss where these
+	// hit.
+	aLo, aHi []int32
 	// farFactor is (1 + 2/ε); nodes are far when dist > (r_U+r_V)·farFactor.
 	farFactor float64
 	// farMACs is the opening-multiplier ladder derived from farFactor
@@ -61,12 +61,12 @@ type EpolContext struct {
 	// start instead of re-resolving (and indirect-calling) per pair.
 	kern mathx.Kernels
 	// tier is the compiled-kernel arithmetic resolved from the system
-	// parameters (precision.go); epolRow dispatches on it once per row.
+	// parameters (precision.go). t64 (t32 on the f32 tier) is what the row
+	// driver reads of it: gather sources and the stream kernel
+	// (kernels_stream.go).
 	tier kernelTier
-	// radii32/rr32 are float32 narrows of Radii and rr for the f32 tier
-	// (radii32 lane-padded like the System mirrors); nil on other tiers.
-	radii32 []float32
-	rr32    []float32
+	t64  epolTier[float64]
+	t32  epolTier[float32]
 }
 
 // epolFarFactor is the E_pol opening multiplier (1 + 2/ε) of Figure 3's
@@ -199,21 +199,49 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 	ctx.nzOff[t.NumNodes()] = at
 
 	ctx.rr = make([]float64, 2*ctx.MEps-1)
-	ctx.inv4rr = make([]float64, len(ctx.rr))
 	for k := range ctx.rr {
 		ctx.rr[k] = ctx.RMin * ctx.RMin * math.Pow(1+eps, float64(k))
-		ctx.inv4rr[k] = 1 / (4 * ctx.rr[k])
-	}
-	ctx.invRadii = make([]float64, len(slotRadii))
-	for i, r := range slotRadii {
-		ctx.invRadii[i] = 1 / r
 	}
 	ctx.kern = sys.kern()
 	ctx.tier = sys.Params.tier()
-	if ctx.tier == tierF32 {
-		ctx.radii32 = narrow(nil, slotRadii)
-		ctx.rr32 = narrow(nil, ctx.rr)
+	ctx.aLo, ctx.aHi = make([]int32, t.NumNodes()), make([]int32, t.NumNodes())
+	for n := range t.Nodes {
+		ctx.aLo[n], ctx.aHi[n] = t.Nodes[n].Start, t.Nodes[n].End
 	}
+
+	// The operands of the compiled sweep (kernels_stream.go): the atoms,
+	// and every node's occupied bins as pseudo-atoms — node n's bin b is a
+	// charge q_n[b] of Born radius ρ_b = R_min(1+ε)^b at the node's center,
+	// ρ_i·ρ_j being the far field's R_uR_v surrogate rr[i+j]. The
+	// reciprocal radii let the exact tier's kernel form the f_GB exponent
+	// by multiplication instead of a per-pair divide.
+	rho := make([]float64, ctx.MEps)
+	for b := range rho {
+		rho[b] = ctx.RMin * math.Pow(1+eps, float64(b))
+	}
+	if ctx.tier == tierF32 {
+		f := sys.f32()
+		sweep := epolStreamF32
+		if useAsmKernels {
+			sweep = epolStreamF32Asm
+		}
+		ctx.t32 = newEpolTier(ctx, rho, f.aNodeX, f.aNodeY, f.aNodeZ, sweep)
+		return ctx
+	}
+	var sweep func(o, s *soa[float64]) float64
+	switch {
+	case ctx.tier == tierExact && useAsmKernels:
+		sweep = epolStreamExactAsm
+	case ctx.tier == tierExact:
+		sweep = epolStreamExact
+	case ctx.tier == tierApprox:
+		sweep = epolStreamApprox
+	case useAsmKernels:
+		sweep = epolStreamLanesAsm
+	default:
+		sweep = epolStreamLanes
+	}
+	ctx.t64 = newEpolTier(ctx, rho, sys.ANodeX, sys.ANodeY, sys.ANodeZ, sweep)
 	return ctx
 }
 
@@ -226,7 +254,11 @@ type epolAccum struct {
 	energy  float64 // Σ q_u·q_v/f_GB over ordered pairs (prefactor applied later)
 	ops     float64
 	maxTask float64 // largest single-leaf op count (span term, see modelPhaseOps)
-	_       [5]float64
+	// What the compiled sweep streamed (kernels_stream.go), added up once
+	// per row: near pair terms and far bin-pair terms evaluated, atoms and
+	// pseudo-atoms gathered and the list entries they were gathered for.
+	nearTerms, farTerms, gatherAtoms, gatherSpans float64
+	_                                             float64
 }
 
 // ApproxEpol runs Figure 3's APPROX-EPOL for the atoms-octree leaf V
@@ -308,4 +340,25 @@ func ApproxEpol(ctx *EpolContext, uNode, vLeaf int32, acc *epolAccum) {
 // Finish converts the accumulated raw pair sum into E_pol in kcal/mol.
 func (ctx *EpolContext) Finish(rawSum float64) float64 {
 	return -0.5 * ctx.tau * rawSum
+}
+
+// newEpolTier builds a tier's gather sources in its element type from
+// the context's float64 state (rho[b] is ρ_b) and attaches the node
+// centers and the stream kernel.
+func newEpolTier[T lane](ctx *EpolContext, rho []float64, nx, ny, nz []T, sweep func(o, s *soa[T]) float64) epolTier[T] {
+	sys := ctx.sys
+	tk := epolTier[T]{
+		atoms: make([]atom[T], len(ctx.Radii)), bins: make([]atom[T], len(ctx.nzQ)),
+		nx: nx, ny: ny, nz: nz, sweep: sweep,
+	}
+	for i, r := range ctx.Radii {
+		tk.atoms[i] = atom[T]{T(sys.AtomX[i]), T(sys.AtomY[i]), T(sys.AtomZ[i]), T(sys.Charge[i]), T(r), T(1 / r)}
+	}
+	for n := range ctx.aLo {
+		for e := ctx.nzOff[n]; e < ctx.nzOff[n+1]; e++ {
+			r := rho[ctx.nzBin[e]]
+			tk.bins[e] = atom[T]{T(sys.ANodeX[n]), T(sys.ANodeY[n]), T(sys.ANodeZ[n]), T(ctx.nzQ[e]), T(r), T(1 / r)}
+		}
+	}
+	return tk
 }

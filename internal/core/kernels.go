@@ -1,37 +1,31 @@
 package core
 
-import (
-	"math"
-
-	"gbpolar/internal/mathx"
-)
-
-// This file holds the batched SoA kernels that evaluate compiled
-// interaction lists (ilist.go). They reproduce the arithmetic of
-// ApproxIntegrals / ApproxEpol pair-for-pair — same pairs, same kernel
-// expressions — but sweep the System's flat component arrays instead of
-// chasing Node structs and Vec3 payloads, and they dispatch the math
-// mode (and Born kernel power) once per row instead of once per pair:
-// the exact-mode loops call math.Sqrt/math.Exp directly, which the
-// compiler can intrinsify, where the recursive path pays an indirect
-// call through mathx.Kernels on every pair.
+// This file and kernels_stream.go hold the batched SoA kernels that
+// evaluate compiled interaction lists (ilist.go): the Born rows here, the
+// E_pol rows there. They reproduce the arithmetic of ApproxIntegrals /
+// ApproxEpol pair-for-pair — same pairs, same kernel expressions — but
+// sweep the System's flat component arrays instead of chasing Node
+// structs and Vec3 payloads, and they dispatch the math mode (and Born
+// kernel power) once per row or once per context instead of once per
+// pair, where the recursive path pays an indirect call through
+// mathx.Kernels on every pair.
 //
-// The exact-mode E_pol loops additionally apply three algebraic
+// The exact tier's E_pol kernel additionally applies three algebraic
 // rewrites the recursion does not: the f_GB exponent is formed by
-// multiplying precomputed reciprocals (EpolContext.invRadii / inv4rr)
-// instead of dividing, mutual near blocks are swept once with weight 2,
-// and the far-field histogram product is folded through a convolution
-// over the bin sum (farField). Each rewrite perturbs individual terms
-// by at most a few ulp (or reassociates a sum); the cross-check tests
-// in ilist_test.go pin the compiled path to the recursive one at 1e-12
+// multiplying precomputed reciprocals (EpolContext.invRadii / irr)
+// instead of dividing, mutual near blocks are gathered once with doubled
+// charges, and the far-field histogram product is folded through a
+// convolution over the bin sum. Each rewrite perturbs individual terms by
+// at most a few ulp (or reassociates a sum); the cross-check tests in
+// ilist_test.go pin the compiled path to the recursive one at 1e-12
 // relative, far above the observed deviation. The approximate-math
-// branches take none of these shortcuts — they must call mathx.Exp /
-// mathx.RSqrt with the recursion's operands to stay identical to it.
+// kernels take only the last two — they must call mathx.Exp / mathx.RSqrt
+// with the recursion's operands to stay on it.
 //
 // Op accounting: the compiled path charges 1 op per list entry plus the
 // same per-pair counts as the recursive path (|A|·|Q| for near blocks,
 // one per populated histogram-bin pair for the far field); mutual near
-// blocks swept once with double weight are charged for both ordered
+// blocks gathered once with doubled charges are charged for both ordered
 // blocks they represent, so Ops stays the decomposition's pair-term count
 // and remains comparable across paths and across ε. The compiled path
 // does NOT charge the interior-node visits the recursion performs —
@@ -232,220 +226,5 @@ func bornRow(sys *System, il *InteractionLists, row int, acc *bornAccum) {
 			acc.atom[ai] += s
 		}
 		acc.ops += float64(an.Count()*q.Count()) + 1
-	}
-}
-
-// expSkip is the f_GB shortcut threshold: when r² ≥ 160·R_uR_v the
-// smoothing term R_uR_v·exp(−r²/4R_uR_v) is below e⁻⁴⁰/160 ≈ 2.7·10⁻²⁰
-// of r² — far under half an ulp — so f² rounds to r² BITWISE and the exp
-// call can be skipped without changing a single bit of the result. The
-// far field almost always clears the threshold (that is what being far
-// means); near pairs clear it occasionally. Only valid for exact math:
-// the approximate-math mode must keep calling mathx.Exp so the compiled
-// path stays identical to the recursive one.
-const expSkip = 160.0
-
-// epolRow evaluates one compiled E_pol row (an atom leaf V) into acc:
-// near entries are exact ordered pairs (including the diagonal when
-// U == V), far entries interact the nonzero-compacted charge histograms
-// bin-by-bin (Figure 3). conv is worker-private scratch of len(ctx.rr)
-// for the far-field convolution; it must start zeroed and is returned
-// zeroed.
-func epolRow(ctx *EpolContext, il *InteractionLists, row int, conv []float64, acc *epolAccum) {
-	switch ctx.tier {
-	case tierLanes:
-		epolRowLanes(ctx, il, row, conv, acc)
-		return
-	case tierF32:
-		epolRowF32(ctx, il, row, conv, acc)
-		return
-	}
-	sys := ctx.sys
-	t := sys.Atoms
-	leaf := il.Rows[row]
-	v := &t.Nodes[leaf]
-	exact := ctx.tier == tierExact
-
-	vlo, vhi := v.Start, v.End
-	vx, vy, vz := sys.AtomX[vlo:vhi], sys.AtomY[vlo:vhi], sys.AtomZ[vlo:vhi]
-	cv := sys.Charge[vlo:vhi]
-	rv := ctx.Radii[vlo:vhi]
-	irv := ctx.invRadii[vlo:vhi]
-
-	near := il.Near[il.NearOff[row]:il.NearOff[row+1]]
-	for _, ul := range near {
-		epolNearBlock(ctx, sys, ul, vx, vy, vz, cv, rv, irv, exact, 1, acc)
-		acc.ops += float64(t.Nodes[ul].Count()*v.Count()) + 1
-	}
-	// Mutual pairs were compiled once (ilist.go): the per-pair GB terms
-	// are bitwise symmetric, so one block sweep with weight 2 reproduces
-	// both ordered blocks of the recursion (×2 is exact in binary FP).
-	sym := il.Sym[il.SymOff[row]:il.SymOff[row+1]]
-	for _, ul := range sym {
-		epolNearBlock(ctx, sys, ul, vx, vy, vz, cv, rv, irv, exact, 2, acc)
-		// Charged for BOTH ordered blocks the sweep represents: Ops counts
-		// the pair terms of the near–far decomposition (the quantity the
-		// time model and the eps-tradeoff accounting are calibrated on),
-		// and the represented work is what stays comparable across paths.
-		acc.ops += float64(2*t.Nodes[ul].Count()*v.Count()) + 1
-	}
-
-	far := il.Far[il.FarOff[row]:il.FarOff[row+1]]
-	if len(far) == 0 {
-		return
-	}
-	farField(ctx, sys, leaf, far, farOrdRow(il, row), exact, conv, acc)
-}
-
-// farOrdRow returns row's slice of per-entry admitted orders, nil when
-// the lists were compiled without a ladder (FarOrder = 0).
-func farOrdRow(il *InteractionLists, row int) []uint8 {
-	if il.FarOrd == nil {
-		return nil
-	}
-	return il.FarOrd[il.FarOff[row]:il.FarOff[row+1]]
-}
-
-// epolNearBlock sweeps one exact near block: every atom of leaf ul
-// against the row leaf's SoA slices, weighted w (1 for one-directional
-// blocks and the diagonal, 2 for mutual pairs compiled once).
-func epolNearBlock(ctx *EpolContext, sys *System, ul int32, vx, vy, vz, cv, rv, irv []float64, exact bool, w float64, acc *epolAccum) {
-	// Equal-length hints so the inner loops run bounds-check free.
-	vy, vz = vy[:len(vx)], vz[:len(vx)]
-	cv, rv, irv = cv[:len(vx)], rv[:len(vx)], irv[:len(vx)]
-	u := &sys.Atoms.Nodes[ul]
-	for ui := u.Start; ui < u.End; ui++ {
-		pux, puy, puz := sys.AtomX[ui], sys.AtomY[ui], sys.AtomZ[ui]
-		qu := w * sys.Charge[ui]
-		ru := ctx.Radii[ui]
-		var s float64
-		if exact {
-			inv4ru := 0.25 * ctx.invRadii[ui]
-			for j := range vx {
-				dx, dy, dz := pux-vx[j], puy-vy[j], puz-vz[j]
-				r2 := dx*dx + dy*dy + dz*dz
-				rr := ru * rv[j]
-				f2 := r2
-				if r2 < expSkip*rr {
-					f2 = r2 + rr*math.Exp(-r2*inv4ru*irv[j])
-				}
-				s += cv[j] / math.Sqrt(f2)
-			}
-		} else {
-			for j := range vx {
-				dx, dy, dz := pux-vx[j], puy-vy[j], puz-vz[j]
-				r2 := dx*dx + dy*dy + dz*dz
-				rr := ru * rv[j]
-				f2 := r2 + rr*mathx.Exp(-r2/(4*rr))
-				s += cv[j] * mathx.RSqrt(f2)
-			}
-		}
-		acc.energy += qu * s
-	}
-}
-
-// farField interacts the row leaf's nonzero-compacted charge histogram
-// with each far node's (Figure 3's far branch). The f_GB surrogate
-// R_min²(1+ε)^{i+j} depends on the bins only through the SUM i+j, so the
-// charge products are first folded into conv[k] = Σ_{i+j=k} q_i·q_j (a
-// small convolution of the two nonzero-bin lists) and the transcendental
-// kernel runs once per occupied k instead of once per bin pair. With the
-// expSkip shortcut the kernel for most far pairs degenerates to a single
-// 1/√d² per k. fo is the row's admitted-order slice (nil at
-// FarOrder = 0); when present EVERY entry adds the run order's moment
-// correction of farorder.go to its pair sum — the identical scalar
-// float64 expression at the identical position in every tier. The
-// per-entry rung is admission/repair metadata, not an evaluation order:
-// correcting rung-0 entries through the full order is strictly more
-// accurate and keeps the loop branch-free.
-func farField(ctx *EpolContext, sys *System, leaf int32, far []int32, fo []uint8, exact bool, conv []float64, acc *epolAccum) {
-	vcx, vcy, vcz := sys.ANodeX[leaf], sys.ANodeY[leaf], sys.ANodeZ[leaf]
-	vb := ctx.nzBin[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
-	vq := ctx.nzQ[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
-	if len(vb) == 0 {
-		// No populated bins (charges can cancel bin-wise) — but the moment
-		// corrections do not go through the histogram, so the recursion
-		// still emits them and the compiled path must too.
-		farFieldMomentsOnly(ctx, sys, leaf, far, fo, acc)
-		acc.ops += float64(len(far))
-		return
-	}
-	ord := 0
-	if fo != nil {
-		ord = ctx.farOrd
-	}
-	for _, un := range far {
-		dx := sys.ANodeX[un] - vcx
-		dy := sys.ANodeY[un] - vcy
-		dz := sys.ANodeZ[un] - vcz
-		d2 := dx*dx + dy*dy + dz*dz
-		if ord > 0 {
-			acc.energy += ctx.epolFarCorrection(un, leaf, dx, dy, dz, d2, ord)
-		}
-		ub := ctx.nzBin[ctx.nzOff[un]:ctx.nzOff[un+1]]
-		uq := ctx.nzQ[ctx.nzOff[un]:ctx.nzOff[un+1]]
-		if len(ub) == 0 {
-			acc.ops++
-			continue
-		}
-		// Bins are stored in ascending order, so the occupied sums span
-		// [ub[0]+vb[0], ub[last]+vb[last]] — a handful of entries.
-		klo := ub[0] + vb[0]
-		khi := ub[len(ub)-1] + vb[len(vb)-1]
-		for i := range ub {
-			qi, bi := uq[i], ub[i]
-			for j := range vb {
-				conv[bi+vb[j]] += qi * vq[j]
-			}
-		}
-		var s float64
-		if exact {
-			for k := klo; k <= khi; k++ {
-				w := conv[k]
-				if w == 0 {
-					continue
-				}
-				rr := ctx.rr[k]
-				f2 := d2
-				if d2 < expSkip*rr {
-					f2 = d2 + rr*math.Exp(-d2*ctx.inv4rr[k])
-				}
-				s += w / math.Sqrt(f2)
-			}
-		} else {
-			for k := klo; k <= khi; k++ {
-				w := conv[k]
-				if w == 0 {
-					continue
-				}
-				rr := ctx.rr[k]
-				f2 := d2 + rr*mathx.Exp(-d2/(4*rr))
-				s += w * mathx.RSqrt(f2)
-			}
-		}
-		for k := klo; k <= khi; k++ {
-			conv[k] = 0
-		}
-		acc.energy += s
-		acc.ops += float64(len(ub)*len(vb)) + 1
-	}
-}
-
-// farFieldMomentsOnly emits the moment corrections for a far run whose
-// histogram product vanished identically (an empty nonzero-bin list on
-// either side): the corrections read the charge moments, not the bins,
-// so they survive bin-wise cancellation — exactly as in the recursion.
-func farFieldMomentsOnly(ctx *EpolContext, sys *System, leaf int32, far []int32, fo []uint8, acc *epolAccum) {
-	if fo == nil {
-		return
-	}
-	ord := ctx.farOrd
-	vcx, vcy, vcz := sys.ANodeX[leaf], sys.ANodeY[leaf], sys.ANodeZ[leaf]
-	for _, un := range far {
-		dx := sys.ANodeX[un] - vcx
-		dy := sys.ANodeY[un] - vcy
-		dz := sys.ANodeZ[un] - vcz
-		d2 := dx*dx + dy*dy + dz*dz
-		acc.energy += ctx.epolFarCorrection(un, leaf, dx, dy, dz, d2, ord)
 	}
 }

@@ -2,11 +2,12 @@ package core
 
 import "gbpolar/internal/mathx"
 
-// The float32 precision tier (PrecisionF32): pair kernels evaluated in
-// float32 over the lane-padded f32SoA mirror (system32.go), with
-// float64 row-level reduction — lane/block partial sums stay float32,
-// every per-atom, per-node and per-row accumulator is float64, so the
-// float32 rounding of one block never contaminates another row.
+// The float32 precision tier (PrecisionF32), Born phase (the E_pol kernel
+// is epolStreamF32, kernels_stream.go): pair kernels evaluated in float32
+// over the lane-padded f32SoA mirror (system32.go), with float64
+// row-level reduction — lane partial sums stay float32, every per-atom,
+// per-node and per-row accumulator is float64, so the float32 rounding of
+// one row never contaminates another.
 //
 // Unlike the laned tier this one makes no bitwise claims; its contract
 // is the measured error budget (≤1e-4 relative on total E_pol and on
@@ -134,170 +135,5 @@ func bornRowF32(sys *System, il *InteractionLists, row int, acc *bornAccum) {
 			acc.atom[ai] += float64((sl[0] + sl[1]) + (sl[2] + sl[3]))
 		}
 		acc.ops += float64(an.Count()*q.Count()) + 1
-	}
-}
-
-// epolRowF32 is epolRow for the f32 tier.
-func epolRowF32(ctx *EpolContext, il *InteractionLists, row int, conv []float64, acc *epolAccum) {
-	sys := ctx.sys
-	f := sys.f32()
-	t := sys.Atoms
-	leaf := il.Rows[row]
-	v := &t.Nodes[leaf]
-
-	vlo, vhi := v.Start, v.End
-	vx, vy, vz := f.atomX[vlo:vhi], f.atomY[vlo:vhi], f.atomZ[vlo:vhi]
-	cv := f.charge[vlo:vhi]
-	rv := ctx.radii32[vlo:vhi]
-
-	near := il.Near[il.NearOff[row]:il.NearOff[row+1]]
-	for _, ul := range near {
-		if useAsmKernels {
-			epolNearBlockF32Asm(ctx, f, sys, ul, vx, vy, vz, cv, rv, 1, acc)
-		} else {
-			epolNearBlockF32(ctx, f, sys, ul, vx, vy, vz, cv, rv, 1, acc)
-		}
-		acc.ops += float64(t.Nodes[ul].Count()*v.Count()) + 1
-	}
-	sym := il.Sym[il.SymOff[row]:il.SymOff[row+1]]
-	for _, ul := range sym {
-		if useAsmKernels {
-			epolNearBlockF32Asm(ctx, f, sys, ul, vx, vy, vz, cv, rv, 2, acc)
-		} else {
-			epolNearBlockF32(ctx, f, sys, ul, vx, vy, vz, cv, rv, 2, acc)
-		}
-		acc.ops += float64(2*t.Nodes[ul].Count()*v.Count()) + 1
-	}
-
-	far := il.Far[il.FarOff[row]:il.FarOff[row+1]]
-	if len(far) == 0 {
-		return
-	}
-	farFieldF32(ctx, f, leaf, far, farOrdRow(il, row), conv, acc)
-}
-
-// epolNearBlockF32 sweeps one near block in float32 width-4 lanes with
-// four independent partial sums per u-atom, reduced to float64 once per
-// u-atom (the row-level reduction of the tier's contract).
-func epolNearBlockF32(ctx *EpolContext, f *f32SoA, sys *System, ul int32, vx, vy, vz, cv, rv []float32, w float64, acc *epolAccum) {
-	// Equal-length hints so the inner loops run bounds-check free.
-	vy, vz = vy[:len(vx)], vz[:len(vx)]
-	cv, rv = cv[:len(vx)], rv[:len(vx)]
-	n := len(vx)
-	nb := n &^ (mathx.LaneWidth - 1)
-	u := &sys.Atoms.Nodes[ul]
-	for ui := u.Start; ui < u.End; ui++ {
-		pux, puy, puz := f.atomX[ui], f.atomY[ui], f.atomZ[ui]
-		qu := w * float64(f.charge[ui])
-		ru := ctx.radii32[ui]
-		var s0, s1, s2, s3 float32
-		var r2l, rrl, fl [mathx.LaneWidth]float32
-		for j := 0; j < nb; j += mathx.LaneWidth {
-			for l := 0; l < mathx.LaneWidth; l++ {
-				dx, dy, dz := pux-vx[j+l], puy-vy[j+l], puz-vz[j+l]
-				r2 := dx*dx + dy*dy + dz*dz
-				rr := ru * rv[j+l]
-				r2l[l], rrl[l] = r2, rr
-				fl[l] = -r2 / (4 * rr)
-			}
-			mathx.ExpLanes4x32(&fl)
-			for l := 0; l < mathx.LaneWidth; l++ {
-				fl[l] = r2l[l] + rrl[l]*fl[l]
-			}
-			mathx.RSqrtLanes4x32(&fl)
-			s0 += cv[j] * fl[0]
-			s1 += cv[j+1] * fl[1]
-			s2 += cv[j+2] * fl[2]
-			s3 += cv[j+3] * fl[3]
-		}
-		s := (s0 + s1) + (s2 + s3)
-		for j := nb; j < n; j++ {
-			dx, dy, dz := pux-vx[j], puy-vy[j], puz-vz[j]
-			r2 := dx*dx + dy*dy + dz*dz
-			rr := ru * rv[j]
-			f2 := r2 + rr*mathx.Exp32(-r2/(4*rr))
-			s += cv[j] * mathx.RSqrt32(f2)
-		}
-		acc.energy += qu * float64(s)
-	}
-}
-
-// farFieldF32 keeps the histogram convolution in float64 (the charges
-// and conv scratch are shared with the other tiers) and evaluates the
-// per-occupied-k transcendental kernel in float32, streamed through
-// width-4 lanes like farFieldLanes. The moment corrections (fo,
-// farorder.go) evaluate in float64 from the widened f32 center offsets —
-// well inside the tier's 1e-4 budget.
-func farFieldF32(ctx *EpolContext, f *f32SoA, leaf int32, far []int32, fo []uint8, conv []float64, acc *epolAccum) {
-	vcx, vcy, vcz := f.aNodeX[leaf], f.aNodeY[leaf], f.aNodeZ[leaf]
-	vb := ctx.nzBin[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
-	vq := ctx.nzQ[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
-	if len(vb) == 0 {
-		farFieldMomentsOnly(ctx, ctx.sys, leaf, far, fo, acc)
-		acc.ops += float64(len(far))
-		return
-	}
-	ord := 0
-	if fo != nil {
-		ord = ctx.farOrd
-	}
-	for _, un := range far {
-		dx := f.aNodeX[un] - vcx
-		dy := f.aNodeY[un] - vcy
-		dz := f.aNodeZ[un] - vcz
-		d2 := dx*dx + dy*dy + dz*dz
-		if ord > 0 {
-			acc.energy += ctx.epolFarCorrection(un, leaf, float64(dx), float64(dy), float64(dz), float64(d2), ord)
-		}
-		ub := ctx.nzBin[ctx.nzOff[un]:ctx.nzOff[un+1]]
-		uq := ctx.nzQ[ctx.nzOff[un]:ctx.nzOff[un+1]]
-		if len(ub) == 0 {
-			acc.ops++
-			continue
-		}
-		klo := ub[0] + vb[0]
-		khi := ub[len(ub)-1] + vb[len(vb)-1]
-		for i := range ub {
-			qi, bi := uq[i], ub[i]
-			for j := range vb {
-				conv[bi+vb[j]] += qi * vq[j]
-			}
-		}
-		var s float64
-		var wl [mathx.LaneWidth]float64
-		var rrl, fl [mathx.LaneWidth]float32
-		nl := 0
-		for k := klo; k <= khi; k++ {
-			w := conv[k]
-			if w == 0 {
-				continue
-			}
-			rr := ctx.rr32[k]
-			wl[nl], rrl[nl] = w, rr
-			fl[nl] = -d2 / (4 * rr)
-			nl++
-			if nl < mathx.LaneWidth {
-				continue
-			}
-			nl = 0
-			mathx.ExpLanes4x32(&fl)
-			for l := 0; l < mathx.LaneWidth; l++ {
-				fl[l] = d2 + rrl[l]*fl[l]
-			}
-			mathx.RSqrtLanes4x32(&fl)
-			s += wl[0] * float64(fl[0])
-			s += wl[1] * float64(fl[1])
-			s += wl[2] * float64(fl[2])
-			s += wl[3] * float64(fl[3])
-		}
-		for l := 0; l < nl; l++ {
-			f2 := d2 + rrl[l]*mathx.Exp32(fl[l])
-			s += wl[l] * float64(mathx.RSqrt32(f2))
-		}
-		for k := klo; k <= khi; k++ {
-			conv[k] = 0
-		}
-		acc.energy += s
-		acc.ops += float64(len(ub)*len(vb)) + 1
 	}
 }

@@ -252,13 +252,17 @@ func RunNetCoordinator(ctx context.Context, sys *System, opts NetOptions) (*Resu
 			c.Close()
 		}
 	}
-	if err == nil && opts.Obs.Enabled() {
-		// Telemetry drain: workers flush their final batch right before
-		// their Bye, but those frames race the teardown below. Wait
-		// (briefly, bounded) for the surviving ranks to leave so the
-		// merged timeline is complete for clean runs. The poll is fine-
-		// grained because this wait lands inside the measured wall time
-		// of observed runs (gbbench -exp obs).
+	if err == nil {
+		// Wait (briefly, bounded) for the surviving ranks to leave before
+		// tearing the coordinator down. A worker's last act is to read the
+		// reply to its final collective and send Bye; closing first can cut
+		// that read short, and the worker then reports "connection lost"
+		// beside a correct energy (≈1 clean run in 2 100 before this wait
+		// was unconditional — TestNetCleanTeardownNoObserver). Observed
+		// runs need it for a second reason: workers flush their final
+		// telemetry batch right before their Bye, and the merged timeline
+		// is complete only once those frames are in. The poll is fine-
+		// grained because this wait lands inside the measured wall time.
 		deadline := time.Now().Add(2 * time.Second)
 		for co.State().Live > 0 && time.Now().Before(deadline) {
 			time.Sleep(500 * time.Microsecond)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"gbpolar/internal/mathx"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -236,15 +237,25 @@ func TestKernelHotLoopZeroAllocs(t *testing.T) {
 	}
 	slotRadii := make([]float64, sys.Mol.NumAtoms())
 	PushIntegralsToAtoms(sys, acc, 0, len(slotRadii), slotRadii)
-	ctx := NewEpolContext(sys, slotRadii)
-	conv := make([]float64, len(ctx.rr))
-	var eacc epolAccum
-	row = 0
-	if a := testing.AllocsPerRun(100, func() {
-		epolRow(ctx, lists.Epol, row%len(lists.Epol.Rows), conv, &eacc)
-		row++
-	}); a != 0 {
-		t.Errorf("epolRow allocates %.1f objects per call, want 0", a)
+	// The gather scratch is sized once per evaluation from the lists; a
+	// sweep over every row on every tier then allocates nothing.
+	saved := sys.Params
+	defer func() { sys.Params = saved }()
+	for _, tier := range []struct {
+		p Precision
+		m mathx.Mode
+	}{{PrecisionExact, mathx.Exact}, {PrecisionExact, mathx.Approximate}, {PrecisionLanes, mathx.Exact}, {PrecisionF32, mathx.Exact}} {
+		sys.Params.Precision, sys.Params.Math = tier.p, tier.m
+		ctx := NewEpolContext(sys, slotRadii)
+		scratch := newEpolScratch(ctx, lists.Epol, 1)
+		var eacc epolAccum
+		row = 0
+		if a := testing.AllocsPerRun(2*len(lists.Epol.Rows), func() {
+			epolRow(ctx, lists.Epol, row%len(lists.Epol.Rows), &scratch[0], &eacc)
+			row++
+		}); a != 0 {
+			t.Errorf("%v/%v: epolRow allocates %.1f objects per call, want 0", tier.p, tier.m, a)
+		}
 	}
 }
 

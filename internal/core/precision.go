@@ -7,7 +7,7 @@ import (
 )
 
 // Precision selects the arithmetic tier of the compiled-list batch
-// kernels (kernels.go / kernels_lanes.go) — the paper's approximate-math
+// kernels (kernels.go / kernels_stream.go) — the paper's approximate-math
 // lever (Section V.E's 1.42×) generalized into three selectable tiers.
 // It restructures the COMPILED warm path; selecting a non-exact tier
 // additionally switches the scalar kernels (Params.mathMode) to the
@@ -17,9 +17,11 @@ import (
 type Precision int
 
 const (
-	// PrecisionExact is the default float64 path with stdlib math —
-	// today's semantics, unchanged results: the compiled kernels keep
-	// pinning the recursive reference at 1e-12 relative.
+	// PrecisionExact is the default float64 path: IEEE arithmetic with
+	// correctly rounded square root and divide, and an exponential within
+	// 1 ulp — math.Exp in the portable E_pol kernel, the vector
+	// mathx.ExpNeg sequence in the AVX2 one (DESIGN.md §11). The compiled
+	// kernels pin the recursive reference at 1e-12 relative.
 	PrecisionExact Precision = iota
 	// PrecisionLanes evaluates the E_pol transcendentals through the
 	// width-4 mathx batch kernels (ExpLanes4/RSqrtLanes4) in float64,
@@ -65,9 +67,11 @@ func ParsePrecision(s string) (Precision, error) {
 	return 0, fmt.Errorf("core: unknown precision %q (want exact|lanes|f32)", s)
 }
 
-// KernelISA reports the instruction set the non-exact precision tiers'
-// near-block kernels execute on: "avx2+fma" when the runtime-detected
-// assembly kernels (simd_amd64.s) are active, "portable" otherwise.
+// KernelISA reports the instruction set the compiled kernels execute on:
+// "avx2+fma" when the runtime-detected assembly (simd_amd64.s) is active —
+// every tier's E_pol stream kernel, the exact tier's included, and the
+// laned and f32 tiers' Born near blocks dispatch on the one switch —
+// "portable" otherwise (other architectures, older CPUs, -tags purego).
 func KernelISA() string {
 	if useAsmKernels {
 		return "avx2+fma"

@@ -152,11 +152,11 @@ func RunShared(sys *System, opts SharedOptions) (*Result, error) {
 	aLeaves := sys.Atoms.Leaves()
 	if lists != nil {
 		il := lists.Epol
-		conv := newConvScratch(ctx, p)
+		scratch := newEpolScratch(ctx, il, p)
 		sched.ParallelFor(pool, len(il.Rows), rowGrain(len(il.Rows), p), func(lo, hi, w int) {
 			for i := lo; i < hi; i++ {
 				before := eaccs[w].ops
-				epolRow(ctx, il, i, conv[w], &eaccs[w])
+				epolRow(ctx, il, i, &scratch[w], &eaccs[w])
 				if d := eaccs[w].ops - before; d > eaccs[w].maxTask {
 					eaccs[w].maxTask = d
 				}
@@ -187,7 +187,7 @@ func RunShared(sys *System, opts SharedOptions) (*Result, error) {
 	model += modelPhaseOps(totalOps, maxE, maxTask, p) / rate
 	sp.End(model, obs.F("ops", totalOps))
 	if lists != nil {
-		o.Counter("kernel.epol.batches").Add(int64(len(lists.Epol.Rows)))
+		recordEpolSweep(o, len(lists.Epol.Rows), eaccs)
 	}
 	o.Counter("sched.steals").Add(pool.Steals() - steals0)
 	totalOps += merged.ops + pushOps
@@ -201,16 +201,27 @@ func RunShared(sys *System, opts SharedOptions) (*Result, error) {
 	}, nil
 }
 
-// newConvScratch allocates each worker's far-field convolution buffer
-// (see farField): one flat backing array, len(ctx.rr) per worker.
-func newConvScratch(ctx *EpolContext, p int) [][]float64 {
-	n := len(ctx.rr)
-	flat := make([]float64, n*p)
-	conv := make([][]float64, p)
-	for w := range conv {
-		conv[w] = flat[w*n : (w+1)*n]
+// recordEpolSweep publishes what a compiled E_pol sweep of rows rows did:
+// one batch per row, and the streamed work the workers' accumulators added
+// up row by row (kernels_stream.go) — near pair terms and far bin-pair
+// terms evaluated, atoms and pseudo-atoms gathered and the list entries
+// they were gathered for. The hot loops carry no instrumentation.
+func recordEpolSweep(o *obs.Obs, rows int, eaccs []epolAccum) {
+	if !o.Enabled() {
+		return
 	}
-	return conv
+	var t epolAccum
+	for i := range eaccs {
+		t.nearTerms += eaccs[i].nearTerms
+		t.farTerms += eaccs[i].farTerms
+		t.gatherAtoms += eaccs[i].gatherAtoms
+		t.gatherSpans += eaccs[i].gatherSpans
+	}
+	o.Counter("kernel.epol.batches").Add(int64(rows))
+	o.Counter("kernel.epol.near_terms").Add(int64(t.nearTerms))
+	o.Counter("kernel.epol.far_terms").Add(int64(t.farTerms))
+	o.Counter("kernel.epol.gather_atoms").Add(int64(t.gatherAtoms))
+	o.Counter("kernel.epol.gather_spans").Add(int64(t.gatherSpans))
 }
 
 // rowGrain chunks compiled-list rows for ParallelFor: post-compilation
@@ -339,11 +350,11 @@ func distRank(sys *System, c *Comm, out *rankOut) error {
 	eLo, eHi := segment(len(aLeaves), P, rank)
 	sp := o.Begin(rank, "phase", "epol", c.Clock())
 	eaccs := make([]epolAccum, p)
-	conv := newConvScratch(ctx, p)
+	scratch := newEpolScratch(ctx, il, p)
 	sched.ParallelFor(pool, eHi-eLo, rowGrain(eHi-eLo, p), func(l, h, w int) {
 		for i := l; i < h; i++ {
 			before := eaccs[w].ops
-			epolRow(ctx, il, eLo+i, conv[w], &eaccs[w])
+			epolRow(ctx, il, eLo+i, &scratch[w], &eaccs[w])
 			if d := eaccs[w].ops - before; d > eaccs[w].maxTask {
 				eaccs[w].maxTask = d
 			}
@@ -363,7 +374,7 @@ func distRank(sys *System, c *Comm, out *rankOut) error {
 	}
 	c.ChargeOps(modelPhaseOps(rankOps, maxE, maxTask, p))
 	sp.End(c.Clock(), obs.F("rows", float64(eHi-eLo)), obs.F("ops", rankOps))
-	o.Counter("kernel.epol.batches").Add(int64(eHi - eLo))
+	recordEpolSweep(o, eHi-eLo, eaccs)
 	o.Counter("sched.steals").Add(pool.Steals())
 
 	// Step 7: reduce partial energies (Allreduce so every rank returns

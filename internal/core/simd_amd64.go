@@ -1,15 +1,19 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package core
 
-// Runtime dispatch for the AVX2+FMA near-block kernels (simd_amd64.s).
-// The assembly serves only the non-exact precision tiers: the exact tier
-// keeps the scalar float64 loops (its contract is "today's semantics,
-// unchanged results"), and the portable lane code in kernels_lanes.go /
-// kernels_f32.go remains the reference implementation — the tests force
-// useAsmKernels off to pin the laned tier's bit-compatibility claim, and
-// TestAsmKernelsMatchPortable bounds the asm path against the portable
-// one far inside the tiers' 1e-4 accuracy class.
+import "gbpolar/internal/mathx"
+
+// Runtime dispatch for the AVX2+FMA kernels (simd_amd64.s): one E_pol
+// stream kernel per tier — the exact tier included, whose assembly keeps
+// IEEE sqrt/divide and a ≤1-ulp vector exp — and the Born near-block
+// kernels of the laned and f32 tiers. The portable Go kernels
+// (kernels_stream.go, kernels.go, kernels_f32.go) remain the reference
+// implementation — the tests force useAsmKernels off to pin the laned
+// tier's bit-compatibility claim, TestAsmKernelsMatchPortable bounds the
+// laned/f32 assembly against the portable path far inside the tiers' 1e-4
+// accuracy class, and TestStreamExactAsmMatchesPortable holds the exact
+// tier's to 1e-13. Build with -tags purego to leave the assembly out.
 
 // cpuidex and xgetbv0 are the CPUID/XGETBV primitives behind feature
 // detection (implemented in simd_amd64.s).
@@ -17,10 +21,16 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func epolNearBlock4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
+func epolStreamExact4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
 
 //go:noescape
-func epolNearBlock8x32(ax, ay, az, ch, rad, vx, vy, vz, cv, rv []float32) float64
+func epolStreamLanes4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
+
+//go:noescape
+func epolStreamF32x8(ax, ay, az, ch, rad, vx, vy, vz, cv, rv []float32) float64
+
+//go:noescape
+func expNeg4(dst, src []float64)
 
 //go:noescape
 func bornNearBlock4R6(ax, ay, az, out, qx, qy, qz, wx, wy, wz []float64)
@@ -48,33 +58,33 @@ func detectAVX2FMA() bool {
 	return ebx7&(1<<5) != 0 // AVX2
 }
 
-// useAsmKernels gates the assembly near-block kernels. Mutable only by
+// useAsmKernels gates the assembly kernels. Mutable only by
 // tests (which single-thread their runs); everything else treats it as
 // a constant resolved at startup.
 var useAsmKernels = detectAVX2FMA()
 
-// epolNearBlockLanesAsm sweeps one near block of the laned tier through
-// the width-4 AVX2 kernel: the whole u-leaf × row-slice block in one
-// call, sym weight applied to the returned block energy.
-func epolNearBlockLanesAsm(ctx *EpolContext, sys *System, ul int32, vx, vy, vz, cv, rv, irv []float64, w float64, acc *epolAccum) {
-	u := &sys.Atoms.Nodes[ul]
-	lo, hi := u.Start, u.End
-	e := epolNearBlock4(
-		sys.AtomX[lo:hi], sys.AtomY[lo:hi], sys.AtomZ[lo:hi],
-		sys.Charge[lo:hi], ctx.Radii[lo:hi], ctx.invRadii[lo:hi],
-		vx, vy, vz, cv, rv, irv)
-	acc.energy += w * e
+// expNegTab holds mathx.ExpNegConsts replicated across four lanes: the
+// memory operands of the assembly's EXPNEG4, so the vector exponential
+// and its portable reference mathx.ExpNeg cannot drift apart.
+var expNegTab = func() (t [len(mathx.ExpNegConsts)][4]float64) {
+	for i, c := range mathx.ExpNegConsts {
+		t[i] = [4]float64{c, c, c, c}
+	}
+	return t
+}()
+
+// The tiers' assembly stream kernels as epolTier.sweep values.
+
+func epolStreamExactAsm(o, s *soa[float64]) float64 {
+	return epolStreamExact4(o.x, o.y, o.z, o.q, o.r, o.ir, s.x, s.y, s.z, s.q, s.r, s.ir)
 }
 
-// epolNearBlockF32Asm is the float32 width-8 variant for the f32 tier.
-func epolNearBlockF32Asm(ctx *EpolContext, f *f32SoA, sys *System, ul int32, vx, vy, vz, cv, rv []float32, w float64, acc *epolAccum) {
-	u := &sys.Atoms.Nodes[ul]
-	lo, hi := u.Start, u.End
-	e := epolNearBlock8x32(
-		f.atomX[lo:hi], f.atomY[lo:hi], f.atomZ[lo:hi],
-		f.charge[lo:hi], ctx.radii32[lo:hi],
-		vx, vy, vz, cv, rv)
-	acc.energy += w * e
+func epolStreamLanesAsm(o, s *soa[float64]) float64 {
+	return epolStreamLanes4(o.x, o.y, o.z, o.q, o.r, o.ir, s.x, s.y, s.z, s.q, s.r, s.ir)
+}
+
+func epolStreamF32Asm(o, s *soa[float32]) float64 {
+	return epolStreamF32x8(o.x, o.y, o.z, o.q, o.r, s.x, s.y, s.z, s.q, s.r)
 }
 
 // bornNearBlockAsmR6 sweeps one Born near entry (atom leaf lo:hi against

@@ -1,24 +1,33 @@
-// AVX2+FMA lane kernels for the non-exact precision tiers (simd_amd64.go
-// wraps and dispatches these; kernels_lanes.go / kernels_f32.go carry the
-// portable fallbacks). One call sweeps one whole near block — the outer
-// loop over the block's u-atoms (Born: the near leaf's atoms) runs inside
-// the assembly, so the per-call setup amortizes over up to
-// LeafCap×LeafCap pairs instead of a single row sweep.
+//go:build amd64 && !purego
+
+// AVX2+FMA E_pol stream kernels and Born near-block kernels (simd_amd64.go
+// wraps and dispatches these; kernels_stream.go / kernels.go /
+// kernels_f32.go carry the portable fallbacks). One epol call sweeps one
+// gathered stream (the six — f32: five — trailing slices) against a few
+// outer atoms (the leading slices): the row leaf's atoms for the near
+// stream, one unit pseudo-atom for the far stream. The outer loop runs
+// inside the assembly, so the per-call setup amortizes over the whole
+// stream. A Born call sweeps one near leaf against the row's q-points.
 //
-// Arithmetic contract (documented in DESIGN.md §11): exp uses the same
-// range reduction + degree-6 (f64) / degree-5 (f32) Horner polynomial as
-// mathx.Exp/Exp32, evaluated with FMA contractions; 1/√x seeds from
-// VRSQRTPS (|rel err| ≤ 1.5·2⁻¹²) and runs two (f64, → ~6e-14) or one
-// (f32, → ~2e-7) Newton steps; lane partials reduce pairwise. None of
-// this is bit-identical to the portable lane path — the tiers' accuracy
-// class (≤1e-4 relative) absorbs the difference, and
-// TestAsmKernelsMatchPortable pins it far tighter.
+// Arithmetic contract (DESIGN.md §11). Exact tier (epolStreamExact4):
+// every step but the exponential is the IEEE operation of the portable
+// loop — unfused multiplies and adds, VSQRTPD, VDIVPD, all correctly
+// rounded — and the exponential is EXPNEG4, bit-identical per lane to
+// mathx.ExpNeg (≤ 1 ulp); only the four-lane pairwise reduction reorders
+// the sum. Laned and f32 tiers: exp uses the same range reduction +
+// degree-6 (f64) / degree-5 (f32) Horner polynomial as mathx.Exp/Exp32,
+// evaluated with FMA contractions; 1/√x seeds from VRSQRTPS (|rel err| ≤
+// 1.5·2⁻¹²) and runs two (f64, → ~6e-14) or one (f32, → ~2e-7) Newton
+// steps; lane partials reduce pairwise. Those two are not bit-identical to
+// the portable lane path — the tiers' accuracy class (≤1e-4 relative)
+// absorbs the difference, and TestAsmKernelsMatchPortable pins it far
+// tighter.
 //
-// The inner (v-row / q-point) length is runtime-sized: full lanes run
+// The inner (stream / q-point) length is runtime-sized: full lanes run
 // the unmasked loop, the remainder runs one extra iteration with
 // VMASKMOV loads whose mask comes from the lane-count tables below.
 // Masked-off epol lanes load zero charges/radii, which would put
-// 1/√0 · 0 = NaN in play if the u-atom sat exactly at the origin — a
+// 1/√0 · 0 = NaN in play if the outer atom sat exactly at the origin — a
 // VBLENDVPD parks those lanes' f² at 1.0 instead. The Born kernel's own
 // r² ≠ 0 compare already covers its masked lanes.
 
@@ -293,12 +302,12 @@ DATA mask8<>+272(SB)/8, $-1
 DATA mask8<>+280(SB)/8, $-1
 GLOBL mask8<>(SB), RODATA|NOPTR, $288
 
-// func epolNearBlock4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
+// func epolStreamLanes4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
 //
-// Returns Σ_u ch[u] · Σ_j cv[j]/f_GB(u,j) over the whole block (u over
-// the first six slices, j over the last six), with f_GB² = r² +
+// Returns Σ_u ch[u] · Σ_j cv[j]/f_GB(u,j) (u over the first six slices,
+// the outer atoms; j over the last six, the stream), with f_GB² = r² +
 // rr·exp(−r²/4rr), rr = rad[u]·rv[j], and the exponent formed as
-// r²·(−0.25·irad[u])·irv[j]. The caller applies the sym weight.
+// r²·(−0.25·irad[u])·irv[j].
 //
 // Registers — outer (u): R14=ax R15=ay AX=az BX=ch CX=rad DX=irad,
 // R9 = remaining u count; inner (v): SI=vx DI=vy R10=vz R11=cv R12=rv
@@ -306,7 +315,7 @@ GLOBL mask8<>(SB), RODATA|NOPTR, $288
 // Y10 = −0.25·irad[u], Y15 = lane partials, Y9 = tail mask (tail block
 // only), Y0–Y8 temps. The running energy lives in energy-40(SP) — every
 // XMM register aliases a YMM one the block body or tail mask clobbers.
-TEXT ·epolNearBlock4(SB), NOSPLIT, $48-296
+TEXT ·epolStreamLanes4(SB), NOSPLIT, $48-296
 	// nfull = n &^ 3; tmask = mask4[n&3]
 	MOVQ vx_len+152(FP), R8
 	MOVQ R8, R9
@@ -479,16 +488,203 @@ edone:
 	VZEROUPPER
 	RET
 
-// func epolNearBlock8x32(ax, ay, az, ch, rad, vx, vy, vz, cv, rv []float32) float64
+// EXPNEG4 computes e^x on the four lanes of Y5 (x ≤ 0) into Y8,
+// clobbering Y5–Y7: the operation sequence of mathx.ExpNeg, one vector
+// instruction per scalar step, constants from ·expNegTab (simd_amd64.go:
+// row i is mathx.ExpNegConsts[i] on all four lanes). x is VMAXPD's
+// second Intel source, so a NaN lane propagates instead of clamping.
+#define EXPNEG4 \
+	VMOVUPD ·expNegTab+0(SB), Y6 \
+	VMAXPD Y5, Y6, Y5 \
+	VMULPD ·expNegTab+32(SB), Y5, Y6 \
+	VROUNDPD $0, Y6, Y6 \
+	VFMADD231PD ·expNegTab+64(SB), Y6, Y5 \
+	VFMADD231PD ·expNegTab+96(SB), Y6, Y5 \
+	VMOVUPD ·expNegTab+128(SB), Y8 \
+	VFMADD213PD ·expNegTab+160(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+192(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+224(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+256(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+288(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+320(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+352(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+384(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+416(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+448(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+480(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+512(SB), Y5, Y8 \
+	VFMADD213PD ·expNegTab+544(SB), Y5, Y8 \
+	VCVTPD2DQY Y6, X6 \
+	VPSRAD $1, X6, X7 \
+	VPSUBD X7, X6, X6 \
+	VPMOVSXDQ X7, Y7 \
+	VPADDQ f64x4Bias<>(SB), Y7, Y7 \
+	VPSLLQ $52, Y7, Y7 \
+	VMULPD Y7, Y8, Y8 \
+	VPMOVSXDQ X6, Y6 \
+	VPADDQ f64x4Bias<>(SB), Y6, Y6 \
+	VPSLLQ $52, Y6, Y6 \
+	VMULPD Y6, Y8, Y8
+
+// func expNeg4(dst, src []float64)
 //
-// Float32 epolNearBlock4 at width 8: the exponent divides (−r²/4)/rr
+// dst[i] = EXPNEG4(src[i]) over len(src)/4 whole blocks: the test hook
+// that pins the macro to mathx.ExpNeg bit for bit.
+TEXT ·expNeg4(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	SHRQ $2, CX
+	JZ xdone
+
+xloop:
+	VMOVUPD (SI), Y5
+	EXPNEG4
+	VMOVUPD Y8, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ xloop
+
+xdone:
+	VZEROUPPER
+	RET
+
+// EXACTPAIR4 turns the loaded lanes Y0/Y1/Y2 = stream x/y/z, Y4 = stream
+// radius, Y5 = stream reciprocal radius into Y3 = f² and leaves nothing
+// else live: r² = (dx² + dy²) + dz² and f² = r² + rr·e are the portable
+// loop's unfused operations in its order.
+#define EXACTPAIR4 \
+	VSUBPD Y0, Y12, Y0 \
+	VSUBPD Y1, Y13, Y1 \
+	VSUBPD Y2, Y14, Y2 \
+	VMULPD Y0, Y0, Y3 \
+	VMULPD Y1, Y1, Y1 \
+	VADDPD Y1, Y3, Y3 \
+	VMULPD Y2, Y2, Y2 \
+	VADDPD Y2, Y3, Y3 \
+	VMULPD Y4, Y11, Y4 \
+	VMULPD Y3, Y10, Y0 \
+	VMULPD Y5, Y0, Y5 \
+	EXPNEG4 \
+	VMULPD Y8, Y4, Y4 \
+	VADDPD Y4, Y3, Y3
+
+// func epolStreamExact4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
+//
+// epolStreamLanes4's sum in the exact tier's arithmetic: the exponent is
+// ((r²·(−0.25·irad[u]))·irv[j]), e = EXPNEG4, and each term is
+// cv[j] / √f² by VSQRTPD and VDIVPD. Registers as in epolStreamLanes4.
+TEXT ·epolStreamExact4(SB), NOSPLIT, $48-296
+	// nfull = n &^ 3; tmask = mask4[n&3]
+	MOVQ vx_len+152(FP), R8
+	MOVQ R8, R9
+	ANDQ $3, R9
+	SUBQ R9, R8
+	MOVQ R8, nfull-48(SP)
+	SHLQ $5, R9
+	LEAQ mask4<>(SB), R8
+	VMOVUPD (R8)(R9*1), Y0
+	VMOVUPD Y0, tmask-32(SP)
+
+	MOVQ ax_base+0(FP), R14
+	MOVQ ax_len+8(FP), R9
+	MOVQ ay_base+24(FP), R15
+	MOVQ az_base+48(FP), AX
+	MOVQ ch_base+72(FP), BX
+	MOVQ rad_base+96(FP), CX
+	MOVQ irad_base+120(FP), DX
+	MOVQ vx_base+144(FP), SI
+	MOVQ vy_base+168(FP), DI
+	MOVQ vz_base+192(FP), R10
+	MOVQ cv_base+216(FP), R11
+	MOVQ rv_base+240(FP), R12
+	MOVQ irv_base+264(FP), R13
+
+	VXORPD X0, X0, X0
+	VMOVSD X0, energy-40(SP)
+	TESTQ R9, R9
+	JZ pdone
+
+pouter:
+	VBROADCASTSD (R14), Y12
+	VBROADCASTSD (R15), Y13
+	VBROADCASTSD (AX), Y14
+	VBROADCASTSD (CX), Y11
+	VBROADCASTSD (DX), Y10
+	VMULPD f64x4NegQuarter<>(SB), Y10, Y10
+	VXORPD Y15, Y15, Y15
+	XORQ R8, R8
+
+pinner:
+	CMPQ R8, nfull-48(SP)
+	JGE ptail
+
+	VMOVUPD (SI)(R8*8), Y0
+	VMOVUPD (DI)(R8*8), Y1
+	VMOVUPD (R10)(R8*8), Y2
+	VMOVUPD (R12)(R8*8), Y4
+	VMOVUPD (R13)(R8*8), Y5
+	EXACTPAIR4
+	VSQRTPD Y3, Y3
+	VMOVUPD (R11)(R8*8), Y7
+	VDIVPD Y3, Y7, Y7                   // cv / √f²
+	VADDPD Y7, Y15, Y15
+
+	ADDQ $4, R8
+	JMP pinner
+
+ptail:
+	CMPQ R8, vx_len+152(FP)
+	JGE pusum
+	VMOVUPD tmask-32(SP), Y9
+
+	VMASKMOVPD (SI)(R8*8), Y9, Y0
+	VMASKMOVPD (DI)(R8*8), Y9, Y1
+	VMASKMOVPD (R10)(R8*8), Y9, Y2
+	VMASKMOVPD (R12)(R8*8), Y9, Y4
+	VMASKMOVPD (R13)(R8*8), Y9, Y5
+	EXACTPAIR4
+	VMOVUPD f64x4One<>(SB), Y8
+	VBLENDVPD Y9, Y3, Y8, Y3            // masked-off lanes: f² := 1
+	VSQRTPD Y3, Y3
+	VMASKMOVPD (R11)(R8*8), Y9, Y7
+	VDIVPD Y3, Y7, Y7
+	VADDPD Y7, Y15, Y15
+
+pusum:
+	VEXTRACTF128 $1, Y15, X0
+	VADDPD X0, X15, X0
+	VHADDPD X0, X0, X0
+	VMULSD (BX), X0, X0
+	VADDSD energy-40(SP), X0, X0        // energy += ch[u]·s
+	VMOVSD X0, energy-40(SP)
+
+	ADDQ $8, R14
+	ADDQ $8, R15
+	ADDQ $8, AX
+	ADDQ $8, BX
+	ADDQ $8, CX
+	ADDQ $8, DX
+	DECQ R9
+	JNZ pouter
+
+pdone:
+	VMOVSD energy-40(SP), X0
+	VMOVSD X0, ret+288(FP)
+	VZEROUPPER
+	RET
+
+// func epolStreamF32x8(ax, ay, az, ch, rad, vx, vy, vz, cv, rv []float32) float64
+//
+// Float32 epolStreamLanes4 at width 8: the exponent divides (−r²/4)/rr
 // outright (no reciprocal-radius table on the f32 mirror), 1/√ runs one
 // Newton step, and each u-atom's lane sum converts to float64 before it
 // joins the running energy — the tier's row-level f64 reduction.
 //
 // Registers — outer: R14=ax R15=ay AX=az BX=ch CX=rad, R9 = remaining
 // u count; inner: SI=vx DI=vy R10=vz R11=cv R12=rv, R8 = j.
-TEXT ·epolNearBlock8x32(SB), NOSPLIT, $48-248
+TEXT ·epolStreamF32x8(SB), NOSPLIT, $48-248
 	// nfull = n &^ 7; tmask = mask8[n&7]
 	MOVQ vx_len+128(FP), R8
 	MOVQ R8, R9

@@ -1,25 +1,30 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package core
 
-// Non-amd64 builds have no assembly kernels: useAsmKernels stays false,
-// so the portable lane code in kernels_lanes.go / kernels_f32.go handles
-// every block and the stubs below are unreachable.
+// Builds without the assembly (other architectures, or -tags purego):
+// useAsmKernels stays false, so the portable kernels in kernels_stream.go /
+// kernels.go / kernels_f32.go handle everything and the stubs below are
+// unreachable.
 
 var useAsmKernels = false
 
-func epolNearBlockLanesAsm(ctx *EpolContext, sys *System, ul int32, vx, vy, vz, cv, rv, irv []float64, w float64, acc *epolAccum) {
-	panic("core: asm kernels unavailable on this architecture")
+func epolStreamExactAsm(o, s *soa[float64]) float64 {
+	panic("core: asm kernels unavailable in this build")
 }
 
-func epolNearBlockF32Asm(ctx *EpolContext, f *f32SoA, sys *System, ul int32, vx, vy, vz, cv, rv []float32, w float64, acc *epolAccum) {
-	panic("core: asm kernels unavailable on this architecture")
+func epolStreamLanesAsm(o, s *soa[float64]) float64 {
+	panic("core: asm kernels unavailable in this build")
+}
+
+func epolStreamF32Asm(o, s *soa[float32]) float64 {
+	panic("core: asm kernels unavailable in this build")
 }
 
 func bornNearBlockAsmR6(sys *System, lo, hi int32, out []float64, qx, qy, qz, wx, wy, wz []float64) {
-	panic("core: asm kernels unavailable on this architecture")
+	panic("core: asm kernels unavailable in this build")
 }
 
 func bornNearBlockAsmR6x32(f *f32SoA, lo, hi int32, out []float64, qx, qy, qz, wx, wy, wz []float32) {
-	panic("core: asm kernels unavailable on this architecture")
+	panic("core: asm kernels unavailable in this build")
 }
