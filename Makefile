@@ -7,14 +7,17 @@ GO ?= go
 # hosts. Usage: make bench-lanes GOAMD64=v3
 GOAMD64 ?=
 
-.PHONY: check build test vet race faults bench-warm bench-lanes bench-far bench-lists bench-kernels obs perfgate net kernels
+.PHONY: check build test vet fmt bigendian race faults bench-warm bench-lanes bench-far bench-lists bench-kernels bench-snapshot obs perfgate net kernels
 
-## check: the tier-1 gate — vet, build, full test suite, the kernels with
-## and without their assembly, race detector, the fault-injection matrix,
-## the observability suite, and the perf regression gate.
+## check: the tier-1 gate — format, vet, build (also for a big-endian
+## target), full test suite, the kernels with and without their assembly,
+## race detector, the fault-injection matrix, the observability suite, and
+## the perf regression gate.
 check:
+	$(MAKE) fmt
 	$(MAKE) vet
 	$(GO) build ./...
+	$(MAKE) bigendian
 	$(GO) test ./...
 	$(MAKE) kernels
 	$(MAKE) race
@@ -32,6 +35,17 @@ vet:
 test:
 	$(GO) test ./...
 
+## fmt: every Go file is gofmt-clean.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
+
+## bigendian: cross-build for a big-endian target, where internal/wire's
+## bulk array codec takes its byte-swapping fallback (DESIGN.md §12) —
+## this host never compiles that side of the choice into a test.
+bigendian:
+	GOARCH=s390x $(GO) build ./...
+	GOARCH=s390x $(GO) vet ./internal/wire/
+
 ## kernels: the compiled kernels on both dispatch sides — the assembly
 ## (vet's asmdecl checks every TEXT against its Go declaration) and, under
 ## -tags purego, the portable Go kernels this host would otherwise never
@@ -44,7 +58,7 @@ kernels:
 
 ## race: the concurrency-heavy packages under the race detector.
 race:
-	$(GO) test -race ./internal/core/ ./internal/sched/ ./internal/cluster/ ./internal/octree/
+	$(GO) test -race ./internal/core/ ./internal/sched/ ./internal/cluster/ ./internal/octree/ ./internal/wire/
 
 ## faults: the fault matrix — {crash, drop, delay} x {Born, E_pol,
 ## collective boundary} — plus the full injection/recovery suite.
@@ -115,6 +129,14 @@ bench-lists:
 ## term (EXPERIMENTS.md "Stream kernels").
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkEpolStream' -benchtime 5x -count 2 ./internal/core/
+
+## bench-snapshot: the checkpoint codec at the ledger's two fixtures
+## (4 000 atoms = net_run's 41.6 MB snapshot, 20 000 atoms = 350 MB):
+## encode to a buffer, save to a file, decode a buffer, load a file, in
+## MB/s of snapshot with bytes and objects allocated per call
+## (EXPERIMENTS.md "Checkpoint codec").
+bench-snapshot:
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Encode|Save|Decode|Load)' -benchtime 5x -count 2 -benchmem ./internal/core/
 
 ## bench-cold: the cold-path pair — octree construction benchmarks
 ## (recursive vs Morton at 1k/10k/100k points) and the coldstart

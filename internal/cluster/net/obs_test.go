@@ -67,7 +67,10 @@ func TestNetTelemetryMergedStream(t *testing.T) {
 
 	// Per-rank reconciliation: the merged collective spans must carry
 	// exactly the durations the worker recorded locally.
-	type agg struct{ n int; durUS float64 }
+	type agg struct {
+		n     int
+		durUS float64
+	}
 	merged := map[int]*agg{}
 	for _, ev := range coObs.Trace.Events() {
 		if ev.Cat != "collective" {

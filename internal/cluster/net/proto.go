@@ -34,20 +34,20 @@ const maxFrameBytes = 64 << 20
 
 // Frame types.
 const (
-	mHello   uint8 = iota + 1 // worker → coord: rank announces itself
-	mWelcome                  // coord → worker: admission (size, events, seed)
-	mDeposit                  // worker → coord: collective contribution
-	mRoundOK                  // coord → worker: collective completed
-	mRoundFail                // coord → worker: collective failed (code)
-	mPing                     // coord → worker: heartbeat probe
-	mPong                     // worker → coord: heartbeat reply
-	mRelay                    // worker → coord: p2p send for forwarding
-	mSendOK                   // coord → worker: relay forwarded
-	mSendErr                  // coord → worker: relay refused (code)
-	mRelayed                  // coord → worker: forwarded p2p message
-	mStats                    // worker → coord: recovery metering
-	mBye                      // worker → coord: graceful leave
-	mTelemetry                // worker → coord: encoded obs.Telemetry batch (fire-and-forget)
+	mHello     uint8 = iota + 1 // worker → coord: rank announces itself
+	mWelcome                    // coord → worker: admission (size, events, seed)
+	mDeposit                    // worker → coord: collective contribution
+	mRoundOK                    // coord → worker: collective completed
+	mRoundFail                  // coord → worker: collective failed (code)
+	mPing                       // coord → worker: heartbeat probe
+	mPong                       // worker → coord: heartbeat reply
+	mRelay                      // worker → coord: p2p send for forwarding
+	mSendOK                     // coord → worker: relay forwarded
+	mSendErr                    // coord → worker: relay refused (code)
+	mRelayed                    // coord → worker: forwarded p2p message
+	mStats                      // worker → coord: recovery metering
+	mBye                        // worker → coord: graceful leave
+	mTelemetry                  // worker → coord: encoded obs.Telemetry batch (fire-and-forget)
 )
 
 // Failure codes carried by mRoundFail/mSendErr, mapped back to the

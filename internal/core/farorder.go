@@ -217,7 +217,7 @@ func bornFarCorrection(fm *bornFarMoments, dx, dy, dz, d2 float64, r4 bool, ord 
 	}
 
 	q0d, q1d, q2d := fm.q[0].MulVec(d), fm.q[1].MulVec(d), fm.q[2].MulVec(d)
-	diagQd := q0d.X + q1d.Y + q2d.Z                                      // Σγ (M2γ·d)γ
+	diagQd := q0d.X + q1d.Y + q2d.Z                                         // Σγ (M2γ·d)γ
 	trQd := d.X*fm.q[0].Trace() + d.Y*fm.q[1].Trace() + d.Z*fm.q[2].Trace() // Σγ dγ·tr(M2γ)
 	quadQd := d.X*fm.q[0].Quad(d) + d.Y*fm.q[1].Quad(d) + d.Z*fm.q[2].Quad(d)
 	ds += -a1*(2*diagQd+trQd) + 2*a2*quadQd

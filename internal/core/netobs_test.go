@@ -72,6 +72,20 @@ func TestNetTelemetryMergedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The checkpoint hand-off is on the merged timeline: the coordinator's
+	// save and every worker's load, outside the phase accounting.
+	ckpt := map[string]int{}
+	for _, ev := range tr.Events() {
+		if ev.Ph == "X" && ev.Cat == "ckpt" && ev.Args["bytes"] > 0 {
+			ckpt[ev.Name]++
+		}
+	}
+	enc := coObs.Metrics.Counter("snapshot.encode_bytes").Value()
+	dec := coObs.Metrics.Counter("snapshot.decode_bytes").Value()
+	if ckpt["ckpt.save"] != 1 || ckpt["ckpt.load"] != procs-1 || enc == 0 || dec != (procs-1)*enc {
+		t.Fatalf("merged trace carries %d ckpt.save and %d ckpt.load spans, want 1 and %d; %d bytes encoded, %d decoded",
+			ckpt["ckpt.save"], ckpt["ckpt.load"], procs-1, enc, dec)
+	}
 	merged := analyze.FromTrace(tr)
 	mergedRank := map[int]analyze.RankStat{}
 	for _, rs := range merged.Ranks {

@@ -117,9 +117,13 @@ func RunNetCoordinator(ctx context.Context, sys *System, opts NetOptions) (*Resu
 	// them: workers and a restarted coordinator deserialize instead of
 	// recompiling (EncodeSnapshot embeds lists only when present).
 	sys.Lists(nil)
-	if err := SaveSnapshot(opts.CheckpointPath, sys); err != nil {
+	sp := opts.Obs.Begin(0, "ckpt", "ckpt.save", obs.NoVirtual)
+	saved, err := saveSnapshot(opts.CheckpointPath, sys)
+	sp.End(obs.NoVirtual, obs.F("bytes", float64(saved)))
+	if err != nil {
 		return nil, fmt.Errorf("core: net checkpoint: %w", err)
 	}
+	opts.Obs.Counter("snapshot.encode_bytes").Add(saved)
 
 	co, err := net.Start(net.Config{
 		Size:              opts.Procs,
@@ -425,14 +429,17 @@ func RunNetWorker(membershipPath string, rank int, opts NetWorkerOptions) (*Elas
 	if m.Checkpoint == "" {
 		return nil, fmt.Errorf("core: membership %s carries no checkpoint path", membershipPath)
 	}
+	sp := opts.Obs.Begin(rank, "ckpt", "ckpt.load", obs.NoVirtual)
 	data, err := os.ReadFile(m.Checkpoint)
+	var sys *System
+	if err == nil {
+		sys, err = DecodeSnapshot(data)
+	}
+	sp.End(obs.NoVirtual, obs.F("bytes", float64(len(data))))
 	if err != nil {
 		return nil, fmt.Errorf("core: worker checkpoint: %w", err)
 	}
-	sys, err := DecodeSnapshot(data)
-	if err != nil {
-		return nil, fmt.Errorf("core: worker checkpoint: %w", err)
-	}
+	opts.Obs.Counter("snapshot.decode_bytes").Add(int64(len(data)))
 	c, err := net.Dial(m.Addr, rank, net.Options{
 		StallTimeout:      opts.StallTimeout,
 		DialTimeout:       opts.JoinBudget,

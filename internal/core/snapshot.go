@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 
@@ -83,60 +84,69 @@ func ParamsFingerprint(p Params) uint64 {
 	return h.Sum64()
 }
 
-// EncodeSnapshot serializes the system. It refuses a system whose octree
-// geometry has diverged from its molecule/surface (a re-posed System
-// transforms the trees in place but not the input structures), since the
-// loader re-derives payloads from the inputs and would silently restore
-// pre-transform state.
-func EncodeSnapshot(sys *System) ([]byte, error) {
+// snapshotLists runs the checks every encoding starts with and returns
+// the compiled lists to embed (nil when there are none for the current
+// geometry). A system whose octree geometry has diverged from its
+// molecule/surface is refused (a re-posed System transforms the trees in
+// place but not the input structures): the loader re-derives payloads
+// from the inputs and would silently restore pre-transform state.
+func snapshotLists(sys *System) (*CompiledLists, error) {
 	if err := checkGeometryConsistent(sys.Mol, sys.Surf, sys.Atoms, sys.QPts); err != nil {
 		return nil, fmt.Errorf("core: snapshot of transformed system: %v", err)
 	}
-	var w wire.Writer
+	sys.listsMu.Lock()
+	lists := sys.lists
+	sys.listsMu.Unlock()
+	if !lists.matches(sys) {
+		lists = nil
+	}
+	return lists, nil
+}
+
+// encodeSnapshot writes the snapshot, all but its CRC trailer, onto w —
+// the one encoder behind EncodeSnapshot (a buffer) and SaveSnapshot (a
+// stream). Every array goes out whole from the live slice.
+func encodeSnapshot(w *wire.Writer, sys *System, lists *CompiledLists) {
 	w.Raw([]byte(snapshotMagic))
 	w.U16(snapshotVersion)
 	w.U64(ParamsFingerprint(sys.Params))
-	appendParams(&w, sys.Params)
+	appendParams(w, sys.Params)
 
 	w.Str(sys.Mol.Name)
-	atoms := make([]float64, 0, 5*len(sys.Mol.Atoms))
-	for _, a := range sys.Mol.Atoms {
-		atoms = append(atoms, a.Pos.X, a.Pos.Y, a.Pos.Z, a.Charge, a.Radius)
-	}
-	w.F64s(atoms)
+	wire.PutF64Records(w, sys.Mol.Atoms)
 
 	w.I32(int32(sys.Surf.Level))
 	w.I32(int32(sys.Surf.Degree))
 	w.F64(sys.Surf.Area)
-	pts := make([]float64, 0, 7*len(sys.Surf.Points))
-	for _, p := range sys.Surf.Points {
-		pts = append(pts, p.Pos.X, p.Pos.Y, p.Pos.Z, p.Normal.X, p.Normal.Y, p.Normal.Z, p.Weight)
-	}
-	w.F64s(pts)
+	wire.PutF64Records(w, sys.Surf.Points)
 
-	sys.Atoms.AppendTo(&w)
-	sys.QPts.AppendTo(&w)
+	sys.Atoms.AppendTo(w)
+	sys.QPts.AppendTo(w)
 
-	sys.listsMu.Lock()
-	lists := sys.lists
-	sys.listsMu.Unlock()
-	if lists.matches(sys) {
-		w.Bool(true)
+	w.Bool(lists != nil)
+	if lists != nil {
 		w.F64(lists.bornMAC)
 		w.F64(lists.epolFar)
 		w.U8(uint8(lists.farOrder))
-		appendIL(&w, lists.Born)
-		appendIL(&w, lists.Epol)
-		nodeC := make([]float64, 0, 3*len(lists.nodeC))
-		for _, c := range lists.nodeC {
-			nodeC = append(nodeC, c.X, c.Y, c.Z)
-		}
-		w.F64s(nodeC)
+		appendIL(w, lists.Born)
+		appendIL(w, lists.Epol)
+		wire.PutF64Records(w, lists.nodeC)
 		w.F64s(lists.nodeR)
-	} else {
-		w.Bool(false)
 	}
+}
 
+// EncodeSnapshot serializes the system into one buffer, sized by a first
+// pass of the encoder that writes nowhere and allocated once.
+func EncodeSnapshot(sys *System) ([]byte, error) {
+	lists, err := snapshotLists(sys)
+	if err != nil {
+		return nil, err
+	}
+	sizer := wire.NewStreamWriter(io.Discard)
+	encodeSnapshot(sizer, sys, lists)
+	var w wire.Writer
+	w.Grow(sizer.Len() + 4)
+	encodeSnapshot(&w, sys, lists)
 	w.U32(crc32.Checksum(w.Bytes(), snapshotCRC))
 	return w.Bytes(), nil
 }
@@ -200,18 +210,14 @@ func DecodeSnapshot(data []byte) (*System, error) {
 		cl := &CompiledLists{bornMAC: r.F64(), epolFar: r.F64(), farOrder: int(r.U8())}
 		cl.Born = decodeIL(r)
 		cl.Epol = decodeIL(r)
-		nodeC := r.F64s()
+		cl.nodeC = wire.F64Records[geom.Vec3](r)
 		cl.nodeR = r.F64s()
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
 		}
-		if len(nodeC) != 3*ta.NumNodes() || len(cl.nodeR) != ta.NumNodes() {
+		if len(cl.nodeC) != ta.NumNodes() || len(cl.nodeR) != ta.NumNodes() {
 			return nil, fmt.Errorf("%w: node geometry arrays sized %d/%d for %d nodes",
-				ErrSnapshotCorrupt, len(nodeC), len(cl.nodeR), ta.NumNodes())
-		}
-		cl.nodeC = make([]geom.Vec3, ta.NumNodes())
-		for i := range cl.nodeC {
-			cl.nodeC[i] = geom.Vec3{X: nodeC[3*i], Y: nodeC[3*i+1], Z: nodeC[3*i+2]}
+				ErrSnapshotCorrupt, len(cl.nodeC), len(cl.nodeR), ta.NumNodes())
 		}
 		if err := validateIL("born", cl.Born, tq, ta); err != nil {
 			return nil, err
@@ -282,22 +288,12 @@ func decodeParams(r *wire.Reader) (Params, error) {
 
 // decodeMolecule reads and validates the molecule section.
 func decodeMolecule(r *wire.Reader) (*molecule.Molecule, error) {
-	name := r.Str()
-	flat := r.F64s()
+	mol := &molecule.Molecule{Name: r.Str(), Atoms: wire.F64Records[molecule.Atom](r)}
 	if r.Err() != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
 	}
-	if len(flat) == 0 || len(flat)%5 != 0 {
-		return nil, fmt.Errorf("%w: molecule payload of %d values", ErrSnapshotCorrupt, len(flat))
-	}
-	mol := &molecule.Molecule{Name: name, Atoms: make([]molecule.Atom, len(flat)/5)}
-	for i := range mol.Atoms {
-		f := flat[5*i:]
-		mol.Atoms[i] = molecule.Atom{
-			Pos:    geom.Vec3{X: f[0], Y: f[1], Z: f[2]},
-			Charge: f[3],
-			Radius: f[4],
-		}
+	if len(mol.Atoms) == 0 {
+		return nil, fmt.Errorf("%w: molecule without atoms", ErrSnapshotCorrupt)
 	}
 	if err := mol.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
@@ -312,28 +308,21 @@ func decodeSurface(r *wire.Reader) (*surface.Surface, error) {
 		Degree: int(r.I32()),
 		Area:   r.F64(),
 	}
-	flat := r.F64s()
+	s.Points = wire.F64Records[surface.Point](r)
 	if r.Err() != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
 	}
-	if len(flat) == 0 || len(flat)%7 != 0 {
-		return nil, fmt.Errorf("%w: surface payload of %d values", ErrSnapshotCorrupt, len(flat))
+	if len(s.Points) == 0 {
+		return nil, fmt.Errorf("%w: surface without q-points", ErrSnapshotCorrupt)
 	}
 	if !finite(s.Area) {
 		return nil, fmt.Errorf("%w: surface area %g", ErrSnapshotCorrupt, s.Area)
 	}
-	s.Points = make([]surface.Point, len(flat)/7)
 	for i := range s.Points {
-		f := flat[7*i:]
-		p := surface.Point{
-			Pos:    geom.Vec3{X: f[0], Y: f[1], Z: f[2]},
-			Normal: geom.Vec3{X: f[3], Y: f[4], Z: f[5]},
-			Weight: f[6],
-		}
+		p := &s.Points[i]
 		if !p.Pos.IsFinite() || !p.Normal.IsFinite() || !finite(p.Weight) {
 			return nil, fmt.Errorf("%w: q-point %d not finite", ErrSnapshotCorrupt, i)
 		}
-		s.Points[i] = p
 	}
 	return s, nil
 }
@@ -487,17 +476,63 @@ func checkGeometryConsistent(mol *molecule.Molecule, surf *surface.Surface, ta, 
 
 // SaveSnapshot writes the system's snapshot to path atomically (tmp file
 // + rename), so a coordinator killed mid-checkpoint never leaves a
-// half-written file where the restart logic looks.
+// half-written file where the restart logic looks. The bytes are
+// EncodeSnapshot's, but no image of them is built: the encoder streams
+// to the file, large arrays straight from the live slices, and the
+// CRC-32C is accumulated on the way. On any failure the tmp file is
+// removed and the first error returned.
 func SaveSnapshot(path string, sys *System) error {
-	data, err := EncodeSnapshot(sys)
+	_, err := saveSnapshot(path, sys)
+	return err
+}
+
+// saveSnapshot is SaveSnapshot, also reporting the bytes written.
+func saveSnapshot(path string, sys *System) (n int64, err error) {
+	lists, err := snapshotLists(sys)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, fmt.Errorf("core: save snapshot: %w", err)
 	}
-	return os.Rename(tmp, path)
+	defer func() {
+		if err != nil {
+			f.Close() // no-op after the checked Close below
+			os.Remove(tmp)
+			err = fmt.Errorf("core: save snapshot: %w", err)
+		}
+	}()
+	sum := &crcWriter{out: f}
+	w := wire.NewStreamWriter(sum)
+	encodeSnapshot(w, sys, lists)
+	if err = w.Flush(); err != nil {
+		return 0, err
+	}
+	var trailer wire.Writer
+	trailer.U32(sum.crc)
+	if _, err = f.Write(trailer.Bytes()); err != nil {
+		return 0, err
+	}
+	if err = f.Close(); err != nil {
+		return 0, err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return 0, err
+	}
+	return int64(w.Len() + trailer.Len()), nil
+}
+
+// crcWriter passes writes through, folding them into the snapshot CRC.
+type crcWriter struct {
+	out io.Writer
+	crc uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	c.crc = crc32.Update(c.crc, snapshotCRC, p)
+	return c.out.Write(p)
 }
 
 // LoadSnapshot reads path and decodes it, verifying the stamp against

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"gbpolar/internal/geom"
@@ -225,6 +230,121 @@ func TestSnapshotSaveLoadParams(t *testing.T) {
 	}
 	if ParamsFingerprint(got.Params) != ParamsFingerprint(sys.Params) {
 		t.Fatal("LoadSnapshotAnyParams restored different parameters")
+	}
+}
+
+// The format is pinned byte for byte: these are the SHA-256 of
+// EncodeSnapshot for a seeded 500-atom Morton system with compiled
+// lists, as produced by the commit BEFORE the bulk codec (PR 13,
+// per-element loops), so a snapshot either side writes loads on the
+// other. The digests cover computed floats (surface, moments, margins),
+// hence one architecture: elsewhere the compiler may fuse multiply-adds.
+func TestSnapshotBytesStable(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests were taken on amd64")
+	}
+	for _, tc := range []struct {
+		farOrder int
+		size     int
+		sha      string
+	}{
+		{0, 3809905, "663a218b4120012593e03bce094258ad47780f177777aa2bbf01d8c722f31dc5"},
+		{2, 3380840, "10a453d56d524a5f0f987da9386605828f2cc898a550beb3774c1f10377c7d8c"},
+	} {
+		p := mortonParams()
+		p.FarOrder = tc.farOrder
+		sys, _, _ := testSystem(t, 500, 14, p)
+		sys.Lists(nil)
+		data, err := EncodeSnapshot(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); len(data) != tc.size || got != tc.sha {
+			t.Errorf("FarOrder %d: %d bytes, sha256 %s; the format is pinned at %d bytes, %s",
+				tc.farOrder, len(data), got, tc.size, tc.sha)
+		}
+	}
+}
+
+// SaveSnapshot streams what EncodeSnapshot buffers: the file is the same
+// bytes, CRC trailer included, with and without a list block, and loads
+// to a system that evaluates like the original.
+func TestSaveSnapshotMatchesEncode(t *testing.T) {
+	for _, withLists := range []bool{true, false} {
+		sys, want := snapshotFixture(t, withLists)
+		path := filepath.Join(t.TempDir(), "sys.ckpt")
+		n, err := saveSnapshot(path, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || n != int64(len(want)) {
+			t.Fatalf("lists=%v: file has %d bytes (reported %d), EncodeSnapshot %d, equal=%v",
+				withLists, len(got), n, len(want), bytes.Equal(got, want))
+		}
+		loaded, err := LoadSnapshot(path, sys.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := RunShared(sys, SharedOptions{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunShared(loaded, SharedOptions{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if relErr(res.Epol, ref.Epol) > 1e-12 {
+			t.Fatalf("lists=%v: loaded system gives E_pol %.17g, original %.17g", withLists, res.Epol, ref.Epol)
+		}
+	}
+}
+
+// A failed save leaves nothing behind: no tmp file, no partial file at
+// the target, and the cause reachable through the returned error.
+func TestSaveSnapshotFailureLeavesNoFile(t *testing.T) {
+	sys, _, _ := testSystem(t, 60, 5, DefaultParams())
+	dir := t.TempDir()
+
+	// Rename fails: the target is an existing directory.
+	target := filepath.Join(dir, "taken")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err := SaveSnapshot(target, sys)
+	var linkErr *os.LinkError
+	if !errors.As(err, &linkErr) {
+		t.Fatalf("save over a directory: got %v, want the rename's *os.LinkError", err)
+	}
+	if fi, serr := os.Stat(target); serr != nil || !fi.IsDir() {
+		t.Fatalf("the directory at the target was disturbed: %v", serr)
+	}
+
+	// Create fails: the parent directory does not exist.
+	orphan := filepath.Join(dir, "missing", "sys.ckpt")
+	if err := SaveSnapshot(orphan, sys); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("save under a missing directory: got %v, want fs.ErrNotExist", err)
+	}
+	if _, serr := os.Stat(orphan); !errors.Is(serr, fs.ErrNotExist) {
+		t.Fatalf("partial file at the target: %v", serr)
+	}
+
+	// A system that cannot be encoded fails before any file is made.
+	sys.ApplyRigidTransform(geom.Translate(geom.Vec3{X: 1}))
+	if err := SaveSnapshot(filepath.Join(dir, "posed.ckpt"), sys); err == nil {
+		t.Fatal("SaveSnapshot accepted a re-posed system")
+	}
+
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || left[0].Name() != "taken" {
+		t.Fatalf("files left behind: %v", left)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gbpolar/internal/bench/gate"
 	"gbpolar/internal/cluster/net"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/obs/analyze"
@@ -79,16 +80,29 @@ func TestNetWatchdogAcceptance(t *testing.T) {
 
 	// Run 1 — nominal, unwatched: derive the tolerance envelopes from the
 	// merged timeline, exactly what an operator snapshots as baseline.
-	m1, c1 := netPaths(t)
-	co := watchNetRun(t, m1, c1, sys, nil, "", "")
-	baseline := watch.BaselineFromSummary(analyze.FromTrace(co.Trace).Summary())
+	const epolStat = "phase.epol.wall_imbalance"
+	nominal := func() *gate.Baseline {
+		m1, c1 := netPaths(t)
+		co := watchNetRun(t, m1, c1, sys, nil, "", "")
+		return watch.BaselineFromSummary(analyze.FromTrace(co.Trace).Summary())
+	}
+	baseline := nominal()
+	// Four ranks cap max/mean at 4, so a baseline at or above 4/1.3 leaves
+	// the dragged run no room to breach the gate's 30 % floor. A nominal
+	// epol phase lasts a few ms here, and one rank descheduled during it
+	// (the suite shares two cores with internal/bench under `go test
+	// ./...`) reads 3 and more: that run measured the scheduler, take
+	// another.
+	for i := 0; i < 4 && baseline.Stats[epolStat].Median >= 3; i++ {
+		baseline = nominal()
+	}
 	// Watch only the dominant compute phase. The micro-phases (build,
 	// born, push) on this small workload sit near MinPhaseWall where
 	// their imbalance is scheduler noise — especially with four ranks
 	// oversubscribed in one -race test process — and judging them here
 	// would test the scheduler, not the watchdog.
 	for k := range baseline.Stats {
-		if k != "phase.epol.wall_imbalance" {
+		if k != epolStat {
 			delete(baseline.Stats, k)
 		}
 	}
@@ -142,7 +156,10 @@ func TestNetWatchdogAcceptance(t *testing.T) {
 	pollWG.Add(1)
 	go func() {
 		defer pollWG.Done()
-		v := <-fired
+		v, ok := <-fired
+		if !ok {
+			return // the run ended without a verdict: fail below, do not hang
+		}
 		collect(v)
 		m, err := net.WaitMembership(m3, 30*time.Second)
 		if err != nil || m.ObsAddr == "" {
@@ -177,6 +194,7 @@ func TestNetWatchdogAcceptance(t *testing.T) {
 			}
 		},
 	}, flightDir, "127.0.0.1:0")
+	close(fired) // the watchdog stopped with the run: no sender is left
 	pollWG.Wait()
 
 	mu.Lock()

@@ -119,7 +119,7 @@ func TestMortonKeysFastPath(t *testing.T) {
 	boxes := []AABB{
 		{Min: V(-3.7, 11.2, -0.9), Max: V(9.4, 24.3, 12.2)},
 		{Min: V(-1, -1, -1), Max: V(1, 1, 1)},
-		{Min: V(1e5, 1e5, 1e5), Max: V(1e5 + 60, 1e5 + 60, 1e5 + 60)}, // far offset: wide guard band
+		{Min: V(1e5, 1e5, 1e5), Max: V(1e5+60, 1e5+60, 1e5+60)}, // far offset: wide guard band
 	}
 	for bi, box := range boxes {
 		var pts []Vec3
@@ -166,7 +166,7 @@ func TestMortonKeysDegenerateBoxes(t *testing.T) {
 	boxes := []AABB{
 		{Min: V(1, 2, 3), Max: V(1, 2, 3)},
 		{Min: V(0, 0, 0), Max: V(math.Inf(1), 1, 1)},
-		{Min: V(1e18, 0, 0), Max: V(1e18 + 1, 1, 1)},
+		{Min: V(1e18, 0, 0), Max: V(1e18+1, 1, 1)},
 	}
 	rng := rand.New(rand.NewSource(41))
 	for bi, box := range boxes {

@@ -35,11 +35,7 @@ func (t *Tree) AppendTo(w *wire.Writer) {
 	}
 	w.I32s(t.Index)
 	w.U32(uint32(len(t.Pts)))
-	for _, p := range t.Pts {
-		w.F64(p.X)
-		w.F64(p.Y)
-		w.F64(p.Z)
-	}
+	wire.PutF64Run(w, t.Pts)
 	w.U32(uint32(t.leafCap))
 	for _, v := range []float64{t.rootBox.Min.X, t.rootBox.Min.Y, t.rootBox.Min.Z,
 		t.rootBox.Max.X, t.rootBox.Max.Y, t.rootBox.Max.Z} {
@@ -56,16 +52,8 @@ func (t *Tree) AppendTo(w *wire.Writer) {
 			ch := &ms.Ch[c]
 			w.F64s(ch.w)
 			w.F64s(ch.W)
-			dFlat := make([]float64, 0, 3*len(ch.D))
-			for _, d := range ch.D {
-				dFlat = append(dFlat, d.X, d.Y, d.Z)
-			}
-			w.F64s(dFlat)
-			qFlat := make([]float64, 0, 6*len(ch.Q))
-			for _, q := range ch.Q {
-				qFlat = append(qFlat, q.XX, q.YY, q.ZZ, q.XY, q.XZ, q.YZ)
-			}
-			w.F64s(qFlat)
+			wire.PutF64Records(w, ch.D)
+			wire.PutF64Records(w, ch.Q)
 		}
 	}
 }
@@ -106,10 +94,7 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 	if r.Err() != nil || nPts <= 0 || nPts > r.Remaining()/24 {
 		return nil, fmt.Errorf("octree: decode: bad point count %d", nPts)
 	}
-	t.Pts = make([]geom.Vec3, nPts)
-	for i := range t.Pts {
-		t.Pts[i] = geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
-	}
+	t.Pts = wire.F64Run[geom.Vec3](r, nPts)
 	t.leafCap = int(r.U32())
 	t.rootBox.Min = geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 	t.rootBox.Max = geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
@@ -134,22 +119,15 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 			ch := &ms.Ch[c]
 			ch.w = r.F64s()
 			ch.W = r.F64s()
-			dFlat := r.F64s()
-			qFlat := r.F64s()
+			ch.D = wire.F64Records[geom.Vec3](r)
+			ch.Q = wire.F64Records[geom.Sym3](r)
 			if r.Err() != nil {
 				break
 			}
 			if len(ch.w) != nPts || len(ch.W) != nNodes ||
-				len(dFlat) != 3*nNodes || len(qFlat) != 6*nNodes {
+				len(ch.D) != nNodes || len(ch.Q) != nNodes {
 				return nil, fmt.Errorf("octree: decode: moment set %q channel %d arrays truncated (%d/%d/%d/%d for %d nodes, %d points)",
-					ms.Name, c, len(ch.w), len(ch.W), len(dFlat), len(qFlat), nNodes, nPts)
-			}
-			ch.D = make([]geom.Vec3, nNodes)
-			ch.Q = make([]geom.Sym3, nNodes)
-			for i := 0; i < nNodes; i++ {
-				ch.D[i] = geom.Vec3{X: dFlat[3*i], Y: dFlat[3*i+1], Z: dFlat[3*i+2]}
-				ch.Q[i] = geom.Sym3{XX: qFlat[6*i], YY: qFlat[6*i+1], ZZ: qFlat[6*i+2],
-					XY: qFlat[6*i+3], XZ: qFlat[6*i+4], YZ: qFlat[6*i+5]}
+					ms.Name, c, len(ch.w), len(ch.W), len(ch.D), len(ch.Q), nNodes, nPts)
 			}
 		}
 		t.moments = append(t.moments, ms)

@@ -8,12 +8,19 @@
 // truncated, corrupted or adversarial input fails with ErrTruncated
 // instead of over-allocating or panicking — the property the snapshot
 // fuzz tests pin.
+//
+// Arrays move whole (bulk.go): on a little-endian host the encoding of a
+// []float64, []int32, []uint64 or float64 record slice IS its memory, so
+// one copy encodes or decodes it. A Writer made by NewStreamWriter hands
+// large arrays to its io.Writer straight from the caller's slice.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
+	"slices"
 )
 
 // ErrTruncated reports that a Reader ran out of input (or a length
@@ -22,19 +29,63 @@ import (
 var ErrTruncated = errors.New("wire: truncated input")
 
 // Writer appends binary values to a growing buffer. The zero value is
-// ready to use.
+// ready to use and keeps everything in memory (Bytes). A Writer from
+// NewStreamWriter instead drains to an io.Writer: see Flush.
 type Writer struct {
 	buf []byte
+
+	// Stream mode only.
+	out     io.Writer
+	flushed int   // bytes already handed to out
+	err     error // first error out returned; later writes are dropped
 }
+
+// streamBuf is how many bytes a stream Writer lets arrays add to its
+// buffer before it writes, and the size from which an array bypasses the
+// buffer altogether.
+const streamBuf = 64 << 10
+
+// NewStreamWriter returns a Writer that drains to out. Scalars and small
+// arrays collect in a buffer that every array call drains once it holds
+// 64 KiB (a run of scalars between two arrays is buffered whole); an
+// array of at least that size is written from the caller's slice with no
+// intermediate copy, so a stream of large arrays is never held in memory
+// a second time. Call Flush at the end; Bytes is meaningless in this
+// mode.
+func NewStreamWriter(out io.Writer) *Writer {
+	return &Writer{out: out, buf: make([]byte, 0, streamBuf)}
+}
+
+// Grow makes room for n more bytes, so an encoder that knows its size
+// allocates once.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
+// Len returns the number of bytes written so far, flushed or not.
+func (w *Writer) Len() int { return w.flushed + len(w.buf) }
+
+// Flush hands the buffered bytes to the stream and returns the first
+// error the stream has reported. On a buffer-mode Writer it does nothing.
+func (w *Writer) Flush() error {
+	if w.out != nil && len(w.buf) > 0 {
+		w.write(w.buf)
+		w.buf = w.buf[:0]
+	}
+	return w.err
+}
+
+// write passes b to the stream unless an earlier write failed.
+func (w *Writer) write(b []byte) {
+	w.flushed += len(b)
+	if w.err == nil {
+		_, w.err = w.out.Write(b)
+	}
+}
 
 // Raw appends b verbatim (no length prefix).
-func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+func (w *Writer) Raw(b []byte) { w.bulk(b, 1) }
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -75,31 +126,25 @@ func (w *Writer) Str(s string) {
 // F64s appends a uint32 count followed by the values.
 func (w *Writer) F64s(vs []float64) {
 	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.F64(v)
-	}
+	put(w, vs, 8)
 }
 
 // I32s appends a uint32 count followed by the values.
 func (w *Writer) I32s(vs []int32) {
 	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.I32(v)
-	}
+	put(w, vs, 4)
 }
 
 // U64s appends a uint32 count followed by the values.
 func (w *Writer) U64s(vs []uint64) {
 	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.U64(v)
-	}
+	put(w, vs, 8)
 }
 
 // U8s appends a uint32 count followed by the bytes.
 func (w *Writer) U8s(vs []uint8) {
 	w.U32(uint32(len(vs)))
-	w.buf = append(w.buf, vs...)
+	w.bulk(vs, 1)
 }
 
 // Reader consumes binary values from a buffer. After the first failure
@@ -207,56 +252,14 @@ func (r *Reader) Str() string {
 }
 
 // F64s reads a length-prefixed []float64. Returns nil for count 0.
-func (r *Reader) F64s() []float64 {
-	n := r.count(8)
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.F64()
-	}
-	return out
-}
+func (r *Reader) F64s() []float64 { return array[float64](r, r.count(8), 8) }
 
 // I32s reads a length-prefixed []int32. Returns nil for count 0.
-func (r *Reader) I32s() []int32 {
-	n := r.count(4)
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = r.I32()
-	}
-	return out
-}
+func (r *Reader) I32s() []int32 { return array[int32](r, r.count(4), 4) }
 
 // U64s reads a length-prefixed []uint64. Returns nil for count 0.
-func (r *Reader) U64s() []uint64 {
-	n := r.count(8)
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.U64()
-	}
-	return out
-}
+func (r *Reader) U64s() []uint64 { return array[uint64](r, r.count(8), 8) }
 
 // U8s reads a length-prefixed []uint8. Returns nil for count 0. The
 // returned slice is a copy, never a view into the input buffer.
-func (r *Reader) U8s() []uint8 {
-	n := r.count(1)
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]uint8, n)
-	copy(out, b)
-	return out
-}
+func (r *Reader) U8s() []uint8 { return array[uint8](r, r.count(1), 1) }
