@@ -58,7 +58,7 @@ kernels:
 
 ## race: the concurrency-heavy packages under the race detector.
 race:
-	$(GO) test -race ./internal/core/ ./internal/sched/ ./internal/cluster/ ./internal/octree/ ./internal/wire/
+	$(GO) test -race ./internal/core/ ./internal/sched/ ./internal/cluster/ ./internal/octree/ ./internal/wire/ ./internal/surface/
 
 ## faults: the fault matrix — {crash, drop, delay} x {Born, E_pol,
 ## collective boundary} — plus the full injection/recovery suite.
@@ -138,9 +138,14 @@ bench-kernels:
 bench-snapshot:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Encode|Save|Decode|Load)' -benchtime 5x -count 2 -benchmem ./internal/core/
 
-## bench-cold: the cold-path pair — octree construction benchmarks
-## (recursive vs Morton at 1k/10k/100k points) and the coldstart
-## experiment tables (EXPERIMENTS.md cold-start section).
+## bench-cold: the cold path, PQR bytes to first E_pol — the five public
+## calls at the ledger's fixture, per stage in wall ms and cores kept busy
+## (CPU÷wall; 1.00 is a serial stage), the ray cast beside the exhaustive
+## serial oracle it replaced, octree construction (recursive vs Morton at
+## 1k/10k/100k points), and the coldstart experiment tables
+## (EXPERIMENTS.md "Cold path" and cold-start sections).
 bench-cold:
+	$(GO) test -run '^$$' -bench 'BenchmarkColdPath20k' -benchtime 10x -count 2 -cpu 2 .
+	$(GO) test -run '^$$' -bench 'BenchmarkCastRadii20k' -benchtime 10x -count 2 -cpu 1,2 ./internal/surface/
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild' -benchtime 3x -count 2 ./internal/octree/
 	$(GO) run ./cmd/gbbench -exp coldstart

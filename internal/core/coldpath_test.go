@@ -1,0 +1,271 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"gbpolar/internal/geom"
+	"gbpolar/internal/molecule"
+	"gbpolar/internal/octree"
+	"gbpolar/internal/sched"
+	"gbpolar/internal/surface"
+)
+
+// bitHash folds arrays into a SHA-256 by their exact bit patterns, each
+// preceded by its length, so two cold paths hash equal only when every
+// float is the same float.
+type bitHash struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func newBitHash() *bitHash { return &bitHash{h: sha256.New()} }
+
+func (b *bitHash) u64(v uint64) {
+	binary.LittleEndian.PutUint64(b.buf[:], v)
+	b.h.Write(b.buf[:])
+}
+
+func (b *bitHash) f64s(a ...float64) {
+	for _, v := range a {
+		b.u64(math.Float64bits(v))
+	}
+}
+
+func (b *bitHash) vec(v geom.Vec3) { b.f64s(v.X, v.Y, v.Z) }
+
+func (b *bitHash) floats(a []float64) {
+	b.u64(uint64(len(a)))
+	b.f64s(a...)
+}
+
+func (b *bitHash) vecs(a []geom.Vec3) {
+	b.u64(uint64(len(a)))
+	for _, v := range a {
+		b.vec(v)
+	}
+}
+
+func (b *bitHash) i32s(a []int32) {
+	b.u64(uint64(len(a)))
+	for _, v := range a {
+		b.u64(uint64(uint32(v)))
+	}
+}
+
+func (b *bitHash) sum() string { return hex.EncodeToString(b.h.Sum(nil)) }
+
+func hashSurface(s *surface.Surface) string {
+	b := newBitHash()
+	b.u64(uint64(len(s.Points)))
+	for _, p := range s.Points {
+		b.vec(p.Pos)
+		b.vec(p.Normal)
+		b.f64s(p.Weight)
+	}
+	b.f64s(s.Area)
+	return b.sum()
+}
+
+func (b *bitHash) tree(t *octree.Tree, momentSet string) {
+	b.u64(uint64(len(t.Nodes)))
+	for i := range t.Nodes {
+		n := &t.Nodes[i]
+		b.vec(n.Center)
+		b.f64s(n.Radius)
+		b.i32s(n.Children[:])
+		b.i32s([]int32{n.Start, n.End, int32(n.Depth)})
+		if n.IsLeaf {
+			b.u64(1)
+		}
+	}
+	b.i32s(t.Index)
+	b.vecs(t.Pts)
+	b.i32s(t.Leaves())
+	for _, ch := range t.MomentsOf(momentSet).Ch {
+		b.floats(ch.W)
+		b.vecs(ch.D)
+		b.u64(uint64(len(ch.Q)))
+		for _, q := range ch.Q {
+			b.f64s(q.XX, q.YY, q.ZZ, q.XY, q.XZ, q.YZ)
+		}
+	}
+}
+
+// hashSystem covers everything NewSystem derives: both trees with their
+// moment sets, the slot-ordered payloads, the node aggregates and the SoA
+// mirrors over their whole padded capacity.
+func hashSystem(s *System) string {
+	b := newBitHash()
+	b.tree(s.Atoms, momentSetCharge)
+	b.tree(s.QPts, momentSetWN)
+	b.vecs(s.WN)
+	b.vecs(s.QNodeWN)
+	for _, a := range [][]float64{s.Charge, s.Radius,
+		s.AtomX, s.AtomY, s.AtomZ, s.QX, s.QY, s.QZ,
+		s.WNX, s.WNY, s.WNZ, s.ANodeX, s.ANodeY, s.ANodeZ} {
+		b.floats(a[:padLanes(len(a))])
+	}
+	return b.sum()
+}
+
+func hashLists(cl *CompiledLists) string {
+	b := newBitHash()
+	for _, il := range []*InteractionLists{cl.Born, cl.Epol} {
+		for _, a := range [][]int32{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near,
+			il.SymOff, il.Sym, il.CedeOff, il.Cede} {
+			b.i32s(a)
+		}
+		for _, a := range [][]float64{il.FarMargin, il.FarPath, il.NearMargin,
+			il.NearPath, il.SymPath, il.CedePath} {
+			b.floats(a)
+		}
+		b.h.Write(il.FarOrd)
+	}
+	b.vecs(cl.nodeC)
+	b.floats(cl.nodeR)
+	return b.sum()
+}
+
+// coldPath runs molecule → surface → system → compiled lists.
+func coldPath(t *testing.T, mol *molecule.Molecule, workers int) (*surface.Surface, *System, *CompiledLists) {
+	t.Helper()
+	surf, err := surface.ForMolecule(mol, surface.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(mol, surf, mortonParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := sched.NewPool(workers)
+	defer pool.Close()
+	return surf, sys, sys.compile(pool)
+}
+
+// The cold path gives the same bits on any number of cores, and the bits
+// of the commit before it went parallel: the digests below were computed
+// there, by this file, before any other line of the change was written.
+func TestColdPathBitIdentical(t *testing.T) {
+	for _, fx := range []struct {
+		name                string
+		mol                 func() *molecule.Molecule
+		surface, sys, lists string
+	}{
+		{name: "protein4000", mol: func() *molecule.Molecule { return molecule.GenProtein("cold", 4000, 2) },
+			surface: "3ab64d1a82e212c7927194b2c8b07dc82f8c1ec3c63b9750267563111bd117db", sys: "8ee8d94df4300f7db0a1e831ba4068979de9d03b988fd43254dc765cfa48751f", lists: "df87b56f0ffce5d2a8fd2ad09354eb517619e8ba478c80ac806c56f50db6bd42"},
+		{name: "capsid3000", mol: func() *molecule.Molecule { return molecule.GenCapsid("cold", 3000, 30, 38, 28) },
+			surface: "6f8f2c18f9b64ca1fa3f484ee07a19328d6d33b6494a67d61ac2015e7b5937d6", sys: "7ea50e42809415323b10c45be78d94846a1a05fb3578ad581312e87f1af09c89", lists: "ac91f31b2ad01ff6af5acd6fec71d2839715464cf0650b6afcd8c9f8e55819ad"},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			var surf0 *surface.Surface
+			var sys0 *System
+			var cl0 *CompiledLists
+			for _, procs := range []int{1, 2, 4, 8} {
+				prev := runtime.GOMAXPROCS(procs)
+				surf, sys, cl := coldPath(t, fx.mol(), procs)
+				runtime.GOMAXPROCS(prev)
+				if err := sys.checkSoAPadding(); err != nil {
+					t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+				}
+				if surf0 == nil {
+					surf0, sys0, cl0 = surf, sys, cl
+					for _, d := range []struct{ what, got, want string }{
+						{"surface", hashSurface(surf), fx.surface},
+						{"system", hashSystem(sys), fx.sys},
+						{"lists", hashLists(cl), fx.lists},
+					} {
+						if d.got != d.want {
+							t.Errorf("%s digest %s, the parent commit's is %s", d.what, d.got, d.want)
+						}
+					}
+					continue
+				}
+				if !reflect.DeepEqual(surf.Points, surf0.Points) || surf.Area != surf0.Area {
+					t.Errorf("GOMAXPROCS %d: surface differs from GOMAXPROCS 1", procs)
+				}
+				if hashSystem(sys) != hashSystem(sys0) {
+					t.Errorf("GOMAXPROCS %d: trees, moments or SoA mirrors differ from GOMAXPROCS 1", procs)
+				}
+				if !reflect.DeepEqual(cl, cl0) {
+					t.Errorf("GOMAXPROCS %d: compiled lists differ from GOMAXPROCS 1", procs)
+				}
+			}
+		})
+	}
+}
+
+// A re-pose split across goroutines leaves the bits of the serial loops in
+// every array it touches, keeps the compiled lists valid, and costs the
+// f32 tier one mirror conversion per pose, as before.
+func TestReposeSplitMatchesSerial(t *testing.T) {
+	mol := molecule.GenProtein("repose", 6000, 5) // above fanGrain, so the loops do split
+	build := func(procs int) (*System, *sched.Pool) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		_, sys, _ := coldPath(t, mol.Clone(), procs)
+		pool := sched.NewPool(2)
+		sys.Lists(pool)
+		return sys, pool
+	}
+	serial, pool := build(1)
+	defer pool.Close()
+	split, pool2 := build(8)
+	defer pool2.Close()
+	atoms0 := append([]geom.Vec3(nil), split.Atoms.Pts...)
+	wn0 := append([]geom.Vec3(nil), split.WN...)
+	split.f32() // a mirror exists before the first pose
+
+	poses := []geom.Transform{
+		geom.Translate(geom.V(17, -4, 9)).Compose(geom.RotateAxis(geom.V(1, 2, 3), 0.8)),
+		geom.RotateAxis(geom.V(-2, 0.5, 1), 2.1),
+	}
+	for step, tr := range poses {
+		prev := runtime.GOMAXPROCS(1)
+		serial.ApplyRigidTransform(tr)
+		runtime.GOMAXPROCS(8)
+		gen0 := split.soaGen.Load()
+		split.ApplyRigidTransform(tr)
+		runtime.GOMAXPROCS(prev)
+
+		if got, want := hashSystem(split), hashSystem(serial); got != want {
+			t.Fatalf("pose %d: trees, moments, WN or SoA mirrors differ from the serial re-pose", step)
+		}
+		if err := split.checkSoAPadding(); err != nil {
+			t.Fatalf("pose %d: %v", step, err)
+		}
+		if err := split.RecheckLists(pool2); err != nil {
+			t.Fatalf("pose %d: %v", step, err)
+		}
+		if d := split.soaGen.Load() - gen0; d != 2 {
+			t.Errorf("pose %d: soaGen moved by %d, want 2 (one per SoA half)", step, d)
+		}
+		v := split.f32()
+		if v.gen != split.soaGen.Load() || split.f32() != v {
+			t.Errorf("pose %d: f32 mirror at generation %d of %d, or rebuilt twice", step, v.gen, split.soaGen.Load())
+		}
+		for i, x := range split.AtomX {
+			if v.atomX[i] != float32(x) {
+				t.Fatalf("pose %d: f32 mirror slot %d is stale", step, i)
+			}
+		}
+		// The first pose against the definition, element by element.
+		if step == 0 {
+			for i, p := range atoms0 {
+				if split.Atoms.Pts[i] != tr.Apply(p) {
+					t.Fatalf("atom slot %d is %v, want %v", i, split.Atoms.Pts[i], tr.Apply(p))
+				}
+			}
+			for i, n := range wn0 {
+				if split.WN[i] != tr.ApplyVector(n) {
+					t.Fatalf("weighted normal %d is %v, want %v", i, split.WN[i], tr.ApplyVector(n))
+				}
+			}
+		}
+	}
+}

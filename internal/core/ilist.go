@@ -305,6 +305,19 @@ func forRows(pool *sched.Pool, n int, fn func(lo, hi, worker int)) {
 	sched.ParallelFor(pool, n, n/(8*pool.NumWorkers())+1, fn)
 }
 
+// allocAll runs the given allocations on the pool's workers (in order on
+// the caller when pool is nil). A list array is tens of megabytes, and
+// make hands it over zeroed: on one goroutine that memclr is a fifth of a
+// compile during which every worker sleeps; spread out, each array is also
+// first touched by one of the workers that go on to fill it.
+func allocAll(pool *sched.Pool, allocs ...func()) {
+	forRows(pool, len(allocs), func(lo, hi, _ int) {
+		for _, alloc := range allocs[lo:hi] {
+			alloc()
+		}
+	})
+}
+
 // prefixSum turns per-row counts stored at off[k+1] into CSR offsets and
 // returns the total.
 func prefixSum(off []int32) int32 {
@@ -370,17 +383,22 @@ func (ph *listPhase) build(old *InteractionLists, cert *repairCert, pool *sched.
 		}
 	})
 	nf, nn := prefixSum(il.FarOff), prefixSum(pre.off)
-	il.Far = make([]int32, nf)
-	il.FarMargin = make([]float64, nf)
-	il.FarPath = make([]float64, nf)
-	if ph.pmax > 0 && nf > 0 { // ladder compiles; every far entry carries its order
-		il.FarOrd = make([]uint8, nf)
-	}
-	pre.n = make([]int32, nn)
-	pre.p = make([]float64, nn)
-	if !ph.leafFirst && nn > 0 { // Born lists; E_pol's leaf-first rows carry no near tests
-		pre.m = make([]float64, nn)
-	}
+	allocAll(pool,
+		func() { il.Far = make([]int32, nf) },
+		func() { il.FarMargin = make([]float64, nf) },
+		func() { il.FarPath = make([]float64, nf) },
+		func() {
+			if ph.pmax > 0 && nf > 0 { // ladder compiles; every far entry carries its order
+				il.FarOrd = make([]uint8, nf)
+			}
+		},
+		func() { pre.n = make([]int32, nn) },
+		func() { pre.p = make([]float64, nn) },
+		func() {
+			if !ph.leafFirst && nn > 0 { // Born lists; E_pol's leaf-first rows carry no near tests
+				pre.m = make([]float64, nn)
+			}
+		})
 	forRows(pool, len(dirty), func(lo, hi, _ int) {
 		for _, k := range dirty[lo:hi] {
 			sink := rowSink{fill: true, nf: il.FarOff[k], nn: pre.off[k], il: il, near: &pre}
@@ -465,7 +483,9 @@ func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sc
 		}
 		tOff[j+1] = at
 	}
-	tr := make([]int32, len(pre.n))
+	var tr []int32
+	var kind []uint8
+	allocAll(pool, func() { tr = make([]int32, len(pre.n)) }, func() { kind = make([]uint8, len(pre.n)) })
 	forRows(pool, workers, func(lo, hi, _ int) {
 		for b := lo; b < hi; b++ {
 			for k := bound(b); k < bound(b+1); k++ {
@@ -479,7 +499,6 @@ func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sc
 	})
 
 	stamps := make([][]int32, workers)
-	kind := make([]uint8, len(pre.n))
 	forRows(pool, n, func(lo, hi, w int) {
 		if stamps[w] == nil {
 			stamps[w] = make([]int32, n)
@@ -506,9 +525,10 @@ func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sc
 		}
 	})
 	nn, ns, nc := prefixSum(il.NearOff), prefixSum(il.SymOff), prefixSum(il.CedeOff)
-	il.Near, il.NearPath = make([]int32, nn), make([]float64, nn)
-	il.Sym, il.SymPath = make([]int32, ns), make([]float64, ns)
-	il.Cede, il.CedePath = make([]int32, nc), make([]float64, nc)
+	allocAll(pool,
+		func() { il.Near = make([]int32, nn) }, func() { il.NearPath = make([]float64, nn) },
+		func() { il.Sym = make([]int32, ns) }, func() { il.SymPath = make([]float64, ns) },
+		func() { il.Cede = make([]int32, nc) }, func() { il.CedePath = make([]float64, nc) })
 	forRows(pool, n, func(lo, hi, _ int) {
 		dstN := [3][]int32{il.Near, il.Sym, il.Cede}
 		dstP := [3][]float64{il.NearPath, il.SymPath, il.CedePath}

@@ -18,6 +18,7 @@ import (
 	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/octree"
+	"gbpolar/internal/sched"
 	"gbpolar/internal/surface"
 )
 
@@ -198,21 +199,31 @@ func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*S
 	if mol.NumAtoms() == 0 {
 		return nil, fmt.Errorf("core: molecule %q has no atoms", mol.Name)
 	}
+	if err := mol.CheckAtoms(); err != nil {
+		return nil, fmt.Errorf("core: molecule %q: %w", mol.Name, err)
+	}
 	if surf.NumPoints() == 0 {
 		return nil, fmt.Errorf("core: surface has no quadrature points")
 	}
 
-	ta, err := octree.Build(mol.Positions(), octree.Options{LeafCap: params.LeafCap, Builder: params.Builder})
-	if err != nil {
-		return nil, fmt.Errorf("core: atoms octree: %w", err)
+	// The two trees share nothing: build them side by side.
+	opts := octree.Options{LeafCap: params.LeafCap, Builder: params.Builder}
+	var ta, tq *octree.Tree
+	var errA, errQ error
+	sched.Together(
+		func() { ta, errA = octree.Build(mol.Positions(), opts) },
+		func() {
+			qpos := make([]geom.Vec3, surf.NumPoints())
+			for i, p := range surf.Points {
+				qpos[i] = p.Pos
+			}
+			tq, errQ = octree.Build(qpos, opts)
+		})
+	if errA != nil {
+		return nil, fmt.Errorf("core: atoms octree: %w", errA)
 	}
-	qpos := make([]geom.Vec3, surf.NumPoints())
-	for i, p := range surf.Points {
-		qpos[i] = p.Pos
-	}
-	tq, err := octree.Build(qpos, octree.Options{LeafCap: params.LeafCap, Builder: params.Builder})
-	if err != nil {
-		return nil, fmt.Errorf("core: q-points octree: %w", err)
+	if errQ != nil {
+		return nil, fmt.Errorf("core: q-points octree: %w", errQ)
 	}
 	return assembleSystem(mol, surf, ta, tq, params), nil
 }
@@ -224,26 +235,30 @@ func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*S
 // defaulted and validated, and the trees must index mol/surf (ta over
 // the atom positions, tq over the q-point positions).
 func assembleSystem(mol *molecule.Molecule, surf *surface.Surface, ta, tq *octree.Tree, params Params) *System {
-	s := &System{
-		Mol: mol, Surf: surf,
-		Atoms: ta, QPts: tq,
-		Charge: make([]float64, mol.NumAtoms(), padLanes(mol.NumAtoms())),
-		Radius: make([]float64, mol.NumAtoms(), padLanes(mol.NumAtoms())),
-		WN:     make([]geom.Vec3, surf.NumPoints()),
-		Params: params,
-	}
-	for slot, orig := range ta.Index {
-		s.Charge[slot] = mol.Atoms[orig].Charge
-		s.Radius[slot] = mol.Atoms[orig].Radius
-	}
-	for slot, orig := range tq.Index {
-		p := surf.Points[orig]
-		s.WN[slot] = p.Normal.Scale(p.Weight)
-	}
-	s.QNodeWN = qNodeAggregates(tq, s.WN)
-	s.attachMoments()
-	s.refreshAtomSoA()
-	s.refreshQPointSoA()
+	s := &System{Mol: mol, Surf: surf, Atoms: ta, QPts: tq, Params: params}
+	// Everything derived from T_A on one side, everything derived from T_Q
+	// on the other: the halves write disjoint fields.
+	sched.Together(
+		func() {
+			s.Charge = make([]float64, mol.NumAtoms(), padLanes(mol.NumAtoms()))
+			s.Radius = make([]float64, mol.NumAtoms(), padLanes(mol.NumAtoms()))
+			for slot, orig := range ta.Index {
+				s.Charge[slot] = mol.Atoms[orig].Charge
+				s.Radius[slot] = mol.Atoms[orig].Radius
+			}
+			s.attachChargeMoments()
+			s.refreshAtomSoA()
+		},
+		func() {
+			s.WN = make([]geom.Vec3, surf.NumPoints())
+			for slot, orig := range tq.Index {
+				p := surf.Points[orig]
+				s.WN[slot] = p.Normal.Scale(p.Weight)
+			}
+			s.QNodeWN = qNodeAggregates(tq, s.WN)
+			s.attachWNMoments()
+			s.refreshQPointSoA()
+		})
 	return s
 }
 
@@ -255,33 +270,38 @@ const (
 	momentSetWN     = "wn"
 )
 
-// attachMoments registers the two moment sets the higher-order far
-// kernels read (farorder.go). Both are cheap O(N) aggregates, so they
-// are always attached — Params.FarOrder may be raised after NewSystem
-// and the moments are already there. Snapshot-restored trees arrive with
-// their moment sets decoded; those are kept verbatim (re-attaching would
-// also work, but keeping them is what makes a truncated moment block in
-// the snapshot detectable).
-func (s *System) attachMoments() {
-	if s.Atoms.MomentsOf(momentSetCharge) == nil {
-		q := make([]float64, s.Mol.NumAtoms())
-		for i, a := range s.Mol.Atoms {
-			q[i] = a.Charge
-		}
-		if err := s.Atoms.AttachMoments(momentSetCharge, [][]float64{q}, false); err != nil {
-			panic(err) // lengths are derived from the molecule; cannot fail
-		}
+// attachChargeMoments and attachWNMoments register the two moment sets
+// the higher-order far kernels read (farorder.go). Both are cheap O(N)
+// aggregates, so they are always attached — Params.FarOrder may be raised
+// after NewSystem and the moments are already there. Snapshot-restored
+// trees arrive with their moment sets decoded; those are kept verbatim
+// (re-attaching would also work, but keeping them is what makes a
+// truncated moment block in the snapshot detectable).
+func (s *System) attachChargeMoments() {
+	if s.Atoms.MomentsOf(momentSetCharge) != nil {
+		return
 	}
-	if s.QPts.MomentsOf(momentSetWN) == nil {
-		n := s.Surf.NumPoints()
-		wn := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
-		for i, p := range s.Surf.Points {
-			v := p.Normal.Scale(p.Weight)
-			wn[0][i], wn[1][i], wn[2][i] = v.X, v.Y, v.Z
-		}
-		if err := s.QPts.AttachMoments(momentSetWN, wn, true); err != nil {
-			panic(err)
-		}
+	q := make([]float64, s.Mol.NumAtoms())
+	for i, a := range s.Mol.Atoms {
+		q[i] = a.Charge
+	}
+	if err := s.Atoms.AttachMoments(momentSetCharge, [][]float64{q}, false); err != nil {
+		panic(err) // lengths are derived from the molecule; cannot fail
+	}
+}
+
+func (s *System) attachWNMoments() {
+	if s.QPts.MomentsOf(momentSetWN) != nil {
+		return
+	}
+	n := s.Surf.NumPoints()
+	wn := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+	for i, p := range s.Surf.Points {
+		v := p.Normal.Scale(p.Weight)
+		wn[0][i], wn[1][i], wn[2][i] = v.X, v.Y, v.Z
+	}
+	if err := s.QPts.AttachMoments(momentSetWN, wn, true); err != nil {
+		panic(err)
 	}
 }
 
@@ -298,10 +318,12 @@ func (s *System) refreshAtomSoA() {
 	}
 	s.ANodeX, s.ANodeY, s.ANodeZ = s.ANodeX[:n], s.ANodeY[:n], s.ANodeZ[:n]
 	zeroPad(s.ANodeX, s.ANodeY, s.ANodeZ)
-	for i := range s.Atoms.Nodes {
-		c := s.Atoms.Nodes[i].Center
-		s.ANodeX[i], s.ANodeY[i], s.ANodeZ[i] = c.X, c.Y, c.Z
-	}
+	sched.Fan(n, fanGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := s.Atoms.Nodes[i].Center
+			s.ANodeX[i], s.ANodeY[i], s.ANodeZ[i] = c.X, c.Y, c.Z
+		}
+	})
 	s.soaGen.Add(1)
 }
 
@@ -312,6 +334,11 @@ func (s *System) refreshQPointSoA() {
 	s.WNX, s.WNY, s.WNZ = splitVecs(s.WN, s.WNX, s.WNY, s.WNZ)
 	s.soaGen.Add(1)
 }
+
+// fanGrain is the chunk of the element-wise loops that run through
+// sched.Fan — SoA scatters, re-posing: a few microseconds of work each, so
+// a molecule of a few thousand atoms stays on the calling goroutine.
+const fanGrain = 4096
 
 // padLanes rounds a SoA length up to the next lane-width multiple — the
 // padded capacity every component array is allocated with.
@@ -343,9 +370,11 @@ func splitVecs(src []geom.Vec3, x, y, z []float64) (ox, oy, oz []float64) {
 	}
 	x, y, z = x[:len(src)], y[:len(src)], z[:len(src)]
 	zeroPad(x, y, z)
-	for i, v := range src {
-		x[i], y[i], z[i] = v.X, v.Y, v.Z
-	}
+	sched.Fan(len(src), fanGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x[i], y[i], z[i] = src[i].X, src[i].Y, src[i].Z
+		}
+	})
 	return x, y, z
 }
 
@@ -384,7 +413,8 @@ func (s *System) checkSoAPadding() error {
 }
 
 // ApplyRigidTransform rigidly moves the whole system — both octrees, the
-// weighted normals and the SoA mirrors — without rebuilding anything.
+// weighted normals and the SoA mirrors — without rebuilding anything,
+// every element-wise loop of it split across the cores (sched.Fan).
 // Rigid motion preserves every pairwise distance and every node radius,
 // so the near/far classification of the compiled interaction lists stays
 // valid and the lists are deliberately NOT invalidated (the reuse
@@ -393,11 +423,12 @@ func (s *System) checkSoAPadding() error {
 func (s *System) ApplyRigidTransform(t geom.Transform) {
 	s.Atoms.ApplyTransform(t)
 	s.QPts.ApplyTransform(t)
-	for i := range s.WN {
-		s.WN[i] = t.ApplyVector(s.WN[i])
-	}
-	for i := range s.QNodeWN {
-		s.QNodeWN[i] = t.ApplyVector(s.QNodeWN[i])
+	for _, vecs := range [][]geom.Vec3{s.WN, s.QNodeWN} {
+		sched.Fan(len(vecs), fanGrain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				vecs[i] = t.ApplyVector(vecs[i])
+			}
+		})
 	}
 	s.refreshAtomSoA()
 	s.refreshQPointSoA()

@@ -6,6 +6,7 @@
 package molecule
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -88,17 +89,54 @@ func Merge(name string, ms ...*Molecule) *Molecule {
 	return out
 }
 
-// Validate checks physical sanity: finite positions, positive radii,
-// charges within ±2e. It returns the first problem found.
-func (m *Molecule) Validate() error {
+// ErrBadAtom is what errors.Is matches on every *AtomError.
+var ErrBadAtom = errors.New("molecule: bad atom")
+
+// AtomError names the first atom whose numbers no energy can be computed
+// from: a NaN or infinite coordinate or charge, or a radius that is not a
+// positive finite number. Such values would otherwise travel through the
+// surface and the octrees and come out as a NaN — or, worse, a finite but
+// wrong — energy with no error at all.
+type AtomError struct {
+	Index  int    // position in Molecule.Atoms
+	Reason string // e.g. "radius NaN is not a positive finite number"
+}
+
+func (e *AtomError) Error() string { return fmt.Sprintf("atom %d: %s", e.Index, e.Reason) }
+
+// Is reports a match with ErrBadAtom.
+func (e *AtomError) Is(target error) bool { return target == ErrBadAtom }
+
+// CheckAtoms returns an *AtomError for the first atom with a non-finite
+// position or charge or a non-finite or non-positive radius, in one pass
+// over the atoms. surface.ForMolecule and core.NewSystem run it before any
+// other work.
+func (m *Molecule) CheckAtoms() error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	for i, a := range m.Atoms {
-		if !a.Pos.IsFinite() {
-			return fmt.Errorf("molecule %q: atom %d has non-finite position %v", m.Name, i, a.Pos)
+		switch {
+		case !a.Pos.IsFinite():
+			return &AtomError{i, fmt.Sprintf("position %v is not finite", a.Pos)}
+		case !finite(a.Charge):
+			return &AtomError{i, fmt.Sprintf("charge %g is not finite", a.Charge)}
+		case !finite(a.Radius) || a.Radius <= 0:
+			return &AtomError{i, fmt.Sprintf("radius %g is not a positive finite number", a.Radius)}
 		}
-		if a.Radius <= 0 || math.IsNaN(a.Radius) || a.Radius > 5 {
+	}
+	return nil
+}
+
+// Validate checks physical sanity: everything CheckAtoms does, then radii
+// of at most 5 Å and charges within ±2e. It returns the first problem found.
+func (m *Molecule) Validate() error {
+	if err := m.CheckAtoms(); err != nil {
+		return fmt.Errorf("molecule %q: %w", m.Name, err)
+	}
+	for i, a := range m.Atoms {
+		if a.Radius > 5 {
 			return fmt.Errorf("molecule %q: atom %d has implausible radius %g", m.Name, i, a.Radius)
 		}
-		if math.Abs(a.Charge) > 2 || math.IsNaN(a.Charge) {
+		if math.Abs(a.Charge) > 2 {
 			return fmt.Errorf("molecule %q: atom %d has implausible charge %g", m.Name, i, a.Charge)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gbpolar/internal/geom"
+	"gbpolar/internal/sched"
 )
 
 // This file adds per-node multipole moments to the tree: the total
@@ -100,27 +101,35 @@ func (t *Tree) recomputeMoments() {
 
 // recomputeMomentSet recomputes one set bottom-up: leaves directly from
 // their point ranges, internals by translating children's moments to the
-// parent center (M2M). Children always carry a larger node id than their
-// parent (Build appends children after the parent and every incremental
-// path preserves that — the snapshot codec rejects trees violating it),
-// so one descending-id pass visits children before parents, the same
-// trick NewEpolContext's histogram aggregation uses. Orphaned nodes get
-// values from stale geometry; they are never read.
+// parent center (M2M). A leaf depends on nothing but its points, so the
+// leaves — where the per-point work is — are split across the cores, each
+// one computing all channels while its points are in cache. Children
+// always carry a larger node id than their parent (Build appends children
+// after the parent and every incremental path preserves that — the
+// snapshot codec rejects trees violating it), so one descending-id pass
+// per channel then visits children before parents, the same trick
+// NewEpolContext's histogram aggregation uses; the channels run side by
+// side. Orphaned nodes get values from stale geometry; they are never read.
 func (t *Tree) recomputeMomentSet(ms *MomentSet) {
 	nn := len(t.Nodes)
 	for c := range ms.Ch {
-		ch := &ms.Ch[c]
-		if len(ch.W) != nn {
+		if ch := &ms.Ch[c]; len(ch.W) != nn {
 			ch.W = make([]float64, nn)
 			ch.D = make([]geom.Vec3, nn)
 			ch.Q = make([]geom.Sym3, nn)
 		}
-		for i := nn - 1; i >= 0; i-- {
+	}
+	sched.Fan(nn, 1024, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			nd := &t.Nodes[i]
-			var w float64
-			var d geom.Vec3
-			var q geom.Sym3
-			if nd.IsLeaf {
+			if !nd.IsLeaf {
+				continue
+			}
+			for c := range ms.Ch {
+				ch := &ms.Ch[c]
+				var w float64
+				var d geom.Vec3
+				var q geom.Sym3
 				for s := nd.Start; s < nd.End; s++ {
 					wt := ch.w[t.Index[s]]
 					dl := t.Pts[s].Sub(nd.Center)
@@ -128,21 +137,33 @@ func (t *Tree) recomputeMomentSet(ms *MomentSet) {
 					d = d.Add(dl.Scale(wt))
 					q = q.Add(geom.Outer(dl).Scale(wt))
 				}
-			} else {
-				for _, cc := range nd.Children {
-					if cc == NoChild {
-						continue
-					}
-					sh := t.Nodes[cc].Center.Sub(nd.Center)
-					cw, cd, cq := ch.W[cc], ch.D[cc], ch.Q[cc]
-					w += cw
-					d = d.Add(cd).Add(sh.Scale(cw))
-					q = q.Add(cq).Add(geom.SymOuter(cd, sh)).Add(geom.Outer(sh).Scale(cw))
+				ch.W[i], ch.D[i], ch.Q[i] = w, d, q
+			}
+		}
+	})
+	sched.Fan(len(ms.Ch), 1, func(c, _ int) {
+		ch := &ms.Ch[c]
+		for i := nn - 1; i >= 0; i-- {
+			nd := &t.Nodes[i]
+			if nd.IsLeaf {
+				continue
+			}
+			var w float64
+			var d geom.Vec3
+			var q geom.Sym3
+			for _, cc := range nd.Children {
+				if cc == NoChild {
+					continue
 				}
+				sh := t.Nodes[cc].Center.Sub(nd.Center)
+				cw, cd, cq := ch.W[cc], ch.D[cc], ch.Q[cc]
+				w += cw
+				d = d.Add(cd).Add(sh.Scale(cw))
+				q = q.Add(cq).Add(geom.SymOuter(cd, sh)).Add(geom.Outer(sh).Scale(cw))
 			}
 			ch.W[i], ch.D[i], ch.Q[i] = w, d, q
 		}
-	}
+	})
 }
 
 // rotateMoments applies a rigid transform to every attached set in place:
@@ -162,10 +183,12 @@ func (t *Tree) rotateMoments(tr geom.Transform) {
 		// Tensor rotation of every channel's moments.
 		for c := range ms.Ch {
 			ch := &ms.Ch[c]
-			for i := range ch.D {
-				ch.D[i] = rot(ch.D[i])
-				ch.Q[i] = ch.Q[i].Rotated(r)
-			}
+			sched.Fan(len(ch.D), fanGrain, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					ch.D[i] = rot(ch.D[i])
+					ch.Q[i] = ch.Q[i].Rotated(r)
+				}
+			})
 		}
 		if !ms.Vec {
 			continue
@@ -174,22 +197,26 @@ func (t *Tree) rotateMoments(tr geom.Transform) {
 		// applied to the per-node moments and to the per-point weights.
 		chans := [3]*MomentChannel{&ms.Ch[0], &ms.Ch[1], &ms.Ch[2]}
 		x, y, z := chans[0], chans[1], chans[2]
-		for i := range x.W {
-			w := [3]float64{x.W[i], y.W[i], z.W[i]}
-			d := [3]geom.Vec3{x.D[i], y.D[i], z.D[i]}
-			q := [3]geom.Sym3{x.Q[i], y.Q[i], z.Q[i]}
-			for a, ch := range chans {
-				ch.W[i] = r[a][0]*w[0] + r[a][1]*w[1] + r[a][2]*w[2]
-				ch.D[i] = d[0].Scale(r[a][0]).Add(d[1].Scale(r[a][1])).Add(d[2].Scale(r[a][2]))
-				ch.Q[i] = q[0].Scale(r[a][0]).Add(q[1].Scale(r[a][1])).Add(q[2].Scale(r[a][2]))
+		sched.Fan(len(x.W), fanGrain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				w := [3]float64{x.W[i], y.W[i], z.W[i]}
+				d := [3]geom.Vec3{x.D[i], y.D[i], z.D[i]}
+				q := [3]geom.Sym3{x.Q[i], y.Q[i], z.Q[i]}
+				for a, ch := range chans {
+					ch.W[i] = r[a][0]*w[0] + r[a][1]*w[1] + r[a][2]*w[2]
+					ch.D[i] = d[0].Scale(r[a][0]).Add(d[1].Scale(r[a][1])).Add(d[2].Scale(r[a][2]))
+					ch.Q[i] = q[0].Scale(r[a][0]).Add(q[1].Scale(r[a][1])).Add(q[2].Scale(r[a][2]))
+				}
 			}
-		}
-		for p := range x.w {
-			w := [3]float64{x.w[p], y.w[p], z.w[p]}
-			for a, ch := range chans {
-				ch.w[p] = r[a][0]*w[0] + r[a][1]*w[1] + r[a][2]*w[2]
+		})
+		sched.Fan(len(x.w), fanGrain, func(lo, hi int) {
+			for p := lo; p < hi; p++ {
+				w := [3]float64{x.w[p], y.w[p], z.w[p]}
+				for a, ch := range chans {
+					ch.w[p] = r[a][0]*w[0] + r[a][1]*w[1] + r[a][2]*w[2]
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -267,6 +267,10 @@ func (t *Tree) MemoryBytes() int64 {
 	return int64(len(t.Nodes))*nodeBytes + int64(len(t.Index))*4 + int64(len(t.Pts))*24
 }
 
+// fanGrain is the chunk of the element-wise loops ApplyTransform splits
+// across the cores with sched.Fan.
+const fanGrain = 4096
+
 // ApplyTransform rigidly re-poses the whole tree: every stored point and
 // every node center moves; radii are invariant under rigid motion, so no
 // rebuild is needed. This is the paper's "move the same octree to
@@ -280,12 +284,16 @@ func (t *Tree) MemoryBytes() int64 {
 // re-derives cells and keys in the new frame instead of routing the moved
 // points through the old one.
 func (t *Tree) ApplyTransform(tr geom.Transform) {
-	for i := range t.Pts {
-		t.Pts[i] = tr.Apply(t.Pts[i])
-	}
-	for i := range t.Nodes {
-		t.Nodes[i].Center = tr.Apply(t.Nodes[i].Center)
-	}
+	sched.Fan(len(t.Pts), fanGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t.Pts[i] = tr.Apply(t.Pts[i])
+		}
+	})
+	sched.Fan(len(t.Nodes), fanGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t.Nodes[i].Center = tr.Apply(t.Nodes[i].Center)
+		}
+	})
 	t.rootBox = geom.Empty()
 	t.rotateMoments(tr)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -301,5 +302,68 @@ func TestBackToBackRuns(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatalf("%d workers: a Run never returned", workers)
 		}
+	}
+}
+
+func TestFanCoversExactlyOnceInFixedChunks(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct{ n, grain int }{{0, 4}, {1, 4}, {4, 4}, {1000, 7}, {1000, 0}, {5, 100}} {
+			hits := make([]int32, tc.n)
+			Fan(tc.n, tc.grain, func(lo, hi int) {
+				g := max(tc.grain, 1)
+				if lo%g != 0 || hi != min(lo+g, tc.n) {
+					t.Errorf("GOMAXPROCS %d n %d grain %d: chunk [%d,%d)", procs, tc.n, tc.grain, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("GOMAXPROCS %d n %d grain %d: index %d ran %d times", procs, tc.n, tc.grain, i, h)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+func TestFanRunsChunksConcurrently(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	// Every chunk waits for all four to have started: this returns only if
+	// four goroutines run them at once.
+	var started sync.WaitGroup
+	started.Add(4)
+	var ran atomic.Int32
+	Together(
+		func() { started.Done(); started.Wait(); ran.Add(1) },
+		func() { started.Done(); started.Wait(); ran.Add(1) },
+		func() { started.Done(); started.Wait(); ran.Add(1) },
+		func() { started.Done(); started.Wait(); ran.Add(1) },
+	)
+	if ran.Load() != 4 {
+		t.Fatalf("%d of 4 functions ran", ran.Load())
+	}
+}
+
+func TestFanPanicReachesCaller(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("GOMAXPROCS %d: recovered %v, want boom", procs, r)
+				}
+			}()
+			Fan(64, 1, func(lo, _ int) {
+				if lo == 17 {
+					panic("boom")
+				}
+			})
+			t.Errorf("GOMAXPROCS %d: Fan returned after a panic", procs)
+		}()
+		runtime.GOMAXPROCS(prev)
 	}
 }

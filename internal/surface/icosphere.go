@@ -14,6 +14,8 @@ package surface
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"gbpolar/internal/geom"
 )
@@ -29,10 +31,33 @@ type Mesh struct {
 // NumFaces returns the face count.
 func (m *Mesh) NumFaces() int { return len(m.Faces) }
 
+// maxMemoLevel is the highest subdivision level whose unit icosphere is
+// memoised: the levels ForMolecule picks by itself (level 7 holds 12 MB).
+const maxMemoLevel = 7
+
+// unitSpheres memoises the unit icosphere of each level up to
+// maxMemoLevel once it is asked for: the mesh is a pure function of the
+// level, and subdividing it costs more than everything else ForMolecule
+// does outside the ray cast.
+var unitSpheres [maxMemoLevel + 1]struct {
+	once sync.Once
+	mesh *Mesh
+}
+
 // Icosphere returns a unit icosphere with the given subdivision level.
 // Level 0 is the icosahedron (20 faces); each level quadruples the face
-// count.
+// count. The mesh is the caller's own: it is cloned from the memoised
+// one, so displacing or re-orienting it leaves later calls untouched.
 func Icosphere(level int) *Mesh {
+	if level < 0 || level > maxMemoLevel {
+		return buildIcosphere(level)
+	}
+	u := &unitSpheres[level]
+	u.once.Do(func() { u.mesh = buildIcosphere(level) })
+	return &Mesh{Verts: slices.Clone(u.mesh.Verts), Faces: slices.Clone(u.mesh.Faces)}
+}
+
+func buildIcosphere(level int) *Mesh {
 	t := (1 + math.Sqrt(5)) / 2
 	verts := []geom.Vec3{
 		{X: -1, Y: t}, {X: 1, Y: t}, {X: -1, Y: -t}, {X: 1, Y: -t},
