@@ -7,7 +7,20 @@ GO ?= go
 # hosts. Usage: make bench-lanes GOAMD64=v3
 GOAMD64 ?=
 
-.PHONY: check build test vet fmt bigendian race faults bench-warm bench-lanes bench-far bench-lists bench-kernels bench-snapshot obs perfgate net kernels
+.PHONY: check build test vet fmt bigendian race faults bench-warm bench-lanes bench-far bench-lists bench-kernels bench-snapshot obs perfgate net kernels loc
+
+# run_listed FLAGS,PATTERN,PACKAGES runs `go test FLAGS -run PATTERN
+# PACKAGES` — after checking that EVERY alternative of the pattern names a
+# test that exists: `go test -run` of a regex that matches nothing exits 0,
+# so a renamed or merged test would otherwise drop out of its gate
+# silently.
+define run_listed
+	@have=$$($(GO) test -list '$(2)' $(3)) || exit 1; \
+	for alt in $$(echo '$(2)' | tr '|' ' '); do \
+		echo "$$have" | grep -Eq "^$$alt" || { echo "make $@: no test matches '$$alt' in $(3)"; exit 1; }; \
+	done
+	$(GO) test $(1) -run '$(2)' $(3)
+endef
 
 ## check: the tier-1 gate — format, vet, build (also for a big-endian
 ## target), full test suite, the kernels with and without their assembly,
@@ -63,8 +76,8 @@ race:
 ## faults: the fault matrix — {crash, drop, delay} x {Born, E_pol,
 ## collective boundary} — plus the full injection/recovery suite.
 faults:
-	$(GO) test -run 'TestFaultMatrix|TestCrashAtEveryPhaseBoundary|TestChaosDeterministic' ./internal/core/
-	$(GO) test -run 'TestCrash|TestDrop|TestDelay|TestRecv|TestSend|TestBcastAndReduceDeadRoot|TestTypedSentinels|TestCollective' ./internal/cluster/
+	$(call run_listed,,TestFaultMatrix|TestCrashAtEveryPhaseBoundary|TestChaosDeterministic|TestTwoCrashesStillRecover|TestDegradesToSharedRunner|TestPipelineParity,./internal/core/)
+	$(call run_listed,,TestCrash|TestDrop|TestDelay|TestRecv|TestSend|TestBcastAndReduceDeadRoot|TestTypedSentinels|TestCollective|TestRetryWithDifferentCollective,./internal/cluster/)
 
 ## obs: the observability layer — registry + telemetry codec + flight
 ## recorder + health sampler + /events stream + anomaly watchdog under
@@ -75,8 +88,8 @@ faults:
 ## <2% disabled-path overhead guard (DESIGN.md §8, §13, §14).
 obs:
 	$(GO) test -race ./internal/obs/... ./cmd/gbtrace/
-	$(GO) test -run 'TestSharedRunTrace|TestResilientTraceTimeline|TestKernelHotLoopZeroAllocs|TestDisabledObsOverhead|TestRepairSpans|TestNetTelemetryMergedTrace|TestNetObsEndpoint' -v ./internal/core/
-	$(GO) test -race -run 'TestNetWatchdogAcceptance' -v ./internal/core/
+	$(call run_listed,-v,TestSharedRunTrace|TestResilientTraceTimeline|TestKernelHotLoopZeroAllocs|TestDisabledObsOverhead|TestRepairSpans|TestNetTelemetryMergedTrace|TestNetObsEndpoint,./internal/core/)
+	$(call run_listed,-race -v,TestNetWatchdogAcceptance,./internal/core/)
 
 ## net: the real multi-process transport under the race detector — wire
 ## protocol, death/heal/rejoin, sentinel parity across transports, and
@@ -85,7 +98,16 @@ obs:
 ## 500 back-to-back unobserved clean teardowns).
 net:
 	$(GO) test -race -count=1 ./internal/cluster/net/
-	$(GO) test -race -count=1 -run 'TestNet|TestRunContext|TestElasticSpans' ./internal/core/ ./internal/cluster/
+	$(call run_listed,-race -count=1,TestNet|TestRunContext|TestElasticSpans,./internal/core/ ./internal/cluster/)
+
+## loc: the non-test line counts the deletion rounds quote (EXPERIMENTS.md
+## "Deletion round"): the runner files — one pipeline and what constructs
+## it — all of internal/core, and the facade.
+loc:
+	@echo "runner files (internal/core/{runner,elastic,dyndist,recover,workdiv,netrun,pipeline}.go): $$(cat $(wildcard $(addprefix internal/core/,$(addsuffix .go,runner elastic dyndist recover workdiv netrun pipeline))) | wc -l)"
+	@echo "internal/core non-test: $$(ls internal/core/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "gbpolar.go: $$(wc -l < gbpolar.go)"
+	@echo "cmd + examples non-test: $$(ls cmd/*/*.go examples/*/*.go | grep -v _test.go | xargs cat | wc -l)"
 
 ## perfgate: the performance regression gate (DESIGN.md §9). Compares
 ## the gate workload against results/baseline.json and fails on any

@@ -251,7 +251,7 @@ func benchEngine(b *testing.B, atoms int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.Compute()
+		res, err := eng.Compute(ctx, Plan{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,6 +23,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,11 +51,11 @@ func main() {
 		inPath   = flag.String("in", "", "molecule file (.pqr or .xyzqr); empty = use -gen")
 		gen      = flag.Int("gen", 5000, "atoms in the generated test protein (when -in is empty)")
 		seed     = flag.Int64("seed", 1, "generator seed")
-		runner   = flag.String("runner", "shared", "shared | mpi | hybrid | naive")
+		runner   = flag.String("runner", "shared", "shared | mpi | hybrid | resilient | net | naive")
 		procs    = flag.Int("procs", 4, "ranks P for mpi/hybrid runners")
 		threads  = flag.Int("threads", 0, "threads (shared: workers, hybrid: per rank; 0 = auto)")
 		epsBorn  = flag.Float64("eps-born", 0.9, "Born-radius approximation parameter")
-		builder  = flag.String("builder", "recursive", "octree construction algorithm: recursive | morton")
+		builder  = flag.String("builder", "morton", "octree construction algorithm: morton | recursive (the reference; same tree)")
 		epsEpol  = flag.Float64("eps-epol", 0.9, "E_pol approximation parameter")
 		approx   = flag.Bool("approx-math", false, "enable fast sqrt/exp kernels")
 		prec     = flag.String("precision", "exact", "compiled-kernel arithmetic tier: exact | lanes | f32")
@@ -190,6 +191,16 @@ func main() {
 	fmt.Printf("molecule: %s (%d atoms, net charge %+.2f e)\n",
 		mol.Name, mol.NumAtoms(), mol.TotalCharge())
 
+	// In Options a zero ε selects the default; on the command line a zero
+	// was typed, and "no far field" is not what the default would compute.
+	for _, eps := range []struct {
+		field string
+		v     float64
+	}{{"EpsBorn", *epsBorn}, {"EpsEpol", *epsEpol}} {
+		if eps.v == 0 {
+			fatal(&gbpolar.OptionError{Field: eps.field, Value: eps.v, Want: "a finite value > 0"})
+		}
+	}
 	buildStart := time.Now()
 	eng, err := gbpolar.NewEngine(mol, gbpolar.Options{
 		EpsBorn:         *epsBorn,
@@ -200,50 +211,37 @@ func main() {
 		FarOrder:        *farOrder,
 	})
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	fmt.Printf("surface: %d quadrature points; octrees built in %v (preprocessing)\n",
 		eng.NumQuadraturePoints(), time.Since(buildStart).Round(time.Millisecond))
 	eng.Observe(o)
 
+	// Every runner but the reference is one Plan for the one Compute.
+	th := *threads
+	var plan gbpolar.Plan
 	var res *gbpolar.Result
 	switch *runner {
 	case "shared":
-		th := *threads
-		if th == 0 {
-			th = runtime.GOMAXPROCS(0)
-		}
-		res, err = eng.ComputeShared(th)
+		plan.Threads = th
 	case "mpi":
-		res, err = eng.ComputeDistributed(gbpolar.Cluster{
-			Procs: *procs, ThreadsPerProc: 1, RanksPerNode: min(*procs, 12), Modeled: *modeled,
-		})
+		plan.Cluster = &gbpolar.Cluster{Procs: *procs, ThreadsPerProc: 1, RanksPerNode: min(*procs, 12), Modeled: *modeled}
 	case "hybrid":
-		th := *threads
 		if th == 0 {
 			th = 6
 		}
-		res, err = eng.ComputeDistributed(gbpolar.Cluster{
-			Procs: *procs, ThreadsPerProc: th, RanksPerNode: max(1, 12/th), Modeled: *modeled,
-		})
+		plan.Cluster = &gbpolar.Cluster{Procs: *procs, ThreadsPerProc: th, RanksPerNode: max(1, 12/max(th, 1)), Modeled: *modeled}
 	case "resilient":
-		th := *threads
-		if th == 0 {
-			th = 1
-		}
-		plan := buildFaultPlan(*crashRank, *crashClock, *crashColl,
+		plan.Cluster = &gbpolar.Cluster{Procs: *procs, ThreadsPerProc: th, RanksPerNode: min(*procs, 12), Modeled: true}
+		plan.Faults = buildFaultPlan(*crashRank, *crashClock, *crashColl,
 			*dropRank, *dropCount, *delayRank, *delayBy, *chaosSeed, *chaosN, *chaosHzn, *procs)
-		res, err = eng.ComputeDistributedResilient(gbpolar.Cluster{
-			Procs: *procs, ThreadsPerProc: th, RanksPerNode: min(*procs, 12), Modeled: true,
-		}, plan)
 	case "net":
-		th := *threads
-		if th == 0 {
-			th = 1
-		}
-		res, err = runNet(eng, *procs, th, *netMembership, *netCheckpoint,
+		plan.Net, err = netRun(*procs, th, *netMembership, *netCheckpoint,
 			*netStall, *netRespawn, *netKillRank, *netKillColl,
 			o != nil, *obsAddr, *obsFlight, *watchBase)
+		if err != nil {
+			log.Fatal(err)
+		}
 	case "naive":
 		start := time.Now()
 		e, radii := eng.ComputeNaive()
@@ -251,8 +249,10 @@ func main() {
 	default:
 		log.Fatalf("unknown runner %q (want shared|mpi|hybrid|resilient|net|naive)", *runner)
 	}
-	if err != nil {
-		log.Fatal(err)
+	if res == nil {
+		if res, err = eng.Compute(context.Background(), plan); err != nil {
+			fatal(err)
+		}
 	}
 
 	fmt.Printf("E_pol = %.6g kcal/mol\n", res.Epol)
@@ -341,12 +341,24 @@ func main() {
 	}
 }
 
-// runNet drives the multi-process TCP runner: it re-executes this binary
-// as Procs-1 worker processes, optionally SIGKILLs one mid-run (the
-// chaos demo) and respawns crashed workers for elastic re-admission.
-func runNet(eng *gbpolar.Engine, procs, threads int, membership, checkpoint string,
+// fatal reports err and exits: status 2 when an option or the plan was
+// rejected before any work (a usage error), 1 otherwise.
+func fatal(err error) {
+	var oe *gbpolar.OptionError
+	var pe *gbpolar.PlanError
+	if errors.As(err, &oe) || errors.As(err, &pe) {
+		log.Print(err)
+		os.Exit(2)
+	}
+	log.Fatal(err)
+}
+
+// netRun plans the multi-process TCP run: it re-executes this binary as
+// Procs-1 worker processes, optionally SIGKILLs one mid-run (the chaos
+// demo) and respawns crashed workers for elastic re-admission.
+func netRun(procs, threads int, membership, checkpoint string,
 	stall time.Duration, respawn bool, killRank, killColl int,
-	telemetry bool, obsAddr, obsFlight, watchBase string) (*gbpolar.Result, error) {
+	telemetry bool, obsAddr, obsFlight, watchBase string) (*gbpolar.NetRun, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
@@ -410,7 +422,7 @@ func runNet(eng *gbpolar.Engine, procs, threads int, membership, checkpoint stri
 	}
 	fmt.Printf("net: coordinator + %d worker processes, membership %s, checkpoint %s\n",
 		procs-1, membership, checkpoint)
-	return eng.ComputeNet(context.Background(), gbpolar.NetRun{
+	return &gbpolar.NetRun{
 		Procs:          procs,
 		ThreadsPerProc: threads,
 		MembershipPath: membership,
@@ -421,7 +433,7 @@ func runNet(eng *gbpolar.Engine, procs, threads int, membership, checkpoint stri
 		ObsAddr:        obsAddr,
 		FlightDir:      obsFlight,
 		WatchBaseline:  watchBase,
-	})
+	}, nil
 }
 
 // writeTo creates path and streams emit into it, failing fatally on any

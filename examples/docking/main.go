@@ -10,6 +10,7 @@ package main
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -23,6 +24,7 @@ import (
 const poses = 24
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	receptor := gbpolar.GenerateProtein("receptor", 2500, 7)
@@ -34,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	recRes, err := recEng.Compute()
+	recRes, err := recEng.Compute(ctx, gbpolar.Plan{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ligRes, err := ligEng.Compute()
+	ligRes, err := ligEng.Compute(ctx, gbpolar.Plan{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := eng.Compute()
+		res, err := eng.Compute(ctx, gbpolar.Plan{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -113,7 +115,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cold := time.Now()
-	if _, err := eng.Compute(); err != nil { // compiles the lists
+	if _, err := eng.Compute(ctx, gbpolar.Plan{}); err != nil { // compiles the lists
 		log.Fatal(err)
 	}
 	coldT := time.Since(cold)
@@ -121,7 +123,7 @@ func main() {
 	warm := time.Now()
 	for i := 0; i < 16; i++ {
 		eng.Repose(step) // rigid: lists stay valid
-		if _, err := eng.Compute(); err != nil {
+		if _, err := eng.Compute(ctx, gbpolar.Plan{}); err != nil {
 			log.Fatal(err)
 		}
 	}

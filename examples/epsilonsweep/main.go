@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	mol := gbpolar.GenerateProtein("sweep", 4000, 3)
@@ -34,7 +36,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := eng.Compute()
+		res, err := eng.Compute(ctx, gbpolar.Plan{})
 		if err != nil {
 			log.Fatal(err)
 		}

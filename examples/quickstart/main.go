@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 
 	// A 3,000-atom synthetic protein (deterministic for the seed).
@@ -33,7 +35,7 @@ func main() {
 
 	// Octree-approximated energy on all cores (OCT_CILK).
 	start := time.Now()
-	res, err := eng.Compute()
+	res, err := eng.Compute(ctx, gbpolar.Plan{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	scale := flag.Float64("scale", 0.02, "fraction of the paper's 509,640-atom CMV shell")
 	flag.Parse()
@@ -33,16 +35,16 @@ func main() {
 	fmt.Printf("surface: %d quadrature points\n\n", eng.NumQuadraturePoints())
 
 	// OCT_MPI: 12 single-threaded ranks on one modeled node.
-	pure, err := eng.ComputeDistributed(gbpolar.Cluster{
+	pure, err := eng.Compute(ctx, gbpolar.Plan{Cluster: &gbpolar.Cluster{
 		Procs: 12, ThreadsPerProc: 1, RanksPerNode: 12, Modeled: true,
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	// OCT_MPI+CILK: 2 ranks × 6 threads (one rank per socket).
-	hybrid, err := eng.ComputeDistributed(gbpolar.Cluster{
+	hybrid, err := eng.Compute(ctx, gbpolar.Plan{Cluster: &gbpolar.Cluster{
 		Procs: 2, ThreadsPerProc: 6, RanksPerNode: 2, Modeled: true,
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,17 +11,19 @@
 //	mol := gbpolar.GenerateProtein("demo", 5000, 42)
 //	eng, err := gbpolar.NewEngine(mol, gbpolar.Options{})
 //	if err != nil { ... }
-//	res, err := eng.Compute()           // shared-memory, all cores
+//	res, err := eng.Compute(ctx, gbpolar.Plan{}) // shared-memory, all cores
 //	fmt.Println(res.Epol, "kcal/mol")
 //
-// For cluster execution use Engine.ComputeDistributed with a Cluster
-// layout; for the exact quadratic reference use Engine.ComputeNaive.
+// Engine.Compute is the one way to run the algorithm; the Plan says where:
+// Plan{Cluster: &Cluster{...}} for the modeled cluster, Plan{Net:
+// &NetRun{...}} for real worker processes. For the exact quadratic
+// reference use Engine.ComputeNaive.
 package gbpolar
 
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"math"
 	"time"
 
 	"gbpolar/internal/bench/gate"
@@ -86,33 +88,83 @@ type Options struct {
 	// opening criterion to consolidate the far lists at equal certified
 	// error (core/farorder.go).
 	FarOrder int
-	// Builder selects the octree construction algorithm: "recursive"
-	// (the reference top-down builder, the default) or "morton" (the
-	// Morton-key radix build — same tree, faster cold start, and the
-	// prerequisite for incremental list repair after atom motion).
+	// Builder selects the octree construction algorithm: "" or "morton"
+	// (the Morton-key radix build — the prerequisite for incremental list
+	// repair after atom motion) or "recursive" (the reference top-down
+	// builder; node for node the same tree).
 	Builder string
 }
 
+// OptionError reports an Options field whose value is neither zero (= the
+// default) nor in range.
+type OptionError struct {
+	Field string
+	Value any
+	// Want describes the accepted values.
+	Want string
+}
+
+func (e *OptionError) Error() string {
+	return fmt.Sprintf("gbpolar: option %s = %v: want %s", e.Field, e.Value, e.Want)
+}
+
+// Validate checks every field before any work is done with it: zero
+// selects the field's default, anything else out of range is an
+// *OptionError — never a silent fallback to the default.
+func (o Options) Validate() error {
+	bad := func(field string, value any, want string) error {
+		return &OptionError{Field: field, Value: value, Want: want}
+	}
+	eps := func(v float64) bool { return v >= 0 && !math.IsInf(v, 0) } // false for NaN
+	_, builderErr := octree.ParseBuilder(o.Builder)
+	_, precisionErr := core.ParsePrecision(o.Precision)
+	switch {
+	case !eps(o.EpsBorn):
+		return bad("EpsBorn", o.EpsBorn, "a finite value > 0 (0 = 0.9)")
+	case !eps(o.EpsEpol):
+		return bad("EpsEpol", o.EpsEpol, "a finite value > 0 (0 = 0.9)")
+	case o.SolventDielectric != 0 && !(o.SolventDielectric > 1 && !math.IsInf(o.SolventDielectric, 0)):
+		return bad("SolventDielectric", o.SolventDielectric, "a finite value > 1 (0 = 80)")
+	case precisionErr != nil:
+		return bad("Precision", o.Precision, `"", "exact", "lanes" or "f32"`)
+	case o.SurfaceLevel < 0 || o.SurfaceLevel > 10:
+		return bad("SurfaceLevel", o.SurfaceLevel, "0 (auto) to 10")
+	case o.QuadratureDegree < 0 || o.QuadratureDegree > 5:
+		return bad("QuadratureDegree", o.QuadratureDegree, "1 to 5 (0 = 2)")
+	case o.LeafCap < 0:
+		return bad("LeafCap", o.LeafCap, "a positive count (0 = 8)")
+	case o.FarOrder < 0 || o.FarOrder > 2:
+		return bad("FarOrder", o.FarOrder, "0, 1 or 2")
+	case o.Builder != "" && builderErr != nil:
+		return bad("Builder", o.Builder, `"", "morton" or "recursive"`)
+	}
+	return nil
+}
+
+// params translates validated options; zero fields keep the defaults.
 func (o Options) params() core.Params {
 	p := core.DefaultParams()
-	if o.EpsBorn > 0 {
+	p.Builder = octree.BuilderMorton
+	if o.EpsBorn != 0 {
 		p.EpsBorn = o.EpsBorn
 	}
-	if o.EpsEpol > 0 {
+	if o.EpsEpol != 0 {
 		p.EpsEpol = o.EpsEpol
 	}
-	if o.SolventDielectric > 1 {
+	if o.SolventDielectric != 0 {
 		p.EpsSolv = o.SolventDielectric
 	}
 	if o.ApproximateMath {
 		p.Math = mathx.Approximate
 	}
-	if o.LeafCap > 0 {
+	if o.LeafCap != 0 {
 		p.LeafCap = o.LeafCap
 	}
-	if o.FarOrder > 0 {
-		p.FarOrder = o.FarOrder
+	p.FarOrder = o.FarOrder
+	if o.Builder != "" {
+		p.Builder, _ = octree.ParseBuilder(o.Builder)
 	}
+	p.Precision, _ = core.ParsePrecision(o.Precision)
 	return p
 }
 
@@ -168,7 +220,7 @@ func NewManifest(tool string, seed int64, config map[string]any) *Manifest {
 }
 
 // Engine holds a molecule, its sampled surface and the prebuilt octrees.
-// Building an Engine is the preprocessing step; Compute* calls are the
+// Building an Engine is the preprocessing step; Compute calls are the
 // timed energy evaluations and can be repeated (e.g. per docking pose).
 type Engine struct {
 	sys  *core.System
@@ -177,7 +229,7 @@ type Engine struct {
 	obs  *obs.Obs
 }
 
-// Observe attaches an observer to all subsequent Compute* calls: phase
+// Observe attaches an observer to all subsequent Compute calls: phase
 // and collective spans land on its trace, pair counts, batch histograms,
 // steal counts and fault events on its metrics. Passing nil detaches
 // (the default — disabled observability costs one branch per phase).
@@ -185,6 +237,9 @@ func (e *Engine) Observe(o *Observer) { e.obs = o }
 
 // NewEngine samples the molecular surface and builds both octrees.
 func NewEngine(mol *Molecule, opts Options) (*Engine, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if mol == nil || mol.NumAtoms() == 0 {
 		return nil, fmt.Errorf("gbpolar: molecule is empty")
 	}
@@ -204,22 +259,10 @@ func NewEngine(mol *Molecule, opts Options) (*Engine, error) {
 // NewEngineWithSurface builds an Engine from a pre-sampled surface
 // (e.g. one loaded from disk or shared between parameter sweeps).
 func NewEngineWithSurface(mol *Molecule, surf *Surface, opts Options) (*Engine, error) {
-	params := opts.params()
-	if opts.Builder != "" {
-		b, err := octree.ParseBuilder(opts.Builder)
-		if err != nil {
-			return nil, fmt.Errorf("gbpolar: %w", err)
-		}
-		params.Builder = b
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
-	if opts.Precision != "" {
-		prec, err := core.ParsePrecision(opts.Precision)
-		if err != nil {
-			return nil, fmt.Errorf("gbpolar: %w", err)
-		}
-		params.Precision = prec
-	}
-	sys, err := core.NewSystem(mol, surf, params)
+	sys, err := core.NewSystem(mol, surf, opts.params())
 	if err != nil {
 		return nil, fmt.Errorf("gbpolar: %w", err)
 	}
@@ -235,22 +278,11 @@ func (e *Engine) Surface() *Surface { return e.surf }
 // NumQuadraturePoints returns the surface sample count.
 func (e *Engine) NumQuadraturePoints() int { return e.surf.NumPoints() }
 
-// Compute runs the shared-memory (OCT_CILK) algorithm on all cores.
-func (e *Engine) Compute() (*Result, error) {
-	return e.ComputeShared(runtime.GOMAXPROCS(0))
-}
-
-// ComputeShared runs the shared-memory algorithm on `threads`
-// work-stealing workers.
-func (e *Engine) ComputeShared(threads int) (*Result, error) {
-	return core.RunShared(e.sys, core.SharedOptions{Threads: threads, Obs: e.obs})
-}
-
 // Cluster describes a distributed run layout.
 type Cluster struct {
 	// Procs is the number of ranks (P).
 	Procs int
-	// ThreadsPerProc is the intra-rank worker count (p); 1 = pure
+	// ThreadsPerProc is the intra-rank worker count (p); 0 or 1 = pure
 	// distributed (OCT_MPI), >1 = hybrid (OCT_MPI+CILK).
 	ThreadsPerProc int
 	// RanksPerNode places ranks on modeled 12-core nodes (0 = all on
@@ -263,33 +295,157 @@ type Cluster struct {
 	Modeled bool
 }
 
-// ComputeDistributed runs the distributed/hybrid algorithm (Figure 4 of
-// the paper).
-func (e *Engine) ComputeDistributed(cl Cluster) (*Result, error) {
-	if cl.Procs <= 0 {
-		return nil, fmt.Errorf("gbpolar: Cluster.Procs must be positive")
+// config is THE Cluster defaulting: the (validated, so Procs ≥ 1) layout
+// as the substrate's Config.
+func (cl Cluster) config(o *obs.Obs) cluster.Config {
+	cfg := cluster.Config{Procs: cl.Procs, ThreadsPerProc: max(cl.ThreadsPerProc, 1),
+		RanksPerNode: cl.RanksPerNode, Mode: cluster.Real, Obs: o}
+	if cfg.RanksPerNode == 0 {
+		cfg.RanksPerNode = cl.Procs
 	}
-	if cl.ThreadsPerProc <= 0 {
-		cl.ThreadsPerProc = 1
+	nodes := cl.Nodes
+	if nodes == 0 {
+		nodes = (cl.Procs + cfg.RanksPerNode - 1) / cfg.RanksPerNode
 	}
-	if cl.RanksPerNode <= 0 {
-		cl.RanksPerNode = cl.Procs
+	cfg.Topology = cluster.Lonestar4(nodes)
+	if cl.Modeled {
+		cfg.Mode = cluster.Modeled
 	}
-	if cl.Nodes <= 0 {
-		cl.Nodes = (cl.Procs + cl.RanksPerNode - 1) / cl.RanksPerNode
+	return cfg
+}
+
+// Plan says where and how one Compute runs. The zero Plan is the
+// shared-memory (OCT_CILK) algorithm on all cores.
+type Plan struct {
+	// Threads is the shared-memory worker count (0 = GOMAXPROCS). It
+	// belongs to the shared plan; cluster plans set ThreadsPerProc.
+	Threads int
+	// Cluster, when non-nil, runs the distributed/hybrid algorithm
+	// (Figure 4 of the paper) on the in-process cluster of that layout.
+	Cluster *Cluster
+	// Faults, with a Modeled Cluster, injects the plan's rank crashes,
+	// message drops and delays; the run heals itself — surviving ranks
+	// detect crashed peers, deterministically re-divide their work and
+	// redo only the lost part, finishing with the same E_pol (to 1e-12
+	// relative) or degrading to the shared-memory runner when fewer than
+	// two ranks survive. Result.Report.Faults records what was injected,
+	// detected and recovered.
+	Faults *FaultPlan
+	// Stealing, with a Modeled Cluster, adds inter-rank work stealing in
+	// the energy phase — the explicit dynamic load balancing the paper's
+	// Section VI names as future work; it absorbs stragglers the static
+	// division cannot. Result.Stealing reports the steals.
+	Stealing bool
+	// Net, when non-nil, runs the distributed algorithm across real OS
+	// processes over TCP.
+	Net *NetRun
+}
+
+// PlanErrorCode classes the ways a Plan can be unrunnable.
+type PlanErrorCode int
+
+const (
+	// PlanConflict: fields of different modes are set together.
+	PlanConflict PlanErrorCode = iota + 1
+	// PlanProcs: a rank count below 1.
+	PlanProcs
+	// PlanThreads: a negative thread, rank-placement or node count.
+	PlanThreads
+	// PlanWallClock: fault injection or stealing on a wall-clock cluster.
+	PlanWallClock
+	// PlanLayout: ranks × threads do not fit the modeled machine, or the
+	// fault plan names ranks the cluster does not have.
+	PlanLayout
+	// PlanNetPaths: a net run without its membership or checkpoint path.
+	PlanNetPaths
+)
+
+// PlanError is the typed error of Plan.Validate.
+type PlanError struct {
+	Code PlanErrorCode
+	// Field names the offending Plan field.
+	Field  string
+	Reason string
+}
+
+func (e *PlanError) Error() string { return "gbpolar: plan " + e.Field + ": " + e.Reason }
+
+// Validate checks the whole Plan before any work starts.
+func (p Plan) Validate() error {
+	bad := func(code PlanErrorCode, field, format string, args ...any) error {
+		return &PlanError{Code: code, Field: field, Reason: fmt.Sprintf(format, args...)}
 	}
-	mode := cluster.Modeled
-	if !cl.Modeled {
-		mode = cluster.Real
+	switch {
+	case p.Cluster != nil && p.Net != nil:
+		return bad(PlanConflict, "Net", "set together with Cluster; a run is one or the other")
+	case p.Threads != 0 && (p.Cluster != nil || p.Net != nil):
+		return bad(PlanConflict, "Threads", "is the shared-memory worker count; a cluster plan sets ThreadsPerProc")
+	case p.Faults != nil && p.Cluster == nil:
+		return bad(PlanConflict, "Faults", "needs a Cluster to inject into")
+	case p.Stealing && p.Cluster == nil:
+		return bad(PlanConflict, "Stealing", "needs a Cluster to steal across")
+	case p.Stealing && p.Faults != nil:
+		return bad(PlanConflict, "Stealing", "set together with Faults; the stealing protocol does not heal")
+	case p.Threads < 0:
+		return bad(PlanThreads, "Threads", "%d is negative", p.Threads)
 	}
-	return core.RunDistributed(e.sys, cluster.Config{
-		Procs:          cl.Procs,
-		ThreadsPerProc: cl.ThreadsPerProc,
-		RanksPerNode:   cl.RanksPerNode,
-		Topology:       cluster.Lonestar4(cl.Nodes),
-		Mode:           mode,
-		Obs:            e.obs,
-	})
+	if cl := p.Cluster; cl != nil {
+		switch {
+		case cl.Procs < 1:
+			return bad(PlanProcs, "Cluster.Procs", "%d, want at least 1", cl.Procs)
+		case cl.ThreadsPerProc < 0 || cl.RanksPerNode < 0 || cl.Nodes < 0:
+			return bad(PlanThreads, "Cluster", "ThreadsPerProc %d, RanksPerNode %d, Nodes %d: none may be negative",
+				cl.ThreadsPerProc, cl.RanksPerNode, cl.Nodes)
+		case !cl.Modeled && p.Faults != nil:
+			return bad(PlanWallClock, "Faults", "faults are injected on the virtual clock; set Cluster.Modeled")
+		case !cl.Modeled && p.Stealing:
+			return bad(PlanWallClock, "Stealing", "steal timing follows the virtual clock; set Cluster.Modeled")
+		}
+		cfg := cl.config(nil)
+		cfg.Faults = p.Faults
+		if err := cfg.Validate(); err != nil {
+			return bad(PlanLayout, "Cluster", "%v", err)
+		}
+	}
+	if nr := p.Net; nr != nil {
+		switch {
+		case nr.Procs < 1:
+			return bad(PlanProcs, "Net.Procs", "%d, want at least 1", nr.Procs)
+		case nr.ThreadsPerProc < 0:
+			return bad(PlanThreads, "Net.ThreadsPerProc", "%d is negative", nr.ThreadsPerProc)
+		case nr.MembershipPath == "" || nr.CheckpointPath == "":
+			return bad(PlanNetPaths, "Net", "needs MembershipPath and CheckpointPath")
+		}
+	}
+	return nil
+}
+
+// Compute evaluates Born radii and E_pol as the Plan says. The Plan is
+// validated first (*PlanError) and nothing runs if it is unrunnable.
+// Cancelling ctx aborts a Net run in flight; the in-process plans check it
+// before they start. A cluster run that cannot complete on its surviving
+// ranks degrades to the shared-memory runner and reports the reason in
+// Result.Report.Faults.
+func (e *Engine) Compute(ctx context.Context, p Plan) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	switch {
+	case p.Net != nil:
+		return e.computeNet(ctx, *p.Net)
+	case p.Cluster == nil:
+		return core.RunShared(e.sys, core.SharedOptions{Threads: p.Threads, Obs: e.obs})
+	}
+	cfg := p.Cluster.config(e.obs)
+	cfg.Faults = p.Faults
+	if p.Stealing {
+		res, _, err := core.RunDistributedDynamic(e.sys, cfg)
+		return res, err
+	}
+	return core.RunDistributed(e.sys, cfg)
 }
 
 // FaultPlan re-exports the cluster substrate's deterministic fault
@@ -316,37 +472,6 @@ func RandomFaultPlan(seed int64, procs, n int, horizon float64) *FaultPlan {
 	return cluster.RandomFaultPlan(seed, procs, n, horizon)
 }
 
-// ComputeDistributedResilient runs the distributed algorithm under the
-// given fault plan with self-healing recovery: surviving ranks detect
-// crashed peers, deterministically re-divide their work and redo only
-// the lost part — completing with the same E_pol (to 1e-12 relative) as a
-// fault-free run, or degrading to the shared-memory runner when fewer
-// than two ranks survive. The result's Report.Faults records what was
-// injected, detected and recovered. A nil plan runs fault-free.
-func (e *Engine) ComputeDistributedResilient(cl Cluster, plan *FaultPlan) (*Result, error) {
-	if cl.Procs <= 0 {
-		return nil, fmt.Errorf("gbpolar: Cluster.Procs must be positive")
-	}
-	if cl.ThreadsPerProc <= 0 {
-		cl.ThreadsPerProc = 1
-	}
-	if cl.RanksPerNode <= 0 {
-		cl.RanksPerNode = cl.Procs
-	}
-	if cl.Nodes <= 0 {
-		cl.Nodes = (cl.Procs + cl.RanksPerNode - 1) / cl.RanksPerNode
-	}
-	return core.RunDistributedResilient(e.sys, cluster.Config{
-		Procs:          cl.Procs,
-		ThreadsPerProc: cl.ThreadsPerProc,
-		RanksPerNode:   cl.RanksPerNode,
-		Topology:       cluster.Lonestar4(cl.Nodes),
-		Mode:           cluster.Modeled,
-		Faults:         plan,
-		Obs:            e.obs,
-	})
-}
-
 // SaveSnapshot writes a versioned, parameter-stamped binary checkpoint
 // of the engine's full compiled state — molecule, surface, both octrees
 // and (when already compiled) the interaction lists — with a CRC-32C
@@ -359,18 +484,13 @@ func (e *Engine) SaveSnapshot(path string) error {
 // NewEngineFromSnapshot restores an Engine from a SaveSnapshot file.
 // Corruption, truncation, a future format version and a parameter
 // mismatch each fail with their typed sentinel (core.ErrSnapshotCorrupt,
-// core.ErrSnapshotVersion, core.ErrSnapshotParams).
+// core.ErrSnapshotVersion, core.ErrSnapshotParams), returned unchanged.
 func NewEngineFromSnapshot(path string) (*Engine, error) {
-	sys, err := core.LoadSnapshot(path, core.Params{})
-	if err == nil {
-		return &Engine{sys: sys, mol: sys.Mol, surf: sys.Surf}, nil
-	}
-	// The zero Params fingerprint matches only the default configuration;
-	// for any other stamp, decode without the caller-side check (the
-	// snapshot's own stamp self-consistency was already verified).
-	sys, derr := core.LoadSnapshotAnyParams(path)
-	if derr != nil {
-		return nil, fmt.Errorf("gbpolar: %w", derr)
+	// The snapshot is its own parameter source: one read, one decode (the
+	// stamp's self-consistency is verified by the decoder).
+	sys, err := core.LoadSnapshotAnyParams(path)
+	if err != nil {
+		return nil, err
 	}
 	return &Engine{sys: sys, mol: sys.Mol, surf: sys.Surf}, nil
 }
@@ -419,11 +539,7 @@ type NetRun struct {
 	WatchBaseline string
 }
 
-// ComputeNet runs the distributed algorithm across real OS processes
-// (see NetRun). Cancelling ctx aborts the run. When too few ranks
-// survive the run degrades to the shared-memory runner and reports the
-// reason in Result.Report.Faults.
-func (e *Engine) ComputeNet(ctx context.Context, nr NetRun) (*Result, error) {
+func (e *Engine) computeNet(ctx context.Context, nr NetRun) (*Result, error) {
 	opts := core.NetOptions{
 		Procs:          nr.Procs,
 		Threads:        nr.ThreadsPerProc,
@@ -450,7 +566,7 @@ func (e *Engine) ComputeNet(ctx context.Context, nr NetRun) (*Result, error) {
 // NetWorkerOptions re-exports the worker-process configuration.
 type NetWorkerOptions = core.NetWorkerOptions
 
-// RunNetWorker is the worker-process entry point for ComputeNet runs:
+// RunNetWorker is the worker-process entry point for Plan.Net runs:
 // it loads the membership file and checkpoint published by the
 // coordinator, joins as the given rank and computes until the protocol
 // completes (or this process is the one the chaos hook kills). It
@@ -465,34 +581,6 @@ func RunNetWorker(membershipPath string, rank int, opts NetWorkerOptions) (compl
 
 // DynStats re-exports the inter-rank stealing statistics.
 type DynStats = core.DynStats
-
-// ComputeDistributedDynamic runs the distributed algorithm with
-// inter-rank work stealing in the energy phase — the explicit dynamic
-// load balancing the paper's Section VI names as future work. It absorbs
-// stragglers (slow or noisy nodes) that the static node-based division
-// cannot.
-func (e *Engine) ComputeDistributedDynamic(cl Cluster) (*Result, *DynStats, error) {
-	if cl.Procs <= 0 {
-		return nil, nil, fmt.Errorf("gbpolar: Cluster.Procs must be positive")
-	}
-	if cl.ThreadsPerProc <= 0 {
-		cl.ThreadsPerProc = 1
-	}
-	if cl.RanksPerNode <= 0 {
-		cl.RanksPerNode = cl.Procs
-	}
-	if cl.Nodes <= 0 {
-		cl.Nodes = (cl.Procs + cl.RanksPerNode - 1) / cl.RanksPerNode
-	}
-	return core.RunDistributedDynamic(e.sys, cluster.Config{
-		Procs:          cl.Procs,
-		ThreadsPerProc: cl.ThreadsPerProc,
-		RanksPerNode:   cl.RanksPerNode,
-		Topology:       cluster.Lonestar4(cl.Nodes),
-		Mode:           cluster.Modeled,
-		Obs:            e.obs,
-	})
-}
 
 // ComputeNaive evaluates the exact quadratic reference (Equations 2 and
 // 4 of the paper) — the accuracy baseline. It is Θ(M·N + M²).
@@ -517,7 +605,7 @@ func (e *Engine) ComputeGradient() *Gradient {
 // it ... by multiplying with proper transformation matrices"). Rigid
 // motion preserves the near/far classification, so the engine's compiled
 // interaction lists stay warm across poses: a pose scan pays the
-// traversal cost once, then every Compute* is a pure list sweep.
+// traversal cost once, then every Compute is a pure list sweep.
 func (e *Engine) Repose(t Transform) {
 	e.mol.ApplyTransform(t)
 	e.surf.ApplyTransform(t)

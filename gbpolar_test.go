@@ -1,6 +1,8 @@
 package gbpolar
 
 import (
+	"context"
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -8,13 +10,15 @@ import (
 	"gbpolar/internal/geom"
 )
 
+var ctx = context.Background()
+
 func TestQuickstartFlow(t *testing.T) {
 	mol := GenerateProtein("quick", 400, 1)
 	eng, err := NewEngine(mol, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Compute()
+	res, err := eng.Compute(ctx, Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +54,11 @@ func TestComputeDistributedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := eng.ComputeShared(2)
+	shared, err := eng.Compute(ctx, Plan{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.ComputeDistributed(Cluster{Procs: 4, ThreadsPerProc: 1, Modeled: true})
+	res, err := eng.Compute(ctx, Plan{Cluster: &Cluster{Procs: 4, ThreadsPerProc: 1, Modeled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func TestComputeDistributedFacade(t *testing.T) {
 	if res.Report == nil {
 		t.Error("no cluster report")
 	}
-	if _, err := eng.ComputeDistributed(Cluster{}); err == nil {
+	if _, err := eng.Compute(ctx, Plan{Cluster: &Cluster{}}); err == nil {
 		t.Error("zero procs accepted")
 	}
 }
@@ -77,12 +81,12 @@ func TestReposeInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := eng.ComputeShared(2)
+	before, err := eng.Compute(ctx, Plan{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Repose(geom.Translate(geom.V(30, -12, 5)).Compose(geom.RotateAxis(geom.V(1, 1, 1), 1.0)))
-	after, err := eng.ComputeShared(2)
+	after, err := eng.Compute(ctx, Plan{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +105,11 @@ func TestOptionsPlumbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := loose.Compute()
+	rl, err := loose.Compute(ctx, Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := tight.Compute()
+	rt, err := tight.Compute(ctx, Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +153,7 @@ func TestMergeAndCapsid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.ComputeShared(2)
+	res, err := eng.Compute(ctx, Plan{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,21 +198,121 @@ func TestComputeDistributedDynamicFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := eng.ComputeDistributed(Cluster{Procs: 3, Modeled: true})
+	static, err := eng.Compute(ctx, Plan{Cluster: &Cluster{Procs: 3, Modeled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, stats, err := eng.ComputeDistributedDynamic(Cluster{Procs: 3})
+	dyn, err := eng.Compute(ctx, Plan{Cluster: &Cluster{Procs: 3, Modeled: true}, Stealing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats == nil {
+	if dyn.Stealing == nil {
 		t.Fatal("no stats")
 	}
 	if math.Abs((dyn.Epol-static.Epol)/static.Epol) > 1e-9 {
 		t.Errorf("dynamic %v vs static %v", dyn.Epol, static.Epol)
 	}
-	if _, _, err := eng.ComputeDistributedDynamic(Cluster{}); err == nil {
+	if _, err := eng.Compute(ctx, Plan{Cluster: &Cluster{Modeled: true}, Stealing: true}); err == nil {
 		t.Error("zero procs accepted")
+	}
+}
+
+// One row per error class of the two front-loaded validators: every
+// out-of-range input is a typed error naming the field, before any work.
+func TestValidateTypedErrors(t *testing.T) {
+	mol := GenerateProtein("val", 60, 14)
+	for _, tc := range []struct {
+		field string
+		opts  Options
+	}{
+		{"EpsBorn", Options{EpsBorn: -0.5}},
+		{"EpsBorn", Options{EpsBorn: math.NaN()}},
+		{"EpsEpol", Options{EpsEpol: math.Inf(1)}},
+		{"SolventDielectric", Options{SolventDielectric: 1}},
+		{"Precision", Options{Precision: "f16"}},
+		{"SurfaceLevel", Options{SurfaceLevel: -1}},
+		{"QuadratureDegree", Options{QuadratureDegree: 6}},
+		{"LeafCap", Options{LeafCap: -8}},
+		{"FarOrder", Options{FarOrder: 3}},
+		{"FarOrder", Options{FarOrder: -1}},
+		{"Builder", Options{Builder: "kd"}},
+	} {
+		_, err := NewEngine(mol, tc.opts)
+		var oe *OptionError
+		if !errors.As(err, &oe) || oe.Field != tc.field {
+			t.Errorf("Options%+v: got %v, want *OptionError on %s", tc.opts, err, tc.field)
+		}
+		if _, err := NewEngineWithSurface(mol, nil, tc.opts); !errors.As(err, &oe) {
+			t.Errorf("NewEngineWithSurface(%+v): got %v, want *OptionError first", tc.opts, err)
+		}
+	}
+	if err := (Options{}).Validate(); err != nil {
+		t.Errorf("zero Options: %v", err)
+	}
+
+	eng, err := NewEngine(mol, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := &FaultPlan{Faults: []Fault{{Kind: CrashAtCollective, Rank: 1, Nth: 1}}}
+	net := &NetRun{Procs: 2, MembershipPath: "m", CheckpointPath: "c"}
+	for _, tc := range []struct {
+		name string
+		code PlanErrorCode
+		plan Plan
+	}{
+		{"cluster and net", PlanConflict, Plan{Cluster: &Cluster{Procs: 2}, Net: net}},
+		{"threads on a cluster", PlanConflict, Plan{Threads: 2, Cluster: &Cluster{Procs: 2}}},
+		{"faults without cluster", PlanConflict, Plan{Faults: crash}},
+		{"stealing without cluster", PlanConflict, Plan{Stealing: true}},
+		{"stealing with faults", PlanConflict, Plan{Cluster: &Cluster{Procs: 2, Modeled: true}, Faults: crash, Stealing: true}},
+		{"negative threads", PlanThreads, Plan{Threads: -1}},
+		{"zero procs", PlanProcs, Plan{Cluster: &Cluster{}}},
+		{"negative threads per proc", PlanThreads, Plan{Cluster: &Cluster{Procs: 2, ThreadsPerProc: -1}}},
+		{"faults on wall clock", PlanWallClock, Plan{Cluster: &Cluster{Procs: 2}, Faults: crash}},
+		{"stealing on wall clock", PlanWallClock, Plan{Cluster: &Cluster{Procs: 2}, Stealing: true}},
+		{"oversubscribed node", PlanLayout, Plan{Cluster: &Cluster{Procs: 24, Modeled: true}}},
+		{"fault on a missing rank", PlanLayout, Plan{Cluster: &Cluster{Procs: 2, Modeled: true},
+			Faults: &FaultPlan{Faults: []Fault{{Kind: CrashAtCollective, Rank: 7, Nth: 1}}}}},
+		{"net zero procs", PlanProcs, Plan{Net: &NetRun{MembershipPath: "m", CheckpointPath: "c"}}},
+		{"net negative threads", PlanThreads, Plan{Net: &NetRun{Procs: 2, ThreadsPerProc: -2, MembershipPath: "m", CheckpointPath: "c"}}},
+		{"net without paths", PlanNetPaths, Plan{Net: &NetRun{Procs: 2}}},
+	} {
+		_, err := eng.Compute(ctx, tc.plan)
+		var pe *PlanError
+		if !errors.As(err, &pe) || pe.Code != tc.code {
+			t.Errorf("%s: got %v, want *PlanError code %d", tc.name, err, tc.code)
+		}
+	}
+	for _, ok := range []Plan{{}, {Threads: 2}, {Cluster: &Cluster{Procs: 12, Modeled: true}},
+		{Cluster: &Cluster{Procs: 4, Modeled: true}, Faults: crash}, {Net: net}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v: %v", ok, err)
+		}
+	}
+}
+
+// The facade's default builder is morton — node for node the recursive
+// builder's tree (internal/octree builder_equiv_test.go), so the energy is
+// the same to the last bit of a one-worker run.
+func TestDefaultBuilderIsMorton(t *testing.T) {
+	mol := GenerateProtein("bld", 300, 15)
+	var e [3]float64
+	for i, b := range []string{"", "morton", "recursive"} {
+		eng, err := NewEngine(mol, Options{Builder: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && eng.sys.Params.Builder.String() != "morton" {
+			t.Errorf("default builder %v, want morton", eng.sys.Params.Builder)
+		}
+		res, err := eng.Compute(ctx, Plan{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e[i] = res.Epol
+	}
+	if e[0] != e[1] || math.Abs((e[2]-e[0])/e[0]) > 1e-12 {
+		t.Errorf("E_pol default %v morton %v recursive %v", e[0], e[1], e[2])
 	}
 }

@@ -54,8 +54,9 @@ func (o Op) apply(dst, src []float64) {
 // the death before depositing — so a successful collective doubles as a
 // consensus on the dead set, which the recovery protocol relies on. With
 // Config.StallTimeout set, a rank that waits longer than that in real
-// time withdraws with ErrTimeout instead of hanging.
-func (c *Comm) rendezvous(kind string, contrib []float64,
+// time withdraws with ErrTimeout instead of hanging. words sizes the
+// detection latency charged when a death fails the round (detectCharge).
+func (c *Comm) rendezvous(kind string, contrib []float64, words int,
 	combine func(contribs [][]float64, present []bool) []float64,
 	costFn func(result []float64) float64) (res []float64, err error) {
 	w := c.w
@@ -93,15 +94,21 @@ func (c *Comm) rendezvous(kind string, contrib []float64,
 	if w.aborted {
 		return nil, ErrAborted
 	}
-	if err := c.observeDeathsLocked(len(contrib)); err != nil {
+	if err := c.observeDeathsLocked(words); err != nil {
 		return nil, err
 	}
-	if w.arrived == 0 {
+	if w.arrived == 0 || (w.kind != kind && !w.freshDepositLocked()) {
+		// The second case: every deposit of the assembling round predates
+		// the newest death, so its owners will withdraw and retry — and a
+		// retry may be a different collective (core's step 5 gathers until
+		// a death, then reduces). Start the round over instead of calling
+		// that a mismatch; the late withdrawals find nothing to remove.
 		w.kind = kind
 		w.contribs = make([][]float64, len(w.ranks))
 		w.present = make([]bool, len(w.ranks))
 		w.depEpoch = make([]uint64, len(w.ranks))
 		w.curMaxClock = entry
+		w.arrived = 0
 	} else if w.kind != kind {
 		err := fmt.Errorf("cluster: collective mismatch: rank %d called %s while round is %s: %w",
 			c.rank, kind, w.kind, ErrProtocol)
@@ -154,7 +161,7 @@ func (c *Comm) rendezvous(kind string, contrib []float64,
 				return nil, ErrAborted
 			}
 			w.withdrawLocked(c.rank)
-			return nil, c.observeDeathsLocked(len(contrib))
+			return nil, c.observeDeathsLocked(words)
 		}
 	}
 	done := w.doneMaxClock + costFn(w.result)
@@ -179,6 +186,17 @@ func (w *world) roundCompleteLocked() bool {
 		}
 	}
 	return true
+}
+
+// freshDepositLocked reports whether any deposit of the assembling round
+// was made after the newest death. w.mu must be held.
+func (w *world) freshDepositLocked() bool {
+	for r := range w.present {
+		if w.present[r] && w.depEpoch[r] == w.deadEpoch {
+			return true
+		}
+	}
+	return false
 }
 
 // withdrawLocked removes rank r's deposit from the assembling round.
@@ -216,7 +234,7 @@ func (w *world) gatherCost(wordsPerRank int) float64 {
 
 // Barrier blocks until every live rank arrives.
 func (c *Comm) Barrier() error {
-	_, err := c.rendezvous("barrier", nil,
+	_, err := c.rendezvous("barrier", nil, 0,
 		func([][]float64, []bool) []float64 { return nil },
 		func([]float64) float64 { return c.w.treeCost(0) })
 	return err
@@ -226,7 +244,7 @@ func (c *Comm) Barrier() error {
 // the combined vector to every rank. All live ranks must pass equal
 // lengths; dead ranks simply contribute nothing.
 func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
-	res, err := c.rendezvous("allreduce", data, func(contribs [][]float64, present []bool) []float64 {
+	res, err := c.rendezvous("allreduce", data, len(data), func(contribs [][]float64, present []bool) []float64 {
 		var out []float64
 		first := true
 		for r := range contribs {
@@ -262,7 +280,7 @@ func (c *Comm) Reduce(root int, data []float64, op Op) ([]float64, error) {
 	if err := c.requireAlive(root); err != nil {
 		return nil, err
 	}
-	res, err := c.rendezvous("reduce", data, func(contribs [][]float64, present []bool) []float64 {
+	res, err := c.rendezvous("reduce", data, len(data), func(contribs [][]float64, present []bool) []float64 {
 		var out []float64
 		first := true
 		for r := range contribs {
@@ -300,7 +318,7 @@ func (c *Comm) Bcast(root int, data []float64) ([]float64, error) {
 	if c.rank == root {
 		contrib = data
 	}
-	res, err := c.rendezvous("bcast", contrib, func(contribs [][]float64, present []bool) []float64 {
+	res, err := c.rendezvous("bcast", contrib, len(contrib), func(contribs [][]float64, present []bool) []float64 {
 		return contribs[root]
 	}, func(res []float64) float64 { return c.w.treeCost(len(res)) })
 	if err != nil {
@@ -330,13 +348,16 @@ func (c *Comm) Allgatherv(contrib []float64, counts []int) ([]float64, error) {
 			}
 		}
 	}
-	maxCount := 0
+	// A gather waits on every rank's segment, so a death is detected on
+	// the latency of the gathered total — the same charge whether a
+	// survivor meets the death here or in the full-vector reduce that
+	// replaces a gather once ranks are missing.
+	maxCount, total := 0, 0
 	for _, n := range counts {
-		if n > maxCount {
-			maxCount = n
-		}
+		maxCount = max(maxCount, n)
+		total += n
 	}
-	res, err := c.rendezvous("allgatherv", contrib, func(contribs [][]float64, present []bool) []float64 {
+	res, err := c.rendezvous("allgatherv", contrib, total, func(contribs [][]float64, present []bool) []float64 {
 		var out []float64
 		for r, part := range contribs {
 			if !present[r] {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -505,5 +506,36 @@ func TestFaultFreeRunHasNoFaultReport(t *testing.T) {
 	}
 	if rep.Faults != nil {
 		t.Errorf("fault-free run reported faults: %+v", rep.Faults)
+	}
+}
+
+// A retry after a death may be a different collective than the failed
+// attempt (core's step 5 gathers until a death, then reduces). The retry
+// can reach the rendezvous while a survivor still blocked in the failed
+// round has not yet woken to withdraw its now-stale deposit; the round
+// must start over, not abort the run as a kind mismatch. One scheduler
+// thread makes that interleaving the common one.
+func TestRetryWithDifferentCollectiveAfterDeath(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	plan := &FaultPlan{Faults: []Fault{{Kind: CrashAtCollective, Rank: 2, Nth: 1}}}
+	for i := 0; i < 300; i++ {
+		_, err := Run(faultCfg(3, plan), func(c *Comm) error {
+			res, err := c.Allgatherv([]float64{float64(c.Rank())}, []int{1, 1, 1})
+			for errors.Is(err, ErrRankDead) {
+				vec := make([]float64, 3)
+				vec[c.Rank()] = float64(c.Rank()) + 10
+				res, err = c.Allreduce(vec, Sum)
+			}
+			if err != nil {
+				return err
+			}
+			if len(res) != 3 || res[0] != 10 || res[1] != 11 || res[2] != 0 {
+				return fmt.Errorf("survivors reduced %v", res)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
 }

@@ -91,8 +91,8 @@ func bornDenom(r2 float64, k BornKernel) float64 {
 // node and s_a per atom slot (Figure 2). Workers accumulate privately and
 // the runner merges, so the parallel traversal needs no atomics.
 //
-// The struct is kept at exactly 128 bytes (four slice headers + two
-// floats + pad) so that each heap-allocated accumulator lands in the
+// The struct is kept at exactly 128 bytes (four slice headers + the
+// meter + pad) so that each heap-allocated accumulator lands in the
 // 128-byte size class and spans exactly two cache lines alone: the hot
 // ops/maxTask updates of adjacent workers then never false-share
 // (TestAccumulatorsCacheLineSized pins the size).
@@ -107,12 +107,16 @@ type bornAccum struct {
 	// ancestor-prefix sum, bit for bit.
 	grad []geom.Vec3
 	hess []geom.Sym3
-	ops  float64
-	// maxTask is the largest single-leaf op count seen — the span term
-	// of the Brent-bound time model (see modelPhaseOps).
-	maxTask float64
-	_       [2]float64
+	workMeter
+	_ float64
 }
+
+// workMeter is the op bookkeeping every worker-private accumulator
+// carries, so one row sweep (pipeline.go) can meter any phase: ops counts
+// kernel evaluations, maxTask is the largest single-row count of the
+// current sweep — the span term of the Brent-bound time model (see
+// modelPhaseOps) — and mark is ops at the sweep's start.
+type workMeter struct{ ops, maxTask, mark float64 }
 
 func newBornAccum(sys *System) *bornAccum {
 	b := &bornAccum{
@@ -142,9 +146,6 @@ func (b *bornAccum) add(o *bornAccum) {
 		b.hess[i] = b.hess[i].Add(v)
 	}
 	b.ops += o.ops
-	if o.maxTask > b.maxTask {
-		b.maxTask = o.maxTask
-	}
 }
 
 // vecLen is the length of the accumulator's cross-rank reduction vector:

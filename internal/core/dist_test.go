@@ -16,40 +16,6 @@ func distCfg(procs, threads, perNode, nodes int) cluster.Config {
 	}
 }
 
-func TestDistributedMatchesShared(t *testing.T) {
-	sys, _, _ := testSystem(t, 400, 81, DefaultParams())
-	shared, err := RunShared(sys, SharedOptions{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name    string
-		procs   int
-		threads int
-	}{
-		{"P1", 1, 1},
-		{"OCT_MPI-P4", 4, 1},
-		{"OCT_MPI+CILK-P2p2", 2, 2},
-		{"OCT_MPI-P7", 7, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunDistributed(sys, distCfg(tc.procs, tc.threads, tc.procs, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if relErr(res.Epol, shared.Epol) > 1e-9 {
-				t.Errorf("distributed E=%v shared E=%v", res.Epol, shared.Epol)
-			}
-			for i := range res.BornRadii {
-				if relErr(res.BornRadii[i], shared.BornRadii[i]) > 1e-9 {
-					t.Fatalf("atom %d radius mismatch: %v vs %v",
-						i, res.BornRadii[i], shared.BornRadii[i])
-				}
-			}
-		})
-	}
-}
-
 // Under the loosened ladder the cross-rank Born reduction must carry the
 // receiver-expansion grad/hess alongside the node/atom scalars — each
 // rank evaluates only its own rows, so a scalar-only reduce would hand

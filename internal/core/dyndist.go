@@ -6,7 +6,6 @@ import (
 
 	"gbpolar/internal/cluster"
 	"gbpolar/internal/obs"
-	"gbpolar/internal/sched"
 )
 
 // This file implements the paper's Section VI future work: "we are
@@ -53,239 +52,86 @@ type DynStats struct {
 
 // RunDistributedDynamic is RunDistributed with inter-rank work stealing
 // in the energy phase. The Born phase keeps the static node-based
-// division (it is cheap and well balanced after far-field pruning).
+// division (it is cheap and well balanced after far-field pruning). The
+// stealing protocol is not self-healing — a fault-typed failure (dead
+// peer mid-steal, dead link, stall) degrades to the shared runner instead
+// of failing the computation.
 func RunDistributedDynamic(sys *System, cfg cluster.Config) (*Result, *DynStats, error) {
-	if cfg.OpsPerSecond <= 0 {
-		cfg.OpsPerSecond = CalibratedOpsPerSecond()
-	}
-	// The stealing protocol's behaviour depends on virtual timing, so
-	// real execution must follow the virtual clocks (see cluster/pace.go).
-	cfg.Paced = true
-	outs := make([]rankOut, cfg.Procs)
-	stats := make([]DynStats, cfg.Procs)
-	rep, err := cluster.Run(cfg, func(c *Comm) error {
-		return dynRank(sys, c, &outs[c.Rank()], &stats[c.Rank()])
-	})
+	res, err := runCluster(sys, cfg, phaseKernel{}, true)
 	if err != nil {
-		// The stealing protocol is not self-healing — a fault-typed
-		// failure (dead peer mid-steal, dead link, stall) degrades to the
-		// shared runner instead of failing the computation.
-		if !degradable(err, rep) {
-			return nil, nil, err
-		}
-		shared, serr := RunShared(sys, SharedOptions{
-			Threads:      cfg.ThreadsPerProc,
-			OpsPerSecond: cfg.OpsPerSecond,
-			Obs:          cfg.Obs,
-		})
-		if serr != nil {
-			return nil, nil, serr
-		}
-		if rep != nil {
-			if rep.Faults == nil {
-				rep.Faults = &cluster.FaultReport{}
-			}
-			rep.Faults.Degraded = true
-			rep.Faults.DegradedReason = err.Error()
-			shared.Report = rep
-		}
-		return shared, &DynStats{}, nil
+		return nil, nil, err
 	}
-	res := &Result{
-		Epol:         outs[0].epol,
-		BornRadii:    sys.BornRadiiToOriginalOrder(outs[0].radii),
-		WallSeconds:  rep.WallSeconds,
-		ModelSeconds: rep.VirtualSeconds,
-		Report:       rep,
-	}
-	total := &DynStats{}
-	for i := range outs {
-		res.Ops += outs[i].ops
-		total.Steals += stats[i].Steals
-		total.FailedSteals += stats[i].FailedSteals
-		total.LeavesMigrated += stats[i].LeavesMigrated
-	}
-	return res, total, nil
-}
-
-// bornPhase runs Figure 4's steps 1–5 (shared by the static and dynamic
-// runners) and returns the gathered Born radii in slot order.
-func bornPhase(sys *System, c *Comm, pool *sched.Pool, out *rankOut) ([]float64, error) {
-	P, rank := c.Size(), c.Rank()
-	p := pool.NumWorkers()
-	qLeaves := sys.QPts.Leaves()
-	nAtoms := sys.Mol.NumAtoms()
-
-	// Ranks share the System's compiled lists (first caller compiles,
-	// the rest reuse); Born row i is qLeaves[i], so this rank's segment
-	// maps directly onto rows [lo,hi).
-	o := c.Obs()
-	bsp := o.Begin(rank, "phase", "build", c.Clock())
-	lists := sys.Lists(pool)
-	bsp.End(c.Clock())
-	if rank == 0 {
-		// Static list structure is identical across ranks — record once.
-		lists.RecordMetrics(o)
-	}
-	il := lists.Born
-	lo, hi := segment(len(qLeaves), P, rank)
-	sp := o.Begin(rank, "phase", "born", c.Clock())
-	accs := make([]*bornAccum, p)
-	for i := range accs {
-		accs[i] = newBornAccum(sys)
-	}
-	sched.ParallelFor(pool, hi-lo, rowGrain(hi-lo, p), func(l, h, w int) {
-		for i := l; i < h; i++ {
-			before := accs[w].ops
-			bornRow(sys, il, lo+i, accs[w])
-			if d := accs[w].ops - before; d > accs[w].maxTask {
-				accs[w].maxTask = d
-			}
-		}
-	})
-	merged := accs[0]
-	for _, a := range accs[1:] {
-		merged.add(a)
-	}
-	c.ChargeOps(modelPhaseOps(merged.ops, maxOps(accs), merged.maxTask, p))
-	out.ops += merged.ops
-	sp.End(c.Clock(), obs.F("rows", float64(hi-lo)), obs.F("ops", merged.ops))
-	o.Counter("kernel.born.batches").Add(int64(hi - lo))
-
-	// The reduced vector carries the full receiver expansion (node/atom
-	// scalars plus grad/hess under FarOrder > 0 — see bornAccum.vecLen);
-	// each rank then pushes globally-summed corrections to its atoms.
-	sum, err := c.Allreduce(merged.appendVec(make([]float64, 0, merged.vecLen())), cluster.Sum)
-	if err != nil {
-		return nil, err
-	}
-	merged.readVec(sum)
-
-	aLo, aHi := segment(nAtoms, P, rank)
-	sp = o.Begin(rank, "phase", "push", c.Clock())
-	slotRadii := make([]float64, nAtoms)
-	pushOps := PushIntegralsToAtoms(sys, merged, aLo, aHi, slotRadii)
-	c.ChargeOps(pushOps / float64(p))
-	out.ops += pushOps
-	sp.End(c.Clock(), obs.F("ops", pushOps))
-
-	counts := make([]int, P)
-	for r := 0; r < P; r++ {
-		l, h := segment(nAtoms, P, r)
-		counts[r] = h - l
-	}
-	gathered, err := c.Allgatherv(slotRadii[aLo:aHi], counts)
-	if err != nil {
-		return nil, err
-	}
-	copy(slotRadii, gathered)
-	return slotRadii, nil
+	return res, res.Stealing, nil
 }
 
 // dynEpol is the per-rank state of the stealing protocol.
 type dynEpol struct {
-	sys   *System
-	c     *Comm
-	pool  *sched.Pool
-	ctx   *EpolContext
-	il    *InteractionLists // compiled E_pol lists; row i is leaves[i]
-	scr   []epolScratch     // per-worker gather-then-stream scratch
-	st    *DynStats
-	out   *rankOut
-	eaccs []epolAccum
+	pl  *pipeline
+	c   *cluster.Comm
+	row func(row, w int) // the energy phase's compiled row kernel
 
-	leaves      []int32
 	front, back int // remaining locally-owned range
 	batch       int
-	chargedOps  float64
 	chargedSecs float64
 	leavesDone  int
 	doneCount   int // rank 0 only: done reports received (excl. self)
 }
 
-// dynRank follows distRank through step 5, then runs the stealing
-// protocol for the energy phase.
-func dynRank(sys *System, c *Comm, out *rankOut, st *DynStats) error {
-	P, rank := c.Size(), c.Rank()
-	pool := sched.NewPool(c.Threads())
-	defer pool.Close()
-	c.TrackMemory(sys.MemoryBytes())
+// stealEpol is the stealing E_pol schedule of the rank body: the rank
+// starts from its static segment of atom leaves and runs the protocol to
+// termination inside one epol span. Asked again — to heal a death the
+// final reduction detected — it reports the death instead: rows migrate
+// between ranks, so the static re-division cannot tell what was lost.
+func (pl *pipeline) stealEpol() func([]cluster.MemberEvent) error {
+	started := false
+	return func([]cluster.MemberEvent) error {
+		if started {
+			return fmt.Errorf("core: work stealing cannot re-divide after a death: %w", cluster.ErrRankDead)
+		}
+		started = true
+		d := &dynEpol{pl: pl, c: pl.c.(*cluster.Comm), row: pl.epolKernel(0, 0)}
+		d.front, d.back = segment(len(pl.sys.Atoms.Leaves()), pl.P, pl.rank)
+		d.batch = max((d.back-d.front)/64, 1)
 
-	slotRadii, err := bornPhase(sys, c, pool, out)
-	if err != nil {
-		return err
+		sp := pl.o.Begin(pl.rank, "phase", "epol", pl.clock())
+		if err := d.drain(); err != nil {
+			return err
+		}
+		if pl.P > 1 {
+			if err := d.stealLoop(); err != nil {
+				return err
+			}
+		}
+		sp.End(pl.clock(), obs.F("rows", float64(d.leavesDone)))
+		pl.epolRows += d.leavesDone
+		pl.o.Counter("dyn.steals").Add(int64(d.pl.steal.Steals))
+		pl.o.Counter("dyn.leaves_migrated").Add(int64(d.pl.steal.LeavesMigrated))
+		return nil
 	}
+}
 
-	d := &dynEpol{
-		sys: sys, c: c, pool: pool, st: st, out: out,
-		ctx:    NewEpolContext(sys, slotRadii),
-		il:     sys.Lists(pool).Epol,
-		eaccs:  make([]epolAccum, pool.NumWorkers()),
-		leaves: sys.Atoms.Leaves(),
-	}
-	d.scr = newEpolScratch(d.ctx, d.il, pool.NumWorkers())
-	d.front, d.back = segment(len(d.leaves), P, rank)
-	d.batch = (d.back - d.front) / 64
-	if d.batch < 1 {
-		d.batch = 1
-	}
-
-	// Phase A: drain the local range, answering thieves between batches.
-	// Pace() keeps the real execution order aligned with the virtual
-	// clocks so steal availability matches the modeled machine.
-	o := c.Obs()
-	sp := o.Begin(rank, "phase", "epol", c.Clock())
+// drain evaluates the local range [front, back) batch by batch, answering
+// thieves between batches. Pace() keeps the real execution order aligned
+// with the virtual clocks so steal availability matches the modeled
+// machine.
+func (d *dynEpol) drain() error {
 	for d.front < d.back {
-		c.Pace()
-		h := d.front + d.batch
-		if h > d.back {
-			h = d.back
-		}
-		d.processRange(d.front, h)
+		d.c.Pace()
+		h := min(d.front+d.batch, d.back)
+		ops, charged := d.pl.sweep([]Span{{d.front, h}}, 1, d.pl.epolMeter, d.row)
+		d.pl.out.ops += ops
+		d.chargedSecs += charged / d.c.OpsPerSecond()
+		d.leavesDone += h - d.front
 		d.front = h
-		if err := d.answerPendingRequests(true); err != nil {
+		if err := d.answerPendingRequests(); err != nil {
 			return err
 		}
 	}
-
-	// Phase B: steal until termination.
-	if P > 1 {
-		if err := d.stealLoop(); err != nil {
-			return err
-		}
-	}
-	sp.End(c.Clock(), obs.F("rows", float64(d.leavesDone)))
-	recordEpolSweep(o, d.leavesDone, d.eaccs)
-	o.Counter("dyn.steals").Add(int64(st.Steals))
-	o.Counter("dyn.leaves_migrated").Add(int64(st.LeavesMigrated))
-	o.Counter("sched.steals").Add(pool.Steals())
-	return d.finish(slotRadii)
+	return nil
 }
 
-// processRange evaluates leaves [l,h) on the rank's pool and charges the
-// batch's modeled time (work/p; batches are small, so the span term is
-// folded into the batch granularity).
-func (d *dynEpol) processRange(l, h int) {
-	sched.ParallelFor(d.pool, h-l, 1, func(pl, ph, w int) {
-		for i := pl; i < ph; i++ {
-			epolRow(d.ctx, d.il, l+i, &d.scr[w], &d.eaccs[w])
-		}
-	})
-	var tot float64
-	for i := range d.eaccs {
-		tot += d.eaccs[i].ops
-	}
-	delta := (tot - d.chargedOps) / float64(d.pool.NumWorkers())
-	d.c.ChargeOps(delta)
-	d.chargedOps = tot
-	d.chargedSecs += delta / d.c.OpsPerSecond()
-	d.leavesDone += h - l
-}
-
-// answerPendingRequests serves queued steal requests. When giveWork is
-// true and enough local range remains, the thief receives the back half;
-// otherwise an empty reply.
-func (d *dynEpol) answerPendingRequests(giveWork bool) error {
+// answerPendingRequests serves the queued steal requests (see reply).
+func (d *dynEpol) answerPendingRequests() error {
 	for {
 		req, err := d.c.RecvMsg(cluster.AnySource, tagStealReq, false)
 		if err != nil {
@@ -294,7 +140,7 @@ func (d *dynEpol) answerPendingRequests(giveWork bool) error {
 		if req == nil {
 			return nil
 		}
-		if err := d.reply(req, giveWork); err != nil {
+		if err := d.reply(req); err != nil {
 			return err
 		}
 	}
@@ -320,9 +166,8 @@ func (d *dynEpol) perLeaf() float64 {
 // means it could not finish anything sooner than the victim gets an
 // empty reply — otherwise whichever goroutine the host happened to
 // schedule first would vacuum up work regardless of the modeled machine.
-func (d *dynEpol) reply(req *cluster.Message, giveWork bool) error {
-	remaining := d.back - d.front
-	if give := d.balancedGive(req, remaining); giveWork && give > 0 {
+func (d *dynEpol) reply(req *cluster.Message) error {
+	if give := d.balancedGive(req, d.back-d.front); give > 0 {
 		nlo, nhi := d.back-give, d.back
 		d.back = nlo
 		return d.c.ReplyStamped(req, tagStealRep, []float64{float64(nlo), float64(nhi)})
@@ -385,36 +230,33 @@ func (d *dynEpol) stealLoop() error {
 		if err := c.Send(victim, tagStealReq, []float64{d.perLeaf()}); err != nil {
 			return err
 		}
-		work, terminated, err := d.awaitReply(victim)
+		msg, err := d.serve(func(m *cluster.Message) bool { return m.Tag == tagStealRep || m.Tag == tagFinish })
 		if err != nil {
 			return err
 		}
-		if terminated {
+		if msg.Tag == tagFinish {
+			// The run finished while we waited (possible only on rank 0,
+			// defensively handled everywhere).
 			return nil
 		}
+		if msg.Src != victim {
+			return fmt.Errorf("core: reply from %d while waiting on %d", msg.Src, victim)
+		}
+		work := msg.Data
 		if len(work) == 2 {
 			failures = 0
-			d.st.Steals++
+			d.pl.steal.Steals++
 			wlo, whi := int(work[0]), int(work[1])
-			d.st.LeavesMigrated += whi - wlo
+			d.pl.steal.LeavesMigrated += whi - wlo
 			// Adopt the stolen range as the new local range so further
 			// thieves can re-steal from it.
 			d.front, d.back = wlo, whi
-			for d.front < d.back {
-				d.c.Pace()
-				h := d.front + d.batch
-				if h > d.back {
-					h = d.back
-				}
-				d.processRange(d.front, h)
-				d.front = h
-				if err := d.answerPendingRequests(true); err != nil {
-					return err
-				}
+			if err := d.drain(); err != nil {
+				return err
 			}
 			continue
 		}
-		d.st.FailedSteals++
+		d.pl.steal.FailedSteals++
 		failures++
 		if failures >= 4*(P-1) {
 			return d.idleUntilFinish()
@@ -422,110 +264,53 @@ func (d *dynEpol) stealLoop() error {
 	}
 }
 
-// awaitReply blocks for the victim's reply while serving other thieves
-// and (on rank 0) counting done reports. terminated is true if the run
-// finished while waiting (possible only on rank 0, defensively handled
-// everywhere).
-func (d *dynEpol) awaitReply(victim int) (work []float64, terminated bool, err error) {
-	c := d.c
+// serve blocks for protocol messages until want accepts one, meanwhile
+// doing what an idle rank owes its peers: other thieves get an empty reply
+// (we have nothing to give, and answering keeps thief/thief cycles from
+// deadlocking) and, on rank 0, done reports are counted.
+func (d *dynEpol) serve(want func(msg *cluster.Message) bool) (*cluster.Message, error) {
 	for {
-		msg, err := c.RecvMsg(cluster.AnySource, cluster.AnyTag, true)
+		msg, err := d.c.RecvMsg(cluster.AnySource, cluster.AnyTag, true)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		switch msg.Tag {
-		case tagStealRep:
-			if msg.Src != victim {
-				return nil, false, fmt.Errorf("core: reply from %d while waiting on %d", msg.Src, victim)
+		switch {
+		case msg.Tag == tagStealReq:
+			if err := d.c.ReplyStamped(msg, tagStealRep, nil); err != nil {
+				return nil, err
 			}
-			return msg.Data, false, nil
-		case tagStealReq:
-			// We are idle ourselves: nothing to give.
-			if err := c.ReplyStamped(msg, tagStealRep, nil); err != nil {
-				return nil, false, err
-			}
-		case tagDone:
-			if c.Rank() != 0 {
-				return nil, false, fmt.Errorf("core: rank %d received tagDone", c.Rank())
-			}
+		case msg.Tag == tagDone && d.c.Rank() == 0:
 			d.doneCount++
-		case tagFinish:
-			return nil, true, nil
-		default:
-			return nil, false, fmt.Errorf("core: unexpected tag %d while awaiting reply", msg.Tag)
+		case msg.Tag != tagStealRep && msg.Tag != tagFinish:
+			return nil, fmt.Errorf("core: rank %d: unexpected tag %d from rank %d", d.c.Rank(), msg.Tag, msg.Src)
+		}
+		if want(msg) {
+			return msg, nil
 		}
 	}
 }
 
 // idleUntilFinish reports this rank done and serves empty replies until
-// rank 0 broadcasts termination. Rank 0 additionally counts done reports
-// and performs the broadcast.
+// rank 0 broadcasts termination. Rank 0 instead waits for everyone's done
+// report (some may already be counted) and performs the broadcast.
 func (d *dynEpol) idleUntilFinish() error {
 	c := d.c
-	P, rank := c.Size(), c.Rank()
-	if rank != 0 {
+	if c.Rank() != 0 {
 		if err := c.Send(0, tagDone, nil); err != nil {
 			return err
 		}
-		for {
-			msg, err := c.RecvMsg(cluster.AnySource, cluster.AnyTag, true)
-			if err != nil {
-				return err
-			}
-			switch msg.Tag {
-			case tagStealReq:
-				if err := c.ReplyStamped(msg, tagStealRep, nil); err != nil {
-					return err
-				}
-			case tagFinish:
-				return nil
-			case tagStealRep:
-				// A straggler reply from a request answered after we went
-				// idle cannot happen: every request got exactly one reply,
-				// consumed in awaitReply. Defensively ignore.
-			default:
-				return fmt.Errorf("core: rank %d unexpected tag %d while idle", rank, msg.Tag)
-			}
-		}
+		_, err := d.serve(func(m *cluster.Message) bool { return m.Tag == tagFinish })
+		return err
 	}
-	// Rank 0: wait for everyone (some done reports may already be
-	// counted from awaitReply).
-	for d.doneCount < P-1 {
-		msg, err := c.RecvMsg(cluster.AnySource, cluster.AnyTag, true)
-		if err != nil {
+	if d.doneCount < c.Size()-1 {
+		if _, err := d.serve(func(*cluster.Message) bool { return d.doneCount == c.Size()-1 }); err != nil {
 			return err
 		}
-		switch msg.Tag {
-		case tagDone:
-			d.doneCount++
-		case tagStealReq:
-			if err := c.ReplyStamped(msg, tagStealRep, nil); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("core: rank 0 unexpected tag %d while draining", msg.Tag)
-		}
 	}
-	for r := 1; r < P; r++ {
+	for r := 1; r < c.Size(); r++ {
 		if err := c.Send(r, tagFinish, nil); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// finish reduces the partial energies (every rank participates).
-func (d *dynEpol) finish(slotRadii []float64) error {
-	var raw float64
-	for i := range d.eaccs {
-		raw += d.eaccs[i].energy
-		d.out.ops += d.eaccs[i].ops
-	}
-	total, err := d.c.Allreduce([]float64{raw}, cluster.Sum)
-	if err != nil {
-		return err
-	}
-	d.out.epol = d.ctx.Finish(total[0])
-	d.out.radii = slotRadii
 	return nil
 }

@@ -7,26 +7,6 @@ import (
 	"gbpolar/internal/surface"
 )
 
-func TestDynamicMatchesStatic(t *testing.T) {
-	sys, _, _ := testSystem(t, 500, 181, DefaultParams())
-	static, err := RunDistributed(sys, distCfg(4, 1, 4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, procs := range []int{1, 2, 5, 8} {
-		dyn, stats, err := RunDistributedDynamic(sys, distCfg(procs, 1, procs, 1))
-		if err != nil {
-			t.Fatalf("P=%d: %v", procs, err)
-		}
-		if relErr(dyn.Epol, static.Epol) > 1e-9 {
-			t.Errorf("P=%d: dynamic E=%v static E=%v", procs, dyn.Epol, static.Epol)
-		}
-		if procs == 1 && stats.Steals != 0 {
-			t.Errorf("P=1 stole %d times", stats.Steals)
-		}
-	}
-}
-
 func TestDynamicHybridRanks(t *testing.T) {
 	sys, _, _ := testSystem(t, 400, 182, DefaultParams())
 	static, err := RunDistributed(sys, distCfg(2, 2, 2, 1))

@@ -247,18 +247,16 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 
 // epolAccum is one worker's energy accumulator. The runners hold them in
 // a contiguous `[]epolAccum`, with adjacent workers hammering energy/ops
-// on every kernel evaluation — pad each accumulator to a full 64-byte
-// cache line so neighbours never false-share
+// on every kernel evaluation — its eight floats fill exactly one 64-byte
+// cache line, so neighbours never false-share
 // (TestAccumulatorsCacheLineSized pins the size).
 type epolAccum struct {
-	energy  float64 // Σ q_u·q_v/f_GB over ordered pairs (prefactor applied later)
-	ops     float64
-	maxTask float64 // largest single-leaf op count (span term, see modelPhaseOps)
+	energy float64 // Σ q_u·q_v/f_GB over ordered pairs (prefactor applied later)
+	workMeter
 	// What the compiled sweep streamed (kernels_stream.go), added up once
 	// per row: near pair terms and far bin-pair terms evaluated, atoms and
 	// pseudo-atoms gathered and the list entries they were gathered for.
 	nearTerms, farTerms, gatherAtoms, gatherSpans float64
-	_                                             float64
 }
 
 // ApproxEpol runs Figure 3's APPROX-EPOL for the atoms-octree leaf V

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -15,8 +14,8 @@ import (
 	"gbpolar/internal/obs/watch"
 )
 
-// This file is the multi-process runner: the elastic rank body of
-// elastic.go executed over the real TCP transport (internal/cluster/net)
+// This file is the multi-process runner: the rank body of pipeline.go
+// executed over the real TCP transport (internal/cluster/net)
 // instead of goroutines. The coordinator process hosts the rendezvous
 // point, publishes a membership file and a binary checkpoint of the
 // compiled System, and itself computes as rank 0 over loopback (so every
@@ -242,15 +241,14 @@ func RunNetCoordinator(ctx context.Context, sys *System, opts NetOptions) (*Resu
 	// same rank body, no privileged path. Rank 0 shares the coordinator's
 	// Obs, so it must NOT ship telemetry — its events are already in the
 	// merged trace, and shipping would duplicate every one of them.
-	var out *ElasticOut
+	var out rankOut
 	c, err := net.Dial(co.Addr(), 0, net.Options{
 		StallTimeout: opts.StallTimeout,
 		DialTimeout:  opts.JoinDeadline,
 		Obs:          opts.Obs,
 	})
 	if err == nil {
-		out, err = RunElasticRank(sys, c, 1, nil)
-		if err == nil {
+		if err = rankPipeline(sys, c, &out).run(1, nil); err == nil {
 			c.Bye()
 		} else {
 			c.Close()
@@ -272,65 +270,41 @@ func RunNetCoordinator(ctx context.Context, sys *System, opts NetOptions) (*Resu
 			time.Sleep(500 * time.Microsecond)
 		}
 	}
+	// Per-rank rows: wall time is the run's (processes ran concurrently);
+	// ranks still dead at the end are marked.
 	fr := co.FaultReport()
-	if err == nil && out != nil && out.Completed {
-		// Per-rank rows: wall time is the run's (processes ran
-		// concurrently); ranks still dead at the end are marked.
-		perRank := make([]cluster.RankStats, opts.Procs)
-		dead := make(map[int]bool)
-		for _, r := range cluster.DeadFromEvents(opts.Procs, co.Events()) {
-			dead[r] = true
-		}
-		for r := range perRank {
-			perRank[r] = cluster.RankStats{Rank: r, Died: dead[r]}
-		}
-		res := &Result{
-			Epol:        out.Epol,
-			BornRadii:   sys.BornRadiiToOriginalOrder(out.Radii),
-			Ops:         out.Ops,
-			WallSeconds: time.Since(start).Seconds(),
-			Report: &cluster.Report{
-				WallSeconds: time.Since(start).Seconds(),
-				PerRank:     perRank,
-				Mode:        cluster.Real,
-				Faults:      &fr,
-			},
-		}
-		return res, nil
+	rep := &cluster.Report{Mode: cluster.Real, Faults: &fr, PerRank: make([]cluster.RankStats, opts.Procs)}
+	for r := range rep.PerRank {
+		rep.PerRank[r].Rank = r
 	}
+	for _, r := range cluster.DeadFromEvents(opts.Procs, co.Events()) {
+		rep.PerRank[r].Died = true
+	}
+	rep.WallSeconds = time.Since(start).Seconds()
+	var res *Result
 	if err == nil {
-		err = fmt.Errorf("core: rank 0 joined after the final collective: %w", ErrDegraded)
+		// Rank 0 may have joined after the final collective and have
+		// nothing to report: then the run degrades like any other.
+		if res, err = result(sys, []rankOut{out}, rep); err == nil {
+			return res, nil
+		}
 	}
 	if ctx.Err() != nil {
 		return nil, fmt.Errorf("core: net run cancelled: %w", ctx.Err())
 	}
-	if !errors.Is(err, ErrDegraded) && !errors.Is(err, cluster.ErrRankDead) &&
-		!errors.Is(err, cluster.ErrTimeout) {
+	if !degradable(err, nil) {
 		return nil, err
 	}
 	// Degradation: the distributed run cannot continue (too few live
-	// ranks or a stalled protocol); fall back to the shared runner and
-	// report why, exactly like RunDistributedResilient. Dump the flight
-	// ring first — degradation is exactly the moment an operator wants
-	// the recent-event record.
+	// ranks or a stalled protocol). Dump the flight ring first —
+	// degradation is exactly the moment an operator wants the
+	// recent-event record.
 	opts.Obs.DumpFlight("degraded")
-	shared, serr := RunShared(sys, SharedOptions{
-		Threads:      opts.Threads,
-		OpsPerSecond: CalibratedOpsPerSecond(),
-		Obs:          opts.Obs,
-	})
-	if serr != nil {
-		return nil, serr
+	if res, err = degradeToShared(sys, opts.Threads, CalibratedOpsPerSecond(), opts.Obs, rep, err, start); err != nil {
+		return nil, err
 	}
-	fr.Degraded = true
-	fr.DegradedReason = err.Error()
-	shared.Report = &cluster.Report{
-		WallSeconds: time.Since(start).Seconds(),
-		Mode:        cluster.Real,
-		Faults:      &fr,
-	}
-	shared.WallSeconds = time.Since(start).Seconds()
-	return shared, nil
+	rep.WallSeconds = res.WallSeconds
+	return res, nil
 }
 
 // respawnLoop relaunches each dead worker rank once, so the elastic
@@ -451,12 +425,8 @@ func RunNetWorker(membershipPath string, rank int, opts NetWorkerOptions) (*Elas
 	if err != nil {
 		return nil, err
 	}
-	var seed []float64
-	if len(c.JoinSeed()) > 0 {
-		seed = c.JoinSeed()
-	}
-	out, err := RunElasticRank(sys, c, c.CompletedRounds()+1, seed)
-	if err != nil {
+	var out rankOut
+	if err := rankPipeline(sys, c, &out).run(c.CompletedRounds()+1, c.JoinSeed()); err != nil {
 		opts.Obs.DumpFlight("worker-error")
 		c.Close()
 		return nil, err
@@ -467,5 +437,5 @@ func RunNetWorker(membershipPath string, rank int, opts NetWorkerOptions) (*Elas
 	// left overlaying a stale positive age forever.
 	sampler.Stop()
 	c.Bye()
-	return out, nil
+	return &ElasticOut{Epol: out.epol, Completed: out.ok}, nil
 }

@@ -1,0 +1,599 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"gbpolar/internal/cluster"
+	"gbpolar/internal/obs"
+	"gbpolar/internal/sched"
+)
+
+// This file is Figure 4 written once. The paper's three configurations
+// (OCT_CILK, OCT_MPI, OCT_MPI+CILK) differ only in (P, p), and every
+// public runner constructs the one rank body below (run), choosing only
+//
+//   - the transport: none (one rank, every reduction the identity), the
+//     modeled in-process *cluster.Comm, or the TCP *net.Comm;
+//   - the E_pol schedule: static spans, or dyndist.go's stealing protocol;
+//   - the phase kernel: compiled list rows, the recursive reference
+//     traversal, or workdiv.go's atom-range traversals.
+//
+// A rank's rows are always ElasticSpans(n, P, events)[rank] — the paper's
+// static segments while the membership log is empty — so a segment, a
+// healed set of spans, a stolen batch and "all rows" are the same call to
+// sweep, and every collective sits in one detect–heal–retry loop.
+//
+// The consistency argument the protocol leans on: transports admit joins
+// ONLY at a successful collective — which is also the only point a phase
+// completes — so within one phase's retry loop the log can grow by deaths
+// alone, preserving ElasticSpans' monotone growth. A joiner therefore
+// always starts at a phase boundary, seeded with the last completed
+// phase's reduction result, and the survivors' assignments shrink only
+// BETWEEN phases, never inside one.
+
+// rowKind is how one row of a phase is evaluated — the phase-kernel axis.
+type rowKind uint8
+
+const (
+	// rowCompiled sweeps the row's compiled interaction list with the SoA
+	// batch kernels (ilist.go, kernels.go): production.
+	rowCompiled rowKind = iota
+	// rowRecursive re-runs the recursive near–far traversal from the root
+	// for the row's leaf: the cross-check reference and ablation baseline.
+	rowRecursive
+	// rowAtomRange is the atom-based work division of workdiv.go: every
+	// leaf is traversed, restricted to the atom slots the rank owns.
+	rowAtomRange
+)
+
+// phaseKernel picks the row evaluation of the Born and the energy phase.
+type phaseKernel struct{ born, epol rowKind }
+
+// rankOut carries one rank's results back from the rank body. ok marks a
+// rank that finished the whole protocol: a fault plan may have killed
+// rank 0, and a joiner admitted after the final collective has nothing to
+// report, so the result is taken from the first rank that did.
+type rankOut struct {
+	epol  float64
+	radii []float64 // Born radii in tree-slot order
+	ops   float64   // kernel evaluations this rank performed
+	model float64   // modeled seconds (the one-rank machine; clusters report their own clock)
+	wall  float64   // measured seconds of the energy phases, list build excluded
+	ok    bool
+}
+
+// pipeline is one rank's evaluation of Figure 4.
+type pipeline struct {
+	sys   *System
+	c     cluster.Transport // nil: the one-rank machine of RunShared
+	pool  *sched.Pool       // nil: the body makes (and closes) its own
+	kern  phaseKernel
+	steal *DynStats // non-nil: E_pol runs under the stealing protocol
+	o     *obs.Obs
+	rate  float64 // calibrated kernel evaluations per second
+	out   *rankOut
+
+	P, rank, p int
+	clockS     float64 // the one-rank machine's modeled clock
+
+	lists *CompiledLists
+	accs  []*bornAccum // per-worker s-fields; accs[0] doubles as the merged/reduced field
+	radii []float64
+	ectx  *EpolContext
+	scr   []epolScratch
+	eaccs []epolAccum
+	// What this rank has already computed of each phase, and how many
+	// compiled energy rows that was.
+	bornDone, pushDone, epolDone []Span
+	epolRows                     int
+}
+
+// rankPipeline builds the rank body for one rank of a transport.
+func rankPipeline(sys *System, c cluster.Transport, out *rankOut) *pipeline {
+	return &pipeline{sys: sys, c: c, o: c.Obs(), rate: c.OpsPerSecond(), out: out,
+		P: c.Size(), rank: c.Rank(), p: c.Threads()}
+}
+
+func (pl *pipeline) clock() float64 {
+	if pl.c != nil {
+		return pl.c.Clock()
+	}
+	return pl.clockS
+}
+
+func (pl *pipeline) charge(ops float64) {
+	if pl.c != nil {
+		pl.c.ChargeOps(ops)
+		return
+	}
+	pl.clockS += ops / pl.rate
+}
+
+// sweep is THE row sweep. fn(row, w) runs for every row of sel on the
+// rank's pool, worker w accumulating into its private accumulator, whose
+// op meter is meter(w). It charges the sweep's modeled critical path
+// (modelPhaseOps) to the rank's clock and returns the ops done and charged.
+func (pl *pipeline) sweep(sel []Span, grain int, meter func(w int) *workMeter, fn func(row, w int)) (total, charged float64) {
+	n := 0
+	for _, s := range sel {
+		n += s.Len()
+	}
+	for w := 0; w < pl.p; w++ {
+		m := meter(w)
+		m.mark, m.maxTask = m.ops, 0
+	}
+	sched.ParallelFor(pl.pool, n, grain, func(lo, hi, w int) {
+		m := meter(w)
+		off := 0 // [lo,hi) indexes the concatenation of sel's spans
+		for _, s := range sel {
+			for k := max(lo, off); k < min(hi, off+s.Len()); k++ {
+				before := m.ops
+				fn(s.Lo+k-off, w)
+				if d := m.ops - before; d > m.maxTask {
+					m.maxTask = d
+				}
+			}
+			off += s.Len()
+		}
+	})
+	var maxWorker, maxTask float64
+	for w := 0; w < pl.p; w++ {
+		m := meter(w)
+		d := m.ops - m.mark
+		total += d
+		maxWorker, maxTask = max(maxWorker, d), max(maxTask, m.maxTask)
+	}
+	charged = modelPhaseOps(total, maxWorker, maxTask, pl.p)
+	pl.charge(charged)
+	return total, charged
+}
+
+// testPhaseDrag, when non-nil, runs inside a rank's phase computation
+// just before the phase span ends — the watchdog acceptance tests'
+// synthetic-slowdown hook (it sleeps, so the span's wall duration and
+// the open-span age gauge both carry the drag). Set once before any run
+// starts and cleared after; never mutated while ranks are computing.
+var testPhaseDrag func(rank int, phase string)
+
+// pass runs one piece of newly claimed work inside its own phase span, on
+// the running modeled clock — post-crash re-executions show up as extra
+// born/push/epol intervals on the timeline — and meters the share of it
+// spent on rows inherited from dead ranks (row-proportional attribution).
+func (pl *pipeline) pass(name string, rows, inherited int, work func() (ops, charged float64)) {
+	sp := pl.o.Begin(pl.rank, "phase", name, pl.clock())
+	ops, charged := work()
+	pl.out.ops += ops
+	if testPhaseDrag != nil {
+		testPhaseDrag(pl.rank, name)
+	}
+	sp.End(pl.clock(), obs.F("rows", float64(rows)), obs.F("inherited", float64(inherited)), obs.F("ops", ops))
+	if inherited > 0 {
+		pl.c.NoteRecovery(inherited, charged/pl.rate*float64(inherited)/float64(rows))
+	}
+}
+
+// claim returns what the membership log newly assigns this rank out of n
+// rows, marks it done, and counts the rows of it outside the rank's
+// fault-free segment: work inherited from dead ranks. Within one phase the
+// log grows by deaths alone, which only ever APPEND spans to a survivor's
+// ElasticSpans share, so the spans past the ones already done are exactly
+// the dead ranks' lost work.
+func (pl *pipeline) claim(n int, events []cluster.MemberEvent, done *[]Span) (sel []Span, rows, inherited int) {
+	owned := ElasticSpans(n, pl.P, events)[pl.rank]
+	sel = owned[len(*done):]
+	for _, s := range sel {
+		rows += s.Len()
+		inherited += pl.inherited(n, s)
+	}
+	*done = owned
+	return sel, rows, inherited
+}
+
+// inherited counts the rows of s outside this rank's static segment of n.
+func (pl *pipeline) inherited(n int, s Span) int {
+	lo, hi := segment(n, pl.P, pl.rank)
+	return s.Len() - max(0, min(s.Hi, hi)-max(s.Lo, lo))
+}
+
+// share claims this rank's not-yet-done part of a phase over `leaves`
+// rows and sweeps it; it returns the rows claimed. Node-based kinds own
+// leaf rows; the atom-based kind owns atom slots and traverses EVERY leaf
+// restricted to each owned run of slots. row(lo, hi) is the phase kernel
+// for slots [lo, hi).
+func (pl *pipeline) share(name string, kind rowKind, leaves int, done *[]Span, events []cluster.MemberEvent,
+	meter func(w int) *workMeter, row func(lo, hi int32) func(row, w int)) int {
+	n := leaves
+	if kind == rowAtomRange {
+		n = pl.sys.Mol.NumAtoms()
+	}
+	sel, rows, inherited := pl.claim(n, events, done)
+	switch {
+	case rows == 0:
+	case kind == rowAtomRange:
+		all := []Span{{0, leaves}}
+		for _, s := range sel {
+			kernel := row(int32(s.Lo), int32(s.Hi))
+			pl.pass(name, s.Len(), pl.inherited(n, s), func() (float64, float64) {
+				return pl.sweep(all, 1, meter, kernel)
+			})
+		}
+	default:
+		grain := 1 // the recursive traversal's per-leaf costs are skewed
+		if kind == rowCompiled {
+			grain = rowGrain(rows, pl.p)
+		}
+		pl.pass(name, rows, inherited, func() (float64, float64) {
+			return pl.sweep(sel, grain, meter, row(0, 0))
+		})
+	}
+	return rows
+}
+
+// phase is THE retry collective around one phase's work. Each round does
+// the work the membership log newly assigns this rank, then attempts the
+// collective under that same log. A rank crash surfaces from call as
+// *cluster.RankDeadError (a successful collective doubles as a consensus
+// on the dead set, see cluster.rendezvous); the round is then repeated
+// under the grown log — with a contribution reflecting ALL work so far,
+// since a failed round discards every deposit. Fewer than 2 survivors
+// abort with ErrDegraded. Without a transport nothing is packed: the
+// result is nil and the caller keeps its local values.
+func (pl *pipeline) phase(work func(events []cluster.MemberEvent) error,
+	call func(events []cluster.MemberEvent) ([]float64, error)) ([]float64, error) {
+	if pl.c == nil {
+		return nil, work(nil)
+	}
+	for events := pl.c.MemberEvents(); ; events = pl.c.MemberEvents() {
+		if err := work(events); err != nil {
+			return nil, err
+		}
+		res, err := call(events)
+		if err == nil {
+			return res, nil
+		}
+		if _, ok := cluster.AsRankDead(err); !ok {
+			return nil, err
+		}
+		if live := cluster.LiveCountFromEvents(pl.P, pl.c.MemberEvents()); live < 2 {
+			return nil, fmt.Errorf("core: %d of %d ranks survive: %w", live, pl.P, ErrDegraded)
+		}
+	}
+}
+
+// run is THE rank body: Figure 4's seven steps. startPhase is 1 + the
+// number of collectives already completed globally when this rank joined
+// (founding ranks pass 1); a late joiner passes the last completed
+// reduction's result as seed and resumes mid-protocol: after phase 1 the
+// merged integral vector (bornAccum.vecLen values), after phase 2 the
+// full Born-radii vector (nAtoms values). A joiner admitted after the
+// final reduction has nothing left to compute.
+func (pl *pipeline) run(startPhase int, seed []float64) error {
+	if startPhase >= 4 {
+		return nil
+	}
+	sys := pl.sys
+	if pl.pool == nil {
+		pl.pool = sched.NewPool(pl.p)
+		defer pl.pool.Close()
+	}
+	pl.p = pl.pool.NumWorkers()
+	steals0 := pl.pool.Steals()
+
+	// Step 1: every rank holds the full octrees (replicated data) and
+	// shares the System's compiled lists: the first rank compiles, the
+	// rest reuse. The one-rank machine keeps preprocessing off its clock.
+	if pl.c != nil {
+		pl.c.TrackMemory(sys.MemoryBytes())
+	}
+	if pl.kern.born == rowCompiled || pl.kern.epol == rowCompiled {
+		var virt float64 = obs.NoVirtual
+		if pl.c != nil {
+			virt = pl.c.Clock()
+		}
+		bsp := pl.o.Begin(pl.rank, "phase", "build", virt)
+		pl.lists = sys.Lists(pl.pool)
+		bsp.End(virt)
+		if pl.rank == 0 {
+			// Static list structure is identical across ranks: record once.
+			pl.lists.RecordMetrics(pl.o)
+			if sys.Params.DebugCheckLists {
+				if err := sys.RecheckLists(pl.pool); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	start := time.Now()
+
+	// Phase 1 (steps 2–3): Born integrals over the owned q-point leaf
+	// rows, then the Allreduce of the partial s-fields. The reduced vector
+	// carries the full receiver expansion (see bornAccum.vecLen), so the
+	// push phase sees every rank's moment corrections. A joiner with
+	// startPhase ≥ 2 skips the phase: its reduction already completed
+	// globally, and the result arrived as the seed.
+	pl.accs = make([]*bornAccum, pl.p)
+	merged := newBornAccum(sys)
+	pl.accs[0] = merged
+	if startPhase >= 2 {
+		if want := merged.vecLen(); startPhase == 2 && len(seed) != want {
+			return fmt.Errorf("core: phase-2 join seed has %d values, want %d", len(seed), want)
+		}
+	} else {
+		var err error
+		seed, err = pl.phase(pl.bornPass, func([]cluster.MemberEvent) ([]float64, error) {
+			return pl.c.Allreduce(merged.appendVec(make([]float64, 0, merged.vecLen())), cluster.Sum)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if startPhase <= 2 && seed != nil {
+		merged.readVec(seed)
+	}
+
+	// Phase 2 (steps 4–5): push the integrals down to Born radii for the
+	// owned atom slots and share them (shareRadii).
+	nAtoms := sys.Mol.NumAtoms()
+	pl.radii = make([]float64, nAtoms)
+	if startPhase >= 3 {
+		if len(seed) != nAtoms {
+			return fmt.Errorf("core: phase-3 join seed has %d values, want %d", len(seed), nAtoms)
+		}
+	} else {
+		var err error
+		if seed, err = pl.phase(pl.pushPass, pl.shareRadii); err != nil {
+			return err
+		}
+	}
+	copy(pl.radii, seed)
+
+	// Phase 3 (steps 6–7): E_pol over the owned atom-leaf rows under the
+	// run's schedule, then the reduction of the partial energies — an
+	// Allreduce, so every rank returns the final value.
+	pl.ectx = NewEpolContext(sys, pl.radii)
+	pl.eaccs = make([]epolAccum, pl.p)
+	if pl.kern.epol == rowCompiled {
+		pl.scr = newEpolScratch(pl.ectx, pl.lists.Epol, pl.p)
+	}
+	epol := pl.epolPass
+	if pl.steal != nil {
+		epol = pl.stealEpol()
+	}
+	raw := func() (sum float64) {
+		for i := range pl.eaccs {
+			sum += pl.eaccs[i].energy
+		}
+		return sum
+	}
+	total, err := pl.phase(epol, func([]cluster.MemberEvent) ([]float64, error) {
+		return pl.c.Allreduce([]float64{raw()}, cluster.Sum)
+	})
+	if err != nil {
+		return err
+	}
+	if total == nil {
+		total = []float64{raw()}
+	}
+	if pl.kern.epol == rowCompiled {
+		recordEpolSweep(pl.o, pl.epolRows, pl.eaccs)
+	}
+	pl.o.Counter("sched.steals").Add(pl.pool.Steals() - steals0)
+	*pl.out = rankOut{epol: pl.ectx.Finish(total[0]), radii: pl.radii, ops: pl.out.ops,
+		model: pl.clockS, wall: time.Since(start).Seconds(), ok: true}
+	return nil
+}
+
+// bornPass evaluates the Born rows the log newly assigns this rank and
+// folds the workers' s-fields into accs[0]; the other accumulators live
+// only for the pass.
+func (pl *pipeline) bornPass(events []cluster.MemberEvent) error {
+	sys, accs := pl.sys, pl.accs
+	qLeaves := sys.QPts.Leaves()
+	for w := 1; w < len(accs); w++ {
+		accs[w] = newBornAccum(sys)
+	}
+	rows := pl.share("born", pl.kern.born, len(qLeaves), &pl.bornDone, events,
+		func(w int) *workMeter { return &accs[w].workMeter },
+		func(lo, hi int32) func(row, w int) {
+			switch pl.kern.born {
+			case rowCompiled:
+				il := pl.lists.Born // row i is qLeaves[i]
+				return func(row, w int) { bornRow(sys, il, row, accs[w]) }
+			case rowRecursive:
+				macs := sys.bornMACs()
+				return func(row, w int) { ApproxIntegrals(sys, accs[w], sys.Atoms.Root(), qLeaves[row], &macs) }
+			}
+			mac := sys.bornMAC()
+			return func(row, w int) {
+				ApproxIntegralsAtomRange(sys, accs[w], sys.Atoms.Root(), qLeaves[row], mac, lo, hi)
+			}
+		})
+	for w := 1; w < len(accs); w++ {
+		accs[0].add(accs[w])
+		accs[w] = nil
+	}
+	if pl.kern.born == rowCompiled {
+		pl.o.Counter("kernel.born.batches").Add(int64(rows))
+	}
+	return nil
+}
+
+// pushPass inverts the reduced integrals to Born radii for the atom slots
+// the log newly assigns this rank.
+func (pl *pipeline) pushPass(events []cluster.MemberEvent) error {
+	sel, rows, inherited := pl.claim(len(pl.radii), events, &pl.pushDone)
+	if rows == 0 {
+		return nil
+	}
+	pl.pass("push", rows, inherited, func() (ops, charged float64) {
+		for _, s := range sel {
+			ops += PushIntegralsToAtoms(pl.sys, pl.accs[0], s.Lo, s.Hi, pl.radii)
+		}
+		charged = ops / float64(pl.p)
+		pl.charge(charged)
+		return ops, charged
+	})
+	return nil
+}
+
+// shareRadii is Figure 4's step 5. While the membership log is empty the
+// owned slots are the contiguous static segments and it is the paper's
+// Allgatherv; once the log records a death, ownership is a set of spans
+// and the radii travel as an Allreduce of zero-padded full vectors — each
+// slot is written by exactly one live rank, so the sum reproduces each
+// value exactly. Every deposit that can complete a round was made under
+// the same log, so the ranks agree on the collective.
+func (pl *pipeline) shareRadii(events []cluster.MemberEvent) ([]float64, error) {
+	n := len(pl.radii)
+	if len(events) == 0 {
+		counts := make([]int, pl.P)
+		for r := range counts {
+			lo, hi := segment(n, pl.P, r)
+			counts[r] = hi - lo
+		}
+		lo, hi := segment(n, pl.P, pl.rank)
+		return pl.c.Allgatherv(pl.radii[lo:hi], counts)
+	}
+	vec := make([]float64, n)
+	for _, s := range pl.pushDone {
+		copy(vec[s.Lo:s.Hi], pl.radii[s.Lo:s.Hi])
+	}
+	return pl.c.Allreduce(vec, cluster.Sum)
+}
+
+// epolPass is the static E_pol schedule: evaluate the energy rows the log
+// newly assigns this rank.
+func (pl *pipeline) epolPass(events []cluster.MemberEvent) error {
+	pl.epolRows += pl.share("epol", pl.kern.epol, len(pl.sys.Atoms.Leaves()), &pl.epolDone, events, pl.epolMeter, pl.epolKernel)
+	return nil
+}
+
+func (pl *pipeline) epolMeter(w int) *workMeter { return &pl.eaccs[w].workMeter }
+
+// epolKernel returns the energy phase's row evaluation for atom slots
+// [lo, hi) (which only the atom-based kind looks at).
+func (pl *pipeline) epolKernel(lo, hi int32) func(row, w int) {
+	ctx, eaccs := pl.ectx, pl.eaccs
+	root, aLeaves := pl.sys.Atoms.Root(), pl.sys.Atoms.Leaves()
+	switch pl.kern.epol {
+	case rowCompiled:
+		il, scr := pl.lists.Epol, pl.scr // row i is aLeaves[i]
+		return func(row, w int) { epolRow(ctx, il, row, &scr[w], &eaccs[w]) }
+	case rowRecursive:
+		return func(row, w int) { ApproxEpol(ctx, root, aLeaves[row], &eaccs[w]) }
+	}
+	return func(row, w int) { ApproxEpolAtomRange(ctx, root, aLeaves[row], &eaccs[w], lo, hi) }
+}
+
+// result is THE assembly of rank outputs into a Result: energy and radii
+// from the first rank that completed the protocol, with which every other
+// completed rank must agree bit for bit. rep is the cluster's report (nil
+// for the one-rank machine, whose rank carries its own clocks).
+func result(sys *System, outs []rankOut, rep *cluster.Report) (*Result, error) {
+	var res *Result
+	for r := range outs {
+		out := &outs[r]
+		switch {
+		case !out.ok:
+		case res == nil:
+			res = &Result{Epol: out.epol, BornRadii: sys.BornRadiiToOriginalOrder(out.radii),
+				WallSeconds: out.wall, ModelSeconds: out.model, Report: rep}
+		case out.epol != res.Epol:
+			return nil, fmt.Errorf("core: rank %d energy %v disagrees with %v", r, out.epol, res.Epol)
+		}
+	}
+	if res == nil {
+		return nil, fmt.Errorf("core: no rank completed the protocol: %w", ErrDegraded)
+	}
+	for r := range outs {
+		res.Ops += outs[r].ops
+	}
+	if rep != nil {
+		res.WallSeconds, res.ModelSeconds = rep.WallSeconds, rep.VirtualSeconds
+	}
+	return res, nil
+}
+
+// degradeToShared is THE fallback of every distributed runner: when the
+// run cannot complete on the survivors, the shared runner computes the
+// energy instead and the report records why.
+func degradeToShared(sys *System, threads int, rate float64, o *obs.Obs, rep *cluster.Report, cause error, start time.Time) (*Result, error) {
+	res, err := RunShared(sys, SharedOptions{Threads: threads, OpsPerSecond: rate, Obs: o})
+	if err != nil {
+		return nil, err
+	}
+	if rep != nil {
+		if rep.Faults == nil {
+			rep.Faults = &cluster.FaultReport{}
+		}
+		rep.Faults.Degraded = true
+		rep.Faults.DegradedReason = cause.Error()
+		res.Report = rep
+	}
+	res.WallSeconds = time.Since(start).Seconds()
+	return res, nil
+}
+
+// ErrDegraded reports that the distributed run could not continue on the
+// surviving ranks and fell back to the shared-memory runner.
+var ErrDegraded = errors.New("core: degraded to shared runner")
+
+// degradable decides whether a failed distributed run may fall back to
+// the shared runner: fault-typed failures (too few survivors, dead
+// links, stalls, unrecovered deaths) degrade; everything else — config
+// errors, programming bugs on a fault-free run — propagates. ErrAborted
+// is fault-typed only when the run actually injected faults, since a
+// faulted peer's abort reaches innocent ranks as ErrAborted.
+func degradable(err error, rep *cluster.Report) bool {
+	if errors.Is(err, ErrDegraded) || errors.Is(err, cluster.ErrRankDead) ||
+		errors.Is(err, cluster.ErrTimeout) {
+		return true
+	}
+	return errors.Is(err, cluster.ErrAborted) && rep != nil && rep.Faults != nil
+}
+
+// runCluster runs the rank body on every rank of the in-process cluster:
+// RunDistributed and its scheme and stealing variants.
+func runCluster(sys *System, cfg cluster.Config, kern phaseKernel, steal bool) (*Result, error) {
+	if cfg.OpsPerSecond <= 0 {
+		cfg.OpsPerSecond = CalibratedOpsPerSecond()
+	}
+	// The stealing protocol's behaviour depends on virtual timing, so
+	// real execution must follow the virtual clocks (see cluster/pace.go).
+	cfg.Paced = cfg.Paced || steal
+	outs := make([]rankOut, max(cfg.Procs, 0))
+	stats := make([]DynStats, len(outs))
+	start := time.Now()
+	rep, err := cluster.Run(cfg, func(c *cluster.Comm) error {
+		pl := rankPipeline(sys, c, &outs[c.Rank()])
+		pl.kern = kern
+		if steal {
+			pl.steal = &stats[c.Rank()]
+		}
+		return pl.run(1, nil)
+	})
+	var res *Result
+	if err == nil {
+		res, err = result(sys, outs, rep)
+	}
+	if err != nil {
+		if !degradable(err, rep) {
+			return nil, err
+		}
+		if res, err = degradeToShared(sys, cfg.ThreadsPerProc, cfg.OpsPerSecond, cfg.Obs, rep, err, start); err != nil {
+			return nil, err
+		}
+		stats = nil // the aborted protocol's steals moved no energy
+	}
+	if steal {
+		res.Stealing = &DynStats{}
+		for _, st := range stats {
+			res.Stealing.Steals += st.Steals
+			res.Stealing.FailedSteals += st.FailedSteals
+			res.Stealing.LeavesMigrated += st.LeavesMigrated
+		}
+	}
+	return res, nil
+}

@@ -118,21 +118,6 @@ func runResilient(t *testing.T, sys *System, cfg cluster.Config) *Result {
 	}
 }
 
-func TestResilientMatchesStaticFaultFree(t *testing.T) {
-	sys, _, _ := testSystem(t, 200, 7, Params{})
-	ref, err := RunDistributed(sys, distCfg(4, 1, 4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runResilient(t, sys, resilientCfg(nil))
-	if e := relErr(res.Epol, ref.Epol); e > faultTolerance {
-		t.Errorf("fault-free resilient E_pol %g vs static %g (rel %g)", res.Epol, ref.Epol, e)
-	}
-	if res.Report.Faults != nil {
-		t.Errorf("fault-free run reported faults: %+v", res.Report.Faults)
-	}
-}
-
 // TestCrashAtEveryPhaseBoundary is the issue's acceptance criterion: a
 // single rank crash at ANY phase boundary (each of the three collectives,
 // plus mid-compute before the first) must leave the distributed runner

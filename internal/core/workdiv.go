@@ -5,7 +5,6 @@ import (
 
 	"gbpolar/internal/cluster"
 	"gbpolar/internal/octree"
-	"gbpolar/internal/sched"
 )
 
 // Scheme selects how Figure 4's steps 2 and 6 divide work across ranks
@@ -181,147 +180,17 @@ func (ctx *EpolContext) epolAtomRange(uNode, vLeaf, vlo, vhi int32, acc *epolAcc
 }
 
 // RunDistributedScheme is RunDistributed with an explicit work-division
-// scheme (RunDistributed uses NodeNode).
+// scheme (RunDistributed uses NodeNode): the same rank body with the
+// atom-range traversals above as its phase kernel. Steps 4–5 are
+// unchanged — atom segments are the only sensible split there.
 func RunDistributedScheme(sys *System, cfg cluster.Config, scheme Scheme) (*Result, error) {
-	if scheme == NodeNode {
-		return RunDistributed(sys, cfg)
-	}
-	if cfg.OpsPerSecond <= 0 {
-		cfg.OpsPerSecond = CalibratedOpsPerSecond()
-	}
-	outs := make([]rankOut, cfg.Procs)
-	rep, err := cluster.Run(cfg, func(c *Comm) error {
-		return distRankScheme(sys, c, scheme, &outs[c.Rank()])
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Epol:         outs[0].epol,
-		BornRadii:    sys.BornRadiiToOriginalOrder(outs[0].radii),
-		WallSeconds:  rep.WallSeconds,
-		ModelSeconds: rep.VirtualSeconds,
-		Report:       rep,
-	}
-	for i := range outs {
-		res.Ops += outs[i].ops
-	}
-	return res, nil
-}
-
-// distRankScheme mirrors distRank with atom-based divisions.
-func distRankScheme(sys *System, c *Comm, scheme Scheme, out *rankOut) error {
-	P, rank := c.Size(), c.Rank()
-	p := c.Threads()
-	pool := sched.NewPool(p)
-	defer pool.Close()
-	c.TrackMemory(sys.MemoryBytes())
-
-	mac := sys.bornMAC()
-	qLeaves := sys.QPts.Leaves()
-	nNodes := sys.Atoms.NumNodes()
-	nAtoms := sys.Mol.NumAtoms()
-
-	// Step 2, atom-based: this rank owns atom slots [aLo, aHi) and
-	// traverses every q-point leaf.
-	aLo, aHi := segment(nAtoms, P, rank)
-	accs := make([]*bornAccum, p)
-	for i := range accs {
-		accs[i] = newBornAccum(sys)
-	}
-	sched.ParallelFor(pool, len(qLeaves), 1, func(l, h, w int) {
-		for i := l; i < h; i++ {
-			before := accs[w].ops
-			ApproxIntegralsAtomRange(sys, accs[w], sys.Atoms.Root(), qLeaves[i], mac,
-				int32(aLo), int32(aHi))
-			if d := accs[w].ops - before; d > accs[w].maxTask {
-				accs[w].maxTask = d
-			}
-		}
-	})
-	merged := accs[0]
-	for _, a := range accs[1:] {
-		merged.add(a)
-	}
-	c.ChargeOps(modelPhaseOps(merged.ops, maxOps(accs), merged.maxTask, p))
-	out.ops += merged.ops
-
-	// Step 3: combine partial s-fields.
-	vec := make([]float64, nNodes+nAtoms)
-	copy(vec, merged.node)
-	copy(vec[nNodes:], merged.atom)
-	sum, err := c.Allreduce(vec, cluster.Sum)
-	if err != nil {
-		return err
-	}
-	copy(merged.node, sum[:nNodes])
-	copy(merged.atom, sum[nNodes:])
-
-	// Steps 4–5: unchanged (atom segments are the only sensible split).
-	slotRadii := make([]float64, nAtoms)
-	pushOps := PushIntegralsToAtoms(sys, merged, aLo, aHi, slotRadii)
-	c.ChargeOps(pushOps / float64(p))
-	out.ops += pushOps
-	counts := make([]int, P)
-	for r := 0; r < P; r++ {
-		l, h := segment(nAtoms, P, r)
-		counts[r] = h - l
-	}
-	gathered, err := c.Allgatherv(slotRadii[aLo:aHi], counts)
-	if err != nil {
-		return err
-	}
-	copy(slotRadii, gathered)
-
-	// Step 6: energy with the selected division.
-	ctx := NewEpolContext(sys, slotRadii)
-	aLeaves := sys.Atoms.Leaves()
-	eaccs := make([]epolAccum, p)
-	track := func(w int, fn func()) {
-		before := eaccs[w].ops
-		fn()
-		if d := eaccs[w].ops - before; d > eaccs[w].maxTask {
-			eaccs[w].maxTask = d
-		}
-	}
 	switch scheme {
+	case NodeNode:
+		return RunDistributed(sys, cfg)
 	case AtomNode:
-		eLo, eHi := segment(len(aLeaves), P, rank)
-		sched.ParallelFor(pool, eHi-eLo, 1, func(l, h, w int) {
-			for i := l; i < h; i++ {
-				i := i
-				track(w, func() { ApproxEpol(ctx, sys.Atoms.Root(), aLeaves[eLo+i], &eaccs[w]) })
-			}
-		})
+		return runCluster(sys, cfg, phaseKernel{born: rowAtomRange, epol: rowRecursive}, false)
 	case AtomAtom:
-		sched.ParallelFor(pool, len(aLeaves), 1, func(l, h, w int) {
-			for i := l; i < h; i++ {
-				i := i
-				track(w, func() { ApproxEpolAtomRange(ctx, sys.Atoms.Root(), aLeaves[i], &eaccs[w], int32(aLo), int32(aHi)) })
-			}
-		})
-	default:
-		return fmt.Errorf("core: unsupported scheme %v", scheme)
+		return runCluster(sys, cfg, phaseKernel{born: rowAtomRange, epol: rowAtomRange}, false)
 	}
-	var raw, maxE, maxTask, rankOps float64
-	for i := range eaccs {
-		raw += eaccs[i].energy
-		if eaccs[i].ops > maxE {
-			maxE = eaccs[i].ops
-		}
-		if eaccs[i].maxTask > maxTask {
-			maxTask = eaccs[i].maxTask
-		}
-		rankOps += eaccs[i].ops
-		out.ops += eaccs[i].ops
-	}
-	c.ChargeOps(modelPhaseOps(rankOps, maxE, maxTask, p))
-
-	total, err := c.Allreduce([]float64{raw}, cluster.Sum)
-	if err != nil {
-		return err
-	}
-	out.epol = ctx.Finish(total[0])
-	out.radii = slotRadii
-	return nil
+	return nil, fmt.Errorf("core: unsupported scheme %v", scheme)
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-
-	"gbpolar/internal/mathx"
 )
 
 func TestSchemeString(t *testing.T) {
@@ -14,20 +12,6 @@ func TestSchemeString(t *testing.T) {
 	}
 	if Scheme(9).String() == "" {
 		t.Error("unknown scheme should still print")
-	}
-}
-
-func TestSchemesAgreeApproximately(t *testing.T) {
-	sys, mol, surf := testSystem(t, 500, 91, DefaultParams())
-	naiveE, _ := NaiveEnergy(mol, surf, 80, mathx.Exact)
-	for _, sc := range []Scheme{NodeNode, AtomNode, AtomAtom} {
-		res, err := RunDistributedScheme(sys, distCfg(4, 1, 4, 1), sc)
-		if err != nil {
-			t.Fatalf("%v: %v", sc, err)
-		}
-		if e := relErr(res.Epol, naiveE); e > 0.06 {
-			t.Errorf("%v: energy error vs naive %.2f%%", sc, 100*e)
-		}
 	}
 }
 
