@@ -9,17 +9,30 @@ GOAMD64 ?=
 
 .PHONY: check build test vet fmt bigendian race faults bench-warm bench-lanes bench-far bench-lists bench-kernels bench-snapshot obs perfgate net kernels loc
 
-# run_listed FLAGS,PATTERN,PACKAGES runs `go test FLAGS -run PATTERN
-# PACKAGES` — after checking that EVERY alternative of the pattern names a
-# test that exists: `go test -run` of a regex that matches nothing exits 0,
-# so a renamed or merged test would otherwise drop out of its gate
+# check_listed PATTERN,PACKAGES fails unless EVERY alternative of the
+# pattern names a test or benchmark that exists (`go test -list` lists
+# both): `go test -run` or `-bench` of a regex that matches nothing exits
+# 0, so a renamed or merged one would otherwise drop out of its gate
 # silently.
-define run_listed
-	@have=$$($(GO) test -list '$(2)' $(3)) || exit 1; \
-	for alt in $$(echo '$(2)' | tr '|' ' '); do \
-		echo "$$have" | grep -Eq "^$$alt" || { echo "make $@: no test matches '$$alt' in $(3)"; exit 1; }; \
+define check_listed
+	@have=$$($(GO) test -list '$(1)' $(2)) || exit 1; \
+	for alt in $$(echo '$(1)' | tr '|' ' '); do \
+		echo "$$have" | grep -Eq "^$$alt" || { echo "make $@: nothing matches '$$alt' in $(2)"; exit 1; }; \
 	done
+endef
+
+# run_listed FLAGS,PATTERN,PACKAGES runs `go test FLAGS -run PATTERN
+# PACKAGES` after check_listed.
+define run_listed
+$(call check_listed,$(2),$(3))
 	$(GO) test $(1) -run '$(2)' $(3)
+endef
+
+# bench_listed PATTERN,FLAGS,PACKAGE runs `go test -run ^$ -bench PATTERN
+# FLAGS PACKAGE` after check_listed.
+define bench_listed
+$(call check_listed,$(1),$(3))
+	$(GO) test -run '^$$' -bench '$(1)' $(2) $(3)
 endef
 
 ## check: the tier-1 gate — format, vet, build (also for a big-endian
@@ -71,7 +84,7 @@ kernels:
 
 ## race: the concurrency-heavy packages under the race detector.
 race:
-	$(GO) test -race ./internal/core/ ./internal/sched/ ./internal/cluster/ ./internal/octree/ ./internal/wire/ ./internal/surface/
+	$(GO) test -race -timeout 20m ./internal/core/ ./internal/sched/ ./internal/cluster/ ./internal/octree/ ./internal/wire/ ./internal/surface/
 
 ## faults: the fault matrix — {crash, drop, delay} x {Born, E_pol,
 ## collective boundary} — plus the full injection/recovery suite.
@@ -88,7 +101,7 @@ faults:
 ## <2% disabled-path overhead guard (DESIGN.md §8, §13, §14).
 obs:
 	$(GO) test -race ./internal/obs/... ./cmd/gbtrace/
-	$(call run_listed,-v,TestSharedRunTrace|TestResilientTraceTimeline|TestKernelHotLoopZeroAllocs|TestDisabledObsOverhead|TestRepairSpans|TestNetTelemetryMergedTrace|TestNetObsEndpoint,./internal/core/)
+	$(call run_listed,-v,TestSharedRunTrace|TestResilientTraceTimeline|TestKernelHotLoopZeroAllocs|TestDisabledObsOverhead|TestRepairSpans|TestMemoryGauges|TestNetTelemetryMergedTrace|TestNetObsEndpoint,./internal/core/)
 	$(call run_listed,-race -v,TestNetWatchdogAcceptance,./internal/core/)
 
 ## net: the real multi-process transport under the race detector — wire
@@ -140,10 +153,12 @@ bench-far:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmPoseFarOrder' -benchtime 3x -count 2 ./internal/core/
 
 ## bench-lists: the interaction-list back-end at the ledger's fixture
-## (20 000 atoms, 2 workers): a full compile and one repaired local
-## jiggle, with bytes and objects allocated per call (DESIGN.md §6, §10).
+## (20 000 atoms, 2 workers): an index compile, the materialisation of its
+## repair certificate alone, and one repaired local jiggle of certified
+## lists (the steady state), with bytes and objects allocated per call
+## (DESIGN.md §6, §10).
 bench-lists:
-	$(GO) test -run '^$$' -bench 'Benchmark(Compile|Repair)Lists20k' -benchtime 5x -count 2 -benchmem ./internal/core/
+	$(call bench_listed,BenchmarkCompileLists20k|BenchmarkCertifyLists20k|BenchmarkRepairLists20k,-benchtime 5x -count 2 -benchmem,./internal/core/)
 
 ## bench-kernels: the E_pol stream kernels at the ledger's fixture (20 000
 ## atoms, one worker): a whole compiled sweep — gather included — per

@@ -319,6 +319,7 @@ func main() {
 			"procs": *procs, "threads": *threads,
 			"eps_born": *epsBorn, "eps_epol": *epsEpol, "approx_math": *approx,
 			"precision": *prec, "far_order": *farOrder, "kernel_isa": gbpolar.KernelISA(),
+			"memory": eng.Memory(),
 		})
 		if err := man.WriteFile(*manifestOut); err != nil {
 			log.Fatal(err)

@@ -20,8 +20,9 @@ type ColdStage struct {
 
 // ColdPath takes the PQR file at path to a first E_pol through the five
 // calls a user makes — molecule.LoadFile, surface.ForMolecule,
-// core.NewSystem, System.Lists, core.RunShared — and times each.
-func ColdPath(path string, pool *sched.Pool) ([]ColdStage, *core.Result, error) {
+// core.NewSystem, System.Lists, core.RunShared — and times each. It returns
+// the system the path ends with.
+func ColdPath(path string, pool *sched.Pool) ([]ColdStage, *core.System, error) {
 	var stages []ColdStage
 	var err error
 	stage := func(name string, fn func()) {
@@ -35,13 +36,12 @@ func ColdPath(path string, pool *sched.Pool) ([]ColdStage, *core.Result, error) 
 	var mol *molecule.Molecule
 	var surf *surface.Surface
 	var sys *core.System
-	var res *core.Result
 	params := core.DefaultParams()
 	params.Builder = octree.BuilderMorton
 	stage("LoadFile", func() { mol, err = molecule.LoadFile(path) })
 	stage("ForMolecule", func() { surf, err = surface.ForMolecule(mol, surface.Options{}) })
 	stage("NewSystem", func() { sys, err = core.NewSystem(mol, surf, params) })
 	stage("Lists", func() { sys.Lists(pool) })
-	stage("RunShared", func() { res, err = core.RunShared(sys, core.SharedOptions{Pool: pool}) })
-	return stages, res, err
+	stage("RunShared", func() { _, err = core.RunShared(sys, core.SharedOptions{Pool: pool}) })
+	return stages, sys, err
 }

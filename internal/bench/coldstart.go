@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"time"
 
+	"gbpolar/internal/core"
 	"gbpolar/internal/geom"
 	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
@@ -62,6 +63,12 @@ func coldstart(cfg Config) ([]*Table, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	pos := mol.Positions()
+	// The first repair of compiled lists also materialises their repair
+	// certificate (DESIGN.md §10); a null update pays that here, so every
+	// row below times a steady-state repair.
+	if _, err := prep.sys.UpdateAtomsRepair(pos, pool, nil); err != nil {
+		return nil, err
+	}
 	// Two motion regimes: a localized perturbation (a binding-site
 	// refinement step — atoms within 6 Å of a site jiggle, the rest hold
 	// still) and a global thermal jiggle. The local regime is where the
@@ -112,6 +119,7 @@ func coldstart(cfg Config) ([]*Table, error) {
 	t2.Notes = append(t2.Notes,
 		"repair recomputes only rows whose per-entry drift certificates fail; clean rows keep decayed (lower-bound) margins",
 		"every repaired list is byte-identical to a fresh compile (RecheckLists in the repair tests)",
+		"the recompile column is an index compile — what an evaluation needs; a repair keeps the 16-byte-an-entry certificate the next repair needs, which a recompile would have to materialise again",
 		"a repair still certifies, carries over and re-splits every row, so at this size it costs about what the (equally parallel) recompile does; a leaf materialized high in the tree forces rows that descended that node to redo (exactness)")
 	t3, err := coldStages(cfg, pool)
 	if err != nil {
@@ -140,13 +148,17 @@ func coldStages(cfg Config, pool *sched.Pool) (*Table, error) {
 			return nil, err
 		}
 		var best []ColdStage
+		var index, certificate int64
 		for rep := 0; rep < cfg.Repetitions; rep++ {
-			stages, _, err := ColdPath(path, pool)
+			stages, sys, err := ColdPath(path, pool)
 			if err != nil {
 				return nil, err
 			}
-			// A 100k-atom system holds 5 GB of lists: collect it before the
-			// next one is built, not whenever the heap has doubled.
+			index, certificate = sys.Memory().ListIndex, certificateBytes(sys)
+			// A 100k-atom system holds a gigabyte of lists: collect it
+			// before the next one is built, not whenever the heap has
+			// doubled.
+			sys = nil
 			runtime.GC()
 			if best == nil {
 				best = stages
@@ -161,7 +173,7 @@ func coldStages(cfg Config, pool *sched.Pool) (*Table, error) {
 			for _, s := range best {
 				t.Columns = append(t.Columns, s.Name+" (ms)", "CPU/wall")
 			}
-			t.Columns = append(t.Columns, "Total (ms)")
+			t.Columns = append(t.Columns, "Total (ms)", "List index (MB)", "Certificate, once repaired (MB)")
 		}
 		row := []any{n}
 		var total time.Duration
@@ -169,13 +181,25 @@ func coldStages(cfg Config, pool *sched.Pool) (*Table, error) {
 			row = append(row, s.Wall.Seconds()*1e3, fmt.Sprintf("%.2f", s.CPU.Seconds()/s.Wall.Seconds()))
 			total += s.Wall
 		}
-		t.AddRow(append(row, total.Seconds()*1e3)...)
+		t.AddRow(append(row, total.Seconds()*1e3, float64(index)/1e6, float64(certificate)/1e6)...)
 	}
 	t.Notes = append(t.Notes,
 		"the five public calls of the cold path: molecule.LoadFile, surface.ForMolecule, core.NewSystem, System.Lists, core.RunShared",
 		"CPU/wall is process CPU time over wall time: 1.00 is a stage running on one core; LoadFile is a serial parse",
-		"the pool-less stages (ForMolecule, NewSystem) fan out over GOMAXPROCS goroutines (sched.Fan), the pooled ones over the pool's workers")
+		"the pool-less stages (ForMolecule, NewSystem) fan out over GOMAXPROCS goroutines (sched.Fan), the pooled ones over the pool's workers",
+		"the cold path holds the lists' index alone; the certificate column is what the first UpdateAtomsRepair would add (16 bytes an entry, computed from the index, not built)")
 	return t, nil
+}
+
+// certificateBytes is the size of the repair certificate the system's
+// compiled lists would carry once a repair materialises it: two margins
+// per far entry and per tested (Born) near leaf, one per other near, sym
+// and cede entry, and a center and a radius per atoms-octree node.
+func certificateBytes(sys *core.System) int64 {
+	cl := sys.Lists(nil)
+	born, epol := cl.Born, cl.Epol
+	margins := 2*(len(born.Far)+len(born.Near)+len(epol.Far)) + len(epol.Near) + len(epol.Sym) + len(epol.Cede)
+	return int64(margins)*8 + int64(sys.Atoms.NumNodes())*32
 }
 
 // bestBuildMS times reps cold builds of pts under opts and returns the

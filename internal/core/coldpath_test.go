@@ -133,7 +133,8 @@ func hashLists(cl *CompiledLists) string {
 	return b.sum()
 }
 
-// coldPath runs molecule → surface → system → compiled lists.
+// coldPath runs molecule → surface → system → compiled lists, with the
+// certificate the pinned digests cover.
 func coldPath(t *testing.T, mol *molecule.Molecule, workers int) (*surface.Surface, *System, *CompiledLists) {
 	t.Helper()
 	surf, err := surface.ForMolecule(mol, surface.Options{})
@@ -146,7 +147,7 @@ func coldPath(t *testing.T, mol *molecule.Molecule, workers int) (*surface.Surfa
 	}
 	pool := sched.NewPool(workers)
 	defer pool.Close()
-	return surf, sys, sys.compile(pool)
+	return surf, sys, sys.compileCertified(pool)
 }
 
 // The cold path gives the same bits on any number of cores, and the bits

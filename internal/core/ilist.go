@@ -35,6 +35,15 @@ import (
 // far-field aggregate the leaf interacts with, and
 // Near[NearOff[i]:NearOff[i+1]] the atom leaves needing exact pairwise
 // evaluation.
+//
+// A list is two things of very different weight. The INDEX — Rows, the
+// four offset arrays, Far, Near, Sym, Cede and, under a ladder, FarOrd:
+// 4 bytes an entry — is all an evaluation reads. The CERTIFICATE — the six
+// margin arrays below, 16 bytes an entry, with CompiledLists.nodeC/nodeR —
+// is read only by the incremental repair (ilist_repair.go), so a compile
+// leaves it out (every margin array nil) and the first repair builds it
+// (System.materialize); from then on each repair hands it on. All of it is
+// present or none of it.
 type InteractionLists struct {
 	Rows    []int32
 	FarOff  []int32
@@ -63,7 +72,8 @@ type InteractionLists struct {
 	// scanning every other row's Sym.
 	CedeOff []int32
 	Cede    []int32
-	// Margins record each opening test's distance to reclassification,
+	// The certificate. Margins record each opening test's distance to
+	// reclassification,
 	// |dist(centers) − (r_a+r_b)·mac| — the slack the incremental repair
 	// certifies cached verdicts against. FarMargin[k] is the slack of
 	// the test that classified Far[k]; NearMargin[k] likewise for
@@ -102,15 +112,23 @@ func (il *InteractionLists) NumFar() int { return len(il.Far) }
 // NumNear returns the total near leaf-pair count.
 func (il *InteractionLists) NumNear() int { return len(il.Near) }
 
-// MemoryBytes reports the list footprint.
-func (il *InteractionLists) MemoryBytes() int64 {
+// IndexBytes is the footprint of the index arrays — what an evaluation
+// reads.
+func (il *InteractionLists) IndexBytes() int64 {
 	return int64(len(il.Rows)+len(il.FarOff)+len(il.Far)+
 		len(il.NearOff)+len(il.Near)+len(il.SymOff)+len(il.Sym)+
-		len(il.CedeOff)+len(il.Cede))*4 +
-		int64(len(il.FarMargin)+len(il.FarPath)+len(il.NearMargin)+
-			len(il.NearPath)+len(il.SymPath)+len(il.CedePath))*8 +
-		int64(len(il.FarOrd))
+		len(il.CedeOff)+len(il.Cede))*4 + int64(len(il.FarOrd))
 }
+
+// CertificateBytes is the footprint of the margin arrays: 0 until the
+// first repair materialises them.
+func (il *InteractionLists) CertificateBytes() int64 {
+	return int64(len(il.FarMargin)+len(il.FarPath)+len(il.NearMargin)+
+		len(il.NearPath)+len(il.SymPath)+len(il.CedePath)) * 8
+}
+
+// MemoryBytes reports the footprint of what the list holds now.
+func (il *InteractionLists) MemoryBytes() int64 { return il.IndexBytes() + il.CertificateBytes() }
 
 // CompiledLists bundles the per-phase lists with the opening-criterion
 // signature they were compiled under, so parameter changes trigger a
@@ -124,14 +142,18 @@ type CompiledLists struct {
 	// (Figure 3).
 	Born, Epol *InteractionLists
 	// nodeC/nodeR snapshot the atoms-octree node centers and radii the
-	// lists were certified against (at compile or at the last repair).
-	// The incremental repair compares them to the post-update geometry to
-	// measure each node's ACTUAL drift — far tighter than any a-priori
-	// displacement bound, since an opening test's operands move with a
-	// node's centroid and radius, not with the fastest atom.
+	// lists were certified against (at materialisation or at the last
+	// repair); nil while the lists carry no certificate. The incremental
+	// repair compares them to the post-update geometry to measure each
+	// node's ACTUAL drift — far tighter than any a-priori displacement
+	// bound, since an opening test's operands move with a node's centroid
+	// and radius, not with the fastest atom.
 	nodeC []geom.Vec3
 	nodeR []float64
 }
+
+// certified reports whether the lists carry their repair certificate.
+func (cl *CompiledLists) certified() bool { return cl.nodeR != nil }
 
 // matches reports whether the cached lists were compiled under the
 // system's current opening criteria.
@@ -140,10 +162,21 @@ func (cl *CompiledLists) matches(sys *System) bool {
 		cl.farOrder == sys.Params.FarOrder
 }
 
-// MemoryBytes reports the total compiled-list footprint.
-func (cl *CompiledLists) MemoryBytes() int64 {
-	return cl.Born.MemoryBytes() + cl.Epol.MemoryBytes()
+// IndexBytes is both phases' index footprint.
+func (cl *CompiledLists) IndexBytes() int64 { return cl.Born.IndexBytes() + cl.Epol.IndexBytes() }
+
+// CertificateBytes is the footprint of the repair certificate — both
+// phases' margins and the node snapshot — and 0 until a repair has
+// materialised it.
+func (cl *CompiledLists) CertificateBytes() int64 {
+	return cl.Born.CertificateBytes() + cl.Epol.CertificateBytes() +
+		int64(len(cl.nodeC))*24 + int64(len(cl.nodeR))*8
 }
+
+// MemoryBytes reports the footprint of what the compiled lists hold now:
+// the index alone after a compile, index and certificate once a repair has
+// happened.
+func (cl *CompiledLists) MemoryBytes() int64 { return cl.IndexBytes() + cl.CertificateBytes() }
 
 // listPhase is one phase's classification problem, shared by the full
 // compile and the incremental repair (ilist_repair.go): the row clusters
@@ -180,18 +213,60 @@ type nearLists struct {
 	off  []int32
 	n    []int32
 	m, p []float64 // own-test slack (nil for leaf-first rows), path minimum
+	// rows, when set, holds each row's entries in place of n: the index
+	// build leaves a symmetrized phase's near entries in the chunk arenas
+	// that collected them, since symmetrization reads them once, row by
+	// row, and throws them away.
+	rows [][]int32
 }
 
-// rowSink receives one row's classification. A counting sink (fill
-// unset) only advances the cursors nf/nn; a filling sink starts them at
-// the row's offsets and writes each entry into the final arrays, which
-// all rows share at disjoint ranges — the two halves of count-then-fill,
-// so no list is ever grown or copied.
+// row returns row k's entries.
+func (nl *nearLists) row(k int) []int32 {
+	if nl.rows != nil {
+		return nl.rows[k]
+	}
+	return nl.n[nl.off[k]:nl.off[k+1]]
+}
+
+// rowSink receives one row's classification. A filling sink (fill set)
+// starts the cursors nf/nn at the row's offsets and writes each entry with
+// its margins into the final arrays, which all rows share at disjoint
+// ranges. Any other sink takes the verdicts alone and advances the cursors
+// from where they stand — the counting half of the certified build's
+// count-then-fill — and, when it holds an arena, also appends each
+// verdict's node id there: the one descent of the index build.
 type rowSink struct {
 	fill   bool
 	nf, nn int32
 	il     *InteractionLists
 	near   *nearLists
+	idx    *listArena
+}
+
+// listArena collects the index entries of one contiguous block of rows in
+// classification order: far nodes and near leaves, and under a ladder —
+// where reserve makes ord non-nil — the far nodes' admitted orders.
+type listArena struct {
+	far, near []int32
+	ord       []uint8
+}
+
+// farVerdict and nearVerdict record a verdict-only classification.
+func (out *rowSink) farVerdict(n int32, ord int) {
+	if a := out.idx; a != nil {
+		a.far = append(a.far, n)
+		if a.ord != nil {
+			a.ord = append(a.ord, uint8(ord))
+		}
+	}
+	out.nf++
+}
+
+func (out *rowSink) nearVerdict(n int32) {
+	if a := out.idx; a != nil {
+		a.near = append(a.near, n)
+	}
+	out.nn++
 }
 
 // classify descends the atoms octree from node n against a row cluster
@@ -207,9 +282,11 @@ type rowSink struct {
 func (ph *listPhase) classify(n int32, center geom.Vec3, radius, pmin float64, out *rowSink) {
 	node := &ph.atoms.Nodes[n]
 	if ph.leafFirst && node.IsLeaf {
-		if out.fill {
-			out.near.n[out.nn], out.near.p[out.nn] = n, pmin
+		if !out.fill {
+			out.nearVerdict(n)
+			return
 		}
+		out.near.n[out.nn], out.near.p[out.nn] = n, pmin
 		out.nn++
 		return
 	}
@@ -228,12 +305,12 @@ func (ph *listPhase) classify(n int32, center geom.Vec3, radius, pmin float64, o
 	macs := &ph.macs
 	ord, far := farOrderOf(d2, node.Radius, radius, macs, p)
 	if !out.fill {
-		// Counting pass: the same verdicts, no margins.
+		// The verdicts alone: no margins, so no square root.
 		switch {
 		case far:
-			out.nf++
+			out.farVerdict(n, ord)
 		case node.IsLeaf:
-			out.nn++
+			out.nearVerdict(n)
 		default:
 			for _, child := range node.Children {
 				if child != octree.NoChild {
@@ -327,27 +404,165 @@ func prefixSum(off []int32) int32 {
 	return off[len(off)-1]
 }
 
-// build produces the phase's CSR lists: a full compile when old is nil,
-// otherwise the repair of old against the updated atoms tree, in which the
-// rows cert certifies clean carry their cached entries over
-// (ilist_repair.go). Both run the same linear, pool-parallel steps, so a
-// repaired list is byte-for-byte what a fresh compile produces: count
-// every row's entries (rows to classify descend once without writing),
-// size the final arrays once, fill them in place (those rows descend
-// again, now writing at their offsets), and split the near lists into
-// near/sym/cede. Nothing is appended to, so nothing grows or is copied,
-// and the only transient arrays — the E_pol phase's pre-symmetrization
-// lists and their transpose — die with the call. It returns the lists and
-// the number of rows classified. o (nil for a compile) receives the
-// repair's sub-phase spans.
-func (ph *listPhase) build(old *InteractionLists, cert *repairCert, pool *sched.Pool, o *obs.Obs) (il *InteractionLists, classified int) {
+// index compiles the phase's index lists in ONE descent per row. Nobody
+// knows a row's entry counts before classifying it, so the rows are cut
+// into contiguous chunks — a few per worker — and each chunk's verdicts are
+// appended to an arena of its own; one prefix sum over the per-row counts
+// then sizes the final CSR arrays exactly and the chunks copy themselves
+// into place in parallel, in row order. The entries and their order are
+// those of the certified build below, which RecheckLists and
+// System.materialize hold it to.
+func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
+	il, pre := ph.newLists()
+	rows, n := il.Rows, len(il.Rows)
+	chunks := listChunksPerWorker
+	if pool != nil {
+		chunks *= pool.NumWorkers()
+	}
+	bound := func(c int) int { return c * n / chunks }
+	arenas := make([]listArena, chunks)
+	if ph.symmetrize {
+		pre.rows = make([][]int32, n)
+	}
+	forRows(pool, chunks, func(lo, hi, _ int) {
+		for c := lo; c < hi; c++ {
+			a, first := &arenas[c], bound(c)
+			chunk := rows[first:bound(c+1)]
+			ph.reserve(a, chunk)
+			sink := rowSink{idx: a}
+			for i, r := range chunk {
+				sink.nf, sink.nn = 0, 0
+				ph.classifyRow(r, &sink)
+				il.FarOff[first+i+1], pre.off[first+i+1] = sink.nf, sink.nn
+			}
+			if pre.rows != nil { // now that a.near has stopped growing
+				at := int32(0)
+				for k := first; k < first+len(chunk); k++ {
+					pre.rows[k] = a.near[at : at+pre.off[k+1]]
+					at += pre.off[k+1]
+				}
+			}
+		}
+	})
+	nf, nn := prefixSum(il.FarOff), prefixSum(pre.off)
+	allocAll(pool,
+		func() { il.Far = make([]int32, nf) },
+		func() { il.FarOrd = ph.newFarOrd(nf) },
+		func() {
+			if pre.rows == nil {
+				pre.n = make([]int32, nn)
+			}
+		})
+	forRows(pool, chunks, func(lo, hi, _ int) {
+		for c := lo; c < hi; c++ {
+			a, k := &arenas[c], bound(c)
+			copy(il.Far[il.FarOff[k]:], a.far)
+			if il.FarOrd != nil {
+				copy(il.FarOrd[il.FarOff[k]:], a.ord)
+			}
+			if pre.rows == nil {
+				copy(pre.n[pre.off[k]:], a.near)
+			}
+			*a = listArena{} // garbage from here on, not from the end of the call
+		}
+	})
+	ph.splitNear(il, &pre, pool, nil)
+	return il
+}
+
+// listChunksPerWorker is the number of row chunks the index build cuts per
+// worker: enough that a worker that drew dense rows can hand chunks on,
+// few enough that the arenas are a few dozen objects.
+const listChunksPerWorker = 8
+
+// arenaSamples is the number of a chunk's rows reserve classifies to size
+// the chunk's arena: at 32 the estimate is within a few percent for far
+// entries and about a tenth for near leaves (whose count follows the local
+// density), for 2 % more descents at 20 000 atoms.
+const arenaSamples = 32
+
+// reserve sizes a's arrays for the rows of one chunk from rows already
+// classified: it counts the verdicts of a few evenly spaced ones and
+// scales them to the chunk, plus a sixteenth. A chunk that turns out
+// denser than its sample grows by append; a worst-case reservation would
+// be several times the lists.
+func (ph *listPhase) reserve(a *listArena, chunk []int32) {
+	var probe rowSink
+	step := len(chunk)/arenaSamples + 1
+	for i := 0; i < len(chunk); i += step {
+		ph.classifyRow(chunk[i], &probe)
+	}
+	size := func(sampled int32) int { return int(sampled) * step * 17 / 16 }
+	a.far = make([]int32, 0, size(probe.nf))
+	a.near = make([]int32, 0, size(probe.nn))
+	if ph.pmax > 0 { // every far entry carries its order
+		a.ord = make([]uint8, 0, size(probe.nf))
+	}
+}
+
+// newLists returns the phase's lists with their rows and zeroed offset
+// arrays, and the pre-symmetrization near lists over the same rows.
+func (ph *listPhase) newLists() (*InteractionLists, nearLists) {
 	// The lists own their row ids: rowTree's live leaf slice is rewritten
 	// in place by a later tracked update (rebuildLeafList), and an aliased
 	// cache would silently renumber.
 	rows := append([]int32(nil), ph.rowTree.Leaves()...)
 	n := len(rows)
-	il = &InteractionLists{Rows: rows, FarOff: make([]int32, n+1), NearOff: make([]int32, n+1),
+	il := &InteractionLists{Rows: rows, FarOff: make([]int32, n+1), NearOff: make([]int32, n+1),
 		SymOff: make([]int32, n+1), CedeOff: make([]int32, n+1)}
+	pre := nearLists{off: il.NearOff}
+	if ph.symmetrize {
+		pre.off = make([]int32, n+1)
+	}
+	return il, pre
+}
+
+// newFarOrd allocates the admitted orders of nf far entries: nil without a
+// ladder, where every far entry is order 0.
+func (ph *listPhase) newFarOrd(nf int32) []uint8 {
+	if ph.pmax == 0 || nf == 0 {
+		return nil
+	}
+	return make([]uint8, nf)
+}
+
+// splitNear turns the pre-symmetrization near lists into il's Near, Sym
+// and Cede: split by mutuality for a symmetrized phase, as they are
+// otherwise. The path margins follow their entries when pre carries them.
+func (ph *listPhase) splitNear(il *InteractionLists, pre *nearLists, pool *sched.Pool, o *obs.Obs) {
+	if ph.symmetrize {
+		sp := o.Begin(0, "ilist", "ilist.repair.symmetrize", obs.NoVirtual)
+		symmetrizeNear(il, pre, len(ph.atoms.Nodes), pool)
+		sp.End(obs.NoVirtual)
+		return
+	}
+	il.Near, il.NearMargin, il.NearPath = pre.n, pre.m, pre.p
+	il.Sym, il.Cede = []int32{}, []int32{}
+	if pre.p != nil {
+		il.SymPath, il.CedePath = []float64{}, []float64{}
+	}
+}
+
+// build produces the phase's CERTIFIED lists, index and margins: a full
+// compile when old is nil (System.materialize), otherwise the repair of
+// old against the updated atoms tree, in which the rows cert certifies
+// clean carry their cached entries over (ilist_repair.go). Both run the
+// same linear, pool-parallel steps, so a repaired list is byte-for-byte
+// what a fresh compile produces: count every row's entries (rows to
+// classify descend once without writing), size the final arrays once, fill
+// them in place (those rows descend again, now writing at their offsets),
+// and split the near lists into near/sym/cede. It stays count-then-fill
+// where index appends: an entry here is 20 bytes in up to four arrays, a
+// repair classifies an eighth of the rows, and carried rows need their
+// offsets before anything is written — an arena would copy what the second
+// descent writes in place. Nothing is appended to, so nothing grows or is
+// copied, and the only transient arrays — the E_pol phase's
+// pre-symmetrization lists and their transpose — die with the call. It
+// returns the lists and the number of rows classified. o (nil for a
+// compile) receives the repair's sub-phase spans.
+func (ph *listPhase) build(old *InteractionLists, cert *repairCert, pool *sched.Pool, o *obs.Obs) (il *InteractionLists, classified int) {
+	il, pre := ph.newLists()
+	rows, n := il.Rows, len(il.Rows)
 	// src[k] is the cached row that row k carries over, −1 for a row to
 	// classify.
 	src := make([]int32, n)
@@ -362,10 +577,6 @@ func (ph *listPhase) build(old *InteractionLists, cert *repairCert, pool *sched.
 	}
 
 	sp := o.Begin(0, "ilist", "ilist.repair.classify", obs.NoVirtual)
-	pre := nearLists{off: il.NearOff}
-	if ph.symmetrize {
-		pre.off = make([]int32, n+1)
-	}
 	dirty := make([]int32, 0, n)
 	for k, i := range src {
 		if i < 0 {
@@ -387,11 +598,7 @@ func (ph *listPhase) build(old *InteractionLists, cert *repairCert, pool *sched.
 		func() { il.Far = make([]int32, nf) },
 		func() { il.FarMargin = make([]float64, nf) },
 		func() { il.FarPath = make([]float64, nf) },
-		func() {
-			if ph.pmax > 0 && nf > 0 { // ladder compiles; every far entry carries its order
-				il.FarOrd = make([]uint8, nf)
-			}
-		},
+		func() { il.FarOrd = ph.newFarOrd(nf) },
 		func() { pre.n = make([]int32, nn) },
 		func() { pre.p = make([]float64, nn) },
 		func() {
@@ -418,15 +625,7 @@ func (ph *listPhase) build(old *InteractionLists, cert *repairCert, pool *sched.
 		})
 		sp.End(obs.NoVirtual)
 	}
-
-	if ph.symmetrize {
-		sp = o.Begin(0, "ilist", "ilist.repair.symmetrize", obs.NoVirtual)
-		symmetrizeNear(il, &pre, len(ph.atoms.Nodes), pool)
-		sp.End(obs.NoVirtual)
-	} else {
-		il.Near, il.NearMargin, il.NearPath = pre.n, pre.m, pre.p
-		il.Sym, il.Cede, il.SymPath, il.CedePath = []int32{}, []int32{}, []float64{}, []float64{}
-	}
+	ph.splitNear(il, &pre, pool, o)
 	return il, len(dirty)
 }
 
@@ -435,6 +634,11 @@ const (
 	kindNear = iota // one-directional or diagonal: stays in Near
 	kindSym         // mutual and this row is the lower-indexed: swept here, with double weight
 	kindCede        // mutual and the lower-indexed partner sweeps it
+
+	// kindShift places an entry's class in the two bits above its node id,
+	// which are free: CSR offsets are int32, so a tree the lists can index
+	// has far fewer than 2³⁰ nodes.
+	kindShift = 30
 )
 
 // symmetrizeNear splits each row's pre-symmetrization near list (pre, over
@@ -452,7 +656,10 @@ const (
 // row then stamps T(k) into its worker's array and reads its partners'
 // stamps. Rows run in parallel and race-free, since a row reads only pre
 // and T and writes only its own ranges: a first pass classes and counts
-// the entries, a second scatters them into the arrays the counts sized.
+// the entries, a second scatters them into the arrays the counts sized —
+// with their path margins when pre carries them (a certified build), the
+// ids alone otherwise. pre's entries are scratch from here on: the first
+// pass leaves each one's class in its top bits for the second.
 func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sched.Pool) {
 	n := len(il.Rows)
 	rowOf := make([]int32, numNodes)
@@ -468,11 +675,13 @@ func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sc
 	// after the scan over (j, b) — is the slot in T(j) where block b writes
 	// its next one.
 	tOff, next := make([]int32, n+1), make([]int32, workers*n)
-	bound := func(b int) int32 { return int32(b * n / workers) }
+	bound := func(b int) int { return b * n / workers }
 	forRows(pool, workers, func(lo, hi, _ int) {
 		for b := lo; b < hi; b++ {
-			for _, u := range pre.n[pre.off[bound(b)]:pre.off[bound(b+1)]] {
-				next[b*n+int(rowOf[u])]++
+			for k := bound(b); k < bound(b+1); k++ {
+				for _, u := range pre.row(k) {
+					next[b*n+int(rowOf[u])]++
+				}
 			}
 		}
 	})
@@ -483,15 +692,13 @@ func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sc
 		}
 		tOff[j+1] = at
 	}
-	var tr []int32
-	var kind []uint8
-	allocAll(pool, func() { tr = make([]int32, len(pre.n)) }, func() { kind = make([]uint8, len(pre.n)) })
+	tr := make([]int32, pre.off[n])
 	forRows(pool, workers, func(lo, hi, _ int) {
 		for b := lo; b < hi; b++ {
 			for k := bound(b); k < bound(b+1); k++ {
-				for _, u := range pre.n[pre.off[k]:pre.off[k+1]] {
+				for _, u := range pre.row(k) {
 					slot := &next[b*n+int(rowOf[u])]
-					tr[*slot] = k
+					tr[*slot] = int32(k)
 					*slot++
 				}
 			}
@@ -510,52 +717,108 @@ func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sc
 				stamp[j] = mark
 			}
 			var cnt [3]int32
-			for x := pre.off[k]; x < pre.off[k+1]; x++ {
+			row := pre.row(k)
+			for i, u := range row {
 				kd := kindNear
-				if j := int(rowOf[pre.n[x]]); j != k && stamp[j] == mark {
+				if j := int(rowOf[u]); j != k && stamp[j] == mark {
 					kd = kindSym
 					if j < k {
 						kd = kindCede
 					}
 				}
-				kind[x] = uint8(kd)
+				row[i] = u | int32(kd)<<kindShift
 				cnt[kd]++
 			}
 			il.NearOff[k+1], il.SymOff[k+1], il.CedeOff[k+1] = cnt[kindNear], cnt[kindSym], cnt[kindCede]
 		}
 	})
 	nn, ns, nc := prefixSum(il.NearOff), prefixSum(il.SymOff), prefixSum(il.CedeOff)
-	allocAll(pool,
-		func() { il.Near = make([]int32, nn) }, func() { il.NearPath = make([]float64, nn) },
-		func() { il.Sym = make([]int32, ns) }, func() { il.SymPath = make([]float64, ns) },
-		func() { il.Cede = make([]int32, nc) }, func() { il.CedePath = make([]float64, nc) })
+	certified := pre.p != nil
+	allocs := []func(){
+		func() { il.Near = make([]int32, nn) },
+		func() { il.Sym = make([]int32, ns) },
+		func() { il.Cede = make([]int32, nc) },
+	}
+	if certified {
+		allocs = append(allocs,
+			func() { il.NearPath = make([]float64, nn) },
+			func() { il.SymPath = make([]float64, ns) },
+			func() { il.CedePath = make([]float64, nc) })
+	}
+	allocAll(pool, allocs...)
 	forRows(pool, n, func(lo, hi, _ int) {
 		dstN := [3][]int32{il.Near, il.Sym, il.Cede}
 		dstP := [3][]float64{il.NearPath, il.SymPath, il.CedePath}
 		for k := lo; k < hi; k++ {
 			at := [3]int32{il.NearOff[k], il.SymOff[k], il.CedeOff[k]}
-			for x := pre.off[k]; x < pre.off[k+1]; x++ {
-				kd := kind[x]
-				dstN[kd][at[kd]], dstP[kd][at[kd]] = pre.n[x], pre.p[x]
+			for i, e := range pre.row(k) {
+				kd := uint32(e) >> kindShift
+				dstN[kd][at[kd]] = e & (1<<kindShift - 1)
+				if certified {
+					dstP[kd][at[kd]] = pre.p[int(pre.off[k])+i]
+				}
 				at[kd]++
 			}
 		}
 	})
 }
 
-// compile builds both phases' lists from the system's current geometry
-// and parameters.
-func (s *System) compile(pool *sched.Pool) *CompiledLists {
-	cl := &CompiledLists{
+// newCompiledLists returns empty lists stamped with the system's current
+// opening criteria.
+func (s *System) newCompiledLists() *CompiledLists {
+	return &CompiledLists{
 		bornMAC:  s.bornMAC(),
 		epolFar:  epolFarFactor(s.Params.EpsEpol),
 		farOrder: s.Params.FarOrder,
 	}
+}
+
+// compile builds both phases' index lists from the system's current
+// geometry and parameters — all an evaluation needs.
+func (s *System) compile(pool *sched.Pool) *CompiledLists {
+	cl := s.newCompiledLists()
+	born, epol := s.listPhases(cl)
+	cl.Born = born.index(pool)
+	cl.Epol = epol.index(pool)
+	return cl
+}
+
+// compileCertified builds both phases' lists with their repair
+// certificate: the margins of every opening test and the node geometry
+// they were measured on.
+func (s *System) compileCertified(pool *sched.Pool) *CompiledLists {
+	cl := s.newCompiledLists()
 	born, epol := s.listPhases(cl)
 	cl.Born, _ = born.build(nil, nil, pool, nil)
 	cl.Epol, _ = epol.build(nil, nil, pool, nil)
 	cl.nodeC, cl.nodeR = snapshotNodes(s.Atoms)
 	return cl
+}
+
+// materialize returns cl with its repair certificate: cl itself when it
+// carries one, otherwise a certified compile of the current geometry —
+// which must be the geometry cl was compiled on, so the caller runs it
+// BEFORE a tracked update moves the tree. The certified build is an
+// independent second classification, so its index is checked against cl's:
+// a difference means cl was not a compile of this geometry, and repairing
+// it would certify verdicts nobody took.
+func (s *System) materialize(cl *CompiledLists, pool *sched.Pool, o *obs.Obs) (*CompiledLists, error) {
+	if cl.certified() {
+		return cl, nil
+	}
+	sp := o.Begin(0, "ilist", "ilist.repair.certificate", obs.NoVirtual)
+	defer sp.End(obs.NoVirtual)
+	cert := s.compileCertified(pool)
+	if err := diffLists("born", cl.Born, cert.Born); err != nil {
+		return nil, err
+	}
+	if err := diffLists("epol", cl.Epol, cert.Epol); err != nil {
+		return nil, err
+	}
+	if o != nil {
+		o.Counter("ilist.certificates.materialized").Add(1)
+	}
+	return cert, nil
 }
 
 // snapshotNodes copies the tree's node centers and radii (by node id) —
@@ -572,15 +835,19 @@ func snapshotNodes(t *octree.Tree) ([]geom.Vec3, []float64) {
 
 // RecordMetrics publishes the lists' static structure to the observer:
 // total row/near/far/sym entry counts per phase plus per-row batch-size
-// histograms (the sizes the SoA batch kernels sweep). Everything here is
-// derivable from the compiled lists alone, so the hot loops in kernels.go
-// carry no instrumentation at all — the counts are recorded once per
-// run, off the critical path. No-op when o is nil.
+// histograms (the sizes the SoA batch kernels sweep), and what the lists
+// hold in bytes — the gauges mem.lists.index_bytes and
+// mem.lists.certificate_bytes (0 until a repair materialises it), in total
+// and as mem.lists.{born,epol}.* per phase. Everything here is derivable
+// from the compiled lists alone, so the hot loops in kernels.go carry no
+// instrumentation at all — the counts are recorded once per run, off the
+// critical path. No-op when o is nil.
 func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
 	if cl == nil || o == nil {
 		return
 	}
-	rec := func(prefix string, il *InteractionLists) {
+	rec := func(phase string, il *InteractionLists) {
+		prefix := "ilist." + phase
 		o.Counter(prefix + ".rows").Add(int64(len(il.Rows)))
 		o.Counter(prefix + ".far_entries").Add(int64(il.NumFar()))
 		// Split by admitted expansion order: without a ladder every far
@@ -609,9 +876,13 @@ func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
 			}
 			rowNear.Observe(int64(near))
 		}
+		o.Gauge("mem.lists." + phase + ".index_bytes").Set(float64(il.IndexBytes()))
+		o.Gauge("mem.lists." + phase + ".certificate_bytes").Set(float64(il.CertificateBytes()))
 	}
-	rec("ilist.born", cl.Born)
-	rec("ilist.epol", cl.Epol)
+	rec("born", cl.Born)
+	rec("epol", cl.Epol)
+	o.Gauge("mem.lists.index_bytes").Set(float64(cl.IndexBytes()))
+	o.Gauge("mem.lists.certificate_bytes").Set(float64(cl.CertificateBytes()))
 }
 
 // Lists returns the system's compiled interaction lists, building them on
@@ -678,6 +949,10 @@ func diffLists(phase string, a, b *InteractionLists) error {
 		if !equalInt32(as, bs) {
 			return fmt.Errorf("core: %s list row %d (leaf %d) sym set drifted: %d -> %d entries",
 				phase, i, a.Rows[i], len(as), len(bs))
+		}
+		if ac, bc := a.Cede[a.CedeOff[i]:a.CedeOff[i+1]], b.Cede[b.CedeOff[i]:b.CedeOff[i+1]]; !equalInt32(ac, bc) {
+			return fmt.Errorf("core: %s list row %d (leaf %d) ceded set drifted: %d -> %d entries",
+				phase, i, a.Rows[i], len(ac), len(bc))
 		}
 		if (a.FarOrd == nil) != (b.FarOrd == nil) {
 			return fmt.Errorf("core: %s lists disagree on order annotations (%v -> %v)",

@@ -33,6 +33,7 @@ func localJiggle(rng *rand.Rand, pos []geom.Vec3, sigma float64) []geom.Vec3 {
 	return out
 }
 
+// An index compile: what a first evaluation waits for.
 func BenchmarkCompileLists20k(b *testing.B) {
 	sys, pool := listBenchSystem(b)
 	b.ReportAllocs()
@@ -43,9 +44,28 @@ func BenchmarkCompileLists20k(b *testing.B) {
 	}
 }
 
+// The materialisation alone: the certified build of compiled lists and the
+// check of its index against theirs, which the first repair pays once.
+func BenchmarkCertifyLists20k(b *testing.B) {
+	sys, pool := listBenchSystem(b)
+	index := sys.compile(pool)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cl, err := sys.materialize(index, pool, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(cl.MemoryBytes())
+	}
+}
+
+// The steady state of a trajectory: one repaired local jiggle of lists
+// that already carry their certificate.
 func BenchmarkRepairLists20k(b *testing.B) {
 	sys, pool := listBenchSystem(b)
 	sys.Lists(pool)
+	certifyLists(b, sys, pool)
 	rng := rand.New(rand.NewSource(5))
 	pos := sys.Mol.Positions()
 	b.ReportAllocs()

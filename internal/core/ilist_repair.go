@@ -13,8 +13,10 @@ import (
 // This file is the incremental interaction-list repair — the warm-path
 // companion to the tracked octree update (octree/tracked.go). A compiled
 // list row is a pure function of the opening tests its classification
-// evaluated, and each row carries the minimum slack those tests had
-// (Margin). After an update the repair measures, per node, how far the
+// evaluated, and a certified list records the slack each of those tests
+// had (the margin arrays of InteractionLists — built by the first repair,
+// System.materialize, not by the compile: an evaluation never reads them).
+// After an update the repair measures, per node, how far the
 // center and radius ACTUALLY moved relative to the snapshot the lists
 // were certified against; a row whose margin dominates the worst drift
 // along every path it descended — and whose paths saw no structural
@@ -58,14 +60,44 @@ type UpdateStats struct {
 // octree rebuilt, or there were no cached lists — it degrades to
 // UpdateAtoms semantics (lists invalidated). The pool parallelizes every
 // step of the repair; o (may be nil) receives the "octree.keys.moved",
-// "ilist.rows.repaired" and "ilist.repair.fallbacks" counters and, per
-// call, the sub-phase spans "ilist.repair.cert" and, for each phase,
+// "ilist.rows.repaired", "ilist.repair.fallbacks" and
+// "ilist.certificates.materialized" counters and, per call, the sub-phase
+// spans "ilist.repair.certificate" (only on the call that materialises
+// it), "ilist.repair.cert" and, for each phase,
 // "ilist.repair.{certify,classify,assemble,symmetrize}".
+//
+// Compiled lists carry no repair certificate until a repair asks for one,
+// so the first call on them builds it (System.materialize) — from the
+// geometry the lists were compiled on, hence before the tracked update
+// moves the tree, and only once everything that can be decided without it
+// has been: a rejected update, or one already known to end with the lists
+// dropped, never pays for a certified compile.
 func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o *obs.Obs) (UpdateStats, error) {
 	if len(newPositions) != s.Mol.NumAtoms() {
 		return UpdateStats{}, fmt.Errorf("core: UpdateAtomsRepair with %d positions for %d atoms",
 			len(newPositions), s.Mol.NumAtoms())
 	}
+	if err := octree.CheckFinite(newPositions); err != nil {
+		// What the octree returned when it made this check itself: a
+		// keyless tree's update announces its rebuild even as it fails.
+		return UpdateStats{Rebuilt: s.Atoms.Keys() == nil}, err
+	}
+	s.listsMu.Lock()
+	defer s.listsMu.Unlock()
+	cached := s.lists
+	// The lists can be repaired only if they are the current parameters'
+	// and the octree update keeps its node ids — not without Morton keys (a
+	// recursive build), after a re-pose, or when an atom leaves the root
+	// cube. Nothing else needs a certificate.
+	var cl *CompiledLists
+	if cached.matches(s) && s.Atoms.Tracks(newPositions) {
+		var err error
+		if cl, err = s.materialize(cached, pool, o); err != nil {
+			s.lists = nil
+			return UpdateStats{}, fmt.Errorf("core: UpdateAtomsRepair: cached lists are not a compile of the current geometry: %w", err)
+		}
+	}
+
 	res, err := s.Atoms.UpdateTracked(newPositions)
 	if err != nil {
 		return UpdateStats{Moved: res.Moved, Rebuilt: res.Rebuilt}, err
@@ -76,14 +108,11 @@ func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o
 	}
 
 	stats := UpdateStats{Moved: res.Moved, Rebuilt: res.Rebuilt}
-	s.listsMu.Lock()
-	defer s.listsMu.Unlock()
-	cl := s.lists
-	if cl == nil || !cl.matches(s) || res.Rebuilt {
+	if cl == nil || res.Rebuilt {
 		// Node ids are not stable across a rebuild (or there is nothing
 		// to repair): full recompile on next use.
 		s.lists = nil
-		if o != nil && cl != nil {
+		if o != nil && cached != nil {
 			o.Counter("ilist.repair.fallbacks").Add(1)
 		}
 		return stats, nil

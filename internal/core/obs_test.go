@@ -332,26 +332,84 @@ func guardObsOverhead(t *testing.T, what string, pair func() (off, on float64)) 
 // TestRepairSpans: an observed repair decomposes into its sub-phases — the
 // certificate walk once, then certify / classify / assemble / symmetrize
 // per phase (the Born phase has nothing to symmetrize) — with a span count
-// that does not depend on the number of rows.
+// that does not depend on the number of rows. The first repair of compiled
+// lists also materialises their certificate, once.
 func TestRepairSpans(t *testing.T) {
 	for _, atoms := range []int{300, 1200} {
 		sys, mol, _ := testSystem(t, atoms, 13, mortonParams())
 		sys.Lists(nil)
-		o := obs.New()
-		pos := localJiggle(rand.New(rand.NewSource(14)), mol.Positions(), 0.05)
-		if stats, err := sys.UpdateAtomsRepair(pos, nil, o); err != nil || !stats.Repaired {
-			t.Fatalf("%d atoms: %+v %v", atoms, stats, err)
+		rng := rand.New(rand.NewSource(14))
+		pos := mol.Positions()
+		want := map[string]int{"ilist.repair.cert": 1, "ilist.repair.certify": 2,
+			"ilist.repair.classify": 2, "ilist.repair.assemble": 2, "ilist.repair.symmetrize": 1,
+			"ilist.repair.certificate": 1}
+		for step := 0; step < 2; step++ {
+			o := obs.New()
+			pos = localJiggle(rng, pos, 0.05)
+			if stats, err := sys.UpdateAtomsRepair(pos, nil, o); err != nil || !stats.Repaired {
+				t.Fatalf("%d atoms, step %d: %+v %v", atoms, step, stats, err)
+			}
+			got := map[string]int{}
+			for _, ev := range o.Trace.Events() {
+				if ev.Cat == "ilist" && ev.Ph == "X" {
+					got[ev.Name]++
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d atoms, step %d: repair spans %v, want %v", atoms, step, got, want)
+			}
+			if n := o.Counter("ilist.certificates.materialized").Value(); n != int64(want["ilist.repair.certificate"]) {
+				t.Errorf("%d atoms, step %d: %d certificates materialised", atoms, step, n)
+			}
+			delete(want, "ilist.repair.certificate") // the second repair inherits it
 		}
-		got := map[string]int{}
-		for _, ev := range o.Trace.Events() {
-			if ev.Cat == "ilist" && ev.Ph == "X" {
-				got[ev.Name]++
+	}
+}
+
+// TestMemoryGauges: a run publishes what the system holds by structure,
+// and the certificate's gauge turns non-zero with the first repair.
+func TestMemoryGauges(t *testing.T) {
+	sys, mol, _ := testSystem(t, 600, 15, mortonParams())
+	gauges := func() map[string]float64 {
+		o := obs.New()
+		if _, err := RunShared(sys, SharedOptions{Threads: 2, Obs: o}); err != nil {
+			t.Fatal(err)
+		}
+		return o.Metrics.Snapshot().Gauges
+	}
+	check := func(g map[string]float64) {
+		t.Helper()
+		m, cl := sys.Memory(), sys.Lists(nil)
+		for name, want := range map[string]int64{
+			"mem.octree_bytes":                 m.Octrees,
+			"mem.soa_bytes":                    m.SoA,
+			"mem.lists.index_bytes":            m.ListIndex,
+			"mem.lists.certificate_bytes":      m.ListCertificate,
+			"mem.lists.born.index_bytes":       cl.Born.IndexBytes(),
+			"mem.lists.epol.index_bytes":       cl.Epol.IndexBytes(),
+			"mem.lists.born.certificate_bytes": cl.Born.CertificateBytes(),
+			"mem.lists.epol.certificate_bytes": cl.Epol.CertificateBytes(),
+		} {
+			if got, ok := g[name]; !ok || int64(got) != want {
+				t.Errorf("gauge %s = %v (present: %v), the system holds %d", name, got, ok, want)
 			}
 		}
-		want := map[string]int{"ilist.repair.cert": 1, "ilist.repair.certify": 2,
-			"ilist.repair.classify": 2, "ilist.repair.assemble": 2, "ilist.repair.symmetrize": 1}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%d atoms: repair spans %v, want %v", atoms, got, want)
+		if m.ListIndex+m.ListCertificate != cl.MemoryBytes() || m.Octrees == 0 || m.SoA == 0 || m.ListIndex == 0 {
+			t.Errorf("memory by structure %+v, lists report %d", m, cl.MemoryBytes())
 		}
+	}
+	g := gauges()
+	check(g)
+	if g["mem.lists.certificate_bytes"] != 0 {
+		t.Error("a certificate before any repair")
+	}
+	pos := localJiggle(rand.New(rand.NewSource(16)), mol.Positions(), 0.05)
+	if stats, err := sys.UpdateAtomsRepair(pos, nil, nil); err != nil || !stats.Repaired {
+		t.Fatalf("%+v %v", stats, err)
+	}
+	g = gauges()
+	check(g)
+	if g["mem.lists.certificate_bytes"] == 0 {
+		t.Error("no certificate after a repair")
 	}
 }

@@ -287,6 +287,9 @@ func (pl *pipeline) run(startPhase int, seed []float64) error {
 	if pl.c != nil {
 		pl.c.TrackMemory(sys.MemoryBytes())
 	}
+	if pl.rank == 0 {
+		sys.RecordMemory(pl.o)
+	}
 	if pl.kern.born == rowCompiled || pl.kern.epol == rowCompiled {
 		var virt float64 = obs.NoVirtual
 		if pl.c != nil {

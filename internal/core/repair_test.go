@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gbpolar/internal/geom"
@@ -322,5 +323,74 @@ func TestReposeThenRepair(t *testing.T) {
 	}
 	if relErr(res.Epol, got.Epol) > 1e-12 {
 		t.Errorf("decoded E_pol %.17g vs live %.17g", res.Epol, got.Epol)
+	}
+}
+
+// TestRepairDecidesBeforePaying: an update that is rejected, or already
+// known to end with the lists dropped, is settled before the repair
+// certificate is materialised — it never costs a certified compile — and
+// returns what it always returned.
+func TestRepairDecidesBeforePaying(t *testing.T) {
+	sys, mol, _ := testSystem(t, 300, 225, mortonParams())
+	sys.Lists(nil)
+	pos := jigglePositions(rand.New(rand.NewSource(226)), mol.Positions(), 0.02)
+	o := obs.New()
+	unpaid := func(what string) {
+		t.Helper()
+		if n := o.Counter("ilist.certificates.materialized").Value(); n != 0 {
+			t.Fatalf("%s materialised %d certificates", what, n)
+		}
+	}
+
+	// Rejected: nothing moves, the uncertified lists stay.
+	if stats, err := sys.UpdateAtomsRepair(pos[:5], nil, o); err == nil || stats != (UpdateStats{}) {
+		t.Fatalf("short position slice: %+v %v", stats, err)
+	}
+	bad := append([]geom.Vec3(nil), pos...)
+	bad[7].Y = math.NaN()
+	stats, err := sys.UpdateAtomsRepair(bad, nil, o)
+	if err == nil || !strings.HasPrefix(err.Error(), "octree: point 7 is not finite") || stats != (UpdateStats{}) {
+		t.Fatalf("NaN coordinate: %+v %v", stats, err)
+	}
+	unpaid("a rejected update")
+	if sys.lists == nil || sys.lists.certified() || sys.Mol.Atoms[7].Pos != mol.Positions()[7] {
+		t.Fatal("a rejected update touched the system")
+	}
+
+	// Parameter mismatch: the cached lists are stale and get dropped.
+	sys.Params.EpsEpol = 0.5
+	if stats, err := sys.UpdateAtomsRepair(pos, nil, o); err != nil || stats.Repaired || sys.lists != nil {
+		t.Fatalf("stale lists: %+v %v", stats, err)
+	}
+	unpaid("an update of stale lists")
+	if o.Counter("ilist.repair.fallbacks").Value() != 1 {
+		t.Error("the dropped lists were not metered as a fallback")
+	}
+
+	// No cached lists.
+	if stats, err := sys.UpdateAtomsRepair(mol.Positions(), nil, o); err != nil || stats.Repaired {
+		t.Fatalf("no lists: %+v %v", stats, err)
+	}
+	unpaid("an update without lists")
+
+	// No Morton keys (TestReposeThenRepair's state): the tree rebuilds.
+	sys.Lists(nil)
+	sys.ApplyRigidTransform(geom.Translate(geom.V(3, 0, 0)))
+	moved := make([]geom.Vec3, len(pos))
+	for i, p := range mol.Positions() {
+		moved[i] = p.Add(geom.V(3, 0, 0))
+	}
+	if stats, err := sys.UpdateAtomsRepair(moved, nil, o); err != nil || !stats.Rebuilt || stats.Repaired || sys.lists != nil {
+		t.Fatalf("update after a re-pose: %+v %v", stats, err)
+	}
+	unpaid("an update that rebuilds the octree")
+
+	// And the one that can repair pays once.
+	sys.Lists(nil)
+	if stats, err := sys.UpdateAtomsRepair(jigglePositions(rand.New(rand.NewSource(227)), moved, 0.02), nil, o); err != nil || !stats.Repaired {
+		t.Fatalf("repairable update: %+v %v", stats, err)
+	}
+	if n := o.Counter("ilist.certificates.materialized").Value(); n != 1 || !sys.lists.certified() {
+		t.Fatalf("a repairable update materialised %d certificates", n)
 	}
 }

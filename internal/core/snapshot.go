@@ -21,7 +21,13 @@ import (
 // versioned, parameter-stamped binary snapshot of a System — molecule,
 // surface, both octrees and (when compiled) the interaction lists — so a
 // crashed-and-restarted coordinator resumes from the preprocessed state
-// instead of rebuilding trees and recompiling lists. The format is
+// instead of rebuilding trees and recompiling lists. The list block holds
+// what the lists hold: the index always, the repair certificate (six
+// margin arrays per phase and the node snapshot) only once a repair has
+// materialised it — until then those arrays are written zero-length, which
+// is most of a checkpoint's bytes not written, not sent to workers and not
+// read back; a restored system materialises at its first repair like any
+// other. The format is
 // deliberately hostile-input safe: every array length is validated
 // against the bytes remaining before allocation (internal/wire), the
 // whole payload is covered by a CRC-32C trailer, and every structural
@@ -215,14 +221,17 @@ func DecodeSnapshot(data []byte) (*System, error) {
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
 		}
-		if len(cl.nodeC) != ta.NumNodes() || len(cl.nodeR) != ta.NumNodes() {
+		// The certificate is whole or absent: the node snapshot says which,
+		// and every margin array of both phases must agree with it.
+		certified := len(cl.nodeC)+len(cl.nodeR) > 0
+		if certified && (len(cl.nodeC) != ta.NumNodes() || len(cl.nodeR) != ta.NumNodes()) {
 			return nil, fmt.Errorf("%w: node geometry arrays sized %d/%d for %d nodes",
 				ErrSnapshotCorrupt, len(cl.nodeC), len(cl.nodeR), ta.NumNodes())
 		}
-		if err := validateIL("born", cl.Born, tq, ta); err != nil {
+		if err := validateIL("born", cl.Born, tq, ta, certified, true); err != nil {
 			return nil, err
 		}
-		if err := validateIL("epol", cl.Epol, ta, ta); err != nil {
+		if err := validateIL("epol", cl.Epol, ta, ta, certified, false); err != nil {
 			return nil, err
 		}
 		lists = cl
@@ -328,11 +337,14 @@ func decodeSurface(r *wire.Reader) (*surface.Surface, error) {
 }
 
 // validateIL re-establishes every structural invariant the batch kernels
-// rely on: rows are exactly the row tree's leaves in order, each CSR
-// offset array brackets its entry array, entries index atoms-tree nodes,
-// and every margin array has the length its entry array implies. A list
-// that passes cannot make any kernel index out of bounds.
-func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree) error {
+// and the repair rely on: rows are exactly the row tree's leaves in order,
+// each CSR offset array brackets its entry array, entries index atoms-tree
+// nodes, and the certificate is whole or absent — certified says which the
+// node snapshot announced, and every margin array must then be sized to
+// its entries (NearMargin only where the phase tests its near leaves:
+// nearTested, the Born lists) or be empty; any mixture is corrupt. A list
+// that passes cannot make a kernel or a repair index out of bounds.
+func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree, certified, nearTested bool) error {
 	leaves := rowTree.Leaves()
 	if len(il.Rows) != len(leaves) {
 		return fmt.Errorf("%w: %s lists have %d rows for %d leaves",
@@ -380,23 +392,31 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 	if err := checkCSR("cede", il.CedeOff, il.Cede); err != nil {
 		return err
 	}
+	if len(il.FarOrd) != 0 && len(il.FarOrd) != len(il.Far) {
+		return fmt.Errorf("%w: %s far orders sized %d for %d entries",
+			ErrSnapshotCorrupt, phase, len(il.FarOrd), len(il.Far))
+	}
+	nearMargins := 0 // E_pol's leaf-first near entries were never tested
+	if nearTested {
+		nearMargins = len(il.Near)
+	}
 	for _, m := range []struct {
-		name     string
-		got      int
-		want     int
-		optional bool
+		name      string
+		got, want int
 	}{
-		{"far margins", len(il.FarMargin), len(il.Far), false},
-		{"far paths", len(il.FarPath), len(il.Far), false},
-		{"far orders", len(il.FarOrd), len(il.Far), true},
-		{"near margins", len(il.NearMargin), len(il.Near), true},
-		{"near paths", len(il.NearPath), len(il.Near), false},
-		{"sym paths", len(il.SymPath), len(il.Sym), false},
-		{"cede paths", len(il.CedePath), len(il.Cede), false},
+		{"far margins", len(il.FarMargin), len(il.Far)},
+		{"far paths", len(il.FarPath), len(il.Far)},
+		{"near paths", len(il.NearPath), len(il.Near)},
+		{"sym paths", len(il.SymPath), len(il.Sym)},
+		{"cede paths", len(il.CedePath), len(il.Cede)},
+		{"near margins", len(il.NearMargin), nearMargins},
 	} {
-		if m.got != m.want && !(m.optional && m.got == 0) {
-			return fmt.Errorf("%w: %s %s sized %d for %d entries",
-				ErrSnapshotCorrupt, phase, m.name, m.got, m.want)
+		if !certified {
+			m.want = 0
+		}
+		if m.got != m.want {
+			return fmt.Errorf("%w: %s %s sized %d, want %d (certificate present: %v)",
+				ErrSnapshotCorrupt, phase, m.name, m.got, m.want, certified)
 		}
 	}
 	// The kernels and RecordMetrics index by admitted order, so a

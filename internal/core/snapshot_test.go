@@ -179,6 +179,7 @@ func TestSnapshotFarFieldCorruptions(t *testing.T) {
 		if len(lists.Epol.FarOrd) == 0 {
 			t.Fatal("fixture compiled no far orders")
 		}
+		certifyLists(t, sys, nil) // the node snapshot the offset below steps over
 		data, err := EncodeSnapshot(sys)
 		if err != nil {
 			t.Fatal(err)
@@ -195,6 +196,58 @@ func TestSnapshotFarFieldCorruptions(t *testing.T) {
 			t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
 		}
 	})
+	// A repair certificate is whole or absent; every mixture is refused.
+	for name, data := range mixedCertificates(t) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecodeSnapshot(data); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
+			}
+		})
+	}
+}
+
+// mixedCertificates returns snapshots whose list block holds part of a
+// repair certificate — well-formed, checksummed streams that only the
+// all-or-nothing rule refuses — keyed by what was done to the lists.
+func mixedCertificates(t testing.TB) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for name, c := range map[string]struct {
+		certified bool
+		mut       func(sys *System, cl *CompiledLists)
+	}{
+		"one margin array present": {false, func(_ *System, cl *CompiledLists) {
+			cl.Born.FarMargin = make([]float64, len(cl.Born.Far))
+		}},
+		"node snapshot without margins": {false, func(sys *System, cl *CompiledLists) {
+			cl.nodeC, cl.nodeR = snapshotNodes(sys.Atoms)
+		}},
+		"margins without node snapshot": {true, func(_ *System, cl *CompiledLists) { cl.nodeC, cl.nodeR = nil, nil }},
+		"node centers without radii":    {true, func(_ *System, cl *CompiledLists) { cl.nodeR = nil }},
+		"one margin array missing":      {true, func(_ *System, cl *CompiledLists) { cl.Epol.FarPath = nil }},
+		"one phase uncertified": {true, func(sys *System, cl *CompiledLists) {
+			cl.Born = sys.compile(nil).Born
+		}},
+		"near margins on untested rows": {true, func(_ *System, cl *CompiledLists) {
+			cl.Epol.NearMargin = make([]float64, len(cl.Epol.Near))
+		}},
+	} {
+		sys, _, _ := testSystem(t, 150, 7, DefaultParams())
+		cl := sys.Lists(nil)
+		if len(cl.Born.Far) == 0 || len(cl.Epol.Far) == 0 || len(cl.Epol.Near) == 0 {
+			t.Fatal("fixture compiled an empty list: a missing array would be a sized one")
+		}
+		if c.certified {
+			certifyLists(t, sys, nil)
+		}
+		c.mut(sys, sys.lists)
+		data, err := EncodeSnapshot(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = data
+	}
+	return out
 }
 
 // Save/Load round-trips through a file; loading under different
@@ -237,32 +290,41 @@ func TestSnapshotSaveLoadParams(t *testing.T) {
 // EncodeSnapshot for a seeded 500-atom Morton system with compiled
 // lists, as produced by the commit BEFORE the bulk codec (PR 13,
 // per-element loops), so a snapshot either side writes loads on the
-// other. The digests cover computed floats (surface, moments, margins),
-// hence one architecture: elsewhere the compiler may fuse multiply-adds.
+// other. Lists were certified by every compile then, so the two old
+// digests are of certified systems; the third is the same FarOrder 2
+// system before any repair, its seven certificate arrays written
+// zero-length. The digests cover computed floats (surface, moments,
+// margins), hence one architecture: elsewhere the compiler may fuse
+// multiply-adds.
 func TestSnapshotBytesStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests were taken on amd64")
 	}
 	for _, tc := range []struct {
-		farOrder int
-		size     int
-		sha      string
+		farOrder  int
+		certified bool
+		size      int
+		sha       string
 	}{
-		{0, 3809905, "663a218b4120012593e03bce094258ad47780f177777aa2bbf01d8c722f31dc5"},
-		{2, 3380840, "10a453d56d524a5f0f987da9386605828f2cc898a550beb3774c1f10377c7d8c"},
+		{0, true, 3809905, "663a218b4120012593e03bce094258ad47780f177777aa2bbf01d8c722f31dc5"},
+		{2, true, 3380840, "10a453d56d524a5f0f987da9386605828f2cc898a550beb3774c1f10377c7d8c"},
+		{2, false, 1605448, "9ac71abedc36e305929e49ba17f53d4646cf99a248b73417183b684fa69a1c52"},
 	} {
 		p := mortonParams()
 		p.FarOrder = tc.farOrder
 		sys, _, _ := testSystem(t, 500, 14, p)
 		sys.Lists(nil)
+		if tc.certified {
+			certifyLists(t, sys, nil)
+		}
 		data, err := EncodeSnapshot(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); len(data) != tc.size || got != tc.sha {
-			t.Errorf("FarOrder %d: %d bytes, sha256 %s; the format is pinned at %d bytes, %s",
-				tc.farOrder, len(data), got, tc.size, tc.sha)
+			t.Errorf("FarOrder %d, certified %v: %d bytes, sha256 %s; the format is pinned at %d bytes, %s",
+				tc.farOrder, tc.certified, len(data), got, tc.size, tc.sha)
 		}
 	}
 }
@@ -392,6 +454,18 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(data[:len(data)-4])
 	trunc := append([]byte(nil), data[:40]...)
 	f.Add(restamp(append(trunc, make([]byte, 4)...)))
+	// Both certificate states, and every mixture of them.
+	certified, _, _ := testSystem(f, 150, 7, DefaultParams())
+	certified.Lists(nil)
+	certifyLists(f, certified, nil)
+	whole, err := EncodeSnapshot(certified)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole)
+	for _, mixed := range mixedCertificates(f) {
+		f.Add(mixed)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sys, err := DecodeSnapshot(b)
 		if err != nil {

@@ -31,6 +31,18 @@ import (
 // routing pass. If any point leaves the (slightly inflated) root cube,
 // Update degrades to a full rebuild — it never fails.
 
+// CheckFinite reports the first point with a NaN or infinite coordinate —
+// the check every update starts with, exported so a caller can settle it
+// before paying for anything the update needs.
+func CheckFinite(pts []geom.Vec3) error {
+	for i, p := range pts {
+		if !p.IsFinite() {
+			return fmt.Errorf("octree: point %d is not finite: %v", i, p)
+		}
+	}
+	return nil
+}
+
 // Update moves the tree's points to newPts (given in the ORIGINAL point
 // order, like Build's input) and repairs the structure, returning the
 // number of points that changed leaf.
@@ -38,10 +50,8 @@ func (t *Tree) Update(newPts []geom.Vec3) (moved int, err error) {
 	if len(newPts) != len(t.Pts) {
 		return 0, fmt.Errorf("octree: Update with %d points, tree has %d", len(newPts), len(t.Pts))
 	}
-	for i, p := range newPts {
-		if !p.IsFinite() {
-			return 0, fmt.Errorf("octree: point %d is not finite: %v", i, p)
-		}
+	if err := CheckFinite(newPts); err != nil {
+		return 0, err
 	}
 	// The untracked path does not maintain Morton keys; drop them so a
 	// later tracked update recomputes rather than trusting stale keys.

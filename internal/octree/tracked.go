@@ -47,6 +47,23 @@ type TrackedUpdate struct {
 	Struct []bool
 }
 
+// Tracks reports whether UpdateTracked(newPts) would keep the tree's node
+// ids: the tree has Morton keys and every new point lies in its root cube
+// (none does after ApplyTransform, which empties the cube). Otherwise the
+// update is a rebuild — which a caller holding state keyed by node id may
+// want to know before it prepares to repair that state.
+func (t *Tree) Tracks(newPts []geom.Vec3) bool {
+	if t.keys == nil {
+		return false
+	}
+	for _, p := range newPts {
+		if !t.rootBox.Contains(p) {
+			return false
+		}
+	}
+	return true
+}
+
 // UpdateTracked moves the tree's points to newPts (original point
 // order, like Build) and repairs the structure using the Morton keys
 // maintained by the sorted builder. Trees without keys (recursive
@@ -60,19 +77,15 @@ func (t *Tree) UpdateTracked(newPts []geom.Vec3) (TrackedUpdate, error) {
 	if len(newPts) != len(t.Pts) {
 		return TrackedUpdate{}, fmt.Errorf("octree: UpdateTracked with %d points, tree has %d", len(newPts), len(t.Pts))
 	}
-	for i, p := range newPts {
-		if !p.IsFinite() {
-			return TrackedUpdate{}, fmt.Errorf("octree: point %d is not finite: %v", i, p)
-		}
+	if err := CheckFinite(newPts); err != nil {
+		return TrackedUpdate{}, err
 	}
 	n := len(t.Pts)
 	for slot, orig := range t.Index {
 		t.Pts[slot] = newPts[orig]
 	}
-	for _, p := range t.Pts {
-		if !t.rootBox.Contains(p) {
-			return TrackedUpdate{Moved: n, Rebuilt: true}, t.rebuildAll()
-		}
+	if !t.Tracks(newPts) {
+		return TrackedUpdate{Moved: n, Rebuilt: true}, t.rebuildAll()
 	}
 
 	// --- 1. rekey and detect leaf changes by prefix compare -----------
