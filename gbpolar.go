@@ -473,22 +473,19 @@ func RandomFaultPlan(seed int64, procs, n int, horizon float64) *FaultPlan {
 }
 
 // Memory is what an Engine holds, in bytes by structure: the octrees, the
-// SoA mirrors, and the compiled interaction lists' index and repair
-// certificate.
+// SoA mirrors, and the compiled interaction lists.
 type Memory = core.Memory
 
 // Memory reports what the engine holds now. The lists are 0 before the
-// first Compute compiles them, and their certificate stays 0 until an
-// incremental update repairs them: an engine that only evaluates, re-poses
-// or checkpoints never builds it.
+// first Compute compiles them, and of one size from then on: evaluating,
+// re-posing, checkpointing or repairing them adds nothing.
 func (e *Engine) Memory() Memory { return e.sys.Memory() }
 
 // SaveSnapshot writes a versioned, parameter-stamped binary checkpoint
 // of the engine's full compiled state — molecule, surface, both octrees
-// and (when already compiled) the interaction lists, with their repair
-// certificate if a repair has built one — with a CRC-32C trailer. A
-// snapshot restores with NewEngineFromSnapshot without resampling,
-// rebuilding or recompiling anything.
+// and (when already compiled) the interaction lists — with a CRC-32C
+// trailer. A snapshot restores with NewEngineFromSnapshot without
+// resampling, rebuilding or recompiling anything.
 func (e *Engine) SaveSnapshot(path string) error {
 	return core.SaveSnapshot(path, e.sys)
 }

@@ -6,10 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"gbpolar/internal/core"
-	"gbpolar/internal/molecule"
-	"gbpolar/internal/octree"
 )
 
 // tinyCfg keeps the experiment tests fast: ≈1k-atom shells, 3-molecule
@@ -357,26 +353,5 @@ func TestExtensionsExperiment(t *testing.T) {
 	}
 	if len(tabs[0].Rows) != 4 || len(tabs[1].Rows) != 4 || len(tabs[2].Rows) != 5 {
 		t.Errorf("row counts: %d, %d, %d", len(tabs[0].Rows), len(tabs[1].Rows), len(tabs[2].Rows))
-	}
-}
-
-// The certificate column of the coldstart table is computed from the
-// index: it must be what a repair then builds.
-func TestCertificateBytesMatchesMaterialised(t *testing.T) {
-	params := core.DefaultParams()
-	params.Builder = octree.BuilderMorton
-	p, err := prepare(molecule.GenProtein("cert-bytes", 1200, 9), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := certificateBytes(p.sys)
-	if p.sys.Memory().ListCertificate != 0 || want == 0 {
-		t.Fatalf("before a repair: certificate %d held, %d predicted", p.sys.Memory().ListCertificate, want)
-	}
-	if stats, err := p.sys.UpdateAtomsRepair(p.mol.Positions(), nil, nil); err != nil || !stats.Repaired {
-		t.Fatalf("%+v %v", stats, err)
-	}
-	if got := p.sys.Memory().ListCertificate; got != want {
-		t.Errorf("the repair holds a %d-byte certificate, the table would print %d", got, want)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/obs"
@@ -36,14 +35,10 @@ import (
 // Near[NearOff[i]:NearOff[i+1]] the atom leaves needing exact pairwise
 // evaluation.
 //
-// A list is two things of very different weight. The INDEX — Rows, the
-// four offset arrays, Far, Near, Sym, Cede and, under a ladder, FarOrd:
-// 4 bytes an entry — is all an evaluation reads. The CERTIFICATE — the six
-// margin arrays below, 16 bytes an entry, with CompiledLists.nodeC/nodeR —
-// is read only by the incremental repair (ilist_repair.go), so a compile
-// leaves it out (every margin array nil) and the first repair builds it
-// (System.materialize); from then on each repair hands it on. All of it is
-// present or none of it.
+// A list is its index — Rows, the four offset arrays, Far, Near, Sym, Cede
+// and, under a ladder, FarOrd: 4 bytes an entry — which is all an evaluation
+// reads, and all the incremental repair (ilist_repair.go) reads too: it
+// re-tests the nodes an update moved instead of keeping a bound per entry.
 type InteractionLists struct {
 	Rows    []int32
 	FarOff  []int32
@@ -67,42 +62,15 @@ type InteractionLists struct {
 	// reach but symmetrization handed to a lower-indexed row's Sym list.
 	// The entries contribute nothing to evaluation (the partner sweeps
 	// the pair with double weight); they are recorded so the incremental
-	// repair (ilist_repair.go) can reconstruct the row's full
-	// pre-symmetrization near list — and certify its verdicts — without
+	// repair can put a row's full pre-symmetrization near list back
+	// together — to re-split it when a partner row changed — without
 	// scanning every other row's Sym.
 	CedeOff []int32
 	Cede    []int32
-	// The certificate. Margins record each opening test's distance to
-	// reclassification,
-	// |dist(centers) − (r_a+r_b)·mac| — the slack the incremental repair
-	// certifies cached verdicts against. FarMargin[k] is the slack of
-	// the test that classified Far[k]; NearMargin[k] likewise for
-	// Near[k] (nil for E_pol lists, whose leaf-first ordering reaches
-	// near leaves without testing them). The *Path arrays carry, per
-	// entry, the minimum slack over the INTERNAL tests on the entry's
-	// root path — the nodes the classification descended through to
-	// reach it, which appear in no list (+Inf for root-level entries).
-	// As long as the geometry drifts less than a test's slack, that
-	// verdict cannot flip; all certificates are per ENTRY because drift
-	// is wildly non-uniform (a two-atom leaf losing an atom jumps ~1 Å
-	// while every other node barely moves), so any row-level coupling —
-	// one min slack against one max drift — taints every row that can
-	// see a moved leaf somewhere in its lists.
-	FarMargin  []float64
-	FarPath    []float64
-	NearMargin []float64
-	NearPath   []float64
-	SymPath    []float64
-	CedePath   []float64
 	// FarOrd[k] is the expansion order the ladder admitted Far[k] at
 	// (farorder.go): the batch kernels dispatch the moment corrections on
 	// it without re-testing geometry. nil when compiled at FarOrder = 0,
-	// where every far entry is order 0 — the margin semantics are then
-	// exactly the pre-ladder ones. Under a ladder the margins change
-	// meaning slightly: an entry's FarMargin is its distance to the
-	// nearest ORDER boundary (drifting across one reclassifies the entry
-	// even if it stays far), and near/path margins measure to the loosest
-	// rung, macs[FarOrder].
+	// where every far entry is order 0.
 	FarOrd []uint8
 }
 
@@ -112,23 +80,12 @@ func (il *InteractionLists) NumFar() int { return len(il.Far) }
 // NumNear returns the total near leaf-pair count.
 func (il *InteractionLists) NumNear() int { return len(il.Near) }
 
-// IndexBytes is the footprint of the index arrays — what an evaluation
-// reads.
-func (il *InteractionLists) IndexBytes() int64 {
+// MemoryBytes reports the footprint of the list's arrays.
+func (il *InteractionLists) MemoryBytes() int64 {
 	return int64(len(il.Rows)+len(il.FarOff)+len(il.Far)+
 		len(il.NearOff)+len(il.Near)+len(il.SymOff)+len(il.Sym)+
 		len(il.CedeOff)+len(il.Cede))*4 + int64(len(il.FarOrd))
 }
-
-// CertificateBytes is the footprint of the margin arrays: 0 until the
-// first repair materialises them.
-func (il *InteractionLists) CertificateBytes() int64 {
-	return int64(len(il.FarMargin)+len(il.FarPath)+len(il.NearMargin)+
-		len(il.NearPath)+len(il.SymPath)+len(il.CedePath)) * 8
-}
-
-// MemoryBytes reports the footprint of what the list holds now.
-func (il *InteractionLists) MemoryBytes() int64 { return il.IndexBytes() + il.CertificateBytes() }
 
 // CompiledLists bundles the per-phase lists with the opening-criterion
 // signature they were compiled under, so parameter changes trigger a
@@ -141,19 +98,7 @@ type CompiledLists struct {
 	// Born rows are q-point leaves (Figure 2); Epol rows are atom leaves
 	// (Figure 3).
 	Born, Epol *InteractionLists
-	// nodeC/nodeR snapshot the atoms-octree node centers and radii the
-	// lists were certified against (at materialisation or at the last
-	// repair); nil while the lists carry no certificate. The incremental
-	// repair compares them to the post-update geometry to measure each
-	// node's ACTUAL drift — far tighter than any a-priori displacement
-	// bound, since an opening test's operands move with a node's centroid
-	// and radius, not with the fastest atom.
-	nodeC []geom.Vec3
-	nodeR []float64
 }
-
-// certified reports whether the lists carry their repair certificate.
-func (cl *CompiledLists) certified() bool { return cl.nodeR != nil }
 
 // matches reports whether the cached lists were compiled under the
 // system's current opening criteria.
@@ -162,32 +107,20 @@ func (cl *CompiledLists) matches(sys *System) bool {
 		cl.farOrder == sys.Params.FarOrder
 }
 
-// IndexBytes is both phases' index footprint.
-func (cl *CompiledLists) IndexBytes() int64 { return cl.Born.IndexBytes() + cl.Epol.IndexBytes() }
-
-// CertificateBytes is the footprint of the repair certificate — both
-// phases' margins and the node snapshot — and 0 until a repair has
-// materialised it.
-func (cl *CompiledLists) CertificateBytes() int64 {
-	return cl.Born.CertificateBytes() + cl.Epol.CertificateBytes() +
-		int64(len(cl.nodeC))*24 + int64(len(cl.nodeR))*8
-}
-
-// MemoryBytes reports the footprint of what the compiled lists hold now:
-// the index alone after a compile, index and certificate once a repair has
-// happened.
-func (cl *CompiledLists) MemoryBytes() int64 { return cl.IndexBytes() + cl.CertificateBytes() }
+// MemoryBytes reports the footprint of both phases' lists: what a system
+// holds for them, compiled or repaired.
+func (cl *CompiledLists) MemoryBytes() int64 { return cl.Born.MemoryBytes() + cl.Epol.MemoryBytes() }
 
 // listPhase is one phase's classification problem, shared by the full
 // compile and the incremental repair (ilist_repair.go): the row clusters
 // are rowTree's leaves in Leaves() order, each classified against the
 // atoms octree under the opening-multiplier ladder macs/pmax
 // (farorder.go; macs[0] is the base multiplier, and pmax = 0 degenerates
-// to the original single-multiplier classification, margins included, bit
-// for bit). leafFirst selects the traversal ordering (see classify) and
-// says the rows are atom leaves, which drift under an update; symmetrize
-// moves mutual near leaf pairs into the Sym list of the lower-indexed row
-// (valid only when rowTree == atoms, i.e. the E_pol phase).
+// to the original single-multiplier classification bit for bit).
+// leafFirst selects the traversal ordering (see classify) and says the
+// rows are atom leaves, which move under an update; symmetrize moves
+// mutual near leaf pairs into the Sym list of the lower-indexed row (valid
+// only when rowTree == atoms, i.e. the E_pol phase).
 type listPhase struct {
 	atoms, rowTree *octree.Tree
 	macs           [maxFarOrder + 1]float64
@@ -206,17 +139,16 @@ func (s *System) listPhases(cl *CompiledLists) (born, epol listPhase) {
 	return born, epol
 }
 
-// nearLists is a CSR of near leaves with their margins, in classification
-// emission order: the PRE-symmetrization lists. For an unsymmetrized
-// phase they are the final Near arrays.
+// nearLists is a CSR of near leaves in classification emission order: the
+// PRE-symmetrization lists. For an unsymmetrized phase they are the final
+// Near arrays.
 type nearLists struct {
-	off  []int32
-	n    []int32
-	m, p []float64 // own-test slack (nil for leaf-first rows), path minimum
-	// rows, when set, holds each row's entries in place of n: the index
-	// build leaves a symmetrized phase's near entries in the chunk arenas
-	// that collected them, since symmetrization reads them once, row by
-	// row, and throws them away.
+	off []int32
+	n   []int32
+	// rows, when set, holds each row's entries in place of n: the compile
+	// leaves a symmetrized phase's near entries in the chunk arenas that
+	// collected them, since symmetrization reads them once, row by row, and
+	// throws them away.
 	rows [][]int32
 }
 
@@ -228,22 +160,15 @@ func (nl *nearLists) row(k int) []int32 {
 	return nl.n[nl.off[k]:nl.off[k+1]]
 }
 
-// rowSink receives one row's classification. A filling sink (fill set)
-// starts the cursors nf/nn at the row's offsets and writes each entry with
-// its margins into the final arrays, which all rows share at disjoint
-// ranges. Any other sink takes the verdicts alone and advances the cursors
-// from where they stand — the counting half of the certified build's
-// count-then-fill — and, when it holds an arena, also appends each
-// verdict's node id there: the one descent of the index build.
+// rowSink receives one row's classification: it counts the verdicts from
+// where the cursors nf/nn stand and, when it holds an arena, appends each
+// verdict's node id there.
 type rowSink struct {
-	fill   bool
 	nf, nn int32
-	il     *InteractionLists
-	near   *nearLists
 	idx    *listArena
 }
 
-// listArena collects the index entries of one contiguous block of rows in
+// listArena collects the entries of one contiguous block of rows in
 // classification order: far nodes and near leaves, and under a ladder —
 // where reserve makes ord non-nil — the far nodes' admitted orders.
 type listArena struct {
@@ -251,7 +176,6 @@ type listArena struct {
 	ord       []uint8
 }
 
-// farVerdict and nearVerdict record a verdict-only classification.
 func (out *rowSink) farVerdict(n int32, ord int) {
 	if a := out.idx; a != nil {
 		a.far = append(a.far, n)
@@ -269,99 +193,60 @@ func (out *rowSink) nearVerdict(n int32) {
 	out.nn++
 }
 
+// verdict is the phase's ONE opening test: whether a row cluster of the
+// given radius takes a node of the given radius, their centers d2 =
+// openingDist2 apart, as a far aggregate, and at which of the ladder's
+// first rungs+1 orders. The classification, the repair's re-test of moved
+// nodes — on their old and their new geometry — and its decision whether a
+// near pair is mutual all ask it, with these operands in this order, so
+// they cannot disagree by a rounding. (It comes in three pieces so that
+// all of it inlines into classify.)
+func (ph *listPhase) verdict(d2, radius, nodeRadius float64, rungs int) (ord int, far bool) {
+	return farOrderOf(d2, nodeRadius, radius, &ph.macs, rungs)
+}
+
+// openingDist2 is verdict's squared distance from a row cluster's center to
+// a node's.
+func openingDist2(center, node geom.Vec3) float64 { return center.Sub(node).Norm2() }
+
+// rungs is the highest order verdict may admit a node at. Loosened rungs
+// admit INTERNAL nodes only: admitting a leaf pair early has nothing to
+// consolidate — it would trade an exact near block for an approximate far
+// entry, spending error budget while GROWING the far list. A leaf
+// therefore classifies by the base multiplier alone (identical to
+// pre-ladder), and rungs ≥ 1 fire exactly where they pay: a rung admission
+// at an internal node replaces its subtree's whole far/near expansion with
+// one entry.
+func (ph *listPhase) rungs(leaf bool) int {
+	if leaf {
+		return 0
+	}
+	return ph.pmax
+}
+
 // classify descends the atoms octree from node n against a row cluster
 // (center, radius), splitting the subtree into far nodes and near
 // leaves. It mirrors the recursive kernels exactly — including their one
 // structural difference: APPROX-EPOL tests u.IsLeaf BEFORE the opening
 // test (a leaf U is always evaluated exactly), while APPROX-INTEGRALS
 // tests openness first (a far leaf uses the pseudo-q-point shortcut).
-// pmin is the minimum internal-test slack accumulated on the root path so
-// far (math.Inf(1) at the root): every emitted entry records it, so the
-// repair can check each entry's path against the drift on THAT path
-// alone.
-func (ph *listPhase) classify(n int32, center geom.Vec3, radius, pmin float64, out *rowSink) {
+func (ph *listPhase) classify(n int32, center geom.Vec3, radius float64, out *rowSink) {
 	node := &ph.atoms.Nodes[n]
 	if ph.leafFirst && node.IsLeaf {
-		if !out.fill {
-			out.nearVerdict(n)
-			return
-		}
-		out.near.n[out.nn], out.near.p[out.nn] = n, pmin
-		out.nn++
+		out.nearVerdict(n)
 		return
 	}
-	d2 := center.Sub(node.Center).Norm2()
-	// Loosened rungs admit INTERNAL nodes only: admitting a leaf pair
-	// early has nothing to consolidate — it would trade an exact near
-	// block for an approximate far entry, spending error budget while
-	// GROWING the far list. A leaf therefore classifies by the base
-	// multiplier alone (identical to pre-ladder), and rungs ≥ 1 fire
-	// exactly where they pay: a rung admission at an internal node
-	// replaces its subtree's whole far/near expansion with one entry.
-	p := ph.pmax
-	if node.IsLeaf {
-		p = 0
-	}
-	macs := &ph.macs
-	ord, far := farOrderOf(d2, node.Radius, radius, macs, p)
-	if !out.fill {
-		// The verdicts alone: no margins, so no square root.
-		switch {
-		case far:
-			out.farVerdict(n, ord)
-		case node.IsLeaf:
-			out.nearVerdict(n)
-		default:
-			for _, child := range node.Children {
-				if child != octree.NoChild {
-					ph.classify(child, center, radius, pmin, out)
-				}
+	ord, far := ph.verdict(openingDist2(center, node.Center), radius, node.Radius, ph.rungs(node.IsLeaf))
+	switch {
+	case far:
+		out.farVerdict(n, ord)
+	case node.IsLeaf:
+		out.nearVerdict(n)
+	default:
+		for _, child := range node.Children {
+			if child != octree.NoChild {
+				ph.classify(child, center, radius, out)
 			}
-		}
-		return
-	}
-	dist := math.Sqrt(d2)
-	if far {
-		// The slack is the distance to the nearest boundary that would
-		// RECLASSIFY the entry. For an order-0 entry that is the base
-		// multiplier (one-sided under a ladder: drifting below macs[0]
-		// demotes the entry to order 1 — or to near for a leaf — so the
-		// absolute value matches the pre-ladder expression bitwise). An
-		// order-k entry sits between rungs k and k−1 and can flip either
-		// way.
-		m := math.Abs(dist - (node.Radius+radius)*macs[0])
-		if ord > 0 {
-			m = dist - (node.Radius+radius)*macs[ord]
-			if up := (node.Radius+radius)*macs[ord-1] - dist; up < m {
-				m = up
-			}
-		}
-		il := out.il
-		il.Far[out.nf], il.FarMargin[out.nf], il.FarPath[out.nf] = n, m, pmin
-		if il.FarOrd != nil {
-			il.FarOrd[out.nf] = uint8(ord)
-		}
-		out.nf++
-		return
-	}
-	// Not admitted at any order: the nearest boundary is the loosest
-	// rung the node is ELIGIBLE for — macs[pmax] for internal nodes,
-	// macs[0] for leaves (== pre-ladder, where math.Abs of the negated
-	// difference yields the same bits).
-	m := (node.Radius+radius)*macs[p] - dist
-	if node.IsLeaf {
-		out.near.n[out.nn], out.near.m[out.nn], out.near.p[out.nn] = n, m, pmin
-		out.nn++
-		return
-	}
-	// Descending: an internal test, owned by the row (the node appears
-	// in no list) — it joins the path minimum of everything below.
-	if m < pmin {
-		pmin = m
-	}
-	for _, child := range node.Children {
-		if child != octree.NoChild {
-			ph.classify(child, center, radius, pmin, out)
 		}
 	}
 }
@@ -369,7 +254,7 @@ func (ph *listPhase) classify(n int32, center geom.Vec3, radius, pmin float64, o
 // classifyRow classifies the row cluster of rowTree leaf r from the root.
 func (ph *listPhase) classifyRow(r int32, out *rowSink) {
 	rn := &ph.rowTree.Nodes[r]
-	ph.classify(ph.atoms.Root(), rn.Center, rn.Radius, math.Inf(1), out)
+	ph.classify(ph.atoms.Root(), rn.Center, rn.Radius, out)
 }
 
 // forRows runs fn over [0, n) in ranges on the pool's workers, or as
@@ -404,46 +289,67 @@ func prefixSum(off []int32) int32 {
 	return off[len(off)-1]
 }
 
-// index compiles the phase's index lists in ONE descent per row. Nobody
-// knows a row's entry counts before classifying it, so the rows are cut
-// into contiguous chunks — a few per worker — and each chunk's verdicts are
-// appended to an arena of its own; one prefix sum over the per-row counts
-// then sizes the final CSR arrays exactly and the chunks copy themselves
-// into place in parallel, in row order. The entries and their order are
-// those of the certified build below, which RecheckLists and
-// System.materialize hold it to.
-func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
-	il, pre := ph.newLists()
-	rows, n := il.Rows, len(il.Rows)
+// classified is what classifyRows leaves behind: the rows it classified,
+// cut into contiguous chunks, and each chunk's verdicts in an arena of its
+// own, row after row.
+type classified struct {
+	// which holds the positions in il.Rows of the rows classified, in
+	// order.
+	which  []int32
+	arenas []listArena
+}
+
+// bound is the first row (an index into which) of chunk c.
+func (cr *classified) bound(c int) int { return c * len(cr.which) / len(cr.arenas) }
+
+// classifyRows classifies the rows of il at positions which in ONE descent
+// each. Nobody knows a row's entry counts before classifying it, so the
+// rows are cut into contiguous chunks — a few per worker — and each chunk's
+// verdicts are appended to an arena of its own; each row's counts land at
+// il.FarOff[k+1] and pre.off[k+1], for the prefix sum that sizes the final
+// CSR arrays exactly.
+func (ph *listPhase) classifyRows(il *InteractionLists, pre *nearLists, which []int32, pool *sched.Pool) *classified {
+	cr := &classified{which: which}
 	chunks := listChunksPerWorker
 	if pool != nil {
 		chunks *= pool.NumWorkers()
 	}
-	bound := func(c int) int { return c * n / chunks }
-	arenas := make([]listArena, chunks)
-	if ph.symmetrize {
-		pre.rows = make([][]int32, n)
-	}
+	cr.arenas = make([]listArena, chunks)
 	forRows(pool, chunks, func(lo, hi, _ int) {
 		for c := lo; c < hi; c++ {
-			a, first := &arenas[c], bound(c)
-			chunk := rows[first:bound(c+1)]
-			ph.reserve(a, chunk)
+			a, first, end := &cr.arenas[c], cr.bound(c), cr.bound(c+1)
+			ph.reserve(a, il.Rows, which[first:end])
 			sink := rowSink{idx: a}
-			for i, r := range chunk {
+			for _, k := range which[first:end] {
 				sink.nf, sink.nn = 0, 0
-				ph.classifyRow(r, &sink)
-				il.FarOff[first+i+1], pre.off[first+i+1] = sink.nf, sink.nn
-			}
-			if pre.rows != nil { // now that a.near has stopped growing
-				at := int32(0)
-				for k := first; k < first+len(chunk); k++ {
-					pre.rows[k] = a.near[at : at+pre.off[k+1]]
-					at += pre.off[k+1]
-				}
+				ph.classifyRow(il.Rows[k], &sink)
+				il.FarOff[k+1], pre.off[k+1] = sink.nf, sink.nn
 			}
 		}
 	})
+	return cr
+}
+
+// index compiles the phase's lists: classifyRows over every row, one
+// prefix sum over the per-row counts, and the chunks copy themselves into
+// place in parallel, in row order.
+func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
+	il, pre := ph.newLists()
+	every := make([]int32, len(il.Rows))
+	for k := range every {
+		every[k] = int32(k)
+	}
+	cr := ph.classifyRows(il, &pre, every, pool)
+	if ph.symmetrize { // the near entries stay where they were collected
+		pre.rows = make([][]int32, len(il.Rows))
+		for c := range cr.arenas {
+			at := int32(0)
+			for k := cr.bound(c); k < cr.bound(c+1); k++ {
+				pre.rows[k] = cr.arenas[c].near[at : at+pre.off[k+1]]
+				at += pre.off[k+1]
+			}
+		}
+	}
 	nf, nn := prefixSum(il.FarOff), prefixSum(pre.off)
 	allocAll(pool,
 		func() { il.Far = make([]int32, nf) },
@@ -453,9 +359,9 @@ func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
 				pre.n = make([]int32, nn)
 			}
 		})
-	forRows(pool, chunks, func(lo, hi, _ int) {
+	forRows(pool, len(cr.arenas), func(lo, hi, _ int) {
 		for c := lo; c < hi; c++ {
-			a, k := &arenas[c], bound(c)
+			a, k := &cr.arenas[c], cr.bound(c)
 			copy(il.Far[il.FarOff[k]:], a.far)
 			if il.FarOrd != nil {
 				copy(il.FarOrd[il.FarOff[k]:], a.ord)
@@ -466,11 +372,15 @@ func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
 			*a = listArena{} // garbage from here on, not from the end of the call
 		}
 	})
-	ph.splitNear(il, &pre, pool, nil)
+	if ph.symmetrize {
+		symmetrizeNear(il, &pre, len(ph.atoms.Nodes), pool)
+	} else {
+		il.Near, il.Sym, il.Cede = pre.n, []int32{}, []int32{}
+	}
 	return il
 }
 
-// listChunksPerWorker is the number of row chunks the index build cuts per
+// listChunksPerWorker is the number of row chunks classifyRows cuts per
 // worker: enough that a worker that drew dense rows can hand chunks on,
 // few enough that the arenas are a few dozen objects.
 const listChunksPerWorker = 8
@@ -481,16 +391,16 @@ const listChunksPerWorker = 8
 // density), for 2 % more descents at 20 000 atoms.
 const arenaSamples = 32
 
-// reserve sizes a's arrays for the rows of one chunk from rows already
-// classified: it counts the verdicts of a few evenly spaced ones and
-// scales them to the chunk, plus a sixteenth. A chunk that turns out
-// denser than its sample grows by append; a worst-case reservation would
-// be several times the lists.
-func (ph *listPhase) reserve(a *listArena, chunk []int32) {
+// reserve sizes a's arrays for one chunk — the rows at positions chunk of
+// rows — from rows already classified: it counts the verdicts of a few
+// evenly spaced ones and scales them to the chunk, plus a sixteenth. A
+// chunk that turns out denser than its sample grows by append; a
+// worst-case reservation would be several times the lists.
+func (ph *listPhase) reserve(a *listArena, rows, chunk []int32) {
 	var probe rowSink
 	step := len(chunk)/arenaSamples + 1
-	for i := 0; i < len(chunk); i += step {
-		ph.classifyRow(chunk[i], &probe)
+	for x := 0; x < len(chunk); x += step {
+		ph.classifyRow(rows[chunk[x]], &probe)
 	}
 	size := func(sampled int32) int { return int(sampled) * step * 17 / 16 }
 	a.far = make([]int32, 0, size(probe.nf))
@@ -526,109 +436,6 @@ func (ph *listPhase) newFarOrd(nf int32) []uint8 {
 	return make([]uint8, nf)
 }
 
-// splitNear turns the pre-symmetrization near lists into il's Near, Sym
-// and Cede: split by mutuality for a symmetrized phase, as they are
-// otherwise. The path margins follow their entries when pre carries them.
-func (ph *listPhase) splitNear(il *InteractionLists, pre *nearLists, pool *sched.Pool, o *obs.Obs) {
-	if ph.symmetrize {
-		sp := o.Begin(0, "ilist", "ilist.repair.symmetrize", obs.NoVirtual)
-		symmetrizeNear(il, pre, len(ph.atoms.Nodes), pool)
-		sp.End(obs.NoVirtual)
-		return
-	}
-	il.Near, il.NearMargin, il.NearPath = pre.n, pre.m, pre.p
-	il.Sym, il.Cede = []int32{}, []int32{}
-	if pre.p != nil {
-		il.SymPath, il.CedePath = []float64{}, []float64{}
-	}
-}
-
-// build produces the phase's CERTIFIED lists, index and margins: a full
-// compile when old is nil (System.materialize), otherwise the repair of
-// old against the updated atoms tree, in which the rows cert certifies
-// clean carry their cached entries over (ilist_repair.go). Both run the
-// same linear, pool-parallel steps, so a repaired list is byte-for-byte
-// what a fresh compile produces: count every row's entries (rows to
-// classify descend once without writing), size the final arrays once, fill
-// them in place (those rows descend again, now writing at their offsets),
-// and split the near lists into near/sym/cede. It stays count-then-fill
-// where index appends: an entry here is 20 bytes in up to four arrays, a
-// repair classifies an eighth of the rows, and carried rows need their
-// offsets before anything is written — an arena would copy what the second
-// descent writes in place. Nothing is appended to, so nothing grows or is
-// copied, and the only transient arrays — the E_pol phase's
-// pre-symmetrization lists and their transpose — die with the call. It
-// returns the lists and the number of rows classified. o (nil for a
-// compile) receives the repair's sub-phase spans.
-func (ph *listPhase) build(old *InteractionLists, cert *repairCert, pool *sched.Pool, o *obs.Obs) (il *InteractionLists, classified int) {
-	il, pre := ph.newLists()
-	rows, n := il.Rows, len(il.Rows)
-	// src[k] is the cached row that row k carries over, −1 for a row to
-	// classify.
-	src := make([]int32, n)
-	if old == nil {
-		for k := range src {
-			src[k] = -1
-		}
-	} else {
-		sp := o.Begin(0, "ilist", "ilist.repair.certify", obs.NoVirtual)
-		ph.certify(old, cert, rows, src, pool)
-		sp.End(obs.NoVirtual)
-	}
-
-	sp := o.Begin(0, "ilist", "ilist.repair.classify", obs.NoVirtual)
-	dirty := make([]int32, 0, n)
-	for k, i := range src {
-		if i < 0 {
-			dirty = append(dirty, int32(k))
-			continue
-		}
-		il.FarOff[k+1] = old.FarOff[i+1] - old.FarOff[i]
-		pre.off[k+1] = old.NearOff[i+1] - old.NearOff[i] + old.SymOff[i+1] - old.SymOff[i] + old.CedeOff[i+1] - old.CedeOff[i]
-	}
-	forRows(pool, len(dirty), func(lo, hi, _ int) {
-		for _, k := range dirty[lo:hi] {
-			var sink rowSink
-			ph.classifyRow(rows[k], &sink)
-			il.FarOff[k+1], pre.off[k+1] = sink.nf, sink.nn
-		}
-	})
-	nf, nn := prefixSum(il.FarOff), prefixSum(pre.off)
-	allocAll(pool,
-		func() { il.Far = make([]int32, nf) },
-		func() { il.FarMargin = make([]float64, nf) },
-		func() { il.FarPath = make([]float64, nf) },
-		func() { il.FarOrd = ph.newFarOrd(nf) },
-		func() { pre.n = make([]int32, nn) },
-		func() { pre.p = make([]float64, nn) },
-		func() {
-			if !ph.leafFirst && nn > 0 { // Born lists; E_pol's leaf-first rows carry no near tests
-				pre.m = make([]float64, nn)
-			}
-		})
-	forRows(pool, len(dirty), func(lo, hi, _ int) {
-		for _, k := range dirty[lo:hi] {
-			sink := rowSink{fill: true, nf: il.FarOff[k], nn: pre.off[k], il: il, near: &pre}
-			ph.classifyRow(rows[k], &sink)
-		}
-	})
-	sp.End(obs.NoVirtual)
-
-	if old != nil {
-		sp = o.Begin(0, "ilist", "ilist.repair.assemble", obs.NoVirtual)
-		forRows(pool, n, func(lo, hi, _ int) {
-			for k := lo; k < hi; k++ {
-				if i := src[k]; i >= 0 {
-					ph.carryRow(il, &pre, old, cert, k, i)
-				}
-			}
-		})
-		sp.End(obs.NoVirtual)
-	}
-	ph.splitNear(il, &pre, pool, o)
-	return il, len(dirty)
-}
-
 // Split classes of a pre-symmetrization near entry.
 const (
 	kindNear = iota // one-directional or diagonal: stays in Near
@@ -639,6 +446,7 @@ const (
 	// which are free: CSR offsets are int32, so a tree the lists can index
 	// has far fewer than 2³⁰ nodes.
 	kindShift = 30
+	kindMask  = 1<<kindShift - 1
 )
 
 // symmetrizeNear splits each row's pre-symmetrization near list (pre, over
@@ -656,10 +464,11 @@ const (
 // row then stamps T(k) into its worker's array and reads its partners'
 // stamps. Rows run in parallel and race-free, since a row reads only pre
 // and T and writes only its own ranges: a first pass classes and counts
-// the entries, a second scatters them into the arrays the counts sized —
-// with their path margins when pre carries them (a certified build), the
-// ids alone otherwise. pre's entries are scratch from here on: the first
-// pass leaves each one's class in its top bits for the second.
+// the entries, a second scatters them into the arrays the counts sized.
+// pre's entries are scratch from here on: the first pass leaves each one's
+// class in its top bits for the second. This is the compile's split, of
+// every row at once; a repair, which re-splits a few rows, asks the
+// opening test instead (nearSplit, ilist_repair.go).
 func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sched.Pool) {
 	n := len(il.Rows)
 	rowOf := make([]int32, numNodes)
@@ -732,113 +541,55 @@ func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sc
 			il.NearOff[k+1], il.SymOff[k+1], il.CedeOff[k+1] = cnt[kindNear], cnt[kindSym], cnt[kindCede]
 		}
 	})
-	nn, ns, nc := prefixSum(il.NearOff), prefixSum(il.SymOff), prefixSum(il.CedeOff)
-	certified := pre.p != nil
-	allocs := []func(){
-		func() { il.Near = make([]int32, nn) },
-		func() { il.Sym = make([]int32, ns) },
-		func() { il.Cede = make([]int32, nc) },
-	}
-	if certified {
-		allocs = append(allocs,
-			func() { il.NearPath = make([]float64, nn) },
-			func() { il.SymPath = make([]float64, ns) },
-			func() { il.CedePath = make([]float64, nc) })
-	}
-	allocAll(pool, allocs...)
+	il.allocNear(pool)
 	forRows(pool, n, func(lo, hi, _ int) {
-		dstN := [3][]int32{il.Near, il.Sym, il.Cede}
-		dstP := [3][]float64{il.NearPath, il.SymPath, il.CedePath}
 		for k := lo; k < hi; k++ {
-			at := [3]int32{il.NearOff[k], il.SymOff[k], il.CedeOff[k]}
-			for i, e := range pre.row(k) {
-				kd := uint32(e) >> kindShift
-				dstN[kd][at[kd]] = e & (1<<kindShift - 1)
-				if certified {
-					dstP[kd][at[kd]] = pre.p[int(pre.off[k])+i]
-				}
-				at[kd]++
-			}
+			il.scatterNear(k, pre.row(k))
 		}
 	})
 }
 
-// newCompiledLists returns empty lists stamped with the system's current
-// opening criteria.
-func (s *System) newCompiledLists() *CompiledLists {
-	return &CompiledLists{
+// allocNear turns the per-row counts in il's three near offset arrays into
+// offsets and allocates Near, Sym and Cede to their totals.
+func (il *InteractionLists) allocNear(pool *sched.Pool) {
+	nn, ns, nc := prefixSum(il.NearOff), prefixSum(il.SymOff), prefixSum(il.CedeOff)
+	allocAll(pool,
+		func() { il.Near = make([]int32, nn) },
+		func() { il.Sym = make([]int32, ns) },
+		func() { il.Cede = make([]int32, nc) })
+}
+
+// scatterNear writes row k's classed near entries (the class in each one's
+// top bits) to the row's ranges of Near, Sym and Cede, in order.
+func (il *InteractionLists) scatterNear(k int, classed []int32) {
+	dst := [3][]int32{il.Near, il.Sym, il.Cede}
+	at := [3]int32{il.NearOff[k], il.SymOff[k], il.CedeOff[k]}
+	for _, e := range classed {
+		kd := uint32(e) >> kindShift
+		dst[kd][at[kd]] = e & kindMask
+		at[kd]++
+	}
+}
+
+// compile builds both phases' lists from the system's current geometry and
+// parameters.
+func (s *System) compile(pool *sched.Pool) *CompiledLists {
+	cl := &CompiledLists{
 		bornMAC:  s.bornMAC(),
 		epolFar:  epolFarFactor(s.Params.EpsEpol),
 		farOrder: s.Params.FarOrder,
 	}
-}
-
-// compile builds both phases' index lists from the system's current
-// geometry and parameters — all an evaluation needs.
-func (s *System) compile(pool *sched.Pool) *CompiledLists {
-	cl := s.newCompiledLists()
 	born, epol := s.listPhases(cl)
 	cl.Born = born.index(pool)
 	cl.Epol = epol.index(pool)
 	return cl
 }
 
-// compileCertified builds both phases' lists with their repair
-// certificate: the margins of every opening test and the node geometry
-// they were measured on.
-func (s *System) compileCertified(pool *sched.Pool) *CompiledLists {
-	cl := s.newCompiledLists()
-	born, epol := s.listPhases(cl)
-	cl.Born, _ = born.build(nil, nil, pool, nil)
-	cl.Epol, _ = epol.build(nil, nil, pool, nil)
-	cl.nodeC, cl.nodeR = snapshotNodes(s.Atoms)
-	return cl
-}
-
-// materialize returns cl with its repair certificate: cl itself when it
-// carries one, otherwise a certified compile of the current geometry —
-// which must be the geometry cl was compiled on, so the caller runs it
-// BEFORE a tracked update moves the tree. The certified build is an
-// independent second classification, so its index is checked against cl's:
-// a difference means cl was not a compile of this geometry, and repairing
-// it would certify verdicts nobody took.
-func (s *System) materialize(cl *CompiledLists, pool *sched.Pool, o *obs.Obs) (*CompiledLists, error) {
-	if cl.certified() {
-		return cl, nil
-	}
-	sp := o.Begin(0, "ilist", "ilist.repair.certificate", obs.NoVirtual)
-	defer sp.End(obs.NoVirtual)
-	cert := s.compileCertified(pool)
-	if err := diffLists("born", cl.Born, cert.Born); err != nil {
-		return nil, err
-	}
-	if err := diffLists("epol", cl.Epol, cert.Epol); err != nil {
-		return nil, err
-	}
-	if o != nil {
-		o.Counter("ilist.certificates.materialized").Add(1)
-	}
-	return cert, nil
-}
-
-// snapshotNodes copies the tree's node centers and radii (by node id) —
-// the geometric state the repair certificates measure drift against.
-func snapshotNodes(t *octree.Tree) ([]geom.Vec3, []float64) {
-	c := make([]geom.Vec3, len(t.Nodes))
-	r := make([]float64, len(t.Nodes))
-	for i := range t.Nodes {
-		c[i] = t.Nodes[i].Center
-		r[i] = t.Nodes[i].Radius
-	}
-	return c, r
-}
-
 // RecordMetrics publishes the lists' static structure to the observer:
 // total row/near/far/sym entry counts per phase plus per-row batch-size
 // histograms (the sizes the SoA batch kernels sweep), and what the lists
-// hold in bytes — the gauges mem.lists.index_bytes and
-// mem.lists.certificate_bytes (0 until a repair materialises it), in total
-// and as mem.lists.{born,epol}.* per phase. Everything here is derivable
+// hold in bytes — the gauge mem.lists.index_bytes, in total and as
+// mem.lists.{born,epol}.index_bytes per phase. Everything here is derivable
 // from the compiled lists alone, so the hot loops in kernels.go carry no
 // instrumentation at all — the counts are recorded once per run, off the
 // critical path. No-op when o is nil.
@@ -876,13 +627,11 @@ func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
 			}
 			rowNear.Observe(int64(near))
 		}
-		o.Gauge("mem.lists." + phase + ".index_bytes").Set(float64(il.IndexBytes()))
-		o.Gauge("mem.lists." + phase + ".certificate_bytes").Set(float64(il.CertificateBytes()))
+		o.Gauge("mem.lists." + phase + ".index_bytes").Set(float64(il.MemoryBytes()))
 	}
 	rec("born", cl.Born)
 	rec("epol", cl.Epol)
-	o.Gauge("mem.lists.index_bytes").Set(float64(cl.IndexBytes()))
-	o.Gauge("mem.lists.certificate_bytes").Set(float64(cl.CertificateBytes()))
+	o.Gauge("mem.lists.index_bytes").Set(float64(cl.MemoryBytes()))
 }
 
 // Lists returns the system's compiled interaction lists, building them on

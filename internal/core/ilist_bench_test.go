@@ -20,8 +20,8 @@ func listBenchSystem(b *testing.B) (*System, *sched.Pool) {
 	return sys, pool
 }
 
-// localJiggle displaces the atoms within 6 Å of a drawn site by
-// σ = 0.05 Å — the md_step workload's perturbation.
+// localJiggle displaces the atoms within 6 Å of a drawn site by σ — at
+// 0.05 Å, the md_step workload's perturbation.
 func localJiggle(rng *rand.Rand, pos []geom.Vec3, sigma float64) []geom.Vec3 {
 	out := append([]geom.Vec3(nil), pos...)
 	site := pos[rng.Intn(len(pos))]
@@ -44,39 +44,33 @@ func BenchmarkCompileLists20k(b *testing.B) {
 	}
 }
 
-// The materialisation alone: the certified build of compiled lists and the
-// check of its index against theirs, which the first repair pays once.
-func BenchmarkCertifyLists20k(b *testing.B) {
-	sys, pool := listBenchSystem(b)
-	index := sys.compile(pool)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cl, err := sys.materialize(index, pool, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(cl.MemoryBytes())
-	}
-}
-
-// The steady state of a trajectory: one repaired local jiggle of lists
-// that already carry their certificate.
-func BenchmarkRepairLists20k(b *testing.B) {
+// repairBench times one repaired step of mode per iteration, displacements
+// accumulating.
+func repairBench(b *testing.B, mode jiggleMode) {
 	sys, pool := listBenchSystem(b)
 	sys.Lists(pool)
-	certifyLists(b, sys, pool)
 	rng := rand.New(rand.NewSource(5))
 	pos := sys.Mol.Positions()
+	rows := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		pos = localJiggle(rng, pos, 0.05)
+		pos = mode.step(rng, pos)
 		b.StartTimer()
 		stats, err := sys.UpdateAtomsRepair(pos, pool, nil)
 		if err != nil || !stats.Repaired {
 			b.Fatalf("step %d: %+v %v", i, stats, err)
 		}
+		rows += stats.RowsRepaired
 	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 }
+
+// The steady state of a trajectory: one repaired local jiggle, the md_step
+// workload's perturbation.
+func BenchmarkRepairLists20k(b *testing.B) { repairBench(b, rtwmModes[0]) }
+
+// The worst case: every atom jiggled, every node moved, nearly every row
+// reclassified — a repair that is a compile with a re-test in front.
+func BenchmarkRepairGlobal20k(b *testing.B) { repairBench(b, rtwmModes[2]) }

@@ -15,14 +15,14 @@ import (
 
 // Differential tests of the list back-end (ilist.go, ilist_repair.go):
 // the transpose-based symmetrization against the sort + binary-search
-// implementation it replaced, pooled against serial compiles, and chains
-// of repairs against fresh compiles. `make race` runs all of it under the
+// implementation it replaced (the margins it also carried went with the
+// repair certificate), pooled against serial compiles, and chains of
+// repairs against fresh compiles. `make race` runs all of it under the
 // race detector.
 
 // oracleRow is one row's lists in the oracle's per-row form.
 type oracleRow struct {
-	near, sym, cede    []int32
-	nearP, symP, cedeP []float64
+	near, sym, cede []int32
 }
 
 // symmetrizeNearOracle is the production symmetrization up to PR 11, kept
@@ -44,33 +44,26 @@ func symmetrizeNearOracle(numNodes int, rows []int32, per []oracleRow) {
 	}
 	for i := range per {
 		kept := per[i].near[:0]
-		keptP := per[i].nearP[:0]
-		for x, u := range per[i].near {
-			p := per[i].nearP[x]
+		for _, u := range per[i].near {
 			j := int(rowOf[u])
 			switch {
 			case j == i:
 				kept = append(kept, u)
-				keptP = append(keptP, p)
 			case j > i:
 				if _, ok := slices.BinarySearch(sorted[j], rows[i]); ok {
 					per[i].sym = append(per[i].sym, u)
-					per[i].symP = append(per[i].symP, p)
 				} else {
 					kept = append(kept, u)
-					keptP = append(keptP, p)
 				}
 			default:
 				if _, ok := slices.BinarySearch(sorted[j], rows[i]); !ok {
 					kept = append(kept, u)
-					keptP = append(keptP, p)
 				} else {
 					per[i].cede = append(per[i].cede, u)
-					per[i].cedeP = append(per[i].cedeP, p)
 				}
 			}
 		}
-		per[i].near, per[i].nearP = kept, keptP
+		per[i].near = kept
 	}
 }
 
@@ -126,7 +119,7 @@ func forFixtures(t *testing.T, fn func(t *testing.T, build func() *System)) {
 }
 
 // The new symmetrization must split every row exactly as the oracle does:
-// same near/sym/cede entries in the same order, same path margins.
+// same near/sym/cede entries in the same order.
 func TestSymmetrizeMatchesOracle(t *testing.T) {
 	forFixtures(t, func(t *testing.T, build func() *System) {
 		sys := build()
@@ -135,33 +128,30 @@ func TestSymmetrizeMatchesOracle(t *testing.T) {
 		// pre-symmetrization lists the oracle starts from.
 		unsplit := epol
 		unsplit.symmetrize = false
-		pre, _ := unsplit.build(nil, nil, nil, nil)
+		pre := unsplit.index(nil)
 		per := make([]oracleRow, len(pre.Rows))
 		for i := range per {
-			lo, hi := pre.NearOff[i], pre.NearOff[i+1]
-			per[i].near = slices.Clone(pre.Near[lo:hi])
-			per[i].nearP = slices.Clone(pre.NearPath[lo:hi])
+			per[i].near = slices.Clone(pre.Near[pre.NearOff[i]:pre.NearOff[i+1]])
 		}
 		symmetrizeNearOracle(len(sys.Atoms.Nodes), pre.Rows, per)
 		var want oracleRow
 		off := [3][]int32{{0}, {0}, {0}}
 		for i := range per {
-			want.near, want.nearP = append(want.near, per[i].near...), append(want.nearP, per[i].nearP...)
-			want.sym, want.symP = append(want.sym, per[i].sym...), append(want.symP, per[i].symP...)
-			want.cede, want.cedeP = append(want.cede, per[i].cede...), append(want.cedeP, per[i].cedeP...)
+			want.near = append(want.near, per[i].near...)
+			want.sym = append(want.sym, per[i].sym...)
+			want.cede = append(want.cede, per[i].cede...)
 			off[0] = append(off[0], int32(len(want.near)))
 			off[1] = append(off[1], int32(len(want.sym)))
 			off[2] = append(off[2], int32(len(want.cede)))
 		}
 		forPools(t, func(t *testing.T, pool *sched.Pool) {
-			got, _ := epol.build(nil, nil, pool, nil)
+			got := epol.index(pool)
 			for _, c := range []struct {
 				name      string
 				got, want any
 			}{
 				{"NearOff", got.NearOff, off[0]}, {"SymOff", got.SymOff, off[1]}, {"CedeOff", got.CedeOff, off[2]},
 				{"Near", got.Near, want.near}, {"Sym", got.Sym, want.sym}, {"Cede", got.Cede, want.cede},
-				{"NearPath", got.NearPath, want.nearP}, {"SymPath", got.SymPath, want.symP}, {"CedePath", got.CedePath, want.cedeP},
 			} {
 				// An empty list is empty either way.
 				if reflect.ValueOf(c.got).Len()+reflect.ValueOf(c.want).Len() > 0 && !reflect.DeepEqual(c.got, c.want) {
@@ -172,59 +162,22 @@ func TestSymmetrizeMatchesOracle(t *testing.T) {
 	})
 }
 
-// A compile on a pool must be byte-identical to the serial compile, index
-// build and certified build alike.
+// A compile on a pool must be byte-identical to the serial compile.
 func TestCompilePoolMatchesSerial(t *testing.T) {
 	forFixtures(t, func(t *testing.T, build func() *System) {
 		sys := build()
-		want, wantCert := sys.compile(nil), sys.compileCertified(nil)
+		want := sys.compile(nil)
 		forPools(t, func(t *testing.T, pool *sched.Pool) {
 			if got := sys.compile(pool); !reflect.DeepEqual(got, want) {
 				t.Error("pooled compile differs from the serial compile")
-			}
-			if got := sys.compileCertified(pool); !reflect.DeepEqual(got, wantCert) {
-				t.Error("pooled certified compile differs from the serial one")
 			}
 		})
 	})
 }
 
-// structure is the part of a list a repair must reproduce exactly; the
-// margins of carried rows are decayed lower bounds instead.
-func structure(il *InteractionLists) []any {
-	return []any{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near, il.SymOff, il.Sym, il.CedeOff, il.Cede, il.FarOrd}
-}
-
-// checkRepaired asserts repaired lists are structurally a fresh compile
-// and that every margin is a lower bound on the fresh one.
-func checkRepaired(t *testing.T, phase string, got, fresh *InteractionLists) {
-	t.Helper()
-	if !reflect.DeepEqual(structure(got), structure(fresh)) {
-		t.Fatalf("%s: repaired structure differs from a fresh compile", phase)
-	}
-	for _, m := range []struct {
-		name       string
-		got, fresh []float64
-	}{
-		{"FarMargin", got.FarMargin, fresh.FarMargin}, {"FarPath", got.FarPath, fresh.FarPath},
-		{"NearMargin", got.NearMargin, fresh.NearMargin}, {"NearPath", got.NearPath, fresh.NearPath},
-		{"SymPath", got.SymPath, fresh.SymPath}, {"CedePath", got.CedePath, fresh.CedePath},
-	} {
-		if len(m.got) != len(m.fresh) {
-			t.Fatalf("%s: %s has %d entries, fresh compile %d", phase, m.name, len(m.got), len(m.fresh))
-		}
-		for k := range m.got {
-			if m.got[k] > m.fresh[k]+repairSlop {
-				t.Fatalf("%s: %s[%d] = %g exceeds the true slack %g", phase, m.name, k, m.got[k], m.fresh[k])
-			}
-		}
-	}
-}
-
 // Ten cumulative local jiggles, each repaired in place: after every step
-// RecheckLists must pass and the cached lists must be a fresh compile's
-// structure with sound margins — through carried, merged and freshly
-// classified rows alike.
+// the cached lists must be a fresh compile's, array for array — through
+// copied, re-split and freshly classified rows alike.
 func TestRepairChainMatchesFreshCompile(t *testing.T) {
 	forFixtures(t, func(t *testing.T, build func() *System) {
 		forPools(t, func(t *testing.T, pool *sched.Pool) {
@@ -239,18 +192,15 @@ func TestRepairChainMatchesFreshCompile(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				if err := sys.RecheckLists(pool); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
 				if !stats.Repaired {
 					sys.Lists(pool) // rebuilt octree: compile afresh and go on
 					continue
 				}
 				repaired++
 				carried += stats.RowsTotal - stats.RowsRepaired
-				fresh := sys.compileCertified(nil)
-				checkRepaired(t, fmt.Sprintf("step %d born", step), sys.lists.Born, fresh.Born)
-				checkRepaired(t, fmt.Sprintf("step %d epol", step), sys.lists.Epol, fresh.Epol)
+				if fresh := sys.compile(pool); !reflect.DeepEqual(sys.lists, fresh) {
+					t.Fatalf("step %d: repaired lists differ from a fresh compile", step)
+				}
 			}
 			if sys.Mol.NumAtoms() > 100 && (repaired < 8 || carried == 0) {
 				t.Errorf("%d of 10 steps repaired, %d rows carried: the chain exercised too little", repaired, carried)
@@ -259,15 +209,29 @@ func TestRepairChainMatchesFreshCompile(t *testing.T) {
 	})
 }
 
+// measureAllocs runs fn between two collections and reports the objects and
+// bytes it allocated and the bytes it left alive.
+func measureAllocs(fn func()) (objects, bytes, live uint64) {
+	var a, b runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&a)
+	fn()
+	runtime.ReadMemStats(&b)
+	objects, bytes = b.Mallocs-a.Mallocs, b.TotalAlloc-a.TotalAlloc
+	runtime.GC()
+	runtime.ReadMemStats(&b)
+	return objects, bytes, b.HeapAlloc - min(a.HeapAlloc, b.HeapAlloc)
+}
+
 // The allocation budget of the back-end: every call allocates a number of
 // objects that depends on the worker and chunk count, not on rows or
 // entries (the per-row appends of PR 11 made 290 000 at this size), and
-// keeps nothing alive but the lists it leaves behind. An index compile
-// allocates at most 2.5 times the bytes of its lists — the lists, the chunk
-// arenas they were collected in, and the transpose of the near relation; a
-// certified build, as a materialisation or as a repair, at most twice the
-// bytes of its own (PR 11: 4.2×), so the one repair that runs both gets
-// both budgets.
+// keeps nothing alive but the lists it leaves behind. A compile allocates
+// at most 2.5 times the bytes of its lists — the lists, the chunk arenas
+// they were collected in, and the transpose of the near relation; a repair
+// at most 1.6 times — the lists, the arenas of the rows it classified, a
+// few words a node and a row, and the octree update's own scratch — and
+// the lists it replaces die with the call.
 func TestListBackendAllocBudget(t *testing.T) {
 	sys, _, _ := testSystem(t, 4000, 2, mortonParams())
 	pool := sched.NewPool(2)
@@ -275,19 +239,8 @@ func TestListBackendAllocBudget(t *testing.T) {
 	// Objects: a fixed set of arrays per phase plus one task closure per
 	// chunk of each parallel loop (8 chunks per worker, ~10 loops, 2
 	// phases), and the octree update's own scratch on the repair path.
-	maxObjects := uint64(32 * 8 * pool.NumWorkers())
-	measure := func(fn func()) (objects, bytes, live uint64) {
-		var a, b runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&a)
-		fn()
-		runtime.ReadMemStats(&b)
-		objects, bytes = b.Mallocs-a.Mallocs, b.TotalAlloc-a.TotalAlloc
-		runtime.GC()
-		runtime.ReadMemStats(&b)
-		return objects, bytes, b.HeapAlloc - min(a.HeapAlloc, b.HeapAlloc)
-	}
-	check := func(what string, objects, bytes, live, maxObjects uint64, budget float64, lists, liveWant int64) {
+	const maxObjects = 512
+	check := func(what string, objects, bytes, live uint64, budget float64, lists, liveWant int64) {
 		t.Helper()
 		t.Logf("%s: %d objects, %.2f x list bytes allocated, %.2f x live", what, objects,
 			float64(bytes)/float64(lists), float64(live)/float64(lists))
@@ -302,32 +255,20 @@ func TestListBackendAllocBudget(t *testing.T) {
 		}
 	}
 	var cl *CompiledLists
-	objects, bytes, live := measure(func() { cl = sys.compile(pool) })
-	if cl.certified() {
-		t.Fatal("a compile materialised the certificate")
-	}
-	check("compile", objects, bytes, live, maxObjects, 2.5, cl.IndexBytes(), cl.IndexBytes())
-
-	index := sys.Lists(pool).IndexBytes()
+	objects, bytes, live := measureAllocs(func() { cl = sys.compile(pool) })
+	check("compile", objects, bytes, live, 2.5, cl.MemoryBytes(), cl.MemoryBytes())
 	cl = nil
+
+	sys.Lists(pool)
 	rng := rand.New(rand.NewSource(306))
 	pos := sys.Mol.Positions()
-	repair := func() (objects, bytes, live uint64) {
+	for step := 0; step < 2; step++ {
 		pos = localJiggle(rng, pos, 0.05)
-		return measure(func() {
+		objects, bytes, live = measureAllocs(func() {
 			if stats, err := sys.UpdateAtomsRepair(pos, pool, nil); err != nil || !stats.Repaired {
 				t.Fatalf("not repaired: %+v %v", stats, err)
 			}
 		})
+		check(fmt.Sprintf("repair %d", step), objects, bytes, live, 1.6, sys.lists.MemoryBytes(), 0)
 	}
-	// The first repair materialises the certificate — a certified compile —
-	// and then repairs: two certified builds, and the certificate stays.
-	objects, bytes, live = repair()
-	certified := sys.lists.MemoryBytes()
-	check("materialise + repair", objects, bytes, live, 2*maxObjects, 4, certified, certified-index)
-	// From then on the old lists die with the call: the live heap must not
-	// grow.
-	objects, bytes, live = repair()
-	check("repair", objects, bytes, live, maxObjects, 2, sys.lists.MemoryBytes(), 0)
-	runtime.KeepAlive(cl)
 }

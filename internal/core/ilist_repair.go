@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"sync/atomic"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/obs"
@@ -13,29 +13,15 @@ import (
 // This file is the incremental interaction-list repair — the warm-path
 // companion to the tracked octree update (octree/tracked.go). A compiled
 // list row is a pure function of the opening tests its classification
-// evaluated, and a certified list records the slack each of those tests
-// had (the margin arrays of InteractionLists — built by the first repair,
-// System.materialize, not by the compile: an evaluation never reads them).
-// After an update the repair measures, per node, how far the
-// center and radius ACTUALLY moved relative to the snapshot the lists
-// were certified against; a row whose margin dominates the worst drift
-// along every path it descended — and whose paths saw no structural
-// change (child materialized, child pruned, leaf split) — provably
-// classifies identically against the moved geometry, so its cached
-// entries ARE what a fresh compile would produce. Only the remaining
-// rows are recomputed, and the result is structurally byte-for-byte a
-// full recompile (RecheckLists verifies exactly that) at O(dirty rows)
-// cost. Measuring drift per node rather than bounding it by the fastest
-// atom is what makes the certificate bite: an opening test's operands
-// move with a node's centroid, which for an n-point node drifts ~1/n of
-// the per-atom displacement.
-
-// repairSlop absorbs floating-point evaluation noise in the margin/drift
-// comparison: the drift bound is exact over the reals, and the opening
-// test's FP rounding is ~1e-13 at molecular coordinate scales, so a
-// conservative absolute guard keeps the certificate sound without
-// recomputing measurably more rows.
-const repairSlop = 1e-9
+// evaluated: the row's own cluster against the nodes it descended. An MD
+// step moves a hundred atoms, and with them the centers and radii of the
+// few dozen nodes above them; every other node keeps its bits. So the
+// repair re-runs each row's descent over the nodes that MOVED, on their
+// geometry before the update and after it, and reclassifies the row only
+// where the two descents part — exactly, not up to a bound. Kept rows copy
+// their cached entries; the result is byte-for-byte a full recompile
+// (RecheckLists verifies exactly that), and nothing is stored for the
+// repair's sake: a list is its index.
 
 // UpdateStats reports what an UpdateAtomsRepair call did.
 type UpdateStats struct {
@@ -48,7 +34,7 @@ type UpdateStats struct {
 	// place; when false they were invalidated and the next evaluation
 	// recompiles from scratch.
 	Repaired bool
-	// RowsRepaired and RowsTotal count recompiled vs total list rows
+	// RowsRepaired and RowsTotal count reclassified vs total list rows
 	// across both phases (valid only when Repaired).
 	RowsRepaired, RowsTotal int
 }
@@ -56,22 +42,17 @@ type UpdateStats struct {
 // UpdateAtomsRepair moves the atoms to new positions (original atom
 // order) like UpdateAtoms, but uses the tracked octree update and its
 // structural-change report to repair the compiled interaction lists in
-// place instead of discarding them. When repair is impossible — the
-// octree rebuilt, or there were no cached lists — it degrades to
-// UpdateAtoms semantics (lists invalidated). The pool parallelizes every
-// step of the repair; o (may be nil) receives the "octree.keys.moved",
-// "ilist.rows.repaired", "ilist.repair.fallbacks" and
-// "ilist.certificates.materialized" counters and, per call, the sub-phase
-// spans "ilist.repair.certificate" (only on the call that materialises
-// it), "ilist.repair.cert" and, for each phase,
-// "ilist.repair.{certify,classify,assemble,symmetrize}".
-//
-// Compiled lists carry no repair certificate until a repair asks for one,
-// so the first call on them builds it (System.materialize) — from the
-// geometry the lists were compiled on, hence before the tracked update
-// moves the tree, and only once everything that can be decided without it
-// has been: a rejected update, or one already known to end with the lists
-// dropped, never pays for a certified compile.
+// place instead of discarding them. When repair is impossible it degrades
+// to UpdateAtoms semantics (lists invalidated) and says why: o (may be nil)
+// counts "ilist.repair.fallbacks" and one reason under it — ".no_lists",
+// ".params_changed", ".untracked" (the octree cannot keep its node ids: no
+// Morton keys, re-posed, or an atom outside the root cube) or ".rebuilt"
+// (it rebuilt all the same). An update that moved no node returns the held
+// lists themselves, repaired. The pool parallelizes every step of the
+// repair; o also receives "octree.keys.moved", "ilist.rows.repaired" and,
+// per repair, "ilist.repair.{hot_nodes,rows_retested,rows_resplit}", the
+// span "ilist.repair.delta" and, for each phase,
+// "ilist.repair.{retest,classify,assemble}".
 func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o *obs.Obs) (UpdateStats, error) {
 	if len(newPositions) != s.Mol.NumAtoms() {
 		return UpdateStats{}, fmt.Errorf("core: UpdateAtomsRepair with %d positions for %d atoms",
@@ -84,18 +65,20 @@ func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o
 	}
 	s.listsMu.Lock()
 	defer s.listsMu.Unlock()
-	cached := s.lists
-	// The lists can be repaired only if they are the current parameters'
-	// and the octree update keeps its node ids — not without Morton keys (a
-	// recursive build), after a re-pose, or when an atom leaves the root
-	// cube. Nothing else needs a certificate.
-	var cl *CompiledLists
-	if cached.matches(s) && s.Atoms.Tracks(newPositions) {
-		var err error
-		if cl, err = s.materialize(cached, pool, o); err != nil {
-			s.lists = nil
-			return UpdateStats{}, fmt.Errorf("core: UpdateAtomsRepair: cached lists are not a compile of the current geometry: %w", err)
-		}
+	cl := s.lists
+	fallback := ""
+	switch {
+	case cl == nil:
+		fallback = "no_lists"
+	case !cl.matches(s):
+		fallback = "params_changed"
+	case !s.Atoms.Tracks(newPositions):
+		fallback = "untracked"
+	}
+	// What the lists were classified on, taken before the tree moves.
+	var before treeGeometry
+	if fallback == "" {
+		before = geometryOf(s.Atoms)
 	}
 
 	res, err := s.Atoms.UpdateTracked(newPositions)
@@ -108,32 +91,43 @@ func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o
 	}
 
 	stats := UpdateStats{Moved: res.Moved, Rebuilt: res.Rebuilt}
-	if cl == nil || res.Rebuilt {
+	if fallback == "" && res.Rebuilt {
+		fallback = "rebuilt"
+	}
+	if fallback != "" {
 		// Node ids are not stable across a rebuild (or there is nothing
 		// to repair): full recompile on next use.
 		s.lists = nil
-		if o != nil && cached != nil {
+		if o != nil {
 			o.Counter("ilist.repair.fallbacks").Add(1)
+			o.Counter("ilist.repair.fallbacks." + fallback).Add(1)
 		}
 		return stats, nil
 	}
-	sp := o.Begin(0, "ilist", "ilist.repair.cert", obs.NoVirtual)
-	cert := buildRepairCert(s.Atoms, cl.nodeC, cl.nodeR, res.Struct)
+
+	sp := o.Begin(0, "ilist", "ilist.repair.delta", obs.NoVirtual)
+	d := newTreeDelta(s.Atoms, before, res.Struct)
 	sp.End(obs.NoVirtual)
+	stats.Repaired = true
+	stats.RowsTotal = len(cl.Born.Rows) + len(cl.Epol.Rows)
+	if d.hot == 0 {
+		// No node moved, so no verdict did: the lists are the repair.
+		return stats, nil
+	}
 	bornPh, epolPh := s.listPhases(cl)
-	born, nb := bornPh.build(cl.Born, cert, pool, o)
-	epol, ne := epolPh.build(cl.Epol, cert, pool, o)
-	nc, nr := snapshotNodes(s.Atoms)
+	born, nb := bornPh.repair(cl.Born, d, pool, o)
+	epol, ne := epolPh.repair(cl.Epol, d, pool, o)
 	s.lists = &CompiledLists{
 		bornMAC: cl.bornMAC, epolFar: cl.epolFar, farOrder: cl.farOrder,
 		Born: born, Epol: epol,
-		nodeC: nc, nodeR: nr,
 	}
-	stats.Repaired = true
-	stats.RowsRepaired = nb + ne
+	stats.RowsRepaired = nb.classified + ne.classified
 	stats.RowsTotal = len(born.Rows) + len(epol.Rows)
 	if o != nil {
 		o.Counter("ilist.rows.repaired").Add(int64(stats.RowsRepaired))
+		o.Counter("ilist.repair.hot_nodes").Add(int64(d.hot))
+		o.Counter("ilist.repair.rows_retested").Add(int64(nb.retested + ne.retested))
+		o.Counter("ilist.repair.rows_resplit").Add(int64(nb.resplit + ne.resplit))
 	}
 	return stats, nil
 }
@@ -153,123 +147,138 @@ func (s *System) commitAtomPositions(newPositions []geom.Vec3) {
 	s.refreshAtomSoA()
 }
 
-// repairCert holds the per-node certification state one tracked update
-// induces on the atoms tree, shared by both phases' repairs.
-type repairCert struct {
-	// bad[id] is true unless id is reachable from the root AND no node on
-	// root→id (inclusive) changed structure: an entry referencing a pruned
-	// node is gone, and a classification descending a restructured path
-	// cannot be trusted to revisit the same children. Either fails the
-	// row's certificate.
-	bad []bool
-	// dc/dr are the node's own center/radius drift vs the snapshot;
-	// upDc/upDr are the maxima over the STRICT ancestors root→parent(id)
-	// — the nodes a classification descended through (and tested) on its
-	// way to id. Keeping the entry's own drift out of the path maximum is
-	// the point: the node a moved atom left or joined can jump by its
-	// whole cell size, and only the rows for which THAT node's own test
-	// was tight need recomputing, not every row that descended past it.
-	dc, dr, upDc, upDr []float64
-	// dfsIdx numbers nodes in classification visit order (pre-order,
-	// children in octant order) — node IDS stop being in visit order once
-	// tracked updates materialize leaves, so reassembling a row's
-	// pre-symmetrization near list must merge by this, not by id.
-	dfsIdx []int32
+// treeGeometry is what an opening test reads of a tree's nodes, by node id:
+// center, radius and leaf-ness.
+type treeGeometry struct {
+	c    []geom.Vec3
+	r    []float64
+	leaf []bool
 }
 
-// buildRepairCert measures every reachable node's drift against the
-// snapshot and folds in the tracked update's structural-change report
-// (nil strct means no structural change).
-func buildRepairCert(atoms *octree.Tree, snapC []geom.Vec3, snapR []float64, strct []bool) *repairCert {
+func geometryOf(t *octree.Tree) treeGeometry {
+	n := len(t.Nodes)
+	g := treeGeometry{c: make([]geom.Vec3, n), r: make([]float64, n), leaf: make([]bool, n)}
+	for i := range t.Nodes {
+		g.c[i], g.r[i], g.leaf[i] = t.Nodes[i].Center, t.Nodes[i].Radius, t.Nodes[i].IsLeaf
+	}
+	return g
+}
+
+// What one tracked update did to a node of the atoms tree.
+const (
+	// coldNode: the node and everything below it are what they were, bit
+	// for bit: no opening test against a cold subtree has a new answer.
+	coldNode = iota
+	// hotNode: its center or radius changed, or something below it is hot.
+	hotNode
+	// restructuredNode: it is new, gained or lost a child, or was a leaf and
+	// is not any more (octree.TrackedUpdate.Struct): a descent that opens it
+	// no longer visits what it visited.
+	restructuredNode
+)
+
+// treeDelta is the difference one tracked update made to the atoms tree,
+// shared by both phases' repairs.
+type treeDelta struct {
+	// before is the node geometry the cached lists were classified on.
+	before treeGeometry
+	// state[id] is coldNode, hotNode or restructuredNode; the non-cold set
+	// is closed upward, so a descent that skips cold children skips nothing
+	// that changed. hot counts the non-cold nodes.
+	state []uint8
+	hot   int
+	// visit numbers the reachable nodes in classification visit order
+	// (pre-order, children in octant order) and parent links each to the
+	// node above it. Node IDS stop being in visit order once tracked
+	// updates materialize leaves, so a row's near runs merge on visit.
+	visit, parent []int32
+}
+
+// newTreeDelta compares the updated tree against the geometry it had
+// before and folds in the update's structural-change report (nil: no
+// structural change), in one walk.
+func newTreeDelta(atoms *octree.Tree, before treeGeometry, strct []bool) *treeDelta {
 	nn := len(atoms.Nodes)
-	c := &repairCert{
-		bad:    make([]bool, nn),
-		dc:     make([]float64, nn),
-		dr:     make([]float64, nn),
-		upDc:   make([]float64, nn),
-		upDr:   make([]float64, nn),
-		dfsIdx: make([]int32, nn),
-	}
-	for i := range c.bad {
-		c.bad[i] = true // until the walk reaches it
-	}
+	d := &treeDelta{before: before, state: make([]uint8, nn), visit: make([]int32, nn), parent: make([]int32, nn)}
 	var next int32
-	var walk func(id int32, bad bool, mdc, mdr float64)
-	walk = func(id int32, bad bool, mdc, mdr float64) {
+	var walk func(id, parent int32) bool
+	walk = func(id, parent int32) bool {
 		nd := &atoms.Nodes[id]
-		dc, dr := math.Inf(1), math.Inf(1)
-		if int(id) < len(snapC) {
-			dc = nd.Center.Dist(snapC[id])
-			dr = math.Abs(nd.Radius - snapR[id])
-		} else {
-			bad = true // new node: no snapshot to certify against
-		}
-		if strct != nil && int(id) < len(strct) && strct[id] {
-			bad = true
-		}
-		c.bad[id] = bad
-		c.dc[id], c.dr[id] = dc, dr
-		c.upDc[id], c.upDr[id] = mdc, mdr
-		c.dfsIdx[id] = next
+		d.visit[id], d.parent[id] = next, parent
 		next++
-		if nd.IsLeaf {
-			return
+		st := uint8(coldNode)
+		switch {
+		case int(id) >= len(before.r) || (strct != nil && strct[id]):
+			st = restructuredNode
+		case nd.Center != before.c[id] || nd.Radius != before.r[id]:
+			st = hotNode
 		}
-		// The recursion's running maxima include this node: it is a
-		// strict ancestor of (and an internal test for) everything below.
-		if dc > mdc {
-			mdc = dc
-		}
-		if dr > mdr {
-			mdr = dr
-		}
-		for _, ch := range nd.Children {
-			if ch != octree.NoChild {
-				walk(ch, bad, mdc, mdr)
+		if !nd.IsLeaf {
+			for _, ch := range nd.Children {
+				if ch != octree.NoChild && walk(ch, id) && st == coldNode {
+					st = hotNode
+				}
 			}
 		}
+		d.state[id] = st
+		if st != coldNode {
+			d.hot++
+		}
+		return st != coldNode
 	}
-	walk(atoms.Root(), false, 0, 0)
-	return c
+	walk(atoms.Root(), octree.NoChild)
+	return d
 }
 
-// The repair half of listPhase.build. Rows follow the rowTree's CURRENT
-// leaves: rows whose leaf survived reuse their certificate, rows for new
-// leaves (materializations, splits) classify fresh, rows for dead leaves
-// drop. A surviving row is certified clean iff every cached entry is
-// still reachable, no visited path changed structure, and every opening
-// test's recorded slack dominates the drift of ITS operands: for the test
-// that admitted entry e, the entry's own dc[e] + mac·dr[e]; for the
-// internal tests on e's root path, the path minimum slack
-// (FarPath/NearPath/…) against the ancestor drift maxima
-// upDc[e] + mac·upDr[e] — each plus the row cluster's own drift when the
-// rows are atom leaves (E_pol; Born rows are static q-point leaves).
-// Keeping the internal certificate per entry matters as much as the
-// per-entry own-test margins: one hot node (a leaf that lost an atom
-// drifts by its cell size) sits on only a few entries' paths, and only
-// those entries' rows need recomputing.
-//
-// Under an opening-multiplier ladder (pmax > 0) the certificate is
-// unchanged: all drift scaling keeps the BASE multiplier mac = macs[0],
-// the largest rung, which upper-bounds how much any rung's test operand
-// (r_a+r_b)·macs[k] can move — conservative for k ≥ 1 — while the
-// margins themselves were recorded against the nearest reclassification
-// boundary of each entry's admitted order (classify), so a certified
-// row's FarOrd annotations are exactly what a fresh classification would
-// emit.
-
-// rowDrift is the drift bound of row leaf r's own cluster.
-func (ph *listPhase) rowDrift(cert *repairCert, r int32) float64 {
-	if !ph.leafFirst {
-		return 0
+// keeps is the differential descent: whether the cached row of an unmoved
+// cluster (center, radius) still stands below hot node n. It is classify's
+// walk taken on the old and the new geometry at once. While both verdicts
+// say "open" it goes on — into hot children only, since the row's descent
+// of a cold subtree is the one it was — and it gives the row up at the first
+// node whose two verdicts (admitted order included) differ, or that both
+// descents open and the update restructured: a child gained or lost there
+// is at least one entry gained or lost. So the test is exact both ways: a
+// row it gives up has lists that changed, a row it keeps has the lists a
+// fresh compile would give it.
+func (ph *listPhase) keeps(n int32, center geom.Vec3, radius float64, d *treeDelta) bool {
+	if int(n) >= len(d.before.r) {
+		return false // a new node: the old descent had nothing here
 	}
-	return cert.dc[r] + ph.macs[0]*cert.dr[r]
+	node, wasLeaf := &ph.atoms.Nodes[n], d.before.leaf[n]
+	if ph.leafFirst && (wasLeaf || node.IsLeaf) {
+		return wasLeaf == node.IsLeaf // a near leaf, unless split since
+	}
+	ordWas, farWas := ph.verdict(openingDist2(center, d.before.c[n]), radius, d.before.r[n], ph.rungs(wasLeaf))
+	ord, far := ph.verdict(openingDist2(center, node.Center), radius, node.Radius, ph.rungs(node.IsLeaf))
+	switch {
+	case ord != ordWas || far != farWas:
+		return false
+	case far:
+		return true // the same aggregate at the same order, whatever is below
+	case d.state[n] == restructuredNode:
+		return false
+	case node.IsLeaf:
+		return true
+	}
+	for _, child := range node.Children {
+		if child != octree.NoChild && d.state[child] != coldNode && !ph.keeps(child, center, radius, d) {
+			return false
+		}
+	}
+	return true
 }
 
-// certify fills src (see build): the cached row of every current row
-// whose leaf survived and whose certificate holds. It runs in parallel — a
-// row's certificate reads only the cached lists and cert.
-func (ph *listPhase) certify(old *InteractionLists, cert *repairCert, rows, src []int32, pool *sched.Pool) {
+// repairCounts is what one phase's repair did, in rows: classified afresh,
+// re-tested over the hot nodes, and kept but split again.
+type repairCounts struct{ classified, retested, resplit int }
+
+// sources returns, for every current row, the cached row it carries over,
+// or −1 for a row to classify: a new leaf's, an atom leaf's that moved
+// itself (every test of its descent has a new operand), or one the re-test
+// — whose runs it counts in retested — does not keep. Rows follow the
+// rowTree's CURRENT leaves, so rows of dead leaves drop out here. It runs in
+// parallel: a row's re-test reads only the tree and d.
+func (ph *listPhase) sources(old *InteractionLists, rows []int32, d *treeDelta, pool *sched.Pool) (src []int32, retested int) {
 	oldIdx := make([]int32, len(ph.rowTree.Nodes))
 	for i := range oldIdx {
 		oldIdx[i] = -1
@@ -277,122 +286,296 @@ func (ph *listPhase) certify(old *InteractionLists, cert *repairCert, rows, src 
 	for i, r := range old.Rows {
 		oldIdx[r] = int32(i)
 	}
+	src = make([]int32, len(rows))
+	var descents atomic.Int64
 	forRows(pool, len(rows), func(lo, hi, _ int) {
-		for k := lo; k < hi; k++ {
-			i := oldIdx[rows[k]] // −1 for a new leaf: no cached row
-			if i >= 0 && !cert.rowClean(old, i, ph.rowDrift(cert, rows[k]), ph.macs[0]) {
+		ran := 0
+		for k, r := range rows[lo:hi] {
+			i := oldIdx[r]
+			switch {
+			case i < 0:
+			case ph.leafFirst && d.state[r] != coldNode:
 				i = -1
+			default:
+				ran++
+				if rn := &ph.rowTree.Nodes[r]; !ph.keeps(ph.atoms.Root(), rn.Center, rn.Radius, d) {
+					i = -1
+				}
 			}
-			src[k] = i
+			src[lo+k] = i
+		}
+		descents.Add(int64(ran))
+	})
+	return src, int(descents.Load())
+}
+
+// repair produces the phase's lists after an update from the cached ones:
+// the rows sources keeps copy their cached runs, the others are classified
+// in one descent each (classifyRows), and in a symmetrized phase the near
+// entries whose class can have changed — a reclassified row's, and a kept
+// row's entries naming one — are split by nearSplit. The steps are the
+// compile's: count every row's entries, size the arrays once, fill them in
+// place, in parallel throughout. o (may be nil) receives the spans.
+func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Pool, o *obs.Obs) (*InteractionLists, repairCounts) {
+	il, pre := ph.newLists()
+	rows, n := il.Rows, len(il.Rows)
+
+	sp := o.Begin(0, "ilist", "ilist.repair.retest", obs.NoVirtual)
+	src, retested := ph.sources(old, rows, d, pool)
+	sp.End(obs.NoVirtual)
+
+	sp = o.Begin(0, "ilist", "ilist.repair.classify", obs.NoVirtual)
+	var dirty []int32
+	for k, i := range src {
+		if i < 0 {
+			dirty = append(dirty, int32(k))
+		}
+	}
+	cr := ph.classifyRows(il, &pre, dirty, pool)
+	sp.End(obs.NoVirtual)
+
+	sp = o.Begin(0, "ilist", "ilist.repair.assemble", obs.NoVirtual)
+	defer sp.End(obs.NoVirtual)
+	counts := repairCounts{classified: len(dirty), retested: retested}
+	var split *nearSplit
+	var resplit []bool // kept rows whose near runs must be split again
+	if ph.symmetrize {
+		split = ph.newNearSplit(rows, dirty, d)
+		resplit = make([]bool, n)
+	}
+
+	// Count: kept rows bring their cached counts, less and plus the entries
+	// that change class; classified rows have their far and pre-split near
+	// counts already and class the near entries now.
+	forRows(pool, n, func(lo, hi, _ int) {
+		for k := lo; k < hi; k++ {
+			i := src[k]
+			if i < 0 {
+				continue
+			}
+			il.FarOff[k+1] = old.FarOff[i+1] - old.FarOff[i]
+			runs := old.nearRuns(i)
+			cnt := [3]int32{int32(len(runs[kindNear])), int32(len(runs[kindSym])), int32(len(runs[kindCede]))}
+			if split != nil {
+				resplit[k] = split.recount(k, &runs, &cnt)
+			}
+			il.NearOff[k+1], il.SymOff[k+1], il.CedeOff[k+1] = cnt[kindNear], cnt[kindSym], cnt[kindCede]
 		}
 	})
-}
-
-// rowClean certifies cached row i against the drift (drow is the row
-// cluster's own).
-func (c *repairCert) rowClean(il *InteractionLists, i int32, drow, mac float64) bool {
-	for fi := il.FarOff[i]; fi < il.FarOff[i+1]; fi++ {
-		e := il.Far[fi]
-		if c.bad[e] ||
-			il.FarMargin[fi] <= drow+c.dc[e]+mac*c.dr[e]+repairSlop ||
-			il.FarPath[fi] <= drow+c.upDc[e]+mac*c.upDr[e]+repairSlop {
-			return false
-		}
-	}
-	for _, run := range il.nearRuns(i) {
-		for x, e := range run.es {
-			if c.bad[e] || run.ps[x] <= drow+c.upDc[e]+mac*c.upDr[e]+repairSlop {
-				return false
+	if split != nil {
+		forRows(pool, len(cr.arenas), func(lo, hi, _ int) {
+			for c := lo; c < hi; c++ {
+				at := int32(0)
+				for _, k := range cr.which[cr.bound(c):cr.bound(c+1)] {
+					cnt := split.class(int(k), cr.arenas[c].near[at:at+pre.off[k+1]])
+					il.NearOff[k+1], il.SymOff[k+1], il.CedeOff[k+1] = cnt[kindNear], cnt[kindSym], cnt[kindCede]
+					at += pre.off[k+1]
+				}
+			}
+		})
+		for _, again := range resplit {
+			if again {
+				counts.resplit++
 			}
 		}
 	}
-	// Born near leaves were admitted by a failed far test of their own;
-	// E_pol's leaf-first near entries were never tested (NearMargin nil)
-	// and need only the path checks.
-	if il.NearMargin != nil {
-		for x := il.NearOff[i]; x < il.NearOff[i+1]; x++ {
-			if e := il.Near[x]; il.NearMargin[x] <= drow+c.dc[e]+mac*c.dr[e]+repairSlop {
-				return false
+
+	// Size.
+	nf := prefixSum(il.FarOff)
+	allocAll(pool,
+		func() { il.Far = make([]int32, nf) },
+		func() { il.FarOrd = ph.newFarOrd(nf) })
+	il.allocNear(pool)
+
+	// Fill.
+	forRows(pool, n, func(lo, hi, _ int) {
+		for k := lo; k < hi; k++ {
+			i := src[k]
+			if i < 0 {
+				continue
+			}
+			copy(il.Far[il.FarOff[k]:], old.Far[old.FarOff[i]:old.FarOff[i+1]])
+			if il.FarOrd != nil {
+				copy(il.FarOrd[il.FarOff[k]:], old.FarOrd[old.FarOff[i]:old.FarOff[i+1]])
+			}
+			runs := old.nearRuns(i)
+			if split != nil && resplit[k] {
+				split.merge(il, k, runs)
+				continue
+			}
+			copy(il.Near[il.NearOff[k]:], runs[kindNear])
+			copy(il.Sym[il.SymOff[k]:], runs[kindSym])
+			copy(il.Cede[il.CedeOff[k]:], runs[kindCede])
+		}
+	})
+	forRows(pool, len(cr.arenas), func(lo, hi, _ int) {
+		for c := lo; c < hi; c++ {
+			a := &cr.arenas[c]
+			var fa, na int32
+			for _, k := range cr.which[cr.bound(c):cr.bound(c+1)] {
+				f := il.FarOff[k+1] - il.FarOff[k]
+				copy(il.Far[il.FarOff[k]:], a.far[fa:fa+f])
+				if il.FarOrd != nil {
+					copy(il.FarOrd[il.FarOff[k]:], a.ord[fa:fa+f])
+				}
+				fa += f
+				if split != nil {
+					il.scatterNear(int(k), a.near[na:na+pre.off[k+1]])
+					na += pre.off[k+1]
+				} else {
+					m := il.NearOff[k+1] - il.NearOff[k]
+					copy(il.Near[il.NearOff[k]:], a.near[na:na+m])
+					na += m
+				}
+			}
+		}
+	})
+	return il, counts
+}
+
+// nearRuns returns cached row i's Near, Sym and Cede runs, indexed by
+// class — together, its pre-symmetrization near list.
+func (il *InteractionLists) nearRuns(i int32) [3][]int32 {
+	return [3][]int32{
+		kindNear: il.Near[il.NearOff[i]:il.NearOff[i+1]],
+		kindSym:  il.Sym[il.SymOff[i]:il.SymOff[i+1]],
+		kindCede: il.Cede[il.CedeOff[i]:il.CedeOff[i+1]],
+	}
+}
+
+// nearSplit classes the near entries of a symmetrized phase whose class an
+// update can have changed. The compile finds the mutual pairs by
+// transposing the whole near relation (symmetrizeNear); a repair has a few
+// hundred rows to split and asks the opening test instead: row V's entry U
+// is mutual iff row U's descent reaches leaf V — iff no strict ancestor of
+// V is far from cluster U. A kept row's pre-symmetrization list is what it
+// was, so only an entry naming a RECLASSIFIED row can change class; and
+// surviving leaves keep their relative order, so a pair's lower row stays
+// the lower.
+type nearSplit struct {
+	ph *listPhase
+	d  *treeDelta
+	// rows are the current rows' leaves and rowOf the current row of every
+	// live leaf; dirty marks the leaves whose rows were reclassified.
+	rows, rowOf []int32
+	dirty       []bool
+}
+
+func (ph *listPhase) newNearSplit(rows, dirty []int32, d *treeDelta) *nearSplit {
+	s := &nearSplit{ph: ph, d: d, rows: rows, rowOf: make([]int32, len(ph.atoms.Nodes)), dirty: make([]bool, len(ph.atoms.Nodes))}
+	for k, r := range rows {
+		s.rowOf[r] = int32(k)
+	}
+	for _, k := range dirty {
+		s.dirty[rows[k]] = true
+	}
+	return s
+}
+
+// ball is a node's cluster: the operand it is in an opening test.
+type ball struct {
+	c geom.Vec3
+	r float64
+}
+
+// maxChain is the leaf depth a chain holds on the stack: a Morton tree
+// splits no deeper than its keys have digits.
+const maxChain = geom.MortonBits + 1
+
+// chain returns the strict ancestors of leaf v, nearest first: the smaller
+// a cluster, the likelier it is far, and one far ancestor settles a pair.
+func (s *nearSplit) chain(buf *[maxChain]ball, v int32) []ball {
+	chain := buf[:0]
+	for a := s.d.parent[v]; a != octree.NoChild; a = s.d.parent[a] {
+		nd := &s.ph.atoms.Nodes[a]
+		chain = append(chain, ball{nd.Center, nd.Radius})
+	}
+	return chain
+}
+
+// kindOf classes entry u of row k, whose leaf's ancestors are chain.
+func (s *nearSplit) kindOf(k int, chain []ball, u int32) int {
+	j := int(s.rowOf[u])
+	if j == k {
+		return kindNear // the diagonal
+	}
+	un := &s.ph.atoms.Nodes[u]
+	for _, a := range chain {
+		if _, far := s.ph.verdict(openingDist2(un.Center, a.c), un.Radius, a.r, s.ph.pmax); far {
+			return kindNear // row u stops above this row's leaf: one-way
+		}
+	}
+	if j > k {
+		return kindSym
+	}
+	return kindCede
+}
+
+// class classes every near entry of reclassified row k in place (the class
+// in each entry's top bits, for scatterNear) and returns the counts.
+func (s *nearSplit) class(k int, near []int32) (cnt [3]int32) {
+	var buf [maxChain]ball
+	chain := s.chain(&buf, s.rows[k])
+	for x, u := range near {
+		kd := s.kindOf(k, chain, u)
+		near[x] = u | int32(kd)<<kindShift
+		cnt[kd]++
+	}
+	return cnt
+}
+
+// recount re-decides the entries of kept row k that name a reclassified
+// row, adjusts the cached counts cnt for those that changed class, and
+// reports whether any did.
+func (s *nearSplit) recount(k int, runs *[3][]int32, cnt *[3]int32) (changed bool) {
+	var buf [maxChain]ball
+	var chain []ball
+	for was, run := range runs {
+		for _, u := range run {
+			if !s.dirty[u] {
+				continue
+			}
+			if chain == nil {
+				chain = s.chain(&buf, s.rows[k])
+			}
+			if now := s.kindOf(k, chain, u); now != was {
+				cnt[was]--
+				cnt[now]++
+				changed = true
 			}
 		}
 	}
-	return true
+	return changed
 }
 
-// decay carries the margins src of entries es into dst, each reduced by
-// the drift bound its test was just certified under (dC/dR select the
-// entry's own drift or its ancestors') — a lower bound on the true slack
-// from here on; once one dips under the next drift the row recomputes and
-// refreshes them all. It writes straight into the output arrays: a clean
-// row allocates nothing.
-func decay(dst, src []float64, es []int32, drow, mac float64, dC, dR []float64) {
-	for x, e := range es {
-		dst[x] = src[x] - (drow + dC[e] + mac*dR[e])
-	}
-}
-
-// carryRow copies certified-clean cached row i into row k of il and pre:
-// the far entries and the pre-symmetrization near list, which for a
-// symmetrized phase is the cached Near, Sym and Cede runs merged back into
-// classification visit order.
-func (ph *listPhase) carryRow(il *InteractionLists, pre *nearLists, old *InteractionLists, c *repairCert, k int, i int32) {
-	drow, mac := ph.rowDrift(c, il.Rows[k]), ph.macs[0]
-	at, lo, hi := il.FarOff[k], old.FarOff[i], old.FarOff[i+1]
-	es := old.Far[lo:hi]
-	copy(il.Far[at:], es)
-	if il.FarOrd != nil {
-		copy(il.FarOrd[at:], old.FarOrd[lo:hi])
-	}
-	decay(il.FarMargin[at:], old.FarMargin[lo:hi], es, drow, mac, c.dc, c.dr)
-	decay(il.FarPath[at:], old.FarPath[lo:hi], es, drow, mac, c.upDc, c.upDr)
-	at = pre.off[k]
-	if ph.symmetrize {
-		c.mergeNear(pre.n[at:pre.off[k+1]], pre.p[at:], old.nearRuns(i), drow, mac)
-		return
-	}
-	lo, hi = old.NearOff[i], old.NearOff[i+1]
-	es = old.Near[lo:hi]
-	copy(pre.n[at:], es)
-	decay(pre.m[at:], old.NearMargin[lo:hi], es, drow, mac, c.dc, c.dr)
-	decay(pre.p[at:], old.NearPath[lo:hi], es, drow, mac, c.upDc, c.upDr)
-}
-
-// nearRun is one of a row's Near, Sym and Cede runs with its path margins.
-type nearRun struct {
-	es []int32
-	ps []float64
-}
-
-// nearRuns returns row i's three runs — together, its pre-symmetrization
-// near list.
-func (il *InteractionLists) nearRuns(i int32) [3]nearRun {
-	return [3]nearRun{
-		{il.Near[il.NearOff[i]:il.NearOff[i+1]], il.NearPath[il.NearOff[i]:il.NearOff[i+1]]},
-		{il.Sym[il.SymOff[i]:il.SymOff[i+1]], il.SymPath[il.SymOff[i]:il.SymOff[i+1]]},
-		{il.Cede[il.CedeOff[i]:il.CedeOff[i+1]], il.CedePath[il.CedeOff[i]:il.CedeOff[i+1]]},
-	}
-}
-
-// mergeNear rebuilds a cached row's pre-symmetrization near list into
-// dstN/dstP (path margins decayed) by a 3-way merge of its runs on dfsIdx.
-// Each run is already in that order: symmetrization split the row's
-// emission into three order-preserving subsequences, the emission was in
-// visit order when the row was classified, and surviving nodes keep their
-// relative pre-order under materializations, prunes and splits (any
-// structural change on a visited path has failed the row's certificate).
-// So the merge reproduces exactly what a fresh classification would emit,
-// without sorting.
-func (c *repairCert) mergeNear(dstN []int32, dstP []float64, runs [3]nearRun, drow, mac float64) {
-	for x := range dstN {
+// merge writes kept row k's near entries to il with the entries naming a
+// reclassified row classed anew: a 3-way merge of the cached runs back into
+// classification visit order, each entry going to the run of its class.
+// Each cached run is already in that order — symmetrization split the
+// row's emission into three order-preserving subsequences, and surviving
+// nodes keep their relative pre-order under materializations, prunes and
+// splits — so every run comes out as a fresh compile would emit it.
+func (s *nearSplit) merge(il *InteractionLists, k int, runs [3][]int32) {
+	var buf [maxChain]ball
+	chain := s.chain(&buf, s.rows[k])
+	dst := [3][]int32{il.Near, il.Sym, il.Cede}
+	at := [3]int32{il.NearOff[k], il.SymOff[k], il.CedeOff[k]}
+	for {
 		b := -1
 		for r := range runs {
-			if len(runs[r].es) > 0 && (b < 0 || c.dfsIdx[runs[r].es[0]] < c.dfsIdx[runs[b].es[0]]) {
+			if len(runs[r]) > 0 && (b < 0 || s.d.visit[runs[r][0]] < s.d.visit[runs[b][0]]) {
 				b = r
 			}
 		}
-		e := runs[b].es[0]
-		dstN[x] = e
-		dstP[x] = runs[b].ps[0] - (drow + c.upDc[e] + mac*c.upDr[e])
-		runs[b].es, runs[b].ps = runs[b].es[1:], runs[b].ps[1:]
+		if b < 0 {
+			return
+		}
+		u, kd := runs[b][0], b
+		runs[b] = runs[b][1:]
+		if s.dirty[u] {
+			kd = s.kindOf(k, chain, u)
+		}
+		dst[kd][at[kd]] = u
+		at[kd]++
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"gbpolar/internal/mathx"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -330,23 +331,23 @@ func guardObsOverhead(t *testing.T, what string, pair func() (off, on float64)) 
 }
 
 // TestRepairSpans: an observed repair decomposes into its sub-phases — the
-// certificate walk once, then certify / classify / assemble / symmetrize
-// per phase (the Born phase has nothing to symmetrize) — with a span count
-// that does not depend on the number of rows. The first repair of compiled
-// lists also materialises their certificate, once.
+// walk that finds what moved once, then retest / classify / assemble per
+// phase — with a span count that does not depend on the number of rows,
+// and says how much it did: the hot nodes, the rows re-tested, classified
+// and re-split.
 func TestRepairSpans(t *testing.T) {
 	for _, atoms := range []int{300, 1200} {
 		sys, mol, _ := testSystem(t, atoms, 13, mortonParams())
 		sys.Lists(nil)
 		rng := rand.New(rand.NewSource(14))
 		pos := mol.Positions()
-		want := map[string]int{"ilist.repair.cert": 1, "ilist.repair.certify": 2,
-			"ilist.repair.classify": 2, "ilist.repair.assemble": 2, "ilist.repair.symmetrize": 1,
-			"ilist.repair.certificate": 1}
+		want := map[string]int{"ilist.repair.delta": 1, "ilist.repair.retest": 2,
+			"ilist.repair.classify": 2, "ilist.repair.assemble": 2}
 		for step := 0; step < 2; step++ {
 			o := obs.New()
 			pos = localJiggle(rng, pos, 0.05)
-			if stats, err := sys.UpdateAtomsRepair(pos, nil, o); err != nil || !stats.Repaired {
+			stats, err := sys.UpdateAtomsRepair(pos, nil, o)
+			if err != nil || !stats.Repaired {
 				t.Fatalf("%d atoms, step %d: %+v %v", atoms, step, stats, err)
 			}
 			got := map[string]int{}
@@ -358,16 +359,23 @@ func TestRepairSpans(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%d atoms, step %d: repair spans %v, want %v", atoms, step, got, want)
 			}
-			if n := o.Counter("ilist.certificates.materialized").Value(); n != int64(want["ilist.repair.certificate"]) {
-				t.Errorf("%d atoms, step %d: %d certificates materialised", atoms, step, n)
+			count := func(name string) int { return int(o.Counter(name).Value()) }
+			hot, retested, resplit := count("ilist.repair.hot_nodes"), count("ilist.repair.rows_retested"), count("ilist.repair.rows_resplit")
+			if hot == 0 || hot > len(sys.Atoms.Nodes) || retested == 0 || retested > stats.RowsTotal ||
+				resplit > stats.RowsTotal-stats.RowsRepaired || count("ilist.rows.repaired") != stats.RowsRepaired {
+				t.Errorf("%d atoms, step %d: %d hot nodes of %d, %d rows re-tested and %d re-split of %+v",
+					atoms, step, hot, len(sys.Atoms.Nodes), retested, resplit, stats)
 			}
-			delete(want, "ilist.repair.certificate") // the second repair inherits it
+			if count("ilist.repair.fallbacks") != 0 {
+				t.Errorf("%d atoms, step %d: a repair metered a fallback", atoms, step)
+			}
 		}
 	}
 }
 
 // TestMemoryGauges: a run publishes what the system holds by structure,
-// and the certificate's gauge turns non-zero with the first repair.
+// and a repair leaves lists of the same kind: 4.5 bytes an entry before it
+// and after.
 func TestMemoryGauges(t *testing.T) {
 	sys, mol, _ := testSystem(t, 600, 15, mortonParams())
 	gauges := func() map[string]float64 {
@@ -381,35 +389,33 @@ func TestMemoryGauges(t *testing.T) {
 		t.Helper()
 		m, cl := sys.Memory(), sys.Lists(nil)
 		for name, want := range map[string]int64{
-			"mem.octree_bytes":                 m.Octrees,
-			"mem.soa_bytes":                    m.SoA,
-			"mem.lists.index_bytes":            m.ListIndex,
-			"mem.lists.certificate_bytes":      m.ListCertificate,
-			"mem.lists.born.index_bytes":       cl.Born.IndexBytes(),
-			"mem.lists.epol.index_bytes":       cl.Epol.IndexBytes(),
-			"mem.lists.born.certificate_bytes": cl.Born.CertificateBytes(),
-			"mem.lists.epol.certificate_bytes": cl.Epol.CertificateBytes(),
+			"mem.octree_bytes":           m.Octrees,
+			"mem.soa_bytes":              m.SoA,
+			"mem.lists.index_bytes":      m.ListIndex,
+			"mem.lists.born.index_bytes": cl.Born.MemoryBytes(),
+			"mem.lists.epol.index_bytes": cl.Epol.MemoryBytes(),
 		} {
 			if got, ok := g[name]; !ok || int64(got) != want {
 				t.Errorf("gauge %s = %v (present: %v), the system holds %d", name, got, ok, want)
 			}
 		}
-		if m.ListIndex+m.ListCertificate != cl.MemoryBytes() || m.Octrees == 0 || m.SoA == 0 || m.ListIndex == 0 {
+		if m.ListIndex != cl.MemoryBytes() || m.Octrees == 0 || m.SoA == 0 || m.ListIndex == 0 {
 			t.Errorf("memory by structure %+v, lists report %d", m, cl.MemoryBytes())
 		}
+		entries := cl.Born.NumFar() + cl.Born.NumNear() + cl.Epol.NumFar() + cl.Epol.NumNear() + len(cl.Epol.Sym) + len(cl.Epol.Cede)
+		if perEntry := float64(m.ListIndex) / float64(entries); perEntry > 5 {
+			t.Errorf("the lists hold %.1f bytes an entry, want the index's 4.5", perEntry)
+		}
+		for name := range g {
+			if strings.Contains(name, "certificate") {
+				t.Errorf("gauge %s: no list carries a certificate", name)
+			}
+		}
 	}
-	g := gauges()
-	check(g)
-	if g["mem.lists.certificate_bytes"] != 0 {
-		t.Error("a certificate before any repair")
-	}
+	check(gauges())
 	pos := localJiggle(rand.New(rand.NewSource(16)), mol.Positions(), 0.05)
 	if stats, err := sys.UpdateAtomsRepair(pos, nil, nil); err != nil || !stats.Repaired {
 		t.Fatalf("%+v %v", stats, err)
 	}
-	g = gauges()
-	check(g)
-	if g["mem.lists.certificate_bytes"] == 0 {
-		t.Error("no certificate after a repair")
-	}
+	check(gauges())
 }

@@ -9,6 +9,7 @@ import (
 	"gbpolar/internal/geom"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/octree"
+	"gbpolar/internal/sched"
 )
 
 func mortonParams() Params {
@@ -101,9 +102,9 @@ func TestUpdateAtomsRepairExact(t *testing.T) {
 }
 
 // TestUpdateAtomsRepairRepeated walks a trajectory of repairs and
-// rechecks exactness at every step — in particular this exercises the
-// margin-decay path, where a row stays clean across several steps on a
-// decayed (lower-bound) margin before finally recomputing.
+// rechecks exactness at every step — a row kept across several steps is
+// re-tested at each against the geometry of the step before, not against
+// the one it was classified on.
 func TestUpdateAtomsRepairRepeated(t *testing.T) {
 	sys, mol, _ := testSystem(t, 400, 213, mortonParams())
 	sys.Lists(nil)
@@ -135,9 +136,9 @@ func TestUpdateAtomsRepairRepeated(t *testing.T) {
 	}
 }
 
-// TestUpdateAtomsRepairSavesWork: for a small jiggle most rows must ride
-// on their certificates — if the repair recomputes nearly everything the
-// margins or the dirtiness propagation are broken (too conservative).
+// TestUpdateAtomsRepairSavesWork: for a small jiggle most rows must be
+// kept — if the repair reclassifies nearly everything the re-test is
+// broken (it is exact: a row it gives up has lists that changed).
 func TestUpdateAtomsRepairSavesWork(t *testing.T) {
 	sys, mol, _ := testSystem(t, 600, 215, mortonParams())
 	sys.Lists(nil)
@@ -172,8 +173,8 @@ func TestUpdateAtomsRepairFallbacks(t *testing.T) {
 	if !stats.Rebuilt || stats.Repaired {
 		t.Errorf("recursive tree: Rebuilt=%v Repaired=%v, want rebuild fallback", stats.Rebuilt, stats.Repaired)
 	}
-	if o.Counter("ilist.repair.fallbacks").Value() != 1 {
-		t.Error("fallback not metered")
+	if o.Counter("ilist.repair.fallbacks").Value() != 1 || o.Counter("ilist.repair.fallbacks.untracked").Value() != 1 {
+		t.Error("fallback not metered with its reason")
 	}
 	if res, err := RunShared(sys, SharedOptions{Threads: 2}); err != nil || res.Epol >= 0 {
 		t.Fatalf("post-fallback run: %v %v", res.Epol, err)
@@ -181,12 +182,15 @@ func TestUpdateAtomsRepairFallbacks(t *testing.T) {
 
 	// No cached lists: nothing to repair, but the update itself works.
 	sys2, mol2, _ := testSystem(t, 200, 219, mortonParams())
-	stats, err = sys2.UpdateAtomsRepair(jigglePositions(rng, mol2.Positions(), 0.05), nil, nil)
+	stats, err = sys2.UpdateAtomsRepair(jigglePositions(rng, mol2.Positions(), 0.05), nil, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Repaired {
 		t.Error("repair claimed with no cached lists")
+	}
+	if o.Counter("ilist.repair.fallbacks").Value() != 2 || o.Counter("ilist.repair.fallbacks.no_lists").Value() != 1 {
+		t.Error("an update without lists not metered with its reason")
 	}
 
 	// A violent move changes the leaf set (or escapes the cube): lists
@@ -326,52 +330,58 @@ func TestReposeThenRepair(t *testing.T) {
 	}
 }
 
-// TestRepairDecidesBeforePaying: an update that is rejected, or already
-// known to end with the lists dropped, is settled before the repair
-// certificate is materialised — it never costs a certified compile — and
-// returns what it always returned.
+// TestRepairDecidesBeforePaying: an update that is rejected, or that ends
+// with the lists dropped, allocates no lists — it costs the octree update
+// and nothing of the repair — and returns what it always returned, with
+// the reason metered.
 func TestRepairDecidesBeforePaying(t *testing.T) {
 	sys, mol, _ := testSystem(t, 300, 225, mortonParams())
-	sys.Lists(nil)
+	lists := sys.Lists(nil).MemoryBytes()
 	pos := jigglePositions(rand.New(rand.NewSource(226)), mol.Positions(), 0.02)
 	o := obs.New()
-	unpaid := func(what string) {
+	unpaid := func(what, reason string, update func()) {
 		t.Helper()
-		if n := o.Counter("ilist.certificates.materialized").Value(); n != 0 {
-			t.Fatalf("%s materialised %d certificates", what, n)
+		// The octree's own work — at worst a rebuild — is a fraction of the
+		// lists; a repair allocates all of them.
+		if _, got, _ := measureAllocs(update); int64(got) > lists/2 {
+			t.Errorf("%s allocated %d bytes; the lists are %d", what, got, lists)
+		}
+		if reason != "" && o.Counter("ilist.repair.fallbacks."+reason).Value() != 1 {
+			t.Errorf("%s was not metered as fallbacks.%s", what, reason)
 		}
 	}
 
-	// Rejected: nothing moves, the uncertified lists stay.
-	if stats, err := sys.UpdateAtomsRepair(pos[:5], nil, o); err == nil || stats != (UpdateStats{}) {
-		t.Fatalf("short position slice: %+v %v", stats, err)
-	}
-	bad := append([]geom.Vec3(nil), pos...)
-	bad[7].Y = math.NaN()
-	stats, err := sys.UpdateAtomsRepair(bad, nil, o)
-	if err == nil || !strings.HasPrefix(err.Error(), "octree: point 7 is not finite") || stats != (UpdateStats{}) {
-		t.Fatalf("NaN coordinate: %+v %v", stats, err)
-	}
-	unpaid("a rejected update")
-	if sys.lists == nil || sys.lists.certified() || sys.Mol.Atoms[7].Pos != mol.Positions()[7] {
+	// Rejected: nothing moves, the lists stay.
+	held := sys.lists
+	unpaid("a rejected update", "", func() {
+		if stats, err := sys.UpdateAtomsRepair(pos[:5], nil, o); err == nil || stats != (UpdateStats{}) {
+			t.Fatalf("short position slice: %+v %v", stats, err)
+		}
+		bad := append([]geom.Vec3(nil), pos...)
+		bad[7].Y = math.NaN()
+		stats, err := sys.UpdateAtomsRepair(bad, nil, o)
+		if err == nil || !strings.HasPrefix(err.Error(), "octree: point 7 is not finite") || stats != (UpdateStats{}) {
+			t.Fatalf("NaN coordinate: %+v %v", stats, err)
+		}
+	})
+	if sys.lists != held || sys.Mol.Atoms[7].Pos != mol.Positions()[7] {
 		t.Fatal("a rejected update touched the system")
 	}
 
 	// Parameter mismatch: the cached lists are stale and get dropped.
 	sys.Params.EpsEpol = 0.5
-	if stats, err := sys.UpdateAtomsRepair(pos, nil, o); err != nil || stats.Repaired || sys.lists != nil {
-		t.Fatalf("stale lists: %+v %v", stats, err)
-	}
-	unpaid("an update of stale lists")
-	if o.Counter("ilist.repair.fallbacks").Value() != 1 {
-		t.Error("the dropped lists were not metered as a fallback")
-	}
+	unpaid("an update of stale lists", "params_changed", func() {
+		if stats, err := sys.UpdateAtomsRepair(pos, nil, o); err != nil || stats.Repaired || sys.lists != nil {
+			t.Fatalf("stale lists: %+v %v", stats, err)
+		}
+	})
 
 	// No cached lists.
-	if stats, err := sys.UpdateAtomsRepair(mol.Positions(), nil, o); err != nil || stats.Repaired {
-		t.Fatalf("no lists: %+v %v", stats, err)
-	}
-	unpaid("an update without lists")
+	unpaid("an update without lists", "no_lists", func() {
+		if stats, err := sys.UpdateAtomsRepair(mol.Positions(), nil, o); err != nil || stats.Repaired {
+			t.Fatalf("no lists: %+v %v", stats, err)
+		}
+	})
 
 	// No Morton keys (TestReposeThenRepair's state): the tree rebuilds.
 	sys.Lists(nil)
@@ -380,17 +390,60 @@ func TestRepairDecidesBeforePaying(t *testing.T) {
 	for i, p := range mol.Positions() {
 		moved[i] = p.Add(geom.V(3, 0, 0))
 	}
-	if stats, err := sys.UpdateAtomsRepair(moved, nil, o); err != nil || !stats.Rebuilt || stats.Repaired || sys.lists != nil {
-		t.Fatalf("update after a re-pose: %+v %v", stats, err)
+	unpaid("an update that rebuilds the octree", "untracked", func() {
+		if stats, err := sys.UpdateAtomsRepair(moved, nil, o); err != nil || !stats.Rebuilt || stats.Repaired || sys.lists != nil {
+			t.Fatalf("update after a re-pose: %+v %v", stats, err)
+		}
+	})
+	if total := o.Counter("ilist.repair.fallbacks").Value(); total != 3 || o.Counter("ilist.repair.fallbacks.rebuilt").Value() != 0 {
+		t.Errorf("%d fallbacks metered in total, want the 3 reasons above", total)
 	}
-	unpaid("an update that rebuilds the octree")
 
-	// And the one that can repair pays once.
+	// And the one that can repair does.
 	sys.Lists(nil)
 	if stats, err := sys.UpdateAtomsRepair(jigglePositions(rand.New(rand.NewSource(227)), moved, 0.02), nil, o); err != nil || !stats.Repaired {
 		t.Fatalf("repairable update: %+v %v", stats, err)
 	}
-	if n := o.Counter("ilist.certificates.materialized").Value(); n != 1 || !sys.lists.certified() {
-		t.Fatalf("a repairable update materialised %d certificates", n)
+}
+
+// TestNullRepairKeepsLists: an update that moves no node — the positions
+// the system already has, as a caller re-sending its last frame would —
+// is a repair that costs the octree update and one walk of the tree: the
+// held lists come back themselves, and no list is allocated.
+func TestNullRepairKeepsLists(t *testing.T) {
+	sys, mol, _ := testSystem(t, 2000, 229, mortonParams())
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	held := sys.Lists(pool)
+	pos := localJiggle(rand.New(rand.NewSource(230)), mol.Positions(), 0.05)
+	for step, p := range [][]geom.Vec3{mol.Positions(), pos, pos} {
+		o := obs.New()
+		var stats UpdateStats
+		var err error
+		_, allocated, _ := measureAllocs(func() { stats, err = sys.UpdateAtomsRepair(p, pool, o) })
+		if err != nil || !stats.Repaired {
+			t.Fatalf("step %d: %+v %v", step, stats, err)
+		}
+		if step == 1 { // a real repair, for the next step to re-send
+			if stats.RowsRepaired == 0 || sys.lists == held {
+				t.Fatalf("a jiggle repaired nothing: %+v", stats)
+			}
+			held = sys.lists
+			continue
+		}
+		want := UpdateStats{Repaired: true, RowsTotal: len(held.Born.Rows) + len(held.Epol.Rows)}
+		if stats != want || sys.lists != held {
+			t.Errorf("step %d: %+v (same lists: %v), want %+v and the lists it held", step, stats, sys.lists == held, want)
+		}
+		// O(nodes + atoms): the delta's walk and the octree's re-keying.
+		if budget := uint64(64 * (len(sys.Atoms.Nodes) + mol.NumAtoms())); allocated > budget || int64(allocated) > held.MemoryBytes()/8 {
+			t.Errorf("step %d: a null update allocated %d bytes (budget %d, lists %d)", step, allocated, budget, held.MemoryBytes())
+		}
+		if n := o.Counter("ilist.repair.hot_nodes").Value() + o.Counter("ilist.rows.repaired").Value(); n != 0 {
+			t.Errorf("step %d: a null update metered work", step)
+		}
+		if err := sys.RecheckLists(pool); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 }

@@ -22,12 +22,11 @@ import (
 // surface, both octrees and (when compiled) the interaction lists — so a
 // crashed-and-restarted coordinator resumes from the preprocessed state
 // instead of rebuilding trees and recompiling lists. The list block holds
-// what the lists hold: the index always, the repair certificate (six
-// margin arrays per phase and the node snapshot) only once a repair has
-// materialised it — until then those arrays are written zero-length, which
-// is most of a checkpoint's bytes not written, not sent to workers and not
-// read back; a restored system materialises at its first repair like any
-// other. The format is
+// what the lists hold, their index. Its layout also has room for the repair
+// certificate that builds up to PR 19 kept beside it (six margin arrays per
+// phase and a copy of the node geometry): this build keeps none, writes
+// those seven arrays zero-length, and drops them from an older image once
+// they have passed the size checks (oldCertificate). The format is
 // deliberately hostile-input safe: every array length is validated
 // against the bytes remaining before allocation (internal/wire), the
 // whole payload is covered by a CRC-32C trailer, and every structural
@@ -136,8 +135,8 @@ func encodeSnapshot(w *wire.Writer, sys *System, lists *CompiledLists) {
 		w.U8(uint8(lists.farOrder))
 		appendIL(w, lists.Born)
 		appendIL(w, lists.Epol)
-		wire.PutF64Records(w, lists.nodeC)
-		w.F64s(lists.nodeR)
+		wire.PutF64Records[geom.Vec3](w, nil) // an older build's copy of the node
+		w.F64s(nil)                           // centers and radii: oldCertificate
 	}
 }
 
@@ -214,24 +213,31 @@ func DecodeSnapshot(data []byte) (*System, error) {
 	var lists *CompiledLists
 	if r.Bool() {
 		cl := &CompiledLists{bornMAC: r.F64(), epolFar: r.F64(), farOrder: int(r.U8())}
-		cl.Born = decodeIL(r)
-		cl.Epol = decodeIL(r)
-		cl.nodeC = wire.F64Records[geom.Vec3](r)
-		cl.nodeR = r.F64s()
+		var bornCert, epolCert oldCertificate
+		cl.Born, bornCert = decodeIL(r)
+		cl.Epol, epolCert = decodeIL(r)
+		centers, radii := wire.F64Records[geom.Vec3](r), r.F64s()
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
 		}
-		// The certificate is whole or absent: the node snapshot says which,
-		// and every margin array of both phases must agree with it.
-		certified := len(cl.nodeC)+len(cl.nodeR) > 0
-		if certified && (len(cl.nodeC) != ta.NumNodes() || len(cl.nodeR) != ta.NumNodes()) {
+		// An older build's certificate is whole or absent: its copy of the
+		// node geometry says which, and every margin array of both phases
+		// must agree with it. Whole, it is dropped here.
+		certified := len(centers)+len(radii) > 0
+		if certified && (len(centers) != ta.NumNodes() || len(radii) != ta.NumNodes()) {
 			return nil, fmt.Errorf("%w: node geometry arrays sized %d/%d for %d nodes",
-				ErrSnapshotCorrupt, len(cl.nodeC), len(cl.nodeR), ta.NumNodes())
+				ErrSnapshotCorrupt, len(centers), len(radii), ta.NumNodes())
 		}
-		if err := validateIL("born", cl.Born, tq, ta, certified, true); err != nil {
+		if err := validateIL("born", cl.Born, tq, ta); err != nil {
 			return nil, err
 		}
-		if err := validateIL("epol", cl.Epol, ta, ta, certified, false); err != nil {
+		if err := bornCert.validate("born", cl.Born, certified, true); err != nil {
+			return nil, err
+		}
+		if err := validateIL("epol", cl.Epol, ta, ta); err != nil {
+			return nil, err
+		}
+		if err := epolCert.validate("epol", cl.Epol, certified, false); err != nil {
 			return nil, err
 		}
 		lists = cl
@@ -338,13 +344,10 @@ func decodeSurface(r *wire.Reader) (*surface.Surface, error) {
 
 // validateIL re-establishes every structural invariant the batch kernels
 // and the repair rely on: rows are exactly the row tree's leaves in order,
-// each CSR offset array brackets its entry array, entries index atoms-tree
-// nodes, and the certificate is whole or absent — certified says which the
-// node snapshot announced, and every margin array must then be sized to
-// its entries (NearMargin only where the phase tests its near leaves:
-// nearTested, the Born lists) or be empty; any mixture is corrupt. A list
-// that passes cannot make a kernel or a repair index out of bounds.
-func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree, certified, nearTested bool) error {
+// each CSR offset array brackets its entry array, and entries index
+// atoms-tree nodes. A list that passes cannot make a kernel or a repair
+// index out of bounds.
+func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree) error {
 	leaves := rowTree.Leaves()
 	if len(il.Rows) != len(leaves) {
 		return fmt.Errorf("%w: %s lists have %d rows for %d leaves",
@@ -396,29 +399,6 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 		return fmt.Errorf("%w: %s far orders sized %d for %d entries",
 			ErrSnapshotCorrupt, phase, len(il.FarOrd), len(il.Far))
 	}
-	nearMargins := 0 // E_pol's leaf-first near entries were never tested
-	if nearTested {
-		nearMargins = len(il.Near)
-	}
-	for _, m := range []struct {
-		name      string
-		got, want int
-	}{
-		{"far margins", len(il.FarMargin), len(il.Far)},
-		{"far paths", len(il.FarPath), len(il.Far)},
-		{"near paths", len(il.NearPath), len(il.Near)},
-		{"sym paths", len(il.SymPath), len(il.Sym)},
-		{"cede paths", len(il.CedePath), len(il.Cede)},
-		{"near margins", len(il.NearMargin), nearMargins},
-	} {
-		if !certified {
-			m.want = 0
-		}
-		if m.got != m.want {
-			return fmt.Errorf("%w: %s %s sized %d, want %d (certificate present: %v)",
-				ErrSnapshotCorrupt, phase, m.name, m.got, m.want, certified)
-		}
-	}
 	// The kernels and RecordMetrics index by admitted order, so a
 	// corrupted order byte must be rejected here, not panic there.
 	for k, fo := range il.FarOrd {
@@ -430,29 +410,59 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 	return nil
 }
 
-// decodeIL reads one interaction-list structure.
-func decodeIL(r *wire.Reader) *InteractionLists {
-	return &InteractionLists{
-		Rows:       r.I32s(),
-		FarOff:     r.I32s(),
-		Far:        r.I32s(),
-		NearOff:    r.I32s(),
-		Near:       r.I32s(),
-		SymOff:     r.I32s(),
-		Sym:        r.I32s(),
-		CedeOff:    r.I32s(),
-		Cede:       r.I32s(),
-		FarMargin:  r.F64s(),
-		FarPath:    r.F64s(),
-		NearMargin: r.F64s(),
-		NearPath:   r.F64s(),
-		SymPath:    r.F64s(),
-		CedePath:   r.F64s(),
-		FarOrd:     r.U8s(),
+// oldCertificate is one phase's share of the repair certificate a snapshot
+// written by PR 19 or earlier may carry between its Cede and FarOrd arrays:
+// the slack of the opening test behind every far entry and the least slack
+// on its root path, then the same for the near entries, and the path slack
+// of the sym and cede entries. Nothing reads it any more — the repair
+// re-tests the nodes that moved (ilist_repair.go) — so it is decoded to be
+// checked and dropped.
+type oldCertificate [6][]float64
+
+// validate holds the arrays to the rule they were written under: sized to
+// their entries (near margins only where the phase tests its near leaves:
+// nearTested, the Born lists) when certified says the image carries a
+// certificate, empty otherwise; any mixture is corrupt.
+func (c *oldCertificate) validate(phase string, il *InteractionLists, certified, nearTested bool) error {
+	want := [6]int{len(il.Far), len(il.Far), 0, len(il.Near), len(il.Sym), len(il.Cede)}
+	if nearTested { // E_pol's leaf-first near entries were never tested
+		want[2] = len(il.Near)
 	}
+	for i, name := range [6]string{"far margins", "far paths", "near margins", "near paths", "sym paths", "cede paths"} {
+		if !certified {
+			want[i] = 0
+		}
+		if len(c[i]) != want[i] {
+			return fmt.Errorf("%w: %s %s sized %d, want %d (certificate present: %v)",
+				ErrSnapshotCorrupt, phase, name, len(c[i]), want[i], certified)
+		}
+	}
+	return nil
 }
 
-// appendIL writes one interaction-list structure.
+// decodeIL reads one interaction-list structure and the certificate arrays
+// an older build interleaved with it.
+func decodeIL(r *wire.Reader) (il *InteractionLists, cert oldCertificate) {
+	il = &InteractionLists{
+		Rows:    r.I32s(),
+		FarOff:  r.I32s(),
+		Far:     r.I32s(),
+		NearOff: r.I32s(),
+		Near:    r.I32s(),
+		SymOff:  r.I32s(),
+		Sym:     r.I32s(),
+		CedeOff: r.I32s(),
+		Cede:    r.I32s(),
+	}
+	for i := range cert {
+		cert[i] = r.F64s()
+	}
+	il.FarOrd = r.U8s()
+	return il, cert
+}
+
+// appendIL writes one interaction-list structure, the six arrays of
+// oldCertificate zero-length.
 func appendIL(w *wire.Writer, il *InteractionLists) {
 	w.I32s(il.Rows)
 	w.I32s(il.FarOff)
@@ -463,12 +473,9 @@ func appendIL(w *wire.Writer, il *InteractionLists) {
 	w.I32s(il.Sym)
 	w.I32s(il.CedeOff)
 	w.I32s(il.Cede)
-	w.F64s(il.FarMargin)
-	w.F64s(il.FarPath)
-	w.F64s(il.NearMargin)
-	w.F64s(il.NearPath)
-	w.F64s(il.SymPath)
-	w.F64s(il.CedePath)
+	for range len(oldCertificate{}) {
+		w.F64s(nil)
+	}
 	w.U8s(il.FarOrd)
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,6 +16,8 @@ import (
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/mathx"
+	"gbpolar/internal/octree"
+	"gbpolar/internal/wire"
 )
 
 // restamp recomputes the CRC trailer after a deliberate patch, so table
@@ -179,15 +182,13 @@ func TestSnapshotFarFieldCorruptions(t *testing.T) {
 		if len(lists.Epol.FarOrd) == 0 {
 			t.Fatal("fixture compiled no far orders")
 		}
-		certifyLists(t, sys, nil) // the node snapshot the offset below steps over
 		data, err := EncodeSnapshot(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The epol list's FarOrd bytes sit right before the nodeC/nodeR
-		// geometry arrays at the end of the list block.
-		na := sys.Atoms.NumNodes()
-		last := len(data) - 4 - (4 + na*8) - (4 + 3*na*8) - 1
+		// The epol list's FarOrd bytes sit right before the two zero-length
+		// node geometry arrays that end the list block.
+		last := len(data) - 4 - 4 - 4 - 1
 		if got := data[last]; got > maxFarOrder {
 			t.Fatalf("expected a FarOrd byte at offset %d, found %d (layout drifted?)", last, got)
 		}
@@ -196,7 +197,8 @@ func TestSnapshotFarFieldCorruptions(t *testing.T) {
 			t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
 		}
 	})
-	// A repair certificate is whole or absent; every mixture is refused.
+	// An older build's repair certificate is whole or absent; every mixture
+	// is refused.
 	for name, data := range mixedCertificates(t) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := DecodeSnapshot(data); !errors.Is(err, ErrSnapshotCorrupt) {
@@ -206,48 +208,197 @@ func TestSnapshotFarFieldCorruptions(t *testing.T) {
 	}
 }
 
+// certifiedImage is the snapshot of a 60-atom protein at FarOrder 2 after
+// one repair, written on the PR-19 commit: the last build whose lists
+// carried a repair certificate, and so the last that could write one.
+func certifiedImage(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "certified_pr19.gbpsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// certifiedLists is one phase's lists as PR 19 and earlier wrote them, in
+// wire order: nine index arrays, the six certificate arrays (far margins,
+// far paths, near margins, near paths, sym paths, cede paths), the orders.
+type certifiedLists struct {
+	index                                                       [9][]int32
+	FarMargin, FarPath, NearMargin, NearPath, SymPath, CedePath []float64
+	ord                                                         []uint8
+}
+
+// certifiedBlock is a snapshot cut at its list block: the bytes before the
+// block's arrays, then the arrays, which this file reads and writes for
+// itself — no encoder of a certificate is left in the build.
+type certifiedBlock struct {
+	head       []byte
+	born, epol certifiedLists
+	nodeC      []geom.Vec3
+	nodeR      []float64
+}
+
+func parseCertifiedBlock(t testing.TB, data []byte) *certifiedBlock {
+	t.Helper()
+	body := data[len(snapshotMagic) : len(data)-4]
+	r := wire.NewReader(body)
+	r.U16()
+	r.U64()
+	if _, err := decodeParams(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeMolecule(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeSurface(r); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := octree.DecodeTree(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !r.Bool() {
+		t.Fatal("the image has no list block")
+	}
+	r.F64()
+	r.F64()
+	r.U8()
+	b := &certifiedBlock{head: data[:len(snapshotMagic)+len(body)-r.Remaining()]}
+	for _, l := range []*certifiedLists{&b.born, &b.epol} {
+		for i := range l.index {
+			l.index[i] = r.I32s()
+		}
+		for _, a := range l.certificate() {
+			*a = r.F64s()
+		}
+		l.ord = r.U8s()
+	}
+	b.nodeC, b.nodeR = wire.F64Records[geom.Vec3](r), r.F64s()
+	if r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("list block: %v, %d bytes left", r.Err(), r.Remaining())
+	}
+	return b
+}
+
+func (l *certifiedLists) certificate() [6]*[]float64 {
+	return [6]*[]float64{&l.FarMargin, &l.FarPath, &l.NearMargin, &l.NearPath, &l.SymPath, &l.CedePath}
+}
+
+// far and near are the phase's Far and Near entry arrays.
+func (l *certifiedLists) far() []int32  { return l.index[2] }
+func (l *certifiedLists) near() []int32 { return l.index[4] }
+
+// uncertify empties the phase's share of the certificate.
+func (l *certifiedLists) uncertify() {
+	for _, a := range l.certificate() {
+		*a = nil
+	}
+}
+
+func (b *certifiedBlock) encode() []byte {
+	var w wire.Writer
+	w.Raw(b.head)
+	for _, l := range []*certifiedLists{&b.born, &b.epol} {
+		for _, a := range l.index {
+			w.I32s(a)
+		}
+		for _, a := range l.certificate() {
+			w.F64s(*a)
+		}
+		w.U8s(l.ord)
+	}
+	wire.PutF64Records(&w, b.nodeC)
+	w.F64s(b.nodeR)
+	w.U32(0)
+	return restamp(w.Bytes())
+}
+
 // mixedCertificates returns snapshots whose list block holds part of a
 // repair certificate — well-formed, checksummed streams that only the
-// all-or-nothing rule refuses — keyed by what was done to the lists.
+// all-or-nothing rule refuses — keyed by what was done to the lists of the
+// certified image, as written (certified) or with its certificate taken
+// out first.
 func mixedCertificates(t testing.TB) map[string][]byte {
 	t.Helper()
+	image := certifiedImage(t)
+	if b := parseCertifiedBlock(t, image); len(b.born.far()) == 0 || len(b.born.FarPath) == 0 || len(b.epol.near()) == 0 ||
+		len(b.nodeR) == 0 || !bytes.Equal(b.encode(), image) {
+		t.Fatal("the certified image holds an empty list (a missing array would be a sized one), or this file misreads it")
+	}
 	out := map[string][]byte{}
 	for name, c := range map[string]struct {
 		certified bool
-		mut       func(sys *System, cl *CompiledLists)
+		mut       func(b, whole *certifiedBlock)
 	}{
-		"one margin array present": {false, func(_ *System, cl *CompiledLists) {
-			cl.Born.FarMargin = make([]float64, len(cl.Born.Far))
+		"one margin array present": {false, func(b, _ *certifiedBlock) {
+			b.born.FarMargin = make([]float64, len(b.born.far()))
 		}},
-		"node snapshot without margins": {false, func(sys *System, cl *CompiledLists) {
-			cl.nodeC, cl.nodeR = snapshotNodes(sys.Atoms)
+		"node snapshot without margins": {false, func(b, whole *certifiedBlock) {
+			b.nodeC, b.nodeR = whole.nodeC, whole.nodeR
 		}},
-		"margins without node snapshot": {true, func(_ *System, cl *CompiledLists) { cl.nodeC, cl.nodeR = nil, nil }},
-		"node centers without radii":    {true, func(_ *System, cl *CompiledLists) { cl.nodeR = nil }},
-		"one margin array missing":      {true, func(_ *System, cl *CompiledLists) { cl.Epol.FarPath = nil }},
-		"one phase uncertified": {true, func(sys *System, cl *CompiledLists) {
-			cl.Born = sys.compile(nil).Born
-		}},
-		"near margins on untested rows": {true, func(_ *System, cl *CompiledLists) {
-			cl.Epol.NearMargin = make([]float64, len(cl.Epol.Near))
+		"margins without node snapshot": {true, func(b, _ *certifiedBlock) { b.nodeC, b.nodeR = nil, nil }},
+		"node centers without radii":    {true, func(b, _ *certifiedBlock) { b.nodeR = nil }},
+		"one margin array missing":      {true, func(b, _ *certifiedBlock) { b.born.FarPath = nil }},
+		"one phase uncertified":         {true, func(b, _ *certifiedBlock) { b.born.uncertify() }},
+		"near margins on untested rows": {true, func(b, _ *certifiedBlock) {
+			b.epol.NearMargin = make([]float64, len(b.epol.near()))
 		}},
 	} {
-		sys, _, _ := testSystem(t, 150, 7, DefaultParams())
-		cl := sys.Lists(nil)
-		if len(cl.Born.Far) == 0 || len(cl.Epol.Far) == 0 || len(cl.Epol.Near) == 0 {
-			t.Fatal("fixture compiled an empty list: a missing array would be a sized one")
+		b, whole := parseCertifiedBlock(t, image), parseCertifiedBlock(t, image)
+		if !c.certified {
+			b.born.uncertify()
+			b.epol.uncertify()
+			b.nodeC, b.nodeR = nil, nil
+			if _, err := DecodeSnapshot(b.encode()); err != nil {
+				t.Fatalf("the image without its certificate: %v", err)
+			}
 		}
-		if c.certified {
-			certifyLists(t, sys, nil)
-		}
-		c.mut(sys, sys.lists)
-		data, err := EncodeSnapshot(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = data
+		c.mut(b, whole)
+		out[name] = b.encode()
 	}
 	return out
+}
+
+// A certified image still decodes: its certificate passes the size rule
+// and is dropped, the lists come back with the index they had, the next
+// update repairs them as the build that wrote the image did, and the next
+// checkpoint is smaller by the certificate. The digests and the byte count
+// were printed by the PR-19 commit when it wrote the image.
+func TestSnapshotDecodesCertifiedImage(t *testing.T) {
+	image := certifiedImage(t)
+	sys, err := DecodeSnapshot(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.lists == nil || sys.Params.FarOrder != 2 {
+		t.Fatalf("decoded lists %v at FarOrder %d", sys.lists != nil, sys.Params.FarOrder)
+	}
+	if got, want := indexDigest(sys.lists), "c381f579bf05218769cf9c6e99c9f47be92d1d01a4aba4cf2faa2341a973b2a6"; got != want {
+		t.Errorf("index digest %s, the image was written over %s", got, want)
+	}
+	if err := sys.RecheckLists(nil); err != nil {
+		t.Fatal(err)
+	}
+	again, err := EncodeSnapshot(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped := len(image) - len(again); dropped != 95528 {
+		t.Errorf("re-encoding dropped %d bytes, the image's certificate was 95528", dropped)
+	}
+	pos := localJiggle(rand.New(rand.NewSource(21)), sys.Mol.Positions(), 0.05)
+	stats, err := sys.UpdateAtomsRepair(pos, nil, nil)
+	if err != nil || !stats.Repaired || stats.Moved != 2 || stats.RowsTotal != 368 {
+		t.Fatalf("first update of the decoded image: %+v %v; PR 19 repaired it, moving 2 atoms across leaves, over 368 rows", stats, err)
+	}
+	if got, want := indexDigest(sys.lists), "a3f7beab4b1f5d5b3eac94bd19e4b8ec578975e0ea2954fc9ddffabbe90cffc3"; got != want {
+		t.Errorf("repaired index digest %s, PR 19's repair of the same step gave %s", got, want)
+	}
+	if err := sys.RecheckLists(nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Save/Load round-trips through a file; loading under different
@@ -290,42 +441,28 @@ func TestSnapshotSaveLoadParams(t *testing.T) {
 // EncodeSnapshot for a seeded 500-atom Morton system with compiled
 // lists, as produced by the commit BEFORE the bulk codec (PR 13,
 // per-element loops), so a snapshot either side writes loads on the
-// other. Lists were certified by every compile then, so the two old
-// digests are of certified systems; the third is the same FarOrder 2
-// system before any repair, its seven certificate arrays written
-// zero-length. The digests cover computed floats (surface, moments,
-// margins), hence one architecture: elsewhere the compiler may fuse
-// multiply-adds.
+// other. Lists carried a repair certificate then, and the two digests
+// taken there — of certified systems — retired with the code that could
+// write one; this one is PR 19's, of the same FarOrder 2 system with its
+// seven certificate arrays written zero-length, as every snapshot now is.
+// The digest covers computed floats (surface, moments), hence one
+// architecture: elsewhere the compiler may fuse multiply-adds.
 func TestSnapshotBytesStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests were taken on amd64")
 	}
-	for _, tc := range []struct {
-		farOrder  int
-		certified bool
-		size      int
-		sha       string
-	}{
-		{0, true, 3809905, "663a218b4120012593e03bce094258ad47780f177777aa2bbf01d8c722f31dc5"},
-		{2, true, 3380840, "10a453d56d524a5f0f987da9386605828f2cc898a550beb3774c1f10377c7d8c"},
-		{2, false, 1605448, "9ac71abedc36e305929e49ba17f53d4646cf99a248b73417183b684fa69a1c52"},
-	} {
-		p := mortonParams()
-		p.FarOrder = tc.farOrder
-		sys, _, _ := testSystem(t, 500, 14, p)
-		sys.Lists(nil)
-		if tc.certified {
-			certifyLists(t, sys, nil)
-		}
-		data, err := EncodeSnapshot(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); len(data) != tc.size || got != tc.sha {
-			t.Errorf("FarOrder %d, certified %v: %d bytes, sha256 %s; the format is pinned at %d bytes, %s",
-				tc.farOrder, tc.certified, len(data), got, tc.size, tc.sha)
-		}
+	const size, sha = 1605448, "9ac71abedc36e305929e49ba17f53d4646cf99a248b73417183b684fa69a1c52"
+	p := mortonParams()
+	p.FarOrder = 2
+	sys, _, _ := testSystem(t, 500, 14, p)
+	sys.Lists(nil)
+	data, err := EncodeSnapshot(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); len(data) != size || got != sha {
+		t.Errorf("%d bytes, sha256 %s; the format is pinned at %d bytes, %s", len(data), got, size, sha)
 	}
 }
 
@@ -454,15 +591,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(data[:len(data)-4])
 	trunc := append([]byte(nil), data[:40]...)
 	f.Add(restamp(append(trunc, make([]byte, 4)...)))
-	// Both certificate states, and every mixture of them.
-	certified, _, _ := testSystem(f, 150, 7, DefaultParams())
-	certified.Lists(nil)
-	certifyLists(f, certified, nil)
-	whole, err := EncodeSnapshot(certified)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(whole)
+	// Both certificate states an older build wrote, and every mixture of
+	// them.
+	f.Add(certifiedImage(f))
 	for _, mixed := range mixedCertificates(f) {
 		f.Add(mixed)
 	}

@@ -484,8 +484,8 @@ func qNodeAggregates(t *octree.Tree, wn []geom.Vec3) []geom.Vec3 {
 // replicates — and nothing else: it EXCLUDES the compiled interaction
 // lists and the SoA mirrors, structures of this implementation that the
 // paper's comparison has no counterpart for and that outweigh it several
-// times over (at 20 000 atoms the lists alone are 10× it before a repair,
-// 40× after). Memory reports those.
+// times over (at 20 000 atoms the lists alone are 10× it). Memory reports
+// those.
 func (s *System) MemoryBytes() int64 {
 	return s.Mol.MemoryBytes() + s.Surf.MemoryBytes() +
 		s.Atoms.MemoryBytes() + s.QPts.MemoryBytes() +
@@ -500,11 +500,9 @@ type Memory struct {
 	// SoA is the flat float64 component mirrors the batch kernels read, at
 	// their padded capacity.
 	SoA int64 `json:"soa_bytes"`
-	// ListIndex and ListCertificate are the compiled lists' two parts
-	// (ilist.go): 0 before the first compile, the certificate 0 until a
-	// repair has materialised it.
-	ListIndex       int64 `json:"list_index_bytes"`
-	ListCertificate int64 `json:"list_certificate_bytes"`
+	// ListIndex is the compiled lists (ilist.go) — a list is its index:
+	// 0 before the first compile, and the same size compiled or repaired.
+	ListIndex int64 `json:"list_index_bytes"`
 }
 
 // Memory reports what the system holds now.
@@ -517,7 +515,7 @@ func (s *System) Memory() Memory {
 	s.listsMu.Lock()
 	defer s.listsMu.Unlock()
 	if s.lists != nil {
-		m.ListIndex, m.ListCertificate = s.lists.IndexBytes(), s.lists.CertificateBytes()
+		m.ListIndex = s.lists.MemoryBytes()
 	}
 	return m
 }
