@@ -165,12 +165,15 @@ bench-lists:
 ## bench-kernels: the E_pol stream kernels at the ledger's fixture (20 000
 ## atoms, one worker): a whole compiled sweep — gather included — per
 ## tier, the exact tier with and without its assembly, in ns per streamed
-## term (EXPERIMENTS.md "Stream kernels").
+## term, and the gather alone (every row's near, Sym and far streams and
+## outer operands, no kernel), vector and portable, in ns per list entry
+## and per atom copied — the difference of the two rows is the kernels'
+## share (EXPERIMENTS.md "Stream kernels", "The gather at copy speed").
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkEpolStream' -benchtime 5x -count 2 ./internal/core/
+	$(call bench_listed,BenchmarkEpolStream|BenchmarkEpolGatherAsm|BenchmarkEpolGatherPortable,-benchtime 5x -count 2,./internal/core/)
 
 ## bench-snapshot: the checkpoint codec at the ledger's two fixtures
-## (4 000 atoms = net_run's 41.6 MB snapshot, 20 000 atoms = 350 MB):
+## (4 000 atoms = net_run's 12.9 MB snapshot, 20 000 atoms = 76.5 MB):
 ## encode to a buffer, save to a file, decode a buffer, load a file, in
 ## MB/s of snapshot with bytes and objects allocated per call
 ## (EXPERIMENTS.md "Checkpoint codec").

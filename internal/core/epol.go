@@ -37,7 +37,8 @@ type EpolContext struct {
 	// aLo[n], aHi[n] are node n's atom slot range (Nodes[n].Start/End) as
 	// flat tables: the near gather of the compiled sweep reads two of them
 	// per list entry, and an 80-byte Node per entry would miss where these
-	// hit.
+	// hit. A LEAF's range is also its block of the blocked atoms source
+	// (kernels_stream.go); an internal node's spans several blocks.
 	aLo, aHi []int32
 	// farFactor is (1 + 2/ε); nodes are far when dist > (r_U+r_V)·farFactor.
 	farFactor float64
@@ -225,8 +226,12 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 		if useAsmKernels {
 			sweep = epolStreamF32Asm
 		}
-		ctx.t32 = newEpolTier(ctx, rho, f.aNodeX, f.aNodeY, f.aNodeZ, sweep)
+		ctx.t32 = newEpolTier(ctx, rho, f.aNodeX, f.aNodeY, f.aNodeZ, (*soa[float32]).gather, sweep)
 		return ctx
+	}
+	gather := (*soa[float64]).gather
+	if useAsmKernels {
+		gather = gatherAsm
 	}
 	var sweep func(o, s *soa[float64]) float64
 	switch {
@@ -241,7 +246,7 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 	default:
 		sweep = epolStreamLanes
 	}
-	ctx.t64 = newEpolTier(ctx, rho, sys.ANodeX, sys.ANodeY, sys.ANodeZ, sweep)
+	ctx.t64 = newEpolTier(ctx, rho, sys.ANodeX, sys.ANodeY, sys.ANodeZ, gather, sweep)
 	return ctx
 }
 
@@ -340,22 +345,27 @@ func (ctx *EpolContext) Finish(rawSum float64) float64 {
 	return -0.5 * ctx.tau * rawSum
 }
 
-// newEpolTier builds a tier's gather sources in its element type from
-// the context's float64 state (rho[b] is ρ_b) and attaches the node
-// centers and the stream kernel.
-func newEpolTier[T lane](ctx *EpolContext, rho []float64, nx, ny, nz []T, sweep func(o, s *soa[T]) float64) epolTier[T] {
+// newEpolTier builds a tier's two blocked gather sources (kernels_stream.go)
+// in its element type from the context's float64 state (rho[b] is ρ_b) and
+// attaches the gather, the node centers and the stream kernel.
+func newEpolTier[T lane](ctx *EpolContext, rho []float64, nx, ny, nz []T, gather gatherFunc[T], sweep func(o, s *soa[T]) float64) epolTier[T] {
 	sys := ctx.sys
 	tk := epolTier[T]{
-		atoms: make([]atom[T], len(ctx.Radii)), bins: make([]atom[T], len(ctx.nzQ)),
-		nx: nx, ny: ny, nz: nz, sweep: sweep,
+		atoms:  make([]T, srcFields*len(ctx.Radii)+gatherPad),
+		bins:   make([]T, srcFields*len(ctx.nzQ)+gatherPad),
+		gather: gather, nx: nx, ny: ny, nz: nz, sweep: sweep,
 	}
-	for i, r := range ctx.Radii {
-		tk.atoms[i] = atom[T]{T(sys.AtomX[i]), T(sys.AtomY[i]), T(sys.AtomZ[i]), T(sys.Charge[i]), T(r), T(1 / r)}
+	for _, leaf := range sys.Atoms.Leaves() {
+		lo, c := int(ctx.aLo[leaf]), int(ctx.aHi[leaf]-ctx.aLo[leaf])
+		for i := 0; i < c; i++ {
+			s := lo + i
+			putElem(tk.atoms[srcFields*lo:], c, i, sys.AtomX[s], sys.AtomY[s], sys.AtomZ[s], sys.Charge[s], ctx.Radii[s])
+		}
 	}
 	for n := range ctx.aLo {
-		for e := ctx.nzOff[n]; e < ctx.nzOff[n+1]; e++ {
-			r := rho[ctx.nzBin[e]]
-			tk.bins[e] = atom[T]{T(sys.ANodeX[n]), T(sys.ANodeY[n]), T(sys.ANodeZ[n]), T(ctx.nzQ[e]), T(r), T(1 / r)}
+		lo, c := int(ctx.nzOff[n]), int(ctx.nzOff[n+1]-ctx.nzOff[n])
+		for i := 0; i < c; i++ {
+			putElem(tk.bins[srcFields*lo:], c, i, sys.ANodeX[n], sys.ANodeY[n], sys.ANodeZ[n], ctx.nzQ[lo+i], rho[ctx.nzBin[lo+i]])
 		}
 	}
 	return tk

@@ -12,15 +12,16 @@ package core
 //
 // The exact tier's E_pol kernel additionally applies three algebraic
 // rewrites the recursion does not: the f_GB exponent is formed by
-// multiplying precomputed reciprocals (EpolContext.invRadii / irr)
-// instead of dividing, mutual near blocks are gathered once with doubled
-// charges, and the far-field histogram product is folded through a
-// convolution over the bin sum. Each rewrite perturbs individual terms by
-// at most a few ulp (or reassociates a sum); the cross-check tests in
-// ilist_test.go pin the compiled path to the recursive one at 1e-12
-// relative, far above the observed deviation. The approximate-math
-// kernels take only the last two — they must call mathx.Exp / mathx.RSqrt
-// with the recursion's operands to stay on it.
+// multiplying the gathered reciprocal radii (the sixth field of a gather
+// source, kernels_stream.go) instead of dividing, mutual near blocks are
+// gathered once with doubled charges, and the far field's R_uR_v
+// surrogate R_min²(1+ε)^{i+j} is formed as ρ_i·ρ_j between binned
+// pseudo-atoms instead of read from the rr[i+j] table. Each rewrite
+// perturbs individual terms by at most a few ulp (or reassociates a sum);
+// the cross-check tests in ilist_test.go pin the compiled path to the
+// recursive one at 1e-12 relative, far above the observed deviation. The
+// approximate-math kernels take only the last two — they must call
+// mathx.Exp / mathx.RSqrt with the recursion's operands to stay on it.
 //
 // Op accounting: the compiled path charges 1 op per list entry plus the
 // same per-pair counts as the recursive path (|A|·|Q| for near blocks,

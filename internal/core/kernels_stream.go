@@ -22,33 +22,61 @@ import (
 //     U, V is exactly f_GB between a pseudo-atom at U's center with charge
 //     q_U[i] and Born radius ρ_i and one at V's center with q_V[j], ρ_j.
 //     EpolContext lays every node's occupied bins out as such pseudo-atoms
-//     (epolTier.bins, CSR by node like nzOff); the stream is the far
-//     nodes' pseudo-atoms, the outer operand the row leaf's. No
+//     (epolTier.bins, one block per node, indexed like nzOff); the stream
+//     is the far nodes' pseudo-atoms, the outer operand the row leaf's. No
 //     convolution, no second kernel, and every far term is the
 //     recursion's own bin-pair term. Moment corrections (FarOrder ≥ 1)
 //     stay scalar, one per far entry.
 //
-// One driver serves every tier; a tier is its two gather sources plus one
-// stream kernel (epolTier). The terms are the recursion's; what differs
-// is the ORDER they are summed in (per outer atom over the whole stream)
-// and a few ulp per far term (ρ_i·ρ_j against the recursion's rr[i+j]
-// table) — both bounded by the 1e-12 compiled-vs-recursive suite. Op
-// accounting is that of kernels.go, entry for entry.
+// The copy is kept, and made cheap, rather than replaced by kernels that
+// walk the entries' ranges in place: an entry is 1–8 atoms, so a
+// range-walking kernel issues one half-empty vector iteration per (outer
+// atom, entry) — twice the iterations of the packed stream, on kernels
+// that are divider-bound per iteration (DESIGN.md §6). What a gather costs
+// is set by the layout of its sources: blocked by list entry (below), so
+// that one entry is one or two cache lines and one branch-free vector copy.
+//
+// One driver serves every tier; a tier is its two gather sources, its
+// gather and one stream kernel (epolTier). The terms are the recursion's;
+// what differs is the ORDER they are summed in (per outer atom over the
+// whole stream) and a few ulp per far term (ρ_i·ρ_j against the
+// recursion's rr[i+j] table) — both bounded by the 1e-12
+// compiled-vs-recursive suite. Op accounting is that of kernels.go, entry
+// for entry.
 
 // lane is a stream's element type: float64 on the exact, approximate and
 // laned tiers, float32 on the f32 tier.
 type lane interface{ ~float32 | ~float64 }
 
-// soa is a structure-of-arrays view of atoms: position, charge, Born
-// radius and — float64 tiers only, nil on f32 — reciprocal radius.
-type soa[T lane] struct{ x, y, z, q, r, ir []T }
+// srcFields is the number of fields of a gather source element and of a
+// stream: x, y, z, charge, Born radius, reciprocal radius.
+const srcFields = 6
 
-// newSoa allocates an n-atom SoA over one backing array.
+// gatherPad is the slack, in elements, behind a gather source and behind
+// every field of a stream: the vector gather (gatherBlocks4, simd_amd64.s)
+// copies a span in chunks of four, so the last chunk of a span reads up to
+// three elements past the span's run and writes up to three past the
+// stream's new end.
+const gatherPad = 4
+
+// soa is a structure-of-arrays view of atoms: position, charge, Born
+// radius and — float64 tiers only, nil on f32 — reciprocal radius. The
+// six fields share one backing array, flat, field f starting at
+// f·len(flat)/srcFields; what a gather appends it writes through flat.
+type soa[T lane] struct {
+	x, y, z, q, r, ir []T
+	flat              []T
+}
+
+// newSoa allocates an n-atom SoA over one backing array, every field
+// followed by gatherPad elements of slack.
 func newSoa[T lane](n int, withIR bool) soa[T] {
-	flat := make([]T, 6*n)
-	s := soa[T]{x: flat[:n:n], y: flat[n : 2*n : 2*n], z: flat[2*n : 3*n : 3*n], q: flat[3*n : 4*n : 4*n], r: flat[4*n : 5*n : 5*n]}
+	st := n + gatherPad
+	flat := make([]T, srcFields*st)
+	field := func(f int) []T { return flat[f*st : f*st+n : f*st+n] }
+	s := soa[T]{x: field(0), y: field(1), z: field(2), q: field(3), r: field(4), flat: flat}
 	if withIR {
-		s.ir = flat[5*n:]
+		s.ir = field(5)
 	}
 	return s
 }
@@ -62,25 +90,45 @@ func (s *soa[T]) prefix(n int) soa[T] {
 	return v
 }
 
-// atom is one gather source record: the six numbers of an atom (or
-// binned pseudo-atom) side by side, so that copying a list entry's few
-// atoms touches one or two cache lines instead of six arrays.
-type atom[T lane] struct{ x, y, z, q, r, ir T }
+// A gather source is a flat array of elements in BLOCKS: the elements
+// [lo, lo+c) of one block store field f of element i at
+// srcFields·lo + f·c + i, and gatherPad elements of slack follow the last
+// block. A block is what a list entry names — one leaf's atoms, one node's
+// occupied bins — so an entry's six short runs are adjacent (one or two
+// cache lines for the usual two atoms, where six arrays are six) and each
+// run can be read as one vector of four whose surplus lanes are the next
+// run's. The atoms source is blocked by the atoms tree's LEAVES: an
+// internal node's [aLo, aHi) covers several blocks and is not one, which
+// is sound because near and Sym entries and rows are always leaves. The
+// bins source is blocked by node (nzOff), far entries being any node.
 
-// gather appends src[lo[e]:hi[e]] for every entry e of list to the
-// stream at position n, charges scaled by w, and returns the new length.
-// A plain element loop: an entry is ~2 atoms, and at that size neither
-// copy() per array nor coalescing DFS-adjacent entries into longer spans
-// pays (measured at the ledger's fixture: 11.5 and 8.0 against 7.3 ns per
-// atom).
-func (s *soa[T]) gather(n int, src []atom[T], lo, hi, list []int32, w T) int {
-	dx, dy, dz, dq, dr, dir := s.x, s.y, s.z, s.q, s.r, s.ir
+// putElem stores element i of the c-element block blk starts with: an atom
+// or pseudo-atom at (x, y, z) of charge q and Born radius r.
+func putElem[T lane](blk []T, c, i int, x, y, z, q, r float64) {
+	blk[i], blk[c+i], blk[2*c+i], blk[3*c+i], blk[4*c+i], blk[5*c+i] = T(x), T(y), T(z), T(q), T(r), T(1/r)
+}
+
+// gatherFunc appends the blocks [lo[e], hi[e]) of the blocked source src
+// for every entry e of list to the stream s at position n, charges scaled
+// by w, and returns the new length.
+type gatherFunc[T lane] func(s *soa[T], n int, src []T, lo, hi, list []int32, w T) int
+
+// gather is the portable gatherFunc, an element loop: every tier's on
+// hosts without the assembly, the f32 tier's everywhere. The float64
+// tiers' on AVX2 hosts is gatherAsm (simd_amd64.go), which copies a span
+// as whole vectors of four without a branch on its length; the same copy
+// written in Go — through [4]T array pointers — compiles to a memmove call
+// or to 24 bounds checks per chunk and measured 17–21 ns per entry against
+// this loop's 12.
+func (s *soa[T]) gather(n int, src []T, lo, hi, list []int32, w T) int {
+	st := len(s.flat) / srcFields
+	field := func(f int) []T { return s.flat[f*st : (f+1)*st] }
+	dx, dy, dz, dq, dr, dir := field(0), field(1), field(2), field(3), field(4), field(5)
 	for _, e := range list {
-		for _, a := range src[lo[e]:hi[e]] {
-			dx[n], dy[n], dz[n], dq[n], dr[n] = a.x, a.y, a.z, w*a.q, a.r
-			if dir != nil {
-				dir[n] = a.ir
-			}
+		l, c := int(lo[e]), int(hi[e]-lo[e])
+		p := src[srcFields*l : srcFields*(l+c)]
+		for i := 0; i < c; i++ {
+			dx[n], dy[n], dz[n], dq[n], dr[n], dir[n] = p[i], p[c+i], p[2*c+i], w*p[3*c+i], p[4*c+i], p[5*c+i]
 			n++
 		}
 	}
@@ -88,14 +136,16 @@ func (s *soa[T]) gather(n int, src []atom[T], lo, hi, list []int32, w T) int {
 }
 
 // epolTier is what the row driver reads of one precision tier, in the
-// tier's element type: the gather sources — the atoms in slot order
-// (node n's are [aLo[n], aHi[n])) and the binned pseudo-atoms of every
-// atoms-tree node (node n's are [nzOff[n], nzOff[n+1])) — the node
-// centers (for the moment corrections) and the tier's stream kernel.
-// sweep returns Σ_o q_o · Σ_i q_i / f_GB(o, i) over the outer atoms o and
-// the stream i, with f_GB² = r² + R_oR_i·exp(−r²/4R_oR_i).
+// tier's element type: the two gather sources — the atoms, blocked by
+// leaf (leaf n's are [aLo[n], aHi[n])), and the binned pseudo-atoms of
+// every atoms-tree node, blocked by node (node n's are [nzOff[n],
+// nzOff[n+1])) — the gather that copies them, the node centers (for the
+// moment corrections) and the tier's stream kernel. sweep returns
+// Σ_o q_o · Σ_i q_i / f_GB(o, i) over the outer atoms o and the stream i,
+// with f_GB² = r² + R_oR_i·exp(−r²/4R_oR_i).
 type epolTier[T lane] struct {
-	atoms, bins []atom[T]
+	atoms, bins []T
+	gather      gatherFunc[T]
 	nx, ny, nz  []T
 	sweep       func(o, s *soa[T]) float64
 }
@@ -114,17 +164,17 @@ type streamScratch[T lane] struct {
 	s, o, outer, stream soa[T]
 }
 
-// sweep gathers the stream — src's ranges [lo[e], hi[e]) of the entries e
+// sweep gathers the stream — src's blocks [lo[e], hi[e]) of the entries e
 // of once, then of twice with doubled charges — and the outer operand,
-// the range of self's one entry, and runs the kernel over them. It returns
-// the kernel's sum, the stream length after once and in all, and the outer
-// operand's length.
-func (sc *streamScratch[T]) sweep(kernel func(o, s *soa[T]) float64, src []atom[T], lo, hi, self, once, twice []int32) (e float64, nOnce, n, nv int) {
-	nOnce = sc.s.gather(0, src, lo, hi, once, 1)
-	n = sc.s.gather(nOnce, src, lo, hi, twice, 2)
-	nv = sc.o.gather(0, src, lo, hi, self, 1)
+// the block of self's one entry, and runs the tier's kernel over them. It
+// returns the kernel's sum, the stream length after once and in all, and
+// the outer operand's length.
+func (sc *streamScratch[T]) sweep(tk *epolTier[T], src []T, lo, hi, self, once, twice []int32) (e float64, nOnce, n, nv int) {
+	nOnce = tk.gather(&sc.s, 0, src, lo, hi, once, 1)
+	n = tk.gather(&sc.s, nOnce, src, lo, hi, twice, 2)
+	nv = tk.gather(&sc.o, 0, src, lo, hi, self, 1)
 	sc.outer, sc.stream = sc.o.prefix(nv), sc.s.prefix(n)
-	return kernel(&sc.outer, &sc.stream), nOnce, n, nv
+	return tk.sweep(&sc.outer, &sc.stream), nOnce, n, nv
 }
 
 // newEpolScratch allocates p workers' scratch for sweeping il under ctx.
@@ -181,7 +231,7 @@ func epolRowT[T lane](ctx *EpolContext, tk *epolTier[T], il *InteractionLists, r
 	// blocks it represents (kernels.go).
 	near := il.Near[il.NearOff[row]:il.NearOff[row+1]]
 	sym := il.Sym[il.SymOff[row]:il.SymOff[row+1]]
-	e, nNear, n, nv := sc.sweep(tk.sweep, tk.atoms, ctx.aLo, ctx.aHi, self, near, sym)
+	e, nNear, n, nv := sc.sweep(tk, tk.atoms, ctx.aLo, ctx.aHi, self, near, sym)
 	acc.energy += e
 	acc.ops += float64((2*n-nNear)*nv + len(near) + len(sym))
 	acc.nearTerms += float64(n * nv)
@@ -193,7 +243,7 @@ func epolRowT[T lane](ctx *EpolContext, tk *epolTier[T], il *InteractionLists, r
 		return
 	}
 	// Far field: 1 op per entry plus one per populated bin pair.
-	e, _, n, nv = sc.sweep(tk.sweep, tk.bins, ctx.nzOff, ctx.nzOff[1:], self, far, nil)
+	e, _, n, nv = sc.sweep(tk, tk.bins, ctx.nzOff, ctx.nzOff[1:], self, far, nil)
 	acc.energy += e
 	acc.ops += float64(n*nv + len(far))
 	acc.farTerms += float64(n * nv)

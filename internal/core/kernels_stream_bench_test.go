@@ -8,11 +8,15 @@ import (
 
 // The E_pol stream kernels at the ledger's fixture (the 20 000-atom
 // generated protein, Morton trees): one single-worker sweep of every
-// compiled row per iteration, gather and far-field convolution included,
-// reported as ns per streamed term (near pair terms + far occupied-sum
-// terms). Run with `make bench-kernels`.
+// compiled row per iteration — gather, near stream and far stream —
+// reported as ns per streamed term (near pair terms + far bin-pair terms),
+// and beside it the gather alone, so the gather/kernel split of a sweep is
+// read from two benchmark rows. Run with `make bench-kernels`.
 
-func benchEpolStream(b *testing.B, p Precision, asm bool) {
+// benchEpolFixture is the ledger fixture ready to sweep on one worker under
+// precision p, with the assembly on or off for the benchmark's duration,
+// and RunShared's result to check a sweep against.
+func benchEpolFixture(b *testing.B, p Precision, asm bool) (*EpolContext, *InteractionLists, *epolScratch, *Result) {
 	if asm && !useAsmKernels {
 		b.Skip("no AVX2+FMA assembly kernels in this build or on this host")
 	}
@@ -29,16 +33,21 @@ func benchEpolStream(b *testing.B, p Precision, asm bool) {
 	for slot, orig := range sys.Atoms.Index {
 		slotRadii[slot] = res.BornRadii[orig]
 	}
-	defer func(v bool) { useAsmKernels = v }(useAsmKernels)
+	host := useAsmKernels
+	b.Cleanup(func() { useAsmKernels = host })
 	useAsmKernels = asm
 	ctx := NewEpolContext(sys, slotRadii)
-	scratch := newEpolScratch(ctx, il, 1)
+	return ctx, il, &newEpolScratch(ctx, il, 1)[0], res
+}
+
+func benchEpolStream(b *testing.B, p Precision, asm bool) {
+	ctx, il, scratch, res := benchEpolFixture(b, p, asm)
 	var acc epolAccum
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc = epolAccum{}
 		for row := range il.Rows {
-			epolRow(ctx, il, row, &scratch[0], &acc)
+			epolRow(ctx, il, row, scratch, &acc)
 		}
 	}
 	terms := acc.nearTerms + acc.farTerms
@@ -53,3 +62,35 @@ func BenchmarkEpolStreamExact(b *testing.B)    { benchEpolStream(b, PrecisionExa
 func BenchmarkEpolStreamExactAsm(b *testing.B) { benchEpolStream(b, PrecisionExact, true) }
 func BenchmarkEpolStreamLanes(b *testing.B)    { benchEpolStream(b, PrecisionLanes, true) }
 func BenchmarkEpolStreamF32(b *testing.B)      { benchEpolStream(b, PrecisionF32, true) }
+
+// gatherSink keeps the benchmarked gathers' results live.
+var gatherSink int
+
+// benchEpolGather is a sweep's staging without its kernels: per row the
+// near and Sym streams, the far stream and both outer operands, exactly as
+// streamScratch.sweep gathers them.
+func benchEpolGather(b *testing.B, asm bool) {
+	ctx, il, scratch, _ := benchEpolFixture(b, PrecisionExact, asm)
+	tk, sc := &ctx.t64, &scratch.f64
+	atoms := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		atoms = 0
+		for row := range il.Rows {
+			self := il.Rows[row : row+1]
+			n := tk.gather(&sc.s, 0, tk.atoms, ctx.aLo, ctx.aHi, il.Near[il.NearOff[row]:il.NearOff[row+1]], 1)
+			n = tk.gather(&sc.s, n, tk.atoms, ctx.aLo, ctx.aHi, il.Sym[il.SymOff[row]:il.SymOff[row+1]], 2)
+			atoms += n + tk.gather(&sc.o, 0, tk.atoms, ctx.aLo, ctx.aHi, self, 1)
+			n = tk.gather(&sc.s, 0, tk.bins, ctx.nzOff, ctx.nzOff[1:], il.Far[il.FarOff[row]:il.FarOff[row+1]], 1)
+			atoms += n + tk.gather(&sc.o, 0, tk.bins, ctx.nzOff, ctx.nzOff[1:], self, 1)
+		}
+	}
+	gatherSink = atoms
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	entries := len(il.Near) + len(il.Sym) + len(il.Far) + 2*len(il.Rows)
+	b.ReportMetric(ns/float64(entries), "ns/entry")
+	b.ReportMetric(ns/float64(atoms), "ns/atom")
+}
+
+func BenchmarkEpolGatherAsm(b *testing.B)      { benchEpolGather(b, true) }
+func BenchmarkEpolGatherPortable(b *testing.B) { benchEpolGather(b, false) }

@@ -30,6 +30,9 @@ func epolStreamLanes4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float
 func epolStreamF32x8(ax, ay, az, ch, rad, vx, vy, vz, cv, rv []float32) float64
 
 //go:noescape
+func gatherBlocks4(dst []float64, stride, n int, src []float64, lo, hi, list []int32, w float64) int
+
+//go:noescape
 func expNeg4(dst, src []float64)
 
 //go:noescape
@@ -85,6 +88,12 @@ func epolStreamLanesAsm(o, s *soa[float64]) float64 {
 
 func epolStreamF32Asm(o, s *soa[float32]) float64 {
 	return epolStreamF32x8(o.x, o.y, o.z, o.q, o.r, s.x, s.y, s.z, s.q, s.r)
+}
+
+// gatherAsm is soa.gather (kernels_stream.go) through the vector span
+// copy: the float64 tiers' epolTier.gather value.
+func gatherAsm(s *soa[float64], n int, src []float64, lo, hi, list []int32, w float64) int {
+	return gatherBlocks4(s.flat, len(s.flat)/srcFields, n, src, lo, hi, list, w)
 }
 
 // bornNearBlockAsmR6 sweeps one Born near entry (atom leaf lo:hi against

@@ -8,6 +8,8 @@
 // stream, one unit pseudo-atom for the far stream. The outer loop runs
 // inside the assembly, so the per-call setup amortizes over the whole
 // stream. A Born call sweeps one near leaf against the row's q-points.
+// gatherBlocks4, last in the file, is the copy that stages a float64
+// stream from the blocked gather sources.
 //
 // Arithmetic contract (DESIGN.md §11). Exact tier (epolStreamExact4):
 // every step but the exponential is the IEEE operation of the portable
@@ -1072,5 +1074,82 @@ gusum:
 	JNZ gouter
 
 gdone:
+	VZEROUPPER
+	RET
+
+// func gatherBlocks4(dst []float64, stride, n int, src []float64, lo, hi, list []int32, w float64) int
+//
+// soa.gather (kernels_stream.go) in AVX2: for every entry e of list, the
+// block [lo[e], hi[e]) of the blocked source src — field f of its element
+// i at 6·lo + f·c + i, c = hi − lo — is appended to the stream dst (field
+// f at dst + f·stride) at position n, charges multiplied by w, and the
+// new n returned. A span is copied in chunks of four per field: six
+// unaligned loads, six unaligned stores, no branch on its length but the
+// loop-back taken only when it is longer than four. Lanes past a span's
+// end are the next run's (or the source's padding) and land past the
+// stream's new end, where the next span overwrites them; an empty span
+// copies four dead lanes and advances nothing. The caller owns the
+// padding: gatherPad elements behind src and behind every field of dst.
+//
+// Registers — DI = dst, R8 = stride in bytes, AX = n, SI = src, R9 = lo,
+// R10 = hi, R11 = list cursor, CX = entries left; per entry R13 = c then
+// elements left, R15 = c in bytes, DX / BX = source fields 0–2 / 3–5,
+// R14 / R12 = destination fields 0–2 / 3–5. Y15 = w on four lanes.
+TEXT ·gatherBlocks4(SB), NOSPLIT, $0-152
+	MOVQ dst_base+0(FP), DI
+	MOVQ stride+24(FP), R8
+	MOVQ n+32(FP), AX
+	MOVQ src_base+40(FP), SI
+	MOVQ lo_base+64(FP), R9
+	MOVQ hi_base+88(FP), R10
+	MOVQ list_base+112(FP), R11
+	MOVQ list_len+120(FP), CX
+	VBROADCASTSD w+136(FP), Y15
+	SHLQ $3, R8
+	TESTQ CX, CX
+	JZ gbdone
+
+gbentry:
+	MOVLQSX (R11), BX                   // e
+	ADDQ $4, R11
+	MOVLQSX (R9)(BX*4), DX              // lo[e]
+	MOVLQSX (R10)(BX*4), R13            // hi[e]
+	SUBQ DX, R13                        // c
+	LEAQ (DX)(DX*2), DX
+	SHLQ $4, DX
+	ADDQ SI, DX                         // src + 6·lo·8: fields 0–2
+	LEAQ (R13*8), R15                   // c·8
+	LEAQ (R15)(R15*2), BX
+	ADDQ DX, BX                         // + 3·c·8: fields 3–5
+	LEAQ (DI)(AX*8), R14                // dst + n·8: fields 0–2
+	LEAQ (R14)(R8*2), R12
+	ADDQ R8, R12                        // + 3·stride: fields 3–5
+	ADDQ R13, AX                        // n += c
+
+gbchunk:
+	VMOVUPD (DX), Y0
+	VMOVUPD (DX)(R15*1), Y1
+	VMOVUPD (DX)(R15*2), Y2
+	VMULPD (BX), Y15, Y3                // w·q: w is 1 or 2, exact
+	VMOVUPD (BX)(R15*1), Y4
+	VMOVUPD (BX)(R15*2), Y5
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y1, (R14)(R8*1)
+	VMOVUPD Y2, (R14)(R8*2)
+	VMOVUPD Y3, (R12)
+	VMOVUPD Y4, (R12)(R8*1)
+	VMOVUPD Y5, (R12)(R8*2)
+	ADDQ $32, DX
+	ADDQ $32, BX
+	ADDQ $32, R14
+	ADDQ $32, R12
+	SUBQ $4, R13
+	JG gbchunk
+
+	DECQ CX
+	JNZ gbentry
+
+gbdone:
+	MOVQ AX, ret+144(FP)
 	VZEROUPPER
 	RET

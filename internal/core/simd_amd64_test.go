@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gbpolar/internal/mathx"
+	"gbpolar/internal/molecule"
 )
 
 // The exact tier's vector exponential (EXPNEG4 in simd_amd64.s) is
@@ -48,4 +49,163 @@ func TestExpNegAsmMatchesPortable(t *testing.T) {
 		}
 	}
 	t.Logf("%d arguments bit-identical", len(xs))
+}
+
+// gatherCanary is the NaN the gather tests pre-fill storage with: a store
+// anywhere it must not land changes the bit pattern.
+var gatherCanary = math.Float64frombits(0x7ff8dead0000beef)
+
+func isCanary(v float64) bool { return math.Float64bits(v) == math.Float64bits(gatherCanary) }
+
+// randomBlocks builds a blocked gather source of the given block lengths
+// with a distinct value in every field of every element, its padding set to
+// the canary, and the blocks' offset table (block b is [off[b], off[b+1])).
+func randomBlocks(rng *rand.Rand, lengths []int) (src []float64, off []int32) {
+	off = make([]int32, len(lengths)+1)
+	for b, c := range lengths {
+		off[b+1] = off[b] + int32(c)
+	}
+	src = make([]float64, srcFields*int(off[len(lengths)])+gatherPad)
+	for i := range src {
+		src[i] = 1 + rng.Float64()
+	}
+	for i := len(src) - gatherPad; i < len(src); i++ {
+		src[i] = gatherCanary
+	}
+	return src, off
+}
+
+// The vector span copy against the portable gather, element for element,
+// and both against the layout's definition (field f of element i of block
+// [lo, lo+c) at 6·lo + f·c + i): span lengths on both sides of every chunk
+// boundary, empty spans, lists that end on the source's last block (whose
+// last chunk over-reads into the padding), start offsets of every residue
+// mod 4, both weights, empty lists. The stream is pre-filled with canaries:
+// the assembly may write at most three lanes past the new end and nothing
+// before the start offset, the portable gather nothing outside the two.
+func TestGatherMatchesPortable(t *testing.T) {
+	if !useAsmKernels {
+		t.Skip("no AVX2+FMA on this host")
+	}
+	rng := rand.New(rand.NewSource(24))
+	spanLens := []int{0, 1, 2, 3, 4, 5, 8, 9, 33}
+	for trial := 0; trial < 400; trial++ {
+		lengths := make([]int, 1+rng.Intn(12))
+		for b := range lengths {
+			lengths[b] = spanLens[rng.Intn(len(spanLens))]
+		}
+		src, off := randomBlocks(rng, lengths)
+		last := int32(len(lengths) - 1)
+		var list []int32
+		switch trial % 8 {
+		case 0: // empty list
+		case 1:
+			list = []int32{last}
+		default:
+			for i := rng.Intn(20); i > 0; i-- {
+				list = append(list, int32(rng.Intn(len(lengths))))
+			}
+			list = append(list, last)
+		}
+		total := 0
+		for _, e := range list {
+			total += lengths[e]
+		}
+		start := rng.Intn(9)
+		w := float64(1 + trial%2)
+
+		var want [srcFields][]float64
+		for _, e := range list {
+			lo, c := int(off[e]), lengths[e]
+			for i := 0; i < c; i++ {
+				for f := range want {
+					v := src[srcFields*lo+f*c+i]
+					if f == 3 {
+						v *= w
+					}
+					want[f] = append(want[f], v)
+				}
+			}
+		}
+
+		asm, portable := newSoa[float64](start+total, true), newSoa[float64](start+total, true)
+		for i := range asm.flat {
+			asm.flat[i], portable.flat[i] = gatherCanary, gatherCanary
+		}
+		nAsm := gatherAsm(&asm, start, src, off, off[1:], list, w)
+		nPortable := portable.gather(start, src, off, off[1:], list, w)
+		if nAsm != start+total || nPortable != start+total {
+			t.Fatalf("trial %d: new length asm %d, portable %d, want %d", trial, nAsm, nPortable, start+total)
+		}
+		st := len(asm.flat) / srcFields
+		for f := 0; f < srcFields; f++ {
+			a, p := asm.flat[f*st:(f+1)*st], portable.flat[f*st:(f+1)*st]
+			for i := 0; i < st; i++ {
+				switch {
+				case i < start || i >= nAsm+gatherPad:
+					if !isCanary(a[i]) {
+						t.Fatalf("trial %d: assembly wrote field %d element %d, outside [%d, %d+%d)", trial, f, i, start, nAsm, gatherPad)
+					}
+				case i < nAsm:
+					if a[i] != p[i] || a[i] != want[f][i-start] {
+						t.Fatalf("trial %d (lengths %v, list %v, start %d, w %v): field %d element %d: assembly %v, portable %v, layout %v",
+							trial, lengths, list, start, w, f, i, a[i], p[i], want[f][i-start])
+					}
+				}
+				if (i < start || i >= nPortable) && !isCanary(p[i]) {
+					t.Fatalf("trial %d: portable gather wrote field %d element %d, outside [%d, %d)", trial, f, i, start, nPortable)
+				}
+			}
+		}
+	}
+}
+
+// No canary reaches a sum, and no worker writes another's scratch: a whole
+// evaluation with every word of the workers' streams and outer operands
+// and of the sources' padding set to a NaN gives the bits of a clean one,
+// and leaves the idle worker's scratch untouched.
+func TestGatherCanariesStayDead(t *testing.T) {
+	if !useAsmKernels {
+		t.Skip("no AVX2+FMA on this host")
+	}
+	for _, tier := range streamBitsTiers {
+		p := mortonParams()
+		p.Precision, p.Math = tier.prec, tier.math
+		f := newStreamFixture(t, tier.name, molecule.GenProtein("canary", 400, 17), p)
+		ctx := NewEpolContext(f.sys, f.radii)
+		il := f.sys.Lists(nil).Epol
+		sweep := func(sc *epolScratch) (acc epolAccum) {
+			for row := range il.Rows {
+				epolRow(ctx, il, row, sc, &acc)
+			}
+			return acc
+		}
+		clean := sweep(&newEpolScratch(ctx, il, 1)[0])
+
+		scratch := newEpolScratch(ctx, il, 2)
+		for w := range scratch {
+			for _, flat := range [][]float64{scratch[w].f64.s.flat, scratch[w].f64.o.flat} {
+				for i := range flat {
+					flat[i] = gatherCanary
+				}
+			}
+		}
+		for _, src := range [][]float64{ctx.t64.atoms, ctx.t64.bins} {
+			for i := len(src) - gatherPad; i < len(src); i++ {
+				src[i] = gatherCanary
+			}
+		}
+		got := sweep(&scratch[0])
+		if math.Float64bits(got.energy) != math.Float64bits(clean.energy) {
+			t.Errorf("%s: pair sum %v (%#x) over canary-filled scratch, %v (%#x) over clean scratch",
+				tier.name, got.energy, math.Float64bits(got.energy), clean.energy, math.Float64bits(clean.energy))
+		}
+		for _, flat := range [][]float64{scratch[1].f64.s.flat, scratch[1].f64.o.flat} {
+			for i, v := range flat {
+				if !isCanary(v) {
+					t.Fatalf("%s: the idle worker's scratch was written at %d", tier.name, i)
+				}
+			}
+		}
+	}
 }

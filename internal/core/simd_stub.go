@@ -21,6 +21,10 @@ func epolStreamF32Asm(o, s *soa[float32]) float64 {
 	panic("core: asm kernels unavailable in this build")
 }
 
+func gatherAsm(s *soa[float64], n int, src []float64, lo, hi, list []int32, w float64) int {
+	panic("core: asm kernels unavailable in this build")
+}
+
 func bornNearBlockAsmR6(sys *System, lo, hi int32, out []float64, qx, qy, qz, wx, wy, wz []float64) {
 	panic("core: asm kernels unavailable in this build")
 }
