@@ -73,9 +73,12 @@ bigendian:
 	GOARCH=s390x $(GO) vet ./internal/wire/
 
 ## kernels: the compiled kernels on both dispatch sides — the assembly
-## (vet's asmdecl checks every TEXT against its Go declaration) and, under
-## -tags purego, the portable Go kernels this host would otherwise never
-## run (DESIGN.md §11).
+## (vet's asmdecl checks every TEXT against its Go declaration, the list
+## classification's openFar8AVX2 included) and, under -tags purego, the
+## portable Go kernels this host would otherwise never run: there the
+## classification's identity tests (TestOpenFar8MatchesScalar,
+## TestTileCompileMatchesOracle and every list digest) hold the portable
+## lanes to the same bytes (DESIGN.md §6, §11).
 kernels:
 	$(GO) vet -asmdecl ./internal/core/
 	$(GO) test ./internal/core/ ./internal/mathx/
@@ -101,7 +104,7 @@ faults:
 ## <2% disabled-path overhead guard (DESIGN.md §8, §13, §14).
 obs:
 	$(GO) test -race ./internal/obs/... ./cmd/gbtrace/
-	$(call run_listed,-v,TestSharedRunTrace|TestResilientTraceTimeline|TestKernelHotLoopZeroAllocs|TestDisabledObsOverhead|TestRepairSpans|TestMemoryGauges|TestNetTelemetryMergedTrace|TestNetObsEndpoint,./internal/core/)
+	$(call run_listed,-v,TestSharedRunTrace|TestResilientTraceTimeline|TestKernelHotLoopZeroAllocs|TestDisabledObsOverhead|TestRepairSpans|TestCompileSpans|TestMemoryGauges|TestNetTelemetryMergedTrace|TestNetObsEndpoint,./internal/core/)
 	$(call run_listed,-race -v,TestNetWatchdogAcceptance,./internal/core/)
 
 ## net: the real multi-process transport under the race detector — wire
@@ -118,7 +121,7 @@ net:
 ## it — the list back-end and its checkpoint, all of internal/core, and the
 ## facade.
 loc:
-	@echo "list files (internal/core/{ilist,ilist_repair,snapshot}.go): $$(cat internal/core/ilist.go internal/core/ilist_repair.go internal/core/snapshot.go | wc -l)"
+	@echo "list files (internal/core/{ilist,ilist_tile,ilist_repair,snapshot}.go): $$(cat internal/core/ilist.go internal/core/ilist_tile.go internal/core/ilist_repair.go internal/core/snapshot.go | wc -l)"
 	@echo "runner files (internal/core/{runner,elastic,dyndist,recover,workdiv,netrun,pipeline}.go): $$(cat $(wildcard $(addprefix internal/core/,$(addsuffix .go,runner elastic dyndist recover workdiv netrun pipeline))) | wc -l)"
 	@echo "internal/core non-test: $$(ls internal/core/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "gbpolar.go: $$(wc -l < gbpolar.go)"
@@ -155,12 +158,15 @@ bench-far:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmPoseFarOrder' -benchtime 3x -count 2 ./internal/core/
 
 ## bench-lists: the interaction-list back-end at the ledger's fixture
-## (20 000 atoms, 2 workers): a compile, one repaired local jiggle (the
-## steady state of a trajectory) and one repaired jiggle of every atom (the
-## repair's worst case: every node moved), with bytes and objects allocated
-## and rows reclassified per call (DESIGN.md §6, §10).
+## (20 000 atoms, 2 workers): a compile — with the nodes its shared descents
+## visit — one repaired local jiggle (the steady state of a trajectory) and
+## one repaired jiggle of every atom (the repair's worst case: every node
+## moved), with bytes and objects allocated and rows reclassified per call;
+## then the classification's primitive, ns per opening test of eight lanes,
+## assembly and portable (DESIGN.md §6, §10).
 bench-lists:
 	$(call bench_listed,BenchmarkCompileLists20k|BenchmarkRepairLists20k|BenchmarkRepairGlobal20k,-benchtime 5x -count 2 -benchmem,./internal/core/)
+	$(call bench_listed,BenchmarkOpenFar8,-count 2,./internal/core/)
 
 ## bench-kernels: the E_pol stream kernels at the ledger's fixture (20 000
 ## atoms, one worker): a whole compiled sweep — gather included — per

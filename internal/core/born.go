@@ -226,7 +226,7 @@ func approxIntegralsRec(sys *System, acc *bornAccum, aNode, qLeaf int32, macs *[
 	q := &sys.QPts.Nodes[qLeaf]
 	d := q.Center.Sub(a.Center)
 	d2 := d.Norm2()
-	// Loosened rungs admit internal nodes only (see classify): a leaf
+	// Loosened rungs admit internal nodes only (see listPhase.rungs): a leaf
 	// classifies by the base multiplier, keeping leaf-level near blocks
 	// exact instead of migrating them into the far list.
 	p := pmax

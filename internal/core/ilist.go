@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/obs"
@@ -117,7 +118,7 @@ func (cl *CompiledLists) MemoryBytes() int64 { return cl.Born.MemoryBytes() + cl
 // atoms octree under the opening-multiplier ladder macs/pmax
 // (farorder.go; macs[0] is the base multiplier, and pmax = 0 degenerates
 // to the original single-multiplier classification bit for bit).
-// leafFirst selects the traversal ordering (see classify) and says the
+// leafFirst selects the traversal ordering (see tiler.descend) and says the
 // rows are atom leaves, which move under an update; symmetrize moves
 // mutual near leaf pairs into the Sym list of the lower-indexed row (valid
 // only when rowTree == atoms, i.e. the E_pol phase).
@@ -127,80 +128,59 @@ type listPhase struct {
 	pmax           int
 	leafFirst      bool
 	symmetrize     bool
+	// up and rowOf are what the symmetrized phase's mutuality rule reads of
+	// the atoms tree as it stands: the node above every reachable node
+	// (octree.NoChild above the root) and the row of every leaf.
+	up, rowOf []int32
+	// o, when set, receives index's spans and counters, on rank's timeline.
+	o    *obs.Obs
+	rank int
 }
 
 // listPhases returns the Born phase (q-point leaf rows, Figure 2) and the
-// E_pol phase (atom leaf rows, Figure 3) under cl's opening criteria.
+// E_pol phase (atom leaf rows, Figure 3) under cl's opening criteria, on the
+// trees as they stand.
 func (s *System) listPhases(cl *CompiledLists) (born, epol listPhase) {
 	born = listPhase{atoms: s.Atoms, rowTree: s.QPts, pmax: cl.farOrder,
 		macs: macLadder(cl.bornMAC, cl.farOrder, bornLadderDeg(s.Params.Kernel))}
 	epol = listPhase{atoms: s.Atoms, rowTree: s.Atoms, pmax: cl.farOrder,
-		macs: macLadder(cl.epolFar, cl.farOrder, epolLadderDeg), leafFirst: true, symmetrize: true}
+		macs: macLadder(cl.epolFar, cl.farOrder, epolLadderDeg), leafFirst: true, symmetrize: true,
+		up: make([]int32, len(s.Atoms.Nodes)), rowOf: make([]int32, len(s.Atoms.Nodes))}
+	var link func(id, parent int32)
+	link = func(id, parent int32) {
+		epol.up[id] = parent
+		if nd := &s.Atoms.Nodes[id]; !nd.IsLeaf {
+			for _, ch := range nd.Children {
+				if ch != octree.NoChild {
+					link(ch, id)
+				}
+			}
+		}
+	}
+	link(s.Atoms.Root(), octree.NoChild)
+	for k, r := range s.Atoms.Leaves() {
+		epol.rowOf[r] = int32(k)
+	}
 	return born, epol
 }
 
-// nearLists is a CSR of near leaves in classification emission order: the
-// PRE-symmetrization lists. For an unsymmetrized phase they are the final
-// Near arrays.
-type nearLists struct {
-	off []int32
-	n   []int32
-	// rows, when set, holds each row's entries in place of n: the compile
-	// leaves a symmetrized phase's near entries in the chunk arenas that
-	// collected them, since symmetrization reads them once, row by row, and
-	// throws them away.
-	rows [][]int32
-}
-
-// row returns row k's entries.
-func (nl *nearLists) row(k int) []int32 {
-	if nl.rows != nil {
-		return nl.rows[k]
-	}
-	return nl.n[nl.off[k]:nl.off[k+1]]
-}
-
-// rowSink receives one row's classification: it counts the verdicts from
-// where the cursors nf/nn stand and, when it holds an arena, appends each
-// verdict's node id there.
-type rowSink struct {
-	nf, nn int32
-	idx    *listArena
-}
-
-// listArena collects the entries of one contiguous block of rows in
-// classification order: far nodes and near leaves, and under a ladder —
-// where reserve makes ord non-nil — the far nodes' admitted orders.
+// listArena collects the entries of one contiguous block of rows, row after
+// row: far nodes, under a ladder — where reserve makes ord non-nil — their
+// admitted orders, and near leaves, a row's three classes one after the
+// other (their sum is steady along a chunk and can be estimated; their
+// shares are not — the lower row of a mutual pair sweeps it).
 type listArena struct {
 	far, near []int32
 	ord       []uint8
 }
 
-func (out *rowSink) farVerdict(n int32, ord int) {
-	if a := out.idx; a != nil {
-		a.far = append(a.far, n)
-		if a.ord != nil {
-			a.ord = append(a.ord, uint8(ord))
-		}
-	}
-	out.nf++
-}
-
-func (out *rowSink) nearVerdict(n int32) {
-	if a := out.idx; a != nil {
-		a.near = append(a.near, n)
-	}
-	out.nn++
-}
-
 // verdict is the phase's ONE opening test: whether a row cluster of the
 // given radius takes a node of the given radius, their centers d2 =
 // openingDist2 apart, as a far aggregate, and at which of the ladder's
-// first rungs+1 orders. The classification, the repair's re-test of moved
-// nodes — on their old and their new geometry — and its decision whether a
-// near pair is mutual all ask it, with these operands in this order, so
-// they cannot disagree by a rounding. (It comes in three pieces so that
-// all of it inlines into classify.)
+// first rungs+1 orders. The repair's re-test of moved nodes asks it, on
+// their old and their new geometry; the classification asks openFar8
+// (ilist_tile.go), which is this test on eight lanes — these operands, these
+// operations, this order — so the two cannot disagree by a rounding.
 func (ph *listPhase) verdict(d2, radius, nodeRadius float64, rungs int) (ord int, far bool) {
 	return farOrderOf(d2, nodeRadius, radius, &ph.macs, rungs)
 }
@@ -209,9 +189,9 @@ func (ph *listPhase) verdict(d2, radius, nodeRadius float64, rungs int) (ord int
 // a node's.
 func openingDist2(center, node geom.Vec3) float64 { return center.Sub(node).Norm2() }
 
-// rungs is the highest order verdict may admit a node at. Loosened rungs
-// admit INTERNAL nodes only: admitting a leaf pair early has nothing to
-// consolidate — it would trade an exact near block for an approximate far
+// rungs is the highest order the opening test may admit a node at. Loosened
+// rungs admit INTERNAL nodes only: admitting a leaf pair early has nothing
+// to consolidate — it would trade an exact near block for an approximate far
 // entry, spending error budget while GROWING the far list. A leaf
 // therefore classifies by the base multiplier alone (identical to
 // pre-ladder), and rungs ≥ 1 fire exactly where they pay: a rung admission
@@ -224,39 +204,6 @@ func (ph *listPhase) rungs(leaf bool) int {
 	return ph.pmax
 }
 
-// classify descends the atoms octree from node n against a row cluster
-// (center, radius), splitting the subtree into far nodes and near
-// leaves. It mirrors the recursive kernels exactly — including their one
-// structural difference: APPROX-EPOL tests u.IsLeaf BEFORE the opening
-// test (a leaf U is always evaluated exactly), while APPROX-INTEGRALS
-// tests openness first (a far leaf uses the pseudo-q-point shortcut).
-func (ph *listPhase) classify(n int32, center geom.Vec3, radius float64, out *rowSink) {
-	node := &ph.atoms.Nodes[n]
-	if ph.leafFirst && node.IsLeaf {
-		out.nearVerdict(n)
-		return
-	}
-	ord, far := ph.verdict(openingDist2(center, node.Center), radius, node.Radius, ph.rungs(node.IsLeaf))
-	switch {
-	case far:
-		out.farVerdict(n, ord)
-	case node.IsLeaf:
-		out.nearVerdict(n)
-	default:
-		for _, child := range node.Children {
-			if child != octree.NoChild {
-				ph.classify(child, center, radius, out)
-			}
-		}
-	}
-}
-
-// classifyRow classifies the row cluster of rowTree leaf r from the root.
-func (ph *listPhase) classifyRow(r int32, out *rowSink) {
-	rn := &ph.rowTree.Nodes[r]
-	ph.classify(ph.atoms.Root(), rn.Center, rn.Radius, out)
-}
-
 // forRows runs fn over [0, n) in ranges on the pool's workers, or as
 // worker 0 over the whole range when pool is nil.
 func forRows(pool *sched.Pool, n int, fn func(lo, hi, worker int)) {
@@ -265,19 +212,6 @@ func forRows(pool *sched.Pool, n int, fn func(lo, hi, worker int)) {
 		return
 	}
 	sched.ParallelFor(pool, n, n/(8*pool.NumWorkers())+1, fn)
-}
-
-// allocAll runs the given allocations on the pool's workers (in order on
-// the caller when pool is nil). A list array is tens of megabytes, and
-// make hands it over zeroed: on one goroutine that memclr is a fifth of a
-// compile during which every worker sleeps; spread out, each array is also
-// first touched by one of the workers that go on to fill it.
-func allocAll(pool *sched.Pool, allocs ...func()) {
-	forRows(pool, len(allocs), func(lo, hi, _ int) {
-		for _, alloc := range allocs[lo:hi] {
-			alloc()
-		}
-	})
 }
 
 // prefixSum turns per-row counts stored at off[k+1] into CSR offsets and
@@ -290,93 +224,111 @@ func prefixSum(off []int32) int32 {
 }
 
 // classified is what classifyRows leaves behind: the rows it classified,
-// cut into contiguous chunks, and each chunk's verdicts in an arena of its
-// own, row after row.
+// cut into contiguous chunks, each chunk's entries in an arena of its own,
+// and what the classification cost.
 type classified struct {
 	// which holds the positions in il.Rows of the rows classified, in
 	// order.
 	which  []int32
 	arenas []listArena
+	stats  tileStats
 }
 
 // bound is the first row (an index into which) of chunk c.
 func (cr *classified) bound(c int) int { return c * len(cr.which) / len(cr.arenas) }
 
-// classifyRows classifies the rows of il at positions which in ONE descent
-// each. Nobody knows a row's entry counts before classifying it, so the
-// rows are cut into contiguous chunks — a few per worker — and each chunk's
-// verdicts are appended to an arena of its own; each row's counts land at
-// il.FarOff[k+1] and pre.off[k+1], for the prefix sum that sizes the final
-// CSR arrays exactly.
-func (ph *listPhase) classifyRows(il *InteractionLists, pre *nearLists, which []int32, pool *sched.Pool) *classified {
+// classifyRows classifies the rows of il at positions which, a tile of up
+// to eight at a time (ilist_tile.go). Nobody knows a row's entry counts
+// before classifying it, so the rows are cut into contiguous chunks — a few
+// per worker — and each chunk's entries are appended to an arena of its own;
+// each row's counts land at il's four offset arrays [k+1], for the prefix
+// sums that size the final CSR arrays exactly. A worker's tile and its
+// buffers serve every chunk the worker draws.
+func (ph *listPhase) classifyRows(il *InteractionLists, which []int32, pool *sched.Pool) *classified {
 	cr := &classified{which: which}
-	chunks := listChunksPerWorker
+	workers := 1
 	if pool != nil {
-		chunks *= pool.NumWorkers()
+		workers = pool.NumWorkers()
 	}
-	cr.arenas = make([]listArena, chunks)
-	forRows(pool, chunks, func(lo, hi, _ int) {
+	cr.arenas = make([]listArena, listChunksPerWorker*workers)
+	tilers := make([]*tiler, workers)
+	nearOff := [3][]int32{kindNear: il.NearOff, kindSym: il.SymOff, kindCede: il.CedeOff}
+	forRows(pool, len(cr.arenas), func(lo, hi, w int) {
 		for c := lo; c < hi; c++ {
-			a, first, end := &cr.arenas[c], cr.bound(c), cr.bound(c+1)
-			ph.reserve(a, il.Rows, which[first:end])
-			sink := rowSink{idx: a}
-			for _, k := range which[first:end] {
-				sink.nf, sink.nn = 0, 0
-				ph.classifyRow(il.Rows[k], &sink)
-				il.FarOff[k+1], pre.off[k+1] = sink.nf, sink.nn
+			a, chunk := &cr.arenas[c], which[cr.bound(c):cr.bound(c+1)]
+			if len(chunk) == 0 {
+				continue
+			}
+			if tilers[w] == nil {
+				tilers[w] = newTiler(ph)
+			}
+			t := tilers[w]
+			ph.reserve(a, t, il.Rows, chunk)
+			for i := 0; i < len(chunk); {
+				tile := t.classify(il.Rows, chunk, i)
+				for l, k := range tile {
+					out := &t.out[l]
+					a.far, a.ord = append(a.far, out.runs[runFar]...), append(a.ord, out.ord...)
+					for kd, off := range nearOff {
+						a.near = append(a.near, out.runs[kd]...)
+						off[k+1] = int32(len(out.runs[kd]))
+					}
+					il.FarOff[k+1] = int32(len(out.runs[runFar]))
+				}
+				i += len(tile)
 			}
 		}
 	})
+	for _, t := range tilers {
+		if t != nil {
+			cr.stats.add(t.stats)
+		}
+	}
 	return cr
 }
 
-// index compiles the phase's lists: classifyRows over every row, one
-// prefix sum over the per-row counts, and the chunks copy themselves into
-// place in parallel, in row order.
-func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
-	il, pre := ph.newLists()
-	every := make([]int32, len(il.Rows))
-	for k := range every {
-		every[k] = int32(k)
-	}
-	cr := ph.classifyRows(il, &pre, every, pool)
-	if ph.symmetrize { // the near entries stay where they were collected
-		pre.rows = make([][]int32, len(il.Rows))
-		for c := range cr.arenas {
-			at := int32(0)
-			for k := cr.bound(c); k < cr.bound(c+1); k++ {
-				pre.rows[k] = cr.arenas[c].near[at : at+pre.off[k+1]]
-				at += pre.off[k+1]
-			}
-		}
-	}
-	nf, nn := prefixSum(il.FarOff), prefixSum(pre.off)
-	allocAll(pool,
-		func() { il.Far = make([]int32, nf) },
-		func() { il.FarOrd = ph.newFarOrd(nf) },
-		func() {
-			if pre.rows == nil {
-				pre.n = make([]int32, nn)
-			}
-		})
+// fill copies the classified rows' entries from the arenas to their places
+// in il's arrays, sized and offset by now, and lets the arenas go.
+func (cr *classified) fill(il *InteractionLists, pool *sched.Pool) {
+	near := [3]struct{ dst, off []int32 }{
+		kindNear: {il.Near, il.NearOff}, kindSym: {il.Sym, il.SymOff}, kindCede: {il.Cede, il.CedeOff}}
 	forRows(pool, len(cr.arenas), func(lo, hi, _ int) {
 		for c := lo; c < hi; c++ {
-			a, k := &cr.arenas[c], cr.bound(c)
-			copy(il.Far[il.FarOff[k]:], a.far)
-			if il.FarOrd != nil {
-				copy(il.FarOrd[il.FarOff[k]:], a.ord)
-			}
-			if pre.rows == nil {
-				copy(pre.n[pre.off[k]:], a.near)
+			a := &cr.arenas[c]
+			for _, k := range cr.which[cr.bound(c):cr.bound(c+1)] {
+				n := copy(il.Far[il.FarOff[k]:il.FarOff[k+1]], a.far)
+				a.far = a.far[n:]
+				if il.FarOrd != nil {
+					a.ord = a.ord[copy(il.FarOrd[il.FarOff[k]:il.FarOff[k+1]], a.ord):]
+				}
+				for _, to := range near {
+					a.near = a.near[copy(to.dst[to.off[k]:to.off[k+1]], a.near):]
+				}
 			}
 			*a = listArena{} // garbage from here on, not from the end of the call
 		}
 	})
-	if ph.symmetrize {
-		symmetrizeNear(il, &pre, len(ph.atoms.Nodes), pool)
-	} else {
-		il.Near, il.Sym, il.Cede = pre.n, []int32{}, []int32{}
+}
+
+// index compiles the phase's lists: classifyRows over every row, one
+// prefix sum over the per-row counts of each array, and the chunks copy
+// themselves into place in parallel.
+func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
+	il := ph.newLists()
+	every := make([]int32, len(il.Rows))
+	for k := range every {
+		every[k] = int32(k)
 	}
+	sp := ph.o.Begin(ph.rank, "ilist", "ilist.compile.classify", obs.NoVirtual)
+	cr := ph.classifyRows(il, every, pool)
+	sp.End(obs.NoVirtual)
+	sp = ph.o.Begin(ph.rank, "ilist", "ilist.compile.assemble", obs.NoVirtual)
+	ph.alloc(il, pool)
+	cr.fill(il, pool)
+	sp.End(obs.NoVirtual)
+	ph.o.Counter("ilist.compile.tiles").Add(cr.stats.tiles)
+	ph.o.Counter("ilist.compile.node_visits").Add(cr.stats.nodeVisits)
+	ph.o.Counter("ilist.compile.chain_tests").Add(cr.stats.chainTests)
 	return il
 }
 
@@ -385,201 +337,94 @@ func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
 // few enough that the arenas are a few dozen objects.
 const listChunksPerWorker = 8
 
-// arenaSamples is the number of a chunk's rows reserve classifies to size
-// the chunk's arena: at 32 the estimate is within a few percent for far
-// entries and about a tenth for near leaves (whose count follows the local
-// density), for 2 % more descents at 20 000 atoms.
-const arenaSamples = 32
+// sampleStride is the number of rows from one tile reserve classifies to
+// the next: a sixteenth of the chunk's tiles at most, and of a small chunk —
+// a repair's, whose arena is too small to matter — the first alone.
+const sampleStride = 16 * tileLanes
 
 // reserve sizes a's arrays for one chunk — the rows at positions chunk of
-// rows — from rows already classified: it counts the verdicts of a few
-// evenly spaced ones and scales them to the chunk, plus a sixteenth. A
-// chunk that turns out denser than its sample grows by append; a
-// worst-case reservation would be several times the lists.
-func (ph *listPhase) reserve(a *listArena, rows, chunk []int32) {
-	var probe rowSink
-	step := len(chunk)/arenaSamples + 1
-	for x := 0; x < len(chunk); x += step {
-		ph.classifyRow(rows[chunk[x]], &probe)
+// rows — from rows already classified: it classifies evenly spaced tiles on
+// t, counts their entries and scales them to the chunk, plus a sixteenth. A
+// chunk that turns out denser than its sample grows by append; a worst-case
+// reservation would be several times the lists.
+func (ph *listPhase) reserve(a *listArena, t *tiler, rows, chunk []int32) {
+	var far, near, sampled int
+	for x := 0; x < len(chunk); x += sampleStride {
+		tile := t.classify(rows, chunk, x)
+		for l := range tile {
+			far += len(t.out[l].runs[runFar])
+			for _, run := range t.out[l].runs[:runFar] {
+				near += len(run)
+			}
+		}
+		sampled += len(tile)
 	}
-	size := func(sampled int32) int { return int(sampled) * step * 17 / 16 }
-	a.far = make([]int32, 0, size(probe.nf))
-	a.near = make([]int32, 0, size(probe.nn))
+	size := func(n int) int { return n * len(chunk) / sampled * 17 / 16 }
+	a.far, a.near = make([]int32, 0, size(far)), make([]int32, 0, size(near))
 	if ph.pmax > 0 { // every far entry carries its order
-		a.ord = make([]uint8, 0, size(probe.nf))
+		a.ord = make([]uint8, 0, size(far))
 	}
 }
 
 // newLists returns the phase's lists with their rows and zeroed offset
-// arrays, and the pre-symmetrization near lists over the same rows.
-func (ph *listPhase) newLists() (*InteractionLists, nearLists) {
+// arrays.
+func (ph *listPhase) newLists() *InteractionLists {
 	// The lists own their row ids: rowTree's live leaf slice is rewritten
 	// in place by a later tracked update (rebuildLeafList), and an aliased
 	// cache would silently renumber.
 	rows := append([]int32(nil), ph.rowTree.Leaves()...)
 	n := len(rows)
-	il := &InteractionLists{Rows: rows, FarOff: make([]int32, n+1), NearOff: make([]int32, n+1),
+	return &InteractionLists{Rows: rows, FarOff: make([]int32, n+1), NearOff: make([]int32, n+1),
 		SymOff: make([]int32, n+1), CedeOff: make([]int32, n+1)}
-	pre := nearLists{off: il.NearOff}
-	if ph.symmetrize {
-		pre.off = make([]int32, n+1)
-	}
-	return il, pre
 }
 
-// newFarOrd allocates the admitted orders of nf far entries: nil without a
-// ladder, where every far entry is order 0.
-func (ph *listPhase) newFarOrd(nf int32) []uint8 {
-	if ph.pmax == 0 || nf == 0 {
-		return nil
-	}
-	return make([]uint8, nf)
+// alloc turns the per-row counts in il's four offset arrays into offsets and
+// allocates the entry arrays to their totals (FarOrd under a ladder only:
+// without one every far entry is order 0), each on one of the pool's
+// workers. A list array is tens of megabytes, and make hands it over zeroed:
+// on one goroutine that memclr is a fifth of a compile during which every
+// worker sleeps; spread out, each array is also first touched by one of the
+// workers that go on to fill it.
+func (ph *listPhase) alloc(il *InteractionLists, pool *sched.Pool) {
+	arrays := [...]struct {
+		dst *[]int32
+		n   int32
+	}{{&il.Far, prefixSum(il.FarOff)}, {&il.Near, prefixSum(il.NearOff)}, {&il.Sym, prefixSum(il.SymOff)}, {&il.Cede, prefixSum(il.CedeOff)}}
+	forRows(pool, len(arrays)+1, func(lo, hi, _ int) {
+		for i := lo; i < hi; i++ {
+			switch nf := arrays[0].n; {
+			case i < len(arrays):
+				*arrays[i].dst = make([]int32, arrays[i].n)
+			case ph.pmax > 0 && nf > 0:
+				il.FarOrd = make([]uint8, nf)
+			}
+		}
+	})
 }
 
-// Split classes of a pre-symmetrization near entry.
+// Classes of a near entry of a symmetrized phase, indexing a row's three
+// near runs; an unsymmetrized phase's entries are all kindNear.
 const (
 	kindNear = iota // one-directional or diagonal: stays in Near
 	kindSym         // mutual and this row is the lower-indexed: swept here, with double weight
 	kindCede        // mutual and the lower-indexed partner sweeps it
-
-	// kindShift places an entry's class in the two bits above its node id,
-	// which are free: CSR offsets are int32, so a tree the lists can index
-	// has far fewer than 2³⁰ nodes.
-	kindShift = 30
-	kindMask  = 1<<kindShift - 1
 )
-
-// symmetrizeNear splits each row's pre-symmetrization near list (pre, over
-// il's rows, entries indexing a tree of numNodes nodes) into mutual pairs
-// — moved to the lower row's Sym list, swept once with double weight, and
-// recorded in the higher row's Cede list — and one-directional entries,
-// kept in Near. Mutuality must be checked against the ORIGINAL near sets:
-// the leaf-first ordering of APPROX-EPOL can classify U near V while row U
-// resolves V's subtree through an ancestor's far aggregate, and such
-// one-way blocks must keep their single-direction exact evaluation to
-// match the recursion.
-//
-// The check is linear in entries: one counting sort builds the transpose
-// of the near relation (T(k) = the rows whose list holds rows[k]); each
-// row then stamps T(k) into its worker's array and reads its partners'
-// stamps. Rows run in parallel and race-free, since a row reads only pre
-// and T and writes only its own ranges: a first pass classes and counts
-// the entries, a second scatters them into the arrays the counts sized.
-// pre's entries are scratch from here on: the first pass leaves each one's
-// class in its top bits for the second. This is the compile's split, of
-// every row at once; a repair, which re-splits a few rows, asks the
-// opening test instead (nearSplit, ilist_repair.go).
-func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sched.Pool) {
-	n := len(il.Rows)
-	rowOf := make([]int32, numNodes)
-	for k, r := range il.Rows {
-		rowOf[r] = int32(k)
-	}
-	workers := 1
-	if pool != nil {
-		workers = pool.NumWorkers()
-	}
-	// The counting sort runs one contiguous block of rows per worker:
-	// next[b·n+j] first counts block b's entries naming row j, then —
-	// after the scan over (j, b) — is the slot in T(j) where block b writes
-	// its next one.
-	tOff, next := make([]int32, n+1), make([]int32, workers*n)
-	bound := func(b int) int { return b * n / workers }
-	forRows(pool, workers, func(lo, hi, _ int) {
-		for b := lo; b < hi; b++ {
-			for k := bound(b); k < bound(b+1); k++ {
-				for _, u := range pre.row(k) {
-					next[b*n+int(rowOf[u])]++
-				}
-			}
-		}
-	})
-	for j := 0; j < n; j++ {
-		at := tOff[j]
-		for b := 0; b < workers; b++ {
-			next[b*n+j], at = at, at+next[b*n+j]
-		}
-		tOff[j+1] = at
-	}
-	tr := make([]int32, pre.off[n])
-	forRows(pool, workers, func(lo, hi, _ int) {
-		for b := lo; b < hi; b++ {
-			for k := bound(b); k < bound(b+1); k++ {
-				for _, u := range pre.row(k) {
-					slot := &next[b*n+int(rowOf[u])]
-					tr[*slot] = int32(k)
-					*slot++
-				}
-			}
-		}
-	})
-
-	stamps := make([][]int32, workers)
-	forRows(pool, n, func(lo, hi, w int) {
-		if stamps[w] == nil {
-			stamps[w] = make([]int32, n)
-		}
-		stamp := stamps[w]
-		for k := lo; k < hi; k++ {
-			mark := int32(k + 1)
-			for _, j := range tr[tOff[k]:tOff[k+1]] {
-				stamp[j] = mark
-			}
-			var cnt [3]int32
-			row := pre.row(k)
-			for i, u := range row {
-				kd := kindNear
-				if j := int(rowOf[u]); j != k && stamp[j] == mark {
-					kd = kindSym
-					if j < k {
-						kd = kindCede
-					}
-				}
-				row[i] = u | int32(kd)<<kindShift
-				cnt[kd]++
-			}
-			il.NearOff[k+1], il.SymOff[k+1], il.CedeOff[k+1] = cnt[kindNear], cnt[kindSym], cnt[kindCede]
-		}
-	})
-	il.allocNear(pool)
-	forRows(pool, n, func(lo, hi, _ int) {
-		for k := lo; k < hi; k++ {
-			il.scatterNear(k, pre.row(k))
-		}
-	})
-}
-
-// allocNear turns the per-row counts in il's three near offset arrays into
-// offsets and allocates Near, Sym and Cede to their totals.
-func (il *InteractionLists) allocNear(pool *sched.Pool) {
-	nn, ns, nc := prefixSum(il.NearOff), prefixSum(il.SymOff), prefixSum(il.CedeOff)
-	allocAll(pool,
-		func() { il.Near = make([]int32, nn) },
-		func() { il.Sym = make([]int32, ns) },
-		func() { il.Cede = make([]int32, nc) })
-}
-
-// scatterNear writes row k's classed near entries (the class in each one's
-// top bits) to the row's ranges of Near, Sym and Cede, in order.
-func (il *InteractionLists) scatterNear(k int, classed []int32) {
-	dst := [3][]int32{il.Near, il.Sym, il.Cede}
-	at := [3]int32{il.NearOff[k], il.SymOff[k], il.CedeOff[k]}
-	for _, e := range classed {
-		kd := uint32(e) >> kindShift
-		dst[kd][at[kd]] = e & kindMask
-		at[kd]++
-	}
-}
 
 // compile builds both phases' lists from the system's current geometry and
 // parameters.
-func (s *System) compile(pool *sched.Pool) *CompiledLists {
+func (s *System) compile(pool *sched.Pool) *CompiledLists { return s.compileObserved(pool, nil, 0) }
+
+// compileObserved is compile with its spans "ilist.compile.{classify,
+// assemble}" per phase, on rank's timeline, and the counters
+// "ilist.compile.{tiles,node_visits,chain_tests}" sent to o (may be nil).
+func (s *System) compileObserved(pool *sched.Pool, o *obs.Obs, rank int) *CompiledLists {
 	cl := &CompiledLists{
 		bornMAC:  s.bornMAC(),
 		epolFar:  epolFarFactor(s.Params.EpsEpol),
 		farOrder: s.Params.FarOrder,
 	}
 	born, epol := s.listPhases(cl)
+	born.o, born.rank, epol.o, epol.rank = o, rank, o, rank
 	cl.Born = born.index(pool)
 	cl.Epol = epol.index(pool)
 	return cl
@@ -638,11 +483,15 @@ func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
 // first use (or after invalidation / parameter change) with the given
 // pool (nil compiles serially). Safe for concurrent use: distributed
 // ranks sharing the System compile once and reuse.
-func (s *System) Lists(pool *sched.Pool) *CompiledLists {
+func (s *System) Lists(pool *sched.Pool) *CompiledLists { return s.ListsObserved(pool, nil, 0) }
+
+// ListsObserved is Lists with a compile, when there is one, reporting to o
+// (may be nil) on rank's timeline (compileObserved).
+func (s *System) ListsObserved(pool *sched.Pool, o *obs.Obs, rank int) *CompiledLists {
 	s.listsMu.Lock()
 	defer s.listsMu.Unlock()
 	if !s.lists.matches(s) {
-		s.lists = s.compile(pool)
+		s.lists = s.compileObserved(pool, o, rank)
 	}
 	return s.lists
 }
@@ -680,55 +529,28 @@ func diffLists(phase string, a, b *InteractionLists) error {
 	if len(a.Rows) != len(b.Rows) {
 		return fmt.Errorf("core: %s lists row count drifted: %d -> %d", phase, len(a.Rows), len(b.Rows))
 	}
+	if (a.FarOrd == nil) != (b.FarOrd == nil) {
+		return fmt.Errorf("core: %s lists disagree on order annotations (%v -> %v)", phase, a.FarOrd != nil, b.FarOrd != nil)
+	}
 	for i := range a.Rows {
 		if a.Rows[i] != b.Rows[i] {
 			return fmt.Errorf("core: %s list row %d leaf drifted: %d -> %d", phase, i, a.Rows[i], b.Rows[i])
 		}
-		af, bf := a.Far[a.FarOff[i]:a.FarOff[i+1]], b.Far[b.FarOff[i]:b.FarOff[i+1]]
-		an, bn := a.Near[a.NearOff[i]:a.NearOff[i+1]], b.Near[b.NearOff[i]:b.NearOff[i+1]]
-		as, bs := a.Sym[a.SymOff[i]:a.SymOff[i+1]], b.Sym[b.SymOff[i]:b.SymOff[i+1]]
-		if !equalInt32(af, bf) {
-			return fmt.Errorf("core: %s list row %d (leaf %d) far set drifted: %d -> %d entries",
-				phase, i, a.Rows[i], len(af), len(bf))
-		}
-		if !equalInt32(an, bn) {
-			return fmt.Errorf("core: %s list row %d (leaf %d) near set drifted: %d -> %d entries",
-				phase, i, a.Rows[i], len(an), len(bn))
-		}
-		if !equalInt32(as, bs) {
-			return fmt.Errorf("core: %s list row %d (leaf %d) sym set drifted: %d -> %d entries",
-				phase, i, a.Rows[i], len(as), len(bs))
-		}
-		if ac, bc := a.Cede[a.CedeOff[i]:a.CedeOff[i+1]], b.Cede[b.CedeOff[i]:b.CedeOff[i+1]]; !equalInt32(ac, bc) {
-			return fmt.Errorf("core: %s list row %d (leaf %d) ceded set drifted: %d -> %d entries",
-				phase, i, a.Rows[i], len(ac), len(bc))
-		}
-		if (a.FarOrd == nil) != (b.FarOrd == nil) {
-			return fmt.Errorf("core: %s lists disagree on order annotations (%v -> %v)",
-				phase, a.FarOrd != nil, b.FarOrd != nil)
-		}
-		if a.FarOrd != nil {
-			ao := a.FarOrd[a.FarOff[i]:a.FarOff[i+1]]
-			bo := b.FarOrd[b.FarOff[i]:b.FarOff[i+1]]
-			for k := range ao {
-				if ao[k] != bo[k] {
-					return fmt.Errorf("core: %s list row %d (leaf %d) far entry %d admitted order drifted: %d -> %d",
-						phase, i, a.Rows[i], k, ao[k], bo[k])
-				}
+		for _, c := range []struct {
+			set              string
+			a, aOff, b, bOff []int32
+		}{
+			{"far", a.Far, a.FarOff, b.Far, b.FarOff}, {"near", a.Near, a.NearOff, b.Near, b.NearOff},
+			{"sym", a.Sym, a.SymOff, b.Sym, b.SymOff}, {"ceded", a.Cede, a.CedeOff, b.Cede, b.CedeOff},
+		} {
+			if ar, br := c.a[c.aOff[i]:c.aOff[i+1]], c.b[c.bOff[i]:c.bOff[i+1]]; !slices.Equal(ar, br) {
+				return fmt.Errorf("core: %s list row %d (leaf %d) %s set drifted: %d -> %d entries",
+					phase, i, a.Rows[i], c.set, len(ar), len(br))
 			}
+		}
+		if a.FarOrd != nil && !slices.Equal(a.FarOrd[a.FarOff[i]:a.FarOff[i+1]], b.FarOrd[b.FarOff[i]:b.FarOff[i+1]]) {
+			return fmt.Errorf("core: %s list row %d (leaf %d) admitted orders drifted", phase, i, a.Rows[i])
 		}
 	}
 	return nil
-}
-
-func equalInt32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gbpolar/internal/geom"
+	"gbpolar/internal/obs"
 	"gbpolar/internal/sched"
 )
 
@@ -33,14 +34,47 @@ func localJiggle(rng *rand.Rand, pos []geom.Vec3, sigma float64) []geom.Vec3 {
 	return out
 }
 
-// An index compile: what a first evaluation waits for.
+// An index compile: what a first evaluation waits for, and the nodes its
+// shared descents visit (each one opening test of eight lanes per rung; the
+// per-row descents they replaced visited 22.1 M).
 func BenchmarkCompileLists20k(b *testing.B) {
 	sys, pool := listBenchSystem(b)
+	o := obs.New()
+	sys.compileObserved(pool, o, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cl := sys.compile(pool)
 		b.SetBytes(cl.MemoryBytes())
+	}
+	b.ReportMetric(float64(o.Counter("ilist.compile.node_visits").Value()), "node_visits/op")
+}
+
+// far8Sink keeps the benchmarked opening tests' results live.
+var far8Sink uint8
+
+// The classification's primitive, ns per opening test of eight lanes: the
+// dispatched one (the assembly where the host has AVX2) and its portable
+// lanes.
+func BenchmarkOpenFar8(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	var tile rowTile
+	for l := 0; l < tileLanes; l++ {
+		tile.set(l, geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(20), 2*rng.Float64())
+	}
+	for _, impl := range []struct {
+		name string
+		fn   func(t *rowTile, cx, cy, cz, r, mac float64) uint8
+		skip bool
+	}{{"asm", openFar8, !useAsmKernels}, {"portable", openFar8Lanes, false}} {
+		b.Run(impl.name, func(b *testing.B) {
+			if impl.skip {
+				b.Skip("no assembly in this build")
+			}
+			for i := 0; i < b.N; i++ {
+				far8Sink |= impl.fn(&tile, float64(i&31), 3, -2, 4, 1.5)
+			}
+		})
 	}
 }
 

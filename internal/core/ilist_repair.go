@@ -188,10 +188,10 @@ type treeDelta struct {
 	state []uint8
 	hot   int
 	// visit numbers the reachable nodes in classification visit order
-	// (pre-order, children in octant order) and parent links each to the
-	// node above it. Node IDS stop being in visit order once tracked
-	// updates materialize leaves, so a row's near runs merge on visit.
-	visit, parent []int32
+	// (pre-order, children in octant order). Node IDS stop being in visit
+	// order once tracked updates materialize leaves, so a row's near runs
+	// merge on visit.
+	visit []int32
 }
 
 // newTreeDelta compares the updated tree against the geometry it had
@@ -199,12 +199,12 @@ type treeDelta struct {
 // structural change), in one walk.
 func newTreeDelta(atoms *octree.Tree, before treeGeometry, strct []bool) *treeDelta {
 	nn := len(atoms.Nodes)
-	d := &treeDelta{before: before, state: make([]uint8, nn), visit: make([]int32, nn), parent: make([]int32, nn)}
+	d := &treeDelta{before: before, state: make([]uint8, nn), visit: make([]int32, nn)}
 	var next int32
-	var walk func(id, parent int32) bool
-	walk = func(id, parent int32) bool {
+	var walk func(id int32) bool
+	walk = func(id int32) bool {
 		nd := &atoms.Nodes[id]
-		d.visit[id], d.parent[id] = next, parent
+		d.visit[id] = next
 		next++
 		st := uint8(coldNode)
 		switch {
@@ -215,7 +215,7 @@ func newTreeDelta(atoms *octree.Tree, before treeGeometry, strct []bool) *treeDe
 		}
 		if !nd.IsLeaf {
 			for _, ch := range nd.Children {
-				if ch != octree.NoChild && walk(ch, id) && st == coldNode {
+				if ch != octree.NoChild && walk(ch) && st == coldNode {
 					st = hotNode
 				}
 			}
@@ -226,13 +226,14 @@ func newTreeDelta(atoms *octree.Tree, before treeGeometry, strct []bool) *treeDe
 		}
 		return st != coldNode
 	}
-	walk(atoms.Root(), octree.NoChild)
+	walk(atoms.Root())
 	return d
 }
 
 // keeps is the differential descent: whether the cached row of an unmoved
-// cluster (center, radius) still stands below hot node n. It is classify's
-// walk taken on the old and the new geometry at once. While both verdicts
+// cluster (center, radius) still stands below hot node n. It is the
+// classification's walk (tiler.descend) for one row, taken on the old and the
+// new geometry at once. While both verdicts
 // say "open" it goes on — into hot children only, since the row's descent
 // of a cold subtree is the one it was — and it gives the row up at the first
 // node whose two verdicts (admitted order included) differ, or that both
@@ -311,13 +312,13 @@ func (ph *listPhase) sources(old *InteractionLists, rows []int32, d *treeDelta, 
 
 // repair produces the phase's lists after an update from the cached ones:
 // the rows sources keeps copy their cached runs, the others are classified
-// in one descent each (classifyRows), and in a symmetrized phase the near
-// entries whose class can have changed — a reclassified row's, and a kept
-// row's entries naming one — are split by nearSplit. The steps are the
-// compile's: count every row's entries, size the arrays once, fill them in
-// place, in parallel throughout. o (may be nil) receives the spans.
+// afresh (classifyRows), and in a symmetrized phase a kept row's near
+// entries whose class can have changed — those naming a reclassified row —
+// are split again by nearSplit. The steps are the compile's: count every
+// row's entries, size the arrays once, fill them in place, in parallel
+// throughout. o (may be nil) receives the spans.
 func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Pool, o *obs.Obs) (*InteractionLists, repairCounts) {
-	il, pre := ph.newLists()
+	il := ph.newLists()
 	rows, n := il.Rows, len(il.Rows)
 
 	sp := o.Begin(0, "ilist", "ilist.repair.retest", obs.NoVirtual)
@@ -331,7 +332,7 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 			dirty = append(dirty, int32(k))
 		}
 	}
-	cr := ph.classifyRows(il, &pre, dirty, pool)
+	cr := ph.classifyRows(il, dirty, pool)
 	sp.End(obs.NoVirtual)
 
 	sp = o.Begin(0, "ilist", "ilist.repair.assemble", obs.NoVirtual)
@@ -340,13 +341,15 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 	var split *nearSplit
 	var resplit []bool // kept rows whose near runs must be split again
 	if ph.symmetrize {
-		split = ph.newNearSplit(rows, dirty, d)
+		split = &nearSplit{ph: ph, d: d, rows: rows, dirty: make([]bool, len(ph.atoms.Nodes))}
+		for _, k := range dirty {
+			split.dirty[rows[k]] = true
+		}
 		resplit = make([]bool, n)
 	}
 
-	// Count: kept rows bring their cached counts, less and plus the entries
-	// that change class; classified rows have their far and pre-split near
-	// counts already and class the near entries now.
+	// Count: classified rows have their counts already; kept rows bring their
+	// cached ones, less and plus the entries that change class.
 	forRows(pool, n, func(lo, hi, _ int) {
 		for k := lo; k < hi; k++ {
 			i := src[k]
@@ -357,35 +360,19 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 			runs := old.nearRuns(i)
 			cnt := [3]int32{int32(len(runs[kindNear])), int32(len(runs[kindSym])), int32(len(runs[kindCede]))}
 			if split != nil {
-				resplit[k] = split.recount(k, &runs, &cnt)
+				resplit[k] = split.recount(int32(k), &runs, &cnt)
 			}
 			il.NearOff[k+1], il.SymOff[k+1], il.CedeOff[k+1] = cnt[kindNear], cnt[kindSym], cnt[kindCede]
 		}
 	})
-	if split != nil {
-		forRows(pool, len(cr.arenas), func(lo, hi, _ int) {
-			for c := lo; c < hi; c++ {
-				at := int32(0)
-				for _, k := range cr.which[cr.bound(c):cr.bound(c+1)] {
-					cnt := split.class(int(k), cr.arenas[c].near[at:at+pre.off[k+1]])
-					il.NearOff[k+1], il.SymOff[k+1], il.CedeOff[k+1] = cnt[kindNear], cnt[kindSym], cnt[kindCede]
-					at += pre.off[k+1]
-				}
-			}
-		})
-		for _, again := range resplit {
-			if again {
-				counts.resplit++
-			}
+	for _, again := range resplit {
+		if again {
+			counts.resplit++
 		}
 	}
 
 	// Size.
-	nf := prefixSum(il.FarOff)
-	allocAll(pool,
-		func() { il.Far = make([]int32, nf) },
-		func() { il.FarOrd = ph.newFarOrd(nf) })
-	il.allocNear(pool)
+	ph.alloc(il, pool)
 
 	// Fill.
 	forRows(pool, n, func(lo, hi, _ int) {
@@ -400,7 +387,7 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 			}
 			runs := old.nearRuns(i)
 			if split != nil && resplit[k] {
-				split.merge(il, k, runs)
+				split.merge(il, int32(k), runs)
 				continue
 			}
 			copy(il.Near[il.NearOff[k]:], runs[kindNear])
@@ -408,28 +395,7 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 			copy(il.Cede[il.CedeOff[k]:], runs[kindCede])
 		}
 	})
-	forRows(pool, len(cr.arenas), func(lo, hi, _ int) {
-		for c := lo; c < hi; c++ {
-			a := &cr.arenas[c]
-			var fa, na int32
-			for _, k := range cr.which[cr.bound(c):cr.bound(c+1)] {
-				f := il.FarOff[k+1] - il.FarOff[k]
-				copy(il.Far[il.FarOff[k]:], a.far[fa:fa+f])
-				if il.FarOrd != nil {
-					copy(il.FarOrd[il.FarOff[k]:], a.ord[fa:fa+f])
-				}
-				fa += f
-				if split != nil {
-					il.scatterNear(int(k), a.near[na:na+pre.off[k+1]])
-					na += pre.off[k+1]
-				} else {
-					m := il.NearOff[k+1] - il.NearOff[k]
-					copy(il.Near[il.NearOff[k]:], a.near[na:na+m])
-					na += m
-				}
-			}
-		}
-	})
+	cr.fill(il, pool)
 	return il, counts
 }
 
@@ -443,100 +409,41 @@ func (il *InteractionLists) nearRuns(i int32) [3][]int32 {
 	}
 }
 
-// nearSplit classes the near entries of a symmetrized phase whose class an
-// update can have changed. The compile finds the mutual pairs by
-// transposing the whole near relation (symmetrizeNear); a repair has a few
-// hundred rows to split and asks the opening test instead: row V's entry U
-// is mutual iff row U's descent reaches leaf V — iff no strict ancestor of
-// V is far from cluster U. A kept row's pre-symmetrization list is what it
-// was, so only an entry naming a RECLASSIFIED row can change class; and
-// surviving leaves keep their relative order, so a pair's lower row stays
-// the lower.
+// nearSplit classes the near entries of a KEPT row of a symmetrized phase
+// whose class an update can have changed. Row V's entry U is mutual iff row
+// U's descent reaches leaf V — iff no strict ancestor of V is far from
+// cluster U (listPhase.reaches, the rule a classification applies a tile at
+// a time). A kept row's pre-symmetrization list is what it was, so only an
+// entry naming a RECLASSIFIED row can change class; and surviving leaves
+// keep their relative order, so a pair's lower row stays the lower.
 type nearSplit struct {
 	ph *listPhase
 	d  *treeDelta
-	// rows are the current rows' leaves and rowOf the current row of every
-	// live leaf; dirty marks the leaves whose rows were reclassified.
-	rows, rowOf []int32
-	dirty       []bool
-}
-
-func (ph *listPhase) newNearSplit(rows, dirty []int32, d *treeDelta) *nearSplit {
-	s := &nearSplit{ph: ph, d: d, rows: rows, rowOf: make([]int32, len(ph.atoms.Nodes)), dirty: make([]bool, len(ph.atoms.Nodes))}
-	for k, r := range rows {
-		s.rowOf[r] = int32(k)
-	}
-	for _, k := range dirty {
-		s.dirty[rows[k]] = true
-	}
-	return s
-}
-
-// ball is a node's cluster: the operand it is in an opening test.
-type ball struct {
-	c geom.Vec3
-	r float64
-}
-
-// maxChain is the leaf depth a chain holds on the stack: a Morton tree
-// splits no deeper than its keys have digits.
-const maxChain = geom.MortonBits + 1
-
-// chain returns the strict ancestors of leaf v, nearest first: the smaller
-// a cluster, the likelier it is far, and one far ancestor settles a pair.
-func (s *nearSplit) chain(buf *[maxChain]ball, v int32) []ball {
-	chain := buf[:0]
-	for a := s.d.parent[v]; a != octree.NoChild; a = s.d.parent[a] {
-		nd := &s.ph.atoms.Nodes[a]
-		chain = append(chain, ball{nd.Center, nd.Radius})
-	}
-	return chain
+	// rows are the current rows' leaves; dirty marks the leaves whose rows
+	// were reclassified.
+	rows  []int32
+	dirty []bool
 }
 
 // kindOf classes entry u of row k, whose leaf's ancestors are chain.
-func (s *nearSplit) kindOf(k int, chain []ball, u int32) int {
-	j := int(s.rowOf[u])
-	if j == k {
-		return kindNear // the diagonal
-	}
-	un := &s.ph.atoms.Nodes[u]
-	for _, a := range chain {
-		if _, far := s.ph.verdict(openingDist2(un.Center, a.c), un.Radius, a.r, s.ph.pmax); far {
-			return kindNear // row u stops above this row's leaf: one-way
-		}
-	}
-	if j > k {
-		return kindSym
-	}
-	return kindCede
-}
-
-// class classes every near entry of reclassified row k in place (the class
-// in each entry's top bits, for scatterNear) and returns the counts.
-func (s *nearSplit) class(k int, near []int32) (cnt [3]int32) {
-	var buf [maxChain]ball
-	chain := s.chain(&buf, s.rows[k])
-	for x, u := range near {
-		kd := s.kindOf(k, chain, u)
-		near[x] = u | int32(kd)<<kindShift
-		cnt[kd]++
-	}
-	return cnt
+func (s *nearSplit) kindOf(k int32, chain []rowTile, u int32) int {
+	j := s.ph.rowOf[u]
+	return nearKind(k, j, j != k && s.ph.reaches(chain, u))
 }
 
 // recount re-decides the entries of kept row k that name a reclassified
 // row, adjusts the cached counts cnt for those that changed class, and
 // reports whether any did.
-func (s *nearSplit) recount(k int, runs *[3][]int32, cnt *[3]int32) (changed bool) {
-	var buf [maxChain]ball
-	var chain []ball
+func (s *nearSplit) recount(k int32, runs *[3][]int32, cnt *[3]int32) (changed bool) {
+	var buf [chainBlocks]rowTile
+	var chain []rowTile
 	for was, run := range runs {
 		for _, u := range run {
 			if !s.dirty[u] {
 				continue
 			}
 			if chain == nil {
-				chain = s.chain(&buf, s.rows[k])
+				chain = s.ph.ancestors(buf[:0], s.rows[k])
 			}
 			if now := s.kindOf(k, chain, u); now != was {
 				cnt[was]--
@@ -555,9 +462,9 @@ func (s *nearSplit) recount(k int, runs *[3][]int32, cnt *[3]int32) (changed boo
 // row's emission into three order-preserving subsequences, and surviving
 // nodes keep their relative pre-order under materializations, prunes and
 // splits — so every run comes out as a fresh compile would emit it.
-func (s *nearSplit) merge(il *InteractionLists, k int, runs [3][]int32) {
-	var buf [maxChain]ball
-	chain := s.chain(&buf, s.rows[k])
+func (s *nearSplit) merge(il *InteractionLists, k int32, runs [3][]int32) {
+	var buf [chainBlocks]rowTile
+	chain := s.ph.ancestors(buf[:0], s.rows[k])
 	dst := [3][]int32{il.Near, il.Sym, il.Cede}
 	at := [3]int32{il.NearOff[k], il.SymOff[k], il.CedeOff[k]}
 	for {

@@ -1,0 +1,269 @@
+package core
+
+import (
+	"math/bits"
+
+	"gbpolar/internal/geom"
+	"gbpolar/internal/octree"
+)
+
+// This file is the classification itself: the rows of a list are classified
+// eight at a time, in the lanes of one shared descent of the atoms tree.
+// Consecutive leaf rows are siblings, so their descents visit almost the
+// same nodes; a tile carries their centers and radii in SoA lanes, the
+// descent carries a mask of the lanes still open, and every node costs one
+// opening test of eight lanes (openFar8) per ladder rung instead of one per
+// row. A row's entries still come out in the order its own descent would
+// emit them — the shared descent is the same pre-order, a lane simply sits
+// out the subtrees it closed — so the lists are the per-row recursion's,
+// byte for byte.
+
+// tileLanes is the number of clusters a rowTile holds: two YMM registers of
+// float64.
+const tileLanes = 8
+
+// rowTile is up to eight clusters — the rows of one shared descent, or
+// eight ancestors of a leaf — in SoA lanes, the operand of openFar8.
+type rowTile struct {
+	x, y, z, r [tileLanes]float64
+}
+
+func (t *rowTile) set(lane int, c geom.Vec3, r float64) {
+	t.x[lane], t.y[lane], t.z[lane], t.r[lane] = c.X, c.Y, c.Z, r
+}
+
+// openFar8Lanes is the opening test of one cluster (center c, radius r)
+// against the eight lanes of t under the multiplier mac: bit i of the result
+// is set iff lane i and the cluster are far apart. It is farOrderOf's test
+// on openingDist2's operand, operation for operation and in their order —
+// d² = (dx·dx + dy·dy) + dz·dz, s = (r + r_lane)·mac, far iff d² > s·s,
+// nothing fused — so no lane can disagree with the scalar test by a
+// rounding; the assembly openFar8 dispatches to (simd_amd64.s) is the same
+// sequence on two vectors. Which of the two clusters is the row and which
+// the node does not matter: the difference is squared and the sum
+// commutes.
+func openFar8Lanes(t *rowTile, cx, cy, cz, r, mac float64) (far uint8) {
+	for i := range t.x {
+		dx, dy, dz := t.x[i]-cx, t.y[i]-cy, t.z[i]-cz
+		s := (r + t.r[i]) * mac
+		if dx*dx+dy*dy+dz*dz > s*s {
+			far |= 1 << i
+		}
+	}
+	return far
+}
+
+// chainBlocks is the number of tiles a leaf's ancestors fill at most in a
+// Morton tree, which splits no deeper than its keys have digits: what a
+// chain's buffer starts with.
+const chainBlocks = (geom.MortonBits + tileLanes) / tileLanes
+
+// ancestors appends to chain the strict ancestors of leaf v, nearest first
+// — the smaller a cluster, the likelier it is far, and one far ancestor
+// settles a pair — eight to a tile; the lanes left over in the last tile
+// repeat the root, so they say what it says.
+func (ph *listPhase) ancestors(chain []rowTile, v int32) []rowTile {
+	n := 0
+	var nd *octree.Node
+	for a := ph.up[v]; a != octree.NoChild; a = ph.up[a] {
+		if n%tileLanes == 0 {
+			chain = append(chain, rowTile{})
+		}
+		nd = &ph.atoms.Nodes[a]
+		chain[len(chain)-1].set(n%tileLanes, nd.Center, nd.Radius)
+		n++
+	}
+	for ; n%tileLanes != 0; n++ {
+		chain[len(chain)-1].set(n%tileLanes, nd.Center, nd.Radius)
+	}
+	return chain
+}
+
+// admit is the phase's opening test on eight lanes: which lanes of open take
+// the cluster (center c, radius r) as a far aggregate — or, t holding nodes,
+// which of them the cluster takes — and at which of the ladder's first
+// rungs+1 orders: byte k of the result holds the lanes whose lowest
+// admitting rung is k, farOrderOf's loop eight lanes at a time. A rung whose
+// multiplier equals the one below is the same test and admits nobody new
+// (the E_pol ladder is flat, and rung 1 of the Born ladder stays at the
+// base: farorder.go).
+func (ph *listPhase) admit(t *rowTile, c geom.Vec3, r float64, rungs int, open uint8) (at uint32) {
+	for k := 0; k <= rungs && open != 0; k++ {
+		if k == 0 || ph.macs[k] != ph.macs[k-1] {
+			far := openFar8(t, c.X, c.Y, c.Z, r, ph.macs[k]) & open
+			at |= uint32(far) << (8 * k)
+			open &^= far
+		}
+	}
+	return at
+}
+
+// reaches reports whether row u's descent reaches the leaves below chain —
+// the strict ancestors they share (ancestors) — as near leaves: iff it takes
+// none of those ancestors as a far aggregate, at any rung. A near entry u of
+// such a leaf's row is mutual exactly then.
+func (ph *listPhase) reaches(chain []rowTile, u int32) bool {
+	un := &ph.atoms.Nodes[u]
+	for b := range chain {
+		if ph.admit(&chain[b], un.Center, un.Radius, ph.pmax, 1<<tileLanes-1) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// nearKind is the class of row k's near entry naming row j's leaf, a
+// mutual pair or not.
+func nearKind(k, j int32, mutual bool) int {
+	switch {
+	case j == k || !mutual:
+		return kindNear // the diagonal, or one-way: row j stops above row k's leaf
+	case j > k:
+		return kindSym
+	}
+	return kindCede
+}
+
+// laneRuns collects one row's entries in the order its descent emits them:
+// near leaves by class, far nodes (runs[runFar]) and, under a ladder, their
+// admitted orders.
+type laneRuns struct {
+	runs [runFar + 1][]int32
+	ord  []uint8
+}
+
+// runFar indexes a lane's far run, behind its three near runs.
+const runFar = kindCede + 1
+
+// tileStats counts what classifying cost: shared descents, the nodes they
+// visited, and opening tests of a near leaf against a tile's ancestors.
+type tileStats struct{ tiles, nodeVisits, chainTests int64 }
+
+func (s *tileStats) add(o tileStats) {
+	s.tiles += o.tiles
+	s.nodeVisits += o.nodeVisits
+	s.chainTests += o.chainTests
+}
+
+// tiler is one worker's classification state, reused from tile to tile and
+// chunk to chunk: the tile, its rows' buffers and their ancestor chain.
+type tiler struct {
+	ph   *listPhase
+	rows rowTile
+	// row holds the lanes' positions in the lists' Rows.
+	row [tileLanes]int32
+	out [tileLanes]laneRuns
+	// chain holds the strict ancestors the tile's leaves share (symmetrized
+	// phase only): the tile is cut where the parent changes, so whether a
+	// near leaf's row reaches back is decided once for all its lanes.
+	chain []rowTile
+	stats tileStats
+}
+
+// laneCap is the capacity a lane's buffers start with: most rows' runs at
+// the ledger's sizes; a longer run grows its buffer once, for good.
+const laneCap = 512
+
+func newTiler(ph *listPhase) *tiler {
+	t := &tiler{ph: ph, chain: make([]rowTile, 0, chainBlocks)}
+	// One slab for all of the worker's buffers, so that its objects do not
+	// scale with anything.
+	slab := make([]int32, tileLanes*(runFar+1)*laneCap)
+	var ords []uint8
+	if ph.pmax > 0 {
+		ords = make([]uint8, tileLanes*laneCap)
+	}
+	for l := range t.out {
+		out := &t.out[l]
+		for r := range out.runs {
+			out.runs[r], slab = slab[:0:laneCap], slab[laneCap:]
+		}
+		if ords != nil {
+			out.ord, ords = ords[:0:laneCap], ords[laneCap:]
+		}
+	}
+	return t
+}
+
+// classify cuts the tile that starts at position i of which (positions in
+// rows) — up to eight rows, in a symmetrized phase children of one node —
+// classifies it in one descent from the root into the lanes' buffers, and
+// returns it.
+func (t *tiler) classify(rows, which []int32, i int) (tile []int32) {
+	ph := t.ph
+	n := 0
+	for ; n < tileLanes && i+n < len(which); n++ {
+		leaf := rows[which[i+n]]
+		if ph.symmetrize && ph.up[leaf] != ph.up[rows[which[i]]] {
+			break
+		}
+		rn := &ph.rowTree.Nodes[leaf]
+		t.rows.set(n, rn.Center, rn.Radius)
+		t.row[n] = which[i+n]
+		out := &t.out[n]
+		out.ord = out.ord[:0]
+		for r := range out.runs {
+			out.runs[r] = out.runs[r][:0]
+		}
+	}
+	if ph.symmetrize {
+		t.chain = ph.ancestors(t.chain[:0], rows[which[i]])
+	}
+	t.stats.tiles++
+	t.descend(ph.atoms.Root(), uint8(uint(1)<<n-1))
+	return which[i : i+n]
+}
+
+// descend classifies the subtree of node n for the lanes of open. It
+// mirrors the recursive kernels exactly — including their one structural
+// difference: APPROX-EPOL tests u.IsLeaf BEFORE the opening test (a leaf U
+// is always evaluated exactly), while APPROX-INTEGRALS tests openness first
+// (a far leaf uses the pseudo-q-point shortcut).
+func (t *tiler) descend(n int32, open uint8) {
+	t.stats.nodeVisits++
+	ph := t.ph
+	node := &ph.atoms.Nodes[n]
+	if ph.leafFirst && node.IsLeaf {
+		t.near(n, open)
+		return
+	}
+	at := ph.admit(&t.rows, node.Center, node.Radius, ph.rungs(node.IsLeaf), open)
+	for k := 0; at != 0; k, at = k+1, at>>8 {
+		for m := uint8(at); m != 0; m &= m - 1 {
+			out := &t.out[bits.TrailingZeros8(m)]
+			out.runs[runFar] = append(out.runs[runFar], n)
+			if ph.pmax > 0 { // every far entry carries its order
+				out.ord = append(out.ord, uint8(k))
+			}
+		}
+		open &^= uint8(at)
+	}
+	switch {
+	case open == 0:
+	case node.IsLeaf:
+		t.near(n, open)
+	default:
+		for _, child := range node.Children {
+			if child != octree.NoChild {
+				t.descend(child, open)
+			}
+		}
+	}
+}
+
+// near records leaf u as a near entry of the lanes of open, in a
+// symmetrized phase by class: the pair is mutual iff row u reaches the
+// tile's leaves, one test against the ancestors they share.
+func (t *tiler) near(u int32, open uint8) {
+	var j int32
+	mutual := false
+	if t.ph.symmetrize {
+		t.stats.chainTests++
+		j, mutual = t.ph.rowOf[u], t.ph.reaches(t.chain, u)
+	}
+	for m := open; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros8(m)
+		kd := nearKind(t.row[l], j, mutual)
+		t.out[l].runs[kd] = append(t.out[l].runs[kd], u)
+	}
+}

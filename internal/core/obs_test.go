@@ -373,6 +373,41 @@ func TestRepairSpans(t *testing.T) {
 	}
 }
 
+// TestCompileSpans: an observed compile decomposes into classify and
+// assemble per phase, and says what classifying cost — tiles, the nodes
+// their descents visited, near leaves tested against a tile's ancestors —
+// in counters it publishes once, after the descents, on the timeline of the
+// rank that compiled; a second call compiles nothing and reports nothing.
+func TestCompileSpans(t *testing.T) {
+	sys, _, _ := testSystem(t, 1200, 13, mortonParams())
+	o := obs.New()
+	cl := sys.ListsObserved(nil, o, 3)
+	if sys.ListsObserved(nil, o, 3) != cl {
+		t.Fatal("a second call compiled again")
+	}
+	got := map[string]int{}
+	for _, ev := range o.Trace.Events() {
+		if ev.Cat == "ilist" && ev.Ph == "X" {
+			got[ev.Name]++
+			if ev.Rank != 3 {
+				t.Errorf("span %s on rank %d's timeline, compiled by rank 3", ev.Name, ev.Rank)
+			}
+		}
+	}
+	if want := map[string]int{"ilist.compile.classify": 2, "ilist.compile.assemble": 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("compile spans %v, want %v", got, want)
+	}
+	count := func(name string) int { return int(o.Counter(name).Value()) }
+	rows := len(cl.Born.Rows) + len(cl.Epol.Rows)
+	tiles, visits, chains := count("ilist.compile.tiles"), count("ilist.compile.node_visits"), count("ilist.compile.chain_tests")
+	// A tile holds at most eight rows and at least one; every E_pol near
+	// entry was one lane of a chain test, and a test serves at most eight.
+	nearEpol := len(cl.Epol.Near) + len(cl.Epol.Sym) + len(cl.Epol.Cede)
+	if tiles < rows/tileLanes || tiles > rows+rows/8 || visits < tiles || chains < nearEpol/tileLanes || chains > nearEpol+nearEpol/8 {
+		t.Errorf("%d tiles, %d node visits, %d chain tests for %d rows and %d E_pol near entries", tiles, visits, chains, rows, nearEpol)
+	}
+}
+
 // TestMemoryGauges: a run publishes what the system holds by structure,
 // and a repair leaves lists of the same kind: 4.5 bytes an entry before it
 // and after.

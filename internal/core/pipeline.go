@@ -296,7 +296,7 @@ func (pl *pipeline) run(startPhase int, seed []float64) error {
 			virt = pl.c.Clock()
 		}
 		bsp := pl.o.Begin(pl.rank, "phase", "build", virt)
-		pl.lists = sys.Lists(pl.pool)
+		pl.lists = sys.ListsObserved(pl.pool, pl.o, pl.rank)
 		bsp.End(virt)
 		if pl.rank == 0 {
 			// Static list structure is identical across ranks: record once.

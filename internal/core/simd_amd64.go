@@ -33,6 +33,9 @@ func epolStreamF32x8(ax, ay, az, ch, rad, vx, vy, vz, cv, rv []float32) float64
 func gatherBlocks4(dst []float64, stride, n int, src []float64, lo, hi, list []int32, w float64) int
 
 //go:noescape
+func openFar8AVX2(t *rowTile, cx, cy, cz, r, mac float64) uint8
+
+//go:noescape
 func expNeg4(dst, src []float64)
 
 //go:noescape
@@ -94,6 +97,17 @@ func epolStreamF32Asm(o, s *soa[float32]) float64 {
 // copy: the float64 tiers' epolTier.gather value.
 func gatherAsm(s *soa[float64], n int, src []float64, lo, hi, list []int32, w float64) int {
 	return gatherBlocks4(s.flat, len(s.flat)/srcFields, n, src, lo, hi, list, w)
+}
+
+// openFar8 is the classification's opening test of eight lanes
+// (openFar8Lanes, ilist_tile.go) through its assembly where the host has
+// AVX2: the same verdicts bit for bit, so the lists do not depend on the
+// choice.
+func openFar8(t *rowTile, cx, cy, cz, r, mac float64) uint8 {
+	if useAsmKernels {
+		return openFar8AVX2(t, cx, cy, cz, r, mac)
+	}
+	return openFar8Lanes(t, cx, cy, cz, r, mac)
 }
 
 // bornNearBlockAsmR6 sweeps one Born near entry (atom leaf lo:hi against

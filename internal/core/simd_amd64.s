@@ -1153,3 +1153,61 @@ gbdone:
 	MOVQ AX, ret+144(FP)
 	VZEROUPPER
 	RET
+
+// func openFar8AVX2(t *rowTile, cx, cy, cz, r, mac float64) uint8
+//
+// openFar8Lanes (ilist_tile.go) on two vectors of four lanes: per lane
+// dx = x − cx (dy, dz alike), d² = (dx·dx + dy·dy) + dz·dz, s = (r + r_lane)·mac,
+// far iff d² > s·s — separate multiplies and adds in the scalar test's
+// order, no FMA, an ordered compare (a NaN is not far) — and the eight
+// verdicts returned as a bit mask, lane 0 lowest. rowTile is four arrays of
+// eight float64: x at 0, y at 64, z at 128, r at 192.
+//
+// Registers — AX = t; Y0–Y2 = the center, Y3 = r, Y4 = mac, broadcast;
+// Y5/Y7 = d² of lanes 0–3 / 4–7, Y6/Y8 = their scratch and s².
+TEXT ·openFar8AVX2(SB), NOSPLIT, $0-49
+	MOVQ t+0(FP), AX
+	VBROADCASTSD cx+8(FP), Y0
+	VBROADCASTSD cy+16(FP), Y1
+	VBROADCASTSD cz+24(FP), Y2
+	VBROADCASTSD r+32(FP), Y3
+	VBROADCASTSD mac+40(FP), Y4
+
+	VMOVUPD 0(AX), Y5
+	VMOVUPD 32(AX), Y7
+	VSUBPD Y0, Y5, Y5                   // dx
+	VSUBPD Y0, Y7, Y7
+	VMULPD Y5, Y5, Y5                   // dx·dx
+	VMULPD Y7, Y7, Y7
+	VMOVUPD 64(AX), Y6
+	VMOVUPD 96(AX), Y8
+	VSUBPD Y1, Y6, Y6                   // dy
+	VSUBPD Y1, Y8, Y8
+	VMULPD Y6, Y6, Y6                   // dy·dy
+	VMULPD Y8, Y8, Y8
+	VADDPD Y6, Y5, Y5                   // dx·dx + dy·dy
+	VADDPD Y8, Y7, Y7
+	VMOVUPD 128(AX), Y6
+	VMOVUPD 160(AX), Y8
+	VSUBPD Y2, Y6, Y6                   // dz
+	VSUBPD Y2, Y8, Y8
+	VMULPD Y6, Y6, Y6                   // dz·dz
+	VMULPD Y8, Y8, Y8
+	VADDPD Y6, Y5, Y5                   // d²
+	VADDPD Y8, Y7, Y7
+
+	VADDPD 192(AX), Y3, Y6              // r + r_lane
+	VADDPD 224(AX), Y3, Y8
+	VMULPD Y4, Y6, Y6                   // s
+	VMULPD Y4, Y8, Y8
+	VMULPD Y6, Y6, Y6                   // s·s
+	VMULPD Y8, Y8, Y8
+	VCMPPD $0x1E, Y6, Y5, Y5            // d² > s·s, ordered
+	VCMPPD $0x1E, Y8, Y7, Y7
+	VMOVMSKPD Y5, AX
+	VMOVMSKPD Y7, BX
+	SHLL $4, BX
+	ORL BX, AX
+	MOVB AX, ret+48(FP)
+	VZEROUPPER
+	RET

@@ -4,10 +4,15 @@ package core
 
 // Builds without the assembly (other architectures, or -tags purego):
 // useAsmKernels stays false, so the portable kernels in kernels_stream.go /
-// kernels.go / kernels_f32.go handle everything and the stubs below are
-// unreachable.
+// kernels.go / kernels_f32.go handle everything and the panicking stubs
+// below are unreachable; the classification's opening test runs on its
+// portable lanes.
 
 var useAsmKernels = false
+
+func openFar8(t *rowTile, cx, cy, cz, r, mac float64) uint8 {
+	return openFar8Lanes(t, cx, cy, cz, r, mac)
+}
 
 func epolStreamExactAsm(o, s *soa[float64]) float64 {
 	panic("core: asm kernels unavailable in this build")
