@@ -9,6 +9,9 @@ GOAMD64 ?=
 
 .PHONY: check build test vet fmt bigendian race faults bench-warm bench-lanes bench-far bench-lists bench-kernels bench-snapshot obs perfgate net kernels loc
 
+# comma is a literal comma inside a $(call ...) argument.
+comma := ,
+
 # check_listed PATTERN,PACKAGES fails unless EVERY alternative of the
 # pattern names a test or benchmark that exists (`go test -list` lists
 # both): `go test -run` or `-bench` of a regex that matches nothing exits
@@ -74,12 +77,15 @@ bigendian:
 
 ## kernels: the compiled kernels on both dispatch sides — the assembly
 ## (vet's asmdecl checks every TEXT against its Go declaration, the list
-## classification's openFar8AVX2 included) and, under -tags purego, the
-## portable Go kernels this host would otherwise never run: there the
-## classification's identity tests (TestOpenFar8MatchesScalar,
-## TestTileCompileMatchesOracle and every list digest) hold the portable
-## lanes to the same bytes (DESIGN.md §6, §11).
+## classification's openFar8AVX2 and the Born tile sweep's bornFarShared4
+## included) and, under -tags purego, the portable Go kernels this host
+## would otherwise never run: there the identity tests
+## (TestOpenFar8MatchesScalar, TestTileCompileMatchesOracle,
+## TestBornTileListsMatchOracle and every list digest) hold the portable
+## lanes to the same bytes, and TestBornTileKernelMatchesRows the portable
+## tile sweep to the per-row sweep's bits (DESIGN.md §6, §11).
 kernels:
+	$(call check_listed,TestOpenFar8MatchesScalar|TestTileCompileMatchesOracle|TestBornTileListsMatchOracle|TestBornTileKernelMatchesRows,./internal/core/)
 	$(GO) vet -asmdecl ./internal/core/
 	$(GO) test ./internal/core/ ./internal/mathx/
 	$(GO) vet -tags purego ./internal/core/ ./internal/mathx/
@@ -141,7 +147,7 @@ perfgate:
 
 ## bench-warm: the warm-engine pose-scan pair (EXPERIMENTS.md extD).
 bench-warm:
-	$(GO) test -run '^$$' -bench 'BenchmarkComputeWarm' -benchtime 3x -count 2 .
+	$(call bench_listed,BenchmarkComputeWarmCompiled|BenchmarkComputeWarmRecursive,-benchtime 3x -count 2,.)
 
 ## bench-lanes: the kernel ablation — scalar vs laned x exact vs approx
 ## vs f32 precision tiers on the 40k-atom warm pose scan (EXPERIMENTS.md
@@ -155,7 +161,7 @@ bench-lanes:
 ## microbenchmarks.
 bench-far:
 	$(GO) run ./cmd/gbbench -exp pareto -reps 3
-	$(GO) test -run '^$$' -bench 'BenchmarkWarmPoseFarOrder' -benchtime 3x -count 2 ./internal/core/
+	$(call bench_listed,BenchmarkWarmPoseFarOrder,-benchtime 3x -count 2,./internal/core/)
 
 ## bench-lists: the interaction-list back-end at the ledger's fixture
 ## (20 000 atoms, 2 workers): a compile — with the nodes its shared descents
@@ -174,17 +180,21 @@ bench-lists:
 ## term, and the gather alone (every row's near, Sym and far streams and
 ## outer operands, no kernel), vector and portable, in ns per list entry
 ## and per atom copied — the difference of the two rows is the kernels'
-## share (EXPERIMENTS.md "Stream kernels", "The gather at copy speed").
+## share (EXPERIMENTS.md "Stream kernels", "The gather at copy speed");
+## then the Born far sweep in ns per far term: row by row over each row's
+## whole far set, and by tiles — each tile's shared run eight rows to a
+## term, assembly and portable (EXPERIMENTS.md "Far nodes a whole tile
+## takes").
 bench-kernels:
-	$(call bench_listed,BenchmarkEpolStream|BenchmarkEpolGatherAsm|BenchmarkEpolGatherPortable,-benchtime 5x -count 2,./internal/core/)
+	$(call bench_listed,BenchmarkEpolStream|BenchmarkEpolGatherAsm|BenchmarkEpolGatherPortable|BenchmarkBornSweepRows|BenchmarkBornSweepTile|BenchmarkBornSweepTilePortable,-benchtime 5x -count 2,./internal/core/)
 
 ## bench-snapshot: the checkpoint codec at the ledger's two fixtures
-## (4 000 atoms = net_run's 12.9 MB snapshot, 20 000 atoms = 76.5 MB):
+## (4 000 atoms = net_run's 10.1 MB snapshot, 20 000 atoms = 71 MB):
 ## encode to a buffer, save to a file, decode a buffer, load a file, in
 ## MB/s of snapshot with bytes and objects allocated per call
 ## (EXPERIMENTS.md "Checkpoint codec").
 bench-snapshot:
-	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Encode|Save|Decode|Load)' -benchtime 5x -count 2 -benchmem ./internal/core/
+	$(call bench_listed,BenchmarkSnapshotEncode|BenchmarkSnapshotSave|BenchmarkSnapshotDecode|BenchmarkSnapshotLoad,-benchtime 5x -count 2 -benchmem,./internal/core/)
 
 ## bench-cold: the cold path, PQR bytes to first E_pol — the five public
 ## calls at the ledger's fixture, per stage in wall ms and cores kept busy
@@ -193,7 +203,7 @@ bench-snapshot:
 ## 1k/10k/100k points), and the coldstart experiment tables
 ## (EXPERIMENTS.md "Cold path" and cold-start sections).
 bench-cold:
-	$(GO) test -run '^$$' -bench 'BenchmarkColdPath20k' -benchtime 10x -count 2 -cpu 2 .
-	$(GO) test -run '^$$' -bench 'BenchmarkCastRadii20k' -benchtime 10x -count 2 -cpu 1,2 ./internal/surface/
-	$(GO) test -run '^$$' -bench 'BenchmarkBuild' -benchtime 3x -count 2 ./internal/octree/
+	$(call bench_listed,BenchmarkColdPath20k,-benchtime 10x -count 2 -cpu 2,.)
+	$(call bench_listed,BenchmarkCastRadii20k,-benchtime 10x -count 2 -cpu 1$(comma)2,./internal/surface/)
+	$(call bench_listed,BenchmarkBuild,-benchtime 3x -count 2,./internal/octree/)
 	$(GO) run ./cmd/gbbench -exp coldstart

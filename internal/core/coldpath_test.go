@@ -115,9 +115,11 @@ func hashSystem(s *System) string {
 	return b.sum()
 }
 
-func hashLists(cl *CompiledLists) string {
+// hashLists hashes cl's index arrays, the Born lists in the per-row layout
+// they had before tiles (perRowLists, on the visit order of atoms).
+func hashLists(atoms *octree.Tree, cl *CompiledLists) string {
 	b := newBitHash()
-	for _, il := range []*InteractionLists{cl.Born, cl.Epol} {
+	for _, il := range []*InteractionLists{perRowLists(cl.Born, atoms), cl.Epol} {
 		for _, a := range [][]int32{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near,
 			il.SymOff, il.Sym, il.CedeOff, il.Cede} {
 			b.i32s(a)
@@ -176,7 +178,7 @@ func TestColdPathBitIdentical(t *testing.T) {
 					for _, d := range []struct{ what, got, want string }{
 						{"surface", hashSurface(surf), fx.surface},
 						{"system", hashSystem(sys), fx.sys},
-						{"lists", hashLists(cl), fx.lists},
+						{"lists", hashLists(sys.Atoms, cl), fx.lists},
 					} {
 						if d.got != d.want {
 							t.Errorf("%s digest %s, the parent commit's is %s", d.what, d.got, d.want)

@@ -32,14 +32,15 @@ import (
 // InteractionLists is a compiled traversal over the atoms octree for one
 // phase, in CSR form. Row i describes the leaf Rows[i] (in tree Leaves()
 // order): Far[FarOff[i]:FarOff[i+1]] holds the atoms-octree nodes whose
-// far-field aggregate the leaf interacts with, and
-// Near[NearOff[i]:NearOff[i+1]] the atom leaves needing exact pairwise
-// evaluation.
+// far-field aggregate the leaf interacts with (in the Born lists those its
+// tile does not share: TileFar), and Near[NearOff[i]:NearOff[i+1]] the atom
+// leaves needing exact pairwise evaluation.
 //
-// A list is its index — Rows, the four offset arrays, Far, Near, Sym, Cede
-// and, under a ladder, FarOrd: 4 bytes an entry — which is all an evaluation
-// reads, and all the incremental repair (ilist_repair.go) reads too: it
-// re-tests the nodes an update moved instead of keeping a bound per entry.
+// A list is its index — Rows, the offset arrays, Far, Near, Sym, Cede, the
+// Born tile runs and, under a ladder, the orders: 4 bytes an entry — which
+// is all an evaluation reads, and all the incremental repair
+// (ilist_repair.go) reads too: it re-tests the nodes an update moved
+// instead of keeping a bound per entry.
 type InteractionLists struct {
 	Rows    []int32
 	FarOff  []int32
@@ -73,10 +74,46 @@ type InteractionLists struct {
 	// it without re-testing geometry. nil when compiled at FarOrder = 0,
 	// where every far entry is order 0.
 	FarOrd []uint8
+	// TileFar holds, in the Born lists (nil in the E_pol lists), the far
+	// nodes a whole tile takes, once: tile t is the aligned rows
+	// [8t, 8t+8) — only the last can be shorter — and
+	// TileFar[TileFarOff[t]:TileFarOff[t+1]] the nodes every one of its rows
+	// takes at one order (TileFarOrd, under a ladder), in visit order. Row
+	// i's Far run then holds its own entries only: the nodes a strict subset
+	// of the tile takes. A node is shared or own within a tile, never both,
+	// so row i's far set is its tile's run and its own, disjoint.
+	TileFarOff []int32
+	TileFar    []int32
+	TileFarOrd []uint8
 }
 
-// NumFar returns the total far-field entry count.
-func (il *InteractionLists) NumFar() int { return len(il.Far) }
+// numTiles is the number of Born tiles of n rows.
+func numTiles(n int) int { return (n + tileLanes - 1) / tileLanes }
+
+// tileRows returns the rows [lo, hi) of Born tile t of il.
+func (il *InteractionLists) tileRows(t int) (lo, hi int) {
+	return t * tileLanes, min(t*tileLanes+tileLanes, len(il.Rows))
+}
+
+// tileFar returns tile t's shared far run and, under a ladder, its orders.
+func (il *InteractionLists) tileFar(t int) ([]int32, []uint8) {
+	lo, hi := il.TileFarOff[t], il.TileFarOff[t+1]
+	if il.TileFarOrd == nil {
+		return il.TileFar[lo:hi], nil
+	}
+	return il.TileFar[lo:hi], il.TileFarOrd[lo:hi]
+}
+
+// NumFar returns the total far-field entry count: (row, node) terms, a
+// tile's shared node counted once for each of its rows.
+func (il *InteractionLists) NumFar() int {
+	n := len(il.Far)
+	for t := 0; t+1 < len(il.TileFarOff); t++ {
+		lo, hi := il.tileRows(t)
+		n += int(il.TileFarOff[t+1]-il.TileFarOff[t]) * (hi - lo)
+	}
+	return n
+}
 
 // NumNear returns the total near leaf-pair count.
 func (il *InteractionLists) NumNear() int { return len(il.Near) }
@@ -85,7 +122,8 @@ func (il *InteractionLists) NumNear() int { return len(il.Near) }
 func (il *InteractionLists) MemoryBytes() int64 {
 	return int64(len(il.Rows)+len(il.FarOff)+len(il.Far)+
 		len(il.NearOff)+len(il.Near)+len(il.SymOff)+len(il.Sym)+
-		len(il.CedeOff)+len(il.Cede))*4 + int64(len(il.FarOrd))
+		len(il.CedeOff)+len(il.Cede)+len(il.TileFarOff)+len(il.TileFar))*4 +
+		int64(len(il.FarOrd)+len(il.TileFarOrd))
 }
 
 // CompiledLists bundles the per-phase lists with the opening-criterion
@@ -121,13 +159,16 @@ func (cl *CompiledLists) MemoryBytes() int64 { return cl.Born.MemoryBytes() + cl
 // leafFirst selects the traversal ordering (see tiler.descend) and says the
 // rows are atom leaves, which move under an update; symmetrize moves
 // mutual near leaf pairs into the Sym list of the lower-indexed row (valid
-// only when rowTree == atoms, i.e. the E_pol phase).
+// only when rowTree == atoms, i.e. the E_pol phase); tileFar cuts the rows
+// into aligned tiles of eight and stores the far nodes a whole tile takes
+// once (the Born phase: InteractionLists.TileFar).
 type listPhase struct {
 	atoms, rowTree *octree.Tree
 	macs           [maxFarOrder + 1]float64
 	pmax           int
 	leafFirst      bool
 	symmetrize     bool
+	tileFar        bool
 	// up and rowOf are what the symmetrized phase's mutuality rule reads of
 	// the atoms tree as it stands: the node above every reachable node
 	// (octree.NoChild above the root) and the row of every leaf.
@@ -141,7 +182,7 @@ type listPhase struct {
 // E_pol phase (atom leaf rows, Figure 3) under cl's opening criteria, on the
 // trees as they stand.
 func (s *System) listPhases(cl *CompiledLists) (born, epol listPhase) {
-	born = listPhase{atoms: s.Atoms, rowTree: s.QPts, pmax: cl.farOrder,
+	born = listPhase{atoms: s.Atoms, rowTree: s.QPts, pmax: cl.farOrder, tileFar: true,
 		macs: macLadder(cl.bornMAC, cl.farOrder, bornLadderDeg(s.Params.Kernel))}
 	epol = listPhase{atoms: s.Atoms, rowTree: s.Atoms, pmax: cl.farOrder,
 		macs: macLadder(cl.epolFar, cl.farOrder, epolLadderDeg), leafFirst: true, symmetrize: true,
@@ -168,10 +209,59 @@ func (s *System) listPhases(cl *CompiledLists) (born, epol listPhase) {
 // row: far nodes, under a ladder — where reserve makes ord non-nil — their
 // admitted orders, and near leaves, a row's three classes one after the
 // other (their sum is steady along a chunk and can be estimated; their
-// shares are not — the lower row of a mutual pair sweeps it).
+// shares are not — the lower row of a mutual pair sweeps it). In a tileFar
+// phase a tile's shared far run comes before its rows' own runs, in far and
+// ord alike: how a tile's far nodes split into shared and own varies from
+// tile to tile, their sum much less.
 type listArena struct {
-	far, near []int32
-	ord       []uint8
+	far, near blocks[int32]
+	ord       blocks[uint8]
+}
+
+// blocks is an append-only sequence kept in blocks and read back from the
+// front. Its first block holds what reserve estimated; past that a block that
+// fills up is set aside and a small one started, so an estimate that falls
+// short costs a block, not a copy of everything before it — what append's
+// doubling would cost, in time and in garbage.
+type blocks[T int32 | uint8] struct {
+	b     [][]T // the last one is being filled
+	first [1][]T
+}
+
+// reserve starts the first block, with room for n.
+func (s *blocks[T]) reserve(n int) {
+	s.first[0] = make([]T, 0, n)
+	s.b = s.first[:]
+}
+
+// append adds v behind what s holds.
+func (s *blocks[T]) append(v []T) {
+	if len(v) == 0 {
+		return
+	}
+	last := &s.b[len(s.b)-1]
+	if free := cap(*last) - len(*last); len(v) > free {
+		*last = append(*last, v[:free]...)
+		v = v[free:]
+		held := 0 // the next block is a quarter of what s holds: few blocks, little slack
+		for _, b := range s.b {
+			held += len(b)
+		}
+		s.b = append(s.b, make([]T, 0, max(len(v), held/4, 1024)))
+		last = &s.b[len(s.b)-1]
+	}
+	*last = append(*last, v...)
+}
+
+// take moves the first len(dst) elements of s into dst.
+func (s *blocks[T]) take(dst []T) {
+	for len(dst) > 0 {
+		n := copy(dst, s.b[0])
+		dst, s.b[0] = dst[n:], s.b[0][n:]
+		if len(s.b[0]) == 0 && len(s.b) > 1 {
+			s.b = s.b[1:]
+		}
+	}
 }
 
 // verdict is the phase's ONE opening test: whether a row cluster of the
@@ -231,21 +321,34 @@ type classified struct {
 	// order.
 	which  []int32
 	arenas []listArena
-	stats  tileStats
+	// align is what every chunk bound but the last is a multiple of: a
+	// tileFar phase's chunks hold whole tiles.
+	align int
+	stats tileStats
 }
 
 // bound is the first row (an index into which) of chunk c.
-func (cr *classified) bound(c int) int { return c * len(cr.which) / len(cr.arenas) }
+func (cr *classified) bound(c int) int {
+	if c == len(cr.arenas) {
+		return len(cr.which)
+	}
+	b := c * len(cr.which) / len(cr.arenas)
+	return b - b%cr.align
+}
 
 // classifyRows classifies the rows of il at positions which, a tile of up
 // to eight at a time (ilist_tile.go). Nobody knows a row's entry counts
 // before classifying it, so the rows are cut into contiguous chunks — a few
 // per worker — and each chunk's entries are appended to an arena of its own;
-// each row's counts land at il's four offset arrays [k+1], for the prefix
-// sums that size the final CSR arrays exactly. A worker's tile and its
-// buffers serve every chunk the worker draws.
+// each row's counts land at il's four offset arrays [k+1] (a tile's shared
+// count at TileFarOff[t+1]), for the prefix sums that size the final CSR
+// arrays exactly. A worker's tile and its buffers serve every chunk the
+// worker draws. In a tileFar phase which must be whole tiles, in order.
 func (ph *listPhase) classifyRows(il *InteractionLists, which []int32, pool *sched.Pool) *classified {
-	cr := &classified{which: which}
+	cr := &classified{which: which, align: 1}
+	if ph.tileFar {
+		cr.align = tileLanes
+	}
 	workers := 1
 	if pool != nil {
 		workers = pool.NumWorkers()
@@ -266,11 +369,17 @@ func (ph *listPhase) classifyRows(il *InteractionLists, which []int32, pool *sch
 			ph.reserve(a, t, il.Rows, chunk)
 			for i := 0; i < len(chunk); {
 				tile := t.classify(il.Rows, chunk, i)
+				if ph.tileFar {
+					a.far.append(t.shared)
+					a.ord.append(t.sharedOrd)
+					il.TileFarOff[tile[0]/tileLanes+1] = int32(len(t.shared))
+				}
 				for l, k := range tile {
 					out := &t.out[l]
-					a.far, a.ord = append(a.far, out.runs[runFar]...), append(a.ord, out.ord...)
+					a.far.append(out.runs[runFar])
+					a.ord.append(out.ord)
 					for kd, off := range nearOff {
-						a.near = append(a.near, out.runs[kd]...)
+						a.near.append(out.runs[kd])
 						off[k+1] = int32(len(out.runs[kd]))
 					}
 					il.FarOff[k+1] = int32(len(out.runs[runFar]))
@@ -296,13 +405,18 @@ func (cr *classified) fill(il *InteractionLists, pool *sched.Pool) {
 		for c := lo; c < hi; c++ {
 			a := &cr.arenas[c]
 			for _, k := range cr.which[cr.bound(c):cr.bound(c+1)] {
-				n := copy(il.Far[il.FarOff[k]:il.FarOff[k+1]], a.far)
-				a.far = a.far[n:]
+				if t := k / tileLanes; il.TileFarOff != nil && k%tileLanes == 0 {
+					a.far.take(il.TileFar[il.TileFarOff[t]:il.TileFarOff[t+1]])
+					if il.TileFarOrd != nil {
+						a.ord.take(il.TileFarOrd[il.TileFarOff[t]:il.TileFarOff[t+1]])
+					}
+				}
+				a.far.take(il.Far[il.FarOff[k]:il.FarOff[k+1]])
 				if il.FarOrd != nil {
-					a.ord = a.ord[copy(il.FarOrd[il.FarOff[k]:il.FarOff[k+1]], a.ord):]
+					a.ord.take(il.FarOrd[il.FarOff[k]:il.FarOff[k+1]])
 				}
 				for _, to := range near {
-					a.near = a.near[copy(to.dst[to.off[k]:to.off[k+1]], a.near):]
+					a.near.take(to.dst[to.off[k]:to.off[k+1]])
 				}
 			}
 			*a = listArena{} // garbage from here on, not from the end of the call
@@ -342,15 +456,16 @@ const listChunksPerWorker = 8
 // a repair's, whose arena is too small to matter — the first alone.
 const sampleStride = 16 * tileLanes
 
-// reserve sizes a's arrays for one chunk — the rows at positions chunk of
-// rows — from rows already classified: it classifies evenly spaced tiles on
-// t, counts their entries and scales them to the chunk, plus a sixteenth. A
-// chunk that turns out denser than its sample grows by append; a worst-case
+// reserve sizes a's first blocks for one chunk — the rows at positions chunk
+// of rows — from rows already classified: it classifies evenly spaced tiles
+// on t, counts their entries and scales them to the chunk. A chunk that
+// turns out denser than its sample goes on in further blocks; a worst-case
 // reservation would be several times the lists.
 func (ph *listPhase) reserve(a *listArena, t *tiler, rows, chunk []int32) {
 	var far, near, sampled int
 	for x := 0; x < len(chunk); x += sampleStride {
 		tile := t.classify(rows, chunk, x)
+		far += len(t.shared)
 		for l := range tile {
 			far += len(t.out[l].runs[runFar])
 			for _, run := range t.out[l].runs[:runFar] {
@@ -359,10 +474,11 @@ func (ph *listPhase) reserve(a *listArena, t *tiler, rows, chunk []int32) {
 		}
 		sampled += len(tile)
 	}
-	size := func(n int) int { return n * len(chunk) / sampled * 17 / 16 }
-	a.far, a.near = make([]int32, 0, size(far)), make([]int32, 0, size(near))
+	size := func(n int) int { return n * len(chunk) / sampled }
+	a.far.reserve(size(far))
+	a.near.reserve(size(near))
 	if ph.pmax > 0 { // every far entry carries its order
-		a.ord = make([]uint8, 0, size(far))
+		a.ord.reserve(size(far))
 	}
 }
 
@@ -374,29 +490,42 @@ func (ph *listPhase) newLists() *InteractionLists {
 	// cache would silently renumber.
 	rows := append([]int32(nil), ph.rowTree.Leaves()...)
 	n := len(rows)
-	return &InteractionLists{Rows: rows, FarOff: make([]int32, n+1), NearOff: make([]int32, n+1),
+	il := &InteractionLists{Rows: rows, FarOff: make([]int32, n+1), NearOff: make([]int32, n+1),
 		SymOff: make([]int32, n+1), CedeOff: make([]int32, n+1)}
+	if ph.tileFar {
+		il.TileFarOff = make([]int32, numTiles(n)+1)
+	}
+	return il
 }
 
-// alloc turns the per-row counts in il's four offset arrays into offsets and
-// allocates the entry arrays to their totals (FarOrd under a ladder only:
-// without one every far entry is order 0), each on one of the pool's
-// workers. A list array is tens of megabytes, and make hands it over zeroed:
-// on one goroutine that memclr is a fifth of a compile during which every
-// worker sleeps; spread out, each array is also first touched by one of the
-// workers that go on to fill it.
+// alloc turns the per-row counts in il's offset arrays (and the per-tile
+// counts in TileFarOff) into offsets and allocates the entry arrays to their
+// totals (the orders under a ladder only: without one every far entry is
+// order 0), each on one of the pool's workers. A list array is tens of
+// megabytes, and make hands it over zeroed: on one goroutine that memclr is
+// a fifth of a compile during which every worker sleeps; spread out, each
+// array is also first touched by one of the workers that go on to fill it.
 func (ph *listPhase) alloc(il *InteractionLists, pool *sched.Pool) {
 	arrays := [...]struct {
-		dst *[]int32
-		n   int32
-	}{{&il.Far, prefixSum(il.FarOff)}, {&il.Near, prefixSum(il.NearOff)}, {&il.Sym, prefixSum(il.SymOff)}, {&il.Cede, prefixSum(il.CedeOff)}}
-	forRows(pool, len(arrays)+1, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			switch nf := arrays[0].n; {
-			case i < len(arrays):
-				*arrays[i].dst = make([]int32, arrays[i].n)
-			case ph.pmax > 0 && nf > 0:
-				il.FarOrd = make([]uint8, nf)
+		off  []int32
+		ents *[]int32
+		ord  *[]uint8 // the orders of a far array
+	}{{il.FarOff, &il.Far, &il.FarOrd}, {il.NearOff, &il.Near, nil}, {il.SymOff, &il.Sym, nil},
+		{il.CedeOff, &il.Cede, nil}, {il.TileFarOff, &il.TileFar, &il.TileFarOrd}}
+	var total [len(arrays)]int32
+	for i, a := range arrays {
+		if a.off != nil {
+			total[i] = prefixSum(a.off)
+		}
+	}
+	forRows(pool, 2*len(arrays), func(lo, hi, _ int) {
+		for j := lo; j < hi; j++ {
+			switch a, n := arrays[j/2], total[j/2]; {
+			case a.off == nil:
+			case j%2 == 0:
+				*a.ents = make([]int32, n)
+			case a.ord != nil && ph.pmax > 0 && n > 0:
+				*a.ord = make([]uint8, n)
 			}
 		}
 	})
@@ -434,10 +563,12 @@ func (s *System) compileObserved(pool *sched.Pool, o *obs.Obs, rank int) *Compil
 // total row/near/far/sym entry counts per phase plus per-row batch-size
 // histograms (the sizes the SoA batch kernels sweep), and what the lists
 // hold in bytes — the gauge mem.lists.index_bytes, in total and as
-// mem.lists.{born,epol}.index_bytes per phase. Everything here is derivable
-// from the compiled lists alone, so the hot loops in kernels.go carry no
-// instrumentation at all — the counts are recorded once per run, off the
-// critical path. No-op when o is nil.
+// mem.lists.{born,epol}.index_bytes per phase. far_entries counts (row,
+// node) terms; a phase that stores a tile's shared nodes once also says
+// what it stores, as far_shared (one per tile) and far_own. Everything here
+// is derivable from the compiled lists alone, so the hot loops in kernels.go
+// carry no instrumentation at all — the counts are recorded once per run,
+// off the critical path. No-op when o is nil.
 func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
 	if cl == nil || o == nil {
 		return
@@ -450,22 +581,38 @@ func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
 		// entry is order 0, so the .p0 counter always equals the total at
 		// FarOrder = 0 and the three orders always sum to far_entries.
 		var perOrd [maxFarOrder + 1]int64
-		if il.FarOrd == nil {
+		if il.FarOrd == nil && il.TileFarOrd == nil {
 			perOrd[0] = int64(il.NumFar())
 		} else {
 			for _, fo := range il.FarOrd {
 				perOrd[fo]++
 			}
+			for t := 0; t+1 < len(il.TileFarOff); t++ {
+				lo, hi := il.tileRows(t)
+				_, ords := il.tileFar(t)
+				for _, fo := range ords {
+					perOrd[fo] += int64(hi - lo)
+				}
+			}
 		}
 		for p, n := range perOrd {
 			o.Counter(fmt.Sprintf("%s.far_entries.p%d", prefix, p)).Add(n)
+		}
+		if il.TileFarOff != nil {
+			o.Counter(prefix + ".far_shared").Add(int64(len(il.TileFar)))
+			o.Counter(prefix + ".far_own").Add(int64(len(il.Far)))
 		}
 		o.Counter(prefix + ".near_pairs").Add(int64(il.NumNear()))
 		o.Counter(prefix + ".sym_pairs").Add(int64(len(il.Sym)))
 		rowFar := o.Histogram(prefix + ".row_far")
 		rowNear := o.Histogram(prefix + ".row_near")
 		for i := range il.Rows {
-			rowFar.Observe(int64(il.FarOff[i+1] - il.FarOff[i]))
+			far := il.FarOff[i+1] - il.FarOff[i]
+			if il.TileFarOff != nil {
+				t := i / tileLanes
+				far += il.TileFarOff[t+1] - il.TileFarOff[t]
+			}
+			rowFar.Observe(int64(far))
 			near := il.NearOff[i+1] - il.NearOff[i]
 			if il.SymOff != nil {
 				near += il.SymOff[i+1] - il.SymOff[i]
@@ -550,6 +697,17 @@ func diffLists(phase string, a, b *InteractionLists) error {
 		}
 		if a.FarOrd != nil && !slices.Equal(a.FarOrd[a.FarOff[i]:a.FarOff[i+1]], b.FarOrd[b.FarOff[i]:b.FarOff[i+1]]) {
 			return fmt.Errorf("core: %s list row %d (leaf %d) admitted orders drifted", phase, i, a.Rows[i])
+		}
+	}
+	if (a.TileFarOff == nil) != (b.TileFarOff == nil) || (a.TileFarOrd == nil) != (b.TileFarOrd == nil) {
+		return fmt.Errorf("core: %s lists disagree on tile runs (%v/%v -> %v/%v)",
+			phase, a.TileFarOff != nil, a.TileFarOrd != nil, b.TileFarOff != nil, b.TileFarOrd != nil)
+	}
+	for t := 0; t+1 < len(a.TileFarOff); t++ {
+		af, ao := a.tileFar(t)
+		bf, bo := b.tileFar(t)
+		if !slices.Equal(af, bf) || !slices.Equal(ao, bo) {
+			return fmt.Errorf("core: %s list tile %d shared far run drifted: %d -> %d entries", phase, t, len(af), len(bf))
 		}
 	}
 	return nil

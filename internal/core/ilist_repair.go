@@ -34,8 +34,9 @@ type UpdateStats struct {
 	// place; when false they were invalidated and the next evaluation
 	// recompiles from scratch.
 	Repaired bool
-	// RowsRepaired and RowsTotal count reclassified vs total list rows
-	// across both phases (valid only when Repaired).
+	// RowsRepaired counts the list rows the update changed — each classified
+	// afresh, a Born row with the rest of its tile — and RowsTotal all list
+	// rows, across both phases (valid only when Repaired).
 	RowsRepaired, RowsTotal int
 }
 
@@ -121,7 +122,7 @@ func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o
 		bornMAC: cl.bornMAC, epolFar: cl.epolFar, farOrder: cl.farOrder,
 		Born: born, Epol: epol,
 	}
-	stats.RowsRepaired = nb.classified + ne.classified
+	stats.RowsRepaired = nb.changed + ne.changed
 	stats.RowsTotal = len(born.Rows) + len(epol.Rows)
 	if o != nil {
 		o.Counter("ilist.rows.repaired").Add(int64(stats.RowsRepaired))
@@ -269,9 +270,11 @@ func (ph *listPhase) keeps(n int32, center geom.Vec3, radius float64, d *treeDel
 	return true
 }
 
-// repairCounts is what one phase's repair did, in rows: classified afresh,
-// re-tested over the hot nodes, and kept but split again.
-type repairCounts struct{ classified, retested, resplit int }
+// repairCounts is what one phase's repair did, in rows: changed by the
+// update (the re-test gave them up, or they are new — each classified
+// afresh, a tileFar phase's with the rest of its tile), re-tested over the
+// hot nodes, and kept but split again.
+type repairCounts struct{ changed, retested, resplit int }
 
 // sources returns, for every current row, the cached row it carries over,
 // or −1 for a row to classify: a new leaf's, an atom leaf's that moved
@@ -310,19 +313,47 @@ func (ph *listPhase) sources(old *InteractionLists, rows []int32, d *treeDelta, 
 	return src, int(descents.Load())
 }
 
+// wholeTiles widens a tileFar phase's rows to classify — src's −1s — to
+// whole tiles. A tile's shared run is a function of all of its rows, so a
+// tile is carried over only whole: every row kept, and kept in its place
+// (the Born rows are q-point leaves, which an atom update leaves as they
+// were). Any other tile is classified whole, in one shared descent.
+func wholeTiles(src []int32) {
+	for lo := 0; lo < len(src); lo += tileLanes {
+		hi := min(lo+tileLanes, len(src))
+		keep := true
+		for k := lo; keep && k < hi; k++ {
+			keep = src[k] == int32(k)
+		}
+		for k := lo; !keep && k < hi; k++ {
+			src[k] = -1
+		}
+	}
+}
+
 // repair produces the phase's lists after an update from the cached ones:
-// the rows sources keeps copy their cached runs, the others are classified
-// afresh (classifyRows), and in a symmetrized phase a kept row's near
-// entries whose class can have changed — those naming a reclassified row —
-// are split again by nearSplit. The steps are the compile's: count every
-// row's entries, size the arrays once, fill them in place, in parallel
-// throughout. o (may be nil) receives the spans.
+// the rows sources keeps copy their cached runs (in a tileFar phase, whole
+// tiles of them with their shared runs: wholeTiles), the others are
+// classified afresh (classifyRows), and in a symmetrized phase a kept row's
+// near entries whose class can have changed — those naming a reclassified
+// row — are split again by nearSplit. The steps are the compile's: count
+// every row's entries, size the arrays once, fill them in place, in
+// parallel throughout. o (may be nil) receives the spans.
 func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Pool, o *obs.Obs) (*InteractionLists, repairCounts) {
 	il := ph.newLists()
 	rows, n := il.Rows, len(il.Rows)
 
 	sp := o.Begin(0, "ilist", "ilist.repair.retest", obs.NoVirtual)
 	src, retested := ph.sources(old, rows, d, pool)
+	changed := 0
+	for _, i := range src {
+		if i < 0 {
+			changed++
+		}
+	}
+	if ph.tileFar {
+		wholeTiles(src)
+	}
 	sp.End(obs.NoVirtual)
 
 	sp = o.Begin(0, "ilist", "ilist.repair.classify", obs.NoVirtual)
@@ -337,7 +368,7 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 
 	sp = o.Begin(0, "ilist", "ilist.repair.assemble", obs.NoVirtual)
 	defer sp.End(obs.NoVirtual)
-	counts := repairCounts{classified: len(dirty), retested: retested}
+	counts := repairCounts{changed: changed, retested: retested}
 	var split *nearSplit
 	var resplit []bool // kept rows whose near runs must be split again
 	if ph.symmetrize {
@@ -349,12 +380,16 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 	}
 
 	// Count: classified rows have their counts already; kept rows bring their
-	// cached ones, less and plus the entries that change class.
+	// cached ones, less and plus the entries that change class, and a kept
+	// tile its shared run's.
 	forRows(pool, n, func(lo, hi, _ int) {
 		for k := lo; k < hi; k++ {
 			i := src[k]
 			if i < 0 {
 				continue
+			}
+			if t := k / tileLanes; il.TileFarOff != nil && k%tileLanes == 0 { // kept whole, in place
+				il.TileFarOff[t+1] = old.TileFarOff[t+1] - old.TileFarOff[t]
 			}
 			il.FarOff[k+1] = old.FarOff[i+1] - old.FarOff[i]
 			runs := old.nearRuns(i)
@@ -380,6 +415,14 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 			i := src[k]
 			if i < 0 {
 				continue
+			}
+			if t := k / tileLanes; il.TileFarOff != nil && k%tileLanes == 0 {
+				at := il.TileFarOff[t]
+				far, ord := old.tileFar(t)
+				copy(il.TileFar[at:], far)
+				if il.TileFarOrd != nil {
+					copy(il.TileFarOrd[at:], ord)
+				}
 			}
 			copy(il.Far[il.FarOff[k]:], old.Far[old.FarOff[i]:old.FarOff[i+1]])
 			if il.FarOrd != nil {

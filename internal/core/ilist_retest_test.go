@@ -10,6 +10,7 @@ import (
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/molecule"
+	"gbpolar/internal/octree"
 	"gbpolar/internal/sched"
 	"gbpolar/internal/wire"
 )
@@ -21,13 +22,14 @@ import (
 // was written: the index a compile produces, and the index after every step
 // of ten-step repair chains under four kinds of motion.
 
-// indexDigest is the SHA-256 of the snapshot encoding of cl's lists: every
-// array behind its length, little-endian words, at the speed of the bulk
-// codec rather than of a loop over elements.
-func indexDigest(cl *CompiledLists) string {
+// indexDigest is the SHA-256 of the snapshot encoding of cl's lists, the
+// Born lists in the per-row layout they had before tiles (perRowLists, on
+// the visit order of atoms): every array behind its length, little-endian
+// words, at the speed of the bulk codec rather than of a loop over elements.
+func indexDigest(atoms *octree.Tree, cl *CompiledLists) string {
 	h := sha256.New()
 	w := wire.NewStreamWriter(h)
-	appendIL(w, cl.Born)
+	appendIL(w, perRowLists(cl.Born, atoms))
 	appendIL(w, cl.Epol)
 	w.Flush() // a hash never fails a write
 	return hex.EncodeToString(h.Sum(nil))
@@ -101,7 +103,7 @@ func repairChain(t *testing.T, sys *System, pool *sched.Pool, mode jiggleMode, a
 				t.Fatalf("step %d: %v", step, err)
 			}
 		}
-		whole.Write([]byte(indexDigest(sys.Lists(pool))))
+		whole.Write([]byte(indexDigest(sys.Atoms, sys.Lists(pool))))
 	}
 	return hex.EncodeToString(whole.Sum(nil)), repaired
 }
@@ -128,6 +130,7 @@ func (a *dirtyAudit) step(t *testing.T, sys *System, pos []geom.Vec3) *CompiledL
 		return nil // there is no dirty set
 	}
 	before := geometryOf(sys.Atoms)
+	oldBorn := perRowLists(old.Born, sys.Atoms) // rows merged on the visit order they were compiled on
 	res, err := sys.Atoms.UpdateTracked(pos)
 	if err != nil || res.Rebuilt {
 		t.Fatalf("audit: %+v %v", res, err)
@@ -142,7 +145,7 @@ func (a *dirtyAudit) step(t *testing.T, sys *System, pos []geom.Vec3) *CompiledL
 		old, fresh  *InteractionLists
 		rowTreeSize int
 	}{
-		{"born", bornPh, old.Born, fresh.Born, len(sys.QPts.Nodes)},
+		{"born", bornPh, oldBorn, perRowLists(fresh.Born, sys.Atoms), len(sys.QPts.Nodes)},
 		{"epol", epolPh, old.Epol, fresh.Epol, len(sys.Atoms.Nodes)},
 	} {
 		oldRow := make([]int32, p.rowTreeSize)
@@ -294,7 +297,7 @@ func TestRepairRetestsWhatMoved(t *testing.T) {
 	for _, g := range rtwmGoldens {
 		t.Run(fmt.Sprintf("%s/order%d", g.mol().Name, g.farOrder), func(t *testing.T) {
 			sys0 := fixtureSystem(t, g.mol(), g.farOrder)
-			if got := indexDigest(sys0.Lists(nil)); got != g.index {
+			if got := indexDigest(sys0.Atoms, sys0.Lists(nil)); got != g.index {
 				t.Fatalf("index digest %s, the parent commit's is %s", got, g.index)
 			}
 			big := sys0.Mol.NumAtoms() > 2000
@@ -321,7 +324,7 @@ func TestRepairRetestsWhatMoved(t *testing.T) {
 					sys := roundTrip(t, sys0)
 					if m == 0 {
 						sys = fixtureSystem(t, g.mol(), g.farOrder)
-						if got := indexDigest(sys.Lists(pool)); got != g.index {
+						if got := indexDigest(sys.Atoms, sys.Lists(pool)); got != g.index {
 							t.Fatalf("index digest %s, the parent commit's is %s", got, g.index)
 						}
 					}
@@ -358,10 +361,11 @@ func TestRepairRetestsWhatMoved(t *testing.T) {
 // listFootprint adds up the arrays of cl by hand.
 func listFootprint(cl *CompiledLists) (bytes int64) {
 	for _, il := range []*InteractionLists{cl.Born, cl.Epol} {
-		for _, a := range [][]int32{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near, il.SymOff, il.Sym, il.CedeOff, il.Cede} {
+		for _, a := range [][]int32{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near, il.SymOff, il.Sym, il.CedeOff, il.Cede,
+			il.TileFarOff, il.TileFar} {
 			bytes += 4 * int64(len(a))
 		}
-		bytes += int64(len(il.FarOrd))
+		bytes += int64(len(il.FarOrd) + len(il.TileFarOrd))
 	}
 	return bytes
 }
@@ -389,7 +393,7 @@ func TestCertificatesOnDemand(t *testing.T) {
 					}
 				}
 				sys := fixtureSystem(t, g.mol(), g.farOrder)
-				if got := indexDigest(sys.Lists(pool)); got != g.index {
+				if got := indexDigest(sys.Atoms, sys.Lists(pool)); got != g.index {
 					t.Errorf("index digest %s, the parent commit's is %s", got, g.index)
 				}
 				holdsIndex("compiled", sys)
@@ -404,7 +408,7 @@ func TestCertificatesOnDemand(t *testing.T) {
 					t.Fatal(err)
 				}
 				posed := roundTrip(t, sys)
-				if indexDigest(posed.lists) != g.index {
+				if indexDigest(posed.Atoms, posed.lists) != g.index {
 					t.Error("the snapshot did not restore the lists as they were")
 				}
 				posed.ApplyRigidTransform(geom.Translate(geom.V(11, -3, 7)).Compose(geom.RotateAxis(geom.V(1, 2, 3), 0.9)))

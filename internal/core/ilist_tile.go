@@ -16,7 +16,10 @@ import (
 // row. A row's entries still come out in the order its own descent would
 // emit them — the shared descent is the same pre-order, a lane simply sits
 // out the subtrees it closed — so the lists are the per-row recursion's,
-// byte for byte.
+// byte for byte. The Born phase stores a node that all of an aligned tile's
+// lanes take at one rung once, for the tile (InteractionLists.TileFar): each
+// row's run is then its own remainder, and the two merged back on visit order
+// are the recursion's row.
 
 // tileLanes is the number of clusters a rowTile holds: two YMM registers of
 // float64.
@@ -150,9 +153,15 @@ func (s *tileStats) add(o tileStats) {
 type tiler struct {
 	ph   *listPhase
 	rows rowTile
-	// row holds the lanes' positions in the lists' Rows.
-	row [tileLanes]int32
-	out [tileLanes]laneRuns
+	// row holds the lanes' positions in the lists' Rows, and full the mask
+	// of the tile's lanes.
+	row  [tileLanes]int32
+	full uint8
+	out  [tileLanes]laneRuns
+	// shared and sharedOrd collect, in a tileFar phase, the nodes every
+	// lane takes at one rung and that rung: stored once for the tile.
+	shared    []int32
+	sharedOrd []uint8
 	// chain holds the strict ancestors the tile's leaves share (symmetrized
 	// phase only): the tile is cut where the parent changes, so whether a
 	// near leaf's row reaches back is decided once for all its lanes.
@@ -168,10 +177,10 @@ func newTiler(ph *listPhase) *tiler {
 	t := &tiler{ph: ph, chain: make([]rowTile, 0, chainBlocks)}
 	// One slab for all of the worker's buffers, so that its objects do not
 	// scale with anything.
-	slab := make([]int32, tileLanes*(runFar+1)*laneCap)
+	slab := make([]int32, (tileLanes*(runFar+1)+1)*laneCap)
 	var ords []uint8
 	if ph.pmax > 0 {
-		ords = make([]uint8, tileLanes*laneCap)
+		ords = make([]uint8, (tileLanes+1)*laneCap)
 	}
 	for l := range t.out {
 		out := &t.out[l]
@@ -182,19 +191,21 @@ func newTiler(ph *listPhase) *tiler {
 			out.ord, ords = ords[:0:laneCap], ords[laneCap:]
 		}
 	}
+	t.shared, t.sharedOrd = slab[:0:laneCap], ords[:0:len(ords)]
 	return t
 }
 
 // classify cuts the tile that starts at position i of which (positions in
-// rows) — up to eight rows, in a symmetrized phase children of one node —
-// classifies it in one descent from the root into the lanes' buffers, and
-// returns it.
+// rows) — up to eight rows, in a symmetrized phase children of one node, in
+// a tileFar phase rows of one aligned tile — classifies it in one descent
+// from the root into the lanes' buffers, and returns it.
 func (t *tiler) classify(rows, which []int32, i int) (tile []int32) {
 	ph := t.ph
 	n := 0
 	for ; n < tileLanes && i+n < len(which); n++ {
 		leaf := rows[which[i+n]]
-		if ph.symmetrize && ph.up[leaf] != ph.up[rows[which[i]]] {
+		if ph.symmetrize && ph.up[leaf] != ph.up[rows[which[i]]] ||
+			ph.tileFar && which[i+n]/tileLanes != which[i]/tileLanes {
 			break
 		}
 		rn := &ph.rowTree.Nodes[leaf]
@@ -209,8 +220,10 @@ func (t *tiler) classify(rows, which []int32, i int) (tile []int32) {
 	if ph.symmetrize {
 		t.chain = ph.ancestors(t.chain[:0], rows[which[i]])
 	}
+	t.shared, t.sharedOrd = t.shared[:0], t.sharedOrd[:0]
+	t.full = uint8(uint(1)<<n - 1)
 	t.stats.tiles++
-	t.descend(ph.atoms.Root(), uint8(uint(1)<<n-1))
+	t.descend(ph.atoms.Root(), t.full)
 	return which[i : i+n]
 }
 
@@ -229,11 +242,19 @@ func (t *tiler) descend(n int32, open uint8) {
 	}
 	at := ph.admit(&t.rows, node.Center, node.Radius, ph.rungs(node.IsLeaf), open)
 	for k := 0; at != 0; k, at = k+1, at>>8 {
-		for m := uint8(at); m != 0; m &= m - 1 {
-			out := &t.out[bits.TrailingZeros8(m)]
-			out.runs[runFar] = append(out.runs[runFar], n)
-			if ph.pmax > 0 { // every far entry carries its order
-				out.ord = append(out.ord, uint8(k))
+		if m := uint8(at); ph.tileFar && m == t.full {
+			// The whole tile takes the node at rung k: once, for every lane.
+			t.shared = append(t.shared, n)
+			if ph.pmax > 0 {
+				t.sharedOrd = append(t.sharedOrd, uint8(k))
+			}
+		} else {
+			for ; m != 0; m &= m - 1 {
+				out := &t.out[bits.TrailingZeros8(m)]
+				out.runs[runFar] = append(out.runs[runFar], n)
+				if ph.pmax > 0 { // every far entry carries its order
+					out.ord = append(out.ord, uint8(k))
+				}
 			}
 		}
 		open &^= uint8(at)

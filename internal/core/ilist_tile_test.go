@@ -159,9 +159,10 @@ func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sc
 }
 
 // oracleIndex is listPhase.index by the scalar descent, row by row, and the
-// transposed split.
+// transposed split, every row's far run whole: no tile runs.
 func (ph *listPhase) oracleIndex(pool *sched.Pool) *InteractionLists {
 	il := ph.newLists()
+	il.TileFarOff = nil
 	pre := nearLists{off: make([]int32, len(il.Rows)+1)}
 	var sink rowSink
 	for k, r := range il.Rows {
@@ -196,6 +197,7 @@ func sameIndex(got, want *InteractionLists) error {
 	}{
 		{"FarOff", got.FarOff, want.FarOff}, {"NearOff", got.NearOff, want.NearOff},
 		{"SymOff", got.SymOff, want.SymOff}, {"CedeOff", got.CedeOff, want.CedeOff},
+		{"TileFarOff", got.TileFarOff, want.TileFarOff},
 	} {
 		if !slices.Equal(c.got, c.want) {
 			return fmt.Errorf("%s differs from the oracle's", c.name)
@@ -225,7 +227,8 @@ func idsInVisitOrder(t *octree.Tree) bool { return slices.IsSorted(t.Leaves()) }
 
 // Every list the tile path compiles — the Born phase, the E_pol phase and
 // the E_pol phase unsplit, whose tiles are not cut at parents — is the
-// scalar oracle's, array for array: on trees of one leaf (no ancestors), two
+// scalar oracle's, array for array (the Born phase's with each aligned
+// tile's common entries hoisted out, hoistTiles): on trees of one leaf (no ancestors), two
 // atoms, a chain of two blocks, a shell and a globule; at every FarOrder;
 // serial and pooled; freshly built and after tracked updates have left the
 // node ids out of visit order.
@@ -246,6 +249,9 @@ func TestTileCompileMatchesOracle(t *testing.T) {
 						ph   listPhase
 					}{{"born", born}, {"epol", epol}, {"epol unsplit", unsplit}} {
 						want := p.ph.oracleIndex(nil)
+						if p.ph.tileFar { // what every aligned tile's rows share, stored once
+							want = hoistTiles(want, len(sys.Atoms.Nodes))
+						}
 						forPools(t, func(t *testing.T, pool *sched.Pool) {
 							if err := sameIndex(p.ph.index(pool), want); err != nil {
 								t.Errorf("%s, %s: %v", when, p.name, err)

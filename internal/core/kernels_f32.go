@@ -20,10 +20,37 @@ import "gbpolar/internal/mathx"
 //
 // Op accounting matches the float64 rows entry for entry.
 
+// bornFarSharedF32 is bornFarShared in float32: per lane the term of
+// bornRowF32's order-0 loop, added to the node's float64 sum in lane order.
+func bornFarSharedF32(sys *System, rows, shared []int32, node []float64) {
+	f := sys.f32()
+	var qx, qy, qz, wx, wy, wz [tileLanes]float32
+	for l, leaf := range rows {
+		c, wn := sys.QPts.Nodes[leaf].Center, sys.QNodeWN[leaf]
+		qx[l], qy[l], qz[l] = float32(c.X), float32(c.Y), float32(c.Z)
+		wx[l], wy[l], wz[l] = float32(wn.X), float32(wn.Y), float32(wn.Z)
+	}
+	r4 := sys.Params.Kernel == R4
+	for _, a := range shared {
+		ax, ay, az := f.aNodeX[a], f.aNodeY[a], f.aNodeZ[a]
+		s := node[a]
+		for l := range rows {
+			dx, dy, dz := qx[l]-ax, qy[l]-ay, qz[l]-az
+			d2 := dx*dx + dy*dy + dz*dz
+			den := d2 * d2
+			if !r4 {
+				den *= d2
+			}
+			s += float64((wx[l]*dx + wy[l]*dy + wz[l]*dz) / den)
+		}
+		node[a] = s
+	}
+}
+
 // bornRowF32 is bornRow with float32 arithmetic: far pseudo-q-point
 // terms and near per-atom sums both evaluate in f32 and land in the
 // float64 accumulator fields.
-func bornRowF32(sys *System, il *InteractionLists, row int, acc *bornAccum) {
+func bornRowF32(sys *System, il *InteractionLists, row int, shared []int32, acc *bornAccum) {
 	f := sys.f32()
 	leaf := il.Rows[row]
 	q := &sys.QPts.Nodes[leaf]
@@ -34,9 +61,9 @@ func bornRowF32(sys *System, il *InteractionLists, row int, acc *bornAccum) {
 	wnx, wny, wnz := float32(wn.X), float32(wn.Y), float32(wn.Z)
 	r4 := sys.Params.Kernel == R4
 
-	far := il.Far[il.FarOff[row]:il.FarOff[row+1]]
-	if il.FarOrd == nil {
-		for _, a := range far {
+	own := il.Far[il.FarOff[row]:il.FarOff[row+1]]
+	if sys.Params.FarOrder == 0 {
+		for _, a := range own {
 			dx := qcx - f.aNodeX[a]
 			dy := qcy - f.aNodeY[a]
 			dz := qcz - f.aNodeZ[a]
@@ -55,23 +82,25 @@ func bornRowF32(sys *System, il *InteractionLists, row int, acc *bornAccum) {
 		// budget, while the f64 tensor algebra avoids a second kernel).
 		ord := sys.Params.FarOrder
 		fm := bornRowMoments(sys.QPts.MomentsOf(momentSetWN), leaf)
-		for _, a := range far {
-			dx := qcx - f.aNodeX[a]
-			dy := qcy - f.aNodeY[a]
-			dz := qcz - f.aNodeZ[a]
-			d2 := dx*dx + dy*dy + dz*dz
-			den := d2 * d2
-			if !r4 {
-				den *= d2
+		for _, run := range [2][]int32{shared, own} {
+			for _, a := range run {
+				dx := qcx - f.aNodeX[a]
+				dy := qcy - f.aNodeY[a]
+				dz := qcz - f.aNodeZ[a]
+				d2 := dx*dx + dy*dy + dz*dz
+				den := d2 * d2
+				if !r4 {
+					den *= d2
+				}
+				acc.node[a] += float64((wnx*dx + wny*dy + wnz*dz) / den)
+				ds, dg, dh := bornFarCorrection(&fm, float64(dx), float64(dy), float64(dz), float64(d2), r4, ord)
+				acc.node[a] += ds
+				acc.grad[a] = acc.grad[a].Add(dg)
+				acc.hess[a] = acc.hess[a].Add(dh)
 			}
-			acc.node[a] += float64((wnx*dx + wny*dy + wnz*dz) / den)
-			ds, dg, dh := bornFarCorrection(&fm, float64(dx), float64(dy), float64(dz), float64(d2), r4, ord)
-			acc.node[a] += ds
-			acc.grad[a] = acc.grad[a].Add(dg)
-			acc.hess[a] = acc.hess[a].Add(dh)
 		}
 	}
-	acc.ops += float64(len(far))
+	acc.ops += float64(len(shared) + len(own))
 
 	qlo, qhi := q.Start, q.End
 	qx, qy, qz := f.qX[qlo:qhi], f.qY[qlo:qhi], f.qZ[qlo:qhi]

@@ -11,7 +11,8 @@ import (
 // compiled row per iteration — gather, near stream and far stream —
 // reported as ns per streamed term (near pair terms + far bin-pair terms),
 // and beside it the gather alone, so the gather/kernel split of a sweep is
-// read from two benchmark rows. Run with `make bench-kernels`.
+// read from two benchmark rows; then the Born far sweep, by rows and by
+// tiles. Run with `make bench-kernels`.
 
 // benchEpolFixture is the ledger fixture ready to sweep on one worker under
 // precision p, with the assembly on or off for the benchmark's duration,
@@ -94,3 +95,59 @@ func benchEpolGather(b *testing.B, asm bool) {
 
 func BenchmarkEpolGatherAsm(b *testing.B)      { benchEpolGather(b, true) }
 func BenchmarkEpolGatherPortable(b *testing.B) { benchEpolGather(b, false) }
+
+// The Born far sweep at the same fixture, one worker, exact tier: every
+// compiled row's order-0 far terms into the node sums, reported as ns per
+// (row, node) far term. Rows is the per-row loop over each row's whole far
+// set — the lists merged back (perRowLists), as the sweep ran before tiles;
+// Tile sweeps each tile's shared run eight rows to a term, then each row's
+// own run, through the assembly; TilePortable is Tile on the portable loop.
+// The three leave the same bits in every node sum.
+func benchBornSweep(b *testing.B, tiles, asm bool) {
+	if asm && !useAsmKernels {
+		b.Skip("no AVX2+FMA assembly kernels in this build or on this host")
+	}
+	sys, _, _ := testSystem(b, 20000, 1, mortonParams())
+	pool := sched.NewPool(2)
+	il := sys.Lists(pool).Born
+	pool.Close()
+	rows := perRowLists(il, sys.Atoms)
+	host := useAsmKernels
+	b.Cleanup(func() { useAsmKernels = host })
+	useAsmKernels = asm
+	sweep := func(node []float64) {
+		if !tiles {
+			for row, leaf := range rows.Rows {
+				bornFar0(sys, leaf, rows.Far[rows.FarOff[row]:rows.FarOff[row+1]], node)
+			}
+			return
+		}
+		for t := range numTiles(len(il.Rows)) {
+			lo, hi := il.tileRows(t)
+			shared, _ := il.tileFar(t)
+			bornFarShared(sys, il.Rows[lo:hi], shared, node)
+			for row := lo; row < hi; row++ {
+				bornFar0(sys, il.Rows[row], il.Far[il.FarOff[row]:il.FarOff[row+1]], node)
+			}
+		}
+	}
+	want := make([]float64, len(sys.Atoms.Nodes))
+	for row, leaf := range rows.Rows {
+		bornFar0(sys, leaf, rows.Far[rows.FarOff[row]:rows.FarOff[row+1]], want)
+	}
+	node := make([]float64, len(want))
+	sweep(node)
+	if err := sameBits("node", node, want); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep(node)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(il.NumFar()), "ns/term")
+	b.ReportMetric(float64(il.NumFar()), "terms")
+}
+
+func BenchmarkBornSweepRows(b *testing.B)         { benchBornSweep(b, false, false) }
+func BenchmarkBornSweepTile(b *testing.B)         { benchBornSweep(b, true, true) }
+func BenchmarkBornSweepTilePortable(b *testing.B) { benchBornSweep(b, true, false) }

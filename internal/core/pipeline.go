@@ -21,9 +21,11 @@ import (
 //     traversal, or workdiv.go's atom-range traversals.
 //
 // A rank's rows are always ElasticSpans(n, P, events)[rank] — the paper's
-// static segments while the membership log is empty — so a segment, a
-// healed set of spans, a stolen batch and "all rows" are the same call to
-// sweep, and every collective sits in one detect–heal–retry loop.
+// static segments while the membership log is empty, of rows or of the
+// units a kernel takes whole (the compiled Born sweep's tiles of eight
+// rows) — so a segment, a healed set of spans, a stolen batch and "all
+// rows" are the same call to sweep, and every collective sits in one
+// detect–heal–retry loop.
 //
 // The consistency argument the protocol leans on: transports admit joins
 // ONLY at a successful collective — which is also the only point a phase
@@ -111,10 +113,11 @@ func (pl *pipeline) charge(ops float64) {
 	pl.clockS += ops / pl.rate
 }
 
-// sweep is THE row sweep. fn(row, w) runs for every row of sel on the
-// rank's pool, worker w accumulating into its private accumulator, whose
-// op meter is meter(w). It charges the sweep's modeled critical path
-// (modelPhaseOps) to the rank's clock and returns the ops done and charged.
+// sweep is THE row sweep. fn(row, w) runs for every row (or unit of rows)
+// of sel on the rank's pool, worker w accumulating into its private
+// accumulator, whose op meter is meter(w). It charges the sweep's modeled
+// critical path (modelPhaseOps) to the rank's clock and returns the ops
+// done and charged.
 func (pl *pipeline) sweep(sel []Span, grain int, meter func(w int) *workMeter, fn func(row, w int)) (total, charged float64) {
 	n := 0
 	for _, s := range sel {
@@ -175,54 +178,66 @@ func (pl *pipeline) pass(name string, rows, inherited int, work func() (ops, cha
 }
 
 // claim returns what the membership log newly assigns this rank out of n
-// rows, marks it done, and counts the rows of it outside the rank's
-// fault-free segment: work inherited from dead ranks. Within one phase the
-// log grows by deaths alone, which only ever APPEND spans to a survivor's
-// ElasticSpans share, so the spans past the ones already done are exactly
-// the dead ranks' lost work.
-func (pl *pipeline) claim(n int, events []cluster.MemberEvent, done *[]Span) (sel []Span, rows, inherited int) {
-	owned := ElasticSpans(n, pl.P, events)[pl.rank]
+// rows cut into units of per rows (the last unit may be short) — spans of
+// units — marks it done, and counts the rows of it and the rows of it
+// outside the rank's fault-free segment: work inherited from dead ranks.
+// Within one phase the log grows by deaths alone, which only ever APPEND
+// spans to a survivor's ElasticSpans share, so the spans past the ones
+// already done are exactly the dead ranks' lost work.
+func (pl *pipeline) claim(n, per int, events []cluster.MemberEvent, done *[]Span) (sel []Span, rows, inherited int) {
+	owned := ElasticSpans((n+per-1)/per, pl.P, events)[pl.rank]
 	sel = owned[len(*done):]
 	for _, s := range sel {
-		rows += s.Len()
-		inherited += pl.inherited(n, s)
+		rows += unitRows(s, n, per)
+		inherited += pl.inherited(n, per, s)
 	}
 	*done = owned
 	return sel, rows, inherited
 }
 
-// inherited counts the rows of s outside this rank's static segment of n.
-func (pl *pipeline) inherited(n int, s Span) int {
-	lo, hi := segment(n, pl.P, pl.rank)
-	return s.Len() - max(0, min(s.Hi, hi)-max(s.Lo, lo))
+// unitRows counts the rows of the units s of n rows cut per rows to a unit.
+func unitRows(s Span, n, per int) int {
+	return max(0, min(s.Hi*per, n)-min(s.Lo*per, n))
+}
+
+// inherited counts the rows of units s outside this rank's static segment
+// of the units of n rows, per to a unit.
+func (pl *pipeline) inherited(n, per int, s Span) int {
+	lo, hi := segment((n+per-1)/per, pl.P, pl.rank)
+	return unitRows(s, n, per) - unitRows(Span{max(s.Lo, lo), min(s.Hi, hi)}, n, per)
 }
 
 // share claims this rank's not-yet-done part of a phase over `leaves`
 // rows and sweeps it; it returns the rows claimed. Node-based kinds own
-// leaf rows; the atom-based kind owns atom slots and traverses EVERY leaf
-// restricted to each owned run of slots. row(lo, hi) is the phase kernel
-// for slots [lo, hi).
-func (pl *pipeline) share(name string, kind rowKind, leaves int, done *[]Span, events []cluster.MemberEvent,
-	meter func(w int) *workMeter, row func(lo, hi int32) func(row, w int)) int {
+// leaf rows — per of them to a unit of work the kernel takes whole (a
+// compiled Born tile); the atom-based kind owns atom slots and traverses
+// EVERY leaf restricted to each owned run of slots. row(lo, hi) is the
+// phase kernel for slots [lo, hi), called per unit.
+func (pl *pipeline) share(name string, kind rowKind, leaves, per int, done *[]Span, events []cluster.MemberEvent,
+	meter func(w int) *workMeter, row func(lo, hi int32) func(unit, w int)) int {
 	n := leaves
 	if kind == rowAtomRange {
 		n = pl.sys.Mol.NumAtoms()
 	}
-	sel, rows, inherited := pl.claim(n, events, done)
+	sel, rows, inherited := pl.claim(n, per, events, done)
 	switch {
 	case rows == 0:
 	case kind == rowAtomRange:
 		all := []Span{{0, leaves}}
 		for _, s := range sel {
 			kernel := row(int32(s.Lo), int32(s.Hi))
-			pl.pass(name, s.Len(), pl.inherited(n, s), func() (float64, float64) {
+			pl.pass(name, s.Len(), pl.inherited(n, per, s), func() (float64, float64) {
 				return pl.sweep(all, 1, meter, kernel)
 			})
 		}
 	default:
 		grain := 1 // the recursive traversal's per-leaf costs are skewed
 		if kind == rowCompiled {
-			grain = rowGrain(rows, pl.p)
+			units := 0
+			for _, s := range sel {
+				units += s.Len()
+			}
+			grain = rowGrain(units, pl.p)
 		}
 		pl.pass(name, rows, inherited, func() (float64, float64) {
 			return pl.sweep(sel, grain, meter, row(0, 0))
@@ -397,13 +412,19 @@ func (pl *pipeline) bornPass(events []cluster.MemberEvent) error {
 	for w := 1; w < len(accs); w++ {
 		accs[w] = newBornAccum(sys)
 	}
-	rows := pl.share("born", pl.kern.born, len(qLeaves), &pl.bornDone, events,
+	// The compiled sweep divides the rows by whole tiles: a tile's shared far
+	// run is swept once, for all of its rows.
+	per := 1
+	if pl.kern.born == rowCompiled {
+		per = tileLanes
+	}
+	rows := pl.share("born", pl.kern.born, len(qLeaves), per, &pl.bornDone, events,
 		func(w int) *workMeter { return &accs[w].workMeter },
 		func(lo, hi int32) func(row, w int) {
 			switch pl.kern.born {
 			case rowCompiled:
 				il := pl.lists.Born // row i is qLeaves[i]
-				return func(row, w int) { bornRow(sys, il, row, accs[w]) }
+				return func(tile, w int) { bornTile(sys, il, tile, accs[w]) }
 			case rowRecursive:
 				macs := sys.bornMACs()
 				return func(row, w int) { ApproxIntegrals(sys, accs[w], sys.Atoms.Root(), qLeaves[row], &macs) }
@@ -426,7 +447,7 @@ func (pl *pipeline) bornPass(events []cluster.MemberEvent) error {
 // pushPass inverts the reduced integrals to Born radii for the atom slots
 // the log newly assigns this rank.
 func (pl *pipeline) pushPass(events []cluster.MemberEvent) error {
-	sel, rows, inherited := pl.claim(len(pl.radii), events, &pl.pushDone)
+	sel, rows, inherited := pl.claim(len(pl.radii), 1, events, &pl.pushDone)
 	if rows == 0 {
 		return nil
 	}
@@ -469,7 +490,7 @@ func (pl *pipeline) shareRadii(events []cluster.MemberEvent) ([]float64, error) 
 // epolPass is the static E_pol schedule: evaluate the energy rows the log
 // newly assigns this rank.
 func (pl *pipeline) epolPass(events []cluster.MemberEvent) error {
-	pl.epolRows += pl.share("epol", pl.kern.epol, len(pl.sys.Atoms.Leaves()), &pl.epolDone, events, pl.epolMeter, pl.epolKernel)
+	pl.epolRows += pl.share("epol", pl.kern.epol, len(pl.sys.Atoms.Leaves()), 1, &pl.epolDone, events, pl.epolMeter, pl.epolKernel)
 	return nil
 }
 

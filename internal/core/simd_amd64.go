@@ -6,8 +6,9 @@ import "gbpolar/internal/mathx"
 
 // Runtime dispatch for the AVX2+FMA kernels (simd_amd64.s): one E_pol
 // stream kernel per tier — the exact tier included, whose assembly keeps
-// IEEE sqrt/divide and a ≤1-ulp vector exp — and the Born near-block
-// kernels of the laned and f32 tiers. The portable Go kernels
+// IEEE sqrt/divide and a ≤1-ulp vector exp — the Born near-block kernels of
+// the laned and f32 tiers, and the Born tile's shared far sweep of every
+// float64 tier, bit for bit its portable loop. The portable Go kernels
 // (kernels_stream.go, kernels.go, kernels_f32.go) remain the reference
 // implementation — the tests force useAsmKernels off to pin the laned
 // tier's bit-compatibility claim, TestAsmKernelsMatchPortable bounds the
@@ -43,6 +44,9 @@ func bornNearBlock4R6(ax, ay, az, out, qx, qy, qz, wx, wy, wz []float64)
 
 //go:noescape
 func bornNearBlock8R6x32(ax, ay, az []float32, out []float64, qx, qy, qz, wx, wy, wz []float32)
+
+//go:noescape
+func bornFarShared4(q *bornLanes, lane int, shared []int32, ax, ay, az, node []float64)
 
 // detectAVX2FMA reports whether the host can run the YMM kernels: AVX2
 // and FMA present, and the OS saving XMM+YMM state across context
@@ -117,6 +121,14 @@ func bornNearBlockAsmR6(sys *System, lo, hi int32, out []float64, qx, qy, qz, wx
 	bornNearBlock4R6(
 		sys.AtomX[lo:hi], sys.AtomY[lo:hi], sys.AtomZ[lo:hi], out[lo:hi],
 		qx, qy, qz, wx, wy, wz)
+}
+
+// bornFarSharedAsm is bornFarShared's sweep of a full tile through the AVX2
+// kernel: two passes of four lanes over the shared run, lanes 0–3 and then
+// 4–7, so each node still takes its eight terms in lane order.
+func bornFarSharedAsm(sys *System, q *bornLanes, shared []int32, node []float64) {
+	bornFarShared4(q, 0, shared, sys.ANodeX, sys.ANodeY, sys.ANodeZ, node)
+	bornFarShared4(q, 4, shared, sys.ANodeX, sys.ANodeY, sys.ANodeZ, node)
 }
 
 // bornNearBlockAsmR6x32 is the float32 width-8 Born variant.

@@ -1077,6 +1077,82 @@ gdone:
 	VZEROUPPER
 	RET
 
+// func bornFarShared4(q *bornLanes, lane int, shared []int32, ax, ay, az, node []float64)
+//
+// The Born shared far sweep (bornFarSharedLanes, kernels.go) on the four
+// lanes [lane, lane+4) of q: for every node a of shared, its center
+// broadcast once, per lane dx = x − ax (dy, dz alike), d² = (dx·dx + dy·dy)
+// + dz·dz, den = (d²·d²)·d², t = ((wx·dx + wy·dy) + wz·dz) / den — separate
+// multiplies and adds in the scalar loop's order, no FMA, an IEEE divide —
+// and the four terms added to node[a] one after the other, lane order. The
+// caller passes lanes 0 and then 4, so a node takes all eight in order.
+// bornLanes is six arrays of eight float64: x at 0, y at 64, z at 128, wx
+// at 192, wy at 256, wz at 320.
+//
+// Registers — AX = q + 8·lane, SI = shared cursor, CX = nodes left, R8/R9/
+// R10 = ax/ay/az, DI = node; Y0–Y5 = the lanes' x, y, z, wx, wy, wz; per
+// node BX = a, Y6–Y8 = dx, dy, dz, Y9 = d², Y10 = den, Y11 = the terms,
+// X12 = node[a].
+TEXT ·bornFarShared4(SB), NOSPLIT, $0-136
+	MOVQ q+0(FP), AX
+	MOVQ lane+8(FP), BX
+	LEAQ (AX)(BX*8), AX
+	MOVQ shared_base+16(FP), SI
+	MOVQ shared_len+24(FP), CX
+	MOVQ ax_base+40(FP), R8
+	MOVQ ay_base+64(FP), R9
+	MOVQ az_base+88(FP), R10
+	MOVQ node_base+112(FP), DI
+	TESTQ CX, CX
+	JZ bfdone
+
+	VMOVUPD 0(AX), Y0
+	VMOVUPD 64(AX), Y1
+	VMOVUPD 128(AX), Y2
+	VMOVUPD 192(AX), Y3
+	VMOVUPD 256(AX), Y4
+	VMOVUPD 320(AX), Y5
+
+bfnode:
+	MOVLQSX (SI), BX                    // a
+	ADDQ $4, SI
+	VBROADCASTSD (R8)(BX*8), Y6
+	VSUBPD Y6, Y0, Y6                   // dx = x − ax
+	VBROADCASTSD (R9)(BX*8), Y7
+	VSUBPD Y7, Y1, Y7                   // dy
+	VBROADCASTSD (R10)(BX*8), Y8
+	VSUBPD Y8, Y2, Y8                   // dz
+	VMULPD Y6, Y6, Y9                   // dx·dx
+	VMULPD Y7, Y7, Y10                  // dy·dy
+	VADDPD Y10, Y9, Y9
+	VMULPD Y8, Y8, Y10                  // dz·dz
+	VADDPD Y10, Y9, Y9                  // d²
+	VMULPD Y9, Y9, Y10                  // d²·d²
+	VMULPD Y9, Y10, Y10                 // den
+	VMULPD Y6, Y3, Y11                  // wx·dx
+	VMULPD Y7, Y4, Y12                  // wy·dy
+	VADDPD Y12, Y11, Y11
+	VMULPD Y8, Y5, Y12                  // wz·dz
+	VADDPD Y12, Y11, Y11                // w·d
+	VDIVPD Y10, Y11, Y11                // t = w·d / den
+
+	VMOVSD (DI)(BX*8), X12
+	VADDSD X11, X12, X12                // + t₀
+	VPERMILPD $1, X11, X13
+	VADDSD X13, X12, X12                // + t₁
+	VEXTRACTF128 $1, Y11, X13
+	VADDSD X13, X12, X12                // + t₂
+	VPERMILPD $1, X13, X13
+	VADDSD X13, X12, X12                // + t₃
+	VMOVSD X12, (DI)(BX*8)
+
+	DECQ CX
+	JNZ bfnode
+
+bfdone:
+	VZEROUPPER
+	RET
+
 // func gatherBlocks4(dst []float64, stride, n int, src []float64, lo, hi, list []int32, w float64) int
 //
 // soa.gather (kernels_stream.go) in AVX2: for every entry e of list, the

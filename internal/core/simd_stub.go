@@ -34,6 +34,10 @@ func bornNearBlockAsmR6(sys *System, lo, hi int32, out []float64, qx, qy, qz, wx
 	panic("core: asm kernels unavailable in this build")
 }
 
+func bornFarSharedAsm(sys *System, q *bornLanes, shared []int32, node []float64) {
+	panic("core: asm kernels unavailable in this build")
+}
+
 func bornNearBlockAsmR6x32(f *f32SoA, lo, hi int32, out []float64, qx, qy, qz, wx, wy, wz []float32) {
 	panic("core: asm kernels unavailable in this build")
 }

@@ -54,8 +54,13 @@ const (
 	// parameter stamp, the octrees' moment registries, and the per-entry
 	// admitted orders (FarOrd) plus the compiled farOrder in the list
 	// block. Version-1 snapshots are refused with ErrSnapshotVersion —
-	// their lists lack the orders the kernels now require.
-	snapshotVersion = 2
+	// their lists lack the orders the kernels now require. Version 3 stores
+	// the Born lists' tile runs (InteractionLists.TileFar) behind their
+	// index, and each row's far run without them; a version-2 image still
+	// decodes, its per-row Born lists hoisted into tiles (hoistTiles).
+	snapshotVersion = 3
+	// snapshotVersionRows is the last version whose Born lists are per row.
+	snapshotVersionRows = 2
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -134,6 +139,9 @@ func encodeSnapshot(w *wire.Writer, sys *System, lists *CompiledLists) {
 		w.F64(lists.epolFar)
 		w.U8(uint8(lists.farOrder))
 		appendIL(w, lists.Born)
+		w.I32s(lists.Born.TileFarOff)
+		w.I32s(lists.Born.TileFar)
+		w.U8s(lists.Born.TileFarOrd)
 		appendIL(w, lists.Epol)
 		wire.PutF64Records[geom.Vec3](w, nil) // an older build's copy of the node
 		w.F64s(nil)                           // centers and radii: oldCertificate
@@ -168,8 +176,10 @@ func DecodeSnapshot(data []byte) (*System, error) {
 	}
 	body := data[:len(data)-4]
 	r := wire.NewReader(data[len(snapshotMagic) : len(data)-4])
-	if v := r.U16(); v != snapshotVersion {
-		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrSnapshotVersion, v, snapshotVersion)
+	version := r.U16()
+	if version != snapshotVersion && version != snapshotVersionRows {
+		return nil, fmt.Errorf("%w: version %d, this build reads %d and %d",
+			ErrSnapshotVersion, version, snapshotVersionRows, snapshotVersion)
 	}
 	// CRC after the version gate: a future-version snapshot should report
 	// "too new", not "corrupt", even though its layout is unknown here.
@@ -215,6 +225,9 @@ func DecodeSnapshot(data []byte) (*System, error) {
 		cl := &CompiledLists{bornMAC: r.F64(), epolFar: r.F64(), farOrder: int(r.U8())}
 		var bornCert, epolCert oldCertificate
 		cl.Born, bornCert = decodeIL(r)
+		if version == snapshotVersion {
+			cl.Born.TileFarOff, cl.Born.TileFar, cl.Born.TileFarOrd = r.I32s(), r.I32s(), r.U8s()
+		}
 		cl.Epol, epolCert = decodeIL(r)
 		centers, radii := wire.F64Records[geom.Vec3](r), r.F64s()
 		if r.Err() != nil {
@@ -224,17 +237,23 @@ func DecodeSnapshot(data []byte) (*System, error) {
 		// node geometry says which, and every margin array of both phases
 		// must agree with it. Whole, it is dropped here.
 		certified := len(centers)+len(radii) > 0
+		if certified && version != snapshotVersionRows {
+			return nil, fmt.Errorf("%w: a version-%d image with a repair certificate", ErrSnapshotCorrupt, version)
+		}
 		if certified && (len(centers) != ta.NumNodes() || len(radii) != ta.NumNodes()) {
 			return nil, fmt.Errorf("%w: node geometry arrays sized %d/%d for %d nodes",
 				ErrSnapshotCorrupt, len(centers), len(radii), ta.NumNodes())
 		}
-		if err := validateIL("born", cl.Born, tq, ta); err != nil {
+		if err := validateIL("born", cl.Born, tq, ta, version == snapshotVersion); err != nil {
 			return nil, err
 		}
 		if err := bornCert.validate("born", cl.Born, certified, true); err != nil {
 			return nil, err
 		}
-		if err := validateIL("epol", cl.Epol, ta, ta); err != nil {
+		if version == snapshotVersionRows {
+			cl.Born = hoistTiles(cl.Born, ta.NumNodes())
+		}
+		if err := validateIL("epol", cl.Epol, ta, ta, false); err != nil {
 			return nil, err
 		}
 		if err := epolCert.validate("epol", cl.Epol, certified, false); err != nil {
@@ -345,9 +364,10 @@ func decodeSurface(r *wire.Reader) (*surface.Surface, error) {
 // validateIL re-establishes every structural invariant the batch kernels
 // and the repair rely on: rows are exactly the row tree's leaves in order,
 // each CSR offset array brackets its entry array, and entries index
-// atoms-tree nodes. A list that passes cannot make a kernel or a repair
-// index out of bounds.
-func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree) error {
+// atoms-tree nodes; tiled lists have one tile run per ⌈rows/8⌉ tiles, the
+// others none. A list that passes cannot make a kernel or a repair index out
+// of bounds.
+func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree, tiled bool) error {
 	leaves := rowTree.Leaves()
 	if len(il.Rows) != len(leaves) {
 		return fmt.Errorf("%w: %s lists have %d rows for %d leaves",
@@ -360,8 +380,10 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 		}
 	}
 	nNodes := int32(atomTree.NumNodes())
-	checkCSR := func(name string, off, entries []int32) error {
-		if len(off) != len(il.Rows)+1 {
+	// checkCSR checks an offset array over units rows (or tiles) and its
+	// entries.
+	checkCSR := func(name string, units int, off, entries []int32) error {
+		if len(off) != units+1 {
 			return fmt.Errorf("%w: %s %s offsets sized %d for %d rows",
 				ErrSnapshotCorrupt, phase, name, len(off), len(il.Rows))
 		}
@@ -383,31 +405,106 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 		}
 		return nil
 	}
-	if err := checkCSR("far", il.FarOff, il.Far); err != nil {
+	rows := len(il.Rows)
+	if err := checkCSR("far", rows, il.FarOff, il.Far); err != nil {
 		return err
 	}
-	if err := checkCSR("near", il.NearOff, il.Near); err != nil {
+	if err := checkCSR("near", rows, il.NearOff, il.Near); err != nil {
 		return err
 	}
-	if err := checkCSR("sym", il.SymOff, il.Sym); err != nil {
+	if err := checkCSR("sym", rows, il.SymOff, il.Sym); err != nil {
 		return err
 	}
-	if err := checkCSR("cede", il.CedeOff, il.Cede); err != nil {
+	if err := checkCSR("cede", rows, il.CedeOff, il.Cede); err != nil {
 		return err
 	}
-	if len(il.FarOrd) != 0 && len(il.FarOrd) != len(il.Far) {
-		return fmt.Errorf("%w: %s far orders sized %d for %d entries",
-			ErrSnapshotCorrupt, phase, len(il.FarOrd), len(il.Far))
+	if !tiled && len(il.TileFarOff)+len(il.TileFar)+len(il.TileFarOrd) != 0 {
+		return fmt.Errorf("%w: %s lists carry tile runs", ErrSnapshotCorrupt, phase)
 	}
-	// The kernels and RecordMetrics index by admitted order, so a
-	// corrupted order byte must be rejected here, not panic there.
-	for k, fo := range il.FarOrd {
-		if fo > maxFarOrder {
-			return fmt.Errorf("%w: %s far order %d is %d, max %d",
-				ErrSnapshotCorrupt, phase, k, fo, maxFarOrder)
+	if tiled {
+		if err := checkCSR("tile far", numTiles(rows), il.TileFarOff, il.TileFar); err != nil {
+			return err
+		}
+	}
+	for _, ords := range []struct {
+		name    string
+		ord     []uint8
+		entries int
+	}{{"far", il.FarOrd, len(il.Far)}, {"tile far", il.TileFarOrd, len(il.TileFar)}} {
+		if len(ords.ord) != 0 && len(ords.ord) != ords.entries {
+			return fmt.Errorf("%w: %s %s orders sized %d for %d entries",
+				ErrSnapshotCorrupt, phase, ords.name, len(ords.ord), ords.entries)
+		}
+		// The kernels and RecordMetrics index by admitted order, so a
+		// corrupted order byte must be rejected here, not panic there.
+		for k, fo := range ords.ord {
+			if fo > maxFarOrder {
+				return fmt.Errorf("%w: %s %s order %d is %d, max %d",
+					ErrSnapshotCorrupt, phase, ords.name, k, fo, maxFarOrder)
+			}
 		}
 	}
 	return nil
+}
+
+// hoistTiles turns per-row Born lists — a version-2 image's — into the
+// tiled form a compile gives (InteractionLists.TileFar): tile t's shared run
+// is the nodes every one of its rows holds at one order, in row 0's order,
+// and each row keeps the rest, in its order. A compile stores exactly these:
+// a row's run is in visit order, and a node all of a tile's lanes take at
+// one rung is one the descent hands to the tile. nNodes bounds the entries,
+// which validateIL has checked.
+func hoistTiles(il *InteractionLists, nNodes int) *InteractionLists {
+	n := len(il.Rows)
+	out := &InteractionLists{Rows: il.Rows, NearOff: il.NearOff, Near: il.Near, SymOff: il.SymOff, Sym: il.Sym,
+		CedeOff: il.CedeOff, Cede: il.Cede, FarOff: make([]int32, n+1), TileFarOff: make([]int32, numTiles(n)+1)}
+	ladder := il.FarOrd != nil
+	// seen[a] counts the tile's rows holding node a at row 0's order; ord[a]
+	// is that order.
+	seen, ord := make([]int32, nNodes), make([]uint8, nNodes)
+	orderOf := func(k int32) uint8 {
+		if ladder {
+			return il.FarOrd[k]
+		}
+		return 0
+	}
+	for t := range numTiles(n) {
+		lo, hi := il.tileRows(t)
+		for i := lo; i < hi; i++ {
+			for k := il.FarOff[i]; k < il.FarOff[i+1]; k++ {
+				if a := il.Far[k]; i == lo {
+					seen[a], ord[a] = 1, orderOf(k)
+				} else if seen[a] == int32(i-lo) && ord[a] == orderOf(k) {
+					seen[a]++
+				}
+			}
+		}
+		shared := func(a int32) bool { return seen[a] == int32(hi-lo) }
+		for k := il.FarOff[lo]; k < il.FarOff[lo+1]; k++ {
+			if a := il.Far[k]; shared(a) {
+				out.TileFar = append(out.TileFar, a)
+				if ladder {
+					out.TileFarOrd = append(out.TileFarOrd, ord[a])
+				}
+			}
+		}
+		out.TileFarOff[t+1] = int32(len(out.TileFar))
+		for i := lo; i < hi; i++ {
+			for k := il.FarOff[i]; k < il.FarOff[i+1]; k++ {
+				if a := il.Far[k]; !shared(a) {
+					out.Far = append(out.Far, a)
+					if ladder {
+						out.FarOrd = append(out.FarOrd, il.FarOrd[k])
+					}
+				}
+			}
+			out.FarOff[i+1] = int32(len(out.Far))
+		}
+		for k := il.FarOff[lo]; k < il.FarOff[hi]; k++ {
+			seen[il.Far[k]] = 0
+		}
+	}
+	return out
 }
 
 // oldCertificate is one phase's share of the repair certificate a snapshot

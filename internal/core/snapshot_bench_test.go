@@ -10,7 +10,7 @@ import (
 )
 
 // The checkpoint codec at the ledger's two fixtures: the 4 000-atom
-// molecule net_run ships (41.6 MB) and the 20 000-atom one (336 MB),
+// molecule net_run ships (10.1 MB) and the 20 000-atom one (71 MB),
 // Morton trees, compiled lists embedded. Run with `make bench-snapshot`;
 // MB/s is snapshot bytes per second.
 

@@ -362,10 +362,12 @@ func mixedCertificates(t testing.TB) map[string][]byte {
 }
 
 // A certified image still decodes: its certificate passes the size rule
-// and is dropped, the lists come back with the index they had, the next
-// update repairs them as the build that wrote the image did, and the next
-// checkpoint is smaller by the certificate. The digests and the byte count
-// were printed by the PR-19 commit when it wrote the image.
+// and is dropped, the lists come back with the index they had (the Born
+// rows hoisted into tiles: indexDigest merges them back), the next update
+// repairs them as the build that wrote the image did, and the next
+// checkpoint is smaller by the certificate and by what the Born tiles store
+// once. The digests and the certificate's byte count were printed by the
+// commit that wrote the image.
 func TestSnapshotDecodesCertifiedImage(t *testing.T) {
 	image := certifiedImage(t)
 	sys, err := DecodeSnapshot(image)
@@ -375,7 +377,7 @@ func TestSnapshotDecodesCertifiedImage(t *testing.T) {
 	if sys.lists == nil || sys.Params.FarOrder != 2 {
 		t.Fatalf("decoded lists %v at FarOrder %d", sys.lists != nil, sys.Params.FarOrder)
 	}
-	if got, want := indexDigest(sys.lists), "c381f579bf05218769cf9c6e99c9f47be92d1d01a4aba4cf2faa2341a973b2a6"; got != want {
+	if got, want := indexDigest(sys.Atoms, sys.lists), "c381f579bf05218769cf9c6e99c9f47be92d1d01a4aba4cf2faa2341a973b2a6"; got != want {
 		t.Errorf("index digest %s, the image was written over %s", got, want)
 	}
 	if err := sys.RecheckLists(nil); err != nil {
@@ -385,15 +387,19 @@ func TestSnapshotDecodesCertifiedImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped := len(image) - len(again); dropped != 95528 {
-		t.Errorf("re-encoding dropped %d bytes, the image's certificate was 95528", dropped)
+	// The tiled Born lists against the same lists per row: three arrays
+	// more, each behind a 4-byte count, and every shared entry once a tile.
+	born := sys.lists.Born
+	tiled := perRowLists(born, sys.Atoms).MemoryBytes() - born.MemoryBytes() - 3*4
+	if dropped := len(image) - len(again); tiled <= 0 || int64(dropped)-tiled != 95528 {
+		t.Errorf("re-encoding dropped %d bytes, %d of them the Born tiles', the image's certificate was 95528", dropped, tiled)
 	}
 	pos := localJiggle(rand.New(rand.NewSource(21)), sys.Mol.Positions(), 0.05)
 	stats, err := sys.UpdateAtomsRepair(pos, nil, nil)
 	if err != nil || !stats.Repaired || stats.Moved != 2 || stats.RowsTotal != 368 {
 		t.Fatalf("first update of the decoded image: %+v %v; PR 19 repaired it, moving 2 atoms across leaves, over 368 rows", stats, err)
 	}
-	if got, want := indexDigest(sys.lists), "a3f7beab4b1f5d5b3eac94bd19e4b8ec578975e0ea2954fc9ddffabbe90cffc3"; got != want {
+	if got, want := indexDigest(sys.Atoms, sys.lists), "a3f7beab4b1f5d5b3eac94bd19e4b8ec578975e0ea2954fc9ddffabbe90cffc3"; got != want {
 		t.Errorf("repaired index digest %s, PR 19's repair of the same step gave %s", got, want)
 	}
 	if err := sys.RecheckLists(nil); err != nil {
@@ -443,26 +449,42 @@ func TestSnapshotSaveLoadParams(t *testing.T) {
 // per-element loops), so a snapshot either side writes loads on the
 // other. Lists carried a repair certificate then, and the two digests
 // taken there — of certified systems — retired with the code that could
-// write one; this one is PR 19's, of the same FarOrder 2 system with its
-// seven certificate arrays written zero-length, as every snapshot now is.
-// The digest covers computed floats (surface, moments), hence one
-// architecture: elsewhere the compiler may fuse multiply-adds.
+// write one; the next, of the same FarOrder 2 system with its seven
+// certificate arrays written zero-length, pins version 2 — which
+// encodeRowImage still writes. Version 3 was recorded once, when the Born
+// lists began to store each tile's shared far run once: the same lists, the
+// shared entries moved out of every row into the tile. The digests cover
+// computed floats (surface, moments), hence one architecture: elsewhere the
+// compiler may fuse multiply-adds.
 func TestSnapshotBytesStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests were taken on amd64")
 	}
-	const size, sha = 1605448, "9ac71abedc36e305929e49ba17f53d4646cf99a248b73417183b684fa69a1c52"
 	p := mortonParams()
 	p.FarOrder = 2
 	sys, _, _ := testSystem(t, 500, 14, p)
 	sys.Lists(nil)
-	data, err := EncodeSnapshot(sys)
+	v3, err := EncodeSnapshot(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); len(data) != size || got != sha {
-		t.Errorf("%d bytes, sha256 %s; the format is pinned at %d bytes, %s", len(data), got, size, sha)
+	v2, err := encodeRowImage(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		version int
+		data    []byte
+		size    int
+		sha     string
+	}{
+		{2, v2, 1605448, "9ac71abedc36e305929e49ba17f53d4646cf99a248b73417183b684fa69a1c52"},
+		{3, v3, 1391897, "340b1a6f962d1afc4f17eee07d5975706c27e3bb3281258f9588bf66653db140"},
+	} {
+		sum := sha256.Sum256(c.data)
+		if got := hex.EncodeToString(sum[:]); len(c.data) != c.size || got != c.sha {
+			t.Errorf("version %d: %d bytes, sha256 %s; the format is pinned at %d bytes, %s", c.version, len(c.data), got, c.size, c.sha)
+		}
 	}
 }
 
@@ -596,6 +618,19 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(certifiedImage(f))
 	for _, mixed := range mixedCertificates(f) {
 		f.Add(mixed)
+	}
+	// Version 3 under a ladder — Born tile runs with their orders — and the
+	// same system as version 2 wrote it, whose rows are hoisted into tiles.
+	p := DefaultParams()
+	p.FarOrder = 2
+	ladder, _, _ := testSystem(f, 150, 7, p)
+	ladder.Lists(nil)
+	for _, encode := range []func(*System) ([]byte, error){EncodeSnapshot, encodeRowImage} {
+		image, err := encode(ladder)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(image)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sys, err := DecodeSnapshot(b)
