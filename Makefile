@@ -7,7 +7,7 @@ GO ?= go
 # hosts. Usage: make bench-lanes GOAMD64=v3
 GOAMD64 ?=
 
-.PHONY: check build test vet fmt bigendian race faults bench-warm bench-lanes bench-far bench-lists bench-kernels bench-snapshot obs perfgate net kernels loc
+.PHONY: check build test vet fmt bigendian race faults bench-warm bench-lanes bench-lists bench-kernels bench-snapshot obs perfgate net kernels loc
 
 # comma is a literal comma inside a $(call ...) argument.
 comma := ,
@@ -123,13 +123,15 @@ net:
 	$(call run_listed,-race -count=1,TestNet|TestRunContext|TestElasticSpans,./internal/core/ ./internal/cluster/)
 
 ## loc: the non-test line counts the deletion rounds quote (EXPERIMENTS.md
-## "Deletion round"): the runner files — one pipeline and what constructs
-## it — the list back-end and its checkpoint, all of internal/core, and the
-## facade.
+## "Deletion round 1", "Deletion round 2"): the runner files — one pipeline
+## and what constructs it — the list back-end and its checkpoint, all of
+## internal/core, its assembly, internal/octree, and the facade.
 loc:
 	@echo "list files (internal/core/{ilist,ilist_tile,ilist_repair,snapshot}.go): $$(cat internal/core/ilist.go internal/core/ilist_tile.go internal/core/ilist_repair.go internal/core/snapshot.go | wc -l)"
 	@echo "runner files (internal/core/{runner,elastic,dyndist,recover,workdiv,netrun,pipeline}.go): $$(cat $(wildcard $(addprefix internal/core/,$(addsuffix .go,runner elastic dyndist recover workdiv netrun pipeline))) | wc -l)"
 	@echo "internal/core non-test: $$(ls internal/core/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@echo "internal/core/simd_amd64.s: $$(wc -l < internal/core/simd_amd64.s)"
+	@echo "internal/octree non-test: $$(ls internal/octree/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "gbpolar.go: $$(wc -l < gbpolar.go)"
 	@echo "cmd + examples non-test: $$(ls cmd/*/*.go examples/*/*.go | grep -v _test.go | xargs cat | wc -l)"
 
@@ -150,18 +152,10 @@ bench-warm:
 	$(call bench_listed,BenchmarkComputeWarmCompiled|BenchmarkComputeWarmRecursive,-benchtime 3x -count 2,.)
 
 ## bench-lanes: the kernel ablation — scalar vs laned x exact vs approx
-## vs f32 precision tiers on the 40k-atom warm pose scan (EXPERIMENTS.md
-## kernel ablation section). Honors GOAMD64 (see above).
+## precision tiers on the 40k-atom warm pose scan (EXPERIMENTS.md kernel
+## ablation section). Honors GOAMD64 (see above).
 bench-lanes:
 	GOAMD64=$(GOAMD64) $(GO) run ./cmd/gbbench -exp lanes -reps 3
-
-## bench-far: the far-order accuracy/cost frontier — E_pol error vs
-## compiled far-list size vs warm pose time across eps x FarOrder
-## (EXPERIMENTS.md far-order section), plus the per-order warm pose
-## microbenchmarks.
-bench-far:
-	$(GO) run ./cmd/gbbench -exp pareto -reps 3
-	$(call bench_listed,BenchmarkWarmPoseFarOrder,-benchtime 3x -count 2,./internal/core/)
 
 ## bench-lists: the interaction-list back-end at the ledger's fixture
 ## (20 000 atoms, 2 workers): a compile — with the nodes its shared descents

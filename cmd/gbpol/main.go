@@ -58,8 +58,7 @@ func main() {
 		builder  = flag.String("builder", "morton", "octree construction algorithm: morton | recursive (the reference; same tree)")
 		epsEpol  = flag.Float64("eps-epol", 0.9, "E_pol approximation parameter")
 		approx   = flag.Bool("approx-math", false, "enable fast sqrt/exp kernels")
-		prec     = flag.String("precision", "exact", "compiled-kernel arithmetic tier: exact | lanes | f32")
-		farOrder = flag.Int("far-order", 0, "far-field multipole order: 0 pseudo-particle | 1 +dipoles | 2 +quadrupoles, consolidated far lists")
+		prec     = flag.String("precision", "exact", "compiled-kernel arithmetic tier: exact | lanes")
 		naive    = flag.Bool("naive", false, "also run the exact reference and report the error")
 		modeled  = flag.Bool("modeled", true, "distributed runners: virtual-clock accounting")
 		radiiOut = flag.String("radii-out", "", "write Born radii (one per line) to this file")
@@ -208,7 +207,6 @@ func main() {
 		ApproximateMath: *approx,
 		Precision:       *prec,
 		Builder:         *builder,
-		FarOrder:        *farOrder,
 	})
 	if err != nil {
 		fatal(err)
@@ -318,7 +316,7 @@ func main() {
 			"in": *inPath, "gen": *gen, "runner": *runner,
 			"procs": *procs, "threads": *threads,
 			"eps_born": *epsBorn, "eps_epol": *epsEpol, "approx_math": *approx,
-			"precision": *prec, "far_order": *farOrder, "kernel_isa": gbpolar.KernelISA(),
+			"precision": *prec, "kernel_isa": gbpolar.KernelISA(),
 			"memory": eng.Memory(),
 		})
 		if err := man.WriteFile(*manifestOut); err != nil {

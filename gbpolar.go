@@ -71,10 +71,9 @@ type Options struct {
 	// (≈1.4× faster, shifts the energy by a few percent).
 	ApproximateMath bool
 	// Precision selects the compiled-kernel arithmetic tier: "" or
-	// "exact" (float64, today's semantics), "lanes" (width-4 laned
+	// "exact" (float64, today's semantics) or "lanes" (width-4 laned
 	// approximate float64 — the paper's approximate-math accuracy class,
-	// vectorized), or "f32" (float32 lanes with float64 row reduction,
-	// ≤1e-4 relative error budget). See core.Precision.
+	// vectorized). See core.Precision.
 	Precision string
 	// SurfaceLevel overrides the icosphere subdivision level (0 = auto).
 	SurfaceLevel int
@@ -82,12 +81,6 @@ type Options struct {
 	QuadratureDegree int
 	// LeafCap is the octree leaf capacity (0 = 8).
 	LeafCap int
-	// FarOrder raises the far-field multipole order: 0 (default) is the
-	// paper's pseudo-particle far field, 1 adds dipole corrections to
-	// every far interaction, 2 adds quadrupoles AND loosens the Born
-	// opening criterion to consolidate the far lists at equal certified
-	// error (core/farorder.go).
-	FarOrder int
 	// Builder selects the octree construction algorithm: "" or "morton"
 	// (the Morton-key radix build — the prerequisite for incremental list
 	// repair after atom motion) or "recursive" (the reference top-down
@@ -126,15 +119,13 @@ func (o Options) Validate() error {
 	case o.SolventDielectric != 0 && !(o.SolventDielectric > 1 && !math.IsInf(o.SolventDielectric, 0)):
 		return bad("SolventDielectric", o.SolventDielectric, "a finite value > 1 (0 = 80)")
 	case precisionErr != nil:
-		return bad("Precision", o.Precision, `"", "exact", "lanes" or "f32"`)
+		return bad("Precision", o.Precision, `"", "exact" or "lanes"`)
 	case o.SurfaceLevel < 0 || o.SurfaceLevel > 10:
 		return bad("SurfaceLevel", o.SurfaceLevel, "0 (auto) to 10")
 	case o.QuadratureDegree < 0 || o.QuadratureDegree > 5:
 		return bad("QuadratureDegree", o.QuadratureDegree, "1 to 5 (0 = 2)")
 	case o.LeafCap < 0:
 		return bad("LeafCap", o.LeafCap, "a positive count (0 = 8)")
-	case o.FarOrder < 0 || o.FarOrder > 2:
-		return bad("FarOrder", o.FarOrder, "0, 1 or 2")
 	case o.Builder != "" && builderErr != nil:
 		return bad("Builder", o.Builder, `"", "morton" or "recursive"`)
 	}
@@ -160,7 +151,6 @@ func (o Options) params() core.Params {
 	if o.LeafCap != 0 {
 		p.LeafCap = o.LeafCap
 	}
-	p.FarOrder = o.FarOrder
 	if o.Builder != "" {
 		p.Builder, _ = octree.ParseBuilder(o.Builder)
 	}
@@ -168,8 +158,8 @@ func (o Options) params() core.Params {
 	return p
 }
 
-// KernelISA reports the instruction set the compiled kernels of every
-// precision tier execute on ("avx2+fma" or "portable").
+// KernelISA reports the instruction set the compiled kernels of both
+// precision tiers execute on ("avx2+fma" or "portable").
 func KernelISA() string { return core.KernelISA() }
 
 // Observer re-exports the observability bundle: a hierarchical trace
@@ -491,9 +481,10 @@ func (e *Engine) SaveSnapshot(path string) error {
 }
 
 // NewEngineFromSnapshot restores an Engine from a SaveSnapshot file.
-// Corruption, truncation, a future format version and a parameter
-// mismatch each fail with their typed sentinel (core.ErrSnapshotCorrupt,
-// core.ErrSnapshotVersion, core.ErrSnapshotParams), returned unchanged.
+// Corruption, truncation, a future format version, a parameter mismatch
+// and a retired configuration each fail with their typed sentinel
+// (core.ErrSnapshotCorrupt, core.ErrSnapshotVersion, core.ErrSnapshotParams,
+// core.ErrSnapshotRetired), returned unchanged.
 func NewEngineFromSnapshot(path string) (*Engine, error) {
 	// The snapshot is its own parameter source: one read, one decode (the
 	// stamp's self-consistency is verified by the decoder).

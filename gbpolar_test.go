@@ -233,8 +233,7 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"SurfaceLevel", Options{SurfaceLevel: -1}},
 		{"QuadratureDegree", Options{QuadratureDegree: 6}},
 		{"LeafCap", Options{LeafCap: -8}},
-		{"FarOrder", Options{FarOrder: 3}},
-		{"FarOrder", Options{FarOrder: -1}},
+		{"Precision", Options{Precision: "f32"}},
 		{"Builder", Options{Builder: "kd"}},
 	} {
 		_, err := NewEngine(mol, tc.opts)
@@ -248,6 +247,12 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero Options: %v", err)
+	}
+	// The retired f32 tier is refused like any unknown tier, pointing at the
+	// two that are left.
+	var oe *OptionError
+	if err := (Options{Precision: "f32"}).Validate(); !errors.As(err, &oe) || oe.Want != `"", "exact" or "lanes"` {
+		t.Errorf(`Precision "f32": got %v, want an *OptionError naming "", "exact" or "lanes"`, err)
 	}
 
 	eng, err := NewEngine(mol, Options{})

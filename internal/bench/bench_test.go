@@ -15,7 +15,7 @@ func tinyCfg() Config {
 }
 
 func TestRegistryCoversEveryFigure(t *testing.T) {
-	want := []string{"tableI", "tableII", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "extensions", "obs", "coldstart", "lanes", "pareto"}
+	want := []string{"tableI", "tableII", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "extensions", "obs", "coldstart", "lanes"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
@@ -307,37 +307,6 @@ func TestObsOverheadExperiment(t *testing.T) {
 	fmt.Sscanf(tabs[0].Rows[1][4], "%d", &events)
 	if events < 10 {
 		t.Errorf("resilient timeline captured only %d events", events)
-	}
-}
-
-func TestParetoExperiment(t *testing.T) {
-	cfg := tinyCfg()
-	cfg.Repetitions = 1 // the runner floors timing reps at 3
-	tabs, err := pareto(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 1 {
-		t.Fatalf("pareto returned %d tables", len(tabs))
-	}
-	rows := tabs[0].Rows
-	if len(rows) != 3*len(paretoEps) {
-		t.Fatalf("pareto has %d rows, want %d", len(rows), 3*len(paretoEps))
-	}
-	// FarOrder=1 is the pinned accuracy rung: it corrects every far
-	// entry but must not change the compiled lists, so its far/near
-	// counts match order 0 within each eps block.
-	for b := 0; b < len(rows); b += 3 {
-		if rows[b][3] != rows[b+1][3] || rows[b][4] != rows[b+1][4] {
-			t.Errorf("eps=%s: order-1 lists (%s far/%s near) differ from order 0 (%s/%s)",
-				rows[b][0], rows[b+1][3], rows[b+1][4], rows[b][3], rows[b][4])
-		}
-		var far0, far2 int
-		fmt.Sscanf(rows[b][3], "%d", &far0)
-		fmt.Sscanf(rows[b+2][3], "%d", &far2)
-		if far2 > far0 {
-			t.Errorf("eps=%s: order-2 far list grew (%d > %d)", rows[b][0], far2, far0)
-		}
 	}
 }
 

@@ -195,7 +195,7 @@ func coldStages(cfg Config, pool *sched.Pool) (*Table, error) {
 		"the five public calls of the cold path: molecule.LoadFile, surface.ForMolecule, core.NewSystem, System.Lists, core.RunShared",
 		"CPU/wall is process CPU time over wall time: 1.00 is a stage running on one core; LoadFile is a serial parse",
 		"the pool-less stages (ForMolecule, NewSystem) fan out over GOMAXPROCS goroutines (sched.Fan), the pooled ones over the pool's workers",
-		"the lists columns are what the system holds for them after the cold path and after two local MD steps repaired in place (UpdateAtomsRepair, σ 0.05 Å within 6 Å of the first atom): 4 bytes an entry either way, and an order byte per far entry under a ladder; the first repair pays for mapping a second copy of the lists, the next one reuses it")
+		"the lists columns are what the system holds for them after the cold path and after two local MD steps repaired in place (UpdateAtomsRepair, σ 0.05 Å within 6 Å of the first atom): 4 bytes an entry either way; the first repair pays for mapping a second copy of the lists, the next one reuses it")
 	return t, nil
 }
 

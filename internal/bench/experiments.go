@@ -35,8 +35,7 @@ func Registry() []Experiment {
 		{"extensions", "Beyond the paper: inter-rank work stealing + dynamic octree updates", extensions},
 		{"obs", "Observability overhead: tracing+metrics on vs off", obsOverhead},
 		{"coldstart", "Cold-path performance: Morton vs recursive build + incremental list repair", coldstart},
-		{"lanes", "Kernel ablation: scalar vs laned x exact vs approx vs f32 precision tiers", lanes},
-		{"pareto", "Far-order frontier: error vs far-list size vs warm pose time across eps x FarOrder", pareto},
+		{"lanes", "Kernel ablation: scalar vs laned x exact vs approx precision tiers", lanes},
 	}
 }
 
@@ -47,7 +46,7 @@ func ByID(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have tableI, tableII, fig5..fig11, extensions, obs, coldstart, lanes, pareto)", id)
+	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have tableI, tableII, fig5..fig11, extensions, obs, coldstart, lanes)", id)
 }
 
 // tableI reports the modeled environment — the analogue of the paper's

@@ -15,8 +15,8 @@ import (
 // lanes is the kernel ablation (`gbbench -exp lanes`): the warm pose
 // scan measured under every precision tier of the compiled batch kernels
 // — scalar exact (the baseline), scalar approximate math (the paper's
-// Section V.E comparison, which bought 1.42× standalone), the laned
-// float64 approximate tier, and the float32 lane tier. One table,
+// Section V.E comparison, which bought 1.42× standalone) and the laned
+// float64 approximate tier. One table,
 // paper-style: energy, relative error against the exact tier at a fixed
 // pose, best-of-reps ms per pose, and speedup over scalar exact.
 func lanes(cfg Config) ([]*Table, error) {
@@ -46,7 +46,6 @@ func lanes(cfg Config) ([]*Table, error) {
 		{"scalar exact (baseline)", core.PrecisionExact, mathx.Exact},
 		{"scalar approx (paper V.E)", core.PrecisionExact, mathx.Approximate},
 		{"laned approx f64", core.PrecisionLanes, mathx.Exact},
-		{"laned f32", core.PrecisionF32, mathx.Exact},
 	}
 	saved := sys.Params
 	defer func() { sys.Params = saved }()
@@ -98,8 +97,8 @@ func lanes(cfg Config) ([]*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("kernel ISA: %s (runtime-detected; portable fallback elsewhere)", core.KernelISA()),
-		"ms/pose includes the rigid transform, SoA refresh (and, for f32, the float32 mirror reconversion) plus both energy phases",
-		"the portable laned-f64 path is bit-identical to a scalar-approx run (TestLanesTierBitCompatible); the avx2+fma path is pinned to it at ~1e-11 (TestAsmKernelsMatchPortable); f32 is budgeted at ≤1e-4 relative (TestF32TierErrorBudget)",
+		"ms/pose includes the rigid transform, the SoA refresh and both energy phases",
+		"the portable laned-f64 path is bit-identical to a scalar-approx run (TestLanesTierBitCompatible); the avx2+fma path is pinned to it at ~1e-11 (TestAsmKernelsMatchPortable)",
 		"paper Section V.E reports 1.42× from approximate math alone; GOAMD64=v3 (make bench-lanes GOAMD64=v3) additionally lifts the compiled Go code to the AVX2 baseline")
 	return []*Table{t}, nil
 }
@@ -113,14 +112,13 @@ func gateKernelStats(p *prepared) (map[string]float64, error) {
 	saved := sys.Params
 	defer func() { sys.Params = saved }()
 	step := geom.Translate(geom.V(0.9, 0.4, -1.1)).Compose(geom.RotateAxis(geom.V(1, 1, 0), 0.04))
-	out := make(map[string]float64, 3)
+	out := make(map[string]float64, 2)
 	for _, tier := range []struct {
 		stat string
 		prec core.Precision
 	}{
 		{"kernel.exact.wall_ms", core.PrecisionExact},
 		{"kernel.lanes.wall_ms", core.PrecisionLanes},
-		{"kernel.f32.wall_ms", core.PrecisionF32},
 	} {
 		sys.Params.Precision = tier.prec
 		if _, err := core.RunShared(sys, core.SharedOptions{}); err != nil { // tier warm-up

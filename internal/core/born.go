@@ -57,13 +57,6 @@ func (s *System) bornMAC() float64 {
 	return looseMACFactor(s.Params.EpsBorn)
 }
 
-// bornMACs returns the Born-phase opening-multiplier ladder: slot 0 is
-// bornMAC() exactly, slots 1..FarOrder the equal-error loosened
-// multipliers of the higher-order expansions (farorder.go).
-func (s *System) bornMACs() [maxFarOrder + 1]float64 {
-	return macLadder(s.bornMAC(), s.Params.FarOrder, bornLadderDeg(s.Params.Kernel))
-}
-
 // farSeparated is THE far-field opening test, shared by every recursive
 // traversal (ApproxIntegrals, DualTreeIntegrals, ApproxEpol, expandPairs)
 // and by the interaction-list compiler (ilist.go), so the compiled lists
@@ -91,22 +84,15 @@ func bornDenom(r2 float64, k BornKernel) float64 {
 // node and s_a per atom slot (Figure 2). Workers accumulate privately and
 // the runner merges, so the parallel traversal needs no atomics.
 //
-// The struct is kept at exactly 128 bytes (four slice headers + the
-// meter + pad) so that each heap-allocated accumulator lands in the
-// 128-byte size class and spans exactly two cache lines alone: the hot
-// ops/maxTask updates of adjacent workers then never false-share
+// The struct is kept at exactly 128 bytes (two slice headers + the meter
+// + pad) so that each heap-allocated accumulator lands in the 128-byte
+// size class and spans exactly two cache lines alone: the hot ops/maxTask
+// updates of adjacent workers then never false-share
 // (TestAccumulatorsCacheLineSized pins the size).
 type bornAccum struct {
 	node []float64
 	atom []float64
-	// grad/hess extend each node's far-field contribution to a receiver
-	// expansion value(ξ) = s + g·ξ + ξᵀhξ in the offset ξ from the node
-	// center, fed by the order-1/2 moment corrections (farorder.go) and
-	// translated to the atoms by PushIntegralsToAtoms. Both are nil at
-	// FarOrder = 0, where the downward pass reduces to the plain
-	// ancestor-prefix sum, bit for bit.
-	grad []geom.Vec3
-	hess []geom.Sym3
+	_    [6]float64
 	workMeter
 	_ float64
 }
@@ -119,17 +105,10 @@ type bornAccum struct {
 type workMeter struct{ ops, maxTask, mark float64 }
 
 func newBornAccum(sys *System) *bornAccum {
-	b := &bornAccum{
+	return &bornAccum{
 		node: make([]float64, sys.Atoms.NumNodes()),
 		atom: make([]float64, sys.Mol.NumAtoms()),
 	}
-	// Checked per call, not cached: FarOrder may be set after NewSystem
-	// (engine options mutate Params before the first run).
-	if sys.Params.FarOrder > 0 {
-		b.grad = make([]geom.Vec3, sys.Atoms.NumNodes())
-		b.hess = make([]geom.Sym3, sys.Atoms.NumNodes())
-	}
-	return b
 }
 
 func (b *bornAccum) add(o *bornAccum) {
@@ -139,115 +118,43 @@ func (b *bornAccum) add(o *bornAccum) {
 	for i, v := range o.atom {
 		b.atom[i] += v
 	}
-	for i, v := range o.grad {
-		b.grad[i] = b.grad[i].Add(v)
-	}
-	for i, v := range o.hess {
-		b.hess[i] = b.hess[i].Add(v)
-	}
 	b.ops += o.ops
 }
 
 // vecLen is the length of the accumulator's cross-rank reduction vector:
-// the node and atom scalars, plus — only when the far-order ladder is
-// active (grad/hess allocated) — the per-node receiver-expansion gradient
-// and Hessian components. Every field of value(ξ) = s + g·ξ + ξᵀhξ must
-// cross ranks before PushIntegralsToAtoms, or each rank's push would see
-// only its own rows' moment corrections. At FarOrder = 0 the layout (and
-// so every collective's byte count) is exactly the pre-ladder nNodes+
-// nAtoms.
-func (b *bornAccum) vecLen() int {
-	n := len(b.node) + len(b.atom)
-	if b.grad != nil {
-		n += 9 * len(b.grad)
-	}
-	return n
-}
+// the node and atom scalars.
+func (b *bornAccum) vecLen() int { return len(b.node) + len(b.atom) }
 
-// appendVec flattens the reducible fields into vec (layout: node, atom,
-// then per-node grad X/Y/Z and hess XX/YY/ZZ/XY/XZ/YZ when present).
+// appendVec flattens the reducible fields into vec: node, then atom.
 func (b *bornAccum) appendVec(vec []float64) []float64 {
 	vec = append(vec, b.node...)
-	vec = append(vec, b.atom...)
-	for _, g := range b.grad {
-		vec = append(vec, g.X, g.Y, g.Z)
-	}
-	for _, h := range b.hess {
-		vec = append(vec, h.XX, h.YY, h.ZZ, h.XY, h.XZ, h.YZ)
-	}
-	return vec
+	return append(vec, b.atom...)
 }
 
 // readVec is the inverse of appendVec: it overwrites the reducible
 // fields from a reduced vector (which must have length vecLen).
 func (b *bornAccum) readVec(vec []float64) {
-	nNodes := copy(b.node, vec)
-	nAtoms := copy(b.atom, vec[nNodes:])
-	rest := vec[nNodes+nAtoms:]
-	for i := range b.grad {
-		b.grad[i] = geom.V(rest[3*i], rest[3*i+1], rest[3*i+2])
-	}
-	rest = rest[3*len(b.grad):]
-	for i := range b.hess {
-		b.hess[i] = geom.Sym3{
-			XX: rest[6*i], YY: rest[6*i+1], ZZ: rest[6*i+2],
-			XY: rest[6*i+3], XZ: rest[6*i+4], YZ: rest[6*i+5],
-		}
-	}
+	copy(b.atom, vec[copy(b.node, vec):])
 }
 
 // ApproxIntegrals runs Figure 2's APPROX-INTEGRALS for one leaf Q of the
 // q-points octree against the subtree of T_A rooted at aNode,
-// accumulating into acc. macs is System.bornMACs() — the opening
-// multiplier ladder; with FarOrder = 0 it degenerates to the single
-// bornMAC() multiplier and this reproduces the paper's traversal bit for
-// bit.
+// accumulating into acc. mac is System.bornMAC(), the opening multiplier.
 //
 // Far pairs contribute the pseudo-q-point term ñ_Q·(c_Q−c_A)/r_AQ⁶ to the
-// node field s_A — plus, at admitted order ≥ 1, the moment corrections of
-// farorder.go into the node's receiver expansion; near leaf pairs get the
-// exact per-atom/per-q-point sums; everything else recurses. The order-0
-// kernel is sqrt-free: both the openness test and the r⁻⁶ weights use
-// squared distances only.
-func ApproxIntegrals(sys *System, acc *bornAccum, aNode, qLeaf int32, macs *[maxFarOrder + 1]float64) {
-	pmax := sys.Params.FarOrder
-	var fm bornFarMoments
-	if pmax > 0 {
-		// The q-leaf's source moments, gathered once per row: the per-node
-		// arrays may be reallocated by octree updates, so views never
-		// outlive the call.
-		fm = bornRowMoments(sys.QPts.MomentsOf(momentSetWN), qLeaf)
-	}
-	approxIntegralsRec(sys, acc, aNode, qLeaf, macs, pmax, &fm)
-}
-
-func approxIntegralsRec(sys *System, acc *bornAccum, aNode, qLeaf int32, macs *[maxFarOrder + 1]float64, pmax int, fm *bornFarMoments) {
+// node field s_A; near leaf pairs get the exact per-atom/per-q-point sums;
+// everything else recurses. The kernel is sqrt-free: both the openness
+// test and the r⁻⁶ weights use squared distances only.
+func ApproxIntegrals(sys *System, acc *bornAccum, aNode, qLeaf int32, mac float64) {
 	a := &sys.Atoms.Nodes[aNode]
 	q := &sys.QPts.Nodes[qLeaf]
-	d := q.Center.Sub(a.Center)
-	d2 := d.Norm2()
-	// Loosened rungs admit internal nodes only (see listPhase.rungs): a leaf
-	// classifies by the base multiplier, keeping leaf-level near blocks
-	// exact instead of migrating them into the far list.
-	p := pmax
-	if a.IsLeaf {
-		p = 0
-	}
-	_, far := farOrderOf(d2, a.Radius, q.Radius, macs, p)
+	d, d2, far := farSeparated(a.Center, q.Center, a.Radius, q.Radius, mac)
 	acc.ops++ // node-pair visit
 
 	kern := sys.Params.Kernel
 	if far {
 		// Far enough: treat Q as a single pseudo-q-point at its center.
-		// Every far admission is corrected through the RUN order pmax —
-		// the admitted rung decides admission only (farField's comment).
 		acc.node[aNode] += sys.QNodeWN[qLeaf].Dot(d) / bornDenom(d2, kern)
-		if pmax > 0 {
-			ds, dg, dh := bornFarCorrection(fm, d.X, d.Y, d.Z, d2, kern == R4, pmax)
-			acc.node[aNode] += ds
-			acc.grad[aNode] = acc.grad[aNode].Add(dg)
-			acc.hess[aNode] = acc.hess[aNode].Add(dh)
-		}
 		return
 	}
 	if a.IsLeaf {
@@ -270,7 +177,7 @@ func approxIntegralsRec(sys *System, acc *bornAccum, aNode, qLeaf int32, macs *[
 	}
 	for _, child := range a.Children {
 		if child != octree.NoChild {
-			approxIntegralsRec(sys, acc, child, qLeaf, macs, pmax, fm)
+			ApproxIntegrals(sys, acc, child, qLeaf, mac)
 		}
 	}
 }
@@ -282,16 +189,7 @@ func approxIntegralsRec(sys *System, acc *bornAccum, aNode, qLeaf int32, macs *[
 // (s_id/e_id in Figure 2).
 //
 // Because the linearized tree stores parents before children, the
-// ancestor prefix is a single forward sweep, not a recursion. When the
-// accumulator carries receiver expansions (FarOrder > 0), the sweep is
-// the L2L translation of the expansion value(ξ) = s + g·ξ + ξᵀhξ to each
-// child center (Δ = c_child − c_parent):
-//
-//	s' = s + g·Δ + ΔᵀhΔ,  g' = g + 2hΔ,  h' = h
-//
-// and each atom finally evaluates the leaf expansion at its own offset.
-// With nil grad/hess (FarOrder = 0) the pass is the plain prefix sum,
-// bit for bit.
+// ancestor prefix is a single forward sweep, not a recursion.
 func PushIntegralsToAtoms(sys *System, acc *bornAccum, loSlot, hiSlot int, out []float64) float64 {
 	t := sys.Atoms
 	k := sys.kern()
@@ -300,36 +198,16 @@ func PushIntegralsToAtoms(sys *System, acc *bornAccum, loSlot, hiSlot int, out [
 	// (once per rank per run, and once per pose in warm-engine scans).
 	inherit := sys.grabNodeScratch()
 	defer sys.releaseNodeScratch(inherit)
-	var gin []geom.Vec3
-	var hin []geom.Sym3
-	if acc.grad != nil {
-		gin = make([]geom.Vec3, t.NumNodes())
-		hin = make([]geom.Sym3, t.NumNodes())
-	}
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
 		if n.IsLeaf {
 			continue
 		}
 		down := inherit[i] + acc.node[i]
-		if gin == nil {
-			for _, c := range n.Children {
-				if c != octree.NoChild {
-					inherit[c] = down
-				}
-			}
-			continue
-		}
-		g := gin[i].Add(acc.grad[i])
-		h := hin[i].Add(acc.hess[i])
 		for _, c := range n.Children {
-			if c == octree.NoChild {
-				continue
+			if c != octree.NoChild {
+				inherit[c] = down
 			}
-			dl := t.Nodes[c].Center.Sub(n.Center)
-			inherit[c] = down + g.Dot(dl) + h.Quad(dl)
-			gin[c] = g.Add(h.MulVec(dl).Scale(2))
-			hin[c] = h
 		}
 	}
 	ops := float64(t.NumNodes())
@@ -346,21 +224,8 @@ func PushIntegralsToAtoms(sys *System, acc *bornAccum, loSlot, hiSlot int, out [
 			hi = hiSlot
 		}
 		total := inherit[li] + acc.node[li]
-		if gin == nil {
-			for s := lo; s < hi; s++ {
-				out[s] = bornFromIntegralKernel(acc.atom[s]+total, sys.Radius[s], k, sys.Params.Kernel)
-			}
-		} else {
-			// Far entries can be leaves (the Born classification tests
-			// openness before leafness), so the leaf's own expansion terms
-			// join the inherited ones before the per-atom evaluation.
-			g := gin[li].Add(acc.grad[li])
-			h := hin[li].Add(acc.hess[li])
-			for s := lo; s < hi; s++ {
-				dl := t.Pts[s].Sub(n.Center)
-				v := total + g.Dot(dl) + h.Quad(dl)
-				out[s] = bornFromIntegralKernel(acc.atom[s]+v, sys.Radius[s], k, sys.Params.Kernel)
-			}
+		for s := lo; s < hi; s++ {
+			out[s] = bornFromIntegralKernel(acc.atom[s]+total, sys.Radius[s], k, sys.Params.Kernel)
 		}
 		ops += float64(hi - lo)
 	}

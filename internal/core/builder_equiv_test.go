@@ -27,8 +27,7 @@ func listRowSets(t *testing.T, il *InteractionLists) map[int32]rowEntries {
 			near: slices.Clone(il.Near[il.NearOff[i]:il.NearOff[i+1]]),
 		}
 		if il.TileFarOff != nil { // a Born row's far set: its tile's shared run and its own
-			shared, _ := il.tileFar(i / tileLanes)
-			re.far = append(re.far, shared...)
+			re.far = append(re.far, il.tileFar(i/tileLanes)...)
 		}
 		if il.SymOff != nil {
 			re.sym = slices.Clone(il.Sym[il.SymOff[i]:il.SymOff[i+1]])

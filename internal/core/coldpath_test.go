@@ -73,7 +73,7 @@ func hashSurface(s *surface.Surface) string {
 	return b.sum()
 }
 
-func (b *bitHash) tree(t *octree.Tree, momentSet string) {
+func (b *bitHash) tree(t *octree.Tree) {
 	b.u64(uint64(len(t.Nodes)))
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
@@ -88,23 +88,15 @@ func (b *bitHash) tree(t *octree.Tree, momentSet string) {
 	b.i32s(t.Index)
 	b.vecs(t.Pts)
 	b.i32s(t.Leaves())
-	for _, ch := range t.MomentsOf(momentSet).Ch {
-		b.floats(ch.W)
-		b.vecs(ch.D)
-		b.u64(uint64(len(ch.Q)))
-		for _, q := range ch.Q {
-			b.f64s(q.XX, q.YY, q.ZZ, q.XY, q.XZ, q.YZ)
-		}
-	}
 }
 
-// hashSystem covers everything NewSystem derives: both trees with their
-// moment sets, the slot-ordered payloads, the node aggregates and the SoA
-// mirrors over their whole padded capacity.
+// hashSystem covers everything NewSystem derives: both trees, the
+// slot-ordered payloads, the node aggregates and the SoA mirrors over their
+// whole padded capacity.
 func hashSystem(s *System) string {
 	b := newBitHash()
-	b.tree(s.Atoms, momentSetCharge)
-	b.tree(s.QPts, momentSetWN)
+	b.tree(s.Atoms)
+	b.tree(s.QPts)
 	b.vecs(s.WN)
 	b.vecs(s.QNodeWN)
 	for _, a := range [][]float64{s.Charge, s.Radius,
@@ -124,7 +116,6 @@ func hashLists(atoms *octree.Tree, cl *CompiledLists) string {
 			il.SymOff, il.Sym, il.CedeOff, il.Cede} {
 			b.i32s(a)
 		}
-		b.h.Write(il.FarOrd)
 	}
 	return b.sum()
 }
@@ -146,11 +137,14 @@ func coldPath(t *testing.T, mol *molecule.Molecule, workers int) (*surface.Surfa
 }
 
 // The cold path gives the same bits on any number of cores, and the bits
-// of the commit before it went parallel: the surface and system digests
-// below were computed there, by this file, before any other line of the
-// change was written. The lists digests were re-taken the same way on the
-// PR-19 commit, over the index arrays alone — until then they also hashed
-// the repair certificate, which no list carries any more.
+// of the commit before it went parallel: the surface digests below were
+// computed there, by this file, before any other line of the change was
+// written. The lists digests were re-taken the same way on the last commit
+// whose lists carried a repair certificate, over the index arrays alone —
+// until then they also hashed it. The system digests
+// were re-taken the same way on the commit before the octree moment sets
+// were deleted, over everything else NewSystem derived there: until then
+// they also hashed both trees' moment sets.
 func TestColdPathBitIdentical(t *testing.T) {
 	for _, fx := range []struct {
 		name                string
@@ -158,9 +152,9 @@ func TestColdPathBitIdentical(t *testing.T) {
 		surface, sys, lists string
 	}{
 		{name: "protein4000", mol: func() *molecule.Molecule { return molecule.GenProtein("cold", 4000, 2) },
-			surface: "3ab64d1a82e212c7927194b2c8b07dc82f8c1ec3c63b9750267563111bd117db", sys: "8ee8d94df4300f7db0a1e831ba4068979de9d03b988fd43254dc765cfa48751f", lists: "8374335f9f434987aec1135b79866186f6bc5869cecaaa8cb0eef507348227ac"},
+			surface: "3ab64d1a82e212c7927194b2c8b07dc82f8c1ec3c63b9750267563111bd117db", sys: "92569e6f321917dea4544a745d004f3479400d656e0f21a1d18d056859a38c21", lists: "8374335f9f434987aec1135b79866186f6bc5869cecaaa8cb0eef507348227ac"},
 		{name: "capsid3000", mol: func() *molecule.Molecule { return molecule.GenCapsid("cold", 3000, 30, 38, 28) },
-			surface: "6f8f2c18f9b64ca1fa3f484ee07a19328d6d33b6494a67d61ac2015e7b5937d6", sys: "7ea50e42809415323b10c45be78d94846a1a05fb3578ad581312e87f1af09c89", lists: "3d5f073028aa8fb0f19bb6f1b4af7c14a0e2fa41e9489af01e49cbc2a24ce8d9"},
+			surface: "6f8f2c18f9b64ca1fa3f484ee07a19328d6d33b6494a67d61ac2015e7b5937d6", sys: "36cf469f823a8bc2b38b46d5fb296995e0f274bf023f5b6dcd38f0aa0d0777ca", lists: "3d5f073028aa8fb0f19bb6f1b4af7c14a0e2fa41e9489af01e49cbc2a24ce8d9"},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			var surf0 *surface.Surface
@@ -190,7 +184,7 @@ func TestColdPathBitIdentical(t *testing.T) {
 					t.Errorf("GOMAXPROCS %d: surface differs from GOMAXPROCS 1", procs)
 				}
 				if hashSystem(sys) != hashSystem(sys0) {
-					t.Errorf("GOMAXPROCS %d: trees, moments or SoA mirrors differ from GOMAXPROCS 1", procs)
+					t.Errorf("GOMAXPROCS %d: trees or SoA mirrors differ from GOMAXPROCS 1", procs)
 				}
 				if !reflect.DeepEqual(cl, cl0) {
 					t.Errorf("GOMAXPROCS %d: compiled lists differ from GOMAXPROCS 1", procs)
@@ -201,8 +195,7 @@ func TestColdPathBitIdentical(t *testing.T) {
 }
 
 // A re-pose split across goroutines leaves the bits of the serial loops in
-// every array it touches, keeps the compiled lists valid, and costs the
-// f32 tier one mirror conversion per pose, as before.
+// every array it touches and keeps the compiled lists valid.
 func TestReposeSplitMatchesSerial(t *testing.T) {
 	mol := molecule.GenProtein("repose", 6000, 5) // above fanGrain, so the loops do split
 	build := func(procs int) (*System, *sched.Pool) {
@@ -218,7 +211,6 @@ func TestReposeSplitMatchesSerial(t *testing.T) {
 	defer pool2.Close()
 	atoms0 := append([]geom.Vec3(nil), split.Atoms.Pts...)
 	wn0 := append([]geom.Vec3(nil), split.WN...)
-	split.f32() // a mirror exists before the first pose
 
 	poses := []geom.Transform{
 		geom.Translate(geom.V(17, -4, 9)).Compose(geom.RotateAxis(geom.V(1, 2, 3), 0.8)),
@@ -228,30 +220,17 @@ func TestReposeSplitMatchesSerial(t *testing.T) {
 		prev := runtime.GOMAXPROCS(1)
 		serial.ApplyRigidTransform(tr)
 		runtime.GOMAXPROCS(8)
-		gen0 := split.soaGen.Load()
 		split.ApplyRigidTransform(tr)
 		runtime.GOMAXPROCS(prev)
 
 		if got, want := hashSystem(split), hashSystem(serial); got != want {
-			t.Fatalf("pose %d: trees, moments, WN or SoA mirrors differ from the serial re-pose", step)
+			t.Fatalf("pose %d: trees, WN or SoA mirrors differ from the serial re-pose", step)
 		}
 		if err := split.checkSoAPadding(); err != nil {
 			t.Fatalf("pose %d: %v", step, err)
 		}
 		if err := split.RecheckLists(pool2); err != nil {
 			t.Fatalf("pose %d: %v", step, err)
-		}
-		if d := split.soaGen.Load() - gen0; d != 2 {
-			t.Errorf("pose %d: soaGen moved by %d, want 2 (one per SoA half)", step, d)
-		}
-		v := split.f32()
-		if v.gen != split.soaGen.Load() || split.f32() != v {
-			t.Errorf("pose %d: f32 mirror at generation %d of %d, or rebuilt twice", step, v.gen, split.soaGen.Load())
-		}
-		for i, x := range split.AtomX {
-			if v.atomX[i] != float32(x) {
-				t.Fatalf("pose %d: f32 mirror slot %d is stale", step, i)
-			}
 		}
 		// The first pose against the definition, element by element.
 		if step == 0 {

@@ -18,12 +18,6 @@ import (
 // DualTreeIntegrals accumulates Born-radius integrals for all atoms under
 // aNode against all q-points under qNode, recursing on whichever side has
 // the larger radius when the pair is too close to approximate.
-//
-// This ablation traversal stays order 0 regardless of Params.FarOrder:
-// it classifies by the base multiplier alone (the strictest rung of the
-// farorder.go ladder, so it is sound at every order) and adds no moment
-// corrections — it exists to measure the [6]-style dual descent, not
-// the multipole upgrade.
 func DualTreeIntegrals(sys *System, acc *bornAccum, aNode, qNode int32, mac float64) {
 	a := &sys.Atoms.Nodes[aNode]
 	q := &sys.QPts.Nodes[qNode]

@@ -58,9 +58,9 @@ func TestDualTreeFewerOpsOnLargeMolecules(t *testing.T) {
 	_, dualOps := DualTreeBornRadii(sys, pool)
 
 	acc := newBornAccum(sys)
-	macs := sys.bornMACs()
+	mac := sys.bornMAC()
 	for _, q := range sys.QPts.Leaves() {
-		ApproxIntegrals(sys, acc, sys.Atoms.Root(), q, &macs)
+		ApproxIntegrals(sys, acc, sys.Atoms.Root(), q, mac)
 	}
 	singleOps := acc.ops
 	if dualOps >= singleOps {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"gbpolar/internal/gbmodels"
-	"gbpolar/internal/geom"
 	"gbpolar/internal/mathx"
 	"gbpolar/internal/octree"
 )
@@ -42,32 +41,17 @@ type EpolContext struct {
 	aLo, aHi []int32
 	// farFactor is (1 + 2/ε); nodes are far when dist > (r_U+r_V)·farFactor.
 	farFactor float64
-	// farMACs is the opening-multiplier ladder derived from farFactor
-	// (farorder.go) and farOrd the admitted-order cap (Params.FarOrder);
-	// farMACs[0] == farFactor always, so order 0 stays bit-identical.
-	farMACs [maxFarOrder + 1]float64
-	farOrd  int
-	// mW/mD/mTh view the atoms tree's per-node charge moments (total
-	// charge, dipole, DETRACED quadrupole) consumed by the far-field
-	// moment corrections; nil at farOrd = 0. Built per context — the
-	// octree's arrays can be reallocated by updates, and the detraced
-	// tensors are derived state.
-	mW     []float64
-	mD     []geom.Vec3
-	mTh    []geom.Sym3
-	lnBase float64
-	tau    float64
+	lnBase    float64
+	tau       float64
 	// kern holds the scalar math kernels resolved ONCE at context build —
 	// the recursive path hoists these function values into locals at row
 	// start instead of re-resolving (and indirect-calling) per pair.
 	kern mathx.Kernels
 	// tier is the compiled-kernel arithmetic resolved from the system
-	// parameters (precision.go). t64 (t32 on the f32 tier) is what the row
-	// driver reads of it: gather sources and the stream kernel
-	// (kernels_stream.go).
-	tier kernelTier
-	t64  epolTier[float64]
-	t32  epolTier[float32]
+	// parameters (precision.go); stream is what the row driver reads of
+	// it: gather sources and the stream kernel (kernels_stream.go).
+	tier   kernelTier
+	stream epolTier
 }
 
 // epolFarFactor is the E_pol opening multiplier (1 + 2/ε) of Figure 3's
@@ -116,16 +100,6 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 		}
 	}
 	ctx.farFactor = epolFarFactor(eps)
-	ctx.farOrd = sys.Params.FarOrder
-	ctx.farMACs = macLadder(ctx.farFactor, ctx.farOrd, epolLadderDeg)
-	if ctx.farOrd > 0 {
-		ch := &sys.Atoms.MomentsOf(momentSetCharge).Ch[0]
-		ctx.mW, ctx.mD = ch.W, ch.D
-		ctx.mTh = make([]geom.Sym3, len(ch.Q))
-		for i := range ch.Q {
-			ctx.mTh[i] = ch.Q[i].Detraced()
-		}
-	}
 	if eps <= 0 {
 		// ε = 0 disables the far field entirely (see macFactor); a single
 		// bin keeps the structures well-formed.
@@ -220,20 +194,11 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 	for b := range rho {
 		rho[b] = ctx.RMin * math.Pow(1+eps, float64(b))
 	}
-	if ctx.tier == tierF32 {
-		f := sys.f32()
-		sweep := epolStreamF32
-		if useAsmKernels {
-			sweep = epolStreamF32Asm
-		}
-		ctx.t32 = newEpolTier(ctx, rho, f.aNodeX, f.aNodeY, f.aNodeZ, (*soa[float32]).gather, sweep)
-		return ctx
-	}
-	gather := (*soa[float64]).gather
+	gather := (*soa).gather
 	if useAsmKernels {
 		gather = gatherAsm
 	}
-	var sweep func(o, s *soa[float64]) float64
+	var sweep func(o, s *soa) float64
 	switch {
 	case ctx.tier == tierExact && useAsmKernels:
 		sweep = epolStreamExactAsm
@@ -246,7 +211,7 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 	default:
 		sweep = epolStreamLanes
 	}
-	ctx.t64 = newEpolTier(ctx, rho, sys.ANodeX, sys.ANodeY, sys.ANodeZ, gather, sweep)
+	ctx.stream = newEpolTier(ctx, rho, gather, sweep)
 	return ctx
 }
 
@@ -299,12 +264,7 @@ func ApproxEpol(ctx *EpolContext, uNode, vLeaf int32, acc *epolAccum) {
 		return
 	}
 
-	// The opening test is farSeparated's, extended to the multiplier
-	// ladder: farMACs[0] == farFactor, so farOrd = 0 reproduces the
-	// original single-multiplier verdict bit for bit.
-	d := u.Center.Sub(v.Center)
-	d2 := d.Norm2()
-	_, far := farOrderOf(d2, v.Radius, u.Radius, &ctx.farMACs, ctx.farOrd)
+	_, d2, far := farSeparated(v.Center, u.Center, v.Radius, u.Radius, ctx.farFactor)
 	if far {
 		// Far enough: interact the charge histograms bin-by-bin, using
 		// R_min²(1+ε)^{i+j} as the R_u·R_v surrogate.
@@ -325,11 +285,6 @@ func ApproxEpol(ctx *EpolContext, uNode, vLeaf int32, acc *epolAccum) {
 				acc.ops++
 			}
 		}
-		// Every far admission is corrected through the RUN order — the
-		// admitted rung decides admission only (see farField's comment).
-		if ctx.farOrd > 0 {
-			s += ctx.epolFarCorrection(uNode, vLeaf, d.X, d.Y, d.Z, d2, ctx.farOrd)
-		}
 		acc.energy += s
 		return
 	}
@@ -346,14 +301,14 @@ func (ctx *EpolContext) Finish(rawSum float64) float64 {
 }
 
 // newEpolTier builds a tier's two blocked gather sources (kernels_stream.go)
-// in its element type from the context's float64 state (rho[b] is ρ_b) and
-// attaches the gather, the node centers and the stream kernel.
-func newEpolTier[T lane](ctx *EpolContext, rho []float64, nx, ny, nz []T, gather gatherFunc[T], sweep func(o, s *soa[T]) float64) epolTier[T] {
+// from the context's state (rho[b] is ρ_b) and attaches the gather and the
+// stream kernel.
+func newEpolTier(ctx *EpolContext, rho []float64, gather gatherFunc, sweep func(o, s *soa) float64) epolTier {
 	sys := ctx.sys
-	tk := epolTier[T]{
-		atoms:  make([]T, srcFields*len(ctx.Radii)+gatherPad),
-		bins:   make([]T, srcFields*len(ctx.nzQ)+gatherPad),
-		gather: gather, nx: nx, ny: ny, nz: nz, sweep: sweep,
+	tk := epolTier{
+		atoms:  make([]float64, srcFields*len(ctx.Radii)+gatherPad),
+		bins:   make([]float64, srcFields*len(ctx.nzQ)+gatherPad),
+		gather: gather, sweep: sweep,
 	}
 	for _, leaf := range sys.Atoms.Leaves() {
 		lo, c := int(ctx.aLo[leaf]), int(ctx.aHi[leaf]-ctx.aLo[leaf])

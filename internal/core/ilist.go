@@ -36,11 +36,10 @@ import (
 // tile does not share: TileFar), and Near[NearOff[i]:NearOff[i+1]] the atom
 // leaves needing exact pairwise evaluation.
 //
-// A list is its index — Rows, the offset arrays, Far, Near, Sym, Cede, the
-// Born tile runs and, under a ladder, the orders: 4 bytes an entry — which
-// is all an evaluation reads, and all the incremental repair
-// (ilist_repair.go) reads too: it re-tests the nodes an update moved
-// instead of keeping a bound per entry.
+// A list is its index — Rows, the offset arrays, Far, Near, Sym, Cede and
+// the Born tile runs: 4 bytes an entry — which is all an evaluation reads,
+// and all the incremental repair (ilist_repair.go) reads too: it re-tests
+// the nodes an update moved instead of keeping a bound per entry.
 type InteractionLists struct {
 	Rows    []int32
 	FarOff  []int32
@@ -69,22 +68,16 @@ type InteractionLists struct {
 	// scanning every other row's Sym.
 	CedeOff []int32
 	Cede    []int32
-	// FarOrd[k] is the expansion order the ladder admitted Far[k] at
-	// (farorder.go): the batch kernels dispatch the moment corrections on
-	// it without re-testing geometry. nil when compiled at FarOrder = 0,
-	// where every far entry is order 0.
-	FarOrd []uint8
 	// TileFar holds, in the Born lists (nil in the E_pol lists), the far
 	// nodes a whole tile takes, once: tile t is the aligned rows
 	// [8t, 8t+8) — only the last can be shorter — and
 	// TileFar[TileFarOff[t]:TileFarOff[t+1]] the nodes every one of its rows
-	// takes at one order (TileFarOrd, under a ladder), in visit order. Row
-	// i's Far run then holds its own entries only: the nodes a strict subset
-	// of the tile takes. A node is shared or own within a tile, never both,
-	// so row i's far set is its tile's run and its own, disjoint.
+	// takes, in visit order. Row i's Far run then holds its own entries
+	// only: the nodes a strict subset of the tile takes. A node is shared or
+	// own within a tile, never both, so row i's far set is its tile's run
+	// and its own, disjoint.
 	TileFarOff []int32
 	TileFar    []int32
-	TileFarOrd []uint8
 }
 
 // numTiles is the number of Born tiles of n rows.
@@ -95,13 +88,9 @@ func (il *InteractionLists) tileRows(t int) (lo, hi int) {
 	return t * tileLanes, min(t*tileLanes+tileLanes, len(il.Rows))
 }
 
-// tileFar returns tile t's shared far run and, under a ladder, its orders.
-func (il *InteractionLists) tileFar(t int) ([]int32, []uint8) {
-	lo, hi := il.TileFarOff[t], il.TileFarOff[t+1]
-	if il.TileFarOrd == nil {
-		return il.TileFar[lo:hi], nil
-	}
-	return il.TileFar[lo:hi], il.TileFarOrd[lo:hi]
+// tileFar returns tile t's shared far run.
+func (il *InteractionLists) tileFar(t int) []int32 {
+	return il.TileFar[il.TileFarOff[t]:il.TileFarOff[t+1]]
 }
 
 // NumFar returns the total far-field entry count: (row, node) terms, a
@@ -122,18 +111,15 @@ func (il *InteractionLists) NumNear() int { return len(il.Near) }
 func (il *InteractionLists) MemoryBytes() int64 {
 	return int64(len(il.Rows)+len(il.FarOff)+len(il.Far)+
 		len(il.NearOff)+len(il.Near)+len(il.SymOff)+len(il.Sym)+
-		len(il.CedeOff)+len(il.Cede)+len(il.TileFarOff)+len(il.TileFar))*4 +
-		int64(len(il.FarOrd)+len(il.TileFarOrd))
+		len(il.CedeOff)+len(il.Cede)+len(il.TileFarOff)+len(il.TileFar)) * 4
 }
 
 // CompiledLists bundles the per-phase lists with the opening-criterion
 // signature they were compiled under, so parameter changes trigger a
 // recompile instead of silently evaluating stale classifications.
 type CompiledLists struct {
-	// bornMAC and epolFar are the base opening multipliers at compile
-	// time; farOrder is the Params.FarOrder the ladder was derived from.
+	// bornMAC and epolFar are the opening multipliers at compile time.
 	bornMAC, epolFar float64
-	farOrder         int
 	// Born rows are q-point leaves (Figure 2); Epol rows are atom leaves
 	// (Figure 3).
 	Born, Epol *InteractionLists
@@ -142,8 +128,7 @@ type CompiledLists struct {
 // matches reports whether the cached lists were compiled under the
 // system's current opening criteria.
 func (cl *CompiledLists) matches(sys *System) bool {
-	return cl != nil && cl.bornMAC == sys.bornMAC() && cl.epolFar == epolFarFactor(sys.Params.EpsEpol) &&
-		cl.farOrder == sys.Params.FarOrder
+	return cl != nil && cl.bornMAC == sys.bornMAC() && cl.epolFar == epolFarFactor(sys.Params.EpsEpol)
 }
 
 // MemoryBytes reports the footprint of both phases' lists: what a system
@@ -153,19 +138,16 @@ func (cl *CompiledLists) MemoryBytes() int64 { return cl.Born.MemoryBytes() + cl
 // listPhase is one phase's classification problem, shared by the full
 // compile and the incremental repair (ilist_repair.go): the row clusters
 // are rowTree's leaves in Leaves() order, each classified against the
-// atoms octree under the opening-multiplier ladder macs/pmax
-// (farorder.go; macs[0] is the base multiplier, and pmax = 0 degenerates
-// to the original single-multiplier classification bit for bit).
-// leafFirst selects the traversal ordering (see tiler.descend) and says the
-// rows are atom leaves, which move under an update; symmetrize moves
+// atoms octree under the opening multiplier mac. leafFirst selects the
+// traversal ordering (see tiler.descend) and says the rows are atom
+// leaves, which move under an update; symmetrize moves
 // mutual near leaf pairs into the Sym list of the lower-indexed row (valid
 // only when rowTree == atoms, i.e. the E_pol phase); tileFar cuts the rows
 // into aligned tiles of eight and stores the far nodes a whole tile takes
 // once (the Born phase: InteractionLists.TileFar).
 type listPhase struct {
 	atoms, rowTree *octree.Tree
-	macs           [maxFarOrder + 1]float64
-	pmax           int
+	mac            float64
 	leafFirst      bool
 	symmetrize     bool
 	tileFar        bool
@@ -182,10 +164,8 @@ type listPhase struct {
 // E_pol phase (atom leaf rows, Figure 3) under cl's opening criteria, on the
 // trees as they stand.
 func (s *System) listPhases(cl *CompiledLists) (born, epol listPhase) {
-	born = listPhase{atoms: s.Atoms, rowTree: s.QPts, pmax: cl.farOrder, tileFar: true,
-		macs: macLadder(cl.bornMAC, cl.farOrder, bornLadderDeg(s.Params.Kernel))}
-	epol = listPhase{atoms: s.Atoms, rowTree: s.Atoms, pmax: cl.farOrder,
-		macs: macLadder(cl.epolFar, cl.farOrder, epolLadderDeg), leafFirst: true, symmetrize: true,
+	born = listPhase{atoms: s.Atoms, rowTree: s.QPts, mac: cl.bornMAC, tileFar: true}
+	epol = listPhase{atoms: s.Atoms, rowTree: s.Atoms, mac: cl.epolFar, leafFirst: true, symmetrize: true,
 		up: make([]int32, len(s.Atoms.Nodes)), rowOf: make([]int32, len(s.Atoms.Nodes))}
 	var link func(id, parent int32)
 	link = func(id, parent int32) {
@@ -206,16 +186,14 @@ func (s *System) listPhases(cl *CompiledLists) (born, epol listPhase) {
 }
 
 // listArena collects the entries of one contiguous block of rows, row after
-// row: far nodes, under a ladder — where reserve makes ord non-nil — their
-// admitted orders, and near leaves, a row's three classes one after the
-// other (their sum is steady along a chunk and can be estimated; their
-// shares are not — the lower row of a mutual pair sweeps it). In a tileFar
-// phase a tile's shared far run comes before its rows' own runs, in far and
-// ord alike: how a tile's far nodes split into shared and own varies from
-// tile to tile, their sum much less.
+// row: far nodes and near leaves, a row's three classes one after the other
+// (their sum is steady along a chunk and can be estimated; their shares are
+// not — the lower row of a mutual pair sweeps it). In a tileFar phase a
+// tile's shared far run comes before its rows' own runs: how a tile's far
+// nodes split into shared and own varies from tile to tile, their sum much
+// less.
 type listArena struct {
-	far, near blocks[int32]
-	ord       blocks[uint8]
+	far, near blocks
 }
 
 // blocks is an append-only sequence kept in blocks and read back from the
@@ -223,19 +201,19 @@ type listArena struct {
 // fills up is set aside and a small one started, so an estimate that falls
 // short costs a block, not a copy of everything before it — what append's
 // doubling would cost, in time and in garbage.
-type blocks[T int32 | uint8] struct {
-	b     [][]T // the last one is being filled
-	first [1][]T
+type blocks struct {
+	b     [][]int32 // the last one is being filled
+	first [1][]int32
 }
 
 // reserve starts the first block, with room for n.
-func (s *blocks[T]) reserve(n int) {
-	s.first[0] = make([]T, 0, n)
+func (s *blocks) reserve(n int) {
+	s.first[0] = make([]int32, 0, n)
 	s.b = s.first[:]
 }
 
 // append adds v behind what s holds.
-func (s *blocks[T]) append(v []T) {
+func (s *blocks) append(v []int32) {
 	if len(v) == 0 {
 		return
 	}
@@ -247,14 +225,14 @@ func (s *blocks[T]) append(v []T) {
 		for _, b := range s.b {
 			held += len(b)
 		}
-		s.b = append(s.b, make([]T, 0, max(len(v), held/4, 1024)))
+		s.b = append(s.b, make([]int32, 0, max(len(v), held/4, 1024)))
 		last = &s.b[len(s.b)-1]
 	}
 	*last = append(*last, v...)
 }
 
 // take moves the first len(dst) elements of s into dst.
-func (s *blocks[T]) take(dst []T) {
+func (s *blocks) take(dst []int32) {
 	for len(dst) > 0 {
 		n := copy(dst, s.b[0])
 		dst, s.b[0] = dst[n:], s.b[0][n:]
@@ -266,33 +244,19 @@ func (s *blocks[T]) take(dst []T) {
 
 // verdict is the phase's ONE opening test: whether a row cluster of the
 // given radius takes a node of the given radius, their centers d2 =
-// openingDist2 apart, as a far aggregate, and at which of the ladder's
-// first rungs+1 orders. The repair's re-test of moved nodes asks it, on
-// their old and their new geometry; the classification asks openFar8
-// (ilist_tile.go), which is this test on eight lanes — these operands, these
-// operations, this order — so the two cannot disagree by a rounding.
-func (ph *listPhase) verdict(d2, radius, nodeRadius float64, rungs int) (ord int, far bool) {
-	return farOrderOf(d2, nodeRadius, radius, &ph.macs, rungs)
+// openingDist2 apart, as a far aggregate — farSeparated's test on those
+// operands. The repair's re-test of moved nodes asks it, on their old and
+// their new geometry; the classification asks openFar8 (ilist_tile.go),
+// which is this test on eight lanes — these operands, these operations,
+// this order — so the two cannot disagree by a rounding.
+func (ph *listPhase) verdict(d2, radius, nodeRadius float64) bool {
+	s := (nodeRadius + radius) * ph.mac
+	return d2 > s*s
 }
 
 // openingDist2 is verdict's squared distance from a row cluster's center to
 // a node's.
 func openingDist2(center, node geom.Vec3) float64 { return center.Sub(node).Norm2() }
-
-// rungs is the highest order the opening test may admit a node at. Loosened
-// rungs admit INTERNAL nodes only: admitting a leaf pair early has nothing
-// to consolidate — it would trade an exact near block for an approximate far
-// entry, spending error budget while GROWING the far list. A leaf
-// therefore classifies by the base multiplier alone (identical to
-// pre-ladder), and rungs ≥ 1 fire exactly where they pay: a rung admission
-// at an internal node replaces its subtree's whole far/near expansion with
-// one entry.
-func (ph *listPhase) rungs(leaf bool) int {
-	if leaf {
-		return 0
-	}
-	return ph.pmax
-}
 
 // forRows runs fn over [0, n) in ranges on the pool's workers, or as
 // worker 0 over the whole range when pool is nil.
@@ -371,13 +335,11 @@ func (ph *listPhase) classifyRows(il *InteractionLists, which []int32, pool *sch
 				tile := t.classify(il.Rows, chunk, i)
 				if ph.tileFar {
 					a.far.append(t.shared)
-					a.ord.append(t.sharedOrd)
 					il.TileFarOff[tile[0]/tileLanes+1] = int32(len(t.shared))
 				}
 				for l, k := range tile {
 					out := &t.out[l]
 					a.far.append(out.runs[runFar])
-					a.ord.append(out.ord)
 					for kd, off := range nearOff {
 						a.near.append(out.runs[kd])
 						off[k+1] = int32(len(out.runs[kd]))
@@ -406,15 +368,9 @@ func (cr *classified) fill(il *InteractionLists, pool *sched.Pool) {
 			a := &cr.arenas[c]
 			for _, k := range cr.which[cr.bound(c):cr.bound(c+1)] {
 				if t := k / tileLanes; il.TileFarOff != nil && k%tileLanes == 0 {
-					a.far.take(il.TileFar[il.TileFarOff[t]:il.TileFarOff[t+1]])
-					if il.TileFarOrd != nil {
-						a.ord.take(il.TileFarOrd[il.TileFarOff[t]:il.TileFarOff[t+1]])
-					}
+					a.far.take(il.tileFar(int(t)))
 				}
 				a.far.take(il.Far[il.FarOff[k]:il.FarOff[k+1]])
-				if il.FarOrd != nil {
-					a.ord.take(il.FarOrd[il.FarOff[k]:il.FarOff[k+1]])
-				}
 				for _, to := range near {
 					a.near.take(to.dst[to.off[k]:to.off[k+1]])
 				}
@@ -477,9 +433,6 @@ func (ph *listPhase) reserve(a *listArena, t *tiler, rows, chunk []int32) {
 	size := func(n int) int { return n * len(chunk) / sampled }
 	a.far.reserve(size(far))
 	a.near.reserve(size(near))
-	if ph.pmax > 0 { // every far entry carries its order
-		a.ord.reserve(size(far))
-	}
 }
 
 // newLists returns the phase's lists with their rows and zeroed offset
@@ -500,8 +453,7 @@ func (ph *listPhase) newLists() *InteractionLists {
 
 // alloc turns the per-row counts in il's offset arrays (and the per-tile
 // counts in TileFarOff) into offsets and allocates the entry arrays to their
-// totals (the orders under a ladder only: without one every far entry is
-// order 0), each on one of the pool's workers. A list array is tens of
+// totals, each on one of the pool's workers. A list array is tens of
 // megabytes, and make hands it over zeroed: on one goroutine that memclr is
 // a fifth of a compile during which every worker sleeps; spread out, each
 // array is also first touched by one of the workers that go on to fill it.
@@ -509,23 +461,12 @@ func (ph *listPhase) alloc(il *InteractionLists, pool *sched.Pool) {
 	arrays := [...]struct {
 		off  []int32
 		ents *[]int32
-		ord  *[]uint8 // the orders of a far array
-	}{{il.FarOff, &il.Far, &il.FarOrd}, {il.NearOff, &il.Near, nil}, {il.SymOff, &il.Sym, nil},
-		{il.CedeOff, &il.Cede, nil}, {il.TileFarOff, &il.TileFar, &il.TileFarOrd}}
-	var total [len(arrays)]int32
-	for i, a := range arrays {
-		if a.off != nil {
-			total[i] = prefixSum(a.off)
-		}
-	}
-	forRows(pool, 2*len(arrays), func(lo, hi, _ int) {
-		for j := lo; j < hi; j++ {
-			switch a, n := arrays[j/2], total[j/2]; {
-			case a.off == nil:
-			case j%2 == 0:
-				*a.ents = make([]int32, n)
-			case a.ord != nil && ph.pmax > 0 && n > 0:
-				*a.ord = make([]uint8, n)
+	}{{il.FarOff, &il.Far}, {il.NearOff, &il.Near}, {il.SymOff, &il.Sym},
+		{il.CedeOff, &il.Cede}, {il.TileFarOff, &il.TileFar}}
+	forRows(pool, len(arrays), func(lo, hi, _ int) {
+		for _, a := range arrays[lo:hi] {
+			if a.off != nil {
+				*a.ents = make([]int32, prefixSum(a.off))
 			}
 		}
 	})
@@ -547,11 +488,7 @@ func (s *System) compile(pool *sched.Pool) *CompiledLists { return s.compileObse
 // assemble}" per phase, on rank's timeline, and the counters
 // "ilist.compile.{tiles,node_visits,chain_tests}" sent to o (may be nil).
 func (s *System) compileObserved(pool *sched.Pool, o *obs.Obs, rank int) *CompiledLists {
-	cl := &CompiledLists{
-		bornMAC:  s.bornMAC(),
-		epolFar:  epolFarFactor(s.Params.EpsEpol),
-		farOrder: s.Params.FarOrder,
-	}
+	cl := &CompiledLists{bornMAC: s.bornMAC(), epolFar: epolFarFactor(s.Params.EpsEpol)}
 	born, epol := s.listPhases(cl)
 	born.o, born.rank, epol.o, epol.rank = o, rank, o, rank
 	cl.Born = born.index(pool)
@@ -577,27 +514,6 @@ func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
 		prefix := "ilist." + phase
 		o.Counter(prefix + ".rows").Add(int64(len(il.Rows)))
 		o.Counter(prefix + ".far_entries").Add(int64(il.NumFar()))
-		// Split by admitted expansion order: without a ladder every far
-		// entry is order 0, so the .p0 counter always equals the total at
-		// FarOrder = 0 and the three orders always sum to far_entries.
-		var perOrd [maxFarOrder + 1]int64
-		if il.FarOrd == nil && il.TileFarOrd == nil {
-			perOrd[0] = int64(il.NumFar())
-		} else {
-			for _, fo := range il.FarOrd {
-				perOrd[fo]++
-			}
-			for t := 0; t+1 < len(il.TileFarOff); t++ {
-				lo, hi := il.tileRows(t)
-				_, ords := il.tileFar(t)
-				for _, fo := range ords {
-					perOrd[fo] += int64(hi - lo)
-				}
-			}
-		}
-		for p, n := range perOrd {
-			o.Counter(fmt.Sprintf("%s.far_entries.p%d", prefix, p)).Add(n)
-		}
 		if il.TileFarOff != nil {
 			o.Counter(prefix + ".far_shared").Add(int64(len(il.TileFar)))
 			o.Counter(prefix + ".far_own").Add(int64(len(il.Far)))
@@ -660,9 +576,8 @@ func (s *System) RecheckLists(pool *sched.Pool) error {
 		return nil
 	}
 	if !cached.matches(s) {
-		return fmt.Errorf("core: cached lists compiled under bornMAC=%g epolFar=%g farOrder=%d, system now wants %g/%g/%d",
-			cached.bornMAC, cached.epolFar, cached.farOrder,
-			s.bornMAC(), epolFarFactor(s.Params.EpsEpol), s.Params.FarOrder)
+		return fmt.Errorf("core: cached lists compiled under bornMAC=%g epolFar=%g, system now wants %g/%g",
+			cached.bornMAC, cached.epolFar, s.bornMAC(), epolFarFactor(s.Params.EpsEpol))
 	}
 	fresh := s.compile(pool)
 	if err := diffLists("born", cached.Born, fresh.Born); err != nil {
@@ -675,9 +590,6 @@ func (s *System) RecheckLists(pool *sched.Pool) error {
 func diffLists(phase string, a, b *InteractionLists) error {
 	if len(a.Rows) != len(b.Rows) {
 		return fmt.Errorf("core: %s lists row count drifted: %d -> %d", phase, len(a.Rows), len(b.Rows))
-	}
-	if (a.FarOrd == nil) != (b.FarOrd == nil) {
-		return fmt.Errorf("core: %s lists disagree on order annotations (%v -> %v)", phase, a.FarOrd != nil, b.FarOrd != nil)
 	}
 	for i := range a.Rows {
 		if a.Rows[i] != b.Rows[i] {
@@ -695,18 +607,13 @@ func diffLists(phase string, a, b *InteractionLists) error {
 					phase, i, a.Rows[i], c.set, len(ar), len(br))
 			}
 		}
-		if a.FarOrd != nil && !slices.Equal(a.FarOrd[a.FarOff[i]:a.FarOff[i+1]], b.FarOrd[b.FarOff[i]:b.FarOff[i+1]]) {
-			return fmt.Errorf("core: %s list row %d (leaf %d) admitted orders drifted", phase, i, a.Rows[i])
-		}
 	}
-	if (a.TileFarOff == nil) != (b.TileFarOff == nil) || (a.TileFarOrd == nil) != (b.TileFarOrd == nil) {
-		return fmt.Errorf("core: %s lists disagree on tile runs (%v/%v -> %v/%v)",
-			phase, a.TileFarOff != nil, a.TileFarOrd != nil, b.TileFarOff != nil, b.TileFarOrd != nil)
+	if (a.TileFarOff == nil) != (b.TileFarOff == nil) {
+		return fmt.Errorf("core: %s lists disagree on tile runs (%v -> %v)", phase, a.TileFarOff != nil, b.TileFarOff != nil)
 	}
 	for t := 0; t+1 < len(a.TileFarOff); t++ {
-		af, ao := a.tileFar(t)
-		bf, bo := b.tileFar(t)
-		if !slices.Equal(af, bf) || !slices.Equal(ao, bo) {
+		af, bf := a.tileFar(t), b.tileFar(t)
+		if !slices.Equal(af, bf) {
 			return fmt.Errorf("core: %s list tile %d shared far run drifted: %d -> %d entries", phase, t, len(af), len(bf))
 		}
 	}

@@ -118,10 +118,7 @@ func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o
 	bornPh, epolPh := s.listPhases(cl)
 	born, nb := bornPh.repair(cl.Born, d, pool, o)
 	epol, ne := epolPh.repair(cl.Epol, d, pool, o)
-	s.lists = &CompiledLists{
-		bornMAC: cl.bornMAC, epolFar: cl.epolFar, farOrder: cl.farOrder,
-		Born: born, Epol: epol,
-	}
+	s.lists = &CompiledLists{bornMAC: cl.bornMAC, epolFar: cl.epolFar, Born: born, Epol: epol}
 	stats.RowsRepaired = nb.changed + ne.changed
 	stats.RowsTotal = len(born.Rows) + len(epol.Rows)
 	if o != nil {
@@ -237,7 +234,7 @@ func newTreeDelta(atoms *octree.Tree, before treeGeometry, strct []bool) *treeDe
 // new geometry at once. While both verdicts
 // say "open" it goes on — into hot children only, since the row's descent
 // of a cold subtree is the one it was — and it gives the row up at the first
-// node whose two verdicts (admitted order included) differ, or that both
+// node whose two verdicts differ, or that both
 // descents open and the update restructured: a child gained or lost there
 // is at least one entry gained or lost. So the test is exact both ways: a
 // row it gives up has lists that changed, a row it keeps has the lists a
@@ -250,13 +247,13 @@ func (ph *listPhase) keeps(n int32, center geom.Vec3, radius float64, d *treeDel
 	if ph.leafFirst && (wasLeaf || node.IsLeaf) {
 		return wasLeaf == node.IsLeaf // a near leaf, unless split since
 	}
-	ordWas, farWas := ph.verdict(openingDist2(center, d.before.c[n]), radius, d.before.r[n], ph.rungs(wasLeaf))
-	ord, far := ph.verdict(openingDist2(center, node.Center), radius, node.Radius, ph.rungs(node.IsLeaf))
+	farWas := ph.verdict(openingDist2(center, d.before.c[n]), radius, d.before.r[n])
+	far := ph.verdict(openingDist2(center, node.Center), radius, node.Radius)
 	switch {
-	case ord != ordWas || far != farWas:
+	case far != farWas:
 		return false
 	case far:
-		return true // the same aggregate at the same order, whatever is below
+		return true // the same aggregate, whatever is below
 	case d.state[n] == restructuredNode:
 		return false
 	case node.IsLeaf:
@@ -417,17 +414,9 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 				continue
 			}
 			if t := k / tileLanes; il.TileFarOff != nil && k%tileLanes == 0 {
-				at := il.TileFarOff[t]
-				far, ord := old.tileFar(t)
-				copy(il.TileFar[at:], far)
-				if il.TileFarOrd != nil {
-					copy(il.TileFarOrd[at:], ord)
-				}
+				copy(il.TileFar[il.TileFarOff[t]:], old.tileFar(t))
 			}
 			copy(il.Far[il.FarOff[k]:], old.Far[old.FarOff[i]:old.FarOff[i+1]])
-			if il.FarOrd != nil {
-				copy(il.FarOrd[il.FarOff[k]:], old.FarOrd[old.FarOff[i]:old.FarOff[i+1]])
-			}
 			runs := old.nearRuns(i)
 			if split != nil && resplit[k] {
 				split.merge(il, int32(k), runs)

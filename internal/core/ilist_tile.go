@@ -12,14 +12,14 @@ import (
 // Consecutive leaf rows are siblings, so their descents visit almost the
 // same nodes; a tile carries their centers and radii in SoA lanes, the
 // descent carries a mask of the lanes still open, and every node costs one
-// opening test of eight lanes (openFar8) per ladder rung instead of one per
-// row. A row's entries still come out in the order its own descent would
-// emit them — the shared descent is the same pre-order, a lane simply sits
-// out the subtrees it closed — so the lists are the per-row recursion's,
-// byte for byte. The Born phase stores a node that all of an aligned tile's
-// lanes take at one rung once, for the tile (InteractionLists.TileFar): each
-// row's run is then its own remainder, and the two merged back on visit order
-// are the recursion's row.
+// opening test of eight lanes (openFar8) instead of one per row. A row's
+// entries still come out in the order its own descent would emit them —
+// the shared descent is the same pre-order, a lane simply sits out the
+// subtrees it closed — so the lists are the per-row recursion's, byte for
+// byte. The Born phase stores a node that all of an aligned tile's lanes
+// take once, for the tile (InteractionLists.TileFar): each row's run is
+// then its own remainder, and the two merged back on visit order are the
+// recursion's row.
 
 // tileLanes is the number of clusters a rowTile holds: two YMM registers of
 // float64.
@@ -37,8 +37,8 @@ func (t *rowTile) set(lane int, c geom.Vec3, r float64) {
 
 // openFar8Lanes is the opening test of one cluster (center c, radius r)
 // against the eight lanes of t under the multiplier mac: bit i of the result
-// is set iff lane i and the cluster are far apart. It is farOrderOf's test
-// on openingDist2's operand, operation for operation and in their order —
+// is set iff lane i and the cluster are far apart. It is listPhase.verdict's
+// test on openingDist2's operand, operation for operation and in their order —
 // d² = (dx·dx + dy·dy) + dz·dz, s = (r + r_lane)·mac, far iff d² > s·s,
 // nothing fused — so no lane can disagree with the scalar test by a
 // rounding; the assembly openFar8 dispatches to (simd_amd64.s) is the same
@@ -84,31 +84,19 @@ func (ph *listPhase) ancestors(chain []rowTile, v int32) []rowTile {
 
 // admit is the phase's opening test on eight lanes: which lanes of open take
 // the cluster (center c, radius r) as a far aggregate — or, t holding nodes,
-// which of them the cluster takes — and at which of the ladder's first
-// rungs+1 orders: byte k of the result holds the lanes whose lowest
-// admitting rung is k, farOrderOf's loop eight lanes at a time. A rung whose
-// multiplier equals the one below is the same test and admits nobody new
-// (the E_pol ladder is flat, and rung 1 of the Born ladder stays at the
-// base: farorder.go).
-func (ph *listPhase) admit(t *rowTile, c geom.Vec3, r float64, rungs int, open uint8) (at uint32) {
-	for k := 0; k <= rungs && open != 0; k++ {
-		if k == 0 || ph.macs[k] != ph.macs[k-1] {
-			far := openFar8(t, c.X, c.Y, c.Z, r, ph.macs[k]) & open
-			at |= uint32(far) << (8 * k)
-			open &^= far
-		}
-	}
-	return at
+// which of them the cluster takes.
+func (ph *listPhase) admit(t *rowTile, c geom.Vec3, r float64, open uint8) uint8 {
+	return openFar8(t, c.X, c.Y, c.Z, r, ph.mac) & open
 }
 
 // reaches reports whether row u's descent reaches the leaves below chain —
 // the strict ancestors they share (ancestors) — as near leaves: iff it takes
-// none of those ancestors as a far aggregate, at any rung. A near entry u of
-// such a leaf's row is mutual exactly then.
+// none of those ancestors as a far aggregate. A near entry u of such a
+// leaf's row is mutual exactly then.
 func (ph *listPhase) reaches(chain []rowTile, u int32) bool {
 	un := &ph.atoms.Nodes[u]
 	for b := range chain {
-		if ph.admit(&chain[b], un.Center, un.Radius, ph.pmax, 1<<tileLanes-1) != 0 {
+		if ph.admit(&chain[b], un.Center, un.Radius, 1<<tileLanes-1) != 0 {
 			return false
 		}
 	}
@@ -128,11 +116,9 @@ func nearKind(k, j int32, mutual bool) int {
 }
 
 // laneRuns collects one row's entries in the order its descent emits them:
-// near leaves by class, far nodes (runs[runFar]) and, under a ladder, their
-// admitted orders.
+// near leaves by class and far nodes (runs[runFar]).
 type laneRuns struct {
 	runs [runFar + 1][]int32
-	ord  []uint8
 }
 
 // runFar indexes a lane's far run, behind its three near runs.
@@ -158,10 +144,9 @@ type tiler struct {
 	row  [tileLanes]int32
 	full uint8
 	out  [tileLanes]laneRuns
-	// shared and sharedOrd collect, in a tileFar phase, the nodes every
-	// lane takes at one rung and that rung: stored once for the tile.
-	shared    []int32
-	sharedOrd []uint8
+	// shared collects, in a tileFar phase, the nodes every lane takes:
+	// stored once for the tile.
+	shared []int32
 	// chain holds the strict ancestors the tile's leaves share (symmetrized
 	// phase only): the tile is cut where the parent changes, so whether a
 	// near leaf's row reaches back is decided once for all its lanes.
@@ -178,20 +163,13 @@ func newTiler(ph *listPhase) *tiler {
 	// One slab for all of the worker's buffers, so that its objects do not
 	// scale with anything.
 	slab := make([]int32, (tileLanes*(runFar+1)+1)*laneCap)
-	var ords []uint8
-	if ph.pmax > 0 {
-		ords = make([]uint8, (tileLanes+1)*laneCap)
-	}
 	for l := range t.out {
 		out := &t.out[l]
 		for r := range out.runs {
 			out.runs[r], slab = slab[:0:laneCap], slab[laneCap:]
 		}
-		if ords != nil {
-			out.ord, ords = ords[:0:laneCap], ords[laneCap:]
-		}
 	}
-	t.shared, t.sharedOrd = slab[:0:laneCap], ords[:0:len(ords)]
+	t.shared = slab[:0:laneCap]
 	return t
 }
 
@@ -212,7 +190,6 @@ func (t *tiler) classify(rows, which []int32, i int) (tile []int32) {
 		t.rows.set(n, rn.Center, rn.Radius)
 		t.row[n] = which[i+n]
 		out := &t.out[n]
-		out.ord = out.ord[:0]
 		for r := range out.runs {
 			out.runs[r] = out.runs[r][:0]
 		}
@@ -220,7 +197,7 @@ func (t *tiler) classify(rows, which []int32, i int) (tile []int32) {
 	if ph.symmetrize {
 		t.chain = ph.ancestors(t.chain[:0], rows[which[i]])
 	}
-	t.shared, t.sharedOrd = t.shared[:0], t.sharedOrd[:0]
+	t.shared = t.shared[:0]
 	t.full = uint8(uint(1)<<n - 1)
 	t.stats.tiles++
 	t.descend(ph.atoms.Root(), t.full)
@@ -240,25 +217,17 @@ func (t *tiler) descend(n int32, open uint8) {
 		t.near(n, open)
 		return
 	}
-	at := ph.admit(&t.rows, node.Center, node.Radius, ph.rungs(node.IsLeaf), open)
-	for k := 0; at != 0; k, at = k+1, at>>8 {
-		if m := uint8(at); ph.tileFar && m == t.full {
-			// The whole tile takes the node at rung k: once, for every lane.
-			t.shared = append(t.shared, n)
-			if ph.pmax > 0 {
-				t.sharedOrd = append(t.sharedOrd, uint8(k))
-			}
-		} else {
-			for ; m != 0; m &= m - 1 {
-				out := &t.out[bits.TrailingZeros8(m)]
-				out.runs[runFar] = append(out.runs[runFar], n)
-				if ph.pmax > 0 { // every far entry carries its order
-					out.ord = append(out.ord, uint8(k))
-				}
-			}
+	far := ph.admit(&t.rows, node.Center, node.Radius, open)
+	if ph.tileFar && far == t.full {
+		// The whole tile takes the node: once, for every lane.
+		t.shared = append(t.shared, n)
+	} else {
+		for m := far; m != 0; m &= m - 1 {
+			out := &t.out[bits.TrailingZeros8(m)]
+			out.runs[runFar] = append(out.runs[runFar], n)
 		}
-		open &^= uint8(at)
 	}
+	open &^= far
 	switch {
 	case open == 0:
 	case node.IsLeaf:

@@ -10,7 +10,7 @@ import (
 // (kernels_stream.go) replaced, kept verbatim as test oracles: one kernel
 // call per Near/Sym entry and per far entry, the exact tier's expSkip
 // branch included. kernels_stream_test.go holds the driver to them entry
-// for entry — energy to 1e-12 (float64 tiers) and Ops exactly. Portable
+// for entry — energy to 1e-12 and Ops exactly. Portable
 // Go only: the old per-entry assembly wrappers are gone with their
 // callers.
 
@@ -19,8 +19,6 @@ type epolOracle struct {
 	*EpolContext
 	invRadii []float64 // 1/Radii[i]
 	inv4rr   []float64 // 1/(4·rr[k])
-	radii32  []float32 // f32 tier: narrowed Born radii
-	rr32     []float32 // f32 tier: narrowed rr
 }
 
 func newEpolOracle(ctx *EpolContext) *epolOracle {
@@ -30,9 +28,6 @@ func newEpolOracle(ctx *EpolContext) *epolOracle {
 	}
 	for k, rr := range ctx.rr {
 		o.inv4rr[k] = 1 / (4 * rr)
-	}
-	if ctx.tier == tierF32 {
-		o.radii32, o.rr32 = narrow(nil, ctx.Radii), narrow(nil, ctx.rr)
 	}
 	return o
 }
@@ -53,12 +48,8 @@ const expSkip = 160.0
 // for the far-field convolution; it must start zeroed and is returned
 // zeroed.
 func epolRowOracle(ctx *epolOracle, il *InteractionLists, row int, conv []float64, acc *epolAccum) {
-	switch ctx.tier {
-	case tierLanes:
+	if ctx.tier == tierLanes {
 		epolRowLanes(ctx, il, row, conv, acc)
-		return
-	case tierF32:
-		epolRowF32(ctx, il, row, conv, acc)
 		return
 	}
 	sys := ctx.sys
@@ -95,16 +86,7 @@ func epolRowOracle(ctx *epolOracle, il *InteractionLists, row int, conv []float6
 	if len(far) == 0 {
 		return
 	}
-	farField(ctx, sys, leaf, far, farOrdRow(il, row), exact, conv, acc)
-}
-
-// farOrdRow returns row's slice of per-entry admitted orders, nil when
-// the lists were compiled without a ladder (FarOrder = 0).
-func farOrdRow(il *InteractionLists, row int) []uint8 {
-	if il.FarOrd == nil {
-		return nil
-	}
-	return il.FarOrd[il.FarOff[row]:il.FarOff[row+1]]
+	farField(ctx, sys, leaf, far, exact, conv, acc)
 }
 
 // epolNearBlock sweeps one exact near block: every atom of leaf ul
@@ -152,37 +134,20 @@ func epolNearBlock(ctx *epolOracle, sys *System, ul int32, vx, vy, vz, cv, rv, i
 // small convolution of the two nonzero-bin lists) and the transcendental
 // kernel runs once per occupied k instead of once per bin pair. With the
 // expSkip shortcut the kernel for most far pairs degenerates to a single
-// 1/√d² per k. fo is the row's admitted-order slice (nil at
-// FarOrder = 0); when present EVERY entry adds the run order's moment
-// correction of farorder.go to its pair sum — the identical scalar
-// float64 expression at the identical position in every tier. The
-// per-entry rung is admission/repair metadata, not an evaluation order:
-// correcting rung-0 entries through the full order is strictly more
-// accurate and keeps the loop branch-free.
-func farField(ctx *epolOracle, sys *System, leaf int32, far []int32, fo []uint8, exact bool, conv []float64, acc *epolAccum) {
+// 1/√d² per k.
+func farField(ctx *epolOracle, sys *System, leaf int32, far []int32, exact bool, conv []float64, acc *epolAccum) {
 	vcx, vcy, vcz := sys.ANodeX[leaf], sys.ANodeY[leaf], sys.ANodeZ[leaf]
 	vb := ctx.nzBin[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
 	vq := ctx.nzQ[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
-	if len(vb) == 0 {
-		// No populated bins (charges can cancel bin-wise) — but the moment
-		// corrections do not go through the histogram, so the recursion
-		// still emits them and the compiled path must too.
-		farFieldMomentsOnly(ctx, sys, leaf, far, fo, acc)
+	if len(vb) == 0 { // no populated bins: charges can cancel bin-wise
 		acc.ops += float64(len(far))
 		return
-	}
-	ord := 0
-	if fo != nil {
-		ord = ctx.farOrd
 	}
 	for _, un := range far {
 		dx := sys.ANodeX[un] - vcx
 		dy := sys.ANodeY[un] - vcy
 		dz := sys.ANodeZ[un] - vcz
 		d2 := dx*dx + dy*dy + dz*dz
-		if ord > 0 {
-			acc.energy += ctx.epolFarCorrection(un, leaf, dx, dy, dz, d2, ord)
-		}
 		ub := ctx.nzBin[ctx.nzOff[un]:ctx.nzOff[un+1]]
 		uq := ctx.nzQ[ctx.nzOff[un]:ctx.nzOff[un+1]]
 		if len(ub) == 0 {
@@ -232,25 +197,6 @@ func farField(ctx *epolOracle, sys *System, leaf int32, far []int32, fo []uint8,
 	}
 }
 
-// farFieldMomentsOnly emits the moment corrections for a far run whose
-// histogram product vanished identically (an empty nonzero-bin list on
-// either side): the corrections read the charge moments, not the bins,
-// so they survive bin-wise cancellation — exactly as in the recursion.
-func farFieldMomentsOnly(ctx *epolOracle, sys *System, leaf int32, far []int32, fo []uint8, acc *epolAccum) {
-	if fo == nil {
-		return
-	}
-	ord := ctx.farOrd
-	vcx, vcy, vcz := sys.ANodeX[leaf], sys.ANodeY[leaf], sys.ANodeZ[leaf]
-	for _, un := range far {
-		dx := sys.ANodeX[un] - vcx
-		dy := sys.ANodeY[un] - vcy
-		dz := sys.ANodeZ[un] - vcz
-		d2 := dx*dx + dy*dy + dz*dz
-		acc.energy += ctx.epolFarCorrection(un, leaf, dx, dy, dz, d2, ord)
-	}
-}
-
 // epolRowLanes is epolRow for the laned tier: same row scaffolding,
 // lane-blocked near/sym/far kernels.
 func epolRowLanes(ctx *epolOracle, il *InteractionLists, row int, conv []float64, acc *epolAccum) {
@@ -278,7 +224,7 @@ func epolRowLanes(ctx *epolOracle, il *InteractionLists, row int, conv []float64
 	if len(far) == 0 {
 		return
 	}
-	farFieldLanes(ctx, sys, leaf, far, farOrdRow(il, row), conv, acc)
+	farFieldLanes(ctx, sys, leaf, far, conv, acc)
 }
 
 // epolNearBlockLanes sweeps one near block in width-4 lanes: distances
@@ -334,31 +280,20 @@ func epolNearBlockLanes(ctx *epolOracle, sys *System, ul int32, vx, vy, vz, cv, 
 // scalar-order epilogue — the same bit-compatibility argument as the
 // near blocks). The occupied-k runs are short (a handful of bins), so
 // most of the work lands in the scalar peel; the lanes matter for wide
-// Born-radius spectra where M_ε grows. The moment corrections (fo,
-// farorder.go) are the identical scalar float64 expression added at the
-// identical position as in farField, so the tier's bit-compatibility
-// with the scalar path is preserved at every FarOrder.
-func farFieldLanes(ctx *epolOracle, sys *System, leaf int32, far []int32, fo []uint8, conv []float64, acc *epolAccum) {
+// Born-radius spectra where M_ε grows.
+func farFieldLanes(ctx *epolOracle, sys *System, leaf int32, far []int32, conv []float64, acc *epolAccum) {
 	vcx, vcy, vcz := sys.ANodeX[leaf], sys.ANodeY[leaf], sys.ANodeZ[leaf]
 	vb := ctx.nzBin[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
 	vq := ctx.nzQ[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
 	if len(vb) == 0 {
-		farFieldMomentsOnly(ctx, sys, leaf, far, fo, acc)
 		acc.ops += float64(len(far))
 		return
-	}
-	ord := 0
-	if fo != nil {
-		ord = ctx.farOrd
 	}
 	for _, un := range far {
 		dx := sys.ANodeX[un] - vcx
 		dy := sys.ANodeY[un] - vcy
 		dz := sys.ANodeZ[un] - vcz
 		d2 := dx*dx + dy*dy + dz*dz
-		if ord > 0 {
-			acc.energy += ctx.epolFarCorrection(un, leaf, dx, dy, dz, d2, ord)
-		}
 		ub := ctx.nzBin[ctx.nzOff[un]:ctx.nzOff[un+1]]
 		uq := ctx.nzQ[ctx.nzOff[un]:ctx.nzOff[un+1]]
 		if len(ub) == 0 {
@@ -402,163 +337,6 @@ func farFieldLanes(ctx *epolOracle, sys *System, leaf int32, far []int32, fo []u
 		for l := 0; l < nl; l++ {
 			f2 := d2 + rrl[l]*mathx.Exp(fl[l])
 			s += wl[l] * mathx.RSqrt(f2)
-		}
-		for k := klo; k <= khi; k++ {
-			conv[k] = 0
-		}
-		acc.energy += s
-		acc.ops += float64(len(ub)*len(vb)) + 1
-	}
-}
-
-// epolRowF32 is epolRow for the f32 tier.
-func epolRowF32(ctx *epolOracle, il *InteractionLists, row int, conv []float64, acc *epolAccum) {
-	sys := ctx.sys
-	f := sys.f32()
-	t := sys.Atoms
-	leaf := il.Rows[row]
-	v := &t.Nodes[leaf]
-
-	vlo, vhi := v.Start, v.End
-	vx, vy, vz := f.atomX[vlo:vhi], f.atomY[vlo:vhi], f.atomZ[vlo:vhi]
-	cv := f.charge[vlo:vhi]
-	rv := ctx.radii32[vlo:vhi]
-
-	near := il.Near[il.NearOff[row]:il.NearOff[row+1]]
-	for _, ul := range near {
-		epolNearBlockF32(ctx, f, sys, ul, vx, vy, vz, cv, rv, 1, acc)
-		acc.ops += float64(t.Nodes[ul].Count()*v.Count()) + 1
-	}
-	sym := il.Sym[il.SymOff[row]:il.SymOff[row+1]]
-	for _, ul := range sym {
-		epolNearBlockF32(ctx, f, sys, ul, vx, vy, vz, cv, rv, 2, acc)
-		acc.ops += float64(2*t.Nodes[ul].Count()*v.Count()) + 1
-	}
-
-	far := il.Far[il.FarOff[row]:il.FarOff[row+1]]
-	if len(far) == 0 {
-		return
-	}
-	farFieldF32(ctx, f, leaf, far, farOrdRow(il, row), conv, acc)
-}
-
-// epolNearBlockF32 sweeps one near block in float32 width-4 lanes with
-// four independent partial sums per u-atom, reduced to float64 once per
-// u-atom (the row-level reduction of the tier's contract).
-func epolNearBlockF32(ctx *epolOracle, f *f32SoA, sys *System, ul int32, vx, vy, vz, cv, rv []float32, w float64, acc *epolAccum) {
-	// Equal-length hints so the inner loops run bounds-check free.
-	vy, vz = vy[:len(vx)], vz[:len(vx)]
-	cv, rv = cv[:len(vx)], rv[:len(vx)]
-	n := len(vx)
-	nb := n &^ (mathx.LaneWidth - 1)
-	u := &sys.Atoms.Nodes[ul]
-	for ui := u.Start; ui < u.End; ui++ {
-		pux, puy, puz := f.atomX[ui], f.atomY[ui], f.atomZ[ui]
-		qu := w * float64(f.charge[ui])
-		ru := ctx.radii32[ui]
-		var s0, s1, s2, s3 float32
-		var r2l, rrl, fl [mathx.LaneWidth]float32
-		for j := 0; j < nb; j += mathx.LaneWidth {
-			for l := 0; l < mathx.LaneWidth; l++ {
-				dx, dy, dz := pux-vx[j+l], puy-vy[j+l], puz-vz[j+l]
-				r2 := dx*dx + dy*dy + dz*dz
-				rr := ru * rv[j+l]
-				r2l[l], rrl[l] = r2, rr
-				fl[l] = -r2 / (4 * rr)
-			}
-			mathx.ExpLanes4x32(&fl)
-			for l := 0; l < mathx.LaneWidth; l++ {
-				fl[l] = r2l[l] + rrl[l]*fl[l]
-			}
-			mathx.RSqrtLanes4x32(&fl)
-			s0 += cv[j] * fl[0]
-			s1 += cv[j+1] * fl[1]
-			s2 += cv[j+2] * fl[2]
-			s3 += cv[j+3] * fl[3]
-		}
-		s := (s0 + s1) + (s2 + s3)
-		for j := nb; j < n; j++ {
-			dx, dy, dz := pux-vx[j], puy-vy[j], puz-vz[j]
-			r2 := dx*dx + dy*dy + dz*dz
-			rr := ru * rv[j]
-			f2 := r2 + rr*mathx.Exp32(-r2/(4*rr))
-			s += cv[j] * mathx.RSqrt32(f2)
-		}
-		acc.energy += qu * float64(s)
-	}
-}
-
-// farFieldF32 keeps the histogram convolution in float64 (the charges
-// and conv scratch are shared with the other tiers) and evaluates the
-// per-occupied-k transcendental kernel in float32, streamed through
-// width-4 lanes like farFieldLanes. The moment corrections (fo,
-// farorder.go) evaluate in float64 from the widened f32 center offsets —
-// well inside the tier's 1e-4 budget.
-func farFieldF32(ctx *epolOracle, f *f32SoA, leaf int32, far []int32, fo []uint8, conv []float64, acc *epolAccum) {
-	vcx, vcy, vcz := f.aNodeX[leaf], f.aNodeY[leaf], f.aNodeZ[leaf]
-	vb := ctx.nzBin[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
-	vq := ctx.nzQ[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
-	if len(vb) == 0 {
-		farFieldMomentsOnly(ctx, ctx.sys, leaf, far, fo, acc)
-		acc.ops += float64(len(far))
-		return
-	}
-	ord := 0
-	if fo != nil {
-		ord = ctx.farOrd
-	}
-	for _, un := range far {
-		dx := f.aNodeX[un] - vcx
-		dy := f.aNodeY[un] - vcy
-		dz := f.aNodeZ[un] - vcz
-		d2 := dx*dx + dy*dy + dz*dz
-		if ord > 0 {
-			acc.energy += ctx.epolFarCorrection(un, leaf, float64(dx), float64(dy), float64(dz), float64(d2), ord)
-		}
-		ub := ctx.nzBin[ctx.nzOff[un]:ctx.nzOff[un+1]]
-		uq := ctx.nzQ[ctx.nzOff[un]:ctx.nzOff[un+1]]
-		if len(ub) == 0 {
-			acc.ops++
-			continue
-		}
-		klo := ub[0] + vb[0]
-		khi := ub[len(ub)-1] + vb[len(vb)-1]
-		for i := range ub {
-			qi, bi := uq[i], ub[i]
-			for j := range vb {
-				conv[bi+vb[j]] += qi * vq[j]
-			}
-		}
-		var s float64
-		var wl [mathx.LaneWidth]float64
-		var rrl, fl [mathx.LaneWidth]float32
-		nl := 0
-		for k := klo; k <= khi; k++ {
-			w := conv[k]
-			if w == 0 {
-				continue
-			}
-			rr := ctx.rr32[k]
-			wl[nl], rrl[nl] = w, rr
-			fl[nl] = -d2 / (4 * rr)
-			nl++
-			if nl < mathx.LaneWidth {
-				continue
-			}
-			nl = 0
-			mathx.ExpLanes4x32(&fl)
-			for l := 0; l < mathx.LaneWidth; l++ {
-				fl[l] = d2 + rrl[l]*fl[l]
-			}
-			mathx.RSqrtLanes4x32(&fl)
-			s += wl[0] * float64(fl[0])
-			s += wl[1] * float64(fl[1])
-			s += wl[2] * float64(fl[2])
-			s += wl[3] * float64(fl[3])
-		}
-		for l := 0; l < nl; l++ {
-			f2 := d2 + rrl[l]*mathx.Exp32(fl[l])
-			s += wl[l] * float64(mathx.RSqrt32(f2))
 		}
 		for k := klo; k <= khi; k++ {
 			conv[k] = 0

@@ -25,8 +25,7 @@ import (
 //     (epolTier.bins, one block per node, indexed like nzOff); the stream
 //     is the far nodes' pseudo-atoms, the outer operand the row leaf's. No
 //     convolution, no second kernel, and every far term is the
-//     recursion's own bin-pair term. Moment corrections (FarOrder ≥ 1)
-//     stay scalar, one per far entry.
+//     recursion's own bin-pair term.
 //
 // The copy is kept, and made cheap, rather than replaced by kernels that
 // walk the entries' ranges in place: an entry is 1–8 atoms, so a
@@ -44,10 +43,6 @@ import (
 // compiled-vs-recursive suite. Op accounting is that of kernels.go, entry
 // for entry.
 
-// lane is a stream's element type: float64 on the exact, approximate and
-// laned tiers, float32 on the f32 tier.
-type lane interface{ ~float32 | ~float64 }
-
 // srcFields is the number of fields of a gather source element and of a
 // stream: x, y, z, charge, Born radius, reciprocal radius.
 const srcFields = 6
@@ -60,34 +55,26 @@ const srcFields = 6
 const gatherPad = 4
 
 // soa is a structure-of-arrays view of atoms: position, charge, Born
-// radius and — float64 tiers only, nil on f32 — reciprocal radius. The
-// six fields share one backing array, flat, field f starting at
-// f·len(flat)/srcFields; what a gather appends it writes through flat.
-type soa[T lane] struct {
-	x, y, z, q, r, ir []T
-	flat              []T
+// radius and reciprocal radius. The six fields share one backing array,
+// flat, field f starting at f·len(flat)/srcFields; what a gather appends it
+// writes through flat.
+type soa struct {
+	x, y, z, q, r, ir []float64
+	flat              []float64
 }
 
 // newSoa allocates an n-atom SoA over one backing array, every field
 // followed by gatherPad elements of slack.
-func newSoa[T lane](n int, withIR bool) soa[T] {
+func newSoa(n int) soa {
 	st := n + gatherPad
-	flat := make([]T, srcFields*st)
-	field := func(f int) []T { return flat[f*st : f*st+n : f*st+n] }
-	s := soa[T]{x: field(0), y: field(1), z: field(2), q: field(3), r: field(4), flat: flat}
-	if withIR {
-		s.ir = field(5)
-	}
-	return s
+	flat := make([]float64, srcFields*st)
+	field := func(f int) []float64 { return flat[f*st : f*st+n : f*st+n] }
+	return soa{x: field(0), y: field(1), z: field(2), q: field(3), r: field(4), ir: field(5), flat: flat}
 }
 
 // prefix returns the view of the first n atoms.
-func (s *soa[T]) prefix(n int) soa[T] {
-	v := soa[T]{x: s.x[:n], y: s.y[:n], z: s.z[:n], q: s.q[:n], r: s.r[:n]}
-	if s.ir != nil {
-		v.ir = s.ir[:n]
-	}
-	return v
+func (s *soa) prefix(n int) soa {
+	return soa{x: s.x[:n], y: s.y[:n], z: s.z[:n], q: s.q[:n], r: s.r[:n], ir: s.ir[:n]}
 }
 
 // A gather source is a flat array of elements in BLOCKS: the elements
@@ -104,25 +91,23 @@ func (s *soa[T]) prefix(n int) soa[T] {
 
 // putElem stores element i of the c-element block blk starts with: an atom
 // or pseudo-atom at (x, y, z) of charge q and Born radius r.
-func putElem[T lane](blk []T, c, i int, x, y, z, q, r float64) {
-	blk[i], blk[c+i], blk[2*c+i], blk[3*c+i], blk[4*c+i], blk[5*c+i] = T(x), T(y), T(z), T(q), T(r), T(1/r)
+func putElem(blk []float64, c, i int, x, y, z, q, r float64) {
+	blk[i], blk[c+i], blk[2*c+i], blk[3*c+i], blk[4*c+i], blk[5*c+i] = x, y, z, q, r, 1/r
 }
 
 // gatherFunc appends the blocks [lo[e], hi[e]) of the blocked source src
 // for every entry e of list to the stream s at position n, charges scaled
 // by w, and returns the new length.
-type gatherFunc[T lane] func(s *soa[T], n int, src []T, lo, hi, list []int32, w T) int
+type gatherFunc func(s *soa, n int, src []float64, lo, hi, list []int32, w float64) int
 
-// gather is the portable gatherFunc, an element loop: every tier's on
-// hosts without the assembly, the f32 tier's everywhere. The float64
-// tiers' on AVX2 hosts is gatherAsm (simd_amd64.go), which copies a span
-// as whole vectors of four without a branch on its length; the same copy
-// written in Go — through [4]T array pointers — compiles to a memmove call
-// or to 24 bounds checks per chunk and measured 17–21 ns per entry against
-// this loop's 12.
-func (s *soa[T]) gather(n int, src []T, lo, hi, list []int32, w T) int {
+// gather is the portable gatherFunc, an element loop. On AVX2 hosts it is
+// gatherAsm (simd_amd64.go), which copies a span as whole vectors of four
+// without a branch on its length; the same copy written in Go — through
+// [4]float64 array pointers — compiles to a memmove call or to 24 bounds
+// checks per chunk and measured 17–21 ns per entry against this loop's 12.
+func (s *soa) gather(n int, src []float64, lo, hi, list []int32, w float64) int {
 	st := len(s.flat) / srcFields
-	field := func(f int) []T { return s.flat[f*st : (f+1)*st] }
+	field := func(f int) []float64 { return s.flat[f*st : (f+1)*st] }
 	dx, dy, dz, dq, dr, dir := field(0), field(1), field(2), field(3), field(4), field(5)
 	for _, e := range list {
 		l, c := int(lo[e]), int(hi[e]-lo[e])
@@ -135,33 +120,24 @@ func (s *soa[T]) gather(n int, src []T, lo, hi, list []int32, w T) int {
 	return n
 }
 
-// epolTier is what the row driver reads of one precision tier, in the
-// tier's element type: the two gather sources — the atoms, blocked by
-// leaf (leaf n's are [aLo[n], aHi[n])), and the binned pseudo-atoms of
-// every atoms-tree node, blocked by node (node n's are [nzOff[n],
-// nzOff[n+1])) — the gather that copies them, the node centers (for the
-// moment corrections) and the tier's stream kernel. sweep returns
+// epolTier is what the row driver reads of one precision tier: the two
+// gather sources — the atoms, blocked by leaf (leaf n's are [aLo[n],
+// aHi[n])), and the binned pseudo-atoms of every atoms-tree node, blocked
+// by node (node n's are [nzOff[n], nzOff[n+1])) — the gather that copies
+// them and the tier's stream kernel. sweep returns
 // Σ_o q_o · Σ_i q_i / f_GB(o, i) over the outer atoms o and the stream i,
 // with f_GB² = r² + R_oR_i·exp(−r²/4R_oR_i).
-type epolTier[T lane] struct {
-	atoms, bins []T
-	gather      gatherFunc[T]
-	nx, ny, nz  []T
-	sweep       func(o, s *soa[T]) float64
+type epolTier struct {
+	atoms, bins []float64
+	gather      gatherFunc
+	sweep       func(o, s *soa) float64
 }
 
-// epolScratch is one worker's gather-then-stream scratch: the stream of
-// the active tier.
+// epolScratch is one worker's gather-then-stream scratch: the storage of a
+// stream (s) and of an outer operand (o), and the two operand views handed
+// to the kernel — kept here because arguments of an indirect call escape.
 type epolScratch struct {
-	f64 streamScratch[float64]
-	f32 streamScratch[float32]
-}
-
-// streamScratch is the storage of a stream (s) and of an outer operand
-// (o), and the two operand views handed to the kernel — kept here because
-// arguments of an indirect call escape.
-type streamScratch[T lane] struct {
-	s, o, outer, stream soa[T]
+	s, o, outer, stream soa
 }
 
 // sweep gathers the stream — src's blocks [lo[e], hi[e]) of the entries e
@@ -169,7 +145,7 @@ type streamScratch[T lane] struct {
 // the block of self's one entry, and runs the tier's kernel over them. It
 // returns the kernel's sum, the stream length after once and in all, and
 // the outer operand's length.
-func (sc *streamScratch[T]) sweep(tk *epolTier[T], src []T, lo, hi, self, once, twice []int32) (e float64, nOnce, n, nv int) {
+func (sc *epolScratch) sweep(tk *epolTier, src []float64, lo, hi, self, once, twice []int32) (e float64, nOnce, n, nv int) {
 	nOnce = tk.gather(&sc.s, 0, src, lo, hi, once, 1)
 	n = tk.gather(&sc.s, nOnce, src, lo, hi, twice, 2)
 	nv = tk.gather(&sc.o, 0, src, lo, hi, self, 1)
@@ -199,11 +175,7 @@ func newEpolScratch(ctx *EpolContext, il *InteractionLists, p int) []epolScratch
 	no := int(max(maxLeaf, maxBins))
 	sc := make([]epolScratch, p)
 	for w := range sc {
-		if ctx.tier == tierF32 {
-			sc[w].f32.s, sc[w].f32.o = newSoa[float32](n, false), newSoa[float32](no, false)
-		} else {
-			sc[w].f64.s, sc[w].f64.o = newSoa[float64](n, true), newSoa[float64](no, true)
-		}
+		sc[w].s, sc[w].o = newSoa(n), newSoa(no)
 	}
 	return sc
 }
@@ -213,16 +185,8 @@ func newEpolScratch(ctx *EpolContext, il *InteractionLists, p int) []epolScratch
 // U == V), far entries interact the charge histograms bin-by-bin
 // (Figure 3). sc is worker-private.
 func epolRow(ctx *EpolContext, il *InteractionLists, row int, sc *epolScratch, acc *epolAccum) {
-	if ctx.tier == tierF32 {
-		epolRowT(ctx, &ctx.t32, il, row, &sc.f32, acc)
-	} else {
-		epolRowT(ctx, &ctx.t64, il, row, &sc.f64, acc)
-	}
-}
-
-func epolRowT[T lane](ctx *EpolContext, tk *epolTier[T], il *InteractionLists, row int, sc *streamScratch[T], acc *epolAccum) {
+	tk := &ctx.stream
 	self := il.Rows[row : row+1]
-	leaf := self[0]
 
 	// Near field. Mutual pairs were compiled once (ilist.go): the per-pair
 	// GB terms are bitwise symmetric, so a Sym leaf gathered with doubled
@@ -249,20 +213,6 @@ func epolRowT[T lane](ctx *EpolContext, tk *epolTier[T], il *InteractionLists, r
 	acc.farTerms += float64(n * nv)
 	acc.gatherAtoms += float64(n)
 	acc.gatherSpans += float64(len(far))
-	if il.FarOrd == nil || ctx.farOrd == 0 {
-		return
-	}
-	// Under a ladder EVERY entry adds the run order's moment correction of
-	// farorder.go — the identical scalar float64 expression in every tier;
-	// the per-entry rung (FarOrd) is admission/repair metadata, not an
-	// evaluation order. The corrections read the charge moments, not the
-	// bins, so they survive an empty histogram on either side, exactly as
-	// in the recursion.
-	cx, cy, cz := tk.nx[leaf], tk.ny[leaf], tk.nz[leaf]
-	for _, un := range far {
-		dx, dy, dz := float64(tk.nx[un]-cx), float64(tk.ny[un]-cy), float64(tk.nz[un]-cz)
-		acc.energy += ctx.epolFarCorrection(un, leaf, dx, dy, dz, dx*dx+dy*dy+dz*dz, ctx.farOrd)
-	}
 }
 
 // The portable stream kernels, one per tier. On AVX2+FMA hosts
@@ -272,7 +222,7 @@ func epolRowT[T lane](ctx *EpolContext, tk *epolTier[T], il *InteractionLists, r
 // math.Exp, a true divide, one running sum per outer atom. The exponent
 // is formed by multiplying the gathered reciprocal radii instead of
 // dividing — ≤ 2 ulp off −r²/4R_oR_i, inside the 1e-12 contract.
-func epolStreamExact(o, s *soa[float64]) float64 {
+func epolStreamExact(o, s *soa) float64 {
 	sx := s.x
 	sy, sz, sq, sr, sir := s.y[:len(sx)], s.z[:len(sx)], s.q[:len(sx)], s.r[:len(sx)], s.ir[:len(sx)]
 	var e float64
@@ -292,7 +242,7 @@ func epolStreamExact(o, s *soa[float64]) float64 {
 // epolStreamApprox is the approximate-math tier (Params.Math =
 // Approximate): the recursion's own operands through mathx.Exp and
 // mathx.RSqrt, so the compiled path stays on the recursive one.
-func epolStreamApprox(o, s *soa[float64]) float64 {
+func epolStreamApprox(o, s *soa) float64 {
 	sx := s.x
 	sy, sz, sq, sr := s.y[:len(sx)], s.z[:len(sx)], s.q[:len(sx)], s.r[:len(sx)]
 	var e float64
@@ -320,7 +270,7 @@ func epolStreamApprox(o, s *soa[float64]) float64 {
 // the identical float64 sum (TestLanesTierBitCompatible). The assembly
 // kernel that replaces it on AVX2 hosts uses FMA contraction and pairwise
 // lane reduction — pinned to this path by TestAsmKernelsMatchPortable.
-func epolStreamLanes(o, s *soa[float64]) float64 {
+func epolStreamLanes(o, s *soa) float64 {
 	sx := s.x
 	sy, sz, sq, sr := s.y[:len(sx)], s.z[:len(sx)], s.q[:len(sx)], s.r[:len(sx)]
 	nb := len(sx) &^ (mathx.LaneWidth - 1)
@@ -354,49 +304,6 @@ func epolStreamLanes(o, s *soa[float64]) float64 {
 			sum += sq[i] * mathx.RSqrt(r2+rr*mathx.Exp(-r2/(4*rr)))
 		}
 		e += o.q[a] * sum
-	}
-	return e
-}
-
-// epolStreamF32 is the f32 tier's portable kernel: float32 pair terms in
-// width-4 lanes with four independent float32 partial sums per outer atom,
-// reduced to float64 once per outer atom (the tier's contract is its
-// measured error budget, not bits — TestF32TierErrorBudget).
-func epolStreamF32(o, s *soa[float32]) float64 {
-	sx := s.x
-	sy, sz, sq, sr := s.y[:len(sx)], s.z[:len(sx)], s.q[:len(sx)], s.r[:len(sx)]
-	nb := len(sx) &^ (mathx.LaneWidth - 1)
-	var e float64
-	for a, ox := range o.x {
-		oy, oz, ro := o.y[a], o.z[a], o.r[a]
-		var s0, s1, s2, s3 float32
-		var r2l, rrl, fl [mathx.LaneWidth]float32
-		for i := 0; i < nb; i += mathx.LaneWidth {
-			for l := 0; l < mathx.LaneWidth; l++ {
-				dx, dy, dz := ox-sx[i+l], oy-sy[i+l], oz-sz[i+l]
-				r2 := dx*dx + dy*dy + dz*dz
-				rr := ro * sr[i+l]
-				r2l[l], rrl[l] = r2, rr
-				fl[l] = -r2 / (4 * rr)
-			}
-			mathx.ExpLanes4x32(&fl)
-			for l := 0; l < mathx.LaneWidth; l++ {
-				fl[l] = r2l[l] + rrl[l]*fl[l]
-			}
-			mathx.RSqrtLanes4x32(&fl)
-			s0 += sq[i] * fl[0]
-			s1 += sq[i+1] * fl[1]
-			s2 += sq[i+2] * fl[2]
-			s3 += sq[i+3] * fl[3]
-		}
-		sum := (s0 + s1) + (s2 + s3)
-		for i := nb; i < len(sx); i++ {
-			dx, dy, dz := ox-sx[i], oy-sy[i], oz-sz[i]
-			r2 := dx*dx + dy*dy + dz*dz
-			rr := ro * sr[i]
-			sum += sq[i] * mathx.RSqrt32(r2+rr*mathx.Exp32(-r2/(4*rr)))
-		}
-		e += float64(o.q[a]) * float64(sum)
 	}
 	return e
 }

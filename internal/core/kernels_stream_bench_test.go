@@ -62,17 +62,16 @@ func benchEpolStream(b *testing.B, p Precision, asm bool) {
 func BenchmarkEpolStreamExact(b *testing.B)    { benchEpolStream(b, PrecisionExact, false) }
 func BenchmarkEpolStreamExactAsm(b *testing.B) { benchEpolStream(b, PrecisionExact, true) }
 func BenchmarkEpolStreamLanes(b *testing.B)    { benchEpolStream(b, PrecisionLanes, true) }
-func BenchmarkEpolStreamF32(b *testing.B)      { benchEpolStream(b, PrecisionF32, true) }
 
 // gatherSink keeps the benchmarked gathers' results live.
 var gatherSink int
 
 // benchEpolGather is a sweep's staging without its kernels: per row the
 // near and Sym streams, the far stream and both outer operands, exactly as
-// streamScratch.sweep gathers them.
+// epolScratch.sweep gathers them.
 func benchEpolGather(b *testing.B, asm bool) {
 	ctx, il, scratch, _ := benchEpolFixture(b, PrecisionExact, asm)
-	tk, sc := &ctx.t64, &scratch.f64
+	tk, sc := &ctx.stream, scratch
 	atoms := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,7 +96,7 @@ func BenchmarkEpolGatherAsm(b *testing.B)      { benchEpolGather(b, true) }
 func BenchmarkEpolGatherPortable(b *testing.B) { benchEpolGather(b, false) }
 
 // The Born far sweep at the same fixture, one worker, exact tier: every
-// compiled row's order-0 far terms into the node sums, reported as ns per
+// compiled row's far terms into the node sums, reported as ns per
 // (row, node) far term. Rows is the per-row loop over each row's whole far
 // set — the lists merged back (perRowLists), as the sweep ran before tiles;
 // Tile sweeps each tile's shared run eight rows to a term, then each row's
@@ -124,8 +123,7 @@ func benchBornSweep(b *testing.B, tiles, asm bool) {
 		}
 		for t := range numTiles(len(il.Rows)) {
 			lo, hi := il.tileRows(t)
-			shared, _ := il.tileFar(t)
-			bornFarShared(sys, il.Rows[lo:hi], shared, node)
+			bornFarShared(sys, il.Rows[lo:hi], il.tileFar(t), node)
 			for row := lo; row < hi; row++ {
 				bornFar0(sys, il.Rows[row], il.Far[il.FarOff[row]:il.FarOff[row+1]], node)
 			}

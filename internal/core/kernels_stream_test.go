@@ -13,13 +13,12 @@ import (
 	"gbpolar/internal/surface"
 )
 
-// streamTiers are the four compiled-kernel tiers with the tolerance each
+// streamTiers are the three compiled-kernel tiers with the tolerance each
 // holds against the per-entry oracles (kernels_oracle_test.go): the
-// float64 tiers' portable kernels evaluate the oracles' own terms in
-// another order (1e-12), the assembly adds FMA contraction and a
-// polynomial exp on the laned tier (1e-9, TestAsmKernelsMatchPortable's
-// bound) and nothing above 1e-13 on the exact tier, and the f32 tier is
-// held to its documented 1e-5.
+// portable kernels evaluate the oracles' own terms in another order
+// (1e-12), and the assembly adds FMA contraction and a polynomial exp on
+// the laned tier (1e-9, TestAsmKernelsMatchPortable's bound) and nothing
+// above 1e-13 on the exact tier.
 var streamTiers = []struct {
 	name             string
 	prec             Precision
@@ -29,14 +28,12 @@ var streamTiers = []struct {
 	{"exact", PrecisionExact, mathx.Exact, 1e-12, 1e-12},
 	{"approx", PrecisionExact, mathx.Approximate, 1e-12, 1e-12},
 	{"lanes", PrecisionLanes, mathx.Exact, 1e-12, 1e-9},
-	{"f32", PrecisionF32, mathx.Exact, 1e-5, 1e-5},
 }
 
 // dimerMolecule is a lattice of ±q dimers 0.6 Å apart: the two atoms of
 // a dimer see the same environment, land in the same Born-radius bin and
 // cancel there EXACTLY, so most leaves have an empty occupied-bin list —
-// the far field's degenerate case (no histogram terms, but the FarOrder
-// moment corrections must still be emitted).
+// the far field's degenerate case: far entries with no histogram terms.
 func dimerMolecule(side int) *molecule.Molecule {
 	mol := &molecule.Molecule{Name: "dimers"}
 	for i := 0; i < side; i++ {
@@ -120,70 +117,61 @@ func (f streamFixture) sweep(ctx *EpolContext, il *InteractionLists, p int) epol
 }
 
 // The differential harness of the gather-then-stream driver: against the
-// per-entry oracles over molecule shape × tier × FarOrder × pool size —
-// the raw pair sum to the tier's tolerance, Ops EXACTLY (the driver
-// charges per row what the oracles charge per entry), and the streamed-
-// work counters against the lists they are derived from.
+// per-entry oracles over molecule shape × tier × pool size — the raw pair
+// sum to the tier's tolerance, Ops EXACTLY (the driver charges per row what
+// the oracles charge per entry), and the streamed-work counters against the
+// lists they are derived from.
 func TestStreamDriverMatchesPerEntryOracles(t *testing.T) {
 	defer func(v bool) { useAsmKernels = v }(useAsmKernels)
 	hostAsm := useAsmKernels
-	for _, order := range []int{0, 2} {
-		fixtures := streamFixtures(t, farOrderParams(order, 0))
-		for _, f := range fixtures {
-			il := f.sys.Lists(nil).Epol
-			if f.name == "dimers" {
-				ctx := NewEpolContext(f.sys, f.radii)
-				degenerate := 0
-				for row, leaf := range il.Rows {
-					if ctx.nzOff[leaf] == ctx.nzOff[leaf+1] && il.FarOff[row] < il.FarOff[row+1] {
-						degenerate++
-					}
-				}
-				if degenerate == 0 {
-					t.Fatal("dimers fixture has no row with an empty histogram and far entries")
+	for _, f := range streamFixtures(t, DefaultParams()) {
+		il := f.sys.Lists(nil).Epol
+		if f.name == "dimers" {
+			ctx := NewEpolContext(f.sys, f.radii)
+			degenerate := 0
+			for row, leaf := range il.Rows {
+				if ctx.nzOff[leaf] == ctx.nzOff[leaf+1] && il.FarOff[row] < il.FarOff[row+1] {
+					degenerate++
 				}
 			}
-			for _, tier := range streamTiers {
-				f.sys.Params.Precision, f.sys.Params.Math = tier.prec, tier.math
-				useAsmKernels = false
-				ctx := NewEpolContext(f.sys, f.radii)
-				oracle := newEpolOracle(ctx)
-				conv := make([]float64, len(ctx.rr))
-				var want epolAccum
-				for row := range il.Rows {
-					epolRowOracle(oracle, il, row, conv, &want)
+			if degenerate == 0 {
+				t.Fatal("dimers fixture has no row with an empty histogram and far entries")
+			}
+		}
+		for _, tier := range streamTiers {
+			f.sys.Params.Precision, f.sys.Params.Math = tier.prec, tier.math
+			useAsmKernels = false
+			ctx := NewEpolContext(f.sys, f.radii)
+			oracle := newEpolOracle(ctx)
+			conv := make([]float64, len(ctx.rr))
+			var want epolAccum
+			for row := range il.Rows {
+				epolRowOracle(oracle, il, row, conv, &want)
+			}
+			for _, asm := range []bool{false, true} {
+				if asm && (!hostAsm || tier.name == "approx") {
+					continue
 				}
-				for _, asm := range []bool{false, true} {
-					if asm && (!hostAsm || tier.name == "approx") {
-						continue
+				useAsmKernels = asm
+				ctx := NewEpolContext(f.sys, f.radii)
+				tol := tier.portable
+				if asm {
+					tol = tier.asmTol
+				}
+				for _, p := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s/%s/asm=%v/pool=%d", f.name, tier.name, asm, p)
+					got := f.sweep(ctx, il, p)
+					if e := relErr(got.energy, want.energy); !(e <= tol) {
+						t.Errorf("%s: pair sum %.17g vs oracle %.17g (rel %.3g > %.0e)", name, got.energy, want.energy, e, tol)
 					}
-					useAsmKernels = asm
-					ctx := NewEpolContext(f.sys, f.radii)
-					tol := tier.portable
-					if asm {
-						tol = tier.asmTol
+					if got.ops != want.ops {
+						t.Errorf("%s: ops %v, oracle %v", name, got.ops, want.ops)
 					}
-					if f.name == "dimers" && tier.name == "f32" {
-						// The dimers' pair sum cancels to ~1 % of its terms, which
-						// amplifies float32 rounding accordingly: hold it to the
-						// tier's accuracy class, not the well-conditioned 1e-5.
-						tol = 1e-4
+					if entries := float64(len(il.Near) + len(il.Sym) + len(il.Far)); got.gatherSpans != entries {
+						t.Errorf("%s: gathered for %v list entries, lists hold %v", name, got.gatherSpans, entries)
 					}
-					for _, p := range []int{1, 2, 4} {
-						name := fmt.Sprintf("%s/%s/asm=%v/order=%d/pool=%d", f.name, tier.name, asm, order, p)
-						got := f.sweep(ctx, il, p)
-						if e := relErr(got.energy, want.energy); !(e <= tol) {
-							t.Errorf("%s: pair sum %.17g vs oracle %.17g (rel %.3g > %.0e)", name, got.energy, want.energy, e, tol)
-						}
-						if got.ops != want.ops {
-							t.Errorf("%s: ops %v, oracle %v", name, got.ops, want.ops)
-						}
-						if entries := float64(len(il.Near) + len(il.Sym) + len(il.Far)); got.gatherSpans != entries {
-							t.Errorf("%s: gathered for %v list entries, lists hold %v", name, got.gatherSpans, entries)
-						}
-						if got.nearTerms <= 0 || (len(il.Far) > 0 && f.name != "dimers" && got.farTerms <= 0) {
-							t.Errorf("%s: near_terms %v, far_terms %v", name, got.nearTerms, got.farTerms)
-						}
+					if got.nearTerms <= 0 || (len(il.Far) > 0 && f.name != "dimers" && got.farTerms <= 0) {
+						t.Errorf("%s: near_terms %v, far_terms %v", name, got.nearTerms, got.farTerms)
 					}
 				}
 			}
@@ -213,19 +201,18 @@ func TestStreamExactAsmMatchesPortable(t *testing.T) {
 
 // randomSoa fills n atoms in a 20 Å box with positive charges (so no
 // cancellation hides a missed or doubled tail element).
-func randomSoa(rng *rand.Rand, n int) (soa[float64], soa[float32]) {
-	a, b := newSoa[float64](n, true), newSoa[float32](n, false)
+func randomSoa(rng *rand.Rand, n int) soa {
+	a := newSoa(n)
 	for i := 0; i < n; i++ {
 		a.x[i], a.y[i], a.z[i] = 20*rng.Float64(), 20*rng.Float64(), 20*rng.Float64()
 		a.q[i], a.r[i] = 0.1+rng.Float64(), 1+3*rng.Float64()
 		a.ir[i] = 1 / a.r[i]
-		b.x[i], b.y[i], b.z[i], b.q[i], b.r[i] = float32(a.x[i]), float32(a.y[i]), float32(a.z[i]), float32(a.q[i]), float32(a.r[i])
 	}
-	return a, b
+	return a
 }
 
 // refStream is the kernels' defining sum in plain float64.
-func refStream(o, s *soa[float64]) float64 {
+func refStream(o, s *soa) float64 {
 	var e float64
 	for a := range o.x {
 		for i := range s.x {
@@ -238,14 +225,13 @@ func refStream(o, s *soa[float64]) float64 {
 }
 
 // Tails and hazards of every stream kernel: stream lengths 0…9 and 4k±1
-// (every lane-remainder of the width-4 and width-8 kernels) × outer
-// lengths 0…3 against the defining sum; an outer atom exactly at the
-// origin (masked-off tail lanes would compute 0/√0 there); zero charges.
+// (every lane-remainder of the width-4 kernels) × outer lengths 0…3 against
+// the defining sum; an outer atom exactly at the origin (masked-off tail
+// lanes would compute 0/√0 there); zero charges.
 func TestStreamKernelTailsAndHazards(t *testing.T) {
-	type k64 = func(o, s *soa[float64]) float64
-	kernels64 := []struct {
+	kernels := []struct {
 		name string
-		fn   k64
+		fn   func(o, s *soa) float64
 		tol  float64
 		asm  bool
 	}{
@@ -259,47 +245,32 @@ func TestStreamKernelTailsAndHazards(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range lengths {
 		for no := 0; no <= 3; no++ {
-			s64, s32 := randomSoa(rng, n)
-			o64, o32 := randomSoa(rng, no)
+			s := randomSoa(rng, n)
+			o := randomSoa(rng, no)
 			if no > 0 {
-				o64.x[0], o64.y[0], o64.z[0] = 0, 0, 0 // the origin hazard
-				o32.x[0], o32.y[0], o32.z[0] = 0, 0, 0
+				o.x[0], o.y[0], o.z[0] = 0, 0, 0 // the origin hazard
 			}
-			want := refStream(&o64, &s64)
-			for _, k := range kernels64 {
+			want := refStream(&o, &s)
+			for _, k := range kernels {
 				if k.asm && !useAsmKernels {
 					continue
 				}
-				got := k.fn(&o64, &s64)
+				got := k.fn(&o, &s)
 				if e := relErr(got, want); !(e <= k.tol) {
 					t.Errorf("%s: n=%d outer=%d: %.17g vs %.17g (rel %.3g > %.0e)", k.name, n, no, got, want, e, k.tol)
 				}
 			}
-			f32s := []func(o, s *soa[float32]) float64{epolStreamF32}
-			if useAsmKernels {
-				f32s = append(f32s, epolStreamF32Asm)
-			}
-			for i, fn := range f32s {
-				if e := relErr(fn(&o32, &s32), want); !(e <= 1e-4) {
-					t.Errorf("f32 (asm=%v): n=%d outer=%d: rel err %.3g > 1e-4", i == 1, n, no, e)
-				}
-			}
 
 			// Zero charges on either side: exactly zero, never NaN.
-			for i := range s64.q {
-				s64.q[i], s32.q[i] = 0, 0
+			for i := range s.q {
+				s.q[i] = 0
 			}
-			for _, k := range kernels64 {
+			for _, k := range kernels {
 				if k.asm && !useAsmKernels {
 					continue
 				}
-				if got := k.fn(&o64, &s64); got != 0 {
+				if got := k.fn(&o, &s); got != 0 {
 					t.Errorf("%s: n=%d outer=%d: zero stream charges give %v", k.name, n, no, got)
-				}
-			}
-			for _, fn := range f32s {
-				if got := fn(&o32, &s32); got != 0 {
-					t.Errorf("f32: n=%d outer=%d: zero stream charges give %v", n, no, got)
 				}
 			}
 		}
@@ -326,12 +297,12 @@ func TestExpSkipBitwiseNeutral(t *testing.T) {
 	}
 
 	// A stream with most atoms past the threshold: 300 Å box, radii ~1–4.
-	s, _ := randomSoa(rng, 4096)
+	s := randomSoa(rng, 4096)
 	for i := range s.x {
 		s.x[i], s.y[i], s.z[i] = 15*s.x[i], 15*s.y[i], 15*s.z[i]
 		s.q[i] -= 0.6
 	}
-	o, _ := randomSoa(rng, 3)
+	o := randomSoa(rng, 3)
 	var withSkip float64
 	skipped := 0
 	for a := range o.x {

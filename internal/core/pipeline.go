@@ -326,9 +326,7 @@ func (pl *pipeline) run(startPhase int, seed []float64) error {
 	start := time.Now()
 
 	// Phase 1 (steps 2–3): Born integrals over the owned q-point leaf
-	// rows, then the Allreduce of the partial s-fields. The reduced vector
-	// carries the full receiver expansion (see bornAccum.vecLen), so the
-	// push phase sees every rank's moment corrections. A joiner with
+	// rows, then the Allreduce of the partial s-fields. A joiner with
 	// startPhase ≥ 2 skips the phase: its reduction already completed
 	// globally, and the result arrived as the seed.
 	pl.accs = make([]*bornAccum, pl.p)
@@ -421,15 +419,14 @@ func (pl *pipeline) bornPass(events []cluster.MemberEvent) error {
 	rows := pl.share("born", pl.kern.born, len(qLeaves), per, &pl.bornDone, events,
 		func(w int) *workMeter { return &accs[w].workMeter },
 		func(lo, hi int32) func(row, w int) {
+			mac := sys.bornMAC()
 			switch pl.kern.born {
 			case rowCompiled:
 				il := pl.lists.Born // row i is qLeaves[i]
 				return func(tile, w int) { bornTile(sys, il, tile, accs[w]) }
 			case rowRecursive:
-				macs := sys.bornMACs()
-				return func(row, w int) { ApproxIntegrals(sys, accs[w], sys.Atoms.Root(), qLeaves[row], &macs) }
+				return func(row, w int) { ApproxIntegrals(sys, accs[w], sys.Atoms.Root(), qLeaves[row], mac) }
 			}
-			mac := sys.bornMAC()
 			return func(row, w int) {
 				ApproxIntegralsAtomRange(sys, accs[w], sys.Atoms.Root(), qLeaves[row], mac, lo, hi)
 			}

@@ -8,8 +8,8 @@ import (
 
 // Precision selects the arithmetic tier of the compiled-list batch
 // kernels (kernels.go / kernels_stream.go) — the paper's approximate-math
-// lever (Section V.E's 1.42×) generalized into three selectable tiers.
-// It restructures the COMPILED warm path; selecting a non-exact tier
+// lever (Section V.E's 1.42×) generalized into two selectable tiers.
+// It restructures the COMPILED warm path; selecting the laned tier
 // additionally switches the scalar kernels (Params.mathMode) to the
 // approximate family so the Born-radius inversion and the recursive
 // traversals sit in the same accuracy class. With the default
@@ -31,47 +31,36 @@ const (
 	// bit-for-bit equal to it — the paper's approximate-math accuracy
 	// class (~1e-4), laned for speed.
 	PrecisionLanes
-	// PrecisionF32 evaluates pair kernels in float32 (positions, charges
-	// and Born radii mirrored to padded float32 SoA arrays, float32
-	// Exp32/RSqrt32) with float64 row-level reduction: block sums stay in
-	// float32, every per-atom / per-row accumulator is float64. Its
-	// measured error budget — ≤1e-4 relative on total E_pol and per-atom
-	// Born radii versus the exact tier — is asserted by
-	// TestF32TierErrorBudget.
-	PrecisionF32
 )
 
 // String implements fmt.Stringer.
 func (p Precision) String() string {
-	switch p {
-	case PrecisionLanes:
+	if p == PrecisionLanes {
 		return "lanes"
-	case PrecisionF32:
-		return "f32"
-	default:
-		return "exact"
 	}
+	return "exact"
 }
 
 // ParsePrecision parses a -precision flag value ("" and "exact" mean the
-// default exact tier).
+// default exact tier). "f32" names a tier that was removed — slower than the
+// exact tier it approximated, and outside its error budget under rigid
+// re-poses (EXPERIMENTS.md "Deletion round 2") — and is refused like any
+// unknown value, pointing at lanes.
 func ParsePrecision(s string) (Precision, error) {
 	switch s {
 	case "", "exact":
 		return PrecisionExact, nil
 	case "lanes", "approx-lanes":
 		return PrecisionLanes, nil
-	case "f32":
-		return PrecisionF32, nil
 	}
-	return 0, fmt.Errorf("core: unknown precision %q (want exact|lanes|f32)", s)
+	return 0, fmt.Errorf("core: unknown precision %q (want exact|lanes)", s)
 }
 
 // KernelISA reports the instruction set the compiled kernels execute on:
 // "avx2+fma" when the runtime-detected assembly (simd_amd64.s) is active —
 // every tier's E_pol stream kernel, the exact tier's included, and the
-// laned and f32 tiers' Born near blocks dispatch on the one switch —
-// "portable" otherwise (other architectures, older CPUs, -tags purego).
+// laned tier's Born near blocks dispatch on the one switch — "portable"
+// otherwise (other architectures, older CPUs, -tags purego).
 func KernelISA() string {
 	if useAsmKernels {
 		return "avx2+fma"
@@ -80,8 +69,8 @@ func KernelISA() string {
 }
 
 // kernelTier is the resolved arithmetic of one compiled kernel sweep:
-// Params.Precision overrides Params.Math on the compiled path (the two
-// non-exact tiers are both in the approximate-math accuracy class), while
+// Params.Precision overrides Params.Math on the compiled path (the laned
+// tier is in the approximate-math accuracy class), while
 // PrecisionExact preserves the historical Math toggle.
 type kernelTier int
 
@@ -89,16 +78,12 @@ const (
 	tierExact kernelTier = iota
 	tierApprox
 	tierLanes
-	tierF32
 )
 
 // tier resolves the compiled-kernel arithmetic from the parameters.
 func (p Params) tier() kernelTier {
-	switch p.Precision {
-	case PrecisionLanes:
+	if p.Precision == PrecisionLanes {
 		return tierLanes
-	case PrecisionF32:
-		return tierF32
 	}
 	if p.Math == mathx.Approximate {
 		return tierApprox
@@ -106,10 +91,10 @@ func (p Params) tier() kernelTier {
 	return tierExact
 }
 
-// mathMode is the scalar-kernel mode consistent with the tier: the
-// non-exact precision tiers belong to the approximate-math class, so the
+// mathMode is the scalar-kernel mode consistent with the tier: the laned
+// precision tier belongs to the approximate-math class, so the
 // Born-radius inversion (k.Cbrt in PushIntegralsToAtoms) and any scalar
-// remainder work use the fast kernels with them.
+// remainder work use the fast kernels with it.
 func (p Params) mathMode() mathx.Mode {
 	if p.Precision != PrecisionExact {
 		return mathx.Approximate

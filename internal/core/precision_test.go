@@ -2,9 +2,9 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
-	"gbpolar/internal/geom"
 	"gbpolar/internal/mathx"
 )
 
@@ -22,37 +22,6 @@ func runTier(t *testing.T, sys *System, p Precision, m mathx.Mode) *Result {
 		t.Fatal(err)
 	}
 	return res
-}
-
-// The f32 tier's acceptance contract (ISSUE satellite): total E_pol and
-// EVERY per-atom Born radius within 1e-4 relative of the exact tier, on
-// the 5k test molecule always and the 40k one unless -short.
-func TestF32TierErrorBudget(t *testing.T) {
-	sizes := []int{5000}
-	if !testing.Short() {
-		sizes = append(sizes, 40000)
-	}
-	for _, n := range sizes {
-		sys, _, _ := testSystem(t, n, int64(500+n), DefaultParams())
-		exact := runTier(t, sys, PrecisionExact, mathx.Exact)
-		f32 := runTier(t, sys, PrecisionF32, mathx.Exact)
-
-		if e := relErr(f32.Epol, exact.Epol); e > 1e-4 {
-			t.Errorf("n=%d: f32-tier E_pol %.10g vs exact %.10g, rel err %.3g > 1e-4",
-				n, f32.Epol, exact.Epol, e)
-		}
-		var worst float64
-		for i := range exact.BornRadii {
-			if e := relErr(f32.BornRadii[i], exact.BornRadii[i]); e > worst {
-				worst = e
-			}
-		}
-		if worst > 1e-4 {
-			t.Errorf("n=%d: f32-tier worst Born-radius rel err %.3g > 1e-4", n, worst)
-		}
-		t.Logf("n=%d: f32 tier E_pol rel err %.3g, worst Born-radius rel err %.3g",
-			n, relErr(f32.Epol, exact.Epol), worst)
-	}
 }
 
 // The laned tier's PORTABLE path claims BIT-compatibility with the
@@ -81,84 +50,55 @@ func TestLanesTierBitCompatible(t *testing.T) {
 }
 
 // The AVX2 assembly near-block kernels must agree with the portable lane
-// code they replace far inside the tiers' 1e-4 accuracy budget: the
+// code they replace far inside the tier's 1e-4 accuracy budget: the
 // per-lane arithmetic differs only by FMA contraction, polynomial exp
-// (vs the mathx scalars) and pairwise reduction, so the f64 tier is
-// pinned at 1e-9 relative (measured ~2e-11) and the f32 tier at 1e-5
-// (measured ~4e-6).
+// (vs the mathx scalars) and pairwise reduction, so the tier is pinned at
+// 1e-9 relative (measured ~2e-11).
 func TestAsmKernelsMatchPortable(t *testing.T) {
 	if !useAsmKernels {
 		t.Skip("no AVX2+FMA assembly kernels on this host")
 	}
 	sys, _, _ := testSystem(t, 4000, 95, DefaultParams())
-	type run struct{ lanes, f32 *Result }
-	measure := func() run {
-		return run{
-			lanes: runTier(t, sys, PrecisionLanes, mathx.Exact),
-			f32:   runTier(t, sys, PrecisionF32, mathx.Exact),
-		}
-	}
-	asm := measure()
+	asm := runTier(t, sys, PrecisionLanes, mathx.Exact)
 	useAsmKernels = false
 	defer func() { useAsmKernels = true }()
-	portable := measure()
+	portable := runTier(t, sys, PrecisionLanes, mathx.Exact)
 
-	check := func(tier string, a, p *Result, tol float64) {
-		// !(e <= tol) rather than e > tol so a NaN energy cannot pass.
-		if e := relErr(a.Epol, p.Epol); !(e <= tol) {
-			t.Errorf("%s tier: asm E_pol %.12g vs portable %.12g, rel err %.3g > %.0e",
-				tier, a.Epol, p.Epol, e, tol)
-		}
-		var worst float64
-		for i := range p.BornRadii {
-			if e := relErr(a.BornRadii[i], p.BornRadii[i]); e > worst {
-				worst = e
-			}
-		}
-		if worst > tol {
-			t.Errorf("%s tier: asm worst Born-radius rel err %.3g > %.0e vs portable", tier, worst, tol)
-		}
-		t.Logf("%s tier: asm vs portable E_pol rel err %.3g, worst Born-radius rel err %.3g",
-			tier, relErr(a.Epol, p.Epol), worst)
+	const tol = 1e-9
+	// !(e <= tol) rather than e > tol so a NaN energy cannot pass.
+	if e := relErr(asm.Epol, portable.Epol); !(e <= tol) {
+		t.Errorf("lanes tier: asm E_pol %.12g vs portable %.12g, rel err %.3g > %.0e", asm.Epol, portable.Epol, e, tol)
 	}
-	check("lanes", asm.lanes, portable.lanes, 1e-9)
-	check("f32", asm.f32, portable.f32, 1e-5)
+	var worst float64
+	for i := range portable.BornRadii {
+		if e := relErr(asm.BornRadii[i], portable.BornRadii[i]); e > worst {
+			worst = e
+		}
+	}
+	if worst > tol {
+		t.Errorf("lanes tier: asm worst Born-radius rel err %.3g > %.0e vs portable", worst, tol)
+	}
+	t.Logf("lanes tier: asm vs portable E_pol rel err %.3g, worst Born-radius rel err %.3g",
+		relErr(asm.Epol, portable.Epol), worst)
 }
 
 // The laned tier also stays within the approximate-math accuracy class
-// of the exact tier (the paper's ~1e-4 comparison), and all three tiers
-// survive the paranoid DebugCheckLists mode (which now also asserts the
-// SoA lane-padding invariants).
+// of the exact tier (the paper's ~1e-4 comparison), and both tiers survive
+// the paranoid DebugCheckLists mode (which now also asserts the SoA
+// lane-padding invariants).
 func TestTiersUnderDebugCheckLists(t *testing.T) {
 	params := DefaultParams()
 	params.DebugCheckLists = true
 	sys, _, _ := testSystem(t, 1500, 92, params)
 	exact := runTier(t, sys, PrecisionExact, mathx.Exact)
-	for _, p := range []Precision{PrecisionLanes, PrecisionF32} {
-		res := runTier(t, sys, p, mathx.Exact)
-		if e := relErr(res.Epol, exact.Epol); e > 1e-4 {
-			t.Errorf("%v tier E_pol rel err %.3g > 1e-4 vs exact", p, e)
-		}
+	res := runTier(t, sys, PrecisionLanes, mathx.Exact)
+	if e := relErr(res.Epol, exact.Epol); e > 1e-4 {
+		t.Errorf("lanes tier E_pol rel err %.3g > 1e-4 vs exact", e)
 	}
 }
 
-// The f32 tier must keep tracking geometry through warm re-poses: the
-// float32 mirror is generation-cached, and a stale mirror would silently
-// freeze the pose. Verified against the exact tier after each transform.
-func TestF32MirrorTracksRigidTransforms(t *testing.T) {
-	sys, _, _ := testSystem(t, 1200, 93, DefaultParams())
-	for step := 0; step < 3; step++ {
-		tr := geom.Translate(geom.V(float64(step)+1, -2, 0.5)).
-			Compose(geom.RotateAxis(geom.V(1, 2, 3), 0.3*float64(step+1)))
-		sys.ApplyRigidTransform(tr)
-		exact := runTier(t, sys, PrecisionExact, mathx.Exact)
-		f32 := runTier(t, sys, PrecisionF32, mathx.Exact)
-		if e := relErr(f32.Epol, exact.Epol); e > 1e-4 {
-			t.Fatalf("step %d: f32 tier E_pol rel err %.3g > 1e-4 — stale float32 mirror?", step, e)
-		}
-	}
-}
-
+// The two tiers parse and print by name; the retired f32 tier, like any
+// unknown one, is an error — one that names the tier to use instead.
 func TestPrecisionParseAndString(t *testing.T) {
 	for _, c := range []struct {
 		in   string
@@ -166,23 +106,24 @@ func TestPrecisionParseAndString(t *testing.T) {
 	}{
 		{"", PrecisionExact}, {"exact", PrecisionExact},
 		{"lanes", PrecisionLanes}, {"approx-lanes", PrecisionLanes},
-		{"f32", PrecisionF32},
 	} {
 		got, err := ParsePrecision(c.in)
 		if err != nil || got != c.want {
 			t.Errorf("ParsePrecision(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
-	if _, err := ParsePrecision("float16"); err == nil {
-		t.Error("ParsePrecision should reject unknown tiers")
+	for _, bad := range []string{"float16", "f32"} {
+		if _, err := ParsePrecision(bad); err == nil || !strings.Contains(err.Error(), "lanes") {
+			t.Errorf("ParsePrecision(%q) = %v, want an error naming lanes", bad, err)
+		}
 	}
-	if PrecisionExact.String() != "exact" || PrecisionLanes.String() != "lanes" || PrecisionF32.String() != "f32" {
+	if PrecisionExact.String() != "exact" || PrecisionLanes.String() != "lanes" {
 		t.Error("Precision.String broken")
 	}
 }
 
 // checkSoAPadding must catch a dirtied pad slot — the invariant the lane
-// loops and the f32 mirror conversion rely on.
+// loops rely on.
 func TestSoAPaddingInvariantChecked(t *testing.T) {
 	sys, _, _ := testSystem(t, 123, 94, DefaultParams())
 	if err := sys.checkSoAPadding(); err != nil {

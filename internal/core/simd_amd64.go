@@ -4,17 +4,17 @@ package core
 
 import "gbpolar/internal/mathx"
 
-// Runtime dispatch for the AVX2+FMA kernels (simd_amd64.s): one E_pol
-// stream kernel per tier — the exact tier included, whose assembly keeps
-// IEEE sqrt/divide and a ≤1-ulp vector exp — the Born near-block kernels of
-// the laned and f32 tiers, and the Born tile's shared far sweep of every
-// float64 tier, bit for bit its portable loop. The portable Go kernels
-// (kernels_stream.go, kernels.go, kernels_f32.go) remain the reference
-// implementation — the tests force useAsmKernels off to pin the laned
-// tier's bit-compatibility claim, TestAsmKernelsMatchPortable bounds the
-// laned/f32 assembly against the portable path far inside the tiers' 1e-4
-// accuracy class, and TestStreamExactAsmMatchesPortable holds the exact
-// tier's to 1e-13. Build with -tags purego to leave the assembly out.
+// Runtime dispatch for the AVX2+FMA kernels (simd_amd64.s): the E_pol
+// stream kernels of the exact tier — whose assembly keeps IEEE sqrt/divide
+// and a ≤1-ulp vector exp — and of the laned tier, the laned tier's Born
+// near-block kernel, and the Born tile's shared far sweep of every tier,
+// bit for bit its portable loop. The portable Go kernels
+// (kernels_stream.go, kernels.go) remain the reference implementation — the
+// tests force useAsmKernels off to pin the laned tier's bit-compatibility
+// claim, TestAsmKernelsMatchPortable bounds the laned assembly against the
+// portable path far inside the tier's 1e-4 accuracy class, and
+// TestStreamExactAsmMatchesPortable holds the exact tier's to 1e-13. Build
+// with -tags purego to leave the assembly out.
 
 // cpuidex and xgetbv0 are the CPUID/XGETBV primitives behind feature
 // detection (implemented in simd_amd64.s).
@@ -28,9 +28,6 @@ func epolStreamExact4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float
 func epolStreamLanes4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
 
 //go:noescape
-func epolStreamF32x8(ax, ay, az, ch, rad, vx, vy, vz, cv, rv []float32) float64
-
-//go:noescape
 func gatherBlocks4(dst []float64, stride, n int, src []float64, lo, hi, list []int32, w float64) int
 
 //go:noescape
@@ -41,9 +38,6 @@ func expNeg4(dst, src []float64)
 
 //go:noescape
 func bornNearBlock4R6(ax, ay, az, out, qx, qy, qz, wx, wy, wz []float64)
-
-//go:noescape
-func bornNearBlock8R6x32(ax, ay, az []float32, out []float64, qx, qy, qz, wx, wy, wz []float32)
 
 //go:noescape
 func bornFarShared4(q *bornLanes, lane int, shared []int32, ax, ay, az, node []float64)
@@ -85,21 +79,17 @@ var expNegTab = func() (t [len(mathx.ExpNegConsts)][4]float64) {
 
 // The tiers' assembly stream kernels as epolTier.sweep values.
 
-func epolStreamExactAsm(o, s *soa[float64]) float64 {
+func epolStreamExactAsm(o, s *soa) float64 {
 	return epolStreamExact4(o.x, o.y, o.z, o.q, o.r, o.ir, s.x, s.y, s.z, s.q, s.r, s.ir)
 }
 
-func epolStreamLanesAsm(o, s *soa[float64]) float64 {
+func epolStreamLanesAsm(o, s *soa) float64 {
 	return epolStreamLanes4(o.x, o.y, o.z, o.q, o.r, o.ir, s.x, s.y, s.z, s.q, s.r, s.ir)
 }
 
-func epolStreamF32Asm(o, s *soa[float32]) float64 {
-	return epolStreamF32x8(o.x, o.y, o.z, o.q, o.r, s.x, s.y, s.z, s.q, s.r)
-}
-
 // gatherAsm is soa.gather (kernels_stream.go) through the vector span
-// copy: the float64 tiers' epolTier.gather value.
-func gatherAsm(s *soa[float64], n int, src []float64, lo, hi, list []int32, w float64) int {
+// copy: epolTier.gather on AVX2 hosts.
+func gatherAsm(s *soa, n int, src []float64, lo, hi, list []int32, w float64) int {
 	return gatherBlocks4(s.flat, len(s.flat)/srcFields, n, src, lo, hi, list, w)
 }
 
@@ -129,11 +119,4 @@ func bornNearBlockAsmR6(sys *System, lo, hi int32, out []float64, qx, qy, qz, wx
 func bornFarSharedAsm(sys *System, q *bornLanes, shared []int32, node []float64) {
 	bornFarShared4(q, 0, shared, sys.ANodeX, sys.ANodeY, sys.ANodeZ, node)
 	bornFarShared4(q, 4, shared, sys.ANodeX, sys.ANodeY, sys.ANodeZ, node)
-}
-
-// bornNearBlockAsmR6x32 is the float32 width-8 Born variant.
-func bornNearBlockAsmR6x32(f *f32SoA, lo, hi int32, out []float64, qx, qy, qz, wx, wy, wz []float32) {
-	bornNearBlock8R6x32(
-		f.atomX[lo:hi], f.atomY[lo:hi], f.atomZ[lo:hi], out[lo:hi],
-		qx, qy, qz, wx, wy, wz)
 }

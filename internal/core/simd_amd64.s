@@ -1,29 +1,26 @@
 //go:build amd64 && !purego
 
-// AVX2+FMA E_pol stream kernels and Born near-block kernels (simd_amd64.go
-// wraps and dispatches these; kernels_stream.go / kernels.go /
-// kernels_f32.go carry the portable fallbacks). One epol call sweeps one
-// gathered stream (the six — f32: five — trailing slices) against a few
-// outer atoms (the leading slices): the row leaf's atoms for the near
-// stream, one unit pseudo-atom for the far stream. The outer loop runs
-// inside the assembly, so the per-call setup amortizes over the whole
-// stream. A Born call sweeps one near leaf against the row's q-points.
-// gatherBlocks4, last in the file, is the copy that stages a float64
-// stream from the blocked gather sources.
+// AVX2+FMA E_pol stream kernels and the Born near-block kernel (simd_amd64.go
+// wraps and dispatches these; kernels_stream.go / kernels.go carry the
+// portable fallbacks). One epol call sweeps one gathered stream (the six
+// trailing slices) against a few outer atoms (the leading slices): the row
+// leaf's atoms for the near stream, one unit pseudo-atom for the far
+// stream. The outer loop runs inside the assembly, so the per-call setup
+// amortizes over the whole stream. A Born call sweeps one near leaf against
+// the row's q-points. gatherBlocks4 is the copy that stages a stream from
+// the blocked gather sources.
 //
 // Arithmetic contract (DESIGN.md §11). Exact tier (epolStreamExact4):
 // every step but the exponential is the IEEE operation of the portable
 // loop — unfused multiplies and adds, VSQRTPD, VDIVPD, all correctly
 // rounded — and the exponential is EXPNEG4, bit-identical per lane to
 // mathx.ExpNeg (≤ 1 ulp); only the four-lane pairwise reduction reorders
-// the sum. Laned and f32 tiers: exp uses the same range reduction +
-// degree-6 (f64) / degree-5 (f32) Horner polynomial as mathx.Exp/Exp32,
-// evaluated with FMA contractions; 1/√x seeds from VRSQRTPS (|rel err| ≤
-// 1.5·2⁻¹²) and runs two (f64, → ~6e-14) or one (f32, → ~2e-7) Newton
-// steps; lane partials reduce pairwise. Those two are not bit-identical to
-// the portable lane path — the tiers' accuracy class (≤1e-4 relative)
-// absorbs the difference, and TestAsmKernelsMatchPortable pins it far
-// tighter.
+// the sum. Laned tier: exp uses the same range reduction + degree-6 Horner
+// polynomial as mathx.Exp, evaluated with FMA contractions; 1/√x seeds from
+// VRSQRTPS (|rel err| ≤ 1.5·2⁻¹²) and runs two Newton steps (→ ~6e-14);
+// lane partials reduce pairwise. That is not bit-identical to the portable
+// lane path — the tier's accuracy class (≤1e-4 relative) absorbs the
+// difference, and TestAsmKernelsMatchPortable pins it far tighter.
 //
 // The inner (stream / q-point) length is runtime-sized: full lanes run
 // the unmasked loop, the remainder runs one extra iteration with
@@ -150,159 +147,6 @@ DATA mask4<>+136(SB)/8, $-1
 DATA mask4<>+144(SB)/8, $-1
 DATA mask4<>+152(SB)/8, $-1
 GLOBL mask4<>(SB), RODATA|NOPTR, $160
-
-DATA f32x8NegQuarter<>+0(SB)/4, $-0.25
-DATA f32x8NegQuarter<>+4(SB)/4, $-0.25
-DATA f32x8NegQuarter<>+8(SB)/4, $-0.25
-DATA f32x8NegQuarter<>+12(SB)/4, $-0.25
-DATA f32x8NegQuarter<>+16(SB)/4, $-0.25
-DATA f32x8NegQuarter<>+20(SB)/4, $-0.25
-DATA f32x8NegQuarter<>+24(SB)/4, $-0.25
-DATA f32x8NegQuarter<>+28(SB)/4, $-0.25
-GLOBL f32x8NegQuarter<>(SB), RODATA|NOPTR, $32
-
-DATA f32x8Clamp<>+0(SB)/4, $-87.0
-DATA f32x8Clamp<>+4(SB)/4, $-87.0
-DATA f32x8Clamp<>+8(SB)/4, $-87.0
-DATA f32x8Clamp<>+12(SB)/4, $-87.0
-DATA f32x8Clamp<>+16(SB)/4, $-87.0
-DATA f32x8Clamp<>+20(SB)/4, $-87.0
-DATA f32x8Clamp<>+24(SB)/4, $-87.0
-DATA f32x8Clamp<>+28(SB)/4, $-87.0
-GLOBL f32x8Clamp<>(SB), RODATA|NOPTR, $32
-
-DATA f32x8InvLn2<>+0(SB)/4, $1.44269504
-DATA f32x8InvLn2<>+4(SB)/4, $1.44269504
-DATA f32x8InvLn2<>+8(SB)/4, $1.44269504
-DATA f32x8InvLn2<>+12(SB)/4, $1.44269504
-DATA f32x8InvLn2<>+16(SB)/4, $1.44269504
-DATA f32x8InvLn2<>+20(SB)/4, $1.44269504
-DATA f32x8InvLn2<>+24(SB)/4, $1.44269504
-DATA f32x8InvLn2<>+28(SB)/4, $1.44269504
-GLOBL f32x8InvLn2<>(SB), RODATA|NOPTR, $32
-
-DATA f32x8Ln2<>+0(SB)/4, $0.693147182
-DATA f32x8Ln2<>+4(SB)/4, $0.693147182
-DATA f32x8Ln2<>+8(SB)/4, $0.693147182
-DATA f32x8Ln2<>+12(SB)/4, $0.693147182
-DATA f32x8Ln2<>+16(SB)/4, $0.693147182
-DATA f32x8Ln2<>+20(SB)/4, $0.693147182
-DATA f32x8Ln2<>+24(SB)/4, $0.693147182
-DATA f32x8Ln2<>+28(SB)/4, $0.693147182
-GLOBL f32x8Ln2<>(SB), RODATA|NOPTR, $32
-
-DATA f32x8C5<>+0(SB)/4, $0.00833333377
-DATA f32x8C5<>+4(SB)/4, $0.00833333377
-DATA f32x8C5<>+8(SB)/4, $0.00833333377
-DATA f32x8C5<>+12(SB)/4, $0.00833333377
-DATA f32x8C5<>+16(SB)/4, $0.00833333377
-DATA f32x8C5<>+20(SB)/4, $0.00833333377
-DATA f32x8C5<>+24(SB)/4, $0.00833333377
-DATA f32x8C5<>+28(SB)/4, $0.00833333377
-GLOBL f32x8C5<>(SB), RODATA|NOPTR, $32
-
-DATA f32x8C4<>+0(SB)/4, $0.0416666679
-DATA f32x8C4<>+4(SB)/4, $0.0416666679
-DATA f32x8C4<>+8(SB)/4, $0.0416666679
-DATA f32x8C4<>+12(SB)/4, $0.0416666679
-DATA f32x8C4<>+16(SB)/4, $0.0416666679
-DATA f32x8C4<>+20(SB)/4, $0.0416666679
-DATA f32x8C4<>+24(SB)/4, $0.0416666679
-DATA f32x8C4<>+28(SB)/4, $0.0416666679
-GLOBL f32x8C4<>(SB), RODATA|NOPTR, $32
-
-DATA f32x8C3<>+0(SB)/4, $0.166666672
-DATA f32x8C3<>+4(SB)/4, $0.166666672
-DATA f32x8C3<>+8(SB)/4, $0.166666672
-DATA f32x8C3<>+12(SB)/4, $0.166666672
-DATA f32x8C3<>+16(SB)/4, $0.166666672
-DATA f32x8C3<>+20(SB)/4, $0.166666672
-DATA f32x8C3<>+24(SB)/4, $0.166666672
-DATA f32x8C3<>+28(SB)/4, $0.166666672
-GLOBL f32x8C3<>(SB), RODATA|NOPTR, $32
-
-DATA f32x8Half<>+0(SB)/4, $0.5
-DATA f32x8Half<>+4(SB)/4, $0.5
-DATA f32x8Half<>+8(SB)/4, $0.5
-DATA f32x8Half<>+12(SB)/4, $0.5
-DATA f32x8Half<>+16(SB)/4, $0.5
-DATA f32x8Half<>+20(SB)/4, $0.5
-DATA f32x8Half<>+24(SB)/4, $0.5
-DATA f32x8Half<>+28(SB)/4, $0.5
-GLOBL f32x8Half<>(SB), RODATA|NOPTR, $32
-
-DATA f32x8One<>+0(SB)/4, $1.0
-DATA f32x8One<>+4(SB)/4, $1.0
-DATA f32x8One<>+8(SB)/4, $1.0
-DATA f32x8One<>+12(SB)/4, $1.0
-DATA f32x8One<>+16(SB)/4, $1.0
-DATA f32x8One<>+20(SB)/4, $1.0
-DATA f32x8One<>+24(SB)/4, $1.0
-DATA f32x8One<>+28(SB)/4, $1.0
-GLOBL f32x8One<>(SB), RODATA|NOPTR, $32
-
-DATA f32x8OneHalf<>+0(SB)/4, $1.5
-DATA f32x8OneHalf<>+4(SB)/4, $1.5
-DATA f32x8OneHalf<>+8(SB)/4, $1.5
-DATA f32x8OneHalf<>+12(SB)/4, $1.5
-DATA f32x8OneHalf<>+16(SB)/4, $1.5
-DATA f32x8OneHalf<>+20(SB)/4, $1.5
-DATA f32x8OneHalf<>+24(SB)/4, $1.5
-DATA f32x8OneHalf<>+28(SB)/4, $1.5
-GLOBL f32x8OneHalf<>(SB), RODATA|NOPTR, $32
-
-DATA f32x8Bias<>+0(SB)/4, $127
-DATA f32x8Bias<>+4(SB)/4, $127
-DATA f32x8Bias<>+8(SB)/4, $127
-DATA f32x8Bias<>+12(SB)/4, $127
-DATA f32x8Bias<>+16(SB)/4, $127
-DATA f32x8Bias<>+20(SB)/4, $127
-DATA f32x8Bias<>+24(SB)/4, $127
-DATA f32x8Bias<>+28(SB)/4, $127
-GLOBL f32x8Bias<>(SB), RODATA|NOPTR, $32
-
-// mask8<>[r] enables the first r of 8 f32 lanes (rows 0..8, 32 B each).
-DATA mask8<>+0(SB)/8, $0
-DATA mask8<>+8(SB)/8, $0
-DATA mask8<>+16(SB)/8, $0
-DATA mask8<>+24(SB)/8, $0
-DATA mask8<>+32(SB)/4, $-1
-DATA mask8<>+36(SB)/4, $0
-DATA mask8<>+40(SB)/8, $0
-DATA mask8<>+48(SB)/8, $0
-DATA mask8<>+56(SB)/8, $0
-DATA mask8<>+64(SB)/8, $-1
-DATA mask8<>+72(SB)/8, $0
-DATA mask8<>+80(SB)/8, $0
-DATA mask8<>+88(SB)/8, $0
-DATA mask8<>+96(SB)/8, $-1
-DATA mask8<>+104(SB)/4, $-1
-DATA mask8<>+108(SB)/4, $0
-DATA mask8<>+112(SB)/8, $0
-DATA mask8<>+120(SB)/8, $0
-DATA mask8<>+128(SB)/8, $-1
-DATA mask8<>+136(SB)/8, $-1
-DATA mask8<>+144(SB)/8, $0
-DATA mask8<>+152(SB)/8, $0
-DATA mask8<>+160(SB)/8, $-1
-DATA mask8<>+168(SB)/8, $-1
-DATA mask8<>+176(SB)/4, $-1
-DATA mask8<>+180(SB)/4, $0
-DATA mask8<>+184(SB)/8, $0
-DATA mask8<>+192(SB)/8, $-1
-DATA mask8<>+200(SB)/8, $-1
-DATA mask8<>+208(SB)/8, $-1
-DATA mask8<>+216(SB)/8, $0
-DATA mask8<>+224(SB)/8, $-1
-DATA mask8<>+232(SB)/8, $-1
-DATA mask8<>+240(SB)/8, $-1
-DATA mask8<>+248(SB)/4, $-1
-DATA mask8<>+252(SB)/4, $0
-DATA mask8<>+256(SB)/8, $-1
-DATA mask8<>+264(SB)/8, $-1
-DATA mask8<>+272(SB)/8, $-1
-DATA mask8<>+280(SB)/8, $-1
-GLOBL mask8<>(SB), RODATA|NOPTR, $288
 
 // func epolStreamLanes4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
 //
@@ -677,168 +521,6 @@ pdone:
 	VZEROUPPER
 	RET
 
-// func epolStreamF32x8(ax, ay, az, ch, rad, vx, vy, vz, cv, rv []float32) float64
-//
-// Float32 epolStreamLanes4 at width 8: the exponent divides (−r²/4)/rr
-// outright (no reciprocal-radius table on the f32 mirror), 1/√ runs one
-// Newton step, and each u-atom's lane sum converts to float64 before it
-// joins the running energy — the tier's row-level f64 reduction.
-//
-// Registers — outer: R14=ax R15=ay AX=az BX=ch CX=rad, R9 = remaining
-// u count; inner: SI=vx DI=vy R10=vz R11=cv R12=rv, R8 = j.
-TEXT ·epolStreamF32x8(SB), NOSPLIT, $48-248
-	// nfull = n &^ 7; tmask = mask8[n&7]
-	MOVQ vx_len+128(FP), R8
-	MOVQ R8, R9
-	ANDQ $7, R9
-	SUBQ R9, R8
-	MOVQ R8, nfull-48(SP)
-	SHLQ $5, R9
-	LEAQ mask8<>(SB), R8
-	VMOVUPS (R8)(R9*1), Y0
-	VMOVUPS Y0, tmask-32(SP)
-
-	MOVQ ax_base+0(FP), R14
-	MOVQ ax_len+8(FP), R9
-	MOVQ ay_base+24(FP), R15
-	MOVQ az_base+48(FP), AX
-	MOVQ ch_base+72(FP), BX
-	MOVQ rad_base+96(FP), CX
-	MOVQ vx_base+120(FP), SI
-	MOVQ vy_base+144(FP), DI
-	MOVQ vz_base+168(FP), R10
-	MOVQ cv_base+192(FP), R11
-	MOVQ rv_base+216(FP), R12
-
-	VXORPD X0, X0, X0
-	VMOVSD X0, energy-40(SP)
-	TESTQ R9, R9
-	JZ fdone
-
-fouter:
-	VBROADCASTSS (R14), Y12
-	VBROADCASTSS (R15), Y13
-	VBROADCASTSS (AX), Y14
-	VBROADCASTSS (CX), Y11
-	VXORPS Y15, Y15, Y15
-	XORQ R8, R8
-
-finner:
-	CMPQ R8, nfull-48(SP)
-	JGE ftail
-
-	VMOVUPS (SI)(R8*4), Y0
-	VSUBPS Y0, Y12, Y0
-	VMOVUPS (DI)(R8*4), Y1
-	VSUBPS Y1, Y13, Y1
-	VMOVUPS (R10)(R8*4), Y2
-	VSUBPS Y2, Y14, Y2
-	VMULPS Y0, Y0, Y3
-	VFMADD231PS Y1, Y1, Y3
-	VFMADD231PS Y2, Y2, Y3              // r²
-	VMOVUPS (R12)(R8*4), Y4
-	VMULPS Y4, Y11, Y4                  // rr
-	VMULPS f32x8NegQuarter<>(SB), Y3, Y5
-	VDIVPS Y4, Y5, Y5                   // arg = (−r²/4)/rr
-	VMAXPS f32x8Clamp<>(SB), Y5, Y5
-	VMULPS f32x8InvLn2<>(SB), Y5, Y6
-	VROUNDPS $0, Y6, Y6
-	VMOVAPS Y5, Y7
-	VFNMADD231PS f32x8Ln2<>(SB), Y6, Y7
-	VMOVUPS f32x8C5<>(SB), Y8
-	VFMADD213PS f32x8C4<>(SB), Y7, Y8
-	VFMADD213PS f32x8C3<>(SB), Y7, Y8
-	VFMADD213PS f32x8Half<>(SB), Y7, Y8
-	VFMADD213PS f32x8One<>(SB), Y7, Y8
-	VFMADD213PS f32x8One<>(SB), Y7, Y8
-	VCVTTPS2DQ Y6, Y6
-	VPADDD f32x8Bias<>(SB), Y6, Y6
-	VPSLLD $23, Y6, Y6
-	VMULPS Y6, Y8, Y8                   // e
-	VFMADD231PS Y8, Y4, Y3              // f²
-	VRSQRTPS Y3, Y5
-	VMULPS f32x8Half<>(SB), Y3, Y6
-	VMULPS Y5, Y5, Y7
-	VMOVUPS f32x8OneHalf<>(SB), Y8
-	VFNMADD231PS Y7, Y6, Y8
-	VMULPS Y8, Y5, Y5                   // Newton 1
-	VMOVUPS (R11)(R8*4), Y7
-	VFMADD231PS Y5, Y7, Y15
-
-	ADDQ $8, R8
-	JMP finner
-
-ftail:
-	CMPQ R8, vx_len+128(FP)
-	JGE fusum
-	VMOVUPS tmask-32(SP), Y9
-
-	VMASKMOVPS (SI)(R8*4), Y9, Y0
-	VSUBPS Y0, Y12, Y0
-	VMASKMOVPS (DI)(R8*4), Y9, Y1
-	VSUBPS Y1, Y13, Y1
-	VMASKMOVPS (R10)(R8*4), Y9, Y2
-	VSUBPS Y2, Y14, Y2
-	VMULPS Y0, Y0, Y3
-	VFMADD231PS Y1, Y1, Y3
-	VFMADD231PS Y2, Y2, Y3
-	VMASKMOVPS (R12)(R8*4), Y9, Y4
-	VMULPS Y4, Y11, Y4
-	VMULPS f32x8NegQuarter<>(SB), Y3, Y5
-	VDIVPS Y4, Y5, Y5
-	VMAXPS f32x8Clamp<>(SB), Y5, Y5
-	VMULPS f32x8InvLn2<>(SB), Y5, Y6
-	VROUNDPS $0, Y6, Y6
-	VMOVAPS Y5, Y7
-	VFNMADD231PS f32x8Ln2<>(SB), Y6, Y7
-	VMOVUPS f32x8C5<>(SB), Y8
-	VFMADD213PS f32x8C4<>(SB), Y7, Y8
-	VFMADD213PS f32x8C3<>(SB), Y7, Y8
-	VFMADD213PS f32x8Half<>(SB), Y7, Y8
-	VFMADD213PS f32x8One<>(SB), Y7, Y8
-	VFMADD213PS f32x8One<>(SB), Y7, Y8
-	VCVTTPS2DQ Y6, Y6
-	VPADDD f32x8Bias<>(SB), Y6, Y6
-	VPSLLD $23, Y6, Y6
-	VMULPS Y6, Y8, Y8
-	VFMADD231PS Y8, Y4, Y3
-	VMOVUPS f32x8One<>(SB), Y8
-	VBLENDVPS Y9, Y3, Y8, Y3            // masked-off lanes: f² := 1
-	VRSQRTPS Y3, Y5
-	VMULPS f32x8Half<>(SB), Y3, Y6
-	VMULPS Y5, Y5, Y7
-	VMOVUPS f32x8OneHalf<>(SB), Y8
-	VFNMADD231PS Y7, Y6, Y8
-	VMULPS Y8, Y5, Y5
-	VMASKMOVPS (R11)(R8*4), Y9, Y7
-	VFMADD231PS Y5, Y7, Y15
-
-fusum:
-	VEXTRACTF128 $1, Y15, X0
-	VADDPS X0, X15, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VCVTSS2SD X0, X0, X0
-	VMOVSS (BX), X1
-	VCVTSS2SD X1, X1, X1
-	VMOVSD energy-40(SP), X2
-	VFMADD231SD X1, X0, X2              // energy += f64(ch[u])·f64(s)
-	VMOVSD X2, energy-40(SP)
-
-	ADDQ $4, R14
-	ADDQ $4, R15
-	ADDQ $4, AX
-	ADDQ $4, BX
-	ADDQ $4, CX
-	DECQ R9
-	JNZ fouter
-
-fdone:
-	VMOVSD energy-40(SP), X0
-	VMOVSD X0, ret+240(FP)
-	VZEROUPPER
-	RET
-
 // func bornNearBlock4R6(ax, ay, az []float64, out []float64, qx, qy, qz, wx, wy, wz []float64)
 //
 // The R6 Born near sweep: for every atom a (first three slices),
@@ -957,123 +639,6 @@ busum:
 	JNZ bouter
 
 bdone:
-	VZEROUPPER
-	RET
-
-// func bornNearBlock8R6x32(ax, ay, az []float32, out []float64, qx, qy, qz, wx, wy, wz []float32)
-//
-// Float32 bornNearBlock4R6 at width 8. out stays float64 — each atom's
-// f32 lane sum converts before accumulating (the tier's row reduction).
-TEXT ·bornNearBlock8R6x32(SB), NOSPLIT, $48-240
-	// nfull = n &^ 7; tmask = mask8[n&7]
-	MOVQ qx_len+104(FP), R8
-	MOVQ R8, R9
-	ANDQ $7, R9
-	SUBQ R9, R8
-	MOVQ R8, nfull-48(SP)
-	SHLQ $5, R9
-	LEAQ mask8<>(SB), R8
-	VMOVUPS (R8)(R9*1), Y0
-	VMOVUPS Y0, tmask-32(SP)
-
-	MOVQ ax_base+0(FP), R14
-	MOVQ ax_len+8(FP), R9
-	MOVQ ay_base+24(FP), R15
-	MOVQ az_base+48(FP), AX
-	MOVQ out_base+72(FP), BX
-	MOVQ qx_base+96(FP), SI
-	MOVQ qy_base+120(FP), DI
-	MOVQ qz_base+144(FP), R10
-	MOVQ wx_base+168(FP), R11
-	MOVQ wy_base+192(FP), R12
-	MOVQ wz_base+216(FP), R13
-
-	VXORPS Y10, Y10, Y10
-	TESTQ R9, R9
-	JZ gdone
-
-gouter:
-	VBROADCASTSS (R14), Y12
-	VBROADCASTSS (R15), Y13
-	VBROADCASTSS (AX), Y14
-	VXORPS Y15, Y15, Y15
-	XORQ R8, R8
-
-ginner:
-	CMPQ R8, nfull-48(SP)
-	JGE gtail
-
-	VMOVUPS (SI)(R8*4), Y0
-	VSUBPS Y12, Y0, Y0
-	VMOVUPS (DI)(R8*4), Y1
-	VSUBPS Y13, Y1, Y1
-	VMOVUPS (R10)(R8*4), Y2
-	VSUBPS Y14, Y2, Y2
-	VMULPS Y0, Y0, Y3
-	VFMADD231PS Y1, Y1, Y3
-	VFMADD231PS Y2, Y2, Y3
-	VMOVUPS (R11)(R8*4), Y4
-	VMULPS Y0, Y4, Y4
-	VMOVUPS (R12)(R8*4), Y5
-	VFMADD231PS Y1, Y5, Y4
-	VMOVUPS (R13)(R8*4), Y5
-	VFMADD231PS Y2, Y5, Y4
-	VMULPS Y3, Y3, Y5
-	VMULPS Y3, Y5, Y5
-	VDIVPS Y5, Y4, Y6
-	VCMPPS $4, Y10, Y3, Y7
-	VANDPS Y7, Y6, Y6
-	VADDPS Y6, Y15, Y15
-
-	ADDQ $8, R8
-	JMP ginner
-
-gtail:
-	CMPQ R8, qx_len+104(FP)
-	JGE gusum
-	VMOVUPS tmask-32(SP), Y9
-
-	VMASKMOVPS (SI)(R8*4), Y9, Y0
-	VSUBPS Y12, Y0, Y0
-	VMASKMOVPS (DI)(R8*4), Y9, Y1
-	VSUBPS Y13, Y1, Y1
-	VMASKMOVPS (R10)(R8*4), Y9, Y2
-	VSUBPS Y14, Y2, Y2
-	VMULPS Y0, Y0, Y3
-	VFMADD231PS Y1, Y1, Y3
-	VFMADD231PS Y2, Y2, Y3
-	VMASKMOVPS (R11)(R8*4), Y9, Y4
-	VMULPS Y0, Y4, Y4
-	VMASKMOVPS (R12)(R8*4), Y9, Y5
-	VFMADD231PS Y1, Y5, Y4
-	VMASKMOVPS (R13)(R8*4), Y9, Y5
-	VFMADD231PS Y2, Y5, Y4
-	VMULPS Y3, Y3, Y5
-	VMULPS Y3, Y5, Y5
-	VDIVPS Y5, Y4, Y6
-	VCMPPS $4, Y10, Y3, Y7
-	VANDPS Y9, Y7, Y7
-	VANDPS Y7, Y6, Y6
-	VADDPS Y6, Y15, Y15
-
-gusum:
-	VEXTRACTF128 $1, Y15, X0
-	VADDPS X0, X15, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VCVTSS2SD X0, X0, X0
-	VMOVSD (BX), X1
-	VADDSD X0, X1, X1
-	VMOVSD X1, (BX)
-
-	ADDQ $4, R14
-	ADDQ $4, R15
-	ADDQ $4, AX
-	ADDQ $8, BX
-	DECQ R9
-	JNZ gouter
-
-gdone:
 	VZEROUPPER
 	RET
 

@@ -128,7 +128,7 @@ func TestGatherMatchesPortable(t *testing.T) {
 			}
 		}
 
-		asm, portable := newSoa[float64](start+total, true), newSoa[float64](start+total, true)
+		asm, portable := newSoa(start+total), newSoa(start+total)
 		for i := range asm.flat {
 			asm.flat[i], portable.flat[i] = gatherCanary, gatherCanary
 		}
@@ -184,13 +184,13 @@ func TestGatherCanariesStayDead(t *testing.T) {
 
 		scratch := newEpolScratch(ctx, il, 2)
 		for w := range scratch {
-			for _, flat := range [][]float64{scratch[w].f64.s.flat, scratch[w].f64.o.flat} {
+			for _, flat := range [][]float64{scratch[w].s.flat, scratch[w].o.flat} {
 				for i := range flat {
 					flat[i] = gatherCanary
 				}
 			}
 		}
-		for _, src := range [][]float64{ctx.t64.atoms, ctx.t64.bins} {
+		for _, src := range [][]float64{ctx.stream.atoms, ctx.stream.bins} {
 			for i := len(src) - gatherPad; i < len(src); i++ {
 				src[i] = gatherCanary
 			}
@@ -200,7 +200,7 @@ func TestGatherCanariesStayDead(t *testing.T) {
 			t.Errorf("%s: pair sum %v (%#x) over canary-filled scratch, %v (%#x) over clean scratch",
 				tier.name, got.energy, math.Float64bits(got.energy), clean.energy, math.Float64bits(clean.energy))
 		}
-		for _, flat := range [][]float64{scratch[1].f64.s.flat, scratch[1].f64.o.flat} {
+		for _, flat := range [][]float64{scratch[1].s.flat, scratch[1].o.flat} {
 			for i, v := range flat {
 				if !isCanary(v) {
 					t.Fatalf("%s: the idle worker's scratch was written at %d", tier.name, i)

@@ -4,7 +4,7 @@ package core
 
 // Builds without the assembly (other architectures, or -tags purego):
 // useAsmKernels stays false, so the portable kernels in kernels_stream.go /
-// kernels.go / kernels_f32.go handle everything and the panicking stubs
+// kernels.go handle everything and the panicking stubs
 // below are unreachable; the classification's opening test runs on its
 // portable lanes.
 
@@ -14,19 +14,15 @@ func openFar8(t *rowTile, cx, cy, cz, r, mac float64) uint8 {
 	return openFar8Lanes(t, cx, cy, cz, r, mac)
 }
 
-func epolStreamExactAsm(o, s *soa[float64]) float64 {
+func epolStreamExactAsm(o, s *soa) float64 {
 	panic("core: asm kernels unavailable in this build")
 }
 
-func epolStreamLanesAsm(o, s *soa[float64]) float64 {
+func epolStreamLanesAsm(o, s *soa) float64 {
 	panic("core: asm kernels unavailable in this build")
 }
 
-func epolStreamF32Asm(o, s *soa[float32]) float64 {
-	panic("core: asm kernels unavailable in this build")
-}
-
-func gatherAsm(s *soa[float64], n int, src []float64, lo, hi, list []int32, w float64) int {
+func gatherAsm(s *soa, n int, src []float64, lo, hi, list []int32, w float64) int {
 	panic("core: asm kernels unavailable in this build")
 }
 
@@ -35,9 +31,5 @@ func bornNearBlockAsmR6(sys *System, lo, hi int32, out []float64, qx, qy, qz, wx
 }
 
 func bornFarSharedAsm(sys *System, q *bornLanes, shared []int32, node []float64) {
-	panic("core: asm kernels unavailable in this build")
-}
-
-func bornNearBlockAsmR6x32(f *f32SoA, lo, hi int32, out []float64, qx, qy, qz, wx, wy, wz []float32) {
 	panic("core: asm kernels unavailable in this build")
 }

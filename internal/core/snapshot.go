@@ -46,21 +46,31 @@ var (
 	// ErrSnapshotParams reports a well-formed snapshot whose parameter
 	// stamp does not match the parameters the caller is running under.
 	ErrSnapshotParams = errors.New("core: snapshot parameter mismatch")
+	// ErrSnapshotRetired reports a snapshot stamped with a configuration
+	// this build no longer computes: a far-field order above 0 or the f32
+	// precision tier (EXPERIMENTS.md "Deletion round 2").
+	ErrSnapshotRetired = errors.New("core: snapshot configuration retired")
 )
 
 const (
 	snapshotMagic = "GBPSNAP1"
-	// Version 2 added the far-order machinery: Params.FarOrder in the
-	// parameter stamp, the octrees' moment registries, and the per-entry
-	// admitted orders (FarOrd) plus the compiled farOrder in the list
-	// block. Version-1 snapshots are refused with ErrSnapshotVersion —
-	// their lists lack the orders the kernels now require. Version 3 stores
-	// the Born lists' tile runs (InteractionLists.TileFar) behind their
-	// index, and each row's far run without them; a version-2 image still
-	// decodes, its per-row Born lists hoisted into tiles (hoistTiles).
+	// Version 2 added a far-field order to the parameter stamp, moment
+	// sets behind each octree, and per-entry orders plus the compiled
+	// order in the list block; version-1 snapshots are refused with
+	// ErrSnapshotVersion. Version 3 stores the Born lists' tile runs
+	// (InteractionLists.TileFar) behind their index, and each row's far run
+	// without them; a version-2 image still decodes, its per-row Born lists
+	// hoisted into tiles (hoistTiles). The far-field orders are gone from
+	// this build and the layout keeps their places: it writes order 0, no
+	// moment sets and no per-entry orders, reads past the moment sets an
+	// older image carries (octree.DecodeTree), and refuses an image stamped
+	// with an order above 0 (ErrSnapshotRetired).
 	snapshotVersion = 3
 	// snapshotVersionRows is the last version whose Born lists are per row.
 	snapshotVersionRows = 2
+	// retiredPrecision is the precision byte of the f32 tier, which this
+	// build refuses (ErrSnapshotRetired).
+	retiredPrecision = 2
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -79,7 +89,7 @@ func appendParams(w *wire.Writer, p Params) {
 	w.U8(uint8(p.Builder))
 	w.Bool(p.StrictBornMAC)
 	w.U32(uint32(p.LeafCap))
-	w.U8(uint8(p.FarOrder))
+	w.U8(0) // the far-field order; above 0 is ErrSnapshotRetired
 }
 
 // ParamsFingerprint hashes the result-determining parameters (after
@@ -137,11 +147,11 @@ func encodeSnapshot(w *wire.Writer, sys *System, lists *CompiledLists) {
 	if lists != nil {
 		w.F64(lists.bornMAC)
 		w.F64(lists.epolFar)
-		w.U8(uint8(lists.farOrder))
+		w.U8(0) // the far-field order the lists were compiled under
 		appendIL(w, lists.Born)
 		w.I32s(lists.Born.TileFarOff)
 		w.I32s(lists.Born.TileFar)
-		w.U8s(lists.Born.TileFarOrd)
+		w.U8s(nil) // the tile runs' orders
 		appendIL(w, lists.Epol)
 		wire.PutF64Records[geom.Vec3](w, nil) // an older build's copy of the node
 		w.F64s(nil)                           // centers and radii: oldCertificate
@@ -166,8 +176,9 @@ func EncodeSnapshot(sys *System) ([]byte, error) {
 
 // DecodeSnapshot reconstructs a System from EncodeSnapshot's output,
 // restoring the stamped parameters. Check order: magic/size and CRC
-// (ErrSnapshotCorrupt), version (ErrSnapshotVersion), parameter-stamp
-// self-consistency (ErrSnapshotParams), then structure. The octrees are
+// (ErrSnapshotCorrupt), version (ErrSnapshotVersion), a retired
+// configuration (ErrSnapshotRetired), parameter-stamp self-consistency
+// (ErrSnapshotParams), then structure. The octrees are
 // NOT rebuilt and the interaction lists (when present) NOT recompiled —
 // that is the point of checkpointing.
 func DecodeSnapshot(data []byte) (*System, error) {
@@ -222,16 +233,26 @@ func DecodeSnapshot(data []byte) (*System, error) {
 
 	var lists *CompiledLists
 	if r.Bool() {
-		cl := &CompiledLists{bornMAC: r.F64(), epolFar: r.F64(), farOrder: int(r.U8())}
+		cl := &CompiledLists{bornMAC: r.F64(), epolFar: r.F64()}
+		// The stamp says far-field order 0 (decodeParams): the lists can be
+		// of no other, and carry no per-entry orders.
+		orders := int(r.U8())
 		var bornCert, epolCert oldCertificate
-		cl.Born, bornCert = decodeIL(r)
+		var n int
+		cl.Born, bornCert, n = decodeIL(r)
+		orders += n
 		if version == snapshotVersion {
-			cl.Born.TileFarOff, cl.Born.TileFar, cl.Born.TileFarOrd = r.I32s(), r.I32s(), r.U8s()
+			cl.Born.TileFarOff, cl.Born.TileFar = r.I32s(), r.I32s()
+			orders += len(r.U8s())
 		}
-		cl.Epol, epolCert = decodeIL(r)
+		cl.Epol, epolCert, n = decodeIL(r)
+		orders += n
 		centers, radii := wire.F64Records[geom.Vec3](r), r.F64s()
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
+		}
+		if orders != 0 {
+			return nil, fmt.Errorf("%w: a list block of far-field order 0 carries far-field orders", ErrSnapshotCorrupt)
 		}
 		// An older build's certificate is whole or absent: its copy of the
 		// node geometry says which, and every margin array of both phases
@@ -274,16 +295,17 @@ func DecodeSnapshot(data []byte) (*System, error) {
 		// parameters can only be a crafted inconsistency: reject rather
 		// than silently recompiling on first use.
 		if !lists.matches(sys) {
-			return nil, fmt.Errorf("%w: list block compiled under bornMAC=%g epolFar=%g farOrder=%d, parameters imply %g/%g/%d",
-				ErrSnapshotCorrupt, lists.bornMAC, lists.epolFar, lists.farOrder,
-				sys.bornMAC(), epolFarFactor(sys.Params.EpsEpol), sys.Params.FarOrder)
+			return nil, fmt.Errorf("%w: list block compiled under bornMAC=%g epolFar=%g, parameters imply %g/%g",
+				ErrSnapshotCorrupt, lists.bornMAC, lists.epolFar, sys.bornMAC(), epolFarFactor(sys.Params.EpsEpol))
 		}
 		sys.lists = lists
 	}
 	return sys, nil
 }
 
-// decodeParams reads and range-checks the parameter section.
+// decodeParams reads and range-checks the parameter section. A retired
+// configuration is refused before the stamp is checked: the stamp covers
+// the parameters this build can represent.
 func decodeParams(r *wire.Reader) (Params, error) {
 	var p Params
 	p.EpsBorn = r.F64()
@@ -295,9 +317,18 @@ func decodeParams(r *wire.Reader) (Params, error) {
 	p.Builder = octree.Builder(r.U8())
 	p.StrictBornMAC = r.Bool()
 	p.LeafCap = int(r.U32())
-	p.FarOrder = int(r.U8())
+	farOrder := r.U8()
 	if r.Err() != nil {
 		return Params{}, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
+	}
+	if farOrder == 1 || farOrder == 2 {
+		return Params{}, fmt.Errorf("%w: far-field order %d", ErrSnapshotRetired, farOrder)
+	}
+	if p.Precision == retiredPrecision {
+		return Params{}, fmt.Errorf("%w: precision tier f32", ErrSnapshotRetired)
+	}
+	if farOrder != 0 {
+		return Params{}, fmt.Errorf("%w: far-field order %d", ErrSnapshotCorrupt, farOrder)
 	}
 	if p.Math != mathx.Exact && p.Math != mathx.Approximate {
 		return Params{}, fmt.Errorf("%w: math mode %d", ErrSnapshotCorrupt, p.Math)
@@ -305,7 +336,7 @@ func decodeParams(r *wire.Reader) (Params, error) {
 	if p.Kernel != R6 && p.Kernel != R4 {
 		return Params{}, fmt.Errorf("%w: born kernel %d", ErrSnapshotCorrupt, p.Kernel)
 	}
-	if p.Precision < PrecisionExact || p.Precision > PrecisionF32 {
+	if p.Precision < PrecisionExact || p.Precision > PrecisionLanes {
 		return Params{}, fmt.Errorf("%w: precision tier %d", ErrSnapshotCorrupt, p.Precision)
 	}
 	if p.Builder != octree.BuilderRecursive && p.Builder != octree.BuilderMorton {
@@ -418,63 +449,35 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 	if err := checkCSR("cede", rows, il.CedeOff, il.Cede); err != nil {
 		return err
 	}
-	if !tiled && len(il.TileFarOff)+len(il.TileFar)+len(il.TileFarOrd) != 0 {
+	if !tiled && len(il.TileFarOff)+len(il.TileFar) != 0 {
 		return fmt.Errorf("%w: %s lists carry tile runs", ErrSnapshotCorrupt, phase)
 	}
 	if tiled {
-		if err := checkCSR("tile far", numTiles(rows), il.TileFarOff, il.TileFar); err != nil {
-			return err
-		}
-	}
-	for _, ords := range []struct {
-		name    string
-		ord     []uint8
-		entries int
-	}{{"far", il.FarOrd, len(il.Far)}, {"tile far", il.TileFarOrd, len(il.TileFar)}} {
-		if len(ords.ord) != 0 && len(ords.ord) != ords.entries {
-			return fmt.Errorf("%w: %s %s orders sized %d for %d entries",
-				ErrSnapshotCorrupt, phase, ords.name, len(ords.ord), ords.entries)
-		}
-		// The kernels and RecordMetrics index by admitted order, so a
-		// corrupted order byte must be rejected here, not panic there.
-		for k, fo := range ords.ord {
-			if fo > maxFarOrder {
-				return fmt.Errorf("%w: %s %s order %d is %d, max %d",
-					ErrSnapshotCorrupt, phase, ords.name, k, fo, maxFarOrder)
-			}
-		}
+		return checkCSR("tile far", numTiles(rows), il.TileFarOff, il.TileFar)
 	}
 	return nil
 }
 
 // hoistTiles turns per-row Born lists — a version-2 image's — into the
 // tiled form a compile gives (InteractionLists.TileFar): tile t's shared run
-// is the nodes every one of its rows holds at one order, in row 0's order,
-// and each row keeps the rest, in its order. A compile stores exactly these:
-// a row's run is in visit order, and a node all of a tile's lanes take at
-// one rung is one the descent hands to the tile. nNodes bounds the entries,
-// which validateIL has checked.
+// is the nodes every one of its rows holds, in row 0's order, and each row
+// keeps the rest, in its order. A compile stores exactly these: a row's run
+// is in visit order, and a node all of a tile's lanes take is one the
+// descent hands to the tile. nNodes bounds the entries, which validateIL has
+// checked.
 func hoistTiles(il *InteractionLists, nNodes int) *InteractionLists {
 	n := len(il.Rows)
 	out := &InteractionLists{Rows: il.Rows, NearOff: il.NearOff, Near: il.Near, SymOff: il.SymOff, Sym: il.Sym,
 		CedeOff: il.CedeOff, Cede: il.Cede, FarOff: make([]int32, n+1), TileFarOff: make([]int32, numTiles(n)+1)}
-	ladder := il.FarOrd != nil
-	// seen[a] counts the tile's rows holding node a at row 0's order; ord[a]
-	// is that order.
-	seen, ord := make([]int32, nNodes), make([]uint8, nNodes)
-	orderOf := func(k int32) uint8 {
-		if ladder {
-			return il.FarOrd[k]
-		}
-		return 0
-	}
+	// seen[a] counts the tile's rows holding node a.
+	seen := make([]int32, nNodes)
 	for t := range numTiles(n) {
 		lo, hi := il.tileRows(t)
 		for i := lo; i < hi; i++ {
 			for k := il.FarOff[i]; k < il.FarOff[i+1]; k++ {
 				if a := il.Far[k]; i == lo {
-					seen[a], ord[a] = 1, orderOf(k)
-				} else if seen[a] == int32(i-lo) && ord[a] == orderOf(k) {
+					seen[a] = 1
+				} else if seen[a] == int32(i-lo) {
 					seen[a]++
 				}
 			}
@@ -483,9 +486,6 @@ func hoistTiles(il *InteractionLists, nNodes int) *InteractionLists {
 		for k := il.FarOff[lo]; k < il.FarOff[lo+1]; k++ {
 			if a := il.Far[k]; shared(a) {
 				out.TileFar = append(out.TileFar, a)
-				if ladder {
-					out.TileFarOrd = append(out.TileFarOrd, ord[a])
-				}
 			}
 		}
 		out.TileFarOff[t+1] = int32(len(out.TileFar))
@@ -493,9 +493,6 @@ func hoistTiles(il *InteractionLists, nNodes int) *InteractionLists {
 			for k := il.FarOff[i]; k < il.FarOff[i+1]; k++ {
 				if a := il.Far[k]; !shared(a) {
 					out.Far = append(out.Far, a)
-					if ladder {
-						out.FarOrd = append(out.FarOrd, il.FarOrd[k])
-					}
 				}
 			}
 			out.FarOff[i+1] = int32(len(out.Far))
@@ -508,7 +505,7 @@ func hoistTiles(il *InteractionLists, nNodes int) *InteractionLists {
 }
 
 // oldCertificate is one phase's share of the repair certificate a snapshot
-// written by PR 19 or earlier may carry between its Cede and FarOrd arrays:
+// written by an older build may carry between its Cede and order arrays:
 // the slack of the opening test behind every far entry and the least slack
 // on its root path, then the same for the near entries, and the path slack
 // of the sym and cede entries. Nothing reads it any more — the repair
@@ -537,9 +534,10 @@ func (c *oldCertificate) validate(phase string, il *InteractionLists, certified,
 	return nil
 }
 
-// decodeIL reads one interaction-list structure and the certificate arrays
-// an older build interleaved with it.
-func decodeIL(r *wire.Reader) (il *InteractionLists, cert oldCertificate) {
+// decodeIL reads one interaction-list structure, the certificate arrays an
+// older build interleaved with it and the per-entry far-field orders an
+// older build wrote behind it, returning how many of those it found.
+func decodeIL(r *wire.Reader) (il *InteractionLists, cert oldCertificate, orders int) {
 	il = &InteractionLists{
 		Rows:    r.I32s(),
 		FarOff:  r.I32s(),
@@ -554,12 +552,11 @@ func decodeIL(r *wire.Reader) (il *InteractionLists, cert oldCertificate) {
 	for i := range cert {
 		cert[i] = r.F64s()
 	}
-	il.FarOrd = r.U8s()
-	return il, cert
+	return il, cert, len(r.U8s())
 }
 
 // appendIL writes one interaction-list structure, the six arrays of
-// oldCertificate zero-length.
+// oldCertificate and the orders zero-length.
 func appendIL(w *wire.Writer, il *InteractionLists) {
 	w.I32s(il.Rows)
 	w.I32s(il.FarOff)
@@ -573,7 +570,7 @@ func appendIL(w *wire.Writer, il *InteractionLists) {
 	for range len(oldCertificate{}) {
 		w.F64s(nil)
 	}
-	w.U8s(il.FarOrd)
+	w.U8s(nil)
 }
 
 // checkGeometryConsistent verifies the trees index exactly the

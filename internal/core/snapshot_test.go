@@ -8,6 +8,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -152,19 +153,148 @@ func TestSnapshotCorruptions(t *testing.T) {
 	}
 }
 
-// Corruptions specific to the far-order additions: a truncated moment
-// array inside an octree block, and an out-of-range admitted order in a
-// list block. Both must fail with ErrSnapshotCorrupt, never panic the
-// kernels or RecordMetrics downstream.
+// legacyMomentsImage is the snapshot of a 120-atom Morton system with
+// compiled lists at far-field order 0, written by the last build that kept
+// multipole moment sets on its octrees (a charge set on the atoms tree, a
+// weighted-normal set of three channels on the q-points tree) and wrote
+// them behind each tree, where this build writes a count of zero.
+func legacyMomentsImage(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "moments_pr28.gbpsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// legacyMomentBytes is what the moment sets of that build take behind a
+// tree of nNodes nodes over nPts points: per set its name, vector flag and
+// channel count, and per channel four counted arrays — a weight per point,
+// and per node the weight, the dipole (3 floats) and the second moment (6).
+func legacyMomentBytes(nNodes, nPts int, sets map[string]int) int {
+	n := 0
+	for name, channels := range sets {
+		n += 4 + len(name) + 1 + 4 + channels*(4*4+8*nPts+(1+3+6)*8*nNodes)
+	}
+	return n
+}
+
+// An image written with moment sets decodes in this build to the lists and
+// the energy it held: the index digest and the E_pol bits below were
+// printed by the commit that wrote the image. Re-encoding it drops exactly
+// the moment sets' bytes.
+func TestSnapshotDecodesMomentsImage(t *testing.T) {
+	image := legacyMomentsImage(t)
+	sys, err := DecodeSnapshot(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.lists == nil {
+		t.Fatal("the image decoded without its lists")
+	}
+	if got, want := indexDigest(sys.Atoms, sys.lists), "36aa085499526b326d51325f2883fba026a119ac822c290c6cd29d2f97b984a5"; got != want {
+		t.Errorf("index digest %s, the image was written over %s", got, want)
+	}
+	if err := sys.RecheckLists(nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunShared(sys, SharedOptions{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := math.Float64bits(res.Epol), uint64(0xc065521a65edf41a); got != want {
+		t.Errorf("E_pol %#x (%.17g), the build that wrote the image computed %#x (%.17g)",
+			got, res.Epol, want, math.Float64frombits(want))
+	}
+	again, err := EncodeSnapshot(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moments := legacyMomentBytes(sys.Atoms.NumNodes(), sys.Atoms.NumPoints(), map[string]int{"charge": 1}) +
+		legacyMomentBytes(sys.QPts.NumNodes(), sys.QPts.NumPoints(), map[string]int{"wn": 3})
+	if dropped := len(image) - len(again); dropped != moments || moments != 117450 {
+		t.Errorf("re-encoding dropped %d bytes; the moment sets take %d (117 450 by the writer's count)", dropped, moments)
+	}
+}
+
+// An image stamped with a configuration this build no longer computes — a
+// far-field order above 0, or the f32 precision tier — is refused as
+// retired, before its stamp is checked and with no System: the committed
+// image written at FarOrder 2, and a current image with its precision or
+// far-order byte rewritten and its checksum made good.
+func TestSnapshotRefusesRetired(t *testing.T) {
+	retired, err := os.ReadFile(filepath.Join("testdata", "certified_pr19.gbpsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, data := snapshotFixture(t, true)
+	const precisionByte, farOrderByte = 8 + 2 + 8 + 3*8 + 2, 8 + 2 + 8 + 3*8 + 4 + 1 + 4
+	patched := func(at int, v byte) []byte {
+		b := append([]byte(nil), data...)
+		if b[at] != 0 {
+			t.Fatalf("byte %d is %d, want 0 (layout drifted?)", at, b[at])
+		}
+		b[at] = v
+		return restamp(b)
+	}
+	for name, image := range map[string][]byte{
+		"FarOrder 2 image":  retired,
+		"f32 precision":     patched(precisionByte, 2),
+		"far-field order 1": patched(farOrderByte, 1),
+	} {
+		sys, err := DecodeSnapshot(image)
+		if !errors.Is(err, ErrSnapshotRetired) || sys != nil {
+			t.Errorf("%s: got %v (system %v), want ErrSnapshotRetired and no system", name, err, sys != nil)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "retired.gbpsnap")
+	if err := os.WriteFile(path, retired, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshotAnyParams(path); !errors.Is(err, ErrSnapshotRetired) {
+		t.Errorf("LoadSnapshotAnyParams: got %v, want ErrSnapshotRetired", err)
+	}
+}
+
+// Corruptions of what older images carry and this build only reads past: a
+// truncated or malformed moment set behind an octree, and a far-field order
+// byte no build wrote. All fail with ErrSnapshotCorrupt, never a panic or a
+// misread tree.
 func TestSnapshotFarFieldCorruptions(t *testing.T) {
+	// The moments image cut after its trees: the q-points tree's moment
+	// sets end the stream, Bool(false) and the CRC after them.
+	image := legacyMomentsImage(t)
+	r := wire.NewReader(image[len(snapshotMagic) : len(image)-4])
+	r.U16()
+	r.U64()
+	if _, err := decodeParams(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeMolecule(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeSurface(r); err != nil {
+		t.Fatal(err)
+	}
+	var qpts *octree.Tree
+	for range 2 {
+		tree, err := octree.DecodeTree(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qpts = tree
+	}
+	noLists := append(append([]byte(nil), image[:len(image)-4-r.Remaining()]...), 0, 0, 0, 0, 0)
+	restamp(noLists)
+	if _, err := DecodeSnapshot(noLists); err != nil {
+		t.Fatalf("the moments image without its lists: %v", err)
+	}
 	t.Run("truncated moments", func(t *testing.T) {
-		// Without a list block the stream ends ...qptsTree Bool(false) CRC.
-		// The q-points tree's moment registry is the tail of its block, and
-		// the very last array is qFlat of channel 2 of the "wn" set
-		// (6*nNodes float64s behind a u32 count). Shrink the count: the
-		// codec's length validation must reject the set.
-		sys, data := snapshotFixture(t, false)
-		nq := sys.QPts.NumNodes()
+		// The very last array is the second moments of channel 2 of the "wn"
+		// set (6*nNodes float64s behind a u32 count). Shrink the count: the
+		// skip's length validation must reject the set.
+		data := append([]byte(nil), noLists...)
+		nq := qpts.NumNodes()
 		cnt := len(data) - 4 - 1 - 6*nq*8 - 4
 		if got := binary.LittleEndian.Uint32(data[cnt:]); got != uint32(6*nq) {
 			t.Fatalf("expected qFlat count %d at offset %d, found %d (layout drifted?)", 6*nq, cnt, got)
@@ -174,25 +304,25 @@ func TestSnapshotFarFieldCorruptions(t *testing.T) {
 			t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
 		}
 	})
+	t.Run("moment channels", func(t *testing.T) {
+		// The "wn" set is a vector of three channels: its header — name,
+		// vector flag, channel count — sits behind the atoms tree's sets and
+		// the q-points tree's set count. Claim two channels.
+		data := append([]byte(nil), noLists...)
+		at := bytes.Index(data, []byte("\x02\x00\x00\x00wn\x01\x03\x00\x00\x00"))
+		if at < 0 {
+			t.Fatal("no vector set \"wn\" of three channels in the image (layout drifted?)")
+		}
+		data[at+4+2+1] = 2
+		if _, err := DecodeSnapshot(restamp(data)); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
+		}
+	})
 	t.Run("far order out of range", func(t *testing.T) {
-		p := DefaultParams()
-		p.FarOrder = 2
-		sys, _, _ := testSystem(t, 150, 7, p)
-		lists := sys.Lists(nil)
-		if len(lists.Epol.FarOrd) == 0 {
-			t.Fatal("fixture compiled no far orders")
-		}
-		data, err := EncodeSnapshot(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The epol list's FarOrd bytes sit right before the two zero-length
-		// node geometry arrays that end the list block.
-		last := len(data) - 4 - 4 - 4 - 1
-		if got := data[last]; got > maxFarOrder {
-			t.Fatalf("expected a FarOrd byte at offset %d, found %d (layout drifted?)", last, got)
-		}
-		data[last] = maxFarOrder + 7
+		// No build wrote a far-field order above 2.
+		_, data := snapshotFixture(t, true)
+		const farOrderByte = 8 + 2 + 8 + 3*8 + 4 + 1 + 4
+		data[farOrderByte] = 3
 		if _, err := DecodeSnapshot(restamp(data)); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
 		}
@@ -208,16 +338,46 @@ func TestSnapshotFarFieldCorruptions(t *testing.T) {
 	}
 }
 
-// certifiedImage is the snapshot of a 60-atom protein at FarOrder 2 after
-// one repair, written on the PR-19 commit: the last build whose lists
-// carried a repair certificate, and so the last that could write one.
-func certifiedImage(t testing.TB) []byte {
+// certifiedImage is a snapshot as the certificate-writing builds wrote it, of a
+// 150-atom Morton system at far-field order 0: version 2, per-row Born
+// lists, and the repair certificate between each phase's lists and its
+// orders — six margin arrays per phase, sized by the rule they were written
+// under, and a copy of the node geometry — filled with values nothing reads.
+// It is the system's own encodeRowImage image with the certificate put in;
+// the system comes back beside it.
+func certifiedImage(t testing.TB) (*System, []byte) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "certified_pr19.gbpsnap"))
+	sys, _, _ := testSystem(t, 150, 7, mortonParams())
+	sys.Lists(nil)
+	rows, err := encodeRowImage(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	b := parseCertifiedBlock(t, rows)
+	filled := func(n int) []float64 {
+		a := make([]float64, n)
+		for i := range a {
+			a[i] = 0.5 + float64(i%7)
+		}
+		return a
+	}
+	for _, p := range []struct {
+		l          *certifiedLists
+		nearTested bool // the Born lists' near entries were opening-tested
+	}{{&b.born, true}, {&b.epol, false}} {
+		far, near := len(p.l.far()), len(p.l.near())
+		p.l.FarMargin, p.l.FarPath, p.l.NearPath = filled(far), filled(far), filled(near)
+		p.l.SymPath, p.l.CedePath = filled(len(p.l.index[6])), filled(len(p.l.index[8]))
+		if p.nearTested {
+			p.l.NearMargin = filled(near)
+		}
+	}
+	n := sys.Atoms.NumNodes()
+	b.nodeC, b.nodeR = make([]geom.Vec3, n), filled(n)
+	for i := range b.nodeC {
+		b.nodeC[i] = geom.V(float64(i), 1, 2)
+	}
+	return sys, b.encode()
 }
 
 // certifiedLists is one phase's lists as PR 19 and earlier wrote them, in
@@ -322,7 +482,7 @@ func (b *certifiedBlock) encode() []byte {
 // out first.
 func mixedCertificates(t testing.TB) map[string][]byte {
 	t.Helper()
-	image := certifiedImage(t)
+	_, image := certifiedImage(t)
 	if b := parseCertifiedBlock(t, image); len(b.born.far()) == 0 || len(b.born.FarPath) == 0 || len(b.epol.near()) == 0 ||
 		len(b.nodeR) == 0 || !bytes.Equal(b.encode(), image) {
 		t.Fatal("the certified image holds an empty list (a missing array would be a sized one), or this file misreads it")
@@ -364,20 +524,19 @@ func mixedCertificates(t testing.TB) map[string][]byte {
 // A certified image still decodes: its certificate passes the size rule
 // and is dropped, the lists come back with the index they had (the Born
 // rows hoisted into tiles: indexDigest merges them back), the next update
-// repairs them as the build that wrote the image did, and the next
-// checkpoint is smaller by the certificate and by what the Born tiles store
-// once. The digests and the certificate's byte count were printed by the
-// commit that wrote the image.
+// repairs them as the system that wrote the image repairs its own, and the
+// next checkpoint is smaller by the certificate and by what the Born tiles
+// store once.
 func TestSnapshotDecodesCertifiedImage(t *testing.T) {
-	image := certifiedImage(t)
+	src, image := certifiedImage(t)
 	sys, err := DecodeSnapshot(image)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.lists == nil || sys.Params.FarOrder != 2 {
-		t.Fatalf("decoded lists %v at FarOrder %d", sys.lists != nil, sys.Params.FarOrder)
+	if sys.lists == nil {
+		t.Fatal("the certified image decoded without its lists")
 	}
-	if got, want := indexDigest(sys.Atoms, sys.lists), "c381f579bf05218769cf9c6e99c9f47be92d1d01a4aba4cf2faa2341a973b2a6"; got != want {
+	if got, want := indexDigest(sys.Atoms, sys.lists), indexDigest(src.Atoms, src.lists); got != want {
 		t.Errorf("index digest %s, the image was written over %s", got, want)
 	}
 	if err := sys.RecheckLists(nil); err != nil {
@@ -387,20 +546,33 @@ func TestSnapshotDecodesCertifiedImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The tiled Born lists against the same lists per row: three arrays
-	// more, each behind a 4-byte count, and every shared entry once a tile.
+	// The certificate: twelve margin arrays and the node centers and radii,
+	// every count written either way. The tiled Born lists against the same
+	// lists per row: three arrays more, each behind a 4-byte count, and
+	// every shared entry once a tile.
+	b := parseCertifiedBlock(t, image)
+	certificate := int64(24*len(b.nodeC) + 8*len(b.nodeR))
+	for _, l := range []*certifiedLists{&b.born, &b.epol} {
+		for _, a := range l.certificate() {
+			certificate += int64(8 * len(*a))
+		}
+	}
 	born := sys.lists.Born
 	tiled := perRowLists(born, sys.Atoms).MemoryBytes() - born.MemoryBytes() - 3*4
-	if dropped := len(image) - len(again); tiled <= 0 || int64(dropped)-tiled != 95528 {
-		t.Errorf("re-encoding dropped %d bytes, %d of them the Born tiles', the image's certificate was 95528", dropped, tiled)
+	if dropped := len(image) - len(again); tiled <= 0 || int64(dropped)-tiled != certificate {
+		t.Errorf("re-encoding dropped %d bytes, %d of them the Born tiles', the image's certificate was %d", dropped, tiled, certificate)
 	}
 	pos := localJiggle(rand.New(rand.NewSource(21)), sys.Mol.Positions(), 0.05)
 	stats, err := sys.UpdateAtomsRepair(pos, nil, nil)
-	if err != nil || !stats.Repaired || stats.Moved != 2 || stats.RowsTotal != 368 {
-		t.Fatalf("first update of the decoded image: %+v %v; PR 19 repaired it, moving 2 atoms across leaves, over 368 rows", stats, err)
+	if err != nil || !stats.Repaired || stats.Moved == 0 {
+		t.Fatalf("first update of the decoded image: %+v %v", stats, err)
 	}
-	if got, want := indexDigest(sys.Atoms, sys.lists), "a3f7beab4b1f5d5b3eac94bd19e4b8ec578975e0ea2954fc9ddffabbe90cffc3"; got != want {
-		t.Errorf("repaired index digest %s, PR 19's repair of the same step gave %s", got, want)
+	want, err := src.UpdateAtomsRepair(pos, nil, nil)
+	if err != nil || stats != want {
+		t.Errorf("the decoded image's repair %+v, the writer's own %+v (%v)", stats, want, err)
+	}
+	if got, want := indexDigest(sys.Atoms, sys.lists), indexDigest(src.Atoms, src.lists); got != want {
+		t.Errorf("repaired index digest %s, the writer's repair gave %s", got, want)
 	}
 	if err := sys.RecheckLists(nil); err != nil {
 		t.Fatal(err)
@@ -443,26 +615,24 @@ func TestSnapshotSaveLoadParams(t *testing.T) {
 	}
 }
 
-// The format is pinned byte for byte: these are the SHA-256 of
-// EncodeSnapshot for a seeded 500-atom Morton system with compiled
-// lists, as produced by the commit BEFORE the bulk codec (PR 13,
-// per-element loops), so a snapshot either side writes loads on the
-// other. Lists carried a repair certificate then, and the two digests
-// taken there — of certified systems — retired with the code that could
-// write one; the next, of the same FarOrder 2 system with its seven
-// certificate arrays written zero-length, pins version 2 — which
-// encodeRowImage still writes. Version 3 was recorded once, when the Born
-// lists began to store each tile's shared far run once: the same lists, the
-// shared entries moved out of every row into the tile. The digests cover
-// computed floats (surface, moments), hence one architecture: elsewhere the
-// compiler may fuse multiply-adds.
+// The format is pinned byte for byte: these are the SHA-256 of the
+// snapshot of a seeded 500-atom Morton system with compiled lists, as
+// version 2 (encodeRowImage) and version 3 (EncodeSnapshot) write it.
+// Pinned first by the commit BEFORE the bulk codec (per-element loops),
+// so a snapshot either side writes loads on the other, then
+// re-taken as the format changed: the repair certificate written
+// zero-length, the Born tiles' shared runs stored once (version 3), and —
+// the last re-recording — the system at far-field order 0 with no moment
+// sets behind its trees, since no build after that writes either a higher
+// order or a moment set (the commit before it wrote these same bytes for
+// the system with its moment sets detached). The digests cover computed
+// floats (the surface),
+// hence one architecture: elsewhere the compiler may fuse multiply-adds.
 func TestSnapshotBytesStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests were taken on amd64")
 	}
-	p := mortonParams()
-	p.FarOrder = 2
-	sys, _, _ := testSystem(t, 500, 14, p)
+	sys, _, _ := testSystem(t, 500, 14, mortonParams())
 	sys.Lists(nil)
 	v3, err := EncodeSnapshot(sys)
 	if err != nil {
@@ -478,8 +648,8 @@ func TestSnapshotBytesStable(t *testing.T) {
 		size    int
 		sha     string
 	}{
-		{2, v2, 1605448, "9ac71abedc36e305929e49ba17f53d4646cf99a248b73417183b684fa69a1c52"},
-		{3, v3, 1391897, "340b1a6f962d1afc4f17eee07d5975706c27e3bb3281258f9588bf66653db140"},
+		{2, v2, 1130359, "fe09d7783e3b12e4b76f51f80d33e41052e880a620e31929aa1225605b4c8f30"},
+		{3, v3, 842523, "f9a4b1042246863124b0ca1781096466876f3d4c3811fe034e110bce2c6684f5"},
 	} {
 		sum := sha256.Sum256(c.data)
 		if got := hex.EncodeToString(sum[:]); len(c.data) != c.size || got != c.sha {
@@ -590,7 +760,6 @@ func TestParamsFingerprint(t *testing.T) {
 		func(p *Params) { p.StrictBornMAC = true },
 		func(p *Params) { p.LeafCap = 16 },
 		func(p *Params) { p.Precision = PrecisionLanes },
-		func(p *Params) { p.FarOrder = 1 },
 	}
 	for i, mut := range muts {
 		p := base
@@ -614,19 +783,23 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	trunc := append([]byte(nil), data[:40]...)
 	f.Add(restamp(append(trunc, make([]byte, 4)...)))
 	// Both certificate states an older build wrote, and every mixture of
-	// them.
-	f.Add(certifiedImage(f))
+	// them; an image with moment sets behind its trees; an image of a
+	// retired configuration.
+	sys, certified := certifiedImage(f)
+	f.Add(certified)
 	for _, mixed := range mixedCertificates(f) {
 		f.Add(mixed)
 	}
-	// Version 3 under a ladder — Born tile runs with their orders — and the
-	// same system as version 2 wrote it, whose rows are hoisted into tiles.
-	p := DefaultParams()
-	p.FarOrder = 2
-	ladder, _, _ := testSystem(f, 150, 7, p)
-	ladder.Lists(nil)
+	f.Add(legacyMomentsImage(f))
+	retired, err := os.ReadFile(filepath.Join("testdata", "certified_pr19.gbpsnap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(retired)
+	// The same system as version 2 wrote it, whose rows are hoisted into
+	// tiles, and as version 3 writes it.
 	for _, encode := range []func(*System) ([]byte, error){EncodeSnapshot, encodeRowImage} {
-		image, err := encode(ladder)
+		image, err := encode(sys)
 		if err != nil {
 			f.Fatal(err)
 		}

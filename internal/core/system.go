@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/mathx"
@@ -78,19 +77,10 @@ type Params struct {
 	// padding invariants. Expensive; for tests and debugging.
 	DebugCheckLists bool
 	// Precision selects the arithmetic tier of the compiled batch kernels
-	// (precision.go): exact float64 (default), laned approximate-math
-	// float64, or float32 lanes with float64 row reduction. It does not
-	// affect the interaction lists or the recursive reference paths.
+	// (precision.go): exact float64 (default) or laned approximate-math
+	// float64. It does not affect the interaction lists or the recursive
+	// reference paths.
 	Precision Precision
-	// FarOrder is the multipole order of the far-field approximation
-	// (farorder.go, DESIGN.md §15): 0 keeps the paper's zeroth-order
-	// pseudo-particle and is bit-identical to the pre-moment code; 1 adds
-	// dipole corrections, 2 adds traceless-quadrupole corrections. Each
-	// order loosens the opening criterion analytically (the first
-	// neglected moment order keeps the same error budget), so higher
-	// orders admit far interactions at shorter separations — fewer,
-	// larger far entries at equal error.
-	FarOrder int
 }
 
 // DefaultParams returns the configuration of the paper's headline runs:
@@ -126,9 +116,6 @@ func (p Params) Validate() error {
 	if p.EpsSolv <= 1 {
 		return fmt.Errorf("core: EpsSolv %g must exceed 1", p.EpsSolv)
 	}
-	if p.FarOrder < 0 || p.FarOrder > 2 {
-		return fmt.Errorf("core: FarOrder %d out of range [0,2]", p.FarOrder)
-	}
 	return nil
 }
 
@@ -160,21 +147,14 @@ type System struct {
 	// geometry moves (UpdateAtoms, ApplyRigidTransform). Each array is
 	// allocated with its capacity rounded up to mathx.LaneWidth and the
 	// pad slots kept at zero (checkSoAPadding asserts this under
-	// DebugCheckLists), so lane-blocked sweeps and the float32 mirror
-	// conversion can run whole blocks with no bounds-check tail.
+	// DebugCheckLists), so lane-blocked sweeps can run whole blocks with no
+	// bounds-check tail.
 	AtomX, AtomY, AtomZ    []float64
 	QX, QY, QZ             []float64
 	WNX, WNY, WNZ          []float64
 	ANodeX, ANodeY, ANodeZ []float64
 
 	Params Params
-
-	// soaGen counts SoA refreshes; f32view caches the lazily converted
-	// float32 mirror of the component arrays for the f32 precision tier,
-	// tagged with the generation it was built from (system32.go).
-	soaGen  atomic.Uint64
-	f32view atomic.Pointer[f32SoA]
-	f32mu   sync.Mutex
 
 	// lists caches the compiled interaction lists (ilist.go), reused
 	// across Compute* calls and rigid re-poses; listsMu guards lazy
@@ -247,7 +227,6 @@ func assembleSystem(mol *molecule.Molecule, surf *surface.Surface, ta, tq *octre
 				s.Charge[slot] = mol.Atoms[orig].Charge
 				s.Radius[slot] = mol.Atoms[orig].Radius
 			}
-			s.attachChargeMoments()
 			s.refreshAtomSoA()
 		},
 		func() {
@@ -257,53 +236,9 @@ func assembleSystem(mol *molecule.Molecule, surf *surface.Surface, ta, tq *octre
 				s.WN[slot] = p.Normal.Scale(p.Weight)
 			}
 			s.QNodeWN = qNodeAggregates(tq, s.WN)
-			s.attachWNMoments()
 			s.refreshQPointSoA()
 		})
 	return s
-}
-
-// Names of the moment sets the higher-order far kernels read
-// (farorder.go): the atom charge density on T_A and the
-// weight-premultiplied surface-normal vector density on T_Q.
-const (
-	momentSetCharge = "charge"
-	momentSetWN     = "wn"
-)
-
-// attachChargeMoments and attachWNMoments register the two moment sets
-// the higher-order far kernels read (farorder.go). Both are cheap O(N)
-// aggregates, so they are always attached — Params.FarOrder may be raised
-// after NewSystem and the moments are already there. Snapshot-restored
-// trees arrive with their moment sets decoded; those are kept verbatim
-// (re-attaching would also work, but keeping them is what makes a
-// truncated moment block in the snapshot detectable).
-func (s *System) attachChargeMoments() {
-	if s.Atoms.MomentsOf(momentSetCharge) != nil {
-		return
-	}
-	q := make([]float64, s.Mol.NumAtoms())
-	for i, a := range s.Mol.Atoms {
-		q[i] = a.Charge
-	}
-	if err := s.Atoms.AttachMoments(momentSetCharge, [][]float64{q}, false); err != nil {
-		panic(err) // lengths are derived from the molecule; cannot fail
-	}
-}
-
-func (s *System) attachWNMoments() {
-	if s.QPts.MomentsOf(momentSetWN) != nil {
-		return
-	}
-	n := s.Surf.NumPoints()
-	wn := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
-	for i, p := range s.Surf.Points {
-		v := p.Normal.Scale(p.Weight)
-		wn[0][i], wn[1][i], wn[2][i] = v.X, v.Y, v.Z
-	}
-	if err := s.QPts.AttachMoments(momentSetWN, wn, true); err != nil {
-		panic(err)
-	}
 }
 
 // refreshAtomSoA rebuilds the flat atom-position and node-center arrays
@@ -325,7 +260,6 @@ func (s *System) refreshAtomSoA() {
 			s.ANodeX[i], s.ANodeY[i], s.ANodeZ[i] = c.X, c.Y, c.Z
 		}
 	})
-	s.soaGen.Add(1)
 }
 
 // refreshQPointSoA rebuilds the flat q-point position and weighted-normal
@@ -333,7 +267,6 @@ func (s *System) refreshAtomSoA() {
 func (s *System) refreshQPointSoA() {
 	s.QX, s.QY, s.QZ = splitVecs(s.QPts.Pts, s.QX, s.QY, s.QZ)
 	s.WNX, s.WNY, s.WNZ = splitVecs(s.WN, s.WNX, s.WNY, s.WNZ)
-	s.soaGen.Add(1)
 }
 
 // fanGrain is the chunk of the element-wise loops that run through
@@ -533,8 +466,8 @@ func (s *System) RecordMemory(o *obs.Obs) {
 }
 
 // kern returns the scalar kernels for the system's effective math mode
-// (Params.mathMode — the non-exact precision tiers imply approximate
-// scalar kernels so the whole pipeline stays in one accuracy class).
+// (Params.mathMode — the laned precision tier implies approximate scalar
+// kernels so the whole pipeline stays in one accuracy class).
 func (s *System) kern() mathx.Kernels { return mathx.ForMode(s.Params.mathMode()) }
 
 // UpdateAtoms moves the atoms to new positions (original atom order) and

@@ -9,13 +9,6 @@ import (
 
 // Scheme selects how Figure 4's steps 2 and 6 divide work across ranks
 // (Section IV.A, "Different Work Distribution Approaches").
-//
-// The atom-range traversals in this file stay order 0 regardless of
-// Params.FarOrder: they classify by the base multiplier alone (the
-// strictest rung of the farorder.go ladder, so they remain sound at
-// every order — they just forgo the consolidation speedup) and add no
-// moment corrections, keeping the P-dependence ablation measuring only
-// the work-division axis it was built for.
 type Scheme int
 
 const (

@@ -79,11 +79,10 @@ func TestAtomDivisionCostsMoreOps(t *testing.T) {
 func TestAtomRangeBornMatchesFullWhenSingleRank(t *testing.T) {
 	sys, _, _ := testSystem(t, 300, 95, DefaultParams())
 	mac := sys.bornMAC()
-	macs := sys.bornMACs()
 	full := newBornAccum(sys)
 	ranged := newBornAccum(sys)
 	for _, q := range sys.QPts.Leaves() {
-		ApproxIntegrals(sys, full, sys.Atoms.Root(), q, &macs)
+		ApproxIntegrals(sys, full, sys.Atoms.Root(), q, mac)
 		ApproxIntegralsAtomRange(sys, ranged, sys.Atoms.Root(), q, mac,
 			0, int32(sys.Mol.NumAtoms()))
 	}

@@ -3,30 +3,18 @@ package mathx
 import "math"
 
 // This file holds the batch "lane" variants of the fast kernels: fixed
-// width-4 blocks the compiled SoA kernels (internal/core/kernels_lanes.go)
-// evaluate in place, plus the float32 kernel family backing the f32
-// precision tier. The lane width matches the padding granularity of the
+// width-4 blocks the compiled SoA kernels (internal/core/kernels_stream.go)
+// evaluate in place. The lane width matches the padding granularity of the
 // System SoA arrays; kernels peel the sub-width remainder with the scalar
 // functions.
 //
-// Two invariants matter more than raw speed:
-//
-//  1. The float64 lane variants are BIT-COMPATIBLE with their scalar
-//     counterparts: ExpLanes4 performs, per lane, exactly the operations
-//     of Exp, and RSqrtLanes4 those of RSqrt, so a laned sweep that
-//     accumulates in scalar order reproduces the scalar approximate-math
-//     path bit-for-bit (TestExpLanes4BitCompat / TestRSqrtLanes4BitCompat
-//     pin this). The speedup comes from instruction-level parallelism —
-//     four independent polynomial/Newton chains in flight — not from a
-//     different algorithm.
-//
-//  2. The float32 family trades precision for throughput inside its
-//     documented budget: RSqrt32 stays within ~1e-5 relative and Exp32
-//     within ~1e-4 over the operand ranges the GB kernels produce
-//     (lanes_test.go sweeps log-spaced operands over the octree's span
-//     and pins these bounds). The f32 tier's end-to-end error budget
-//     (≤1e-4 relative on E_pol and Born radii) is asserted separately in
-//     internal/core.
+// The lane variants are BIT-COMPATIBLE with their scalar counterparts:
+// ExpLanes4 performs, per lane, exactly the operations of Exp, and
+// RSqrtLanes4 those of RSqrt, so a laned sweep that accumulates in scalar
+// order reproduces the scalar approximate-math path bit-for-bit
+// (TestExpLanes4BitCompat / TestRSqrtLanes4BitCompat pin this). The speedup
+// comes from instruction-level parallelism — four independent
+// polynomial/Newton chains in flight — not from a different algorithm.
 
 // LaneWidth is the fixed SoA lane width of the batch kernels and the
 // padding granularity of the System component arrays.
@@ -78,61 +66,5 @@ func RSqrtLanes4(x *[4]float64) {
 func CbrtLanes4(x *[4]float64) {
 	for i := range x {
 		x[i] = Cbrt(x[i])
-	}
-}
-
-// Exp32 is the float32 fast exponential: the same split-and-assemble
-// scheme as Exp (k·ln2 range reduction in float64 to keep the reduction
-// exact, degree-5 polynomial in float32), relative error ~4e-6 plus
-// float32 rounding over the GB operand range (lanes_test.go pins ≤1e-4).
-func Exp32(x float32) float32 {
-	// Below/above the float32 exponent range: saturate like Exp does.
-	if x < -87.3 {
-		return 0
-	}
-	if x > 88.7 {
-		return float32(math.Inf(1))
-	}
-	const ln2 = 0.6931471805599453
-	const invLn2 = 1.4426950408889634
-	kf := math.Floor(float64(x)*invLn2 + 0.5)
-	k := int32(kf)
-	r := float32(float64(x) - kf*ln2)
-	p := 1 + r*(1+r*(0.5+r*(1.0/6+r*(1.0/24+r*(1.0/120)))))
-	return math.Float32frombits(uint32(k+127)<<23) * p
-}
-
-// RSqrt32 is the float32 fast reciprocal square root for x > 0: the
-// classic 0x5f375a86 seed refined with two Newton steps — full float32
-// working precision is reached in two steps where the float64 kernel
-// needs three, which is half the f32 tier's speed advantage.
-func RSqrt32(x float32) float32 {
-	i := math.Float32bits(x)
-	i = 0x5f375a86 - (i >> 1)
-	y := math.Float32frombits(i)
-	half := 0.5 * x
-	y = y * (1.5 - half*y*y)
-	y = y * (1.5 - half*y*y)
-	return y
-}
-
-// ExpLanes4x32 evaluates Exp32 on all four lanes in place.
-func ExpLanes4x32(x *[4]float32) {
-	for i := range x {
-		x[i] = Exp32(x[i])
-	}
-}
-
-// RSqrtLanes4x32 evaluates RSqrt32 on all four lanes in place.
-func RSqrtLanes4x32(x *[4]float32) {
-	for i := range x {
-		v := x[i]
-		j := math.Float32bits(v)
-		j = 0x5f375a86 - (j >> 1)
-		y := math.Float32frombits(j)
-		half := 0.5 * v
-		y = y * (1.5 - half*y*y)
-		y = y * (1.5 - half*y*y)
-		x[i] = y
 	}
 }

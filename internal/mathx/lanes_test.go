@@ -111,78 +111,6 @@ func TestLanes4BitCompatWithScalar(t *testing.T) {
 	}
 }
 
-// The float32 kernels must stay inside the f32 tier's per-operation
-// budget over the same kernel operand sweep: Exp32 ≤ 1e-4, RSqrt32 ≤
-// 2e-5 relative (both well under the 1e-4 end-to-end budget the core
-// acceptance test asserts).
-func TestFloat32KernelAccuracy(t *testing.T) {
-	d2 := sweepD2(4000)
-	var expWorst, rsqrtWorst float64
-	for _, d := range d2 {
-		for _, rr := range []float64{1, 10, 100} {
-			x := -d / (4 * rr)
-			if x < -40 {
-				continue
-			}
-			if e := relErr(float64(Exp32(float32(x))), math.Exp(x)); e > expWorst {
-				expWorst = e
-			}
-		}
-		if e := relErr(float64(RSqrt32(float32(d))), 1/math.Sqrt(d)); e > rsqrtWorst {
-			rsqrtWorst = e
-		}
-	}
-	if expWorst > 1e-4 {
-		t.Errorf("Exp32 worst relative error %.3g, budget 1e-4", expWorst)
-	}
-	if rsqrtWorst > 2e-5 {
-		t.Errorf("RSqrt32 worst relative error %.3g, budget 2e-5", rsqrtWorst)
-	}
-	t.Logf("float32 kernels: Exp32 %.3g, RSqrt32 %.3g", expWorst, rsqrtWorst)
-}
-
-func TestFloat32KernelEdges(t *testing.T) {
-	if Exp32(-1000) != 0 {
-		t.Error("Exp32(-1000) should underflow to 0")
-	}
-	if !math.IsInf(float64(Exp32(1000)), 1) {
-		t.Error("Exp32(1000) should overflow to +Inf")
-	}
-	if relErr(float64(Exp32(0)), 1) > 1e-6 {
-		t.Errorf("Exp32(0) = %g", Exp32(0))
-	}
-}
-
-// The float32 lane variants are bit-compatible with their float32 scalar
-// counterparts, mirroring the float64 invariant.
-func TestLanes4x32BitCompatWithScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 5000; trial++ {
-		var in [4]float32
-		for l := range in {
-			in[l] = float32(rng.Float64()*60 - 50)
-		}
-		e := in
-		ExpLanes4x32(&e)
-		for l := range e {
-			if math.Float32bits(e[l]) != math.Float32bits(Exp32(in[l])) {
-				t.Fatalf("ExpLanes4x32 lane %d diverges from Exp32 at %g", l, in[l])
-			}
-		}
-		var pos [4]float32
-		for l := range pos {
-			pos[l] = float32(math.Exp(rng.Float64()*20 - 10))
-		}
-		r := pos
-		RSqrtLanes4x32(&r)
-		for l := range r {
-			if math.Float32bits(r[l]) != math.Float32bits(RSqrt32(pos[l])) {
-				t.Fatalf("RSqrtLanes4x32 lane %d diverges from RSqrt32 at %g", l, pos[l])
-			}
-		}
-	}
-}
-
 func BenchmarkExpLanes4(b *testing.B) {
 	in := [4]float64{-0.3, -1.7, -4.2, -9.8}
 	var s float64
@@ -213,18 +141,6 @@ func BenchmarkRSqrtLanes4(b *testing.B) {
 		RSqrtLanes4(&x)
 		s += x[0] + x[1] + x[2] + x[3]
 		in[0] += 1e-9
-	}
-	_ = s
-}
-
-func BenchmarkRSqrtLanes4x32(b *testing.B) {
-	in := [4]float32{1.3, 2.7, 14.2, 99.8}
-	var s float32
-	for i := 0; i < b.N; i++ {
-		x := in
-		RSqrtLanes4x32(&x)
-		s += x[0] + x[1] + x[2] + x[3]
-		in[0] += 1e-7
 	}
 	_ = s
 }

@@ -43,19 +43,7 @@ func (t *Tree) AppendTo(w *wire.Writer) {
 	}
 	w.U8(uint8(t.builder))
 	w.U64s(t.keys)
-	w.U32(uint32(len(t.moments)))
-	for _, ms := range t.moments {
-		w.Str(ms.Name)
-		w.Bool(ms.Vec)
-		w.U32(uint32(len(ms.Ch)))
-		for c := range ms.Ch {
-			ch := &ms.Ch[c]
-			w.F64s(ch.w)
-			w.F64s(ch.W)
-			wire.PutF64Records(w, ch.D)
-			wire.PutF64Records(w, ch.Q)
-		}
-	}
+	w.U32(0) // no moment sets: skipLegacyMoments
 }
 
 // encodedNodeBytes is the fixed per-node size of the encoding above,
@@ -100,37 +88,8 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 	t.rootBox.Max = geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 	b := Builder(r.U8())
 	t.keys = r.U64s()
-	// Moment sets: decoded verbatim (a snapshot restores moments without
-	// recomputation), every array length validated against the node and
-	// point counts so a truncated or corrupted moment block fails here
-	// rather than inside a far-kernel sweep.
-	nSets := int(r.U32())
-	if r.Err() != nil || nSets < 0 || nSets > 16 {
-		return nil, fmt.Errorf("octree: decode: bad moment-set count %d", nSets)
-	}
-	for s := 0; s < nSets; s++ {
-		ms := &MomentSet{Name: r.Str(), Vec: r.Bool()}
-		nCh := int(r.U32())
-		if r.Err() != nil || nCh <= 0 || nCh > 8 || (ms.Vec && nCh != 3) {
-			return nil, fmt.Errorf("octree: decode: moment set %q has bad channel count %d", ms.Name, nCh)
-		}
-		ms.Ch = make([]MomentChannel, nCh)
-		for c := 0; c < nCh; c++ {
-			ch := &ms.Ch[c]
-			ch.w = r.F64s()
-			ch.W = r.F64s()
-			ch.D = wire.F64Records[geom.Vec3](r)
-			ch.Q = wire.F64Records[geom.Sym3](r)
-			if r.Err() != nil {
-				break
-			}
-			if len(ch.w) != nPts || len(ch.W) != nNodes ||
-				len(ch.D) != nNodes || len(ch.Q) != nNodes {
-				return nil, fmt.Errorf("octree: decode: moment set %q channel %d arrays truncated (%d/%d/%d/%d for %d nodes, %d points)",
-					ms.Name, c, len(ch.w), len(ch.W), len(ch.D), len(ch.Q), nNodes, nPts)
-			}
-		}
-		t.moments = append(t.moments, ms)
+	if err := skipLegacyMoments(r, nNodes, nPts); err != nil {
+		return nil, err
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("octree: decode: %w", err)
@@ -170,4 +129,38 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// legacyQuad is the record a moment set's second moments were written as.
+type legacyQuad struct{ XX, YY, ZZ, XY, XZ, YZ float64 }
+
+// skipLegacyMoments reads past the moment sets — the per-node dipole and
+// quadrupole moments of named weight channels — that builds with a
+// higher-order far field wrote behind every tree, and that this build
+// writes none of. A set is still held to the sizes it was written under, so
+// a truncated or corrupted block is an error here, not a misread tree.
+func skipLegacyMoments(r *wire.Reader, nNodes, nPts int) error {
+	nSets := int(r.U32())
+	if r.Err() != nil || nSets < 0 || nSets > 16 {
+		return fmt.Errorf("octree: decode: bad moment-set count %d", nSets)
+	}
+	for s := 0; s < nSets; s++ {
+		name, vec := r.Str(), r.Bool()
+		nCh := int(r.U32())
+		if r.Err() != nil || nCh <= 0 || nCh > 8 || (vec && nCh != 3) {
+			return fmt.Errorf("octree: decode: moment set %q has bad channel count %d", name, nCh)
+		}
+		for c := 0; c < nCh; c++ {
+			w, sum := r.F64s(), r.F64s()
+			d, q := wire.F64Records[geom.Vec3](r), wire.F64Records[legacyQuad](r)
+			if r.Err() != nil {
+				return nil // DecodeTree reports the reader's error
+			}
+			if len(w) != nPts || len(sum) != nNodes || len(d) != nNodes || len(q) != nNodes {
+				return fmt.Errorf("octree: decode: moment set %q channel %d arrays truncated (%d/%d/%d/%d for %d nodes, %d points)",
+					name, c, len(w), len(sum), len(d), len(q), nNodes, nPts)
+			}
+		}
+	}
+	return nil
 }

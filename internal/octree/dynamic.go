@@ -331,15 +331,12 @@ func (t *Tree) refreshNodeGeometry(n *Node) {
 	n.Radius = math.Sqrt(r2)
 }
 
-// refreshGeometryAll refreshes every reachable node, then the moments
-// that depend on the refreshed centers. Every update path (Update,
-// UpdateTracked, both fast paths) funnels through here, so the attached
-// moment sets are always consistent with node geometry.
+// refreshGeometryAll refreshes every reachable node. Every update path
+// (Update, UpdateTracked, both fast paths) funnels through here.
 func (t *Tree) refreshGeometryAll() {
 	t.walkReachable(func(id int32) {
 		t.refreshNodeGeometry(&t.Nodes[id])
 	})
-	t.recomputeMoments()
 }
 
 // walkReachable visits nodes reachable from the root in structural
@@ -385,13 +382,7 @@ func (t *Tree) rebuildAll() error {
 	if err != nil {
 		return err
 	}
-	// The fresh tree has no moment sets; carry them over (the weights are
-	// in original point order, so they survive the rebuild's new slot
-	// permutation) and recompute on the new structure.
-	moments := t.moments
 	*t = *fresh
-	t.moments = moments
-	t.recomputeMoments()
 	return nil
 }
 
@@ -422,6 +413,5 @@ func (t *Tree) CompactNodes() {
 		fresh[newID] = n
 	}
 	t.Nodes = fresh
-	t.remapMoments(order)
 	t.rebuildLeafList()
 }

@@ -68,10 +68,6 @@ type Tree struct {
 	keys    []uint64
 	builder Builder
 	pool    *sched.Pool
-
-	// moments holds the attached per-node multipole moment sets (see
-	// moments.go), kept current across updates and transforms.
-	moments []*MomentSet
 }
 
 // Options configures construction.
@@ -223,7 +219,6 @@ func (t *Tree) finalize() {
 	for l, r := 0, len(t.leaves)-1; l < r; l, r = l+1, r-1 {
 		t.leaves[l], t.leaves[r] = t.leaves[r], t.leaves[l]
 	}
-	t.recomputeMoments()
 }
 
 // inflate scales a box about its center.
@@ -295,7 +290,6 @@ func (t *Tree) ApplyTransform(tr geom.Transform) {
 		}
 	})
 	t.rootBox = geom.Empty()
-	t.rotateMoments(tr)
 }
 
 // Validate checks the structural invariants: the index is a permutation,

@@ -100,7 +100,8 @@ func array[T any](r *Reader, n, width int) []T {
 }
 
 // F64Record is the set of structs the codec moves as a run of float64s:
-// geom.Vec3, geom.Sym3, molecule.Atom and surface.Point. Every field is
+// geom.Vec3, the six-component second moments an older snapshot's octree
+// block carries, molecule.Atom and surface.Point. Every field is
 // a float64, so a value is its fields back to back, and the encoding of
 // a slice is the encoding of the flattened []float64 in field order.
 // Spelling the shapes out makes a field added to one of them a compile

@@ -12,10 +12,12 @@ import (
 	"gbpolar/internal/geom"
 )
 
-// Local types with the shapes of molecule.Atom and surface.Point: the
-// F64Record constraint goes by underlying type, so these exercise the
-// same instantiations without importing either package.
+// Local types with the shapes of molecule.Atom, surface.Point and the
+// six-component second moments of an older snapshot's octree block: the
+// F64Record constraint goes by underlying type, so these exercise the same
+// instantiations without importing those packages.
 type (
+	sym6 struct{ XX, YY, ZZ, XY, XZ, YZ float64 }
 	atom struct {
 		Pos            geom.Vec3
 		Charge, Radius float64
@@ -44,7 +46,7 @@ var (
 	negZero    = math.Copysign(0, -1)
 	oddFloats  = []float64{0, negZero, 1.5, -2.25e300, math.SmallestNonzeroFloat64, math.Inf(-1), nanPayload}
 	someVecs   = []geom.Vec3{{X: 1, Y: negZero, Z: nanPayload}, {X: -4, Y: 5, Z: 6e-300}}
-	someSyms   = []geom.Sym3{{XX: 1, YY: 2, ZZ: 3, XY: 4, XZ: 5, YZ: nanPayload}, {XX: negZero}}
+	someSyms   = []sym6{{XX: 1, YY: 2, ZZ: 3, XY: 4, XZ: 5, YZ: nanPayload}, {XX: negZero}}
 	someAtoms  = []atom{{Pos: geom.Vec3{X: 1, Y: 2, Z: 3}, Charge: -0.5, Radius: 1.7}, {Charge: nanPayload}}
 	somePoints = []qpoint{{Pos: geom.Vec3{X: 1}, Normal: geom.Vec3{Z: negZero}, Weight: 0.25}}
 )
@@ -120,7 +122,7 @@ func readAll(r *Reader, check func(name string, ok bool)) {
 	check("U8s", reflect.DeepEqual(r.U8s(), []uint8{0, 255, 7}))
 	check("F64Records nil", F64Records[geom.Vec3](r) == nil)
 	check("F64Records Vec3", bitsEqual(F64Records[geom.Vec3](r), someVecs))
-	check("F64Records Sym3", bitsEqual(F64Records[geom.Sym3](r), someSyms))
+	check("F64Records sym6", bitsEqual(F64Records[sym6](r), someSyms))
 	check("F64Records atom", bitsEqual(F64Records[atom](r), someAtoms))
 	check("F64Records qpoint", bitsEqual(F64Records[qpoint](r), somePoints))
 	check("F64Run", bitsEqual(F64Run[geom.Vec3](r, int(r.U32())), someVecs))
@@ -271,7 +273,7 @@ func assertZeroAfterError(t *testing.T, r *Reader) {
 	zero := r.U8() == 0 && !r.Bool() && r.U16() == 0 && r.U32() == 0 && r.U64() == 0 &&
 		r.I32() == 0 && r.I64() == 0 && r.F64() == 0 && r.Str() == "" &&
 		r.F64s() == nil && r.I32s() == nil && r.U64s() == nil && r.U8s() == nil &&
-		F64Records[geom.Vec3](r) == nil && F64Records[geom.Sym3](r) == nil &&
+		F64Records[geom.Vec3](r) == nil && F64Records[sym6](r) == nil &&
 		F64Records[atom](r) == nil && F64Records[qpoint](r) == nil &&
 		F64Run[geom.Vec3](r, 1) == nil && F64Run[atom](r, 0) == nil
 	if !zero {
@@ -315,10 +317,10 @@ func TestHostileCountAllocatesNothing(t *testing.T) {
 		"U64s":         func() { r.U64s() },
 		"U8s":          func() { r.U8s() },
 		"F64Records/3": func() { F64Records[geom.Vec3](r) },
-		"F64Records/6": func() { F64Records[geom.Sym3](r) },
+		"F64Records/6": func() { F64Records[sym6](r) },
 		"F64Records/5": func() { F64Records[atom](r) },
 		"F64Records/7": func() { F64Records[qpoint](r) },
-		"F64Run":       func() { F64Run[geom.Sym3](r, int(r.U32())) },
+		"F64Run":       func() { F64Run[sym6](r, int(r.U32())) },
 	}
 	for name, m := range methods {
 		allocs := testing.AllocsPerRun(100, func() {
@@ -450,7 +452,7 @@ var readerOps = []func(r *Reader) (prefix, payload int){
 	func(r *Reader) (int, int) { return 4, 8 * len(r.U64s()) },
 	func(r *Reader) (int, int) { return 4, len(r.U8s()) },
 	func(r *Reader) (int, int) { return 4, 24 * len(F64Records[geom.Vec3](r)) },
-	func(r *Reader) (int, int) { return 4, 48 * len(F64Records[geom.Sym3](r)) },
+	func(r *Reader) (int, int) { return 4, 48 * len(F64Records[sym6](r)) },
 	func(r *Reader) (int, int) { return 4, 40 * len(F64Records[atom](r)) },
 	func(r *Reader) (int, int) { return 4, 56 * len(F64Records[qpoint](r)) },
 	func(r *Reader) (int, int) { return 4, 24 * len(F64Run[geom.Vec3](r, int(r.U32()))) },
