@@ -112,15 +112,33 @@ func relDiff(a, b float64) float64 {
 // TestGateSelfCompare: the gate must pass when a run is compared against
 // its own freshly measured baseline — the deterministic virtual stats
 // match exactly and the wall stats sit inside the noise-aware tolerance.
+// The two baselines come from two separately prepared systems whose
+// repetitions alternate, so a load change on the host during the test
+// reaches both sides alike instead of shifting one side's medians. Each
+// side takes the median of five, as gbbench's -gate-reps default does:
+// the collective retry counts after the crash spread over a few values,
+// and three samples can all land on one of them.
 func TestGateSelfCompare(t *testing.T) {
-	const atoms, reps = 2000, 3
-	first, err := GateSamples(atoms, reps, 1)
-	if err != nil {
-		t.Fatal(err)
+	const atoms, reps = 2000, 5
+	var sides [2]*gateSampler
+	for i := range sides {
+		g, err := newGateSampler(atoms, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sides[i] = g
 	}
-	second, err := GateSamples(atoms, reps, 1)
-	if err != nil {
-		t.Fatal(err)
+	var first, second []map[string]float64
+	for rep := 0; rep < reps; rep++ {
+		a, err := sides[0].sample()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sides[1].sample()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, second = append(first, a), append(second, b)
 	}
 	base := BuildBaseline(first, atoms, 1)
 	cur := BuildBaseline(second, atoms, 1)
