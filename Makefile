@@ -39,15 +39,19 @@ $(call check_listed,$(1),$(3))
 endef
 
 ## check: the tier-1 gate — format, vet, build (also for a big-endian
-## target), full test suite, the kernels with and without their assembly,
-## race detector, the fault-injection matrix, the observability suite, and
-## the perf regression gate.
+## target), full test suite, the benchmark module's vet and short tests
+## (benchmarks/ has its own go.mod, which nothing else compiles before a
+## ledger run), the kernels with and without their assembly, race
+## detector, the fault-injection matrix, the observability suite, and the
+## perf regression gate.
 check:
 	$(MAKE) fmt
 	$(MAKE) vet
 	$(GO) build ./...
 	$(MAKE) bigendian
 	$(GO) test ./...
+	$(GO) vet -C benchmarks ./...
+	$(GO) test -C benchmarks -short ./...
 	$(MAKE) kernels
 	$(MAKE) race
 	$(MAKE) faults
@@ -123,12 +127,12 @@ net:
 	$(call run_listed,-race -count=1,TestNet|TestRunContext|TestElasticSpans,./internal/core/ ./internal/cluster/)
 
 ## loc: the non-test line counts the deletion rounds quote (EXPERIMENTS.md
-## "Deletion round 1", "Deletion round 2"): the runner files — one pipeline
+## "Deletion round 1", "2" and "3"): the runner files — one pipeline
 ## and what constructs it — the list back-end and its checkpoint, all of
 ## internal/core, its assembly, internal/octree, and the facade.
 loc:
 	@echo "list files (internal/core/{ilist,ilist_tile,ilist_repair,snapshot}.go): $$(cat internal/core/ilist.go internal/core/ilist_tile.go internal/core/ilist_repair.go internal/core/snapshot.go | wc -l)"
-	@echo "runner files (internal/core/{runner,elastic,dyndist,recover,workdiv,netrun,pipeline}.go): $$(cat $(wildcard $(addprefix internal/core/,$(addsuffix .go,runner elastic dyndist recover workdiv netrun pipeline))) | wc -l)"
+	@echo "runner files (internal/core/{runner,elastic,dyndist,recover,netrun,pipeline}.go): $$(cat $(wildcard $(addprefix internal/core/,$(addsuffix .go,runner elastic dyndist recover netrun pipeline))) | wc -l)"
 	@echo "internal/core non-test: $$(ls internal/core/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "internal/core/simd_amd64.s: $$(wc -l < internal/core/simd_amd64.s)"
 	@echo "internal/octree non-test: $$(ls internal/octree/*.go | grep -v _test.go | xargs cat | wc -l)"
@@ -151,9 +155,9 @@ perfgate:
 bench-warm:
 	$(call bench_listed,BenchmarkComputeWarmCompiled|BenchmarkComputeWarmRecursive,-benchtime 3x -count 2,.)
 
-## bench-lanes: the kernel ablation — scalar vs laned x exact vs approx
-## precision tiers on the 40k-atom warm pose scan (EXPERIMENTS.md kernel
-## ablation section). Honors GOAMD64 (see above).
+## bench-lanes: the kernel ablation — the exact and the laned
+## approximate-math precision tiers on the 40k-atom warm pose scan
+## (EXPERIMENTS.md kernel ablation section). Honors GOAMD64 (see above).
 bench-lanes:
 	GOAMD64=$(GOAMD64) $(GO) run ./cmd/gbbench -exp lanes -reps 3
 

@@ -1,8 +1,8 @@
 // Benchmarks: one per table/figure of the paper's evaluation (regenerate
 // with `go test -bench=Fig -benchmem`, or at larger scale via
 // cmd/gbbench), plus ablation benchmarks for the design choices DESIGN.md
-// calls out — MAC criterion, approximate math, work-division scheme,
-// octree-vs-nblist substrate and the work-stealing scheduler.
+// calls out — MAC criterion, approximate math, octree-vs-nblist substrate
+// and the work-stealing scheduler.
 package gbpolar
 
 import (
@@ -10,10 +10,8 @@ import (
 	"testing"
 
 	"gbpolar/internal/bench"
-	"gbpolar/internal/cluster"
 	"gbpolar/internal/core"
 	"gbpolar/internal/geom"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/nblist"
 	"gbpolar/internal/octree"
@@ -90,7 +88,7 @@ func BenchmarkAblationBornMACStrict(b *testing.B) {
 	}
 }
 
-// Approximate math ON vs OFF (the paper's ≈1.42× claim).
+// Approximate math ON (the laned tier) vs OFF (the paper's ≈1.42× claim).
 func BenchmarkAblationExactMath(b *testing.B) {
 	sys := benchSystem(b, 4000, core.DefaultParams())
 	b.ResetTimer()
@@ -103,7 +101,7 @@ func BenchmarkAblationExactMath(b *testing.B) {
 
 func BenchmarkAblationApproxMath(b *testing.B) {
 	p := core.DefaultParams()
-	p.Math = mathx.Approximate
+	p.Precision = core.PrecisionLanes
 	sys := benchSystem(b, 4000, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,23 +110,6 @@ func BenchmarkAblationApproxMath(b *testing.B) {
 		}
 	}
 }
-
-// Work-division schemes (node-node vs atom-node vs atom-atom).
-func benchScheme(b *testing.B, scheme core.Scheme) {
-	b.Helper()
-	sys := benchSystem(b, 3000, core.DefaultParams())
-	cfg := cluster.Config{Procs: 4, ThreadsPerProc: 1, RanksPerNode: 4, Topology: cluster.Lonestar4(1)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RunDistributedScheme(sys, cfg, scheme); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSchemeNodeNode(b *testing.B) { benchScheme(b, core.NodeNode) }
-func BenchmarkAblationSchemeAtomNode(b *testing.B) { benchScheme(b, core.AtomNode) }
-func BenchmarkAblationSchemeAtomAtom(b *testing.B) { benchScheme(b, core.AtomAtom) }
 
 // Octree vs nblist substrate: construction cost and memory for growing
 // cutoffs (the paper's Section II space argument).
@@ -183,30 +164,6 @@ func BenchmarkAblationSchedSerial(b *testing.B) {
 		if _, err := core.RunShared(sys, core.SharedOptions{Threads: 1}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Single-tree (this paper) vs dual-tree ([6]) Born-radius traversal.
-func BenchmarkAblationBornSingleTree(b *testing.B) {
-	sys := benchSystem(b, 6000, core.DefaultParams())
-	pool := sched.NewPool(4)
-	defer pool.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RunShared(sys, core.SharedOptions{Pool: pool}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationBornDualTree(b *testing.B) {
-	sys := benchSystem(b, 6000, core.DefaultParams())
-	pool := sched.NewPool(4)
-	defer pool.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, ops := core.DualTreeBornRadii(sys, pool)
-		b.ReportMetric(ops, "kernel-ops")
 	}
 }
 

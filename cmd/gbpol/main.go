@@ -57,8 +57,7 @@ func main() {
 		epsBorn  = flag.Float64("eps-born", 0.9, "Born-radius approximation parameter")
 		builder  = flag.String("builder", "morton", "octree construction algorithm: morton | recursive (the reference; same tree)")
 		epsEpol  = flag.Float64("eps-epol", 0.9, "E_pol approximation parameter")
-		approx   = flag.Bool("approx-math", false, "enable fast sqrt/exp kernels")
-		prec     = flag.String("precision", "exact", "compiled-kernel arithmetic tier: exact | lanes")
+		approx   = flag.Bool("approx-math", false, "approximate math: fast exp/rsqrt kernels, laned (the lanes precision tier)")
 		naive    = flag.Bool("naive", false, "also run the exact reference and report the error")
 		modeled  = flag.Bool("modeled", true, "distributed runners: virtual-clock accounting")
 		radiiOut = flag.String("radii-out", "", "write Born radii (one per line) to this file")
@@ -205,7 +204,6 @@ func main() {
 		EpsBorn:         *epsBorn,
 		EpsEpol:         *epsEpol,
 		ApproximateMath: *approx,
-		Precision:       *prec,
 		Builder:         *builder,
 	})
 	if err != nil {
@@ -316,8 +314,7 @@ func main() {
 			"in": *inPath, "gen": *gen, "runner": *runner,
 			"procs": *procs, "threads": *threads,
 			"eps_born": *epsBorn, "eps_epol": *epsEpol, "approx_math": *approx,
-			"precision": *prec, "kernel_isa": gbpolar.KernelISA(),
-			"memory": eng.Memory(),
+			"kernel_isa": gbpolar.KernelISA(), "memory": eng.Memory(),
 		})
 		if err := man.WriteFile(*manifestOut); err != nil {
 			log.Fatal(err)

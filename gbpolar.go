@@ -30,7 +30,6 @@ import (
 	"gbpolar/internal/cluster"
 	"gbpolar/internal/core"
 	"gbpolar/internal/geom"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/obs/serve"
@@ -67,14 +66,10 @@ type Options struct {
 	EpsEpol float64
 	// SolventDielectric defaults to 80 (water).
 	SolventDielectric float64
-	// ApproximateMath enables the paper's fast sqrt/exp kernels
-	// (≈1.4× faster, shifts the energy by a few percent).
+	// ApproximateMath selects the paper's approximate-math accuracy class
+	// (fast exp/rsqrt, ≈1e-4 of the exact energy), evaluated in width-4
+	// lanes: core.PrecisionLanes.
 	ApproximateMath bool
-	// Precision selects the compiled-kernel arithmetic tier: "" or
-	// "exact" (float64, today's semantics) or "lanes" (width-4 laned
-	// approximate float64 — the paper's approximate-math accuracy class,
-	// vectorized). See core.Precision.
-	Precision string
 	// SurfaceLevel overrides the icosphere subdivision level (0 = auto).
 	SurfaceLevel int
 	// QuadratureDegree selects the Dunavant rule, 1–5 (0 = degree 2).
@@ -110,7 +105,6 @@ func (o Options) Validate() error {
 	}
 	eps := func(v float64) bool { return v >= 0 && !math.IsInf(v, 0) } // false for NaN
 	_, builderErr := octree.ParseBuilder(o.Builder)
-	_, precisionErr := core.ParsePrecision(o.Precision)
 	switch {
 	case !eps(o.EpsBorn):
 		return bad("EpsBorn", o.EpsBorn, "a finite value > 0 (0 = 0.9)")
@@ -118,8 +112,6 @@ func (o Options) Validate() error {
 		return bad("EpsEpol", o.EpsEpol, "a finite value > 0 (0 = 0.9)")
 	case o.SolventDielectric != 0 && !(o.SolventDielectric > 1 && !math.IsInf(o.SolventDielectric, 0)):
 		return bad("SolventDielectric", o.SolventDielectric, "a finite value > 1 (0 = 80)")
-	case precisionErr != nil:
-		return bad("Precision", o.Precision, `"", "exact" or "lanes"`)
 	case o.SurfaceLevel < 0 || o.SurfaceLevel > 10:
 		return bad("SurfaceLevel", o.SurfaceLevel, "0 (auto) to 10")
 	case o.QuadratureDegree < 0 || o.QuadratureDegree > 5:
@@ -146,7 +138,7 @@ func (o Options) params() core.Params {
 		p.EpsSolv = o.SolventDielectric
 	}
 	if o.ApproximateMath {
-		p.Math = mathx.Approximate
+		p.Precision = core.PrecisionLanes
 	}
 	if o.LeafCap != 0 {
 		p.LeafCap = o.LeafCap
@@ -154,7 +146,6 @@ func (o Options) params() core.Params {
 	if o.Builder != "" {
 		p.Builder, _ = octree.ParseBuilder(o.Builder)
 	}
-	p.Precision, _ = core.ParsePrecision(o.Precision)
 	return p
 }
 
@@ -583,20 +574,10 @@ func RunNetWorker(membershipPath string, rank int, opts NetWorkerOptions) (compl
 type DynStats = core.DynStats
 
 // ComputeNaive evaluates the exact quadratic reference (Equations 2 and
-// 4 of the paper) — the accuracy baseline. It is Θ(M·N + M²).
+// 4 of the paper) — the accuracy baseline — in the engine's math mode
+// (approximate with ApproximateMath). It is Θ(M·N + M²).
 func (e *Engine) ComputeNaive() (epol float64, bornRadii []float64) {
-	return core.NaiveEnergy(e.mol, e.surf, e.sys.Params.EpsSolv, e.sys.Params.Math)
-}
-
-// Gradient re-exports the force-evaluation result.
-type Gradient = core.GradientResult
-
-// ComputeGradient evaluates E_pol and its exact gradient ∂E/∂x under the
-// rigid-cavity approximation (the sampled surface held fixed) — the
-// force the paper's future-work MD integration needs between boundary
-// rebuilds. Direct Θ(M·N + M²) summation.
-func (e *Engine) ComputeGradient() *Gradient {
-	return core.NaiveGradient(e.mol, e.surf, e.sys.Params.EpsSolv, e.sys.Params.Math)
+	return core.NaiveEnergy(e.mol, e.surf, e.sys.Params.EpsSolv, e.sys.Params.MathMode())
 }
 
 // Repose rigidly moves the molecule, surface and both octrees without

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"gbpolar/internal/core"
 	"gbpolar/internal/geom"
+	"gbpolar/internal/mathx"
 )
 
 var ctx = context.Background()
@@ -176,19 +178,38 @@ func TestNumQuadraturePointsScalesWithAtoms(t *testing.T) {
 	}
 }
 
-func TestComputeGradientFacade(t *testing.T) {
-	mol := GenerateProtein("gradf", 120, 12)
-	eng, err := NewEngine(mol, Options{})
+// ApproximateMath is the one arithmetic knob: it selects the laned tier,
+// whose compiled energy and naive reference both stay within the
+// approximate-math class (1e-4) of the exact engine's.
+func TestApproximateMathSelectsLanes(t *testing.T) {
+	mol := GenerateProtein("approxf", 300, 12)
+	exact, err := NewEngine(mol, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := eng.ComputeGradient()
-	if len(g.Grad) != mol.NumAtoms() {
-		t.Fatalf("%d gradients for %d atoms", len(g.Grad), mol.NumAtoms())
+	approx, err := NewEngine(mol, Options{ApproximateMath: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	naive, _ := eng.ComputeNaive()
-	if math.Abs((g.Epol-naive)/naive) > 1e-9 {
-		t.Errorf("gradient energy %v != naive %v", g.Epol, naive)
+	if p := approx.sys.Params.Precision; p != core.PrecisionLanes {
+		t.Fatalf("ApproximateMath selected precision %v, want lanes", p)
+	}
+	if m := approx.sys.Params.MathMode(); m != mathx.Approximate {
+		t.Fatalf("ApproximateMath gives math mode %v, want approximate", m)
+	}
+	for _, compute := range []func(*Engine) float64{
+		func(e *Engine) float64 {
+			res, err := e.Compute(ctx, Plan{Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Epol
+		},
+		func(e *Engine) float64 { epol, _ := e.ComputeNaive(); return epol },
+	} {
+		if a, x := compute(approx), compute(exact); !(math.Abs((a-x)/x) <= 1e-4) {
+			t.Errorf("approximate math %v vs exact %v", a, x)
+		}
 	}
 }
 
@@ -229,11 +250,9 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"EpsBorn", Options{EpsBorn: math.NaN()}},
 		{"EpsEpol", Options{EpsEpol: math.Inf(1)}},
 		{"SolventDielectric", Options{SolventDielectric: 1}},
-		{"Precision", Options{Precision: "f16"}},
 		{"SurfaceLevel", Options{SurfaceLevel: -1}},
 		{"QuadratureDegree", Options{QuadratureDegree: 6}},
 		{"LeafCap", Options{LeafCap: -8}},
-		{"Precision", Options{Precision: "f32"}},
 		{"Builder", Options{Builder: "kd"}},
 	} {
 		_, err := NewEngine(mol, tc.opts)
@@ -248,13 +267,6 @@ func TestValidateTypedErrors(t *testing.T) {
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero Options: %v", err)
 	}
-	// The retired f32 tier is refused like any unknown tier, pointing at the
-	// two that are left.
-	var oe *OptionError
-	if err := (Options{Precision: "f32"}).Validate(); !errors.As(err, &oe) || oe.Want != `"", "exact" or "lanes"` {
-		t.Errorf(`Precision "f32": got %v, want an *OptionError naming "", "exact" or "lanes"`, err)
-	}
-
 	eng, err := NewEngine(mol, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 	"runtime"
 	"time"
 
+	"gbpolar/internal/core"
 	"gbpolar/internal/geom"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/octree"
 	"gbpolar/internal/sched"
@@ -47,7 +47,7 @@ func coldstart(cfg Config) ([]*Table, error) {
 
 	// --- Update repair: incremental list repair vs recompile ----------
 	mol := molecule.GenProtein("cold-repair", 5000, cfg.Seed+1)
-	params := paperParams(mathx.Exact)
+	params := core.DefaultParams()
 	params.Builder = octree.BuilderMorton
 	prep, err := prepare(mol, params)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 
 	"gbpolar/internal/baselines"
 	"gbpolar/internal/cluster"
-	"gbpolar/internal/mathx"
+	"gbpolar/internal/core"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/stats"
 )
@@ -101,7 +101,7 @@ func coreCounts() []int { return []int{12, 24, 48, 96, 144, 192, 240, 288} }
 func fig5(cfg Config) ([]*Table, error) {
 	cfg = cfg.WithDefaults()
 	mol := molecule.BTVAnalogue(cfg.Scale/10, cfg.Seed) // BTV is 12x CMV; keep the default run light
-	prep, err := prepare(mol, paperParams(mathx.Exact))
+	prep, err := prepare(mol, core.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +136,7 @@ func fig5(cfg Config) ([]*Table, error) {
 func fig6(cfg Config) ([]*Table, error) {
 	cfg = cfg.WithDefaults()
 	mol := molecule.BTVAnalogue(cfg.Scale/10, cfg.Seed)
-	prep, err := prepare(mol, paperParams(mathx.Exact))
+	prep, err := prepare(mol, core.DefaultParams())
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"gbpolar/internal/core"
 	"gbpolar/internal/geom"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/nblist"
 	"gbpolar/internal/octree"
@@ -25,7 +24,7 @@ func extensions(cfg Config) ([]*Table, error) {
 	// granularity for balanced grants (stealing cannot help when a
 	// segment is only a handful of grant quanta).
 	mol := molecule.GenProtein("ext-steal", 5000, cfg.Seed)
-	prep, err := prepare(mol, paperParams(mathx.Exact))
+	prep, err := prepare(mol, core.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +109,7 @@ func extensions(cfg Config) ([]*Table, error) {
 	// (the paper's other Section VI item) — measured Local Essential
 	// Trees under the node-node division.
 	dmol := molecule.GenProtein("ext-ddist", 6000, cfg.Seed+3)
-	dprep, err := prepare(dmol, paperParams(mathx.Exact))
+	dprep, err := prepare(dmol, core.DefaultParams())
 	if err != nil {
 		return nil, err
 	}

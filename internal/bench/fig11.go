@@ -19,7 +19,7 @@ import (
 func fig11(cfg Config) ([]*Table, error) {
 	cfg = cfg.WithDefaults()
 	mol := molecule.CMVAnalogue(cfg.Scale, cfg.Seed)
-	prep, err := prepare(mol, paperParams(mathx.Exact))
+	prep, err := prepare(mol, core.DefaultParams())
 	if err != nil {
 		return nil, err
 	}

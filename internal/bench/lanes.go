@@ -7,18 +7,16 @@ import (
 
 	"gbpolar/internal/core"
 	"gbpolar/internal/geom"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/sched"
 )
 
 // lanes is the kernel ablation (`gbbench -exp lanes`): the warm pose
-// scan measured under every precision tier of the compiled batch kernels
-// — scalar exact (the baseline), scalar approximate math (the paper's
-// Section V.E comparison, which bought 1.42× standalone) and the laned
-// float64 approximate tier. One table,
+// scan measured under both precision tiers of the compiled batch kernels
+// — exact (the baseline) and the laned approximate-math tier (the paper's
+// Section V.E comparison, which bought 1.42× standalone). One table,
 // paper-style: energy, relative error against the exact tier at a fixed
-// pose, best-of-reps ms per pose, and speedup over scalar exact.
+// pose, best-of-reps ms per pose, and speedup over exact.
 func lanes(cfg Config) ([]*Table, error) {
 	cfg = cfg.WithDefaults()
 	n := int(40000 * cfg.Scale / 0.02)
@@ -26,7 +24,7 @@ func lanes(cfg Config) ([]*Table, error) {
 		n = 500
 	}
 	mol := molecule.GenProtein("lanes-ablation", n, cfg.Seed)
-	prep, err := prepare(mol, paperParams(mathx.Exact))
+	prep, err := prepare(mol, core.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -41,11 +39,9 @@ func lanes(cfg Config) ([]*Table, error) {
 	tiers := []struct {
 		label string
 		prec  core.Precision
-		mode  mathx.Mode
 	}{
-		{"scalar exact (baseline)", core.PrecisionExact, mathx.Exact},
-		{"scalar approx (paper V.E)", core.PrecisionExact, mathx.Approximate},
-		{"laned approx f64", core.PrecisionLanes, mathx.Exact},
+		{"exact (baseline)", core.PrecisionExact},
+		{"laned approx f64 (paper V.E)", core.PrecisionLanes},
 	}
 	saved := sys.Params
 	defer func() { sys.Params = saved }()
@@ -55,7 +51,7 @@ func lanes(cfg Config) ([]*Table, error) {
 	// lists and the work, so it cannot skew the comparison).
 	energies := make([]float64, len(tiers))
 	for i, tr := range tiers {
-		sys.Params.Precision, sys.Params.Math = tr.prec, tr.mode
+		sys.Params.Precision = tr.prec
 		res, err := core.RunShared(sys, opts)
 		if err != nil {
 			return nil, err
@@ -76,7 +72,7 @@ func lanes(cfg Config) ([]*Table, error) {
 	}
 	var baseMS float64
 	for i, tr := range tiers {
-		sys.Params.Precision, sys.Params.Math = tr.prec, tr.mode
+		sys.Params.Precision = tr.prec
 		best := math.Inf(1)
 		for rep := 0; rep < reps; rep++ {
 			sys.ApplyRigidTransform(step)
@@ -98,7 +94,7 @@ func lanes(cfg Config) ([]*Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("kernel ISA: %s (runtime-detected; portable fallback elsewhere)", core.KernelISA()),
 		"ms/pose includes the rigid transform, the SoA refresh and both energy phases",
-		"the portable laned-f64 path is bit-identical to a scalar-approx run (TestLanesTierBitCompatible); the avx2+fma path is pinned to it at ~1e-11 (TestAsmKernelsMatchPortable)",
+		"the portable laned-f64 rows are bit-identical to a scalar approximate-math sweep (TestLanesTierBitCompatible); the avx2+fma path is pinned to it at ~1e-11 (TestAsmKernelsMatchPortable)",
 		"paper Section V.E reports 1.42× from approximate math alone; GOAMD64=v3 (make bench-lanes GOAMD64=v3) additionally lifts the compiled Go code to the AVX2 baseline")
 	return []*Table{t}, nil
 }

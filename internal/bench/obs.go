@@ -11,7 +11,6 @@ import (
 
 	"gbpolar/internal/cluster"
 	"gbpolar/internal/core"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/obs/analyze"
@@ -27,7 +26,7 @@ import (
 func obsOverhead(cfg Config) ([]*Table, error) {
 	cfg = cfg.WithDefaults()
 	mol := molecule.GenProtein("obs-bench", 5000, cfg.Seed)
-	prep, err := prepare(mol, paperParams(mathx.Exact))
+	prep, err := prepare(mol, core.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +89,7 @@ func obsOverhead(cfg Config) ([]*Table, error) {
 			{Kind: cluster.CrashAtCollective, Rank: 1, Nth: 2},
 		}}
 		cc.Obs = o
-		return core.RunDistributedResilient(prep.sys, cc)
+		return core.RunDistributed(prep.sys, cc)
 	}
 	if _, err := resilient(nil); err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"gbpolar/internal/bench/gate"
 	"gbpolar/internal/cluster"
 	"gbpolar/internal/core"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/obs/analyze"
@@ -78,7 +77,7 @@ func gateRun(p *prepared, seed int64, o *obs.Obs) error {
 		}},
 		Obs: o,
 	}
-	_, err := core.RunDistributedResilient(p.sys, cc)
+	_, err := core.RunDistributed(p.sys, cc)
 	return err
 }
 
@@ -86,7 +85,7 @@ func gateRun(p *prepared, seed int64, o *obs.Obs) error {
 // so the warm compiled-list path is what the gate times.
 func gatePrepare(atoms int, seed int64) (*prepared, error) {
 	mol := molecule.GenProtein(fmt.Sprintf("gate-%d", atoms), atoms, seed)
-	return prepare(mol, paperParams(mathx.Exact))
+	return prepare(mol, core.DefaultParams())
 }
 
 // gateBuildStats is the "build" measurement class: one cold octree

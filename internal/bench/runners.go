@@ -7,7 +7,6 @@ import (
 
 	"gbpolar/internal/cluster"
 	"gbpolar/internal/core"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/surface"
 )
@@ -151,13 +150,4 @@ func speedup(base, t float64) float64 {
 		return math.Inf(1)
 	}
 	return base / t
-}
-
-// paperParams returns the paper's headline parameters with the chosen
-// math mode (Figures 7/8 use approximate math ON; Figure 10 turns it
-// OFF).
-func paperParams(mode mathx.Mode) core.Params {
-	p := core.DefaultParams()
-	p.Math = mode
-	return p
 }

@@ -77,8 +77,10 @@ func computeSuite(cfg Config) ([]suiteRow, error) {
 			failures: map[string]string{},
 		}
 		// Octree programs share one prepared system (approximate math ON,
-		// as in the paper's Figure 7/8 runs).
-		prep, err := prepare(mol, paperParams(mathx.Approximate))
+		// as in the paper's Figure 7/8 runs: the laned tier).
+		params := core.DefaultParams()
+		params.Precision = core.PrecisionLanes
+		prep, err := prepare(mol, params)
 		if err != nil {
 			return nil, err
 		}
@@ -267,7 +269,7 @@ func fig10(cfg Config) ([]*Table, error) {
 	for _, eps := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
 		var errStat, timeStat stats.Summary
 		for i, mol := range mols {
-			params := core.Params{EpsBorn: 0.9, EpsEpol: eps, EpsSolv: 80, Math: mathx.Exact}
+			params := core.Params{EpsBorn: 0.9, EpsEpol: eps, EpsSolv: 80}
 			sys, err := core.NewSystem(mol, refs[i].surf, params)
 			if err != nil {
 				return nil, err

@@ -58,8 +58,8 @@ func (s *System) bornMAC() float64 {
 }
 
 // farSeparated is THE far-field opening test, shared by every recursive
-// traversal (ApproxIntegrals, DualTreeIntegrals, ApproxEpol, expandPairs)
-// and by the interaction-list compiler (ilist.go), so the compiled lists
+// traversal (ApproxIntegrals, ApproxEpol) and by the interaction-list
+// compiler (ilist.go), so the compiled lists
 // cannot drift from the recursive reference paths. Two clusters with
 // centers ca/cb and enclosing radii ra/rb are far enough to interact
 // through their aggregates when dist(ca,cb) > (ra+rb)·mac. The center

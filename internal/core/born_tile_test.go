@@ -243,7 +243,7 @@ func encodeImage(sys *System, version uint16, ord legacyOrders) ([]byte, error) 
 	w.Raw([]byte(snapshotMagic))
 	w.U16(version)
 	w.U64(ParamsFingerprint(sys.Params))
-	appendParams(&w, sys.Params)
+	appendParams(&w, sys.Params, 0)
 	w.Str(sys.Mol.Name)
 	wire.PutF64Records(&w, sys.Mol.Atoms)
 	w.I32(int32(sys.Surf.Level))

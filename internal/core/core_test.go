@@ -237,11 +237,11 @@ func TestApproximateMathShiftsSlightly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := NewSystem(mol, surf, Params{EpsBorn: 0.9, EpsEpol: 0.9, EpsSolv: 80, Math: mathx.Exact})
+	exact, err := NewSystem(mol, surf, Params{EpsBorn: 0.9, EpsEpol: 0.9, EpsSolv: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := NewSystem(mol, surf, Params{EpsBorn: 0.9, EpsEpol: 0.9, EpsSolv: 80, Math: mathx.Approximate})
+	approx, err := NewSystem(mol, surf, Params{EpsBorn: 0.9, EpsEpol: 0.9, EpsSolv: 80, Precision: PrecisionLanes})
 	if err != nil {
 		t.Fatal(err)
 	}

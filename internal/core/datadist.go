@@ -202,97 +202,3 @@ func countTopNodes(t *octree.Tree, maxDepth int) int {
 	}
 	return n
 }
-
-// RecoveryLoad is one survivor's share of a dead rank's work after the
-// deterministic re-division (see RedivideSpans): the interaction-list
-// rows and atom slots it inherits, and the data those rows touch.
-type RecoveryLoad struct {
-	Rank int
-	// BornRows / EpolRows are inherited compiled-list rows (q-point
-	// leaves and atom leaves respectively); AtomSlots are inherited
-	// radii-push slots.
-	BornRows, EpolRows, AtomSlots int
-	// RecomputeBytes models the data volume the inherited rows cover:
-	// q-points of inherited Born rows plus atoms of inherited E_pol rows.
-	RecomputeBytes int64
-}
-
-// RecoveryReport summarizes who recomputes what after the given ordered
-// deaths.
-type RecoveryReport struct {
-	Procs   int
-	Dead    []int
-	PerRank []RecoveryLoad
-	// Totals across survivors — exactly the dead ranks' original work.
-	TotalBornRows, TotalEpolRows, TotalAtomSlots int
-}
-
-// String implements fmt.Stringer.
-func (r *RecoveryReport) String() string {
-	return fmt.Sprintf("recovery after deaths %v of %d ranks: %d Born rows, %d E_pol rows, %d atom slots redistributed",
-		r.Dead, r.Procs, r.TotalBornRows, r.TotalEpolRows, r.TotalAtomSlots)
-}
-
-// MeasureRecoveryRedivision computes, without running anything, how much
-// work the self-healing runner's survivors would redo when the given
-// ranks die in the given order — the planning counterpart of
-// RunDistributedResilient's recovery, using the same RedivideSpans
-// partition, so the numbers match the runner's FaultReport metering.
-func MeasureRecoveryRedivision(sys *System, P int, deadOrder []int) (*RecoveryReport, error) {
-	if P <= 0 {
-		return nil, fmt.Errorf("core: MeasureRecoveryRedivision with P=%d", P)
-	}
-	dead := make(map[int]bool, len(deadOrder))
-	for _, d := range deadOrder {
-		if d < 0 || d >= P {
-			return nil, fmt.Errorf("core: dead rank %d out of range [0,%d)", d, P)
-		}
-		dead[d] = true
-	}
-	aLeaves := sys.Atoms.Leaves()
-	qLeaves := sys.QPts.Leaves()
-	nAtoms := sys.Mol.NumAtoms()
-
-	bornAsgn := RedivideSpans(len(qLeaves), P, deadOrder)
-	epolAsgn := RedivideSpans(len(aLeaves), P, deadOrder)
-	slotAsgn := RedivideSpans(nAtoms, P, deadOrder)
-
-	rep := &RecoveryReport{Procs: P, Dead: append([]int(nil), deadOrder...)}
-	for rank := 0; rank < P; rank++ {
-		rl := RecoveryLoad{Rank: rank}
-		if !dead[rank] {
-			bLo, bHi := segment(len(qLeaves), P, rank)
-			for _, sp := range bornAsgn[rank] {
-				for i := sp.Lo; i < sp.Hi; i++ {
-					if i < bLo || i >= bHi {
-						rl.BornRows++
-						rl.RecomputeBytes += int64(sys.QPts.Nodes[qLeaves[i]].Count()) * qpointBytes
-					}
-				}
-			}
-			eLo, eHi := segment(len(aLeaves), P, rank)
-			for _, sp := range epolAsgn[rank] {
-				for i := sp.Lo; i < sp.Hi; i++ {
-					if i < eLo || i >= eHi {
-						rl.EpolRows++
-						rl.RecomputeBytes += int64(sys.Atoms.Nodes[aLeaves[i]].Count()) * atomBytes
-					}
-				}
-			}
-			sLo, sHi := segment(nAtoms, P, rank)
-			for _, sp := range slotAsgn[rank] {
-				if sp.Lo < sLo {
-					rl.AtomSlots += min(sp.Hi, sLo) - sp.Lo
-				}
-				if sp.Hi > sHi {
-					rl.AtomSlots += sp.Hi - max(sp.Lo, sHi)
-				}
-			}
-		}
-		rep.TotalBornRows += rl.BornRows
-		rep.TotalEpolRows += rl.EpolRows
-		rep.TotalAtomSlots += rl.AtomSlots
-		rep.PerRank = append(rep.PerRank, rl)
-	}
-	return rep, nil
-}

@@ -60,54 +60,3 @@ func TestDataDistributionErrors(t *testing.T) {
 		t.Error("P=0 accepted")
 	}
 }
-
-func TestMeasureRecoveryRedivision(t *testing.T) {
-	sys, _, _ := testSystem(t, 200, 213, DefaultParams())
-	qLeaves := len(sys.QPts.Leaves())
-	aLeaves := len(sys.Atoms.Leaves())
-	nAtoms := sys.Mol.NumAtoms()
-
-	rep, err := MeasureRecoveryRedivision(sys, 4, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The survivors' inherited totals are exactly the dead rank's
-	// original segments.
-	wantBorn := seglen(qLeaves, 4, 2)
-	wantEpol := seglen(aLeaves, 4, 2)
-	wantSlots := seglen(nAtoms, 4, 2)
-	if rep.TotalBornRows != wantBorn || rep.TotalEpolRows != wantEpol || rep.TotalAtomSlots != wantSlots {
-		t.Errorf("totals = %d/%d/%d rows, want %d/%d/%d",
-			rep.TotalBornRows, rep.TotalEpolRows, rep.TotalAtomSlots, wantBorn, wantEpol, wantSlots)
-	}
-	// The dead rank inherits nothing; every survivor recomputes data.
-	if l := rep.PerRank[2]; l.BornRows != 0 || l.EpolRows != 0 || l.AtomSlots != 0 || l.RecomputeBytes != 0 {
-		t.Errorf("dead rank has recovery load %+v", l)
-	}
-	for _, r := range []int{0, 1, 3} {
-		if rep.PerRank[r].RecomputeBytes <= 0 {
-			t.Errorf("survivor %d recomputes no data", r)
-		}
-	}
-
-	// Two ordered deaths: totals cover both victims' segments.
-	rep2, err := MeasureRecoveryRedivision(sys, 4, []int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.TotalAtomSlots != seglen(nAtoms, 4, 2)+seglen(nAtoms, 4, 0) {
-		t.Errorf("two-death atom slots = %d", rep2.TotalAtomSlots)
-	}
-
-	if _, err := MeasureRecoveryRedivision(sys, 0, nil); err == nil {
-		t.Error("P=0 accepted")
-	}
-	if _, err := MeasureRecoveryRedivision(sys, 4, []int{9}); err == nil {
-		t.Error("out-of-range dead rank accepted")
-	}
-}
-
-func seglen(n, P, r int) int {
-	lo, hi := segment(n, P, r)
-	return hi - lo
-}

@@ -17,16 +17,19 @@ func distCfg(procs, threads, perNode, nodes int) cluster.Config {
 }
 
 // At the loosened orders of the list tables (orderParams), where far
-// entries start nearer the root, both distributed paths — the modeled mpi
-// runner and the elastic rank body the resilient/net runners share —
-// reproduce the shared runner to reduction round-off: each rank evaluates
-// only its own rows, and the cross-rank Born reduction must hand
+// entries start nearer the root, the distributed runner reproduces the
+// shared runner to reduction round-off — fault-free (mpi) and with the
+// elastic re-division after a rank dies at the first collective: each rank
+// evaluates only its own rows, and the cross-rank Born reduction must hand
 // PushIntegralsToAtoms every rank's far-field integrals.
 func TestDistributedFarOrderMatchesShared(t *testing.T) {
 	for _, run := range []struct {
-		name string
-		fn   func(*System, cluster.Config) (*Result, error)
-	}{{"mpi", RunDistributed}, {"elastic", RunDistributedResilient}} {
+		name   string
+		faults *cluster.FaultPlan
+	}{
+		{"mpi", nil},
+		{"elastic", &cluster.FaultPlan{Faults: []cluster.Fault{{Kind: cluster.CrashAtCollective, Rank: 2, Nth: 1}}}},
+	} {
 		t.Run(run.name, func(t *testing.T) {
 			for _, order := range []int{1, 2} {
 				sys, _, _ := testSystem(t, 400, 81, orderTestParams(order, 0.5))
@@ -34,9 +37,9 @@ func TestDistributedFarOrderMatchesShared(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := run.fn(sys, distCfg(4, 1, 4, 1))
-				if err != nil {
-					t.Fatal(err)
+				res := runResilient(t, sys, resilientCfg(run.faults))
+				if fr := res.Report.Faults; run.faults != nil && (fr == nil || fr.Crashes != 1 || fr.Degraded) {
+					t.Fatalf("order %d: fault report %+v, want one healed crash", order, fr)
 				}
 				if relErr(res.Epol, shared.Epol) > 1e-9 {
 					t.Errorf("order %d: distributed E=%v shared E=%v", order, res.Epol, shared.Epol)
@@ -49,6 +52,37 @@ func TestDistributedFarOrderMatchesShared(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Node-based division yields the same energy for every P up to the
+// reduction's summation order: every rank handles whole leaf rows, so no
+// segment boundary splits a tree node — also where the Born far field
+// fires often (ε_Born = 3), the fixture on which dividing by atom slots
+// moved the energy by parts in 10³ (EXPERIMENTS.md "Deletion round 3").
+func TestNodeDivisionErrorIndependentOfP(t *testing.T) {
+	for _, fx := range []struct {
+		atoms  int
+		seed   int64
+		params Params
+	}{
+		{500, 92, DefaultParams()},
+		{2000, 93, Params{EpsBorn: 3.0, EpsEpol: 0.9, EpsSolv: 80}},
+	} {
+		sys, _, _ := testSystem(t, fx.atoms, fx.seed, fx.params)
+		var energies []float64
+		for _, p := range []int{1, 3, 5} {
+			res, err := RunDistributed(sys, distCfg(p, 1, p, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			energies = append(energies, res.Epol)
+		}
+		for i := 1; i < len(energies); i++ {
+			if relErr(energies[i], energies[0]) > 1e-9 {
+				t.Errorf("%d atoms: node-node energy changed with P: %v vs %v", fx.atoms, energies[i], energies[0])
+			}
+		}
 	}
 }
 

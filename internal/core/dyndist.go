@@ -89,7 +89,7 @@ func (pl *pipeline) stealEpol() func([]cluster.MemberEvent) error {
 			return fmt.Errorf("core: work stealing cannot re-divide after a death: %w", cluster.ErrRankDead)
 		}
 		started = true
-		d := &dynEpol{pl: pl, c: pl.c.(*cluster.Comm), row: pl.epolKernel(0, 0)}
+		d := &dynEpol{pl: pl, c: pl.c.(*cluster.Comm), row: pl.epolKernel()}
 		d.front, d.back = segment(len(pl.sys.Atoms.Leaves()), pl.P, pl.rank)
 		d.batch = max((d.back-d.front)/64, 1)
 

@@ -16,16 +16,6 @@ type Span struct{ Lo, Hi int }
 // Len returns Hi − Lo.
 func (s Span) Len() int { return s.Hi - s.Lo }
 
-// RedivideSpans is the death-only special case of ElasticSpans: each
-// rank's owned row spans after the given ordered sequence of deaths.
-func RedivideSpans(n, P int, deadOrder []int) [][]Span {
-	events := make([]cluster.MemberEvent, len(deadOrder))
-	for i, d := range deadOrder {
-		events[i] = cluster.MemberEvent{Rank: d}
-	}
-	return ElasticSpans(n, P, events)
-}
-
 // ElasticSpans computes each rank's owned row spans after replaying the
 // ordered membership event log. Rank r starts with segment(n, P, r); a
 // death splits every span of the dead rank evenly among the ranks live

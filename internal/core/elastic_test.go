@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gbpolar/internal/cluster"
@@ -94,6 +95,71 @@ func TestElasticSpansDeterministic(t *testing.T) {
 			if a[r][i] != b[r][i] {
 				t.Fatalf("rank %d span %d differs: %+v vs %+v", r, i, a[r][i], b[r][i])
 			}
+		}
+	}
+}
+
+// deaths is the membership log of the given ranks dying in order.
+func deaths(ranks ...int) []cluster.MemberEvent {
+	events := make([]cluster.MemberEvent, len(ranks))
+	for i, r := range ranks {
+		events[i] = cluster.MemberEvent{Rank: r}
+	}
+	return events
+}
+
+// The logs of the modeled transport hold deaths alone, and within one
+// phase the pipeline's claim relies on what they do to ElasticSpans: the
+// dead own nothing, the survivors cover every row once — with more ranks
+// than rows too — and a survivor's spans only ever grow, a further death
+// appending to them, so the spans past the ones it has done are exactly
+// the dead ranks' lost work.
+func TestElasticSpansDeathOnly(t *testing.T) {
+	check := func(n, P int, dead []int) {
+		t.Helper()
+		asgn := ElasticSpans(n, P, deaths(dead...))
+		covered := make([]int, n)
+		isDead := make(map[int]bool)
+		for _, d := range dead {
+			isDead[d] = true
+		}
+		for r, spans := range asgn {
+			if isDead[r] && len(spans) > 0 {
+				t.Errorf("n=%d P=%d dead=%v: dead rank %d still owns %v", n, P, dead, r, spans)
+			}
+			for _, sp := range spans {
+				if sp.Lo < 0 || sp.Hi > n || sp.Lo >= sp.Hi {
+					t.Errorf("bad span %+v", sp)
+				}
+				for i := sp.Lo; i < sp.Hi; i++ {
+					covered[i]++
+				}
+			}
+		}
+		if len(dead) < P {
+			for i, cnt := range covered {
+				if cnt != 1 {
+					t.Fatalf("n=%d P=%d dead=%v: row %d covered %d times", n, P, dead, i, cnt)
+				}
+			}
+		}
+	}
+	check(100, 4, nil)
+	check(100, 4, []int{2})
+	check(100, 4, []int{2, 0})
+	check(100, 4, []int{3, 1, 0})
+	check(7, 3, []int{1})
+	check(5, 8, []int{0, 7, 3}) // more ranks than rows
+	check(1, 2, []int{0})
+
+	before := ElasticSpans(100, 4, deaths(2))
+	after := ElasticSpans(100, 4, deaths(2, 0))
+	for r := range before {
+		if r == 0 || r == 2 {
+			continue
+		}
+		if len(after[r]) < len(before[r]) || !slices.Equal(after[r][:len(before[r])], before[r]) {
+			t.Errorf("rank %d: spans %v after a second death do not extend %v", r, after[r], before[r])
 		}
 	}
 }

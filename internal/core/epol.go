@@ -47,10 +47,8 @@ type EpolContext struct {
 	// the recursive path hoists these function values into locals at row
 	// start instead of re-resolving (and indirect-calling) per pair.
 	kern mathx.Kernels
-	// tier is the compiled-kernel arithmetic resolved from the system
-	// parameters (precision.go); stream is what the row driver reads of
-	// it: gather sources and the stream kernel (kernels_stream.go).
-	tier   kernelTier
+	// stream is what the row driver reads of the precision tier: gather
+	// sources and the stream kernel (kernels_stream.go).
 	stream epolTier
 }
 
@@ -178,7 +176,6 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 		ctx.rr[k] = ctx.RMin * ctx.RMin * math.Pow(1+eps, float64(k))
 	}
 	ctx.kern = sys.kern()
-	ctx.tier = sys.Params.tier()
 	ctx.aLo, ctx.aHi = make([]int32, t.NumNodes()), make([]int32, t.NumNodes())
 	for n := range t.Nodes {
 		ctx.aLo[n], ctx.aHi[n] = t.Nodes[n].Start, t.Nodes[n].End
@@ -198,18 +195,12 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 	if useAsmKernels {
 		gather = gatherAsm
 	}
-	var sweep func(o, s *soa) float64
-	switch {
-	case ctx.tier == tierExact && useAsmKernels:
-		sweep = epolStreamExactAsm
-	case ctx.tier == tierExact:
-		sweep = epolStreamExact
-	case ctx.tier == tierApprox:
-		sweep = epolStreamApprox
-	case useAsmKernels:
-		sweep = epolStreamLanesAsm
-	default:
-		sweep = epolStreamLanes
+	sweep, sweepAsm := epolStreamExact, epolStreamExactAsm
+	if sys.Params.Precision == PrecisionLanes {
+		sweep, sweepAsm = epolStreamLanes, epolStreamLanesAsm
+	}
+	if useAsmKernels {
+		sweep = sweepAsm
 	}
 	ctx.stream = newEpolTier(ctx, rho, gather, sweep)
 	return ctx

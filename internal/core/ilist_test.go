@@ -6,7 +6,6 @@ import (
 	"unsafe"
 
 	"gbpolar/internal/geom"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/sched"
 )
 
@@ -38,11 +37,15 @@ func TestCompiledMatchesRecursive(t *testing.T) {
 	}
 }
 
-// Approximate math swaps both paths onto the same fast kernels; the
-// compiled sweep must still agree.
+// The laned tier swaps both paths onto the approximate-math kernels; the
+// compiled sweep must still agree — on the portable lanes, which evaluate
+// the scalar kernels' own terms (TestAsmKernelsMatchPortable pins the
+// assembly to them).
 func TestCompiledMatchesRecursiveApproxMath(t *testing.T) {
+	defer func(v bool) { useAsmKernels = v }(useAsmKernels)
+	useAsmKernels = false
 	params := DefaultParams()
-	params.Math = mathx.Approximate
+	params.Precision = PrecisionLanes
 	sys, _, _ := testSystem(t, 260, 92, params)
 	compareCompiledRecursive(t, sys, 1e-12)
 }

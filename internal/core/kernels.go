@@ -20,7 +20,7 @@ package core
 // perturbs individual terms by at most a few ulp (or reassociates a sum);
 // the cross-check tests in ilist_test.go pin the compiled path to the
 // recursive one at 1e-12 relative, far above the observed deviation. The
-// approximate-math kernels take only the last two — they must call
+// laned tier's kernels take only the last two — they must call
 // mathx.Exp / mathx.RSqrt with the recursion's operands to stay on it.
 //
 // Op accounting: the compiled path charges 1 op per list entry plus the
@@ -119,11 +119,10 @@ func bornFar0(sys *System, leaf int32, far []int32, node []float64) {
 // acc: its own far run — the nodes its tile does not share — and its near
 // entries.
 func bornRow(sys *System, il *InteractionLists, row int, acc *bornAccum) {
-	// The exact and approximate tiers share this float64 row: the Born
-	// kernel is pure divide/multiply (no transcendentals), so keeping one
-	// row preserves the portable laned tier's bit-compatibility with the
-	// scalar path for free. The laned tier's near entries dispatch to the
-	// width-4 divide kernel on AVX2 hosts (R6 only — the default).
+	// Both tiers share this float64 row: the Born kernel is pure
+	// divide/multiply (no transcendentals). The laned tier's near entries
+	// dispatch to the width-4 divide kernel on AVX2 hosts (R6 only — the
+	// default).
 	leaf := il.Rows[row]
 	q := &sys.QPts.Nodes[leaf]
 	r4 := sys.Params.Kernel == R4
@@ -139,7 +138,7 @@ func bornRow(sys *System, il *InteractionLists, row int, acc *bornAccum) {
 	qy, qz = qy[:len(qx)], qz[:len(qx)]
 	wx, wy, wz = wx[:len(qx)], wy[:len(qx)], wz[:len(qx)]
 	near := il.Near[il.NearOff[row]:il.NearOff[row+1]]
-	asmR6 := useAsmKernels && !r4 && sys.Params.tier() == tierLanes
+	asmR6 := useAsmKernels && !r4 && sys.Params.Precision == PrecisionLanes
 	for _, al := range near {
 		an := &sys.Atoms.Nodes[al]
 		if asmR6 {

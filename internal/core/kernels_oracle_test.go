@@ -12,7 +12,8 @@ import (
 // branch included. kernels_stream_test.go holds the driver to them entry
 // for entry — energy to 1e-12 and Ops exactly. Portable
 // Go only: the old per-entry assembly wrappers are gone with their
-// callers.
+// callers. Beside them, the scalar approximate-math stream kernel the laned
+// tier's portable kernel is bit for bit (epolStreamApprox).
 
 // epolOracle is an EpolContext plus the tables only the old kernels read.
 type epolOracle struct {
@@ -48,7 +49,7 @@ const expSkip = 160.0
 // for the far-field convolution; it must start zeroed and is returned
 // zeroed.
 func epolRowOracle(ctx *epolOracle, il *InteractionLists, row int, conv []float64, acc *epolAccum) {
-	if ctx.tier == tierLanes {
+	if ctx.sys.Params.Precision == PrecisionLanes {
 		epolRowLanes(ctx, il, row, conv, acc)
 		return
 	}
@@ -56,7 +57,6 @@ func epolRowOracle(ctx *epolOracle, il *InteractionLists, row int, conv []float6
 	t := sys.Atoms
 	leaf := il.Rows[row]
 	v := &t.Nodes[leaf]
-	exact := ctx.tier == tierExact
 
 	vlo, vhi := v.Start, v.End
 	vx, vy, vz := sys.AtomX[vlo:vhi], sys.AtomY[vlo:vhi], sys.AtomZ[vlo:vhi]
@@ -66,7 +66,7 @@ func epolRowOracle(ctx *epolOracle, il *InteractionLists, row int, conv []float6
 
 	near := il.Near[il.NearOff[row]:il.NearOff[row+1]]
 	for _, ul := range near {
-		epolNearBlock(ctx, sys, ul, vx, vy, vz, cv, rv, irv, exact, 1, acc)
+		epolNearBlock(ctx, sys, ul, vx, vy, vz, cv, rv, irv, 1, acc)
 		acc.ops += float64(t.Nodes[ul].Count()*v.Count()) + 1
 	}
 	// Mutual pairs were compiled once (ilist.go): the per-pair GB terms
@@ -74,7 +74,7 @@ func epolRowOracle(ctx *epolOracle, il *InteractionLists, row int, conv []float6
 	// both ordered blocks of the recursion (×2 is exact in binary FP).
 	sym := il.Sym[il.SymOff[row]:il.SymOff[row+1]]
 	for _, ul := range sym {
-		epolNearBlock(ctx, sys, ul, vx, vy, vz, cv, rv, irv, exact, 2, acc)
+		epolNearBlock(ctx, sys, ul, vx, vy, vz, cv, rv, irv, 2, acc)
 		// Charged for BOTH ordered blocks the sweep represents: Ops counts
 		// the pair terms of the near–far decomposition (the quantity the
 		// time model and the eps-tradeoff accounting are calibrated on),
@@ -86,13 +86,13 @@ func epolRowOracle(ctx *epolOracle, il *InteractionLists, row int, conv []float6
 	if len(far) == 0 {
 		return
 	}
-	farField(ctx, sys, leaf, far, exact, conv, acc)
+	farField(ctx, sys, leaf, far, conv, acc)
 }
 
 // epolNearBlock sweeps one exact near block: every atom of leaf ul
 // against the row leaf's SoA slices, weighted w (1 for one-directional
 // blocks and the diagonal, 2 for mutual pairs compiled once).
-func epolNearBlock(ctx *epolOracle, sys *System, ul int32, vx, vy, vz, cv, rv, irv []float64, exact bool, w float64, acc *epolAccum) {
+func epolNearBlock(ctx *epolOracle, sys *System, ul int32, vx, vy, vz, cv, rv, irv []float64, w float64, acc *epolAccum) {
 	// Equal-length hints so the inner loops run bounds-check free.
 	vy, vz = vy[:len(vx)], vz[:len(vx)]
 	cv, rv, irv = cv[:len(vx)], rv[:len(vx)], irv[:len(vx)]
@@ -102,26 +102,16 @@ func epolNearBlock(ctx *epolOracle, sys *System, ul int32, vx, vy, vz, cv, rv, i
 		qu := w * sys.Charge[ui]
 		ru := ctx.Radii[ui]
 		var s float64
-		if exact {
-			inv4ru := 0.25 * ctx.invRadii[ui]
-			for j := range vx {
-				dx, dy, dz := pux-vx[j], puy-vy[j], puz-vz[j]
-				r2 := dx*dx + dy*dy + dz*dz
-				rr := ru * rv[j]
-				f2 := r2
-				if r2 < expSkip*rr {
-					f2 = r2 + rr*math.Exp(-r2*inv4ru*irv[j])
-				}
-				s += cv[j] / math.Sqrt(f2)
+		inv4ru := 0.25 * ctx.invRadii[ui]
+		for j := range vx {
+			dx, dy, dz := pux-vx[j], puy-vy[j], puz-vz[j]
+			r2 := dx*dx + dy*dy + dz*dz
+			rr := ru * rv[j]
+			f2 := r2
+			if r2 < expSkip*rr {
+				f2 = r2 + rr*math.Exp(-r2*inv4ru*irv[j])
 			}
-		} else {
-			for j := range vx {
-				dx, dy, dz := pux-vx[j], puy-vy[j], puz-vz[j]
-				r2 := dx*dx + dy*dy + dz*dz
-				rr := ru * rv[j]
-				f2 := r2 + rr*mathx.Exp(-r2/(4*rr))
-				s += cv[j] * mathx.RSqrt(f2)
-			}
+			s += cv[j] / math.Sqrt(f2)
 		}
 		acc.energy += qu * s
 	}
@@ -135,7 +125,7 @@ func epolNearBlock(ctx *epolOracle, sys *System, ul int32, vx, vy, vz, cv, rv, i
 // kernel runs once per occupied k instead of once per bin pair. With the
 // expSkip shortcut the kernel for most far pairs degenerates to a single
 // 1/√d² per k.
-func farField(ctx *epolOracle, sys *System, leaf int32, far []int32, exact bool, conv []float64, acc *epolAccum) {
+func farField(ctx *epolOracle, sys *System, leaf int32, far []int32, conv []float64, acc *epolAccum) {
 	vcx, vcy, vcz := sys.ANodeX[leaf], sys.ANodeY[leaf], sys.ANodeZ[leaf]
 	vb := ctx.nzBin[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
 	vq := ctx.nzQ[ctx.nzOff[leaf]:ctx.nzOff[leaf+1]]
@@ -165,29 +155,17 @@ func farField(ctx *epolOracle, sys *System, leaf int32, far []int32, exact bool,
 			}
 		}
 		var s float64
-		if exact {
-			for k := klo; k <= khi; k++ {
-				w := conv[k]
-				if w == 0 {
-					continue
-				}
-				rr := ctx.rr[k]
-				f2 := d2
-				if d2 < expSkip*rr {
-					f2 = d2 + rr*math.Exp(-d2*ctx.inv4rr[k])
-				}
-				s += w / math.Sqrt(f2)
+		for k := klo; k <= khi; k++ {
+			w := conv[k]
+			if w == 0 {
+				continue
 			}
-		} else {
-			for k := klo; k <= khi; k++ {
-				w := conv[k]
-				if w == 0 {
-					continue
-				}
-				rr := ctx.rr[k]
-				f2 := d2 + rr*mathx.Exp(-d2/(4*rr))
-				s += w * mathx.RSqrt(f2)
+			rr := ctx.rr[k]
+			f2 := d2
+			if d2 < expSkip*rr {
+				f2 = d2 + rr*math.Exp(-d2*ctx.inv4rr[k])
 			}
+			s += w / math.Sqrt(f2)
 		}
 		for k := klo; k <= khi; k++ {
 			conv[k] = 0
@@ -344,4 +322,27 @@ func farFieldLanes(ctx *epolOracle, sys *System, leaf int32, far []int32, conv [
 		acc.energy += s
 		acc.ops += float64(len(ub)*len(vb)) + 1
 	}
+}
+
+// epolStreamApprox is the scalar approximate-math stream kernel — the
+// compiled sweep of the retired approximate tier, and the oracle the laned
+// tier's portable kernel is bit for bit (TestLanesTierBitCompatible): the
+// recursion's own operands through mathx.Exp and mathx.RSqrt, one running
+// sum per outer atom.
+func epolStreamApprox(o, s *soa) float64 {
+	sx := s.x
+	sy, sz, sq, sr := s.y[:len(sx)], s.z[:len(sx)], s.q[:len(sx)], s.r[:len(sx)]
+	var e float64
+	for a, ox := range o.x {
+		oy, oz, ro := o.y[a], o.z[a], o.r[a]
+		var sum float64
+		for i := range sx {
+			dx, dy, dz := ox-sx[i], oy-sy[i], oz-sz[i]
+			r2 := dx*dx + dy*dy + dz*dz
+			rr := ro * sr[i]
+			sum += sq[i] * mathx.RSqrt(r2+rr*mathx.Exp(-r2/(4*rr)))
+		}
+		e += o.q[a] * sum
+	}
+	return e
 }

@@ -239,37 +239,18 @@ func epolStreamExact(o, s *soa) float64 {
 	return e
 }
 
-// epolStreamApprox is the approximate-math tier (Params.Math =
-// Approximate): the recursion's own operands through mathx.Exp and
-// mathx.RSqrt, so the compiled path stays on the recursive one.
-func epolStreamApprox(o, s *soa) float64 {
-	sx := s.x
-	sy, sz, sq, sr := s.y[:len(sx)], s.z[:len(sx)], s.q[:len(sx)], s.r[:len(sx)]
-	var e float64
-	for a, ox := range o.x {
-		oy, oz, ro := o.y[a], o.z[a], o.r[a]
-		var sum float64
-		for i := range sx {
-			dx, dy, dz := ox-sx[i], oy-sy[i], oz-sz[i]
-			r2 := dx*dx + dy*dy + dz*dz
-			rr := ro * sr[i]
-			sum += sq[i] * mathx.RSqrt(r2+rr*mathx.Exp(-r2/(4*rr)))
-		}
-		e += o.q[a] * sum
-	}
-	return e
-}
-
-// epolStreamLanes is the laned tier's portable kernel: epolStreamApprox
-// restructured into width-4 blocks that batch the transcendentals through
-// mathx.ExpLanes4/RSqrtLanes4 (four independent chains in flight), the
-// sub-width remainder peeled through the scalar kernels. It carries the
-// tier's BIT-COMPATIBILITY invariant with epolStreamApprox: each lane
-// performs exactly the scalar operation sequence and the block epilogue
-// adds the four terms in index order, so a single-threaded run produces
-// the identical float64 sum (TestLanesTierBitCompatible). The assembly
-// kernel that replaces it on AVX2 hosts uses FMA contraction and pairwise
-// lane reduction — pinned to this path by TestAsmKernelsMatchPortable.
+// epolStreamLanes is the laned tier's portable kernel: the recursion's own
+// operands through the approximate-math kernels, in width-4 blocks that
+// batch the transcendentals through mathx.ExpLanes4/RSqrtLanes4 (four
+// independent chains in flight), the sub-width remainder peeled through
+// the scalar mathx.Exp/mathx.RSqrt. It carries the tier's
+// BIT-COMPATIBILITY invariant with the scalar approximate-math sweep (a
+// test oracle, kernels_oracle_test.go): each lane performs exactly the
+// scalar operation sequence and the block epilogue adds the four terms in
+// index order, so every row sums to the identical float64
+// (TestLanesTierBitCompatible). The assembly kernel that replaces it on
+// AVX2 hosts uses FMA contraction and pairwise lane reduction — pinned to
+// this path by TestAsmKernelsMatchPortable.
 func epolStreamLanes(o, s *soa) float64 {
 	sx := s.x
 	sy, sz, sq, sr := s.y[:len(sx)], s.z[:len(sx)], s.q[:len(sx)], s.r[:len(sx)]

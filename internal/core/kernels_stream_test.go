@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"gbpolar/internal/geom"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/sched"
 	"gbpolar/internal/surface"
 )
 
-// streamTiers are the three compiled-kernel tiers with the tolerance each
+// streamTiers are the two compiled-kernel tiers with the tolerance each
 // holds against the per-entry oracles (kernels_oracle_test.go): the
 // portable kernels evaluate the oracles' own terms in another order
 // (1e-12), and the assembly adds FMA contraction and a polynomial exp on
@@ -22,12 +21,10 @@ import (
 var streamTiers = []struct {
 	name             string
 	prec             Precision
-	math             mathx.Mode
 	portable, asmTol float64
 }{
-	{"exact", PrecisionExact, mathx.Exact, 1e-12, 1e-12},
-	{"approx", PrecisionExact, mathx.Approximate, 1e-12, 1e-12},
-	{"lanes", PrecisionLanes, mathx.Exact, 1e-12, 1e-9},
+	{"exact", PrecisionExact, 1e-12, 1e-12},
+	{"lanes", PrecisionLanes, 1e-12, 1e-9},
 }
 
 // dimerMolecule is a lattice of ±q dimers 0.6 Å apart: the two atoms of
@@ -139,7 +136,7 @@ func TestStreamDriverMatchesPerEntryOracles(t *testing.T) {
 			}
 		}
 		for _, tier := range streamTiers {
-			f.sys.Params.Precision, f.sys.Params.Math = tier.prec, tier.math
+			f.sys.Params.Precision = tier.prec
 			useAsmKernels = false
 			ctx := NewEpolContext(f.sys, f.radii)
 			oracle := newEpolOracle(ctx)
@@ -149,7 +146,7 @@ func TestStreamDriverMatchesPerEntryOracles(t *testing.T) {
 				epolRowOracle(oracle, il, row, conv, &want)
 			}
 			for _, asm := range []bool{false, true} {
-				if asm && (!hostAsm || tier.name == "approx") {
+				if asm && !hostAsm {
 					continue
 				}
 				useAsmKernels = asm
@@ -188,10 +185,10 @@ func TestStreamExactAsmMatchesPortable(t *testing.T) {
 		t.Skip("no AVX2+FMA assembly kernels in this build or on this host")
 	}
 	sys, _, _ := testSystem(t, 4000, 95, DefaultParams())
-	asm := runTier(t, sys, PrecisionExact, mathx.Exact)
+	asm := runTier(t, sys, PrecisionExact)
 	useAsmKernels = false
 	defer func() { useAsmKernels = true }()
-	portable := runTier(t, sys, PrecisionExact, mathx.Exact)
+	portable := runTier(t, sys, PrecisionExact)
 	e := relErr(asm.Epol, portable.Epol)
 	t.Logf("exact tier: asm vs portable E_pol rel err %.3g", e)
 	if !(e <= 1e-13) {

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"gbpolar/internal/mathx"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -254,11 +253,8 @@ func TestKernelHotLoopZeroAllocs(t *testing.T) {
 	// sweep over every row on every tier then allocates nothing.
 	saved := sys.Params
 	defer func() { sys.Params = saved }()
-	for _, tier := range []struct {
-		p Precision
-		m mathx.Mode
-	}{{PrecisionExact, mathx.Exact}, {PrecisionExact, mathx.Approximate}, {PrecisionLanes, mathx.Exact}} {
-		sys.Params.Precision, sys.Params.Math = tier.p, tier.m
+	for _, tier := range []Precision{PrecisionExact, PrecisionLanes} {
+		sys.Params.Precision = tier
 		ctx := NewEpolContext(sys, slotRadii)
 		scratch := newEpolScratch(ctx, lists.Epol, 1)
 		var eacc epolAccum
@@ -267,7 +263,7 @@ func TestKernelHotLoopZeroAllocs(t *testing.T) {
 			epolRow(ctx, lists.Epol, row%len(lists.Epol.Rows), &scratch[0], &eacc)
 			row++
 		}); a != 0 {
-			t.Errorf("%v/%v: epolRow allocates %.1f objects per call, want 0", tier.p, tier.m, a)
+			t.Errorf("%v: epolRow allocates %.1f objects per call, want 0", tier, a)
 		}
 	}
 }

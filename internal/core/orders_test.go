@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/obs"
 )
 
@@ -75,8 +74,8 @@ func TestFarOrderZeroCompilesNoOrders(t *testing.T) {
 func TestFarOrderPrecisionTiers(t *testing.T) {
 	for _, order := range []int{1, 2} {
 		sys, _, _ := testSystem(t, 400, 101, orderTestParams(order, 0.5))
-		exact := runTier(t, sys, PrecisionExact, mathx.Exact)
-		lanes := runTier(t, sys, PrecisionLanes, mathx.Exact)
+		exact := runTier(t, sys, PrecisionExact)
+		lanes := runTier(t, sys, PrecisionLanes)
 		if e := relErr(lanes.Epol, exact.Epol); !(e <= 1e-4) {
 			t.Errorf("order %d: lanes E_pol %v vs exact tier %v (rel %.3g > 1e-4)", order, lanes.Epol, exact.Epol, e)
 		}

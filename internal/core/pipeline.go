@@ -17,15 +17,15 @@ import (
 //   - the transport: none (one rank, every reduction the identity), the
 //     modeled in-process *cluster.Comm, or the TCP *net.Comm;
 //   - the E_pol schedule: static spans, or dyndist.go's stealing protocol;
-//   - the phase kernel: compiled list rows, the recursive reference
-//     traversal, or workdiv.go's atom-range traversals.
+//   - the phase kernel: compiled list rows, or the recursive reference
+//     traversal.
 //
 // A rank's rows are always ElasticSpans(n, P, events)[rank] — the paper's
-// static segments while the membership log is empty, of rows or of the
-// units a kernel takes whole (the compiled Born sweep's tiles of eight
-// rows) — so a segment, a healed set of spans, a stolen batch and "all
-// rows" are the same call to sweep, and every collective sits in one
-// detect–heal–retry loop.
+// node–node division (Section IV.A): while the membership log is empty,
+// static segments of leaf rows or of the units a kernel takes whole (the
+// compiled Born sweep's tiles of eight rows) — so a segment, a healed set
+// of spans, a stolen batch and "all rows" are the same call to sweep, and
+// every collective sits in one detect–heal–retry loop.
 //
 // The consistency argument the protocol leans on: transports admit joins
 // ONLY at a successful collective — which is also the only point a phase
@@ -45,9 +45,6 @@ const (
 	// rowRecursive re-runs the recursive near–far traversal from the root
 	// for the row's leaf: the cross-check reference and ablation baseline.
 	rowRecursive
-	// rowAtomRange is the atom-based work division of workdiv.go: every
-	// leaf is traversed, restricted to the atom slots the rank owns.
-	rowAtomRange
 )
 
 // phaseKernel picks the row evaluation of the Born and the energy phase.
@@ -207,42 +204,27 @@ func (pl *pipeline) inherited(n, per int, s Span) int {
 	return unitRows(s, n, per) - unitRows(Span{max(s.Lo, lo), min(s.Hi, hi)}, n, per)
 }
 
-// share claims this rank's not-yet-done part of a phase over `leaves`
-// rows and sweeps it; it returns the rows claimed. Node-based kinds own
-// leaf rows — per of them to a unit of work the kernel takes whole (a
-// compiled Born tile); the atom-based kind owns atom slots and traverses
-// EVERY leaf restricted to each owned run of slots. row(lo, hi) is the
-// phase kernel for slots [lo, hi), called per unit.
-func (pl *pipeline) share(name string, kind rowKind, leaves, per int, done *[]Span, events []cluster.MemberEvent,
-	meter func(w int) *workMeter, row func(lo, hi int32) func(unit, w int)) int {
-	n := leaves
-	if kind == rowAtomRange {
-		n = pl.sys.Mol.NumAtoms()
-	}
+// share claims this rank's not-yet-done part of a phase over n leaf rows
+// and sweeps it; it returns the rows claimed. The rank owns units of per
+// rows — the work row, the phase kernel, takes whole (a compiled Born
+// tile) — and row is called once per unit.
+func (pl *pipeline) share(name string, kind rowKind, n, per int, done *[]Span, events []cluster.MemberEvent,
+	meter func(w int) *workMeter, row func(unit, w int)) int {
 	sel, rows, inherited := pl.claim(n, per, events, done)
-	switch {
-	case rows == 0:
-	case kind == rowAtomRange:
-		all := []Span{{0, leaves}}
-		for _, s := range sel {
-			kernel := row(int32(s.Lo), int32(s.Hi))
-			pl.pass(name, s.Len(), pl.inherited(n, per, s), func() (float64, float64) {
-				return pl.sweep(all, 1, meter, kernel)
-			})
-		}
-	default:
-		grain := 1 // the recursive traversal's per-leaf costs are skewed
-		if kind == rowCompiled {
-			units := 0
-			for _, s := range sel {
-				units += s.Len()
-			}
-			grain = rowGrain(units, pl.p)
-		}
-		pl.pass(name, rows, inherited, func() (float64, float64) {
-			return pl.sweep(sel, grain, meter, row(0, 0))
-		})
+	if rows == 0 {
+		return 0
 	}
+	grain := 1 // the recursive traversal's per-leaf costs are skewed
+	if kind == rowCompiled {
+		units := 0
+		for _, s := range sel {
+			units += s.Len()
+		}
+		grain = rowGrain(units, pl.p)
+	}
+	pl.pass(name, rows, inherited, func() (float64, float64) {
+		return pl.sweep(sel, grain, meter, row)
+	})
 	return rows
 }
 
@@ -405,10 +387,9 @@ func (pl *pipeline) run(startPhase int, seed []float64) error {
 // folds the workers' s-fields into accs[0]; the other accumulators live
 // only for the pass.
 func (pl *pipeline) bornPass(events []cluster.MemberEvent) error {
-	sys, accs := pl.sys, pl.accs
-	qLeaves := sys.QPts.Leaves()
+	accs := pl.accs
 	for w := 1; w < len(accs); w++ {
-		accs[w] = newBornAccum(sys)
+		accs[w] = newBornAccum(pl.sys)
 	}
 	// The compiled sweep divides the rows by whole tiles: a tile's shared far
 	// run is swept once, for all of its rows.
@@ -416,21 +397,8 @@ func (pl *pipeline) bornPass(events []cluster.MemberEvent) error {
 	if pl.kern.born == rowCompiled {
 		per = tileLanes
 	}
-	rows := pl.share("born", pl.kern.born, len(qLeaves), per, &pl.bornDone, events,
-		func(w int) *workMeter { return &accs[w].workMeter },
-		func(lo, hi int32) func(row, w int) {
-			mac := sys.bornMAC()
-			switch pl.kern.born {
-			case rowCompiled:
-				il := pl.lists.Born // row i is qLeaves[i]
-				return func(tile, w int) { bornTile(sys, il, tile, accs[w]) }
-			case rowRecursive:
-				return func(row, w int) { ApproxIntegrals(sys, accs[w], sys.Atoms.Root(), qLeaves[row], mac) }
-			}
-			return func(row, w int) {
-				ApproxIntegralsAtomRange(sys, accs[w], sys.Atoms.Root(), qLeaves[row], mac, lo, hi)
-			}
-		})
+	rows := pl.share("born", pl.kern.born, len(pl.sys.QPts.Leaves()), per, &pl.bornDone, events,
+		func(w int) *workMeter { return &accs[w].workMeter }, pl.bornKernel())
 	for w := 1; w < len(accs); w++ {
 		accs[0].add(accs[w])
 		accs[w] = nil
@@ -439,6 +407,18 @@ func (pl *pipeline) bornPass(events []cluster.MemberEvent) error {
 		pl.o.Counter("kernel.born.batches").Add(int64(rows))
 	}
 	return nil
+}
+
+// bornKernel returns the Born phase's evaluation of one unit of rows: a
+// compiled tile, or one q-point leaf row of the recursive traversal.
+func (pl *pipeline) bornKernel() func(unit, w int) {
+	sys, accs := pl.sys, pl.accs
+	if pl.kern.born == rowCompiled {
+		il := pl.lists.Born // row i is qLeaves[i]
+		return func(tile, w int) { bornTile(sys, il, tile, accs[w]) }
+	}
+	mac, root, qLeaves := sys.bornMAC(), sys.Atoms.Root(), sys.QPts.Leaves()
+	return func(row, w int) { ApproxIntegrals(sys, accs[w], root, qLeaves[row], mac) }
 }
 
 // pushPass inverts the reduced integrals to Born radii for the atom slots
@@ -487,25 +467,21 @@ func (pl *pipeline) shareRadii(events []cluster.MemberEvent) ([]float64, error) 
 // epolPass is the static E_pol schedule: evaluate the energy rows the log
 // newly assigns this rank.
 func (pl *pipeline) epolPass(events []cluster.MemberEvent) error {
-	pl.epolRows += pl.share("epol", pl.kern.epol, len(pl.sys.Atoms.Leaves()), 1, &pl.epolDone, events, pl.epolMeter, pl.epolKernel)
+	pl.epolRows += pl.share("epol", pl.kern.epol, len(pl.sys.Atoms.Leaves()), 1, &pl.epolDone, events, pl.epolMeter, pl.epolKernel())
 	return nil
 }
 
 func (pl *pipeline) epolMeter(w int) *workMeter { return &pl.eaccs[w].workMeter }
 
-// epolKernel returns the energy phase's row evaluation for atom slots
-// [lo, hi) (which only the atom-based kind looks at).
-func (pl *pipeline) epolKernel(lo, hi int32) func(row, w int) {
+// epolKernel returns the energy phase's evaluation of one atom-leaf row.
+func (pl *pipeline) epolKernel() func(row, w int) {
 	ctx, eaccs := pl.ectx, pl.eaccs
-	root, aLeaves := pl.sys.Atoms.Root(), pl.sys.Atoms.Leaves()
-	switch pl.kern.epol {
-	case rowCompiled:
+	if pl.kern.epol == rowCompiled {
 		il, scr := pl.lists.Epol, pl.scr // row i is aLeaves[i]
 		return func(row, w int) { epolRow(ctx, il, row, &scr[w], &eaccs[w]) }
-	case rowRecursive:
-		return func(row, w int) { ApproxEpol(ctx, root, aLeaves[row], &eaccs[w]) }
 	}
-	return func(row, w int) { ApproxEpolAtomRange(ctx, root, aLeaves[row], &eaccs[w], lo, hi) }
+	root, aLeaves := pl.sys.Atoms.Root(), pl.sys.Atoms.Leaves()
+	return func(row, w int) { ApproxEpol(ctx, root, aLeaves[row], &eaccs[w]) }
 }
 
 // result is THE assembly of rank outputs into a Result: energy and radii
@@ -576,7 +552,7 @@ func degradable(err error, rep *cluster.Report) bool {
 }
 
 // runCluster runs the rank body on every rank of the in-process cluster:
-// RunDistributed and its scheme and stealing variants.
+// RunDistributed and its stealing variant.
 func runCluster(sys *System, cfg cluster.Config, kern phaseKernel, steal bool) (*Result, error) {
 	if cfg.OpsPerSecond <= 0 {
 		cfg.OpsPerSecond = CalibratedOpsPerSecond()

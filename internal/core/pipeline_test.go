@@ -23,9 +23,9 @@ import (
 // Figure 4's modeled cost and therefore every number in
 // results/paper_replication.txt. Record new rows with
 // GBPOL_PARITY_RECORD=1 go test -run TestPipelineParity -v (and again
-// with -tags purego for the portable energies). The ten rows that divide a
-// compiled Born sweep between ranks — modeled P ≥ 2 and scheme/node-node —
-// were re-recorded once, when ranks began to own whole Born tiles of eight
+// with -tags purego for the portable energies). The eight rows that divide
+// a compiled Born sweep between ranks — modeled P ≥ 2 — were re-recorded
+// once, when ranks began to own whole Born tiles of eight
 // rows instead of rows: each rank's share of the Born rows, so its modeled
 // clock and the bits its partial sums leave in the energy, moved with the
 // span bounds. Every one-rank row kept its bits.
@@ -36,24 +36,18 @@ type parityGolden struct {
 }
 
 var parityGoldens = map[string]parityGolden{
-	"protein/shared/p1":        {0xc09124f1232cd439, 0xc09124f1232cd438, 0, 0},
-	"protein/modeled/P1-p1":    {0xc09124f1232cd439, 0xc09124f1232cd438, 0x3fa0912f92bfb5b8, 31080},
-	"protein/modeled/P2-p1":    {0xc09124f1232cd43e, 0xc09124f1232cd441, 0x3f93340392b19df2, 50160},
-	"protein/modeled/P4-p1":    {0xc09124f1232cd43a, 0xc09124f1232cd43c, 0x3f84ed65c98874ae, 88320},
-	"protein/modeled/P7-p1":    {0xc09124f1232cd43a, 0xc09124f1232cd43d, 0x3f7a258c5690049a, 145560},
-	"protein/modeled/P12-p1":   {0xc09124f1232cd43c, 0xc09124f1232cd439, 0x3f6f9e081349dec6, 240960},
-	"protein/scheme/node-node": {0xc09124f1232cd43a, 0xc09124f1232cd43c, 0x3f84ed65c98874ae, 88320},
-	"protein/scheme/atom-node": {0xc091252db4d694cb, 0xc091252db4d694cb, 0x3f845bbabbd32a5f, 88320},
-	"protein/scheme/atom-atom": {0xc091252db4d694d8, 0xc091252db4d694d8, 0x3f8400d161311d5a, 88320},
-	"capsid/shared/p1":         {0xc0a28e991a742246, 0xc0a28e991a742246, 0, 0},
-	"capsid/modeled/P1-p1":     {0xc0a28e991a742246, 0xc0a28e991a742246, 0x3f9445046bf57187, 24728},
-	"capsid/modeled/P2-p1":     {0xc0a28e991a742245, 0xc0a28e991a742246, 0x3f8699531a25bd76, 39856},
-	"capsid/modeled/P4-p1":     {0xc0a28e991a742246, 0xc0a28e991a742246, 0x3f77d8671266679c, 70112},
-	"capsid/modeled/P7-p1":     {0xc0a28e991a742247, 0xc0a28e991a742248, 0x3f6d3979735e717a, 115496},
-	"capsid/modeled/P12-p1":    {0xc0a28e991a742246, 0xc0a28e991a742247, 0x3f624b3e0e4ff151, 191136},
-	"capsid/scheme/node-node":  {0xc0a28e991a742246, 0xc0a28e991a742246, 0x3f77d8671266679c, 70112},
-	"capsid/scheme/atom-node":  {0xc0a28e9bb1fd1fdc, 0xc0a28e9bb1fd1fdc, 0x3f7810805e67c7ee, 70112},
-	"capsid/scheme/atom-atom":  {0xc0a28e9bb1fd1fce, 0xc0a28e9bb1fd1fce, 0x3f77a2af1f9b596b, 70112},
+	"protein/shared/p1":      {0xc09124f1232cd439, 0xc09124f1232cd438, 0, 0},
+	"protein/modeled/P1-p1":  {0xc09124f1232cd439, 0xc09124f1232cd438, 0x3fa0912f92bfb5b8, 31080},
+	"protein/modeled/P2-p1":  {0xc09124f1232cd43e, 0xc09124f1232cd441, 0x3f93340392b19df2, 50160},
+	"protein/modeled/P4-p1":  {0xc09124f1232cd43a, 0xc09124f1232cd43c, 0x3f84ed65c98874ae, 88320},
+	"protein/modeled/P7-p1":  {0xc09124f1232cd43a, 0xc09124f1232cd43d, 0x3f7a258c5690049a, 145560},
+	"protein/modeled/P12-p1": {0xc09124f1232cd43c, 0xc09124f1232cd439, 0x3f6f9e081349dec6, 240960},
+	"capsid/shared/p1":       {0xc0a28e991a742246, 0xc0a28e991a742246, 0, 0},
+	"capsid/modeled/P1-p1":   {0xc0a28e991a742246, 0xc0a28e991a742246, 0x3f9445046bf57187, 24728},
+	"capsid/modeled/P2-p1":   {0xc0a28e991a742245, 0xc0a28e991a742246, 0x3f8699531a25bd76, 39856},
+	"capsid/modeled/P4-p1":   {0xc0a28e991a742246, 0xc0a28e991a742246, 0x3f77d8671266679c, 70112},
+	"capsid/modeled/P7-p1":   {0xc0a28e991a742247, 0xc0a28e991a742248, 0x3f6d3979735e717a, 115496},
+	"capsid/modeled/P12-p1":  {0xc0a28e991a742246, 0xc0a28e991a742247, 0x3f624b3e0e4ff151, 191136},
 }
 
 // parityOps is the fixed kernel rate of every modeled row, so virtual
@@ -73,12 +67,10 @@ func parityCfg(P, p int) cluster.Config {
 
 // TestPipelineParity is the one differential table over every plan shape
 // the public runners accept: each row must reproduce the shared runner's
-// E_pol and Born radii to 1e-12 (the atom-based work divisions, which
-// approximate differently by design, to their documented envelope), and
-// the deterministic rows must reproduce the pre-pipeline commit bit for
-// bit. It absorbs the per-runner spot tests TestDistributedMatchesShared,
-// TestResilientMatchesStaticFaultFree, TestDynamicMatchesStatic and
-// TestSchemesAgreeApproximately.
+// E_pol and Born radii to 1e-12, and the deterministic rows must reproduce
+// the pre-pipeline commit bit for bit. It absorbs the per-runner spot tests
+// TestDistributedMatchesShared, TestResilientMatchesStaticFaultFree and
+// TestDynamicMatchesStatic.
 func TestPipelineParity(t *testing.T) {
 	capsid := molecule.GenCapsid("parity-capsid", 1200, 22, 27, 172)
 	csurf, err := surface.ForMolecule(capsid, surface.Options{})
@@ -94,8 +86,6 @@ func TestPipelineParity(t *testing.T) {
 	type row struct {
 		name string
 		run  func(t *testing.T, sys *System) *Result
-		// tol is the relative E_pol/radius bound against shared (0 = 1e-12).
-		tol float64
 		// pinned rows are deterministic and carry a golden.
 		pinned bool
 		check  func(t *testing.T, res *Result)
@@ -132,23 +122,6 @@ func TestPipelineParity(t *testing.T) {
 				},
 			})
 		}
-	}
-	for _, sc := range []Scheme{NodeNode, AtomNode, AtomAtom} {
-		sc := sc
-		r := row{
-			name: "scheme/" + sc.String(), pinned: true,
-			run: func(t *testing.T, sys *System) *Result {
-				res, err := RunDistributedScheme(sys, parityCfg(4, 1), sc)
-				return must(t, res, err)
-			},
-		}
-		if sc != NodeNode {
-			// Atom-based division splits tree nodes at the segment
-			// boundaries, so its approximation differs from shared's by
-			// design (Section IV.A); the golden pins it exactly.
-			r.tol = 0.06
-		}
-		rows = append(rows, r)
 	}
 	rows = append(rows, row{
 		name: "stealing/P4", run: func(t *testing.T, sys *System) *Result {
@@ -230,10 +203,7 @@ func TestPipelineParity(t *testing.T) {
 			r := r
 			t.Run(fx.name+"/"+r.name, func(t *testing.T) {
 				res := r.run(t, fx.sys)
-				tol := r.tol
-				if tol == 0 {
-					tol = 1e-12
-				}
+				const tol = 1e-12
 				if e := relErr(res.Epol, ref.Epol); e > tol {
 					t.Errorf("E_pol %.17g vs shared %.17g (rel %g > %g)", res.Epol, ref.Epol, e, tol)
 				}

@@ -1,18 +1,13 @@
 package core
 
-import (
-	"fmt"
+import "gbpolar/internal/mathx"
 
-	"gbpolar/internal/mathx"
-)
-
-// Precision selects the arithmetic tier of the compiled-list batch
-// kernels (kernels.go / kernels_stream.go) — the paper's approximate-math
-// lever (Section V.E's 1.42×) generalized into two selectable tiers.
-// It restructures the COMPILED warm path; selecting the laned tier
-// additionally switches the scalar kernels (Params.mathMode) to the
-// approximate family so the Born-radius inversion and the recursive
-// traversals sit in the same accuracy class. With the default
+// Precision selects the arithmetic tier — the paper's approximate-math
+// lever (Section V.E's 1.42×) as two tiers: exact, or approximate math
+// evaluated in width-4 lanes. It restructures the COMPILED warm path, and
+// MathMode gives every scalar kernel the tier's accuracy class, so the
+// Born-radius inversion, the recursive traversals and the naive reference
+// sit in the same class as the compiled sweep. With the default
 // PrecisionExact nothing changes anywhere.
 type Precision int
 
@@ -25,10 +20,10 @@ const (
 	PrecisionExact Precision = iota
 	// PrecisionLanes evaluates the E_pol transcendentals through the
 	// width-4 mathx batch kernels (ExpLanes4/RSqrtLanes4) in float64,
-	// accumulating in scalar order. Per-term arithmetic and summation
-	// order are IDENTICAL to the scalar approximate-math compiled path
-	// (Params.Math = Approximate), so single-threaded results are
-	// bit-for-bit equal to it — the paper's approximate-math accuracy
+	// accumulating in scalar order. Each lane performs the scalar
+	// mathx.Exp/mathx.RSqrt sequence, so the portable kernel's row sums are
+	// bit for bit those of the scalar approximate-math stream
+	// (TestLanesTierBitCompatible) — the paper's approximate-math accuracy
 	// class (~1e-4), laned for speed.
 	PrecisionLanes
 )
@@ -39,21 +34,6 @@ func (p Precision) String() string {
 		return "lanes"
 	}
 	return "exact"
-}
-
-// ParsePrecision parses a -precision flag value ("" and "exact" mean the
-// default exact tier). "f32" names a tier that was removed — slower than the
-// exact tier it approximated, and outside its error budget under rigid
-// re-poses (EXPERIMENTS.md "Deletion round 2") — and is refused like any
-// unknown value, pointing at lanes.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "", "exact":
-		return PrecisionExact, nil
-	case "lanes", "approx-lanes":
-		return PrecisionLanes, nil
-	}
-	return 0, fmt.Errorf("core: unknown precision %q (want exact|lanes)", s)
 }
 
 // KernelISA reports the instruction set the compiled kernels execute on:
@@ -68,36 +48,13 @@ func KernelISA() string {
 	return "portable"
 }
 
-// kernelTier is the resolved arithmetic of one compiled kernel sweep:
-// Params.Precision overrides Params.Math on the compiled path (the laned
-// tier is in the approximate-math accuracy class), while
-// PrecisionExact preserves the historical Math toggle.
-type kernelTier int
-
-const (
-	tierExact kernelTier = iota
-	tierApprox
-	tierLanes
-)
-
-// tier resolves the compiled-kernel arithmetic from the parameters.
-func (p Params) tier() kernelTier {
+// MathMode is the scalar-kernel mode of the tier: mathx.Approximate iff
+// PrecisionLanes. The Born-radius inversion (k.Cbrt in
+// PushIntegralsToAtoms), the recursive traversals and the naive reference
+// (NaiveEnergy) take it, so a run stays in one accuracy class.
+func (p Params) MathMode() mathx.Mode {
 	if p.Precision == PrecisionLanes {
-		return tierLanes
-	}
-	if p.Math == mathx.Approximate {
-		return tierApprox
-	}
-	return tierExact
-}
-
-// mathMode is the scalar-kernel mode consistent with the tier: the laned
-// precision tier belongs to the approximate-math class, so the
-// Born-radius inversion (k.Cbrt in PushIntegralsToAtoms) and any scalar
-// remainder work use the fast kernels with it.
-func (p Params) mathMode() mathx.Mode {
-	if p.Precision != PrecisionExact {
 		return mathx.Approximate
 	}
-	return p.Math
+	return mathx.Exact
 }

@@ -2,20 +2,18 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
-	"gbpolar/internal/mathx"
+	"gbpolar/internal/molecule"
 )
 
 // runTier computes the system single-threaded on the compiled path under
 // the given precision tier (restoring the previous parameters), so tier
 // comparisons see identical row order and merge order.
-func runTier(t *testing.T, sys *System, p Precision, m mathx.Mode) *Result {
+func runTier(t *testing.T, sys *System, p Precision) *Result {
 	t.Helper()
 	saved := sys.Params
 	sys.Params.Precision = p
-	sys.Params.Math = m
 	defer func() { sys.Params = saved }()
 	res, err := RunShared(sys, SharedOptions{Threads: 1})
 	if err != nil {
@@ -24,28 +22,39 @@ func runTier(t *testing.T, sys *System, p Precision, m mathx.Mode) *Result {
 	return res
 }
 
-// The laned tier's PORTABLE path claims BIT-compatibility with the
-// scalar approximate compiled path: same per-term arithmetic (the mathx
-// lane helpers are per-element bit-identical to the scalars) and same
-// summation order, so a single-threaded run must produce the identical
-// float64s. The AVX2 assembly path makes no bitwise claim (it is pinned
+// The laned tier's PORTABLE kernel claims BIT-compatibility with the
+// scalar approximate-math sweep: the mathx lane helpers are per-element
+// bit-identical to the scalars and a block's four terms are added in index
+// order, so every compiled row — its near and its far stream — sums to the
+// identical float64 under epolStreamLanes and under the oracle
+// epolStreamApprox. The AVX2 assembly makes no bitwise claim (it is pinned
 // separately by TestAsmKernelsMatchPortable), so it is forced off here.
 func TestLanesTierBitCompatible(t *testing.T) {
 	defer func(v bool) { useAsmKernels = v }(useAsmKernels)
 	useAsmKernels = false
-	sys, _, _ := testSystem(t, 3000, 91, DefaultParams())
-	scalar := runTier(t, sys, PrecisionExact, mathx.Approximate)
-	laned := runTier(t, sys, PrecisionLanes, mathx.Exact)
-
-	if math.Float64bits(scalar.Epol) != math.Float64bits(laned.Epol) {
-		t.Errorf("laned tier E_pol %x not bit-identical to scalar approximate %x (values %.17g vs %.17g)",
-			math.Float64bits(laned.Epol), math.Float64bits(scalar.Epol), laned.Epol, scalar.Epol)
-	}
-	for i := range scalar.BornRadii {
-		if math.Float64bits(scalar.BornRadii[i]) != math.Float64bits(laned.BornRadii[i]) {
-			t.Fatalf("Born radius %d: laned %x vs scalar approximate %x",
-				i, math.Float64bits(laned.BornRadii[i]), math.Float64bits(scalar.BornRadii[i]))
+	params := DefaultParams()
+	params.Precision = PrecisionLanes
+	f := newStreamFixture(t, "protein3000", molecule.GenProtein("core-test", 3000, 91), params)
+	il := f.sys.Lists(nil).Epol
+	lanes := NewEpolContext(f.sys, f.radii)
+	oracle := *lanes
+	oracle.stream.sweep = epolStreamApprox
+	scr := newEpolScratch(lanes, il, 1)
+	far := 0
+	for row := range il.Rows {
+		var got, want epolAccum
+		epolRow(lanes, il, row, &scr[0], &got)
+		epolRow(&oracle, il, row, &scr[0], &want)
+		if math.Float64bits(got.energy) != math.Float64bits(want.energy) {
+			t.Fatalf("row %d: laned sum %x (%.17g), scalar approximate %x (%.17g)", row,
+				math.Float64bits(got.energy), got.energy, math.Float64bits(want.energy), want.energy)
 		}
+		if got.farTerms > 0 {
+			far++
+		}
+	}
+	if far == 0 {
+		t.Fatal("no row swept a far stream; the fixture exercises only the near field")
 	}
 }
 
@@ -59,10 +68,10 @@ func TestAsmKernelsMatchPortable(t *testing.T) {
 		t.Skip("no AVX2+FMA assembly kernels on this host")
 	}
 	sys, _, _ := testSystem(t, 4000, 95, DefaultParams())
-	asm := runTier(t, sys, PrecisionLanes, mathx.Exact)
+	asm := runTier(t, sys, PrecisionLanes)
 	useAsmKernels = false
 	defer func() { useAsmKernels = true }()
-	portable := runTier(t, sys, PrecisionLanes, mathx.Exact)
+	portable := runTier(t, sys, PrecisionLanes)
 
 	const tol = 1e-9
 	// !(e <= tol) rather than e > tol so a NaN energy cannot pass.
@@ -90,33 +99,15 @@ func TestTiersUnderDebugCheckLists(t *testing.T) {
 	params := DefaultParams()
 	params.DebugCheckLists = true
 	sys, _, _ := testSystem(t, 1500, 92, params)
-	exact := runTier(t, sys, PrecisionExact, mathx.Exact)
-	res := runTier(t, sys, PrecisionLanes, mathx.Exact)
+	exact := runTier(t, sys, PrecisionExact)
+	res := runTier(t, sys, PrecisionLanes)
 	if e := relErr(res.Epol, exact.Epol); e > 1e-4 {
 		t.Errorf("lanes tier E_pol rel err %.3g > 1e-4 vs exact", e)
 	}
 }
 
-// The two tiers parse and print by name; the retired f32 tier, like any
-// unknown one, is an error — one that names the tier to use instead.
-func TestPrecisionParseAndString(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Precision
-	}{
-		{"", PrecisionExact}, {"exact", PrecisionExact},
-		{"lanes", PrecisionLanes}, {"approx-lanes", PrecisionLanes},
-	} {
-		got, err := ParsePrecision(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParsePrecision(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	for _, bad := range []string{"float16", "f32"} {
-		if _, err := ParsePrecision(bad); err == nil || !strings.Contains(err.Error(), "lanes") {
-			t.Errorf("ParsePrecision(%q) = %v, want an error naming lanes", bad, err)
-		}
-	}
+// The two tiers print by name.
+func TestPrecisionString(t *testing.T) {
 	if PrecisionExact.String() != "exact" || PrecisionLanes.String() != "lanes" {
 		t.Error("Precision.String broken")
 	}

@@ -13,76 +13,6 @@ import (
 // rows), so bitwise equality is not expected — 1e-12 relative is.
 const faultTolerance = 1e-12
 
-func TestRedivideSpans(t *testing.T) {
-	check := func(n, P int, dead []int) {
-		t.Helper()
-		asgn := RedivideSpans(n, P, dead)
-		covered := make([]int, n)
-		isDead := make(map[int]bool)
-		for _, d := range dead {
-			isDead[d] = true
-		}
-		for r, spans := range asgn {
-			if isDead[r] && len(spans) > 0 {
-				t.Errorf("n=%d P=%d dead=%v: dead rank %d still owns %v", n, P, dead, r, spans)
-			}
-			for _, sp := range spans {
-				if sp.Lo < 0 || sp.Hi > n || sp.Lo >= sp.Hi {
-					t.Errorf("bad span %+v", sp)
-				}
-				for i := sp.Lo; i < sp.Hi; i++ {
-					covered[i]++
-				}
-			}
-		}
-		if len(dead) < P {
-			for i, cnt := range covered {
-				if cnt != 1 {
-					t.Fatalf("n=%d P=%d dead=%v: row %d covered %d times", n, P, dead, i, cnt)
-				}
-			}
-		}
-	}
-	check(100, 4, nil)
-	check(100, 4, []int{2})
-	check(100, 4, []int{2, 0})
-	check(100, 4, []int{3, 1, 0})
-	check(7, 3, []int{1})
-	check(5, 8, []int{0, 7, 3}) // more ranks than rows
-	check(1, 2, []int{0})
-
-	// Pure function: identical inputs, identical partition.
-	a := RedivideSpans(100, 4, []int{2, 0})
-	b := RedivideSpans(100, 4, []int{2, 0})
-	for r := range a {
-		if len(a[r]) != len(b[r]) {
-			t.Fatal("redivision not deterministic")
-		}
-		for i := range a[r] {
-			if a[r][i] != b[r][i] {
-				t.Fatal("redivision not deterministic")
-			}
-		}
-	}
-
-	// Death order matters for WHO gets what, but coverage always holds;
-	// a survivor's assignment only ever grows.
-	before := RedivideSpans(100, 4, []int{2})
-	after := RedivideSpans(100, 4, []int{2, 0})
-	for _, sp := range before[1] {
-		found := false
-		for _, sp2 := range after[1] {
-			if sp2 == sp {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("rank 1 lost span %+v after a second death", sp)
-		}
-	}
-}
-
 // resilientCfg builds the standard 4-rank config used by the fault
 // tests; the short stall timeout bounds every blocking call in real
 // time, so no test here can hang.
@@ -93,7 +23,7 @@ func resilientCfg(plan *cluster.FaultPlan) cluster.Config {
 	return cfg
 }
 
-// runResilient runs RunDistributedResilient under a real-time watchdog —
+// runResilient runs RunDistributed under a real-time watchdog —
 // the "never hangs" assertion made executable.
 func runResilient(t *testing.T, sys *System, cfg cluster.Config) *Result {
 	t.Helper()
@@ -103,7 +33,7 @@ func runResilient(t *testing.T, sys *System, cfg cluster.Config) *Result {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := RunDistributedResilient(sys, cfg)
+		res, err := RunDistributed(sys, cfg)
 		done <- outcome{res, err}
 	}()
 	select {

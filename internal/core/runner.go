@@ -153,9 +153,3 @@ func segment(n, p, i int) (int, int) {
 func RunDistributed(sys *System, cfg cluster.Config) (*Result, error) {
 	return runCluster(sys, cfg, phaseKernel{}, false)
 }
-
-// RunDistributedResilient is RunDistributed under the name the fault
-// suites know it by: every distributed run heals.
-func RunDistributedResilient(sys *System, cfg cluster.Config) (*Result, error) {
-	return RunDistributed(sys, cfg)
-}

@@ -170,7 +170,7 @@ func TestGatherCanariesStayDead(t *testing.T) {
 	}
 	for _, tier := range streamBitsTiers {
 		p := mortonParams()
-		p.Precision, p.Math = tier.prec, tier.math
+		p.Precision = tier.prec
 		f := newStreamFixture(t, tier.name, molecule.GenProtein("canary", 400, 17), p)
 		ctx := NewEpolContext(f.sys, f.radii)
 		il := f.sys.Lists(nil).Epol

@@ -10,7 +10,6 @@ import (
 	"os"
 
 	"gbpolar/internal/geom"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/octree"
 	"gbpolar/internal/surface"
@@ -47,8 +46,9 @@ var (
 	// stamp does not match the parameters the caller is running under.
 	ErrSnapshotParams = errors.New("core: snapshot parameter mismatch")
 	// ErrSnapshotRetired reports a snapshot stamped with a configuration
-	// this build no longer computes: a far-field order above 0 or the f32
-	// precision tier (EXPERIMENTS.md "Deletion round 2").
+	// this build no longer computes: a far-field order above 0, the f32
+	// precision tier (EXPERIMENTS.md "Deletion round 2") or the scalar
+	// approximate-math tier ("Deletion round 3").
 	ErrSnapshotRetired = errors.New("core: snapshot configuration retired")
 )
 
@@ -71,6 +71,11 @@ const (
 	// retiredPrecision is the precision byte of the f32 tier, which this
 	// build refuses (ErrSnapshotRetired).
 	retiredPrecision = 2
+	// approxMath is the byte an older build wrote for the approximate math
+	// mode of its retired Math parameter, which the precision tier now
+	// implies (Params.MathMode): beside the lanes tier it is that tier,
+	// beside the exact one the retired scalar approximate-math tier.
+	approxMath = 1
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -78,12 +83,14 @@ var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 // appendParams writes the canonical parameter encoding — the bytes the
 // fingerprint hashes and the file stores. DebugCheckLists is excluded:
 // it is a runtime verification knob that does not affect any computed
-// state, so toggling it must not invalidate checkpoints.
-func appendParams(w *wire.Writer, p Params) {
+// state, so toggling it must not invalidate checkpoints. mathByte fills the
+// place of the retired math mode: this build writes 0, and re-hashes the
+// approxMath an older build's lanes image carries (DecodeSnapshot).
+func appendParams(w *wire.Writer, p Params, mathByte uint8) {
 	w.F64(p.EpsBorn)
 	w.F64(p.EpsEpol)
 	w.F64(p.EpsSolv)
-	w.U8(uint8(p.Math))
+	w.U8(mathByte)
 	w.U8(uint8(p.Kernel))
 	w.U8(uint8(p.Precision))
 	w.U8(uint8(p.Builder))
@@ -96,9 +103,13 @@ func appendParams(w *wire.Writer, p Params) {
 // defaulting) to the 64-bit stamp embedded in snapshots: two runs agree
 // on the fingerprint exactly when a snapshot from one is a valid
 // checkpoint for the other.
-func ParamsFingerprint(p Params) uint64 {
+func ParamsFingerprint(p Params) uint64 { return paramsFingerprint(p, 0) }
+
+// paramsFingerprint is ParamsFingerprint over the encoding with mathByte in
+// the retired math mode's place.
+func paramsFingerprint(p Params, mathByte uint8) uint64 {
 	var w wire.Writer
-	appendParams(&w, p.withDefaults())
+	appendParams(&w, p.withDefaults(), mathByte)
 	h := fnv.New64a()
 	h.Write(w.Bytes())
 	return h.Sum64()
@@ -130,7 +141,7 @@ func encodeSnapshot(w *wire.Writer, sys *System, lists *CompiledLists) {
 	w.Raw([]byte(snapshotMagic))
 	w.U16(snapshotVersion)
 	w.U64(ParamsFingerprint(sys.Params))
-	appendParams(w, sys.Params)
+	appendParams(w, sys.Params, 0)
 
 	w.Str(sys.Mol.Name)
 	wire.PutF64Records(w, sys.Mol.Atoms)
@@ -201,11 +212,11 @@ func DecodeSnapshot(data []byte) (*System, error) {
 	}
 
 	stamp := r.U64()
-	params, err := decodeParams(r)
+	params, mathByte, err := decodeParams(r)
 	if err != nil {
 		return nil, err
 	}
-	if got := ParamsFingerprint(params); got != stamp {
+	if got := paramsFingerprint(params, mathByte); got != stamp {
 		return nil, fmt.Errorf("%w: stamp %016x does not cover stored parameters (%016x)",
 			ErrSnapshotParams, stamp, got)
 	}
@@ -303,15 +314,16 @@ func DecodeSnapshot(data []byte) (*System, error) {
 	return sys, nil
 }
 
-// decodeParams reads and range-checks the parameter section. A retired
-// configuration is refused before the stamp is checked: the stamp covers
-// the parameters this build can represent.
-func decodeParams(r *wire.Reader) (Params, error) {
+// decodeParams reads and range-checks the parameter section, returning
+// the byte in the retired math mode's place beside the parameters (the
+// stamp covers it). A retired configuration is refused before the stamp
+// is checked: the stamp covers the parameters this build can represent.
+func decodeParams(r *wire.Reader) (Params, uint8, error) {
 	var p Params
 	p.EpsBorn = r.F64()
 	p.EpsEpol = r.F64()
 	p.EpsSolv = r.F64()
-	p.Math = mathx.Mode(r.U8())
+	mathByte := r.U8()
 	p.Kernel = BornKernel(r.U8())
 	p.Precision = Precision(r.U8())
 	p.Builder = octree.Builder(r.U8())
@@ -319,36 +331,39 @@ func decodeParams(r *wire.Reader) (Params, error) {
 	p.LeafCap = int(r.U32())
 	farOrder := r.U8()
 	if r.Err() != nil {
-		return Params{}, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
+		return Params{}, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
 	}
 	if farOrder == 1 || farOrder == 2 {
-		return Params{}, fmt.Errorf("%w: far-field order %d", ErrSnapshotRetired, farOrder)
+		return Params{}, 0, fmt.Errorf("%w: far-field order %d", ErrSnapshotRetired, farOrder)
 	}
 	if p.Precision == retiredPrecision {
-		return Params{}, fmt.Errorf("%w: precision tier f32", ErrSnapshotRetired)
+		return Params{}, 0, fmt.Errorf("%w: precision tier f32", ErrSnapshotRetired)
+	}
+	if mathByte == approxMath && p.Precision == PrecisionExact {
+		return Params{}, 0, fmt.Errorf("%w: the scalar approximate-math tier", ErrSnapshotRetired)
 	}
 	if farOrder != 0 {
-		return Params{}, fmt.Errorf("%w: far-field order %d", ErrSnapshotCorrupt, farOrder)
+		return Params{}, 0, fmt.Errorf("%w: far-field order %d", ErrSnapshotCorrupt, farOrder)
 	}
-	if p.Math != mathx.Exact && p.Math != mathx.Approximate {
-		return Params{}, fmt.Errorf("%w: math mode %d", ErrSnapshotCorrupt, p.Math)
+	if mathByte != 0 && mathByte != approxMath {
+		return Params{}, 0, fmt.Errorf("%w: math mode %d", ErrSnapshotCorrupt, mathByte)
 	}
 	if p.Kernel != R6 && p.Kernel != R4 {
-		return Params{}, fmt.Errorf("%w: born kernel %d", ErrSnapshotCorrupt, p.Kernel)
+		return Params{}, 0, fmt.Errorf("%w: born kernel %d", ErrSnapshotCorrupt, p.Kernel)
 	}
 	if p.Precision < PrecisionExact || p.Precision > PrecisionLanes {
-		return Params{}, fmt.Errorf("%w: precision tier %d", ErrSnapshotCorrupt, p.Precision)
+		return Params{}, 0, fmt.Errorf("%w: precision tier %d", ErrSnapshotCorrupt, p.Precision)
 	}
 	if p.Builder != octree.BuilderRecursive && p.Builder != octree.BuilderMorton {
-		return Params{}, fmt.Errorf("%w: octree builder %d", ErrSnapshotCorrupt, p.Builder)
+		return Params{}, 0, fmt.Errorf("%w: octree builder %d", ErrSnapshotCorrupt, p.Builder)
 	}
 	if p.LeafCap <= 0 || p.LeafCap > 1<<20 {
-		return Params{}, fmt.Errorf("%w: leaf cap %d", ErrSnapshotCorrupt, p.LeafCap)
+		return Params{}, 0, fmt.Errorf("%w: leaf cap %d", ErrSnapshotCorrupt, p.LeafCap)
 	}
 	if err := p.Validate(); err != nil {
-		return Params{}, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		return Params{}, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	return p, nil
+	return p, mathByte, nil
 }
 
 // decodeMolecule reads and validates the molecule section.

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"gbpolar/internal/geom"
-	"gbpolar/internal/mathx"
 	"gbpolar/internal/octree"
 	"gbpolar/internal/wire"
 )
@@ -217,18 +216,27 @@ func TestSnapshotDecodesMomentsImage(t *testing.T) {
 	}
 }
 
+// The offsets of the parameter stamp and of three parameter bytes in an
+// image: behind the magic and the version the stamp, behind it EpsBorn,
+// EpsEpol and EpsSolv, then the retired math mode, the Born kernel and the
+// precision tier; the far-field order closes the section.
+const (
+	stampAt                         = 8 + 2
+	mathAt, precisionAt, farOrderAt = stampAt + 8 + 3*8, mathAt + 2, precisionAt + 2 + 1 + 4
+)
+
 // An image stamped with a configuration this build no longer computes — a
-// far-field order above 0, or the f32 precision tier — is refused as
-// retired, before its stamp is checked and with no System: the committed
-// image written at FarOrder 2, and a current image with its precision or
-// far-order byte rewritten and its checksum made good.
+// far-field order above 0, the f32 precision tier, or the scalar
+// approximate-math tier (the approximate math mode beside the exact tier) —
+// is refused as retired, before its stamp is checked and with no System:
+// the committed image written at FarOrder 2, and a current image with its
+// precision, math or far-order byte rewritten and its checksum made good.
 func TestSnapshotRefusesRetired(t *testing.T) {
 	retired, err := os.ReadFile(filepath.Join("testdata", "certified_pr19.gbpsnap"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, data := snapshotFixture(t, true)
-	const precisionByte, farOrderByte = 8 + 2 + 8 + 3*8 + 2, 8 + 2 + 8 + 3*8 + 4 + 1 + 4
 	patched := func(at int, v byte) []byte {
 		b := append([]byte(nil), data...)
 		if b[at] != 0 {
@@ -239,8 +247,9 @@ func TestSnapshotRefusesRetired(t *testing.T) {
 	}
 	for name, image := range map[string][]byte{
 		"FarOrder 2 image":  retired,
-		"f32 precision":     patched(precisionByte, 2),
-		"far-field order 1": patched(farOrderByte, 1),
+		"f32 precision":     patched(precisionAt, 2),
+		"approximate math":  patched(mathAt, 1),
+		"far-field order 1": patched(farOrderAt, 1),
 	} {
 		sys, err := DecodeSnapshot(image)
 		if !errors.Is(err, ErrSnapshotRetired) || sys != nil {
@@ -256,6 +265,37 @@ func TestSnapshotRefusesRetired(t *testing.T) {
 	}
 }
 
+// An older build stamped a lanes image with the approximate math mode its
+// lanes tier implied: such an image decodes as the lanes tier — its stamp
+// verified over the byte it was written with — and loads under this
+// build's lanes parameters. With that byte and a stamp that does not cover
+// it, the image fails its stamp.
+func TestSnapshotDecodesLegacyLanesStamp(t *testing.T) {
+	params := DefaultParams()
+	params.Precision = PrecisionLanes
+	sys, _, _ := testSystem(t, 150, 7, params)
+	data, err := EncodeSnapshot(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[mathAt] = approxMath
+	if _, err := DecodeSnapshot(restamp(append([]byte(nil), data...))); !errors.Is(err, ErrSnapshotParams) {
+		t.Fatalf("math byte rewritten under the current stamp: got %v, want ErrSnapshotParams", err)
+	}
+	binary.LittleEndian.PutUint64(data[stampAt:], paramsFingerprint(sys.Params, approxMath))
+	path := filepath.Join(t.TempDir(), "lanes.gbpsnap")
+	if err := os.WriteFile(path, restamp(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadSnapshot(path, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Params != sys.Params {
+		t.Errorf("decoded parameters %+v, want %+v", got.Params, sys.Params)
+	}
+}
+
 // Corruptions of what older images carry and this build only reads past: a
 // truncated or malformed moment set behind an octree, and a far-field order
 // byte no build wrote. All fail with ErrSnapshotCorrupt, never a panic or a
@@ -267,7 +307,7 @@ func TestSnapshotFarFieldCorruptions(t *testing.T) {
 	r := wire.NewReader(image[len(snapshotMagic) : len(image)-4])
 	r.U16()
 	r.U64()
-	if _, err := decodeParams(r); err != nil {
+	if _, _, err := decodeParams(r); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := decodeMolecule(r); err != nil {
@@ -321,8 +361,7 @@ func TestSnapshotFarFieldCorruptions(t *testing.T) {
 	t.Run("far order out of range", func(t *testing.T) {
 		// No build wrote a far-field order above 2.
 		_, data := snapshotFixture(t, true)
-		const farOrderByte = 8 + 2 + 8 + 3*8 + 4 + 1 + 4
-		data[farOrderByte] = 3
+		data[farOrderAt] = 3
 		if _, err := DecodeSnapshot(restamp(data)); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
 		}
@@ -405,7 +444,7 @@ func parseCertifiedBlock(t testing.TB, data []byte) *certifiedBlock {
 	r := wire.NewReader(body)
 	r.U16()
 	r.U64()
-	if _, err := decodeParams(r); err != nil {
+	if _, _, err := decodeParams(r); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := decodeMolecule(r); err != nil {
@@ -755,7 +794,6 @@ func TestParamsFingerprint(t *testing.T) {
 		func(p *Params) { p.EpsBorn = 0.5 },
 		func(p *Params) { p.EpsEpol = 0.3 },
 		func(p *Params) { p.EpsSolv = 40 },
-		func(p *Params) { p.Math = mathx.Approximate },
 		func(p *Params) { p.Kernel = R4 },
 		func(p *Params) { p.StrictBornMAC = true },
 		func(p *Params) { p.LeafCap = 16 },

@@ -52,8 +52,6 @@ type Params struct {
 	EpsEpol float64
 	// EpsSolv is the solvent dielectric (default 80, water).
 	EpsSolv float64
-	// Math toggles the paper's "approximate math" fast kernels.
-	Math mathx.Mode
 	// Kernel selects the Born-radius surface integral (default R6).
 	Kernel BornKernel
 	// StrictBornMAC switches the Born-phase opening criterion to the
@@ -76,17 +74,17 @@ type Params struct {
 	// reuse invariant (DESIGN.md §6). It also re-verifies the SoA lane
 	// padding invariants. Expensive; for tests and debugging.
 	DebugCheckLists bool
-	// Precision selects the arithmetic tier of the compiled batch kernels
-	// (precision.go): exact float64 (default) or laned approximate-math
-	// float64. It does not affect the interaction lists or the recursive
-	// reference paths.
+	// Precision selects the arithmetic tier (precision.go): exact float64
+	// (default) or the paper's "approximate math", laned. It does not
+	// affect the interaction lists; the scalar kernels of the recursive and
+	// naive reference paths follow it through MathMode.
 	Precision Precision
 }
 
 // DefaultParams returns the configuration of the paper's headline runs:
 // ε = 0.9 for both phases, water solvent, exact math.
 func DefaultParams() Params {
-	return Params{EpsBorn: 0.9, EpsEpol: 0.9, EpsSolv: 80, Math: mathx.Exact, LeafCap: 8}
+	return Params{EpsBorn: 0.9, EpsEpol: 0.9, EpsSolv: 80, LeafCap: 8}
 }
 
 func (p Params) withDefaults() Params {
@@ -465,10 +463,9 @@ func (s *System) RecordMemory(o *obs.Obs) {
 	o.Gauge("mem.soa_bytes").Set(float64(m.SoA))
 }
 
-// kern returns the scalar kernels for the system's effective math mode
-// (Params.mathMode — the laned precision tier implies approximate scalar
-// kernels so the whole pipeline stays in one accuracy class).
-func (s *System) kern() mathx.Kernels { return mathx.ForMode(s.Params.mathMode()) }
+// kern returns the scalar kernels of the system's precision tier
+// (Params.MathMode), so the whole pipeline stays in one accuracy class.
+func (s *System) kern() mathx.Kernels { return mathx.ForMode(s.Params.MathMode()) }
 
 // UpdateAtoms moves the atoms to new positions (original atom order) and
 // incrementally repairs the atoms octree (octree.Tree.Update — the
