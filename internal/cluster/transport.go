@@ -95,7 +95,7 @@ func (c *Comm) MemberEvents() []MemberEvent {
 
 // DeadFromEvents replays a membership log and returns the ranks whose
 // most recent event is a death, ordered by when they (last) died — the
-// list RankDeadError carries and RedivideSpans-style protocols consume.
+// list RankDeadError carries and ElasticSpans-style protocols consume.
 func DeadFromEvents(procs int, events []MemberEvent) []int {
 	dead := make([]bool, procs)
 	var order []int

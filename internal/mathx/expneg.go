@@ -12,7 +12,7 @@ import "math"
 // on four lanes at once — FMA where written, round-half-even, exponent-bit
 // scaling — so the two agree BITWISE (core.TestExpNegAsmMatchesPortable).
 //
-// Scheme: k = rint(x·log₂e); r = x − k·ln2 by two FMAs against the hi/lo
+// Method: k = rint(x·log₂e); r = x − k·ln2 by two FMAs against the hi/lo
 // split of ln 2 (the first is exact, the second rounds once, |r| ≤ 0.3466);
 // e^r by the degree-13 Taylor polynomial in Horner form, one FMA per
 // coefficient (truncation < 0.04 ulp; the last two FMAs contribute 0.5 and
