@@ -85,11 +85,13 @@ bigendian:
 ## included) and, under -tags purego, the portable Go kernels this host
 ## would otherwise never run: there the identity tests
 ## (TestOpenFar8MatchesScalar, TestTileCompileMatchesOracle,
-## TestBornTileListsMatchOracle and every list digest) hold the portable
-## lanes to the same bytes, and TestBornTileKernelMatchesRows the portable
-## tile sweep to the per-row sweep's bits (DESIGN.md §6, §11).
+## TestBornTileListsMatchOracle, TestEpolTileListsMatchOracle and every
+## list digest) hold the portable lanes to the same bytes,
+## TestBornTileKernelMatchesRows the portable Born tile sweep to the per-row
+## sweep's bits and TestEpolTileKernelMatchesRows the portable E_pol tile
+## sweep to the per-row sweep at 1e-13 (DESIGN.md §6, §11).
 kernels:
-	$(call check_listed,TestOpenFar8MatchesScalar|TestTileCompileMatchesOracle|TestBornTileListsMatchOracle|TestBornTileKernelMatchesRows,./internal/core/)
+	$(call check_listed,TestOpenFar8MatchesScalar|TestTileCompileMatchesOracle|TestBornTileListsMatchOracle|TestBornTileKernelMatchesRows|TestEpolTileListsMatchOracle|TestEpolTileKernelMatchesRows,./internal/core/)
 	$(GO) vet -asmdecl ./internal/core/
 	$(GO) test ./internal/core/ ./internal/mathx/
 	$(GO) vet -tags purego ./internal/core/ ./internal/mathx/
@@ -179,12 +181,15 @@ bench-lists:
 ## outer operands, no kernel), vector and portable, in ns per list entry
 ## and per atom copied — the difference of the two rows is the kernels'
 ## share (EXPERIMENTS.md "Stream kernels", "The gather at copy speed");
+## the whole E_pol sweep in ms per sweep on each tier, by rows over the
+## lists merged back and by tiles — each tile's shared runs once against
+## all of its rows (EXPERIMENTS.md "What a tile of sibling rows takes");
 ## then the Born far sweep in ns per far term: row by row over each row's
 ## whole far set, and by tiles — each tile's shared run eight rows to a
 ## term, assembly and portable (EXPERIMENTS.md "Far nodes a whole tile
 ## takes").
 bench-kernels:
-	$(call bench_listed,BenchmarkEpolStream|BenchmarkEpolGatherAsm|BenchmarkEpolGatherPortable|BenchmarkBornSweepRows|BenchmarkBornSweepTile|BenchmarkBornSweepTilePortable,-benchtime 5x -count 2,./internal/core/)
+	$(call bench_listed,BenchmarkEpolStream|BenchmarkEpolGatherAsm|BenchmarkEpolGatherPortable|BenchmarkEpolSweepRows|BenchmarkEpolSweepTile|BenchmarkBornSweepRows|BenchmarkBornSweepTile|BenchmarkBornSweepTilePortable,-benchtime 5x -count 2,./internal/core/)
 
 ## bench-snapshot: the checkpoint codec at the ledger's two fixtures
 ## (4 000 atoms = net_run's 10.1 MB snapshot, 20 000 atoms = 71 MB):

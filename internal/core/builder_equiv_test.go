@@ -18,24 +18,24 @@ type rowEntries struct {
 func listRowSets(t *testing.T, il *InteractionLists) map[int32]rowEntries {
 	t.Helper()
 	out := make(map[int32]rowEntries, len(il.Rows))
-	for i, row := range il.Rows {
-		if _, dup := out[row]; dup {
-			t.Fatalf("row %d appears twice", row)
+	for tile := range il.tiles() {
+		shared := il.tileRuns(tile) // a row's sets: its tile's shared runs and its own
+		lo, hi := il.tileRows(tile)
+		for i := lo; i < hi; i++ {
+			row, own := il.Rows[i], il.rowRuns(i)
+			if _, dup := out[row]; dup {
+				t.Fatalf("row %d appears twice", row)
+			}
+			re := rowEntries{
+				far:  slices.Concat(own[runFar], shared[runFar]),
+				near: slices.Concat(own[kindNear], shared[kindNear]),
+				sym:  slices.Concat(own[kindSym], shared[kindSym]),
+			}
+			slices.Sort(re.far)
+			slices.Sort(re.near)
+			slices.Sort(re.sym)
+			out[row] = re
 		}
-		re := rowEntries{
-			far:  slices.Clone(il.Far[il.FarOff[i]:il.FarOff[i+1]]),
-			near: slices.Clone(il.Near[il.NearOff[i]:il.NearOff[i+1]]),
-		}
-		if il.TileFarOff != nil { // a Born row's far set: its tile's shared run and its own
-			re.far = append(re.far, il.tileFar(i/tileLanes)...)
-		}
-		if il.SymOff != nil {
-			re.sym = slices.Clone(il.Sym[il.SymOff[i]:il.SymOff[i+1]])
-		}
-		slices.Sort(re.far)
-		slices.Sort(re.near)
-		slices.Sort(re.sym)
-		out[row] = re
 	}
 	return out
 }

@@ -15,7 +15,8 @@ import (
 // balanced phase — runs under a peer-to-peer range-stealing protocol on
 // top of the cluster substrate's point-to-point messages:
 //
-//   - every rank starts with its static segment of atom leaves;
+//   - every rank starts with its static segment of the energy phase's
+//     units (compiled E_pol tiles, or atom leaves);
 //   - between batches it answers pending steal requests by giving away
 //     the BACK half of its remaining range (steal-half, the standard
 //     policy);
@@ -27,7 +28,7 @@ import (
 //     after every rank (including itself) is done — broadcasts
 //     termination. Done ranks never re-acquire work, so no work is lost.
 //
-// The protocol exchanges only leaf-range indices: stolen work is
+// The protocol exchanges only unit-range indices: stolen work is
 // processed against the same replicated octree, so communication volume
 // is O(#steals), independent of M.
 
@@ -66,19 +67,21 @@ func RunDistributedDynamic(sys *System, cfg cluster.Config) (*Result, *DynStats,
 
 // dynEpol is the per-rank state of the stealing protocol.
 type dynEpol struct {
-	pl  *pipeline
-	c   *cluster.Comm
-	row func(row, w int) // the energy phase's compiled row kernel
+	pl    *pipeline
+	c     *cluster.Comm
+	units rowUnits          // the energy phase's units: compiled tiles, or rows
+	row   func(unit, w int) // the energy phase's kernel of one unit
 
-	front, back int // remaining locally-owned range
+	front, back int // remaining locally-owned range, in units
 	batch       int
 	chargedSecs float64
+	unitsDone   int
 	leavesDone  int
 	doneCount   int // rank 0 only: done reports received (excl. self)
 }
 
 // stealEpol is the stealing E_pol schedule of the rank body: the rank
-// starts from its static segment of atom leaves and runs the protocol to
+// starts from its static segment of the phase's units and runs the protocol to
 // termination inside one epol span. Asked again — to heal a death the
 // final reduction detected — it reports the death instead: rows migrate
 // between ranks, so the static re-division cannot tell what was lost.
@@ -89,8 +92,8 @@ func (pl *pipeline) stealEpol() func([]cluster.MemberEvent) error {
 			return fmt.Errorf("core: work stealing cannot re-divide after a death: %w", cluster.ErrRankDead)
 		}
 		started = true
-		d := &dynEpol{pl: pl, c: pl.c.(*cluster.Comm), row: pl.epolKernel()}
-		d.front, d.back = segment(len(pl.sys.Atoms.Leaves()), pl.P, pl.rank)
+		d := &dynEpol{pl: pl, c: pl.c.(*cluster.Comm), units: pl.epolUnits(), row: pl.epolKernel()}
+		d.front, d.back = segment(d.units.count(), pl.P, pl.rank)
 		d.batch = max((d.back-d.front)/64, 1)
 
 		sp := pl.o.Begin(pl.rank, "phase", "epol", pl.clock())
@@ -121,7 +124,8 @@ func (d *dynEpol) drain() error {
 		ops, charged := d.pl.sweep([]Span{{d.front, h}}, 1, d.pl.epolMeter, d.row)
 		d.pl.out.ops += ops
 		d.chargedSecs += charged / d.c.OpsPerSecond()
-		d.leavesDone += h - d.front
+		d.unitsDone += h - d.front
+		d.leavesDone += d.units.rows(Span{d.front, h})
 		d.front = h
 		if err := d.answerPendingRequests(); err != nil {
 			return err
@@ -146,13 +150,13 @@ func (d *dynEpol) answerPendingRequests() error {
 	}
 }
 
-// perLeaf returns this rank's measured per-leaf cost in seconds (0 when
+// perUnit returns this rank's measured per-unit cost in seconds (0 when
 // nothing has been processed yet).
-func (d *dynEpol) perLeaf() float64 {
-	if d.leavesDone == 0 {
+func (d *dynEpol) perUnit() float64 {
+	if d.unitsDone == 0 {
 		return 0
 	}
-	return d.chargedSecs / float64(d.leavesDone)
+	return d.chargedSecs / float64(d.unitsDone)
 }
 
 // reply answers one steal request. Replies are stamped at the request's
@@ -160,7 +164,7 @@ func (d *dynEpol) perLeaf() float64 {
 // reflects the modeled machine, not this process's goroutine schedule.
 //
 // The grant is a BALANCING split, not blind steal-half: using the
-// victim's measured per-leaf cost and the thief's advertised one, the
+// victim's measured per-unit cost and the thief's advertised one, the
 // victim hands over exactly the amount that equalizes the two projected
 // completion times. A thief whose virtual clock (or modeled node speed)
 // means it could not finish anything sooner than the victim gets an
@@ -179,7 +183,7 @@ func (d *dynEpol) reply(req *cluster.Message) error {
 // thiefPer·g for g, clamps it to keep at least one batch locally, and
 // returns 0 when the thief would not help (or no estimate exists yet).
 func (d *dynEpol) balancedGive(req *cluster.Message, remaining int) int {
-	victimPer := d.perLeaf()
+	victimPer := d.perUnit()
 	if victimPer == 0 || remaining <= d.batch {
 		return 0
 	}
@@ -189,7 +193,7 @@ func (d *dynEpol) balancedGive(req *cluster.Message, remaining int) int {
 	}
 	g := (d.c.Clock() - req.SentAt + victimPer*float64(remaining)) / (victimPer + thiefPer)
 	give := int(g)
-	// Cap each grant: per-leaf costs vary spatially, so large grants
+	// Cap each grant: per-unit costs vary spatially, so large grants
 	// priced off historical averages can overload the thief past the
 	// victim's own finish time. Bounded grants limit that error; an idle
 	// thief simply steals again (round trips are microseconds on the
@@ -224,10 +228,10 @@ func (d *dynEpol) stealLoop() error {
 		if victim == rank {
 			continue
 		}
-		// Advertise our per-leaf cost so the victim can judge whether we
+		// Advertise our per-unit cost so the victim can judge whether we
 		// would actually finish the stolen work sooner (a slow rank must
 		// not steal back work it would only delay).
-		if err := c.Send(victim, tagStealReq, []float64{d.perLeaf()}); err != nil {
+		if err := c.Send(victim, tagStealReq, []float64{d.perUnit()}); err != nil {
 			return err
 		}
 		msg, err := d.serve(func(m *cluster.Message) bool { return m.Tag == tagStealRep || m.Tag == tagFinish })
@@ -247,7 +251,7 @@ func (d *dynEpol) stealLoop() error {
 			failures = 0
 			d.pl.steal.Steals++
 			wlo, whi := int(work[0]), int(work[1])
-			d.pl.steal.LeavesMigrated += whi - wlo
+			d.pl.steal.LeavesMigrated += d.units.rows(Span{wlo, whi})
 			// Adopt the stolen range as the new local range so further
 			// thieves can re-steal from it.
 			d.front, d.back = wlo, whi

@@ -148,7 +148,7 @@ func TestSymmetrizeMatchesOracle(t *testing.T) {
 		// The same phase without the split: its Near lists are the
 		// pre-symmetrization lists the oracle starts from.
 		unsplit := epol
-		unsplit.symmetrize = false
+		unsplit.symmetrize, unsplit.tileFar = false, false
 		pre := unsplit.index(nil)
 		per := make([]oracleRow, len(pre.Rows))
 		for i := range per {
@@ -166,7 +166,7 @@ func TestSymmetrizeMatchesOracle(t *testing.T) {
 			off[2] = append(off[2], int32(len(want.cede)))
 		}
 		forPools(t, func(t *testing.T, pool *sched.Pool) {
-			got := epol.index(pool)
+			got := perRowLists(epol.index(pool), sys.Atoms)
 			for _, c := range []struct {
 				name      string
 				got, want any

@@ -25,15 +25,15 @@ import (
 // against a fresh compile, by the last build that had a far-field ladder,
 // at its order 0.
 
-// indexDigest is the SHA-256 of the snapshot encoding of cl's lists, the
-// Born lists in the per-row layout they had before tiles (perRowLists, on
-// the visit order of atoms): every array behind its length, little-endian
+// indexDigest is the SHA-256 of the snapshot encoding of cl's lists, both
+// phases in the per-row layout they had before tiles (perRowLists, on the
+// visit order of atoms): every array behind its length, little-endian
 // words, at the speed of the bulk codec rather than of a loop over elements.
 func indexDigest(atoms *octree.Tree, cl *CompiledLists) string {
 	h := sha256.New()
 	w := wire.NewStreamWriter(h)
 	appendIL(w, perRowLists(cl.Born, atoms))
-	appendIL(w, cl.Epol)
+	appendIL(w, perRowLists(cl.Epol, atoms))
 	w.Flush() // a hash never fails a write
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -133,7 +133,8 @@ func (a *dirtyAudit) step(t *testing.T, sys *System, pos []geom.Vec3) *CompiledL
 		return nil // there is no dirty set
 	}
 	before := geometryOf(sys.Atoms)
-	oldBorn := perRowLists(old.Born, sys.Atoms) // rows merged on the visit order they were compiled on
+	// Rows merged on the visit order they were compiled on.
+	oldBorn, oldEpol := perRowLists(old.Born, sys.Atoms), perRowLists(old.Epol, sys.Atoms)
 	res, err := sys.Atoms.UpdateTracked(pos)
 	if err != nil || res.Rebuilt {
 		t.Fatalf("audit: %+v %v", res, err)
@@ -149,7 +150,7 @@ func (a *dirtyAudit) step(t *testing.T, sys *System, pos []geom.Vec3) *CompiledL
 		rowTreeSize int
 	}{
 		{"born", bornPh, oldBorn, perRowLists(fresh.Born, sys.Atoms), len(sys.QPts.Nodes)},
-		{"epol", epolPh, old.Epol, fresh.Epol, len(sys.Atoms.Nodes)},
+		{"epol", epolPh, oldEpol, perRowLists(fresh.Epol, sys.Atoms), len(sys.Atoms.Nodes)},
 	} {
 		oldRow := make([]int32, p.rowTreeSize)
 		for i := range oldRow {
@@ -182,16 +183,16 @@ func (a *dirtyAudit) step(t *testing.T, sys *System, pos []geom.Vec3) *CompiledL
 // entries and the same pre-symmetrization near set: what a classification
 // produces, whatever the split made of it.
 func sameRow(a *InteractionLists, i int32, b *InteractionLists, k int32) bool {
-	if !slices.Equal(a.Far[a.FarOff[i]:a.FarOff[i+1]], b.Far[b.FarOff[k]:b.FarOff[k+1]]) {
+	ar, br := a.rowRuns(int(i)), b.rowRuns(int(k))
+	if !slices.Equal(ar[runFar], br[runFar]) {
 		return false
 	}
-	near := func(il *InteractionLists, i int32) []int32 {
-		runs := il.nearRuns(i)
-		all := slices.Concat(runs[0], runs[1], runs[2])
+	near := func(runs [runFar + 1][]int32) []int32 {
+		all := slices.Concat(runs[kindNear], runs[kindSym], runs[kindCede])
 		slices.Sort(all)
 		return all
 	}
-	return slices.Equal(near(a, i), near(b, k))
+	return slices.Equal(near(ar), near(br))
 }
 
 var rtwmGoldens = []struct {
@@ -362,7 +363,8 @@ func TestRepairRetestsWhatMoved(t *testing.T) {
 func listFootprint(cl *CompiledLists) (bytes int64) {
 	for _, il := range []*InteractionLists{cl.Born, cl.Epol} {
 		for _, a := range [][]int32{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near, il.SymOff, il.Sym, il.CedeOff, il.Cede,
-			il.TileFarOff, il.TileFar} {
+			il.TileOff, il.TileFarOff, il.TileFar, il.TileNearOff, il.TileNear, il.TileSymOff, il.TileSym,
+			il.TileCedeOff, il.TileCede} {
 			bytes += 4 * int64(len(a))
 		}
 	}

@@ -16,10 +16,11 @@ import (
 // entries still come out in the order its own descent would emit them —
 // the shared descent is the same pre-order, a lane simply sits out the
 // subtrees it closed — so the lists are the per-row recursion's, byte for
-// byte. The Born phase stores a node that all of an aligned tile's lanes
-// take once, for the tile (InteractionLists.TileFar): each row's run is
-// then its own remainder, and the two merged back on visit order are the
-// recursion's row.
+// byte. What every lane of a tile takes — a far node, or in the E_pol phase
+// a near leaf of one class — is stored once, for the tile
+// (InteractionLists.TileFar and its kin): each row's run is then its own
+// remainder, and the two merged back on visit order are the recursion's
+// row.
 
 // tileLanes is the number of clusters a rowTile holds: two YMM registers of
 // float64.
@@ -115,14 +116,34 @@ func nearKind(k, j int32, mutual bool) int {
 	return kindCede
 }
 
-// laneRuns collects one row's entries in the order its descent emits them:
-// near leaves by class and far nodes (runs[runFar]).
+// laneRuns collects one row's entries in the order its descent emits them —
+// near leaves by class and far nodes (runs[runFar]) — or a tile's shared
+// ones.
 type laneRuns struct {
 	runs [runFar + 1][]int32
 }
 
 // runFar indexes a lane's far run, behind its three near runs.
 const runFar = kindCede + 1
+
+// sizes counts the far entries and the near ones of lr.
+func (lr *laneRuns) sizes() (far, near int) {
+	for r, run := range lr.runs {
+		if r == runFar {
+			far += len(run)
+		} else {
+			near += len(run)
+		}
+	}
+	return far, near
+}
+
+// reset empties lr's runs, keeping their buffers.
+func (lr *laneRuns) reset() {
+	for r := range lr.runs {
+		lr.runs[r] = lr.runs[r][:0]
+	}
+}
 
 // tileStats counts what classifying cost: shared descents, the nodes they
 // visited, and opening tests of a near leaf against a tile's ancestors.
@@ -144,9 +165,10 @@ type tiler struct {
 	row  [tileLanes]int32
 	full uint8
 	out  [tileLanes]laneRuns
-	// shared collects, in a tileFar phase, the nodes every lane takes:
-	// stored once for the tile.
-	shared []int32
+	// shared collects what every lane takes, stored once for the tile: in a
+	// tileFar phase the far nodes, in a symmetrized phase also the near
+	// leaves every lane takes in one class.
+	shared laneRuns
 	// chain holds the strict ancestors the tile's leaves share (symmetrized
 	// phase only): the tile is cut where the parent changes, so whether a
 	// near leaf's row reaches back is decided once for all its lanes.
@@ -162,46 +184,37 @@ func newTiler(ph *listPhase) *tiler {
 	t := &tiler{ph: ph, chain: make([]rowTile, 0, chainBlocks)}
 	// One slab for all of the worker's buffers, so that its objects do not
 	// scale with anything.
-	slab := make([]int32, (tileLanes*(runFar+1)+1)*laneCap)
-	for l := range t.out {
-		out := &t.out[l]
-		for r := range out.runs {
-			out.runs[r], slab = slab[:0:laneCap], slab[laneCap:]
+	slab := make([]int32, (tileLanes+1)*(runFar+1)*laneCap)
+	for l := 0; l <= tileLanes; l++ {
+		lr := &t.shared
+		if l < tileLanes {
+			lr = &t.out[l]
+		}
+		for r := range lr.runs {
+			lr.runs[r], slab = slab[:0:laneCap], slab[laneCap:]
 		}
 	}
-	t.shared = slab[:0:laneCap]
 	return t
 }
 
-// classify cuts the tile that starts at position i of which (positions in
-// rows) — up to eight rows, in a symmetrized phase children of one node, in
-// a tileFar phase rows of one aligned tile — classifies it in one descent
-// from the root into the lanes' buffers, and returns it.
-func (t *tiler) classify(rows, which []int32, i int) (tile []int32) {
+// classify classifies the tile of rows [lo, hi) — up to eight rows, in a
+// symmetrized phase children of one node — in one descent from the root,
+// into the lanes' buffers and the tile's shared runs.
+func (t *tiler) classify(rows []int32, lo, hi int) {
 	ph := t.ph
-	n := 0
-	for ; n < tileLanes && i+n < len(which); n++ {
-		leaf := rows[which[i+n]]
-		if ph.symmetrize && ph.up[leaf] != ph.up[rows[which[i]]] ||
-			ph.tileFar && which[i+n]/tileLanes != which[i]/tileLanes {
-			break
-		}
-		rn := &ph.rowTree.Nodes[leaf]
-		t.rows.set(n, rn.Center, rn.Radius)
-		t.row[n] = which[i+n]
-		out := &t.out[n]
-		for r := range out.runs {
-			out.runs[r] = out.runs[r][:0]
-		}
+	for l := range hi - lo {
+		rn := &ph.rowTree.Nodes[rows[lo+l]]
+		t.rows.set(l, rn.Center, rn.Radius)
+		t.row[l] = int32(lo + l)
+		t.out[l].reset()
 	}
+	t.shared.reset()
 	if ph.symmetrize {
-		t.chain = ph.ancestors(t.chain[:0], rows[which[i]])
+		t.chain = ph.ancestors(t.chain[:0], rows[lo])
 	}
-	t.shared = t.shared[:0]
-	t.full = uint8(uint(1)<<n - 1)
+	t.full = uint8(uint(1)<<(hi-lo) - 1)
 	t.stats.tiles++
 	t.descend(ph.atoms.Root(), t.full)
-	return which[i : i+n]
 }
 
 // descend classifies the subtree of node n for the lanes of open. It
@@ -220,7 +233,7 @@ func (t *tiler) descend(n int32, open uint8) {
 	far := ph.admit(&t.rows, node.Center, node.Radius, open)
 	if ph.tileFar && far == t.full {
 		// The whole tile takes the node: once, for every lane.
-		t.shared = append(t.shared, n)
+		t.shared.runs[runFar] = append(t.shared.runs[runFar], n)
 	} else {
 		for m := far; m != 0; m &= m - 1 {
 			out := &t.out[bits.TrailingZeros8(m)]
@@ -243,13 +256,21 @@ func (t *tiler) descend(n int32, open uint8) {
 
 // near records leaf u as a near entry of the lanes of open, in a
 // symmetrized phase by class: the pair is mutual iff row u reaches the
-// tile's leaves, one test against the ancestors they share.
+// tile's leaves, one test against the ancestors they share. The lanes' rows
+// ascend, and their classes with them — Sym below u's row, Near at it, Cede
+// above — so when every lane is open and the first and the last lane's
+// classes agree, every lane's does, and u goes once to the tile's shared
+// run of that class.
 func (t *tiler) near(u int32, open uint8) {
 	var j int32
 	mutual := false
 	if t.ph.symmetrize {
 		t.stats.chainTests++
 		j, mutual = t.ph.rowOf[u], t.ph.reaches(t.chain, u)
+		if kd := nearKind(t.row[0], j, mutual); open == t.full && kd == nearKind(t.row[bits.Len8(t.full)-1], j, mutual) {
+			t.shared.runs[kd] = append(t.shared.runs[kd], u)
+			return
+		}
 	}
 	for m := open; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros8(m)

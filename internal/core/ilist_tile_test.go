@@ -159,8 +159,9 @@ func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sc
 // oracleIndex is listPhase.index by the scalar descent, row by row, and the
 // transposed split, every row's far run whole: no tile runs.
 func (ph *listPhase) oracleIndex(pool *sched.Pool) *InteractionLists {
-	il := ph.newLists()
-	il.TileFarOff = nil
+	tiled := ph.newLists()
+	il := &InteractionLists{Rows: tiled.Rows, FarOff: tiled.FarOff, NearOff: tiled.NearOff, SymOff: tiled.SymOff,
+		CedeOff: tiled.CedeOff}
 	pre := nearLists{off: make([]int32, len(il.Rows)+1)}
 	var sink rowSink
 	for k, r := range il.Rows {
@@ -179,23 +180,17 @@ func (ph *listPhase) oracleIndex(pool *sched.Pool) *InteractionLists {
 	return il
 }
 
-// sameIndex reports the first difference between two lists: a row's entries
-// (diffLists) or, the rows equal, an offset array — which then makes the
-// entry arrays equal too.
+// sameIndex reports the first difference between two lists: a row's or a
+// tile's entries (diffLists) or, those equal, an offset array — which then
+// makes the entry arrays equal too.
 func sameIndex(got, want *InteractionLists) error {
 	if err := diffLists("oracle", want, got); err != nil {
 		return err
 	}
-	for _, c := range []struct {
-		name      string
-		got, want []int32
-	}{
-		{"FarOff", got.FarOff, want.FarOff}, {"NearOff", got.NearOff, want.NearOff},
-		{"SymOff", got.SymOff, want.SymOff}, {"CedeOff", got.CedeOff, want.CedeOff},
-		{"TileFarOff", got.TileFarOff, want.TileFarOff},
-	} {
-		if !slices.Equal(c.got, c.want) {
-			return fmt.Errorf("%s differs from the oracle's", c.name)
+	ga, wa := got.arrays(), want.arrays()
+	for i := range ga {
+		if !slices.Equal(ga[i].off, wa[i].off) {
+			return fmt.Errorf("the %s offsets of the %s differ from the oracle's", runNames[i%(runFar+1)], [2]string{"rows", "tiles"}[i/(runFar+1)])
 		}
 	}
 	return nil
@@ -221,9 +216,9 @@ func deepCluster() *molecule.Molecule {
 func idsInVisitOrder(t *octree.Tree) bool { return slices.IsSorted(t.Leaves()) }
 
 // Every list the tile path compiles — the Born phase, the E_pol phase and
-// the E_pol phase unsplit, whose tiles are not cut at parents — is the
-// scalar oracle's, array for array (the Born phase's with each aligned
-// tile's common entries hoisted out, hoistTiles): on trees of one leaf (no ancestors), two
+// the E_pol phase unsplit, whose tiles are not cut at parents and share
+// nothing — is the scalar oracle's, array for array, its tiles' shared runs
+// merged back into the rows (perRowLists): on trees of one leaf (no ancestors), two
 // atoms, a chain of two blocks, a shell and a globule; at every order
 // (orderParams); serial and pooled; freshly built and after tracked updates
 // have left the node ids out of visit order.
@@ -238,17 +233,14 @@ func TestTileCompileMatchesOracle(t *testing.T) {
 					cl := &CompiledLists{bornMAC: sys.bornMAC(), epolFar: epolFarFactor(sys.Params.EpsEpol)}
 					born, epol := sys.listPhases(cl)
 					unsplit := epol
-					unsplit.symmetrize = false
+					unsplit.symmetrize, unsplit.tileFar = false, false
 					for _, p := range []struct {
 						name string
 						ph   listPhase
 					}{{"born", born}, {"epol", epol}, {"epol unsplit", unsplit}} {
 						want := p.ph.oracleIndex(nil)
-						if p.ph.tileFar { // what every aligned tile's rows share, stored once
-							want = hoistTiles(want, len(sys.Atoms.Nodes))
-						}
 						forPools(t, func(t *testing.T, pool *sched.Pool) {
-							if err := sameIndex(p.ph.index(pool), want); err != nil {
+							if err := sameIndex(perRowLists(p.ph.index(pool), sys.Atoms), want); err != nil {
 								t.Errorf("%s, %s: %v", when, p.name, err)
 							}
 						})

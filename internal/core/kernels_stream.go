@@ -9,13 +9,15 @@ import (
 // Gather-then-stream evaluation of the compiled E_pol lists (DESIGN.md
 // §6). A compiled row holds hundreds of near leaves of ~2 atoms each and
 // hundreds of far nodes of ~2 occupied histogram bins each; a kernel
-// called once per entry never leaves its prologue. epolRow instead COPIES
-// each row's operands into one worker-private SoA stream and sweeps the
-// stream with a single f_GB kernel call, twice per row:
+// called once per entry never leaves its prologue. sweepRuns instead COPIES
+// a set of runs' operands into one worker-private SoA stream and sweeps the
+// stream with a single f_GB kernel call, twice per set — per tile for the
+// runs every one of its rows takes, against all of those rows (epolTile),
+// and per row for its own runs (epolRow):
 //
-//   - near: the stream is the atoms of the row's Near (weight 1) and Sym
+//   - near: the stream is the atoms of the Near (weight 1) and Sym
 //     (weight 2, folded into the charge — ×2 is exact) leaves; the outer
-//     operand is the row leaf's own atoms;
+//     operand is the row leaves' own atoms, one leaf after the other;
 //   - far: the far field of Figure 3 IS a near field between binned
 //     pseudo-atoms. Its R_uR_v surrogate R_min²(1+ε)^{i+j} factors as
 //     ρ_i·ρ_j with ρ_b = R_min(1+ε)^b, so the (i, j) bin-pair term of nodes
@@ -23,7 +25,7 @@ import (
 //     q_U[i] and Born radius ρ_i and one at V's center with q_V[j], ρ_j.
 //     EpolContext lays every node's occupied bins out as such pseudo-atoms
 //     (epolTier.bins, one block per node, indexed like nzOff); the stream
-//     is the far nodes' pseudo-atoms, the outer operand the row leaf's. No
+//     is the far nodes' pseudo-atoms, the outer operand the row leaves'. No
 //     convolution, no second kernel, and every far term is the
 //     recursion's own bin-pair term.
 //
@@ -142,7 +144,7 @@ type epolScratch struct {
 
 // sweep gathers the stream — src's blocks [lo[e], hi[e]) of the entries e
 // of once, then of twice with doubled charges — and the outer operand,
-// the block of self's one entry, and runs the tier's kernel over them. It
+// the blocks of the entries of self, and runs the tier's kernel over them. It
 // returns the kernel's sum, the stream length after once and in all, and
 // the outer operand's length.
 func (sc *epolScratch) sweep(tk *epolTier, src []float64, lo, hi, self, once, twice []int32) (e float64, nOnce, n, nv int) {
@@ -154,10 +156,11 @@ func (sc *epolScratch) sweep(tk *epolTier, src []float64, lo, hi, self, once, tw
 }
 
 // newEpolScratch allocates p workers' scratch for sweeping il under ctx.
-// The capacities are sized once from the lists: no row gathers more than
-// its near+sym entry count times the largest leaf, nor than its far entry
-// count times the most occupied bins of any node; an outer operand is one
-// leaf's atoms or one node's bins.
+// The capacities are sized once from the lists: no run set gathers more
+// than its near+sym entry count times the largest leaf, nor than its far
+// entry count times the most occupied bins of any node — over every row's
+// own runs and every tile's shared runs; an outer operand is a tile's
+// leaves, at most eight leaves' atoms or eight nodes' bins.
 func newEpolScratch(ctx *EpolContext, il *InteractionLists, p int) []epolScratch {
 	var maxLeaf, maxBins int32
 	for _, l := range ctx.sys.Atoms.Leaves() {
@@ -167,12 +170,17 @@ func newEpolScratch(ctx *EpolContext, il *InteractionLists, p int) []epolScratch
 		maxBins = max(maxBins, ctx.nzOff[n+1]-ctx.nzOff[n])
 	}
 	n := 0
-	for row := range il.Rows {
-		near := il.NearOff[row+1] - il.NearOff[row] + il.SymOff[row+1] - il.SymOff[row]
-		far := il.FarOff[row+1] - il.FarOff[row]
-		n = max(n, int(near*maxLeaf), int(far*maxBins))
+	fit := func(runs [runFar + 1][]int32) {
+		n = max(n, (len(runs[kindNear])+len(runs[kindSym]))*int(maxLeaf), len(runs[runFar])*int(maxBins))
 	}
-	no := int(max(maxLeaf, maxBins))
+	for t := range il.tiles() {
+		fit(il.tileRuns(t))
+		lo, hi := il.tileRows(t)
+		for row := lo; row < hi; row++ {
+			fit(il.rowRuns(row))
+		}
+	}
+	no := tileLanes * int(max(maxLeaf, maxBins))
 	sc := make([]epolScratch, p)
 	for w := range sc {
 		sc[w].s, sc[w].o = newSoa(n), newSoa(no)
@@ -180,36 +188,57 @@ func newEpolScratch(ctx *EpolContext, il *InteractionLists, p int) []epolScratch
 	return sc
 }
 
-// epolRow evaluates one compiled E_pol row (an atom leaf V) into acc:
-// near entries are exact ordered pairs (including the diagonal when
-// U == V), far entries interact the charge histograms bin-by-bin
-// (Figure 3). sc is worker-private.
+// epolTile evaluates E_pol tile t of il into acc: the runs every row of the
+// tile takes, swept once against all of the rows, then each row's own
+// runs (epolRow). sc is worker-private.
+func epolTile(ctx *EpolContext, il *InteractionLists, t int, sc *epolScratch, acc *epolAccum) {
+	lo, hi := il.tileRows(t)
+	shared := il.tileRuns(t)
+	sc.sweepRuns(ctx, il.Rows[lo:hi], &shared, acc)
+	for row := lo; row < hi; row++ {
+		epolRow(ctx, il, row, sc, acc)
+	}
+}
+
+// epolRow evaluates the own runs of one compiled E_pol row (an atom leaf V)
+// into acc.
 func epolRow(ctx *EpolContext, il *InteractionLists, row int, sc *epolScratch, acc *epolAccum) {
-	tk := &ctx.stream
-	self := il.Rows[row : row+1]
+	own := il.rowRuns(row)
+	sc.sweepRuns(ctx, il.Rows[row:row+1], &own, acc)
+}
+
+// sweepRuns evaluates runs — entries every leaf of self takes — against
+// those leaves into acc: near entries are exact ordered pairs (including
+// the diagonal when U == V), far entries interact the charge histograms
+// bin by bin (Figure 3). The outer operand is the leaves' atoms, for the far
+// run their pseudo-atoms, one leaf after the other, so an entry is gathered
+// and swept once for all of them; it is charged once for each, as a list
+// per row charges it.
+func (sc *epolScratch) sweepRuns(ctx *EpolContext, self []int32, runs *[runFar + 1][]int32, acc *epolAccum) {
+	tk, rows := &ctx.stream, len(self)
 
 	// Near field. Mutual pairs were compiled once (ilist.go): the per-pair
 	// GB terms are bitwise symmetric, so a Sym leaf gathered with doubled
 	// charges reproduces both ordered blocks of the recursion. 1 op per
-	// entry plus |U|·|V| per block; a Sym block is charged for BOTH ordered
-	// blocks it represents (kernels.go).
-	near := il.Near[il.NearOff[row]:il.NearOff[row+1]]
-	sym := il.Sym[il.SymOff[row]:il.SymOff[row+1]]
-	e, nNear, n, nv := sc.sweep(tk, tk.atoms, ctx.aLo, ctx.aHi, self, near, sym)
-	acc.energy += e
-	acc.ops += float64((2*n-nNear)*nv + len(near) + len(sym))
-	acc.nearTerms += float64(n * nv)
-	acc.gatherAtoms += float64(n)
-	acc.gatherSpans += float64(len(near) + len(sym))
+	// entry and row plus |U|·|V| per block; a Sym block is charged for BOTH
+	// ordered blocks it represents (kernels.go).
+	if near, sym := runs[kindNear], runs[kindSym]; len(near)+len(sym) > 0 {
+		e, nNear, n, nv := sc.sweep(tk, tk.atoms, ctx.aLo, ctx.aHi, self, near, sym)
+		acc.energy += e
+		acc.ops += float64((2*n-nNear)*nv + rows*(len(near)+len(sym)))
+		acc.nearTerms += float64(n * nv)
+		acc.gatherAtoms += float64(n)
+		acc.gatherSpans += float64(len(near) + len(sym))
+	}
 
-	far := il.Far[il.FarOff[row]:il.FarOff[row+1]]
+	far := runs[runFar]
 	if len(far) == 0 {
 		return
 	}
-	// Far field: 1 op per entry plus one per populated bin pair.
-	e, _, n, nv = sc.sweep(tk, tk.bins, ctx.nzOff, ctx.nzOff[1:], self, far, nil)
+	// Far field: 1 op per entry and row plus one per populated bin pair.
+	e, _, n, nv := sc.sweep(tk, tk.bins, ctx.nzOff, ctx.nzOff[1:], self, far, nil)
 	acc.energy += e
-	acc.ops += float64(n*nv + len(far))
+	acc.ops += float64(n*nv + rows*len(far))
 	acc.farTerms += float64(n * nv)
 	acc.gatherAtoms += float64(n)
 	acc.gatherSpans += float64(len(far))

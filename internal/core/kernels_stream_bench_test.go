@@ -8,11 +8,12 @@ import (
 
 // The E_pol stream kernels at the ledger's fixture (the 20 000-atom
 // generated protein, Morton trees): one single-worker sweep of every
-// compiled row per iteration — gather, near stream and far stream —
+// compiled tile per iteration — gather, near stream and far stream —
 // reported as ns per streamed term (near pair terms + far bin-pair terms),
 // and beside it the gather alone, so the gather/kernel split of a sweep is
-// read from two benchmark rows; then the Born far sweep, by rows and by
-// tiles. Run with `make bench-kernels`.
+// read from two benchmark rows; the whole E_pol sweep by rows and by tiles;
+// then the Born far sweep, by rows and by tiles. Run with
+// `make bench-kernels`.
 
 // benchEpolFixture is the ledger fixture ready to sweep on one worker under
 // precision p, with the assembly on or off for the benchmark's duration,
@@ -47,8 +48,8 @@ func benchEpolStream(b *testing.B, p Precision, asm bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc = epolAccum{}
-		for row := range il.Rows {
-			epolRow(ctx, il, row, scratch, &acc)
+		for tile := range il.tiles() {
+			epolTile(ctx, il, tile, scratch, &acc)
 		}
 	}
 	terms := acc.nearTerms + acc.farTerms
@@ -66,34 +67,92 @@ func BenchmarkEpolStreamLanes(b *testing.B)    { benchEpolStream(b, PrecisionLan
 // gatherSink keeps the benchmarked gathers' results live.
 var gatherSink int
 
-// benchEpolGather is a sweep's staging without its kernels: per row the
-// near and Sym streams, the far stream and both outer operands, exactly as
-// epolScratch.sweep gathers them.
+// gatherRuns stages what sweepRuns hands its kernels for runs against the
+// leaves self — the near and Sym stream and the far one, each beside the
+// outer operand — and returns the elements copied.
+func gatherRuns(ctx *EpolContext, sc *epolScratch, self []int32, runs [runFar + 1][]int32) int {
+	tk := &ctx.stream
+	n := tk.gather(&sc.s, 0, tk.atoms, ctx.aLo, ctx.aHi, runs[kindNear], 1)
+	n = tk.gather(&sc.s, n, tk.atoms, ctx.aLo, ctx.aHi, runs[kindSym], 2)
+	atoms := n + tk.gather(&sc.o, 0, tk.atoms, ctx.aLo, ctx.aHi, self, 1)
+	n = tk.gather(&sc.s, 0, tk.bins, ctx.nzOff, ctx.nzOff[1:], runs[runFar], 1)
+	return atoms + n + tk.gather(&sc.o, 0, tk.bins, ctx.nzOff, ctx.nzOff[1:], self, 1)
+}
+
+// benchEpolGather is a sweep's staging without its kernels: per tile its
+// shared runs against all of its rows, then per row its own runs, as
+// sweepRuns gathers them.
 func benchEpolGather(b *testing.B, asm bool) {
-	ctx, il, scratch, _ := benchEpolFixture(b, PrecisionExact, asm)
-	tk, sc := &ctx.stream, scratch
+	ctx, il, sc, _ := benchEpolFixture(b, PrecisionExact, asm)
 	atoms := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		atoms = 0
-		for row := range il.Rows {
-			self := il.Rows[row : row+1]
-			n := tk.gather(&sc.s, 0, tk.atoms, ctx.aLo, ctx.aHi, il.Near[il.NearOff[row]:il.NearOff[row+1]], 1)
-			n = tk.gather(&sc.s, n, tk.atoms, ctx.aLo, ctx.aHi, il.Sym[il.SymOff[row]:il.SymOff[row+1]], 2)
-			atoms += n + tk.gather(&sc.o, 0, tk.atoms, ctx.aLo, ctx.aHi, self, 1)
-			n = tk.gather(&sc.s, 0, tk.bins, ctx.nzOff, ctx.nzOff[1:], il.Far[il.FarOff[row]:il.FarOff[row+1]], 1)
-			atoms += n + tk.gather(&sc.o, 0, tk.bins, ctx.nzOff, ctx.nzOff[1:], self, 1)
+		for tile := range il.tiles() {
+			lo, hi := il.tileRows(tile)
+			atoms += gatherRuns(ctx, sc, il.Rows[lo:hi], il.tileRuns(tile))
+			for row := lo; row < hi; row++ {
+				atoms += gatherRuns(ctx, sc, il.Rows[row:row+1], il.rowRuns(row))
+			}
 		}
 	}
 	gatherSink = atoms
 	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	entries := len(il.Near) + len(il.Sym) + len(il.Far) + 2*len(il.Rows)
+	// Every stored near, Sym and far entry, and four outer operands a row:
+	// two with its tile, two alone.
+	entries := len(il.Near) + len(il.Sym) + len(il.Far) + len(il.TileNear) + len(il.TileSym) + len(il.TileFar) + 4*len(il.Rows)
 	b.ReportMetric(ns/float64(entries), "ns/entry")
 	b.ReportMetric(ns/float64(atoms), "ns/atom")
 }
 
 func BenchmarkEpolGatherAsm(b *testing.B)      { benchEpolGather(b, true) }
 func BenchmarkEpolGatherPortable(b *testing.B) { benchEpolGather(b, false) }
+
+// benchEpolSweep times one whole compiled E_pol sweep per iteration on one
+// worker, on each tier with the host's kernels: by rows — every row's whole
+// runs, the lists merged back (perRowLists) as the sweep ran before the
+// E_pol tiles — or by tiles, each tile's shared runs swept once against all
+// of its rows and then each row's own (epolTile). Both give E_pol within
+// 1e-9 of RunShared's and count the same terms.
+func benchEpolSweep(b *testing.B, tiles bool) {
+	for _, tier := range streamBitsTiers {
+		b.Run(tier.name, func(b *testing.B) {
+			ctx, il, _, res := benchEpolFixture(b, tier.prec, useAsmKernels)
+			if !tiles {
+				il = perRowLists(il, ctx.sys.Atoms)
+			}
+			sc := &newEpolScratch(ctx, il, 1)[0]
+			sweep := func(acc *epolAccum) {
+				if tiles {
+					for tile := range il.tiles() {
+						epolTile(ctx, il, tile, sc, acc)
+					}
+					return
+				}
+				for row := range il.Rows {
+					epolRow(ctx, il, row, sc, acc)
+				}
+			}
+			var acc epolAccum
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				acc = epolAccum{}
+				sweep(&acc)
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			terms := acc.nearTerms + acc.farTerms
+			b.ReportMetric(ns/1e6, "ms/sweep")
+			b.ReportMetric(ns/terms, "ns/term")
+			b.ReportMetric(acc.gatherAtoms, "gathered")
+			if e := relErr(ctx.Finish(acc.energy), res.Epol); e > 1e-9 {
+				b.Fatalf("swept E_pol is %.3g from RunShared's", e)
+			}
+		})
+	}
+}
+
+func BenchmarkEpolSweepRows(b *testing.B) { benchEpolSweep(b, false) }
+func BenchmarkEpolSweepTile(b *testing.B) { benchEpolSweep(b, true) }
 
 // The Born far sweep at the same fixture, one worker, exact tier: every
 // compiled row's far terms into the node sums, reported as ns per

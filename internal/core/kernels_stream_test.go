@@ -89,16 +89,17 @@ func streamFixtures(t testing.TB, params Params) []streamFixture {
 	}
 }
 
-// sweep evaluates every compiled row with the production driver on a pool
+// sweep evaluates every compiled tile with the production sweep on a pool
 // of p workers.
 func (f streamFixture) sweep(ctx *EpolContext, il *InteractionLists, p int) epolAccum {
 	pool := sched.NewPool(p)
 	defer pool.Close()
 	scratch := newEpolScratch(ctx, il, p)
 	accs := make([]epolAccum, p)
-	sched.ParallelFor(pool, len(il.Rows), rowGrain(len(il.Rows), p), func(lo, hi, w int) {
-		for row := lo; row < hi; row++ {
-			epolRow(ctx, il, row, &scratch[w], &accs[w])
+	tiles := il.tiles()
+	sched.ParallelFor(pool, tiles, rowGrain(tiles, p), func(lo, hi, w int) {
+		for tile := lo; tile < hi; tile++ {
+			epolTile(ctx, il, tile, &scratch[w], &accs[w])
 		}
 	})
 	var sum epolAccum
@@ -116,18 +117,20 @@ func (f streamFixture) sweep(ctx *EpolContext, il *InteractionLists, p int) epol
 // The differential harness of the gather-then-stream driver: against the
 // per-entry oracles over molecule shape × tier × pool size — the raw pair
 // sum to the tier's tolerance, Ops EXACTLY (the driver charges per row what
-// the oracles charge per entry), and the streamed-work counters against the
-// lists they are derived from.
+// the oracles charge per entry, a tile's shared entry once for each of its
+// rows), and the streamed-work counters against the lists they are derived
+// from. The oracles read the lists merged back into rows (perRowLists).
 func TestStreamDriverMatchesPerEntryOracles(t *testing.T) {
 	defer func(v bool) { useAsmKernels = v }(useAsmKernels)
 	hostAsm := useAsmKernels
 	for _, f := range streamFixtures(t, DefaultParams()) {
 		il := f.sys.Lists(nil).Epol
+		rows := perRowLists(il, f.sys.Atoms)
 		if f.name == "dimers" {
 			ctx := NewEpolContext(f.sys, f.radii)
 			degenerate := 0
-			for row, leaf := range il.Rows {
-				if ctx.nzOff[leaf] == ctx.nzOff[leaf+1] && il.FarOff[row] < il.FarOff[row+1] {
+			for row, leaf := range rows.Rows {
+				if ctx.nzOff[leaf] == ctx.nzOff[leaf+1] && rows.FarOff[row] < rows.FarOff[row+1] {
 					degenerate++
 				}
 			}
@@ -142,8 +145,8 @@ func TestStreamDriverMatchesPerEntryOracles(t *testing.T) {
 			oracle := newEpolOracle(ctx)
 			conv := make([]float64, len(ctx.rr))
 			var want epolAccum
-			for row := range il.Rows {
-				epolRowOracle(oracle, il, row, conv, &want)
+			for row := range rows.Rows {
+				epolRowOracle(oracle, rows, row, conv, &want)
 			}
 			for _, asm := range []bool{false, true} {
 				if asm && !hostAsm {
@@ -164,7 +167,7 @@ func TestStreamDriverMatchesPerEntryOracles(t *testing.T) {
 					if got.ops != want.ops {
 						t.Errorf("%s: ops %v, oracle %v", name, got.ops, want.ops)
 					}
-					if entries := float64(len(il.Near) + len(il.Sym) + len(il.Far)); got.gatherSpans != entries {
+					if entries := float64(len(il.Near) + len(il.Sym) + len(il.Far) + len(il.TileNear) + len(il.TileSym) + len(il.TileFar)); got.gatherSpans != entries {
 						t.Errorf("%s: gathered for %v list entries, lists hold %v", name, got.gatherSpans, entries)
 					}
 					if got.nearTerms <= 0 || (len(il.Far) > 0 && f.name != "dimers" && got.farTerms <= 0) {

@@ -68,10 +68,11 @@ func TestSharedRunTraceAndMetrics(t *testing.T) {
 }
 
 // The far-entry counters at every order of the list tables (orderParams):
-// far_entries is each phase's (row, node) terms; the Born phase splits them
-// by where they are stored — far_shared, each tile's shared run once, and
-// far_own, every row's own run — and no split by far-field order is
-// recorded, order 0 being the only one.
+// far_entries is each phase's (row, node) terms; what a phase stores once a
+// tile it counts by where it is stored — <run>_shared, each tile's shared
+// run once, and <run>_own, every row's own run: far entries in both phases,
+// the near classes too in the E_pol phase — and no split by far-field order
+// is recorded, order 0 being the only one.
 func TestFarEntriesMetricsSplitByOrder(t *testing.T) {
 	for order := 0; order < numOrders; order++ {
 		sys, _, _ := testSystem(t, 400, 7, orderTestParams(order, 0.5))
@@ -95,13 +96,28 @@ func TestFarEntriesMetricsSplitByOrder(t *testing.T) {
 				}
 			}
 		}
-		shared, own := counters["ilist.born.far_shared"], counters["ilist.born.far_own"]
-		if shared <= 0 || shared != int64(len(cl.Born.TileFar)) || own != int64(len(cl.Born.Far)) {
-			t.Errorf("order %d: far_shared %d, far_own %d; the Born lists store %d shared and %d own",
-				order, shared, own, len(cl.Born.TileFar), len(cl.Born.Far))
+		for _, p := range []struct {
+			phase string
+			il    *InteractionLists
+		}{{"born", cl.Born}, {"epol", cl.Epol}} {
+			rows, tiles := p.il.rowCSR(), p.il.tileCSR()
+			for r, name := range runNames {
+				prefix := "ilist." + p.phase + "." + name
+				shared, recorded := counters[prefix+"_shared"]
+				if tiles[r].off == nil {
+					if recorded {
+						t.Errorf("order %d: %s_shared recorded for a run the %s lists do not share", order, prefix, p.phase)
+					}
+					continue
+				}
+				if own := counters[prefix+"_own"]; shared != int64(len(*tiles[r].ents)) || own != int64(len(*rows[r].ents)) {
+					t.Errorf("order %d: %s_shared %d, %s_own %d; the lists store %d shared and %d own",
+						order, prefix, shared, prefix, own, len(*tiles[r].ents), len(*rows[r].ents))
+				}
+			}
 		}
-		if _, ok := counters["ilist.epol.far_shared"]; ok {
-			t.Errorf("order %d: far_shared recorded for the E_pol lists, which have no tiles", order)
+		if counters["ilist.born.far_shared"] <= 0 || counters["ilist.epol.far_shared"] <= 0 || counters["ilist.epol.sym_shared"] <= 0 {
+			t.Errorf("order %d: a phase shares no far entries, or the E_pol tiles no Sym entries", order)
 		}
 	}
 }
@@ -250,7 +266,11 @@ func TestKernelHotLoopZeroAllocs(t *testing.T) {
 	slotRadii := make([]float64, sys.Mol.NumAtoms())
 	PushIntegralsToAtoms(sys, acc, 0, len(slotRadii), slotRadii)
 	// The gather scratch is sized once per evaluation from the lists; a
-	// sweep over every row on every tier then allocates nothing.
+	// sweep over every tile — its shared runs against all of its rows, then
+	// each row's own — on every tier then allocates nothing.
+	if ep := lists.Epol; len(ep.TileNear)+len(ep.TileSym)+len(ep.TileFar) == 0 {
+		t.Fatal("the fixture's E_pol tiles share no entries: the tile sweep's shared path goes untested")
+	}
 	saved := sys.Params
 	defer func() { sys.Params = saved }()
 	for _, tier := range []Precision{PrecisionExact, PrecisionLanes} {
@@ -258,12 +278,12 @@ func TestKernelHotLoopZeroAllocs(t *testing.T) {
 		ctx := NewEpolContext(sys, slotRadii)
 		scratch := newEpolScratch(ctx, lists.Epol, 1)
 		var eacc epolAccum
-		row := 0
-		if a := testing.AllocsPerRun(2*len(lists.Epol.Rows), func() {
-			epolRow(ctx, lists.Epol, row%len(lists.Epol.Rows), &scratch[0], &eacc)
-			row++
+		tiles, tile := lists.Epol.tiles(), 0
+		if a := testing.AllocsPerRun(2*tiles, func() {
+			epolTile(ctx, lists.Epol, tile%tiles, &scratch[0], &eacc)
+			tile++
 		}); a != 0 {
-			t.Errorf("%v: epolRow allocates %.1f objects per call, want 0", tier, a)
+			t.Errorf("%v: epolTile allocates %.1f objects per call, want 0", tier, a)
 		}
 	}
 }
@@ -409,8 +429,9 @@ func TestCompileSpans(t *testing.T) {
 	rows := len(cl.Born.Rows) + len(cl.Epol.Rows)
 	tiles, visits, chains := count("ilist.compile.tiles"), count("ilist.compile.node_visits"), count("ilist.compile.chain_tests")
 	// A tile holds at most eight rows and at least one; every E_pol near
-	// entry was one lane of a chain test, and a test serves at most eight.
-	nearEpol := len(cl.Epol.Near) + len(cl.Epol.Sym) + len(cl.Epol.Cede)
+	// (row, leaf) term — a tile's shared entry once for each of its rows —
+	// was one lane of a chain test, and a test serves at most eight.
+	nearEpol := cl.Epol.NumNear() + cl.Epol.NumSym() + cl.Epol.terms(kindCede)
 	if tiles < rows/tileLanes || tiles > rows+rows/8 || visits < tiles || chains < nearEpol/tileLanes || chains > nearEpol+nearEpol/8 {
 		t.Errorf("%d tiles, %d node visits, %d chain tests for %d rows and %d E_pol near entries", tiles, visits, chains, rows, nearEpol)
 	}

@@ -23,7 +23,8 @@ import (
 // A rank's rows are always ElasticSpans(n, P, events)[rank] — the paper's
 // node–node division (Section IV.A): while the membership log is empty,
 // static segments of leaf rows or of the units a kernel takes whole (the
-// compiled Born sweep's tiles of eight rows) — so a segment, a healed set
+// compiled sweeps' tiles: eight Born rows, an E_pol tile's sibling rows)
+// — so a segment, a healed set
 // of spans, a stolen batch and "all rows" are the same call to sweep, and
 // every collective sits in one detect–heal–retry loop.
 //
@@ -174,43 +175,62 @@ func (pl *pipeline) pass(name string, rows, inherited int, work func() (ops, cha
 	}
 }
 
-// claim returns what the membership log newly assigns this rank out of n
-// rows cut into units of per rows (the last unit may be short) — spans of
-// units — marks it done, and counts the rows of it and the rows of it
-// outside the rank's fault-free segment: work inherited from dead ranks.
-// Within one phase the log grows by deaths alone, which only ever APPEND
-// spans to a survivor's ElasticSpans share, so the spans past the ones
-// already done are exactly the dead ranks' lost work.
-func (pl *pipeline) claim(n, per int, events []cluster.MemberEvent, done *[]Span) (sel []Span, rows, inherited int) {
-	owned := ElasticSpans((n+per-1)/per, pl.P, events)[pl.rank]
+// rowUnits cuts a phase's n rows into the units its kernel takes whole:
+// unit u is the rows [off[u], off[u+1]) — an E_pol tile — or, off nil, the
+// rows [u·per, u·per+per), the last unit maybe short.
+type rowUnits struct {
+	n, per int
+	off    []int32
+}
+
+// count returns the number of units.
+func (u rowUnits) count() int {
+	if u.off != nil {
+		return len(u.off) - 1
+	}
+	return (u.n + u.per - 1) / u.per
+}
+
+// rows counts the rows of the units s.
+func (u rowUnits) rows(s Span) int {
+	switch {
+	case s.Hi <= s.Lo:
+		return 0
+	case u.off != nil:
+		return int(u.off[s.Hi] - u.off[s.Lo])
+	}
+	return min(s.Hi*u.per, u.n) - min(s.Lo*u.per, u.n)
+}
+
+// claim returns what the membership log newly assigns this rank of the
+// units u — spans of units — marks it done, and counts the rows of it and
+// the rows of it outside the rank's fault-free segment: work inherited from
+// dead ranks. Within one phase the log grows by deaths alone, which only
+// ever APPEND spans to a survivor's ElasticSpans share, so the spans past
+// the ones already done are exactly the dead ranks' lost work.
+func (pl *pipeline) claim(u rowUnits, events []cluster.MemberEvent, done *[]Span) (sel []Span, rows, inherited int) {
+	owned := ElasticSpans(u.count(), pl.P, events)[pl.rank]
 	sel = owned[len(*done):]
 	for _, s := range sel {
-		rows += unitRows(s, n, per)
-		inherited += pl.inherited(n, per, s)
+		rows += u.rows(s)
+		inherited += pl.inherited(u, s)
 	}
 	*done = owned
 	return sel, rows, inherited
 }
 
-// unitRows counts the rows of the units s of n rows cut per rows to a unit.
-func unitRows(s Span, n, per int) int {
-	return max(0, min(s.Hi*per, n)-min(s.Lo*per, n))
-}
-
 // inherited counts the rows of units s outside this rank's static segment
-// of the units of n rows, per to a unit.
-func (pl *pipeline) inherited(n, per int, s Span) int {
-	lo, hi := segment((n+per-1)/per, pl.P, pl.rank)
-	return unitRows(s, n, per) - unitRows(Span{max(s.Lo, lo), min(s.Hi, hi)}, n, per)
+// of the units u.
+func (pl *pipeline) inherited(u rowUnits, s Span) int {
+	lo, hi := segment(u.count(), pl.P, pl.rank)
+	return u.rows(s) - u.rows(Span{max(s.Lo, lo), min(s.Hi, hi)})
 }
 
-// share claims this rank's not-yet-done part of a phase over n leaf rows
-// and sweeps it; it returns the rows claimed. The rank owns units of per
-// rows — the work row, the phase kernel, takes whole (a compiled Born
-// tile) — and row is called once per unit.
-func (pl *pipeline) share(name string, kind rowKind, n, per int, done *[]Span, events []cluster.MemberEvent,
+// share claims this rank's not-yet-done part of a phase over the units u
+// and sweeps it; it returns the rows claimed. row is called once per unit.
+func (pl *pipeline) share(name string, kind rowKind, u rowUnits, done *[]Span, events []cluster.MemberEvent,
 	meter func(w int) *workMeter, row func(unit, w int)) int {
-	sel, rows, inherited := pl.claim(n, per, events, done)
+	sel, rows, inherited := pl.claim(u, events, done)
 	if rows == 0 {
 		return 0
 	}
@@ -393,11 +413,11 @@ func (pl *pipeline) bornPass(events []cluster.MemberEvent) error {
 	}
 	// The compiled sweep divides the rows by whole tiles: a tile's shared far
 	// run is swept once, for all of its rows.
-	per := 1
+	u := rowUnits{n: len(pl.sys.QPts.Leaves()), per: 1}
 	if pl.kern.born == rowCompiled {
-		per = tileLanes
+		u.per = tileLanes
 	}
-	rows := pl.share("born", pl.kern.born, len(pl.sys.QPts.Leaves()), per, &pl.bornDone, events,
+	rows := pl.share("born", pl.kern.born, u, &pl.bornDone, events,
 		func(w int) *workMeter { return &accs[w].workMeter }, pl.bornKernel())
 	for w := 1; w < len(accs); w++ {
 		accs[0].add(accs[w])
@@ -424,7 +444,7 @@ func (pl *pipeline) bornKernel() func(unit, w int) {
 // pushPass inverts the reduced integrals to Born radii for the atom slots
 // the log newly assigns this rank.
 func (pl *pipeline) pushPass(events []cluster.MemberEvent) error {
-	sel, rows, inherited := pl.claim(len(pl.radii), 1, events, &pl.pushDone)
+	sel, rows, inherited := pl.claim(rowUnits{n: len(pl.radii), per: 1}, events, &pl.pushDone)
 	if rows == 0 {
 		return nil
 	}
@@ -467,18 +487,29 @@ func (pl *pipeline) shareRadii(events []cluster.MemberEvent) ([]float64, error) 
 // epolPass is the static E_pol schedule: evaluate the energy rows the log
 // newly assigns this rank.
 func (pl *pipeline) epolPass(events []cluster.MemberEvent) error {
-	pl.epolRows += pl.share("epol", pl.kern.epol, len(pl.sys.Atoms.Leaves()), 1, &pl.epolDone, events, pl.epolMeter, pl.epolKernel())
+	pl.epolRows += pl.share("epol", pl.kern.epol, pl.epolUnits(), &pl.epolDone, events, pl.epolMeter, pl.epolKernel())
 	return nil
 }
 
 func (pl *pipeline) epolMeter(w int) *workMeter { return &pl.eaccs[w].workMeter }
 
-// epolKernel returns the energy phase's evaluation of one atom-leaf row.
-func (pl *pipeline) epolKernel() func(row, w int) {
+// epolUnits returns the units the energy phase's kernel takes whole: the
+// compiled lists' tiles — a tile's shared runs are swept once, for all of
+// its rows — or the recursive traversal's atom-leaf rows.
+func (pl *pipeline) epolUnits() rowUnits {
+	if pl.kern.epol == rowCompiled {
+		return rowUnits{n: len(pl.lists.Epol.Rows), off: pl.lists.Epol.TileOff}
+	}
+	return rowUnits{n: len(pl.sys.Atoms.Leaves()), per: 1}
+}
+
+// epolKernel returns the energy phase's evaluation of one unit: a compiled
+// tile, or one atom-leaf row of the recursive traversal.
+func (pl *pipeline) epolKernel() func(unit, w int) {
 	ctx, eaccs := pl.ectx, pl.eaccs
 	if pl.kern.epol == rowCompiled {
 		il, scr := pl.lists.Epol, pl.scr // row i is aLeaves[i]
-		return func(row, w int) { epolRow(ctx, il, row, &scr[w], &eaccs[w]) }
+		return func(tile, w int) { epolTile(ctx, il, tile, &scr[w], &eaccs[w]) }
 	}
 	root, aLeaves := pl.sys.Atoms.Root(), pl.sys.Atoms.Leaves()
 	return func(row, w int) { ApproxEpol(ctx, root, aLeaves[row], &eaccs[w]) }

@@ -25,8 +25,8 @@ func runTier(t *testing.T, sys *System, p Precision) *Result {
 // The laned tier's PORTABLE kernel claims BIT-compatibility with the
 // scalar approximate-math sweep: the mathx lane helpers are per-element
 // bit-identical to the scalars and a block's four terms are added in index
-// order, so every compiled row — its near and its far stream — sums to the
-// identical float64 under epolStreamLanes and under the oracle
+// order, so every compiled tile — its shared and its rows' own near and far
+// streams — sums to the identical float64 under epolStreamLanes and under the oracle
 // epolStreamApprox. The AVX2 assembly makes no bitwise claim (it is pinned
 // separately by TestAsmKernelsMatchPortable), so it is forced off here.
 func TestLanesTierBitCompatible(t *testing.T) {
@@ -41,12 +41,12 @@ func TestLanesTierBitCompatible(t *testing.T) {
 	oracle.stream.sweep = epolStreamApprox
 	scr := newEpolScratch(lanes, il, 1)
 	far := 0
-	for row := range il.Rows {
+	for tile := range il.tiles() {
 		var got, want epolAccum
-		epolRow(lanes, il, row, &scr[0], &got)
-		epolRow(&oracle, il, row, &scr[0], &want)
+		epolTile(lanes, il, tile, &scr[0], &got)
+		epolTile(&oracle, il, tile, &scr[0], &want)
 		if math.Float64bits(got.energy) != math.Float64bits(want.energy) {
-			t.Fatalf("row %d: laned sum %x (%.17g), scalar approximate %x (%.17g)", row,
+			t.Fatalf("tile %d: laned sum %x (%.17g), scalar approximate %x (%.17g)", tile,
 				math.Float64bits(got.energy), got.energy, math.Float64bits(want.energy), want.energy)
 		}
 		if got.farTerms > 0 {
@@ -54,7 +54,7 @@ func TestLanesTierBitCompatible(t *testing.T) {
 		}
 	}
 	if far == 0 {
-		t.Fatal("no row swept a far stream; the fixture exercises only the near field")
+		t.Fatal("no tile swept a far stream; the fixture exercises only the near field")
 	}
 }
 

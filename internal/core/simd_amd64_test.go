@@ -175,8 +175,8 @@ func TestGatherCanariesStayDead(t *testing.T) {
 		ctx := NewEpolContext(f.sys, f.radii)
 		il := f.sys.Lists(nil).Epol
 		sweep := func(sc *epolScratch) (acc epolAccum) {
-			for row := range il.Rows {
-				epolRow(ctx, il, row, sc, &acc)
+			for tile := range il.tiles() {
+				epolTile(ctx, il, tile, sc, &acc)
 			}
 			return acc
 		}
