@@ -1,8 +1,8 @@
 GO ?= go
 
 # GOAMD64 microarchitecture level for benchmark builds (bench-lanes).
-# The hot near-block kernels carry their own runtime-dispatched AVX2+FMA
-# assembly, so this only affects compiler-generated code; v3 (AVX2 ISA
+# The hot kernels carry their own runtime-dispatched AVX2+FMA (and
+# AVX-512F) assembly, so this only affects compiler-generated code; v3 (AVX2 ISA
 # baseline) shaves a few percent off the scalar exact tier on modern
 # hosts. Usage: make bench-lanes GOAMD64=v3
 GOAMD64 ?=
@@ -81,17 +81,20 @@ bigendian:
 
 ## kernels: the compiled kernels on both dispatch sides — the assembly
 ## (vet's asmdecl checks every TEXT against its Go declaration, the list
-## classification's openFar8AVX2 and the Born tile sweep's bornFarShared4
-## included) and, under -tags purego, the portable Go kernels this host
-## would otherwise never run: there the identity tests
-## (TestOpenFar8MatchesScalar, TestTileCompileMatchesOracle,
+## classification's openFar8AVX2, the Born tile sweep's bornFarShared4,
+## the Born near row kernel bornNearRow4 and the exact tier's AVX-512F
+## stream kernel epolStreamExact8 included; TestEpolStreamExact8MatchesExact4
+## holds the last to the AVX2 kernel's bits, TestBornNearRowKernelMatchesScalar
+## the row kernel to the scalar loop's) and, under -tags purego, the
+## portable Go kernels this host would otherwise never run: there the
+## identity tests (TestOpenFar8MatchesScalar, TestTileCompileMatchesOracle,
 ## TestBornTileListsMatchOracle, TestEpolTileListsMatchOracle and every
 ## list digest) hold the portable lanes to the same bytes,
 ## TestBornTileKernelMatchesRows the portable Born tile sweep to the per-row
 ## sweep's bits and TestEpolTileKernelMatchesRows the portable E_pol tile
 ## sweep to the per-row sweep at 1e-13 (DESIGN.md §6, §11).
 kernels:
-	$(call check_listed,TestOpenFar8MatchesScalar|TestTileCompileMatchesOracle|TestBornTileListsMatchOracle|TestBornTileKernelMatchesRows|TestEpolTileListsMatchOracle|TestEpolTileKernelMatchesRows,./internal/core/)
+	$(call check_listed,TestOpenFar8MatchesScalar|TestTileCompileMatchesOracle|TestBornTileListsMatchOracle|TestBornTileKernelMatchesRows|TestEpolTileListsMatchOracle|TestEpolTileKernelMatchesRows|TestEpolStreamExact8MatchesExact4|TestBornNearRowKernelMatchesScalar,./internal/core/)
 	$(GO) vet -asmdecl ./internal/core/
 	$(GO) test ./internal/core/ ./internal/mathx/
 	$(GO) vet -tags purego ./internal/core/ ./internal/mathx/
@@ -187,9 +190,13 @@ bench-lists:
 ## then the Born far sweep in ns per far term: row by row over each row's
 ## whole far set, and by tiles — each tile's shared run eight rows to a
 ## term, assembly and portable (EXPERIMENTS.md "Far nodes a whole tile
-## takes").
+## takes"); the exact tier's stream kernel alone in cache, avx2 and avx512,
+## and the Born near sweep in ns per near term, scalar loop and row kernel
+## (EXPERIMENTS.md "The exact tier at vector width"). BenchmarkEpolStreamExactAsm
+## and BenchmarkEpolKernelInCache split into avx2 and avx512 (the latter
+## skipped without AVX-512F).
 bench-kernels:
-	$(call bench_listed,BenchmarkEpolStream|BenchmarkEpolGatherAsm|BenchmarkEpolGatherPortable|BenchmarkEpolSweepRows|BenchmarkEpolSweepTile|BenchmarkBornSweepRows|BenchmarkBornSweepTile|BenchmarkBornSweepTilePortable,-benchtime 5x -count 2,./internal/core/)
+	$(call bench_listed,BenchmarkEpolStream|BenchmarkEpolGatherAsm|BenchmarkEpolGatherPortable|BenchmarkEpolSweepRows|BenchmarkEpolSweepTile|BenchmarkBornSweepRows|BenchmarkBornSweepTile|BenchmarkBornSweepTilePortable|BenchmarkEpolKernelInCache|BenchmarkBornNearSweep,-benchtime 5x -count 2,./internal/core/)
 
 ## bench-snapshot: the checkpoint codec at the ledger's two fixtures
 ## (4 000 atoms = net_run's 10.1 MB snapshot, 20 000 atoms = 71 MB):

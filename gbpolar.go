@@ -150,7 +150,8 @@ func (o Options) params() core.Params {
 }
 
 // KernelISA reports the instruction set the compiled kernels of both
-// precision tiers execute on ("avx2+fma" or "portable").
+// precision tiers execute on ("avx512f+avx2+fma", "avx2+fma" or
+// "portable").
 func KernelISA() string { return core.KernelISA() }
 
 // Observer re-exports the observability bundle: a hierarchical trace

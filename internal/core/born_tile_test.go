@@ -12,6 +12,7 @@ import (
 	"gbpolar/internal/geom"
 	"gbpolar/internal/octree"
 	"gbpolar/internal/sched"
+	"gbpolar/internal/surface"
 	"gbpolar/internal/wire"
 )
 
@@ -203,9 +204,9 @@ func TestBornTileKernelMatchesRows(t *testing.T) {
 				}
 				swept = append(swept, got)
 			}
-			// The assembly and the portable loop: the far sums agree too
-			// (the laned tier's near kernel differs by design).
-			if err := sameAccum(swept[0], swept[1], prec == PrecisionExact); err != nil {
+			// The assembly and the portable loop agree too, near sums
+			// included: the row kernel is the scalar loop's arithmetic.
+			if err := sameAccum(swept[0], swept[1], true); err != nil {
 				t.Errorf("kernel %v, %v: assembly against portable: %v", kern, prec, err)
 			}
 		}
@@ -234,6 +235,85 @@ func TestBornTileKernelMatchesRows(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The Born near row kernel (bornNearRow4) against the scalar loop it
+// replaced: on every streamBitsCases fixture, fresh and after three repaired
+// jiggles, a whole Born sweep with the assembly leaves every atom sum, every
+// node sum and the op count bit for bit those of the sweep without it —
+// under R6, where the kernel runs, and under R4, which must keep the scalar
+// loop (an R6 kernel there would move every sum). Last, a q-point moved
+// onto an atom of one of its row's near leaves: the r² = 0 term both sides
+// skip, the atom's sum still finite.
+func TestBornNearRowKernelMatchesScalar(t *testing.T) {
+	if !useAsmKernels {
+		t.Skip("no AVX2+FMA assembly kernels in this build or on this host")
+	}
+	defer func() { useAsmKernels = true }()
+	sweep := func(sys *System, asm bool) *bornAccum {
+		useAsmKernels = asm
+		il := sys.Lists(nil).Born
+		acc := newBornAccum(sys)
+		for tile := range numTiles(len(il.Rows)) {
+			bornTile(sys, il, tile, acc)
+		}
+		return acc
+	}
+	var first *System
+	for _, c := range streamBitsCases {
+		params := mortonParams()
+		if c.params != nil {
+			c.params(&params)
+		}
+		mol := c.mol()
+		surf, err := surface.ForMolecule(mol, surface.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewSystem(mol, surf, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string) {
+			for _, kern := range []BornKernel{R6, R4} {
+				sys.Params.Kernel = kern
+				if err := sameAccum(sweep(sys, true), sweep(sys, false), true); err != nil {
+					t.Errorf("%s/%s/%v: row kernel against the scalar loop: %v", c.name, stage, kern, err)
+				}
+			}
+			sys.Params.Kernel = params.Kernel
+		}
+		check("fresh")
+		rng := rand.New(rand.NewSource(31))
+		pos := mol.Positions()
+		for step := 0; step < 3; step++ {
+			pos = jigglePositions(rng, pos, 0.03)
+			if _, err := sys.UpdateAtomsRepair(pos, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("repaired")
+		if first == nil {
+			first = sys
+		}
+	}
+
+	sys := first
+	il := sys.Lists(nil).Born
+	row := 0
+	for il.NearOff[row+1] == il.NearOff[row] {
+		row++
+	}
+	q := sys.QPts.Nodes[il.Rows[row]].Start
+	a := sys.Atoms.Nodes[il.Near[il.NearOff[row]]].Start
+	sys.QX[q], sys.QY[q], sys.QZ[q] = sys.AtomX[a], sys.AtomY[a], sys.AtomZ[a]
+	got, want := sweep(sys, true), sweep(sys, false)
+	if err := sameAccum(got, want, true); err != nil {
+		t.Errorf("q-point on an atom: %v", err)
+	}
+	if v := want.atom[a]; math.IsNaN(v) || math.IsInf(v, 0) {
+		t.Errorf("q-point on atom slot %d: its sum is %v", a, v)
 	}
 }
 

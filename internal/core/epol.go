@@ -33,10 +33,9 @@ type EpolContext struct {
 	// rr[k] = R_min²·(1+ε)^k for k < 2·MEps: the R_u·R_v surrogate of
 	// the far-field kernel, indexed by i+j.
 	rr []float64
-	// aLo[n], aHi[n] are node n's atom slot range (Nodes[n].Start/End) as
-	// flat tables: the near gather of the compiled sweep reads two of them
-	// per list entry, and an 80-byte Node per entry would miss where these
-	// hit. A LEAF's range is also its block of the blocked atoms source
+	// aLo[n], aHi[n] are node n's atom slot range (System.ANodeLo/ANodeHi):
+	// the near gather of the compiled sweep reads two of them per list
+	// entry. A LEAF's range is also its block of the blocked atoms source
 	// (kernels_stream.go); an internal node's spans several blocks.
 	aLo, aHi []int32
 	// farFactor is (1 + 2/ε); nodes are far when dist > (r_U+r_V)·farFactor.
@@ -176,10 +175,7 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 		ctx.rr[k] = ctx.RMin * ctx.RMin * math.Pow(1+eps, float64(k))
 	}
 	ctx.kern = sys.kern()
-	ctx.aLo, ctx.aHi = make([]int32, t.NumNodes()), make([]int32, t.NumNodes())
-	for n := range t.Nodes {
-		ctx.aLo[n], ctx.aHi[n] = t.Nodes[n].Start, t.Nodes[n].End
-	}
+	ctx.aLo, ctx.aHi = sys.ANodeLo, sys.ANodeHi
 
 	// The operands of the compiled sweep (kernels_stream.go): the atoms,
 	// and every node's occupied bins as pseudo-atoms — node n's bin b is a
@@ -196,6 +192,9 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 		gather = gatherAsm
 	}
 	sweep, sweepAsm := epolStreamExact, epolStreamExactAsm
+	if useAVX512 {
+		sweepAsm = epolStreamExactAsm8
+	}
 	if sys.Params.Precision == PrecisionLanes {
 		sweep, sweepAsm = epolStreamLanes, epolStreamLanesAsm
 	}

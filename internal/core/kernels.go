@@ -120,17 +120,23 @@ func bornFar0(sys *System, leaf int32, far []int32, node []float64) {
 // entries.
 func bornRow(sys *System, il *InteractionLists, row int, acc *bornAccum) {
 	// Both tiers share this float64 row: the Born kernel is pure
-	// divide/multiply (no transcendentals). The laned tier's near entries
-	// dispatch to the width-4 divide kernel on AVX2 hosts (R6 only — the
-	// default).
+	// divide/multiply (no transcendentals).
 	leaf := il.Rows[row]
-	q := &sys.QPts.Nodes[leaf]
-	r4 := sys.Params.Kernel == R4
 
 	own := il.Far[il.FarOff[row]:il.FarOff[row+1]]
 	bornFar0(sys, leaf, own, acc.node)
 	acc.ops += float64(len(own))
+	bornNear(sys, il, row, acc)
+}
 
+// bornNear adds the exact per-atom sums of one Born row's near entries —
+// every atom of every near leaf against every q-point of the row's leaf — to
+// acc. Under R6 on AVX2 hosts it is one call of the row kernel, its lanes
+// the row's near atoms; the scalar loop is the reference it reproduces bit
+// for bit, and R4's sweep.
+func bornNear(sys *System, il *InteractionLists, row int, acc *bornAccum) {
+	q := &sys.QPts.Nodes[il.Rows[row]]
+	r4 := sys.Params.Kernel == R4
 	qlo, qhi := q.Start, q.End
 	qx, qy, qz := sys.QX[qlo:qhi], sys.QY[qlo:qhi], sys.QZ[qlo:qhi]
 	wx, wy, wz := sys.WNX[qlo:qhi], sys.WNY[qlo:qhi], sys.WNZ[qlo:qhi]
@@ -138,14 +144,15 @@ func bornRow(sys *System, il *InteractionLists, row int, acc *bornAccum) {
 	qy, qz = qy[:len(qx)], qz[:len(qx)]
 	wx, wy, wz = wx[:len(qx)], wy[:len(qx)], wz[:len(qx)]
 	near := il.Near[il.NearOff[row]:il.NearOff[row+1]]
-	asmR6 := useAsmKernels && !r4 && sys.Params.Precision == PrecisionLanes
+	if useAsmKernels && !r4 {
+		// The op count is the scalar loop's, |A|·|Q| + 1 per entry, added
+		// at once: integers, so the same float64.
+		atoms := bornNearRowAsm(sys, near, acc.atom, qx, qy, qz, wx, wy, wz)
+		acc.ops += float64(atoms*len(qx) + len(near))
+		return
+	}
 	for _, al := range near {
 		an := &sys.Atoms.Nodes[al]
-		if asmR6 {
-			bornNearBlockAsmR6(sys, an.Start, an.End, acc.atom, qx, qy, qz, wx, wy, wz)
-			acc.ops += float64(an.Count()*q.Count()) + 1
-			continue
-		}
 		for ai := an.Start; ai < an.End; ai++ {
 			pax, pay, paz := sys.AtomX[ai], sys.AtomY[ai], sys.AtomZ[ai]
 			var s float64

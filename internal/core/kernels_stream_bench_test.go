@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"gbpolar/internal/sched"
@@ -12,8 +13,8 @@ import (
 // reported as ns per streamed term (near pair terms + far bin-pair terms),
 // and beside it the gather alone, so the gather/kernel split of a sweep is
 // read from two benchmark rows; the whole E_pol sweep by rows and by tiles;
-// then the Born far sweep, by rows and by tiles. Run with
-// `make bench-kernels`.
+// then the Born far sweep, by rows and by tiles, and the Born near sweep,
+// scalar and by the row kernel. Run with `make bench-kernels`.
 
 // benchEpolFixture is the ledger fixture ready to sweep on one worker under
 // precision p, with the assembly on or off for the benchmark's duration,
@@ -60,9 +61,58 @@ func benchEpolStream(b *testing.B, p Precision, asm bool) {
 	}
 }
 
-func BenchmarkEpolStreamExact(b *testing.B)    { benchEpolStream(b, PrecisionExact, false) }
-func BenchmarkEpolStreamExactAsm(b *testing.B) { benchEpolStream(b, PrecisionExact, true) }
-func BenchmarkEpolStreamLanes(b *testing.B)    { benchEpolStream(b, PrecisionLanes, true) }
+func BenchmarkEpolStreamExact(b *testing.B) { benchEpolStream(b, PrecisionExact, false) }
+func BenchmarkEpolStreamLanes(b *testing.B) { benchEpolStream(b, PrecisionLanes, true) }
+
+// BenchmarkEpolStreamExactAsm is the exact tier's assembly sweep on each
+// kernel: avx2 (epolStreamExact4) and avx512 (epolStreamExact8, skipped on
+// hosts without AVX-512F).
+func BenchmarkEpolStreamExactAsm(b *testing.B) {
+	for _, isa := range []struct {
+		name string
+		zmm  bool
+	}{{"avx2", false}, {"avx512", true}} {
+		b.Run(isa.name, func(b *testing.B) {
+			if isa.zmm && !hostAVX512 {
+				b.Skip("no AVX-512F on this host")
+			}
+			b.Cleanup(func() { useAVX512 = hostAVX512 })
+			useAVX512 = isa.zmm
+			benchEpolStream(b, PrecisionExact, true)
+		})
+	}
+}
+
+// BenchmarkEpolKernelInCache is the exact tier's assembly stream kernel
+// alone, on operands that stay in L1: 16 outer atoms against a stream of
+// 512, swept 1 000 times per iteration, in ns per term — avx2
+// (epolStreamExact4) and avx512 (epolStreamExact8, skipped on hosts
+// without AVX-512F).
+func BenchmarkEpolKernelInCache(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	o, s := randomSoa(rng, 16), randomSoa(rng, 512)
+	for _, k := range []struct {
+		name string
+		fn   func(o, s *soa) float64
+		run  bool
+	}{{"avx2", epolStreamExactAsm, useAsmKernels}, {"avx512", epolStreamExactAsm8, hostAVX512}} {
+		b.Run(k.name, func(b *testing.B) {
+			if !k.run {
+				b.Skip("no such assembly kernel in this build or on this host")
+			}
+			const calls = 1000
+			for i := 0; i < b.N; i++ {
+				for c := 0; c < calls; c++ {
+					kernelSink += k.fn(&o, &s)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls*len(o.x)*len(s.x)), "ns/term")
+		})
+	}
+}
+
+// kernelSink keeps the benchmarked kernels' sums live.
+var kernelSink float64
 
 // gatherSink keeps the benchmarked gathers' results live.
 var gatherSink int
@@ -208,3 +258,54 @@ func benchBornSweep(b *testing.B, tiles, asm bool) {
 func BenchmarkBornSweepRows(b *testing.B)         { benchBornSweep(b, false, false) }
 func BenchmarkBornSweepTile(b *testing.B)         { benchBornSweep(b, true, true) }
 func BenchmarkBornSweepTilePortable(b *testing.B) { benchBornSweep(b, true, false) }
+
+// The Born near sweep at the same fixture, one worker: every compiled row's
+// near entries into the atom sums (bornNear), reported as ns per (atom,
+// q-point) near term — by the scalar loop, and by the row kernel (one call a
+// row, the row's near atoms its lanes), which leaves the same bits in every
+// atom sum.
+func benchBornNear(b *testing.B, asm bool) {
+	if asm && !useAsmKernels {
+		b.Skip("no AVX2+FMA assembly kernels in this build or on this host")
+	}
+	sys, _, _ := testSystem(b, 20000, 1, mortonParams())
+	pool := sched.NewPool(2)
+	il := sys.Lists(pool).Born
+	pool.Close()
+	host := useAsmKernels
+	b.Cleanup(func() { useAsmKernels = host })
+	sweep := func(kernel bool) *bornAccum {
+		useAsmKernels = kernel
+		acc := newBornAccum(sys)
+		for row := range il.Rows {
+			bornNear(sys, il, row, acc)
+		}
+		return acc
+	}
+	if err := sameBits("atom", sweep(asm).atom, sweep(false).atom); err != nil {
+		b.Fatal(err)
+	}
+	terms := 0
+	for row, leaf := range il.Rows {
+		for _, al := range il.Near[il.NearOff[row]:il.NearOff[row+1]] {
+			terms += sys.Atoms.Nodes[al].Count() * sys.QPts.Nodes[leaf].Count()
+		}
+	}
+	useAsmKernels = asm
+	acc := newBornAccum(sys)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for row := range il.Rows {
+			bornNear(sys, il, row, acc)
+		}
+	}
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns/1e6, "ms/sweep")
+	b.ReportMetric(ns/float64(terms), "ns/term")
+	b.ReportMetric(float64(terms), "terms")
+}
+
+func BenchmarkBornNearSweep(b *testing.B) {
+	b.Run("scalar", func(b *testing.B) { benchBornNear(b, false) })
+	b.Run("kernel", func(b *testing.B) { benchBornNear(b, true) })
+}

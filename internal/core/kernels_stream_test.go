@@ -27,6 +27,19 @@ var streamTiers = []struct {
 	{"lanes", PrecisionLanes, 1e-12, 1e-9},
 }
 
+// hostAVX512 is the host's AVX-512 dispatch, whatever a test has set
+// useAVX512 to since.
+var hostAVX512 = useAVX512
+
+// avx512Sides are the useAVX512 settings a kernel-identity test runs
+// under: the host's dispatch and, where that is AVX-512F, forced off.
+func avx512Sides() []bool {
+	if hostAVX512 {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
 // dimerMolecule is a lattice of ±q dimers 0.6 Å apart: the two atoms of
 // a dimer see the same environment, land in the same Born-radius bin and
 // cancel there EXACTLY, so most leaves have an empty occupied-bin list —
@@ -183,19 +196,32 @@ func TestStreamDriverMatchesPerEntryOracles(t *testing.T) {
 // evaluation: every step but the exponential is the same IEEE operation,
 // the exponential is within 1 ulp of math.Exp's, and the lane reduction
 // reorders the sum — 1e-13 relative bounds all three.
+//
+// The assembly runs with the AVX-512F kernel dispatched where the host has
+// it and forced off: the two return the same bits.
 func TestStreamExactAsmMatchesPortable(t *testing.T) {
 	if !useAsmKernels {
 		t.Skip("no AVX2+FMA assembly kernels in this build or on this host")
 	}
+	defer func() { useAsmKernels, useAVX512 = true, hostAVX512 }()
 	sys, _, _ := testSystem(t, 4000, 95, DefaultParams())
-	asm := runTier(t, sys, PrecisionExact)
+	sides := avx512Sides()
+	var asm []*Result
+	for _, zmm := range sides {
+		useAVX512 = zmm
+		asm = append(asm, runTier(t, sys, PrecisionExact))
+	}
 	useAsmKernels = false
-	defer func() { useAsmKernels = true }()
 	portable := runTier(t, sys, PrecisionExact)
-	e := relErr(asm.Epol, portable.Epol)
-	t.Logf("exact tier: asm vs portable E_pol rel err %.3g", e)
-	if !(e <= 1e-13) {
-		t.Errorf("exact tier: asm E_pol %.17g vs portable %.17g, rel err %.3g > 1e-13", asm.Epol, portable.Epol, e)
+	for i, res := range asm {
+		if math.Float64bits(res.Epol) != math.Float64bits(asm[0].Epol) {
+			t.Errorf("exact tier: AVX2 E_pol %.17g, AVX-512F %.17g", res.Epol, asm[0].Epol)
+		}
+		e := relErr(res.Epol, portable.Epol)
+		t.Logf("exact tier (AVX-512F %v): asm vs portable E_pol rel err %.3g", sides[i], e)
+		if !(e <= 1e-13) {
+			t.Errorf("exact tier: asm E_pol %.17g vs portable %.17g, rel err %.3g > 1e-13", res.Epol, portable.Epol, e)
+		}
 	}
 }
 
@@ -224,24 +250,30 @@ func refStream(o, s *soa) float64 {
 	return e
 }
 
-// Tails and hazards of every stream kernel: stream lengths 0…9 and 4k±1
-// (every lane-remainder of the width-4 kernels) × outer lengths 0…3 against
-// the defining sum; an outer atom exactly at the origin (masked-off tail
-// lanes would compute 0/√0 there); zero charges.
+// Tails and hazards of every stream kernel: stream lengths 0…33 and
+// 2^k−1, 2^k, 2^k+1 above (every lane-remainder of the width-4 kernels, and
+// of the AVX-512F kernel's blocks of eight and trips of sixteen) × outer
+// lengths 0…3 against the defining sum; an outer atom exactly at the origin
+// (masked-off tail lanes would compute 0/√0 there); zero charges.
 func TestStreamKernelTailsAndHazards(t *testing.T) {
 	kernels := []struct {
 		name string
 		fn   func(o, s *soa) float64
 		tol  float64
-		asm  bool
+		run  bool
 	}{
-		{"exact", epolStreamExact, 1e-13, false},
-		{"approx", epolStreamApprox, 5e-4, false},
-		{"lanes", epolStreamLanes, 5e-4, false},
-		{"exact-asm", epolStreamExactAsm, 1e-13, true},
-		{"lanes-asm", epolStreamLanesAsm, 5e-4, true},
+		{"exact", epolStreamExact, 1e-13, true},
+		{"approx", epolStreamApprox, 5e-4, true},
+		{"lanes", epolStreamLanes, 5e-4, true},
+		{"exact-asm", epolStreamExactAsm, 1e-13, useAsmKernels},
+		{"exact-asm8", epolStreamExactAsm8, 1e-13, useAVX512},
+		{"lanes-asm", epolStreamLanesAsm, 5e-4, useAsmKernels},
 	}
-	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 129}
+	var lengths []int
+	for n := 0; n <= 33; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 63, 64, 65, 127, 128, 129)
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range lengths {
 		for no := 0; no <= 3; no++ {
@@ -252,7 +284,7 @@ func TestStreamKernelTailsAndHazards(t *testing.T) {
 			}
 			want := refStream(&o, &s)
 			for _, k := range kernels {
-				if k.asm && !useAsmKernels {
+				if !k.run {
 					continue
 				}
 				got := k.fn(&o, &s)
@@ -266,13 +298,49 @@ func TestStreamKernelTailsAndHazards(t *testing.T) {
 				s.q[i] = 0
 			}
 			for _, k := range kernels {
-				if k.asm && !useAsmKernels {
+				if !k.run {
 					continue
 				}
 				if got := k.fn(&o, &s); got != 0 {
 					t.Errorf("%s: n=%d outer=%d: zero stream charges give %v", k.name, n, no, got)
 				}
 			}
+		}
+	}
+}
+
+// The exact tier's AVX-512F stream kernel returns epolStreamExact4's bits on
+// every shape: 3 600 random outer × stream operands, outer 0–17 atoms and
+// stream 0–130 — every remainder mod 4, 8 and 16 of the stream, so every
+// path through the two-block trips, the single block and the masked tail —
+// with mixed-sign charges, an outer atom at the origin in a third of the
+// shapes (the masked lanes' 0/√0 hazard) and zero charges in a fifth of
+// them, some stream charges or all.
+func TestEpolStreamExact8MatchesExact4(t *testing.T) {
+	if !useAVX512 {
+		t.Skip("no AVX-512F on this host")
+	}
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 3600; trial++ {
+		no, n := rng.Intn(18), rng.Intn(131)
+		o, s := randomSoa(rng, no), randomSoa(rng, n)
+		for i := range s.q {
+			s.q[i] -= 0.6
+		}
+		if no > 0 && trial%3 == 0 {
+			o.x[0], o.y[0], o.z[0] = 0, 0, 0
+		}
+		if trial%5 == 0 {
+			for i := range s.q {
+				if trial%2 == 0 || rng.Intn(2) == 0 {
+					s.q[i] = 0
+				}
+			}
+		}
+		want := epolStreamExactAsm(&o, &s)
+		if got := epolStreamExactAsm8(&o, &s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (outer %d, stream %d): epolStreamExact8 %v (%#x), epolStreamExact4 %v (%#x)",
+				trial, no, n, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }

@@ -34,7 +34,7 @@ import (
 // the bits before), and ranks own whole E_pol tiles, which moves the
 // modeled P ≥ 2 clocks; the one-rank clocks and every byte count held.
 type parityGolden struct {
-	asm, portable uint64 // bits of Result.Epol under KernelISA() "avx2+fma" / "portable"
+	asm, portable uint64 // bits of Result.Epol with the assembly kernels (either ISA) / without
 	virt          uint64 // bits of Report.VirtualSeconds (0 for the shared rows)
 	bytes         int64  // Σ PerRank.BytesSent
 }
@@ -75,7 +75,12 @@ func parityCfg(P, p int) cluster.Config {
 // the pre-pipeline commit bit for bit. It absorbs the per-runner spot tests
 // TestDistributedMatchesShared, TestResilientMatchesStaticFaultFree and
 // TestDynamicMatchesStatic.
+//
+// Every row runs twice where the host has AVX-512F — the exact tier's
+// stream kernel dispatched to it and forced back to AVX2 — and the
+// assembly goldens hold for both: the two kernels sum in one order.
 func TestPipelineParity(t *testing.T) {
+	defer func() { useAVX512 = hostAVX512 }()
 	capsid := molecule.GenCapsid("parity-capsid", 1200, 22, 27, 172)
 	csurf, err := surface.ForMolecule(capsid, surface.Options{})
 	if err != nil {
@@ -206,59 +211,62 @@ func TestPipelineParity(t *testing.T) {
 		for _, r := range rows {
 			r := r
 			t.Run(fx.name+"/"+r.name, func(t *testing.T) {
-				res := r.run(t, fx.sys)
-				const tol = 1e-12
-				if e := relErr(res.Epol, ref.Epol); e > tol {
-					t.Errorf("E_pol %.17g vs shared %.17g (rel %g > %g)", res.Epol, ref.Epol, e, tol)
-				}
-				if len(res.BornRadii) != len(ref.BornRadii) {
-					t.Fatalf("%d radii, want %d", len(res.BornRadii), len(ref.BornRadii))
-				}
-				for i := range ref.BornRadii {
-					if e := relErr(res.BornRadii[i], ref.BornRadii[i]); e > tol {
-						t.Fatalf("atom %d radius %.17g vs shared %.17g (rel %g)", i, res.BornRadii[i], ref.BornRadii[i], e)
+				for _, zmm := range avx512Sides() {
+					useAVX512 = zmm
+					res := r.run(t, fx.sys)
+					const tol = 1e-12
+					if e := relErr(res.Epol, ref.Epol); e > tol {
+						t.Errorf("E_pol %.17g vs shared %.17g (rel %g > %g)", res.Epol, ref.Epol, e, tol)
 					}
-				}
-				if res.Ops <= 0 {
-					t.Error("no ops counted")
-				}
-				if r.check != nil {
-					r.check(t, res)
-				}
-				if !r.pinned {
-					return
-				}
-				var virt uint64
-				var sent int64
-				if res.Report != nil {
-					virt = math.Float64bits(res.Report.VirtualSeconds)
-					for _, rs := range res.Report.PerRank {
-						sent += rs.BytesSent
+					if len(res.BornRadii) != len(ref.BornRadii) {
+						t.Fatalf("%d radii, want %d", len(res.BornRadii), len(ref.BornRadii))
 					}
-				}
-				key := fx.name + "/" + r.name
-				if record {
-					fmt.Printf("PARITY\t%q %s: epol %#x virt %#x bytes %d\n",
-						key, KernelISA(), math.Float64bits(res.Epol), virt, sent)
-					return
-				}
-				g, ok := parityGoldens[key]
-				if !ok {
-					t.Fatalf("no golden for pinned row %s", key)
-				}
-				if virt != g.virt || sent != g.bytes {
-					t.Errorf("modeled cost moved: VirtualSeconds %#x (%g) bytes %d, parent had %#x (%g) bytes %d",
-						virt, math.Float64frombits(virt), sent, g.virt, math.Float64frombits(g.virt), g.bytes)
-				}
-				want := g.portable
-				if KernelISA() == "avx2+fma" {
-					want = g.asm
-				}
-				// Other architectures fuse multiply-adds differently; the
-				// energy's bits are a statement about amd64 only.
-				if got := math.Float64bits(res.Epol); runtime.GOARCH == "amd64" && got != want {
-					t.Errorf("E_pol bits %#x (%.17g), parent had %#x (%.17g)",
-						got, res.Epol, want, math.Float64frombits(want))
+					for i := range ref.BornRadii {
+						if e := relErr(res.BornRadii[i], ref.BornRadii[i]); e > tol {
+							t.Fatalf("atom %d radius %.17g vs shared %.17g (rel %g)", i, res.BornRadii[i], ref.BornRadii[i], e)
+						}
+					}
+					if res.Ops <= 0 {
+						t.Error("no ops counted")
+					}
+					if r.check != nil {
+						r.check(t, res)
+					}
+					if !r.pinned {
+						continue
+					}
+					var virt uint64
+					var sent int64
+					if res.Report != nil {
+						virt = math.Float64bits(res.Report.VirtualSeconds)
+						for _, rs := range res.Report.PerRank {
+							sent += rs.BytesSent
+						}
+					}
+					key := fx.name + "/" + r.name
+					if record {
+						fmt.Printf("PARITY\t%q %s: epol %#x virt %#x bytes %d\n",
+							key, KernelISA(), math.Float64bits(res.Epol), virt, sent)
+						continue
+					}
+					g, ok := parityGoldens[key]
+					if !ok {
+						t.Fatalf("no golden for pinned row %s", key)
+					}
+					if virt != g.virt || sent != g.bytes {
+						t.Errorf("modeled cost moved: VirtualSeconds %#x (%g) bytes %d, parent had %#x (%g) bytes %d",
+							virt, math.Float64frombits(virt), sent, g.virt, math.Float64frombits(g.virt), g.bytes)
+					}
+					want := g.portable
+					if useAsmKernels {
+						want = g.asm
+					}
+					// Other architectures fuse multiply-adds differently; the
+					// energy's bits are a statement about amd64 only.
+					if got := math.Float64bits(res.Epol); runtime.GOARCH == "amd64" && got != want {
+						t.Errorf("%s: E_pol bits %#x (%.17g), parent had %#x (%.17g)",
+							KernelISA(), got, res.Epol, want, math.Float64frombits(want))
+					}
 				}
 			})
 		}

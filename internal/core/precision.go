@@ -39,10 +39,15 @@ func (p Precision) String() string {
 // KernelISA reports the instruction set the compiled kernels execute on:
 // "avx2+fma" when the runtime-detected assembly (simd_amd64.s) is active —
 // every tier's E_pol stream kernel, the exact tier's included, and the
-// laned tier's Born near blocks dispatch on the one switch — "portable"
-// otherwise (other architectures, older CPUs, -tags purego).
+// Born near and shared far sweeps dispatch on the one switch —
+// "avx512f+avx2+fma" when the host also runs the exact tier's AVX-512F
+// stream kernel (the same bits as its AVX2 one), "portable" otherwise
+// (other architectures, older CPUs, -tags purego).
 func KernelISA() string {
-	if useAsmKernels {
+	switch {
+	case useAsmKernels && useAVX512:
+		return "avx512f+avx2+fma"
+	case useAsmKernels:
 		return "avx2+fma"
 	}
 	return "portable"

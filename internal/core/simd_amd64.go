@@ -4,11 +4,12 @@ package core
 
 import "gbpolar/internal/mathx"
 
-// Runtime dispatch for the AVX2+FMA kernels (simd_amd64.s): the E_pol
+// Runtime dispatch for the assembly kernels (simd_amd64.s): the E_pol
 // stream kernels of the exact tier — whose assembly keeps IEEE sqrt/divide
-// and a ≤1-ulp vector exp — and of the laned tier, the laned tier's Born
-// near-block kernel, and the Born tile's shared far sweep of every tier,
-// bit for bit its portable loop. The portable Go kernels
+// and a ≤1-ulp vector exp, on AVX-512F where the host has it and AVX2+FMA
+// otherwise, the same bits either way — and of the laned tier, the Born
+// near sweep of a row and the Born tile's shared far sweep of every tier,
+// bit for bit their portable loops. The portable Go kernels
 // (kernels_stream.go, kernels.go) remain the reference implementation — the
 // tests force useAsmKernels off to pin the laned tier's bit-compatibility
 // claim, TestAsmKernelsMatchPortable bounds the laned assembly against the
@@ -25,6 +26,9 @@ func xgetbv0() (eax, edx uint32)
 func epolStreamExact4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
 
 //go:noescape
+func epolStreamExact8(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
+
+//go:noescape
 func epolStreamLanes4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
 
 //go:noescape
@@ -37,7 +41,10 @@ func openFar8AVX2(t *rowTile, cx, cy, cz, r, mac float64) uint8
 func expNeg4(dst, src []float64)
 
 //go:noescape
-func bornNearBlock4R6(ax, ay, az, out, qx, qy, qz, wx, wy, wz []float64)
+func expNeg8(dst, src []float64)
+
+//go:noescape
+func bornNearRow4(near, lo, hi []int32, ax, ay, az, atom, qx, qy, qz, wx, wy, wz []float64) int
 
 //go:noescape
 func bornFarShared4(q *bornLanes, lane int, shared []int32, ax, ay, az, node []float64)
@@ -62,10 +69,33 @@ func detectAVX2FMA() bool {
 	return ebx7&(1<<5) != 0 // AVX2
 }
 
-// useAsmKernels gates the assembly kernels. Mutable only by
-// tests (which single-thread their runs); everything else treats it as
-// a constant resolved at startup.
-var useAsmKernels = detectAVX2FMA()
+// detectAVX512 reports whether the host can also run the ZMM kernel
+// (epolStreamExact8): AVX-512F present — the kernel uses no other AVX-512
+// subset — and the OS saving the opmask and all 32 ZMM registers along
+// with XMM+YMM state (XCR0 bits 1, 2, 5, 6, 7).
+func detectAVX512() bool {
+	if maxLeaf, _, _, _ := cpuidex(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave = 1 << 27
+	if _, _, ecx1, _ := cpuidex(1, 0); ecx1&osxsave == 0 {
+		return false
+	}
+	if xlo, _ := xgetbv0(); xlo&0xE6 != 0xE6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuidex(7, 0)
+	return ebx7&(1<<16) != 0 // AVX512F
+}
+
+// useAsmKernels gates the assembly kernels, and useAVX512 — under it —
+// the exact tier's ZMM stream kernel. Mutable only by tests (which
+// single-thread their runs); everything else treats them as constants
+// resolved at startup.
+var (
+	useAsmKernels = detectAVX2FMA()
+	useAVX512     = useAsmKernels && detectAVX512()
+)
 
 // expNegTab holds mathx.ExpNegConsts replicated across four lanes: the
 // memory operands of the assembly's EXPNEG4, so the vector exponential
@@ -81,6 +111,10 @@ var expNegTab = func() (t [len(mathx.ExpNegConsts)][4]float64) {
 
 func epolStreamExactAsm(o, s *soa) float64 {
 	return epolStreamExact4(o.x, o.y, o.z, o.q, o.r, o.ir, s.x, s.y, s.z, s.q, s.r, s.ir)
+}
+
+func epolStreamExactAsm8(o, s *soa) float64 {
+	return epolStreamExact8(o.x, o.y, o.z, o.q, o.r, o.ir, s.x, s.y, s.z, s.q, s.r, s.ir)
 }
 
 func epolStreamLanesAsm(o, s *soa) float64 {
@@ -104,13 +138,12 @@ func openFar8(t *rowTile, cx, cy, cz, r, mac float64) uint8 {
 	return openFar8Lanes(t, cx, cy, cz, r, mac)
 }
 
-// bornNearBlockAsmR6 sweeps one Born near entry (atom leaf lo:hi against
-// the row's q-point slices) through the width-4 R6 kernel, accumulating
-// into out (the absolute per-atom integral array).
-func bornNearBlockAsmR6(sys *System, lo, hi int32, out []float64, qx, qy, qz, wx, wy, wz []float64) {
-	bornNearBlock4R6(
-		sys.AtomX[lo:hi], sys.AtomY[lo:hi], sys.AtomZ[lo:hi], out[lo:hi],
-		qx, qy, qz, wx, wy, wz)
+// bornNearRowAsm is bornNear's sweep of the near leaves of one row
+// through the row kernel: every atom of the leaves gets its sum over the
+// row's q-points added to atom, bit for bit the scalar R6 loop's. It returns
+// the number of atoms swept.
+func bornNearRowAsm(sys *System, near []int32, atom, qx, qy, qz, wx, wy, wz []float64) int {
+	return bornNearRow4(near, sys.ANodeLo, sys.ANodeHi, sys.AtomX, sys.AtomY, sys.AtomZ, atom, qx, qy, qz, wx, wy, wz)
 }
 
 // bornFarSharedAsm is bornFarShared's sweep of a full tile through the AVX2

@@ -1,34 +1,39 @@
 //go:build amd64 && !purego
 
-// AVX2+FMA E_pol stream kernels and the Born near-block kernel (simd_amd64.go
-// wraps and dispatches these; kernels_stream.go / kernels.go carry the
-// portable fallbacks). One epol call sweeps one gathered stream (the six
-// trailing slices) against a few outer atoms (the leading slices): the row
-// leaf's atoms for the near stream, one unit pseudo-atom for the far
-// stream. The outer loop runs inside the assembly, so the per-call setup
-// amortizes over the whole stream. A Born call sweeps one near leaf against
-// the row's q-points. gatherBlocks4 is the copy that stages a stream from
-// the blocked gather sources.
+// AVX2+FMA E_pol stream kernels, the exact tier's AVX-512F stream kernel
+// and the Born kernels (simd_amd64.go wraps and dispatches these;
+// kernels_stream.go / kernels.go carry the portable fallbacks). One epol
+// call sweeps one gathered stream (the six trailing slices) against a few
+// outer atoms (the leading slices): the row leaf's atoms for the near
+// stream, one unit pseudo-atom for the far stream. The outer loop runs
+// inside the assembly, so the per-call setup amortizes over the whole
+// stream. A Born near call sweeps one row's near leaves against its
+// q-points. gatherBlocks4 is the copy that stages a stream from the blocked
+// gather sources.
 //
-// Arithmetic contract (DESIGN.md §11). Exact tier (epolStreamExact4):
-// every step but the exponential is the IEEE operation of the portable
-// loop — unfused multiplies and adds, VSQRTPD, VDIVPD, all correctly
-// rounded — and the exponential is EXPNEG4, bit-identical per lane to
-// mathx.ExpNeg (≤ 1 ulp); only the four-lane pairwise reduction reorders
-// the sum. Laned tier: exp uses the same range reduction + degree-6 Horner
-// polynomial as mathx.Exp, evaluated with FMA contractions; 1/√x seeds from
-// VRSQRTPS (|rel err| ≤ 1.5·2⁻¹²) and runs two Newton steps (→ ~6e-14);
-// lane partials reduce pairwise. That is not bit-identical to the portable
-// lane path — the tier's accuracy class (≤1e-4 relative) absorbs the
-// difference, and TestAsmKernelsMatchPortable pins it far tighter.
+// Arithmetic contract (DESIGN.md §11). Exact tier (epolStreamExact4,
+// epolStreamExact8): every step but the exponential is the IEEE operation
+// of the portable loop — unfused multiplies and adds, VSQRTPD, VDIVPD, all
+// correctly rounded — and the exponential is EXPNEG4 / EXPNEG8,
+// bit-identical per lane to mathx.ExpNeg (≤ 1 ulp); only the four-lane
+// pairwise reduction reorders the sum, and epolStreamExact8 forms it in
+// epolStreamExact4's order, so the two return the same bits. Laned tier:
+// exp uses the same range reduction + degree-6 Horner polynomial as
+// mathx.Exp, evaluated with FMA contractions; 1/√x seeds from VRSQRTPS
+// (|rel err| ≤ 1.5·2⁻¹²) and runs two Newton steps (→ ~6e-14); lane
+// partials reduce pairwise. That is not bit-identical to the portable lane
+// path — the tier's accuracy class (≤1e-4 relative) absorbs the
+// difference, and TestAsmKernelsMatchPortable pins it far tighter. The
+// Born kernels of every tier are their scalar loops' operations in order,
+// no FMA, bit for bit.
 //
-// The inner (stream / q-point) length is runtime-sized: full lanes run
-// the unmasked loop, the remainder runs one extra iteration with
-// VMASKMOV loads whose mask comes from the lane-count tables below.
-// Masked-off epol lanes load zero charges/radii, which would put
-// 1/√0 · 0 = NaN in play if the outer atom sat exactly at the origin — a
-// VBLENDVPD parks those lanes' f² at 1.0 instead. The Born kernel's own
-// r² ≠ 0 compare already covers its masked lanes.
+// The inner (stream / atom) length is runtime-sized: full lanes run the
+// unmasked loop, the remainder runs one extra iteration with VMASKMOV
+// loads whose mask comes from the lane-count tables below (an opmask in
+// the AVX-512F kernel). Masked-off epol lanes load zero charges/radii,
+// which would put 1/√0 · 0 = NaN in play if the outer atom sat exactly at
+// the origin — a VBLENDVPD (VBLENDMPD) parks those lanes' f² at 1.0
+// instead. The Born near kernel's masked lanes are never stored.
 
 #include "textflag.h"
 
@@ -521,124 +526,353 @@ pdone:
 	VZEROUPPER
 	RET
 
-// func bornNearBlock4R6(ax, ay, az []float64, out []float64, qx, qy, qz, wx, wy, wz []float64)
+// EXPNEG8 is EXPNEG4 on the eight lanes of zmm x (x ≤ 0) into e, with k as
+// scratch and x clobbered: the same operation sequence through the
+// polynomial — VRNDSCALEPD $0 in place of VROUNDPD $0 (both round to
+// nearest even), the table's constants broadcast from its first lane — and
+// one VSCALEFPD for the scaling, e = p·2^k rounded once. EXPNEG4 multiplies
+// by 2^⌊k/2⌋, then by 2^(k−⌊k/2⌋); the clamp keeps k ≥ −1077, so the first
+// product is exact and normal and the second rounds p·2^k once, as
+// VSCALEFPD does — the same float64, subnormal results included. A NaN x
+// gives p's NaN either way. x is VMAXPD's second Intel source, as in
+// EXPNEG4.
+#define EXPNEG8(x, k, e) \
+	VBROADCASTSD ·expNegTab+0(SB), k \
+	VMAXPD x, k, x \
+	VMULPD.BCST ·expNegTab+32(SB), x, k \
+	VRNDSCALEPD $0, k, k \
+	VFMADD231PD.BCST ·expNegTab+64(SB), k, x \
+	VFMADD231PD.BCST ·expNegTab+96(SB), k, x \
+	VBROADCASTSD ·expNegTab+128(SB), e \
+	VFMADD213PD.BCST ·expNegTab+160(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+192(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+224(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+256(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+288(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+320(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+352(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+384(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+416(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+448(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+480(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+512(SB), x, e \
+	VFMADD213PD.BCST ·expNegTab+544(SB), x, e \
+	VSCALEFPD k, e, e
+
+// func expNeg8(dst, src []float64)
 //
-// The R6 Born near sweep: for every atom a (first three slices),
-// out[a] += Σ_j (w_j·d_j)/r²³ over the row's q-points, skipping r² = 0
-// self terms via a compare mask. out aliases the caller's accumulator
-// slice (one f64 read-modify-write per atom).
+// dst[i] = EXPNEG8(src[i]) over len(src)/8 whole blocks: the test hook
+// that pins the macro to mathx.ExpNeg bit for bit.
+TEXT ·expNeg8(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	SHRQ $3, CX
+	JZ x8done
+
+x8loop:
+	VMOVUPD (SI), Z5
+	EXPNEG8(Z5, Z6, Z8)
+	VMOVUPD Z8, (DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ x8loop
+
+x8done:
+	VZEROUPPER
+	RET
+
+// EXACTPAIR8 is EXACTPAIR4 on eight lanes: the loaded zmm lanes x, y, z =
+// stream position, rv = stream radius, irv = stream reciprocal radius
+// become f = f² under the outer atom in Z10–Z14 (laid out as Y10–Y14 in
+// epolStreamExact4), through the same unfused operations in the same order.
+#define EXACTPAIR8(x, y, z, f, rv, irv, k, e) \
+	VSUBPD x, Z12, x \
+	VSUBPD y, Z13, y \
+	VSUBPD z, Z14, z \
+	VMULPD x, x, f \
+	VMULPD y, y, y \
+	VADDPD y, f, f \
+	VMULPD z, z, z \
+	VADDPD z, f, f \
+	VMULPD rv, Z11, rv \
+	VMULPD f, Z10, x \
+	VMULPD irv, x, irv \
+	EXPNEG8(irv, k, e) \
+	VMULPD e, rv, rv \
+	VADDPD rv, f, f
+
+// ADDHALVES8 adds the eight terms of zmm v to the four-lane partial sums
+// in the low half of Z15: lanes 0–3 first, then 4–7 moved down through
+// tmp (tmpy its low half), as epolStreamExact4 adds two consecutive blocks
+// of four. Lanes 4–7 of Z15 collect junk that is never read.
+#define ADDHALVES8(v, tmp, tmpy) \
+	VADDPD v, Z15, Z15 \
+	VEXTRACTF64X4 $1, v, tmpy \
+	VADDPD tmp, Z15, Z15
+
+// func epolStreamExact8(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
 //
-// Registers — outer: R14=ax R15=ay AX=az BX=out, R9 = remaining atom
-// count; inner: SI=qx DI=qy R10=qz R11=wx R12=wy R13=wz, R8 = j.
-// Y10 = 0 (compare operand), Y12/Y13/Y14 = atom position.
-TEXT ·bornNearBlock4R6(SB), NOSPLIT, $48-240
-	// nfull = n &^ 3; tmask = mask4[n&3]
-	MOVQ qx_len+104(FP), R8
+// epolStreamExact4 on AVX-512F: each loop trip evaluates two independent
+// blocks of eight stream terms of one outer atom — A in Z0–Z8, B in
+// Z16–Z24 — so the two chains' square roots and divides overlap. The sum of
+// every outer atom is formed in epolStreamExact4's order, so the two
+// kernels return the same bits: each block of eight enters the four-lane
+// partials as two blocks of four (ADDHALVES8), a remainder of eight runs
+// once unmasked, and the last n mod 8 terms run as one block under the
+// opmask K1, zero-masked loads standing in for VMASKMOVPD and f² parked at
+// 1 on the off lanes, whose upper half is added only when more than four
+// terms remain — where epolStreamExact4's masked tail would begin. The
+// reduction and the energy update are epolStreamExact4's.
+//
+// Registers as in epolStreamExact4, widened to zmm; K1 = tail mask, live
+// for the whole call.
+TEXT ·epolStreamExact8(SB), NOSPLIT, $32-296
+	// n16 = n &^ 15; n8 = n &^ 7; rem = n & 7; K1 = (1 << rem) − 1
+	MOVQ vx_len+152(FP), R8
 	MOVQ R8, R9
-	ANDQ $3, R9
-	SUBQ R9, R8
-	MOVQ R8, nfull-48(SP)
-	SHLQ $5, R9
-	LEAQ mask4<>(SB), R8
-	VMOVUPD (R8)(R9*1), Y0
-	VMOVUPD Y0, tmask-32(SP)
+	ANDQ $-16, R9
+	MOVQ R9, n16-8(SP)
+	MOVQ R8, R9
+	ANDQ $-8, R9
+	MOVQ R9, n8-16(SP)
+	ANDQ $7, R8
+	MOVQ R8, rem-24(SP)
+	MOVQ R8, CX
+	MOVQ $1, R9
+	SHLQ CX, R9
+	DECQ R9
+	KMOVW R9, K1
 
 	MOVQ ax_base+0(FP), R14
 	MOVQ ax_len+8(FP), R9
 	MOVQ ay_base+24(FP), R15
 	MOVQ az_base+48(FP), AX
-	MOVQ out_base+72(FP), BX
-	MOVQ qx_base+96(FP), SI
-	MOVQ qy_base+120(FP), DI
-	MOVQ qz_base+144(FP), R10
-	MOVQ wx_base+168(FP), R11
-	MOVQ wy_base+192(FP), R12
-	MOVQ wz_base+216(FP), R13
+	MOVQ ch_base+72(FP), BX
+	MOVQ rad_base+96(FP), CX
+	MOVQ irad_base+120(FP), DX
+	MOVQ vx_base+144(FP), SI
+	MOVQ vy_base+168(FP), DI
+	MOVQ vz_base+192(FP), R10
+	MOVQ cv_base+216(FP), R11
+	MOVQ rv_base+240(FP), R12
+	MOVQ irv_base+264(FP), R13
 
-	VXORPD Y10, Y10, Y10
+	VXORPD X0, X0, X0
+	VMOVSD X0, energy-32(SP)
 	TESTQ R9, R9
-	JZ bdone
+	JZ qdone
 
-bouter:
-	VBROADCASTSD (R14), Y12
-	VBROADCASTSD (R15), Y13
-	VBROADCASTSD (AX), Y14
+qouter:
+	VBROADCASTSD (R14), Z12
+	VBROADCASTSD (R15), Z13
+	VBROADCASTSD (AX), Z14
+	VBROADCASTSD (CX), Z11
+	VBROADCASTSD (DX), Z10
+	VMULPD.BCST f64x4NegQuarter<>(SB), Z10, Z10
 	VXORPD Y15, Y15, Y15
 	XORQ R8, R8
 
-binner:
-	CMPQ R8, nfull-48(SP)
-	JGE btail
+qtrip:
+	CMPQ R8, n16-8(SP)
+	JGE qblock
 
-	VMOVUPD (SI)(R8*8), Y0
-	VSUBPD Y12, Y0, Y0                  // dx = qx − pax
-	VMOVUPD (DI)(R8*8), Y1
-	VSUBPD Y13, Y1, Y1
-	VMOVUPD (R10)(R8*8), Y2
-	VSUBPD Y14, Y2, Y2
-	VMULPD Y0, Y0, Y3
-	VFMADD231PD Y1, Y1, Y3
-	VFMADD231PD Y2, Y2, Y3              // r²
-	VMOVUPD (R11)(R8*8), Y4
-	VMULPD Y0, Y4, Y4
-	VMOVUPD (R12)(R8*8), Y5
-	VFMADD231PD Y1, Y5, Y4
-	VMOVUPD (R13)(R8*8), Y5
-	VFMADD231PD Y2, Y5, Y4              // w·d
-	VMULPD Y3, Y3, Y5
-	VMULPD Y3, Y5, Y5                   // r²³
-	VDIVPD Y5, Y4, Y6                   // t = w·d / r²³
-	VCMPPD $4, Y10, Y3, Y7              // r² ≠ 0
-	VANDPD Y7, Y6, Y6
-	VADDPD Y6, Y15, Y15
+	VMOVUPD (SI)(R8*8), Z0
+	VMOVUPD (DI)(R8*8), Z1
+	VMOVUPD (R10)(R8*8), Z2
+	VMOVUPD (R12)(R8*8), Z4
+	VMOVUPD (R13)(R8*8), Z5
+	VMOVUPD 64(SI)(R8*8), Z16
+	VMOVUPD 64(DI)(R8*8), Z17
+	VMOVUPD 64(R10)(R8*8), Z18
+	VMOVUPD 64(R12)(R8*8), Z20
+	VMOVUPD 64(R13)(R8*8), Z21
+	EXACTPAIR8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z8)
+	EXACTPAIR8(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z24)
+	VSQRTPD Z3, Z3
+	VSQRTPD Z19, Z19
+	VMOVUPD (R11)(R8*8), Z7
+	VDIVPD Z3, Z7, Z7                   // cv / √f², block A
+	VMOVUPD 64(R11)(R8*8), Z23
+	VDIVPD Z19, Z23, Z23                // block B
+	ADDHALVES8(Z7, Z6, Y6)
+	ADDHALVES8(Z23, Z22, Y22)
 
-	ADDQ $4, R8
-	JMP binner
+	ADDQ $16, R8
+	JMP qtrip
 
-btail:
-	CMPQ R8, qx_len+104(FP)
-	JGE busum
-	VMOVUPD tmask-32(SP), Y9
+qblock:
+	CMPQ R8, n8-16(SP)
+	JGE qtail
 
-	VMASKMOVPD (SI)(R8*8), Y9, Y0
-	VSUBPD Y12, Y0, Y0
-	VMASKMOVPD (DI)(R8*8), Y9, Y1
-	VSUBPD Y13, Y1, Y1
-	VMASKMOVPD (R10)(R8*8), Y9, Y2
-	VSUBPD Y14, Y2, Y2
-	VMULPD Y0, Y0, Y3
-	VFMADD231PD Y1, Y1, Y3
-	VFMADD231PD Y2, Y2, Y3
-	VMASKMOVPD (R11)(R8*8), Y9, Y4
-	VMULPD Y0, Y4, Y4
-	VMASKMOVPD (R12)(R8*8), Y9, Y5
-	VFMADD231PD Y1, Y5, Y4
-	VMASKMOVPD (R13)(R8*8), Y9, Y5
-	VFMADD231PD Y2, Y5, Y4
-	VMULPD Y3, Y3, Y5
-	VMULPD Y3, Y5, Y5
-	VDIVPD Y5, Y4, Y6
-	VCMPPD $4, Y10, Y3, Y7
-	VANDPD Y9, Y7, Y7                   // drop masked-off lanes too
-	VANDPD Y7, Y6, Y6
-	VADDPD Y6, Y15, Y15
+	VMOVUPD (SI)(R8*8), Z0
+	VMOVUPD (DI)(R8*8), Z1
+	VMOVUPD (R10)(R8*8), Z2
+	VMOVUPD (R12)(R8*8), Z4
+	VMOVUPD (R13)(R8*8), Z5
+	EXACTPAIR8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z8)
+	VSQRTPD Z3, Z3
+	VMOVUPD (R11)(R8*8), Z7
+	VDIVPD Z3, Z7, Z7
+	ADDHALVES8(Z7, Z6, Y6)
+	ADDQ $8, R8
 
-busum:
+qtail:
+	CMPQ R8, vx_len+152(FP)
+	JGE qusum
+
+	VMOVUPD.Z (SI)(R8*8), K1, Z0
+	VMOVUPD.Z (DI)(R8*8), K1, Z1
+	VMOVUPD.Z (R10)(R8*8), K1, Z2
+	VMOVUPD.Z (R12)(R8*8), K1, Z4
+	VMOVUPD.Z (R13)(R8*8), K1, Z5
+	EXACTPAIR8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z8)
+	VBROADCASTSD f64x4One<>(SB), Z8
+	VBLENDMPD Z3, Z8, K1, Z3            // off lanes: f² := 1
+	VSQRTPD Z3, Z3
+	VMOVUPD.Z (R11)(R8*8), K1, Z7
+	VDIVPD Z3, Z7, Z7
+	VADDPD Z7, Z15, Z15
+	CMPQ rem-24(SP), $4
+	JLE qusum
+	VEXTRACTF64X4 $1, Z7, Y6
+	VADDPD Z6, Z15, Z15
+
+qusum:
 	VEXTRACTF128 $1, Y15, X0
 	VADDPD X0, X15, X0
 	VHADDPD X0, X0, X0
-	VMOVSD (BX), X1
-	VADDSD X0, X1, X1
-	VMOVSD X1, (BX)
+	VMULSD (BX), X0, X0
+	VADDSD energy-32(SP), X0, X0        // energy += ch[u]·s
+	VMOVSD X0, energy-32(SP)
 
 	ADDQ $8, R14
 	ADDQ $8, R15
 	ADDQ $8, AX
 	ADDQ $8, BX
+	ADDQ $8, CX
+	ADDQ $8, DX
 	DECQ R9
-	JNZ bouter
+	JNZ qouter
 
-bdone:
+qdone:
+	VMOVSD energy-32(SP), X0
+	VMOVSD X0, ret+288(FP)
+	VZEROUPPER
+	RET
+
+// func bornNearRow4(near, lo, hi []int32, ax, ay, az, atom, qx, qy, qz, wx, wy, wz []float64) int
+//
+// The Born near sweep of one row (bornNear, kernels.go) with the row's
+// near atoms as the lanes: for every leaf e of near, in order, and every
+// slot a of its range [lo[e], hi[e]), in chunks of four slots, atom[a] +=
+// s_a with s_a = Σ_j t_aj over the row's q-points j in index order, t_aj =
+// ((wx·dx + wy·dy) + wz·dz) / ((r²·r²)·r²), dx = qx − ax (dy, dz alike),
+// r² = (dx·dx + dy·dy) + dz·dz — separate multiplies and adds in the scalar
+// loop's order, no FMA, an IEEE divide — and t_aj := +0 where r² = 0, the
+// term the scalar loop skips: s_a starts at +0, so adding +0 changes no
+// bit. A chunk's lanes past hi[e] are masked off on every load and store
+// (VMASKMOVPD), so nothing outside the ranges is read or written. It
+// returns the number of atoms swept.
+//
+// Registers — R8/R9/R10 = ax/ay/az, DI = atom, R11–R15/BX = qx, qy, qz,
+// wx, wy, wz; SI = the chunk's first slot, CX = hi[e], DX = j; the near
+// cursor, its end and the atom count live on the stack. Y9 = the chunk's
+// lane mask, Y10–Y12 = its atoms' x, y, z, Y13 = s, Y15 = 0 for the r²
+// compare.
+TEXT ·bornNearRow4(SB), NOSPLIT, $24-320
+	MOVQ near_base+0(FP), AX
+	MOVQ AX, cur-8(SP)
+	MOVQ near_len+8(FP), CX
+	LEAQ (AX)(CX*4), AX
+	MOVQ AX, end-16(SP)
+	MOVQ $0, atoms-24(SP)
+	MOVQ ax_base+72(FP), R8
+	MOVQ ay_base+96(FP), R9
+	MOVQ az_base+120(FP), R10
+	MOVQ atom_base+144(FP), DI
+	MOVQ qx_base+168(FP), R11
+	MOVQ qy_base+192(FP), R12
+	MOVQ qz_base+216(FP), R13
+	MOVQ wx_base+240(FP), R14
+	MOVQ wy_base+264(FP), R15
+	MOVQ wz_base+288(FP), BX
+	VXORPD Y15, Y15, Y15
+
+brleaf:
+	MOVQ cur-8(SP), AX
+	CMPQ AX, end-16(SP)
+	JGE brdone
+	MOVLQSX (AX), DX                    // e
+	ADDQ $4, AX
+	MOVQ AX, cur-8(SP)
+	MOVQ lo_base+24(FP), AX
+	MOVLQSX (AX)(DX*4), SI              // lo[e]
+	MOVQ hi_base+48(FP), AX
+	MOVLQSX (AX)(DX*4), CX              // hi[e]
+	MOVQ CX, AX
+	SUBQ SI, AX
+	ADDQ AX, atoms-24(SP)
+
+brchunk:
+	CMPQ SI, CX
+	JGE brleaf
+	MOVQ CX, AX
+	SUBQ SI, AX                         // slots left
+	MOVQ $4, DX
+	CMPQ AX, DX
+	CMOVQGT DX, AX                      // lanes = min(left, 4)
+	SHLQ $5, AX
+	LEAQ mask4<>(SB), DX
+	VMOVUPD (DX)(AX*1), Y9
+	VMASKMOVPD (R8)(SI*8), Y9, Y10
+	VMASKMOVPD (R9)(SI*8), Y9, Y11
+	VMASKMOVPD (R10)(SI*8), Y9, Y12
+	VXORPD Y13, Y13, Y13
+	XORQ DX, DX
+
+brq:
+	CMPQ DX, qx_len+176(FP)
+	JGE brstore
+	VBROADCASTSD (R11)(DX*8), Y0
+	VSUBPD Y10, Y0, Y0                  // dx = qx − ax
+	VBROADCASTSD (R12)(DX*8), Y1
+	VSUBPD Y11, Y1, Y1                  // dy
+	VBROADCASTSD (R13)(DX*8), Y2
+	VSUBPD Y12, Y2, Y2                  // dz
+	VMULPD Y0, Y0, Y3                   // dx·dx
+	VMULPD Y1, Y1, Y4                   // dy·dy
+	VADDPD Y4, Y3, Y3
+	VMULPD Y2, Y2, Y4                   // dz·dz
+	VADDPD Y4, Y3, Y3                   // r²
+	VBROADCASTSD (R14)(DX*8), Y4
+	VMULPD Y0, Y4, Y4                   // wx·dx
+	VBROADCASTSD (R15)(DX*8), Y5
+	VMULPD Y1, Y5, Y5                   // wy·dy
+	VADDPD Y5, Y4, Y4
+	VBROADCASTSD (BX)(DX*8), Y5
+	VMULPD Y2, Y5, Y5                   // wz·dz
+	VADDPD Y5, Y4, Y4                   // w·d
+	VMULPD Y3, Y3, Y5                   // r²·r²
+	VMULPD Y3, Y5, Y5                   // ·r²
+	VDIVPD Y5, Y4, Y4                   // t = w·d / r²³
+	VCMPPD $4, Y15, Y3, Y6              // r² ≠ 0 (a NaN r² keeps its term)
+	VANDPD Y6, Y4, Y4
+	VADDPD Y4, Y13, Y13                 // s += t
+	INCQ DX
+	JMP brq
+
+brstore:
+	VMASKMOVPD (DI)(SI*8), Y9, Y0
+	VADDPD Y13, Y0, Y0                  // atom[a] += s
+	VMASKMOVPD Y0, Y9, (DI)(SI*8)
+	ADDQ $4, SI
+	JMP brchunk
+
+brdone:
+	MOVQ atoms-24(SP), AX
+	MOVQ AX, ret+312(FP)
 	VZEROUPPER
 	RET
 

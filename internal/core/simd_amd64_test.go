@@ -37,18 +37,30 @@ func TestExpNegAsmMatchesPortable(t *testing.T) {
 		xs = append(xs, -708-38*rng.Float64(), -math.Ldexp(1+rng.Float64(), rng.Intn(70)-60))
 	}
 	xs = append(xs, 0, math.Copysign(0, -1), math.Inf(-1), math.NaN(), -745.1332191019411, -745.1332191019412, -746, -1e300)
-	for len(xs)%4 != 0 {
+	for len(xs)%8 != 0 {
 		xs = append(xs, -1)
 	}
-	got := make([]float64, len(xs))
-	expNeg4(got, xs)
-	for i, x := range xs {
-		want := mathx.ExpNeg(x)
-		if math.Float64bits(got[i]) != math.Float64bits(want) && !(got[i] != got[i] && want != want) {
-			t.Fatalf("x = %v (lane %d): asm %v (%x), mathx.ExpNeg %v (%x)", x, i%4, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+	kernels := []struct {
+		name  string
+		lanes int
+		fn    func(dst, src []float64)
+		run   bool
+	}{{"EXPNEG4", 4, expNeg4, true}, {"EXPNEG8", 8, expNeg8, useAVX512}}
+	for _, k := range kernels {
+		if !k.run {
+			t.Logf("%s: no AVX-512F on this host", k.name)
+			continue
 		}
+		got := make([]float64, len(xs))
+		k.fn(got, xs)
+		for i, x := range xs {
+			want := mathx.ExpNeg(x)
+			if math.Float64bits(got[i]) != math.Float64bits(want) && !(got[i] != got[i] && want != want) {
+				t.Fatalf("%s: x = %v (lane %d): asm %v (%x), mathx.ExpNeg %v (%x)", k.name, x, i%k.lanes, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+			}
+		}
+		t.Logf("%s: %d arguments bit-identical", k.name, len(xs))
 	}
-	t.Logf("%d arguments bit-identical", len(xs))
 }
 
 // gatherCanary is the NaN the gather tests pre-fill storage with: a store

@@ -3,18 +3,22 @@
 package core
 
 // Builds without the assembly (other architectures, or -tags purego):
-// useAsmKernels stays false, so the portable kernels in kernels_stream.go /
-// kernels.go handle everything and the panicking stubs
+// useAsmKernels and useAVX512 stay false, so the portable kernels in
+// kernels_stream.go / kernels.go handle everything and the panicking stubs
 // below are unreachable; the classification's opening test runs on its
 // portable lanes.
 
-var useAsmKernels = false
+var useAsmKernels, useAVX512 = false, false
 
 func openFar8(t *rowTile, cx, cy, cz, r, mac float64) uint8 {
 	return openFar8Lanes(t, cx, cy, cz, r, mac)
 }
 
 func epolStreamExactAsm(o, s *soa) float64 {
+	panic("core: asm kernels unavailable in this build")
+}
+
+func epolStreamExactAsm8(o, s *soa) float64 {
 	panic("core: asm kernels unavailable in this build")
 }
 
@@ -26,7 +30,7 @@ func gatherAsm(s *soa, n int, src []float64, lo, hi, list []int32, w float64) in
 	panic("core: asm kernels unavailable in this build")
 }
 
-func bornNearBlockAsmR6(sys *System, lo, hi int32, out []float64, qx, qy, qz, wx, wy, wz []float64) {
+func bornNearRowAsm(sys *System, near []int32, atom, qx, qy, qz, wx, wy, wz []float64) int {
 	panic("core: asm kernels unavailable in this build")
 }
 

@@ -92,13 +92,21 @@ type streamBitsGolden struct {
 // leaf-blocked gather source, and re-recorded once, when the E_pol tiles
 // came: a tile's shared runs are swept once against all of its rows, which
 // changes the order E_pol's terms are summed in — every value moved by at
-// most 2.3e-15 relative, and every op count held.
+// most 2.3e-15 relative, and every op count held. Four lanes rows
+// (zero-block/repaired, leafcap3/reposed, leafcap32/fresh and
+// leafcap32/reposed) had their assembly side re-recorded once more when
+// the Born near sweep moved to the row kernel: the laned tier's assembly
+// Born sums were those of an FMA kernel and are now the scalar loop's, so
+// its Born radii, and E_pol after them, moved by 1–2 ulp; the exact rows
+// and every portable value held. The exact tier's assembly runs with the
+// AVX-512F stream kernel dispatched where the host has it and forced off,
+// to the same golden.
 func TestStreamBitsUnchanged(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("other architectures fuse multiply-adds differently; the bits are a statement about amd64")
 	}
 	record := os.Getenv("GBPOL_STREAM_BITS_RECORD") == "1"
-	defer func(v bool) { useAsmKernels = v }(useAsmKernels)
+	defer func(v bool) { useAsmKernels, useAVX512 = v, hostAVX512 }(useAsmKernels)
 	hostAsm := useAsmKernels
 	for _, c := range streamBitsCases {
 		params := mortonParams()
@@ -121,16 +129,23 @@ func TestStreamBitsUnchanged(t *testing.T) {
 					}
 					useAsmKernels = asm
 					sys.Params.Precision = tier.prec
-					res, err := RunShared(sys, SharedOptions{Threads: 1})
-					if err != nil {
-						t.Fatal(err)
+					for i, zmm := range avx512Sides() {
+						useAVX512 = zmm
+						res, err := RunShared(sys, SharedOptions{Threads: 1})
+						if err != nil {
+							t.Fatal(err)
+						}
+						bits := math.Float64bits(res.Epol)
+						switch {
+						case !asm:
+							got.portable = bits
+						case i == 0:
+							got.asm = bits
+						case bits != got.asm:
+							t.Errorf("%s: E_pol bits %#x with the AVX-512F kernel, %#x without", key, got.asm, bits)
+						}
+						got.ops = res.Ops
 					}
-					if asm {
-						got.asm = math.Float64bits(res.Epol)
-					} else {
-						got.portable = math.Float64bits(res.Epol)
-					}
-					got.ops = res.Ops
 				}
 				if record {
 					fmt.Printf("STREAMBITS\t%q: {%#x, %#x, %v},\n", key, got.asm, got.portable, got.ops)
@@ -224,7 +239,7 @@ var streamBitsGoldens = map[string]streamBitsGolden{
 	"zero-block/fresh/exact":     {0xc082616c7aa78eba, 0xc082616c7aa78eb9, 890902},
 	"zero-block/fresh/lanes":     {0xc082616c7a858507, 0xc082616c7a853d27, 890902},
 	"zero-block/repaired/exact":  {0xc082566f5ce2ffb6, 0xc082566f5ce2ffb6, 892256},
-	"zero-block/repaired/lanes":  {0xc082566f5dd9c774, 0xc082566f5dd94d2b, 892256},
+	"zero-block/repaired/lanes":  {0xc082566f5dd9c775, 0xc082566f5dd94d2b, 892256},
 	"zero-block/reposed/exact":   {0xc082566f5ce2ffb6, 0xc082566f5ce2ffb6, 892256},
 	"zero-block/reposed/lanes":   {0xc082566f5dd9c773, 0xc082566f5dd94d2a, 892256},
 	"leafcap1/fresh/exact":       {0xc08552671b3abe98, 0xc08552671b3abe98, 723605},
@@ -238,13 +253,13 @@ var streamBitsGoldens = map[string]streamBitsGolden{
 	"leafcap3/repaired/exact":    {0xc085cf30e2b4b262, 0xc085cf30e2b4b262, 616987},
 	"leafcap3/repaired/lanes":    {0xc085cf30e370a376, 0xc085cf30e36ff3c4, 616987},
 	"leafcap3/reposed/exact":     {0xc085cf30e2b4b260, 0xc085cf30e2b4b262, 616987},
-	"leafcap3/reposed/lanes":     {0xc085cf30e370a373, 0xc085cf30e36ff3c5, 616987},
+	"leafcap3/reposed/lanes":     {0xc085cf30e370a375, 0xc085cf30e36ff3c5, 616987},
 	"leafcap32/fresh/exact":      {0xc0861c0654297702, 0xc0861c0654297708, 1.682145e+06},
-	"leafcap32/fresh/lanes":      {0xc0861c06562855c0, 0xc0861c0656283182, 1.682145e+06},
+	"leafcap32/fresh/lanes":      {0xc0861c06562855c1, 0xc0861c0656283182, 1.682145e+06},
 	"leafcap32/repaired/exact":   {0xc086126384c76354, 0xc086126384c76359, 1.610806e+06},
 	"leafcap32/repaired/lanes":   {0xc086126385e7c610, 0xc086126385e7af68, 1.610806e+06},
 	"leafcap32/reposed/exact":    {0xc086126384c76358, 0xc086126384c7635a, 1.610806e+06},
-	"leafcap32/reposed/lanes":    {0xc086126385e7c611, 0xc086126385e7af67, 1.610806e+06},
+	"leafcap32/reposed/lanes":    {0xc086126385e7c612, 0xc086126385e7af67, 1.610806e+06},
 	"eps005/fresh/exact":         {0xc040cb68626cc686, 0xc040cb68626cc686, 222239},
 	"eps005/fresh/lanes":         {0xc040cb68626f70d7, 0xc040cb68626e60cf, 222239},
 	"eps005/repaired/exact":      {0xc040ca4286706239, 0xc040ca428670623a, 223154},

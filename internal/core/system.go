@@ -151,6 +151,11 @@ type System struct {
 	QX, QY, QZ             []float64
 	WNX, WNY, WNZ          []float64
 	ANodeX, ANodeY, ANodeZ []float64
+	// ANodeLo and ANodeHi are every atoms-tree node's slot range
+	// (Nodes[n].Start, Nodes[n].End) as flat tables: a kernel that reads a
+	// leaf's atoms per list entry reads two of them, where an 80-byte Node
+	// per entry would miss. Refreshed with the node centers.
+	ANodeLo, ANodeHi []int32
 
 	Params Params
 
@@ -239,8 +244,9 @@ func assembleSystem(mol *molecule.Molecule, surf *surface.Surface, ta, tq *octre
 	return s
 }
 
-// refreshAtomSoA rebuilds the flat atom-position and node-center arrays
-// from the atoms octree (after construction, update or rigid motion).
+// refreshAtomSoA rebuilds the flat atom-position, node-center and
+// node-range arrays from the atoms octree (after construction, update or
+// rigid motion).
 func (s *System) refreshAtomSoA() {
 	s.AtomX, s.AtomY, s.AtomZ = splitVecs(s.Atoms.Pts, s.AtomX, s.AtomY, s.AtomZ)
 	n := s.Atoms.NumNodes()
@@ -252,10 +258,15 @@ func (s *System) refreshAtomSoA() {
 	}
 	s.ANodeX, s.ANodeY, s.ANodeZ = s.ANodeX[:n], s.ANodeY[:n], s.ANodeZ[:n]
 	zeroPad(s.ANodeX, s.ANodeY, s.ANodeZ)
+	if cap(s.ANodeLo) < n {
+		s.ANodeLo, s.ANodeHi = make([]int32, n), make([]int32, n)
+	}
+	s.ANodeLo, s.ANodeHi = s.ANodeLo[:n], s.ANodeHi[:n]
 	sched.Fan(n, fanGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			c := s.Atoms.Nodes[i].Center
-			s.ANodeX[i], s.ANodeY[i], s.ANodeZ[i] = c.X, c.Y, c.Z
+			nd := &s.Atoms.Nodes[i]
+			s.ANodeX[i], s.ANodeY[i], s.ANodeZ[i] = nd.Center.X, nd.Center.Y, nd.Center.Z
+			s.ANodeLo[i], s.ANodeHi[i] = nd.Start, nd.End
 		}
 	})
 }
