@@ -82,10 +82,12 @@ bigendian:
 ## kernels: the compiled kernels on both dispatch sides — the assembly
 ## (vet's asmdecl checks every TEXT against its Go declaration, the list
 ## classification's openFar8AVX2, the Born tile sweep's bornFarShared4,
-## the Born near row kernel bornNearRow4 and the exact tier's AVX-512F
-## stream kernel epolStreamExact8 included; TestEpolStreamExact8MatchesExact4
-## holds the last to the AVX2 kernel's bits, TestBornNearRowKernelMatchesScalar
-## the row kernel to the scalar loop's) and, under -tags purego, the
+## the Born near row kernel bornNearRow4 and the two tiers' AVX-512F
+## stream kernels epolStreamExact8 and epolStreamLanes8 included;
+## TestEpolStreamExact8MatchesExact4 and TestEpolStreamLanes8MatchesLanes4
+## hold the last two to their AVX2 kernels' bits,
+## TestBornNearRowKernelMatchesScalar the row kernel to the scalar loop's)
+## and, under -tags purego, the
 ## portable Go kernels this host would otherwise never run: there the
 ## identity tests (TestOpenFar8MatchesScalar, TestTileCompileMatchesOracle,
 ## TestBornTileListsMatchOracle, TestEpolTileListsMatchOracle and every
@@ -94,7 +96,7 @@ bigendian:
 ## sweep's bits and TestEpolTileKernelMatchesRows the portable E_pol tile
 ## sweep to the per-row sweep at 1e-13 (DESIGN.md §6, §11).
 kernels:
-	$(call check_listed,TestOpenFar8MatchesScalar|TestTileCompileMatchesOracle|TestBornTileListsMatchOracle|TestBornTileKernelMatchesRows|TestEpolTileListsMatchOracle|TestEpolTileKernelMatchesRows|TestEpolStreamExact8MatchesExact4|TestBornNearRowKernelMatchesScalar,./internal/core/)
+	$(call check_listed,TestOpenFar8MatchesScalar|TestTileCompileMatchesOracle|TestBornTileListsMatchOracle|TestBornTileKernelMatchesRows|TestEpolTileListsMatchOracle|TestEpolTileKernelMatchesRows|TestEpolStreamExact8MatchesExact4|TestEpolStreamLanes8MatchesLanes4|TestBornNearRowKernelMatchesScalar,./internal/core/)
 	$(GO) vet -asmdecl ./internal/core/
 	$(GO) test ./internal/core/ ./internal/mathx/
 	$(GO) vet -tags purego ./internal/core/ ./internal/mathx/
@@ -180,7 +182,7 @@ bench-lists:
 ## bench-kernels: the E_pol stream kernels at the ledger's fixture (20 000
 ## atoms, one worker): a whole compiled sweep — gather included — per
 ## tier, the exact tier with and without its assembly, in ns per streamed
-## term, and the gather alone (every row's near, Sym and far streams and
+## term, the assembly of each tier on its avx2 and avx512 kernels, and the gather alone (every row's near, Sym and far streams and
 ## outer operands, no kernel), vector and portable, in ns per list entry
 ## and per atom copied — the difference of the two rows is the kernels'
 ## share (EXPERIMENTS.md "Stream kernels", "The gather at copy speed");
@@ -190,11 +192,12 @@ bench-lists:
 ## then the Born far sweep in ns per far term: row by row over each row's
 ## whole far set, and by tiles — each tile's shared run eight rows to a
 ## term, assembly and portable (EXPERIMENTS.md "Far nodes a whole tile
-## takes"); the exact tier's stream kernel alone in cache, avx2 and avx512,
+## takes"); each tier's stream kernel alone in cache, avx2 and avx512,
 ## and the Born near sweep in ns per near term, scalar loop and row kernel
-## (EXPERIMENTS.md "The exact tier at vector width"). BenchmarkEpolStreamExactAsm
-## and BenchmarkEpolKernelInCache split into avx2 and avx512 (the latter
-## skipped without AVX-512F).
+## (EXPERIMENTS.md "The exact tier at vector width", "The lanes tier at
+## vector width"). BenchmarkEpolStreamExactAsm, BenchmarkEpolStreamLanes
+## and BenchmarkEpolKernelInCache split into avx2 and avx512 (the
+## latter skipped without AVX-512F).
 bench-kernels:
 	$(call bench_listed,BenchmarkEpolStream|BenchmarkEpolGatherAsm|BenchmarkEpolGatherPortable|BenchmarkEpolSweepRows|BenchmarkEpolSweepTile|BenchmarkBornSweepRows|BenchmarkBornSweepTile|BenchmarkBornSweepTilePortable|BenchmarkEpolKernelInCache|BenchmarkBornNearSweep,-benchtime 5x -count 2,./internal/core/)
 

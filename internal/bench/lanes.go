@@ -94,7 +94,7 @@ func lanes(cfg Config) ([]*Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("kernel ISA: %s (runtime-detected; portable fallback elsewhere)", core.KernelISA()),
 		"ms/pose includes the rigid transform, the SoA refresh and both energy phases",
-		"the portable laned-f64 rows are bit-identical to a scalar approximate-math sweep (TestLanesTierBitCompatible); the avx2+fma path is pinned to it at ~1e-11 (TestAsmKernelsMatchPortable)",
+		"the portable laned-f64 rows are bit-identical to a scalar approximate-math sweep (TestLanesTierBitCompatible); the assembly lanes kernels — epolStreamLanes4 on avx2+fma, epolStreamLanes8 on avx512f, the same bits — are pinned to it at ~1e-11 (TestAsmKernelsMatchPortable)",
 		"paper Section V.E reports 1.42× from approximate math alone; GOAMD64=v3 (make bench-lanes GOAMD64=v3) additionally lifts the compiled Go code to the AVX2 baseline")
 	return []*Table{t}, nil
 }

@@ -194,7 +194,7 @@ func PushIntegralsToAtoms(sys *System, acc *bornAccum, loSlot, hiSlot int, out [
 	t := sys.Atoms
 	k := sys.kern()
 	// The downward-inheritance vector is pure scratch: borrow it from the
-	// System pool instead of allocating NumNodes floats on every call
+	// System's free list instead of allocating NumNodes floats on every call
 	// (once per rank per run, and once per pose in warm-engine scans).
 	inherit := sys.grabNodeScratch()
 	defer sys.releaseNodeScratch(inherit)

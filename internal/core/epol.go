@@ -191,12 +191,12 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 	if useAsmKernels {
 		gather = gatherAsm
 	}
-	sweep, sweepAsm := epolStreamExact, epolStreamExactAsm
-	if useAVX512 {
-		sweepAsm = epolStreamExactAsm8
-	}
+	sweep, sweepAsm, sweepAsm8 := epolStreamExact, epolStreamExactAsm, epolStreamExactAsm8
 	if sys.Params.Precision == PrecisionLanes {
-		sweep, sweepAsm = epolStreamLanes, epolStreamLanesAsm
+		sweep, sweepAsm, sweepAsm8 = epolStreamLanes, epolStreamLanesAsm, epolStreamLanesAsm8
+	}
+	if useAVX512 {
+		sweepAsm = sweepAsm8
 	}
 	if useAsmKernels {
 		sweep = sweepAsm

@@ -277,9 +277,10 @@ func epolStreamExact(o, s *soa) float64 {
 // test oracle, kernels_oracle_test.go): each lane performs exactly the
 // scalar operation sequence and the block epilogue adds the four terms in
 // index order, so every row sums to the identical float64
-// (TestLanesTierBitCompatible). The assembly kernel that replaces it on
-// AVX2 hosts uses FMA contraction and pairwise lane reduction — pinned to
-// this path by TestAsmKernelsMatchPortable.
+// (TestLanesTierBitCompatible). The assembly kernels that replace it —
+// epolStreamLanes4 on AVX2 hosts, epolStreamLanes8 where the host also has
+// AVX-512F, the same bits — use FMA contraction and pairwise lane reduction,
+// pinned to this path by TestAsmKernelsMatchPortable.
 func epolStreamLanes(o, s *soa) float64 {
 	sx := s.x
 	sy, sz, sq, sr := s.y[:len(sx)], s.z[:len(sx)], s.q[:len(sx)], s.r[:len(sx)]

@@ -62,12 +62,11 @@ func benchEpolStream(b *testing.B, p Precision, asm bool) {
 }
 
 func BenchmarkEpolStreamExact(b *testing.B) { benchEpolStream(b, PrecisionExact, false) }
-func BenchmarkEpolStreamLanes(b *testing.B) { benchEpolStream(b, PrecisionLanes, true) }
 
-// BenchmarkEpolStreamExactAsm is the exact tier's assembly sweep on each
-// kernel: avx2 (epolStreamExact4) and avx512 (epolStreamExact8, skipped on
+// benchEpolStreamAsm is benchEpolStream through a tier's assembly on each
+// kernel: avx2 (the width-4 kernel) and avx512 (the AVX-512F one, skipped on
 // hosts without AVX-512F).
-func BenchmarkEpolStreamExactAsm(b *testing.B) {
+func benchEpolStreamAsm(b *testing.B, p Precision) {
 	for _, isa := range []struct {
 		name string
 		zmm  bool
@@ -78,16 +77,25 @@ func BenchmarkEpolStreamExactAsm(b *testing.B) {
 			}
 			b.Cleanup(func() { useAVX512 = hostAVX512 })
 			useAVX512 = isa.zmm
-			benchEpolStream(b, PrecisionExact, true)
+			benchEpolStream(b, p, true)
 		})
 	}
 }
 
-// BenchmarkEpolKernelInCache is the exact tier's assembly stream kernel
-// alone, on operands that stay in L1: 16 outer atoms against a stream of
-// 512, swept 1 000 times per iteration, in ns per term — avx2
-// (epolStreamExact4) and avx512 (epolStreamExact8, skipped on hosts
-// without AVX-512F).
+// BenchmarkEpolStreamExactAsm is the exact tier's assembly sweep on
+// epolStreamExact4 (avx2) and epolStreamExact8 (avx512).
+func BenchmarkEpolStreamExactAsm(b *testing.B) { benchEpolStreamAsm(b, PrecisionExact) }
+
+// BenchmarkEpolStreamLanes is the lanes tier's assembly sweep on
+// epolStreamLanes4 (avx2) and epolStreamLanes8 (avx512).
+func BenchmarkEpolStreamLanes(b *testing.B) { benchEpolStreamAsm(b, PrecisionLanes) }
+
+// BenchmarkEpolKernelInCache is each tier's assembly stream kernel alone,
+// on operands that stay in L1: 16 outer atoms against a stream of 512, swept
+// 1 000 times per iteration, in ns per term — the exact tier's avx2
+// (epolStreamExact4) and avx512 (epolStreamExact8), the lanes tier's
+// lanes-avx2 (epolStreamLanes4) and lanes-avx512 (epolStreamLanes8); the
+// avx512 rows are skipped on hosts without AVX-512F.
 func BenchmarkEpolKernelInCache(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	o, s := randomSoa(rng, 16), randomSoa(rng, 512)
@@ -95,7 +103,12 @@ func BenchmarkEpolKernelInCache(b *testing.B) {
 		name string
 		fn   func(o, s *soa) float64
 		run  bool
-	}{{"avx2", epolStreamExactAsm, useAsmKernels}, {"avx512", epolStreamExactAsm8, hostAVX512}} {
+	}{
+		{"avx2", epolStreamExactAsm, useAsmKernels},
+		{"avx512", epolStreamExactAsm8, hostAVX512},
+		{"lanes-avx2", epolStreamLanesAsm, useAsmKernels},
+		{"lanes-avx512", epolStreamLanesAsm8, hostAVX512},
+	} {
 		b.Run(k.name, func(b *testing.B) {
 			if !k.run {
 				b.Skip("no such assembly kernel in this build or on this host")

@@ -252,7 +252,7 @@ func refStream(o, s *soa) float64 {
 
 // Tails and hazards of every stream kernel: stream lengths 0…33 and
 // 2^k−1, 2^k, 2^k+1 above (every lane-remainder of the width-4 kernels, and
-// of the AVX-512F kernel's blocks of eight and trips of sixteen) × outer
+// of the AVX-512F kernels' blocks of eight and trips of sixteen) × outer
 // lengths 0…3 against the defining sum; an outer atom exactly at the origin
 // (masked-off tail lanes would compute 0/√0 there); zero charges.
 func TestStreamKernelTailsAndHazards(t *testing.T) {
@@ -268,6 +268,7 @@ func TestStreamKernelTailsAndHazards(t *testing.T) {
 		{"exact-asm", epolStreamExactAsm, 1e-13, useAsmKernels},
 		{"exact-asm8", epolStreamExactAsm8, 1e-13, useAVX512},
 		{"lanes-asm", epolStreamLanesAsm, 5e-4, useAsmKernels},
+		{"lanes-asm8", epolStreamLanesAsm8, 5e-4, useAVX512},
 	}
 	var lengths []int
 	for n := 0; n <= 33; n++ {
@@ -309,40 +310,62 @@ func TestStreamKernelTailsAndHazards(t *testing.T) {
 	}
 }
 
+// randomStreamShape is one shape of the kernel-identity tests: outer 0–17
+// atoms and stream 0–130 — every remainder mod 4, 8 and 16 of the stream, so
+// every path through the AVX-512F kernels' two-block trips, single block and
+// masked tail — with mixed-sign stream charges, an outer atom at the origin
+// in a third of the trials (the masked lanes' 0/√0 hazard) and zero charges
+// in a fifth of them, some stream charges or all.
+func randomStreamShape(rng *rand.Rand, trial int) (o, s soa) {
+	no, n := rng.Intn(18), rng.Intn(131)
+	o, s = randomSoa(rng, no), randomSoa(rng, n)
+	for i := range s.q {
+		s.q[i] -= 0.6
+	}
+	if no > 0 && trial%3 == 0 {
+		o.x[0], o.y[0], o.z[0] = 0, 0, 0
+	}
+	if trial%5 == 0 {
+		for i := range s.q {
+			if trial%2 == 0 || rng.Intn(2) == 0 {
+				s.q[i] = 0
+			}
+		}
+	}
+	return o, s
+}
+
+// sameKernelBits runs want and got on trials random shapes
+// (randomStreamShape) and fails at the first whose float64 differs.
+func sameKernelBits(t *testing.T, seed int64, trials int, got, want func(o, s *soa) float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < trials; trial++ {
+		o, s := randomStreamShape(rng, trial)
+		w, g := want(&o, &s), got(&o, &s)
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("trial %d (outer %d, stream %d): %v (%#x), want %v (%#x)",
+				trial, len(o.x), len(s.x), g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
 // The exact tier's AVX-512F stream kernel returns epolStreamExact4's bits on
-// every shape: 3 600 random outer × stream operands, outer 0–17 atoms and
-// stream 0–130 — every remainder mod 4, 8 and 16 of the stream, so every
-// path through the two-block trips, the single block and the masked tail —
-// with mixed-sign charges, an outer atom at the origin in a third of the
-// shapes (the masked lanes' 0/√0 hazard) and zero charges in a fifth of
-// them, some stream charges or all.
+// every shape: 3 600 random outer × stream operands (randomStreamShape).
 func TestEpolStreamExact8MatchesExact4(t *testing.T) {
 	if !useAVX512 {
 		t.Skip("no AVX-512F on this host")
 	}
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 3600; trial++ {
-		no, n := rng.Intn(18), rng.Intn(131)
-		o, s := randomSoa(rng, no), randomSoa(rng, n)
-		for i := range s.q {
-			s.q[i] -= 0.6
-		}
-		if no > 0 && trial%3 == 0 {
-			o.x[0], o.y[0], o.z[0] = 0, 0, 0
-		}
-		if trial%5 == 0 {
-			for i := range s.q {
-				if trial%2 == 0 || rng.Intn(2) == 0 {
-					s.q[i] = 0
-				}
-			}
-		}
-		want := epolStreamExactAsm(&o, &s)
-		if got := epolStreamExactAsm8(&o, &s); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d (outer %d, stream %d): epolStreamExact8 %v (%#x), epolStreamExact4 %v (%#x)",
-				trial, no, n, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
+	sameKernelBits(t, 33, 3600, epolStreamExactAsm8, epolStreamExactAsm)
+}
+
+// The lanes tier's AVX-512F stream kernel returns epolStreamLanes4's bits on
+// every shape: 4 000 random outer × stream operands (randomStreamShape).
+func TestEpolStreamLanes8MatchesLanes4(t *testing.T) {
+	if !useAVX512 {
+		t.Skip("no AVX-512F on this host")
 	}
+	sameKernelBits(t, 34, 4000, epolStreamLanesAsm8, epolStreamLanesAsm)
 }
 
 // Dropping the old exact kernels' expSkip branch changed no bit: beyond

@@ -4,7 +4,7 @@ import "gbpolar/internal/mathx"
 
 // Precision selects the arithmetic tier — the paper's approximate-math
 // lever (Section V.E's 1.42×) as two tiers: exact, or approximate math
-// evaluated in width-4 lanes. It restructures the COMPILED warm path, and
+// evaluated in vector lanes. It restructures the COMPILED warm path, and
 // MathMode gives every scalar kernel the tier's accuracy class, so the
 // Born-radius inversion, the recursive traversals and the naive reference
 // sit in the same class as the compiled sweep. With the default
@@ -18,12 +18,14 @@ const (
 	// mathx.ExpNeg sequence in the AVX2 one (DESIGN.md §11). The compiled
 	// kernels pin the recursive reference at 1e-12 relative.
 	PrecisionExact Precision = iota
-	// PrecisionLanes evaluates the E_pol transcendentals through the
-	// width-4 mathx batch kernels (ExpLanes4/RSqrtLanes4) in float64,
-	// accumulating in scalar order. Each lane performs the scalar
-	// mathx.Exp/mathx.RSqrt sequence, so the portable kernel's row sums are
-	// bit for bit those of the scalar approximate-math stream
-	// (TestLanesTierBitCompatible) — the paper's approximate-math accuracy
+	// PrecisionLanes evaluates the E_pol transcendentals in float64 lanes.
+	// The portable kernel runs them through the width-4 mathx batch kernels
+	// (ExpLanes4/RSqrtLanes4), accumulating in scalar order: each lane
+	// performs the scalar mathx.Exp/mathx.RSqrt sequence, so its row sums
+	// are bit for bit those of the scalar approximate-math stream
+	// (TestLanesTierBitCompatible). The assembly runs four lanes on AVX2
+	// hosts and eight on AVX-512F ones, the same bits either way, within
+	// ~1e-11 of the portable kernel — the paper's approximate-math accuracy
 	// class (~1e-4), laned for speed.
 	PrecisionLanes
 )
@@ -38,11 +40,11 @@ func (p Precision) String() string {
 
 // KernelISA reports the instruction set the compiled kernels execute on:
 // "avx2+fma" when the runtime-detected assembly (simd_amd64.s) is active —
-// every tier's E_pol stream kernel, the exact tier's included, and the
-// Born near and shared far sweeps dispatch on the one switch —
-// "avx512f+avx2+fma" when the host also runs the exact tier's AVX-512F
-// stream kernel (the same bits as its AVX2 one), "portable" otherwise
-// (other architectures, older CPUs, -tags purego).
+// every tier's E_pol stream kernel and the Born near and shared far sweeps
+// dispatch on the one switch — "avx512f+avx2+fma" when the host also runs
+// both tiers' AVX-512F stream kernels (each the same bits as its AVX2
+// one), "portable" otherwise (other architectures, older CPUs,
+// -tags purego).
 func KernelISA() string {
 	switch {
 	case useAsmKernels && useAVX512:

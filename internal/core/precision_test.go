@@ -58,32 +58,45 @@ func TestLanesTierBitCompatible(t *testing.T) {
 	}
 }
 
-// The laned tier's AVX2 stream kernel must agree with the portable lane
-// code it replaces far inside the tier's 1e-4 accuracy budget: the
+// The laned tier's assembly stream kernels must agree with the portable
+// lane code they replace far inside the tier's 1e-4 accuracy budget: the
 // per-lane arithmetic differs only by FMA contraction, polynomial exp
 // (vs the mathx scalars) and pairwise reduction, so E_pol is pinned at
-// 1e-9 relative (measured ~2e-11). The Born kernels of the tier are the
-// scalar loops' bits — the row kernel of the near sweep, the tile sweep of
-// the shared far runs — so every Born radius is the portable one exactly.
+// 1e-9 relative (measured ~1e-11). The assembly runs with the AVX-512F
+// kernel dispatched where the host has it and forced off: the two return
+// the same bits. The Born kernels of the tier are the scalar loops' bits —
+// the row kernel of the near sweep, the tile sweep of the shared far runs —
+// so every Born radius is the portable one exactly.
 func TestAsmKernelsMatchPortable(t *testing.T) {
 	if !useAsmKernels {
 		t.Skip("no AVX2+FMA assembly kernels on this host")
 	}
+	defer func() { useAsmKernels, useAVX512 = true, hostAVX512 }()
 	sys, _, _ := testSystem(t, 4000, 95, DefaultParams())
-	asm := runTier(t, sys, PrecisionLanes)
+	sides := avx512Sides()
+	var asm []*Result
+	for _, zmm := range sides {
+		useAVX512 = zmm
+		asm = append(asm, runTier(t, sys, PrecisionLanes))
+	}
 	useAsmKernels = false
-	defer func() { useAsmKernels = true }()
 	portable := runTier(t, sys, PrecisionLanes)
 
 	const tol = 1e-9
-	// !(e <= tol) rather than e > tol so a NaN energy cannot pass.
-	if e := relErr(asm.Epol, portable.Epol); !(e <= tol) {
-		t.Errorf("lanes tier: asm E_pol %.12g vs portable %.12g, rel err %.3g > %.0e", asm.Epol, portable.Epol, e, tol)
+	for i, res := range asm {
+		if math.Float64bits(res.Epol) != math.Float64bits(asm[0].Epol) {
+			t.Errorf("lanes tier: AVX2 E_pol %.17g, AVX-512F %.17g", res.Epol, asm[0].Epol)
+		}
+		// !(e <= tol) rather than e > tol so a NaN energy cannot pass.
+		e := relErr(res.Epol, portable.Epol)
+		if !(e <= tol) {
+			t.Errorf("lanes tier (AVX-512F %v): asm E_pol %.12g vs portable %.12g, rel err %.3g > %.0e", sides[i], res.Epol, portable.Epol, e, tol)
+		}
+		if err := sameBits("Born radius", res.BornRadii, portable.BornRadii); err != nil {
+			t.Errorf("lanes tier (AVX-512F %v): assembly against portable: %v", sides[i], err)
+		}
+		t.Logf("lanes tier (AVX-512F %v): asm vs portable E_pol rel err %.3g", sides[i], e)
 	}
-	if err := sameBits("Born radius", asm.BornRadii, portable.BornRadii); err != nil {
-		t.Errorf("lanes tier: assembly against portable: %v", err)
-	}
-	t.Logf("lanes tier: asm vs portable E_pol rel err %.3g", relErr(asm.Epol, portable.Epol))
 }
 
 // The laned tier also stays within the approximate-math accuracy class

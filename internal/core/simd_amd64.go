@@ -6,10 +6,10 @@ import "gbpolar/internal/mathx"
 
 // Runtime dispatch for the assembly kernels (simd_amd64.s): the E_pol
 // stream kernels of the exact tier — whose assembly keeps IEEE sqrt/divide
-// and a ≤1-ulp vector exp, on AVX-512F where the host has it and AVX2+FMA
-// otherwise, the same bits either way — and of the laned tier, the Born
-// near sweep of a row and the Born tile's shared far sweep of every tier,
-// bit for bit their portable loops. The portable Go kernels
+// and a ≤1-ulp vector exp — and of the laned tier, each on AVX-512F where
+// the host has it and AVX2+FMA otherwise, the same bits either way; the
+// Born near sweep of a row and the Born tile's shared far sweep of every
+// tier, bit for bit their portable loops. The portable Go kernels
 // (kernels_stream.go, kernels.go) remain the reference implementation — the
 // tests force useAsmKernels off to pin the laned tier's bit-compatibility
 // claim, TestAsmKernelsMatchPortable bounds the laned assembly against the
@@ -30,6 +30,9 @@ func epolStreamExact8(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float
 
 //go:noescape
 func epolStreamLanes4(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
+
+//go:noescape
+func epolStreamLanes8(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
 
 //go:noescape
 func gatherBlocks4(dst []float64, stride, n int, src []float64, lo, hi, list []int32, w float64) int
@@ -69,10 +72,10 @@ func detectAVX2FMA() bool {
 	return ebx7&(1<<5) != 0 // AVX2
 }
 
-// detectAVX512 reports whether the host can also run the ZMM kernel
-// (epolStreamExact8): AVX-512F present — the kernel uses no other AVX-512
-// subset — and the OS saving the opmask and all 32 ZMM registers along
-// with XMM+YMM state (XCR0 bits 1, 2, 5, 6, 7).
+// detectAVX512 reports whether the host can also run the ZMM kernels
+// (epolStreamExact8, epolStreamLanes8): AVX-512F present — the kernels use
+// no other AVX-512 subset — and the OS saving the opmask and all 32 ZMM
+// registers along with XMM+YMM state (XCR0 bits 1, 2, 5, 6, 7).
 func detectAVX512() bool {
 	if maxLeaf, _, _, _ := cpuidex(0, 0); maxLeaf < 7 {
 		return false
@@ -89,7 +92,7 @@ func detectAVX512() bool {
 }
 
 // useAsmKernels gates the assembly kernels, and useAVX512 — under it —
-// the exact tier's ZMM stream kernel. Mutable only by tests (which
+// the two tiers' ZMM stream kernels. Mutable only by tests (which
 // single-thread their runs); everything else treats them as constants
 // resolved at startup.
 var (
@@ -119,6 +122,10 @@ func epolStreamExactAsm8(o, s *soa) float64 {
 
 func epolStreamLanesAsm(o, s *soa) float64 {
 	return epolStreamLanes4(o.x, o.y, o.z, o.q, o.r, o.ir, s.x, s.y, s.z, s.q, s.r, s.ir)
+}
+
+func epolStreamLanesAsm8(o, s *soa) float64 {
+	return epolStreamLanes8(o.x, o.y, o.z, o.q, o.r, o.ir, s.x, s.y, s.z, s.q, s.r, s.ir)
 }
 
 // gatherAsm is soa.gather (kernels_stream.go) through the vector span

@@ -1,6 +1,6 @@
 //go:build amd64 && !purego
 
-// AVX2+FMA E_pol stream kernels, the exact tier's AVX-512F stream kernel
+// AVX2+FMA E_pol stream kernels, both tiers' AVX-512F stream kernels
 // and the Born kernels (simd_amd64.go wraps and dispatches these;
 // kernels_stream.go / kernels.go carry the portable fallbacks). One epol
 // call sweeps one gathered stream (the six trailing slices) against a few
@@ -23,14 +23,16 @@
 // (|rel err| ≤ 1.5·2⁻¹²) and runs two Newton steps (→ ~6e-14); lane
 // partials reduce pairwise. That is not bit-identical to the portable lane
 // path — the tier's accuracy class (≤1e-4 relative) absorbs the
-// difference, and TestAsmKernelsMatchPortable pins it far tighter. The
+// difference, and TestAsmKernelsMatchPortable pins it far tighter — but
+// epolStreamLanes8 performs epolStreamLanes4's operations in its order and
+// forms its sums in its order, so the two return the same bits. The
 // Born kernels of every tier are their scalar loops' operations in order,
 // no FMA, bit for bit.
 //
 // The inner (stream / atom) length is runtime-sized: full lanes run the
 // unmasked loop, the remainder runs one extra iteration with VMASKMOV
 // loads whose mask comes from the lane-count tables below (an opmask in
-// the AVX-512F kernel). Masked-off epol lanes load zero charges/radii,
+// the AVX-512F kernels). Masked-off epol lanes load zero charges/radii,
 // which would put 1/√0 · 0 = NaN in play if the outer atom sat exactly at
 // the origin — a VBLENDVPD (VBLENDMPD) parks those lanes' f² at 1.0
 // instead. The Born near kernel's masked lanes are never stored.
@@ -757,6 +759,216 @@ qusum:
 	JNZ qouter
 
 qdone:
+	VMOVSD energy-32(SP), X0
+	VMOVSD X0, ret+288(FP)
+	VZEROUPPER
+	RET
+
+// LANESPAIR8 is epolStreamLanes4's term up to f² on eight lanes: the loaded
+// zmm lanes x, y, z = stream position, rv = stream radius, irv = stream
+// reciprocal radius become f = f² under the outer atom in Z10–Z14, with k
+// and p as scratch and x, y, z, rv, irv clobbered — the same operations in
+// the same order and operand order: FMA-contracted r², the clamp as
+// VMAXPD's second source, VRNDSCALEPD $0 for VROUNDPD $0, the same
+// reduction and Horner chain, and VSCALEFPD for the multiply by the
+// integer-built 2^k. The clamp keeps k ≥ −1010, so p·2^k is normal and
+// exact either way.
+#define LANESPAIR8(x, y, z, f, rv, irv, k, p) \
+	VSUBPD x, Z12, x \
+	VSUBPD y, Z13, y \
+	VSUBPD z, Z14, z \
+	VMULPD x, x, f \
+	VFMADD231PD y, y, f \
+	VFMADD231PD z, z, f \
+	VMULPD rv, Z11, rv \
+	VMULPD irv, Z10, irv \
+	VMULPD f, irv, irv \
+	VMAXPD.BCST f64x4Clamp<>(SB), irv, irv \
+	VMULPD.BCST f64x4InvLn2<>(SB), irv, k \
+	VRNDSCALEPD $0, k, k \
+	VFNMADD231PD.BCST f64x4Ln2<>(SB), k, irv \
+	VBROADCASTSD f64x4C6<>(SB), p \
+	VFMADD213PD.BCST f64x4C5<>(SB), irv, p \
+	VFMADD213PD.BCST f64x4C4<>(SB), irv, p \
+	VFMADD213PD.BCST f64x4C3<>(SB), irv, p \
+	VFMADD213PD.BCST f64x4Half<>(SB), irv, p \
+	VFMADD213PD.BCST f64x4One<>(SB), irv, p \
+	VFMADD213PD.BCST f64x4One<>(SB), irv, p \
+	VSCALEFPD k, p, p \
+	VFMADD231PD p, rv, f
+
+// LANESRSQRT8 is epolStreamLanes4's 1/√f² on eight lanes: the seed from
+// VRSQRTPS on f² rounded to float32, then the same two Newton steps, into
+// zmm y, with h and t as scratch — 1.5 − h·y² is one fused negated
+// multiply-add in both, its constant here a broadcast operand instead of a
+// register. VRSQRTPS has only a VEX encoding, so the seed passes through lo,
+// a ymm register among Y0–Y15; VRSQRT14PD would give another estimate and
+// other bits.
+#define LANESRSQRT8(f, lo, y, h, t) \
+	VCVTPD2PS f, lo \
+	VRSQRTPS lo, lo \
+	VCVTPS2PD lo, y \
+	VMULPD.BCST f64x4Half<>(SB), f, h \
+	VMULPD y, y, t \
+	VFNMADD213PD.BCST f64x4OneHalf<>(SB), h, t \
+	VMULPD t, y, y \
+	VMULPD y, y, t \
+	VFNMADD213PD.BCST f64x4OneHalf<>(SB), h, t \
+	VMULPD t, y, y
+
+// FMAHALVES8 fuses s += cv·y for the eight lanes of zmm y and cv into the
+// four-lane partial sums in the low half of Z15: lanes 0–3 first, then 4–7
+// moved down into yhi and cvhi, as epolStreamLanes4 adds two consecutive
+// blocks of four. Lanes 4–7 of Z15 collect junk that is never read.
+#define FMAHALVES8(y, cv, yhi, yhiy, cvhi, cvhiy) \
+	VFMADD231PD y, cv, Z15 \
+	VEXTRACTF64X4 $1, y, yhiy \
+	VEXTRACTF64X4 $1, cv, cvhiy \
+	VFMADD231PD yhi, cvhi, Z15
+
+// func epolStreamLanes8(ax, ay, az, ch, rad, irad, vx, vy, vz, cv, rv, irv []float64) float64
+//
+// epolStreamLanes4 on AVX-512F, returning its float64 on every input, as
+// epolStreamExact8 does epolStreamExact4's: each loop trip evaluates two
+// independent blocks of eight stream terms of one outer atom — A in Z0–Z8,
+// B in Z16–Z24, with Z9 the low register B's seed passes through — every
+// lane by epolStreamLanes4's operations in its order (LANESPAIR8,
+// LANESRSQRT8). Each block of eight enters the four-lane partials as two
+// blocks of four (FMAHALVES8), A before B; a remainder of eight runs once
+// unmasked, and the last n mod 8 terms run as one block under the opmask K1,
+// zero-masked loads standing in for VMASKMOVPD and f² parked at 1 on the
+// off lanes, whose upper half is added only when more than four terms
+// remain. The reduction and the energy update are epolStreamLanes4's.
+//
+// Registers as in epolStreamExact8; K1 = tail mask, live for the whole
+// call.
+TEXT ·epolStreamLanes8(SB), NOSPLIT, $32-296
+	// n16 = n &^ 15; n8 = n &^ 7; rem = n & 7; K1 = (1 << rem) − 1
+	MOVQ vx_len+152(FP), R8
+	MOVQ R8, R9
+	ANDQ $-16, R9
+	MOVQ R9, n16-8(SP)
+	MOVQ R8, R9
+	ANDQ $-8, R9
+	MOVQ R9, n8-16(SP)
+	ANDQ $7, R8
+	MOVQ R8, rem-24(SP)
+	MOVQ R8, CX
+	MOVQ $1, R9
+	SHLQ CX, R9
+	DECQ R9
+	KMOVW R9, K1
+
+	MOVQ ax_base+0(FP), R14
+	MOVQ ax_len+8(FP), R9
+	MOVQ ay_base+24(FP), R15
+	MOVQ az_base+48(FP), AX
+	MOVQ ch_base+72(FP), BX
+	MOVQ rad_base+96(FP), CX
+	MOVQ irad_base+120(FP), DX
+	MOVQ vx_base+144(FP), SI
+	MOVQ vy_base+168(FP), DI
+	MOVQ vz_base+192(FP), R10
+	MOVQ cv_base+216(FP), R11
+	MOVQ rv_base+240(FP), R12
+	MOVQ irv_base+264(FP), R13
+
+	VXORPD X0, X0, X0
+	VMOVSD X0, energy-32(SP)
+	TESTQ R9, R9
+	JZ ldone
+
+louter:
+	VBROADCASTSD (R14), Z12
+	VBROADCASTSD (R15), Z13
+	VBROADCASTSD (AX), Z14
+	VBROADCASTSD (CX), Z11
+	VBROADCASTSD (DX), Z10
+	VMULPD.BCST f64x4NegQuarter<>(SB), Z10, Z10
+	VXORPD Y15, Y15, Y15
+	XORQ R8, R8
+
+ltrip:
+	CMPQ R8, n16-8(SP)
+	JGE lblock
+
+	VMOVUPD (SI)(R8*8), Z0
+	VMOVUPD (DI)(R8*8), Z1
+	VMOVUPD (R10)(R8*8), Z2
+	VMOVUPD (R12)(R8*8), Z4
+	VMOVUPD (R13)(R8*8), Z5
+	VMOVUPD 64(SI)(R8*8), Z16
+	VMOVUPD 64(DI)(R8*8), Z17
+	VMOVUPD 64(R10)(R8*8), Z18
+	VMOVUPD 64(R12)(R8*8), Z20
+	VMOVUPD 64(R13)(R8*8), Z21
+	LANESPAIR8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z8)
+	LANESPAIR8(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z24)
+	LANESRSQRT8(Z3, Y5, Z5, Z6, Z7)
+	LANESRSQRT8(Z19, Y9, Z21, Z22, Z23)
+	VMOVUPD (R11)(R8*8), Z7
+	VMOVUPD 64(R11)(R8*8), Z23
+	FMAHALVES8(Z5, Z7, Z6, Y6, Z8, Y8)       // block A
+	FMAHALVES8(Z21, Z23, Z22, Y22, Z24, Y24) // block B
+
+	ADDQ $16, R8
+	JMP ltrip
+
+lblock:
+	CMPQ R8, n8-16(SP)
+	JGE ltail
+
+	VMOVUPD (SI)(R8*8), Z0
+	VMOVUPD (DI)(R8*8), Z1
+	VMOVUPD (R10)(R8*8), Z2
+	VMOVUPD (R12)(R8*8), Z4
+	VMOVUPD (R13)(R8*8), Z5
+	LANESPAIR8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z8)
+	LANESRSQRT8(Z3, Y5, Z5, Z6, Z7)
+	VMOVUPD (R11)(R8*8), Z7
+	FMAHALVES8(Z5, Z7, Z6, Y6, Z8, Y8)
+	ADDQ $8, R8
+
+ltail:
+	CMPQ R8, vx_len+152(FP)
+	JGE lusum
+
+	VMOVUPD.Z (SI)(R8*8), K1, Z0
+	VMOVUPD.Z (DI)(R8*8), K1, Z1
+	VMOVUPD.Z (R10)(R8*8), K1, Z2
+	VMOVUPD.Z (R12)(R8*8), K1, Z4
+	VMOVUPD.Z (R13)(R8*8), K1, Z5
+	LANESPAIR8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z8)
+	VBROADCASTSD f64x4One<>(SB), Z8
+	VBLENDMPD Z3, Z8, K1, Z3            // off lanes: f² := 1
+	LANESRSQRT8(Z3, Y5, Z5, Z6, Z7)
+	VMOVUPD.Z (R11)(R8*8), K1, Z7
+	VFMADD231PD Z5, Z7, Z15
+	CMPQ rem-24(SP), $4
+	JLE lusum
+	VEXTRACTF64X4 $1, Z5, Y6
+	VEXTRACTF64X4 $1, Z7, Y8
+	VFMADD231PD Z6, Z8, Z15
+
+lusum:
+	VEXTRACTF128 $1, Y15, X0
+	VADDPD X0, X15, X0
+	VHADDPD X0, X0, X0
+	VMOVSD (BX), X1
+	VMOVSD energy-32(SP), X2
+	VFMADD231SD X1, X0, X2              // energy += ch[u]·s
+	VMOVSD X2, energy-32(SP)
+
+	ADDQ $8, R14
+	ADDQ $8, R15
+	ADDQ $8, AX
+	ADDQ $8, BX
+	ADDQ $8, CX
+	ADDQ $8, DX
+	DECQ R9
+	JNZ louter
+
+ldone:
 	VMOVSD energy-32(SP), X0
 	VMOVSD X0, ret+288(FP)
 	VZEROUPPER

@@ -26,6 +26,10 @@ func epolStreamLanesAsm(o, s *soa) float64 {
 	panic("core: asm kernels unavailable in this build")
 }
 
+func epolStreamLanesAsm8(o, s *soa) float64 {
+	panic("core: asm kernels unavailable in this build")
+}
+
 func gatherAsm(s *soa, n int, src []float64, lo, hi, list []int32, w float64) int {
 	panic("core: asm kernels unavailable in this build")
 }

@@ -165,9 +165,15 @@ type System struct {
 	listsMu sync.Mutex
 	lists   *CompiledLists
 
-	// nodeScratch pools NumNodes-sized float64 buffers (the downward
-	// inheritance vector of PushIntegralsToAtoms) across calls and ranks.
-	nodeScratch sync.Pool
+	// nodeScratch holds released NumNodes-sized float64 buffers (the
+	// downward inheritance vector of PushIntegralsToAtoms) for reuse
+	// across calls and ranks, guarded by scratchMu. A plain free list, not
+	// a sync.Pool: the runtime's registry of pools points into the System
+	// that embeds one, and so keeps a dropped System alive until the
+	// second garbage collection after its last use — how much heap a
+	// process holds then depends on when its collections happened to run.
+	scratchMu   sync.Mutex
+	nodeScratch [][]float64
 }
 
 // NewSystem builds the octrees and aggregates for a molecule/surface
@@ -387,23 +393,29 @@ func (s *System) InvalidateLists() {
 }
 
 // grabNodeScratch returns a zeroed NumNodes-sized scratch buffer from
-// the pool (concurrent ranks each get their own).
+// the free list (concurrent ranks each get their own).
 func (s *System) grabNodeScratch() []float64 {
 	n := s.Atoms.NumNodes()
-	if v := s.nodeScratch.Get(); v != nil {
-		if buf := *v.(*[]float64); cap(buf) >= n {
-			buf = buf[:n]
-			for i := range buf {
-				buf[i] = 0
-			}
-			return buf
-		}
+	var buf []float64
+	s.scratchMu.Lock()
+	if k := len(s.nodeScratch); k > 0 {
+		buf = s.nodeScratch[k-1]
+		s.nodeScratch[k-1] = nil
+		s.nodeScratch = s.nodeScratch[:k-1]
 	}
-	return make([]float64, n)
+	s.scratchMu.Unlock()
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 func (s *System) releaseNodeScratch(buf []float64) {
-	s.nodeScratch.Put(&buf)
+	s.scratchMu.Lock()
+	s.nodeScratch = append(s.nodeScratch, buf)
+	s.scratchMu.Unlock()
 }
 
 // qNodeAggregates computes Σ w·n per node from a prefix sum over the
