@@ -134,15 +134,19 @@ net:
 	$(call run_listed,-race -count=1,TestNet|TestRunContext|TestElasticSpans,./internal/core/ ./internal/cluster/)
 
 ## loc: the non-test line counts the deletion rounds quote (EXPERIMENTS.md
-## "Deletion round 1", "2" and "3"): the runner files — one pipeline
-## and what constructs it — the list back-end and its checkpoint, all of
-## internal/core, its assembly, internal/octree, and the facade.
+## "Deletion round 1" to "4"): the runner files — one pipeline and what
+## constructs it — the list back-end and its checkpoint, all of
+## internal/core, its assembly, internal/octree, the packages beside them
+## (baselines, gbmodels, nblist, bench), and the facade.
 loc:
 	@echo "list files (internal/core/{ilist,ilist_tile,ilist_repair,snapshot}.go): $$(cat internal/core/ilist.go internal/core/ilist_tile.go internal/core/ilist_repair.go internal/core/snapshot.go | wc -l)"
 	@echo "runner files (internal/core/{runner,elastic,dyndist,recover,netrun,pipeline}.go): $$(cat $(wildcard $(addprefix internal/core/,$(addsuffix .go,runner elastic dyndist recover netrun pipeline))) | wc -l)"
 	@echo "internal/core non-test: $$(ls internal/core/*.go | grep -v _test.go | xargs cat | wc -l)"
 	@echo "internal/core/simd_amd64.s: $$(wc -l < internal/core/simd_amd64.s)"
 	@echo "internal/octree non-test: $$(ls internal/octree/*.go | grep -v _test.go | xargs cat | wc -l)"
+	@for d in internal/baselines internal/gbmodels internal/nblist internal/bench; do \
+		echo "$$d non-test: $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)"; \
+	done
 	@echo "gbpolar.go: $$(wc -l < gbpolar.go)"
 	@echo "cmd + examples non-test: $$(ls cmd/*/*.go examples/*/*.go | grep -v _test.go | xargs cat | wc -l)"
 

@@ -473,10 +473,9 @@ func (e *Engine) SaveSnapshot(path string) error {
 }
 
 // NewEngineFromSnapshot restores an Engine from a SaveSnapshot file.
-// Corruption, truncation, a future format version, a parameter mismatch
-// and a retired configuration each fail with their typed sentinel
-// (core.ErrSnapshotCorrupt, core.ErrSnapshotVersion, core.ErrSnapshotParams,
-// core.ErrSnapshotRetired), returned unchanged.
+// Corruption, truncation, another format version and a parameter
+// mismatch each fail with their typed sentinel (core.ErrSnapshotCorrupt,
+// core.ErrSnapshotVersion, core.ErrSnapshotParams), returned unchanged.
 func NewEngineFromSnapshot(path string) (*Engine, error) {
 	// The snapshot is its own parameter source: one read, one decode (the
 	// stamp's self-consistency is verified by the decoder).

@@ -1,21 +1,22 @@
 // Package baselines re-implements the algorithmic approach of each GB
-// package the paper compares against (Table II): Amber 12 (HCT,
-// all-pairs, MPI), Gromacs 4.5.3 (HCT, cutoff nblist, MPI), NAMD 2.9
-// (OBC, cutoff nblist, MPI, with the paper's subtract-two-runs
-// measurement overhead), Tinker 6.0 (Still-style, all-pairs, OpenMP-like
-// static shared-memory parallelism) and GBr⁶ (volume-based r⁶, serial).
+// package the paper compares against (Table II): Amber 12 (HCT, MPI),
+// Gromacs 4.5.3 (HCT, MPI), NAMD 2.9 (OBC, MPI, with the paper's
+// subtract-two-runs measurement overhead), Tinker 6.0 (Still-style,
+// OpenMP-like static shared-memory parallelism) and GBr⁶ (volume-based
+// r⁶, serial). All five run all pairs: EXPERIMENTS.md's Figure 8 notes say
+// why Gromacs and NAMD are modelled without their cutoff lists.
 //
-// The comparison the paper draws is between algorithm classes —
-// quadratic/cutoff pairwise over nblists versus the hierarchical
-// O(M log M) octree — so each baseline here executes its real pairwise
-// algorithm and is metered by the same virtual clock as the octree
-// runners. Per-package cost multipliers (Spec.Efficiency) account for the
-// implementation-maturity differences between Fortran/C++ production
-// codes that a re-implementation cannot reproduce microarchitecturally;
-// they are scalar constants calibrated once against the paper's observed
-// ratios and documented in EXPERIMENTS.md. All scaling behaviour —
-// growth with M, crossovers, out-of-memory failures — comes from the
-// executed algorithms, not from the constants.
+// The comparison the paper draws is between algorithm classes — quadratic
+// pairwise versus the hierarchical O(M log M) octree — so each baseline
+// here executes its real pairwise algorithm and is metered by the same
+// virtual clock as the octree runners. Per-package cost multipliers
+// (Spec.Efficiency) account for the implementation-maturity differences
+// between Fortran/C++ production codes that a re-implementation cannot
+// reproduce microarchitecturally; they are scalar constants calibrated once
+// against the paper's observed ratios and documented in EXPERIMENTS.md. All
+// scaling behaviour — growth with M, crossovers — comes from the executed
+// algorithms, not from the constants; the out-of-memory failures are each
+// package's AtomLimit.
 package baselines
 
 import (
@@ -26,7 +27,6 @@ import (
 	"gbpolar/internal/cluster"
 	"gbpolar/internal/gbmodels"
 	"gbpolar/internal/molecule"
-	"gbpolar/internal/nblist"
 )
 
 // ErrAtomLimit reports a molecule beyond a package's compiled-in or
@@ -46,9 +46,6 @@ type Spec struct {
 	// rate; >1 = slower per op). Calibrated against the paper's Figure 8
 	// ratios; see the package comment.
 	Efficiency float64
-	// Cutoff truncates pair interactions (Å); 0 = all pairs (Amber's GB
-	// default behaviour, and the Still/GBr⁶ serial codes).
-	Cutoff float64
 	// AtomLimit fails molecules larger than this (0 = unlimited).
 	AtomLimit int
 	// Shared marks OpenMP-style shared-memory-only packages (Tinker).
@@ -66,13 +63,6 @@ type Options struct {
 	RanksPerNode int
 	// OpsPerSecond is the calibrated base kernel rate (0 = calibrate).
 	OpsPerSecond float64
-	// MemoryBudgetBytes bounds the per-run nblist memory for cutoff
-	// packages (0 = no bound).
-	MemoryBudgetBytes int64
-	// Cutoff overrides the package's pair-interaction cutoff in Å
-	// (0 = the package default; negative = force all-pairs). It models
-	// the paper's Section V.F cutoff experiments on CMV.
-	Cutoff float64
 	// MPIStartup is the per-run job-launch overhead charged to
 	// distributed packages (default 1 ms).
 	MPIStartup time.Duration
@@ -166,93 +156,27 @@ func (p *Pkg) measureOverhead() float64 {
 	return 1.0
 }
 
-// radiiRows computes the package's Born radii for rows [lo,hi), either
-// all-pairs or over a shared cutoff list, returning the radii and the op
-// count expended.
-func (p *Pkg) radiiRows(mol *molecule.Molecule, nb *nblist.List, lo, hi int) ([]float64, float64) {
-	m := float64(mol.NumAtoms())
+// radiiRows computes the package's Born radii for rows [lo,hi) over all
+// pairs, returning the radii and the op count expended.
+func (p *Pkg) radiiRows(mol *molecule.Molecule, lo, hi int) ([]float64, float64) {
+	ops := float64(hi-lo) * float64(mol.NumAtoms())
 	switch p.Spec.GBModel {
 	case "HCT":
-		if nb == nil {
-			inv := gbmodels.HCTInverseRadiiRange(mol, lo, hi, gbmodels.HCTDescreenScale)
-			return gbmodels.HCTRadiiFromInverse(mol, lo, inv), float64(hi-lo) * m
-		}
-		inv, ops := hctInverseRows(mol, nb, lo, hi, gbmodels.HCTDescreenScale)
+		inv := gbmodels.HCTInverseRadiiRange(mol, lo, hi, gbmodels.HCTDescreenScale)
 		return gbmodels.HCTRadiiFromInverse(mol, lo, inv), ops
 	case "OBC":
-		if nb == nil {
-			inv := gbmodels.HCTInverseRadiiRange(mol, lo, hi, gbmodels.OBCDescreenScale)
-			return gbmodels.OBCRadiiFromInverse(mol, lo, inv), float64(hi-lo) * m
-		}
-		inv, ops := hctInverseRows(mol, nb, lo, hi, gbmodels.OBCDescreenScale)
+		inv := gbmodels.HCTInverseRadiiRange(mol, lo, hi, gbmodels.OBCDescreenScale)
 		return gbmodels.OBCRadiiFromInverse(mol, lo, inv), ops
 	case "STILL":
-		return gbmodels.StillRadiiRange(mol, lo, hi), float64(hi-lo) * m
+		return gbmodels.StillRadiiRange(mol, lo, hi), ops
 	case "VR6":
-		return gbmodels.VR6RadiiRange(mol, lo, hi), float64(hi-lo) * m
+		return gbmodels.VR6RadiiRange(mol, lo, hi), ops
 	}
 	panic("baselines: unknown GB model " + p.Spec.GBModel)
 }
 
-// hctInverseRows accumulates the HCT descreening sum for rows [lo,hi)
-// from a half neighbor list (contributions flow to whichever endpoint is
-// owned).
-func hctInverseRows(mol *molecule.Molecule, nb *nblist.List, lo, hi int, scale float64) ([]float64, float64) {
-	inv := make([]float64, hi-lo)
-	for k := range inv {
-		inv[k] = 1 / (mol.Atoms[lo+k].Radius - gbmodels.DielectricOffset)
-	}
-	var ops float64
-	nb.ForEachPair(func(i, j int32) {
-		ii, jj := int(i), int(j)
-		r := mol.Atoms[ii].Pos.Dist(mol.Atoms[jj].Pos)
-		if ii >= lo && ii < hi {
-			inv[ii-lo] -= 0.5 * gbmodels.HCTIntegral(r,
-				mol.Atoms[ii].Radius-gbmodels.DielectricOffset,
-				scale*(mol.Atoms[jj].Radius-gbmodels.DielectricOffset))
-			ops++
-		}
-		if jj >= lo && jj < hi {
-			inv[jj-lo] -= 0.5 * gbmodels.HCTIntegral(r,
-				mol.Atoms[jj].Radius-gbmodels.DielectricOffset,
-				scale*(mol.Atoms[ii].Radius-gbmodels.DielectricOffset))
-			ops++
-		}
-	})
-	return inv, ops
-}
-
-// energyRows returns the raw ordered-pair energy sum for rows [lo,hi)
-// (all pairs, or cutoff-truncated plus self terms) and the ops expended.
-func energyRows(mol *molecule.Molecule, radii []float64, nb *nblist.List, lo, hi int) (float64, float64) {
-	if nb == nil {
-		return gbmodels.EnergyRange(mol, radii, lo, hi),
-			float64(hi-lo) * float64(mol.NumAtoms())
-	}
-	var e, ops float64
-	for i := lo; i < hi; i++ {
-		// Self term.
-		e += mol.Atoms[i].Charge * mol.Atoms[i].Charge / radii[i]
-		ops++
-	}
-	nb.ForEachPair(func(i, j int32) {
-		ii, jj := int(i), int(j)
-		inRange := 0
-		if ii >= lo && ii < hi {
-			inRange++
-		}
-		if jj >= lo && jj < hi {
-			inRange++
-		}
-		if inRange == 0 {
-			return
-		}
-		r2 := mol.Atoms[ii].Pos.Dist2(mol.Atoms[jj].Pos)
-		v := mol.Atoms[ii].Charge * mol.Atoms[jj].Charge / gbmodels.FGB(r2, radii[ii], radii[jj])
-		// The ordered double sum counts each unordered pair twice; a rank
-		// owning both endpoints contributes both orders.
-		e += float64(inRange) * v
-		ops += float64(inRange)
-	})
-	return e, ops
+// energyRows returns the raw ordered-pair energy sum for rows [lo,hi) over
+// all pairs and the ops expended.
+func energyRows(mol *molecule.Molecule, radii []float64, lo, hi int) (float64, float64) {
+	return gbmodels.EnergyRange(mol, radii, lo, hi), float64(hi-lo) * float64(mol.NumAtoms())
 }

@@ -110,25 +110,6 @@ func TestAtomLimits(t *testing.T) {
 	}
 }
 
-func TestCutoffPackagesOOMOnBudget(t *testing.T) {
-	mol := molecule.GenProtein("oom", 4000, 106)
-	// Tiny budget: a forced 25 Å list cannot fit (the paper's Section
-	// V.F cutoff experiments on CMV).
-	_, err := Gromacs.Run(mol, Options{Cores: 4, Cutoff: 25, MemoryBudgetBytes: 10_000})
-	if err == nil {
-		t.Fatal("Gromacs built a 25 Å list in 10 kB")
-	}
-	// Generous budget: fine.
-	if _, err := Gromacs.Run(mol, Options{Cores: 4, Cutoff: 25, MemoryBudgetBytes: 1 << 30}); err != nil {
-		t.Fatalf("Gromacs failed with 1 GiB budget: %v", err)
-	}
-	// A tiny cutoff (the paper: Gromacs ran CMV only with cutoff ≤ 2)
-	// fits even in the small budget.
-	if _, err := Gromacs.Run(mol, Options{Cores: 4, Cutoff: 2, MemoryBudgetBytes: 1 << 20}); err != nil {
-		t.Fatalf("Gromacs failed with cutoff 2: %v", err)
-	}
-}
-
 func TestAmberSlowerThanGromacsFasterThanNothing(t *testing.T) {
 	// Figure 8 ordering at one node: Gromacs < Amber < NAMD in time.
 	mol := molecule.GenProtein("order", 2500, 107)

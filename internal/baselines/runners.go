@@ -1,33 +1,11 @@
 package baselines
 
 import (
-	"fmt"
-
 	"gbpolar/internal/cluster"
 	"gbpolar/internal/gbmodels"
 	"gbpolar/internal/molecule"
-	"gbpolar/internal/nblist"
 	"gbpolar/internal/sched"
 )
-
-// buildList constructs the cutoff neighbor list for cutoff-based
-// packages (nil for all-pairs packages). The memory budget reproduces
-// the nblist OOM failures of Section V.F.
-func (p *Pkg) buildList(mol *molecule.Molecule, opts Options) (*nblist.List, error) {
-	cutoff := p.Spec.Cutoff
-	if opts.Cutoff != 0 {
-		cutoff = opts.Cutoff
-	}
-	if cutoff <= 0 {
-		return nil, nil
-	}
-	nb, err := nblist.Build(mol.Positions(), cutoff,
-		nblist.Options{MemoryBudgetBytes: opts.MemoryBudgetBytes})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.Spec.Name, err)
-	}
-	return nb, nil
-}
 
 func segment(n, p, i int) (int, int) { return n * i / p, n * (i + 1) / p }
 
@@ -35,10 +13,6 @@ func segment(n, p, i int) (int, int) { return n * i / p, n * (i + 1) / p }
 // pairwise sums are split across ranks, radii are allgathered, energies
 // reduced — the parallel structure of Amber/Gromacs/NAMD GB.
 func (p *Pkg) runMPI(mol *molecule.Molecule, opts Options) (*Result, error) {
-	nb, err := p.buildList(mol, opts)
-	if err != nil {
-		return nil, err
-	}
 	nodes := (opts.Cores + opts.RanksPerNode - 1) / opts.RanksPerNode
 	cfg := cluster.Config{
 		Procs:        opts.Cores,
@@ -57,12 +31,8 @@ func (p *Pkg) runMPI(mol *molecule.Molecule, opts Options) (*Result, error) {
 	rep, err := cluster.Run(cfg, func(c *cluster.Comm) error {
 		P, rank := c.Size(), c.Rank()
 		c.TrackMemory(mol.MemoryBytes())
-		if nb != nil {
-			// Domain-decomposed packages hold roughly 1/P of the list.
-			c.TrackMemory(nb.MemoryBytes() / int64(P))
-		}
 		lo, hi := segment(M, P, rank)
-		radii, ops := p.radiiRows(mol, nb, lo, hi)
+		radii, ops := p.radiiRows(mol, lo, hi)
 		c.ChargeOps(ops * overhead)
 
 		counts := make([]int, P)
@@ -74,7 +44,7 @@ func (p *Pkg) runMPI(mol *molecule.Molecule, opts Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		raw, eops := energyRows(mol, all, nb, lo, hi)
+		raw, eops := energyRows(mol, all, lo, hi)
 		c.ChargeOps(eops * overhead)
 
 		total, err := c.Allreduce([]float64{raw, ops + eops}, cluster.Sum)
@@ -104,10 +74,6 @@ func (p *Pkg) runMPI(mol *molecule.Molecule, opts Options) (*Result, error) {
 // partitioning over threads (Tinker): no work stealing, so the modeled
 // time is the maximum statically-assigned chunk.
 func (p *Pkg) runShared(mol *molecule.Molecule, opts Options) (*Result, error) {
-	nb, err := p.buildList(mol, opts)
-	if err != nil {
-		return nil, err
-	}
 	M := mol.NumAtoms()
 	threads := opts.Cores
 	pool := sched.NewPool(threads)
@@ -122,7 +88,7 @@ func (p *Pkg) runShared(mol *molecule.Molecule, opts Options) (*Result, error) {
 			t := t
 			w.Spawn(func(*sched.Worker) {
 				lo, hi := segment(M, threads, t)
-				rows, ops := p.radiiRows(mol, nb, lo, hi)
+				rows, ops := p.radiiRows(mol, lo, hi)
 				copy(radii[lo:hi], rows)
 				chunkOps[t] = ops
 				done <- t
@@ -139,7 +105,7 @@ func (p *Pkg) runShared(mol *molecule.Molecule, opts Options) (*Result, error) {
 			t := t
 			w.Spawn(func(*sched.Worker) {
 				lo, hi := segment(M, threads, t)
-				e, ops := energyRows(mol, radii, nb, lo, hi)
+				e, ops := energyRows(mol, radii, lo, hi)
 				rawParts[t] = e
 				chunkOps[t] += ops
 				done <- t
@@ -167,13 +133,9 @@ func (p *Pkg) runShared(mol *molecule.Molecule, opts Options) (*Result, error) {
 
 // runSerial executes single-core packages (GBr⁶).
 func (p *Pkg) runSerial(mol *molecule.Molecule, opts Options) (*Result, error) {
-	nb, err := p.buildList(mol, opts)
-	if err != nil {
-		return nil, err
-	}
 	M := mol.NumAtoms()
-	radii, ops := p.radiiRows(mol, nb, 0, M)
-	raw, eops := energyRows(mol, radii, nb, 0, M)
+	radii, ops := p.radiiRows(mol, 0, M)
+	raw, eops := energyRows(mol, radii, 0, M)
 	total := ops + eops
 	return &Result{
 		Epol:         -0.5 * gbmodels.Tau(opts.EpsSolv) * raw,

@@ -317,10 +317,10 @@ func TestExtensionsExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tabs) != 3 {
+	if len(tabs) != 2 {
 		t.Fatalf("extensions returned %d tables", len(tabs))
 	}
-	if len(tabs[0].Rows) != 4 || len(tabs[1].Rows) != 4 || len(tabs[2].Rows) != 5 {
-		t.Errorf("row counts: %d, %d, %d", len(tabs[0].Rows), len(tabs[1].Rows), len(tabs[2].Rows))
+	if len(tabs[0].Rows) != 4 || len(tabs[1].Rows) != 4 {
+		t.Errorf("row counts: %d, %d", len(tabs[0].Rows), len(tabs[1].Rows))
 	}
 }

@@ -14,8 +14,8 @@ import (
 
 // extensions regenerates the measurements for the features built beyond
 // the paper (its Section VI future work; see DESIGN.md "Extensions"):
-// inter-rank work stealing under heterogeneous-node stragglers, and
-// incremental octree updates vs rebuilds.
+// inter-rank work stealing under heterogeneous-node stragglers, and the
+// tracked octree update vs a rebuild with the same (Morton) builder.
 func extensions(cfg Config) ([]*Table, error) {
 	cfg = cfg.WithDefaults()
 
@@ -64,7 +64,8 @@ func extensions(cfg Config) ([]*Table, error) {
 	// --- Extension 2: incremental octree update vs rebuild ------------
 	big := molecule.GenProtein("ext-upd", 20000, cfg.Seed+1)
 	pts := big.Positions()
-	tree, err := octree.Build(pts, octree.Options{LeafCap: 8})
+	opts := octree.Options{LeafCap: 8, Builder: octree.BuilderMorton}
+	tree, err := octree.Build(pts, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -82,14 +83,14 @@ func extensions(cfg Config) ([]*Table, error) {
 				(rng.Float64()*2-1)*disp, (rng.Float64()*2-1)*disp, (rng.Float64()*2-1)*disp))
 		}
 		t0 := time.Now()
-		moved, err := tree.Update(jig)
+		upd, err := tree.UpdateTracked(jig)
 		if err != nil {
 			return nil, err
 		}
 		updMS := float64(time.Since(t0).Microseconds()) / 1000
 
 		t0 = time.Now()
-		if _, err := octree.Build(jig, octree.Options{LeafCap: 8}); err != nil {
+		if _, err := octree.Build(jig, opts); err != nil {
 			return nil, err
 		}
 		rebMS := float64(time.Since(t0).Microseconds()) / 1000
@@ -99,45 +100,11 @@ func extensions(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		nbMS := float64(time.Since(t0).Microseconds()) / 1000
-		t2.AddRow(disp, moved, updMS, rebMS, nbMS, fmt.Sprintf("%.0fx", nbMS/updMS))
+		t2.AddRow(disp, upd.Moved, updMS, rebMS, nbMS, fmt.Sprintf("%.0fx", nbMS/updMS))
 		pts = jig
 	}
 	t2.Notes = append(t2.Notes,
-		"Section II's update-efficiency claim: after motion, the octree is repaired (or even rebuilt) orders of magnitude cheaper than the cutoff pair list the baseline packages must refresh")
-
-	// --- Extension 3: distributing data as well as computation ---------
-	// (the paper's other Section VI item) — measured Local Essential
-	// Trees under the node-node division.
-	dmol := molecule.GenProtein("ext-ddist", 6000, cfg.Seed+3)
-	dprep, err := prepare(dmol, core.DefaultParams())
-	if err != nil {
-		return nil, err
-	}
-	t3 := &Table{
-		ID:    "extC-data-distribution",
-		Title: "Per-rank memory if data were distributed (measured Local Essential Trees, 6k atoms)",
-		Columns: []string{"Ranks", "Replicated (MB/rank)", "LET max (MB/rank)",
-			"Saving", "Max ghost atoms", "Aggregates"},
-	}
-	for _, procs := range []int{2, 4, 12, 24, 48} {
-		rep, err := core.MeasureDataDistribution(dprep.sys, procs)
-		if err != nil {
-			return nil, err
-		}
-		maxGhost, maxAgg := 0, 0
-		for _, rd := range rep.PerRank {
-			if rd.GhostAtoms > maxGhost {
-				maxGhost = rd.GhostAtoms
-			}
-			if rd.Aggregates > maxAgg {
-				maxAgg = rd.Aggregates
-			}
-		}
-		t3.AddRow(procs, float64(rep.ReplicatedBytes)/(1<<20),
-			float64(rep.MaxLETBytes())/(1<<20),
-			fmt.Sprintf("%.1fx", rep.Savings()), maxGhost, maxAgg)
-	}
-	t3.Notes = append(t3.Notes,
-		"ghosts = remote atoms a rank's near field reads; the exchange volume data distribution would add")
-	return []*Table{t1, t2, t3}, nil
+		"Section II's update-efficiency claim: after motion, the octree is repaired (or even rebuilt) orders of magnitude cheaper than the cutoff pair list the baseline packages must refresh",
+		"the update is the tracked (Morton-keyed) one the MD path runs, the rebuild the same Morton builder; displacements accumulate from row to row")
+	return []*Table{t1, t2}, nil
 }

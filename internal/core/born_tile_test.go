@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"gbpolar/internal/geom"
 	"gbpolar/internal/octree"
 	"gbpolar/internal/sched"
 	"gbpolar/internal/surface"
@@ -370,111 +369,6 @@ func TestBornTileListsMatchOracle(t *testing.T) {
 	}
 }
 
-// The versions before this build's: 2 has per-row lists in both phases, 3
-// the Born tiles and per-row E_pol lists.
-const (
-	snapshotVersionRows      = 2
-	snapshotVersionBornTiles = 3
-)
-
-// legacyOrders is what the list block of an image written by a build with
-// higher far-field orders could carry and this build writes empty: the order
-// the lists were compiled under, and the per-entry orders of the Born rows,
-// of the Born tile runs (version 3 on) and of the E_pol rows.
-type legacyOrders struct {
-	order            uint8
-	born, tile, epol []uint8
-}
-
-// encodeImage writes sys's snapshot with its lists in the layout of version
-// — 4 is EncodeSnapshot's, 3 has per-row E_pol lists (perRowLists) and no
-// E_pol tiles, 2 per-row Born lists too and no Born tile runs — and the list
-// block's order slots filled from ord.
-func encodeImage(sys *System, version uint16, ord legacyOrders) ([]byte, error) {
-	lists, err := snapshotLists(sys)
-	if err != nil {
-		return nil, err
-	}
-	var w wire.Writer
-	w.Raw([]byte(snapshotMagic))
-	w.U16(version)
-	w.U64(ParamsFingerprint(sys.Params))
-	appendParams(&w, sys.Params, 0)
-	w.Str(sys.Mol.Name)
-	wire.PutF64Records(&w, sys.Mol.Atoms)
-	w.I32(int32(sys.Surf.Level))
-	w.I32(int32(sys.Surf.Degree))
-	w.F64(sys.Surf.Area)
-	wire.PutF64Records(&w, sys.Surf.Points)
-	sys.Atoms.AppendTo(&w)
-	sys.QPts.AppendTo(&w)
-	w.Bool(true)
-	w.F64(lists.bornMAC)
-	w.F64(lists.epolFar)
-	w.U8(ord.order)
-	appendList := func(il *InteractionLists, orders []uint8) {
-		for _, a := range [][]int32{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near, il.SymOff, il.Sym, il.CedeOff, il.Cede} {
-			w.I32s(a)
-		}
-		for range certArrays {
-			w.F64s(nil)
-		}
-		w.U8s(orders)
-	}
-	born, epol := lists.Born, lists.Epol
-	if version < snapshotVersion {
-		epol = perRowLists(epol, sys.Atoms)
-	}
-	if version == snapshotVersionRows {
-		appendList(perRowLists(born, sys.Atoms), ord.born)
-	} else {
-		appendList(born, ord.born)
-		w.I32s(born.TileFarOff)
-		w.I32s(born.TileFar)
-		w.U8s(ord.tile)
-	}
-	appendList(epol, ord.epol)
-	if version == snapshotVersion {
-		appendTiles(&w, epol)
-	}
-	wire.PutF64Records[geom.Vec3](&w, nil)
-	w.F64s(nil)
-	w.U32(0)
-	return restamp(w.Bytes()), nil
-}
-
-// encodeRowImage writes sys's snapshot as version 2 did: EncodeSnapshot's
-// layout with per-row lists (perRowLists) and no tile runs.
-func encodeRowImage(sys *System) ([]byte, error) {
-	return encodeImage(sys, snapshotVersionRows, legacyOrders{})
-}
-
-// Images of the versions before this build's — version 2, whose Born lists
-// are per row, and version 3, whose E_pol lists are — are refused with
-// ErrSnapshotVersion and no System: checkpoints are written and read by one
-// build, and no image of an older layout is hoisted into tiles. The test's
-// encoder at this build's version writes EncodeSnapshot's bytes.
-func TestSnapshotHoistsRowImage(t *testing.T) {
-	sys, _, _ := testSystem(t, 400, 45, mortonParams())
-	sys.Lists(nil)
-	for _, version := range []uint16{snapshotVersionRows, snapshotVersionBornTiles} {
-		image, err := encodeImage(sys, version, legacyOrders{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := DecodeSnapshot(image); !errors.Is(err, ErrSnapshotVersion) || got != nil {
-			t.Errorf("a version-%d image: got %v (system %v), want ErrSnapshotVersion and no system", version, err, got != nil)
-		}
-	}
-	want, err := EncodeSnapshot(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if image, err := encodeImage(sys, snapshotVersion, legacyOrders{}); err != nil || !slices.Equal(image, want) {
-		t.Errorf("encodeImage at version %d is not EncodeSnapshot (%v)", snapshotVersion, err)
-	}
-}
-
 // A Born tile run that breaks its shape — a tile count other than
 // ⌈rows/8⌉, offsets that decrease or overrun, an entry past the atoms tree,
 // orders an older build kept beside them — is corrupt, and so is an E_pol
@@ -509,18 +403,19 @@ func TestSnapshotRefusesBadTiles(t *testing.T) {
 		})
 	}
 	// The per-entry orders the tile runs carried under the retired ladder,
-	// one short of the runs or one past its top order, 2: a list block of
-	// far-field order 0 holds no orders at all.
+	// one short of the runs or one past its top order, 2, where version 4
+	// kept their place: this layout has none.
+	image, err := EncodeSnapshot(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, tile := range map[string][]uint8{
 		"orders short":      make([]uint8, len(good.TileFar)-1),
 		"order past ladder": append([]uint8{3}, make([]uint8, len(good.TileFar)-1)...),
 	} {
 		t.Run(name, func(t *testing.T) {
-			image, err := encodeImage(sys, snapshotVersion, legacyOrders{tile: tile})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := DecodeSnapshot(image); !errors.Is(err, ErrSnapshotCorrupt) {
+			ins := map[int][]byte{slotTileOrders: enc(func(w *wire.Writer) { w.U8s(tile) })}
+			if _, err := DecodeSnapshot(withRetired(t, image, snapshotVersion, ins)); !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
 			}
 		})
@@ -544,42 +439,35 @@ func TestSnapshotRefusesBadTiles(t *testing.T) {
 	}
 }
 
-// The list block of an image stamped with far-field order 0 holds lists of
-// that order alone: a list block that names another order, or carries
-// per-entry orders anywhere — the Born rows, the Born tile runs, the E_pol
-// rows — is corrupt, and without them the same image decodes. An image of
-// version 2 is refused by its version either way.
+// A list block holds the lists' index and nothing else: an image with
+// far-field orders where version 4 kept their places — the order the lists
+// were compiled under, or per-entry orders behind the Born rows, the Born
+// tile runs or the E_pol rows — is corrupt, and without them the same image
+// decodes. An image of version 2 is refused by its version either way.
 func TestSnapshotRefusesLegacyOrders(t *testing.T) {
-	sys, _, _ := testSystem(t, 300, 46, mortonParams())
-	cl := sys.Lists(nil)
-	zeros := func(n int) []uint8 { return make([]uint8, n) }
+	sys, image := snapshotFixture(t, true)
+	cl := sys.lists
+	orders := func(n int) []byte { return enc(func(w *wire.Writer) { w.U8s(make([]uint8, n)) }) }
 	for _, c := range []struct {
 		name    string
 		version uint16
-		ord     legacyOrders
+		ins     map[int][]byte
 	}{
-		{"list order", snapshotVersion, legacyOrders{order: 1}},
-		{"born orders", snapshotVersion, legacyOrders{born: zeros(len(cl.Born.Far))}},
-		{"tile orders", snapshotVersion, legacyOrders{tile: zeros(len(cl.Born.TileFar))}},
-		{"epol orders", snapshotVersion, legacyOrders{epol: zeros(len(cl.Epol.Far))}},
-		{"row image orders", snapshotVersionRows, legacyOrders{born: zeros(perRowLists(cl.Born, sys.Atoms).NumFar())}},
+		{"list order", snapshotVersion, map[int][]byte{slotListOrder: {1}}},
+		{"born orders", snapshotVersion, map[int][]byte{slotBorn: orders(len(cl.Born.Far))}},
+		{"tile orders", snapshotVersion, map[int][]byte{slotTileOrders: orders(len(cl.Born.TileFar))}},
+		{"epol orders", snapshotVersion, map[int][]byte{slotEpol: orders(len(cl.Epol.Far))}},
+		{"row image orders", 2, map[int][]byte{slotBorn: orders(perRowLists(cl.Born, sys.Atoms).NumFar())}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var with, without error = ErrSnapshotCorrupt, nil
 			if c.version != snapshotVersion {
 				with, without = ErrSnapshotVersion, ErrSnapshotVersion
 			}
-			image, err := encodeImage(sys, c.version, c.ord)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := DecodeSnapshot(image); !errors.Is(err, with) {
+			if _, err := DecodeSnapshot(withRetired(t, image, c.version, c.ins)); !errors.Is(err, with) {
 				t.Fatalf("got %v, want %v", err, with)
 			}
-			if image, err = encodeImage(sys, c.version, legacyOrders{}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := DecodeSnapshot(image); !errors.Is(err, without) {
+			if _, err := DecodeSnapshot(withRetired(t, image, c.version, nil)); !errors.Is(err, without) {
 				t.Fatalf("without the orders: got %v, want %v", err, without)
 			}
 		})

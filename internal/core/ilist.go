@@ -25,9 +25,9 @@ import (
 // transform to every point and node center, which preserves all pairwise
 // distances while node radii are invariant, so every farSeparated verdict
 // is unchanged. Docking pose scans therefore pay the traversal cost once
-// per complex, not once per pose. Non-rigid changes (UpdateAtoms) and
-// parameter changes invalidate the cache (System.InvalidateLists and the
-// signature check in Lists).
+// per complex, not once per pose. Non-rigid changes (UpdateAtomsRepair)
+// repair the cache or invalidate it, and parameter changes invalidate it
+// (System.InvalidateLists and the signature check in Lists).
 
 // InteractionLists is a compiled traversal over the atoms octree for one
 // phase, in CSR form. Row i describes the leaf Rows[i] (in tree Leaves()

@@ -41,10 +41,14 @@ type UpdateStats struct {
 }
 
 // UpdateAtomsRepair moves the atoms to new positions (original atom
-// order) like UpdateAtoms, but uses the tracked octree update and its
-// structural-change report to repair the compiled interaction lists in
-// place instead of discarding them. When repair is impossible it degrades
-// to UpdateAtoms semantics (lists invalidated) and says why: o (may be nil)
+// order) — the one way a System's atoms move. The surface and its octree
+// are left untouched: this is the rigid-cavity setting of flexible-molecule
+// steps between boundary rebuilds. It updates the atoms octree with the
+// tracked update (octree.Tree.UpdateTracked, the dynamic-octree machinery of
+// the paper's reference [8]) and uses its structural-change report to repair
+// the compiled interaction lists in place instead of discarding them. When
+// repair is impossible it invalidates the lists, so the next evaluation
+// recompiles them, and says why: o (may be nil)
 // counts "ilist.repair.fallbacks" and one reason under it — ".no_lists",
 // ".params_changed", ".untracked" (the octree cannot keep its node ids: no
 // Morton keys, re-posed, or an atom outside the root cube) or ".rebuilt"
@@ -60,9 +64,7 @@ func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o
 			len(newPositions), s.Mol.NumAtoms())
 	}
 	if err := octree.CheckFinite(newPositions); err != nil {
-		// What the octree returned when it made this check itself: a
-		// keyless tree's update announces its rebuild even as it fails.
-		return UpdateStats{Rebuilt: s.Atoms.Keys() == nil}, err
+		return UpdateStats{}, err
 	}
 	s.listsMu.Lock()
 	defer s.listsMu.Unlock()
@@ -131,9 +133,7 @@ func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o
 }
 
 // commitAtomPositions applies already-tree-updated atom positions to the
-// molecule record, the slot-ordered payloads and the SoA mirrors —
-// everything UpdateAtoms does after the octree call except list
-// invalidation, which the callers decide.
+// molecule record, the slot-ordered payloads and the SoA mirrors.
 func (s *System) commitAtomPositions(newPositions []geom.Vec3) {
 	for i := range s.Mol.Atoms {
 		s.Mol.Atoms[i].Pos = newPositions[i]

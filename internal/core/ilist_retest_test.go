@@ -29,11 +29,18 @@ import (
 // phases in the per-row layout they had before tiles (perRowLists, on the
 // visit order of atoms): every array behind its length, little-endian
 // words, at the speed of the bulk codec rather than of a loop over elements.
+// The digests were taken over the snapshot encoding of their day, which
+// closed each phase with seven empty arrays (six certificate arrays and the
+// per-entry orders, the places version 4 kept); they are hashed in here.
 func indexDigest(atoms *octree.Tree, cl *CompiledLists) string {
 	h := sha256.New()
 	w := wire.NewStreamWriter(h)
-	appendIL(w, perRowLists(cl.Born, atoms))
-	appendIL(w, perRowLists(cl.Epol, atoms))
+	for _, il := range []*InteractionLists{cl.Born, cl.Epol} {
+		appendIL(w, perRowLists(il, atoms))
+		for range 7 {
+			w.U32(0)
+		}
+	}
 	w.Flush() // a hash never fails a write
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -123,16 +123,17 @@ func TestCompiledListsInvalidation(t *testing.T) {
 	sys, mol, _ := testSystem(t, 300, 94, DefaultParams())
 	lists := sys.Lists(nil)
 
-	// UpdateAtoms is non-rigid: the cache must drop.
+	// A non-rigid update of a tree it cannot repair (the recursive
+	// builder's has no Morton keys): the cache must drop.
 	pos := mol.Positions()
 	for i := range pos {
 		pos[i].X += 0.25 * float64(i%5)
 	}
-	if _, err := sys.UpdateAtoms(pos); err != nil {
+	if _, err := sys.UpdateAtomsRepair(pos, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.Lists(nil); got == lists {
-		t.Fatal("UpdateAtoms did not invalidate the compiled lists")
+		t.Fatal("UpdateAtomsRepair did not invalidate the compiled lists")
 	}
 
 	// A parameter change flips the opening criterion: the signature check

@@ -156,8 +156,8 @@ func TestUpdateAtomsRepairSavesWork(t *testing.T) {
 	}
 }
 
-// TestUpdateAtomsRepairFallbacks: the repair degrades to plain
-// UpdateAtoms semantics whenever its preconditions fail — recursive
+// TestUpdateAtomsRepairFallbacks: the repair invalidates the lists
+// whenever its preconditions fail — recursive
 // (keyless) trees, no cached lists, or structural leaf changes — and
 // meters the fallback.
 func TestUpdateAtomsRepairFallbacks(t *testing.T) {

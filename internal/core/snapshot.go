@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 
-	"gbpolar/internal/geom"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/octree"
 	"gbpolar/internal/surface"
@@ -21,10 +20,7 @@ import (
 // surface, both octrees and (when compiled) the interaction lists — so a
 // crashed-and-restarted coordinator resumes from the preprocessed state
 // instead of rebuilding trees and recompiling lists. The list block holds
-// what the lists hold, their index. Its layout also has room for the repair
-// certificate older builds kept beside it (six margin arrays per phase and
-// a copy of the node geometry): this build keeps none, writes those seven
-// arrays zero-length and refuses an image in which one is not. The format is
+// what the lists hold, their index, and nothing else. The format is
 // deliberately hostile-input safe: every array length is validated
 // against the bytes remaining before allocation (internal/wire), the
 // whole payload is covered by a CRC-32C trailer, and every structural
@@ -44,36 +40,17 @@ var (
 	// ErrSnapshotParams reports a well-formed snapshot whose parameter
 	// stamp does not match the parameters the caller is running under.
 	ErrSnapshotParams = errors.New("core: snapshot parameter mismatch")
-	// ErrSnapshotRetired reports a snapshot stamped with a configuration
-	// this build no longer computes: a far-field order above 0, the f32
-	// precision tier (EXPERIMENTS.md "Deletion round 2") or the scalar
-	// approximate-math tier ("Deletion round 3").
-	ErrSnapshotRetired = errors.New("core: snapshot configuration retired")
 )
 
 const (
 	snapshotMagic = "GBPSNAP1"
-	// Version 2 added a far-field order to the parameter stamp, moment
-	// sets behind each octree, and per-entry orders plus the compiled
-	// order in the list block. Version 3 stored the Born lists' tile runs
-	// (InteractionLists.TileFar) behind their index, and each row's far run
-	// without them. Version 4 stores the E_pol lists' shared runs behind
-	// their index, and each row's runs without them; not the tiles' cut,
-	// which the rows make. Checkpoints are written and read by one build,
-	// so an image of any other version is refused with ErrSnapshotVersion. The
-	// far-field orders are gone from this build and the layout keeps their
-	// places: it writes order 0, no moment sets and no per-entry orders,
-	// reads past the moment sets a tree may carry (octree.DecodeTree), and
-	// refuses an image stamped with an order above 0 (ErrSnapshotRetired).
-	snapshotVersion = 4
-	// retiredPrecision is the precision byte of the f32 tier, which this
-	// build refuses (ErrSnapshotRetired).
-	retiredPrecision = 2
-	// approxMath is the byte an older build wrote for the approximate math
-	// mode of its retired Math parameter, which the precision tier now
-	// implies (Params.MathMode): beside the lanes tier it is that tier,
-	// beside the exact one the retired scalar approximate-math tier.
-	approxMath = 1
+	// The layout: the parameters, the molecule, the surface, both trees,
+	// and the lists' index with the Born tiles' far runs and the E_pol
+	// tiles' shared runs (not the tiles' cut, which the rows make).
+	// Checkpoints are written and read by one build — the net runner's
+	// workers and restart — so an image of any other version is refused
+	// with ErrSnapshotVersion.
+	snapshotVersion = 5
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -81,33 +58,25 @@ var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 // appendParams writes the canonical parameter encoding — the bytes the
 // fingerprint hashes and the file stores. DebugCheckLists is excluded:
 // it is a runtime verification knob that does not affect any computed
-// state, so toggling it must not invalidate checkpoints. mathByte fills the
-// place of the retired math mode: this build writes 0, and re-hashes the
-// approxMath an older build's lanes image carries (DecodeSnapshot).
-func appendParams(w *wire.Writer, p Params, mathByte uint8) {
+// state, so toggling it must not invalidate checkpoints.
+func appendParams(w *wire.Writer, p Params) {
 	w.F64(p.EpsBorn)
 	w.F64(p.EpsEpol)
 	w.F64(p.EpsSolv)
-	w.U8(mathByte)
 	w.U8(uint8(p.Kernel))
 	w.U8(uint8(p.Precision))
 	w.U8(uint8(p.Builder))
 	w.Bool(p.StrictBornMAC)
 	w.U32(uint32(p.LeafCap))
-	w.U8(0) // the far-field order; above 0 is ErrSnapshotRetired
 }
 
 // ParamsFingerprint hashes the result-determining parameters (after
 // defaulting) to the 64-bit stamp embedded in snapshots: two runs agree
 // on the fingerprint exactly when a snapshot from one is a valid
 // checkpoint for the other.
-func ParamsFingerprint(p Params) uint64 { return paramsFingerprint(p, 0) }
-
-// paramsFingerprint is ParamsFingerprint over the encoding with mathByte in
-// the retired math mode's place.
-func paramsFingerprint(p Params, mathByte uint8) uint64 {
+func ParamsFingerprint(p Params) uint64 {
 	var w wire.Writer
-	appendParams(&w, p.withDefaults(), mathByte)
+	appendParams(&w, p.withDefaults())
 	h := fnv.New64a()
 	h.Write(w.Bytes())
 	return h.Sum64()
@@ -139,7 +108,7 @@ func encodeSnapshot(w *wire.Writer, sys *System, lists *CompiledLists) {
 	w.Raw([]byte(snapshotMagic))
 	w.U16(snapshotVersion)
 	w.U64(ParamsFingerprint(sys.Params))
-	appendParams(w, sys.Params, 0)
+	appendParams(w, sys.Params)
 
 	w.Str(sys.Mol.Name)
 	wire.PutF64Records(w, sys.Mol.Atoms)
@@ -156,15 +125,11 @@ func encodeSnapshot(w *wire.Writer, sys *System, lists *CompiledLists) {
 	if lists != nil {
 		w.F64(lists.bornMAC)
 		w.F64(lists.epolFar)
-		w.U8(0) // the far-field order the lists were compiled under
 		appendIL(w, lists.Born)
 		w.I32s(lists.Born.TileFarOff)
 		w.I32s(lists.Born.TileFar)
-		w.U8s(nil) // the tile runs' orders
 		appendIL(w, lists.Epol)
 		appendTiles(w, lists.Epol)
-		wire.PutF64Records[geom.Vec3](w, nil) // an older build's copy of the node
-		w.F64s(nil)                           // centers and radii
 	}
 }
 
@@ -186,9 +151,8 @@ func EncodeSnapshot(sys *System) ([]byte, error) {
 
 // DecodeSnapshot reconstructs a System from EncodeSnapshot's output,
 // restoring the stamped parameters. Check order: magic/size and CRC
-// (ErrSnapshotCorrupt), version (ErrSnapshotVersion), a retired
-// configuration (ErrSnapshotRetired), parameter-stamp self-consistency
-// (ErrSnapshotParams), then structure. The octrees are
+// (ErrSnapshotCorrupt), version (ErrSnapshotVersion), parameter-stamp
+// self-consistency (ErrSnapshotParams), then structure. The octrees are
 // NOT rebuilt and the interaction lists (when present) NOT recompiled —
 // that is the point of checkpointing.
 func DecodeSnapshot(data []byte) (*System, error) {
@@ -210,11 +174,11 @@ func DecodeSnapshot(data []byte) (*System, error) {
 	}
 
 	stamp := r.U64()
-	params, mathByte, err := decodeParams(r)
+	params, err := decodeParams(r)
 	if err != nil {
 		return nil, err
 	}
-	if got := paramsFingerprint(params, mathByte); got != stamp {
+	if got := ParamsFingerprint(params); got != stamp {
 		return nil, fmt.Errorf("%w: stamp %016x does not cover stored parameters (%016x)",
 			ErrSnapshotParams, stamp, got)
 	}
@@ -243,24 +207,12 @@ func DecodeSnapshot(data []byte) (*System, error) {
 	var lists *CompiledLists
 	if r.Bool() {
 		cl := &CompiledLists{bornMAC: r.F64(), epolFar: r.F64()}
-		// The stamp says far-field order 0 (decodeParams): the lists can be
-		// of no other, carry no per-entry orders and — this build keeping
-		// none — no repair certificate.
-		extra := int(r.U8())
-		var n int
-		cl.Born, n = decodeIL(r)
-		extra += n
+		cl.Born = decodeIL(r)
 		cl.Born.TileFarOff, cl.Born.TileFar = r.I32s(), r.I32s()
-		extra += len(r.U8s())
-		cl.Epol, n = decodeIL(r)
-		extra += n
+		cl.Epol = decodeIL(r)
 		decodeTiles(r, cl.Epol)
-		extra += len(wire.F64Records[geom.Vec3](r)) + len(r.F64s())
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
-		}
-		if extra != 0 {
-			return nil, fmt.Errorf("%w: a list block of far-field order 0 carries far-field orders or a repair certificate", ErrSnapshotCorrupt)
 		}
 		if err := validateIL("born", cl.Born, tq, ta); err != nil {
 			return nil, err
@@ -291,56 +243,36 @@ func DecodeSnapshot(data []byte) (*System, error) {
 	return sys, nil
 }
 
-// decodeParams reads and range-checks the parameter section, returning
-// the byte in the retired math mode's place beside the parameters (the
-// stamp covers it). A retired configuration is refused before the stamp
-// is checked: the stamp covers the parameters this build can represent.
-func decodeParams(r *wire.Reader) (Params, uint8, error) {
+// decodeParams reads and range-checks the parameter section.
+func decodeParams(r *wire.Reader) (Params, error) {
 	var p Params
 	p.EpsBorn = r.F64()
 	p.EpsEpol = r.F64()
 	p.EpsSolv = r.F64()
-	mathByte := r.U8()
 	p.Kernel = BornKernel(r.U8())
 	p.Precision = Precision(r.U8())
 	p.Builder = octree.Builder(r.U8())
 	p.StrictBornMAC = r.Bool()
 	p.LeafCap = int(r.U32())
-	farOrder := r.U8()
 	if r.Err() != nil {
-		return Params{}, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
-	}
-	if farOrder == 1 || farOrder == 2 {
-		return Params{}, 0, fmt.Errorf("%w: far-field order %d", ErrSnapshotRetired, farOrder)
-	}
-	if p.Precision == retiredPrecision {
-		return Params{}, 0, fmt.Errorf("%w: precision tier f32", ErrSnapshotRetired)
-	}
-	if mathByte == approxMath && p.Precision == PrecisionExact {
-		return Params{}, 0, fmt.Errorf("%w: the scalar approximate-math tier", ErrSnapshotRetired)
-	}
-	if farOrder != 0 {
-		return Params{}, 0, fmt.Errorf("%w: far-field order %d", ErrSnapshotCorrupt, farOrder)
-	}
-	if mathByte != 0 && mathByte != approxMath {
-		return Params{}, 0, fmt.Errorf("%w: math mode %d", ErrSnapshotCorrupt, mathByte)
+		return Params{}, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
 	}
 	if p.Kernel != R6 && p.Kernel != R4 {
-		return Params{}, 0, fmt.Errorf("%w: born kernel %d", ErrSnapshotCorrupt, p.Kernel)
+		return Params{}, fmt.Errorf("%w: born kernel %d", ErrSnapshotCorrupt, p.Kernel)
 	}
 	if p.Precision < PrecisionExact || p.Precision > PrecisionLanes {
-		return Params{}, 0, fmt.Errorf("%w: precision tier %d", ErrSnapshotCorrupt, p.Precision)
+		return Params{}, fmt.Errorf("%w: precision tier %d", ErrSnapshotCorrupt, p.Precision)
 	}
 	if p.Builder != octree.BuilderRecursive && p.Builder != octree.BuilderMorton {
-		return Params{}, 0, fmt.Errorf("%w: octree builder %d", ErrSnapshotCorrupt, p.Builder)
+		return Params{}, fmt.Errorf("%w: octree builder %d", ErrSnapshotCorrupt, p.Builder)
 	}
 	if p.LeafCap <= 0 || p.LeafCap > 1<<20 {
-		return Params{}, 0, fmt.Errorf("%w: leaf cap %d", ErrSnapshotCorrupt, p.LeafCap)
+		return Params{}, fmt.Errorf("%w: leaf cap %d", ErrSnapshotCorrupt, p.LeafCap)
 	}
 	if err := p.Validate(); err != nil {
-		return Params{}, 0, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		return Params{}, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	return p, mathByte, nil
+	return p, nil
 }
 
 // decodeMolecule reads and validates the molecule section.
@@ -453,16 +385,9 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 	return nil
 }
 
-// certArrays is the number of repair-certificate arrays an older build wrote
-// behind each phase's index: the margins and path slacks of the far and the
-// near entries, and the path slacks of the sym and the cede entries.
-const certArrays = 6
-
-// decodeIL reads one interaction-list structure and what an older build
-// wrote behind it and this build writes empty — the certificate arrays and
-// the per-entry far-field orders — returning how many elements those hold.
-func decodeIL(r *wire.Reader) (il *InteractionLists, extra int) {
-	il = &InteractionLists{
+// decodeIL reads one interaction-list structure.
+func decodeIL(r *wire.Reader) *InteractionLists {
+	return &InteractionLists{
 		Rows:    r.I32s(),
 		FarOff:  r.I32s(),
 		Far:     r.I32s(),
@@ -473,14 +398,9 @@ func decodeIL(r *wire.Reader) (il *InteractionLists, extra int) {
 		CedeOff: r.I32s(),
 		Cede:    r.I32s(),
 	}
-	for range certArrays {
-		extra += len(r.F64s())
-	}
-	return il, extra + len(r.U8s())
 }
 
-// appendIL writes one interaction-list structure, its certificate arrays and
-// orders zero-length.
+// appendIL writes one interaction-list structure.
 func appendIL(w *wire.Writer, il *InteractionLists) {
 	w.I32s(il.Rows)
 	w.I32s(il.FarOff)
@@ -491,10 +411,6 @@ func appendIL(w *wire.Writer, il *InteractionLists) {
 	w.I32s(il.Sym)
 	w.I32s(il.CedeOff)
 	w.I32s(il.Cede)
-	for range certArrays {
-		w.F64s(nil)
-	}
-	w.U8s(nil)
 }
 
 // appendTiles writes the E_pol lists' shared runs, of each class and the

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"hash/crc32"
+	"hash/fnv"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -129,7 +130,7 @@ func TestSnapshotCorruptions(t *testing.T) {
 			return restamp(b)
 		}, ErrSnapshotParams},
 		{"param out of range", func(b []byte) []byte {
-			// Math mode byte (after magic+version+stamp+3 float64 params).
+			// Born kernel byte (after magic+version+stamp+3 float64 params).
 			b[8+2+8+24] = 7
 			return restamp(b)
 		}, ErrSnapshotCorrupt},
@@ -150,77 +151,160 @@ func TestSnapshotCorruptions(t *testing.T) {
 	}
 }
 
-// legacyMomentsImage is the snapshot of a 120-atom Morton system with
-// compiled lists at far-field order 0, written by the last build that kept
-// multipole moment sets on its octrees (a charge set on the atoms tree, a
-// weighted-normal set of three channels on the q-points tree) and wrote
-// them behind each tree, where this build writes a count of zero.
-func legacyMomentsImage(t testing.TB) []byte {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "moments_pr28.gbpsnap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// An image written by the last build that kept moment sets on its octrees
-// is a version-3 image, and this build reads version 4 alone: it is refused
-// with ErrSnapshotVersion and no System. (The moment sets behind its trees
-// are still read past, under their length checks, once the image without
-// its lists is stamped version 4: TestSnapshotFarFieldCorruptions.)
-func TestSnapshotDecodesMomentsImage(t *testing.T) {
-	sys, err := DecodeSnapshot(legacyMomentsImage(t))
-	if !errors.Is(err, ErrSnapshotVersion) || sys != nil {
-		t.Fatalf("got %v (system %v), want ErrSnapshotVersion and no system", err, sys != nil)
-	}
-}
-
-// The offsets of the parameter stamp and of three parameter bytes in an
-// image: behind the magic and the version the stamp, behind it EpsBorn,
-// EpsEpol and EpsSolv, then the retired math mode, the Born kernel and the
-// precision tier; the far-field order closes the section.
+// The places in a version-4 image where that version wrote bytes this one
+// does not, empty or zero in every image it wrote: the retired math mode
+// and far-field order in the parameter section, the moment-set count behind
+// each octree, the far-field order the lists were compiled under, behind
+// each phase's index its six repair-certificate arrays and its per-entry
+// orders, the Born tile runs' orders, and a copy of the node geometry
+// closing the list block. In image order.
 const (
-	stampAt                         = 8 + 2
-	mathAt, precisionAt, farOrderAt = stampAt + 8 + 3*8, mathAt + 2, precisionAt + 2 + 1 + 4
+	slotMath = iota
+	slotFarOrder
+	slotAtomsMoments
+	slotQPtsMoments
+	slotListOrder
+	slotBorn
+	slotTileOrders
+	slotEpol
+	slotNodes
+	numSlots
 )
 
-// An image stamped with a configuration this build no longer computes — a
-// far-field order above 0, the f32 precision tier, or the scalar
-// approximate-math tier (the approximate math mode beside the exact tier) —
-// is refused as retired, before its stamp is checked and with no System: a
-// current image with its precision, math or far-order byte rewritten and
-// its checksum made good. The committed image written at FarOrder 2 is a
-// version-2 image, refused by its version before that.
-func TestSnapshotRefusesRetired(t *testing.T) {
-	retired, err := os.ReadFile(filepath.Join("testdata", "certified_pr19.gbpsnap"))
-	if err != nil {
+// The offsets of the parameter stamp and the precision byte in an image:
+// behind the magic and the version the stamp, behind it EpsBorn, EpsEpol,
+// EpsSolv and the Born kernel.
+const stampAt, precisionAt = 8 + 2, 8 + 2 + 8 + 3*8 + 1
+
+// retiredSlots returns the byte offset of every slot in image, a snapshot of
+// this version with lists.
+func retiredSlots(t testing.TB, image []byte) [numSlots]int {
+	t.Helper()
+	body := image[:len(image)-4]
+	r := wire.NewReader(body[len(snapshotMagic):])
+	at := func() int { return len(body) - r.Remaining() }
+	var s [numSlots]int
+	r.U16()
+	r.U64()
+	s[slotMath] = at() + 3*8
+	if _, err := decodeParams(r); err != nil {
 		t.Fatal(err)
 	}
-	_, data := snapshotFixture(t, true)
-	patched := func(at int, v byte) []byte {
-		b := append([]byte(nil), data...)
-		if b[at] != 0 {
-			t.Fatalf("byte %d is %d, want 0 (layout drifted?)", at, b[at])
+	s[slotFarOrder] = at()
+	if _, err := decodeMolecule(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeSurface(r); err != nil {
+		t.Fatal(err)
+	}
+	for _, slot := range []int{slotAtomsMoments, slotQPtsMoments} {
+		if _, err := octree.DecodeTree(r); err != nil {
+			t.Fatal(err)
 		}
-		b[at] = v
-		return restamp(b)
+		s[slot] = at()
 	}
-	if sys, err := DecodeSnapshot(retired); !errors.Is(err, ErrSnapshotVersion) || sys != nil {
-		t.Errorf("FarOrder 2 image: got %v (system %v), want ErrSnapshotVersion and no system", err, sys != nil)
+	if !r.Bool() {
+		t.Fatal("the image has no list block")
 	}
-	for name, image := range map[string][]byte{
-		"f32 precision":     patched(precisionAt, 2),
-		"approximate math":  patched(mathAt, 1),
-		"far-field order 1": patched(farOrderAt, 1),
-	} {
-		sys, err := DecodeSnapshot(image)
-		if !errors.Is(err, ErrSnapshotRetired) || sys != nil {
-			t.Errorf("%s: got %v (system %v), want ErrSnapshotRetired and no system", name, err, sys != nil)
+	r.F64()
+	r.F64()
+	s[slotListOrder] = at()
+	decodeIL(r)
+	s[slotBorn] = at()
+	r.I32s()
+	r.I32s()
+	s[slotTileOrders] = at()
+	decodeIL(r)
+	s[slotEpol] = at()
+	decodeTiles(r, &InteractionLists{})
+	s[slotNodes] = at()
+	if r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("list block: %v, %d bytes left", r.Err(), r.Remaining())
+	}
+	return s
+}
+
+// withRetired returns image, a snapshot of this version with lists, with
+// the bytes of ins put in at their slots, stamped version and its checksum
+// made good.
+func withRetired(t testing.TB, image []byte, version uint16, ins map[int][]byte) []byte {
+	t.Helper()
+	slots := retiredSlots(t, image)
+	var out []byte
+	prev := 0
+	for slot := range numSlots {
+		if b, ok := ins[slot]; ok {
+			out = append(append(out, image[prev:slots[slot]]...), b...)
+			prev = slots[slot]
 		}
 	}
-	path := filepath.Join(t.TempDir(), "retired.gbpsnap")
-	if err := os.WriteFile(path, retired, 0o644); err != nil {
+	out = append(out, image[prev:]...)
+	binary.LittleEndian.PutUint16(out[len(snapshotMagic):], version)
+	return restamp(out)
+}
+
+// enc returns what put writes.
+func enc(put func(w *wire.Writer)) []byte {
+	var w wire.Writer
+	put(&w)
+	return w.Bytes()
+}
+
+// certificate is one phase's six repair-certificate arrays as version 4
+// placed them, each of n entries, then its per-entry orders, empty.
+func certificate(n int) []byte {
+	return enc(func(w *wire.Writer) {
+		for range 6 {
+			w.F64s(make([]float64, n))
+		}
+		w.U8s(nil)
+	})
+}
+
+// v4Image is image, a snapshot of this version with lists, as version 4
+// wrote it: every retired slot filled with what that version wrote there
+// (mathByte in the math mode's place), and the stamp taken over the
+// version-4 parameter section.
+func v4Image(t testing.TB, image []byte, mathByte uint8) []byte {
+	t.Helper()
+	u32 := enc(func(w *wire.Writer) { w.U32(0) })
+	out := withRetired(t, image, 4, map[int][]byte{
+		slotMath:         {mathByte},
+		slotFarOrder:     {0},
+		slotAtomsMoments: u32,
+		slotQPtsMoments:  u32,
+		slotListOrder:    {0},
+		slotBorn:         certificate(0),
+		slotTileOrders:   u32,
+		slotEpol:         certificate(0),
+		slotNodes:        append(u32, u32...),
+	})
+	const v4Params = 3*8 + 5 + 4 + 1
+	h := fnv.New64a()
+	h.Write(out[stampAt+8 : stampAt+8+v4Params])
+	binary.LittleEndian.PutUint64(out[stampAt:], h.Sum64())
+	return restamp(out)
+}
+
+// A version-4 image, whose layout had places for retired configurations,
+// and this layout stamped version 4 are refused with ErrSnapshotVersion and
+// no System, by DecodeSnapshot and by LoadSnapshotAnyParams. Checkpoints are
+// written and read by one build, and no older layout is read.
+func TestSnapshotRefusesRetired(t *testing.T) {
+	_, image := snapshotFixture(t, true)
+	stamped := append([]byte(nil), image...)
+	binary.LittleEndian.PutUint16(stamped[len(snapshotMagic):], 4)
+	older := map[string][]byte{
+		"version 4":                     v4Image(t, image, 0),
+		"this layout stamped version 4": restamp(stamped),
+	}
+	for name, b := range older {
+		if sys, err := DecodeSnapshot(b); !errors.Is(err, ErrSnapshotVersion) || sys != nil {
+			t.Errorf("%s: got %v (system %v), want ErrSnapshotVersion and no system", name, err, sys != nil)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "v4.gbpsnap")
+	if err := os.WriteFile(path, older["version 4"], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadSnapshotAnyParams(path); !errors.Is(err, ErrSnapshotVersion) {
@@ -228,26 +312,119 @@ func TestSnapshotRefusesRetired(t *testing.T) {
 	}
 }
 
-// An older build stamped a lanes image with the approximate math mode its
-// lanes tier implied: such an image decodes as the lanes tier — its stamp
-// verified over the byte it was written with — and loads under this
-// build's lanes parameters. With that byte and a stamp that does not cover
-// it, the image fails its stamp.
+// Images of version 2, whose Born and E_pol lists were per row, and of
+// version 3, whose E_pol lists were, are refused with ErrSnapshotVersion
+// and no System: no image of a per-row layout is hoisted into tiles. The
+// same bytes stamped this version decode.
+func TestSnapshotHoistsRowImage(t *testing.T) {
+	_, image := snapshotFixture(t, true)
+	for _, version := range []uint16{2, 3} {
+		b := append([]byte(nil), image...)
+		binary.LittleEndian.PutUint16(b[len(snapshotMagic):], version)
+		if sys, err := DecodeSnapshot(restamp(b)); !errors.Is(err, ErrSnapshotVersion) || sys != nil {
+			t.Errorf("a version-%d image: got %v (system %v), want ErrSnapshotVersion and no system", version, err, sys != nil)
+		}
+	}
+	if _, err := DecodeSnapshot(image); err != nil {
+		t.Errorf("the image at version %d: %v", snapshotVersion, err)
+	}
+}
+
+// Octree moment sets, which version 3 wrote behind each tree, are no part
+// of this layout: an image with them is refused by its version when stamped
+// 3, and is corrupt when stamped this version.
+func TestSnapshotDecodesMomentsImage(t *testing.T) {
+	_, image := snapshotFixture(t, true)
+	sets := enc(func(w *wire.Writer) {
+		w.U32(1)
+		w.Str("charge")
+		w.Bool(false)
+		w.U32(1)
+		for range 4 {
+			w.F64s(nil)
+		}
+	})
+	ins := map[int][]byte{slotAtomsMoments: sets, slotQPtsMoments: sets}
+	for version, want := range map[uint16]error{3: ErrSnapshotVersion, snapshotVersion: ErrSnapshotCorrupt} {
+		if sys, err := DecodeSnapshot(withRetired(t, image, version, ins)); !errors.Is(err, want) || sys != nil {
+			t.Errorf("version %d: got %v (system %v), want %v and no system", version, err, sys != nil, want)
+		}
+	}
+}
+
+// An image of this version is refused as corrupt, never misread, when it
+// carries bytes where version 4 kept its retired places — a far-field order,
+// moment sets, a repair certificate whole or in part — and so is one stamped
+// with a precision tier this build does not compute: the f32 tier's byte 2,
+// or a byte no build wrote.
+func TestSnapshotFarFieldCorruptions(t *testing.T) {
+	sys, image := snapshotFixture(t, true)
+	cl := sys.lists
+	n := sys.Atoms.NumNodes()
+	margins := func(sizes ...int) []byte {
+		return enc(func(w *wire.Writer) {
+			for _, s := range sizes {
+				w.F64s(make([]float64, s))
+			}
+		})
+	}
+	far, near := len(cl.Born.Far), len(cl.Epol.Near)
+	geometry := enc(func(w *wire.Writer) {
+		wire.PutF64Records(w, make([]geom.Vec3, n))
+		w.F64s(make([]float64, n))
+	})
+	for name, ins := range map[string]map[int][]byte{
+		"far order out of range": {slotFarOrder: {3}},
+		"truncated moments":      {slotAtomsMoments: enc(func(w *wire.Writer) { w.U32(1) })},
+		"moment channels": {slotQPtsMoments: enc(func(w *wire.Writer) {
+			w.U32(1)
+			w.Str("wn")
+			w.Bool(true)
+			w.U32(2)
+		})},
+		"one margin array present":      {slotBorn: margins(far)},
+		"one margin array missing":      {slotBorn: margins(far, far, 0, 0, 0)},
+		"one phase uncertified":         {slotEpol: certificate(0)},
+		"margins without node snapshot": {slotBorn: certificate(far), slotEpol: certificate(near)},
+		"node snapshot without margins": {slotNodes: geometry},
+		"node centers without radii":    {slotNodes: enc(func(w *wire.Writer) { wire.PutF64Records(w, make([]geom.Vec3, n)) })},
+		"near margins on untested rows": {slotEpol: margins(0, 0, near)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := DecodeSnapshot(withRetired(t, image, snapshotVersion, ins)); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
+			}
+		})
+	}
+	for name, v := range map[string]byte{"precision f32": 2, "precision unknown": 200} {
+		t.Run(name, func(t *testing.T) {
+			b := append([]byte(nil), image...)
+			if b[precisionAt] != 0 {
+				t.Fatalf("byte %d is %d, want the exact tier's 0 (layout drifted?)", precisionAt, b[precisionAt])
+			}
+			b[precisionAt] = v
+			if _, err := DecodeSnapshot(restamp(b)); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
+			}
+		})
+	}
+}
+
+// A lanes image decodes as the lanes tier and loads under this build's
+// lanes parameters. The image an older build wrote for it — version 4, its
+// stamp taken over the approximate math byte beside the lanes tier — is
+// refused by its version.
 func TestSnapshotDecodesLegacyLanesStamp(t *testing.T) {
 	params := DefaultParams()
 	params.Precision = PrecisionLanes
 	sys, _, _ := testSystem(t, 150, 7, params)
+	sys.Lists(nil)
 	data, err := EncodeSnapshot(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[mathAt] = approxMath
-	if _, err := DecodeSnapshot(restamp(append([]byte(nil), data...))); !errors.Is(err, ErrSnapshotParams) {
-		t.Fatalf("math byte rewritten under the current stamp: got %v, want ErrSnapshotParams", err)
-	}
-	binary.LittleEndian.PutUint64(data[stampAt:], paramsFingerprint(sys.Params, approxMath))
 	path := filepath.Join(t.TempDir(), "lanes.gbpsnap")
-	if err := os.WriteFile(path, restamp(data), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadSnapshot(path, params)
@@ -257,302 +434,30 @@ func TestSnapshotDecodesLegacyLanesStamp(t *testing.T) {
 	if got.Params != sys.Params {
 		t.Errorf("decoded parameters %+v, want %+v", got.Params, sys.Params)
 	}
-}
-
-// Corruptions of what older images carry and this build only reads past or
-// refuses: a truncated or malformed moment set behind an octree, a
-// far-field order byte no build wrote, and a repair certificate, whole or in
-// part. All fail with ErrSnapshotCorrupt, never a panic or a misread tree.
-func TestSnapshotFarFieldCorruptions(t *testing.T) {
-	// The moments image cut after its trees: the q-points tree's moment
-	// sets end the stream, Bool(false) and the CRC after them. Without its
-	// lists a version-3 image is laid out as version 4 is.
-	image := legacyMomentsImage(t)
-	r := wire.NewReader(image[len(snapshotMagic) : len(image)-4])
-	r.U16()
-	r.U64()
-	if _, _, err := decodeParams(r); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeMolecule(r); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeSurface(r); err != nil {
-		t.Fatal(err)
-	}
-	var qpts *octree.Tree
-	for range 2 {
-		tree, err := octree.DecodeTree(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qpts = tree
-	}
-	noLists := append(append([]byte(nil), image[:len(image)-4-r.Remaining()]...), 0, 0, 0, 0, 0)
-	binary.LittleEndian.PutUint16(noLists[len(snapshotMagic):], snapshotVersion)
-	restamp(noLists)
-	if _, err := DecodeSnapshot(noLists); err != nil {
-		t.Fatalf("the moments image without its lists: %v", err)
-	}
-	t.Run("truncated moments", func(t *testing.T) {
-		// The very last array is the second moments of channel 2 of the "wn"
-		// set (6*nNodes float64s behind a u32 count). Shrink the count: the
-		// skip's length validation must reject the set.
-		data := append([]byte(nil), noLists...)
-		nq := qpts.NumNodes()
-		cnt := len(data) - 4 - 1 - 6*nq*8 - 4
-		if got := binary.LittleEndian.Uint32(data[cnt:]); got != uint32(6*nq) {
-			t.Fatalf("expected qFlat count %d at offset %d, found %d (layout drifted?)", 6*nq, cnt, got)
-		}
-		binary.LittleEndian.PutUint32(data[cnt:], uint32(6*nq-6))
-		if _, err := DecodeSnapshot(restamp(data)); !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
-		}
-	})
-	t.Run("moment channels", func(t *testing.T) {
-		// The "wn" set is a vector of three channels: its header — name,
-		// vector flag, channel count — sits behind the atoms tree's sets and
-		// the q-points tree's set count. Claim two channels.
-		data := append([]byte(nil), noLists...)
-		at := bytes.Index(data, []byte("\x02\x00\x00\x00wn\x01\x03\x00\x00\x00"))
-		if at < 0 {
-			t.Fatal("no vector set \"wn\" of three channels in the image (layout drifted?)")
-		}
-		data[at+4+2+1] = 2
-		if _, err := DecodeSnapshot(restamp(data)); !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
-		}
-	})
-	t.Run("far order out of range", func(t *testing.T) {
-		// No build wrote a far-field order above 2.
-		_, data := snapshotFixture(t, true)
-		data[farOrderAt] = 3
-		if _, err := DecodeSnapshot(restamp(data)); !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
-		}
-	})
-	// This build keeps no repair certificate: an image with any part of one
-	// is refused.
-	for name, data := range mixedCertificates(t) {
-		t.Run(name, func(t *testing.T) {
-			if _, err := DecodeSnapshot(data); !errors.Is(err, ErrSnapshotCorrupt) {
-				t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
-			}
-		})
+	if _, err := DecodeSnapshot(v4Image(t, data, 1)); !errors.Is(err, ErrSnapshotVersion) {
+		t.Errorf("the version-4 lanes image: got %v, want ErrSnapshotVersion", err)
 	}
 }
 
-// certifiedImage is a snapshot in this build's layout with a repair
-// certificate put in where the certificate-writing builds kept it: between
-// each phase's lists and its orders six margin arrays, sized by the rule
-// they were written under, and behind the list block a copy of the node
-// geometry — filled with values nothing reads. The system comes back beside
-// it.
-func certifiedImage(t testing.TB) (*System, []byte) {
-	t.Helper()
-	sys, _, _ := testSystem(t, 150, 7, mortonParams())
-	sys.Lists(nil)
-	image, err := EncodeSnapshot(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := parseCertifiedBlock(t, image)
-	filled := func(n int) []float64 {
-		a := make([]float64, n)
-		for i := range a {
-			a[i] = 0.5 + float64(i%7)
-		}
-		return a
-	}
-	for _, p := range []struct {
-		l          *certifiedLists
-		nearTested bool // the Born lists' near entries were opening-tested
-	}{{&b.born, true}, {&b.epol, false}} {
-		far, near := len(p.l.far()), len(p.l.near())
-		p.l.FarMargin, p.l.FarPath, p.l.NearPath = filled(far), filled(far), filled(near)
-		p.l.SymPath, p.l.CedePath = filled(len(p.l.index[6])), filled(len(p.l.index[8]))
-		if p.nearTested {
-			p.l.NearMargin = filled(near)
-		}
-	}
-	n := sys.Atoms.NumNodes()
-	b.nodeC, b.nodeR = make([]geom.Vec3, n), filled(n)
-	for i := range b.nodeC {
-		b.nodeC[i] = geom.V(float64(i), 1, 2)
-	}
-	return sys, b.encode()
-}
-
-// certifiedLists is one phase's lists in wire order: nine index arrays, the
-// six certificate arrays (far margins, far paths, near margins, near paths,
-// sym paths, cede paths), the orders, and the phase's tiles — the Born tile
-// runs and their orders, or the E_pol shared runs.
-type certifiedLists struct {
-	index                                                       [9][]int32
-	FarMargin, FarPath, NearMargin, NearPath, SymPath, CedePath []float64
-	ord                                                         []uint8
-	tiles                                                       [][]int32
-	tileOrd                                                     []uint8
-}
-
-// certifiedBlock is a snapshot cut at its list block: the bytes before the
-// block's arrays, then the arrays, which this file reads and writes for
-// itself — no encoder of a certificate is left in the build.
-type certifiedBlock struct {
-	head       []byte
-	born, epol certifiedLists
-	nodeC      []geom.Vec3
-	nodeR      []float64
-}
-
-func parseCertifiedBlock(t testing.TB, data []byte) *certifiedBlock {
-	t.Helper()
-	body := data[len(snapshotMagic) : len(data)-4]
-	r := wire.NewReader(body)
-	r.U16()
-	r.U64()
-	if _, _, err := decodeParams(r); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeMolecule(r); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeSurface(r); err != nil {
-		t.Fatal(err)
-	}
-	for range 2 {
-		if _, err := octree.DecodeTree(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !r.Bool() {
-		t.Fatal("the image has no list block")
-	}
-	r.F64()
-	r.F64()
-	r.U8()
-	b := &certifiedBlock{head: data[:len(snapshotMagic)+len(body)-r.Remaining()]}
-	for p, l := range []*certifiedLists{&b.born, &b.epol} {
-		for i := range l.index {
-			l.index[i] = r.I32s()
-		}
-		for _, a := range l.certificate() {
-			*a = r.F64s()
-		}
-		l.ord = r.U8s()
-		l.tiles = make([][]int32, [2]int{2, 8}[p])
-		for i := range l.tiles {
-			l.tiles[i] = r.I32s()
-		}
-		if p == 0 {
-			l.tileOrd = r.U8s()
-		}
-	}
-	b.nodeC, b.nodeR = wire.F64Records[geom.Vec3](r), r.F64s()
-	if r.Err() != nil || r.Remaining() != 0 {
-		t.Fatalf("list block: %v, %d bytes left", r.Err(), r.Remaining())
-	}
-	return b
-}
-
-func (l *certifiedLists) certificate() [6]*[]float64 {
-	return [6]*[]float64{&l.FarMargin, &l.FarPath, &l.NearMargin, &l.NearPath, &l.SymPath, &l.CedePath}
-}
-
-// far and near are the phase's Far and Near entry arrays.
-func (l *certifiedLists) far() []int32  { return l.index[2] }
-func (l *certifiedLists) near() []int32 { return l.index[4] }
-
-// uncertify empties the phase's share of the certificate.
-func (l *certifiedLists) uncertify() {
-	for _, a := range l.certificate() {
-		*a = nil
-	}
-}
-
-func (b *certifiedBlock) encode() []byte {
-	var w wire.Writer
-	w.Raw(b.head)
-	for p, l := range []*certifiedLists{&b.born, &b.epol} {
-		for _, a := range l.index {
-			w.I32s(a)
-		}
-		for _, a := range l.certificate() {
-			w.F64s(*a)
-		}
-		w.U8s(l.ord)
-		for _, a := range l.tiles {
-			w.I32s(a)
-		}
-		if p == 0 {
-			w.U8s(l.tileOrd)
-		}
-	}
-	wire.PutF64Records(&w, b.nodeC)
-	w.F64s(b.nodeR)
-	w.U32(0)
-	return restamp(w.Bytes())
-}
-
-// mixedCertificates returns snapshots whose list block holds part of a
-// repair certificate — well-formed, checksummed streams of this build's
-// layout — keyed by what was done to the lists of the certified image, as
-// written (certified) or with its certificate taken out first.
-func mixedCertificates(t testing.TB) map[string][]byte {
-	t.Helper()
-	_, image := certifiedImage(t)
-	if b := parseCertifiedBlock(t, image); len(b.born.far()) == 0 || len(b.born.FarPath) == 0 || len(b.epol.near()) == 0 ||
-		len(b.nodeR) == 0 || !bytes.Equal(b.encode(), image) {
-		t.Fatal("the certified image holds an empty list (a missing array would be a sized one), or this file misreads it")
-	}
-	out := map[string][]byte{}
-	for name, c := range map[string]struct {
-		certified bool
-		mut       func(b, whole *certifiedBlock)
-	}{
-		"one margin array present": {false, func(b, _ *certifiedBlock) {
-			b.born.FarMargin = make([]float64, len(b.born.far()))
-		}},
-		"node snapshot without margins": {false, func(b, whole *certifiedBlock) {
-			b.nodeC, b.nodeR = whole.nodeC, whole.nodeR
-		}},
-		"margins without node snapshot": {true, func(b, _ *certifiedBlock) { b.nodeC, b.nodeR = nil, nil }},
-		"node centers without radii":    {true, func(b, _ *certifiedBlock) { b.nodeR = nil }},
-		"one margin array missing":      {true, func(b, _ *certifiedBlock) { b.born.FarPath = nil }},
-		"one phase uncertified":         {true, func(b, _ *certifiedBlock) { b.born.uncertify() }},
-		"near margins on untested rows": {true, func(b, _ *certifiedBlock) {
-			b.epol.NearMargin = make([]float64, len(b.epol.near()))
-		}},
-	} {
-		b, whole := parseCertifiedBlock(t, image), parseCertifiedBlock(t, image)
-		if !c.certified {
-			b.born.uncertify()
-			b.epol.uncertify()
-			b.nodeC, b.nodeR = nil, nil
-			if _, err := DecodeSnapshot(b.encode()); err != nil {
-				t.Fatalf("the image without its certificate: %v", err)
-			}
-		}
-		c.mut(b, whole)
-		out[name] = b.encode()
-	}
-	return out
-}
-
-// The repair certificate an older build wrote beside its lists is no part of
-// this build's format: an image of this version that carries one whole is
-// corrupt, and the same image stamped version 2 — the last version a
-// certificate was written at — is refused by its version before anything
-// else is read.
+// A repair certificate, which versions up to 2 computed and version 4 kept
+// places for, is no part of this layout: an image that carries one whole is
+// corrupt, and the same image stamped version 2 is refused by its version
+// before anything else is read.
 func TestSnapshotDecodesCertifiedImage(t *testing.T) {
-	_, image := certifiedImage(t)
-	if sys, err := DecodeSnapshot(image); !errors.Is(err, ErrSnapshotCorrupt) || sys != nil {
-		t.Errorf("a certified image: got %v (system %v), want ErrSnapshotCorrupt and no system", err, sys != nil)
+	sys, image := snapshotFixture(t, true)
+	n := sys.Atoms.NumNodes()
+	ins := map[int][]byte{
+		slotBorn: certificate(len(sys.lists.Born.Far)),
+		slotEpol: certificate(len(sys.lists.Epol.Far)),
+		slotNodes: enc(func(w *wire.Writer) {
+			wire.PutF64Records(w, make([]geom.Vec3, n))
+			w.F64s(make([]float64, n))
+		}),
 	}
-	old := append([]byte(nil), image...)
-	binary.LittleEndian.PutUint16(old[len(snapshotMagic):], snapshotVersionRows)
-	if sys, err := DecodeSnapshot(restamp(old)); !errors.Is(err, ErrSnapshotVersion) || sys != nil {
-		t.Errorf("a certified version-2 image: got %v (system %v), want ErrSnapshotVersion and no system", err, sys != nil)
+	for version, want := range map[uint16]error{2: ErrSnapshotVersion, snapshotVersion: ErrSnapshotCorrupt} {
+		if got, err := DecodeSnapshot(withRetired(t, image, version, ins)); !errors.Is(err, want) || got != nil {
+			t.Errorf("a certified image stamped version %d: got %v (system %v), want %v and no system", version, err, got != nil, want)
+		}
 	}
 }
 
@@ -598,12 +503,13 @@ func TestSnapshotSaveLoadParams(t *testing.T) {
 // loops), so a snapshot either side writes loads on the other, then
 // re-taken as the format changed: the repair certificate written
 // zero-length, the Born tiles' shared runs stored once (version 3), the
-// system at far-field order 0 with no moment sets behind its trees, and —
-// the last re-recording — the E_pol tiles' shared runs stored once
-// (version 4, without the tiles' cut, which the rows make), which takes
-// the bytes from 842 523 to 799 719. The digest covers computed floats
-// (the surface), hence one architecture: elsewhere the compiler may fuse
-// multiply-adds.
+// system at far-field order 0 with no moment sets behind its trees, the
+// E_pol tiles' shared runs stored once (version 4, 799 719 bytes), and —
+// the last re-recording — version 5, which drops the places version 4 kept
+// for retired configurations and wrote empty (79 bytes here). Filled back
+// in, they give version 4's bytes exactly. The digest covers computed
+// floats (the surface), hence one architecture: elsewhere the compiler may
+// fuse multiply-adds.
 func TestSnapshotBytesStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests were taken on amd64")
@@ -614,10 +520,19 @@ func TestSnapshotBytesStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const size, sha = 799719, "359563886babcb17bc37de67187b2e5fd48c1e774f86e198bc8736b57b3ba50e"
-	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); len(data) != size || got != sha {
-		t.Errorf("version %d: %d bytes, sha256 %s; the format is pinned at %d bytes, %s", snapshotVersion, len(data), got, size, sha)
+	for _, c := range []struct {
+		version uint16
+		image   []byte
+		size    int
+		sha     string
+	}{
+		{snapshotVersion, data, 799640, "7d20438fb3681a0a5a86189afa32e075ccd3fe5f04ee88eeacf45c5f1c23aceb"},
+		{4, v4Image(t, data, 0), 799719, "359563886babcb17bc37de67187b2e5fd48c1e774f86e198bc8736b57b3ba50e"},
+	} {
+		sum := sha256.Sum256(c.image)
+		if got := hex.EncodeToString(sum[:]); len(c.image) != c.size || got != c.sha {
+			t.Errorf("version %d: %d bytes, sha256 %s; the format is pinned at %d bytes, %s", c.version, len(c.image), got, c.size, c.sha)
+		}
 	}
 }
 
@@ -734,39 +649,27 @@ func TestParamsFingerprint(t *testing.T) {
 
 // FuzzDecodeSnapshot pins the no-panic, no-overallocation property on
 // arbitrary input. Run with `go test -fuzz=FuzzDecodeSnapshot` to
-// explore; the seeds alone cover the interesting prefixes in CI.
+// explore; the seeds alone cover the interesting prefixes in CI: images of
+// this version with and without lists, whole and cut short, the same image
+// with bytes where version 4 kept its retired places, and a version-4 image.
 func FuzzDecodeSnapshot(f *testing.F) {
 	_, data := snapshotFixture(f, true)
+	_, bare := snapshotFixture(f, false)
 	f.Add([]byte{})
 	f.Add([]byte(snapshotMagic))
-	f.Add(data)
-	f.Add(data[:len(data)/2])
-	f.Add(data[:len(data)-4])
+	for _, image := range [][]byte{data, bare} {
+		f.Add(image)
+		for _, cut := range []int{4, 5, len(image) / 4, len(image) / 2} {
+			f.Add(image[:len(image)-cut])
+		}
+	}
 	trunc := append([]byte(nil), data[:40]...)
 	f.Add(restamp(append(trunc, make([]byte, 4)...)))
-	// An image of this version with a repair certificate whole, and with
-	// every mixture of one; the version-3 image with moment sets behind its
-	// trees; the version-2 image of a retired configuration.
-	sys, certified := certifiedImage(f)
-	f.Add(certified)
-	for _, mixed := range mixedCertificates(f) {
-		f.Add(mixed)
+	zero := enc(func(w *wire.Writer) { w.U32(0) })
+	for slot := range numSlots {
+		f.Add(withRetired(f, data, snapshotVersion, map[int][]byte{slot: zero}))
 	}
-	f.Add(legacyMomentsImage(f))
-	retired, err := os.ReadFile(filepath.Join("testdata", "certified_pr19.gbpsnap"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(retired)
-	// The same system as this version writes it, and as version 2 wrote it,
-	// per row.
-	for _, encode := range []func(*System) ([]byte, error){EncodeSnapshot, encodeRowImage} {
-		image, err := encode(sys)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(image)
-	}
+	f.Add(v4Image(f, data, 0))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sys, err := DecodeSnapshot(b)
 		if err != nil {

@@ -142,7 +142,7 @@ type System struct {
 	// surface normals, and the atoms-octree node centers. The flat
 	// component arrays let the inner loops run without Vec3 struct loads
 	// or Node pointer chasing; they are refreshed whenever the underlying
-	// geometry moves (UpdateAtoms, ApplyRigidTransform). Each array is
+	// geometry moves (UpdateAtomsRepair, ApplyRigidTransform). Each array is
 	// allocated with its capacity rounded up to mathx.LaneWidth and the
 	// pad slots kept at zero (checkSoAPadding asserts this under
 	// DebugCheckLists), so lane-blocked sweeps can run whole blocks with no
@@ -489,28 +489,6 @@ func (s *System) RecordMemory(o *obs.Obs) {
 // kern returns the scalar kernels of the system's precision tier
 // (Params.MathMode), so the whole pipeline stays in one accuracy class.
 func (s *System) kern() mathx.Kernels { return mathx.ForMode(s.Params.MathMode()) }
-
-// UpdateAtoms moves the atoms to new positions (original atom order) and
-// incrementally repairs the atoms octree (octree.Tree.Update — the
-// dynamic-octree machinery of the paper's reference [8]), re-deriving the
-// slot-ordered payloads. The surface and its octree are left untouched:
-// this is the rigid-cavity setting of flexible-molecule steps between
-// boundary rebuilds. It returns the number of atoms that changed leaf.
-func (s *System) UpdateAtoms(newPositions []geom.Vec3) (moved int, err error) {
-	if len(newPositions) != s.Mol.NumAtoms() {
-		return 0, fmt.Errorf("core: UpdateAtoms with %d positions for %d atoms",
-			len(newPositions), s.Mol.NumAtoms())
-	}
-	moved, err = s.Atoms.Update(newPositions)
-	if err != nil {
-		return moved, err
-	}
-	s.commitAtomPositions(newPositions)
-	// Non-rigid motion: the compiled near/far classification is stale.
-	// (UpdateAtomsRepair is the variant that repairs it instead.)
-	s.InvalidateLists()
-	return moved, nil
-}
 
 // BornRadiiToOriginalOrder maps tree-slot-ordered Born radii back to the
 // molecule's original atom order.

@@ -7,7 +7,6 @@
 package gbmodels
 
 import (
-	"fmt"
 	"math"
 
 	"gbpolar/internal/molecule"
@@ -16,9 +15,6 @@ import (
 
 // CoulombConstant converts e²/Å to kcal/mol.
 const CoulombConstant = 332.0636
-
-// DefaultSolventDielectric is the relative permittivity of water.
-const DefaultSolventDielectric = 80.0
 
 // Tau returns the GB prefactor τ = k_e·(1 − 1/ε_solv) so that
 // E_pol = −(τ/2)·Σ q_i q_j / f_GB is in kcal/mol.
@@ -33,13 +29,6 @@ func FGB(r2, ri, rj float64) float64 {
 	return math.Sqrt(r2 + rr*math.Exp(-r2/(4*rr)))
 }
 
-// PairEnergy returns the energy contribution of an ordered atom pair
-// with squared distance r2 (use r2=0 and i==j for the self term, where
-// f_GB reduces to R_i).
-func PairEnergy(tau, qi, qj, r2, ri, rj float64) float64 {
-	return -0.5 * tau * qi * qj / FGB(r2, ri, rj)
-}
-
 // Model computes effective Born radii for a molecule from a cutoff
 // neighbor list. Implementations differ exactly the way the packages in
 // Table II differ.
@@ -52,12 +41,9 @@ type Model interface {
 	BornRadii(m *molecule.Molecule, nb *nblist.List) []float64
 }
 
-// DielectricOffset shrinks vdW radii to intrinsic Born radii
+// dielectricOffset shrinks vdW radii to intrinsic Born radii
 // (the standard 0.09 Å of HCT/OBC parameterizations).
-const DielectricOffset = 0.09
-
-// dielectricOffset is the package-internal alias.
-const dielectricOffset = DielectricOffset
+const dielectricOffset = 0.09
 
 // Descreening scale factors applied to neighbor radii. Package
 // parameterizations use per-element values tuned on real proteins; a
@@ -83,10 +69,6 @@ const StillVolumeFactor = 1.3
 // model (overlap/self-consistency correction; GBr⁶ itself adds
 // higher-order neighbor-overlap terms).
 const VR6VolumeFactor = 2.0
-
-// HCTIntegral exposes the closed-form HCT descreening integral for the
-// baseline packages' row-partitioned accumulation.
-func HCTIntegral(r, rhoi, sj float64) float64 { return hctIntegral(r, rhoi, sj) }
 
 // HCT is the Hawkins–Cramer–Truhlar pairwise descreening model
 // (reference [17] of the paper; Amber's and Gromacs' default GB).
@@ -272,50 +254,19 @@ func (VR6) BornRadii(m *molecule.Molecule, nb *nblist.List) []float64 {
 
 func sphereVolume(r float64) float64 { return 4 * math.Pi / 3 * r * r * r }
 
-// ByName returns the model with the given name.
-func ByName(name string) (Model, error) {
-	switch name {
-	case "HCT":
-		return HCT{}, nil
-	case "OBC":
-		return OBC{}, nil
-	case "STILL":
-		return Still{}, nil
-	case "VR6":
-		return VR6{}, nil
-	}
-	return nil, fmt.Errorf("gbmodels: unknown model %q", name)
-}
-
-// Energy computes the GB polarization energy from precomputed Born radii
-// over the neighbor list (pairs beyond the cutoff are dropped — the
-// truncation all nblist packages make) plus the exact self terms.
-func Energy(m *molecule.Molecule, radii []float64, nb *nblist.List, epsSolv float64) float64 {
-	tau := Tau(epsSolv)
-	var e float64
-	for i, a := range m.Atoms {
-		e += PairEnergy(tau, a.Charge, a.Charge, 0, radii[i], radii[i])
-	}
-	nb.ForEachPair(func(i, j int32) {
-		r2 := m.Atoms[i].Pos.Dist2(m.Atoms[j].Pos)
-		// ×2: the naive double sum counts unordered pairs twice.
-		e += 2 * PairEnergy(tau, m.Atoms[i].Charge, m.Atoms[j].Charge, r2, radii[i], radii[j])
-	})
-	return e
-}
-
 // EnergyAllPairs computes the untruncated pairwise GB energy (O(M²)),
 // used by reference implementations and tests.
 func EnergyAllPairs(m *molecule.Molecule, radii []float64, epsSolv float64) float64 {
-	tau := Tau(epsSolv)
 	var e float64
 	for i := range m.Atoms {
 		qi := m.Atoms[i].Charge
-		e += PairEnergy(tau, qi, qi, 0, radii[i], radii[i])
+		// The self term: f_GB(0, R_i, R_i) = R_i.
+		e += qi * qi / radii[i]
 		for j := i + 1; j < len(m.Atoms); j++ {
 			r2 := m.Atoms[i].Pos.Dist2(m.Atoms[j].Pos)
-			e += 2 * PairEnergy(tau, qi, m.Atoms[j].Charge, r2, radii[i], radii[j])
+			// ×2: the double sum counts unordered pairs twice.
+			e += 2 * qi * m.Atoms[j].Charge / FGB(r2, radii[i], radii[j])
 		}
 	}
-	return e
+	return -0.5 * Tau(epsSolv) * e
 }

@@ -50,15 +50,25 @@ func TestFGBLimits(t *testing.T) {
 	}
 }
 
+// The pair term of EnergyAllPairs — a two-atom energy less the two atoms'
+// self terms — has the sign of the charge product's opposite.
 func TestPairEnergySigns(t *testing.T) {
-	tau := Tau(80)
+	pair := func(qi, qj float64) float64 {
+		a := molecule.Atom{Pos: geom.V(0, 0, 0), Charge: qi, Radius: 2}
+		b := molecule.Atom{Pos: geom.V(2, 0, 0), Charge: qj, Radius: 2}
+		both := &molecule.Molecule{Atoms: []molecule.Atom{a, b}}
+		radii := []float64{2, 2}
+		return EnergyAllPairs(both, radii, 80) -
+			EnergyAllPairs(&molecule.Molecule{Atoms: []molecule.Atom{a}}, radii, 80) -
+			EnergyAllPairs(&molecule.Molecule{Atoms: []molecule.Atom{b}}, radii, 80)
+	}
 	// Like charges: polarization stabilizes (negative contribution).
-	if e := PairEnergy(tau, 1, 1, 4, 2, 2); e >= 0 {
+	if e := pair(1, 1); e >= 0 {
 		t.Errorf("like-charge pair energy %v not negative", e)
 	}
 	// Opposite charges: positive (solvent screening is destabilizing for
 	// attractive pairs).
-	if e := PairEnergy(tau, 1, -1, 4, 2, 2); e <= 0 {
+	if e := pair(1, -1); e <= 0 {
 		t.Errorf("opposite-charge pair energy %v not positive", e)
 	}
 }
@@ -139,53 +149,13 @@ func TestModelsDisagreeSystematically(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"HCT", "OBC", "STILL", "VR6"} {
-		mdl, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mdl.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, mdl.Name())
-		}
-	}
-	if _, err := ByName("XXX"); err == nil {
-		t.Error("unknown model should error")
-	}
-}
-
-func TestEnergyMatchesAllPairsForLargeCutoff(t *testing.T) {
-	m := molecule.GenProtein("e", 300, 63)
-	nb := buildNB(t, m, 1000) // cutoff covers everything
-	radii := HCT{}.BornRadii(m, nb)
-	eNB := Energy(m, radii, nb, 80)
-	eAll := EnergyAllPairs(m, radii, 80)
-	if math.Abs(eNB-eAll) > 1e-6*math.Abs(eAll) {
-		t.Errorf("Energy %v != EnergyAllPairs %v", eNB, eAll)
-	}
-}
-
-func TestEnergyTruncationBias(t *testing.T) {
-	// Small cutoffs must change the energy (that is the artifact the
-	// paper's ε-controlled scheme avoids).
-	m := molecule.GenProtein("trunc", 600, 64)
-	nbBig := buildNB(t, m, 1000)
-	nbSmall := buildNB(t, m, 6)
-	radii := HCT{}.BornRadii(m, nbBig)
-	eBig := Energy(m, radii, nbBig, 80)
-	eSmall := Energy(m, radii, nbSmall, 80)
-	if eBig == eSmall {
-		t.Error("truncation had no effect — implausible")
-	}
-}
-
 func TestEnergyNegativeForProtein(t *testing.T) {
 	// Polarization energy is "typically negative" (paper, Section I).
 	m := molecule.GenProtein("neg", 800, 65)
 	nb := buildNB(t, m, 15)
 	for _, model := range []Model{HCT{}, OBC{}, Still{}, VR6{}} {
 		radii := model.BornRadii(m, nb)
-		if e := Energy(m, radii, nb, 80); e >= 0 {
+		if e := EnergyAllPairs(m, radii, 80); e >= 0 {
 			t.Errorf("%s: E_pol = %v, want negative", model.Name(), e)
 		}
 	}

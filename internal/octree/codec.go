@@ -43,7 +43,6 @@ func (t *Tree) AppendTo(w *wire.Writer) {
 	}
 	w.U8(uint8(t.builder))
 	w.U64s(t.keys)
-	w.U32(0) // no moment sets: skipLegacyMoments
 }
 
 // encodedNodeBytes is the fixed per-node size of the encoding above,
@@ -88,9 +87,6 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 	t.rootBox.Max = geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 	b := Builder(r.U8())
 	t.keys = r.U64s()
-	if err := skipLegacyMoments(r, nNodes, nPts); err != nil {
-		return nil, err
-	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("octree: decode: %w", err)
 	}
@@ -108,16 +104,20 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 		return nil, fmt.Errorf("octree: decode: %d keys for %d points", len(t.keys), nPts)
 	}
 	// Children must point strictly forward (Build appends children after
-	// their parent): this bounds every child index AND makes the node
-	// graph acyclic before Validate walks it.
+	// their parent), and no node may have two parents: this bounds every
+	// child index AND makes the node graph a tree before Validate walks it
+	// (a node shared by several parents would be walked once per path,
+	// exponentially many times).
+	hasParent := make([]bool, nNodes)
 	for i := range t.Nodes {
 		for _, c := range t.Nodes[i].Children {
 			if c == NoChild {
 				continue
 			}
-			if c <= int32(i) || int(c) >= nNodes {
+			if c <= int32(i) || int(c) >= nNodes || hasParent[c] {
 				return nil, fmt.Errorf("octree: decode: node %d has invalid child %d", i, c)
 			}
+			hasParent[c] = true
 		}
 		if t.Nodes[i].Start < 0 || t.Nodes[i].End > int32(nPts) {
 			return nil, fmt.Errorf("octree: decode: node %d range [%d,%d) out of bounds",
@@ -129,38 +129,4 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// legacyQuad is the record a moment set's second moments were written as.
-type legacyQuad struct{ XX, YY, ZZ, XY, XZ, YZ float64 }
-
-// skipLegacyMoments reads past the moment sets — the per-node dipole and
-// quadrupole moments of named weight channels — that builds with a
-// higher-order far field wrote behind every tree, and that this build
-// writes none of. A set is still held to the sizes it was written under, so
-// a truncated or corrupted block is an error here, not a misread tree.
-func skipLegacyMoments(r *wire.Reader, nNodes, nPts int) error {
-	nSets := int(r.U32())
-	if r.Err() != nil || nSets < 0 || nSets > 16 {
-		return fmt.Errorf("octree: decode: bad moment-set count %d", nSets)
-	}
-	for s := 0; s < nSets; s++ {
-		name, vec := r.Str(), r.Bool()
-		nCh := int(r.U32())
-		if r.Err() != nil || nCh <= 0 || nCh > 8 || (vec && nCh != 3) {
-			return fmt.Errorf("octree: decode: moment set %q has bad channel count %d", name, nCh)
-		}
-		for c := 0; c < nCh; c++ {
-			w, sum := r.F64s(), r.F64s()
-			d, q := wire.F64Records[geom.Vec3](r), wire.F64Records[legacyQuad](r)
-			if r.Err() != nil {
-				return nil // DecodeTree reports the reader's error
-			}
-			if len(w) != nPts || len(sum) != nNodes || len(d) != nNodes || len(q) != nNodes {
-				return fmt.Errorf("octree: decode: moment set %q channel %d arrays truncated (%d/%d/%d/%d for %d nodes, %d points)",
-					name, c, len(w), len(sum), len(d), len(q), nNodes, nPts)
-			}
-		}
-	}
-	return nil
 }

@@ -1,0 +1,81 @@
+package octree
+
+import (
+	"math/rand"
+	"testing"
+
+	"gbpolar/internal/wire"
+)
+
+// FuzzDecodeTree pins that DecodeTree never panics on arbitrary input and
+// that every tree it returns passes Validate. The seeds are encodings of a
+// recursive tree, a Morton tree and a Morton tree after tracked updates
+// (which leave materialized leaves at the end of Nodes and pruned ones in
+// it), each whole and cut short. Run with `go test -fuzz=FuzzDecodeTree` to
+// explore.
+func FuzzDecodeTree(f *testing.F) {
+	rng := rand.New(rand.NewSource(285))
+	pts := randPts(rng, 300, 12)
+	rec, err := Build(pts, Options{LeafCap: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	mor, err := Build(pts, Options{LeafCap: 8, Builder: BuilderMorton})
+	if err != nil {
+		f.Fatal(err)
+	}
+	moved, err := Build(pts, Options{LeafCap: 8, Builder: BuilderMorton})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for step := 0; step < 3; step++ {
+		pts = jiggle(rng, pts, 0.4)
+		if _, err := moved.UpdateTracked(pts); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add([]byte{})
+	for _, tr := range []*Tree{rec, mor, moved} {
+		var w wire.Writer
+		tr.AppendTo(&w)
+		b := w.Bytes()
+		f.Add(b)
+		for _, cut := range []int{1, 8, len(b) / 2} {
+			f.Add(b[:len(b)-cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tr, err := DecodeTree(wire.NewReader(b))
+		if err != nil {
+			if tr != nil {
+				t.Fatal("non-nil tree alongside error")
+			}
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("decoded tree fails Validate: %v", err)
+		}
+	})
+}
+
+// A node reachable from two parents is refused: a walk of the node graph
+// would visit it once per path, and a chain of nodes whose eight children
+// are all the next one takes 8^depth visits.
+func TestDecodeTreeRefusesSharedChild(t *testing.T) {
+	rng := rand.New(rand.NewSource(286))
+	tr, err := Build(randPts(rng, 300, 12), Options{LeafCap: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		tr.Nodes[i].IsLeaf = false
+		for j := range tr.Nodes[i].Children {
+			tr.Nodes[i].Children[j] = int32(i + 1)
+		}
+	}
+	var w wire.Writer
+	tr.AppendTo(&w)
+	if _, err := DecodeTree(wire.NewReader(w.Bytes())); err == nil {
+		t.Fatal("a node graph with shared children decoded")
+	}
+}

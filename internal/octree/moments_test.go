@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gbpolar/internal/geom"
@@ -13,9 +14,7 @@ import (
 // The moments a node carries are those of the zeroth-order pseudo-particle
 // the far field evaluates: the number of points under it, their centroid
 // (Center) and the radius of the ball about the centroid that holds them
-// (Radius). The dipole and quadrupole moment sets older builds kept beside
-// them are gone; an encoding that still carries them is read past
-// (skipLegacyMoments).
+// (Radius).
 
 // checkMomentsBruteForce recomputes every reachable node's centroid and
 // enclosing radius directly over its point range, and checks that its
@@ -124,48 +123,9 @@ func TestMomentsRotateWithTransform(t *testing.T) {
 	checkMomentsBruteForce(t, tr, "after rigid transform")
 }
 
-// legacyMomentSet is one moment set as builds with a higher-order far field
-// wrote it behind a tree: per channel a weight per point, and per node the
-// weight, the dipole and the second moment.
-type legacyMomentSet struct {
-	name string
-	vec  bool
-	ch   int
-}
-
-// appendLegacyMoments writes the moment sets of an older encoding — their
-// count first, where AppendTo writes 0 — with values drawn from rng.
-func appendLegacyMoments(w *wire.Writer, rng *rand.Rand, nNodes, nPts int, sets []legacyMomentSet) {
-	w.U32(uint32(len(sets)))
-	for _, s := range sets {
-		w.Str(s.name)
-		w.Bool(s.vec)
-		w.U32(uint32(s.ch))
-		for c := 0; c < s.ch; c++ {
-			pt, node := make([]float64, nPts), make([]float64, nNodes)
-			d, q := make([]geom.Vec3, nNodes), make([]legacyQuad, nNodes)
-			for i := range pt {
-				pt[i] = rng.NormFloat64()
-			}
-			for i := range node {
-				node[i] = rng.NormFloat64()
-				d[i] = geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
-				q[i] = legacyQuad{XX: rng.Float64(), YY: rng.Float64(), ZZ: rng.Float64(), XY: rng.NormFloat64()}
-			}
-			w.F64s(pt)
-			w.F64s(node)
-			wire.PutF64Records(w, d)
-			wire.PutF64Records(w, q)
-		}
-	}
-}
-
-// The codec round-trips a tree bit for bit and carries no moment sets: an
-// older encoding that holds a charge set and a three-channel vector set
-// behind the tree decodes to the same tree, whose re-encoding drops exactly
-// the sets' bytes; the same encoding cut short inside the sets, or with a
-// vector set of other than three channels, fails to decode. CompactNodes on
-// the decoded tree keeps every node's moments.
+// The codec round-trips a tree bit for bit: the decoded tree re-encodes to
+// the same bytes and holds the same nodes, and CompactNodes on it keeps
+// every node's moments.
 func TestMomentsCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(283))
 	pts := randPts(rng, 800, 40)
@@ -173,45 +133,20 @@ func TestMomentsCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cur wire.Writer
-	tr.AppendTo(&cur)
-	plain := cur.Bytes()
-	got, err := DecodeTree(wire.NewReader(plain))
+	var w wire.Writer
+	tr.AppendTo(&w)
+	dec, err := DecodeTree(wire.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var again wire.Writer
-	got.AppendTo(&again)
-	if !bytes.Equal(again.Bytes(), plain) {
+	dec.AppendTo(&again)
+	if !bytes.Equal(again.Bytes(), w.Bytes()) {
 		t.Fatal("the decoded tree re-encodes to other bytes")
 	}
-
-	legacy := func(sets []legacyMomentSet) []byte {
-		var w wire.Writer
-		w.Raw(plain[:len(plain)-4]) // all but the zero set count
-		appendLegacyMoments(&w, rand.New(rand.NewSource(284)), tr.NumNodes(), tr.NumPoints(), sets)
-		return w.Bytes()
+	if !slices.Equal(dec.Nodes, tr.Nodes) || !slices.Equal(dec.Leaves(), tr.Leaves()) {
+		t.Fatal("the decoded tree has other nodes or leaves")
 	}
-	old := legacy([]legacyMomentSet{{"charge", false, 1}, {"wn", true, 3}})
-	dec, err := DecodeTree(wire.NewReader(old))
-	if err != nil {
-		t.Fatalf("an encoding with moment sets: %v", err)
-	}
-	var re wire.Writer
-	dec.AppendTo(&re)
-	if !bytes.Equal(re.Bytes(), plain) {
-		t.Errorf("re-encoded, the older encoding is %d bytes, want the %d of the tree without its sets",
-			len(re.Bytes()), len(plain))
-	}
-	for _, cut := range []int{1, 8, len(old) - len(plain) - 1} {
-		if _, err := DecodeTree(wire.NewReader(old[:len(old)-cut])); err == nil {
-			t.Errorf("an encoding cut %d bytes short inside its moment sets decoded", cut)
-		}
-	}
-	if _, err := DecodeTree(wire.NewReader(legacy([]legacyMomentSet{{"wn", true, 2}}))); err == nil {
-		t.Error("a vector moment set of two channels decoded")
-	}
-
 	dec.CompactNodes()
 	checkMomentsBruteForce(t, dec, "after CompactNodes")
 }

@@ -68,9 +68,9 @@ func ParseBuilder(s string) (Builder, error) {
 // BuilderKind returns the builder the tree was constructed with.
 func (t *Tree) BuilderKind() Builder { return t.builder }
 
-// Keys returns the Morton keys in tree-slot order, or nil for trees
-// whose keys are unavailable (recursive builds, or after an untracked
-// Update moved points). The slice is shared; callers must not modify it.
+// Keys returns the Morton keys in tree-slot order, or nil for a
+// recursive build, which has none. The slice is shared; callers must not
+// modify it.
 func (t *Tree) Keys() []uint64 { return t.keys }
 
 // buildMorton constructs the hierarchy for the point set already staged

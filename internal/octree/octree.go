@@ -62,9 +62,9 @@ type Tree struct {
 	rootBox geom.AABB
 
 	// keys holds the Morton key of each slot for Morton-built trees
-	// (nil otherwise); UpdateTracked keeps it current, the untracked
-	// Update invalidates it. builder/pool let incremental rebuilds
-	// reconstruct with the same algorithm and parallelism as Build.
+	// (nil otherwise); UpdateTracked keeps it current. builder/pool let
+	// incremental rebuilds reconstruct with the same algorithm and
+	// parallelism as Build.
 	keys    []uint64
 	builder Builder
 	pool    *sched.Pool
@@ -119,7 +119,7 @@ func Build(pts []geom.Vec3, opts Options) (*Tree, error) {
 	// Nodes ≈ 2·len/leafCap is a reasonable first guess; append grows it.
 	t.Nodes = make([]Node, 0, 2+2*len(pts)/opts.LeafCap)
 	// The root cube is inflated a little beyond the points so that
-	// incremental Update calls (dynamic.go) have headroom: without the
+	// incremental updates (tracked.go) have headroom: without the
 	// margin, any outward motion of a hull point would force a full
 	// rebuild.
 	root := inflate(geom.Bound(pts).Cube(), 1.25)
@@ -275,7 +275,7 @@ const fanGrain = 4096
 // The cells themselves are not carried: the root cube and the Morton keys
 // belong to the frame the tree was built in, and a rotated cube is no
 // longer axis-aligned. The cube is therefore emptied — it contains no
-// point, so the next Update or UpdateTracked takes its rebuild path and
+// point, so the next UpdateTracked takes its rebuild path and
 // re-derives cells and keys in the new frame instead of routing the moved
 // points through the old one.
 func (t *Tree) ApplyTransform(tr geom.Transform) {

@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the tracked (Morton-keyed) incremental update — the warm
-// path the cold-path builder (morton.go) pays for once. Where the
-// untracked Update routes every point down the tree with ~depth
-// floating-point octant tests, the tracked update recomputes the 63-bit
+// path the cold-path builder (morton.go) pays for once. Where routing
+// every point down the tree takes ~depth floating-point octant tests, the
+// tracked update recomputes the 63-bit
 // keys in one vectorizable sweep and detects a leaf change with a single
 // integer prefix compare per point: a point left its leaf iff its key
 // changed in the leading 3·depth bits. For an MD-step-sized jiggle
@@ -66,14 +66,10 @@ func (t *Tree) Tracks(newPts []geom.Vec3) bool {
 
 // UpdateTracked moves the tree's points to newPts (original point
 // order, like Build) and repairs the structure using the Morton keys
-// maintained by the sorted builder. Trees without keys (recursive
-// builds, or after an untracked Update) fall back to Update; points
-// escaping the root cube trigger a full rebuild, like Update.
+// maintained by the sorted builder. A tree it cannot track (Tracks: no
+// keys, as a recursive build has none, or a point outside the root cube)
+// is rebuilt with its own builder.
 func (t *Tree) UpdateTracked(newPts []geom.Vec3) (TrackedUpdate, error) {
-	if t.keys == nil {
-		moved, err := t.Update(newPts)
-		return TrackedUpdate{Moved: moved, Rebuilt: true}, err
-	}
 	if len(newPts) != len(t.Pts) {
 		return TrackedUpdate{}, fmt.Errorf("octree: UpdateTracked with %d points, tree has %d", len(newPts), len(t.Pts))
 	}
