@@ -5,135 +5,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
-	"gbpolar/internal/octree"
-	"gbpolar/internal/sched"
 	"gbpolar/internal/surface"
 	"gbpolar/internal/wire"
 )
 
 // The Born tile (InteractionLists.TileFar, bornTile) against the per-row
-// layout the Born lists had before it: the lists merged back into rows, the
+// sweep it replaced: the lists merged back into rows (perRowLists), the
 // kernels against the per-row sweep of those rows.
-
-// visitOrder numbers the nodes of t reachable from its root in classification
-// visit order: pre-order, children in octant order.
-func visitOrder(t *octree.Tree) []int32 {
-	visit := make([]int32, len(t.Nodes))
-	var next int32
-	var walk func(id int32)
-	walk = func(id int32) {
-		visit[id] = next
-		next++
-		if nd := &t.Nodes[id]; !nd.IsLeaf {
-			for _, ch := range nd.Children {
-				if ch != octree.NoChild {
-					walk(ch)
-				}
-			}
-		}
-	}
-	walk(t.Root())
-	return visit
-}
-
-// perRowLists returns il in the layout without tiles: every row's run of
-// each kind is its tile's shared run and its own merged back on visit
-// order of atoms. Lists without tiles come back as they are.
-func perRowLists(il *InteractionLists, atoms *octree.Tree) *InteractionLists {
-	if il.TileFarOff == nil && il.TileOff == nil {
-		return il
-	}
-	visit := visitOrder(atoms)
-	out := &InteractionLists{Rows: il.Rows}
-	for _, off := range []*[]int32{&out.NearOff, &out.SymOff, &out.CedeOff, &out.FarOff} {
-		*off = make([]int32, len(il.Rows)+1)
-	}
-	rows := out.rowCSR()
-	for t := range il.tiles() {
-		shared := il.tileRuns(t)
-		lo, hi := il.tileRows(t)
-		for i := lo; i < hi; i++ {
-			own := il.rowRuns(i)
-			for r, c := range rows {
-				a, b := shared[r], own[r]
-				for len(a)+len(b) > 0 {
-					run := &b
-					if len(b) == 0 || len(a) > 0 && visit[a[0]] < visit[b[0]] {
-						run = &a
-					}
-					*c.ents = append(*c.ents, (*run)[0])
-					*run = (*run)[1:]
-				}
-				c.off[i+1] = int32(len(*c.ents))
-			}
-		}
-	}
-	return out
-}
-
-// hoistTiles turns per-row lists into the tiled form a compile gives: a
-// tile's shared run of a kind is the entries every one of its rows holds
-// in that run, in the first row's order, and each row keeps the rest, in
-// its order. tileOff is the cut of E_pol tiles, which share every kind;
-// nil cuts the aligned Born tiles, which share far nodes alone. nNodes
-// bounds the entries.
-func hoistTiles(il *InteractionLists, tileOff []int32, nNodes int) *InteractionLists {
-	n := len(il.Rows)
-	out := &InteractionLists{Rows: il.Rows, TileOff: tileOff}
-	for _, off := range []*[]int32{&out.NearOff, &out.SymOff, &out.CedeOff, &out.FarOff} {
-		*off = make([]int32, n+1)
-	}
-	tiles := out.tiles()
-	out.TileFarOff = make([]int32, tiles+1)
-	if tileOff != nil {
-		out.TileNearOff, out.TileSymOff, out.TileCedeOff = make([]int32, tiles+1), make([]int32, tiles+1), make([]int32, tiles+1)
-	}
-	from, rows, shared := il.rowCSR(), out.rowCSR(), out.tileCSR()
-	// seen[a] counts the tile's rows holding a in the run.
-	seen := make([]int32, nNodes)
-	for r := range from {
-		for t := range tiles {
-			lo, hi := out.tileRows(t)
-			isShared := func(int32) bool { return false }
-			if shared[r].off != nil {
-				for i := lo; i < hi; i++ {
-					for _, a := range from[r].run(i) {
-						if i == lo {
-							seen[a] = 1
-						} else if seen[a] == int32(i-lo) {
-							seen[a]++
-						}
-					}
-				}
-				isShared = func(a int32) bool { return seen[a] == int32(hi-lo) }
-				for _, a := range from[r].run(lo) {
-					if isShared(a) {
-						*shared[r].ents = append(*shared[r].ents, a)
-					}
-				}
-				shared[r].off[t+1] = int32(len(*shared[r].ents))
-			}
-			for i := lo; i < hi; i++ {
-				for _, a := range from[r].run(i) {
-					if !isShared(a) {
-						*rows[r].ents = append(*rows[r].ents, a)
-					}
-				}
-				rows[r].off[i+1] = int32(len(*rows[r].ents))
-			}
-			for i := lo; i < hi; i++ {
-				for _, a := range from[r].run(i) {
-					seen[a] = 0
-				}
-			}
-		}
-	}
-	return out
-}
 
 // bornOracle evaluates every row of the per-row lists il into acc, one
 // after the other: the full-set per-row far loop the tile sweep replaced,
@@ -195,7 +76,7 @@ func TestBornTileKernelMatchesRows(t *testing.T) {
 				useAsmKernels = asm
 				want, got := newBornAccum(sys), newBornAccum(sys)
 				bornOracle(sys, rows, want)
-				for tile := range numTiles(len(il.Rows)) {
+				for tile := range il.tiles() {
 					bornTile(sys, il, tile, got)
 				}
 				if err := sameAccum(got, want, true); err != nil {
@@ -254,7 +135,7 @@ func TestBornNearRowKernelMatchesScalar(t *testing.T) {
 		useAsmKernels = asm
 		il := sys.Lists(nil).Born
 		acc := newBornAccum(sys)
-		for tile := range numTiles(len(il.Rows)) {
+		for tile := range il.tiles() {
 			bornTile(sys, il, tile, acc)
 		}
 		return acc
@@ -316,63 +197,12 @@ func TestBornNearRowKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-// The tiled Born lists are the scalar descent's, rows merged back: each
-// row's shared ∪ own on visit order is the oracle's row, each tile's shared
-// run is the intersection of its rows' (hoistTiles of the oracle), and the
-// output is the same on any pool —
-// at every order (orderParams), compiled, and after tracked updates have
-// moved atoms and repaired the lists.
-func TestBornTileListsMatchOracle(t *testing.T) {
-	pools := map[string]*sched.Pool{"serial": nil}
-	for _, w := range []int{1, 2, 3, 8} {
-		pools[fmt.Sprintf("pool%d", w)] = sched.NewPool(w)
-		defer pools[fmt.Sprintf("pool%d", w)].Close()
-	}
-	for _, mol := range append(listFixtures(), deepCluster()) {
-		for order := 0; order < numOrders; order++ {
-			t.Run(fmt.Sprintf("%s/order%d", mol.Name, order), func(t *testing.T) {
-				sys := fixtureSystem(t, mol.Clone(), order)
-				check := func(when string, held *InteractionLists) {
-					t.Helper()
-					born, _ := sys.listPhases(sys.lists)
-					want := born.oracleIndex(nil)
-					if err := sameIndex(perRowLists(held, sys.Atoms), want); err != nil {
-						t.Errorf("%s: rows merged back: %v", when, err)
-					}
-					if err := sameIndex(held, hoistTiles(want, nil, len(sys.Atoms.Nodes))); err != nil {
-						t.Errorf("%s: against the intersection of each tile's rows: %v", when, err)
-					}
-					for name, pool := range pools {
-						if got := born.index(pool); !reflect.DeepEqual(got, held) {
-							t.Errorf("%s: the compile on %s differs", when, name)
-						}
-					}
-					if mol.NumAtoms() > 100 && (len(held.TileFar) == 0 || len(held.Far) == 0) {
-						t.Errorf("%s: %d shared and %d own entries: one kind goes untested", when, len(held.TileFar), len(held.Far))
-					}
-				}
-				check("compiled", sys.Lists(nil).Born)
-				rng := rand.New(rand.NewSource(44))
-				pos := sys.Mol.Positions()
-				for step := 0; step < 3; step++ {
-					pos = localJiggle(rng, pos, 0.3)
-					stats, err := sys.UpdateAtomsRepair(pos, pools["pool2"], nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if stats.Repaired {
-						check(fmt.Sprintf("repaired, step %d", step), sys.lists.Born)
-					}
-				}
-			})
-		}
-	}
-}
-
 // A Born tile run that breaks its shape — a tile count other than
-// ⌈rows/8⌉, offsets that decrease or overrun, an entry past the atoms tree,
-// orders an older build kept beside them — is corrupt, and so is an E_pol
-// shared run out of the shape of the tiles the rows make.
+// ⌈rows/8⌉ in the far run or in a near one, offsets that decrease or
+// overrun, an entry past the atoms tree, orders an older build kept beside
+// them — is corrupt, and so is a Born tile that shares a near leaf, which
+// bornTile would not sweep, and an E_pol shared run out of the shape of the
+// tiles the rows make.
 func TestSnapshotRefusesBadTiles(t *testing.T) {
 	sys, _, _ := testSystem(t, 300, 46, mortonParams())
 	cl := sys.Lists(nil)
@@ -386,10 +216,20 @@ func TestSnapshotRefusesBadTiles(t *testing.T) {
 		"offsets decrease":   func(il *InteractionLists) { il.TileFarOff[1], il.TileFarOff[2] = il.TileFarOff[2], il.TileFarOff[1] },
 		"offsets overrun":    func(il *InteractionLists) { il.TileFar = il.TileFar[:len(il.TileFar)-1] },
 		"node out of bounds": func(il *InteractionLists) { il.TileFar[0] = int32(len(sys.Atoms.Nodes)) },
+		"near offsets short": func(il *InteractionLists) { il.TileNearOff = il.TileNearOff[1:] },
+		"sym offsets long":   func(il *InteractionLists) { il.TileSymOff = append(il.TileSymOff, 0) },
+		"shared near leaf": func(il *InteractionLists) {
+			il.TileNear = []int32{il.Near[0]}
+			for k := 1; k < len(il.TileNearOff); k++ {
+				il.TileNearOff[k] = 1
+			}
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			bad := good
-			bad.TileFarOff, bad.TileFar = slices.Clone(good.TileFarOff), slices.Clone(good.TileFar)
+			for _, c := range bad.tileCSR() {
+				*c.off, *c.ents = slices.Clone(*c.off), slices.Clone(*c.ents)
+			}
 			mut(&bad)
 			cl.Born = &bad
 			defer func() { cl.Born = &good }()

@@ -3,91 +3,15 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"gbpolar/internal/molecule"
-	"gbpolar/internal/sched"
 )
 
-// The E_pol tile (InteractionLists.TileOff and the shared runs, epolTile)
-// against the per-row layout the E_pol lists had before it: the lists merged
-// back into rows, the tile sweep against the per-row sweep of those rows.
-
-// The tiled E_pol lists are the scalar descent's, rows merged back: for
-// every class and the far run, each row's shared ∪ own on visit order is the
-// oracle's row; each tile's shared run of a kind is the intersection of its
-// rows' (hoistTiles of the oracle over the compile's cut); every tile is
-// one to eight rows with one parent; and the compile is the same with no
-// pool and on pools of 1, 2, 3 and 8 — compiled, and after three tracked
-// updates have moved atoms and repaired the lists.
-func TestEpolTileListsMatchOracle(t *testing.T) {
-	pools := map[string]*sched.Pool{"serial": nil}
-	for _, w := range []int{1, 2, 3, 8} {
-		pool := sched.NewPool(w)
-		defer pool.Close()
-		pools[fmt.Sprintf("pool%d", w)] = pool
-	}
-	for _, mol := range append(listFixtures(), deepCluster()) {
-		t.Run(mol.Name, func(t *testing.T) {
-			sys := fixtureSystem(t, mol.Clone(), 0)
-			var stored [2][runFar + 1]int // shared and own entries seen, by run
-			check := func(when string, held *InteractionLists) {
-				t.Helper()
-				_, epol := sys.listPhases(sys.lists)
-				want := epol.oracleIndex(nil)
-				if err := sameIndex(perRowLists(held, sys.Atoms), want); err != nil {
-					t.Errorf("%s: rows merged back: %v", when, err)
-				}
-				if err := sameIndex(held, hoistTiles(want, held.TileOff, len(sys.Atoms.Nodes))); err != nil {
-					t.Errorf("%s: against the intersection of each tile's rows: %v", when, err)
-				}
-				for tile := range held.tiles() {
-					lo, hi := held.tileRows(tile)
-					for k := lo; k < hi; k++ {
-						if hi-lo > tileLanes || epol.up[held.Rows[k]] != epol.up[held.Rows[lo]] {
-							t.Fatalf("%s: tile %d holds rows [%d, %d) of more than one parent or more than eight", when, tile, lo, hi)
-						}
-					}
-				}
-				for name, pool := range pools {
-					if got := epol.index(pool); !reflect.DeepEqual(got, held) {
-						t.Errorf("%s: the compile on %s differs", when, name)
-					}
-				}
-				rows, tiles := held.rowCSR(), held.tileCSR()
-				for r := range rows {
-					stored[0][r] += len(*tiles[r].ents)
-					stored[1][r] += len(*rows[r].ents)
-				}
-			}
-			check("compiled", sys.Lists(nil).Epol)
-			rng := rand.New(rand.NewSource(44))
-			pos := sys.Mol.Positions()
-			for step := 0; step < 3; step++ {
-				pos = localJiggle(rng, pos, 0.3)
-				stats, err := sys.UpdateAtomsRepair(pos, pools["pool2"], nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Repaired {
-					check(fmt.Sprintf("repaired, step %d", step), sys.lists.Epol)
-				}
-			}
-			if mol.NumAtoms() > 100 {
-				for _, r := range []int{kindNear, kindSym, kindCede, runFar} {
-					if stored[0][r] == 0 || stored[1][r] == 0 {
-						t.Errorf("%d shared and %d own %s entries: one kind goes untested", stored[0][r], stored[1][r], runNames[r])
-					}
-				}
-			}
-		})
-	}
-}
-
-// The tile sweep (epolTile) against the per-row sweep of the same rows
-// merged back (perRowLists, every row's whole runs through epolRow), at one
-// worker, on both tiers, with the assembly and without: the pair sum to
+// The E_pol tile sweep (epolTile) against the per-row sweep it replaced:
+// the sweep of the same rows merged back (perRowLists: the same tiles,
+// sharing nothing, so that epolTile sweeps every row's whole runs through
+// epolRow), at one worker, on both tiers, with the assembly and without: the pair sum to
 // 1e-13 relative, the op count and the near and far terms exactly, and
 // fewer operands gathered. Then one run set swept against n leaves at once
 // — a tile of 1 to 8 rows, every length of outer operand and its tails —
@@ -109,8 +33,8 @@ func TestEpolTileKernelMatchesRows(t *testing.T) {
 			ctx := NewEpolContext(f.sys, f.radii)
 			var want, got epolAccum
 			sc := newEpolScratch(ctx, rows, 1)
-			for row := range rows.Rows {
-				epolRow(ctx, rows, row, &sc[0], &want)
+			for tile := range rows.tiles() {
+				epolTile(ctx, rows, tile, &sc[0], &want)
 			}
 			tsc := newEpolScratch(ctx, il, 1)
 			for tile := range il.tiles() {

@@ -68,18 +68,16 @@ type InteractionLists struct {
 	// without scanning every other row's Sym.
 	CedeOff []int32
 	Cede    []int32
-	// The rows are cut into tiles, and what every row of a tile takes is
-	// stored once, for the tile. A Born tile is the aligned rows
-	// [8t, 8t+8) — only the last can be shorter — and shares far nodes. An
-	// E_pol tile is the rows [TileOff[t], TileOff[t+1]) — consecutive rows
-	// whose leaves have one parent, at most eight; TileOff is nil in the
-	// Born lists — and shares far nodes and the near leaves every row takes
-	// in one class. TileFar[TileFarOff[t]:TileFarOff[t+1]] holds the far
-	// nodes every row of tile t takes, in visit order, and TileNear,
-	// TileSym and TileCede the near leaves every row takes as Near, as Sym
-	// and as Cede. Row i's own runs then hold its remainder: an entry is
-	// shared or own within a tile, never both, and merged back on visit
-	// order the two are the row the per-row recursion emits.
+	// The rows are cut into tiles — tile t is the rows [TileOff[t],
+	// TileOff[t+1]), at most eight, where listPhase.cutTiles cuts them — and
+	// what every row of a tile takes is stored once, for the tile:
+	// TileFar[TileFarOff[t]:TileFarOff[t+1]] holds the far nodes every row of
+	// tile t takes, in visit order, and TileNear, TileSym and TileCede the
+	// near leaves every row takes as Near, as Sym and as Cede (the Born phase
+	// shares far nodes alone: its shared near runs are empty). Row i's own
+	// runs then hold its remainder: an entry is shared or own within a tile,
+	// never both, and merged back on visit order the two are the row the
+	// per-row recursion emits.
 	TileOff               []int32
 	TileFarOff, TileFar   []int32
 	TileNearOff, TileNear []int32
@@ -87,23 +85,12 @@ type InteractionLists struct {
 	TileCedeOff, TileCede []int32
 }
 
-// numTiles is the number of Born tiles of n rows.
-func numTiles(n int) int { return (n + tileLanes - 1) / tileLanes }
-
 // tiles returns the number of tiles of il.
-func (il *InteractionLists) tiles() int {
-	if il.TileOff != nil {
-		return len(il.TileOff) - 1
-	}
-	return numTiles(len(il.Rows))
-}
+func (il *InteractionLists) tiles() int { return len(il.TileOff) - 1 }
 
 // tileRows returns the rows [lo, hi) of tile t of il.
 func (il *InteractionLists) tileRows(t int) (lo, hi int) {
-	if il.TileOff != nil {
-		return int(il.TileOff[t]), int(il.TileOff[t+1])
-	}
-	return t * tileLanes, min(t*tileLanes+tileLanes, len(il.Rows))
+	return int(il.TileOff[t]), int(il.TileOff[t+1])
 }
 
 // tileFar returns tile t's shared far run.
@@ -111,31 +98,27 @@ func (il *InteractionLists) tileFar(t int) []int32 {
 	return il.TileFar[il.TileFarOff[t]:il.TileFarOff[t+1]]
 }
 
-// csr is an offset array and the entries it indexes: run i is
-// (*ents)[off[i]:off[i+1]], and there is no run where off is nil.
+// csr is an offset array and the entries it indexes, both by address: run i
+// is (*ents)[(*off)[i]:(*off)[i+1]].
 type csr struct {
-	off  []int32
-	ents *[]int32
+	off, ents *[]int32
 }
 
 func (c csr) run(i int) []int32 {
-	if c.off == nil {
-		return nil
-	}
-	return (*c.ents)[c.off[i]:c.off[i+1]]
+	return (*c.ents)[(*c.off)[i]:(*c.off)[i+1]]
 }
 
 // rowCSR returns il's per-row arrays, indexed by class and runFar as a
 // laneRuns is.
 func (il *InteractionLists) rowCSR() [runFar + 1]csr {
-	return [...]csr{kindNear: {il.NearOff, &il.Near}, kindSym: {il.SymOff, &il.Sym},
-		kindCede: {il.CedeOff, &il.Cede}, runFar: {il.FarOff, &il.Far}}
+	return [...]csr{kindNear: {&il.NearOff, &il.Near}, kindSym: {&il.SymOff, &il.Sym},
+		kindCede: {&il.CedeOff, &il.Cede}, runFar: {&il.FarOff, &il.Far}}
 }
 
 // tileCSR returns il's per-tile arrays, indexed the same way.
 func (il *InteractionLists) tileCSR() [runFar + 1]csr {
-	return [...]csr{kindNear: {il.TileNearOff, &il.TileNear}, kindSym: {il.TileSymOff, &il.TileSym},
-		kindCede: {il.TileCedeOff, &il.TileCede}, runFar: {il.TileFarOff, &il.TileFar}}
+	return [...]csr{kindNear: {&il.TileNearOff, &il.TileNear}, kindSym: {&il.TileSymOff, &il.TileSym},
+		kindCede: {&il.TileCedeOff, &il.TileCede}, runFar: {&il.TileFarOff, &il.TileFar}}
 }
 
 // arrays returns every CSR pair of il, the rows' and the tiles'.
@@ -152,8 +135,7 @@ func (il *InteractionLists) rowRuns(i int) (runs [runFar + 1][]int32) {
 	return runs
 }
 
-// tileRuns returns tile t's shared runs, indexed as a laneRuns is; a run
-// the phase does not share is empty.
+// tileRuns returns tile t's shared runs, indexed as a laneRuns is.
 func (il *InteractionLists) tileRuns(t int) (runs [runFar + 1][]int32) {
 	for r, c := range il.tileCSR() {
 		runs[r] = c.run(t)
@@ -164,12 +146,10 @@ func (il *InteractionLists) tileRuns(t int) (runs [runFar + 1][]int32) {
 // terms counts the (row, entry) terms of run r (a class, or runFar): every
 // row's own entries, and a tile's shared ones once for each of its rows.
 func (il *InteractionLists) terms(r int) int {
-	n := len(*il.rowCSR()[r].ents)
-	if shared := il.tileCSR()[r]; shared.off != nil {
-		for t := range il.tiles() {
-			lo, hi := il.tileRows(t)
-			n += len(shared.run(t)) * (hi - lo)
-		}
+	n, shared := len(*il.rowCSR()[r].ents), il.tileCSR()[r]
+	for t := range il.tiles() {
+		lo, hi := il.tileRows(t)
+		n += len(shared.run(t)) * (hi - lo)
 	}
 	return n
 }
@@ -190,7 +170,7 @@ func (il *InteractionLists) NumSym() int { return il.terms(kindSym) }
 func (il *InteractionLists) MemoryBytes() int64 {
 	n := len(il.Rows) + len(il.TileOff)
 	for _, c := range il.arrays() {
-		n += len(c.off) + len(*c.ents)
+		n += len(*c.off) + len(*c.ents)
 	}
 	return int64(n) * 4
 }
@@ -223,20 +203,18 @@ func (cl *CompiledLists) MemoryBytes() int64 { return cl.Born.MemoryBytes() + cl
 // traversal ordering (see tiler.descend) and says the rows are atom
 // leaves, which move under an update; symmetrize moves mutual near leaf
 // pairs into the Sym list of the lower-indexed row (valid only when
-// rowTree == atoms, i.e. the E_pol phase), cuts the rows into tiles at
-// their parents (InteractionLists.TileOff) and stores the near leaves a
-// whole tile takes in one class once; tileFar stores the far nodes a whole
-// tile takes once (InteractionLists.TileFar).
+// rowTree == atoms, i.e. the E_pol phase) and stores the near leaves a
+// whole tile takes in one class once. Every phase stores the far nodes a
+// whole tile takes once (InteractionLists.TileFar).
 type listPhase struct {
 	atoms, rowTree *octree.Tree
 	mac            float64
 	leafFirst      bool
 	symmetrize     bool
-	tileFar        bool
 	// up and rowOf are what the symmetrized phase's mutuality rule and tile
 	// cut read of the atoms tree as it stands: the node above every
 	// reachable node (octree.NoChild above the root) and the row of every
-	// leaf.
+	// leaf. The Born phase has neither.
 	up, rowOf []int32
 	// o, when set, receives index's spans and counters, on rank's timeline.
 	o    *obs.Obs
@@ -247,9 +225,9 @@ type listPhase struct {
 // E_pol phase (atom leaf rows, Figure 3) under cl's opening criteria, on the
 // trees as they stand.
 func (s *System) listPhases(cl *CompiledLists) (born, epol listPhase) {
-	born = listPhase{atoms: s.Atoms, rowTree: s.QPts, mac: cl.bornMAC, tileFar: true}
+	born = listPhase{atoms: s.Atoms, rowTree: s.QPts, mac: cl.bornMAC}
 	epol = listPhase{atoms: s.Atoms, rowTree: s.Atoms, mac: cl.epolFar, leafFirst: true, symmetrize: true,
-		tileFar: true, up: parentsOf(s.Atoms), rowOf: make([]int32, len(s.Atoms.Nodes))}
+		up: parentsOf(s.Atoms), rowOf: make([]int32, len(s.Atoms.Nodes))}
 	for k, r := range s.Atoms.Leaves() {
 		epol.rowOf[r] = int32(k)
 	}
@@ -275,14 +253,20 @@ func parentsOf(t *octree.Tree) []int32 {
 	return up
 }
 
-// cutTiles cuts rows — atom leaves — into the symmetrized phase's tiles and
-// returns their offsets: a tile ends where the next leaf has another
-// parent, and after eight rows. The cut reads the rows alone, so a compile
-// on any pool and a repair cut the same tiles.
+// cutTiles cuts the phase's rows into tiles and returns their offsets: a
+// tile ends after eight rows and, where the phase has parents (up, the
+// E_pol phase's), where the next leaf has another parent. The Born tiles
+// are thus the aligned eights: a tile of sibling q-point leaves would be
+// shorter, and a short tile falls off the far sweep's assembly
+// (EXPERIMENTS.md, "One tile form"). The cut reads the rows alone, so a
+// compile on any pool, a repair and a decode cut the same tiles.
 func (ph *listPhase) cutTiles(rows []int32) []int32 {
-	off := make([]int32, 1, len(rows)/2+2)
+	off := make([]int32, 1, (len(rows)+tileLanes-1)/tileLanes+1)
+	if ph.up != nil {
+		off = make([]int32, 1, len(rows)/2+2)
+	}
 	for k := 1; k <= len(rows); k++ {
-		if k == len(rows) || k-int(off[len(off)-1]) == tileLanes || ph.up[rows[k]] != ph.up[rows[k-1]] {
+		if k == len(rows) || k-int(off[len(off)-1]) == tileLanes || ph.up != nil && ph.up[rows[k]] != ph.up[rows[k-1]] {
 			off = append(off, int32(k))
 		}
 	}
@@ -301,13 +285,9 @@ type listArena struct {
 
 // appendRuns appends runs to the arena — the far run to its far blocks,
 // the near runs to its near blocks — where a is not nil, and records the
-// length of each at [i+1] of the offset array of its run in arr, where the
-// phase keeps one.
+// length of each at [i+1] of the offset array of its run in arr.
 func (a *listArena) appendRuns(runs *laneRuns, arr *[runFar + 1]csr, i int) {
 	for r, run := range runs.runs {
-		if arr[r].off == nil {
-			continue
-		}
 		switch {
 		case a == nil:
 		case r == runFar:
@@ -315,7 +295,7 @@ func (a *listArena) appendRuns(runs *laneRuns, arr *[runFar + 1]csr, i int) {
 		default:
 			a.near.append(run)
 		}
-		arr[r].off[i+1] = int32(len(run))
+		(*arr[r].off)[i+1] = int32(len(run))
 	}
 }
 
@@ -330,9 +310,6 @@ func placeRuns(runs *laneRuns, arr *[runFar + 1]csr, i int) {
 // appendRuns put them in.
 func (a *listArena) takeRuns(arr *[runFar + 1]csr, i int) {
 	for r, c := range arr {
-		if c.off == nil {
-			continue
-		}
 		if r == runFar {
 			a.far.take(c.run(i))
 		} else {
@@ -600,16 +577,16 @@ func (ph *listPhase) newLists() *InteractionLists {
 	// in place by a later tracked update (rebuildLeafList), and an aliased
 	// cache would silently renumber.
 	rows := append([]int32(nil), ph.rowTree.Leaves()...)
-	n := len(rows)
-	il := &InteractionLists{Rows: rows, FarOff: make([]int32, n+1), NearOff: make([]int32, n+1),
-		SymOff: make([]int32, n+1), CedeOff: make([]int32, n+1)}
-	if ph.symmetrize {
-		il.TileOff = ph.cutTiles(rows)
-		nt := len(il.TileOff)
-		il.TileNearOff, il.TileSymOff, il.TileCedeOff = make([]int32, nt), make([]int32, nt), make([]int32, nt)
-	}
-	if ph.tileFar {
-		il.TileFarOff = make([]int32, il.tiles()+1)
+	return blankLists(rows, ph.cutTiles(rows))
+}
+
+// blankLists returns lists of rows cut into the tiles tileOff, every offset
+// array zero and no entries.
+func blankLists(rows, tileOff []int32) *InteractionLists {
+	il := &InteractionLists{Rows: rows, TileOff: tileOff}
+	rowArr, tileArr := il.rowCSR(), il.tileCSR()
+	for r := range rowArr {
+		*rowArr[r].off, *tileArr[r].off = make([]int32, len(rows)+1), make([]int32, len(tileOff))
 	}
 	return il
 }
@@ -624,9 +601,7 @@ func (ph *listPhase) alloc(il *InteractionLists, pool *sched.Pool) {
 	arrays := il.arrays()
 	forRows(pool, len(arrays), func(lo, hi, _ int) {
 		for _, a := range arrays[lo:hi] {
-			if a.off != nil {
-				*a.ents = make([]int32, prefixSum(a.off))
-			}
+			*a.ents = make([]int32, prefixSum(*a.off))
 		}
 	})
 }
@@ -681,10 +656,8 @@ func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
 		o.Counter(prefix + ".sym_pairs").Add(int64(il.NumSym()))
 		rowArr, tileArr := il.rowCSR(), il.tileCSR()
 		for r, name := range runNames {
-			if tileArr[r].off != nil {
-				o.Counter(prefix + "." + name + "_shared").Add(int64(len(*tileArr[r].ents)))
-				o.Counter(prefix + "." + name + "_own").Add(int64(len(*rowArr[r].ents)))
-			}
+			o.Counter(prefix + "." + name + "_shared").Add(int64(len(*tileArr[r].ents)))
+			o.Counter(prefix + "." + name + "_own").Add(int64(len(*rowArr[r].ents)))
 		}
 		rowFar := o.Histogram(prefix + ".row_far")
 		rowNear := o.Histogram(prefix + ".row_near")
@@ -766,7 +739,7 @@ func diffLists(phase string, a, b *InteractionLists) error {
 			}
 		}
 	}
-	if !slices.Equal(a.TileOff, b.TileOff) || (a.TileFarOff == nil) != (b.TileFarOff == nil) {
+	if !slices.Equal(a.TileOff, b.TileOff) {
 		return fmt.Errorf("core: %s lists disagree on their tiles", phase)
 	}
 	for t := range a.tiles() {

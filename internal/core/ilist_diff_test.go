@@ -145,11 +145,11 @@ func TestSymmetrizeMatchesOracle(t *testing.T) {
 	forFixtures(t, func(t *testing.T, build func() *System) {
 		sys := build()
 		_, epol := sys.listPhases(sys.compile(nil))
-		// The same phase without the split: its Near lists are the
+		// The same phase without the split: its rows merged back are the
 		// pre-symmetrization lists the oracle starts from.
 		unsplit := epol
-		unsplit.symmetrize, unsplit.tileFar = false, false
-		pre := unsplit.index(nil)
+		unsplit.symmetrize = false
+		pre := perRowLists(unsplit.index(nil), sys.Atoms)
 		per := make([]oracleRow, len(pre.Rows))
 		for i := range per {
 			per[i].near = slices.Clone(pre.Near[pre.NearOff[i]:pre.NearOff[i+1]])
@@ -228,6 +228,43 @@ func TestRepairChainMatchesFreshCompile(t *testing.T) {
 			}
 		})
 	})
+}
+
+// A trajectory, not a step: 2 000 cumulative local jiggles of σ = 0.05 Å on
+// the 1 500-atom protein, each repaired on a pool of two, and every 500
+// steps RecheckLists — a fresh compile over the same tree, diffed against
+// the held lists, which have by then been repaired up to 500 times over.
+// Every step must repair; the nodes the tracked updates leave behind,
+// against those still reachable, are logged for ROADMAP item 14(b), which
+// owns them. Skipped under -short, as it takes about twenty seconds, and
+// under the race detector, which TestRepairChainMatchesFreshCompile's
+// chains already run under.
+func TestRepairLongChainMatchesFreshCompile(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("2 000 repaired steps")
+	}
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	sys := fixtureSystem(t, codProtein(), 0)
+	sys.Lists(pool)
+	rng := rand.New(rand.NewSource(311))
+	pos := sys.Mol.Positions()
+	repaired := 0
+	for step := 1; step <= 2000; step++ {
+		pos = localJiggle(rng, pos, 0.05)
+		stats, err := sys.UpdateAtomsRepair(pos, pool, nil)
+		if err != nil || !stats.Repaired {
+			t.Fatalf("step %d: not repaired: %+v %v", step, stats, err)
+		}
+		repaired += stats.RowsRepaired
+		if step%500 == 0 {
+			if err := sys.RecheckLists(pool); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			t.Logf("step %d: %d of %d rows reclassified a step; the atoms tree holds %d nodes, %d of them reachable",
+				step, repaired/step, stats.RowsTotal, sys.Atoms.NumNodes(), sys.Atoms.NumReachableNodes())
+		}
+	}
 }
 
 // measureAllocs runs fn between two collections and reports the objects and

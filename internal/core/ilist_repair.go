@@ -468,9 +468,7 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 // arrays still counts, before alloc — to the length of run j of from's.
 func carryCount(to, from *[runFar + 1]csr, i, j int) {
 	for r := range to {
-		if to[r].off != nil {
-			to[r].off[i+1] = from[r].off[j+1] - from[r].off[j]
-		}
+		(*to[r].off)[i+1] = int32(len(from[r].run(j)))
 	}
 }
 
@@ -521,8 +519,8 @@ func (s *nearSplit) recount(arr *[runFar + 1]csr, i int, runs *[runFar + 1][]int
 				chain = s.ph.ancestors(buf[:0], s.rows[k])
 			}
 			if now := s.kindOf(k, chain, u); now != was {
-				arr[was].off[i+1]--
-				arr[now].off[i+1]++
+				(*arr[was].off)[i+1]--
+				(*arr[now].off)[i+1]++
 				changed = true
 			}
 		}
@@ -543,7 +541,7 @@ func (s *nearSplit) merge(arr *[runFar + 1]csr, i int, runs [runFar + 1][]int32,
 	chain := s.ph.ancestors(buf[:0], s.rows[k])
 	var at [runFar]int32
 	for r := range at {
-		at[r] = arr[r].off[i]
+		at[r] = (*arr[r].off)[i]
 	}
 	for {
 		b := -1

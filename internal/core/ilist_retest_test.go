@@ -25,18 +25,18 @@ import (
 // against a fresh compile, by the last build that had a far-field ladder,
 // at its order 0.
 
-// indexDigest is the SHA-256 of the snapshot encoding of cl's lists, both
-// phases in the per-row layout they had before tiles (perRowLists, on the
-// visit order of atoms): every array behind its length, little-endian
-// words, at the speed of the bulk codec rather than of a loop over elements.
-// The digests were taken over the snapshot encoding of their day, which
-// closed each phase with seven empty arrays (six certificate arrays and the
-// per-entry orders, the places version 4 kept); they are hashed in here.
+// indexDigest is the SHA-256 of the snapshot encoding of cl's lists of
+// their day, both phases' rows merged back (perRowLists, on the visit order
+// of atoms) and written as version 5 wrote rows (appendRowsV5): every array
+// behind its length, little-endian words, at the speed of the bulk codec
+// rather than of a loop over elements. That encoding closed each phase with
+// seven empty arrays (six certificate arrays and the per-entry orders, the
+// places version 4 kept); they are hashed in here.
 func indexDigest(atoms *octree.Tree, cl *CompiledLists) string {
 	h := sha256.New()
 	w := wire.NewStreamWriter(h)
 	for _, il := range []*InteractionLists{cl.Born, cl.Epol} {
-		appendIL(w, perRowLists(il, atoms))
+		appendRowsV5(w, perRowLists(il, atoms))
 		for range 7 {
 			w.U32(0)
 		}

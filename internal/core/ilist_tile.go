@@ -165,9 +165,9 @@ type tiler struct {
 	row  [tileLanes]int32
 	full uint8
 	out  [tileLanes]laneRuns
-	// shared collects what every lane takes, stored once for the tile: in a
-	// tileFar phase the far nodes, in a symmetrized phase also the near
-	// leaves every lane takes in one class.
+	// shared collects what every lane takes, stored once for the tile: the
+	// far nodes, and in a symmetrized phase the near leaves every lane takes
+	// in one class.
 	shared laneRuns
 	// chain holds the strict ancestors the tile's leaves share (symmetrized
 	// phase only): the tile is cut where the parent changes, so whether a
@@ -231,7 +231,7 @@ func (t *tiler) descend(n int32, open uint8) {
 		return
 	}
 	far := ph.admit(&t.rows, node.Center, node.Radius, open)
-	if ph.tileFar && far == t.full {
+	if far == t.full {
 		// The whole tile takes the node: once, for every lane.
 		t.shared.runs[runFar] = append(t.shared.runs[runFar], n)
 	} else {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -157,11 +158,10 @@ func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sc
 }
 
 // oracleIndex is listPhase.index by the scalar descent, row by row, and the
-// transposed split, every row's far run whole: no tile runs.
+// transposed split, every row's runs whole: the phase's tiles, sharing
+// nothing.
 func (ph *listPhase) oracleIndex(pool *sched.Pool) *InteractionLists {
-	tiled := ph.newLists()
-	il := &InteractionLists{Rows: tiled.Rows, FarOff: tiled.FarOff, NearOff: tiled.NearOff, SymOff: tiled.SymOff,
-		CedeOff: tiled.CedeOff}
+	il := ph.newLists()
 	pre := nearLists{off: make([]int32, len(il.Rows)+1)}
 	var sink rowSink
 	for k, r := range il.Rows {
@@ -189,11 +189,227 @@ func sameIndex(got, want *InteractionLists) error {
 	}
 	ga, wa := got.arrays(), want.arrays()
 	for i := range ga {
-		if !slices.Equal(ga[i].off, wa[i].off) {
+		if !slices.Equal(*ga[i].off, *wa[i].off) {
 			return fmt.Errorf("the %s offsets of the %s differ from the oracle's", runNames[i%(runFar+1)], [2]string{"rows", "tiles"}[i/(runFar+1)])
 		}
 	}
 	return nil
+}
+
+// visitOrder numbers the nodes of t reachable from its root in classification
+// visit order: pre-order, children in octant order.
+func visitOrder(t *octree.Tree) []int32 {
+	visit := make([]int32, len(t.Nodes))
+	var next int32
+	var walk func(id int32)
+	walk = func(id int32) {
+		visit[id] = next
+		next++
+		if nd := &t.Nodes[id]; !nd.IsLeaf {
+			for _, ch := range nd.Children {
+				if ch != octree.NoChild {
+					walk(ch)
+				}
+			}
+		}
+	}
+	walk(t.Root())
+	return visit
+}
+
+// perRowLists returns il with every tile's shared runs merged back into its
+// rows — each row's run of a kind its tile's shared run and its own, on
+// visit order of atoms — over the same tiles, which then share nothing: the
+// rows the per-row recursion emits, in the lists' one layout.
+func perRowLists(il *InteractionLists, atoms *octree.Tree) *InteractionLists {
+	visit := visitOrder(atoms)
+	out := blankLists(il.Rows, il.TileOff)
+	rows := out.rowCSR()
+	for t := range il.tiles() {
+		shared := il.tileRuns(t)
+		lo, hi := il.tileRows(t)
+		for i := lo; i < hi; i++ {
+			own := il.rowRuns(i)
+			for r, c := range rows {
+				a, b := shared[r], own[r]
+				for len(a)+len(b) > 0 {
+					run := &b
+					if len(b) == 0 || len(a) > 0 && visit[a[0]] < visit[b[0]] {
+						run = &a
+					}
+					*c.ents = append(*c.ents, (*run)[0])
+					*run = (*run)[1:]
+				}
+				(*c.off)[i+1] = int32(len(*c.ents))
+			}
+		}
+	}
+	return out
+}
+
+// hoistTiles turns per-row lists into the tiled form phase ph compiles them
+// to: over ph's cut, a tile's shared run of a kind is the entries every one
+// of its rows holds in that run, in the first row's order, and each row
+// keeps the rest, in its order. Every phase shares far nodes, a symmetrized
+// one near leaves too.
+func hoistTiles(il *InteractionLists, ph *listPhase) *InteractionLists {
+	out := blankLists(il.Rows, ph.cutTiles(il.Rows))
+	from, rows, shared := il.rowCSR(), out.rowCSR(), out.tileCSR()
+	// seen[a] counts the tile's rows holding a in the run.
+	seen := make([]int32, len(ph.atoms.Nodes))
+	for r := range from {
+		for t := range out.tiles() {
+			lo, hi := out.tileRows(t)
+			isShared := func(int32) bool { return false }
+			if r == runFar || ph.symmetrize {
+				for i := lo; i < hi; i++ {
+					for _, a := range from[r].run(i) {
+						if i == lo {
+							seen[a] = 1
+						} else if seen[a] == int32(i-lo) {
+							seen[a]++
+						}
+					}
+				}
+				isShared = func(a int32) bool { return seen[a] == int32(hi-lo) }
+				for _, a := range from[r].run(lo) {
+					if isShared(a) {
+						*shared[r].ents = append(*shared[r].ents, a)
+					}
+				}
+				(*shared[r].off)[t+1] = int32(len(*shared[r].ents))
+			}
+			for i := lo; i < hi; i++ {
+				for _, a := range from[r].run(i) {
+					if !isShared(a) {
+						*rows[r].ents = append(*rows[r].ents, a)
+					}
+				}
+				(*rows[r].off)[i+1] = int32(len(*rows[r].ents))
+			}
+			for i := lo; i < hi; i++ {
+				for _, a := range from[r].run(i) {
+					seen[a] = 0
+				}
+			}
+		}
+	}
+	return out
+}
+
+// The tiled lists of a phase are the scalar descent's, rows merged back:
+// for every class and the far run, each row's shared ∪ own on visit order
+// is the oracle's row; each tile's shared run of a kind is the intersection
+// of its rows' (hoistTiles of the oracle over the phase's cut), far nodes
+// alone in the Born phase; every tile is one to eight rows — aligned eights
+// in the Born phase, rows of one parent in the E_pol phase; and the compile
+// is the same with no pool and on pools of 1, 2, 3 and 8 — at every order
+// (orderParams), compiled, and after three tracked updates have moved atoms
+// and repaired the lists. Both phases run the one table below.
+func TestBornTileListsMatchOracle(t *testing.T) { tileListsMatchOracle(t, phaseBorn) }
+
+func TestEpolTileListsMatchOracle(t *testing.T) { tileListsMatchOracle(t, phaseEpol) }
+
+// The two list phases, as tileListsMatchOracle indexes them.
+const (
+	phaseBorn = iota
+	phaseEpol
+)
+
+// tileListsMatchOracle is the table the two tests above run on phase p
+// (phaseBorn or phaseEpol): a subtest a fixture, beneath it one an order,
+// each checking the lists compiled and after every repair.
+func tileListsMatchOracle(t *testing.T, p int) {
+	pools := map[string]*sched.Pool{"serial": nil}
+	for _, w := range []int{1, 2, 3, 8} {
+		pool := sched.NewPool(w)
+		defer pool.Close()
+		pools[fmt.Sprintf("pool%d", w)] = pool
+	}
+	phaseName := [2]string{"born", "epol"}[p]
+	for _, mol := range append(listFixtures(), deepCluster()) {
+		t.Run(mol.Name, func(t *testing.T) {
+			for order := 0; order < numOrders; order++ {
+				t.Run(fmt.Sprintf("order%d", order), func(t *testing.T) {
+					sys := fixtureSystem(t, mol.Clone(), order)
+					var stored [2][runFar + 1]int // shared and own entries seen, by run
+					check := func(when string) {
+						t.Helper()
+						born, epol := sys.listPhases(sys.lists)
+						ph, held := &born, sys.lists.Born
+						if p == phaseEpol {
+							ph, held = &epol, sys.lists.Epol
+						}
+						name := fmt.Sprintf("%s, %s", when, phaseName)
+						want := ph.oracleIndex(nil)
+						if err := sameIndex(perRowLists(held, sys.Atoms), want); err != nil {
+							t.Errorf("%s: rows merged back: %v", name, err)
+						}
+						if err := sameIndex(held, hoistTiles(want, ph)); err != nil {
+							t.Errorf("%s: against the intersection of each tile's rows: %v", name, err)
+						}
+						for tile := range held.tiles() {
+							lo, hi := held.tileRows(tile)
+							bad := lo%tileLanes != 0 || hi-lo != min(tileLanes, len(held.Rows)-lo)
+							if ph.symmetrize {
+								bad = hi <= lo || hi-lo > tileLanes
+								for k := lo; k < hi; k++ {
+									bad = bad || epol.up[held.Rows[k]] != epol.up[held.Rows[lo]]
+								}
+							}
+							if bad {
+								t.Fatalf("%s: tile %d holds the rows [%d, %d)", name, tile, lo, hi)
+							}
+						}
+						for pname, pool := range pools {
+							if got := ph.index(pool); !reflect.DeepEqual(got, held) {
+								t.Errorf("%s: the compile on %s differs", name, pname)
+							}
+						}
+						rows, tiles := held.rowCSR(), held.tileCSR()
+						for r := range rows {
+							stored[0][r] += len(*tiles[r].ents)
+							stored[1][r] += len(*rows[r].ents)
+						}
+					}
+					sys.Lists(nil)
+					check("compiled")
+					rng := rand.New(rand.NewSource(44))
+					pos := sys.Mol.Positions()
+					for step := 0; step < 3; step++ {
+						pos = localJiggle(rng, pos, 0.3)
+						stats, err := sys.UpdateAtomsRepair(pos, pools["pool2"], nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if stats.Repaired {
+							check(fmt.Sprintf("repaired, step %d", step))
+						}
+					}
+					if mol.NumAtoms() <= 100 {
+						return
+					}
+					// The Born phase shares far nodes alone and has no Sym or Cede;
+					// the E_pol phase stores every kind both ways.
+					shared, own := stored[0], stored[1]
+					if p == phaseBorn {
+						if shared[runFar] == 0 || own[runFar] == 0 || own[kindNear] == 0 {
+							t.Errorf("born: %v shared and %v own entries by run: one kind goes untested", shared, own)
+						}
+						if shared[kindNear]+shared[kindSym]+shared[kindCede]+own[kindSym]+own[kindCede] != 0 {
+							t.Errorf("born: %v shared and %v own entries by run: shared near leaves, or Sym or Cede", shared, own)
+						}
+						return
+					}
+					for r := range runFar + 1 {
+						if shared[r] == 0 || own[r] == 0 {
+							t.Errorf("epol: %d shared and %d own %s entries: one kind goes untested", shared[r], own[r], runNames[r])
+						}
+					}
+				})
+			}
+		})
+	}
 }
 
 // deepCluster is a protein with thirty atoms packed into a ball of 0.02 Å:
@@ -216,8 +432,8 @@ func deepCluster() *molecule.Molecule {
 func idsInVisitOrder(t *octree.Tree) bool { return slices.IsSorted(t.Leaves()) }
 
 // Every list the tile path compiles — the Born phase, the E_pol phase and
-// the E_pol phase unsplit, whose tiles are not cut at parents and share
-// nothing — is the scalar oracle's, array for array, its tiles' shared runs
+// the E_pol phase unsplit, whose tiles share far nodes alone — is the scalar
+// oracle's, array for array, its tiles' shared runs
 // merged back into the rows (perRowLists): on trees of one leaf (no ancestors), two
 // atoms, a chain of two blocks, a shell and a globule; at every order
 // (orderParams); serial and pooled; freshly built and after tracked updates
@@ -233,7 +449,7 @@ func TestTileCompileMatchesOracle(t *testing.T) {
 					cl := &CompiledLists{bornMAC: sys.bornMAC(), epolFar: epolFarFactor(sys.Params.EpsEpol)}
 					born, epol := sys.listPhases(cl)
 					unsplit := epol
-					unsplit.symmetrize, unsplit.tileFar = false, false
+					unsplit.symmetrize = false
 					for _, p := range []struct {
 						name string
 						ph   listPhase

@@ -32,12 +32,12 @@ package core
 // does NOT charge the interior-node visits the recursion performs —
 // eliminating them is the point of the compilation.
 
-// bornTile evaluates Born tile t of il — the q-point leaf rows [8t, 8t+8),
-// fewer for the last — into acc (Figure 2): far entries contribute the
-// pseudo-q-point term to the node field s_A, near entries get exact
-// per-atom/per-q-point sums. The far nodes the whole tile takes
-// (il.TileFar) are swept once, eight rows to a term (bornFarShared), and
-// each row then sweeps its own. Every node's sum still receives its terms
+// bornTile evaluates Born tile t of il — up to eight q-point leaf rows —
+// into acc (Figure 2): far entries contribute the pseudo-q-point term to the
+// node field s_A, near entries get exact per-atom/per-q-point sums. The
+// tile's shared far run is swept once, eight rows to a term
+// (bornFarShared), and each row then sweeps its own runs; a Born tile
+// shares no near leaves (validateIL). Every node's sum still receives its terms
 // in row order — a node is shared or own within a tile, never both, and the
 // shared sweep adds a node's lane terms in lane order — so at one worker
 // every sum is bit for bit the per-row sweep's.

@@ -243,7 +243,7 @@ func benchBornSweep(b *testing.B, tiles, asm bool) {
 			}
 			return
 		}
-		for t := range numTiles(len(il.Rows)) {
+		for t := range il.tiles() {
 			lo, hi := il.tileRows(t)
 			bornFarShared(sys, il.Rows[lo:hi], il.tileFar(t), node)
 			for row := lo; row < hi; row++ {

@@ -70,9 +70,9 @@ func TestSharedRunTraceAndMetrics(t *testing.T) {
 // The far-entry counters at every order of the list tables (orderParams):
 // far_entries is each phase's (row, node) terms; what a phase stores once a
 // tile it counts by where it is stored — <run>_shared, each tile's shared
-// run once, and <run>_own, every row's own run: far entries in both phases,
-// the near classes too in the E_pol phase — and no split by far-field order
-// is recorded, order 0 being the only one.
+// run once, and <run>_own, every row's own run, for every run of both
+// phases — and no split by far-field order is recorded, order 0 being the
+// only one.
 func TestFarEntriesMetricsSplitByOrder(t *testing.T) {
 	for order := 0; order < numOrders; order++ {
 		sys, _, _ := testSystem(t, 400, 7, orderTestParams(order, 0.5))
@@ -103,14 +103,8 @@ func TestFarEntriesMetricsSplitByOrder(t *testing.T) {
 			rows, tiles := p.il.rowCSR(), p.il.tileCSR()
 			for r, name := range runNames {
 				prefix := "ilist." + p.phase + "." + name
-				shared, recorded := counters[prefix+"_shared"]
-				if tiles[r].off == nil {
-					if recorded {
-						t.Errorf("order %d: %s_shared recorded for a run the %s lists do not share", order, prefix, p.phase)
-					}
-					continue
-				}
-				if own := counters[prefix+"_own"]; shared != int64(len(*tiles[r].ents)) || own != int64(len(*rows[r].ents)) {
+				shared, own := counters[prefix+"_shared"], counters[prefix+"_own"]
+				if shared != int64(len(*tiles[r].ents)) || own != int64(len(*rows[r].ents)) {
 					t.Errorf("order %d: %s_shared %d, %s_own %d; the lists store %d shared and %d own",
 						order, prefix, shared, prefix, own, len(*tiles[r].ents), len(*rows[r].ents))
 				}
@@ -250,7 +244,7 @@ func TestKernelHotLoopZeroAllocs(t *testing.T) {
 	acc := newBornAccum(sys)
 	// The R6 rows take the Born near row kernel where the host has one, on
 	// either tier.
-	tiles := numTiles(len(lists.Born.Rows))
+	tiles := lists.Born.tiles()
 	if len(lists.Born.TileFar) == 0 || len(lists.Born.Rows)%tileLanes == 0 {
 		t.Fatal("the fixture has no shared far entries or no short tile: the tile sweep's paths go untested")
 	}

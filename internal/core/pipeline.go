@@ -23,10 +23,9 @@ import (
 // A rank's rows are always ElasticSpans(n, P, events)[rank] — the paper's
 // node–node division (Section IV.A): while the membership log is empty,
 // static segments of leaf rows or of the units a kernel takes whole (the
-// compiled sweeps' tiles: eight Born rows, an E_pol tile's sibling rows)
-// — so a segment, a healed set
-// of spans, a stolen batch and "all rows" are the same call to sweep, and
-// every collective sits in one detect–heal–retry loop.
+// compiled sweeps' tiles, InteractionLists.TileOff) — so a segment, a
+// healed set of spans, a stolen batch and "all rows" are the same call to
+// sweep, and every collective sits in one detect–heal–retry loop.
 //
 // The consistency argument the protocol leans on: transports admit joins
 // ONLY at a successful collective — which is also the only point a phase
@@ -176,11 +175,11 @@ func (pl *pipeline) pass(name string, rows, inherited int, work func() (ops, cha
 }
 
 // rowUnits cuts a phase's n rows into the units its kernel takes whole:
-// unit u is the rows [off[u], off[u+1]) — an E_pol tile — or, off nil, the
-// rows [u·per, u·per+per), the last unit maybe short.
+// unit u is the rows [off[u], off[u+1]) — a compiled tile — or, off nil,
+// row u alone.
 type rowUnits struct {
-	n, per int
-	off    []int32
+	n   int
+	off []int32
 }
 
 // count returns the number of units.
@@ -188,7 +187,7 @@ func (u rowUnits) count() int {
 	if u.off != nil {
 		return len(u.off) - 1
 	}
-	return (u.n + u.per - 1) / u.per
+	return u.n
 }
 
 // rows counts the rows of the units s.
@@ -199,7 +198,7 @@ func (u rowUnits) rows(s Span) int {
 	case u.off != nil:
 		return int(u.off[s.Hi] - u.off[s.Lo])
 	}
-	return min(s.Hi*u.per, u.n) - min(s.Lo*u.per, u.n)
+	return s.Hi - s.Lo
 }
 
 // claim returns what the membership log newly assigns this rank of the
@@ -413,9 +412,9 @@ func (pl *pipeline) bornPass(events []cluster.MemberEvent) error {
 	}
 	// The compiled sweep divides the rows by whole tiles: a tile's shared far
 	// run is swept once, for all of its rows.
-	u := rowUnits{n: len(pl.sys.QPts.Leaves()), per: 1}
+	u := rowUnits{n: len(pl.sys.QPts.Leaves())}
 	if pl.kern.born == rowCompiled {
-		u.per = tileLanes
+		u.off = pl.lists.Born.TileOff
 	}
 	rows := pl.share("born", pl.kern.born, u, &pl.bornDone, events,
 		func(w int) *workMeter { return &accs[w].workMeter }, pl.bornKernel())
@@ -444,7 +443,7 @@ func (pl *pipeline) bornKernel() func(unit, w int) {
 // pushPass inverts the reduced integrals to Born radii for the atom slots
 // the log newly assigns this rank.
 func (pl *pipeline) pushPass(events []cluster.MemberEvent) error {
-	sel, rows, inherited := pl.claim(rowUnits{n: len(pl.radii), per: 1}, events, &pl.pushDone)
+	sel, rows, inherited := pl.claim(rowUnits{n: len(pl.radii)}, events, &pl.pushDone)
 	if rows == 0 {
 		return nil
 	}
@@ -497,10 +496,11 @@ func (pl *pipeline) epolMeter(w int) *workMeter { return &pl.eaccs[w].workMeter 
 // compiled lists' tiles — a tile's shared runs are swept once, for all of
 // its rows — or the recursive traversal's atom-leaf rows.
 func (pl *pipeline) epolUnits() rowUnits {
+	u := rowUnits{n: len(pl.sys.Atoms.Leaves())}
 	if pl.kern.epol == rowCompiled {
-		return rowUnits{n: len(pl.lists.Epol.Rows), off: pl.lists.Epol.TileOff}
+		u.off = pl.lists.Epol.TileOff
 	}
-	return rowUnits{n: len(pl.sys.Atoms.Leaves()), per: 1}
+	return u
 }
 
 // epolKernel returns the energy phase's evaluation of one unit: a compiled

@@ -45,12 +45,12 @@ var (
 const (
 	snapshotMagic = "GBPSNAP1"
 	// The layout: the parameters, the molecule, the surface, both trees,
-	// and the lists' index with the Born tiles' far runs and the E_pol
-	// tiles' shared runs (not the tiles' cut, which the rows make).
-	// Checkpoints are written and read by one build — the net runner's
-	// workers and restart — so an image of any other version is refused
-	// with ErrSnapshotVersion.
-	snapshotVersion = 5
+	// and each phase's lists — its rows, then every CSR pair of its rows
+	// and of its tiles (InteractionLists.arrays), not the tiles' cut, which
+	// the rows make. Checkpoints are written and read by one build — the
+	// net runner's workers and restart — so an image of any other version
+	// is refused with ErrSnapshotVersion.
+	snapshotVersion = 6
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -126,10 +126,7 @@ func encodeSnapshot(w *wire.Writer, sys *System, lists *CompiledLists) {
 		w.F64(lists.bornMAC)
 		w.F64(lists.epolFar)
 		appendIL(w, lists.Born)
-		w.I32s(lists.Born.TileFarOff)
-		w.I32s(lists.Born.TileFar)
 		appendIL(w, lists.Epol)
-		appendTiles(w, lists.Epol)
 	}
 }
 
@@ -207,10 +204,7 @@ func DecodeSnapshot(data []byte) (*System, error) {
 	var lists *CompiledLists
 	if r.Bool() {
 		cl := &CompiledLists{bornMAC: r.F64(), epolFar: r.F64()}
-		cl.Born = decodeIL(r)
-		cl.Born.TileFarOff, cl.Born.TileFar = r.I32s(), r.I32s()
-		cl.Epol = decodeIL(r)
-		decodeTiles(r, cl.Epol)
+		cl.Born, cl.Epol = decodeIL(r), decodeIL(r)
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
 		}
@@ -319,12 +313,11 @@ func decodeSurface(r *wire.Reader) (*surface.Surface, error) {
 // validateIL re-establishes every structural invariant the batch kernels
 // and the repair rely on: rows are exactly the row tree's leaves in order,
 // each CSR offset array brackets its entry array, and entries index
-// atoms-tree nodes; the shared runs are sized to the phase's tiles — the
-// aligned tiles of eight Born rows, with a shared far run each, or the
-// E_pol rows cut at their parents, with a shared run of every kind each. A
-// snapshot does not carry that cut: validateIL gives the E_pol lists the
-// one their rows make (cutTiles). A list that passes cannot make a kernel
-// or a repair index out of bounds.
+// atoms-tree nodes. A snapshot does not carry the tiles' cut: validateIL
+// gives the lists the one their rows make (listPhase.cutTiles), which sizes
+// the shared runs, and refuses Born lists with shared near runs, which
+// bornTile would not read. A list that passes cannot make a kernel or a
+// repair index out of bounds.
 func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree) error {
 	leaves := rowTree.Leaves()
 	if len(il.Rows) != len(leaves) {
@@ -337,10 +330,19 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 				ErrSnapshotCorrupt, phase, i, row, leaves[i])
 		}
 	}
+	var ph listPhase // the Born phase's cut; the E_pol phase's has parents
+	if rowTree == atomTree {
+		ph.up = parentsOf(atomTree)
+	}
+	il.TileOff = ph.cutTiles(il.Rows)
 	nNodes := int32(atomTree.NumNodes())
-	// checkCSR checks an offset array over units rows or tiles and its
-	// entries.
-	checkCSR := func(name string, units int, off, entries []int32) error {
+	for k, c := range il.arrays() {
+		r, tile := k%(runFar+1), k > runFar
+		name, units := runNames[r], len(il.Rows)
+		if tile {
+			name, units = "tile "+name, il.tiles()
+		}
+		off, entries := *c.off, *c.ents
 		if len(off) != units+1 {
 			return fmt.Errorf("%w: %s %s offsets sized %d for %d",
 				ErrSnapshotCorrupt, phase, name, len(off), units)
@@ -355,80 +357,36 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 					ErrSnapshotCorrupt, phase, name, i-1)
 			}
 		}
-		for k, e := range entries {
+		for n, e := range entries {
 			if e < 0 || e >= nNodes {
 				return fmt.Errorf("%w: %s %s entry %d references node %d of %d",
-					ErrSnapshotCorrupt, phase, name, k, e, nNodes)
+					ErrSnapshotCorrupt, phase, name, n, e, nNodes)
 			}
 		}
-		return nil
-	}
-	for r, c := range il.rowCSR() {
-		if err := checkCSR(runNames[r], len(il.Rows), c.off, *c.ents); err != nil {
-			return err
-		}
-	}
-	epol := rowTree == atomTree
-	tiles := numTiles(len(il.Rows))
-	if epol {
-		il.TileOff = (&listPhase{up: parentsOf(atomTree)}).cutTiles(il.Rows)
-		tiles = il.tiles()
-	}
-	for r, c := range il.tileCSR() {
-		if !epol && r != runFar {
-			continue // the Born lists share far nodes alone
-		}
-		if err := checkCSR("tile "+runNames[r], tiles, c.off, *c.ents); err != nil {
-			return err
+		if ph.up == nil && tile && r != runFar && len(entries) > 0 {
+			return fmt.Errorf("%w: %s lists share %d %s entries", ErrSnapshotCorrupt, phase, len(entries), name)
 		}
 	}
 	return nil
 }
 
-// decodeIL reads one interaction-list structure.
+// decodeIL reads what appendIL wrote.
 func decodeIL(r *wire.Reader) *InteractionLists {
-	return &InteractionLists{
-		Rows:    r.I32s(),
-		FarOff:  r.I32s(),
-		Far:     r.I32s(),
-		NearOff: r.I32s(),
-		Near:    r.I32s(),
-		SymOff:  r.I32s(),
-		Sym:     r.I32s(),
-		CedeOff: r.I32s(),
-		Cede:    r.I32s(),
+	il := &InteractionLists{Rows: r.I32s()}
+	for _, c := range il.arrays() {
+		*c.off, *c.ents = r.I32s(), r.I32s()
 	}
+	return il
 }
 
-// appendIL writes one interaction-list structure.
+// appendIL writes one phase's lists: the rows, then every CSR pair, offsets
+// before entries.
 func appendIL(w *wire.Writer, il *InteractionLists) {
 	w.I32s(il.Rows)
-	w.I32s(il.FarOff)
-	w.I32s(il.Far)
-	w.I32s(il.NearOff)
-	w.I32s(il.Near)
-	w.I32s(il.SymOff)
-	w.I32s(il.Sym)
-	w.I32s(il.CedeOff)
-	w.I32s(il.Cede)
-}
-
-// appendTiles writes the E_pol lists' shared runs, of each class and the
-// far ones, offsets before entries — not the tiles' cut, which the rows
-// make.
-func appendTiles(w *wire.Writer, il *InteractionLists) {
-	for _, c := range il.tileCSR() {
-		w.I32s(c.off)
+	for _, c := range il.arrays() {
+		w.I32s(*c.off)
 		w.I32s(*c.ents)
 	}
-}
-
-// decodeTiles reads what appendTiles wrote into il.
-func decodeTiles(r *wire.Reader, il *InteractionLists) {
-	il.TileNearOff, il.TileNear = r.I32s(), r.I32s()
-	il.TileSymOff, il.TileSym = r.I32s(), r.I32s()
-	il.TileCedeOff, il.TileCede = r.I32s(), r.I32s()
-	il.TileFarOff, il.TileFar = r.I32s(), r.I32s()
 }
 
 // checkGeometryConsistent verifies the trees index exactly the

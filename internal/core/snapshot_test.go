@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"io/fs"
@@ -176,15 +177,20 @@ const (
 // EpsSolv and the Born kernel.
 const stampAt, precisionAt = 8 + 2, 8 + 2 + 8 + 3*8 + 1
 
-// retiredSlots returns the byte offset of every slot in image, a snapshot of
-// this version with lists.
+// retiredSlots returns the byte offset of every slot in image, a snapshot
+// with lists of this version or of version 5 (v5Image). In either, a phase's
+// lists are its rows and eight row arrays, then its tiles' arrays: version
+// 5 wrote the Born tiles' far run alone.
 func retiredSlots(t testing.TB, image []byte) [numSlots]int {
 	t.Helper()
 	body := image[:len(image)-4]
 	r := wire.NewReader(body[len(snapshotMagic):])
 	at := func() int { return len(body) - r.Remaining() }
 	var s [numSlots]int
-	r.U16()
+	bornTiles := 2 * (runFar + 1)
+	if r.U16() == 5 {
+		bornTiles = 2
+	}
 	r.U64()
 	s[slotMath] = at() + 3*8
 	if _, err := decodeParams(r); err != nil {
@@ -209,15 +215,20 @@ func retiredSlots(t testing.TB, image []byte) [numSlots]int {
 	r.F64()
 	r.F64()
 	s[slotListOrder] = at()
-	decodeIL(r)
-	s[slotBorn] = at()
-	r.I32s()
-	r.I32s()
-	s[slotTileOrders] = at()
-	decodeIL(r)
-	s[slotEpol] = at()
-	decodeTiles(r, &InteractionLists{})
-	s[slotNodes] = at()
+	// Each phase: its rows and row arrays, a slot, its tile arrays, a slot.
+	for _, ph := range []struct{ rowsAt, tiles, tilesAt int }{
+		{slotBorn, bornTiles, slotTileOrders},
+		{slotEpol, 2 * (runFar + 1), slotNodes},
+	} {
+		for range 1 + 2*(runFar+1) {
+			r.I32s()
+		}
+		s[ph.rowsAt] = at()
+		for range ph.tiles {
+			r.I32s()
+		}
+		s[ph.tilesAt] = at()
+	}
 	if r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("list block: %v, %d bytes left", r.Err(), r.Remaining())
 	}
@@ -261,14 +272,49 @@ func certificate(n int) []byte {
 	})
 }
 
+// appendRowsV5 writes il's rows and row arrays as versions up to 5 did,
+// the far run's first.
+func appendRowsV5(w *wire.Writer, il *InteractionLists) {
+	for _, a := range [][]int32{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near, il.SymOff, il.Sym, il.CedeOff, il.Cede} {
+		w.I32s(a)
+	}
+}
+
+// v5Image is image, a snapshot of this version with lists, as version 5
+// wrote it: the same bytes up to the list block, and in it each phase's rows
+// and row arrays (appendRowsV5), the Born tiles' far run and the E_pol
+// tiles' runs.
+func v5Image(t testing.TB, image []byte) []byte {
+	t.Helper()
+	sys, err := DecodeSnapshot(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	born, epol := sys.lists.Born, sys.lists.Epol
+	var w wire.Writer
+	w.Raw(image[:retiredSlots(t, image)[slotListOrder]])
+	appendRowsV5(&w, born)
+	w.I32s(born.TileFarOff)
+	w.I32s(born.TileFar)
+	appendRowsV5(&w, epol)
+	for _, c := range epol.tileCSR() {
+		w.I32s(*c.off)
+		w.I32s(*c.ents)
+	}
+	w.U32(0)
+	out := w.Bytes()
+	binary.LittleEndian.PutUint16(out[len(snapshotMagic):], 5)
+	return restamp(out)
+}
+
 // v4Image is image, a snapshot of this version with lists, as version 4
-// wrote it: every retired slot filled with what that version wrote there
-// (mathByte in the math mode's place), and the stamp taken over the
-// version-4 parameter section.
+// wrote it: version 5's image with every retired slot filled with what
+// version 4 wrote there (mathByte in the math mode's place), and the stamp
+// taken over the version-4 parameter section.
 func v4Image(t testing.TB, image []byte, mathByte uint8) []byte {
 	t.Helper()
 	u32 := enc(func(w *wire.Writer) { w.U32(0) })
-	out := withRetired(t, image, 4, map[int][]byte{
+	out := withRetired(t, v5Image(t, image), 4, map[int][]byte{
 		slotMath:         {mathByte},
 		slotFarOrder:     {0},
 		slotAtomsMoments: u32,
@@ -287,16 +333,20 @@ func v4Image(t testing.TB, image []byte, mathByte uint8) []byte {
 }
 
 // A version-4 image, whose layout had places for retired configurations,
-// and this layout stamped version 4 are refused with ErrSnapshotVersion and
-// no System, by DecodeSnapshot and by LoadSnapshotAnyParams. Checkpoints are
+// a version-5 image, whose Born tiles stored their far run alone, and this
+// layout stamped either version are refused with ErrSnapshotVersion and no
+// System, by DecodeSnapshot and by LoadSnapshotAnyParams. Checkpoints are
 // written and read by one build, and no older layout is read.
 func TestSnapshotRefusesRetired(t *testing.T) {
 	_, image := snapshotFixture(t, true)
-	stamped := append([]byte(nil), image...)
-	binary.LittleEndian.PutUint16(stamped[len(snapshotMagic):], 4)
 	older := map[string][]byte{
-		"version 4":                     v4Image(t, image, 0),
-		"this layout stamped version 4": restamp(stamped),
+		"version 4": v4Image(t, image, 0),
+		"version 5": v5Image(t, image),
+	}
+	for _, version := range []uint16{4, 5} {
+		stamped := append([]byte(nil), image...)
+		binary.LittleEndian.PutUint16(stamped[len(snapshotMagic):], version)
+		older[fmt.Sprintf("this layout stamped version %d", version)] = restamp(stamped)
 	}
 	for name, b := range older {
 		if sys, err := DecodeSnapshot(b); !errors.Is(err, ErrSnapshotVersion) || sys != nil {
@@ -504,12 +554,15 @@ func TestSnapshotSaveLoadParams(t *testing.T) {
 // re-taken as the format changed: the repair certificate written
 // zero-length, the Born tiles' shared runs stored once (version 3), the
 // system at far-field order 0 with no moment sets behind its trees, the
-// E_pol tiles' shared runs stored once (version 4, 799 719 bytes), and —
-// the last re-recording — version 5, which drops the places version 4 kept
-// for retired configurations and wrote empty (79 bytes here). Filled back
-// in, they give version 4's bytes exactly. The digest covers computed
-// floats (the surface), hence one architecture: elsewhere the compiler may
-// fuse multiply-adds.
+// E_pol tiles' shared runs stored once (version 4, 799 719 bytes), version
+// 5, which drops the places version 4 kept for retired configurations and
+// wrote empty (79 bytes here, 799 640 bytes), and — the last re-recording —
+// version 6, which writes both phases' lists in one layout: every CSR pair
+// of the rows and of the tiles, the Born tiles' empty shared near runs
+// among them. Written in version 5's layout (v5Image) the same lists give
+// version 5's bytes exactly, and with the retired places filled back in
+// version 4's. The digest covers computed floats (the surface), hence one
+// architecture: elsewhere the compiler may fuse multiply-adds.
 func TestSnapshotBytesStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests were taken on amd64")
@@ -526,7 +579,8 @@ func TestSnapshotBytesStable(t *testing.T) {
 		size    int
 		sha     string
 	}{
-		{snapshotVersion, data, 799640, "7d20438fb3681a0a5a86189afa32e075ccd3fe5f04ee88eeacf45c5f1c23aceb"},
+		{snapshotVersion, data, 801560, "6289beb4b4aa83b3688d480298c63001f5c3b567dacf3f2967525825d573d5fc"},
+		{5, v5Image(t, data), 799640, "7d20438fb3681a0a5a86189afa32e075ccd3fe5f04ee88eeacf45c5f1c23aceb"},
 		{4, v4Image(t, data, 0), 799719, "359563886babcb17bc37de67187b2e5fd48c1e774f86e198bc8736b57b3ba50e"},
 	} {
 		sum := sha256.Sum256(c.image)

@@ -94,12 +94,13 @@ var ErrBadAtom = errors.New("molecule: bad atom")
 
 // AtomError names the first atom whose numbers no energy can be computed
 // from: a NaN or infinite coordinate or charge, or a radius that is not a
-// positive finite number. Such values would otherwise travel through the
-// surface and the octrees and come out as a NaN — or, worse, a finite but
-// wrong — energy with no error at all.
+// positive finite number whose square is a normal float64. Such values
+// would otherwise travel through the surface and the octrees and come out
+// as a NaN or an infinite — or, worse, a finite but wrong — energy with no
+// error at all.
 type AtomError struct {
 	Index  int    // position in Molecule.Atoms
-	Reason string // e.g. "radius NaN is not a positive finite number"
+	Reason string // e.g. "charge NaN is not finite"
 }
 
 func (e *AtomError) Error() string { return fmt.Sprintf("atom %d: %s", e.Index, e.Reason) }
@@ -107,10 +108,16 @@ func (e *AtomError) Error() string { return fmt.Sprintf("atom %d: %s", e.Index, 
 // Is reports a match with ErrBadAtom.
 func (e *AtomError) Is(target error) bool { return target == ErrBadAtom }
 
+// MinRadius is the smallest radius CheckAtoms takes, ≈1.49e-154 Å: the
+// smallest whose square is a normal float64. f_GB's self term divides by
+// √(R·R), so a smaller radius gives an infinite — or a huge and wrong —
+// energy.
+const MinRadius = 0x1p-511
+
 // CheckAtoms returns an *AtomError for the first atom with a non-finite
-// position or charge or a non-finite or non-positive radius, in one pass
-// over the atoms. surface.ForMolecule and core.NewSystem run it before any
-// other work.
+// position or charge or a radius below MinRadius or whose square overflows,
+// in one pass over the atoms. surface.ForMolecule and core.NewSystem run it
+// before any other work.
 func (m *Molecule) CheckAtoms() error {
 	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	for i, a := range m.Atoms {
@@ -119,8 +126,8 @@ func (m *Molecule) CheckAtoms() error {
 			return &AtomError{i, fmt.Sprintf("position %v is not finite", a.Pos)}
 		case !finite(a.Charge):
 			return &AtomError{i, fmt.Sprintf("charge %g is not finite", a.Charge)}
-		case !finite(a.Radius) || a.Radius <= 0:
-			return &AtomError{i, fmt.Sprintf("radius %g is not a positive finite number", a.Radius)}
+		case !(a.Radius >= MinRadius && a.Radius*a.Radius <= math.MaxFloat64):
+			return &AtomError{i, fmt.Sprintf("radius %g is not a positive number whose square is a normal float64", a.Radius)}
 		}
 	}
 	return nil

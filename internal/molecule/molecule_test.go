@@ -187,6 +187,28 @@ func TestValidateCatchesBadAtoms(t *testing.T) {
 	}
 }
 
+// CheckAtoms takes a radius down to MinRadius, whose square is the smallest
+// normal float64, and no smaller; nor one whose square overflows.
+func TestCheckAtomsRadiusFloor(t *testing.T) {
+	for r, ok := range map[float64]bool{
+		MinRadius:                      true,
+		1.5:                            true,
+		math.Nextafter(MinRadius, 0):   false,
+		1e-200:                         false,
+		math.SmallestNonzeroFloat64:    false,
+		math.Sqrt(math.MaxFloat64):     true,
+		2 * math.Sqrt(math.MaxFloat64): false,
+	} {
+		m := &Molecule{Atoms: []Atom{{Radius: 1.5}, {Radius: r}}}
+		if err := m.CheckAtoms(); (err == nil) != ok {
+			t.Errorf("radius %g: CheckAtoms says %v", r, err)
+		}
+		if sq := r * r; ok != (sq >= 0x1p-1022 && !math.IsInf(sq, 0)) {
+			t.Errorf("radius %g: its square %g", r, sq)
+		}
+	}
+}
+
 func TestTotalChargeFinite(t *testing.T) {
 	m := GenProtein("p", 2000, 17)
 	q := m.TotalCharge()
