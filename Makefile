@@ -90,13 +90,16 @@ bigendian:
 ## and, under -tags purego, the
 ## portable Go kernels this host would otherwise never run: there the
 ## identity tests (TestOpenFar8MatchesScalar, TestTileCompileMatchesOracle,
-## TestBornTileListsMatchOracle, TestEpolTileListsMatchOracle and every
-## list digest) hold the portable lanes to the same bytes,
+## TestBornTileListsMatchOracle, TestEpolTileListsMatchOracle,
+## TestRepairLaneWiseMatchesWholeTile — tiles repaired with 0 to 8 of their
+## lanes given up — TestRetestMatchesKeeps — the re-test's lanes, open
+## under partial masks, against the scalar re-test — and every list digest)
+## hold the portable lanes to the same bytes,
 ## TestBornTileKernelMatchesRows the portable Born tile sweep to the per-row
 ## sweep's bits and TestEpolTileKernelMatchesRows the portable E_pol tile
 ## sweep to the per-row sweep at 1e-13 (DESIGN.md §6, §11).
 kernels:
-	$(call check_listed,TestOpenFar8MatchesScalar|TestTileCompileMatchesOracle|TestBornTileListsMatchOracle|TestBornTileKernelMatchesRows|TestEpolTileListsMatchOracle|TestEpolTileKernelMatchesRows|TestEpolStreamExact8MatchesExact4|TestEpolStreamLanes8MatchesLanes4|TestBornNearRowKernelMatchesScalar,./internal/core/)
+	$(call check_listed,TestOpenFar8MatchesScalar|TestTileCompileMatchesOracle|TestBornTileListsMatchOracle|TestBornTileKernelMatchesRows|TestEpolTileListsMatchOracle|TestEpolTileKernelMatchesRows|TestRepairLaneWiseMatchesWholeTile|TestRetestMatchesKeeps|TestEpolStreamExact8MatchesExact4|TestEpolStreamLanes8MatchesLanes4|TestBornNearRowKernelMatchesScalar,./internal/core/)
 	$(GO) vet -asmdecl ./internal/core/
 	$(GO) test ./internal/core/ ./internal/mathx/
 	$(GO) vet -tags purego ./internal/core/ ./internal/mathx/

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"gbpolar/internal/geom"
@@ -283,37 +284,26 @@ type listArena struct {
 	far, near blocks
 }
 
-// appendRuns appends runs to the arena — the far run to its far blocks,
-// the near runs to its near blocks — where a is not nil, and records the
-// length of each at [i+1] of the offset array of its run in arr.
-func (a *listArena) appendRuns(runs *laneRuns, arr *[runFar + 1]csr, i int) {
-	for r, run := range runs.runs {
-		switch {
-		case a == nil:
-		case r == runFar:
+// appendRuns appends runs to the arena: the far run to its far blocks, the
+// near runs to its near blocks.
+func (a *listArena) appendRuns(runs *[runFar + 1][]int32) {
+	for r, run := range runs {
+		if r == runFar {
 			a.far.append(run)
-		default:
+		} else {
 			a.near.append(run)
 		}
-		(*arr[r].off)[i+1] = int32(len(run))
 	}
 }
 
-// placeRuns copies runs to run i of every array of arr.
-func placeRuns(runs *laneRuns, arr *[runFar + 1]csr, i int) {
-	for r, run := range runs.runs {
-		copy(arr[r].run(i), run)
-	}
-}
-
-// takeRuns moves run i of every array of arr out of the arena, in the order
+// takeRuns fills runs from the arena, each run as long as it is, in the order
 // appendRuns put them in.
-func (a *listArena) takeRuns(arr *[runFar + 1]csr, i int) {
-	for r, c := range arr {
+func (a *listArena) takeRuns(runs *[runFar + 1][]int32) {
+	for r, run := range runs {
 		if r == runFar {
-			a.far.take(c.run(i))
+			a.far.take(run)
 		} else {
-			a.near.take(c.run(i))
+			a.near.take(run)
 		}
 	}
 }
@@ -400,15 +390,14 @@ func prefixSum(off []int32) int32 {
 }
 
 // classified is what classifyRows leaves behind: the tiles it classified,
-// cut into contiguous chunks, each chunk's entries in an arena of its own —
-// or none, to be classified again in place — the workers' tilers and what
-// the classification cost.
+// cut into contiguous chunks, each chunk's entries in an arena of its own,
+// the workers' tilers and what the classification cost.
 type classified struct {
 	ph *listPhase
 	// tiles holds the tiles classified, in order.
 	tiles  []int32
 	chunks int
-	arenas []listArena // nil: the entries were counted, not kept
+	arenas []listArena
 	tilers []*tiler
 	stats  tileStats
 }
@@ -416,41 +405,38 @@ type classified struct {
 // bound is the first tile (an index into tiles) of chunk c.
 func (cr *classified) bound(c int) int { return c * len(cr.tiles) / cr.chunks }
 
-// classifyRows classifies the rows of the tiles of il listed in tiles, a
-// tile at a time, each in one shared descent (ilist_tile.go). Nobody knows
-// a row's entry counts before classifying it, so the tiles are cut into
-// contiguous chunks — a few per worker — and each chunk's entries are
-// appended to an arena of its own; each row's counts land at [k+1] of il's
-// per-row offset arrays and each tile's shared counts at [t+1] of its
-// per-tile ones, for the prefix sums that size the final CSR arrays
-// exactly. A worker's tiler and its buffers serve every chunk the worker
-// draws. A chunk holds whole tiles, so the tiles — and with them the lists
-// — are the same on any pool. Unless keep is set the entries are counted
-// and dropped, and fill classifies the tiles again: what the repair does,
-// whose arenas would otherwise be most of its garbage.
-func (ph *listPhase) classifyRows(il *InteractionLists, tiles []int32, pool *sched.Pool, keep bool) *classified {
+// classifyRows classifies the tiles of il listed in tiles, each in one
+// shared descent (ilist_tile.go), and hands each to keep, which appends what
+// it keeps of it to its chunk's arena. Nobody knows a tile's entry counts
+// before classifying it, so the tiles are cut into contiguous chunks — a few
+// per worker — each with an arena, whose first blocks size reserves; each
+// row's counts land at [k+1] of il's per-row offset arrays and each tile's
+// at [x+1] of its per-tile ones, for the prefix sums that size the CSR
+// arrays exactly, and fill puts the entries in place. A worker's tiler (of
+// tilers, when not nil) serves every chunk it draws. A chunk holds whole
+// tiles, so the lists are the same on any pool.
+func (ph *listPhase) classifyRows(il *InteractionLists, tiles []int32, pool *sched.Pool, tilers []*tiler,
+	size func(a *listArena, chunk []int32, t *tiler), keep func(t *tiler, a *listArena, x int)) *classified {
 	workers := 1
 	if pool != nil {
 		workers = pool.NumWorkers()
 	}
-	cr := &classified{ph: ph, tiles: tiles, chunks: listChunksPerWorker * workers, tilers: make([]*tiler, workers)}
-	if keep {
-		cr.arenas = make([]listArena, cr.chunks)
+	if tilers == nil {
+		tilers = make([]*tiler, workers)
 	}
-	cr.forTiles(pool, func(c int, t *tiler, chunk []int32) {
-		var a *listArena
-		if keep {
-			a = &cr.arenas[c]
-			ph.reserve(a, t, il, chunk)
+	for _, t := range tilers {
+		if t != nil {
+			t.stats = tileStats{}
 		}
-		rowArr, tileArr := il.rowCSR(), il.tileCSR()
-		for _, tile := range chunk {
-			rlo, rhi := il.tileRows(int(tile))
-			t.classify(il.Rows, rlo, rhi)
-			a.appendRuns(&t.shared, &tileArr, int(tile))
-			for k := rlo; k < rhi; k++ {
-				a.appendRuns(&t.out[k-rlo], &rowArr, k)
-			}
+	}
+	cr := &classified{ph: ph, tiles: tiles, chunks: min(listChunksPerWorker*workers, len(tiles)/tileLanes+1), tilers: tilers}
+	cr.arenas = make([]listArena, cr.chunks)
+	cr.forChunks(pool, func(c int, t *tiler, chunk []int32) {
+		size(&cr.arenas[c], chunk, t)
+		for _, x := range chunk {
+			t.classify(il, int(x))
+			t.count(il, int(x))
+			keep(t, &cr.arenas[c], int(x))
 		}
 	})
 	for _, t := range cr.tilers {
@@ -461,9 +447,9 @@ func (ph *listPhase) classifyRows(il *InteractionLists, tiles []int32, pool *sch
 	return cr
 }
 
-// forTiles runs fn over the chunks of cr on the pool's workers, each with
+// forChunks runs fn over the chunks of cr on the pool's workers, each with
 // the worker's tiler.
-func (cr *classified) forTiles(pool *sched.Pool, fn func(c int, t *tiler, chunk []int32)) {
+func (cr *classified) forChunks(pool *sched.Pool, fn func(c int, t *tiler, chunk []int32)) {
 	forRows(pool, cr.chunks, func(lo, hi, w int) {
 		for c := lo; c < hi; c++ {
 			chunk := cr.tiles[cr.bound(c):cr.bound(c+1)]
@@ -478,42 +464,21 @@ func (cr *classified) forTiles(pool *sched.Pool, fn func(c int, t *tiler, chunk 
 	})
 }
 
-// fill puts the classified tiles' entries in their places in il's arrays,
-// sized and offset by now: it moves them from the arenas and lets the
-// arenas go, or, the entries not kept, classifies the tiles again.
-func (cr *classified) fill(il *InteractionLists, pool *sched.Pool) {
-	rowArr, tileArr := il.rowCSR(), il.tileCSR()
-	if cr.arenas == nil {
-		cr.forTiles(pool, func(_ int, t *tiler, chunk []int32) {
-			for _, tile := range chunk {
-				rlo, rhi := il.tileRows(int(tile))
-				t.classify(il.Rows, rlo, rhi)
-				placeRuns(&t.shared, &tileArr, int(tile))
-				for k := rlo; k < rhi; k++ {
-					placeRuns(&t.out[k-rlo], &rowArr, k)
-				}
-			}
-		})
-		return
-	}
-	forRows(pool, cr.chunks, func(lo, hi, _ int) {
-		for c := lo; c < hi; c++ {
-			a := &cr.arenas[c]
-			for _, t := range cr.tiles[cr.bound(c):cr.bound(c+1)] {
-				a.takeRuns(&tileArr, int(t))
-				rlo, rhi := il.tileRows(int(t))
-				for k := rlo; k < rhi; k++ {
-					a.takeRuns(&rowArr, k)
-				}
-			}
-			*a = listArena{} // garbage from here on, not from the end of the call
+// fill puts the classified tiles' entries in their places — place moves tile
+// x's from its chunk's arena — once the lists' arrays are sized and offset,
+// and lets the arenas go.
+func (cr *classified) fill(pool *sched.Pool, place func(t *tiler, a *listArena, x int)) {
+	cr.forChunks(pool, func(c int, t *tiler, chunk []int32) {
+		for _, x := range chunk {
+			place(t, &cr.arenas[c], int(x))
 		}
+		cr.arenas[c] = listArena{} // garbage from here on, not from the end of the call
 	})
 }
 
-// index compiles the phase's lists: classifyRows over every tile, one
-// prefix sum over the per-row and per-tile counts of each array, and the
-// chunks copy themselves into place in parallel.
+// index compiles the phase's lists: classifyRows over every tile, each in one
+// shared descent, one prefix sum over the per-row and per-tile counts of each
+// array, and the chunks copy themselves into place in parallel.
 func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
 	il := ph.newLists()
 	every := make([]int32, il.tiles())
@@ -521,11 +486,25 @@ func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
 		every[t] = int32(t)
 	}
 	sp := ph.o.Begin(ph.rank, "ilist", "ilist.compile.classify", obs.NoVirtual)
-	cr := ph.classifyRows(il, every, pool, true)
+	cr := ph.classifyRows(il, every, pool, nil, func(a *listArena, chunk []int32, t *tiler) { ph.reserve(a, t, il, chunk) },
+		func(t *tiler, a *listArena, _ int) {
+			a.appendRuns(&t.shared.runs)
+			for l := range bits.Len8(t.full) {
+				a.appendRuns(&t.out[l].runs)
+			}
+		})
 	sp.End(obs.NoVirtual)
 	sp = ph.o.Begin(ph.rank, "ilist", "ilist.compile.assemble", obs.NoVirtual)
 	ph.alloc(il, pool)
-	cr.fill(il, pool)
+	cr.fill(pool, func(_ *tiler, a *listArena, x int) {
+		runs := il.tileRuns(x)
+		a.takeRuns(&runs)
+		lo, hi := il.tileRows(x)
+		for k := lo; k < hi; k++ {
+			runs = il.rowRuns(k)
+			a.takeRuns(&runs)
+		}
+	})
 	sp.End(obs.NoVirtual)
 	ph.o.Counter("ilist.compile.tiles").Add(cr.stats.tiles)
 	ph.o.Counter("ilist.compile.node_visits").Add(cr.stats.nodeVisits)
@@ -539,15 +518,15 @@ func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
 const listChunksPerWorker = 8
 
 // sampleStride is the number of tiles from one tile reserve classifies to
-// the next: a sixteenth of the chunk's tiles at most, and of a small chunk —
-// a repair's, whose arena is too small to matter — the first alone.
+// the next: a sixteenth of the chunk's tiles.
 const sampleStride = 16
 
-// reserve sizes a's first blocks for one chunk — the tiles chunk of il —
-// from tiles already classified: it classifies evenly spaced tiles on t,
-// counts their entries and scales them to the chunk's rows. A chunk that
+// reserve sizes a's first blocks for one chunk of a compile — the tiles chunk
+// of il — from tiles already classified: it classifies evenly spaced tiles on
+// t, counts their entries and scales them to the chunk's rows. A chunk that
 // turns out denser than its sample goes on in further blocks; a worst-case
-// reservation would be several times the lists.
+// reservation would be several times the lists. (A repair sizes its arenas
+// from the cached runs of the rows it replaces instead: listRepair.size.)
 func (ph *listPhase) reserve(a *listArena, t *tiler, il *InteractionLists, chunk []int32) {
 	var far, near, sampled, rows int
 	for x, tile := range chunk {
@@ -556,11 +535,11 @@ func (ph *listPhase) reserve(a *listArena, t *tiler, il *InteractionLists, chunk
 		if x%sampleStride != 0 {
 			continue
 		}
-		t.classify(il.Rows, lo, hi)
-		f, n := t.shared.sizes()
+		t.classify(il, int(tile))
+		f, n := sizes(&t.shared.runs)
 		far, near = far+f, near+n
 		for l := range hi - lo {
-			f, n := t.out[l].sizes()
+			f, n := sizes(&t.out[l].runs)
 			far, near = far+f, near+n
 		}
 		sampled += hi - lo

@@ -79,26 +79,30 @@ func BenchmarkOpenFar8(b *testing.B) {
 }
 
 // repairBench times one repaired step of mode per iteration, displacements
-// accumulating.
+// accumulating, and reports per step the rows it changed, the lanes its
+// descents classified and the nodes they visited.
 func repairBench(b *testing.B, mode jiggleMode) {
 	sys, pool := listBenchSystem(b)
 	sys.Lists(pool)
 	rng := rand.New(rand.NewSource(5))
 	pos := sys.Mol.Positions()
 	rows := 0
+	o := obs.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		pos = mode.step(rng, pos)
 		b.StartTimer()
-		stats, err := sys.UpdateAtomsRepair(pos, pool, nil)
+		stats, err := sys.UpdateAtomsRepair(pos, pool, o)
 		if err != nil || !stats.Repaired {
 			b.Fatalf("step %d: %+v %v", i, stats, err)
 		}
 		rows += stats.RowsRepaired
 	}
 	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	b.ReportMetric(float64(o.Counter("ilist.repair.lanes_classified").Value())/float64(b.N), "lanes/op")
+	b.ReportMetric(float64(o.Counter("ilist.repair.node_visits").Value())/float64(b.N), "node_visits/op")
 }
 
 // The steady state of a trajectory: one repaired local jiggle, the md_step

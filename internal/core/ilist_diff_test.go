@@ -287,9 +287,10 @@ func measureAllocs(fn func()) (objects, bytes, live uint64) {
 // keeps nothing alive but the lists it leaves behind. A compile allocates
 // at most 2.5 times the bytes of its lists — the lists, the chunk arenas
 // they were collected in, and the transpose of the near relation; a repair
-// at most 1.6 times — the lists, the arenas of the rows it classified, a
-// few words a node and a row, and the octree update's own scratch — and
-// the lists it replaces die with the call.
+// of a local move at most 1.6 times — the lists, the arenas of the rows it
+// classified, a few words a node and a row, and the octree update's own
+// scratch — and one of every atom moved, whose arenas hold nearly every
+// tile, a compile's 2.5 times; the lists it replaces die with the call.
 func TestListBackendAllocBudget(t *testing.T) {
 	sys, _, _ := testSystem(t, 4000, 2, mortonParams())
 	pool := sched.NewPool(2)
@@ -329,4 +330,13 @@ func TestListBackendAllocBudget(t *testing.T) {
 		})
 		check(fmt.Sprintf("repair %d", step), objects, bytes, live, 1.6, sys.lists.MemoryBytes(), 0)
 	}
+	// Every atom moved: the repair's worst case, nearly every tile classified
+	// whole into the arenas, held to the compile's budget.
+	pos = jigglePositions(rng, pos, 0.02)
+	objects, bytes, live = measureAllocs(func() {
+		if stats, err := sys.UpdateAtomsRepair(pos, pool, nil); err != nil || !stats.Repaired {
+			t.Fatalf("not repaired: %+v %v", stats, err)
+		}
+	})
+	check("global repair", objects, bytes, live, 2.5, sys.lists.MemoryBytes(), 0)
 }

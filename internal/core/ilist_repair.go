@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"sort"
 	"sync/atomic"
 
 	"gbpolar/internal/geom"
@@ -16,12 +19,14 @@ import (
 // evaluated: the row's own cluster against the nodes it descended. An MD
 // step moves a hundred atoms, and with them the centers and radii of the
 // few dozen nodes above them; every other node keeps its bits. So the
-// repair re-runs each row's descent over the nodes that MOVED, on their
-// geometry before the update and after it, and reclassifies the row — with
-// the rest of its tile — only where the two descents part: exactly, not up
-// to a bound. Kept tiles copy their cached entries; the result is
-// byte-for-byte a full recompile (RecheckLists verifies exactly that), and
-// nothing is stored for the repair's sake: a list is its index.
+// repair re-runs each row's descent over the nodes that MOVED — a tile's
+// rows as the lanes of one — on their geometry before the update and after
+// it, and reclassifies the row only where the two descents part: exactly,
+// not up to a bound. Such a row's tile is classified once, in one shared
+// descent, and keeps what the cache does not hold; kept tiles copy their
+// cached entries. The result is byte-for-byte a full recompile (RecheckLists
+// verifies exactly that), and nothing is stored for the repair's sake: a
+// list is its index.
 
 // UpdateStats reports what an UpdateAtomsRepair call did.
 type UpdateStats struct {
@@ -35,8 +40,9 @@ type UpdateStats struct {
 	// recompiles from scratch.
 	Repaired bool
 	// RowsRepaired counts the list rows the update changed — each classified
-	// afresh with the rest of its tile — and RowsTotal all list rows, across
-	// both phases (valid only when Repaired).
+	// afresh in one descent of its tile, the tile's other rows put back
+	// together from the cache — and RowsTotal all list rows, across both
+	// phases (valid only when Repaired).
 	RowsRepaired, RowsTotal int
 }
 
@@ -55,9 +61,10 @@ type UpdateStats struct {
 // (it rebuilt all the same). An update that moved no node returns the held
 // lists themselves, repaired. The pool parallelizes every step of the
 // repair; o also receives "octree.keys.moved", "ilist.rows.repaired" and,
-// per repair, "ilist.repair.{hot_nodes,rows_retested,rows_resplit}", the
-// span "ilist.repair.delta" and, for each phase,
-// "ilist.repair.{retest,classify,assemble}".
+// per repair, "ilist.repair.{hot_nodes,rows_retested,rows_resplit}" and
+// what its descents cost, "ilist.repair.{tiles_classified,
+// lanes_classified,node_visits}", the span "ilist.repair.delta" and, for
+// each phase, "ilist.repair.{retest,classify,assemble}".
 func (s *System) UpdateAtomsRepair(newPositions []geom.Vec3, pool *sched.Pool, o *obs.Obs) (UpdateStats, error) {
 	if len(newPositions) != s.Mol.NumAtoms() {
 		return UpdateStats{}, fmt.Errorf("core: UpdateAtomsRepair with %d positions for %d atoms",
@@ -228,58 +235,53 @@ func newTreeDelta(atoms *octree.Tree, before treeGeometry, strct []bool) *treeDe
 	return d
 }
 
-// keeps is the differential descent: whether the cached row of an unmoved
-// cluster (center, radius) still stands below hot node n. It is the
-// classification's walk (tiler.descend) for one row, taken on the old and the
-// new geometry at once. While both verdicts
-// say "open" it goes on — into hot children only, since the row's descent
-// of a cold subtree is the one it was — and it gives the row up at the first
-// node whose two verdicts differ, or that both
-// descents open and the update restructured: a child gained or lost there
-// is at least one entry gained or lost. So the test is exact both ways: a
-// row it gives up has lists that changed, a row it keeps has the lists a
-// fresh compile would give it.
-func (ph *listPhase) keeps(n int32, center geom.Vec3, radius float64, d *treeDelta) bool {
+// retest is the differential descent: the lanes of open — a tile of unmoved
+// row clusters — whose cached rows do not stand below hot node n: the
+// classification's walk on the old and the new geometry at once, eight lanes
+// a test (admit: verdict's, bit for bit). A lane whose verdicts differ is
+// given up; one far in both keeps the aggregate; one open in both goes on
+// into the hot children — a cold subtree's descent is the one it was —
+// unless the node was restructured (a child gained or lost is an entry
+// gained or lost). So the test is exact both ways.
+func (ph *listPhase) retest(n int32, rows *rowTile, open uint8, d *treeDelta) (given uint8) {
 	if int(n) >= len(d.before.r) {
-		return false // a new node: the old descent had nothing here
+		return open // a new node: the old descent had nothing here
 	}
 	node, wasLeaf := &ph.atoms.Nodes[n], d.before.leaf[n]
 	if ph.leafFirst && (wasLeaf || node.IsLeaf) {
-		return wasLeaf == node.IsLeaf // a near leaf, unless split since
+		if wasLeaf == node.IsLeaf {
+			return 0 // a near leaf, unless split since
+		}
+		return open
 	}
-	farWas := ph.verdict(openingDist2(center, d.before.c[n]), radius, d.before.r[n])
-	far := ph.verdict(openingDist2(center, node.Center), radius, node.Radius)
+	farWas := ph.admit(rows, d.before.c[n], d.before.r[n], open)
+	far := ph.admit(rows, node.Center, node.Radius, open)
+	given = far ^ farWas
+	open &^= far | farWas // still open in both
 	switch {
-	case far != farWas:
-		return false
-	case far:
-		return true // the same aggregate, whatever is below
+	case open == 0, node.IsLeaf && d.state[n] != restructuredNode:
 	case d.state[n] == restructuredNode:
-		return false
-	case node.IsLeaf:
-		return true
-	}
-	for _, child := range node.Children {
-		if child != octree.NoChild && d.state[child] != coldNode && !ph.keeps(child, center, radius, d) {
-			return false
+		given |= open
+	default:
+		for _, child := range node.Children {
+			if child != octree.NoChild && d.state[child] != coldNode && open&^given != 0 {
+				given |= ph.retest(child, rows, open&^given, d)
+			}
 		}
 	}
-	return true
+	return given
 }
 
 // repairCounts is what one phase's repair did, in rows: changed by the
-// update (the re-test gave them up, or they are new — each classified
-// afresh with the rest of its tile), re-tested over the hot nodes, and kept
-// but split again.
+// update (the re-test gave them up, or they are new), re-tested over the hot
+// nodes, and kept but classified again for a near entry's class.
 type repairCounts struct{ changed, retested, resplit int }
 
-// sources returns, for every current row, the cached row it carries over,
-// or −1 for a row to classify: a new leaf's, an atom leaf's that moved
-// itself (every test of its descent has a new operand), or one the re-test
-// — whose runs it counts in retested — does not keep. Rows follow the
-// rowTree's CURRENT leaves, so rows of dead leaves drop out here. It runs in
-// parallel: a row's re-test reads only the tree and d.
-func (ph *listPhase) sources(old *InteractionLists, rows []int32, d *treeDelta, pool *sched.Pool) (src []int32, retested int) {
+// sources returns the cached row of every row of il — the rowTree's CURRENT
+// leaves in the phase's tiles — −1 for a new leaf's, and the lanes of every
+// tile that changed: a new leaf's, an atom leaf's that moved (every test of
+// its descent has a new operand), or one the re-test (retested) gives up.
+func (ph *listPhase) sources(old, il *InteractionLists, d *treeDelta, pool *sched.Pool) (prev []int32, given []uint8, retested int) {
 	oldIdx := make([]int32, len(ph.rowTree.Nodes))
 	for i := range oldIdx {
 		oldIdx[i] = -1
@@ -287,27 +289,33 @@ func (ph *listPhase) sources(old *InteractionLists, rows []int32, d *treeDelta, 
 	for i, r := range old.Rows {
 		oldIdx[r] = int32(i)
 	}
-	src = make([]int32, len(rows))
-	var descents atomic.Int64
-	forRows(pool, len(rows), func(lo, hi, _ int) {
+	prev, given = make([]int32, len(il.Rows)), make([]uint8, il.tiles())
+	var lanes atomic.Int64
+	forRows(pool, il.tiles(), func(lo, hi, _ int) {
+		var rows rowTile
 		ran := 0
-		for k, r := range rows[lo:hi] {
-			i := oldIdx[r]
-			switch {
-			case i < 0:
-			case ph.leafFirst && d.state[r] != coldNode:
-				i = -1
-			default:
-				ran++
-				if rn := &ph.rowTree.Nodes[r]; !ph.keeps(ph.atoms.Root(), rn.Center, rn.Radius, d) {
-					i = -1
+		for x := lo; x < hi; x++ {
+			rlo, rhi := il.tileRows(x)
+			var test uint8
+			for l := range rhi - rlo {
+				r := il.Rows[rlo+l]
+				prev[rlo+l] = oldIdx[r]
+				if oldIdx[r] < 0 || ph.leafFirst && d.state[r] != coldNode {
+					given[x] |= 1 << l
+					continue
 				}
+				rn := &ph.rowTree.Nodes[r]
+				rows.set(l, rn.Center, rn.Radius)
+				test |= 1 << l
 			}
-			src[lo+k] = i
+			if test != 0 {
+				given[x] |= ph.retest(ph.atoms.Root(), &rows, test, d)
+				ran += bits.OnesCount8(test)
+			}
 		}
-		descents.Add(int64(ran))
+		lanes.Add(int64(ran))
 	})
-	return src, int(descents.Load())
+	return prev, given, int(lanes.Load())
 }
 
 // tileOf returns the tile of every row of il.
@@ -325,22 +333,21 @@ func (il *InteractionLists) tileOf() []int32 {
 // keptTiles returns, for every tile of il, the tile of old it carries over,
 // or −1 for a tile to classify; oldTile is old.tileOf(). A tile's shared
 // runs are a function of all of its rows, so a tile is carried over only
-// whole: its rows are the rows of one tile of old, in their order, and
-// every one of them is kept (src). Any other tile is classified whole, in
-// one shared descent.
-func keptTiles(old, il *InteractionLists, oldTile, src []int32) []int32 {
+// whole: its rows are the rows of one tile of old, in their order (prev),
+// and none of them is to classify (given).
+func keptTiles(old, il *InteractionLists, oldTile, prev []int32, given []uint8) []int32 {
 	kept := make([]int32, il.tiles())
 	for t := range kept {
 		kept[t] = -1
-		lo, hi := il.tileRows(t)
-		i := src[lo]
-		if i < 0 {
+		if given[t] != 0 {
 			continue
 		}
+		lo, hi := il.tileRows(t)
+		i := prev[lo]
 		olo, ohi := old.tileRows(int(oldTile[i]))
 		keep := int(i) == olo && ohi-olo == hi-lo
 		for k := lo; keep && k < hi; k++ {
-			keep = src[k] == i+int32(k-lo)
+			keep = prev[k] == i+int32(k-lo)
 		}
 		if keep {
 			kept[t] = oldTile[i]
@@ -349,119 +356,313 @@ func keptTiles(old, il *InteractionLists, oldTile, src []int32) []int32 {
 	return kept
 }
 
+// listRepair classifies the tiles of il not carried over whole from old.
+type listRepair struct {
+	ph      *listPhase
+	old, il *InteractionLists
+	// oldTile is old.tileOf(), prev the cached row of every row of il (−1: a
+	// new leaf's) and visit treeDelta.visit; given marks the lanes of every
+	// tile the re-test gave up, kept those whose own runs place puts back
+	// together from the cache, and dirty the leaves of the changed rows (nil
+	// in an unsymmetrized phase, which has no classes).
+	oldTile, prev, visit []int32
+	given, kept          []uint8
+	dirty                []bool
+}
+
+// size marks the kept lanes of a chunk of tiles — rows the re-test kept
+// whose near entries keep their classes: their whole runs are their cached
+// own and cached tile's shared runs — and sizes a's first blocks for what
+// keep appends, by cached lengths: the other rows' own runs and the first
+// row's tile's shared runs. A denser chunk goes on in further blocks.
+func (rp *listRepair) size(a *listArena, chunk []int32, t *tiler) {
+	var far, near int
+	add := func(runs *[runFar + 1][]int32) {
+		f, n := sizes(runs)
+		far, near = far+f, near+n
+	}
+	for _, x := range chunk {
+		lo, hi := rp.il.tileRows(int(x))
+		if rp.dirty != nil {
+			t.chain = t.ph.ancestors(t.chain[:0], rp.il.Rows[lo])
+		}
+		for l := range hi - lo {
+			i := int(rp.prev[lo+l])
+			if i < 0 {
+				continue
+			}
+			own, shared := rp.old.rowRuns(i), rp.old.tileRuns(int(rp.oldTile[i]))
+			if rp.given[x]>>l&1 == 0 && (rp.dirty == nil || !rp.reclasses(int32(lo+l), t.chain, &own, &shared)) {
+				rp.kept[x] |= 1 << l
+			} else {
+				add(&own)
+			}
+			if l == 0 {
+				add(&shared)
+			}
+		}
+	}
+	a.far.reserve(far + far/16)
+	a.near.reserve(near + near/16)
+}
+
+// keep appends to a what place cannot take of tile x, classified in t, from
+// the cache: the shared runs and the own runs of the lanes not kept — of a
+// local move's tiles, little beyond the rows that changed, whose near
+// entries go to rename.
+func (rp *listRepair) keep(t *tiler, a *listArena, x int) {
+	lo, _ := rp.il.tileRows(x)
+	a.appendRuns(&t.shared.runs)
+	for l := range bits.Len8(t.full) {
+		if rp.kept[x]>>l&1 == 0 {
+			a.appendRuns(&t.out[l].runs)
+		}
+		if i := rp.prev[lo+l]; rp.dirty != nil && rp.given[x]>>l&1 != 0 && i >= 0 {
+			rp.rename(t, l, int(i))
+		}
+	}
+}
+
+// rename adds to t.renamed the leaves that lane l's row — cached as row i,
+// reclassified — holds as near entries before the update or after it, not
+// both: a kept row's entry naming it changes class only if the pair's
+// mutuality does, only if it gained or lost the kept row's leaf.
+func (rp *listRepair) rename(t *tiler, l, i int) {
+	if t.renamed == nil {
+		t.renamed, t.stamp = make([]uint64, (len(t.ph.atoms.Nodes)+63)/64), make([]int32, len(t.ph.atoms.Nodes))
+	}
+	t.round += 2 // t.round marks a cached entry, t.round+1 one found again
+	own, shared, now := rp.old.rowRuns(i), rp.old.tileRuns(int(rp.oldTile[i])), t.out[l].runs
+	was := [...][]int32{own[0], own[1], own[2], shared[0], shared[1], shared[2]}
+	for _, run := range was {
+		for _, u := range run {
+			t.stamp[u] = t.round
+		}
+	}
+	for _, run := range [...][]int32{now[0], now[1], now[2], t.shared.runs[0], t.shared.runs[1], t.shared.runs[2]} {
+		for _, u := range run {
+			if t.stamp[u] == t.round {
+				t.stamp[u]++
+			} else {
+				t.renamed[u>>6] |= 1 << (u & 63)
+			}
+		}
+	}
+	for _, run := range was {
+		for _, u := range run {
+			if t.stamp[u] == t.round {
+				t.renamed[u>>6] |= 1 << (u & 63)
+			}
+		}
+	}
+}
+
+// place puts tile x in its place in il, sized by now: the runs keep appended
+// from a, in their order, and a kept lane's own from its cached runs, which
+// must fill exactly the run counted for it.
+func (rp *listRepair) place(t *tiler, a *listArena, x int) {
+	lo, hi := rp.il.tileRows(x)
+	shared := rp.il.tileRuns(x)
+	a.takeRuns(&shared)
+	from := int32(-1) // the cached tile t's demoted and promoted runs are of
+	demoted, promoted := &t.shared.runs, &t.out[0].runs
+	for k := lo; k < hi; k++ {
+		own, i := rp.il.rowRuns(k), int(rp.prev[k])
+		if rp.kept[x]>>(k-lo)&1 == 0 {
+			a.takeRuns(&own)
+			continue
+		}
+		if rp.oldTile[i] != from {
+			from = rp.oldTile[i]
+			for r, was := range rp.old.tileRuns(int(from)) {
+				demoted[r], promoted[r] = diffRuns(demoted[r][:0], promoted[r][:0], was, shared[r], rp.visit)
+			}
+		}
+		for r, run := range rp.old.rowRuns(i) {
+			if n := len(keptRun(own[r][:0], run, demoted[r], promoted[r], rp.visit)); n != len(own[r]) {
+				panic(fmt.Sprintf("core: repaired row %d run %d holds %d entries, counted %d", k, r, n, len(own[r])))
+			}
+		}
+	}
+}
+
+// diffRuns appends to d the entries of run s that run n does not hold and to
+// p those of n that s does not, both in the order of visit: what a tile's
+// cached shared run s lost to its kept rows' own runs, and what n took.
+func diffRuns(d, p, s, n, visit []int32) ([]int32, []int32) {
+	for len(s) > 0 && len(n) > 0 && s[0] == n[0] {
+		s, n = s[1:], n[1:]
+	}
+	for len(s) > 0 || len(n) > 0 {
+		switch {
+		case len(n) == 0 || len(s) > 0 && visit[s[0]] < visit[n[0]]:
+			d, s = append(d, s[0]), s[1:]
+		case len(s) == 0 || visit[n[0]] < visit[s[0]]:
+			p, n = append(p, n[0]), n[1:]
+		default:
+			s, n = s[1:], n[1:]
+		}
+	}
+	return d, p
+}
+
+// keptRun appends to dst a kept row's own run now: its cached own run o less
+// the entries promoted into the tile's shared run, p, plus those demoted out
+// of it, d — all in the order of visit, o copied between them in bulk.
+func keptRun(dst, o, d, p, visit []int32) []int32 {
+	for len(d) > 0 || len(p) > 0 {
+		v := int32(math.MaxInt32)
+		if len(d) > 0 {
+			v = visit[d[0]]
+		}
+		if len(p) > 0 {
+			v = min(v, visit[p[0]])
+		}
+		j := sort.Search(len(o), func(j int) bool { return visit[o[j]] >= v })
+		dst, o = append(dst, o[:j]...), o[j:]
+		if len(p) > 0 && visit[p[0]] == v {
+			o, p = o[1:], p[1:]
+		} else {
+			dst, d = append(dst, d[0]), d[1:]
+		}
+	}
+	return append(dst, o...)
+}
+
 // repair produces the phase's lists after an update from the cached ones:
-// the tiles keptTiles carries over copy their cached runs, shared and own,
-// the others are classified afresh (classifyRows), and in a symmetrized
-// phase a kept tile's near entries whose class can have changed — those
-// naming a reclassified row — are split again by nearSplit. The steps are
-// the compile's: count every row's and tile's entries, size the arrays
-// once, fill them in place, in parallel throughout. o (may be nil) receives
-// the spans.
+// the tiles keptTiles carries over copy their cached runs, and the others —
+// then the carried ones with a near entry of another class (reclassed) — are
+// classified, each in one shared descent, into arenas that hold what the
+// cache does not (listRepair). The steps are the compile's, in parallel
+// throughout. o (may be nil) receives the spans and the counters
+// "ilist.repair.{tiles_classified,lanes_classified,node_visits}".
 func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Pool, o *obs.Obs) (*InteractionLists, repairCounts) {
 	il := ph.newLists()
 	rows := il.Rows
 
 	sp := o.Begin(0, "ilist", "ilist.repair.retest", obs.NoVirtual)
-	src, retested := ph.sources(old, rows, d, pool)
+	prev, given, retested := ph.sources(old, il, d, pool)
 	counts := repairCounts{retested: retested}
-	for _, i := range src {
-		if i < 0 {
+	oldTile := old.tileOf()
+	kept := keptTiles(old, il, oldTile, prev, given)
+	rp := &listRepair{ph: ph, old: old, il: il, oldTile: oldTile, prev: prev, visit: d.visit, given: given,
+		kept: make([]uint8, il.tiles())}
+	if ph.symmetrize {
+		rp.dirty = make([]bool, len(ph.atoms.Nodes))
+	}
+	var dirty []int32
+	for x, g := range given {
+		if kept[x] < 0 {
+			dirty = append(dirty, int32(x))
+		}
+		lo, _ := il.tileRows(x)
+		for m := g; m != 0; m &= m - 1 {
 			counts.changed++
+			if rp.dirty != nil {
+				rp.dirty[rows[lo+bits.TrailingZeros8(m)]] = true
+			}
 		}
 	}
-	oldTile := old.tileOf()
-	kept := keptTiles(old, il, oldTile, src)
 	sp.End(obs.NoVirtual)
 
 	sp = o.Begin(0, "ilist", "ilist.repair.classify", obs.NoVirtual)
-	var dirty []int32
-	for t, f := range kept {
-		if f < 0 {
-			dirty = append(dirty, int32(t))
+	crs := []*classified{ph.classifyRows(il, dirty, pool, nil, rp.size, rp.keep)}
+	if rp.dirty != nil {
+		again := rp.reclassed(kept, crs[0].tilers, pool)
+		for _, x := range again {
+			lo, hi := il.tileRows(int(x))
+			counts.resplit += hi - lo
 		}
+		crs = append(crs, ph.classifyRows(il, again, pool, crs[0].tilers, rp.size, rp.keep))
 	}
-	// Classify the dirty tiles twice — to count, then in place — rather than
-	// keep what they hold in arenas beside the lists being built: a
-	// whole-tile repair of a local move reclassifies a third of the rows, and
-	// their arenas would take it past what a compile allocates per list byte
-	// (EXPERIMENTS.md, "What a tile of sibling rows takes").
-	cr := ph.classifyRows(il, dirty, pool, false)
 	sp.End(obs.NoVirtual)
+	for _, cr := range crs {
+		o.Counter("ilist.repair.tiles_classified").Add(cr.stats.tiles)
+		o.Counter("ilist.repair.lanes_classified").Add(cr.stats.lanes)
+		o.Counter("ilist.repair.node_visits").Add(cr.stats.nodeVisits)
+	}
 
 	sp = o.Begin(0, "ilist", "ilist.repair.assemble", obs.NoVirtual)
 	defer sp.End(obs.NoVirtual)
-	var split *nearSplit
-	var resplit []bool // kept rows whose near runs must be split again
-	if ph.symmetrize {
-		split = &nearSplit{ph: ph, d: d, rows: rows, dirty: make([]bool, len(ph.atoms.Nodes))}
-		for k, i := range src {
-			if i < 0 {
-				split.dirty[rows[k]] = true
-			}
-		}
-		resplit = make([]bool, len(rows))
-	}
-
 	// Count: a kept tile brings its cached counts, the tile's shared runs'
-	// and its rows' own, less and plus the entries that change class.
+	// and its rows' own.
 	rowArr, tileArr, oldRow, oldTiles := il.rowCSR(), il.tileCSR(), old.rowCSR(), old.tileCSR()
 	forRows(pool, len(kept), func(lo, hi, _ int) {
 		for t := lo; t < hi; t++ {
-			f := int(kept[t])
-			if f < 0 {
-				continue
-			}
-			carryCount(&tileArr, &oldTiles, t, f)
-			rlo, rhi := il.tileRows(t)
-			shared := false
-			if split != nil {
-				// The lanes of one tile agree on the class of an entry they
-				// all take: its first row speaks for the shared runs.
-				runs := old.tileRuns(f)
-				shared = split.recount(&tileArr, t, &runs, int32(rlo))
-			}
-			for k := rlo; k < rhi; k++ {
-				carryCount(&rowArr, &oldRow, k, int(src[k]))
-				if split != nil {
-					runs := old.rowRuns(int(src[k]))
-					resplit[k] = split.recount(&rowArr, k, &runs, int32(k)) || shared
+			if f := int(kept[t]); f >= 0 {
+				carryCount(&tileArr, &oldTiles, t, f)
+				rlo, rhi := il.tileRows(t)
+				for k := rlo; k < rhi; k++ {
+					carryCount(&rowArr, &oldRow, k, int(prev[k]))
 				}
 			}
 		}
 	})
-	for _, again := range resplit {
-		if again {
-			counts.resplit++
-		}
-	}
 
 	// Size.
 	ph.alloc(il, pool)
 
-	// Fill.
+	// Fill: kept tiles that follow each other in both lists in one copy an
+	// array.
 	forRows(pool, len(kept), func(lo, hi, _ int) {
 		for t := lo; t < hi; t++ {
-			f := int(kept[t])
-			if f < 0 {
+			if kept[t] < 0 {
 				continue
 			}
-			rlo, rhi := il.tileRows(t)
-			if split == nil || !resplit[rlo] {
-				carryRun(&tileArr, &oldTiles, t, f)
-			} else {
-				split.merge(&tileArr, t, old.tileRuns(f), int32(rlo))
+			end := t + 1
+			for end < hi && kept[end] >= 0 && kept[end] == kept[end-1]+1 {
+				end++
 			}
-			for k := rlo; k < rhi; k++ {
-				if i := int(src[k]); split == nil || !resplit[k] {
-					carryRun(&rowArr, &oldRow, k, i)
-				} else {
-					split.merge(&rowArr, k, old.rowRuns(i), int32(k))
+			rlo, _ := il.tileRows(t)
+			_, rhi := il.tileRows(end - 1)
+			carryRuns(&tileArr, &oldTiles, t, end, int(kept[t]))
+			carryRuns(&rowArr, &oldRow, rlo, rhi, int(prev[rlo]))
+			t = end - 1
+		}
+	})
+	for _, cr := range crs {
+		cr.fill(pool, rp.place)
+	}
+	return il, counts
+}
+
+// reclassed takes out of kept, to be classified too, the tiles with a row
+// holding a near entry of another class now: only a row whose leaf keep
+// found renamed can.
+func (rp *listRepair) reclassed(kept []int32, tilers []*tiler, pool *sched.Pool) (again []int32) {
+	renamed := make([]uint64, (len(rp.dirty)+63)/64)
+	for _, t := range tilers {
+		for w := 0; t != nil && w < len(t.renamed); w++ {
+			renamed[w] |= t.renamed[w]
+		}
+	}
+	rows, flag := rp.il.Rows, make([]bool, len(kept))
+	forRows(pool, len(kept), func(lo, hi, _ int) {
+		var buf [chainBlocks]rowTile
+		for t := lo; t < hi; t++ {
+			if kept[t] < 0 {
+				continue
+			}
+			rlo, rhi := rp.il.tileRows(t)
+			var chain []rowTile
+			for k := rlo; k < rhi && !flag[t]; k++ {
+				if renamed[rows[k]>>6]>>(rows[k]&63)&1 == 0 {
+					continue
 				}
+				if chain == nil {
+					chain = rp.ph.ancestors(buf[:0], rows[rlo])
+				}
+				own, shared := rp.old.rowRuns(int(rp.prev[k])), rp.old.tileRuns(int(kept[t]))
+				flag[t] = rp.reclasses(int32(k), chain, &own, &shared)
 			}
 		}
 	})
-	cr.fill(il, pool)
-	return il, counts
+	for t, f := range flag {
+		if f {
+			again, kept[t] = append(again, int32(t)), -1
+		}
+	}
+	return again
 }
 
 // carryCount sets the count of run i of every array of to — its offset
@@ -472,94 +673,40 @@ func carryCount(to, from *[runFar + 1]csr, i, j int) {
 	}
 }
 
-// carryRun copies run j of every array of from into run i of to's.
-func carryRun(to, from *[runFar + 1]csr, i, j int) {
+// carryRuns copies runs j, j+1, … of every array of from into runs [i0,
+// i1) of to's, in one copy an array.
+func carryRuns(to, from *[runFar + 1]csr, i0, i1, j int) {
 	for r := range to {
-		copy(to[r].run(i), from[r].run(j))
+		toOff, fromOff := *to[r].off, *from[r].off
+		copy((*to[r].ents)[toOff[i0]:toOff[i1]], (*from[r].ents)[fromOff[j]:fromOff[j+i1-i0]])
 	}
 }
 
-// nearSplit classes the near entries of a KEPT tile of a symmetrized phase
-// whose class an update can have changed. Row V's entry U is mutual iff row
-// U's descent reaches leaf V — iff no strict ancestor of V is far from
-// cluster U (listPhase.reaches, the rule a classification applies a tile at
-// a time). A kept row's pre-symmetrization list is what it was, so only an
-// entry naming a RECLASSIFIED row can change class; and surviving leaves
-// keep their relative order, so a pair's lower row stays the lower. Nor can
-// an entry move between a tile's shared runs and its rows' own: the tile's
-// rows share their ancestors, so they agree on whether the pair is mutual,
-// and a row of the tile itself is reclassified only with the tile.
-type nearSplit struct {
-	ph *listPhase
-	d  *treeDelta
-	// rows are the current rows' leaves; dirty marks the leaves whose rows
-	// were reclassified.
-	rows  []int32
-	dirty []bool
-}
+// A kept row's near entries keep their classes but those naming a
+// RECLASSIFIED row (dirty): its pre-symmetrization list is what it was, and
+// surviving leaves keep their relative order, so a pair's lower row stays
+// the lower. Row V's entry U is mutual iff row U's descent reaches leaf V —
+// iff no strict ancestor of V is far from cluster U (listPhase.reaches, the
+// rule a classification applies a tile at a time).
 
 // kindOf classes entry u of row k, whose leaf's ancestors are chain.
-func (s *nearSplit) kindOf(k int32, chain []rowTile, u int32) int {
-	j := s.ph.rowOf[u]
-	return nearKind(k, j, j != k && s.ph.reaches(chain, u))
+func (rp *listRepair) kindOf(k int32, chain []rowTile, u int32) int {
+	j := rp.ph.rowOf[u]
+	return nearKind(k, j, j != k && rp.ph.reaches(chain, u))
 }
 
-// recount re-decides the entries of cached runs — row k's own, or its
-// tile's shared ones — that name a reclassified row, adjusts the counts of
-// run i of arr for those that changed class, and reports whether any did.
-func (s *nearSplit) recount(arr *[runFar + 1]csr, i int, runs *[runFar + 1][]int32, k int32) (changed bool) {
-	var buf [chainBlocks]rowTile
-	var chain []rowTile
-	for was, run := range runs[:runFar] {
-		for _, u := range run {
-			if !s.dirty[u] {
-				continue
-			}
-			if chain == nil {
-				chain = s.ph.ancestors(buf[:0], s.rows[k])
-			}
-			if now := s.kindOf(k, chain, u); now != was {
-				(*arr[was].off)[i+1]--
-				(*arr[now].off)[i+1]++
-				changed = true
+// reclasses reports whether a near entry of cached runs of row k — its own,
+// or its tile's shared ones — names a reclassified row and has another class
+// now; chain holds the ancestors of row k's leaf.
+func (rp *listRepair) reclasses(k int32, chain []rowTile, runs ...*[runFar + 1][]int32) bool {
+	for _, rr := range runs {
+		for was, run := range rr[:runFar] {
+			for _, u := range run {
+				if rp.dirty[u] && rp.kindOf(k, chain, u) != was {
+					return true
+				}
 			}
 		}
 	}
-	return changed
-}
-
-// merge writes cached runs — row k's own, or its tile's shared ones — to
-// run i of arr with the entries naming a reclassified row classed anew: a
-// 3-way merge of the near runs back into classification visit order, each
-// entry going to the run of its class, and the far run as it was. Each
-// cached run is already in that order — symmetrization split the emission
-// into three order-preserving subsequences, and surviving nodes keep their
-// relative pre-order under materializations, prunes and splits — so every
-// run comes out as a fresh compile would emit it.
-func (s *nearSplit) merge(arr *[runFar + 1]csr, i int, runs [runFar + 1][]int32, k int32) {
-	var buf [chainBlocks]rowTile
-	chain := s.ph.ancestors(buf[:0], s.rows[k])
-	var at [runFar]int32
-	for r := range at {
-		at[r] = (*arr[r].off)[i]
-	}
-	for {
-		b := -1
-		for r := range at {
-			if len(runs[r]) > 0 && (b < 0 || s.d.visit[runs[r][0]] < s.d.visit[runs[b][0]]) {
-				b = r
-			}
-		}
-		if b < 0 {
-			break
-		}
-		u, kd := runs[b][0], b
-		runs[b] = runs[b][1:]
-		if s.dirty[u] {
-			kd = s.kindOf(k, chain, u)
-		}
-		(*arr[kd].ents)[at[kd]] = u
-		at[kd]++
-	}
-	copy(arr[runFar].run(i), runs[runFar])
+	return false
 }

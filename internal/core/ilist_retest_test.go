@@ -166,14 +166,19 @@ func (a *dirtyAudit) step(t *testing.T, sys *System, pos []geom.Vec3) *CompiledL
 		for i, r := range p.old.Rows {
 			oldRow[r] = int32(i)
 		}
-		src, _ := p.ph.sources(p.old, p.fresh.Rows, d, nil)
+		prev, given, _ := p.ph.sources(p.old, p.fresh, d, nil)
+		tileOf := p.fresh.tileOf()
 		for k, r := range p.fresh.Rows {
 			i := oldRow[r]
 			same := i >= 0 && sameRow(p.old, i, p.fresh, int32(k))
+			x := tileOf[k]
+			classified := given[x]>>(k-int(p.fresh.TileOff[x]))&1 != 0
 			switch {
-			case src[k] >= 0 && (src[k] != i || !same):
+			case prev[k] != i:
+				t.Fatalf("audit: %s row %d (leaf %d) carries row %d over, it was row %d", p.name, k, r, prev[k], i)
+			case !classified && !same:
 				t.Fatalf("audit: %s row %d (leaf %d) was kept, and a fresh compile differs", p.name, k, r)
-			case src[k] < 0:
+			case classified:
 				a.classified++
 				if !same {
 					a.differ++
@@ -200,6 +205,102 @@ func sameRow(a *InteractionLists, i int32, b *InteractionLists, k int32) bool {
 		return all
 	}
 	return slices.Equal(near(ar), near(br))
+}
+
+// keeps is the re-test for one row, scalar, kept as the oracle of the
+// re-test by tiles (retest): whether the cached row of an unmoved cluster
+// (center, radius) still stands below hot node n. It is the
+// classification's walk for one row, taken on the old and the new geometry
+// at once: while both verdicts say "open" it goes on — into hot children
+// only — and it gives the row up at the first node whose two verdicts
+// differ, or that both descents open and the update restructured.
+func (ph *listPhase) keeps(n int32, center geom.Vec3, radius float64, d *treeDelta) bool {
+	if int(n) >= len(d.before.r) {
+		return false // a new node: the old descent had nothing here
+	}
+	node, wasLeaf := &ph.atoms.Nodes[n], d.before.leaf[n]
+	if ph.leafFirst && (wasLeaf || node.IsLeaf) {
+		return wasLeaf == node.IsLeaf // a near leaf, unless split since
+	}
+	farWas := ph.verdict(openingDist2(center, d.before.c[n]), radius, d.before.r[n])
+	far := ph.verdict(openingDist2(center, node.Center), radius, node.Radius)
+	switch {
+	case far != farWas:
+		return false
+	case far:
+		return true // the same aggregate, whatever is below
+	case d.state[n] == restructuredNode:
+		return false
+	case node.IsLeaf:
+		return true
+	}
+	for _, child := range node.Children {
+		if child != octree.NoChild && d.state[child] != coldNode && !ph.keeps(child, center, radius, d) {
+			return false
+		}
+	}
+	return true
+}
+
+// The re-test takes a tile's rows as the lanes of one descent, carrying the
+// lanes open in both geometries, taken far in both and given up; each
+// lane's verdict is the scalar re-test's (keeps), and the rows it does not
+// test are the ones to classify: over four steps of each motion of the
+// table on two fixtures, both phases, every row.
+func TestRetestMatchesKeeps(t *testing.T) {
+	var verdicts [2]int // kept, given up
+	for _, mol := range []func() *molecule.Molecule{codProtein, codCapsid} {
+		for _, mode := range rtwmModes {
+			sys := fixtureSystem(t, mol(), 0)
+			sys.Lists(nil)
+			rng := rand.New(rand.NewSource(407))
+			pos := sys.Mol.Positions()
+			for step := 0; step < 4; step++ {
+				pos = mode.step(rng, pos)
+				if !sys.Atoms.Tracks(pos) {
+					t.Fatalf("%s, %s, step %d: the update does not track", mol().Name, mode.name, step)
+				}
+				cached, before := sys.lists, geometryOf(sys.Atoms)
+				res, err := sys.Atoms.UpdateTracked(pos)
+				if err != nil || res.Rebuilt {
+					t.Fatalf("%s, %s, step %d: %+v %v", mol().Name, mode.name, step, res, err)
+				}
+				sys.commitAtomPositions(pos)
+				d := newTreeDelta(sys.Atoms, before, res.Struct)
+				born, epol := sys.listPhases(cached)
+				for p, ph := range []*listPhase{&born, &epol} {
+					il := ph.newLists()
+					prev, given, _ := ph.sources([...]*InteractionLists{cached.Born, cached.Epol}[p], il, d, nil)
+					for x := range il.tiles() {
+						lo, hi := il.tileRows(x)
+						for k := lo; k < hi; k++ {
+							r, gave := il.Rows[k], given[x]>>(k-lo)&1 != 0
+							if prev[k] < 0 || ph.leafFirst && d.state[r] != coldNode {
+								if !gave {
+									t.Fatalf("%s, %s, step %d: row %d, untested, was not given up", mol().Name, mode.name, step, k)
+								}
+								continue
+							}
+							rn := &ph.rowTree.Nodes[r]
+							if want := !ph.keeps(ph.atoms.Root(), rn.Center, rn.Radius, d); gave != want {
+								t.Fatalf("%s, %s, step %d: row %d given up %v by its tile's re-test, %v by its own", mol().Name, mode.name, step, k, gave, want)
+							}
+							if gave {
+								verdicts[1]++
+							} else {
+								verdicts[0]++
+							}
+						}
+					}
+				}
+				sys.lists = sys.compile(nil)
+			}
+		}
+	}
+	t.Logf("%d rows kept, %d given up", verdicts[0], verdicts[1])
+	if verdicts[0] < 1000 || verdicts[1] < 1000 {
+		t.Errorf("%d rows kept, %d given up: one verdict is barely exercised", verdicts[0], verdicts[1])
+	}
 }
 
 var rtwmGoldens = []struct {

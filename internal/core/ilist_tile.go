@@ -126,9 +126,9 @@ type laneRuns struct {
 // runFar indexes a lane's far run, behind its three near runs.
 const runFar = kindCede + 1
 
-// sizes counts the far entries and the near ones of lr.
-func (lr *laneRuns) sizes() (far, near int) {
-	for r, run := range lr.runs {
+// sizes counts the far entries and the near ones of runs.
+func sizes(runs *[runFar + 1][]int32) (far, near int) {
+	for r, run := range runs {
 		if r == runFar {
 			far += len(run)
 		} else {
@@ -145,12 +145,13 @@ func (lr *laneRuns) reset() {
 	}
 }
 
-// tileStats counts what classifying cost: shared descents, the nodes they
-// visited, and opening tests of a near leaf against a tile's ancestors.
-type tileStats struct{ tiles, nodeVisits, chainTests int64 }
+// tileStats counts what classifying cost: shared descents, their lanes, the
+// nodes they visited, and near leaves tested against a tile's ancestors.
+type tileStats struct{ tiles, lanes, nodeVisits, chainTests int64 }
 
 func (s *tileStats) add(o tileStats) {
 	s.tiles += o.tiles
+	s.lanes += o.lanes
 	s.nodeVisits += o.nodeVisits
 	s.chainTests += o.chainTests
 }
@@ -169,6 +170,10 @@ type tiler struct {
 	// far nodes, and in a symmetrized phase the near leaves every lane takes
 	// in one class.
 	shared laneRuns
+	// renamed, stamp and round are the repair's (listRepair.rename).
+	renamed []uint64
+	stamp   []int32
+	round   int32
 	// chain holds the strict ancestors the tile's leaves share (symmetrized
 	// phase only): the tile is cut where the parent changes, so whether a
 	// near leaf's row reaches back is decided once for all its lanes.
@@ -197,24 +202,39 @@ func newTiler(ph *listPhase) *tiler {
 	return t
 }
 
-// classify classifies the tile of rows [lo, hi) — up to eight rows, in a
-// symmetrized phase children of one node — in one descent from the root,
-// into the lanes' buffers and the tile's shared runs.
-func (t *tiler) classify(rows []int32, lo, hi int) {
+// classify classifies tile x of il — up to eight rows, in a symmetrized
+// phase children of one node — in one descent from the root, into the
+// lanes' buffers and the tile's shared runs.
+func (t *tiler) classify(il *InteractionLists, x int) {
 	ph := t.ph
+	lo, hi := il.tileRows(x)
 	for l := range hi - lo {
-		rn := &ph.rowTree.Nodes[rows[lo+l]]
+		rn := &ph.rowTree.Nodes[il.Rows[lo+l]]
 		t.rows.set(l, rn.Center, rn.Radius)
 		t.row[l] = int32(lo + l)
 		t.out[l].reset()
 	}
 	t.shared.reset()
 	if ph.symmetrize {
-		t.chain = ph.ancestors(t.chain[:0], rows[lo])
+		t.chain = ph.ancestors(t.chain[:0], il.Rows[lo])
 	}
 	t.full = uint8(uint(1)<<(hi-lo) - 1)
 	t.stats.tiles++
+	t.stats.lanes += int64(hi - lo)
 	t.descend(ph.atoms.Root(), t.full)
+}
+
+// count records the classified tile's run lengths in il's offset arrays:
+// its shared runs' at [x+1] of the per-tile ones, each row k's own at [k+1]
+// of the per-row ones, for the prefix sums.
+func (t *tiler) count(il *InteractionLists, x int) {
+	tileArr, rowArr := il.tileCSR(), il.rowCSR()
+	for r := range tileArr {
+		(*tileArr[r].off)[x+1] = int32(len(t.shared.runs[r]))
+		for l := range bits.Len8(t.full) {
+			(*rowArr[r].off)[int(t.row[l])+1] = int32(len(t.out[l].runs[r]))
+		}
+	}
 }
 
 // descend classifies the subtree of node n for the lanes of open. It

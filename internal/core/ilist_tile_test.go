@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -248,12 +249,12 @@ func perRowLists(il *InteractionLists, atoms *octree.Tree) *InteractionLists {
 }
 
 // hoistTiles turns per-row lists into the tiled form phase ph compiles them
-// to: over ph's cut, a tile's shared run of a kind is the entries every one
-// of its rows holds in that run, in the first row's order, and each row
-// keeps the rest, in its order. Every phase shares far nodes, a symmetrized
-// one near leaves too.
-func hoistTiles(il *InteractionLists, ph *listPhase) *InteractionLists {
-	out := blankLists(il.Rows, ph.cutTiles(il.Rows))
+// to, over the cut tileOff: a tile's shared run of a kind is the entries
+// every one of its rows holds in that run, in the first row's order, and
+// each row keeps the rest, in its order. Every phase shares far nodes, a
+// symmetrized one near leaves too.
+func hoistTiles(il *InteractionLists, ph *listPhase, tileOff []int32) *InteractionLists {
+	out := blankLists(il.Rows, tileOff)
 	from, rows, shared := il.rowCSR(), out.rowCSR(), out.tileCSR()
 	// seen[a] counts the tile's rows holding a in the run.
 	seen := make([]int32, len(ph.atoms.Nodes))
@@ -345,7 +346,7 @@ func tileListsMatchOracle(t *testing.T, p int) {
 						if err := sameIndex(perRowLists(held, sys.Atoms), want); err != nil {
 							t.Errorf("%s: rows merged back: %v", name, err)
 						}
-						if err := sameIndex(held, hoistTiles(want, ph)); err != nil {
+						if err := sameIndex(held, hoistTiles(want, ph, ph.cutTiles(want.Rows))); err != nil {
 							t.Errorf("%s: against the intersection of each tile's rows: %v", name, err)
 						}
 						for tile := range held.tiles() {
@@ -409,6 +410,91 @@ func tileListsMatchOracle(t *testing.T, p int) {
 				})
 			}
 		})
+	}
+}
+
+// A tile the repair classifies is the compiled tile, byte for byte, shared
+// and own runs of every class, whichever of its lanes the re-test gave up:
+// the given lanes' own runs come from the descent, the kept lanes' are put
+// back together from their cached runs (keptRun) or their cached row. On
+// unchanged geometry, over every fixture and order of the oracle table and
+// both phases, every tile is classified with a random set of 0 to 8 of its
+// lanes given — a tile of one row, kept or given, and tiles given whole
+// among them — against the compiled lists as the cache and against the same
+// lists re-cut (three rows, then eights), so that a tile's kept rows come
+// from two cached tiles; the re-cut tiles' shared runs are the intersection
+// of their rows (hoistTiles).
+func TestRepairLaneWiseMatchesWholeTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(312))
+	var oneRow, twoTiles, whole int
+	var given [tileLanes + 1]int // tiles by the number of their given lanes
+	for _, mol := range append(listFixtures(), deepCluster()) {
+		for order := 0; order < numOrders; order++ {
+			sys := fixtureSystem(t, mol.Clone(), order)
+			cl := sys.Lists(nil)
+			born, epol := sys.listPhases(cl)
+			d := newTreeDelta(sys.Atoms, geometryOf(sys.Atoms), nil)
+			for p, ph := range []*listPhase{&born, &epol} {
+				compiled := [...]*InteractionLists{cl.Born, cl.Epol}[p]
+				rows := compiled.Rows
+				recut := []int32{0}
+				for k := min(3, len(rows)); len(recut) == 1 || recut[len(recut)-1] < int32(len(rows)); k += tileLanes {
+					recut = append(recut, int32(min(k, len(rows))))
+				}
+				prev := make([]int32, len(rows))
+				for k := range prev {
+					prev[k] = int32(k)
+				}
+				for c, old := range []*InteractionLists{compiled, hoistTiles(perRowLists(compiled, sys.Atoms), ph, recut)} {
+					for size := 0; size <= tileLanes; size++ {
+						il := ph.newLists()
+						rp := &listRepair{ph: ph, old: old, il: il, oldTile: old.tileOf(), prev: prev, visit: d.visit,
+							given: make([]uint8, il.tiles()), kept: make([]uint8, il.tiles())}
+						if ph.symmetrize {
+							rp.dirty = make([]bool, len(ph.atoms.Nodes))
+						}
+						every := make([]int32, il.tiles())
+						for x := range every {
+							every[x] = int32(x)
+							lo, hi := il.tileRows(x)
+							for _, l := range rng.Perm(hi - lo)[:min(size, hi-lo)] {
+								rp.given[x] |= 1 << l
+								if rp.dirty != nil {
+									rp.dirty[rows[lo+l]] = true
+								}
+							}
+							from := map[int32]bool{}
+							for l := range hi - lo {
+								if rp.given[x]>>l&1 == 0 {
+									from[rp.oldTile[lo+l]] = true
+								}
+							}
+							given[bits.OnesCount8(rp.given[x])]++
+							switch {
+							case hi-lo == 1:
+								oneRow++
+							case rp.given[x] == uint8(1<<(hi-lo)-1):
+								whole++
+							case len(from) > 1:
+								twoTiles++
+							}
+						}
+						cr := ph.classifyRows(il, every, nil, nil, rp.size, rp.keep)
+						ph.alloc(il, nil)
+						cr.fill(nil, rp.place)
+						if err := sameIndex(il, compiled); err != nil {
+							t.Fatalf("%s, order %d, %s, cache %d, %d lanes given a tile: %v",
+								mol.Name, order, [...]string{"born", "epol"}[p], c, size, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("tiles of one row %d, given whole %d, kept rows from two cached tiles %d; by lanes given %v", oneRow, whole, twoTiles, given)
+	if oneRow == 0 || whole == 0 || twoTiles == 0 || slices.Contains(given[:], 0) {
+		t.Errorf("a kind of tile went untested: %d of one row, %d given whole, %d from two cached tiles, by lanes given %v",
+			oneRow, whole, twoTiles, given)
 	}
 }
 

@@ -362,8 +362,10 @@ func guardObsOverhead(t *testing.T, what string, pair func() (off, on float64)) 
 // TestRepairSpans: an observed repair decomposes into its sub-phases — the
 // walk that finds what moved once, then retest / classify / assemble per
 // phase — with a span count that does not depend on the number of rows,
-// and says how much it did: the hot nodes, the rows re-tested, classified
-// and re-split.
+// and says how much it did: the hot nodes, the rows re-tested, changed and
+// re-split, and the descents that classified them — every changed row in
+// one of them, a tile of one to eight lanes each, with the nodes they
+// visited.
 func TestRepairSpans(t *testing.T) {
 	for _, atoms := range []int{300, 1200} {
 		sys, mol, _ := testSystem(t, atoms, 13, mortonParams())
@@ -394,6 +396,11 @@ func TestRepairSpans(t *testing.T) {
 				resplit > stats.RowsTotal-stats.RowsRepaired || count("ilist.rows.repaired") != stats.RowsRepaired {
 				t.Errorf("%d atoms, step %d: %d hot nodes of %d, %d rows re-tested and %d re-split of %+v",
 					atoms, step, hot, len(sys.Atoms.Nodes), retested, resplit, stats)
+			}
+			tiles, lanes, visits := count("ilist.repair.tiles_classified"), count("ilist.repair.lanes_classified"), count("ilist.repair.node_visits")
+			if lanes < stats.RowsRepaired || lanes > tileLanes*tiles || tiles > lanes || visits < tiles {
+				t.Errorf("%d atoms, step %d: %d tiles, %d lanes and %d node visits classified for %d rows changed",
+					atoms, step, tiles, lanes, visits, stats.RowsRepaired)
 			}
 			if count("ilist.repair.fallbacks") != 0 {
 				t.Errorf("%d atoms, step %d: a repair metered a fallback", atoms, step)
