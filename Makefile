@@ -81,8 +81,9 @@ bigendian:
 
 ## kernels: the compiled kernels on both dispatch sides — the assembly
 ## (vet's asmdecl checks every TEXT against its Go declaration, the list
-## classification's openFar8AVX2, the Born tile sweep's bornFarShared4,
-## the Born near row kernel bornNearRow4 and the two tiers' AVX-512F
+## classification's openFar8AVX2, the Born tile's masked far sweep
+## bornFarMasked4, the Born near row kernel bornNearRow4, the lane streams'
+## masked gather gatherMasked4 and the two tiers' AVX-512F
 ## stream kernels epolStreamExact8 and epolStreamLanes8 included;
 ## TestEpolStreamExact8MatchesExact4 and TestEpolStreamLanes8MatchesLanes4
 ## hold the last two to their AVX2 kernels' bits,
@@ -96,10 +97,14 @@ bigendian:
 ## under partial masks, against the scalar re-test — and every list digest)
 ## hold the portable lanes to the same bytes,
 ## TestBornTileKernelMatchesRows the portable Born tile sweep to the per-row
-## sweep's bits and TestEpolTileKernelMatchesRows the portable E_pol tile
-## sweep to the per-row sweep at 1e-13 (DESIGN.md §6, §11).
+## sweep's bits, TestBornFarMaskedMatchesRows the portable masked far sweep to
+## the per-row loop's bits — short tiles, one- and seven-lane masks, a 0/0 in
+## a dead lane — TestLaneGatherMatchesGather the portable lane gather to the
+## one-stream gather element for element, and TestEpolTileKernelMatchesRows
+## the portable E_pol tile sweep to the per-row sweep at 1e-13 (DESIGN.md
+## §6, §11).
 kernels:
-	$(call check_listed,TestOpenFar8MatchesScalar|TestTileCompileMatchesOracle|TestBornTileListsMatchOracle|TestBornTileKernelMatchesRows|TestEpolTileListsMatchOracle|TestEpolTileKernelMatchesRows|TestRepairLaneWiseMatchesWholeTile|TestRetestMatchesKeeps|TestEpolStreamExact8MatchesExact4|TestEpolStreamLanes8MatchesLanes4|TestBornNearRowKernelMatchesScalar,./internal/core/)
+	$(call check_listed,TestOpenFar8MatchesScalar|TestTileCompileMatchesOracle|TestBornTileListsMatchOracle|TestBornTileKernelMatchesRows|TestBornFarMaskedMatchesRows|TestLaneGatherMatchesGather|TestEpolTileListsMatchOracle|TestEpolTileKernelMatchesRows|TestRepairLaneWiseMatchesWholeTile|TestRetestMatchesKeeps|TestEpolStreamExact8MatchesExact4|TestEpolStreamLanes8MatchesLanes4|TestBornNearRowKernelMatchesScalar,./internal/core/)
 	$(GO) vet -asmdecl ./internal/core/
 	$(GO) test ./internal/core/ ./internal/mathx/
 	$(GO) vet -tags purego ./internal/core/ ./internal/mathx/
@@ -189,7 +194,8 @@ bench-lists:
 ## bench-kernels: the E_pol stream kernels at the ledger's fixture (20 000
 ## atoms, one worker): a whole compiled sweep — gather included — per
 ## tier, the exact tier with and without its assembly, in ns per streamed
-## term, the assembly of each tier on its avx2 and avx512 kernels, and the gather alone (every row's near, Sym and far streams and
+## term, the assembly of each tier on its avx2 and avx512 kernels, and the
+## gather alone (every tile's shared streams and its rows' lane streams and
 ## outer operands, no kernel), vector and portable, in ns per list entry
 ## and per atom copied — the difference of the two rows is the kernels'
 ## share (EXPERIMENTS.md "Stream kernels", "The gather at copy speed");
@@ -197,9 +203,9 @@ bench-lists:
 ## lists merged back and by tiles — each tile's shared runs once against
 ## all of its rows (EXPERIMENTS.md "What a tile of sibling rows takes");
 ## then the Born far sweep in ns per far term: row by row over each row's
-## whole far set, and by tiles — each tile's shared run eight rows to a
-## term, assembly and portable (EXPERIMENTS.md "Far nodes a whole tile
-## takes"); each tier's stream kernel alone in cache, avx2 and avx512,
+## whole far set, and by tiles — each tile's shared run and its own run,
+## eight rows to a node by the own run's lane masks, assembly and portable
+## (EXPERIMENTS.md "Far nodes a whole tile takes", "One entry per tile"); each tier's stream kernel alone in cache, avx2 and avx512,
 ## and the Born near sweep in ns per near term, scalar loop and row kernel
 ## (EXPERIMENTS.md "The exact tier at vector width", "The lanes tier at
 ## vector width"). BenchmarkEpolStreamExactAsm, BenchmarkEpolStreamLanes
@@ -209,7 +215,7 @@ bench-kernels:
 	$(call bench_listed,BenchmarkEpolStream|BenchmarkEpolGatherAsm|BenchmarkEpolGatherPortable|BenchmarkEpolSweepRows|BenchmarkEpolSweepTile|BenchmarkBornSweepRows|BenchmarkBornSweepTile|BenchmarkBornSweepTilePortable|BenchmarkEpolKernelInCache|BenchmarkBornNearSweep,-benchtime 5x -count 2,./internal/core/)
 
 ## bench-snapshot: the checkpoint codec at the ledger's two fixtures
-## (4 000 atoms = net_run's 10.1 MB snapshot, 20 000 atoms = 71 MB):
+## (4 000 atoms = net_run's 4.3 MB snapshot, 20 000 atoms = 26.2 MB):
 ## encode to a buffer, save to a file, decode a buffer, load a file, in
 ## MB/s of snapshot with bytes and objects allocated per call
 ## (EXPERIMENTS.md "Checkpoint codec").

@@ -84,7 +84,9 @@ func bornDenom(r2 float64, k BornKernel) float64 {
 // node and s_a per atom slot (Figure 2). Workers accumulate privately and
 // the runner merges, so the parallel traversal needs no atomics.
 //
-// The struct is kept at exactly 128 bytes (two slice headers + the meter
+// near is the worker's buffer for a row's near leaves (bornTile).
+//
+// The struct is kept at exactly 128 bytes (three slice headers + the meter
 // + pad) so that each heap-allocated accumulator lands in the 128-byte
 // size class and spans exactly two cache lines alone: the hot ops/maxTask
 // updates of adjacent workers then never false-share
@@ -92,7 +94,8 @@ func bornDenom(r2 float64, k BornKernel) float64 {
 type bornAccum struct {
 	node []float64
 	atom []float64
-	_    [6]float64
+	near []int32
+	_    [3]float64
 	workMeter
 	_ float64
 }

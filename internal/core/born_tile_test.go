@@ -12,17 +12,38 @@ import (
 	"gbpolar/internal/wire"
 )
 
-// The Born tile (InteractionLists.TileFar, bornTile) against the per-row
-// sweep it replaced: the lists merged back into rows (perRowLists), the
-// kernels against the per-row sweep of those rows.
+// The Born tile (InteractionLists.TileFar and OwnFar, bornTile) against the
+// per-row sweep it replaced: the lists merged back into rows (perRowLists),
+// the kernels against the per-row sweep of those rows.
 
-// bornOracle evaluates every row of the per-row lists il into acc, one
-// after the other: the full-set per-row far loop the tile sweep replaced,
-// kept here as its oracle (bornRow walks a row's whole far run, which per
-// row is all of it).
-func bornOracle(sys *System, il *InteractionLists, acc *bornAccum) {
-	for row := range il.Rows {
-		bornRow(sys, il, row, acc)
+// bornFar0 adds q-point leaf's pseudo-q-point term for every node of far to
+// node: the per-row far loop the tile sweep replaced, kept here as its
+// oracle.
+func bornFar0(sys *System, leaf int32, far []int32, node []float64) {
+	qc, wn := sys.QPts.Nodes[leaf].Center, sys.QNodeWN[leaf]
+	r4 := sys.Params.Kernel == R4
+	for _, a := range far {
+		dx := qc.X - sys.ANodeX[a]
+		dy := qc.Y - sys.ANodeY[a]
+		dz := qc.Z - sys.ANodeZ[a]
+		d2 := dx*dx + dy*dy + dz*dz
+		den := d2 * d2
+		if !r4 {
+			den *= d2
+		}
+		node[a] += (wn.X*dx + wn.Y*dy + wn.Z*dz) / den
+	}
+}
+
+// bornOracle evaluates every row of the row lists rl into acc, one after
+// the other: the per-row sweep the tile sweep replaced, bornFar0 over the
+// row's whole far run and bornNear over its near leaves.
+func bornOracle(sys *System, rl *rowLists, acc *bornAccum) {
+	for row, leaf := range rl.Rows {
+		far := rl.Far[rl.FarOff[row]:rl.FarOff[row+1]]
+		bornFar0(sys, leaf, far, acc.node)
+		acc.ops += float64(len(far))
+		bornNear(sys, leaf, rl.Near[rl.NearOff[row]:rl.NearOff[row+1]], acc)
 	}
 }
 
@@ -102,17 +123,128 @@ func TestBornTileKernelMatchesRows(t *testing.T) {
 		for n := 1; n <= tileLanes; n++ {
 			lo := tileLanes * rng.Intn(len(il.Rows)/tileLanes)
 			rows := il.Rows[lo : lo+n]
-			shared := il.tileFar(lo / tileLanes)
+			shared := il.tileRuns(lo / tileLanes)[runFar]
+			var q bornLanes
+			q.set(sys, rows)
+			full := []uint8{uint8(1)<<n - 1}
 			for _, asm := range []bool{host, false} {
 				useAsmKernels = asm
 				want, got := newBornAccum(sys), newBornAccum(sys)
 				for _, leaf := range rows {
 					bornFar0(sys, leaf, shared, want.node)
 				}
-				bornFarShared(sys, rows, shared, got.node)
+				bornFarLanes(sys, &q, n, shared, full, 0, got.node)
 				if err := sameBits("node", got.node, want.node); err != nil {
 					t.Errorf("kernel %v, tile of %d rows, asm %v: %v", kern, n, asm, err)
 				}
+			}
+		}
+	}
+}
+
+// The masked far sweep (bornFarLanes) — its AVX2 kernel and its portable
+// loop — against the per-row scalar loop (bornFar0) over each row's share of
+// the run: on every streamBitsCases fixture, each tile's own far run as
+// compiled, the short last tile among them, then the same nodes under
+// masks of one lane and of seven, every node sum bit for bit; and a
+// q-point leaf whose center is a node's center in a lane its mask leaves
+// out, whose 0/0 must not reach the node's sum.
+func TestBornFarMaskedMatchesRows(t *testing.T) {
+	host := useAsmKernels
+	defer func() { useAsmKernels = host }()
+	check := func(name string, sys *System, rows, far []int32, masks []uint8) {
+		t.Helper()
+		var q bornLanes
+		q.set(sys, rows)
+		want := newBornAccum(sys)
+		for l, leaf := range rows {
+			bornFar0(sys, leaf, laneRun(nil, far, masks, l), want.node)
+		}
+		for _, asm := range []bool{host, false} {
+			useAsmKernels = asm
+			got := newBornAccum(sys)
+			bornFarLanes(sys, &q, len(rows), far, masks, 1, got.node)
+			if err := sameBits("node", got.node, want.node); err != nil {
+				t.Errorf("%s, asm %v: %v", name, asm, err)
+			}
+		}
+	}
+	shortTile, ones, sevens := 0, 0, 0
+	var last *System
+	for _, c := range streamBitsCases {
+		params := mortonParams()
+		if c.params != nil {
+			c.params(&params)
+		}
+		mol := c.mol()
+		surf, err := surface.ForMolecule(mol, surface.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewSystem(mol, surf, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		il := sys.Lists(nil).Born
+		for tile := range il.tiles() {
+			lo, hi := il.tileRows(tile)
+			own := il.ownRuns(tile)
+			far, masks := own.runs[runFar], own.masks[runFar]
+			if len(far) == 0 {
+				continue
+			}
+			check(fmt.Sprintf("%s, tile %d", c.name, tile), sys, il.Rows[lo:hi], far, masks)
+			if hi-lo < tileLanes {
+				shortTile++
+			}
+			if hi-lo < 2 {
+				continue
+			}
+			one, seven := make([]uint8, len(far)), make([]uint8, len(far))
+			full := uint8(1)<<(hi-lo) - 1
+			for k := range far {
+				l := k % (hi - lo)
+				one[k], seven[k] = 1<<l, full&^(1<<l)
+			}
+			check(fmt.Sprintf("%s, tile %d, one lane", c.name, tile), sys, il.Rows[lo:hi], far, one)
+			ones++
+			if hi-lo == tileLanes {
+				check(fmt.Sprintf("%s, tile %d, seven lanes", c.name, tile), sys, il.Rows[lo:hi], far, seven)
+				sevens++
+			}
+		}
+		last = sys
+	}
+	if shortTile == 0 || ones == 0 || sevens == 0 {
+		t.Errorf("%d short tiles, %d with one-lane and %d with seven-lane masks: a case went untested", shortTile, ones, sevens)
+	}
+	// A q-point leaf on a node's center, in a lane its mask leaves out: that
+	// lane's term is 0/0.
+	sys := last
+	il := sys.Lists(nil).Born
+	rows := append([]int32(nil), il.Rows[:tileLanes]...)
+	a := il.ownRuns(0).runs[runFar]
+	if len(a) == 0 {
+		a = il.tileRuns(0)[runFar]
+	}
+	node := a[0]
+	for _, lane := range []int{0, 3, 5} {
+		var q bornLanes
+		q.set(sys, rows)
+		q.x[lane], q.y[lane], q.z[lane] = sys.ANodeX[node], sys.ANodeY[node], sys.ANodeZ[node]
+		masks := []uint8{^uint8(1 << lane)}
+		want := newBornAccum(sys)
+		for l, leaf := range rows {
+			if l != lane {
+				bornFar0(sys, leaf, []int32{node}, want.node)
+			}
+		}
+		for _, asm := range []bool{host, false} {
+			useAsmKernels = asm
+			got := newBornAccum(sys)
+			bornFarLanes(sys, &q, len(rows), []int32{node}, masks, 1, got.node)
+			if err := sameBits("node", got.node, want.node); err != nil || math.IsNaN(got.node[node]) {
+				t.Errorf("q-point leaf on node %d's center in dead lane %d, asm %v: %v (sum %v)", node, lane, asm, err, got.node[node])
 			}
 		}
 	}
@@ -180,7 +312,7 @@ func TestBornNearRowKernelMatchesScalar(t *testing.T) {
 	}
 
 	sys := first
-	il := sys.Lists(nil).Born
+	il := perRowLists(sys.Lists(nil).Born, sys.Atoms)
 	row := 0
 	for il.NearOff[row+1] == il.NearOff[row] {
 		row++
@@ -201,8 +333,11 @@ func TestBornNearRowKernelMatchesScalar(t *testing.T) {
 // ⌈rows/8⌉ in the far run or in a near one, offsets that decrease or
 // overrun, an entry past the atoms tree, orders an older build kept beside
 // them — is corrupt, and so is a Born tile that shares a near leaf, which
-// bornTile would not sweep, and an E_pol shared run out of the shape of the
-// tiles the rows make.
+// bornTile would not sweep, an E_pol shared run out of the shape of the
+// tiles the rows make, and an own run whose masks are not its entries'
+// lanes: a mask of 0, one with a bit past its tile's rows, the tile's full
+// mask (an entry every row takes is shared), an entry twice in one tile
+// and class, or masks fewer than the entries.
 func TestSnapshotRefusesBadTiles(t *testing.T) {
 	sys, _, _ := testSystem(t, 300, 46, mortonParams())
 	cl := sys.Lists(nil)
@@ -219,7 +354,7 @@ func TestSnapshotRefusesBadTiles(t *testing.T) {
 		"near offsets short": func(il *InteractionLists) { il.TileNearOff = il.TileNearOff[1:] },
 		"sym offsets long":   func(il *InteractionLists) { il.TileSymOff = append(il.TileSymOff, 0) },
 		"shared near leaf": func(il *InteractionLists) {
-			il.TileNear = []int32{il.Near[0]}
+			il.TileNear = []int32{il.OwnNear[0]}
 			for k := 1; k < len(il.TileNearOff); k++ {
 				il.TileNearOff[k] = 1
 			}
@@ -260,7 +395,45 @@ func TestSnapshotRefusesBadTiles(t *testing.T) {
 			}
 		})
 	}
+	// The mask cases, on the E_pol lists (short tiles, own runs of every
+	// class), through a checkpoint.
 	epol := *cl.Epol
+	short := -1 // a tile of fewer than eight rows with an own far run of two entries or more
+	for x := range epol.tiles() {
+		if lo, hi := epol.tileRows(x); hi-lo < tileLanes && len(epol.ownRuns(x).runs[runFar]) >= 2 {
+			short = x
+			break
+		}
+	}
+	if short < 0 {
+		t.Fatal("the fixture has no short E_pol tile with two own far entries")
+	}
+	at := int(epol.OwnFarOff[short])
+	lo, hi := epol.tileRows(short)
+	for name, mut := range map[string]func(il *InteractionLists){
+		"mask zero":          func(il *InteractionLists) { il.OwnFarMask[at] = 0 },
+		"mask past the rows": func(il *InteractionLists) { il.OwnFarMask[at] |= 1 << (hi - lo) },
+		"mask full":          func(il *InteractionLists) { il.OwnFarMask[at] = uint8(1)<<(hi-lo) - 1 },
+		"entry twice":        func(il *InteractionLists) { il.OwnFar[at+1] = il.OwnFar[at] },
+		"masks short":        func(il *InteractionLists) { il.OwnNearMask = il.OwnNearMask[:len(il.OwnNearMask)-1] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := epol
+			for _, c := range bad.ownCSR() {
+				*c.ents, *c.masks = slices.Clone(*c.ents), slices.Clone(*c.masks)
+			}
+			mut(&bad)
+			cl.Epol = &bad
+			defer func() { cl.Epol = &epol }()
+			image, err := EncodeSnapshot(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeSnapshot(image); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
+			}
+		})
+	}
 	for name, mut := range map[string]func(il *InteractionLists){
 		"shared overrun": func(il *InteractionLists) { il.TileSym = il.TileSym[:len(il.TileSym)-1] },
 		"shared missing": func(il *InteractionLists) { il.TileNearOff = nil },
@@ -294,9 +467,9 @@ func TestSnapshotRefusesLegacyOrders(t *testing.T) {
 		ins     map[int][]byte
 	}{
 		{"list order", snapshotVersion, map[int][]byte{slotListOrder: {1}}},
-		{"born orders", snapshotVersion, map[int][]byte{slotBorn: orders(len(cl.Born.Far))}},
+		{"born orders", snapshotVersion, map[int][]byte{slotBorn: orders(len(cl.Born.OwnFar))}},
 		{"tile orders", snapshotVersion, map[int][]byte{slotTileOrders: orders(len(cl.Born.TileFar))}},
-		{"epol orders", snapshotVersion, map[int][]byte{slotEpol: orders(len(cl.Epol.Far))}},
+		{"epol orders", snapshotVersion, map[int][]byte{slotEpol: orders(len(cl.Epol.OwnFar))}},
 		{"row image orders", 2, map[int][]byte{slotBorn: orders(perRowLists(cl.Born, sys.Atoms).NumFar())}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -19,10 +19,14 @@ func listRowSets(t *testing.T, il *InteractionLists) map[int32]rowEntries {
 	t.Helper()
 	out := make(map[int32]rowEntries, len(il.Rows))
 	for tile := range il.tiles() {
-		shared := il.tileRuns(tile) // a row's sets: its tile's shared runs and its own
+		shared, ownRuns := il.tileRuns(tile), il.ownRuns(tile) // a row's sets: its tile's shared runs and its share of the own ones
 		lo, hi := il.tileRows(tile)
 		for i := lo; i < hi; i++ {
-			row, own := il.Rows[i], il.rowRuns(i)
+			var own [runFar + 1][]int32
+			for r := range own {
+				own[r] = laneRun(nil, ownRuns.runs[r], ownRuns.masks[r], i-lo)
+			}
+			row := il.Rows[i]
 			if _, dup := out[row]; dup {
 				t.Fatalf("row %d appears twice", row)
 			}

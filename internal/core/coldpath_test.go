@@ -111,7 +111,7 @@ func hashSystem(s *System) string {
 // they had before tiles (perRowLists, on the visit order of atoms).
 func hashLists(atoms *octree.Tree, cl *CompiledLists) string {
 	b := newBitHash()
-	for _, il := range []*InteractionLists{perRowLists(cl.Born, atoms), perRowLists(cl.Epol, atoms)} {
+	for _, il := range []*rowLists{perRowLists(cl.Born, atoms), perRowLists(cl.Epol, atoms)} {
 		for _, a := range [][]int32{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near,
 			il.SymOff, il.Sym, il.CedeOff, il.Cede} {
 			b.i32s(a)

@@ -187,9 +187,9 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 	for b := range rho {
 		rho[b] = ctx.RMin * math.Pow(1+eps, float64(b))
 	}
-	gather := (*soa).gather
+	gather, laneGather := (*soa).gather, (*laneStreams).gather
 	if useAsmKernels {
-		gather = gatherAsm
+		gather, laneGather = gatherAsm, gatherMaskedAsm
 	}
 	sweep, sweepAsm, sweepAsm8 := epolStreamExact, epolStreamExactAsm, epolStreamExactAsm8
 	if sys.Params.Precision == PrecisionLanes {
@@ -201,7 +201,7 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 	if useAsmKernels {
 		sweep = sweepAsm
 	}
-	ctx.stream = newEpolTier(ctx, rho, gather, sweep)
+	ctx.stream = newEpolTier(ctx, rho, gather, laneGather, sweep)
 	return ctx
 }
 
@@ -291,14 +291,14 @@ func (ctx *EpolContext) Finish(rawSum float64) float64 {
 }
 
 // newEpolTier builds a tier's two blocked gather sources (kernels_stream.go)
-// from the context's state (rho[b] is ρ_b) and attaches the gather and the
+// from the context's state (rho[b] is ρ_b) and attaches the gathers and the
 // stream kernel.
-func newEpolTier(ctx *EpolContext, rho []float64, gather gatherFunc, sweep func(o, s *soa) float64) epolTier {
+func newEpolTier(ctx *EpolContext, rho []float64, gather gatherFunc, laneGather laneGatherFunc, sweep func(o, s *soa) float64) epolTier {
 	sys := ctx.sys
 	tk := epolTier{
 		atoms:  make([]float64, srcFields*len(ctx.Radii)+gatherPad),
 		bins:   make([]float64, srcFields*len(ctx.nzQ)+gatherPad),
-		gather: gather, sweep: sweep,
+		gather: gather, laneGather: laneGather, sweep: sweep,
 	}
 	for _, leaf := range sys.Atoms.Leaves() {
 		lo, c := int(ctx.aLo[leaf]), int(ctx.aHi[leaf]-ctx.aLo[leaf])

@@ -9,9 +9,9 @@ import (
 )
 
 // The E_pol tile sweep (epolTile) against the per-row sweep it replaced:
-// the sweep of the same rows merged back (perRowLists: the same tiles,
-// sharing nothing, so that epolTile sweeps every row's whole runs through
-// epolRow), at one worker, on both tiers, with the assembly and without: the pair sum to
+// the sweep of the same rows merged back (perRowLists, as tiles of one row
+// each: rowLists.tiled, so that epolTile sweeps every row's whole runs
+// alone), at one worker, on both tiers, with the assembly and without: the pair sum to
 // 1e-13 relative, the op count and the near and far terms exactly, and
 // fewer operands gathered. Then one run set swept against n leaves at once
 // — a tile of 1 to 8 rows, every length of outer operand and its tails —
@@ -32,9 +32,10 @@ func TestEpolTileKernelMatchesRows(t *testing.T) {
 			name := fmt.Sprintf("%s, asm %v", tier.name, asm)
 			ctx := NewEpolContext(f.sys, f.radii)
 			var want, got epolAccum
-			sc := newEpolScratch(ctx, rows, 1)
-			for tile := range rows.tiles() {
-				epolTile(ctx, rows, tile, &sc[0], &want)
+			perRow := rows.tiled()
+			sc := newEpolScratch(ctx, perRow, 1)
+			for tile := range perRow.tiles() {
+				epolTile(ctx, perRow, tile, &sc[0], &want)
 			}
 			tsc := newEpolScratch(ctx, il, 1)
 			for tile := range il.tiles() {

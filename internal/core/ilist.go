@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -31,59 +32,66 @@ import (
 // (System.InvalidateLists and the signature check in Lists).
 
 // InteractionLists is a compiled traversal over the atoms octree for one
-// phase, in CSR form. Row i describes the leaf Rows[i] (in tree Leaves()
-// order): Far[FarOff[i]:FarOff[i+1]] holds the atoms-octree nodes whose
-// far-field aggregate the leaf interacts with, and
-// Near[NearOff[i]:NearOff[i+1]] the atom leaves needing exact pairwise
-// evaluation — of each, those its tile does not share (below).
+// phase. Row i describes the leaf Rows[i] (in tree Leaves() order): the
+// atoms-octree nodes whose far-field aggregate the leaf interacts with (its
+// far run) and the atom leaves needing exact pairwise evaluation (its near
+// runs, by class below).
 //
-// A list is its index — Rows, the offset arrays, Far, Near, Sym, Cede and
-// the tile runs: 4 bytes an entry — which is all an evaluation reads,
-// and all the incremental repair (ilist_repair.go) reads too: it re-tests
-// the nodes an update moved instead of keeping a bound per entry.
+// The rows are cut into tiles — tile t is the rows [TileOff[t],
+// TileOff[t+1]), at most eight, where listPhase.cutTiles cuts them — and a
+// tile stores each entry its rows take once. What every row of the tile
+// takes goes to its shared runs: TileFar[TileFarOff[t]:TileFarOff[t+1]]
+// holds the far nodes every row of tile t takes, in visit order, and
+// TileNear, TileSym and TileCede the near leaves every row takes as Near, as
+// Sym and as Cede (the Born phase shares far nodes alone: its shared near
+// runs are empty). What some of its rows take goes to its own runs, one a
+// class: OwnFar[OwnFarOff[t]:OwnFarOff[t+1]] holds tile t's other far
+// nodes, each once, in visit order, beside a lane mask in OwnFarMask — bit
+// l set means row TileOff[t]+l takes the node — and OwnNear, OwnSym and
+// OwnCede the other near leaves alike. A mask is never 0, has no bit past
+// the tile's rows and is never the tile's full mask where the phase shares
+// (every own run but the Born phase's near one); an entry is in one run of a
+// tile and class at most. Row l's run of a kind is then the shared run and
+// the own run's entries whose mask has bit l, merged on visit order: the
+// row the per-row recursion emits.
+//
+// The near classes: Sym holds MUTUAL near leaf pairs, stored once on the
+// lower-indexed row and evaluated with double weight — the per-pair GB
+// terms are bitwise symmetric (r², R_u·R_v and f_GB are commutative in u,v),
+// so one swept block stands for both ordered blocks of the recursion, which
+// halves the dominant near-field work. Pairs the classification reaches in
+// only one direction (the epol ordering can be asymmetric: a leaf U is
+// always exact for row V, while row U may see V's ancestors as far) stay in
+// Near with single weight, as does the diagonal U == V, whose ordered
+// double-count is inherent in the block sweep. Cede holds the mutual near
+// pairs a row's classification DID reach but symmetrization handed to a
+// lower-indexed row's Sym: they contribute nothing to evaluation (the
+// partner sweeps the pair with double weight) and are recorded so the
+// incremental repair can put a row's full pre-symmetrization near list back
+// together — to tell whether an update changed an entry's class — without
+// scanning every other row's Sym. Born lists hold Near alone (q-leaf rows
+// against the atoms tree have no transpose).
+//
+// A list is its index — Rows, the tile cut, the offset arrays, the entries
+// and their masks: 4 bytes a shared entry, 5 an own one — which is all an
+// evaluation reads, and all the incremental repair (ilist_repair.go) reads
+// too: it re-tests the nodes an update moved instead of keeping a bound per
+// entry.
 type InteractionLists struct {
-	Rows    []int32
-	FarOff  []int32
-	Far     []int32
-	NearOff []int32
-	Near    []int32
-	// Sym holds MUTUAL near leaf pairs, stored once on the lower-indexed
-	// row and evaluated with double weight: the per-pair GB terms are
-	// bitwise symmetric (r², R_u·R_v and f_GB are commutative in u,v), so
-	// one swept block stands for both ordered blocks of the recursion.
-	// This halves the dominant near-field work. Pairs the classification
-	// reaches in only one direction (the epol ordering can be asymmetric:
-	// a leaf U is always exact for row V, while row U may see V's
-	// ancestors as far) stay in Near with single weight, as does the
-	// diagonal U == V, whose ordered double-count is inherent in the
-	// block sweep. Born lists never populate Sym (q-leaf rows against the
-	// atoms tree have no transpose).
-	SymOff []int32
-	Sym    []int32
-	// Cede holds the mutual near pairs this row's classification DID
-	// reach but symmetrization handed to a lower-indexed row's Sym list.
-	// The entries contribute nothing to evaluation (the partner sweeps
-	// the pair with double weight); they are recorded so the incremental
-	// repair can put a row's full pre-symmetrization near list back
-	// together — to tell whether an update changed an entry's class —
-	// without scanning every other row's Sym.
-	CedeOff []int32
-	Cede    []int32
-	// The rows are cut into tiles — tile t is the rows [TileOff[t],
-	// TileOff[t+1]), at most eight, where listPhase.cutTiles cuts them — and
-	// what every row of a tile takes is stored once, for the tile:
-	// TileFar[TileFarOff[t]:TileFarOff[t+1]] holds the far nodes every row of
-	// tile t takes, in visit order, and TileNear, TileSym and TileCede the
-	// near leaves every row takes as Near, as Sym and as Cede (the Born phase
-	// shares far nodes alone: its shared near runs are empty). Row i's own
-	// runs then hold its remainder: an entry is shared or own within a tile,
-	// never both, and merged back on visit order the two are the row the
-	// per-row recursion emits.
+	Rows                  []int32
 	TileOff               []int32
 	TileFarOff, TileFar   []int32
 	TileNearOff, TileNear []int32
 	TileSymOff, TileSym   []int32
 	TileCedeOff, TileCede []int32
+	OwnFarOff, OwnFar     []int32
+	OwnFarMask            []uint8
+	OwnNearOff, OwnNear   []int32
+	OwnNearMask           []uint8
+	OwnSymOff, OwnSym     []int32
+	OwnSymMask            []uint8
+	OwnCedeOff, OwnCede   []int32
+	OwnCedeMask           []uint8
 }
 
 // tiles returns the number of tiles of il.
@@ -94,44 +102,48 @@ func (il *InteractionLists) tileRows(t int) (lo, hi int) {
 	return int(il.TileOff[t]), int(il.TileOff[t+1])
 }
 
-// tileFar returns tile t's shared far run.
-func (il *InteractionLists) tileFar(t int) []int32 {
-	return il.TileFar[il.TileFarOff[t]:il.TileFarOff[t+1]]
-}
-
 // csr is an offset array and the entries it indexes, both by address: run i
-// is (*ents)[(*off)[i]:(*off)[i+1]].
+// is (*ents)[(*off)[i]:(*off)[i+1]], and of an own run's CSR (*masks) holds
+// the entries' lane masks, nil of a shared run's.
 type csr struct {
 	off, ents *[]int32
+	masks     *[]uint8
 }
 
 func (c csr) run(i int) []int32 {
 	return (*c.ents)[(*c.off)[i]:(*c.off)[i+1]]
 }
 
-// rowCSR returns il's per-row arrays, indexed by class and runFar as a
+// runMasks returns the lane masks of own run i.
+func (c csr) runMasks(i int) []uint8 {
+	return (*c.masks)[(*c.off)[i]:(*c.off)[i+1]]
+}
+
+// ownCSR returns il's own-run arrays, indexed by class and runFar as a
 // laneRuns is.
-func (il *InteractionLists) rowCSR() [runFar + 1]csr {
-	return [...]csr{kindNear: {&il.NearOff, &il.Near}, kindSym: {&il.SymOff, &il.Sym},
-		kindCede: {&il.CedeOff, &il.Cede}, runFar: {&il.FarOff, &il.Far}}
+func (il *InteractionLists) ownCSR() [runFar + 1]csr {
+	return [...]csr{kindNear: {&il.OwnNearOff, &il.OwnNear, &il.OwnNearMask},
+		kindSym:  {&il.OwnSymOff, &il.OwnSym, &il.OwnSymMask},
+		kindCede: {&il.OwnCedeOff, &il.OwnCede, &il.OwnCedeMask}, runFar: {&il.OwnFarOff, &il.OwnFar, &il.OwnFarMask}}
 }
 
-// tileCSR returns il's per-tile arrays, indexed the same way.
+// tileCSR returns il's shared-run arrays, indexed the same way.
 func (il *InteractionLists) tileCSR() [runFar + 1]csr {
-	return [...]csr{kindNear: {&il.TileNearOff, &il.TileNear}, kindSym: {&il.TileSymOff, &il.TileSym},
-		kindCede: {&il.TileCedeOff, &il.TileCede}, runFar: {&il.TileFarOff, &il.TileFar}}
+	return [...]csr{kindNear: {&il.TileNearOff, &il.TileNear, nil}, kindSym: {&il.TileSymOff, &il.TileSym, nil},
+		kindCede: {&il.TileCedeOff, &il.TileCede, nil}, runFar: {&il.TileFarOff, &il.TileFar, nil}}
 }
 
-// arrays returns every CSR pair of il, the rows' and the tiles'.
+// arrays returns every CSR of il, the own runs' and the shared ones'.
 func (il *InteractionLists) arrays() []csr {
-	rows, tiles := il.rowCSR(), il.tileCSR()
-	return append(rows[:], tiles[:]...)
+	own, tiles := il.ownCSR(), il.tileCSR()
+	return append(own[:], tiles[:]...)
 }
 
-// rowRuns returns row i's own runs, indexed as a laneRuns is.
-func (il *InteractionLists) rowRuns(i int) (runs [runFar + 1][]int32) {
-	for r, c := range il.rowCSR() {
-		runs[r] = c.run(i)
+// ownRuns returns tile t's own runs and their lane masks, indexed as a
+// laneRuns is.
+func (il *InteractionLists) ownRuns(t int) (runs laneRuns) {
+	for r, c := range il.ownCSR() {
+		runs.runs[r], runs.masks[r] = c.run(t), c.runMasks(t)
 	}
 	return runs
 }
@@ -144,10 +156,51 @@ func (il *InteractionLists) tileRuns(t int) (runs [runFar + 1][]int32) {
 	return runs
 }
 
-// terms counts the (row, entry) terms of run r (a class, or runFar): every
-// row's own entries, and a tile's shared ones once for each of its rows.
+// laneRun appends to dst the entries of the own run ents whose lane mask
+// (masks) has bit l: lane l's share of it, in its order.
+func laneRun(dst, ents []int32, masks []uint8, l int) []int32 {
+	for k, m := range masks {
+		if m>>l&1 != 0 {
+			dst = append(dst, ents[k])
+		}
+	}
+	return dst
+}
+
+// laneCounts adds to cnt[l], for every lane l, the number of masks with bit
+// l set: eight lanes a byte, eight bytes a word.
+func laneCounts(cnt *[tileLanes]int, masks []uint8) {
+	const ones = 0x0101010101010101
+	for ; len(masks) >= 8; masks = masks[8:] {
+		w := binary.LittleEndian.Uint64(masks)
+		for l := range cnt {
+			cnt[l] += bits.OnesCount64(w >> l & ones)
+		}
+	}
+	for _, m := range masks {
+		for ; m != 0; m &= m - 1 {
+			cnt[bits.TrailingZeros8(m)]++
+		}
+	}
+}
+
+// popcount returns the number of bits set in masks: the (row, entry) terms
+// an own run stands for.
+func popcount(masks []uint8) (n int) {
+	for ; len(masks) >= 8; masks = masks[8:] {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(masks))
+	}
+	for _, m := range masks {
+		n += bits.OnesCount8(m)
+	}
+	return n
+}
+
+// terms counts the (row, entry) terms of run r (a class, or runFar): an own
+// entry once for each row its mask names, a shared one once for each row of
+// its tile.
 func (il *InteractionLists) terms(r int) int {
-	n, shared := len(*il.rowCSR()[r].ents), il.tileCSR()[r]
+	n, shared := popcount(*il.ownCSR()[r].masks), il.tileCSR()[r]
 	for t := range il.tiles() {
 		lo, hi := il.tileRows(t)
 		n += len(shared.run(t)) * (hi - lo)
@@ -167,13 +220,25 @@ func (il *InteractionLists) NumNear() int { return il.terms(kindNear) }
 // that sweeps it, counted the same way.
 func (il *InteractionLists) NumSym() int { return il.terms(kindSym) }
 
-// MemoryBytes reports the footprint of the list's arrays.
+// MemoryBytes reports the footprint of the list's arrays (memory).
 func (il *InteractionLists) MemoryBytes() int64 {
-	n := len(il.Rows) + len(il.TileOff)
+	entries, masks, offsets := il.memory()
+	return entries + masks + offsets
+}
+
+// memory returns what il's arrays hold, in bytes: the entries of every run,
+// the own runs' lane masks, and the rows, the tile cut and every offset
+// array.
+func (il *InteractionLists) memory() (entries, masks, offsets int64) {
+	offsets = int64(len(il.Rows)+len(il.TileOff)) * 4
 	for _, c := range il.arrays() {
-		n += len(*c.off) + len(*c.ents)
+		offsets += int64(len(*c.off)) * 4
+		entries += int64(len(*c.ents)) * 4
+		if c.masks != nil {
+			masks += int64(len(*c.masks))
+		}
 	}
-	return int64(n) * 4
+	return entries, masks, offsets
 }
 
 // CompiledLists bundles the per-phase lists with the opening-criterion
@@ -277,35 +342,56 @@ func (ph *listPhase) cutTiles(rows []int32) []int32 {
 // listArena collects the entries of one contiguous block of tiles, tile
 // after tile: far nodes and near leaves, a run's three near classes one
 // after the other (their sum is steady along a chunk and can be estimated;
-// their shares are not — the lower row of a mutual pair sweeps it). A
-// tile's shared runs come before its rows' own runs: how a tile's entries
-// split into shared and own varies from tile to tile, their sum much less.
+// their shares are not — the lower row of a mutual pair sweeps it), and the
+// own runs' lane masks, far and near, in their order. A tile's shared runs
+// come before its own runs: how a tile's entries split into shared and own
+// varies from tile to tile, their sum much less.
 type listArena struct {
-	far, near blocks
+	far, near blocks[int32]
+	masks     blocks[uint8]
 }
 
-// appendRuns appends runs to the arena: the far run to its far blocks, the
-// near runs to its near blocks.
-func (a *listArena) appendRuns(runs *[runFar + 1][]int32) {
-	for r, run := range runs {
+// appendRuns appends lr to the arena: the far run to its far blocks, the
+// near runs to its near blocks, and an own run's masks to its mask blocks.
+func (a *listArena) appendRuns(lr *laneRuns) {
+	for r, run := range lr.runs {
 		if r == runFar {
 			a.far.append(run)
 		} else {
 			a.near.append(run)
 		}
+		a.masks.append(lr.masks[r])
 	}
 }
 
-// takeRuns fills runs from the arena, each run as long as it is, in the order
-// appendRuns put them in.
-func (a *listArena) takeRuns(runs *[runFar + 1][]int32) {
+// takeRuns fills runs — and masks, for own runs — from the arena, each run as
+// long as it is, in the order appendRuns put them in.
+func (a *listArena) takeRuns(runs *[runFar + 1][]int32, masks *[runFar + 1][]uint8) {
 	for r, run := range runs {
 		if r == runFar {
 			a.far.take(run)
 		} else {
 			a.near.take(run)
 		}
+		if masks != nil {
+			a.masks.take(masks[r])
+		}
 	}
+}
+
+// reserve starts the arena's first blocks, with room for far and near
+// entries, own masks among them.
+func (a *listArena) reserve(far, near, masks int) {
+	a.far.reserve(far)
+	a.near.reserve(near)
+	a.masks.reserve(masks)
+}
+
+// take moves tile x's runs from a into their places in il.
+func (il *InteractionLists) take(a *listArena, x int) {
+	shared, own := il.tileRuns(x), il.ownRuns(x)
+	a.takeRuns(&shared, nil)
+	a.takeRuns(&own.runs, &own.masks)
 }
 
 // blocks is an append-only sequence kept in blocks and read back from the
@@ -313,19 +399,19 @@ func (a *listArena) takeRuns(runs *[runFar + 1][]int32) {
 // fills up is set aside and a small one started, so an estimate that falls
 // short costs a block, not a copy of everything before it — what append's
 // doubling would cost, in time and in garbage.
-type blocks struct {
-	b     [][]int32 // the last one is being filled
-	first [1][]int32
+type blocks[T int32 | uint8] struct {
+	b     [][]T // the last one is being filled
+	first [1][]T
 }
 
 // reserve starts the first block, with room for n.
-func (s *blocks) reserve(n int) {
-	s.first[0] = make([]int32, 0, n)
+func (s *blocks[T]) reserve(n int) {
+	s.first[0] = make([]T, 0, n)
 	s.b = s.first[:]
 }
 
 // append adds v behind what s holds.
-func (s *blocks) append(v []int32) {
+func (s *blocks[T]) append(v []T) {
 	if len(v) == 0 {
 		return
 	}
@@ -337,14 +423,14 @@ func (s *blocks) append(v []int32) {
 		for _, b := range s.b {
 			held += len(b)
 		}
-		s.b = append(s.b, make([]int32, 0, max(len(v), held/4, 1024)))
+		s.b = append(s.b, make([]T, 0, max(len(v), held/4, 1024)))
 		last = &s.b[len(s.b)-1]
 	}
 	*last = append(*last, v...)
 }
 
 // take moves the first len(dst) elements of s into dst.
-func (s *blocks) take(dst []int32) {
+func (s *blocks[T]) take(dst []T) {
 	for len(dst) > 0 {
 		n := copy(dst, s.b[0])
 		dst, s.b[0] = dst[n:], s.b[0][n:]
@@ -410,9 +496,8 @@ func (cr *classified) bound(c int) int { return c * len(cr.tiles) / cr.chunks }
 // it keeps of it to its chunk's arena. Nobody knows a tile's entry counts
 // before classifying it, so the tiles are cut into contiguous chunks — a few
 // per worker — each with an arena, whose first blocks size reserves; each
-// row's counts land at [k+1] of il's per-row offset arrays and each tile's
-// at [x+1] of its per-tile ones, for the prefix sums that size the CSR
-// arrays exactly, and fill puts the entries in place. A worker's tiler (of
+// tile's counts land at [x+1] of il's offset arrays, for the prefix sums that
+// size the CSR arrays exactly, and fill puts the entries in place. A worker's tiler (of
 // tilers, when not nil) serves every chunk it draws. A chunk holds whole
 // tiles, so the lists are the same on any pool.
 func (ph *listPhase) classifyRows(il *InteractionLists, tiles []int32, pool *sched.Pool, tilers []*tiler,
@@ -477,8 +562,8 @@ func (cr *classified) fill(pool *sched.Pool, place func(t *tiler, a *listArena, 
 }
 
 // index compiles the phase's lists: classifyRows over every tile, each in one
-// shared descent, one prefix sum over the per-row and per-tile counts of each
-// array, and the chunks copy themselves into place in parallel.
+// shared descent, one prefix sum over the per-tile counts of each array, and
+// the chunks copy themselves into place in parallel.
 func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
 	il := ph.newLists()
 	every := make([]int32, il.tiles())
@@ -488,23 +573,13 @@ func (ph *listPhase) index(pool *sched.Pool) *InteractionLists {
 	sp := ph.o.Begin(ph.rank, "ilist", "ilist.compile.classify", obs.NoVirtual)
 	cr := ph.classifyRows(il, every, pool, nil, func(a *listArena, chunk []int32, t *tiler) { ph.reserve(a, t, il, chunk) },
 		func(t *tiler, a *listArena, _ int) {
-			a.appendRuns(&t.shared.runs)
-			for l := range bits.Len8(t.full) {
-				a.appendRuns(&t.out[l].runs)
-			}
+			a.appendRuns(&t.shared)
+			a.appendRuns(&t.own)
 		})
 	sp.End(obs.NoVirtual)
 	sp = ph.o.Begin(ph.rank, "ilist", "ilist.compile.assemble", obs.NoVirtual)
 	ph.alloc(il, pool)
-	cr.fill(pool, func(_ *tiler, a *listArena, x int) {
-		runs := il.tileRuns(x)
-		a.takeRuns(&runs)
-		lo, hi := il.tileRows(x)
-		for k := lo; k < hi; k++ {
-			runs = il.rowRuns(k)
-			a.takeRuns(&runs)
-		}
-	})
+	cr.fill(pool, func(_ *tiler, a *listArena, x int) { il.take(a, x) })
 	sp.End(obs.NoVirtual)
 	ph.o.Counter("ilist.compile.tiles").Add(cr.stats.tiles)
 	ph.o.Counter("ilist.compile.node_visits").Add(cr.stats.nodeVisits)
@@ -523,30 +598,23 @@ const sampleStride = 16
 
 // reserve sizes a's first blocks for one chunk of a compile — the tiles chunk
 // of il — from tiles already classified: it classifies evenly spaced tiles on
-// t, counts their entries and scales them to the chunk's rows. A chunk that
+// t, counts their entries and scales them to the chunk's tiles (a tile
+// stores an entry once however many of its rows take it, so its entries
+// grow with its rows far slower than its rows' terms do). A chunk that
 // turns out denser than its sample goes on in further blocks; a worst-case
 // reservation would be several times the lists. (A repair sizes its arenas
-// from the cached runs of the rows it replaces instead: listRepair.size.)
+// from the cached runs of the tiles it replaces instead: listRepair.size.)
 func (ph *listPhase) reserve(a *listArena, t *tiler, il *InteractionLists, chunk []int32) {
-	var far, near, sampled, rows int
-	for x, tile := range chunk {
-		lo, hi := il.tileRows(int(tile))
-		rows += hi - lo
-		if x%sampleStride != 0 {
-			continue
-		}
-		t.classify(il, int(tile))
+	var far, near, ownFar, ownNear, sampled int
+	for x := 0; x < len(chunk); x += sampleStride {
+		t.classify(il, int(chunk[x]))
 		f, n := sizes(&t.shared.runs)
-		far, near = far+f, near+n
-		for l := range hi - lo {
-			f, n := sizes(&t.out[l].runs)
-			far, near = far+f, near+n
-		}
-		sampled += hi - lo
+		of, on := sizes(&t.own.runs)
+		far, near, ownFar, ownNear = far+f+of, near+n+on, ownFar+of, ownNear+on
+		sampled++
 	}
-	size := func(n int) int { return n * rows / sampled }
-	a.far.reserve(size(far))
-	a.near.reserve(size(near))
+	size := func(n int) int { return n * len(chunk) / sampled }
+	a.reserve(size(far), size(near), size(ownFar+ownNear))
 }
 
 // newLists returns the phase's lists with their rows, their tile cut and
@@ -563,15 +631,14 @@ func (ph *listPhase) newLists() *InteractionLists {
 // array zero and no entries.
 func blankLists(rows, tileOff []int32) *InteractionLists {
 	il := &InteractionLists{Rows: rows, TileOff: tileOff}
-	rowArr, tileArr := il.rowCSR(), il.tileCSR()
-	for r := range rowArr {
-		*rowArr[r].off, *tileArr[r].off = make([]int32, len(rows)+1), make([]int32, len(tileOff))
+	for _, c := range il.arrays() {
+		*c.off = make([]int32, len(tileOff))
 	}
 	return il
 }
 
-// alloc turns the per-row and per-tile counts in il's offset arrays into
-// offsets and allocates the entry arrays to their totals, each on one of
+// alloc turns the per-tile counts in il's offset arrays into offsets and
+// allocates the entry and mask arrays to their totals, each on one of
 // the pool's workers. A list array is tens of megabytes, and make hands it
 // over zeroed: on one goroutine that memclr is a fifth of a compile during
 // which every worker sleeps; spread out, each array is also first touched
@@ -581,6 +648,9 @@ func (ph *listPhase) alloc(il *InteractionLists, pool *sched.Pool) {
 	forRows(pool, len(arrays), func(lo, hi, _ int) {
 		for _, a := range arrays[lo:hi] {
 			*a.ents = make([]int32, prefixSum(*a.off))
+			if a.masks != nil {
+				*a.masks = make([]uint8, len(*a.ents))
+			}
 		}
 	})
 }
@@ -616,11 +686,14 @@ var runNames = [runFar + 1]string{kindNear: "near", kindSym: "sym", kindCede: "c
 // total row/near/far/sym entry counts per phase plus per-row batch-size
 // histograms (the sizes the SoA batch kernels sweep), and what the lists
 // hold in bytes — the gauge mem.lists.index_bytes, in total and as
-// mem.lists.{born,epol}.index_bytes per phase. far_entries, near_pairs and
-// sym_pairs count (row, entry) terms, and a row's histograms take its
-// tile's shared runs with its own; what a phase stores once a tile it also
-// counts as stored, per run: {near,sym,cede,far}_shared (one per tile) and
-// _own. Everything here is derivable from the compiled lists alone, so the
+// mem.lists.{born,epol}.index_bytes per phase, split in
+// mem.lists.{born,epol}.{entries,masks,offsets}_bytes (InteractionLists.
+// memory). far_entries, near_pairs and sym_pairs count (row, entry) terms,
+// and a row's histograms take its tile's shared runs with its share of the
+// own ones; what a phase stores it also counts, per run:
+// {near,sym,cede,far}_shared (one entry a tile) and _own (one a tile, beside
+// its lane mask), and _own_lanes the (row, entry) terms the own entries stand
+// for. Everything here is derivable from the compiled lists alone, so the
 // hot loops in kernels.go carry no instrumentation at all — the counts are
 // recorded once per run, off the critical path. No-op when o is nil.
 func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
@@ -633,23 +706,31 @@ func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
 		o.Counter(prefix + ".far_entries").Add(int64(il.NumFar()))
 		o.Counter(prefix + ".near_pairs").Add(int64(il.NumNear()))
 		o.Counter(prefix + ".sym_pairs").Add(int64(il.NumSym()))
-		rowArr, tileArr := il.rowCSR(), il.tileCSR()
+		ownArr, tileArr := il.ownCSR(), il.tileCSR()
 		for r, name := range runNames {
 			o.Counter(prefix + "." + name + "_shared").Add(int64(len(*tileArr[r].ents)))
-			o.Counter(prefix + "." + name + "_own").Add(int64(len(*rowArr[r].ents)))
+			o.Counter(prefix + "." + name + "_own").Add(int64(len(*ownArr[r].ents)))
+			o.Counter(prefix + "." + name + "_own_lanes").Add(int64(popcount(*ownArr[r].masks)))
 		}
 		rowFar := o.Histogram(prefix + ".row_far")
 		rowNear := o.Histogram(prefix + ".row_near")
 		for t := range il.tiles() {
-			shared := il.tileRuns(t)
+			shared, own := il.tileRuns(t), il.ownRuns(t)
+			var far, near [tileLanes]int
+			laneCounts(&far, own.masks[runFar])
+			laneCounts(&near, own.masks[kindNear])
+			laneCounts(&near, own.masks[kindSym])
 			lo, hi := il.tileRows(t)
-			for i := lo; i < hi; i++ {
-				own := il.rowRuns(i)
-				rowFar.Observe(int64(len(own[runFar]) + len(shared[runFar])))
-				rowNear.Observe(int64(len(own[kindNear]) + len(own[kindSym]) + len(shared[kindNear]) + len(shared[kindSym])))
+			for l := range hi - lo {
+				rowFar.Observe(int64(far[l] + len(shared[runFar])))
+				rowNear.Observe(int64(near[l] + len(shared[kindNear]) + len(shared[kindSym])))
 			}
 		}
-		o.Gauge("mem.lists." + phase + ".index_bytes").Set(float64(il.MemoryBytes()))
+		entries, masks, offsets := il.memory()
+		o.Gauge("mem.lists." + phase + ".index_bytes").Set(float64(entries + masks + offsets))
+		o.Gauge("mem.lists." + phase + ".entries_bytes").Set(float64(entries))
+		o.Gauge("mem.lists." + phase + ".masks_bytes").Set(float64(masks))
+		o.Gauge("mem.lists." + phase + ".offsets_bytes").Set(float64(offsets))
 	}
 	rec("born", cl.Born)
 	rec("epol", cl.Epol)
@@ -700,8 +781,8 @@ func (s *System) RecheckLists(pool *sched.Pool) error {
 	return diffLists("epol", cached.Epol, fresh.Epol)
 }
 
-// diffLists reports the first divergence between two compiled lists: in a
-// row's own runs, in the tile cut or in a tile's shared runs.
+// diffLists reports the first divergence between two compiled lists: in
+// the rows, the tile cut, or a tile's shared or own runs or masks.
 func diffLists(phase string, a, b *InteractionLists) error {
 	if len(a.Rows) != len(b.Rows) {
 		return fmt.Errorf("core: %s lists row count drifted: %d -> %d", phase, len(a.Rows), len(b.Rows))
@@ -710,23 +791,20 @@ func diffLists(phase string, a, b *InteractionLists) error {
 		if a.Rows[i] != b.Rows[i] {
 			return fmt.Errorf("core: %s list row %d leaf drifted: %d -> %d", phase, i, a.Rows[i], b.Rows[i])
 		}
-		ar, br := a.rowRuns(i), b.rowRuns(i)
-		for r := range ar {
-			if !slices.Equal(ar[r], br[r]) {
-				return fmt.Errorf("core: %s list row %d (leaf %d) %s set drifted: %d -> %d entries",
-					phase, i, a.Rows[i], runNames[r], len(ar[r]), len(br[r]))
-			}
-		}
 	}
 	if !slices.Equal(a.TileOff, b.TileOff) {
 		return fmt.Errorf("core: %s lists disagree on their tiles", phase)
 	}
 	for t := range a.tiles() {
-		ar, br := a.tileRuns(t), b.tileRuns(t)
-		for r := range ar {
-			if !slices.Equal(ar[r], br[r]) {
+		as, bs, ao, bo := a.tileRuns(t), b.tileRuns(t), a.ownRuns(t), b.ownRuns(t)
+		for r := range as {
+			if !slices.Equal(as[r], bs[r]) {
 				return fmt.Errorf("core: %s list tile %d shared %s run drifted: %d -> %d entries",
-					phase, t, runNames[r], len(ar[r]), len(br[r]))
+					phase, t, runNames[r], len(as[r]), len(bs[r]))
+			}
+			if !slices.Equal(ao.runs[r], bo.runs[r]) || !slices.Equal(ao.masks[r], bo.masks[r]) {
+				return fmt.Errorf("core: %s list tile %d own %s run drifted: %d -> %d entries",
+					phase, t, runNames[r], len(ao.runs[r]), len(bo.runs[r]))
 			}
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"gbpolar/internal/geom"
@@ -23,7 +23,7 @@ import (
 // rows as the lanes of one — on their geometry before the update and after
 // it, and reclassifies the row only where the two descents part: exactly,
 // not up to a bound. Such a row's tile is classified once, in one shared
-// descent, and keeps what the cache does not hold; kept tiles copy their
+// descent, and keeps what its change did to the cache; kept tiles copy their
 // cached entries. The result is byte-for-byte a full recompile (RecheckLists
 // verifies exactly that), and nothing is stored for the repair's sake: a
 // list is its index.
@@ -193,9 +193,10 @@ type treeDelta struct {
 	state []uint8
 	hot   int
 	// visit numbers the reachable nodes in classification visit order
-	// (pre-order, children in octant order). Node IDS stop being in visit
-	// order once tracked updates materialize leaves, so a re-split merges
-	// near runs on visit.
+	// (pre-order, children in octant order), −1 a node the update pruned.
+	// Node IDS stop being in visit order once tracked updates materialize
+	// leaves, so the repair merges runs on visit; a surviving node keeps its
+	// place in it.
 	visit []int32
 }
 
@@ -205,6 +206,9 @@ type treeDelta struct {
 func newTreeDelta(atoms *octree.Tree, before treeGeometry, strct []bool) *treeDelta {
 	nn := len(atoms.Nodes)
 	d := &treeDelta{before: before, state: make([]uint8, nn), visit: make([]int32, nn)}
+	for id := range d.visit {
+		d.visit[id] = -1
+	}
 	var next int32
 	var walk func(id int32) bool
 	walk = func(id int32) bool {
@@ -362,171 +366,352 @@ type listRepair struct {
 	old, il *InteractionLists
 	// oldTile is old.tileOf(), prev the cached row of every row of il (−1: a
 	// new leaf's) and visit treeDelta.visit; given marks the lanes of every
-	// tile the re-test gave up, kept those whose own runs place puts back
-	// together from the cache, and dirty the leaves of the changed rows (nil
+	// tile the re-test gave up, and dirty the leaves of the changed rows (nil
 	// in an unsymmetrized phase, which has no classes).
 	oldTile, prev, visit []int32
-	given, kept          []uint8
+	given                []uint8
 	dirty                []bool
 }
 
-// size marks the kept lanes of a chunk of tiles — rows the re-test kept
-// whose near entries keep their classes: their whole runs are their cached
-// own and cached tile's shared runs — and sizes a's first blocks for what
-// keep appends, by cached lengths: the other rows' own runs and the first
-// row's tile's shared runs. A denser chunk goes on in further blocks.
-func (rp *listRepair) size(a *listArena, chunk []int32, t *tiler) {
-	var far, near int
-	add := func(runs *[runFar + 1][]int32) {
-		f, n := sizes(runs)
-		far, near = far+f, near+n
-	}
+// deltaGuess is what size reserves for each changed row of a tile: the
+// entries of a row its change moves, beyond a new leaf's whole row, a
+// handful.
+const deltaGuess = 16
+
+// size sizes a's first near block for a chunk of tiles, for what keep
+// appends: a few entries for each changed row. A chunk with more — new
+// leaves, or rows whose runs changed much — goes on in further blocks.
+func (rp *listRepair) size(a *listArena, chunk []int32, _ *tiler) {
+	n := 0
 	for _, x := range chunk {
-		lo, hi := rp.il.tileRows(int(x))
-		if rp.dirty != nil {
-			t.chain = t.ph.ancestors(t.chain[:0], rp.il.Rows[lo])
-		}
-		for l := range hi - lo {
-			i := int(rp.prev[lo+l])
-			if i < 0 {
-				continue
-			}
-			own, shared := rp.old.rowRuns(i), rp.old.tileRuns(int(rp.oldTile[i]))
-			if rp.given[x]>>l&1 == 0 && (rp.dirty == nil || !rp.reclasses(int32(lo+l), t.chain, &own, &shared)) {
-				rp.kept[x] |= 1 << l
-			} else {
-				add(&own)
-			}
-			if l == 0 {
-				add(&shared)
-			}
-		}
+		n += runFar + 1 + 2*deltaGuess*bits.OnesCount8(rp.given[x])
 	}
-	a.far.reserve(far + far/16)
-	a.near.reserve(near + near/16)
+	a.reserve(0, n, 0)
 }
 
-// keep appends to a what place cannot take of tile x, classified in t, from
-// the cache: the shared runs and the own runs of the lanes not kept — of a
-// local move's tiles, little beyond the rows that changed, whose near
-// entries go to rename.
+// keep appends to a's near blocks what tile x, classified in t, changes in
+// the cache: of each class, every entry whose mask — the rows of x that take
+// it, all of them for a shared entry — differs from the rows that held it in
+// the cache (cachedRun), beside its mask now, 0 for one no row takes now;
+// the lengths of the four runs first. A row the re-test kept holds what it
+// held, so of a local move's tiles that is little beyond the rows that
+// changed. The near entries of the changed rows with a cached row go to
+// t.note, and the leaves they gained or lost to t.renamed (renamed).
 func (rp *listRepair) keep(t *tiler, a *listArena, x int) {
-	lo, _ := rp.il.tileRows(x)
-	a.appendRuns(&t.shared.runs)
-	for l := range bits.Len8(t.full) {
-		if rp.kept[x]>>l&1 == 0 {
-			a.appendRuns(&t.out[l].runs)
-		}
-		if i := rp.prev[lo+l]; rp.dirty != nil && rp.given[x]>>l&1 != 0 && i >= 0 {
-			rp.rename(t, l, int(i))
-		}
-	}
-}
-
-// rename adds to t.renamed the leaves that lane l's row — cached as row i,
-// reclassified — holds as near entries before the update or after it, not
-// both: a kept row's entry naming it changes class only if the pair's
-// mutuality does, only if it gained or lost the kept row's leaf.
-func (rp *listRepair) rename(t *tiler, l, i int) {
-	if t.renamed == nil {
-		t.renamed, t.stamp = make([]uint64, (len(t.ph.atoms.Nodes)+63)/64), make([]int32, len(t.ph.atoms.Nodes))
-	}
-	t.round += 2 // t.round marks a cached entry, t.round+1 one found again
-	own, shared, now := rp.old.rowRuns(i), rp.old.tileRuns(int(rp.oldTile[i])), t.out[l].runs
-	was := [...][]int32{own[0], own[1], own[2], shared[0], shared[1], shared[2]}
-	for _, run := range was {
-		for _, u := range run {
-			t.stamp[u] = t.round
-		}
-	}
-	for _, run := range [...][]int32{now[0], now[1], now[2], t.shared.runs[0], t.shared.runs[1], t.shared.runs[2]} {
-		for _, u := range run {
-			if t.stamp[u] == t.round {
-				t.stamp[u]++
-			} else {
-				t.renamed[u>>6] |= 1 << (u & 63)
+	var changed uint8 // the changed rows with a cached row
+	if rp.dirty != nil {
+		lo, _ := rp.il.tileRows(x)
+		for m := rp.given[x]; m != 0; m &= m - 1 {
+			if l := bits.TrailingZeros8(m); rp.prev[lo+l] >= 0 {
+				changed |= 1 << l
 			}
 		}
 	}
-	for _, run := range was {
-		for _, u := range run {
-			if t.stamp[u] == t.round {
-				t.renamed[u>>6] |= 1 << (u & 63)
+	d := t.delta[:0]
+	var lens [runFar + 1]int32
+	var was cachedRun
+	rp.cached(&was, x)
+	for r := range lens {
+		at, noted := len(d), changed != 0 && r != runFar
+		if s := was.whole(); s != nil && slices.Equal(s.runs[r], t.shared.runs[r]) &&
+			slices.Equal(s.ownRuns.runs[r], t.own.runs[r]) && slices.Equal(s.ownRuns.masks[r], t.own.masks[r]) {
+			continue // nothing changed: no entry, and no rename
+		}
+		was.class(r)
+		now := freshRun{shared: t.shared.runs[r], own: t.own.runs[r], masks: t.own.masks[r], full: t.full}
+		ce, cm := was.next()
+		ne, nm := now.next(rp.visit)
+		for ce >= 0 || ne >= 0 {
+			switch {
+			case ne < 0 || ce >= 0 && rp.visit[ce] < rp.visit[ne]:
+				d = append(d, ce, 0)
+				if noted {
+					t.note(ce, cm, 0)
+				}
+				ce, cm = was.next()
+			case ce < 0 || rp.visit[ne] < rp.visit[ce]:
+				d = append(d, ne, int32(nm))
+				if noted {
+					t.note(ne, 0, nm)
+				}
+				ne, nm = now.next(rp.visit)
+			default:
+				if cm != nm {
+					d = append(d, ne, int32(nm))
+				}
+				if noted {
+					t.note(ne, cm, nm)
+				}
+				ce, cm = was.next()
+				ne, nm = now.next(rp.visit)
 			}
 		}
+		lens[r] = int32(len(d) - at)
+	}
+	t.delta = d
+	a.near.append(lens[:])
+	a.near.append(d)
+	if changed != 0 {
+		t.rename(changed)
 	}
 }
 
-// place puts tile x in its place in il, sized by now: the runs keep appended
-// from a, in their order, and a kept lane's own from its cached runs, which
-// must fill exactly the run counted for it.
+// place puts tile x in its place in il from what keep appended to a: of each
+// class, the entries its rows held in the cache (cachedRun) with the masks
+// keep recorded put over theirs, merged on visit order — one every row
+// takes to the shared run (where the phase shares the class: the Born
+// phase's near leaves stay own), one some rows take to the own run, one
+// none takes dropped. They must fill exactly the runs counted for them.
 func (rp *listRepair) place(t *tiler, a *listArena, x int) {
+	shared, own := rp.il.tileRuns(x), rp.il.ownRuns(x)
 	lo, hi := rp.il.tileRows(x)
-	shared := rp.il.tileRuns(x)
-	a.takeRuns(&shared)
-	from := int32(-1) // the cached tile t's demoted and promoted runs are of
-	demoted, promoted := &t.shared.runs, &t.out[0].runs
-	for k := lo; k < hi; k++ {
-		own, i := rp.il.rowRuns(k), int(rp.prev[k])
-		if rp.kept[x]>>(k-lo)&1 == 0 {
-			a.takeRuns(&own)
+	full := uint8(1)<<(hi-lo) - 1
+	var lens [runFar + 1]int32
+	a.near.take(lens[:])
+	n := int(lens[0] + lens[1] + lens[2] + lens[3])
+	t.delta = slices.Grow(t.delta[:0], n)[:n]
+	a.near.take(t.delta)
+	d := t.delta
+	var was cachedRun
+	rp.cached(&was, x)
+	for r := range lens {
+		run := d[:lens[r]]
+		d = d[lens[r]:]
+		if s := was.whole(); s != nil && len(run) == 0 && len(s.runs[r]) == len(shared[r]) && len(s.ownRuns.runs[r]) == len(own.runs[r]) {
+			copy(shared[r], s.runs[r]) // unchanged: the cached tile's runs
+			copy(own.runs[r], s.ownRuns.runs[r])
+			copy(own.masks[r], s.ownRuns.masks[r])
 			continue
 		}
-		if rp.oldTile[i] != from {
-			from = rp.oldTile[i]
-			for r, was := range rp.old.tileRuns(int(from)) {
-				demoted[r], promoted[r] = diffRuns(demoted[r][:0], promoted[r][:0], was, shared[r], rp.visit)
+		was.class(r)
+		ns, no, share := 0, 0, full
+		if r != runFar && !rp.ph.symmetrize {
+			share = 0
+		}
+		e, m := was.next()
+		for e >= 0 || len(run) > 0 {
+			u, mu := e, m
+			if len(run) > 0 && (e < 0 || rp.visit[run[0]] <= rp.visit[e]) {
+				if run[0] == e {
+					e, m = was.next()
+				}
+				u, mu, run = run[0], uint8(run[1]), run[2:]
+			} else {
+				e, m = was.next()
+			}
+			switch {
+			case mu == 0:
+			case mu == share && ns < len(shared[r]):
+				shared[r][ns], ns = u, ns+1
+			case mu != share && no < len(own.runs[r]):
+				own.runs[r][no], own.masks[r][no], no = u, mu, no+1
+			default:
+				ns = len(shared[r]) + 1 // one past the runs counted
 			}
 		}
-		for r, run := range rp.old.rowRuns(i) {
-			if n := len(keptRun(own[r][:0], run, demoted[r], promoted[r], rp.visit)); n != len(own[r]) {
-				panic(fmt.Sprintf("core: repaired row %d run %d holds %d entries, counted %d", k, r, n, len(own[r])))
-			}
+		if ns != len(shared[r]) || no != len(own.runs[r]) {
+			panic(fmt.Sprintf("core: repaired tile %d %s runs: %d shared and %d own entries put back, %d and %d counted",
+				x, runNames[r], ns, no, len(shared[r]), len(own.runs[r])))
 		}
 	}
 }
 
-// diffRuns appends to d the entries of run s that run n does not hold and to
-// p those of n that s does not, both in the order of visit: what a tile's
-// cached shared run s lost to its kept rows' own runs, and what n took.
-func diffRuns(d, p, s, n, visit []int32) ([]int32, []int32) {
-	for len(s) > 0 && len(n) > 0 && s[0] == n[0] {
-		s, n = s[1:], n[1:]
+// cachedRun walks, in visit order, the entries of one class that the rows of
+// a tile held in the cache, each with the mask of those rows: the runs of
+// the cached tiles they come from merged, an entry the update pruned left
+// out.
+type cachedRun struct {
+	visit []int32
+	n     int // sources in srcs
+	srcs  [tileLanes]tileSource
+}
+
+// tileSource is a cached tile that rows of a tile come from — whole if they
+// are its rows and the tile's, lane for lane: lanes holds
+// their lanes in the tile, old the cached lanes they were and bit[li] the
+// lane of the one that was its lane li — shift lanes on, where that is the
+// same for all (the rows ascend in both lists, so it mostly is), else
+// noShift; its runs, shared and own, and of the class walked what is left
+// of them.
+type tileSource struct {
+	tile        int
+	whole       bool
+	lanes, old  uint8
+	bit         [tileLanes]uint8
+	shift       int
+	runs        [runFar + 1][]int32
+	ownRuns     laneRuns
+	shared, own []int32
+	masks       []uint8
+}
+
+// noShift is a tileSource's shift where its lanes moved unevenly.
+const noShift = tileLanes
+
+// cached sets c up for tile x: its rows with a cached row, by the cached
+// tile they come from.
+func (rp *listRepair) cached(c *cachedRun, x int) {
+	c.visit, c.n = rp.visit, 0
+	lo, hi := rp.il.tileRows(x)
+	for l := range hi - lo {
+		i := int(rp.prev[lo+l])
+		if i < 0 {
+			continue
+		}
+		f := int(rp.oldTile[i])
+		k := 0
+		for k < c.n && c.srcs[k].tile != f {
+			k++
+		}
+		li := i - int(rp.old.TileOff[f])
+		if k == c.n {
+			c.srcs[k] = tileSource{tile: f, shift: l - li, runs: rp.old.tileRuns(f), ownRuns: rp.old.ownRuns(f)}
+			c.n++
+		}
+		src := &c.srcs[k]
+		src.lanes, src.old, src.bit[li] = src.lanes|1<<l, src.old|1<<li, 1<<l
+		if l-li != src.shift {
+			src.shift = noShift
+		}
 	}
-	for len(s) > 0 || len(n) > 0 {
+	if s := &c.srcs[0]; c.n == 1 {
+		flo, fhi := rp.old.tileRows(s.tile)
+		s.whole = s.shift == 0 && s.lanes == uint8(1)<<(hi-lo)-1 && fhi-flo == hi-lo
+	}
+}
+
+// whole returns the one cached tile c walks if it held the tile's rows,
+// lane for lane, and no others; else nil.
+func (c *cachedRun) whole() *tileSource {
+	if c.n == 1 && c.srcs[0].whole {
+		return &c.srcs[0]
+	}
+	return nil
+}
+
+// class starts c on class r (a class, or runFar).
+func (c *cachedRun) class(r int) {
+	for k := range c.n {
+		s := &c.srcs[k]
+		s.shared, s.own, s.masks = s.runs[r], s.ownRuns.runs[r], s.ownRuns.masks[r]
+	}
+}
+
+// next returns the next entry and its mask, −1 past the last.
+func (c *cachedRun) next() (e int32, m uint8) {
+	if c.n == 1 { // the common case: a cached tile's shared and own runs
+		s := &c.srcs[0]
+		s.skip(c.visit)
 		switch {
-		case len(n) == 0 || len(s) > 0 && visit[s[0]] < visit[n[0]]:
-			d, s = append(d, s[0]), s[1:]
-		case len(s) == 0 || visit[n[0]] < visit[s[0]]:
-			p, n = append(p, n[0]), n[1:]
+		case len(s.shared) > 0 && (len(s.own) == 0 || c.visit[s.shared[0]] < c.visit[s.own[0]]):
+			e, m, s.shared = s.shared[0], s.lanes, s.shared[1:]
+		case len(s.own) > 0:
+			e, m = s.own[0], s.lanesOf(s.masks[0])
+			s.own, s.masks = s.own[1:], s.masks[1:]
 		default:
-			s, n = s[1:], n[1:]
+			return -1, 0
+		}
+		return e, m
+	}
+	v := int32(math.MaxInt32)
+	for k := range c.n {
+		s := &c.srcs[k]
+		s.skip(c.visit)
+		if len(s.shared) > 0 {
+			v = min(v, c.visit[s.shared[0]])
+		}
+		if len(s.own) > 0 {
+			v = min(v, c.visit[s.own[0]])
 		}
 	}
-	return d, p
+	if v == math.MaxInt32 {
+		return -1, 0
+	}
+	for k := range c.n {
+		s := &c.srcs[k]
+		if len(s.shared) > 0 && c.visit[s.shared[0]] == v {
+			e, m, s.shared = s.shared[0], m|s.lanes, s.shared[1:]
+		}
+		if len(s.own) > 0 && c.visit[s.own[0]] == v {
+			e, m = s.own[0], m|s.lanesOf(s.masks[0])
+			s.own, s.masks = s.own[1:], s.masks[1:]
+		}
+	}
+	return e, m
 }
 
-// keptRun appends to dst a kept row's own run now: its cached own run o less
-// the entries promoted into the tile's shared run, p, plus those demoted out
-// of it, d — all in the order of visit, o copied between them in bulk.
-func keptRun(dst, o, d, p, visit []int32) []int32 {
-	for len(d) > 0 || len(p) > 0 {
-		v := int32(math.MaxInt32)
-		if len(d) > 0 {
-			v = visit[d[0]]
-		}
-		if len(p) > 0 {
-			v = min(v, visit[p[0]])
-		}
-		j := sort.Search(len(o), func(j int) bool { return visit[o[j]] >= v })
-		dst, o = append(dst, o[:j]...), o[j:]
-		if len(p) > 0 && visit[p[0]] == v {
-			o, p = o[1:], p[1:]
-		} else {
-			dst, d = append(dst, d[0]), d[1:]
-		}
+// skip drops the heads of s's runs the tile walked does not hold: a node
+// the update pruned, an own entry none of its rows took.
+func (s *tileSource) skip(visit []int32) {
+	for len(s.shared) > 0 && visit[s.shared[0]] < 0 {
+		s.shared = s.shared[1:]
 	}
-	return append(dst, o...)
+	for len(s.own) > 0 && (visit[s.own[0]] < 0 || s.masks[0]&s.old == 0) {
+		s.own, s.masks = s.own[1:], s.masks[1:]
+	}
+}
+
+// lanesOf returns the lanes of the tile walked that a cached mask of s's
+// names.
+func (s *tileSource) lanesOf(mask uint8) (m uint8) {
+	mask &= s.old
+	switch {
+	case s.shift == noShift:
+		for ; mask != 0; mask &= mask - 1 {
+			m |= s.bit[bits.TrailingZeros8(mask)]
+		}
+		return m
+	case s.shift >= 0:
+		return mask << s.shift
+	}
+	return mask >> -s.shift
+}
+
+// freshRun walks a classified tile's entries of one class in visit order,
+// each with its mask: its shared run, every lane (full), and its own run.
+type freshRun struct {
+	shared, own []int32
+	masks       []uint8
+	full        uint8
+}
+
+// next returns the next entry and its mask, −1 past the last.
+func (f *freshRun) next(visit []int32) (e int32, m uint8) {
+	switch {
+	case len(f.shared) > 0 && (len(f.own) == 0 || visit[f.shared[0]] < visit[f.own[0]]):
+		e, m, f.shared = f.shared[0], f.full, f.shared[1:]
+	case len(f.own) > 0:
+		e, m, f.own, f.masks = f.own[0], f.masks[0], f.own[1:], f.masks[1:]
+	default:
+		return -1, 0
+	}
+	return e, m
+}
+
+// note records for rename that the rows of was held leaf u as a near entry
+// and the rows of now hold it, in some class.
+func (t *tiler) note(u int32, was, now uint8) {
+	if t.marks == nil {
+		t.marks, t.renamed = make([]uint16, len(t.ph.atoms.Nodes)), make([]uint64, (len(t.ph.atoms.Nodes)+63)/64)
+	}
+	if t.marks[u] == 0 {
+		t.noted = append(t.noted, u)
+	}
+	t.marks[u] |= uint16(was) | uint16(now)<<8
+}
+
+// rename adds to t.renamed the leaves noted that a row of changed held as a
+// near entry before the update or holds after it, not both: a kept row's
+// entry naming that row changes class only if the pair's mutuality does,
+// only if it gained or lost the kept row's leaf.
+func (t *tiler) rename(changed uint8) {
+	for _, u := range t.noted {
+		if m := t.marks[u]; (uint8(m)^uint8(m>>8))&changed != 0 {
+			t.renamed[u>>6] |= 1 << (u & 63)
+		}
+		t.marks[u] = 0
+	}
+	t.noted = t.noted[:0]
 }
 
 // repair produces the phase's lists after an update from the cached ones:
@@ -545,8 +730,7 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 	counts := repairCounts{retested: retested}
 	oldTile := old.tileOf()
 	kept := keptTiles(old, il, oldTile, prev, given)
-	rp := &listRepair{ph: ph, old: old, il: il, oldTile: oldTile, prev: prev, visit: d.visit, given: given,
-		kept: make([]uint8, il.tiles())}
+	rp := &listRepair{ph: ph, old: old, il: il, oldTile: oldTile, prev: prev, visit: d.visit, given: given}
 	if ph.symmetrize {
 		rp.dirty = make([]bool, len(ph.atoms.Nodes))
 	}
@@ -584,17 +768,13 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 
 	sp = o.Begin(0, "ilist", "ilist.repair.assemble", obs.NoVirtual)
 	defer sp.End(obs.NoVirtual)
-	// Count: a kept tile brings its cached counts, the tile's shared runs'
-	// and its rows' own.
-	rowArr, tileArr, oldRow, oldTiles := il.rowCSR(), il.tileCSR(), old.rowCSR(), old.tileCSR()
+	// Count: a kept tile brings its cached counts.
+	ownArr, tileArr, oldOwn, oldTiles := il.ownCSR(), il.tileCSR(), old.ownCSR(), old.tileCSR()
 	forRows(pool, len(kept), func(lo, hi, _ int) {
 		for t := lo; t < hi; t++ {
 			if f := int(kept[t]); f >= 0 {
 				carryCount(&tileArr, &oldTiles, t, f)
-				rlo, rhi := il.tileRows(t)
-				for k := rlo; k < rhi; k++ {
-					carryCount(&rowArr, &oldRow, k, int(prev[k]))
-				}
+				carryCount(&ownArr, &oldOwn, t, f)
 			}
 		}
 	})
@@ -613,10 +793,8 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 			for end < hi && kept[end] >= 0 && kept[end] == kept[end-1]+1 {
 				end++
 			}
-			rlo, _ := il.tileRows(t)
-			_, rhi := il.tileRows(end - 1)
 			carryRuns(&tileArr, &oldTiles, t, end, int(kept[t]))
-			carryRuns(&rowArr, &oldRow, rlo, rhi, int(prev[rlo]))
+			carryRuns(&ownArr, &oldOwn, t, end, int(kept[t]))
 			t = end - 1
 		}
 	})
@@ -652,8 +830,7 @@ func (rp *listRepair) reclassed(kept []int32, tilers []*tiler, pool *sched.Pool)
 				if chain == nil {
 					chain = rp.ph.ancestors(buf[:0], rows[rlo])
 				}
-				own, shared := rp.old.rowRuns(int(rp.prev[k])), rp.old.tileRuns(int(kept[t]))
-				flag[t] = rp.reclasses(int32(k), chain, &own, &shared)
+				flag[t] = rp.reclasses(int32(k), chain, int(kept[t]), k-rlo)
 			}
 		}
 	})
@@ -674,11 +851,15 @@ func carryCount(to, from *[runFar + 1]csr, i, j int) {
 }
 
 // carryRuns copies runs j, j+1, … of every array of from into runs [i0,
-// i1) of to's, in one copy an array.
+// i1) of to's, in one copy an array, and their masks alike.
 func carryRuns(to, from *[runFar + 1]csr, i0, i1, j int) {
 	for r := range to {
 		toOff, fromOff := *to[r].off, *from[r].off
-		copy((*to[r].ents)[toOff[i0]:toOff[i1]], (*from[r].ents)[fromOff[j]:fromOff[j+i1-i0]])
+		a, b, c, d := toOff[i0], toOff[i1], fromOff[j], fromOff[j+i1-i0]
+		copy((*to[r].ents)[a:b], (*from[r].ents)[c:d])
+		if to[r].masks != nil {
+			copy((*to[r].masks)[a:b], (*from[r].masks)[c:d])
+		}
 	}
 }
 
@@ -695,16 +876,20 @@ func (rp *listRepair) kindOf(k int32, chain []rowTile, u int32) int {
 	return nearKind(k, j, j != k && rp.ph.reaches(chain, u))
 }
 
-// reclasses reports whether a near entry of cached runs of row k — its own,
-// or its tile's shared ones — names a reclassified row and has another class
-// now; chain holds the ancestors of row k's leaf.
-func (rp *listRepair) reclasses(k int32, chain []rowTile, runs ...*[runFar + 1][]int32) bool {
-	for _, rr := range runs {
-		for was, run := range rr[:runFar] {
-			for _, u := range run {
-				if rp.dirty[u] && rp.kindOf(k, chain, u) != was {
-					return true
-				}
+// reclasses reports whether a near entry of lane l of cached tile from —
+// row k's, whose leaf's ancestors are chain — names a reclassified row and
+// has another class now.
+func (rp *listRepair) reclasses(k int32, chain []rowTile, from, l int) bool {
+	shared, own := rp.old.tileRuns(from), rp.old.ownRuns(from)
+	for was := range runFar {
+		for _, u := range shared[was] {
+			if rp.dirty[u] && rp.kindOf(k, chain, u) != was {
+				return true
+			}
+		}
+		for e, u := range own.runs[was] {
+			if own.masks[was][e]>>l&1 != 0 && rp.dirty[u] && rp.kindOf(k, chain, u) != was {
+				return true
 			}
 		}
 	}

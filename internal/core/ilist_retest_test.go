@@ -151,13 +151,14 @@ func (a *dirtyAudit) step(t *testing.T, sys *System, pos []geom.Vec3) *CompiledL
 	fresh := sys.compile(a.pool)
 	bornPh, epolPh := sys.listPhases(old)
 	for _, p := range []struct {
-		name        string
-		ph          listPhase
-		old, fresh  *InteractionLists
-		rowTreeSize int
+		name           string
+		ph             listPhase
+		old, fresh     *rowLists
+		oldIL, freshIL *InteractionLists
+		rowTreeSize    int
 	}{
-		{"born", bornPh, oldBorn, perRowLists(fresh.Born, sys.Atoms), len(sys.QPts.Nodes)},
-		{"epol", epolPh, oldEpol, perRowLists(fresh.Epol, sys.Atoms), len(sys.Atoms.Nodes)},
+		{"born", bornPh, oldBorn, perRowLists(fresh.Born, sys.Atoms), old.Born, fresh.Born, len(sys.QPts.Nodes)},
+		{"epol", epolPh, oldEpol, perRowLists(fresh.Epol, sys.Atoms), old.Epol, fresh.Epol, len(sys.Atoms.Nodes)},
 	} {
 		oldRow := make([]int32, p.rowTreeSize)
 		for i := range oldRow {
@@ -166,13 +167,13 @@ func (a *dirtyAudit) step(t *testing.T, sys *System, pos []geom.Vec3) *CompiledL
 		for i, r := range p.old.Rows {
 			oldRow[r] = int32(i)
 		}
-		prev, given, _ := p.ph.sources(p.old, p.fresh, d, nil)
-		tileOf := p.fresh.tileOf()
+		prev, given, _ := p.ph.sources(p.oldIL, p.freshIL, d, nil)
+		tileOf := p.freshIL.tileOf()
 		for k, r := range p.fresh.Rows {
 			i := oldRow[r]
 			same := i >= 0 && sameRow(p.old, i, p.fresh, int32(k))
 			x := tileOf[k]
-			classified := given[x]>>(k-int(p.fresh.TileOff[x]))&1 != 0
+			classified := given[x]>>(k-int(p.freshIL.TileOff[x]))&1 != 0
 			switch {
 			case prev[k] != i:
 				t.Fatalf("audit: %s row %d (leaf %d) carries row %d over, it was row %d", p.name, k, r, prev[k], i)
@@ -194,7 +195,7 @@ func (a *dirtyAudit) step(t *testing.T, sys *System, pos []geom.Vec3) *CompiledL
 // sameRow reports whether row i of a and row k of b hold the same far
 // entries and the same pre-symmetrization near set: what a classification
 // produces, whatever the split made of it.
-func sameRow(a *InteractionLists, i int32, b *InteractionLists, k int32) bool {
+func sameRow(a *rowLists, i int32, b *rowLists, k int32) bool {
 	ar, br := a.rowRuns(int(i)), b.rowRuns(int(k))
 	if !slices.Equal(ar[runFar], br[runFar]) {
 		return false
@@ -470,10 +471,13 @@ func TestRepairRetestsWhatMoved(t *testing.T) {
 // listFootprint adds up the arrays of cl by hand.
 func listFootprint(cl *CompiledLists) (bytes int64) {
 	for _, il := range []*InteractionLists{cl.Born, cl.Epol} {
-		for _, a := range [][]int32{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near, il.SymOff, il.Sym, il.CedeOff, il.Cede,
-			il.TileOff, il.TileFarOff, il.TileFar, il.TileNearOff, il.TileNear, il.TileSymOff, il.TileSym,
-			il.TileCedeOff, il.TileCede} {
+		for _, a := range [][]int32{il.Rows, il.OwnFarOff, il.OwnFar, il.OwnNearOff, il.OwnNear, il.OwnSymOff, il.OwnSym,
+			il.OwnCedeOff, il.OwnCede, il.TileOff, il.TileFarOff, il.TileFar, il.TileNearOff, il.TileNear, il.TileSymOff,
+			il.TileSym, il.TileCedeOff, il.TileCede} {
 			bytes += 4 * int64(len(a))
+		}
+		for _, m := range [][]uint8{il.OwnFarMask, il.OwnNearMask, il.OwnSymMask, il.OwnCedeMask} {
+			bytes += int64(len(m))
 		}
 	}
 	return bytes

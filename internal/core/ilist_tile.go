@@ -16,11 +16,12 @@ import (
 // entries still come out in the order its own descent would emit them —
 // the shared descent is the same pre-order, a lane simply sits out the
 // subtrees it closed — so the lists are the per-row recursion's, byte for
-// byte. What every lane of a tile takes — a far node, or in the E_pol phase
-// a near leaf of one class — is stored once, for the tile
-// (InteractionLists.TileFar and its kin): each row's run is then its own
-// remainder, and the two merged back on visit order are the recursion's
-// row.
+// byte. An entry the descent admits goes to the tile once, with the mask of
+// the lanes that take it: what every lane takes — a far node, or in the E_pol
+// phase a near leaf of one class — to the tile's shared runs
+// (InteractionLists.TileFar and its kin), the rest to its own runs beside
+// their masks (InteractionLists.OwnFar and its kin); a row's own entries and
+// the shared ones merged back on visit order are the recursion's row.
 
 // tileLanes is the number of clusters a rowTile holds: two YMM registers of
 // float64.
@@ -116,11 +117,13 @@ func nearKind(k, j int32, mutual bool) int {
 	return kindCede
 }
 
-// laneRuns collects one row's entries in the order its descent emits them —
-// near leaves by class and far nodes (runs[runFar]) — or a tile's shared
-// ones.
+// laneRuns collects a tile's entries in the order its descent emits them —
+// near leaves by class and far nodes (runs[runFar]) — its shared ones, or
+// its own ones beside their lane masks (masks[r][k] is runs[r][k]'s; a
+// shared laneRuns has none).
 type laneRuns struct {
-	runs [runFar + 1][]int32
+	runs  [runFar + 1][]int32
+	masks [runFar + 1][]uint8
 }
 
 // runFar indexes a lane's far run, behind its three near runs.
@@ -141,8 +144,14 @@ func sizes(runs *[runFar + 1][]int32) (far, near int) {
 // reset empties lr's runs, keeping their buffers.
 func (lr *laneRuns) reset() {
 	for r := range lr.runs {
-		lr.runs[r] = lr.runs[r][:0]
+		lr.runs[r], lr.masks[r] = lr.runs[r][:0], lr.masks[r][:0]
 	}
+}
+
+// add appends entry u, taken by the lanes of mask, to run r.
+func (lr *laneRuns) add(r int, u int32, mask uint8) {
+	lr.runs[r] = append(lr.runs[r], u)
+	lr.masks[r] = append(lr.masks[r], mask)
 }
 
 // tileStats counts what classifying cost: shared descents, their lanes, the
@@ -157,7 +166,7 @@ func (s *tileStats) add(o tileStats) {
 }
 
 // tiler is one worker's classification state, reused from tile to tile and
-// chunk to chunk: the tile, its rows' buffers and their ancestor chain.
+// chunk to chunk: the tile, its runs' buffers and their ancestor chain.
 type tiler struct {
 	ph   *listPhase
 	rows rowTile
@@ -165,15 +174,16 @@ type tiler struct {
 	// of the tile's lanes.
 	row  [tileLanes]int32
 	full uint8
-	out  [tileLanes]laneRuns
-	// shared collects what every lane takes, stored once for the tile: the
-	// far nodes, and in a symmetrized phase the near leaves every lane takes
-	// in one class.
-	shared laneRuns
-	// renamed, stamp and round are the repair's (listRepair.rename).
+	// shared collects what every lane takes: the far nodes, and in a
+	// symmetrized phase the near leaves every lane takes in one class; own
+	// the rest, each entry once beside the mask of the lanes that take it.
+	shared, own laneRuns
+	// delta, marks, noted and renamed are the repair's (listRepair.keep and
+	// place, note and rename).
+	delta   []int32
+	marks   []uint16
+	noted   []int32
 	renamed []uint64
-	stamp   []int32
-	round   int32
 	// chain holds the strict ancestors the tile's leaves share (symmetrized
 	// phase only): the tile is cut where the parent changes, so whether a
 	// near leaf's row reaches back is decided once for all its lanes.
@@ -181,30 +191,26 @@ type tiler struct {
 	stats tileStats
 }
 
-// laneCap is the capacity a lane's buffers start with: most rows' runs at
-// the ledger's sizes; a longer run grows its buffer once, for good.
-const laneCap = 512
+// runCap is the capacity a tile's run buffers start with: most tiles' runs
+// at the ledger's sizes; a longer run grows its buffer once, for good.
+const runCap = 512
 
 func newTiler(ph *listPhase) *tiler {
 	t := &tiler{ph: ph, chain: make([]rowTile, 0, chainBlocks)}
-	// One slab for all of the worker's buffers, so that its objects do not
-	// scale with anything.
-	slab := make([]int32, (tileLanes+1)*(runFar+1)*laneCap)
-	for l := 0; l <= tileLanes; l++ {
-		lr := &t.shared
-		if l < tileLanes {
-			lr = &t.out[l]
-		}
-		for r := range lr.runs {
-			lr.runs[r], slab = slab[:0:laneCap], slab[laneCap:]
-		}
+	// One slab for the entries of all of the worker's buffers and one for
+	// their masks, so that its objects do not scale with anything.
+	slab, masks := make([]int32, 4*(runFar+1)*runCap), make([]uint8, (runFar+1)*runCap)
+	for r := range t.own.runs {
+		t.shared.runs[r], t.own.runs[r], slab = slab[:0:runCap], slab[runCap:2*runCap:2*runCap], slab[2*runCap:]
+		t.own.masks[r], masks = masks[:0:runCap], masks[runCap:]
 	}
+	t.delta = slab[:0]
 	return t
 }
 
 // classify classifies tile x of il — up to eight rows, in a symmetrized
 // phase children of one node — in one descent from the root, into the
-// lanes' buffers and the tile's shared runs.
+// tile's shared and own runs.
 func (t *tiler) classify(il *InteractionLists, x int) {
 	ph := t.ph
 	lo, hi := il.tileRows(x)
@@ -212,9 +218,9 @@ func (t *tiler) classify(il *InteractionLists, x int) {
 		rn := &ph.rowTree.Nodes[il.Rows[lo+l]]
 		t.rows.set(l, rn.Center, rn.Radius)
 		t.row[l] = int32(lo + l)
-		t.out[l].reset()
 	}
 	t.shared.reset()
+	t.own.reset()
 	if ph.symmetrize {
 		t.chain = ph.ancestors(t.chain[:0], il.Rows[lo])
 	}
@@ -224,16 +230,13 @@ func (t *tiler) classify(il *InteractionLists, x int) {
 	t.descend(ph.atoms.Root(), t.full)
 }
 
-// count records the classified tile's run lengths in il's offset arrays:
-// its shared runs' at [x+1] of the per-tile ones, each row k's own at [k+1]
-// of the per-row ones, for the prefix sums.
+// count records the classified tile's run lengths at [x+1] of il's offset
+// arrays, for the prefix sums.
 func (t *tiler) count(il *InteractionLists, x int) {
-	tileArr, rowArr := il.tileCSR(), il.rowCSR()
+	tileArr, ownArr := il.tileCSR(), il.ownCSR()
 	for r := range tileArr {
 		(*tileArr[r].off)[x+1] = int32(len(t.shared.runs[r]))
-		for l := range bits.Len8(t.full) {
-			(*rowArr[r].off)[int(t.row[l])+1] = int32(len(t.out[l].runs[r]))
-		}
+		(*ownArr[r].off)[x+1] = int32(len(t.own.runs[r]))
 	}
 }
 
@@ -251,14 +254,13 @@ func (t *tiler) descend(n int32, open uint8) {
 		return
 	}
 	far := ph.admit(&t.rows, node.Center, node.Radius, open)
-	if far == t.full {
+	switch far {
+	case 0:
+	case t.full:
 		// The whole tile takes the node: once, for every lane.
 		t.shared.runs[runFar] = append(t.shared.runs[runFar], n)
-	} else {
-		for m := far; m != 0; m &= m - 1 {
-			out := &t.out[bits.TrailingZeros8(m)]
-			out.runs[runFar] = append(out.runs[runFar], n)
-		}
+	default:
+		t.own.add(runFar, n, far)
 	}
 	open &^= far
 	switch {
@@ -276,25 +278,29 @@ func (t *tiler) descend(n int32, open uint8) {
 
 // near records leaf u as a near entry of the lanes of open, in a
 // symmetrized phase by class: the pair is mutual iff row u reaches the
-// tile's leaves, one test against the ancestors they share. The lanes' rows
-// ascend, and their classes with them — Sym below u's row, Near at it, Cede
-// above — so when every lane is open and the first and the last lane's
-// classes agree, every lane's does, and u goes once to the tile's shared
-// run of that class.
+// tile's leaves, one test against the ancestors they share. u goes to the
+// tile once a class, beside the mask of the lanes that take it in that
+// class; in a symmetrized phase, a class every lane takes u in is the
+// tile's shared run of that class.
 func (t *tiler) near(u int32, open uint8) {
-	var j int32
-	mutual := false
-	if t.ph.symmetrize {
-		t.stats.chainTests++
-		j, mutual = t.ph.rowOf[u], t.ph.reaches(t.chain, u)
-		if kd := nearKind(t.row[0], j, mutual); open == t.full && kd == nearKind(t.row[bits.Len8(t.full)-1], j, mutual) {
-			t.shared.runs[kd] = append(t.shared.runs[kd], u)
-			return
-		}
+	if !t.ph.symmetrize {
+		t.own.add(kindNear, u, open)
+		return
 	}
+	t.stats.chainTests++
+	j, mutual := t.ph.rowOf[u], t.ph.reaches(t.chain, u)
+	var by [runFar]uint8 // the lanes of open, by class
 	for m := open; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros8(m)
-		kd := nearKind(t.row[l], j, mutual)
-		t.out[l].runs[kd] = append(t.out[l].runs[kd], u)
+		by[nearKind(t.row[l], j, mutual)] |= 1 << l
+	}
+	for kd, m := range by {
+		switch m {
+		case 0:
+		case t.full:
+			t.shared.runs[kd] = append(t.shared.runs[kd], u)
+		default:
+			t.own.add(kd, u, m)
+		}
 	}
 }

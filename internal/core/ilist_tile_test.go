@@ -75,7 +75,7 @@ const (
 // its worker's array and reads its partners' stamps. pre's entries are
 // scratch from here on: the first pass leaves each one's class in its top
 // bits for the second.
-func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sched.Pool) {
+func symmetrizeNear(il *rowLists, pre *nearLists, numNodes int, pool *sched.Pool) {
 	n := len(il.Rows)
 	rowOf := make([]int32, numNodes)
 	for k, r := range il.Rows {
@@ -158,11 +158,46 @@ func symmetrizeNear(il *InteractionLists, pre *nearLists, numNodes int, pool *sc
 	})
 }
 
+// rowLists is a phase's lists in the form they had before tiles, every
+// row's runs whole in CSR form — row i's far run is Far[FarOff[i]:
+// FarOff[i+1]], and its near runs alike: the form the oracle emits, the
+// form tiled lists take merged back into their rows (perRowLists), and the
+// rows' own runs of older checkpoint layouts (ownRows).
+type rowLists struct {
+	Rows                                                   []int32
+	FarOff, Far, NearOff, Near, SymOff, Sym, CedeOff, Cede []int32
+}
+
+// newRowLists returns row lists of rows with zeroed offsets and no entries.
+func newRowLists(rows []int32) *rowLists {
+	rl := &rowLists{Rows: rows}
+	for _, c := range rl.rowCSR() {
+		*c.off = make([]int32, len(rows)+1)
+	}
+	return rl
+}
+
+// rowCSR returns rl's arrays, indexed by class and runFar as a laneRuns is.
+func (rl *rowLists) rowCSR() [runFar + 1]csr {
+	return [...]csr{kindNear: {&rl.NearOff, &rl.Near, nil}, kindSym: {&rl.SymOff, &rl.Sym, nil},
+		kindCede: {&rl.CedeOff, &rl.Cede, nil}, runFar: {&rl.FarOff, &rl.Far, nil}}
+}
+
+// rowRuns returns row i's runs, indexed as a laneRuns is.
+func (rl *rowLists) rowRuns(i int) (runs [runFar + 1][]int32) {
+	for r, c := range rl.rowCSR() {
+		runs[r] = c.run(i)
+	}
+	return runs
+}
+
+// NumFar returns the far entries of all rows.
+func (rl *rowLists) NumFar() int { return len(rl.Far) }
+
 // oracleIndex is listPhase.index by the scalar descent, row by row, and the
-// transposed split, every row's runs whole: the phase's tiles, sharing
-// nothing.
-func (ph *listPhase) oracleIndex(pool *sched.Pool) *InteractionLists {
-	il := ph.newLists()
+// transposed split, every row's runs whole.
+func (ph *listPhase) oracleIndex(pool *sched.Pool) *rowLists {
+	il := newRowLists(ph.newLists().Rows)
 	pre := nearLists{off: make([]int32, len(il.Rows)+1)}
 	var sink rowSink
 	for k, r := range il.Rows {
@@ -181,9 +216,9 @@ func (ph *listPhase) oracleIndex(pool *sched.Pool) *InteractionLists {
 	return il
 }
 
-// sameIndex reports the first difference between two lists: a row's or a
-// tile's entries (diffLists) or, those equal, an offset array — which then
-// makes the entry arrays equal too.
+// sameIndex reports the first difference between two lists: a tile's runs
+// (diffLists) or, those equal, an offset array — which then makes the entry
+// arrays equal too.
 func sameIndex(got, want *InteractionLists) error {
 	if err := diffLists("oracle", want, got); err != nil {
 		return err
@@ -191,7 +226,30 @@ func sameIndex(got, want *InteractionLists) error {
 	ga, wa := got.arrays(), want.arrays()
 	for i := range ga {
 		if !slices.Equal(*ga[i].off, *wa[i].off) {
-			return fmt.Errorf("the %s offsets of the %s differ from the oracle's", runNames[i%(runFar+1)], [2]string{"rows", "tiles"}[i/(runFar+1)])
+			return fmt.Errorf("the %s offsets of the %s runs differ from the oracle's", runNames[i%(runFar+1)], [2]string{"own", "shared"}[i/(runFar+1)])
+		}
+	}
+	return nil
+}
+
+// sameRows reports the first difference between two row lists: a row's
+// entries or, those equal, an offset array.
+func sameRows(got, want *rowLists) error {
+	if !slices.Equal(got.Rows, want.Rows) {
+		return fmt.Errorf("the rows differ from the oracle's")
+	}
+	for i := range want.Rows {
+		g, w := got.rowRuns(i), want.rowRuns(i)
+		for r := range w {
+			if !slices.Equal(g[r], w[r]) {
+				return fmt.Errorf("row %d (leaf %d) %s set: %d entries, the oracle's %d", i, want.Rows[i], runNames[r], len(g[r]), len(w[r]))
+			}
+		}
+	}
+	ga, wa := got.rowCSR(), want.rowCSR()
+	for r := range ga {
+		if !slices.Equal(*ga[r].off, *wa[r].off) {
+			return fmt.Errorf("the %s offsets of the rows differ from the oracle's", runNames[r])
 		}
 	}
 	return nil
@@ -218,21 +276,32 @@ func visitOrder(t *octree.Tree) []int32 {
 	return visit
 }
 
-// perRowLists returns il with every tile's shared runs merged back into its
-// rows — each row's run of a kind its tile's shared run and its own, on
-// visit order of atoms — over the same tiles, which then share nothing: the
-// rows the per-row recursion emits, in the lists' one layout.
-func perRowLists(il *InteractionLists, atoms *octree.Tree) *InteractionLists {
-	visit := visitOrder(atoms)
-	out := blankLists(il.Rows, il.TileOff)
+// perRowLists returns il merged back into its rows: row l of a tile takes,
+// of each kind, the tile's shared run and the own run's entries whose mask
+// has bit l, merged on visit order of atoms — the rows the per-row
+// recursion emits.
+func perRowLists(il *InteractionLists, atoms *octree.Tree) *rowLists {
+	return il.rowForm(visitOrder(atoms), true)
+}
+
+// ownRows returns il's own runs as rows: row l of a tile takes, of each
+// kind, the own run's entries whose mask has bit l — the per-row own runs
+// of the checkpoint layouts up to version 6.
+func ownRows(il *InteractionLists) *rowLists { return il.rowForm(nil, false) }
+
+// rowForm is perRowLists (shared set, on visit) or ownRows.
+func (il *InteractionLists) rowForm(visit []int32, shared bool) *rowLists {
+	out := newRowLists(il.Rows)
 	rows := out.rowCSR()
 	for t := range il.tiles() {
-		shared := il.tileRuns(t)
+		tile, own := il.tileRuns(t), il.ownRuns(t)
 		lo, hi := il.tileRows(t)
 		for i := lo; i < hi; i++ {
-			own := il.rowRuns(i)
 			for r, c := range rows {
-				a, b := shared[r], own[r]
+				a, b := tile[r], laneRun(nil, own.runs[r], own.masks[r], i-lo)
+				if !shared {
+					a = nil
+				}
 				for len(a)+len(b) > 0 {
 					run := &b
 					if len(b) == 0 || len(a) > 0 && visit[a[0]] < visit[b[0]] {
@@ -248,51 +317,73 @@ func perRowLists(il *InteractionLists, atoms *octree.Tree) *InteractionLists {
 	return out
 }
 
-// hoistTiles turns per-row lists into the tiled form phase ph compiles them
-// to, over the cut tileOff: a tile's shared run of a kind is the entries
-// every one of its rows holds in that run, in the first row's order, and
-// each row keeps the rest, in its order. Every phase shares far nodes, a
-// symmetrized one near leaves too.
-func hoistTiles(il *InteractionLists, ph *listPhase, tileOff []int32) *InteractionLists {
-	out := blankLists(il.Rows, tileOff)
-	from, rows, shared := il.rowCSR(), out.rowCSR(), out.tileCSR()
-	// seen[a] counts the tile's rows holding a in the run.
-	seen := make([]int32, len(ph.atoms.Nodes))
+// tiled returns rl as lists of one-row tiles, each row's runs its tile's
+// shared ones: the per-row sweep's lists, in the tiled layout.
+func (rl *rowLists) tiled() *InteractionLists {
+	tileOff := make([]int32, len(rl.Rows)+1)
+	for i := range tileOff {
+		tileOff[i] = int32(i)
+	}
+	il := blankLists(rl.Rows, tileOff)
+	from, shared := rl.rowCSR(), il.tileCSR()
+	for r := range shared {
+		*shared[r].off, *shared[r].ents = slices.Clone(*from[r].off), slices.Clone(*from[r].ents)
+	}
+	for _, c := range il.ownCSR() {
+		*c.ents, *c.masks = []int32{}, []uint8{}
+	}
+	return il
+}
+
+// hoistTiles turns row lists into the tiled form phase ph compiles them to,
+// over the cut tileOff: a tile's shared run of a kind is the entries every
+// one of its rows holds in that run, in the first row's order, and its own
+// run the rest, each once on visit order of ph's atoms beside the mask of
+// the rows holding it. Every phase shares far nodes, a symmetrized one near
+// leaves too.
+func hoistTiles(rl *rowLists, ph *listPhase, tileOff []int32) *InteractionLists {
+	visit := visitOrder(ph.atoms)
+	out := blankLists(rl.Rows, tileOff)
+	from, own, shared := rl.rowCSR(), out.ownCSR(), out.tileCSR()
+	// mask[a] holds the tile's rows holding a in the run.
+	mask := make([]uint8, len(ph.atoms.Nodes))
 	for r := range from {
 		for t := range out.tiles() {
 			lo, hi := out.tileRows(t)
-			isShared := func(int32) bool { return false }
-			if r == runFar || ph.symmetrize {
-				for i := lo; i < hi; i++ {
-					for _, a := range from[r].run(i) {
-						if i == lo {
-							seen[a] = 1
-						} else if seen[a] == int32(i-lo) {
-							seen[a]++
-						}
-					}
-				}
-				isShared = func(a int32) bool { return seen[a] == int32(hi-lo) }
-				for _, a := range from[r].run(lo) {
-					if isShared(a) {
-						*shared[r].ents = append(*shared[r].ents, a)
-					}
-				}
-				(*shared[r].off)[t+1] = int32(len(*shared[r].ents))
-			}
+			full := uint8(1)<<(hi-lo) - 1
+			var union []int32
 			for i := lo; i < hi; i++ {
 				for _, a := range from[r].run(i) {
-					if !isShared(a) {
-						*rows[r].ents = append(*rows[r].ents, a)
+					if mask[a] == 0 {
+						union = append(union, a)
 					}
-				}
-				(*rows[r].off)[i+1] = int32(len(*rows[r].ents))
-			}
-			for i := lo; i < hi; i++ {
-				for _, a := range from[r].run(i) {
-					seen[a] = 0
+					mask[a] |= 1 << (i - lo)
 				}
 			}
+			isShared := func(a int32) bool { return (r == runFar || ph.symmetrize) && mask[a] == full }
+			for _, a := range from[r].run(lo) {
+				if isShared(a) {
+					*shared[r].ents = append(*shared[r].ents, a)
+				}
+			}
+			slices.SortFunc(union, func(a, b int32) int { return int(visit[a] - visit[b]) })
+			for _, a := range union {
+				if !isShared(a) {
+					*own[r].ents, *own[r].masks = append(*own[r].ents, a), append(*own[r].masks, mask[a])
+				}
+			}
+			(*shared[r].off)[t+1], (*own[r].off)[t+1] = int32(len(*shared[r].ents)), int32(len(*own[r].ents))
+			for _, a := range union {
+				mask[a] = 0
+			}
+		}
+	}
+	for _, c := range out.arrays() {
+		if *c.ents == nil {
+			*c.ents = []int32{}
+		}
+		if c.masks != nil && *c.masks == nil {
+			*c.masks = []uint8{}
 		}
 	}
 	return out
@@ -343,7 +434,7 @@ func tileListsMatchOracle(t *testing.T, p int) {
 						}
 						name := fmt.Sprintf("%s, %s", when, phaseName)
 						want := ph.oracleIndex(nil)
-						if err := sameIndex(perRowLists(held, sys.Atoms), want); err != nil {
+						if err := sameRows(perRowLists(held, sys.Atoms), want); err != nil {
 							t.Errorf("%s: rows merged back: %v", name, err)
 						}
 						if err := sameIndex(held, hoistTiles(want, ph, ph.cutTiles(want.Rows))); err != nil {
@@ -367,10 +458,10 @@ func tileListsMatchOracle(t *testing.T, p int) {
 								t.Errorf("%s: the compile on %s differs", name, pname)
 							}
 						}
-						rows, tiles := held.rowCSR(), held.tileCSR()
-						for r := range rows {
+						own, tiles := held.ownCSR(), held.tileCSR()
+						for r := range own {
 							stored[0][r] += len(*tiles[r].ents)
-							stored[1][r] += len(*rows[r].ents)
+							stored[1][r] += len(*own[r].ents)
 						}
 					}
 					sys.Lists(nil)
@@ -414,16 +505,16 @@ func tileListsMatchOracle(t *testing.T, p int) {
 }
 
 // A tile the repair classifies is the compiled tile, byte for byte, shared
-// and own runs of every class, whichever of its lanes the re-test gave up:
-// the given lanes' own runs come from the descent, the kept lanes' are put
-// back together from their cached runs (keptRun) or their cached row. On
-// unchanged geometry, over every fixture and order of the oracle table and
-// both phases, every tile is classified with a random set of 0 to 8 of its
-// lanes given — a tile of one row, kept or given, and tiles given whole
-// among them — against the compiled lists as the cache and against the same
-// lists re-cut (three rows, then eights), so that a tile's kept rows come
-// from two cached tiles; the re-cut tiles' shared runs are the intersection
-// of their rows (hoistTiles).
+// and own runs of every class and their masks, whichever of its lanes the
+// re-test gave up: the given lanes' share of the own runs comes from the
+// descent, the kept lanes' is put back together from their cached runs
+// (keptRuns). On unchanged geometry, over every fixture and order of the
+// oracle table and both phases, every tile is classified with a random set
+// of 0 to 8 of its lanes given — a tile of one row, kept or given, and
+// tiles given whole among them — against the compiled lists as the cache
+// and against the same lists re-cut (three rows, then eights), so that a
+// tile's kept rows come from two cached tiles; the re-cut tiles' shared
+// runs are the intersection of their rows (hoistTiles).
 func TestRepairLaneWiseMatchesWholeTile(t *testing.T) {
 	rng := rand.New(rand.NewSource(312))
 	var oneRow, twoTiles, whole int
@@ -449,7 +540,7 @@ func TestRepairLaneWiseMatchesWholeTile(t *testing.T) {
 					for size := 0; size <= tileLanes; size++ {
 						il := ph.newLists()
 						rp := &listRepair{ph: ph, old: old, il: il, oldTile: old.tileOf(), prev: prev, visit: d.visit,
-							given: make([]uint8, il.tiles()), kept: make([]uint8, il.tiles())}
+							given: make([]uint8, il.tiles())}
 						if ph.symmetrize {
 							rp.dirty = make([]bool, len(ph.atoms.Nodes))
 						}
@@ -542,7 +633,7 @@ func TestTileCompileMatchesOracle(t *testing.T) {
 					}{{"born", born}, {"epol", epol}, {"epol unsplit", unsplit}} {
 						want := p.ph.oracleIndex(nil)
 						forPools(t, func(t *testing.T, pool *sched.Pool) {
-							if err := sameIndex(perRowLists(p.ph.index(pool), sys.Atoms), want); err != nil {
+							if err := sameRows(perRowLists(p.ph.index(pool), sys.Atoms), want); err != nil {
 								t.Errorf("%s, %s: %v", when, p.name, err)
 							}
 						})

@@ -34,57 +34,66 @@ package core
 
 // bornTile evaluates Born tile t of il — up to eight q-point leaf rows —
 // into acc (Figure 2): far entries contribute the pseudo-q-point term to the
-// node field s_A, near entries get exact per-atom/per-q-point sums. The
-// tile's shared far run is swept once, eight rows to a term
-// (bornFarShared), and each row then sweeps its own runs; a Born tile
-// shares no near leaves (validateIL). Every node's sum still receives its terms
-// in row order — a node is shared or own within a tile, never both, and the
-// shared sweep adds a node's lane terms in lane order — so at one worker
-// every sum is bit for bit the per-row sweep's.
+// node field s_A, near entries get exact per-atom/per-q-point sums. Both of
+// the tile's far runs are swept eight rows to a node (bornFarLanes): the
+// shared run with every row taking each node, the own run by its lane
+// masks; each row then sweeps its near leaves, its share of the own near run
+// (bornNear; a Born tile shares no near leaves, validateIL). Every node's
+// sum still receives its terms in row order — a node is in one far run of a
+// tile, and the sweep adds a node's lane terms in lane order — so at one
+// worker every sum is bit for bit the per-row sweep's.
 func bornTile(sys *System, il *InteractionLists, t int, acc *bornAccum) {
 	lo, hi := il.tileRows(t)
-	shared := il.tileFar(t)
-	bornFarShared(sys, il.Rows[lo:hi], shared, acc.node)
-	acc.ops += float64(len(shared) * (hi - lo))
-	for row := lo; row < hi; row++ {
-		bornRow(sys, il, row, acc)
+	var q bornLanes
+	q.set(sys, il.Rows[lo:hi])
+	full := [1]uint8{uint8(1)<<(hi-lo) - 1}
+	shared, own := il.tileCSR()[runFar].run(t), il.ownRuns(t)
+	bornFarLanes(sys, &q, hi-lo, shared, full[:], 0, acc.node)
+	bornFarLanes(sys, &q, hi-lo, own.runs[runFar], own.masks[runFar], 1, acc.node)
+	acc.ops += float64(len(shared)*(hi-lo) + popcount(own.masks[runFar]))
+	for l := range hi - lo {
+		acc.near = laneRun(acc.near[:0], own.runs[kindNear], own.masks[kindNear], l)
+		bornNear(sys, il.Rows[lo+l], acc.near, acc)
 	}
 }
 
 // bornLanes is a Born tile's rows in SoA lanes: each q-point leaf's center
-// and summed weighted normal (System.QNodeWN) — the row side of a shared far
-// term. bornFarShared4 (simd_amd64.s) reads x at byte 0, y at 64, z at 128
-// and the normal at 192, 256, 320.
+// and summed weighted normal (System.QNodeWN) — the row side of a far term.
+// bornFarMasked4 (simd_amd64.s) reads x at byte 0, y at 64, z at 128 and
+// the normal at 192, 256, 320; the lanes past a short tile's rows are zero.
 type bornLanes struct {
 	x, y, z, wx, wy, wz [tileLanes]float64
 }
 
-// bornFarShared adds, for every node a of shared, the pseudo-q-point
-// term of each of rows (one tile's, in order) to node[a], in row order. A
-// full tile under the R6 kernel goes to the AVX2 sweep where the host has
-// one; the rest — R4, a short tile or no assembly — to the portable loop.
-func bornFarShared(sys *System, rows, shared []int32, node []float64) {
-	var q bornLanes
+// set puts the q-point leaves rows in the first lanes of q.
+func (q *bornLanes) set(sys *System, rows []int32) {
 	for l, leaf := range rows {
 		c, wn := sys.QPts.Nodes[leaf].Center, sys.QNodeWN[leaf]
 		q.x[l], q.y[l], q.z[l], q.wx[l], q.wy[l], q.wz[l] = c.X, c.Y, c.Z, wn.X, wn.Y, wn.Z
 	}
-	if useAsmKernels && len(rows) == tileLanes && sys.Params.Kernel == R6 {
-		bornFarSharedAsm(sys, &q, shared, node)
-		return
-	}
-	bornFarSharedLanes(sys, &q, len(rows), shared, node)
 }
 
-// bornFarSharedLanes is bornFarShared's portable loop over the first n lanes
-// of q: per node its centre read once, per lane the scalar row loop's term,
-// operation for operation, added in lane order.
-func bornFarSharedLanes(sys *System, q *bornLanes, n int, shared []int32, node []float64) {
+// bornFarLanes adds, for the k-th node a of far, the pseudo-q-point term of
+// each of the first rows lanes of q whose bit of masks[k·stride] is set to
+// node[a], in lane order: stride 1 reads an own run's masks, stride 0 one
+// mask for the whole run. Under the R6 kernel it is the AVX2 sweep where the
+// host has one, which computes every lane and adds −0.0 for a lane the mask
+// leaves out; x + (−0.0) = x for every x, so the sums are the portable
+// loop's, which skips the lane.
+func bornFarLanes(sys *System, q *bornLanes, rows int, far []int32, masks []uint8, stride int, node []float64) {
+	if useAsmKernels && sys.Params.Kernel == R6 {
+		bornFarAsm(sys, q, rows, far, masks, stride, node)
+		return
+	}
 	r4 := sys.Params.Kernel == R4
-	for _, a := range shared {
+	for k, a := range far {
 		ax, ay, az := sys.ANodeX[a], sys.ANodeY[a], sys.ANodeZ[a]
+		m := masks[k*stride]
 		s := node[a]
-		for l := 0; l < n; l++ {
+		for l := range rows {
+			if m>>l&1 == 0 {
+				continue
+			}
 			dx, dy, dz := q.x[l]-ax, q.y[l]-ay, q.z[l]-az
 			d2 := dx*dx + dy*dy + dz*dz
 			den := d2 * d2
@@ -97,45 +106,14 @@ func bornFarSharedLanes(sys *System, q *bornLanes, n int, shared []int32, node [
 	}
 }
 
-// bornFar0 adds q-point leaf's pseudo-q-point term for every node
-// of far to node: a row's own far run.
-func bornFar0(sys *System, leaf int32, far []int32, node []float64) {
-	qc, wn := sys.QPts.Nodes[leaf].Center, sys.QNodeWN[leaf]
-	r4 := sys.Params.Kernel == R4
-	for _, a := range far {
-		dx := qc.X - sys.ANodeX[a]
-		dy := qc.Y - sys.ANodeY[a]
-		dz := qc.Z - sys.ANodeZ[a]
-		d2 := dx*dx + dy*dy + dz*dz
-		den := d2 * d2
-		if !r4 {
-			den *= d2
-		}
-		node[a] += (wn.X*dx + wn.Y*dy + wn.Z*dz) / den
-	}
-}
-
-// bornRow evaluates one compiled Born row (a q-point leaf) for bornTile into
-// acc: its own far run — the nodes its tile does not share — and its near
-// entries.
-func bornRow(sys *System, il *InteractionLists, row int, acc *bornAccum) {
-	// Both tiers share this float64 row: the Born kernel is pure
-	// divide/multiply (no transcendentals).
-	leaf := il.Rows[row]
-
-	own := il.Far[il.FarOff[row]:il.FarOff[row+1]]
-	bornFar0(sys, leaf, own, acc.node)
-	acc.ops += float64(len(own))
-	bornNear(sys, il, row, acc)
-}
-
 // bornNear adds the exact per-atom sums of one Born row's near entries —
-// every atom of every near leaf against every q-point of the row's leaf — to
-// acc. Under R6 on AVX2 hosts it is one call of the row kernel, its lanes
-// the row's near atoms; the scalar loop is the reference it reproduces bit
-// for bit, and R4's sweep.
-func bornNear(sys *System, il *InteractionLists, row int, acc *bornAccum) {
-	q := &sys.QPts.Nodes[il.Rows[row]]
+// every atom of every near leaf against every q-point of the row's leaf,
+// leaf — to acc. Under R6 on AVX2 hosts it is one call of the row kernel,
+// its lanes the row's near atoms; the scalar loop is the reference it
+// reproduces bit for bit, and R4's sweep. An atom's sum does not depend on
+// the order of near, whose leaves hold distinct atoms.
+func bornNear(sys *System, leaf int32, near []int32, acc *bornAccum) {
+	q := &sys.QPts.Nodes[leaf]
 	r4 := sys.Params.Kernel == R4
 	qlo, qhi := q.Start, q.End
 	qx, qy, qz := sys.QX[qlo:qhi], sys.QY[qlo:qhi], sys.QZ[qlo:qhi]
@@ -143,7 +121,6 @@ func bornNear(sys *System, il *InteractionLists, row int, acc *bornAccum) {
 	// Equal-length hints so the inner loops run bounds-check free.
 	qy, qz = qy[:len(qx)], qz[:len(qx)]
 	wx, wy, wz = wx[:len(qx)], wy[:len(qx)], wz[:len(qx)]
-	near := il.Near[il.NearOff[row]:il.NearOff[row+1]]
 	if useAsmKernels && !r4 {
 		// The op count is the scalar loop's, |A|·|Q| + 1 per entry, added
 		// at once: integers, so the same float64.

@@ -48,7 +48,7 @@ const expSkip = 160.0
 // bin-by-bin (Figure 3). conv is worker-private scratch of len(ctx.rr)
 // for the far-field convolution; it must start zeroed and is returned
 // zeroed.
-func epolRowOracle(ctx *epolOracle, il *InteractionLists, row int, conv []float64, acc *epolAccum) {
+func epolRowOracle(ctx *epolOracle, il *rowLists, row int, conv []float64, acc *epolAccum) {
 	if ctx.sys.Params.Precision == PrecisionLanes {
 		epolRowLanes(ctx, il, row, conv, acc)
 		return
@@ -177,7 +177,7 @@ func farField(ctx *epolOracle, sys *System, leaf int32, far []int32, conv []floa
 
 // epolRowLanes is epolRow for the laned tier: same row scaffolding,
 // lane-blocked near/sym/far kernels.
-func epolRowLanes(ctx *epolOracle, il *InteractionLists, row int, conv []float64, acc *epolAccum) {
+func epolRowLanes(ctx *epolOracle, il *rowLists, row int, conv []float64, acc *epolAccum) {
 	sys := ctx.sys
 	t := sys.Atoms
 	leaf := il.Rows[row]

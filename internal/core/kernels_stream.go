@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"gbpolar/internal/mathx"
 )
@@ -12,8 +13,9 @@ import (
 // called once per entry never leaves its prologue. sweepRuns instead COPIES
 // a set of runs' operands into one worker-private SoA stream and sweeps the
 // stream with a single f_GB kernel call, twice per set — per tile for the
-// runs every one of its rows takes, against all of those rows (epolTile),
-// and per row for its own runs (epolRow):
+// runs every one of its rows takes, against all of those rows, and per row
+// for its share of the tile's own runs, which one masked gather copies into
+// every row's stream at once (epolTile):
 //
 //   - near: the stream is the atoms of the Near (weight 1) and Sym
 //     (weight 2, folded into the charge — ×2 is exact) leaves; the outer
@@ -122,45 +124,144 @@ func (s *soa) gather(n int, src []float64, lo, hi, list []int32, w float64) int 
 	return n
 }
 
+// laneStreams is a tile's eight lane streams, what the masked gather fills:
+// lane l's stream is s[l], n[l] elements long, gathered from spans[l]
+// entries, with room for cap[l]. base[l] and stride[l] are where the
+// assembly (gatherMasked4) finds s[l]'s storage — its first element and the
+// distance from one field to the next.
+type laneStreams struct {
+	base   [tileLanes]*float64
+	stride [tileLanes]int
+	n      [tileLanes]int
+	spans  [tileLanes]int
+	cap    [tileLanes]int
+	s      [tileLanes]soa
+}
+
+// newLaneStreams allocates lane streams with room for n elements each.
+func newLaneStreams(n int) (ls laneStreams) {
+	for l := range ls.s {
+		ls.set(l, newSoa(n))
+	}
+	return ls
+}
+
+// set makes s lane l's storage.
+func (ls *laneStreams) set(l int, s soa) {
+	ls.s[l], ls.base[l], ls.stride[l], ls.cap[l] = s, &s.flat[0], len(s.flat)/srcFields, len(s.x)
+}
+
+// reset empties the streams.
+func (ls *laneStreams) reset() { ls.n, ls.spans = [tileLanes]int{}, [tileLanes]int{} }
+
+// laneGatherFunc appends the blocks [lo[e], hi[e]) of the blocked source src
+// for the entries e of list to the stream of every lane of e's mask (masks,
+// one per entry), charges scaled by w, up to the first entry a lane of its
+// mask has no room for, and returns the entries gathered. room is the least
+// room of the lanes: until the entries' spans sum past it, every entry fits.
+type laneGatherFunc func(ls *laneStreams, src []float64, lo, hi, list []int32, masks []uint8, w float64, room int) int
+
+// gather is the portable laneGatherFunc: soa.gather's element loop, once for
+// every lane of an entry's mask. On AVX2 hosts it is gatherMaskedAsm
+// (simd_amd64.go), the same copy as whole vectors of four.
+func (ls *laneStreams) gather(src []float64, lo, hi, list []int32, masks []uint8, w float64, room int) int {
+	for k, e := range list {
+		m, c := masks[k], int(hi[e]-lo[e])
+		room -= c
+		for b := m; room < 0 && b != 0; b &= b - 1 {
+			if l := bits.TrailingZeros8(b); ls.n[l]+c > ls.cap[l] {
+				return k
+			}
+		}
+		for ; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros8(m)
+			ls.n[l] = ls.s[l].gather(ls.n[l], src, lo, hi, list[k:k+1], w)
+			ls.spans[l]++
+		}
+	}
+	return len(list)
+}
+
+// fill gathers the entries of list into the lanes of their masks with the
+// tier's gather, giving a lane that has no room for an entry room for it and
+// a quarter more.
+func (ls *laneStreams) fill(tk *epolTier, src []float64, lo, hi, list []int32, masks []uint8, w float64) {
+	for {
+		room := math.MaxInt
+		for l := range ls.cap {
+			room = min(room, ls.cap[l]-ls.n[l])
+		}
+		k := tk.laneGather(ls, src, lo, hi, list, masks, w, room)
+		if k == len(list) {
+			return
+		}
+		c := int(hi[list[k]] - lo[list[k]])
+		for m := masks[k]; m != 0; m &= m - 1 {
+			if l := bits.TrailingZeros8(m); ls.n[l]+c > ls.cap[l] {
+				old, need := ls.s[l], ls.n[l]+c
+				ls.set(l, newSoa(need+need/4))
+				for f, field := range [...][]float64{old.x, old.y, old.z, old.q, old.r, old.ir} {
+					copy(ls.s[l].flat[f*ls.stride[l]:], field[:ls.n[l]])
+				}
+			}
+		}
+		list, masks = list[k:], masks[k:]
+	}
+}
+
 // epolTier is what the row driver reads of one precision tier: the two
 // gather sources — the atoms, blocked by leaf (leaf n's are [aLo[n],
 // aHi[n])), and the binned pseudo-atoms of every atoms-tree node, blocked
-// by node (node n's are [nzOff[n], nzOff[n+1])) — the gather that copies
-// them and the tier's stream kernel. sweep returns
-// Σ_o q_o · Σ_i q_i / f_GB(o, i) over the outer atoms o and the stream i,
-// with f_GB² = r² + R_oR_i·exp(−r²/4R_oR_i).
+// by node (node n's are [nzOff[n], nzOff[n+1])) — the two gathers that copy
+// them, an outer operand and a tile's streams, and the tier's stream
+// kernel. sweep returns Σ_o q_o · Σ_i q_i / f_GB(o, i) over the outer atoms
+// o and the stream i, with f_GB² = r² + R_oR_i·exp(−r²/4R_oR_i).
 type epolTier struct {
 	atoms, bins []float64
 	gather      gatherFunc
+	laneGather  laneGatherFunc
 	sweep       func(o, s *soa) float64
 }
 
 // epolScratch is one worker's gather-then-stream scratch: the storage of a
-// stream (s) and of an outer operand (o), and the two operand views handed
-// to the kernel — kept here because arguments of an indirect call escape.
+// stream (s), of a tile's lane streams (lanes) and of an outer operand (o),
+// and the two operand views handed to the kernel — kept here because
+// arguments of an indirect call escape.
 type epolScratch struct {
 	s, o, outer, stream soa
+	lanes               laneStreams
 }
 
 // sweep gathers the stream — src's blocks [lo[e], hi[e]) of the entries e
-// of once, then of twice with doubled charges — and the outer operand,
-// the blocks of the entries of self, and runs the tier's kernel over them. It
-// returns the kernel's sum, the stream length after once and in all, and
-// the outer operand's length.
+// of once, then of twice with doubled charges — and runs the tier's kernel
+// over it (sweepStream). It returns the kernel's sum, the stream length
+// after once and in all, and the outer operand's length.
 func (sc *epolScratch) sweep(tk *epolTier, src []float64, lo, hi, self, once, twice []int32) (e float64, nOnce, n, nv int) {
 	nOnce = tk.gather(&sc.s, 0, src, lo, hi, once, 1)
 	n = tk.gather(&sc.s, nOnce, src, lo, hi, twice, 2)
+	e, nv = sc.sweepStream(tk, src, lo, hi, self, &sc.s, n)
+	return e, nOnce, n, nv
+}
+
+// sweepStream gathers the outer operand, the blocks of the entries of self,
+// and runs the tier's kernel over it and the first n elements of stream. It
+// returns the kernel's sum and the outer operand's length.
+func (sc *epolScratch) sweepStream(tk *epolTier, src []float64, lo, hi, self []int32, stream *soa, n int) (e float64, nv int) {
 	nv = tk.gather(&sc.o, 0, src, lo, hi, self, 1)
-	sc.outer, sc.stream = sc.o.prefix(nv), sc.s.prefix(n)
-	return tk.sweep(&sc.outer, &sc.stream), nOnce, n, nv
+	sc.outer, sc.stream = sc.o.prefix(nv), stream.prefix(n)
+	return tk.sweep(&sc.outer, &sc.stream), nv
 }
 
 // newEpolScratch allocates p workers' scratch for sweeping il under ctx.
-// The capacities are sized once from the lists: no run set gathers more
-// than its near+sym entry count times the largest leaf, nor than its far
-// entry count times the most occupied bins of any node — over every row's
-// own runs and every tile's shared runs; an outer operand is a tile's
-// leaves, at most eight leaves' atoms or eight nodes' bins.
+// The stream's capacity is sized once from the lists: no shared run set
+// gathers more than its near+sym entry count times the largest leaf, nor
+// than its far entry count times the most occupied bins of any node. A
+// lane stream starts with room for the longest own run of a tile, near and
+// Sym together or far, in entries, times the mean atoms of a leaf or
+// occupied bins of a node — about the longest lane stream at the ledger's
+// sizes, where the largest leaf's would be four times it, eight lanes
+// over — and one that needs more grows (laneStreams.fill). An outer operand
+// is a tile's leaves, at most eight leaves' atoms or eight nodes' bins.
 func newEpolScratch(ctx *EpolContext, il *InteractionLists, p int) []epolScratch {
 	var maxLeaf, maxBins int32
 	for _, l := range ctx.sys.Atoms.Leaves() {
@@ -169,42 +270,60 @@ func newEpolScratch(ctx *EpolContext, il *InteractionLists, p int) []epolScratch
 	for n := range ctx.aLo {
 		maxBins = max(maxBins, ctx.nzOff[n+1]-ctx.nzOff[n])
 	}
-	n := 0
-	fit := func(runs [runFar + 1][]int32) {
-		n = max(n, (len(runs[kindNear])+len(runs[kindSym]))*int(maxLeaf), len(runs[runFar])*int(maxBins))
-	}
+	n, near, far := 0, 0, 0
 	for t := range il.tiles() {
-		fit(il.tileRuns(t))
-		lo, hi := il.tileRows(t)
-		for row := lo; row < hi; row++ {
-			fit(il.rowRuns(row))
-		}
+		shared, own := il.tileRuns(t), il.ownRuns(t)
+		n = max(n, (len(shared[kindNear])+len(shared[kindSym]))*int(maxLeaf), len(shared[runFar])*int(maxBins))
+		near = max(near, len(own.runs[kindNear])+len(own.runs[kindSym]))
+		far = max(far, len(own.runs[runFar]))
 	}
+	meanLeaf := float64(len(ctx.Radii)) / float64(len(ctx.sys.Atoms.Leaves()))
+	meanBins := float64(len(ctx.nzQ)) / float64(len(ctx.aLo))
+	nl := int(max(float64(near)*meanLeaf, float64(far)*meanBins))
 	no := tileLanes * int(max(maxLeaf, maxBins))
 	sc := make([]epolScratch, p)
 	for w := range sc {
-		sc[w].s, sc[w].o = newSoa(n), newSoa(no)
+		sc[w].s, sc[w].o, sc[w].lanes = newSoa(n), newSoa(no), newLaneStreams(nl)
 	}
 	return sc
 }
 
 // epolTile evaluates E_pol tile t of il into acc: the runs every row of the
-// tile takes, swept once against all of the rows, then each row's own
-// runs (epolRow). sc is worker-private.
+// tile takes, swept once against all of the rows (sweepRuns), then each
+// row's share of the tile's own runs. Those are gathered once for all rows
+// — each entry's block into the stream of every row its mask names, near
+// leaves (Near, then Sym with doubled charges) and then far nodes into the
+// same streams — and each row's stream swept against the row as sweepRuns
+// sweeps one row. The rows' sums are added to acc row by row, near before
+// far, as a sweep of one row at a time adds them. sc is worker-private.
 func epolTile(ctx *EpolContext, il *InteractionLists, t int, sc *epolScratch, acc *epolAccum) {
 	lo, hi := il.tileRows(t)
-	shared := il.tileRuns(t)
-	sc.sweepRuns(ctx, il.Rows[lo:hi], &shared, acc)
-	for row := lo; row < hi; row++ {
-		epolRow(ctx, il, row, sc, acc)
-	}
-}
+	rows, tk, ls := il.Rows[lo:hi], &ctx.stream, &sc.lanes
+	shared, own := il.tileRuns(t), il.ownRuns(t)
+	sc.sweepRuns(ctx, rows, &shared, acc)
 
-// epolRow evaluates the own runs of one compiled E_pol row (an atom leaf V)
-// into acc.
-func epolRow(ctx *EpolContext, il *InteractionLists, row int, sc *epolScratch, acc *epolAccum) {
-	own := il.rowRuns(row)
-	sc.sweepRuns(ctx, il.Rows[row:row+1], &own, acc)
+	ls.reset()
+	ls.fill(tk, tk.atoms, ctx.aLo, ctx.aHi, own.runs[kindNear], own.masks[kindNear], 1)
+	nOnce := ls.n
+	ls.fill(tk, tk.atoms, ctx.aLo, ctx.aHi, own.runs[kindSym], own.masks[kindSym], 2)
+	near, nNear, spans := [tileLanes]float64{}, ls.n, ls.spans
+	var nvNear [tileLanes]int
+	for l := range rows {
+		if spans[l] > 0 {
+			near[l], nvNear[l] = sc.sweepStream(tk, tk.atoms, ctx.aLo, ctx.aHi, rows[l:l+1], &ls.s[l], ls.n[l])
+		}
+	}
+	ls.reset()
+	ls.fill(tk, tk.bins, ctx.nzOff, ctx.nzOff[1:], own.runs[runFar], own.masks[runFar], 1)
+	for l := range rows {
+		if spans[l] > 0 {
+			acc.addNear(near[l], nOnce[l], nNear[l], nvNear[l], 1, spans[l])
+		}
+		if ls.spans[l] > 0 {
+			e, nv := sc.sweepStream(tk, tk.bins, ctx.nzOff, ctx.nzOff[1:], rows[l:l+1], &ls.s[l], ls.n[l])
+			acc.addFar(e, ls.n[l], nv, 1, ls.spans[l])
+		}
+	}
 }
 
 // sweepRuns evaluates runs — entries every leaf of self takes — against
@@ -219,29 +338,38 @@ func (sc *epolScratch) sweepRuns(ctx *EpolContext, self []int32, runs *[runFar +
 
 	// Near field. Mutual pairs were compiled once (ilist.go): the per-pair
 	// GB terms are bitwise symmetric, so a Sym leaf gathered with doubled
-	// charges reproduces both ordered blocks of the recursion. 1 op per
-	// entry and row plus |U|·|V| per block; a Sym block is charged for BOTH
-	// ordered blocks it represents (kernels.go).
+	// charges reproduces both ordered blocks of the recursion.
 	if near, sym := runs[kindNear], runs[kindSym]; len(near)+len(sym) > 0 {
 		e, nNear, n, nv := sc.sweep(tk, tk.atoms, ctx.aLo, ctx.aHi, self, near, sym)
-		acc.energy += e
-		acc.ops += float64((2*n-nNear)*nv + rows*(len(near)+len(sym)))
-		acc.nearTerms += float64(n * nv)
-		acc.gatherAtoms += float64(n)
-		acc.gatherSpans += float64(len(near) + len(sym))
+		acc.addNear(e, nNear, n, nv, rows, len(near)+len(sym))
 	}
+	if far := runs[runFar]; len(far) > 0 {
+		e, _, n, nv := sc.sweep(tk, tk.bins, ctx.nzOff, ctx.nzOff[1:], self, far, nil)
+		acc.addFar(e, n, nv, rows, len(far))
+	}
+}
 
-	far := runs[runFar]
-	if len(far) == 0 {
-		return
-	}
-	// Far field: 1 op per entry and row plus one per populated bin pair.
-	e, _, n, nv := sc.sweep(tk, tk.bins, ctx.nzOff, ctx.nzOff[1:], self, far, nil)
+// addNear adds to acc a near sweep's sum e and what it cost: spans entries
+// for each of rows rows, a stream of n atoms — the first nOnce of weight 1 —
+// against an outer operand of nv. 1 op per entry and row plus |U|·|V| per
+// block; a Sym block is charged for BOTH ordered blocks it represents
+// (kernels.go).
+func (acc *epolAccum) addNear(e float64, nOnce, n, nv, rows, spans int) {
 	acc.energy += e
-	acc.ops += float64(n*nv + rows*len(far))
+	acc.ops += float64((2*n-nOnce)*nv + rows*spans)
+	acc.nearTerms += float64(n * nv)
+	acc.gatherAtoms += float64(n)
+	acc.gatherSpans += float64(spans)
+}
+
+// addFar is addNear for a far sweep: 1 op per entry and row plus one per
+// populated bin pair.
+func (acc *epolAccum) addFar(e float64, n, nv, rows, spans int) {
+	acc.energy += e
+	acc.ops += float64(n*nv + rows*spans)
 	acc.farTerms += float64(n * nv)
 	acc.gatherAtoms += float64(n)
-	acc.gatherSpans += float64(len(far))
+	acc.gatherSpans += float64(spans)
 }
 
 // The portable stream kernels, one per tier. On AVX2+FMA hosts

@@ -130,21 +130,45 @@ var kernelSink float64
 // gatherSink keeps the benchmarked gathers' results live.
 var gatherSink int
 
-// gatherRuns stages what sweepRuns hands its kernels for runs against the
-// leaves self — the near and Sym stream and the far one, each beside the
-// outer operand — and returns the elements copied.
-func gatherRuns(ctx *EpolContext, sc *epolScratch, self []int32, runs [runFar + 1][]int32) int {
-	tk := &ctx.stream
-	n := tk.gather(&sc.s, 0, tk.atoms, ctx.aLo, ctx.aHi, runs[kindNear], 1)
-	n = tk.gather(&sc.s, n, tk.atoms, ctx.aLo, ctx.aHi, runs[kindSym], 2)
-	atoms := n + tk.gather(&sc.o, 0, tk.atoms, ctx.aLo, ctx.aHi, self, 1)
-	n = tk.gather(&sc.s, 0, tk.bins, ctx.nzOff, ctx.nzOff[1:], runs[runFar], 1)
-	return atoms + n + tk.gather(&sc.o, 0, tk.bins, ctx.nzOff, ctx.nzOff[1:], self, 1)
+// gatherRuns stages what epolTile hands its kernels for a tile's runs
+// against its leaves self — near and Sym, then far, each beside the outer
+// operands: shared runs into one stream, against all of self, own runs into
+// the lanes of their masks, each against its leaf — and returns the
+// elements copied.
+func gatherRuns(ctx *EpolContext, sc *epolScratch, self []int32, runs *laneRuns, shared bool) int {
+	tk, ls, atoms := &ctx.stream, &sc.lanes, 0
+	for _, src := range []struct {
+		src    []float64
+		lo, hi []int32
+		runs   []int
+	}{{tk.atoms, ctx.aLo, ctx.aHi, []int{kindNear, kindSym}}, {tk.bins, ctx.nzOff, ctx.nzOff[1:], []int{runFar}}} {
+		ls.reset()
+		n := 0
+		for _, r := range src.runs {
+			w := 1.0
+			if r == kindSym {
+				w = 2
+			}
+			if shared {
+				n = tk.gather(&sc.s, n, src.src, src.lo, src.hi, runs.runs[r], w)
+				continue
+			}
+			ls.fill(tk, src.src, src.lo, src.hi, runs.runs[r], runs.masks[r], w)
+		}
+		if shared {
+			atoms += n + tk.gather(&sc.o, 0, src.src, src.lo, src.hi, self, 1)
+			continue
+		}
+		for l := range self {
+			atoms += ls.n[l] + tk.gather(&sc.o, 0, src.src, src.lo, src.hi, self[l:l+1], 1)
+		}
+	}
+	return atoms
 }
 
 // benchEpolGather is a sweep's staging without its kernels: per tile its
-// shared runs against all of its rows, then per row its own runs, as
-// sweepRuns gathers them.
+// shared runs against all of its rows, then its own runs into its rows'
+// lane streams, as epolTile gathers them.
 func benchEpolGather(b *testing.B, asm bool) {
 	ctx, il, sc, _ := benchEpolFixture(b, PrecisionExact, asm)
 	atoms := 0
@@ -153,17 +177,15 @@ func benchEpolGather(b *testing.B, asm bool) {
 		atoms = 0
 		for tile := range il.tiles() {
 			lo, hi := il.tileRows(tile)
-			atoms += gatherRuns(ctx, sc, il.Rows[lo:hi], il.tileRuns(tile))
-			for row := lo; row < hi; row++ {
-				atoms += gatherRuns(ctx, sc, il.Rows[row:row+1], il.rowRuns(row))
-			}
+			shared, own := laneRuns{runs: il.tileRuns(tile)}, il.ownRuns(tile)
+			atoms += gatherRuns(ctx, sc, il.Rows[lo:hi], &shared, true) + gatherRuns(ctx, sc, il.Rows[lo:hi], &own, false)
 		}
 	}
 	gatherSink = atoms
 	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	// Every stored near, Sym and far entry, and four outer operands a row:
 	// two with its tile, two alone.
-	entries := len(il.Near) + len(il.Sym) + len(il.Far) + len(il.TileNear) + len(il.TileSym) + len(il.TileFar) + 4*len(il.Rows)
+	entries := len(il.OwnNear) + len(il.OwnSym) + len(il.OwnFar) + len(il.TileNear) + len(il.TileSym) + len(il.TileFar) + 4*len(il.Rows)
 	b.ReportMetric(ns/float64(entries), "ns/entry")
 	b.ReportMetric(ns/float64(atoms), "ns/atom")
 }
@@ -174,26 +196,21 @@ func BenchmarkEpolGatherPortable(b *testing.B) { benchEpolGather(b, false) }
 // benchEpolSweep times one whole compiled E_pol sweep per iteration on one
 // worker, on each tier with the host's kernels: by rows — every row's whole
 // runs, the lists merged back (perRowLists) as the sweep ran before the
-// E_pol tiles — or by tiles, each tile's shared runs swept once against all
-// of its rows and then each row's own (epolTile). Both give E_pol within
-// 1e-9 of RunShared's and count the same terms.
+// E_pol tiles, as tiles of one row (rowLists.tiled) — or by tiles, each
+// tile's shared runs swept once against all of its rows and then each row's
+// share of its own runs (epolTile). Both give E_pol within 1e-9 of
+// RunShared's and count the same terms.
 func benchEpolSweep(b *testing.B, tiles bool) {
 	for _, tier := range streamBitsTiers {
 		b.Run(tier.name, func(b *testing.B) {
 			ctx, il, _, res := benchEpolFixture(b, tier.prec, useAsmKernels)
 			if !tiles {
-				il = perRowLists(il, ctx.sys.Atoms)
+				il = perRowLists(il, ctx.sys.Atoms).tiled()
 			}
 			sc := &newEpolScratch(ctx, il, 1)[0]
 			sweep := func(acc *epolAccum) {
-				if tiles {
-					for tile := range il.tiles() {
-						epolTile(ctx, il, tile, sc, acc)
-					}
-					return
-				}
-				for row := range il.Rows {
-					epolRow(ctx, il, row, sc, acc)
+				for tile := range il.tiles() {
+					epolTile(ctx, il, tile, sc, acc)
 				}
 			}
 			var acc epolAccum
@@ -221,9 +238,10 @@ func BenchmarkEpolSweepTile(b *testing.B) { benchEpolSweep(b, true) }
 // compiled row's far terms into the node sums, reported as ns per
 // (row, node) far term. Rows is the per-row loop over each row's whole far
 // set — the lists merged back (perRowLists), as the sweep ran before tiles;
-// Tile sweeps each tile's shared run eight rows to a term, then each row's
-// own run, through the assembly; TilePortable is Tile on the portable loop.
-// The three leave the same bits in every node sum.
+// Tile sweeps each tile's shared run and then its own run eight rows to a
+// node, the own run by its lane masks, through the assembly; TilePortable
+// is Tile on the portable loop. The three leave the same bits in every node
+// sum.
 func benchBornSweep(b *testing.B, tiles, asm bool) {
 	if asm && !useAsmKernels {
 		b.Skip("no AVX2+FMA assembly kernels in this build or on this host")
@@ -245,10 +263,11 @@ func benchBornSweep(b *testing.B, tiles, asm bool) {
 		}
 		for t := range il.tiles() {
 			lo, hi := il.tileRows(t)
-			bornFarShared(sys, il.Rows[lo:hi], il.tileFar(t), node)
-			for row := lo; row < hi; row++ {
-				bornFar0(sys, il.Rows[row], il.Far[il.FarOff[row]:il.FarOff[row+1]], node)
-			}
+			var q bornLanes
+			q.set(sys, il.Rows[lo:hi])
+			full, own := []uint8{uint8(1)<<(hi-lo) - 1}, il.ownRuns(t)
+			bornFarLanes(sys, &q, hi-lo, il.tileRuns(t)[runFar], full, 0, node)
+			bornFarLanes(sys, &q, hi-lo, own.runs[runFar], own.masks[runFar], 1, node)
 		}
 	}
 	want := make([]float64, len(sys.Atoms.Nodes))
@@ -283,16 +302,19 @@ func benchBornNear(b *testing.B, asm bool) {
 	}
 	sys, _, _ := testSystem(b, 20000, 1, mortonParams())
 	pool := sched.NewPool(2)
-	il := sys.Lists(pool).Born
+	il := perRowLists(sys.Lists(pool).Born, sys.Atoms)
 	pool.Close()
 	host := useAsmKernels
 	b.Cleanup(func() { useAsmKernels = host })
+	sweepRows := func(acc *bornAccum) {
+		for row, leaf := range il.Rows {
+			bornNear(sys, leaf, il.Near[il.NearOff[row]:il.NearOff[row+1]], acc)
+		}
+	}
 	sweep := func(kernel bool) *bornAccum {
 		useAsmKernels = kernel
 		acc := newBornAccum(sys)
-		for row := range il.Rows {
-			bornNear(sys, il, row, acc)
-		}
+		sweepRows(acc)
 		return acc
 	}
 	if err := sameBits("atom", sweep(asm).atom, sweep(false).atom); err != nil {
@@ -308,9 +330,7 @@ func benchBornNear(b *testing.B, asm bool) {
 	acc := newBornAccum(sys)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for row := range il.Rows {
-			bornNear(sys, il, row, acc)
-		}
+		sweepRows(acc)
 	}
 	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(ns/1e6, "ms/sweep")

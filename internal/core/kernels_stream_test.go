@@ -180,10 +180,13 @@ func TestStreamDriverMatchesPerEntryOracles(t *testing.T) {
 					if got.ops != want.ops {
 						t.Errorf("%s: ops %v, oracle %v", name, got.ops, want.ops)
 					}
-					if entries := float64(len(il.Near) + len(il.Sym) + len(il.Far) + len(il.TileNear) + len(il.TileSym) + len(il.TileFar)); got.gatherSpans != entries {
+					// A shared entry is gathered once, an own one once for each
+					// row its mask names.
+					own := popcount(il.OwnNearMask) + popcount(il.OwnSymMask) + popcount(il.OwnFarMask)
+					if entries := float64(own + len(il.TileNear) + len(il.TileSym) + len(il.TileFar)); got.gatherSpans != entries {
 						t.Errorf("%s: gathered for %v list entries, lists hold %v", name, got.gatherSpans, entries)
 					}
-					if got.nearTerms <= 0 || (len(il.Far) > 0 && f.name != "dimers" && got.farTerms <= 0) {
+					if got.nearTerms <= 0 || (il.NumFar() > 0 && f.name != "dimers" && got.farTerms <= 0) {
 						t.Errorf("%s: near_terms %v, far_terms %v", name, got.nearTerms, got.farTerms)
 					}
 				}
@@ -418,5 +421,120 @@ func TestExpSkipBitwiseNeutral(t *testing.T) {
 	}
 	if got := epolStreamExact(&o, &s); math.Float64bits(got) != math.Float64bits(withSkip) {
 		t.Errorf("epolStreamExact %x vs the same loop with expSkip %x", math.Float64bits(got), math.Float64bits(withSkip))
+	}
+}
+
+// gatherCanary is the NaN the gather tests pre-fill storage with: a store
+// anywhere it must not land changes the bit pattern.
+var gatherCanary = math.Float64frombits(0x7ff8dead0000beef)
+
+func isCanary(v float64) bool { return math.Float64bits(v) == math.Float64bits(gatherCanary) }
+
+// randomBlocks builds a blocked gather source of the given block lengths
+// with a distinct value in every field of every element, its padding set to
+// the canary, and the blocks' offset table (block b is [off[b], off[b+1])).
+func randomBlocks(rng *rand.Rand, lengths []int) (src []float64, off []int32) {
+	off = make([]int32, len(lengths)+1)
+	for b, c := range lengths {
+		off[b+1] = off[b] + int32(c)
+	}
+	src = make([]float64, srcFields*int(off[len(lengths)])+gatherPad)
+	for i := range src {
+		src[i] = 1 + rng.Float64()
+	}
+	for i := len(src) - gatherPad; i < len(src); i++ {
+		src[i] = gatherCanary
+	}
+	return src, off
+}
+
+// The masked gather that fills a tile's lane streams (epolTier.laneGather:
+// gatherMaskedAsm on AVX2 hosts, laneStreams.gather in every build) against
+// the gather of one stream (soa.gather), lane by lane: each lane's stream is,
+// element for element, the portable gather of the entries whose mask has
+// its bit, and its entry count theirs. Span lengths on both sides of every
+// chunk boundary, empty spans, lists ending on the source's last block,
+// masks of one lane to eight, both weights, lanes of every capacity; the
+// lanes are pre-filled with canaries, and the copy may write at most three
+// lanes past a lane's new end (gatherPad) and nothing else. Into lanes with
+// room for a part, the gather stops before the first entry that does not
+// fit, and laneStreams.fill, which grows them, ends with the same streams.
+func TestLaneGatherMatchesGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	spanLens := []int{0, 1, 2, 3, 4, 5, 8, 9, 33}
+	gathers := map[string]laneGatherFunc{"portable": (*laneStreams).gather}
+	if useAsmKernels {
+		gathers["asm"] = gatherMaskedAsm
+	}
+	for trial := 0; trial < 400; trial++ {
+		lengths := make([]int, 1+rng.Intn(12))
+		for b := range lengths {
+			lengths[b] = spanLens[rng.Intn(len(spanLens))]
+		}
+		src, off := randomBlocks(rng, lengths)
+		var list []int32
+		var masks []uint8
+		for i := rng.Intn(20); i >= 0; i-- {
+			list = append(list, int32(rng.Intn(len(lengths))))
+			masks = append(masks, uint8(1+rng.Intn(255)))
+		}
+		list[len(list)-1] = int32(len(lengths) - 1)
+		w := float64(1 + trial%2)
+		// Each lane: its entries, gathered into one stream.
+		var want [tileLanes]soa
+		var n, spans [tileLanes]int
+		for l := range want {
+			lane := laneRun(nil, list, masks, l)
+			for _, e := range lane {
+				n[l] += lengths[e]
+			}
+			want[l] = newSoa(n[l])
+			want[l].gather(0, src, off, off[1:], lane, w)
+			spans[l] = len(lane)
+		}
+		for name, gather := range gathers {
+			// Lanes with room for all, and lanes with room for a part, which
+			// the gather stops short of and fill grows.
+			for _, short := range []bool{false, true} {
+				var ls laneStreams
+				for l := range ls.s {
+					c := n[l] + rng.Intn(3)
+					if short {
+						c = rng.Intn(n[l] + 1)
+					}
+					ls.set(l, newSoa(c))
+					for i := range ls.s[l].flat {
+						ls.s[l].flat[i] = gatherCanary
+					}
+				}
+				if short {
+					ls.fill(&epolTier{laneGather: gather}, src, off, off[1:], list, masks, w)
+				} else if got := gather(&ls, src, off, off[1:], list, masks, w, 0); got != len(list) {
+					t.Fatalf("trial %d, %s: gathered %d of %d entries into lanes with room for all", trial, name, got, len(list))
+				}
+				for l := range ls.s {
+					if ls.n[l] != n[l] || ls.spans[l] != spans[l] {
+						t.Fatalf("trial %d, %s, short %v, lane %d: %d elements of %d entries, want %d of %d", trial, name, short, l, ls.n[l], ls.spans[l], n[l], spans[l])
+					}
+					st, pad := ls.stride[l], gatherPad
+					if name == "portable" {
+						pad = 0
+					}
+					for f := 0; f < srcFields; f++ {
+						got := ls.s[l].flat[f*st : (f+1)*st]
+						for i, v := range got {
+							switch {
+							case i < n[l]:
+								if math.Float64bits(v) != math.Float64bits(want[l].flat[f*(n[l]+gatherPad)+i]) {
+									t.Fatalf("trial %d, %s, short %v, lane %d: field %d element %d is %v, the lane's gather %v", trial, name, short, l, f, i, v, want[l].flat[f*(n[l]+gatherPad)+i])
+								}
+							case i >= n[l]+pad && !isCanary(v) && !short:
+								t.Fatalf("trial %d, %s, lane %d: field %d element %d written, past [0, %d+%d)", trial, name, l, f, i, n[l], pad)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -100,13 +100,18 @@ func TestFarEntriesMetricsSplitByOrder(t *testing.T) {
 			phase string
 			il    *InteractionLists
 		}{{"born", cl.Born}, {"epol", cl.Epol}} {
-			rows, tiles := p.il.rowCSR(), p.il.tileCSR()
+			own, tiles, rows := p.il.ownCSR(), p.il.tileCSR(), ownRows(p.il).rowCSR()
 			for r, name := range runNames {
 				prefix := "ilist." + p.phase + "." + name
-				shared, own := counters[prefix+"_shared"], counters[prefix+"_own"]
-				if shared != int64(len(*tiles[r].ents)) || own != int64(len(*rows[r].ents)) {
+				shared, stored, lanes := counters[prefix+"_shared"], counters[prefix+"_own"], counters[prefix+"_own_lanes"]
+				if shared != int64(len(*tiles[r].ents)) || stored != int64(len(*own[r].ents)) {
 					t.Errorf("order %d: %s_shared %d, %s_own %d; the lists store %d shared and %d own",
-						order, prefix, shared, prefix, own, len(*tiles[r].ents), len(*rows[r].ents))
+						order, prefix, shared, prefix, stored, len(*tiles[r].ents), len(*own[r].ents))
+				}
+				// The own runs merged back into their rows.
+				if lanes != int64(len(*rows[r].ents)) || lanes < stored {
+					t.Errorf("order %d: %s_own_lanes %d; the rows' own runs hold %d entries, the tiles store %d",
+						order, prefix, lanes, len(*rows[r].ents), stored)
 				}
 			}
 		}
@@ -471,12 +476,26 @@ func TestMemoryGauges(t *testing.T) {
 				t.Errorf("gauge %s = %v (present: %v), the system holds %d", name, got, ok, want)
 			}
 		}
+		// Each phase's index by its parts: entries, masks and offsets.
+		for _, phase := range []string{"born", "epol"} {
+			prefix, sum := "mem.lists."+phase+".", 0.0
+			for _, part := range []string{"entries", "masks", "offsets"} {
+				v, ok := g[prefix+part+"_bytes"]
+				if !ok || v <= 0 {
+					t.Errorf("gauge %s%s_bytes = %v (present: %v)", prefix, part, v, ok)
+				}
+				sum += v
+			}
+			if sum != g[prefix+"index_bytes"] {
+				t.Errorf("%s: entries, masks and offsets sum to %v bytes, the index holds %v", phase, sum, g[prefix+"index_bytes"])
+			}
+		}
 		if m.ListIndex != cl.MemoryBytes() || m.Octrees == 0 || m.SoA == 0 || m.ListIndex == 0 {
 			t.Errorf("memory by structure %+v, lists report %d", m, cl.MemoryBytes())
 		}
-		entries := cl.Born.NumFar() + cl.Born.NumNear() + cl.Epol.NumFar() + cl.Epol.NumNear() + len(cl.Epol.Sym) + len(cl.Epol.Cede)
+		entries := cl.Born.NumFar() + cl.Born.NumNear() + cl.Epol.NumFar() + cl.Epol.NumNear() + cl.Epol.NumSym() + cl.Epol.terms(kindCede)
 		if perEntry := float64(m.ListIndex) / float64(entries); perEntry > 5 {
-			t.Errorf("the lists hold %.1f bytes an entry, want the index's 4.5", perEntry)
+			t.Errorf("the lists hold %.1f bytes a (row, entry) term, want at most 5", perEntry)
 		}
 		for name := range g {
 			if strings.Contains(name, "certificate") {

@@ -339,12 +339,14 @@ func TestRepairDecidesBeforePaying(t *testing.T) {
 	lists := sys.Lists(nil).MemoryBytes()
 	pos := jigglePositions(rand.New(rand.NewSource(226)), mol.Positions(), 0.02)
 	o := obs.New()
+	// What an update may allocate: a fraction of the lists, which a repair
+	// allocates all of — or, where the octree rebuilds, the rebuild's own
+	// bytes (measured on a twin system) and a kilobyte.
+	budget := lists / 2
 	unpaid := func(what, reason string, update func()) {
 		t.Helper()
-		// The octree's own work — at worst a rebuild — is a fraction of the
-		// lists; a repair allocates all of them.
-		if _, got, _ := measureAllocs(update); int64(got) > lists/2 {
-			t.Errorf("%s allocated %d bytes; the lists are %d", what, got, lists)
+		if _, got, _ := measureAllocs(update); int64(got) > budget {
+			t.Errorf("%s allocated %d bytes, budget %d; the lists are %d", what, got, budget, lists)
 		}
 		if reason != "" && o.Counter("ilist.repair.fallbacks."+reason).Value() != 1 {
 			t.Errorf("%s was not metered as fallbacks.%s", what, reason)
@@ -390,6 +392,14 @@ func TestRepairDecidesBeforePaying(t *testing.T) {
 	for i, p := range mol.Positions() {
 		moved[i] = p.Add(geom.V(3, 0, 0))
 	}
+	twin, _, _ := testSystem(t, 300, 225, mortonParams())
+	twin.ApplyRigidTransform(geom.Translate(geom.V(3, 0, 0)))
+	_, rebuild, _ := measureAllocs(func() {
+		if res, err := twin.Atoms.UpdateTracked(moved); err != nil || !res.Rebuilt {
+			t.Fatalf("the twin's octree: %+v %v", res, err)
+		}
+	})
+	budget = int64(rebuild) + 1024
 	unpaid("an update that rebuilds the octree", "untracked", func() {
 		if stats, err := sys.UpdateAtomsRepair(moved, nil, o); err != nil || !stats.Rebuilt || stats.Repaired || sys.lists != nil {
 			t.Fatalf("update after a re-pose: %+v %v", stats, err)

@@ -8,8 +8,9 @@ import "gbpolar/internal/mathx"
 // stream kernels of the exact tier — whose assembly keeps IEEE sqrt/divide
 // and a ≤1-ulp vector exp — and of the laned tier, each on AVX-512F where
 // the host has it and AVX2+FMA otherwise, the same bits either way; the
-// Born near sweep of a row and the Born tile's shared far sweep of every
-// tier, bit for bit their portable loops. The portable Go kernels
+// Born near sweep of a row and the Born tile's masked far sweep of every
+// tier, bit for bit their portable loops; and the two gathers that stage the
+// E_pol streams, element for element theirs. The portable Go kernels
 // (kernels_stream.go, kernels.go) remain the reference implementation — the
 // tests force useAsmKernels off to pin the laned tier's bit-compatibility
 // claim, TestAsmKernelsMatchPortable bounds the laned assembly against the
@@ -50,7 +51,10 @@ func expNeg8(dst, src []float64)
 func bornNearRow4(near, lo, hi []int32, ax, ay, az, atom, qx, qy, qz, wx, wy, wz []float64) int
 
 //go:noescape
-func bornFarShared4(q *bornLanes, lane int, shared []int32, ax, ay, az, node []float64)
+func bornFarMasked4(q *bornLanes, lane int, far []int32, masks []uint8, stride int, ax, ay, az, node []float64)
+
+//go:noescape
+func gatherMasked4(dst *laneStreams, src []float64, lo, hi, list []int32, masks []uint8, w float64, room int) int
 
 // detectAVX2FMA reports whether the host can run the YMM kernels: AVX2
 // and FMA present, and the OS saving XMM+YMM state across context
@@ -153,10 +157,19 @@ func bornNearRowAsm(sys *System, near []int32, atom, qx, qy, qz, wx, wy, wz []fl
 	return bornNearRow4(near, sys.ANodeLo, sys.ANodeHi, sys.AtomX, sys.AtomY, sys.AtomZ, atom, qx, qy, qz, wx, wy, wz)
 }
 
-// bornFarSharedAsm is bornFarShared's sweep of a full tile through the AVX2
-// kernel: two passes of four lanes over the shared run, lanes 0–3 and then
-// 4–7, so each node still takes its eight terms in lane order.
-func bornFarSharedAsm(sys *System, q *bornLanes, shared []int32, node []float64) {
-	bornFarShared4(q, 0, shared, sys.ANodeX, sys.ANodeY, sys.ANodeZ, node)
-	bornFarShared4(q, 4, shared, sys.ANodeX, sys.ANodeY, sys.ANodeZ, node)
+// bornFarAsm is bornFarLanes' sweep through the AVX2 kernel: two passes of
+// four lanes over the run, lanes 0–3 and then 4–7 — the second only where
+// the tile has more than four rows — so each node still takes its terms in
+// lane order.
+func bornFarAsm(sys *System, q *bornLanes, rows int, far []int32, masks []uint8, stride int, node []float64) {
+	bornFarMasked4(q, 0, far, masks, stride, sys.ANodeX, sys.ANodeY, sys.ANodeZ, node)
+	if rows > 4 {
+		bornFarMasked4(q, 4, far, masks, stride, sys.ANodeX, sys.ANodeY, sys.ANodeZ, node)
+	}
+}
+
+// gatherMaskedAsm is laneStreams.gather (kernels_stream.go) through the
+// vector span copy: epolTier.laneGather on AVX2 hosts.
+func gatherMaskedAsm(ls *laneStreams, src []float64, lo, hi, list []int32, masks []uint8, w float64, room int) int {
+	return gatherMasked4(ls, src, lo, hi, list, masks, w, room)
 }

@@ -9,7 +9,8 @@
 // inside the assembly, so the per-call setup amortizes over the whole
 // stream. A Born near call sweeps one row's near leaves against its
 // q-points. gatherBlocks4 is the copy that stages a stream from the blocked
-// gather sources.
+// gather sources, and gatherMasked4 the copy that stages a tile's streams —
+// the eight lanes' from its own runs at once.
 //
 // Arithmetic contract (DESIGN.md §11). Exact tier (epolStreamExact4,
 // epolStreamExact8): every step but the exponential is the IEEE operation
@@ -1088,33 +1089,116 @@ brdone:
 	VZEROUPPER
 	RET
 
-// func bornFarShared4(q *bornLanes, lane int, shared []int32, ax, ay, az, node []float64)
+// lanes4<>[m] enables the f64 lanes of the bits of m (rows 0..15, 32 B
+// each): the Born far sweep's lane masks, four lanes a row.
+DATA lanes4<>+0(SB)/8, $0
+DATA lanes4<>+8(SB)/8, $0
+DATA lanes4<>+16(SB)/8, $0
+DATA lanes4<>+24(SB)/8, $0
+DATA lanes4<>+32(SB)/8, $-1
+DATA lanes4<>+40(SB)/8, $0
+DATA lanes4<>+48(SB)/8, $0
+DATA lanes4<>+56(SB)/8, $0
+DATA lanes4<>+64(SB)/8, $0
+DATA lanes4<>+72(SB)/8, $-1
+DATA lanes4<>+80(SB)/8, $0
+DATA lanes4<>+88(SB)/8, $0
+DATA lanes4<>+96(SB)/8, $-1
+DATA lanes4<>+104(SB)/8, $-1
+DATA lanes4<>+112(SB)/8, $0
+DATA lanes4<>+120(SB)/8, $0
+DATA lanes4<>+128(SB)/8, $0
+DATA lanes4<>+136(SB)/8, $0
+DATA lanes4<>+144(SB)/8, $-1
+DATA lanes4<>+152(SB)/8, $0
+DATA lanes4<>+160(SB)/8, $-1
+DATA lanes4<>+168(SB)/8, $0
+DATA lanes4<>+176(SB)/8, $-1
+DATA lanes4<>+184(SB)/8, $0
+DATA lanes4<>+192(SB)/8, $0
+DATA lanes4<>+200(SB)/8, $-1
+DATA lanes4<>+208(SB)/8, $-1
+DATA lanes4<>+216(SB)/8, $0
+DATA lanes4<>+224(SB)/8, $-1
+DATA lanes4<>+232(SB)/8, $-1
+DATA lanes4<>+240(SB)/8, $-1
+DATA lanes4<>+248(SB)/8, $0
+DATA lanes4<>+256(SB)/8, $0
+DATA lanes4<>+264(SB)/8, $0
+DATA lanes4<>+272(SB)/8, $0
+DATA lanes4<>+280(SB)/8, $-1
+DATA lanes4<>+288(SB)/8, $-1
+DATA lanes4<>+296(SB)/8, $0
+DATA lanes4<>+304(SB)/8, $0
+DATA lanes4<>+312(SB)/8, $-1
+DATA lanes4<>+320(SB)/8, $0
+DATA lanes4<>+328(SB)/8, $-1
+DATA lanes4<>+336(SB)/8, $0
+DATA lanes4<>+344(SB)/8, $-1
+DATA lanes4<>+352(SB)/8, $-1
+DATA lanes4<>+360(SB)/8, $-1
+DATA lanes4<>+368(SB)/8, $0
+DATA lanes4<>+376(SB)/8, $-1
+DATA lanes4<>+384(SB)/8, $0
+DATA lanes4<>+392(SB)/8, $0
+DATA lanes4<>+400(SB)/8, $-1
+DATA lanes4<>+408(SB)/8, $-1
+DATA lanes4<>+416(SB)/8, $-1
+DATA lanes4<>+424(SB)/8, $0
+DATA lanes4<>+432(SB)/8, $-1
+DATA lanes4<>+440(SB)/8, $-1
+DATA lanes4<>+448(SB)/8, $0
+DATA lanes4<>+456(SB)/8, $-1
+DATA lanes4<>+464(SB)/8, $-1
+DATA lanes4<>+472(SB)/8, $-1
+DATA lanes4<>+480(SB)/8, $-1
+DATA lanes4<>+488(SB)/8, $-1
+DATA lanes4<>+496(SB)/8, $-1
+DATA lanes4<>+504(SB)/8, $-1
+GLOBL lanes4<>(SB), RODATA|NOPTR, $512
+
+DATA f64x4NegZero<>+0(SB)/8, $0x8000000000000000
+DATA f64x4NegZero<>+8(SB)/8, $0x8000000000000000
+DATA f64x4NegZero<>+16(SB)/8, $0x8000000000000000
+DATA f64x4NegZero<>+24(SB)/8, $0x8000000000000000
+GLOBL f64x4NegZero<>(SB), RODATA|NOPTR, $32
+
+// func bornFarMasked4(q *bornLanes, lane int, far []int32, masks []uint8, stride int, ax, ay, az, node []float64)
 //
-// The Born shared far sweep (bornFarSharedLanes, kernels.go) on the four
-// lanes [lane, lane+4) of q: for every node a of shared, its center
-// broadcast once, per lane dx = x − ax (dy, dz alike), d² = (dx·dx + dy·dy)
-// + dz·dz, den = (d²·d²)·d², t = ((wx·dx + wy·dy) + wz·dz) / den — separate
-// multiplies and adds in the scalar loop's order, no FMA, an IEEE divide —
-// and the four terms added to node[a] one after the other, lane order. The
-// caller passes lanes 0 and then 4, so a node takes all eight in order.
-// bornLanes is six arrays of eight float64: x at 0, y at 64, z at 128, wx
-// at 192, wy at 256, wz at 320.
+// The Born far sweep (bornFarLanes, kernels.go) on the four lanes [lane,
+// lane+4) of q: for every node a of far, its center broadcast once, per
+// lane dx = x − ax (dy, dz alike), d² = (dx·dx + dy·dy) + dz·dz, den =
+// (d²·d²)·d², t = ((wx·dx + wy·dy) + wz·dz) / den — separate multiplies and
+// adds in the scalar loop's order, no FMA, an IEEE divide — then every lane
+// whose bit of a's mask is clear set to −0.0 (VBLENDVPD: whatever its
+// arithmetic gave, a 0/0 included), and the four terms added to node[a] one
+// after the other, lane order. x + (−0.0) = x for every x, so a node's sum
+// takes exactly the additions of the lanes that take it — and a node none
+// of the four lanes takes is skipped. a's mask is
+// masks[k·stride] for the k-th node: stride 1 walks an own run's masks,
+// stride 0 reads one mask for the whole run. The caller passes lanes 0 and
+// then 4, so a node takes all eight in order. bornLanes is six arrays of
+// eight float64: x at 0, y at 64, z at 128, wx at 192, wy at 256, wz at 320.
 //
-// Registers — AX = q + 8·lane, SI = shared cursor, CX = nodes left, R8/R9/
-// R10 = ax/ay/az, DI = node; Y0–Y5 = the lanes' x, y, z, wx, wy, wz; per
-// node BX = a, Y6–Y8 = dx, dy, dz, Y9 = d², Y10 = den, Y11 = the terms,
-// X12 = node[a].
-TEXT ·bornFarShared4(SB), NOSPLIT, $0-136
+// Registers — AX = q + 8·lane, SI = far cursor, R14 = nodes left, R8/R9/
+// R10 = ax/ay/az, DI = node, DX = mask cursor, R12 = stride, CX = lane,
+// R13 = lanes4<>; Y0–Y5 = the lanes' x, y, z, wx, wy, wz, Y14 = −0.0; per
+// node BX = a, R11 = its mask's row, Y6–Y8 = dx, dy, dz, Y9 = d², Y10 =
+// den, Y11 = the terms, Y13 = their lane mask, X12 = node[a].
+TEXT ·bornFarMasked4(SB), NOSPLIT, $0-168
 	MOVQ q+0(FP), AX
-	MOVQ lane+8(FP), BX
-	LEAQ (AX)(BX*8), AX
-	MOVQ shared_base+16(FP), SI
-	MOVQ shared_len+24(FP), CX
-	MOVQ ax_base+40(FP), R8
-	MOVQ ay_base+64(FP), R9
-	MOVQ az_base+88(FP), R10
-	MOVQ node_base+112(FP), DI
-	TESTQ CX, CX
+	MOVQ lane+8(FP), CX
+	LEAQ (AX)(CX*8), AX
+	MOVQ far_base+16(FP), SI
+	MOVQ far_len+24(FP), R14
+	MOVQ masks_base+40(FP), DX
+	MOVQ stride+64(FP), R12
+	MOVQ ax_base+72(FP), R8
+	MOVQ ay_base+96(FP), R9
+	MOVQ az_base+120(FP), R10
+	MOVQ node_base+144(FP), DI
+	LEAQ lanes4<>(SB), R13
+	TESTQ R14, R14
 	JZ bfdone
 
 	VMOVUPD 0(AX), Y0
@@ -1123,10 +1207,17 @@ TEXT ·bornFarShared4(SB), NOSPLIT, $0-136
 	VMOVUPD 192(AX), Y3
 	VMOVUPD 256(AX), Y4
 	VMOVUPD 320(AX), Y5
+	VMOVUPD f64x4NegZero<>(SB), Y14
 
 bfnode:
 	MOVLQSX (SI), BX                    // a
 	ADDQ $4, SI
+	MOVBQZX (DX), R11                   // a's mask
+	ADDQ R12, DX
+	SHRQ CX, R11
+	ANDQ $15, R11
+	JZ bfnext                           // none of the four lanes takes a
+	SHLQ $5, R11                        // its row of lanes4<>
 	VBROADCASTSD (R8)(BX*8), Y6
 	VSUBPD Y6, Y0, Y6                   // dx = x − ax
 	VBROADCASTSD (R9)(BX*8), Y7
@@ -1146,6 +1237,8 @@ bfnode:
 	VMULPD Y8, Y5, Y12                  // wz·dz
 	VADDPD Y12, Y11, Y11                // w·d
 	VDIVPD Y10, Y11, Y11                // t = w·d / den
+	VMOVUPD (R13)(R11*1), Y13
+	VBLENDVPD Y13, Y11, Y14, Y11        // lanes off a's mask: t := −0.0
 
 	VMOVSD (DI)(BX*8), X12
 	VADDSD X11, X12, X12                // + t₀
@@ -1157,7 +1250,8 @@ bfnode:
 	VADDSD X13, X12, X12                // + t₃
 	VMOVSD X12, (DI)(BX*8)
 
-	DECQ CX
+bfnext:
+	DECQ R14
 	JNZ bfnode
 
 bfdone:
@@ -1237,6 +1331,124 @@ gbchunk:
 	JNZ gbentry
 
 gbdone:
+	MOVQ AX, ret+144(FP)
+	VZEROUPPER
+	RET
+
+// func gatherMasked4(dst *laneStreams, src []float64, lo, hi, list []int32, masks []uint8, w float64, room int) int
+//
+// laneStreams.gather (kernels_stream.go) in AVX2: for every entry e of list
+// — the k-th, its mask masks[k] — the block [lo[e], hi[e]) of the blocked
+// source src is appended, charges multiplied by w, to the stream of every
+// lane l of the mask — lane l's field f at base[l] + f·stride[l], at
+// position n[l] — and n[l] and spans[l] advanced; it stops before the first
+// entry a lane of whose mask has no room for (n[l] + c > cap[l]) and returns
+// the entries copied. room is the least room of the lanes at the call: until
+// the entries' spans sum past it, every entry fits, and the lanes are not
+// asked. A span is copied as gatherBlocks4 copies it, in
+// chunks of four per field, once for each of its lanes: the block is read
+// from memory once and from L1 for the lanes after the first. The caller
+// owns the padding, as gatherBlocks4's. laneStreams holds base at 0, stride
+// at 64, n at 128, spans at 192 and cap at 256, eight words each.
+//
+// Registers — DI = dst, R11 = list cursor, R12 = mask cursor, CX = entries
+// left, Y15 = w on four lanes; per entry DX = source fields 0–2, R13 = c,
+// R15 = c in bytes, AX = its lanes not yet copied; per lane BX = l, then
+// elements left, R14 = the lane's stride in bytes, SI / R8 = source fields
+// 0–2 / 3–5, R9 / R10 = destination fields 0–2 / 3–5.
+TEXT ·gatherMasked4(SB), NOSPLIT, $0-152
+	MOVQ dst+0(FP), DI
+	MOVQ list_base+80(FP), R11
+	MOVQ list_len+88(FP), CX
+	MOVQ masks_base+104(FP), R12
+	VBROADCASTSD w+128(FP), Y15
+	TESTQ CX, CX
+	JZ gmdone
+
+gmentry:
+	MOVLQSX (R11), BX                   // e
+	MOVBQZX (R12), AX                   // its lanes
+	MOVQ lo_base+32(FP), SI
+	MOVLQSX (SI)(BX*4), DX              // lo[e]
+	MOVQ hi_base+56(FP), SI
+	MOVLQSX (SI)(BX*4), R13             // hi[e]
+	SUBQ DX, R13                        // c
+	SUBQ R13, room+136(FP)
+	JNS gmcopy                          // the spans so far fit every lane
+	MOVQ AX, R8
+
+gmroom:
+	TESTQ R8, R8
+	JZ gmcopy
+	BSFQ R8, BX
+	LEAQ -1(R8), R9
+	ANDQ R9, R8
+	MOVQ 128(DI)(BX*8), R9
+	ADDQ R13, R9                        // n[l] + c
+	CMPQ R9, 256(DI)(BX*8)
+	JLE gmroom
+	JMP gmdone                          // lane l has no room: stop before e
+
+gmcopy:
+	ADDQ $4, R11
+	INCQ R12
+	LEAQ (DX)(DX*2), DX
+	SHLQ $4, DX
+	ADDQ src_base+8(FP), DX             // src + 6·lo·8: fields 0–2
+	LEAQ (R13*8), R15                   // c·8
+	TESTQ AX, AX
+	JZ gmnext
+
+gmlane:
+	BSFQ AX, BX                         // l
+	LEAQ -1(AX), SI
+	ANDQ SI, AX                         // l done
+	MOVQ 64(DI)(BX*8), R14
+	SHLQ $3, R14                        // stride[l]·8
+	MOVQ 128(DI)(BX*8), R9              // n[l]
+	LEAQ (R9)(R13*1), R10
+	MOVQ R10, 128(DI)(BX*8)             // n[l] += c
+	INCQ 192(DI)(BX*8)                  // spans[l]++
+	MOVQ 0(DI)(BX*8), R10
+	LEAQ (R10)(R9*8), R9                // base[l] + n·8: fields 0–2
+	LEAQ (R9)(R14*2), R10
+	ADDQ R14, R10                       // + 3·stride: fields 3–5
+	MOVQ DX, SI
+	LEAQ (R15)(R15*2), R8
+	ADDQ DX, R8                         // + 3·c·8: fields 3–5
+	MOVQ R13, BX                        // elements left
+
+gmchunk:
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(R15*1), Y1
+	VMOVUPD (SI)(R15*2), Y2
+	VMULPD (R8), Y15, Y3                // w·q: w is 1 or 2, exact
+	VMOVUPD (R8)(R15*1), Y4
+	VMOVUPD (R8)(R15*2), Y5
+	VMOVUPD Y0, (R9)
+	VMOVUPD Y1, (R9)(R14*1)
+	VMOVUPD Y2, (R9)(R14*2)
+	VMOVUPD Y3, (R10)
+	VMOVUPD Y4, (R10)(R14*1)
+	VMOVUPD Y5, (R10)(R14*2)
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	SUBQ $4, BX
+	JG gmchunk
+
+	TESTQ AX, AX
+	JNZ gmlane
+
+gmnext:
+	DECQ CX
+	JNZ gmentry
+
+gmdone:
+	MOVQ R11, AX
+	SUBQ list_base+80(FP), AX
+	SHRQ $2, AX
 	MOVQ AX, ret+144(FP)
 	VZEROUPPER
 	RET

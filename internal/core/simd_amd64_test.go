@@ -63,30 +63,6 @@ func TestExpNegAsmMatchesPortable(t *testing.T) {
 	}
 }
 
-// gatherCanary is the NaN the gather tests pre-fill storage with: a store
-// anywhere it must not land changes the bit pattern.
-var gatherCanary = math.Float64frombits(0x7ff8dead0000beef)
-
-func isCanary(v float64) bool { return math.Float64bits(v) == math.Float64bits(gatherCanary) }
-
-// randomBlocks builds a blocked gather source of the given block lengths
-// with a distinct value in every field of every element, its padding set to
-// the canary, and the blocks' offset table (block b is [off[b], off[b+1])).
-func randomBlocks(rng *rand.Rand, lengths []int) (src []float64, off []int32) {
-	off = make([]int32, len(lengths)+1)
-	for b, c := range lengths {
-		off[b+1] = off[b] + int32(c)
-	}
-	src = make([]float64, srcFields*int(off[len(lengths)])+gatherPad)
-	for i := range src {
-		src[i] = 1 + rng.Float64()
-	}
-	for i := len(src) - gatherPad; i < len(src); i++ {
-		src[i] = gatherCanary
-	}
-	return src, off
-}
-
 // The vector span copy against the portable gather, element for element,
 // and both against the layout's definition (field f of element i of block
 // [lo, lo+c) at 6·lo + f·c + i): span lengths on both sides of every chunk
@@ -173,9 +149,9 @@ func TestGatherMatchesPortable(t *testing.T) {
 }
 
 // No canary reaches a sum, and no worker writes another's scratch: a whole
-// evaluation with every word of the workers' streams and outer operands
-// and of the sources' padding set to a NaN gives the bits of a clean one,
-// and leaves the idle worker's scratch untouched.
+// evaluation with every word of the workers' streams, lane streams and
+// outer operands and of the sources' padding set to a NaN gives the bits of
+// a clean one, and leaves the idle worker's scratch untouched.
 func TestGatherCanariesStayDead(t *testing.T) {
 	if !useAsmKernels {
 		t.Skip("no AVX2+FMA on this host")
@@ -195,8 +171,15 @@ func TestGatherCanariesStayDead(t *testing.T) {
 		clean := sweep(&newEpolScratch(ctx, il, 1)[0])
 
 		scratch := newEpolScratch(ctx, il, 2)
+		flats := func(sc *epolScratch) [][]float64 {
+			fl := [][]float64{sc.s.flat, sc.o.flat}
+			for l := range sc.lanes.s {
+				fl = append(fl, sc.lanes.s[l].flat)
+			}
+			return fl
+		}
 		for w := range scratch {
-			for _, flat := range [][]float64{scratch[w].s.flat, scratch[w].o.flat} {
+			for _, flat := range flats(&scratch[w]) {
 				for i := range flat {
 					flat[i] = gatherCanary
 				}
@@ -212,7 +195,7 @@ func TestGatherCanariesStayDead(t *testing.T) {
 			t.Errorf("%s: pair sum %v (%#x) over canary-filled scratch, %v (%#x) over clean scratch",
 				tier.name, got.energy, math.Float64bits(got.energy), clean.energy, math.Float64bits(clean.energy))
 		}
-		for _, flat := range [][]float64{scratch[1].s.flat, scratch[1].o.flat} {
+		for _, flat := range flats(&scratch[1]) {
 			for i, v := range flat {
 				if !isCanary(v) {
 					t.Fatalf("%s: the idle worker's scratch was written at %d", tier.name, i)

@@ -38,6 +38,10 @@ func bornNearRowAsm(sys *System, near []int32, atom, qx, qy, qz, wx, wy, wz []fl
 	panic("core: asm kernels unavailable in this build")
 }
 
-func bornFarSharedAsm(sys *System, q *bornLanes, shared []int32, node []float64) {
+func bornFarAsm(sys *System, q *bornLanes, rows int, far []int32, masks []uint8, stride int, node []float64) {
+	panic("core: asm kernels unavailable in this build")
+}
+
+func gatherMaskedAsm(ls *laneStreams, src []float64, lo, hi, list []int32, masks []uint8, w float64, room int) int {
 	panic("core: asm kernels unavailable in this build")
 }

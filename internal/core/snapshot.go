@@ -45,12 +45,13 @@ var (
 const (
 	snapshotMagic = "GBPSNAP1"
 	// The layout: the parameters, the molecule, the surface, both trees,
-	// and each phase's lists — its rows, then every CSR pair of its rows
-	// and of its tiles (InteractionLists.arrays), not the tiles' cut, which
-	// the rows make. Checkpoints are written and read by one build — the
-	// net runner's workers and restart — so an image of any other version
-	// is refused with ErrSnapshotVersion.
-	snapshotVersion = 6
+	// and each phase's lists — its rows, then every CSR of its tiles' own
+	// runs, masks beside the entries, and of their shared runs
+	// (InteractionLists.arrays), not the tiles' cut, which the rows make.
+	// Checkpoints are written and read by one build — the net runner's
+	// workers and restart — so an image of any other version is refused with
+	// ErrSnapshotVersion.
+	snapshotVersion = 7
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -312,12 +313,15 @@ func decodeSurface(r *wire.Reader) (*surface.Surface, error) {
 
 // validateIL re-establishes every structural invariant the batch kernels
 // and the repair rely on: rows are exactly the row tree's leaves in order,
-// each CSR offset array brackets its entry array, and entries index
-// atoms-tree nodes. A snapshot does not carry the tiles' cut: validateIL
-// gives the lists the one their rows make (listPhase.cutTiles), which sizes
-// the shared runs, and refuses Born lists with shared near runs, which
-// bornTile would not read. A list that passes cannot make a kernel or a
-// repair index out of bounds.
+// each CSR offset array brackets its entry array, entries index atoms-tree
+// nodes, and every own run's masks are its entries' lane masks — as many,
+// none 0, none with a bit past its tile's rows, none the tile's full mask
+// where the phase shares such an entry (every run but the Born phase's
+// near one) — and no entry is twice in one tile and class. A snapshot does
+// not carry the tiles' cut: validateIL gives the lists the one their rows
+// make (listPhase.cutTiles), which sizes every run, and refuses Born lists
+// with shared near runs, which bornTile would not read. A list that passes
+// cannot make a kernel or a repair index out of bounds.
 func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree) error {
 	leaves := rowTree.Leaves()
 	if len(il.Rows) != len(leaves) {
@@ -337,15 +341,15 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 	il.TileOff = ph.cutTiles(il.Rows)
 	nNodes := int32(atomTree.NumNodes())
 	for k, c := range il.arrays() {
-		r, tile := k%(runFar+1), k > runFar
-		name, units := runNames[r], len(il.Rows)
-		if tile {
-			name, units = "tile "+name, il.tiles()
+		r, shared := k%(runFar+1), k > runFar
+		name := "own " + runNames[r]
+		if shared {
+			name = "shared " + runNames[r]
 		}
 		off, entries := *c.off, *c.ents
-		if len(off) != units+1 {
-			return fmt.Errorf("%w: %s %s offsets sized %d for %d",
-				ErrSnapshotCorrupt, phase, name, len(off), units)
+		if len(off) != il.tiles()+1 {
+			return fmt.Errorf("%w: %s %s offsets sized %d for %d tiles",
+				ErrSnapshotCorrupt, phase, name, len(off), il.tiles())
 		}
 		if off[0] != 0 || int(off[len(off)-1]) != len(entries) {
 			return fmt.Errorf("%w: %s %s offsets span [%d,%d] over %d entries",
@@ -363,8 +367,44 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 					ErrSnapshotCorrupt, phase, name, n, e, nNodes)
 			}
 		}
-		if ph.up == nil && tile && r != runFar && len(entries) > 0 {
-			return fmt.Errorf("%w: %s lists share %d %s entries", ErrSnapshotCorrupt, phase, len(entries), name)
+		if ph.up == nil && shared && r != runFar && len(entries) > 0 {
+			return fmt.Errorf("%w: %s lists share %d %s entries", ErrSnapshotCorrupt, phase, len(entries), runNames[r])
+		}
+		if shared {
+			continue
+		}
+		if len(*c.masks) != len(entries) {
+			return fmt.Errorf("%w: %s %s run has %d masks for %d entries",
+				ErrSnapshotCorrupt, phase, name, len(*c.masks), len(entries))
+		}
+		fullAllowed := ph.up == nil && r != runFar // the Born phase shares no near leaves
+		for t := range il.tiles() {
+			lo, hi := il.tileRows(t)
+			full := uint8(1)<<(hi-lo) - 1
+			for n, m := range c.runMasks(t) {
+				if m == 0 || m&^full != 0 || m == full && !fullAllowed {
+					return fmt.Errorf("%w: %s %s entry %d of tile %d (%d rows) has lane mask %#x",
+						ErrSnapshotCorrupt, phase, name, n, t, hi-lo, m)
+				}
+			}
+		}
+	}
+	// An entry twice in one tile and class: stamp[e] holds the last (class,
+	// tile) that held e, numbered upward.
+	stamp, mark := make([]int32, nNodes), int32(0)
+	own, tiles := il.ownCSR(), il.tileCSR()
+	for r := range own {
+		for t := range il.tiles() {
+			mark++
+			for _, run := range [2][]int32{tiles[r].run(t), own[r].run(t)} {
+				for _, e := range run {
+					if stamp[e] == mark {
+						return fmt.Errorf("%w: %s tile %d holds node %d twice in its %s runs",
+							ErrSnapshotCorrupt, phase, t, e, runNames[r])
+					}
+					stamp[e] = mark
+				}
+			}
 		}
 	}
 	return nil
@@ -375,17 +415,24 @@ func decodeIL(r *wire.Reader) *InteractionLists {
 	il := &InteractionLists{Rows: r.I32s()}
 	for _, c := range il.arrays() {
 		*c.off, *c.ents = r.I32s(), r.I32s()
+		if c.masks != nil {
+			*c.masks = r.U8s()
+		}
 	}
 	return il
 }
 
-// appendIL writes one phase's lists: the rows, then every CSR pair, offsets
-// before entries.
+// appendIL writes one phase's lists: the rows, then every CSR — the own
+// runs' and then the shared ones' (InteractionLists.arrays) — offsets, then
+// entries, then an own run's masks.
 func appendIL(w *wire.Writer, il *InteractionLists) {
 	w.I32s(il.Rows)
 	for _, c := range il.arrays() {
 		w.I32s(*c.off)
 		w.I32s(*c.ents)
+		if c.masks != nil {
+			w.U8s(*c.masks)
+		}
 	}
 }
 

@@ -178,17 +178,19 @@ const (
 const stampAt, precisionAt = 8 + 2, 8 + 2 + 8 + 3*8 + 1
 
 // retiredSlots returns the byte offset of every slot in image, a snapshot
-// with lists of this version or of version 5 (v5Image). In either, a phase's
-// lists are its rows and eight row arrays, then its tiles' arrays: version
-// 5 wrote the Born tiles' far run alone.
+// with lists of this version, of version 6 (v6Image) or of version 5
+// (v5Image). In each, a phase's lists are its rows and four own or per-row
+// runs — this version's with their masks — then its tiles' shared arrays:
+// version 5 wrote the Born tiles' far run alone.
 func retiredSlots(t testing.TB, image []byte) [numSlots]int {
 	t.Helper()
 	body := image[:len(image)-4]
 	r := wire.NewReader(body[len(snapshotMagic):])
 	at := func() int { return len(body) - r.Remaining() }
 	var s [numSlots]int
+	version := r.U16()
 	bornTiles := 2 * (runFar + 1)
-	if r.U16() == 5 {
+	if version == 5 {
 		bornTiles = 2
 	}
 	r.U64()
@@ -220,8 +222,13 @@ func retiredSlots(t testing.TB, image []byte) [numSlots]int {
 		{slotBorn, bornTiles, slotTileOrders},
 		{slotEpol, 2 * (runFar + 1), slotNodes},
 	} {
-		for range 1 + 2*(runFar+1) {
+		r.I32s()
+		for range runFar + 1 {
 			r.I32s()
+			r.I32s()
+			if version == snapshotVersion {
+				r.U8s()
+			}
 		}
 		s[ph.rowsAt] = at()
 		for range ph.tiles {
@@ -272,9 +279,9 @@ func certificate(n int) []byte {
 	})
 }
 
-// appendRowsV5 writes il's rows and row arrays as versions up to 5 did,
+// appendRowsV5 writes rl's rows and row arrays as versions up to 5 did,
 // the far run's first.
-func appendRowsV5(w *wire.Writer, il *InteractionLists) {
+func appendRowsV5(w *wire.Writer, il *rowLists) {
 	for _, a := range [][]int32{il.Rows, il.FarOff, il.Far, il.NearOff, il.Near, il.SymOff, il.Sym, il.CedeOff, il.Cede} {
 		w.I32s(a)
 	}
@@ -293,10 +300,10 @@ func v5Image(t testing.TB, image []byte) []byte {
 	born, epol := sys.lists.Born, sys.lists.Epol
 	var w wire.Writer
 	w.Raw(image[:retiredSlots(t, image)[slotListOrder]])
-	appendRowsV5(&w, born)
+	appendRowsV5(&w, ownRows(born))
 	w.I32s(born.TileFarOff)
 	w.I32s(born.TileFar)
-	appendRowsV5(&w, epol)
+	appendRowsV5(&w, ownRows(epol))
 	for _, c := range epol.tileCSR() {
 		w.I32s(*c.off)
 		w.I32s(*c.ents)
@@ -304,6 +311,34 @@ func v5Image(t testing.TB, image []byte) []byte {
 	w.U32(0)
 	out := w.Bytes()
 	binary.LittleEndian.PutUint16(out[len(snapshotMagic):], 5)
+	return restamp(out)
+}
+
+// v6Image is image, a snapshot of this version with lists, as version 6
+// wrote it: the same bytes up to the list block, and in it each phase's rows,
+// its rows' own runs (ownRows; near, sym, cede and far, offsets before
+// entries) and its tiles' shared runs the same way.
+func v6Image(t testing.TB, image []byte) []byte {
+	t.Helper()
+	sys, err := DecodeSnapshot(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w wire.Writer
+	w.Raw(image[:retiredSlots(t, image)[slotListOrder]])
+	for _, il := range []*InteractionLists{sys.lists.Born, sys.lists.Epol} {
+		rows := ownRows(il)
+		w.I32s(il.Rows)
+		for _, cs := range [][runFar + 1]csr{rows.rowCSR(), il.tileCSR()} {
+			for _, c := range cs {
+				w.I32s(*c.off)
+				w.I32s(*c.ents)
+			}
+		}
+	}
+	w.U32(0)
+	out := w.Bytes()
+	binary.LittleEndian.PutUint16(out[len(snapshotMagic):], 6)
 	return restamp(out)
 }
 
@@ -333,8 +368,9 @@ func v4Image(t testing.TB, image []byte, mathByte uint8) []byte {
 }
 
 // A version-4 image, whose layout had places for retired configurations,
-// a version-5 image, whose Born tiles stored their far run alone, and this
-// layout stamped either version are refused with ErrSnapshotVersion and no
+// a version-5 image, whose Born tiles stored their far run alone, a
+// version-6 image, whose rows stored their own runs each, and this layout
+// stamped any of those versions are refused with ErrSnapshotVersion and no
 // System, by DecodeSnapshot and by LoadSnapshotAnyParams. Checkpoints are
 // written and read by one build, and no older layout is read.
 func TestSnapshotRefusesRetired(t *testing.T) {
@@ -342,8 +378,9 @@ func TestSnapshotRefusesRetired(t *testing.T) {
 	older := map[string][]byte{
 		"version 4": v4Image(t, image, 0),
 		"version 5": v5Image(t, image),
+		"version 6": v6Image(t, image),
 	}
-	for _, version := range []uint16{4, 5} {
+	for _, version := range []uint16{4, 5, 6} {
 		stamped := append([]byte(nil), image...)
 		binary.LittleEndian.PutUint16(stamped[len(snapshotMagic):], version)
 		older[fmt.Sprintf("this layout stamped version %d", version)] = restamp(stamped)
@@ -418,7 +455,7 @@ func TestSnapshotFarFieldCorruptions(t *testing.T) {
 			}
 		})
 	}
-	far, near := len(cl.Born.Far), len(cl.Epol.Near)
+	far, near := len(cl.Born.OwnFar), len(cl.Epol.OwnNear)
 	geometry := enc(func(w *wire.Writer) {
 		wire.PutF64Records(w, make([]geom.Vec3, n))
 		w.F64s(make([]float64, n))
@@ -497,8 +534,8 @@ func TestSnapshotDecodesCertifiedImage(t *testing.T) {
 	sys, image := snapshotFixture(t, true)
 	n := sys.Atoms.NumNodes()
 	ins := map[int][]byte{
-		slotBorn: certificate(len(sys.lists.Born.Far)),
-		slotEpol: certificate(len(sys.lists.Epol.Far)),
+		slotBorn: certificate(len(sys.lists.Born.OwnFar)),
+		slotEpol: certificate(len(sys.lists.Epol.OwnFar)),
 		slotNodes: enc(func(w *wire.Writer) {
 			wire.PutF64Records(w, make([]geom.Vec3, n))
 			w.F64s(make([]float64, n))
@@ -556,12 +593,14 @@ func TestSnapshotSaveLoadParams(t *testing.T) {
 // system at far-field order 0 with no moment sets behind its trees, the
 // E_pol tiles' shared runs stored once (version 4, 799 719 bytes), version
 // 5, which drops the places version 4 kept for retired configurations and
-// wrote empty (79 bytes here, 799 640 bytes), and — the last re-recording —
-// version 6, which writes both phases' lists in one layout: every CSR pair
-// of the rows and of the tiles, the Born tiles' empty shared near runs
-// among them. Written in version 5's layout (v5Image) the same lists give
-// version 5's bytes exactly, and with the retired places filled back in
-// version 4's. The digest covers computed floats (the surface), hence one
+// wrote empty (79 bytes here, 799 640 bytes), version 6, which writes both
+// phases' lists in one layout: every CSR pair of the rows and of the tiles,
+// the Born tiles' empty shared near runs among them (801 560 bytes), and —
+// the last re-recording — version 7, which writes each tile's own runs
+// once, an entry beside its lane mask, in place of its rows' own runs.
+// Written in version 6's layout (v6Image) the same lists give version 6's
+// bytes exactly, in version 5's (v5Image) version 5's, and with the retired
+// places filled back in version 4's. The digest covers computed floats (the surface), hence one
 // architecture: elsewhere the compiler may fuse multiply-adds.
 func TestSnapshotBytesStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -579,7 +618,8 @@ func TestSnapshotBytesStable(t *testing.T) {
 		size    int
 		sha     string
 	}{
-		{snapshotVersion, data, 801560, "6289beb4b4aa83b3688d480298c63001f5c3b567dacf3f2967525825d573d5fc"},
+		{snapshotVersion, data, 648579, "db5e8654df805fd336f2505bd700ee4a00e33ec33281c028ea5b3d338e941c63"},
+		{6, v6Image(t, data), 801560, "6289beb4b4aa83b3688d480298c63001f5c3b567dacf3f2967525825d573d5fc"},
 		{5, v5Image(t, data), 799640, "7d20438fb3681a0a5a86189afa32e075ccd3fe5f04ee88eeacf45c5f1c23aceb"},
 		{4, v4Image(t, data, 0), 799719, "359563886babcb17bc37de67187b2e5fd48c1e774f86e198bc8736b57b3ba50e"},
 	} {
@@ -704,8 +744,9 @@ func TestParamsFingerprint(t *testing.T) {
 // FuzzDecodeSnapshot pins the no-panic, no-overallocation property on
 // arbitrary input. Run with `go test -fuzz=FuzzDecodeSnapshot` to
 // explore; the seeds alone cover the interesting prefixes in CI: images of
-// this version with and without lists, whole and cut short, the same image
-// with bytes where version 4 kept its retired places, and a version-4 image.
+// this version (7: own runs beside their lane masks) with and without lists,
+// whole and cut short, the same image with bytes where version 4 kept its
+// retired places, and images of versions 6 and 4.
 func FuzzDecodeSnapshot(f *testing.F) {
 	_, data := snapshotFixture(f, true)
 	_, bare := snapshotFixture(f, false)
@@ -723,6 +764,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	for slot := range numSlots {
 		f.Add(withRetired(f, data, snapshotVersion, map[int][]byte{slot: zero}))
 	}
+	f.Add(v6Image(f, data))
 	f.Add(v4Image(f, data, 0))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sys, err := DecodeSnapshot(b)

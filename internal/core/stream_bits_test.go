@@ -194,7 +194,7 @@ func checkStreamBitsFixture(t *testing.T, f streamFixture) {
 	ctx := NewEpolContext(f.sys, f.radii)
 	il := f.sys.Lists(nil).Epol
 	long, empty := 0, 0
-	for _, n := range slices.Concat(il.Far, il.TileFar) {
+	for _, n := range slices.Concat(il.OwnFar, il.TileFar) {
 		switch c := ctx.nzOff[n+1] - ctx.nzOff[n]; {
 		case c > 4:
 			long++
@@ -202,7 +202,7 @@ func checkStreamBitsFixture(t *testing.T, f streamFixture) {
 			empty++
 		}
 	}
-	t.Logf("%s: %d far entries, %d of more than four bins, %d of none", name, len(il.Far), long, empty)
+	t.Logf("%s: %d far entries, %d of more than four bins, %d of none", name, len(il.OwnFar), long, empty)
 	if name == "eps005" && long == 0 {
 		t.Fatalf("%s has no far entry of more than four occupied bins", name)
 	}
