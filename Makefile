@@ -7,7 +7,7 @@ GO ?= go
 # hosts. Usage: make bench-lanes GOAMD64=v3
 GOAMD64 ?=
 
-.PHONY: check build test vet fmt bigendian race faults bench-warm bench-lanes bench-lists bench-kernels bench-snapshot obs perfgate net kernels loc
+.PHONY: check build test vet fmt bigendian race faults bench-warm bench-lanes bench-lists bench-kernels bench-snapshot obs net kernels loc
 
 # comma is a literal comma inside a $(call ...) argument.
 comma := ,
@@ -42,8 +42,9 @@ endef
 ## target), full test suite, the benchmark module's vet and short tests
 ## (benchmarks/ has its own go.mod, which nothing else compiles before a
 ## ledger run), the kernels with and without their assembly, race
-## detector, the fault-injection matrix, the observability suite, and the
-## perf regression gate.
+## detector, the fault-injection matrix, the observability suite and the
+## real network transport. Performance is judged by the benchmark ledger
+## (benchmarks/), not here.
 check:
 	$(MAKE) fmt
 	$(MAKE) vet
@@ -57,7 +58,6 @@ check:
 	$(MAKE) faults
 	$(MAKE) obs
 	$(MAKE) net
-	$(MAKE) perfgate
 
 build:
 	$(GO) build ./...
@@ -158,18 +158,6 @@ loc:
 	@echo "gbpolar.go: $$(wc -l < gbpolar.go)"
 	@echo "cmd + examples non-test: $$(ls cmd/*/*.go examples/*/*.go | grep -v _test.go | xargs cat | wc -l)"
 
-## perfgate: the performance regression gate (DESIGN.md §9). Compares
-## the gate workload against results/baseline.json and fails on any
-## stat regressing beyond its noise-aware tolerance; seeds the baseline
-## on first run. Re-seed after an intentional perf change with:
-##   go run ./cmd/gbbench -baseline results/baseline.json
-perfgate:
-	@if [ -f results/baseline.json ]; then \
-		$(GO) run ./cmd/gbbench -compare results/baseline.json; \
-	else \
-		$(GO) run ./cmd/gbbench -baseline results/baseline.json; \
-	fi
-
 ## bench-warm: the warm-engine pose-scan pair (EXPERIMENTS.md extD).
 bench-warm:
 	$(call bench_listed,BenchmarkComputeWarmCompiled|BenchmarkComputeWarmRecursive,-benchtime 3x -count 2,.)
@@ -225,11 +213,10 @@ bench-snapshot:
 ## bench-cold: the cold path, PQR bytes to first E_pol — the five public
 ## calls at the ledger's fixture, per stage in wall ms and cores kept busy
 ## (CPU÷wall; 1.00 is a serial stage), the ray cast beside the exhaustive
-## serial oracle it replaced, octree construction (recursive vs Morton at
-## 1k/10k/100k points), and the coldstart experiment tables
-## (EXPERIMENTS.md "Cold path" and cold-start sections).
+## serial oracle it replaced, and octree construction (recursive vs
+## Morton at 1k/10k/100k points) (EXPERIMENTS.md "Cold path" and
+## cold-start sections); bench-lists times the list repair.
 bench-cold:
 	$(call bench_listed,BenchmarkColdPath20k,-benchtime 10x -count 2 -cpu 2,.)
 	$(call bench_listed,BenchmarkCastRadii20k,-benchtime 10x -count 2 -cpu 1$(comma)2,./internal/surface/)
 	$(call bench_listed,BenchmarkBuild,-benchtime 3x -count 2,./internal/octree/)
-	$(GO) run ./cmd/gbbench -exp coldstart

@@ -8,8 +8,6 @@
 //	gbbench -exp fig11 -scale 0.1     # bigger CMV analogue
 //	gbbench -exp fig6 -reps 20        # the paper's repetition count
 //	gbbench -exp fig9 -csv            # machine-readable output
-//	gbbench -baseline results/baseline.json   # seed the perf gate
-//	gbbench -compare results/baseline.json    # fail (exit 1) on regression
 package main
 
 import (
@@ -38,11 +36,6 @@ func main() {
 		csv    = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		list   = flag.Bool("list", false, "list available experiments and exit")
 
-		baselineOut = flag.String("baseline", "", "measure the perf-gate workload and snapshot a baseline JSON to this file (skips -exp)")
-		compareWith = flag.String("compare", "", "measure the perf-gate workload and compare against this baseline; exit 1 on any regression (skips -exp)")
-		gateReps    = flag.Int("gate-reps", 5, "median-of-N repetitions for -baseline/-compare")
-		gateAtoms   = flag.Int("gate-atoms", 5000, "gate workload size (atoms)")
-
 		outDir     = flag.String("out", "", "also write BENCH_<id>.json tables, cluster reports and a MANIFEST.json to this directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -64,11 +57,6 @@ func main() {
 		for _, e := range bench.Registry() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
-		return
-	}
-
-	if *baselineOut != "" || *compareWith != "" {
-		runGate(*baselineOut, *compareWith, *gateAtoms, *gateReps, *seed)
 		return
 	}
 
@@ -138,47 +126,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-}
-
-// runGate is the perf regression gate (`make perfgate`): -baseline
-// measures the gate workload and snapshots it; -compare re-measures and
-// exits 1 when any tracked stat regresses beyond its noise-aware
-// tolerance (DESIGN.md §9).
-func runGate(baselineOut, compareWith string, atoms, reps int, seed int64) {
-	measure := func() *bench.Baseline {
-		fmt.Printf("perf gate: measuring %d reps of the gate workload (%d atoms, 4 ranks, 1 crash)...\n",
-			reps, atoms)
-		samples, err := bench.GateSamples(atoms, reps, seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return bench.BuildBaseline(samples, atoms, seed)
-	}
-	if baselineOut != "" {
-		b := measure()
-		if err := b.WriteFile(baselineOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("perf gate: baseline with %d stats written to %s\n", len(b.Stats), baselineOut)
-		return
-	}
-	base, err := bench.ReadBaseline(compareWith)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if base.Atoms != atoms || base.Seed != seed {
-		log.Fatalf("baseline %s was measured at %d atoms / seed %d, current flags say %d / %d — re-seed with -baseline",
-			compareWith, base.Atoms, base.Seed, atoms, seed)
-	}
-	rows, ok := bench.CompareBaselines(base, measure())
-	if err := bench.FprintGate(os.Stdout, rows, false); err != nil {
-		log.Fatal(err)
-	}
-	if !ok {
-		log.Fatal("perf gate FAILED: stats regressed beyond tolerance (see table above)")
-	}
-	fmt.Printf("perf gate: OK against %s (%d stats, measured at %s)\n",
-		compareWith, len(base.Stats), base.Created)
 }
 
 // writeTable archives one result table (and, when present, the cluster

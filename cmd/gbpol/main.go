@@ -85,7 +85,7 @@ func main() {
 		netKillRank   = flag.Int("net-kill-rank", -1, "net chaos demo: worker rank to SIGKILL (-1 = none)")
 		netKillColl   = flag.Int("net-kill-collective", 0, "chaos: SIGKILL the process (worker: this one; net: -net-kill-rank's first launch) entering its Nth collective")
 		netTelemetry  = flag.Bool("net-telemetry", false, "worker: collect trace/metrics and ship telemetry batches to the coordinator (the net runner sets this on spawned workers when it is observing)")
-		watchBase     = flag.String("watch-baseline", "auto", "net: perf-gate baseline JSON for the live anomaly watchdog (auto = results/baseline.json when present and observing; none = off)")
+		watchBase     = flag.String("watch-baseline", "", "net: JSONL trace of a nominal run of the same workload (-trace) whose phase imbalances arm the live anomaly watchdog (\"\" = off)")
 
 		// Observability and profiling.
 		verbose     = flag.Bool("v", false, "stream structured per-span progress lines (rank, phase, virtual clock) and print the span/metrics tables after the run")
@@ -152,9 +152,11 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
+	// The anomaly watchdog judges the merged timeline, so arming it
+	// observes the run.
 	var o *gbpolar.Observer
 	if *verbose || *traceOut != "" || *chromeOut != "" || *metricsOut != "" ||
-		*obsAddr != "" || *obsFlight != "" {
+		*obsAddr != "" || *obsFlight != "" || *watchBase != "" {
 		o = gbpolar.NewObserver()
 	}
 	if o != nil && *obsFlight != "" {
@@ -359,22 +361,8 @@ func netRun(procs, threads int, membership, checkpoint string,
 	if err != nil {
 		return nil, err
 	}
-	// Watchdog baseline: "auto" arms the watchdog with the checked-in
-	// perf-gate baseline when one exists and the run is observed; a path
-	// arms it unconditionally; "none"/"" disables.
-	switch watchBase {
-	case "none", "":
-		watchBase = ""
-	case "auto":
-		watchBase = ""
-		if telemetry {
-			if _, serr := os.Stat("results/baseline.json"); serr == nil {
-				watchBase = "results/baseline.json"
-			}
-		}
-	}
 	if watchBase != "" {
-		fmt.Printf("net: anomaly watchdog armed with baseline %s\n", watchBase)
+		fmt.Printf("net: anomaly watchdog judged against the nominal trace %s\n", watchBase)
 	}
 	if membership == "" {
 		membership = filepath.Join(os.TempDir(), fmt.Sprintf("gbpol-cluster-%d.json", os.Getpid()))

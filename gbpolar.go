@@ -24,14 +24,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"time"
 
-	"gbpolar/internal/bench/gate"
 	"gbpolar/internal/cluster"
 	"gbpolar/internal/core"
 	"gbpolar/internal/geom"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/obs"
+	"gbpolar/internal/obs/analyze"
 	"gbpolar/internal/obs/serve"
 	"gbpolar/internal/obs/watch"
 	"gbpolar/internal/octree"
@@ -521,12 +522,15 @@ type NetRun struct {
 	// timestamped JSONL file here on death detection, degradation, or
 	// panic.
 	FlightDir string
-	// WatchBaseline, when non-empty, loads a perf-gate baseline
-	// (results/baseline.json) and runs the anomaly watchdog against the
-	// live merged timeline: a phase imbalance outside the baseline's
-	// tolerance envelope for several consecutive windows flips /healthz
-	// to "anomalous" and dumps the flight recorder tagged with the
-	// offending phase and rank. See DESIGN.md §14.
+	// WatchBaseline, when non-empty, names the JSONL trace of a nominal
+	// run of the same workload (`gbpol -trace`); its per-phase imbalances
+	// arm the anomaly watchdog against the live merged timeline: a phase
+	// imbalance above its nominal envelope for several consecutive
+	// windows flips /healthz to "anomalous" and dumps the flight recorder
+	// tagged with the offending phase and rank. The watchdog judges the
+	// engine's observer (Engine.Observe); without one the trace is read
+	// but nothing watches. A trace that cannot be read or holds no phase
+	// imbalance fails Compute before any rank starts. See DESIGN.md §14.
 	WatchBaseline string
 }
 
@@ -545,13 +549,32 @@ func (e *Engine) computeNet(ctx context.Context, nr NetRun) (*Result, error) {
 		Obs:            e.obs,
 	}
 	if nr.WatchBaseline != "" {
-		base, err := gate.ReadBaseline(nr.WatchBaseline)
+		base, err := nominalImbalances(nr.WatchBaseline)
 		if err != nil {
 			return nil, fmt.Errorf("gbpolar: watch baseline: %w", err)
 		}
 		opts.Watch = &watch.Config{Baseline: base}
 	}
 	return core.RunNetCoordinator(ctx, e.sys, opts)
+}
+
+// nominalImbalances reads a JSONL trace and returns the per-phase
+// imbalances the watchdog judges a live run against.
+func nominalImbalances(path string) (map[string]float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tr, err := obs.ReadJSONL(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	base := watch.BaselineFromSummary(analyze.FromTrace(tr).Summary())
+	if len(base) == 0 {
+		return nil, fmt.Errorf("%s: no phase imbalance in the trace", path)
+	}
+	return base, nil
 }
 
 // NetWorkerOptions re-exports the worker-process configuration.

@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gbpolar/internal/core"
 	"gbpolar/internal/geom"
@@ -331,5 +335,80 @@ func TestDefaultBuilderIsMorton(t *testing.T) {
 	}
 	if e[0] != e[1] || math.Abs((e[2]-e[0])/e[0]) > 1e-12 {
 		t.Errorf("E_pol default %v morton %v recursive %v", e[0], e[1], e[2])
+	}
+}
+
+// Net.WatchBaseline names a JSONL trace of a nominal run: a trace that
+// cannot be read or holds no phase imbalance fails Compute before any
+// rank starts or the membership file is published, and the trace of a
+// nominal run is taken for the next one (TestNetWatchdogAcceptance in
+// internal/core drives the watchdog it arms).
+func TestNetWatchBaselineFromTrace(t *testing.T) {
+	eng, err := NewEngine(GenerateProtein("watch", 300, 4), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewObserver()
+	eng.Observe(o)
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	spawned := 0
+	run := func(baseline string) error {
+		membership := filepath.Join(dir, "cluster.json")
+		os.Remove(membership)
+		var workers sync.WaitGroup
+		defer workers.Wait()
+		_, err := eng.Compute(ctx, Plan{Net: &NetRun{
+			Procs:          2,
+			MembershipPath: membership,
+			CheckpointPath: filepath.Join(dir, "sys.ckpt"),
+			StallTimeout:   time.Minute,
+			WatchBaseline:  baseline,
+			Spawn: func(rank int) error {
+				spawned++
+				workers.Add(1)
+				go func() {
+					defer workers.Done()
+					if _, err := RunNetWorker(membership, rank, NetWorkerOptions{StallTimeout: time.Minute, JoinBudget: time.Minute}); err != nil {
+						t.Errorf("worker rank %d: %v", rank, err)
+					}
+				}()
+				return nil
+			},
+		}})
+		return err
+	}
+	for _, bad := range []string{
+		filepath.Join(dir, "missing.jsonl"),
+		write("empty.jsonl", ""),
+		write("garbage.jsonl", "not json\n"),
+		write("instant.jsonl", `{"name":"x","cat":"fault","ph":"i","rank":0}`+"\n"),
+	} {
+		if err := run(bad); err == nil || !strings.Contains(err.Error(), "watch baseline") {
+			t.Errorf("%s: Compute = %v, want a watch baseline error", filepath.Base(bad), err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "cluster.json")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: membership file published (%v)", filepath.Base(bad), err)
+		}
+	}
+	if spawned != 0 {
+		t.Fatalf("a bad baseline spawned %d workers", spawned)
+	}
+
+	if err := run(""); err != nil {
+		t.Fatal(err)
+	}
+	var trace strings.Builder
+	if err := o.Trace.WriteJSONL(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(write("nominal.jsonl", trace.String())); err != nil {
+		t.Fatalf("run watched against a nominal trace: %v", err)
 	}
 }

@@ -15,7 +15,7 @@ func tinyCfg() Config {
 }
 
 func TestRegistryCoversEveryFigure(t *testing.T) {
-	want := []string{"tableI", "tableII", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "extensions", "obs", "coldstart", "lanes"}
+	want := []string{"tableI", "tableII", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "extensions", "obs", "lanes"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))

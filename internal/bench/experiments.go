@@ -34,7 +34,6 @@ func Registry() []Experiment {
 		{"fig11", "Scalability on a large molecule (CMV analogue)", fig11},
 		{"extensions", "Beyond the paper: inter-rank work stealing + dynamic octree updates", extensions},
 		{"obs", "Observability overhead: tracing+metrics on vs off", obsOverhead},
-		{"coldstart", "Cold-path performance: Morton vs recursive build + incremental list repair", coldstart},
 		{"lanes", "Kernel ablation: scalar vs laned x exact vs approx precision tiers", lanes},
 	}
 }
@@ -46,7 +45,7 @@ func ByID(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have tableI, tableII, fig5..fig11, extensions, obs, coldstart, lanes)", id)
+	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have tableI, tableII, fig5..fig11, extensions, obs, lanes)", id)
 }
 
 // tableI reports the modeled environment — the analogue of the paper's

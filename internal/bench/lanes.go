@@ -98,40 +98,3 @@ func lanes(cfg Config) ([]*Table, error) {
 		"paper Section V.E reports 1.42× from approximate math alone; GOAMD64=v3 (make bench-lanes GOAMD64=v3) additionally lifts the compiled Go code to the AVX2 baseline")
 	return []*Table{t}, nil
 }
-
-// gateKernelStats is the "kernel" perfgate measurement class: the warm
-// pose scan of the gate molecule under each precision tier, best-of-2
-// per-pose wall milliseconds. Stat names carry "wall" so the comparison
-// applies the wall-clock tolerance floor.
-func gateKernelStats(p *prepared) (map[string]float64, error) {
-	sys := p.sys
-	saved := sys.Params
-	defer func() { sys.Params = saved }()
-	step := geom.Translate(geom.V(0.9, 0.4, -1.1)).Compose(geom.RotateAxis(geom.V(1, 1, 0), 0.04))
-	out := make(map[string]float64, 2)
-	for _, tier := range []struct {
-		stat string
-		prec core.Precision
-	}{
-		{"kernel.exact.wall_ms", core.PrecisionExact},
-		{"kernel.lanes.wall_ms", core.PrecisionLanes},
-	} {
-		sys.Params.Precision = tier.prec
-		if _, err := core.RunShared(sys, core.SharedOptions{}); err != nil { // tier warm-up
-			return nil, err
-		}
-		best := math.Inf(1)
-		for rep := 0; rep < 2; rep++ {
-			sys.ApplyRigidTransform(step)
-			t0 := time.Now()
-			if _, err := core.RunShared(sys, core.SharedOptions{}); err != nil {
-				return nil, err
-			}
-			if ms := float64(time.Since(t0)) / float64(time.Millisecond); ms < best {
-				best = ms
-			}
-		}
-		out[tier.stat] = best
-	}
-	return out, nil
-}

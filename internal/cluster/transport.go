@@ -8,7 +8,8 @@ import "gbpolar/internal/obs"
 //   - *Comm, the in-process modeled transport of this package: ranks are
 //     goroutines, communication is metered by the virtual-clock cost
 //     model, and faults are injected deterministically from a FaultPlan.
-//     It remains the reference simulator and drives the perf gate.
+//     It remains the reference simulator and drives the paper's figures
+//     (gbbench).
 //   - *net.Comm (internal/cluster/net), a real TCP transport: ranks are
 //     OS processes exchanging length-prefixed frames through a
 //     coordinator, deaths are real connection losses or heartbeat

@@ -167,23 +167,6 @@ func laneRun(dst, ents []int32, masks []uint8, l int) []int32 {
 	return dst
 }
 
-// laneCounts adds to cnt[l], for every lane l, the number of masks with bit
-// l set: eight lanes a byte, eight bytes a word.
-func laneCounts(cnt *[tileLanes]int, masks []uint8) {
-	const ones = 0x0101010101010101
-	for ; len(masks) >= 8; masks = masks[8:] {
-		w := binary.LittleEndian.Uint64(masks)
-		for l := range cnt {
-			cnt[l] += bits.OnesCount64(w >> l & ones)
-		}
-	}
-	for _, m := range masks {
-		for ; m != 0; m &= m - 1 {
-			cnt[bits.TrailingZeros8(m)]++
-		}
-	}
-}
-
 // popcount returns the number of bits set in masks: the (row, entry) terms
 // an own run stands for.
 func popcount(masks []uint8) (n int) {
@@ -683,14 +666,12 @@ func (s *System) compileObserved(pool *sched.Pool, o *obs.Obs, rank int) *Compil
 var runNames = [runFar + 1]string{kindNear: "near", kindSym: "sym", kindCede: "cede", runFar: "far"}
 
 // RecordMetrics publishes the lists' static structure to the observer:
-// total row/near/far/sym entry counts per phase plus per-row batch-size
-// histograms (the sizes the SoA batch kernels sweep), and what the lists
-// hold in bytes — the gauge mem.lists.index_bytes, in total and as
+// total row/near/far/sym entry counts per phase, and what the lists hold
+// in bytes — the gauge mem.lists.index_bytes, in total and as
 // mem.lists.{born,epol}.index_bytes per phase, split in
 // mem.lists.{born,epol}.{entries,masks,offsets}_bytes (InteractionLists.
-// memory). far_entries, near_pairs and sym_pairs count (row, entry) terms,
-// and a row's histograms take its tile's shared runs with its share of the
-// own ones; what a phase stores it also counts, per run:
+// memory). far_entries, near_pairs and sym_pairs count (row, entry) terms;
+// what a phase stores it also counts, per run:
 // {near,sym,cede,far}_shared (one entry a tile) and _own (one a tile, beside
 // its lane mask), and _own_lanes the (row, entry) terms the own entries stand
 // for. Everything here is derivable from the compiled lists alone, so the
@@ -711,20 +692,6 @@ func (cl *CompiledLists) RecordMetrics(o *obs.Obs) {
 			o.Counter(prefix + "." + name + "_shared").Add(int64(len(*tileArr[r].ents)))
 			o.Counter(prefix + "." + name + "_own").Add(int64(len(*ownArr[r].ents)))
 			o.Counter(prefix + "." + name + "_own_lanes").Add(int64(popcount(*ownArr[r].masks)))
-		}
-		rowFar := o.Histogram(prefix + ".row_far")
-		rowNear := o.Histogram(prefix + ".row_near")
-		for t := range il.tiles() {
-			shared, own := il.tileRuns(t), il.ownRuns(t)
-			var far, near [tileLanes]int
-			laneCounts(&far, own.masks[runFar])
-			laneCounts(&near, own.masks[kindNear])
-			laneCounts(&near, own.masks[kindSym])
-			lo, hi := il.tileRows(t)
-			for l := range hi - lo {
-				rowFar.Observe(int64(far[l] + len(shared[runFar])))
-				rowNear.Observe(int64(near[l] + len(shared[kindNear]) + len(shared[kindSym])))
-			}
 		}
 		entries, masks, offsets := il.memory()
 		o.Gauge("mem.lists." + phase + ".index_bytes").Set(float64(entries + masks + offsets))

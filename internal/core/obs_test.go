@@ -62,9 +62,6 @@ func TestSharedRunTraceAndMetrics(t *testing.T) {
 	if o.Metrics.Counter("ilist.epol.near_pairs").Value() <= 0 {
 		t.Error("no ilist.epol.near_pairs recorded")
 	}
-	if o.Metrics.Histogram("ilist.born.row_far").Count() != rows {
-		t.Error("row_far histogram missing rows")
-	}
 }
 
 // The far-entry counters at every order of the list tables (orderParams):

@@ -102,9 +102,9 @@ func (a *Analysis) WriteJSON(w io.Writer) error {
 	return enc.Encode(a)
 }
 
-// Summary flattens the analysis into named scalar stats — the interface
-// the regression gate and `gbtrace diff` compare. Durations are in
-// milliseconds. Keys are stable across runs of the same workload.
+// Summary flattens the analysis into named scalar stats — what `gbtrace
+// diff` compares and the anomaly watchdog's baseline is cut from
+// (watch.BaselineFromSummary). Durations are in milliseconds. Keys are stable across runs of the same workload.
 func (a *Analysis) Summary() map[string]float64 {
 	s := map[string]float64{
 		"events":           float64(a.Events),

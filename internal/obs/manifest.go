@@ -59,12 +59,8 @@ func NewManifest(tool string, seed int64, config map[string]any) *Manifest {
 	return m
 }
 
-// GitDescribe best-effort identifies the source revision
-// (`git describe --always --dirty`, "unknown" outside a checkout) —
-// stamped into manifests and perf-gate baselines.
-func GitDescribe() string { return gitDescribe() }
-
-// gitDescribe best-effort identifies the source revision.
+// gitDescribe best-effort identifies the source revision
+// (`git describe --always --dirty`, "unknown" outside a checkout).
 func gitDescribe() string {
 	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
 	if err != nil {

@@ -1,11 +1,13 @@
 // Package watch is the coordinator's anomaly watchdog: a single ticker
 // goroutine that re-analyzes the merged run timeline on every window,
-// compares the per-phase imbalance stats against a baseline's tolerance
-// envelopes through the perf-gate machinery (internal/bench/gate), and
-// raises a verdict when a stat stays outside its envelope for Sustain
-// consecutive windows. One sustained breach means a specific phase on a
-// specific rank is running hot relative to the recorded nominal shape —
-// the live-cluster analogue of a failed `gbbench -compare`.
+// compares the per-phase imbalance stats against a baseline of nominal
+// imbalances — cut from a trace of a nominal run of the same workload
+// (BaselineFromSummary) — and raises a verdict when a stat stays above
+// its envelope for Sustain consecutive windows. The envelope is this
+// package's own rule: a rise of more than 30 % over nominal for a
+// phase's wall imbalance, 0.5 % for its virtual-clock one. One sustained
+// breach means a specific phase on a specific rank is running hot
+// relative to the recorded nominal shape.
 //
 // The trace alone cannot see a straggler mid-phase: telemetry ships only
 // closed spans, so a remote rank stuck inside epol contributes nothing
@@ -21,23 +23,22 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"gbpolar/internal/bench/gate"
 	"gbpolar/internal/obs"
 	"gbpolar/internal/obs/analyze"
 )
 
 // Config shapes a watchdog.
 type Config struct {
-	// Baseline holds the nominal per-stat envelopes (typically
-	// results/baseline.json via gate.ReadBaseline). Only the
-	// phase.<name>.wall_imbalance / .virt_imbalance stats are watched —
-	// the live analogues of the offline gate's imbalance rows. Required.
-	Baseline *gate.Baseline
+	// Baseline maps phase.<name>.wall_imbalance / .virt_imbalance to
+	// their nominal values (BaselineFromSummary); only the stats it names
+	// are watched. Required.
+	Baseline map[string]float64
 	// Window is the evaluation cadence (<= 0: DefaultWindow).
 	Window time.Duration
 	// Sustain is how many consecutive breaching windows arm a verdict
@@ -55,6 +56,16 @@ type Config struct {
 	OnAnomaly func(Verdict)
 }
 
+// The envelope: how far a watched stat may rise over its nominal value,
+// relative to it, before a window counts as a breach. Wall imbalance is
+// real timing with scheduler noise — a generous floor; the virtual
+// clock is deterministic for a pinned cost model — a floor that only
+// absorbs fp jitter.
+const (
+	wallTolerance = 0.30
+	virtTolerance = 0.005
+)
+
 // Defaults for Config zero values.
 const (
 	DefaultWindow         = 250 * time.Millisecond
@@ -64,14 +75,14 @@ const (
 
 // Verdict is one sustained anomaly.
 type Verdict struct {
-	// Stat is the breached gate stat (e.g. "phase.epol.wall_imbalance").
+	// Stat is the breached stat (e.g. "phase.epol.wall_imbalance").
 	Stat string `json:"stat"`
 	// Phase and Rank localize the anomaly: the phase the stat tracks and
 	// the rank carrying the maximum overlaid wall time when it fired.
 	Phase string `json:"phase"`
 	Rank  int    `json:"rank"`
-	// Base/Cur/TolPct mirror the gate row that breached: baseline
-	// median, live value, allowed relative tolerance.
+	// Base/Cur/DeltaPct/TolPct are the breach: nominal value, live
+	// value, their relative difference and the allowed one, in percent.
 	Base     float64 `json:"base"`
 	Cur      float64 `json:"cur"`
 	DeltaPct float64 `json:"delta_pct"`
@@ -130,7 +141,7 @@ var openGaugeRE = regexp.MustCompile(`^rank(\d+)\.health\.open\.phase\.(.+)_us$`
 // Returns nil (Stop-safe) when the observer is disabled or no baseline
 // was given — watching nothing is not an error, it is the obs-off path.
 func Start(o *obs.Obs, cfg Config) *Watchdog {
-	if !o.Enabled() || cfg.Baseline == nil {
+	if !o.Enabled() || len(cfg.Baseline) == 0 {
 		return nil
 	}
 	if cfg.Window <= 0 {
@@ -216,7 +227,7 @@ func (w *Watchdog) evaluate() {
 	}
 
 	// Live stats for the watched subset, plus the offending rank per stat.
-	stats := map[string]gate.Stat{}
+	stats := map[string]float64{}
 	rankOf := map[string]int{}
 	phaseOf := map[string]string{}
 	for _, p := range rep.Phases {
@@ -237,10 +248,9 @@ func (w *Watchdog) evaluate() {
 		}
 		// Judge a phase only while its data is still moving: a phase whose
 		// overlaid wall sum is identical to the previous evaluation has
-		// finished (or its telemetry has gone quiet) — its final shape is
-		// the offline perf gate's jurisdiction, not a live anomaly. This
-		// keeps one-shot startup phases (born, build) from sustaining a
-		// breach forever on real runs, where rank 0 computes them while the
+		// finished (or its telemetry has gone quiet), and a finished
+		// phase's shape is not a live anomaly. This keeps one-shot startup
+		// phases (born, build) from sustaining a breach forever on real runs, where rank 0 computes them while the
 		// workers are still joining and the skew freezes into history; a
 		// genuinely dragging phase keeps growing every window, through
 		// closed spans or the straggler's open-span age gauge. Streaks are
@@ -259,50 +269,50 @@ func (w *Watchdog) evaluate() {
 			continue
 		}
 		key := "phase." + p.Name + ".wall_imbalance"
-		stats[key] = gate.Stat{Median: maxUS / mean}
+		stats[key] = maxUS / mean
 		rankOf[key] = maxRank
 		phaseOf[key] = p.Name
 		if p.HasVirt && p.Virt.MeanUS > 0 {
 			vkey := "phase." + p.Name + ".virt_imbalance"
-			stats[vkey] = gate.Stat{Median: p.Virt.Imbalance}
+			stats[vkey] = p.Virt.Imbalance
 			rankOf[vkey] = p.Virt.MaxRank
 			phaseOf[vkey] = p.Name
 		}
 	}
 
-	// Compare only the stats both sides know: the baseline may carry a
-	// richer workload (build stats, collectives) and the live run may
-	// have phases the baseline never saw — neither is an anomaly.
-	base := &gate.Baseline{Stats: map[string]gate.Stat{}}
-	cur := &gate.Baseline{Stats: stats}
+	// Judge only the stats both sides know: the baseline may carry phases
+	// the live run never reaches and the live run may have phases the
+	// baseline never saw — neither is an anomaly. Sorted, so verdicts
+	// fired in one window land in a fixed order.
+	keys := make([]string, 0, len(stats))
 	for k := range stats {
-		if bs, ok := w.cfg.Baseline.Stats[k]; ok {
-			base.Stats[k] = bs
-		} else {
-			delete(cur.Stats, k)
+		if _, ok := w.cfg.Baseline[k]; ok {
+			keys = append(keys, k)
 		}
 	}
-	rows, _ := gate.Compare(base, cur)
+	sort.Strings(keys)
 
 	w.mu.Lock()
 	var fired []Verdict
-	for _, row := range rows {
-		if row.Status != "REGRESSED" {
-			w.streaks[row.Stat] = 0
+	for _, k := range keys {
+		base, cur := w.cfg.Baseline[k], stats[k]
+		delta, tol, breach := judge(k, base, cur)
+		if !breach {
+			w.streaks[k] = 0
 			continue
 		}
-		w.streaks[row.Stat]++
-		if w.streaks[row.Stat] < w.cfg.Sustain || w.fired[row.Stat] {
+		w.streaks[k]++
+		if w.streaks[k] < w.cfg.Sustain || w.fired[k] {
 			continue
 		}
-		w.fired[row.Stat] = true
+		w.fired[k] = true
 		v := Verdict{
-			Stat:  row.Stat,
-			Phase: phaseOf[row.Stat],
-			Rank:  rankOf[row.Stat],
-			Base:  row.Base, Cur: row.Cur,
-			DeltaPct: row.DeltaPct, TolPct: row.TolPct,
-			Windows: w.streaks[row.Stat],
+			Stat:  k,
+			Phase: phaseOf[k],
+			Rank:  rankOf[k],
+			Base:  base, Cur: cur,
+			DeltaPct: delta, TolPct: tol,
+			Windows: w.streaks[k],
 			WallMS:  w.o.Trace.NowUS() / 1e3,
 		}
 		w.verdicts = append(w.verdicts, v)
@@ -322,6 +332,23 @@ func (w *Watchdog) evaluate() {
 			w.cfg.OnAnomaly(v)
 		}
 	}
+}
+
+// judge compares one watched stat's live value against its nominal one:
+// the rise over nominal and the allowed rise, both in percent, and
+// whether the first exceeds the second. Only a rise breaches — every
+// watched stat is an imbalance, where higher is worse — and a stat with
+// no positive nominal value never does.
+func judge(stat string, base, cur float64) (deltaPct, tolPct float64, breach bool) {
+	if base <= 0 {
+		return 0, 0, false
+	}
+	tol := virtTolerance
+	if strings.HasSuffix(stat, ".wall_imbalance") {
+		tol = wallTolerance
+	}
+	deltaPct, tolPct = 100*(cur-base)/base, 100*tol
+	return deltaPct, tolPct, deltaPct > tolPct
 }
 
 // openOverlay reads the rank-prefixed open-span age gauges shipped by
@@ -384,15 +411,14 @@ func axis(per map[int]float64) (maxUS float64, maxRank int, mean float64) {
 	return maxUS, maxRank, sum / float64(len(per))
 }
 
-// BaselineFromSummary builds an in-memory baseline from one run's
-// analyzer summary — the shape `gbtrace`-style tooling and tests use
-// when no results/baseline.json fits the live workload. Spread is zero,
-// so gate.Tolerance falls back to the per-class floors.
-func BaselineFromSummary(summary map[string]float64) *gate.Baseline {
-	b := &gate.Baseline{Schema: gate.Schema, Stats: map[string]gate.Stat{}}
+// BaselineFromSummary keeps, of one run's analyzer summary
+// (analyze.Analysis.Summary), the stats the watchdog judges: each phase's
+// wall and virtual imbalance, as the nominal values of Config.Baseline.
+func BaselineFromSummary(summary map[string]float64) map[string]float64 {
+	b := map[string]float64{}
 	for k, v := range summary {
-		if strings.Contains(k, "imbalance") {
-			b.Stats[k] = gate.Stat{Median: v}
+		if strings.HasSuffix(k, ".wall_imbalance") || strings.HasSuffix(k, ".virt_imbalance") {
+			b[k] = v
 		}
 	}
 	return b

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"gbpolar/internal/bench/gate"
 	"gbpolar/internal/obs"
 )
 
@@ -12,11 +11,11 @@ func phaseEv(rank int, name string, durUS float64) obs.Event {
 	return obs.Event{Name: name, Cat: "phase", Ph: "X", Rank: rank, WallDurUS: durUS}
 }
 
-func testBaseline() *gate.Baseline {
-	return &gate.Baseline{Schema: gate.Schema, Stats: map[string]gate.Stat{
-		"phase.epol.wall_imbalance":  {Median: 1.05},
-		"phase.build.wall_imbalance": {Median: 1.0},
-	}}
+func testBaseline() map[string]float64 {
+	return map[string]float64{
+		"phase.epol.wall_imbalance":  1.05,
+		"phase.build.wall_imbalance": 1.0,
+	}
 }
 
 // newTestWatchdog builds a watchdog without the ticker goroutine so
@@ -312,13 +311,35 @@ func TestWatchdogStartStop(t *testing.T) {
 func TestBaselineFromSummary(t *testing.T) {
 	b := BaselineFromSummary(map[string]float64{
 		"phase.epol.wall_imbalance": 1.1,
+		"phase.epol.virt_imbalance": 1.2,
 		"phase.epol.wall_ms":        70,
 		"makespan.wall_ms":          300,
 	})
-	if len(b.Stats) != 1 {
-		t.Fatalf("stats = %+v, want only the imbalance", b.Stats)
+	if len(b) != 2 {
+		t.Fatalf("baseline = %+v, want only the two imbalances", b)
 	}
-	if got := b.Stats["phase.epol.wall_imbalance"].Median; got != 1.1 {
-		t.Fatalf("median = %v", got)
+	if got := b["phase.epol.wall_imbalance"]; got != 1.1 {
+		t.Fatalf("nominal = %v", got)
+	}
+
+	// The envelope: a wall imbalance may rise 30 % over nominal, a virtual
+	// one 0.5 %; only a rise past that breaches.
+	for _, c := range []struct {
+		stat   string
+		rise   float64
+		breach bool
+	}{
+		{"phase.epol.wall_imbalance", 0.29, false},
+		{"phase.epol.wall_imbalance", 0.31, true},
+		{"phase.epol.wall_imbalance", -0.5, false},
+		{"phase.epol.virt_imbalance", 0.004, false},
+		{"phase.epol.virt_imbalance", 0.006, true},
+	} {
+		base := b[c.stat]
+		delta, tol, breach := judge(c.stat, base, base*(1+c.rise))
+		if breach != c.breach {
+			t.Errorf("%s %+.1f%% over nominal: breach = %v (delta %.2f%%, tol %.2f%%), want %v",
+				c.stat, 100*c.rise, breach, delta, tol, c.breach)
+		}
 	}
 }

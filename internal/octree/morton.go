@@ -73,22 +73,21 @@ func (t *Tree) BuilderKind() Builder { return t.builder }
 // modify it.
 func (t *Tree) Keys() []uint64 { return t.keys }
 
-// buildMorton constructs the hierarchy for the point set already staged
-// in t.Pts/t.Index (input order) inside the given root cube.
-func (t *Tree) buildMorton(root geom.AABB, opts Options) {
-	n := len(t.Pts)
+// buildMorton constructs the hierarchy for pts (input order, t.Index the
+// identity) inside the given root cube, filling t.Pts in key order.
+func (t *Tree) buildMorton(pts []geom.Vec3, root geom.AABB, opts Options) {
+	n := len(pts)
 	keys := make([]uint64, n)
 	parallelRange(opts.Pool, n, 2048, func(lo, hi int) {
-		geom.MortonKeys(root, t.Pts[lo:hi], keys[lo:hi])
+		geom.MortonKeys(root, pts[lo:hi], keys[lo:hi])
 	})
 	radixSortKeys(keys, t.Index, opts.Pool)
-	// One gather permutes the point store into key order; after this the
-	// hierarchy derivation never touches coordinates again.
-	src := make([]geom.Vec3, n)
-	copy(src, t.Pts)
+	// One gather from the caller's points fills the point store in key
+	// order; after this the hierarchy derivation never touches
+	// coordinates again.
 	parallelRange(opts.Pool, n, 2048, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			t.Pts[i] = src[t.Index[i]]
+			t.Pts[i] = pts[t.Index[i]]
 		}
 	})
 	t.keys = keys

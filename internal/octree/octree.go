@@ -111,7 +111,6 @@ func Build(pts []geom.Vec3, opts Options) (*Tree, error) {
 	}
 	for i := range t.Index {
 		t.Index[i] = int32(i)
-		t.Pts[i] = pts[i]
 		if !pts[i].IsFinite() {
 			return nil, fmt.Errorf("octree: point %d is not finite: %v", i, pts[i])
 		}
@@ -127,8 +126,9 @@ func Build(pts []geom.Vec3, opts Options) (*Tree, error) {
 	t.builder = opts.Builder
 	t.pool = opts.Pool
 	if opts.Builder == BuilderMorton {
-		t.buildMorton(root, opts)
+		t.buildMorton(pts, root, opts)
 	} else {
+		copy(t.Pts, pts)
 		t.build(root, 0, int32(len(pts)), 0, opts)
 	}
 	t.finalize()
