@@ -234,7 +234,7 @@ func main() {
 		plan.Faults = buildFaultPlan(*crashRank, *crashClock, *crashColl,
 			*dropRank, *dropCount, *delayRank, *delayBy, *chaosSeed, *chaosN, *chaosHzn, *procs)
 	case "net":
-		plan.Net, err = netRun(*procs, th, *netMembership, *netCheckpoint,
+		plan.Net, err = netRun(os.Stdout, *procs, th, *netMembership, *netCheckpoint,
 			*netStall, *netRespawn, *netKillRank, *netKillColl,
 			o != nil, *obsAddr, *obsFlight, *watchBase)
 		if err != nil {
@@ -353,16 +353,15 @@ func fatal(err error) {
 
 // netRun plans the multi-process TCP run: it re-executes this binary as
 // Procs-1 worker processes, optionally SIGKILLs one mid-run (the chaos
-// demo) and respawns crashed workers for elastic re-admission.
-func netRun(procs, threads int, membership, checkpoint string,
+// demo) and respawns crashed workers for elastic re-admission. The first
+// worker it starts announces the cluster, and the watchdog's baseline if
+// one is set, on out: Compute starts a worker only for a plan it accepted.
+func netRun(out io.Writer, procs, threads int, membership, checkpoint string,
 	stall time.Duration, respawn bool, killRank, killColl int,
 	telemetry bool, obsAddr, obsFlight, watchBase string) (*gbpolar.NetRun, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
-	}
-	if watchBase != "" {
-		fmt.Printf("net: anomaly watchdog judged against the nominal trace %s\n", watchBase)
 	}
 	if membership == "" {
 		membership = filepath.Join(os.TempDir(), fmt.Sprintf("gbpol-cluster-%d.json", os.Getpid()))
@@ -371,8 +370,16 @@ func netRun(procs, threads int, membership, checkpoint string,
 		checkpoint = filepath.Join(os.TempDir(), fmt.Sprintf("gbpol-%d.ckpt", os.Getpid()))
 	}
 	var mu sync.Mutex
+	var announce sync.Once
 	killArmed := killRank > 0 && killColl > 0
 	spawn := func(rank int) error {
+		announce.Do(func() {
+			fmt.Fprintf(out, "net: coordinator + %d worker processes, membership %s, checkpoint %s\n",
+				procs-1, membership, checkpoint)
+			if watchBase != "" {
+				fmt.Fprintf(out, "net: anomaly watchdog judged against the nominal trace %s\n", watchBase)
+			}
+		})
 		args := []string{
 			"-net-worker",
 			"-net-rank", strconv.Itoa(rank),
@@ -404,8 +411,6 @@ func netRun(procs, threads int, membership, checkpoint string,
 		go cmd.Wait()
 		return nil
 	}
-	fmt.Printf("net: coordinator + %d worker processes, membership %s, checkpoint %s\n",
-		procs-1, membership, checkpoint)
 	return &gbpolar.NetRun{
 		Procs:          procs,
 		ThreadsPerProc: threads,

@@ -42,56 +42,49 @@ import (
 // tile stores each entry its rows take once. What every row of the tile
 // takes goes to its shared runs: TileFar[TileFarOff[t]:TileFarOff[t+1]]
 // holds the far nodes every row of tile t takes, in visit order, and
-// TileNear, TileSym and TileCede the near leaves every row takes as Near, as
-// Sym and as Cede (the Born phase shares far nodes alone: its shared near
-// runs are empty). What some of its rows take goes to its own runs, one a
-// class: OwnFar[OwnFarOff[t]:OwnFarOff[t+1]] holds tile t's other far
-// nodes, each once, in visit order, beside a lane mask in OwnFarMask — bit
-// l set means row TileOff[t]+l takes the node — and OwnNear, OwnSym and
-// OwnCede the other near leaves alike. A mask is never 0, has no bit past
-// the tile's rows and is never the tile's full mask where the phase shares
-// (every own run but the Born phase's near one); an entry is in one run of a
-// tile and class at most. Row l's run of a kind is then the shared run and
-// the own run's entries whose mask has bit l, merged on visit order: the
-// row the per-row recursion emits.
+// TileNear and TileSym the near leaves every row takes as Near and as Sym
+// (the Born phase shares far nodes alone: its shared near runs are empty).
+// What some of its rows take goes to its own runs, one a class:
+// OwnFar[OwnFarOff[t]:OwnFarOff[t+1]] holds tile t's other far nodes, each
+// once, in visit order, beside a lane mask in OwnFarMask — bit l set means
+// row TileOff[t]+l takes the node — and OwnNear and OwnSym the other near
+// leaves alike. A mask is never 0, has no bit past the tile's rows and is
+// never the tile's full mask where the phase shares (every own run but the
+// Born phase's near one); an entry is in one run of a tile and class at
+// most. Row l's run of a kind is then the shared run and the own run's
+// entries whose mask has bit l, merged on visit order: what the per-row
+// recursion emits, but the mutual pairs it leaves to their lower row.
 //
 // The near classes: Sym holds MUTUAL near leaf pairs, stored once on the
 // lower-indexed row and evaluated with double weight — the per-pair GB
 // terms are bitwise symmetric (r², R_u·R_v and f_GB are commutative in u,v),
 // so one swept block stands for both ordered blocks of the recursion, which
-// halves the dominant near-field work. Pairs the classification reaches in
-// only one direction (the epol ordering can be asymmetric: a leaf U is
-// always exact for row V, while row U may see V's ancestors as far) stay in
-// Near with single weight, as does the diagonal U == V, whose ordered
-// double-count is inherent in the block sweep. Cede holds the mutual near
-// pairs a row's classification DID reach but symmetrization handed to a
-// lower-indexed row's Sym: they contribute nothing to evaluation (the
-// partner sweeps the pair with double weight) and are recorded so the
-// incremental repair can put a row's full pre-symmetrization near list back
-// together — to tell whether an update changed an entry's class — without
-// scanning every other row's Sym. Born lists hold Near alone (q-leaf rows
-// against the atoms tree have no transpose).
+// halves the dominant near-field work. The higher-indexed row of such a pair
+// stores nothing of it: no sweep would read it. Pairs the classification
+// reaches in only one direction (the epol ordering can be asymmetric: a leaf
+// U is always exact for row V, while row U may see V's ancestors as far) stay
+// in Near with single weight, as does the diagonal U == V, whose ordered
+// double-count is inherent in the block sweep. Born lists hold Near alone
+// (q-leaf rows against the atoms tree have no transpose).
 //
 // A list is its index — Rows, the tile cut, the offset arrays, the entries
 // and their masks: 4 bytes a shared entry, 5 an own one — which is all an
 // evaluation reads, and all the incremental repair (ilist_repair.go) reads
 // too: it re-tests the nodes an update moved instead of keeping a bound per
-// entry.
+// entry, and re-decides a mutual pair from the tree, not from a stored
+// mirror of it.
 type InteractionLists struct {
 	Rows                  []int32
 	TileOff               []int32
 	TileFarOff, TileFar   []int32
 	TileNearOff, TileNear []int32
 	TileSymOff, TileSym   []int32
-	TileCedeOff, TileCede []int32
 	OwnFarOff, OwnFar     []int32
 	OwnFarMask            []uint8
 	OwnNearOff, OwnNear   []int32
 	OwnNearMask           []uint8
 	OwnSymOff, OwnSym     []int32
 	OwnSymMask            []uint8
-	OwnCedeOff, OwnCede   []int32
-	OwnCedeMask           []uint8
 }
 
 // tiles returns the number of tiles of il.
@@ -123,14 +116,13 @@ func (c csr) runMasks(i int) []uint8 {
 // laneRuns is.
 func (il *InteractionLists) ownCSR() [runFar + 1]csr {
 	return [...]csr{kindNear: {&il.OwnNearOff, &il.OwnNear, &il.OwnNearMask},
-		kindSym:  {&il.OwnSymOff, &il.OwnSym, &il.OwnSymMask},
-		kindCede: {&il.OwnCedeOff, &il.OwnCede, &il.OwnCedeMask}, runFar: {&il.OwnFarOff, &il.OwnFar, &il.OwnFarMask}}
+		kindSym: {&il.OwnSymOff, &il.OwnSym, &il.OwnSymMask}, runFar: {&il.OwnFarOff, &il.OwnFar, &il.OwnFarMask}}
 }
 
 // tileCSR returns il's shared-run arrays, indexed the same way.
 func (il *InteractionLists) tileCSR() [runFar + 1]csr {
 	return [...]csr{kindNear: {&il.TileNearOff, &il.TileNear, nil}, kindSym: {&il.TileSymOff, &il.TileSym, nil},
-		kindCede: {&il.TileCedeOff, &il.TileCede, nil}, runFar: {&il.TileFarOff, &il.TileFar, nil}}
+		runFar: {&il.TileFarOff, &il.TileFar, nil}}
 }
 
 // arrays returns every CSR of il, the own runs' and the shared ones'.
@@ -323,7 +315,7 @@ func (ph *listPhase) cutTiles(rows []int32) []int32 {
 }
 
 // listArena collects the entries of one contiguous block of tiles, tile
-// after tile: far nodes and near leaves, a run's three near classes one
+// after tile: far nodes and near leaves, a run's two near classes one
 // after the other (their sum is steady along a chunk and can be estimated;
 // their shares are not — the lower row of a mutual pair sweeps it), and the
 // own runs' lane masks, far and near, in their order. A tile's shared runs
@@ -638,12 +630,12 @@ func (ph *listPhase) alloc(il *InteractionLists, pool *sched.Pool) {
 	})
 }
 
-// Classes of a near entry of a symmetrized phase, indexing a row's three
-// near runs; an unsymmetrized phase's entries are all kindNear.
+// Classes of a near entry of a symmetrized phase, indexing a row's two
+// near runs; an unsymmetrized phase's entries are all kindNear. A mutual
+// pair's higher-indexed row stores no entry of it (nearKind).
 const (
 	kindNear = iota // one-directional or diagonal: stays in Near
 	kindSym         // mutual and this row is the lower-indexed: swept here, with double weight
-	kindCede        // mutual and the lower-indexed partner sweeps it
 )
 
 // compile builds both phases' lists from the system's current geometry and
@@ -663,7 +655,7 @@ func (s *System) compileObserved(pool *sched.Pool, o *obs.Obs, rank int) *Compil
 }
 
 // runNames names a laneRuns' runs in counters and messages.
-var runNames = [runFar + 1]string{kindNear: "near", kindSym: "sym", kindCede: "cede", runFar: "far"}
+var runNames = [runFar + 1]string{kindNear: "near", kindSym: "sym", runFar: "far"}
 
 // RecordMetrics publishes the lists' static structure to the observer:
 // total row/near/far/sym entry counts per phase, and what the lists hold
@@ -672,7 +664,7 @@ var runNames = [runFar + 1]string{kindNear: "near", kindSym: "sym", kindCede: "c
 // mem.lists.{born,epol}.{entries,masks,offsets}_bytes (InteractionLists.
 // memory). far_entries, near_pairs and sym_pairs count (row, entry) terms;
 // what a phase stores it also counts, per run:
-// {near,sym,cede,far}_shared (one entry a tile) and _own (one a tile, beside
+// {near,sym,far}_shared (one entry a tile) and _own (one a tile, beside
 // its lane mask), and _own_lanes the (row, entry) terms the own entries stand
 // for. Everything here is derivable from the compiled lists alone, so the
 // hot loops in kernels.go carry no instrumentation at all — the counts are

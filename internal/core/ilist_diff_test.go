@@ -1,14 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
+	"gbpolar/internal/geom"
 	"gbpolar/internal/molecule"
+	"gbpolar/internal/octree"
 	"gbpolar/internal/sched"
 	"gbpolar/internal/surface"
 )
@@ -228,6 +232,156 @@ func TestRepairChainMatchesFreshCompile(t *testing.T) {
 			}
 		})
 	})
+}
+
+// A repair re-decides, both ways, the near pairs whose mutuality an update
+// flipped between a changed row V and a row K of a kept tile, whose descent
+// is the one it was: (a) V above K stops or starts reaching K, so K's entry
+// of V turns Sym or Near; (b) V below K gains or loses K in its Sym run, so
+// K's Near entry of V goes or comes. The moves are constructed on the
+// globular fixture: of the pairs K reaches, those nearest the threshold of
+// the one opening test that decides whether V reaches K — V against an
+// ancestor of K's leaf — move V's atoms, rigidly, just across it, and the
+// nearest of each kind that flips its pair with every row of K's tile kept
+// is the test. After every move tried, the repaired lists are a fresh
+// compile's, array for array.
+func TestRepairFlipsMutualPairs(t *testing.T) {
+	sys := fixtureSystem(t, listFixtures()[0], 0)
+	sys.Lists(nil)
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	var found [2]int // moves tried until a flip of kind (a) and (b) showed, 0 while none has
+	for i, m := range flipMoves(sys) {
+		if found[0] > 0 && found[1] > 0 || i == 400 {
+			break
+		}
+		if found[m.kind] > 0 {
+			continue
+		}
+		moved := roundTrip(t, sys)
+		pos := moved.Mol.Positions()
+		leaf := &moved.Atoms.Nodes[m.v]
+		for _, a := range moved.Atoms.Index[leaf.Start:leaf.End] {
+			pos[a] = pos[a].Add(m.by)
+		}
+		was, before := preRows(moved), geometryOf(moved.Atoms)
+		stats, err := moved.UpdateAtomsRepair(pos, pool, nil)
+		if err != nil || !stats.Repaired {
+			continue // the move restructured the tree: not the move sought
+		}
+		if fresh := moved.compile(pool); !reflect.DeepEqual(moved.lists, fresh) {
+			t.Fatalf("move %d (kind %c, leaf %d by %v): repaired lists differ from a fresh compile", i, 'a'+m.kind, m.v, m.by)
+		}
+		now := preRows(moved)
+		kept := func(leaf int32) bool {
+			w, ok := was[leaf]
+			n := &moved.Atoms.Nodes[leaf]
+			return ok && n.IsLeaf && n.Center == before.c[leaf] && n.Radius == before.r[leaf] &&
+				slices.Equal(w.far, now[leaf].far) && reflect.DeepEqual(w.near, now[leaf].near)
+		}
+		il := moved.lists.Epol
+		x := il.tileOf()[now[m.k].row]
+		lo, hi := il.tileRows(int(x))
+		whole := !kept(m.v) && was[m.v].near[m.k] != now[m.v].near[m.k]
+		for _, r := range il.Rows[lo:hi] {
+			whole = whole && kept(r)
+		}
+		if whole {
+			found[m.kind] = i + 1
+		}
+	}
+	if found[0] == 0 || found[1] == 0 {
+		t.Errorf("moves tried until a flip of kind (a) showed %d, of kind (b) %d (0: none): a rule of the repair went untested", found[0], found[1])
+	}
+	t.Logf("moves tried until a flip of kind (a) showed %d, of kind (b) %d", found[0], found[1])
+}
+
+// flipMove translates the atoms of leaf v by by, to flip whether row v
+// reaches leaf k: kind 0 where k's row is the lower, 1 where it is the
+// higher; margin is how far the pair stood from the threshold.
+type flipMove struct {
+	v, k   int32
+	kind   int
+	by     geom.Vec3
+	margin float64
+}
+
+// flipMoves returns, nearest the threshold first, a move for every pair of
+// E_pol rows of sys in different tiles whose row k reaches leaf v and where
+// one ancestor of k decides whether row v reaches it: its one ancestor far
+// from v's cluster, or with none far the one nearest to being far (with two
+// far, no one test decides).
+func flipMoves(sys *System) []flipMove {
+	_, ph := sys.listPhases(sys.lists)
+	il := sys.lists.Epol
+	tile := il.tileOf()
+	var moves []flipMove
+	for k, pre := range preRows(sys) {
+		for v := range pre.near {
+			if tile[ph.rowOf[v]] == tile[pre.row] {
+				continue
+			}
+			vn := &ph.atoms.Nodes[v]
+			var best, far []flipMove // the ancestors' moves across: all of them, the far ones
+			for a := ph.up[k]; a != octree.NoChild; a = ph.up[a] {
+				an := &ph.atoms.Nodes[a]
+				gap := vn.Center.Sub(an.Center)
+				d, s := math.Sqrt(gap.Norm2()), (an.Radius+vn.Radius)*ph.mac
+				// Just across: 1e-6 Å beyond the threshold, along the line of
+				// the centers.
+				m := flipMove{v: v, k: k, by: gap.Scale((s - d + math.Copysign(1e-6, s-d)) / d), margin: math.Abs(d - s)}
+				if d > s {
+					far = append(far, m)
+				}
+				if d > 0 {
+					best = append(best, m)
+				}
+			}
+			switch {
+			case len(far) == 1:
+				best = far
+			case len(far) > 1:
+				continue
+			}
+			if len(best) == 0 {
+				continue
+			}
+			m := slices.MinFunc(best, func(a, b flipMove) int { return cmp.Compare(a.margin, b.margin) })
+			if ph.rowOf[v] < int32(pre.row) {
+				m.kind = 1
+			}
+			moves = append(moves, m)
+		}
+	}
+	slices.SortFunc(moves, func(a, b flipMove) int {
+		return cmp.Or(cmp.Compare(a.margin, b.margin), cmp.Compare(a.v, b.v), cmp.Compare(a.k, b.k))
+	})
+	return moves
+}
+
+// preRow is an E_pol row as its descent emits it: its index, its far run
+// and its near leaves, every class, as a set.
+type preRow struct {
+	row  int
+	far  []int32
+	near map[int32]bool
+}
+
+// preRows returns the E_pol rows of sys's lists by leaf (perRowLists).
+func preRows(sys *System) map[int32]preRow {
+	rl := perRowLists(sys.lists.Epol, sys.Atoms)
+	c := rl.rowCSR()
+	out := make(map[int32]preRow, len(rl.Rows))
+	for i, leaf := range rl.Rows {
+		p := preRow{row: i, far: c[runFar].run(i), near: map[int32]bool{}}
+		for _, r := range []int{kindNear, kindSym, kindCede} {
+			for _, u := range c[r].run(i) {
+				p.near[u] = true
+			}
+		}
+		out[leaf] = p
+	}
+	return out
 }
 
 // A trajectory, not a step: 2 000 cumulative local jiggles of σ = 0.05 Å on

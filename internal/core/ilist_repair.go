@@ -24,9 +24,10 @@ import (
 // it, and reclassifies the row only where the two descents part: exactly,
 // not up to a bound. Such a row's tile is classified once, in one shared
 // descent, and keeps what its change did to the cache; kept tiles copy their
-// cached entries. The result is byte-for-byte a full recompile (RecheckLists
-// verifies exactly that), and nothing is stored for the repair's sake: a
-// list is its index.
+// cached entries, but those whose pair with a changed row turned mutual or
+// one-way, which the tree decides again (reclassed). The result is
+// byte-for-byte a full recompile (RecheckLists verifies exactly that), and
+// nothing is stored for the repair's sake: a list is its index.
 
 // UpdateStats reports what an UpdateAtomsRepair call did.
 type UpdateStats struct {
@@ -393,10 +394,12 @@ func (rp *listRepair) size(a *listArena, chunk []int32, _ *tiler) {
 // the cache: of each class, every entry whose mask — the rows of x that take
 // it, all of them for a shared entry — differs from the rows that held it in
 // the cache (cachedRun), beside its mask now, 0 for one no row takes now;
-// the lengths of the four runs first. A row the re-test kept holds what it
+// the lengths of the three runs first. A row the re-test kept holds what it
 // held, so of a local move's tiles that is little beyond the rows that
-// changed. The near entries of the changed rows with a cached row go to
-// t.note, and the leaves they gained or lost to t.renamed (renamed).
+// changed. The leaves the changed rows with a cached row gained or lost in
+// their Sym runs go to t.renamed: the pair's mutuality flipped, and the
+// higher row, whose leaf that is, gains or loses its Near entry of the
+// changed row (reclassed).
 func (rp *listRepair) keep(t *tiler, a *listArena, x int) {
 	var changed uint8 // the changed rows with a cached row
 	if rp.dirty != nil {
@@ -407,43 +410,42 @@ func (rp *listRepair) keep(t *tiler, a *listArena, x int) {
 			}
 		}
 	}
+	if changed != 0 && t.renamed == nil {
+		t.renamed = make([]uint64, (len(rp.dirty)+63)/64)
+	}
 	d := t.delta[:0]
 	var lens [runFar + 1]int32
 	var was cachedRun
 	rp.cached(&was, x)
 	for r := range lens {
-		at, noted := len(d), changed != 0 && r != runFar
+		at, noted := len(d), r == kindSym && changed != 0
 		if s := was.whole(); s != nil && slices.Equal(s.runs[r], t.shared.runs[r]) &&
 			slices.Equal(s.ownRuns.runs[r], t.own.runs[r]) && slices.Equal(s.ownRuns.masks[r], t.own.masks[r]) {
 			continue // nothing changed: no entry, and no rename
 		}
 		was.class(r)
-		now := freshRun{shared: t.shared.runs[r], own: t.own.runs[r], masks: t.own.masks[r], full: t.full}
+		fresh := freshRun{shared: t.shared.runs[r], own: t.own.runs[r], masks: t.own.masks[r], full: t.full}
 		ce, cm := was.next()
-		ne, nm := now.next(rp.visit)
+		ne, nm := fresh.next(rp.visit)
 		for ce >= 0 || ne >= 0 {
+			u, held, holds := ne, uint8(0), uint8(0) // the entry, its rows in the cache and now
 			switch {
 			case ne < 0 || ce >= 0 && rp.visit[ce] < rp.visit[ne]:
-				d = append(d, ce, 0)
-				if noted {
-					t.note(ce, cm, 0)
-				}
+				u, held = ce, cm
 				ce, cm = was.next()
 			case ce < 0 || rp.visit[ne] < rp.visit[ce]:
-				d = append(d, ne, int32(nm))
-				if noted {
-					t.note(ne, 0, nm)
-				}
-				ne, nm = now.next(rp.visit)
+				holds = nm
+				ne, nm = fresh.next(rp.visit)
 			default:
-				if cm != nm {
-					d = append(d, ne, int32(nm))
-				}
-				if noted {
-					t.note(ne, cm, nm)
-				}
+				held, holds = cm, nm
 				ce, cm = was.next()
-				ne, nm = now.next(rp.visit)
+				ne, nm = fresh.next(rp.visit)
+			}
+			if held != holds {
+				d = append(d, u, int32(holds))
+			}
+			if noted && (held^holds)&changed != 0 {
+				t.renamed[u>>6] |= 1 << (u & 63)
 			}
 		}
 		lens[r] = int32(len(d) - at)
@@ -451,9 +453,6 @@ func (rp *listRepair) keep(t *tiler, a *listArena, x int) {
 	t.delta = d
 	a.near.append(lens[:])
 	a.near.append(d)
-	if changed != 0 {
-		t.rename(changed)
-	}
 }
 
 // place puts tile x in its place in il from what keep appended to a: of each
@@ -468,7 +467,10 @@ func (rp *listRepair) place(t *tiler, a *listArena, x int) {
 	full := uint8(1)<<(hi-lo) - 1
 	var lens [runFar + 1]int32
 	a.near.take(lens[:])
-	n := int(lens[0] + lens[1] + lens[2] + lens[3])
+	n := 0
+	for _, l := range lens {
+		n += int(l)
+	}
 	t.delta = slices.Grow(t.delta[:0], n)[:n]
 	a.near.take(t.delta)
 	d := t.delta
@@ -688,35 +690,9 @@ func (f *freshRun) next(visit []int32) (e int32, m uint8) {
 	return e, m
 }
 
-// note records for rename that the rows of was held leaf u as a near entry
-// and the rows of now hold it, in some class.
-func (t *tiler) note(u int32, was, now uint8) {
-	if t.marks == nil {
-		t.marks, t.renamed = make([]uint16, len(t.ph.atoms.Nodes)), make([]uint64, (len(t.ph.atoms.Nodes)+63)/64)
-	}
-	if t.marks[u] == 0 {
-		t.noted = append(t.noted, u)
-	}
-	t.marks[u] |= uint16(was) | uint16(now)<<8
-}
-
-// rename adds to t.renamed the leaves noted that a row of changed held as a
-// near entry before the update or holds after it, not both: a kept row's
-// entry naming that row changes class only if the pair's mutuality does,
-// only if it gained or lost the kept row's leaf.
-func (t *tiler) rename(changed uint8) {
-	for _, u := range t.noted {
-		if m := t.marks[u]; (uint8(m)^uint8(m>>8))&changed != 0 {
-			t.renamed[u>>6] |= 1 << (u & 63)
-		}
-		t.marks[u] = 0
-	}
-	t.noted = t.noted[:0]
-}
-
 // repair produces the phase's lists after an update from the cached ones:
 // the tiles keptTiles carries over copy their cached runs, and the others —
-// then the carried ones with a near entry of another class (reclassed) — are
+// then the carried ones whose near entries changed (reclassed) — are
 // classified, each in one shared descent, into arenas that hold what the
 // cache does not (listRepair). The steps are the compile's, in parallel
 // throughout. o (may be nil) receives the spans and the counters
@@ -805,8 +781,15 @@ func (ph *listPhase) repair(old *InteractionLists, d *treeDelta, pool *sched.Poo
 }
 
 // reclassed takes out of kept, to be classified too, the tiles with a row
-// holding a near entry of another class now: only a row whose leaf keep
-// found renamed can.
+// whose entries naming a changed row (dirty) are not what they were: the
+// pair's mutuality flipped. A kept row K's descent is the one it was, so
+// whether K reaches a changed row V is fixed, and only whether V reaches K
+// can flip. Above V (K > V), K holds V in Near for a one-way pair and not at
+// all for a mutual one, so its entry flips exactly when V gained or lost K's
+// leaf in its Sym run, which keep saw (renamed): such a tile is classified
+// again outright. Below V (K < V), K holds V in Sym or in Near, and each
+// cached entry naming a changed leaf above a row of the tile is re-decided
+// (reclasses).
 func (rp *listRepair) reclassed(kept []int32, tilers []*tiler, pool *sched.Pool) (again []int32) {
 	renamed := make([]uint64, (len(rp.dirty)+63)/64)
 	for _, t := range tilers {
@@ -814,24 +797,11 @@ func (rp *listRepair) reclassed(kept []int32, tilers []*tiler, pool *sched.Pool)
 			renamed[w] |= t.renamed[w]
 		}
 	}
-	rows, flag := rp.il.Rows, make([]bool, len(kept))
+	flag := make([]bool, len(kept))
 	forRows(pool, len(kept), func(lo, hi, _ int) {
 		var buf [chainBlocks]rowTile
 		for t := lo; t < hi; t++ {
-			if kept[t] < 0 {
-				continue
-			}
-			rlo, rhi := rp.il.tileRows(t)
-			var chain []rowTile
-			for k := rlo; k < rhi && !flag[t]; k++ {
-				if renamed[rows[k]>>6]>>(rows[k]&63)&1 == 0 {
-					continue
-				}
-				if chain == nil {
-					chain = rp.ph.ancestors(buf[:0], rows[rlo])
-				}
-				flag[t] = rp.reclasses(int32(k), chain, int(kept[t]), k-rlo)
-			}
+			flag[t] = kept[t] >= 0 && rp.reclasses(t, int(kept[t]), renamed, buf[:0])
 		}
 	})
 	for t, f := range flag {
@@ -840,6 +810,47 @@ func (rp *listRepair) reclassed(kept []int32, tilers []*tiler, pool *sched.Pool)
 		}
 	}
 	return again
+}
+
+// reclasses reports whether kept tile x, carried over from cached tile
+// from, is to be classified again: a row of it is renamed, or a cached Near
+// or Sym entry names a changed leaf above a row that holds it and is of the
+// other class now (flips). chain is room for the tile's ancestors.
+func (rp *listRepair) reclasses(x, from int, renamed []uint64, chain []rowTile) bool {
+	rows := rp.il.Rows
+	lo, hi := rp.il.tileRows(x)
+	for _, r := range rows[lo:hi] {
+		if renamed[r>>6]>>(r&63)&1 != 0 {
+			return true
+		}
+	}
+	shared, own := rp.old.tileRuns(from), rp.old.ownRuns(from)
+	for was := range runFar {
+		for e, u := range own.runs[was] {
+			if rp.dirty[u] && rp.ph.rowOf[u] > int32(lo+bits.TrailingZeros8(own.masks[was][e])) &&
+				rp.flips(was, u, &chain, rows[lo]) {
+				return true
+			}
+		}
+		for _, u := range shared[was] {
+			if rp.dirty[u] && rp.ph.rowOf[u] > int32(lo) && rp.flips(was, u, &chain, rows[lo]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// flips reports whether the entry u of class was that rows of leaf v's tile
+// hold is of the other class now: whether u's row reaches v's leaf — the
+// pair is mutual (listPhase.reaches, the rule a classification applies) —
+// is not whether the entry is Sym. *chain holds v's ancestors, taken on
+// first use.
+func (rp *listRepair) flips(was int, u int32, chain *[]rowTile, v int32) bool {
+	if len(*chain) == 0 {
+		*chain = rp.ph.ancestors(*chain, v)
+	}
+	return rp.ph.reaches(*chain, u) != (was == kindSym)
 }
 
 // carryCount sets the count of run i of every array of to — its offset
@@ -861,37 +872,4 @@ func carryRuns(to, from *[runFar + 1]csr, i0, i1, j int) {
 			copy((*to[r].masks)[a:b], (*from[r].masks)[c:d])
 		}
 	}
-}
-
-// A kept row's near entries keep their classes but those naming a
-// RECLASSIFIED row (dirty): its pre-symmetrization list is what it was, and
-// surviving leaves keep their relative order, so a pair's lower row stays
-// the lower. Row V's entry U is mutual iff row U's descent reaches leaf V —
-// iff no strict ancestor of V is far from cluster U (listPhase.reaches, the
-// rule a classification applies a tile at a time).
-
-// kindOf classes entry u of row k, whose leaf's ancestors are chain.
-func (rp *listRepair) kindOf(k int32, chain []rowTile, u int32) int {
-	j := rp.ph.rowOf[u]
-	return nearKind(k, j, j != k && rp.ph.reaches(chain, u))
-}
-
-// reclasses reports whether a near entry of lane l of cached tile from —
-// row k's, whose leaf's ancestors are chain — names a reclassified row and
-// has another class now.
-func (rp *listRepair) reclasses(k int32, chain []rowTile, from, l int) bool {
-	shared, own := rp.old.tileRuns(from), rp.old.ownRuns(from)
-	for was := range runFar {
-		for _, u := range shared[was] {
-			if rp.dirty[u] && rp.kindOf(k, chain, u) != was {
-				return true
-			}
-		}
-		for e, u := range own.runs[was] {
-			if own.masks[was][e]>>l&1 != 0 && rp.dirty[u] && rp.kindOf(k, chain, u) != was {
-				return true
-			}
-		}
-	}
-	return false
 }

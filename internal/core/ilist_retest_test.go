@@ -196,16 +196,16 @@ func (a *dirtyAudit) step(t *testing.T, sys *System, pos []geom.Vec3) *CompiledL
 // entries and the same pre-symmetrization near set: what a classification
 // produces, whatever the split made of it.
 func sameRow(a *rowLists, i int32, b *rowLists, k int32) bool {
-	ar, br := a.rowRuns(int(i)), b.rowRuns(int(k))
-	if !slices.Equal(ar[runFar], br[runFar]) {
+	ac, bc := a.rowCSR(), b.rowCSR()
+	if !slices.Equal(ac[runFar].run(int(i)), bc[runFar].run(int(k))) {
 		return false
 	}
-	near := func(runs [runFar + 1][]int32) []int32 {
-		all := slices.Concat(runs[kindNear], runs[kindSym], runs[kindCede])
+	near := func(c [kindCede + 1]csr, i int32) []int32 {
+		all := slices.Concat(c[kindNear].run(int(i)), c[kindSym].run(int(i)), c[kindCede].run(int(i)))
 		slices.Sort(all)
 		return all
 	}
-	return slices.Equal(near(ar), near(br))
+	return slices.Equal(near(ac, i), near(bc, k))
 }
 
 // keeps is the re-test for one row, scalar, kept as the oracle of the
@@ -472,11 +472,10 @@ func TestRepairRetestsWhatMoved(t *testing.T) {
 func listFootprint(cl *CompiledLists) (bytes int64) {
 	for _, il := range []*InteractionLists{cl.Born, cl.Epol} {
 		for _, a := range [][]int32{il.Rows, il.OwnFarOff, il.OwnFar, il.OwnNearOff, il.OwnNear, il.OwnSymOff, il.OwnSym,
-			il.OwnCedeOff, il.OwnCede, il.TileOff, il.TileFarOff, il.TileFar, il.TileNearOff, il.TileNear, il.TileSymOff,
-			il.TileSym, il.TileCedeOff, il.TileCede} {
+			il.TileOff, il.TileFarOff, il.TileFar, il.TileNearOff, il.TileNear, il.TileSymOff, il.TileSym} {
 			bytes += 4 * int64(len(a))
 		}
-		for _, m := range [][]uint8{il.OwnFarMask, il.OwnNearMask, il.OwnSymMask, il.OwnCedeMask} {
+		for _, m := range [][]uint8{il.OwnFarMask, il.OwnNearMask, il.OwnSymMask} {
 			bytes += int64(len(m))
 		}
 	}

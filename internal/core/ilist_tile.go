@@ -21,7 +21,8 @@ import (
 // phase a near leaf of one class — to the tile's shared runs
 // (InteractionLists.TileFar and its kin), the rest to its own runs beside
 // their masks (InteractionLists.OwnFar and its kin); a row's own entries and
-// the shared ones merged back on visit order are the recursion's row.
+// the shared ones merged back on visit order are the recursion's row, but
+// for the mutual pairs it leaves to a lower row (tiler.near).
 
 // tileLanes is the number of clusters a rowTile holds: two YMM registers of
 // float64.
@@ -106,15 +107,16 @@ func (ph *listPhase) reaches(chain []rowTile, u int32) bool {
 }
 
 // nearKind is the class of row k's near entry naming row j's leaf, a
-// mutual pair or not.
-func nearKind(k, j int32, mutual bool) int {
+// mutual pair or not, and whether row k stores it: the higher row of a
+// mutual pair does not, as its lower row sweeps the pair from its Sym run.
+func nearKind(k, j int32, mutual bool) (kind int, stored bool) {
 	switch {
 	case j == k || !mutual:
-		return kindNear // the diagonal, or one-way: row j stops above row k's leaf
+		return kindNear, true // the diagonal, or one-way: row j stops above row k's leaf
 	case j > k:
-		return kindSym
+		return kindSym, true
 	}
-	return kindCede
+	return kindSym, false
 }
 
 // laneRuns collects a tile's entries in the order its descent emits them —
@@ -126,8 +128,8 @@ type laneRuns struct {
 	masks [runFar + 1][]uint8
 }
 
-// runFar indexes a lane's far run, behind its three near runs.
-const runFar = kindCede + 1
+// runFar indexes a lane's far run, behind its two near runs.
+const runFar = kindSym + 1
 
 // sizes counts the far entries and the near ones of runs.
 func sizes(runs *[runFar + 1][]int32) (far, near int) {
@@ -178,11 +180,8 @@ type tiler struct {
 	// symmetrized phase the near leaves every lane takes in one class; own
 	// the rest, each entry once beside the mask of the lanes that take it.
 	shared, own laneRuns
-	// delta, marks, noted and renamed are the repair's (listRepair.keep and
-	// place, note and rename).
+	// delta and renamed are the repair's (listRepair.keep and place).
 	delta   []int32
-	marks   []uint16
-	noted   []int32
 	renamed []uint64
 	// chain holds the strict ancestors the tile's leaves share (symmetrized
 	// phase only): the tile is cut where the parent changes, so whether a
@@ -278,10 +277,11 @@ func (t *tiler) descend(n int32, open uint8) {
 
 // near records leaf u as a near entry of the lanes of open, in a
 // symmetrized phase by class: the pair is mutual iff row u reaches the
-// tile's leaves, one test against the ancestors they share. u goes to the
-// tile once a class, beside the mask of the lanes that take it in that
-// class; in a symmetrized phase, a class every lane takes u in is the
-// tile's shared run of that class.
+// tile's leaves, one test against the ancestors they share, and the lanes
+// above row u's leave a mutual pair to it. u goes to the tile once a class,
+// beside the mask of the lanes that take it in that class; in a symmetrized
+// phase, a class every lane takes u in is the tile's shared run of that
+// class.
 func (t *tiler) near(u int32, open uint8) {
 	if !t.ph.symmetrize {
 		t.own.add(kindNear, u, open)
@@ -292,7 +292,9 @@ func (t *tiler) near(u int32, open uint8) {
 	var by [runFar]uint8 // the lanes of open, by class
 	for m := open; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros8(m)
-		by[nearKind(t.row[l], j, mutual)] |= 1 << l
+		if kd, stored := nearKind(t.row[l], j, mutual); stored {
+			by[kd] |= 1 << l
+		}
 	}
 	for kd, m := range by {
 		switch m {

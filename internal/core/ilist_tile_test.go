@@ -69,8 +69,9 @@ const (
 
 // symmetrizeNear splits each row's pre-symmetrization near list into mutual
 // pairs — moved to the lower row's Sym list and recorded in the higher
-// row's Cede list — and one-directional entries, kept in Near. It asks no
-// geometry: one counting sort builds the transpose of the near relation
+// row's Cede list, which the lists no longer store (kindCede) — and
+// one-directional entries, kept in Near. It asks no geometry: one counting
+// sort builds the transpose of the near relation
 // (T(k) = the rows whose list holds rows[k]); each row then stamps T(k) into
 // its worker's array and reads its partners' stamps. pre's entries are
 // scratch from here on: the first pass leaves each one's class in its top
@@ -127,7 +128,7 @@ func symmetrizeNear(il *rowLists, pre *nearLists, numNodes int, pool *sched.Pool
 			for _, j := range tr[tOff[k]:tOff[k+1]] {
 				stamp[j] = mark
 			}
-			var cnt [3]int32
+			var cnt [kindCede + 1]int32
 			row := pre.row(k)
 			for i, u := range row {
 				kd := kindNear
@@ -147,8 +148,8 @@ func symmetrizeNear(il *rowLists, pre *nearLists, numNodes int, pool *sched.Pool
 	il.Near, il.Sym, il.Cede = make([]int32, nn), make([]int32, ns), make([]int32, nc)
 	forRows(pool, n, func(lo, hi, _ int) {
 		for k := lo; k < hi; k++ {
-			dst := [3][]int32{il.Near, il.Sym, il.Cede}
-			at := [3]int32{il.NearOff[k], il.SymOff[k], il.CedeOff[k]}
+			dst := [kindCede + 1][]int32{kindNear: il.Near, kindSym: il.Sym, kindCede: il.Cede}
+			at := [kindCede + 1]int32{kindNear: il.NearOff[k], kindSym: il.SymOff[k], kindCede: il.CedeOff[k]}
 			for _, e := range pre.row(k) {
 				kd := uint32(e) >> kindShift
 				dst[kd][at[kd]] = e & kindMask
@@ -158,11 +159,22 @@ func symmetrizeNear(il *rowLists, pre *nearLists, numNodes int, pool *sched.Pool
 	})
 }
 
+// kindCede indexes, behind the runs the lists store, the run they stored up
+// to snapshot version 7: the mutual near pairs of a row that a lower row
+// sweeps from its Sym run. The per-row oracle emits it, and the images of
+// those versions hold it; of tiled lists it is derived (cedes).
+const kindCede = runFar + 1
+
+// retiredOrder is the order the layouts up to version 7 kept a phase's runs
+// in.
+var retiredOrder = [...]int{kindNear, kindSym, kindCede, runFar}
+
 // rowLists is a phase's lists in the form they had before tiles, every
 // row's runs whole in CSR form — row i's far run is Far[FarOff[i]:
-// FarOff[i+1]], and its near runs alike: the form the oracle emits, the
-// form tiled lists take merged back into their rows (perRowLists), and the
-// rows' own runs of older checkpoint layouts (ownRows).
+// FarOff[i+1]], and its near runs alike, Cede among them: the form the
+// oracle emits, the form tiled lists take merged back into their rows
+// (perRowLists), and the rows' own runs of older checkpoint layouts
+// (ownRows).
 type rowLists struct {
 	Rows                                                   []int32
 	FarOff, Far, NearOff, Near, SymOff, Sym, CedeOff, Cede []int32
@@ -177,18 +189,28 @@ func newRowLists(rows []int32) *rowLists {
 	return rl
 }
 
-// rowCSR returns rl's arrays, indexed by class and runFar as a laneRuns is.
-func (rl *rowLists) rowCSR() [runFar + 1]csr {
+// rowCSR returns rl's arrays, indexed by class and runFar as a laneRuns is,
+// and the Cede run by kindCede.
+func (rl *rowLists) rowCSR() [kindCede + 1]csr {
 	return [...]csr{kindNear: {&rl.NearOff, &rl.Near, nil}, kindSym: {&rl.SymOff, &rl.Sym, nil},
 		kindCede: {&rl.CedeOff, &rl.Cede, nil}, runFar: {&rl.FarOff, &rl.Far, nil}}
 }
 
-// rowRuns returns row i's runs, indexed as a laneRuns is.
+// rowRuns returns row i's runs the lists store, indexed as a laneRuns is.
 func (rl *rowLists) rowRuns(i int) (runs [runFar + 1][]int32) {
-	for r, c := range rl.rowCSR() {
-		runs[r] = c.run(i)
+	c := rl.rowCSR()
+	for r := range runs {
+		runs[r] = c[r].run(i)
 	}
 	return runs
+}
+
+// rowRunName names run r of a rowLists.
+func rowRunName(r int) string {
+	if r == kindCede {
+		return "cede"
+	}
+	return runNames[r]
 }
 
 // NumFar returns the far entries of all rows.
@@ -238,18 +260,17 @@ func sameRows(got, want *rowLists) error {
 	if !slices.Equal(got.Rows, want.Rows) {
 		return fmt.Errorf("the rows differ from the oracle's")
 	}
+	ga, wa := got.rowCSR(), want.rowCSR()
 	for i := range want.Rows {
-		g, w := got.rowRuns(i), want.rowRuns(i)
-		for r := range w {
-			if !slices.Equal(g[r], w[r]) {
-				return fmt.Errorf("row %d (leaf %d) %s set: %d entries, the oracle's %d", i, want.Rows[i], runNames[r], len(g[r]), len(w[r]))
+		for r := range wa {
+			if g, w := ga[r].run(i), wa[r].run(i); !slices.Equal(g, w) {
+				return fmt.Errorf("row %d (leaf %d) %s set: %d entries, the oracle's %d", i, want.Rows[i], rowRunName(r), len(g), len(w))
 			}
 		}
 	}
-	ga, wa := got.rowCSR(), want.rowCSR()
 	for r := range ga {
 		if !slices.Equal(*ga[r].off, *wa[r].off) {
-			return fmt.Errorf("the %s offsets of the rows differ from the oracle's", runNames[r])
+			return fmt.Errorf("the %s offsets of the rows differ from the oracle's", rowRunName(r))
 		}
 	}
 	return nil
@@ -279,32 +300,78 @@ func visitOrder(t *octree.Tree) []int32 {
 // perRowLists returns il merged back into its rows: row l of a tile takes,
 // of each kind, the tile's shared run and the own run's entries whose mask
 // has bit l, merged on visit order of atoms — the rows the per-row
-// recursion emits.
+// recursion emits, their Cede runs derived (cedes).
 func perRowLists(il *InteractionLists, atoms *octree.Tree) *rowLists {
-	return il.rowForm(visitOrder(atoms), true)
+	return cedes(il, visitOrder(atoms)).rowForm(true)
 }
 
 // ownRows returns il's own runs as rows: row l of a tile takes, of each
 // kind, the own run's entries whose mask has bit l — the per-row own runs
-// of the checkpoint layouts up to version 6.
-func ownRows(il *InteractionLists) *rowLists { return il.rowForm(nil, false) }
+// of the checkpoint layouts up to version 6, Cede derived as the tiles of
+// version 7 held it (cedes, on visit order of atoms).
+func ownRows(il *InteractionLists, atoms *octree.Tree) *rowLists {
+	return cedes(il, visitOrder(atoms)).rowForm(false)
+}
 
-// rowForm is perRowLists (shared set, on visit) or ownRows.
-func (il *InteractionLists) rowForm(visit []int32, shared bool) *rowLists {
+// cededLists is a phase's tiled lists with the Cede runs they stored up to
+// snapshot version 7 derived: every shared and own CSR of that layout,
+// indexed as rowLists.rowCSR is.
+type cededLists struct {
+	il          *InteractionLists
+	visit       []int32
+	shared, own [kindCede + 1]csr
+}
+
+// cedes derives il's Cede runs: row V cedes row U's leaf iff U < V and U's
+// Sym run names V's leaf — the Sym runs transposed — on visit order, a
+// tile's Cede entries split into shared and own runs as a compile splits
+// any class (hoistRun).
+func cedes(il *InteractionLists, visit []int32) *cededLists {
+	cl := &cededLists{il: il, visit: visit}
+	own, shared := il.ownCSR(), il.tileCSR()
+	copy(cl.own[:], own[:])
+	copy(cl.shared[:], shared[:])
+	rowOf := make(map[int32]int32, len(il.Rows))
+	for k, r := range il.Rows {
+		rowOf[r] = int32(k)
+	}
+	per := make([][]int32, len(il.Rows))
+	for t := range il.tiles() {
+		lo, hi := il.tileRows(t)
+		for k := lo; k < hi; k++ {
+			for _, v := range laneRun(slices.Clone(shared[kindSym].run(t)), own[kindSym].run(t), own[kindSym].runMasks(t), k-lo) {
+				per[rowOf[v]] = append(per[rowOf[v]], il.Rows[k])
+			}
+		}
+	}
+	rows := newRowLists(il.Rows)
+	for k, run := range per {
+		slices.SortFunc(run, func(a, b int32) int { return int(visit[a] - visit[b]) })
+		rows.Cede = append(rows.Cede, run...)
+		rows.CedeOff[k+1] = int32(len(rows.Cede))
+	}
+	cl.own[kindCede] = csr{new([]int32), new([]int32), new([]uint8)}
+	cl.shared[kindCede] = csr{new([]int32), new([]int32), nil}
+	hoistRun(rows.rowCSR()[kindCede], cl.shared[kindCede], cl.own[kindCede], true, il.TileOff, visit)
+	return cl
+}
+
+// rowForm is perRowLists (shared set) or ownRows.
+func (cl *cededLists) rowForm(shared bool) *rowLists {
+	il := cl.il
 	out := newRowLists(il.Rows)
 	rows := out.rowCSR()
 	for t := range il.tiles() {
-		tile, own := il.tileRuns(t), il.ownRuns(t)
 		lo, hi := il.tileRows(t)
 		for i := lo; i < hi; i++ {
 			for r, c := range rows {
-				a, b := tile[r], laneRun(nil, own.runs[r], own.masks[r], i-lo)
+				a, b := cl.shared[r].run(t), laneRun(nil, cl.own[r].run(t), cl.own[r].runMasks(t), i-lo)
 				if !shared {
 					a = nil
 				}
 				for len(a)+len(b) > 0 {
 					run := &b
-					if len(b) == 0 || len(a) > 0 && visit[a[0]] < visit[b[0]] {
+					if len(b) == 0 || len(a) > 0 && cl.visit[a[0]] < cl.visit[b[0]] {
 						run = &a
 					}
 					*c.ents = append(*c.ents, (*run)[0])
@@ -336,57 +403,56 @@ func (rl *rowLists) tiled() *InteractionLists {
 }
 
 // hoistTiles turns row lists into the tiled form phase ph compiles them to,
-// over the cut tileOff: a tile's shared run of a kind is the entries every
-// one of its rows holds in that run, in the first row's order, and its own
-// run the rest, each once on visit order of ph's atoms beside the mask of
-// the rows holding it. Every phase shares far nodes, a symmetrized one near
-// leaves too.
+// over the cut tileOff (hoistRun), every run the lists store: every phase
+// shares far nodes, a symmetrized one near leaves too.
 func hoistTiles(rl *rowLists, ph *listPhase, tileOff []int32) *InteractionLists {
 	visit := visitOrder(ph.atoms)
 	out := blankLists(rl.Rows, tileOff)
 	from, own, shared := rl.rowCSR(), out.ownCSR(), out.tileCSR()
-	// mask[a] holds the tile's rows holding a in the run.
-	mask := make([]uint8, len(ph.atoms.Nodes))
-	for r := range from {
-		for t := range out.tiles() {
-			lo, hi := out.tileRows(t)
-			full := uint8(1)<<(hi-lo) - 1
-			var union []int32
-			for i := lo; i < hi; i++ {
-				for _, a := range from[r].run(i) {
-					if mask[a] == 0 {
-						union = append(union, a)
-					}
-					mask[a] |= 1 << (i - lo)
-				}
-			}
-			isShared := func(a int32) bool { return (r == runFar || ph.symmetrize) && mask[a] == full }
-			for _, a := range from[r].run(lo) {
-				if isShared(a) {
-					*shared[r].ents = append(*shared[r].ents, a)
-				}
-			}
-			slices.SortFunc(union, func(a, b int32) int { return int(visit[a] - visit[b]) })
-			for _, a := range union {
-				if !isShared(a) {
-					*own[r].ents, *own[r].masks = append(*own[r].ents, a), append(*own[r].masks, mask[a])
-				}
-			}
-			(*shared[r].off)[t+1], (*own[r].off)[t+1] = int32(len(*shared[r].ents)), int32(len(*own[r].ents))
-			for _, a := range union {
-				mask[a] = 0
-			}
-		}
-	}
-	for _, c := range out.arrays() {
-		if *c.ents == nil {
-			*c.ents = []int32{}
-		}
-		if c.masks != nil && *c.masks == nil {
-			*c.masks = []uint8{}
-		}
+	for r := range own {
+		hoistRun(from[r], shared[r], own[r], r == runFar || ph.symmetrize, tileOff, visit)
 	}
 	return out
+}
+
+// hoistRun puts the run from of row lists into tiled runs over the cut
+// tileOff: a tile's shared run (when share) is the entries every one of its
+// rows holds, in the first row's order, and its own run the rest, each once
+// on visit order beside the mask of the rows holding it.
+func hoistRun(from, shared, own csr, share bool, tileOff, visit []int32) {
+	*shared.off, *own.off = make([]int32, len(tileOff)), make([]int32, len(tileOff))
+	*shared.ents, *own.ents, *own.masks = []int32{}, []int32{}, []uint8{}
+	// mask[a] holds the tile's rows holding a in the run.
+	mask := make([]uint8, len(visit))
+	for t := range len(tileOff) - 1 {
+		lo, hi := int(tileOff[t]), int(tileOff[t+1])
+		full := uint8(1)<<(hi-lo) - 1
+		var union []int32
+		for i := lo; i < hi; i++ {
+			for _, a := range from.run(i) {
+				if mask[a] == 0 {
+					union = append(union, a)
+				}
+				mask[a] |= 1 << (i - lo)
+			}
+		}
+		isShared := func(a int32) bool { return share && mask[a] == full }
+		for _, a := range from.run(lo) {
+			if isShared(a) {
+				*shared.ents = append(*shared.ents, a)
+			}
+		}
+		slices.SortFunc(union, func(a, b int32) int { return int(visit[a] - visit[b]) })
+		for _, a := range union {
+			if !isShared(a) {
+				*own.ents, *own.masks = append(*own.ents, a), append(*own.masks, mask[a])
+			}
+		}
+		(*shared.off)[t+1], (*own.off)[t+1] = int32(len(*shared.ents)), int32(len(*own.ents))
+		for _, a := range union {
+			mask[a] = 0
+		}
+	}
 }
 
 // The tiled lists of a phase are the scalar descent's, rows merged back:
@@ -481,15 +547,15 @@ func tileListsMatchOracle(t *testing.T, p int) {
 					if mol.NumAtoms() <= 100 {
 						return
 					}
-					// The Born phase shares far nodes alone and has no Sym or Cede;
-					// the E_pol phase stores every kind both ways.
+					// The Born phase shares far nodes alone and has no Sym; the
+					// E_pol phase stores every kind both ways.
 					shared, own := stored[0], stored[1]
 					if p == phaseBorn {
 						if shared[runFar] == 0 || own[runFar] == 0 || own[kindNear] == 0 {
 							t.Errorf("born: %v shared and %v own entries by run: one kind goes untested", shared, own)
 						}
-						if shared[kindNear]+shared[kindSym]+shared[kindCede]+own[kindSym]+own[kindCede] != 0 {
-							t.Errorf("born: %v shared and %v own entries by run: shared near leaves, or Sym or Cede", shared, own)
+						if shared[kindNear]+shared[kindSym]+own[kindSym] != 0 {
+							t.Errorf("born: %v shared and %v own entries by run: shared near leaves, or Sym", shared, own)
 						}
 						return
 					}

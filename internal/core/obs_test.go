@@ -68,8 +68,8 @@ func TestSharedRunTraceAndMetrics(t *testing.T) {
 // far_entries is each phase's (row, node) terms; what a phase stores once a
 // tile it counts by where it is stored — <run>_shared, each tile's shared
 // run once, and <run>_own, every row's own run, for every run of both
-// phases — and no split by far-field order is recorded, order 0 being the
-// only one.
+// phases, and no Cede run, which no list stores — and no split by far-field
+// order is recorded, order 0 being the only one.
 func TestFarEntriesMetricsSplitByOrder(t *testing.T) {
 	for order := 0; order < numOrders; order++ {
 		sys, _, _ := testSystem(t, 400, 7, orderTestParams(order, 0.5))
@@ -97,7 +97,7 @@ func TestFarEntriesMetricsSplitByOrder(t *testing.T) {
 			phase string
 			il    *InteractionLists
 		}{{"born", cl.Born}, {"epol", cl.Epol}} {
-			own, tiles, rows := p.il.ownCSR(), p.il.tileCSR(), ownRows(p.il).rowCSR()
+			own, tiles, rows := p.il.ownCSR(), p.il.tileCSR(), ownRows(p.il, sys.Atoms).rowCSR()
 			for r, name := range runNames {
 				prefix := "ilist." + p.phase + "." + name
 				shared, stored, lanes := counters[prefix+"_shared"], counters[prefix+"_own"], counters[prefix+"_own_lanes"]
@@ -110,6 +110,11 @@ func TestFarEntriesMetricsSplitByOrder(t *testing.T) {
 					t.Errorf("order %d: %s_own_lanes %d; the rows' own runs hold %d entries, the tiles store %d",
 						order, prefix, lanes, len(*rows[r].ents), stored)
 				}
+			}
+		}
+		for name := range counters {
+			if strings.Contains(name, "cede") {
+				t.Errorf("order %d: %s recorded: the lists store no Cede run", order, name)
 			}
 		}
 		if counters["ilist.born.far_shared"] <= 0 || counters["ilist.epol.far_shared"] <= 0 || counters["ilist.epol.sym_shared"] <= 0 {
@@ -441,7 +446,7 @@ func TestCompileSpans(t *testing.T) {
 	// A tile holds at most eight rows and at least one; every E_pol near
 	// (row, leaf) term — a tile's shared entry once for each of its rows —
 	// was one lane of a chain test, and a test serves at most eight.
-	nearEpol := cl.Epol.NumNear() + cl.Epol.NumSym() + cl.Epol.terms(kindCede)
+	nearEpol := cl.Epol.NumNear() + 2*cl.Epol.NumSym()
 	if tiles < rows/tileLanes || tiles > rows+rows/8 || visits < tiles || chains < nearEpol/tileLanes || chains > nearEpol+nearEpol/8 {
 		t.Errorf("%d tiles, %d node visits, %d chain tests for %d rows and %d E_pol near entries", tiles, visits, chains, rows, nearEpol)
 	}
@@ -490,7 +495,7 @@ func TestMemoryGauges(t *testing.T) {
 		if m.ListIndex != cl.MemoryBytes() || m.Octrees == 0 || m.SoA == 0 || m.ListIndex == 0 {
 			t.Errorf("memory by structure %+v, lists report %d", m, cl.MemoryBytes())
 		}
-		entries := cl.Born.NumFar() + cl.Born.NumNear() + cl.Epol.NumFar() + cl.Epol.NumNear() + cl.Epol.NumSym() + cl.Epol.terms(kindCede)
+		entries := cl.Born.NumFar() + cl.Born.NumNear() + cl.Epol.NumFar() + cl.Epol.NumNear() + 2*cl.Epol.NumSym()
 		if perEntry := float64(m.ListIndex) / float64(entries); perEntry > 5 {
 			t.Errorf("the lists hold %.1f bytes a (row, entry) term, want at most 5", perEntry)
 		}

@@ -46,12 +46,13 @@ const (
 	snapshotMagic = "GBPSNAP1"
 	// The layout: the parameters, the molecule, the surface, both trees,
 	// and each phase's lists — its rows, then every CSR of its tiles' own
-	// runs, masks beside the entries, and of their shared runs
-	// (InteractionLists.arrays), not the tiles' cut, which the rows make.
+	// runs (near, sym and far), masks beside the entries, and of their
+	// shared runs (InteractionLists.arrays), not the tiles' cut, which the
+	// rows make.
 	// Checkpoints are written and read by one build — the net runner's
 	// workers and restart — so an image of any other version is refused with
 	// ErrSnapshotVersion.
-	snapshotVersion = 7
+	snapshotVersion = 8
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)

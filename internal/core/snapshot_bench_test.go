@@ -10,10 +10,10 @@ import (
 )
 
 // The checkpoint codec at the ledger's two fixtures: the 4 000-atom
-// molecule net_run ships (4.3 MB; encoded in 3.3–4.3 ms on a 2-vCPU Xeon)
-// and the 20 000-atom one (26.2 MB; 20–26 ms), Morton trees, compiled lists
-// embedded. Run with `make bench-snapshot`; MB/s is snapshot bytes per
-// second.
+// molecule net_run ships (4.1 MB; 4.3 MB encoded in 3.3–4.3 ms on a 2-vCPU
+// Xeon) and the 20 000-atom one (24.5 MB; 26.2 MB in 20–26 ms), Morton trees,
+// compiled lists embedded. Run with `make bench-snapshot`; MB/s is snapshot
+// bytes per second.
 
 var snapshotBenchSink any
 

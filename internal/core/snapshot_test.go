@@ -178,9 +178,9 @@ const (
 const stampAt, precisionAt = 8 + 2, 8 + 2 + 8 + 3*8 + 1
 
 // retiredSlots returns the byte offset of every slot in image, a snapshot
-// with lists of this version, of version 6 (v6Image) or of version 5
-// (v5Image). In each, a phase's lists are its rows and four own or per-row
-// runs — this version's with their masks — then its tiles' shared arrays:
+// with lists of this version or of version 5 (v5Image). In each, a phase's
+// lists are its rows and its own runs — this version's three with their
+// masks — or version 5's four per-row runs, then its tiles' shared arrays:
 // version 5 wrote the Born tiles' far run alone.
 func retiredSlots(t testing.TB, image []byte) [numSlots]int {
 	t.Helper()
@@ -189,9 +189,9 @@ func retiredSlots(t testing.TB, image []byte) [numSlots]int {
 	at := func() int { return len(body) - r.Remaining() }
 	var s [numSlots]int
 	version := r.U16()
-	bornTiles := 2 * (runFar + 1)
+	runs, bornTiles, epolTiles := runFar+1, 2*(runFar+1), 2*(runFar+1)
 	if version == 5 {
-		bornTiles = 2
+		runs, bornTiles, epolTiles = len(retiredOrder), 2, 2*len(retiredOrder)
 	}
 	r.U64()
 	s[slotMath] = at() + 3*8
@@ -220,10 +220,10 @@ func retiredSlots(t testing.TB, image []byte) [numSlots]int {
 	// Each phase: its rows and row arrays, a slot, its tile arrays, a slot.
 	for _, ph := range []struct{ rowsAt, tiles, tilesAt int }{
 		{slotBorn, bornTiles, slotTileOrders},
-		{slotEpol, 2 * (runFar + 1), slotNodes},
+		{slotEpol, epolTiles, slotNodes},
 	} {
 		r.I32s()
-		for range runFar + 1 {
+		for range runs {
 			r.I32s()
 			r.I32s()
 			if version == snapshotVersion {
@@ -290,7 +290,7 @@ func appendRowsV5(w *wire.Writer, il *rowLists) {
 // v5Image is image, a snapshot of this version with lists, as version 5
 // wrote it: the same bytes up to the list block, and in it each phase's rows
 // and row arrays (appendRowsV5), the Born tiles' far run and the E_pol
-// tiles' runs.
+// tiles' runs, Cede derived (cedes).
 func v5Image(t testing.TB, image []byte) []byte {
 	t.Helper()
 	sys, err := DecodeSnapshot(image)
@@ -300,13 +300,14 @@ func v5Image(t testing.TB, image []byte) []byte {
 	born, epol := sys.lists.Born, sys.lists.Epol
 	var w wire.Writer
 	w.Raw(image[:retiredSlots(t, image)[slotListOrder]])
-	appendRowsV5(&w, ownRows(born))
+	appendRowsV5(&w, ownRows(born, sys.Atoms))
 	w.I32s(born.TileFarOff)
 	w.I32s(born.TileFar)
-	appendRowsV5(&w, ownRows(epol))
-	for _, c := range epol.tileCSR() {
-		w.I32s(*c.off)
-		w.I32s(*c.ents)
+	appendRowsV5(&w, ownRows(epol, sys.Atoms))
+	shared := cedes(epol, visitOrder(sys.Atoms)).shared
+	for _, r := range retiredOrder {
+		w.I32s(*shared[r].off)
+		w.I32s(*shared[r].ents)
 	}
 	w.U32(0)
 	out := w.Bytes()
@@ -317,7 +318,7 @@ func v5Image(t testing.TB, image []byte) []byte {
 // v6Image is image, a snapshot of this version with lists, as version 6
 // wrote it: the same bytes up to the list block, and in it each phase's rows,
 // its rows' own runs (ownRows; near, sym, cede and far, offsets before
-// entries) and its tiles' shared runs the same way.
+// entries) and its tiles' shared runs the same way, Cede derived (cedes).
 func v6Image(t testing.TB, image []byte) []byte {
 	t.Helper()
 	sys, err := DecodeSnapshot(image)
@@ -327,18 +328,49 @@ func v6Image(t testing.TB, image []byte) []byte {
 	var w wire.Writer
 	w.Raw(image[:retiredSlots(t, image)[slotListOrder]])
 	for _, il := range []*InteractionLists{sys.lists.Born, sys.lists.Epol} {
-		rows := ownRows(il)
+		rows, shared := ownRows(il, sys.Atoms).rowCSR(), cedes(il, visitOrder(sys.Atoms)).shared
 		w.I32s(il.Rows)
-		for _, cs := range [][runFar + 1]csr{rows.rowCSR(), il.tileCSR()} {
-			for _, c := range cs {
-				w.I32s(*c.off)
-				w.I32s(*c.ents)
+		for _, cs := range [][kindCede + 1]csr{rows, shared} {
+			for _, r := range retiredOrder {
+				w.I32s(*cs[r].off)
+				w.I32s(*cs[r].ents)
 			}
 		}
 	}
 	w.U32(0)
 	out := w.Bytes()
 	binary.LittleEndian.PutUint16(out[len(snapshotMagic):], 6)
+	return restamp(out)
+}
+
+// v7Image is image, a snapshot of this version with lists, as version 7
+// wrote it: the same bytes up to the list block, and in it each phase's rows,
+// its tiles' own runs (near, sym, cede and far: offsets, entries, masks) and
+// their shared runs (offsets, entries), Cede derived (cedes).
+func v7Image(t testing.TB, image []byte) []byte {
+	t.Helper()
+	sys, err := DecodeSnapshot(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w wire.Writer
+	w.Raw(image[:retiredSlots(t, image)[slotListOrder]])
+	for _, il := range []*InteractionLists{sys.lists.Born, sys.lists.Epol} {
+		cl := cedes(il, visitOrder(sys.Atoms))
+		w.I32s(il.Rows)
+		for _, cs := range [][kindCede + 1]csr{cl.own, cl.shared} {
+			for _, r := range retiredOrder {
+				w.I32s(*cs[r].off)
+				w.I32s(*cs[r].ents)
+				if cs[r].masks != nil {
+					w.U8s(*cs[r].masks)
+				}
+			}
+		}
+	}
+	w.U32(0)
+	out := w.Bytes()
+	binary.LittleEndian.PutUint16(out[len(snapshotMagic):], 7)
 	return restamp(out)
 }
 
@@ -369,18 +401,20 @@ func v4Image(t testing.TB, image []byte, mathByte uint8) []byte {
 
 // A version-4 image, whose layout had places for retired configurations,
 // a version-5 image, whose Born tiles stored their far run alone, a
-// version-6 image, whose rows stored their own runs each, and this layout
-// stamped any of those versions are refused with ErrSnapshotVersion and no
-// System, by DecodeSnapshot and by LoadSnapshotAnyParams. Checkpoints are
-// written and read by one build, and no older layout is read.
+// version-6 image, whose rows stored their own runs each, a version-7 image,
+// whose tiles stored the Cede runs no sweep reads, and this layout stamped
+// any of those versions are refused with ErrSnapshotVersion and no System,
+// by DecodeSnapshot and by LoadSnapshotAnyParams. Checkpoints are written
+// and read by one build, and no older layout is read.
 func TestSnapshotRefusesRetired(t *testing.T) {
 	_, image := snapshotFixture(t, true)
 	older := map[string][]byte{
 		"version 4": v4Image(t, image, 0),
 		"version 5": v5Image(t, image),
 		"version 6": v6Image(t, image),
+		"version 7": v7Image(t, image),
 	}
-	for _, version := range []uint16{4, 5, 6} {
+	for _, version := range []uint16{4, 5, 6, 7} {
 		stamped := append([]byte(nil), image...)
 		binary.LittleEndian.PutUint16(stamped[len(snapshotMagic):], version)
 		older[fmt.Sprintf("this layout stamped version %d", version)] = restamp(stamped)
@@ -595,12 +629,14 @@ func TestSnapshotSaveLoadParams(t *testing.T) {
 // 5, which drops the places version 4 kept for retired configurations and
 // wrote empty (79 bytes here, 799 640 bytes), version 6, which writes both
 // phases' lists in one layout: every CSR pair of the rows and of the tiles,
-// the Born tiles' empty shared near runs among them (801 560 bytes), and —
-// the last re-recording — version 7, which writes each tile's own runs
-// once, an entry beside its lane mask, in place of its rows' own runs.
-// Written in version 6's layout (v6Image) the same lists give version 6's
-// bytes exactly, in version 5's (v5Image) version 5's, and with the retired
-// places filled back in version 4's. The digest covers computed floats (the surface), hence one
+// the Born tiles' empty shared near runs among them (801 560 bytes), version
+// 7, which writes each tile's own runs once, an entry beside its lane mask,
+// in place of its rows' own runs (648 579 bytes), and — the last
+// re-recording — version 8, which writes no Cede runs: the mutual pairs a
+// row's lower partner sweeps. Written in version 7's layout (v7Image), its
+// Cede runs derived from the Sym runs, the same lists give version 7's bytes
+// exactly, in version 6's (v6Image) version 6's, in version 5's (v5Image)
+// version 5's, and with the retired places filled back in version 4's. The digest covers computed floats (the surface), hence one
 // architecture: elsewhere the compiler may fuse multiply-adds.
 func TestSnapshotBytesStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -618,7 +654,8 @@ func TestSnapshotBytesStable(t *testing.T) {
 		size    int
 		sha     string
 	}{
-		{snapshotVersion, data, 648579, "db5e8654df805fd336f2505bd700ee4a00e33ec33281c028ea5b3d338e941c63"},
+		{snapshotVersion, data, 640063, "fa33824f1da7897a4de6729c2338aa7dddae3f48303cc8c7034467c3b2ef5c85"},
+		{7, v7Image(t, data), 648579, "db5e8654df805fd336f2505bd700ee4a00e33ec33281c028ea5b3d338e941c63"},
 		{6, v6Image(t, data), 801560, "6289beb4b4aa83b3688d480298c63001f5c3b567dacf3f2967525825d573d5fc"},
 		{5, v5Image(t, data), 799640, "7d20438fb3681a0a5a86189afa32e075ccd3fe5f04ee88eeacf45c5f1c23aceb"},
 		{4, v4Image(t, data, 0), 799719, "359563886babcb17bc37de67187b2e5fd48c1e774f86e198bc8736b57b3ba50e"},
@@ -744,9 +781,9 @@ func TestParamsFingerprint(t *testing.T) {
 // FuzzDecodeSnapshot pins the no-panic, no-overallocation property on
 // arbitrary input. Run with `go test -fuzz=FuzzDecodeSnapshot` to
 // explore; the seeds alone cover the interesting prefixes in CI: images of
-// this version (7: own runs beside their lane masks) with and without lists,
-// whole and cut short, the same image with bytes where version 4 kept its
-// retired places, and images of versions 6 and 4.
+// this version (8: own runs beside their lane masks, no Cede runs) with and
+// without lists, whole and cut short, the same image with bytes where
+// version 4 kept its retired places, and images of versions 7, 6 and 4.
 func FuzzDecodeSnapshot(f *testing.F) {
 	_, data := snapshotFixture(f, true)
 	_, bare := snapshotFixture(f, false)
@@ -764,6 +801,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	for slot := range numSlots {
 		f.Add(withRetired(f, data, snapshotVersion, map[int][]byte{slot: zero}))
 	}
+	f.Add(v7Image(f, data))
 	f.Add(v6Image(f, data))
 	f.Add(v4Image(f, data, 0))
 	f.Fuzz(func(t *testing.T, b []byte) {
