@@ -7,7 +7,7 @@ GO ?= go
 # hosts. Usage: make bench-lanes GOAMD64=v3
 GOAMD64 ?=
 
-.PHONY: check build test vet fmt bigendian race faults bench-warm bench-lanes bench-lists bench-kernels bench-snapshot obs net kernels loc
+.PHONY: check build test vet fmt bigendian race faults fuzz bench-warm bench-lanes bench-lists bench-kernels bench-snapshot obs net kernels loc
 
 # comma is a literal comma inside a $(call ...) argument.
 comma := ,
@@ -31,6 +31,14 @@ $(call check_listed,$(2),$(3))
 	$(GO) test $(1) -run '$(2)' $(3)
 endef
 
+# fuzz_listed TARGET,PACKAGE fuzzes TARGET for 10 s after check_listed. A
+# new interesting input is minimized in at most 100 runs: left at its
+# default (60 s), minimizing one snapshot image takes the whole 10 s.
+define fuzz_listed
+$(call check_listed,$(1),$(2))
+	$(GO) test -run '^$$' -fuzz '^$(1)$$' -fuzztime 10s -fuzzminimizetime 100x $(2)
+endef
+
 # bench_listed PATTERN,FLAGS,PACKAGE runs `go test -run ^$ -bench PATTERN
 # FLAGS PACKAGE` after check_listed.
 define bench_listed
@@ -42,8 +50,8 @@ endef
 ## target), full test suite, the benchmark module's vet and short tests
 ## (benchmarks/ has its own go.mod, which nothing else compiles before a
 ## ledger run), the kernels with and without their assembly, race
-## detector, the fault-injection matrix, the observability suite and the
-## real network transport. Performance is judged by the benchmark ledger
+## detector, the fault-injection matrix, ten seconds of each fuzz target,
+## the observability suite and the real network transport. Performance is judged by the benchmark ledger
 ## (benchmarks/), not here.
 check:
 	$(MAKE) fmt
@@ -56,11 +64,22 @@ check:
 	$(MAKE) kernels
 	$(MAKE) race
 	$(MAKE) faults
+	$(MAKE) fuzz
 	$(MAKE) obs
 	$(MAKE) net
 
 build:
 	$(GO) build ./...
+
+## fuzz: each native fuzz target for 10 s past its seeds and its committed
+## corpus (testdata/fuzz): the wire reader, the snapshot and octree decoders
+## and the TCP transport's frame decode. A failing input is written to the
+## package's testdata/fuzz, where `go test` replays it from then on.
+fuzz:
+	$(call fuzz_listed,FuzzReader,./internal/wire/)
+	$(call fuzz_listed,FuzzDecodeSnapshot,./internal/core/)
+	$(call fuzz_listed,FuzzDecodeTree,./internal/octree/)
+	$(call fuzz_listed,FuzzFrame,./internal/cluster/net/)
 
 vet:
 	$(GO) vet ./...

@@ -121,6 +121,9 @@ type Coordinator struct {
 	wg        sync.WaitGroup
 	hbStop    chan struct{}
 	joinTimer *time.Timer
+	// left holds a token once an up rank leaves or dies (noteLeftLocked):
+	// what Drain wakes on.
+	left chan struct{}
 }
 
 // Start launches a coordinator listening for cfg.Size workers.
@@ -137,7 +140,7 @@ func Start(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("net: coordinator listen: %w", err)
 	}
-	co := &Coordinator{cfg: cfg, ln: ln, start: time.Now(), hbStop: make(chan struct{})}
+	co := &Coordinator{cfg: cfg, ln: ln, start: time.Now(), hbStop: make(chan struct{}), left: make(chan struct{}, 1)}
 	co.members = make([]*member, cfg.Size)
 	for r := range co.members {
 		co.members[r] = &member{rank: r}
@@ -229,6 +232,28 @@ func (co *Coordinator) State() ClusterState {
 		}
 	}
 	return st
+}
+
+// Drain waits until no rank is up — every worker has said goodbye or died
+// — or timeout has passed.
+func (co *Coordinator) Drain(timeout time.Duration) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for co.State().Live > 0 {
+		select {
+		case <-co.left:
+		case <-timer.C:
+			return
+		}
+	}
+}
+
+// noteLeftLocked wakes Drain: an up rank has left or died.
+func (co *Coordinator) noteLeftLocked() {
+	select {
+	case co.left <- struct{}{}:
+	default:
+	}
 }
 
 // nowUS is the coordinator's telemetry clock: its own trace's wall axis
@@ -491,6 +516,7 @@ func (co *Coordinator) serve(m *member, fc *frameConn) {
 				m.fc = nil
 				m.dep = nil
 				co.checkRoundLocked()
+				co.noteLeftLocked()
 			}
 			co.mu.Unlock()
 			fc.close()
@@ -523,6 +549,7 @@ func (co *Coordinator) killLocked(m *member, reason string) {
 		return
 	}
 	m.state = stDead
+	co.noteLeftLocked()
 	if m.fc != nil {
 		m.fc.close()
 		m.fc = nil

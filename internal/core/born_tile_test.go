@@ -440,14 +440,14 @@ func TestSnapshotRefusesBadTiles(t *testing.T) {
 	} {
 		bad := epol
 		mut(&bad)
-		if err := validateIL("epol", &bad, sys.Atoms, sys.Atoms); !errors.Is(err, ErrSnapshotCorrupt) {
+		if _, err := validateIL("epol", &bad, sys.Atoms, sys.Atoms); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Errorf("E_pol lists, %s: got %v, want ErrSnapshotCorrupt", name, err)
 		}
 	}
-	if err := validateIL("born", &good, sys.QPts, sys.Atoms); err != nil {
+	if _, err := validateIL("born", &good, sys.QPts, sys.Atoms); err != nil {
 		t.Errorf("the compiled Born lists: %v", err)
 	}
-	if err := validateIL("epol", &epol, sys.Atoms, sys.Atoms); err != nil {
+	if _, err := validateIL("epol", &epol, sys.Atoms, sys.Atoms); err != nil {
 		t.Errorf("the compiled E_pol lists: %v", err)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // balanced phase — runs under a peer-to-peer range-stealing protocol on
 // top of the cluster substrate's point-to-point messages:
 //
-//   - every rank starts with its static segment of the energy phase's
-//     units (compiled E_pol tiles, or atom leaves);
+//   - every rank starts with its static part of the energy phase's units
+//     (compiled E_pol tiles, cut at equal cost, or atom leaves);
 //   - between batches it answers pending steal requests by giving away
 //     the BACK half of its remaining range (steal-half, the standard
 //     policy);
@@ -81,7 +81,7 @@ type dynEpol struct {
 }
 
 // stealEpol is the stealing E_pol schedule of the rank body: the rank
-// starts from its static segment of the phase's units and runs the protocol to
+// starts from its static part of the phase's units and runs the protocol to
 // termination inside one epol span. Asked again — to heal a death the
 // final reduction detected — it reports the death instead: rows migrate
 // between ranks, so the static re-division cannot tell what was lost.
@@ -93,7 +93,8 @@ func (pl *pipeline) stealEpol() func([]cluster.MemberEvent) error {
 		}
 		started = true
 		d := &dynEpol{pl: pl, c: pl.c.(*cluster.Comm), units: pl.epolUnits(), row: pl.epolKernel()}
-		d.front, d.back = segment(d.units.count(), pl.P, pl.rank)
+		own := d.units.static(pl.P, pl.rank)
+		d.front, d.back = own.Lo, own.Hi
 		d.batch = max((d.back-d.front)/64, 1)
 
 		sp := pl.o.Begin(pl.rank, "phase", "epol", pl.clock())

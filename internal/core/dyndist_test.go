@@ -24,8 +24,9 @@ func TestDynamicHybridRanks(t *testing.T) {
 
 // imbalancedSystem builds a molecule whose leaf costs differ wildly
 // between the first and second half of the leaf ordering: a dense ball
-// next to a sparse cloud — static segments then load one rank far more
-// than the others.
+// next to a sparse cloud — equal counts of leaves would load one rank far
+// more than the others, and the static parts, cut at equal estimated cost
+// (ElasticSpans), do not.
 func imbalancedSystem(t *testing.T) *System {
 	t.Helper()
 	dense := molecule.GenProtein("dense", 2400, 183)
@@ -42,9 +43,13 @@ func imbalancedSystem(t *testing.T) *System {
 	return sys
 }
 
+// The static parts leave the estimate nothing to balance, so the imbalance
+// here is one the estimate cannot see: ranks of unequal speed (HeteroSigma).
 func TestDynamicStealsOnImbalance(t *testing.T) {
 	sys := imbalancedSystem(t)
-	_, stats, err := RunDistributedDynamic(sys, distCfg(6, 1, 6, 1))
+	cfg := distCfg(6, 1, 6, 1)
+	cfg.HeteroSigma, cfg.Seed = 1, 42
+	_, stats, err := RunDistributedDynamic(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

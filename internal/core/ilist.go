@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/obs"
@@ -225,6 +226,23 @@ type CompiledLists struct {
 	// Born rows are q-point leaves (Figure 2); Epol rows are atom leaves
 	// (Figure 3).
 	Born, Epol *InteractionLists
+
+	// costMu guards cost: the Born and the E_pol phase's tileCosts, priced
+	// when a run of two or more ranks first divides the tiles (unitCosts),
+	// or by the decode that validated the lists.
+	costMu sync.Mutex
+	cost   [2][]int64
+}
+
+// unitCosts returns the cumulative estimated costs of the Born and the E_pol
+// phase's tiles (tileCosts), pricing them on first use.
+func (cl *CompiledLists) unitCosts(sys *System) (born, epol costs) {
+	cl.costMu.Lock()
+	defer cl.costMu.Unlock()
+	if cl.cost[0] == nil {
+		cl.cost = [2][]int64{tileCosts(cl.Born, sys.QPts, sys.Atoms), tileCosts(cl.Epol, sys.Atoms, sys.Atoms)}
+	}
+	return cl.cost[0], cl.cost[1]
 }
 
 // matches reports whether the cached lists were compiled under the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"os"
 	"time"
 
 	"gbpolar/internal/cluster"
@@ -263,12 +262,10 @@ func RunNetCoordinator(ctx context.Context, sys *System, opts NetOptions) (*Resu
 		// was unconditional — TestNetCleanTeardownNoObserver). Observed
 		// runs need it for a second reason: workers flush their final
 		// telemetry batch right before their Bye, and the merged timeline
-		// is complete only once those frames are in. The poll is fine-
-		// grained because this wait lands inside the measured wall time.
-		deadline := time.Now().Add(2 * time.Second)
-		for co.State().Live > 0 && time.Now().Before(deadline) {
-			time.Sleep(500 * time.Microsecond)
-		}
+		// is complete only once those frames are in. The wait lands inside
+		// the measured wall time, so it ends when the coordinator sees the
+		// last rank leave, not on a poll.
+		co.Drain(2 * time.Second)
 	}
 	// Per-rank rows: wall time is the run's (processes ran concurrently);
 	// ranks still dead at the end are marked.
@@ -404,16 +401,12 @@ func RunNetWorker(membershipPath string, rank int, opts NetWorkerOptions) (*Elas
 		return nil, fmt.Errorf("core: membership %s carries no checkpoint path", membershipPath)
 	}
 	sp := opts.Obs.Begin(rank, "ckpt", "ckpt.load", obs.NoVirtual)
-	data, err := os.ReadFile(m.Checkpoint)
-	var sys *System
-	if err == nil {
-		sys, err = DecodeSnapshot(data)
-	}
-	sp.End(obs.NoVirtual, obs.F("bytes", float64(len(data))))
+	sys, size, err := loadSnapshot(m.Checkpoint)
+	sp.End(obs.NoVirtual, obs.F("bytes", float64(size)))
 	if err != nil {
 		return nil, fmt.Errorf("core: worker checkpoint: %w", err)
 	}
-	opts.Obs.Counter("snapshot.decode_bytes").Add(int64(len(data)))
+	opts.Obs.Counter("snapshot.decode_bytes").Add(int64(size))
 	c, err := net.Dial(m.Addr, rank, net.Options{
 		StallTimeout:      opts.StallTimeout,
 		DialTimeout:       opts.JoinBudget,

@@ -20,12 +20,13 @@ import (
 //   - the phase kernel: compiled list rows, or the recursive reference
 //     traversal.
 //
-// A rank's rows are always ElasticSpans(n, P, events)[rank] — the paper's
-// node–node division (Section IV.A): while the membership log is empty,
-// static segments of leaf rows or of the units a kernel takes whole (the
-// compiled sweeps' tiles, InteractionLists.TileOff) — so a segment, a
-// healed set of spans, a stolen batch and "all rows" are the same call to
-// sweep, and every collective sits in one detect–heal–retry loop.
+// A rank's rows are always ElasticSpans(n, cost, P, events)[rank] — the
+// paper's node–node division (Section IV.A): while the membership log is
+// empty, static parts of leaf rows or of the units a kernel takes whole (the
+// compiled sweeps' tiles, InteractionLists.TileOff, cut at equal estimated
+// cost, tileCosts) — so a part, a healed set of spans, a stolen batch and
+// "all rows" are the same call to sweep, and every collective sits in one
+// detect–heal–retry loop.
 //
 // The consistency argument the protocol leans on: transports admit joins
 // ONLY at a successful collective — which is also the only point a phase
@@ -176,10 +177,13 @@ func (pl *pipeline) pass(name string, rows, inherited int, work func() (ops, cha
 
 // rowUnits cuts a phase's n rows into the units its kernel takes whole:
 // unit u is the rows [off[u], off[u+1]) — a compiled tile — or, off nil,
-// row u alone.
+// row u alone. The ranks divide the units at equal cost: cost holds the
+// compiled tiles' estimates (tileCosts) in a run of two or more ranks, and
+// is nil — every unit costing 1 — otherwise.
 type rowUnits struct {
-	n   int
-	off []int32
+	n    int
+	off  []int32
+	cost costs
 }
 
 // count returns the number of units.
@@ -208,7 +212,7 @@ func (u rowUnits) rows(s Span) int {
 // ever APPEND spans to a survivor's ElasticSpans share, so the spans past
 // the ones already done are exactly the dead ranks' lost work.
 func (pl *pipeline) claim(u rowUnits, events []cluster.MemberEvent, done *[]Span) (sel []Span, rows, inherited int) {
-	owned := ElasticSpans(u.count(), pl.P, events)[pl.rank]
+	owned := ElasticSpans(u.count(), u.cost, pl.P, events)[pl.rank]
 	sel = owned[len(*done):]
 	for _, s := range sel {
 		rows += u.rows(s)
@@ -218,12 +222,16 @@ func (pl *pipeline) claim(u rowUnits, events []cluster.MemberEvent, done *[]Span
 	return sel, rows, inherited
 }
 
-// inherited counts the rows of units s outside this rank's static segment
-// of the units u.
+// inherited counts the rows of units s outside this rank's static part of
+// the units u.
 func (pl *pipeline) inherited(u rowUnits, s Span) int {
-	lo, hi := segment(u.count(), pl.P, pl.rank)
-	return u.rows(s) - u.rows(Span{max(s.Lo, lo), min(s.Hi, hi)})
+	own := u.static(pl.P, pl.rank)
+	return u.rows(s) - u.rows(Span{max(s.Lo, own.Lo), min(s.Hi, own.Hi)})
 }
+
+// static returns rank's part of the units u while no rank has died: the
+// rank-th of P equal-cost parts.
+func (u rowUnits) static(P, rank int) Span { return u.cost.part(Span{0, u.count()}, P, rank) }
 
 // share claims this rank's not-yet-done part of a phase over the units u
 // and sweeps it; it returns the rows claimed. row is called once per unit.
@@ -415,6 +423,9 @@ func (pl *pipeline) bornPass(events []cluster.MemberEvent) error {
 	u := rowUnits{n: len(pl.sys.QPts.Leaves())}
 	if pl.kern.born == rowCompiled {
 		u.off = pl.lists.Born.TileOff
+		if pl.P > 1 {
+			u.cost, _ = pl.lists.unitCosts(pl.sys)
+		}
 	}
 	rows := pl.share("born", pl.kern.born, u, &pl.bornDone, events,
 		func(w int) *workMeter { return &accs[w].workMeter }, pl.bornKernel())
@@ -499,6 +510,9 @@ func (pl *pipeline) epolUnits() rowUnits {
 	u := rowUnits{n: len(pl.sys.Atoms.Leaves())}
 	if pl.kern.epol == rowCompiled {
 		u.off = pl.lists.Epol.TileOff
+		if pl.P > 1 {
+			_, u.cost = pl.lists.unitCosts(pl.sys)
+		}
 	}
 	return u
 }

@@ -1,16 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"io"
-	"math"
 	"os"
 
+	"gbpolar/internal/geom"
 	"gbpolar/internal/molecule"
 	"gbpolar/internal/octree"
+	"gbpolar/internal/sched"
 	"gbpolar/internal/surface"
 	"gbpolar/internal/wire"
 )
@@ -44,15 +46,17 @@ var (
 
 const (
 	snapshotMagic = "GBPSNAP1"
-	// The layout: the parameters, the molecule, the surface, both trees,
-	// and each phase's lists — its rows, then every CSR of its tiles' own
-	// runs (near, sym and far), masks beside the entries, and of their
-	// shared runs (InteractionLists.arrays), not the tiles' cut, which the
-	// rows make.
+	// The layout: the parameters, the molecule, the surface, both trees —
+	// each its permutation, shape, keys and its nodes as one block of
+	// columns, not its points, which the molecule and the surface give
+	// (octree.Tree.AppendTo) — and each phase's lists — its rows, then every
+	// CSR of its tiles' own runs (near, sym and far), masks beside the
+	// entries, and of their shared runs (InteractionLists.arrays), not the
+	// tiles' cut, which the rows make.
 	// Checkpoints are written and read by one build — the net runner's
 	// workers and restart — so an image of any other version is refused with
 	// ErrSnapshotVersion.
-	snapshotVersion = 8
+	snapshotVersion = 9
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -153,7 +157,9 @@ func EncodeSnapshot(sys *System) ([]byte, error) {
 // (ErrSnapshotCorrupt), version (ErrSnapshotVersion), parameter-stamp
 // self-consistency (ErrSnapshotParams), then structure. The octrees are
 // NOT rebuilt and the interaction lists (when present) NOT recompiled —
-// that is the point of checkpointing.
+// that is the point of checkpointing. The System keeps no byte of data:
+// every array is copied out of it (loadSnapshot unmaps a mapped file once
+// this returns).
 func DecodeSnapshot(data []byte) (*System, error) {
 	if len(data) < len(snapshotMagic)+2+4 || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
@@ -191,16 +197,16 @@ func DecodeSnapshot(data []byte) (*System, error) {
 		return nil, err
 	}
 
-	ta, err := octree.DecodeTree(r)
+	// The trees' points are the molecule's and the surface's, gathered
+	// through each tree's validated permutation: they index exactly that
+	// geometry by construction.
+	ta, err := octree.DecodeTree(r, len(mol.Atoms), func(i int) geom.Vec3 { return mol.Atoms[i].Pos })
 	if err != nil {
 		return nil, fmt.Errorf("%w: atoms octree: %v", ErrSnapshotCorrupt, err)
 	}
-	tq, err := octree.DecodeTree(r)
+	tq, err := octree.DecodeTree(r, len(surf.Points), func(i int) geom.Vec3 { return surf.Points[i].Pos })
 	if err != nil {
 		return nil, fmt.Errorf("%w: q-points octree: %v", ErrSnapshotCorrupt, err)
-	}
-	if err := checkGeometryConsistent(mol, surf, ta, tq); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 
 	var lists *CompiledLists
@@ -210,10 +216,13 @@ func DecodeSnapshot(data []byte) (*System, error) {
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
 		}
-		if err := validateIL("born", cl.Born, tq, ta); err != nil {
-			return nil, err
-		}
-		if err := validateIL("epol", cl.Epol, ta, ta); err != nil {
+		// The phases are checked side by side; the Born phase's failure is
+		// the one reported when both fail.
+		var errs [2]error
+		sched.Together(
+			func() { cl.cost[0], errs[0] = validateIL("born", cl.Born, tq, ta) },
+			func() { cl.cost[1], errs[1] = validateIL("epol", cl.Epol, ta, ta) })
+		if err := cmp.Or(errs[0], errs[1]); err != nil {
 			return nil, err
 		}
 		lists = cl
@@ -322,16 +331,18 @@ func decodeSurface(r *wire.Reader) (*surface.Surface, error) {
 // not carry the tiles' cut: validateIL gives the lists the one their rows
 // make (listPhase.cutTiles), which sizes every run, and refuses Born lists
 // with shared near runs, which bornTile would not read. A list that passes
-// cannot make a kernel or a repair index out of bounds.
-func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree) error {
+// cannot make a kernel or a repair index out of bounds. The entries are
+// checked in one pass (scanTiles), which prices the tiles on the way: it
+// returns their tileCosts.
+func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree) ([]int64, error) {
 	leaves := rowTree.Leaves()
 	if len(il.Rows) != len(leaves) {
-		return fmt.Errorf("%w: %s lists have %d rows for %d leaves",
+		return nil, fmt.Errorf("%w: %s lists have %d rows for %d leaves",
 			ErrSnapshotCorrupt, phase, len(il.Rows), len(leaves))
 	}
 	for i, row := range il.Rows {
 		if row != leaves[i] {
-			return fmt.Errorf("%w: %s list row %d is node %d, leaf order says %d",
+			return nil, fmt.Errorf("%w: %s list row %d is node %d, leaf order says %d",
 				ErrSnapshotCorrupt, phase, i, row, leaves[i])
 		}
 	}
@@ -340,7 +351,6 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 		ph.up = parentsOf(atomTree)
 	}
 	il.TileOff = ph.cutTiles(il.Rows)
-	nNodes := int32(atomTree.NumNodes())
 	for k, c := range il.arrays() {
 		r, shared := k%(runFar+1), k > runFar
 		name := "own " + runNames[r]
@@ -349,67 +359,141 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 		}
 		off, entries := *c.off, *c.ents
 		if len(off) != il.tiles()+1 {
-			return fmt.Errorf("%w: %s %s offsets sized %d for %d tiles",
+			return nil, fmt.Errorf("%w: %s %s offsets sized %d for %d tiles",
 				ErrSnapshotCorrupt, phase, name, len(off), il.tiles())
 		}
 		if off[0] != 0 || int(off[len(off)-1]) != len(entries) {
-			return fmt.Errorf("%w: %s %s offsets span [%d,%d] over %d entries",
+			return nil, fmt.Errorf("%w: %s %s offsets span [%d,%d] over %d entries",
 				ErrSnapshotCorrupt, phase, name, off[0], off[len(off)-1], len(entries))
 		}
 		for i := 1; i < len(off); i++ {
 			if off[i] < off[i-1] {
-				return fmt.Errorf("%w: %s %s offsets decrease at %d",
+				return nil, fmt.Errorf("%w: %s %s offsets decrease at %d",
 					ErrSnapshotCorrupt, phase, name, i-1)
 			}
 		}
-		for n, e := range entries {
-			if e < 0 || e >= nNodes {
-				return fmt.Errorf("%w: %s %s entry %d references node %d of %d",
-					ErrSnapshotCorrupt, phase, name, n, e, nNodes)
-			}
-		}
 		if ph.up == nil && shared && r != runFar && len(entries) > 0 {
-			return fmt.Errorf("%w: %s lists share %d %s entries", ErrSnapshotCorrupt, phase, len(entries), runNames[r])
+			return nil, fmt.Errorf("%w: %s lists share %d %s entries", ErrSnapshotCorrupt, phase, len(entries), runNames[r])
 		}
-		if shared {
-			continue
-		}
-		if len(*c.masks) != len(entries) {
-			return fmt.Errorf("%w: %s %s run has %d masks for %d entries",
+		if !shared && len(*c.masks) != len(entries) {
+			return nil, fmt.Errorf("%w: %s %s run has %d masks for %d entries",
 				ErrSnapshotCorrupt, phase, name, len(*c.masks), len(entries))
 		}
-		fullAllowed := ph.up == nil && r != runFar // the Born phase shares no near leaves
-		for t := range il.tiles() {
-			lo, hi := il.tileRows(t)
-			full := uint8(1)<<(hi-lo) - 1
-			for n, m := range c.runMasks(t) {
-				if m == 0 || m&^full != 0 || m == full && !fullAllowed {
-					return fmt.Errorf("%w: %s %s entry %d of tile %d (%d rows) has lane mask %#x",
-						ErrSnapshotCorrupt, phase, name, n, t, hi-lo, m)
-				}
-			}
-		}
 	}
-	// An entry twice in one tile and class: stamp[e] holds the last (class,
-	// tile) that held e, numbered upward.
-	stamp, mark := make([]int32, nNodes), int32(0)
-	own, tiles := il.ownCSR(), il.tileCSR()
-	for r := range own {
-		for t := range il.tiles() {
-			mark++
-			for _, run := range [2][]int32{tiles[r].run(t), own[r].run(t)} {
-				for _, e := range run {
-					if stamp[e] == mark {
-						return fmt.Errorf("%w: %s tile %d holds node %d twice in its %s runs",
-							ErrSnapshotCorrupt, phase, t, e, runNames[r])
-					}
-					stamp[e] = mark
+	return scanTiles(phase, il, rowTree, atomTree, true)
+}
+
+// scanTiles walks il's runs once, tile by tile and class by class, and
+// returns the tiles' cumulative estimated costs (tileCosts). With check it
+// first re-establishes, in each run while it is in cache, what validateIL
+// asks of an entry (runCheck.runs). The CSR shapes and the rows have been
+// checked, or the lists compiled.
+func scanTiles(phase string, il *InteractionLists, rowTree, atoms *octree.Tree, check bool) ([]int64, error) {
+	nNodes := int32(atoms.NumNodes())
+	rc := runCheck{phase: phase, nNodes: nNodes}
+	if check {
+		rc.stamp = make([]int32, nNodes)
+	}
+	count := make([]int64, nNodes) // each node's atoms, read densely
+	for i := range atoms.Nodes {
+		count[i] = int64(atoms.Nodes[i].Count())
+	}
+	born := rowTree != atoms // the Born phase shares no near leaves: a full near mask is its own
+	own, shared := il.ownCSR(), il.tileCSR()
+	cost := make([]int64, il.tiles()+1)
+	for t := range il.tiles() {
+		lo, hi := il.tileRows(t)
+		var pts [tileLanes]int64 // the tile's row points, lane by lane
+		for l := range hi - lo {
+			pts[l] = int64(rowTree.Nodes[il.Rows[lo+l]].Count())
+		}
+		lanes := newLaneSums(&pts)
+		all := lanes.of(uint8(1)<<(hi-lo) - 1)
+		c := int64(hi-lo)*int64(len(shared[runFar].run(t))) + int64(popcount(own[runFar].runMasks(t)))
+		for r := range own {
+			sh, ow, masks := shared[r].run(t), own[r].run(t), own[r].runMasks(t)
+			if check {
+				allowFull := 0
+				if born && r != runFar {
+					allowFull = 1
+				}
+				if err := rc.runs(t, r, sh, ow, masks, &badMasks[hi-lo][allowFull]); err != nil {
+					return nil, err
 				}
 			}
+			if r == runFar {
+				continue
+			}
+			for _, e := range sh {
+				c += all * count[e]
+			}
+			for n, e := range ow {
+				c += lanes.of(masks[n]) * count[e]
+			}
 		}
+		cost[t+1] = cost[t] + c
+	}
+	return cost, nil
+}
+
+// runCheck re-establishes what validateIL asks of a tile's runs of one
+// class: every entry indexes an atoms-tree node, no node is in them twice,
+// and no own entry's lane mask is bad (badMasks).
+type runCheck struct {
+	phase  string
+	nNodes int32
+	stamp  []int32 // the last (tile, class) that held each node, numbered upward
+	mark   int32
+}
+
+// runs checks tile t's shared run sh and own run ow, its masks beside it,
+// of class r.
+func (rc *runCheck) runs(t, r int, sh, ow []int32, masks []uint8, bad *[256]bool) error {
+	rc.mark++
+	for _, e := range sh {
+		if uint32(e) >= uint32(rc.nNodes) {
+			return fmt.Errorf("%w: %s shared %s entry of tile %d references node %d of %d",
+				ErrSnapshotCorrupt, rc.phase, runNames[r], t, e, rc.nNodes)
+		}
+		if rc.stamp[e] == rc.mark {
+			return fmt.Errorf("%w: %s tile %d holds node %d twice in its %s runs",
+				ErrSnapshotCorrupt, rc.phase, t, e, runNames[r])
+		}
+		rc.stamp[e] = rc.mark
+	}
+	for n, e := range ow {
+		if uint32(e) >= uint32(rc.nNodes) {
+			return fmt.Errorf("%w: %s own %s entry %d of tile %d references node %d of %d",
+				ErrSnapshotCorrupt, rc.phase, runNames[r], n, t, e, rc.nNodes)
+		}
+		if m := masks[n]; bad[m] {
+			return fmt.Errorf("%w: %s own %s entry %d of tile %d has lane mask %#x",
+				ErrSnapshotCorrupt, rc.phase, runNames[r], n, t, m)
+		}
+		if rc.stamp[e] == rc.mark {
+			return fmt.Errorf("%w: %s tile %d holds node %d twice in its %s runs",
+				ErrSnapshotCorrupt, rc.phase, t, e, runNames[r])
+		}
+		rc.stamp[e] = rc.mark
 	}
 	return nil
 }
+
+// badMasks[k][allowFull] says which lane masks no own entry of a tile of k
+// rows may carry: 0, one with a bit past the k rows, and the full mask
+// unless allowFull is 1 (the Born phase's near run, where nothing is
+// shared).
+var badMasks = func() (bad [tileLanes + 1][2][256]bool) {
+	for k := 1; k <= tileLanes; k++ {
+		all := 1<<k - 1
+		for allowFull := range 2 {
+			for m := range 256 {
+				bad[k][allowFull][m] = m == 0 || m&^all != 0 || m == all && allowFull == 0
+			}
+		}
+	}
+	return bad
+}()
 
 // decodeIL reads what appendIL wrote.
 func decodeIL(r *wire.Reader) *InteractionLists {
@@ -525,11 +609,7 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // mismatch — a checkpoint from a differently-configured run must not be
 // silently resumed).
 func LoadSnapshot(path string, want Params) (*System, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := DecodeSnapshot(data)
+	sys, _, err := loadSnapshot(path)
 	if err != nil {
 		return nil, err
 	}
@@ -545,11 +625,23 @@ func LoadSnapshot(path string, want Params) (*System, error) {
 // engine reload) where the snapshot itself is the parameter source. The
 // stamp's self-consistency is still verified by DecodeSnapshot.
 func LoadSnapshotAnyParams(path string) (*System, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeSnapshot(data)
+	sys, _, err := loadSnapshot(path)
+	return sys, err
 }
 
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+// loadSnapshot decodes the snapshot file at path, mapped where the host
+// maps it (mapSnapshot), and returns its size too. Nothing decoded keeps a
+// byte of the file.
+func loadSnapshot(path string) (*System, int, error) {
+	data, release, err := mapSnapshot(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer release()
+	sys, err := DecodeSnapshot(data)
+	return sys, len(data), err
+}
+
+// finite reports whether v is neither a NaN nor an infinity (v − v is 0
+// exactly then).
+func finite(v float64) bool { return v-v == 0 }

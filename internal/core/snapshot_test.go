@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -178,10 +179,12 @@ const (
 const stampAt, precisionAt = 8 + 2, 8 + 2 + 8 + 3*8 + 1
 
 // retiredSlots returns the byte offset of every slot in image, a snapshot
-// with lists of this version or of version 5 (v5Image). In each, a phase's
-// lists are its rows and its own runs — this version's three with their
-// masks — or version 5's four per-row runs, then its tiles' shared arrays:
-// version 5 wrote the Born tiles' far run alone.
+// with lists of this version, of version 8 (v8Image) or of version 5
+// (v5Image). In each, a phase's lists are its rows and its own runs —
+// versions 8 and 9's three with their masks — or version 5's four per-row
+// runs, then its tiles' shared arrays: version 5 wrote the Born tiles' far
+// run alone. Versions up to 8 wrote each tree in version 8's layout
+// (skipTreeV8).
 func retiredSlots(t testing.TB, image []byte) [numSlots]int {
 	t.Helper()
 	body := image[:len(image)-4]
@@ -199,14 +202,25 @@ func retiredSlots(t testing.TB, image []byte) [numSlots]int {
 		t.Fatal(err)
 	}
 	s[slotFarOrder] = at()
-	if _, err := decodeMolecule(r); err != nil {
+	mol, err := decodeMolecule(r)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeSurface(r); err != nil {
+	surf, err := decodeSurface(r)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, slot := range []int{slotAtomsMoments, slotQPtsMoments} {
-		if _, err := octree.DecodeTree(r); err != nil {
+	points := [][]geom.Vec3{make([]geom.Vec3, len(mol.Atoms)), make([]geom.Vec3, len(surf.Points))}
+	for i, a := range mol.Atoms {
+		points[0][i] = a.Pos
+	}
+	for i, q := range surf.Points {
+		points[1][i] = q.Pos
+	}
+	for k, slot := range []int{slotAtomsMoments, slotQPtsMoments} {
+		if version < 9 {
+			skipTreeV8(t, r)
+		} else if _, err := octree.DecodeTree(r, len(points[k]), func(i int) geom.Vec3 { return points[k][i] }); err != nil {
 			t.Fatal(err)
 		}
 		s[slot] = at()
@@ -226,7 +240,7 @@ func retiredSlots(t testing.TB, image []byte) [numSlots]int {
 		for range runs {
 			r.I32s()
 			r.I32s()
-			if version == snapshotVersion {
+			if version >= 8 {
 				r.U8s()
 			}
 		}
@@ -287,6 +301,80 @@ func appendRowsV5(w *wire.Writer, il *rowLists) {
 	}
 }
 
+// skipTreeV8 reads past a tree in the layout versions up to 8 wrote: the
+// node count, each node's center, radius, children, range, depth (int32)
+// and leaf flag one after the other, the permutation, the point count and
+// the points, the leaf capacity, the root box, the builder and the keys.
+func skipTreeV8(t testing.TB, r *wire.Reader) {
+	t.Helper()
+	r.Next(int(r.U32()) * nodeBytesV8)
+	r.I32s()
+	r.Next(int(r.U32()) * 24)
+	r.U32()
+	r.Next(6 * 8)
+	r.U8()
+	r.U64s()
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+}
+
+// nodeBytesV8 is one node's share of a version-8 tree.
+const nodeBytesV8 = 3*8 + 8 + 8*4 + 4 + 4 + 4 + 1
+
+// appendTreeV8 writes tr as versions up to 8 did (skipTreeV8).
+func appendTreeV8(w *wire.Writer, tr *octree.Tree) {
+	w.U32(uint32(len(tr.Nodes)))
+	for i := range tr.Nodes {
+		n := &tr.Nodes[i]
+		w.F64(n.Center.X)
+		w.F64(n.Center.Y)
+		w.F64(n.Center.Z)
+		w.F64(n.Radius)
+		for _, c := range n.Children {
+			w.I32(c)
+		}
+		w.I32(n.Start)
+		w.I32(n.End)
+		w.I32(int32(n.Depth))
+		w.Bool(n.IsLeaf)
+	}
+	w.I32s(tr.Index)
+	w.U32(uint32(len(tr.Pts)))
+	wire.PutF64Run(w, tr.Pts)
+	// The leaf capacity, root box, builder and keys: in this version's
+	// layout they sit between the permutation and the node block.
+	v9 := enc(tr.AppendTo)
+	r := wire.NewReader(v9)
+	r.I32s()
+	w.Raw(v9[len(v9)-r.Remaining() : len(v9)-4-len(tr.Nodes)*nodeBytesV9])
+}
+
+// nodeBytesV9 is one node's share of this version's node block
+// (octree.Tree.AppendTo).
+const nodeBytesV9 = 4*8 + 8*4 + 2*4 + 2 + 1
+
+// v8Image is image, a snapshot of this version with lists, as version 8
+// wrote it: the same bytes but for the trees, each written in version 8's
+// layout (appendTreeV8), its points beside its nodes.
+func v8Image(t testing.TB, image []byte) []byte {
+	t.Helper()
+	sys, err := DecodeSnapshot(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := retiredSlots(t, image)
+	treesAt := slots[slotAtomsMoments] - len(enc(sys.Atoms.AppendTo))
+	var w wire.Writer
+	w.Raw(image[:treesAt])
+	appendTreeV8(&w, sys.Atoms)
+	appendTreeV8(&w, sys.QPts)
+	w.Raw(image[slots[slotQPtsMoments]:])
+	out := w.Bytes()
+	binary.LittleEndian.PutUint16(out[len(snapshotMagic):], 8)
+	return restamp(out)
+}
+
 // v5Image is image, a snapshot of this version with lists, as version 5
 // wrote it: the same bytes up to the list block, and in it each phase's rows
 // and row arrays (appendRowsV5), the Born tiles' far run and the E_pol
@@ -299,7 +387,8 @@ func v5Image(t testing.TB, image []byte) []byte {
 	}
 	born, epol := sys.lists.Born, sys.lists.Epol
 	var w wire.Writer
-	w.Raw(image[:retiredSlots(t, image)[slotListOrder]])
+	v8 := v8Image(t, image)
+	w.Raw(v8[:retiredSlots(t, v8)[slotListOrder]])
 	appendRowsV5(&w, ownRows(born, sys.Atoms))
 	w.I32s(born.TileFarOff)
 	w.I32s(born.TileFar)
@@ -326,7 +415,8 @@ func v6Image(t testing.TB, image []byte) []byte {
 		t.Fatal(err)
 	}
 	var w wire.Writer
-	w.Raw(image[:retiredSlots(t, image)[slotListOrder]])
+	v8 := v8Image(t, image)
+	w.Raw(v8[:retiredSlots(t, v8)[slotListOrder]])
 	for _, il := range []*InteractionLists{sys.lists.Born, sys.lists.Epol} {
 		rows, shared := ownRows(il, sys.Atoms).rowCSR(), cedes(il, visitOrder(sys.Atoms)).shared
 		w.I32s(il.Rows)
@@ -354,7 +444,8 @@ func v7Image(t testing.TB, image []byte) []byte {
 		t.Fatal(err)
 	}
 	var w wire.Writer
-	w.Raw(image[:retiredSlots(t, image)[slotListOrder]])
+	v8 := v8Image(t, image)
+	w.Raw(v8[:retiredSlots(t, v8)[slotListOrder]])
 	for _, il := range []*InteractionLists{sys.lists.Born, sys.lists.Epol} {
 		cl := cedes(il, visitOrder(sys.Atoms))
 		w.I32s(il.Rows)
@@ -430,6 +521,37 @@ func TestSnapshotRefusesRetired(t *testing.T) {
 	}
 	if _, err := LoadSnapshotAnyParams(path); !errors.Is(err, ErrSnapshotVersion) {
 		t.Errorf("LoadSnapshotAnyParams: got %v, want ErrSnapshotVersion", err)
+	}
+}
+
+// A tree's points are not in the image: the decoder gathers the molecule's
+// and the surface's through the tree's permutation. A permutation that is
+// not one — a slot holding a point twice, or one past the points — is
+// refused as corrupt with no System, in either tree, so the derived points
+// cannot hide a corrupted index. And a version-8 image, whose trees carried
+// their points, is refused by its version.
+func TestSnapshotRefusesBadTreeIndex(t *testing.T) {
+	sys, image := snapshotFixture(t, true)
+	slots := retiredSlots(t, image)
+	for tree, at := range map[string]int{
+		"atoms":    slots[slotAtomsMoments] - len(enc(sys.Atoms.AppendTo)),
+		"q-points": slots[slotQPtsMoments] - len(enc(sys.QPts.AppendTo)),
+	} {
+		n := int(binary.LittleEndian.Uint32(image[at:]))
+		for name, v := range map[string]uint32{
+			"twice":        binary.LittleEndian.Uint32(image[at+4:]),
+			"out of range": uint32(n),
+			"negative":     math.MaxUint32,
+		} {
+			b := append([]byte(nil), image...)
+			binary.LittleEndian.PutUint32(b[at+4+4*(n/2):], v)
+			if got, err := DecodeSnapshot(restamp(b)); !errors.Is(err, ErrSnapshotCorrupt) || got != nil {
+				t.Errorf("%s tree, slot %d %s: got %v (system %v), want ErrSnapshotCorrupt and no system", tree, n/2, name, err, got != nil)
+			}
+		}
+	}
+	if got, err := DecodeSnapshot(v8Image(t, image)); !errors.Is(err, ErrSnapshotVersion) || got != nil {
+		t.Errorf("a version-8 image: got %v (system %v), want ErrSnapshotVersion and no system", err, got != nil)
 	}
 }
 
@@ -631,13 +753,17 @@ func TestSnapshotSaveLoadParams(t *testing.T) {
 // phases' lists in one layout: every CSR pair of the rows and of the tiles,
 // the Born tiles' empty shared near runs among them (801 560 bytes), version
 // 7, which writes each tile's own runs once, an entry beside its lane mask,
-// in place of its rows' own runs (648 579 bytes), and — the last
-// re-recording — version 8, which writes no Cede runs: the mutual pairs a
-// row's lower partner sweeps. Written in version 7's layout (v7Image), its
-// Cede runs derived from the Sym runs, the same lists give version 7's bytes
-// exactly, in version 6's (v6Image) version 6's, in version 5's (v5Image)
-// version 5's, and with the retired places filled back in version 4's. The digest covers computed floats (the surface), hence one
-// architecture: elsewhere the compiler may fuse multiply-adds.
+// in place of its rows' own runs (648 579 bytes), version 8, which writes
+// no Cede runs: the mutual pairs a row's lower partner sweeps (640 063
+// bytes), and — the last re-recording — version 9, which writes each tree's
+// nodes as one block of columns and not its points, which the molecule and
+// the surface give. With its trees written in version 8's layout (v8Image)
+// the same system gives version 8's bytes exactly; from those, in version
+// 7's layout (v7Image), its Cede runs derived from the Sym runs, version 7's,
+// in version 6's (v6Image) version 6's, in version 5's (v5Image) version
+// 5's, and with the retired places filled back in version 4's. The digest
+// covers computed floats (the surface), hence one architecture: elsewhere
+// the compiler may fuse multiply-adds.
 func TestSnapshotBytesStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests were taken on amd64")
@@ -654,7 +780,8 @@ func TestSnapshotBytesStable(t *testing.T) {
 		size    int
 		sha     string
 	}{
-		{snapshotVersion, data, 640063, "fa33824f1da7897a4de6729c2338aa7dddae3f48303cc8c7034467c3b2ef5c85"},
+		{snapshotVersion, data, 532403, "e2c038f971a34a3623f8d0baa53233da9f155a6b15826b252d23c78f8eb466a9"},
+		{8, v8Image(t, data), 640063, "fa33824f1da7897a4de6729c2338aa7dddae3f48303cc8c7034467c3b2ef5c85"},
 		{7, v7Image(t, data), 648579, "db5e8654df805fd336f2505bd700ee4a00e33ec33281c028ea5b3d338e941c63"},
 		{6, v6Image(t, data), 801560, "6289beb4b4aa83b3688d480298c63001f5c3b567dacf3f2967525825d573d5fc"},
 		{5, v5Image(t, data), 799640, "7d20438fb3681a0a5a86189afa32e075ccd3fe5f04ee88eeacf45c5f1c23aceb"},
@@ -780,10 +907,11 @@ func TestParamsFingerprint(t *testing.T) {
 
 // FuzzDecodeSnapshot pins the no-panic, no-overallocation property on
 // arbitrary input. Run with `go test -fuzz=FuzzDecodeSnapshot` to
-// explore; the seeds alone cover the interesting prefixes in CI: images of
-// this version (8: own runs beside their lane masks, no Cede runs) with and
+// explore (`make fuzz` does, for a few seconds); the seeds alone cover the
+// interesting prefixes in CI: images of this version (9: the trees' nodes
+// in columns and no points, own runs beside their lane masks) with and
 // without lists, whole and cut short, the same image with bytes where
-// version 4 kept its retired places, and images of versions 7, 6 and 4.
+// version 4 kept its retired places, and images of versions 8, 7, 6 and 4.
 func FuzzDecodeSnapshot(f *testing.F) {
 	_, data := snapshotFixture(f, true)
 	_, bare := snapshotFixture(f, false)
@@ -801,6 +929,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	for slot := range numSlots {
 		f.Add(withRetired(f, data, snapshotVersion, map[int][]byte{slot: zero}))
 	}
+	f.Add(v8Image(f, data))
 	f.Add(v7Image(f, data))
 	f.Add(v6Image(f, data))
 	f.Add(v4Image(f, data, 0))

@@ -1,7 +1,9 @@
 package octree
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/wire"
@@ -9,33 +11,35 @@ import (
 
 // This file serializes a Tree for the checkpoint/snapshot format
 // (internal/core snapshot codec). The encoding captures everything Build
-// produced — nodes, the slot permutation, the reordered points, the root
-// box, the leaf capacity, the builder kind and (for Morton trees) the
-// per-slot keys — so a decoded tree is node-for-node identical to the
-// original and immediately usable by the kernels and the incremental
-// update machinery, with no rebuild. The scheduling pool is runtime
-// state and is not serialized.
+// produced but the points — the slot permutation, the leaf capacity, the
+// root box, the builder kind, for Morton trees the per-slot keys, and the
+// nodes — so a decoded tree is node-for-node identical to the original and
+// immediately usable by the kernels and the incremental update machinery,
+// with no rebuild. The points are the caller's, in input order, and the
+// decoder gathers them through the decoded permutation: slot s holds input
+// point Index[s]. The scheduling pool is runtime state and is not
+// serialized.
 
-// AppendTo encodes the tree onto w.
-func (t *Tree) AppendTo(w *wire.Writer) {
-	w.U32(uint32(len(t.Nodes)))
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		w.F64(n.Center.X)
-		w.F64(n.Center.Y)
-		w.F64(n.Center.Z)
-		w.F64(n.Radius)
-		for _, c := range n.Children {
-			w.I32(c)
-		}
-		w.I32(n.Start)
-		w.I32(n.End)
-		w.I32(int32(n.Depth))
-		w.Bool(n.IsLeaf)
+// The nodes travel as one block of columns, each value once: the centers'
+// X, Y and Z, the radii (float64 each), the eight children (int32 each,
+// node after node), Start and End (int32), Depth (int16) and IsLeaf (one
+// byte, 0 or 1), all little-endian. nodeBytes is one node's share of it.
+const nodeBytes = 4*8 + 8*4 + 2*4 + 2 + 1
+
+// nodeColumns cuts a block of n nodes into its columns.
+func nodeColumns(b []byte, n int) (x, y, z, r, children, start, end, depth, leaf []byte) {
+	next := func(width int) (col []byte) {
+		col, b = b[:n*width], b[n*width:]
+		return col
 	}
+	return next(8), next(8), next(8), next(8), next(32), next(4), next(4), next(2), next(1)
+}
+
+// AppendTo encodes the tree onto w: the slot permutation, the leaf
+// capacity, the root box, the builder, the Morton keys, then the node count
+// and the node block.
+func (t *Tree) AppendTo(w *wire.Writer) {
 	w.I32s(t.Index)
-	w.U32(uint32(len(t.Pts)))
-	wire.PutF64Run(w, t.Pts)
 	w.U32(uint32(t.leafCap))
 	for _, v := range []float64{t.rootBox.Min.X, t.rootBox.Min.Y, t.rootBox.Min.Z,
 		t.rootBox.Max.X, t.rootBox.Max.Y, t.rootBox.Max.Z} {
@@ -43,50 +47,49 @@ func (t *Tree) AppendTo(w *wire.Writer) {
 	}
 	w.U8(uint8(t.builder))
 	w.U64s(t.keys)
-}
-
-// encodedNodeBytes is the fixed per-node size of the encoding above,
-// used to validate the node count against the remaining input before
-// allocating.
-const encodedNodeBytes = 3*8 + 8 + 8*4 + 4 + 4 + 4 + 1
-
-// DecodeTree reads a tree encoded by AppendTo and re-validates every
-// structural invariant, so a corrupted input yields an error rather than
-// a tree that panics inside a kernel sweep. The leaf list is recomputed
-// instead of trusted, the way the live tree derives it: the leaves
-// reachable from the root in slot order. For a built tree that is
-// ascending node order; after tracked updates it is not — materialized
-// leaves sit at the end of Nodes and pruned ones stay in it, unreachable —
-// and the compiled lists' rows follow the live order.
-func DecodeTree(r *wire.Reader) (*Tree, error) {
-	nNodes := int(r.U32())
-	if r.Err() != nil || nNodes <= 0 || nNodes > r.Remaining()/encodedNodeBytes {
-		return nil, fmt.Errorf("octree: decode: bad node count %d", nNodes)
-	}
-	t := &Tree{Nodes: make([]Node, nNodes)}
+	w.U32(uint32(len(t.Nodes)))
+	x, y, z, r, children, start, end, depth, leaf := nodeColumns(w.Reserve(len(t.Nodes)*nodeBytes), len(t.Nodes))
+	le := binary.LittleEndian
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
-		n.Center = geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
-		n.Radius = r.F64()
-		for j := range n.Children {
-			n.Children[j] = r.I32()
+		le.PutUint64(x[8*i:], math.Float64bits(n.Center.X))
+		le.PutUint64(y[8*i:], math.Float64bits(n.Center.Y))
+		le.PutUint64(z[8*i:], math.Float64bits(n.Center.Z))
+		le.PutUint64(r[8*i:], math.Float64bits(n.Radius))
+		kids := children[32*i:][:32]
+		for j, c := range n.Children {
+			le.PutUint32(kids[4*j:], uint32(c))
 		}
-		n.Start = r.I32()
-		n.End = r.I32()
-		n.Depth = int16(r.I32())
-		n.IsLeaf = r.Bool()
+		le.PutUint32(start[4*i:], uint32(n.Start))
+		le.PutUint32(end[4*i:], uint32(n.End))
+		le.PutUint16(depth[2*i:], uint16(n.Depth))
+		leaf[i] = 0
+		if n.IsLeaf {
+			leaf[i] = 1
+		}
 	}
-	t.Index = r.I32s()
-	nPts := int(r.U32())
-	if r.Err() != nil || nPts <= 0 || nPts > r.Remaining()/24 {
-		return nil, fmt.Errorf("octree: decode: bad point count %d", nPts)
-	}
-	t.Pts = wire.F64Run[geom.Vec3](r, nPts)
+}
+
+// DecodeTree reads a tree encoded by AppendTo over the caller's n points,
+// point i at pos(i), and re-validates every structural invariant, so a
+// corrupted input yields an error rather than a tree that panics inside a
+// kernel sweep. The permutation is checked as the points are gathered
+// through it, and a node's children and range as it is filled from the
+// columns; then every reachable node's range, ball and children
+// (validateNodes). The leaf list is recomputed instead of trusted, the way
+// the live tree derives it: the leaves reachable from the root in slot
+// order. For a built tree that is ascending node order; after tracked
+// updates it is not — materialized leaves sit at the end of Nodes and
+// pruned ones stay in it, unreachable — and the compiled lists' rows follow
+// the live order.
+func DecodeTree(r *wire.Reader, n int, pos func(i int) geom.Vec3) (*Tree, error) {
+	t := &Tree{Index: r.I32s()}
 	t.leafCap = int(r.U32())
 	t.rootBox.Min = geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 	t.rootBox.Max = geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 	b := Builder(r.U8())
 	t.keys = r.U64s()
+	nNodes := int(r.U32())
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("octree: decode: %w", err)
 	}
@@ -94,23 +97,43 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 		return nil, fmt.Errorf("octree: decode: unknown builder %d", int(b))
 	}
 	t.builder = b
-	if len(t.Index) != nPts {
-		return nil, fmt.Errorf("octree: decode: %d index entries for %d points", len(t.Index), nPts)
+	if n <= 0 || len(t.Index) != n {
+		return nil, fmt.Errorf("octree: decode: %d index entries for %d points", len(t.Index), n)
 	}
 	if t.leafCap <= 0 {
 		return nil, fmt.Errorf("octree: decode: leaf capacity %d", t.leafCap)
 	}
-	if t.keys != nil && len(t.keys) != nPts {
-		return nil, fmt.Errorf("octree: decode: %d keys for %d points", len(t.keys), nPts)
+	if t.keys != nil && len(t.keys) != n {
+		return nil, fmt.Errorf("octree: decode: %d keys for %d points", len(t.keys), n)
 	}
+	if nNodes <= 0 || nNodes > r.Remaining()/nodeBytes {
+		return nil, fmt.Errorf("octree: decode: bad node count %d", nNodes)
+	}
+	seen := make([]bool, n)
+	t.Pts = make([]geom.Vec3, n)
+	for slot, orig := range t.Index {
+		if orig < 0 || int(orig) >= n || seen[orig] {
+			return nil, fmt.Errorf("octree: decode: index is not a permutation (slot %d holds %d)", slot, orig)
+		}
+		seen[orig] = true
+		t.Pts[slot] = pos(int(orig))
+	}
+	t.Nodes = make([]Node, nNodes)
+	x, y, z, rad, children, start, end, depth, leaf := nodeColumns(r.Next(nNodes*nodeBytes), nNodes)
+	le := binary.LittleEndian
 	// Children must point strictly forward (Build appends children after
-	// their parent), and no node may have two parents: this bounds every
-	// child index AND makes the node graph a tree before Validate walks it
-	// (a node shared by several parents would be walked once per path,
-	// exponentially many times).
+	// their parent), and no node, reachable or not, may have two parents:
+	// this bounds every child index and makes the node graph a tree.
 	hasParent := make([]bool, nNodes)
 	for i := range t.Nodes {
-		for _, c := range t.Nodes[i].Children {
+		nd := &t.Nodes[i]
+		nd.Center = geom.Vec3{X: math.Float64frombits(le.Uint64(x[8*i:])),
+			Y: math.Float64frombits(le.Uint64(y[8*i:])), Z: math.Float64frombits(le.Uint64(z[8*i:]))}
+		nd.Radius = math.Float64frombits(le.Uint64(rad[8*i:]))
+		kids := children[32*i:][:32]
+		for j := range nd.Children {
+			c := int32(le.Uint32(kids[4*j:]))
+			nd.Children[j] = c
 			if c == NoChild {
 				continue
 			}
@@ -119,14 +142,17 @@ func DecodeTree(r *wire.Reader) (*Tree, error) {
 			}
 			hasParent[c] = true
 		}
-		if t.Nodes[i].Start < 0 || t.Nodes[i].End > int32(nPts) {
-			return nil, fmt.Errorf("octree: decode: node %d range [%d,%d) out of bounds",
-				i, t.Nodes[i].Start, t.Nodes[i].End)
+		nd.Start, nd.End = int32(le.Uint32(start[4*i:])), int32(le.Uint32(end[4*i:]))
+		if nd.Start < 0 || nd.End > int32(n) {
+			return nil, fmt.Errorf("octree: decode: node %d range [%d,%d) out of bounds", i, nd.Start, nd.End)
 		}
+		nd.Depth = int16(le.Uint16(depth[2*i:]))
+		nd.IsLeaf = leaf[i] != 0
 	}
-	t.rebuildLeafList()
-	if err := t.Validate(); err != nil {
+	leaves, err := t.validateNodes()
+	if err != nil {
 		return nil, err
 	}
+	t.setLeaves(leaves)
 	return t, nil
 }

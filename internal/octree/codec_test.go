@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gbpolar/internal/geom"
 	"gbpolar/internal/wire"
 )
 
@@ -11,11 +12,13 @@ import (
 // that every tree it returns passes Validate. The seeds are encodings of a
 // recursive tree, a Morton tree and a Morton tree after tracked updates
 // (which leave materialized leaves at the end of Nodes and pruned ones in
-// it), each whole and cut short. Run with `go test -fuzz=FuzzDecodeTree` to
-// explore.
+// it), each whole and cut short; every input is decoded over the points of
+// the first two and over the moved ones. Run with `go test
+// -fuzz=FuzzDecodeTree` to explore.
 func FuzzDecodeTree(f *testing.F) {
 	rng := rand.New(rand.NewSource(285))
 	pts := randPts(rng, 300, 12)
+	built := pts
 	rec, err := Build(pts, Options{LeafCap: 8})
 	if err != nil {
 		f.Fatal(err)
@@ -45,17 +48,43 @@ func FuzzDecodeTree(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		tr, err := DecodeTree(wire.NewReader(b))
-		if err != nil {
-			if tr != nil {
-				t.Fatal("non-nil tree alongside error")
+		for _, ps := range [][]geom.Vec3{built, pts} {
+			tr, err := DecodeTree(wire.NewReader(b), len(ps), func(i int) geom.Vec3 { return ps[i] })
+			if err != nil {
+				if tr != nil {
+					t.Fatal("non-nil tree alongside error")
+				}
+				continue
 			}
-			return
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("decoded tree fails Validate: %v", err)
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("decoded tree fails Validate: %v", err)
+			}
 		}
 	})
+}
+
+// A permutation that is not one — a slot holding a point twice, or one
+// past the points — is refused: the points are gathered through it, so it
+// is checked before anything is read through it.
+func TestDecodeTreeRefusesBadIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(288))
+	pts := randPts(rng, 300, 12)
+	for name, tamper := range map[string]func(idx []int32){
+		"twice":        func(idx []int32) { idx[7] = idx[8] },
+		"out of range": func(idx []int32) { idx[7] = int32(len(idx)) },
+		"negative":     func(idx []int32) { idx[7] = -1 },
+	} {
+		tr, err := Build(pts, Options{LeafCap: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tamper(tr.Index)
+		var w wire.Writer
+		tr.AppendTo(&w)
+		if got, err := DecodeTree(wire.NewReader(w.Bytes()), len(pts), func(i int) geom.Vec3 { return pts[i] }); err == nil || got != nil {
+			t.Errorf("%s: an index that is not a permutation decoded (err %v)", name, err)
+		}
+	}
 }
 
 // A node reachable from two parents is refused: a walk of the node graph
@@ -75,7 +104,7 @@ func TestDecodeTreeRefusesSharedChild(t *testing.T) {
 	}
 	var w wire.Writer
 	tr.AppendTo(&w)
-	if _, err := DecodeTree(wire.NewReader(w.Bytes())); err == nil {
+	if _, err := DecodeTree(wire.NewReader(w.Bytes()), len(tr.Pts), func(i int) geom.Vec3 { return tr.Pts[i] }); err == nil {
 		t.Fatal("a node graph with shared children decoded")
 	}
 }

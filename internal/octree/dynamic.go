@@ -14,7 +14,7 @@ import (
 // lists for flexible molecules using dynamic octrees") that underpins the
 // Section II claim that octrees are "update-efficient" compared to
 // nonbonded lists. The update itself is the tracked one (tracked.go); a
-// tree it cannot track is rebuilt (rebuildAll).
+// tree it cannot track is rebuilt (rebuild).
 
 // CheckFinite reports the first point with a NaN or infinite coordinate —
 // the check every update starts with, exported so a caller can settle it
@@ -139,24 +139,29 @@ func (t *Tree) walkReachable(fn func(id int32)) {
 
 // rebuildLeafList regenerates the leaf list in slot order.
 func (t *Tree) rebuildLeafList() {
-	t.leaves = t.leaves[:0]
+	leaves := t.leaves[:0]
 	t.walkReachable(func(id int32) {
 		if t.Nodes[id].IsLeaf {
-			t.leaves = append(t.leaves, id)
+			leaves = append(leaves, id)
 		}
 	})
-	slices.SortFunc(t.leaves, func(a, b int32) int {
-		return int(t.Nodes[a].Start) - int(t.Nodes[b].Start)
-	})
+	t.setLeaves(leaves)
 }
 
-// rebuildAll reconstructs the tree from the current (already updated)
-// points.
-func (t *Tree) rebuildAll() error {
-	pts := make([]geom.Vec3, len(t.Pts))
-	for slot, orig := range t.Index {
-		pts[orig] = t.Pts[slot]
+// setLeaves makes leaves, every reachable leaf, the leaf list: sorted by
+// their ranges unless they already are, as a built tree's are.
+func (t *Tree) setLeaves(leaves []int32) {
+	bySlot := func(a, b int32) int { return int(t.Nodes[a].Start) - int(t.Nodes[b].Start) }
+	if !slices.IsSortedFunc(leaves, bySlot) {
+		slices.SortFunc(leaves, bySlot)
 	}
+	t.leaves = leaves
+}
+
+// rebuild reconstructs the tree over pts (original point order, like
+// Build), with its own builder: Build's one copy of the points is the only
+// one.
+func (t *Tree) rebuild(pts []geom.Vec3) error {
 	fresh, err := Build(pts, Options{LeafCap: t.leafCap, MaxDepth: 32, Builder: t.builder, Pool: t.pool})
 	if err != nil {
 		return err

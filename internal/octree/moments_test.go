@@ -135,7 +135,7 @@ func TestMomentsCodecRoundTrip(t *testing.T) {
 	}
 	var w wire.Writer
 	tr.AppendTo(&w)
-	dec, err := DecodeTree(wire.NewReader(w.Bytes()))
+	dec, err := DecodeTree(wire.NewReader(w.Bytes()), len(pts), func(i int) geom.Vec3 { return pts[i] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +144,8 @@ func TestMomentsCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(again.Bytes(), w.Bytes()) {
 		t.Fatal("the decoded tree re-encodes to other bytes")
 	}
-	if !slices.Equal(dec.Nodes, tr.Nodes) || !slices.Equal(dec.Leaves(), tr.Leaves()) {
-		t.Fatal("the decoded tree has other nodes or leaves")
+	if !slices.Equal(dec.Nodes, tr.Nodes) || !slices.Equal(dec.Leaves(), tr.Leaves()) || !slices.Equal(dec.Pts, tr.Pts) {
+		t.Fatal("the decoded tree has other nodes, leaves or points")
 	}
 	dec.CompactNodes()
 	checkMomentsBruteForce(t, dec, "after CompactNodes")

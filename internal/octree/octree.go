@@ -115,7 +115,8 @@ func Build(pts []geom.Vec3, opts Options) (*Tree, error) {
 			return nil, fmt.Errorf("octree: point %d is not finite: %v", i, pts[i])
 		}
 	}
-	// Nodes ≈ 2·len/leafCap is a reasonable first guess; append grows it.
+	// Nodes ≈ 2·len/leafCap is a reasonable first guess; append grows it,
+	// and the tree keeps an array of exactly its nodes (below).
 	t.Nodes = make([]Node, 0, 2+2*len(pts)/opts.LeafCap)
 	// The root cube is inflated a little beyond the points so that
 	// incremental updates (tracked.go) have headroom: without the
@@ -132,6 +133,9 @@ func Build(pts []geom.Vec3, opts Options) (*Tree, error) {
 		t.build(root, 0, int32(len(pts)), 0, opts)
 	}
 	t.finalize()
+	if cap(t.Nodes) > len(t.Nodes) {
+		t.Nodes = append(make([]Node, 0, len(t.Nodes)), t.Nodes...)
+	}
 	return t, nil
 }
 
@@ -305,33 +309,43 @@ func (t *Tree) Validate() error {
 		}
 		seen[idx] = true
 	}
-	// Only nodes reachable from the root are checked: incremental
-	// updates (see dynamic.go) can orphan old entries until CompactNodes
-	// runs.
-	var vErr error
-	t.walkReachable(func(id int32) {
-		if vErr != nil {
-			return
+	_, err := t.validateNodes()
+	return err
+}
+
+// validateNodes is Validate's check of the nodes, and returns the reachable
+// leaves in id order. Only nodes reachable from the root are checked:
+// incremental updates (see dynamic.go) can orphan old entries until
+// CompactNodes runs. A node's children follow it in Nodes (Build appends
+// them after it, an update appends a split leaf's after it too), so one
+// pass in id order reaches them all, and a child that does not follow its
+// parent, or has a second parent, is invalid.
+func (t *Tree) validateNodes() (leaves []int32, err error) {
+	reach := make([]bool, len(t.Nodes))
+	reach[0] = true
+	const slack = 1 + 1e-9
+	for i := range t.Nodes {
+		if !reach[i] {
+			continue
 		}
-		i := int(id)
 		n := &t.Nodes[i]
-		if n.Start > n.End || n.End > int32(len(t.Pts)) {
-			vErr = fmt.Errorf("octree: node %d has bad range [%d,%d)", i, n.Start, n.End)
-			return
+		if n.Start < 0 || n.Start > n.End || n.End > int32(len(t.Pts)) {
+			return nil, fmt.Errorf("octree: node %d has bad range [%d,%d)", i, n.Start, n.End)
 		}
 		if n.Count() == 0 {
-			vErr = fmt.Errorf("octree: node %d is empty", i)
-			return
+			return nil, fmt.Errorf("octree: node %d is empty", i)
 		}
-		const slack = 1 + 1e-9
-		for j := n.Start; j < n.End; j++ {
-			if d := n.Center.Dist(t.Pts[j]); d > n.Radius*slack+1e-12 {
-				vErr = fmt.Errorf("octree: node %d point %d outside ball (%g > %g)", i, j, d, n.Radius)
-				return
+		// A point is outside when its distance exceeds the bound: compared
+		// squared, so no point costs a square root.
+		bound := n.Radius*slack + 1e-12
+		for j, p := range t.Pts[n.Start:n.End] {
+			if d2 := n.Center.Dist2(p); bound < 0 || d2 > bound*bound {
+				return nil, fmt.Errorf("octree: node %d point %d outside ball (%g > %g)", i, int(n.Start)+j, math.Sqrt(d2), n.Radius)
 			}
 		}
 		if n.IsLeaf {
-			return
+			leaves = append(leaves, int32(i))
+			continue
 		}
 		// Children must exactly tile [Start, End) in order.
 		at := n.Start
@@ -339,16 +353,19 @@ func (t *Tree) Validate() error {
 			if c == NoChild {
 				continue
 			}
+			if c <= int32(i) || int(c) >= len(t.Nodes) || reach[c] {
+				return nil, fmt.Errorf("octree: node %d has invalid child %d", i, c)
+			}
+			reach[c] = true
 			child := &t.Nodes[c]
 			if child.Start != at {
-				vErr = fmt.Errorf("octree: node %d children do not tile range (gap at %d)", i, at)
-				return
+				return nil, fmt.Errorf("octree: node %d children do not tile range (gap at %d)", i, at)
 			}
 			at = child.End
 		}
 		if at != n.End {
-			vErr = fmt.Errorf("octree: node %d children end at %d, want %d", i, at, n.End)
+			return nil, fmt.Errorf("octree: node %d children end at %d, want %d", i, at, n.End)
 		}
-	})
-	return vErr
+	}
+	return leaves, nil
 }

@@ -77,11 +77,11 @@ func (t *Tree) UpdateTracked(newPts []geom.Vec3) (TrackedUpdate, error) {
 		return TrackedUpdate{}, err
 	}
 	n := len(t.Pts)
+	if !t.Tracks(newPts) {
+		return TrackedUpdate{Moved: n, Rebuilt: true}, t.rebuild(newPts)
+	}
 	for slot, orig := range t.Index {
 		t.Pts[slot] = newPts[orig]
-	}
-	if !t.Tracks(newPts) {
-		return TrackedUpdate{Moved: n, Rebuilt: true}, t.rebuildAll()
 	}
 
 	// --- 1. rekey and detect leaf changes by prefix compare -----------

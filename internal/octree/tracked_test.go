@@ -332,12 +332,15 @@ func TestCodecKeepsLeafOrderAfterTrackedUpdates(t *testing.T) {
 		changed = changed || (res.LeavesChanged && !res.Rebuilt)
 		var w wire.Writer
 		tr.AppendTo(&w)
-		got, err := DecodeTree(wire.NewReader(w.Bytes()))
+		got, err := DecodeTree(wire.NewReader(w.Bytes()), len(pts), func(i int) geom.Vec3 { return pts[i] })
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		if !slices.Equal(got.Leaves(), tr.Leaves()) {
 			t.Fatalf("step %d: decoded leaf order differs from the live tree's", step)
+		}
+		if !slices.Equal(got.Pts, tr.Pts) || !slices.Equal(got.Nodes, tr.Nodes) {
+			t.Fatalf("step %d: the decoded tree has other points or nodes", step)
 		}
 	}
 	if !changed {

@@ -39,7 +39,7 @@ func (t *Tree) Update(newPts []geom.Vec3) (moved int, err error) {
 	}
 	for _, p := range t.Pts {
 		if !t.rootBox.Contains(p) {
-			return t.NumPoints(), t.rebuildAll()
+			return t.NumPoints(), t.rebuild(newPts)
 		}
 	}
 

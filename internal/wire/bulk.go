@@ -80,7 +80,12 @@ func put[T any](w *Writer, vs []T, width int) {
 // array reads n elements of T, each made of width-byte words; nil for
 // n == 0. The caller has checked n against the bytes remaining (count, or
 // F64Run's own guard); the input is consumed before the result is
-// allocated all the same.
+// allocated all the same. The result is allocated once and written once:
+// append allocates the bytes it copies into without clearing them first,
+// as make would. It rounds the allocation up to a size class, each a
+// multiple of 8 bytes and 8-byte aligned, which is all the alignment any T
+// this package reads needs; T holds no pointers, so the bytes may be read
+// as T.
 func array[T any](r *Reader, n, width int) []T {
 	if n == 0 || r.err != nil {
 		return nil
@@ -90,13 +95,11 @@ func array[T any](r *Reader, n, width int) []T {
 	if src == nil {
 		return nil
 	}
-	out := make([]T, n)
-	dst, _ := image(out)
-	copy(dst, src)
+	dst := append([]byte(nil), src...)
 	if !littleEndian {
 		swapWords(dst, width)
 	}
-	return out
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(dst))), n)
 }
 
 // F64Record is the set of structs the codec moves as a run of float64s:

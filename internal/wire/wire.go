@@ -84,6 +84,18 @@ func (w *Writer) write(b []byte) {
 	}
 }
 
+// Reserve appends n bytes for the caller to fill and returns them: a block
+// it encodes in place, each value written once, every byte of it. A stream
+// Writer first hands the stream what it holds.
+func (w *Writer) Reserve(n int) []byte {
+	if w.out != nil && len(w.buf)+n > streamBuf {
+		w.Flush()
+	}
+	m := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:m+n]
+	return w.buf[m:]
+}
+
 // Raw appends b verbatim (no length prefix).
 func (w *Writer) Raw(b []byte) { w.bulk(b, 1) }
 
@@ -164,6 +176,11 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining returns how many bytes are left.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
+// Next returns the next n bytes of the input, a view into it that the
+// caller decodes in place (Writer.Reserve's block); nil, and ErrTruncated,
+// when fewer remain.
+func (r *Reader) Next(n int) []byte { return r.take(n) }
 
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
