@@ -72,14 +72,16 @@ build:
 	$(GO) build ./...
 
 ## fuzz: each native fuzz target for 10 s past its seeds and its committed
-## corpus (testdata/fuzz): the wire reader, the snapshot and octree decoders
-## and the TCP transport's frame decode. A failing input is written to the
+## corpus (testdata/fuzz): the wire reader, the snapshot decoders (the full
+## one and a TCP worker's) and the octree decoder, the TCP transport's frame
+## decode and the PQR/XYZQR parsers. A failing input is written to the
 ## package's testdata/fuzz, where `go test` replays it from then on.
 fuzz:
 	$(call fuzz_listed,FuzzReader,./internal/wire/)
 	$(call fuzz_listed,FuzzDecodeSnapshot,./internal/core/)
 	$(call fuzz_listed,FuzzDecodeTree,./internal/octree/)
 	$(call fuzz_listed,FuzzFrame,./internal/cluster/net/)
+	$(call fuzz_listed,FuzzReadPQR,./internal/molecule/)
 
 vet:
 	$(GO) vet ./...
@@ -222,10 +224,11 @@ bench-kernels:
 	$(call bench_listed,BenchmarkEpolStream|BenchmarkEpolGatherAsm|BenchmarkEpolGatherPortable|BenchmarkEpolSweepRows|BenchmarkEpolSweepTile|BenchmarkBornSweepRows|BenchmarkBornSweepTile|BenchmarkBornSweepTilePortable|BenchmarkEpolKernelInCache|BenchmarkBornNearSweep,-benchtime 5x -count 2,./internal/core/)
 
 ## bench-snapshot: the checkpoint codec at the ledger's two fixtures
-## (4 000 atoms = net_run's 4.3 MB snapshot, 20 000 atoms = 26.2 MB):
-## encode to a buffer, save to a file, decode a buffer, load a file, in
-## MB/s of snapshot with bytes and objects allocated per call
-## (EXPERIMENTS.md "Checkpoint codec").
+## (4 000 atoms = net_run's 3.6 MB snapshot, 20 000 atoms = 26.2 MB):
+## encode to a buffer, save to a file, decode a buffer — the full decode
+## and a TCP run worker's, which decodes only the E_pol side — and load a
+## file, in MB/s of snapshot with bytes and objects allocated per call
+## (EXPERIMENTS.md "Checkpoint codec", "Born beside the checkpoint").
 bench-snapshot:
 	$(call bench_listed,BenchmarkSnapshotEncode|BenchmarkSnapshotSave|BenchmarkSnapshotDecode|BenchmarkSnapshotLoad,-benchtime 5x -count 2 -benchmem,./internal/core/)
 

@@ -92,12 +92,13 @@ func (pl *pipeline) stealEpol() func([]cluster.MemberEvent) error {
 			return fmt.Errorf("core: work stealing cannot re-divide after a death: %w", cluster.ErrRankDead)
 		}
 		started = true
-		d := &dynEpol{pl: pl, c: pl.c.(*cluster.Comm), units: pl.epolUnits(), row: pl.epolKernel()}
+		d := &dynEpol{pl: pl, c: pl.c.(*cluster.Comm), units: pl.epolUnits()}
 		own := d.units.static(pl.P, pl.rank)
 		d.front, d.back = own.Lo, own.Hi
 		d.batch = max((d.back-d.front)/64, 1)
 
 		sp := pl.o.Begin(pl.rank, "phase", "epol", pl.clock())
+		d.row = pl.epolKernel()
 		if err := d.drain(); err != nil {
 			return err
 		}

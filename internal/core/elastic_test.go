@@ -212,7 +212,8 @@ func TestElasticSpansBalanced(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		sys, _, _ := testSystem(t, fx.atoms, fx.seed, mortonParams())
-		born, epol := sys.Lists(nil).unitCosts(sys)
+		cl := sys.Lists(nil)
+		born, epol := cl.unitCosts(sys, phaseBorn), cl.unitCosts(sys, phaseEpol)
 		for _, ph := range []struct {
 			name string
 			cost costs

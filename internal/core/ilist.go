@@ -227,22 +227,33 @@ type CompiledLists struct {
 	// (Figure 3).
 	Born, Epol *InteractionLists
 
-	// costMu guards cost: the Born and the E_pol phase's tileCosts, priced
-	// when a run of two or more ranks first divides the tiles (unitCosts),
-	// or by the decode that validated the lists.
+	// costMu guards cost: the Born (phaseBorn) and the E_pol phase's
+	// (phaseEpol) tileCosts, each priced when two or more ranks first divide
+	// its tiles (unitCosts), or by the decode that validated its lists.
 	costMu sync.Mutex
 	cost   [2][]int64
 }
 
-// unitCosts returns the cumulative estimated costs of the Born and the E_pol
-// phase's tiles (tileCosts), pricing them on first use.
-func (cl *CompiledLists) unitCosts(sys *System) (born, epol costs) {
+// The phases' indices in CompiledLists.cost.
+const (
+	phaseBorn = iota
+	phaseEpol
+)
+
+// unitCosts returns the cumulative estimated costs of phase ph's tiles
+// (tileCosts), pricing them on first use. It reads only that phase's side
+// of sys: a worker's system, which holds no surface side, asks for E_pol's.
+func (cl *CompiledLists) unitCosts(sys *System, ph int) costs {
 	cl.costMu.Lock()
 	defer cl.costMu.Unlock()
-	if cl.cost[0] == nil {
-		cl.cost = [2][]int64{tileCosts(cl.Born, sys.QPts, sys.Atoms), tileCosts(cl.Epol, sys.Atoms, sys.Atoms)}
+	if cl.cost[ph] == nil {
+		if ph == phaseBorn {
+			cl.cost[ph] = tileCosts(cl.Born, sys.QPts, sys.Atoms)
+		} else {
+			cl.cost[ph] = tileCosts(cl.Epol, sys.Atoms, sys.Atoms)
+		}
 	}
-	return cl.cost[0], cl.cost[1]
+	return cl.cost[ph]
 }
 
 // matches reports whether the cached lists were compiled under the

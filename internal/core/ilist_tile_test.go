@@ -468,12 +468,6 @@ func TestBornTileListsMatchOracle(t *testing.T) { tileListsMatchOracle(t, phaseB
 
 func TestEpolTileListsMatchOracle(t *testing.T) { tileListsMatchOracle(t, phaseEpol) }
 
-// The two list phases, as tileListsMatchOracle indexes them.
-const (
-	phaseBorn = iota
-	phaseEpol
-)
-
 // tileListsMatchOracle is the table the two tests above run on phase p
 // (phaseBorn or phaseEpol): a subtest a fixture, beneath it one an order,
 // each checking the lists compiled and after every repair.

@@ -18,12 +18,14 @@ import (
 // instead of goroutines. The coordinator process hosts the rendezvous
 // point, publishes a membership file and a binary checkpoint of the
 // compiled System, and itself computes as rank 0 over loopback (so every
-// rank takes the same code path); worker processes load the checkpoint,
-// dial in and run the identical self-healing protocol. A SIGKILLed
-// worker is a real death — survivors re-divide its rows exactly as the
-// modeled transport's recovery does — and a respawned worker is
-// re-admitted at the next collective boundary, seeded with the last
-// completed reduction.
+// rank takes the same code path); worker processes load the E_pol side of
+// the checkpoint, dial in and run the identical self-healing protocol. Rank
+// 0 alone holds the surface side, so the Born and push phases are its own
+// (pipeline.holders), and it runs its Born phase while the checkpoint is
+// written and the workers load it. A SIGKILLed worker is a real death —
+// survivors re-divide its E_pol rows exactly as the modeled transport's
+// recovery does — and a respawned worker is re-admitted at the next
+// collective boundary, seeded with the last completed reduction.
 
 // NetOptions configures RunNetCoordinator.
 type NetOptions struct {
@@ -79,8 +81,10 @@ type NetOptions struct {
 }
 
 // RunNetCoordinator runs the full multi-process protocol from the
-// coordinator side: checkpoint, publish, rendezvous, compute as rank 0,
-// and degrade to the shared runner when too few ranks survive.
+// coordinator side: rendezvous, then rank 0's rank body beside the
+// publication (publish: checkpoint, membership file, workers), and
+// degradation to the shared runner when too few ranks survive. A
+// publication that fails is the run's error, never a degraded result.
 // Cancelling ctx aborts the run (every rank observes ErrAborted through
 // its dying connection).
 func RunNetCoordinator(ctx context.Context, sys *System, opts NetOptions) (*Result, error) {
@@ -115,13 +119,6 @@ func RunNetCoordinator(ctx context.Context, sys *System, opts NetOptions) (*Resu
 	// them: workers and a restarted coordinator deserialize instead of
 	// recompiling (EncodeSnapshot embeds lists only when present).
 	sys.Lists(nil)
-	sp := opts.Obs.Begin(0, "ckpt", "ckpt.save", obs.NoVirtual)
-	saved, err := saveSnapshot(opts.CheckpointPath, sys)
-	sp.End(obs.NoVirtual, obs.F("bytes", float64(saved)))
-	if err != nil {
-		return nil, fmt.Errorf("core: net checkpoint: %w", err)
-	}
-	opts.Obs.Counter("snapshot.encode_bytes").Add(saved)
 
 	co, err := net.Start(net.Config{
 		Size:              opts.Procs,
@@ -203,15 +200,6 @@ func RunNetCoordinator(ctx context.Context, sys *System, opts NetOptions) (*Resu
 		defer srv.Close()
 		obsAddr = srv.Addr()
 	}
-	if err := net.WriteMembership(opts.MembershipPath, net.Membership{
-		Addr:       co.Addr(),
-		Size:       opts.Procs,
-		Threads:    opts.Threads,
-		Checkpoint: opts.CheckpointPath,
-		ObsAddr:    obsAddr,
-	}); err != nil {
-		return nil, err
-	}
 
 	// Cancellation: closing the coordinator severs every connection, so
 	// all ranks (including rank 0 below) unblock with ErrAborted.
@@ -225,17 +213,6 @@ func RunNetCoordinator(ctx context.Context, sys *System, opts NetOptions) (*Resu
 		}
 	}()
 
-	if opts.Spawn != nil {
-		for r := 1; r < opts.Procs; r++ {
-			if err := opts.Spawn(r); err != nil {
-				return nil, fmt.Errorf("core: spawn rank %d: %w", r, err)
-			}
-		}
-	}
-	if opts.RespawnDead && opts.Spawn != nil {
-		go respawnLoop(co, opts, runDone)
-	}
-
 	// The coordinator computes as rank 0 over loopback: same transport,
 	// same rank body, no privileged path. Rank 0 shares the coordinator's
 	// Obs, so it must NOT ship telemetry — its events are already in the
@@ -247,10 +224,26 @@ func RunNetCoordinator(ctx context.Context, sys *System, opts NetOptions) (*Resu
 		Obs:          opts.Obs,
 	})
 	if err == nil {
-		if err = rankPipeline(sys, c, &out).run(1, nil); err == nil {
+		// Rank 0 has joined; the publication runs beside its rank body,
+		// whose Born phase needs no worker. A publication that fails closes
+		// the coordinator, so rank 0 unblocks, and is the run's error. The
+		// run waits for it either way: nothing it starts outlives the run
+		// unwatched.
+		published := make(chan error, 1)
+		go func() {
+			perr := publish(co, sys, opts, obsAddr, runDone)
+			if perr != nil {
+				co.Close()
+			}
+			published <- perr
+		}()
+		if err = netPipeline(sys, c, &out).run(1, nil); err == nil {
 			c.Bye()
 		} else {
 			c.Close()
+		}
+		if perr := <-published; perr != nil {
+			return nil, perr
 		}
 	}
 	if err == nil {
@@ -302,6 +295,48 @@ func RunNetCoordinator(ctx context.Context, sys *System, opts NetOptions) (*Resu
 	}
 	rep.WallSeconds = res.WallSeconds
 	return res, nil
+}
+
+// publish makes the run joinable: it saves the checkpoint, writes the
+// membership file naming it, spawns the workers and starts the respawn
+// loop, which ends with the run (done).
+func publish(co *net.Coordinator, sys *System, opts NetOptions, obsAddr string, done <-chan struct{}) error {
+	sp := opts.Obs.Begin(0, "ckpt", "ckpt.save", obs.NoVirtual)
+	saved, err := saveSnapshot(opts.CheckpointPath, sys)
+	sp.End(obs.NoVirtual, obs.F("bytes", float64(saved)))
+	if err != nil {
+		return fmt.Errorf("core: net checkpoint: %w", err)
+	}
+	opts.Obs.Counter("snapshot.encode_bytes").Add(saved)
+	if err := net.WriteMembership(opts.MembershipPath, net.Membership{
+		Addr:       co.Addr(),
+		Size:       opts.Procs,
+		Threads:    opts.Threads,
+		Checkpoint: opts.CheckpointPath,
+		ObsAddr:    obsAddr,
+	}); err != nil {
+		return err
+	}
+	if opts.Spawn == nil {
+		return nil
+	}
+	for r := 1; r < opts.Procs; r++ {
+		if err := opts.Spawn(r); err != nil {
+			return fmt.Errorf("core: spawn rank %d: %w", r, err)
+		}
+	}
+	if opts.RespawnDead {
+		go respawnLoop(co, opts, done)
+	}
+	return nil
+}
+
+// netPipeline builds the rank body of a TCP run's rank: rank 0 alone holds
+// the surface side, so the Born and push phases are its own.
+func netPipeline(sys *System, c cluster.Transport, out *rankOut) *pipeline {
+	pl := rankPipeline(sys, c, out)
+	pl.holders = 1
+	return pl
 }
 
 // respawnLoop relaunches each dead worker rank once, so the elastic
@@ -364,11 +399,13 @@ type NetWorkerOptions struct {
 }
 
 // RunNetWorker is the worker-process entry point: it waits for the
-// membership file, loads the checkpointed System (no surface resampling,
-// no tree rebuild, no list recompilation), dials the coordinator as the
-// given rank and runs the elastic rank body — from phase 1 as a founding
-// member, or mid-protocol (seeded with the last completed reduction)
-// when re-admitted after a crash.
+// membership file, loads the E_pol side of the checkpointed System
+// (decodeWorkerSnapshot: no surface, no tree rebuild, no list
+// recompilation), dials the coordinator as the given rank and runs the
+// elastic rank body — from phase 1 as a founding member, or mid-protocol
+// (seeded with the last completed reduction) when re-admitted after a
+// crash. The Born and push phases are rank 0's: the worker's part of them
+// is an empty share to their collectives.
 func RunNetWorker(membershipPath string, rank int, opts NetWorkerOptions) (*ElasticOut, error) {
 	if opts.JoinBudget <= 0 {
 		opts.JoinBudget = 30 * time.Second
@@ -401,7 +438,7 @@ func RunNetWorker(membershipPath string, rank int, opts NetWorkerOptions) (*Elas
 		return nil, fmt.Errorf("core: membership %s carries no checkpoint path", membershipPath)
 	}
 	sp := opts.Obs.Begin(rank, "ckpt", "ckpt.load", obs.NoVirtual)
-	sys, size, err := loadSnapshot(m.Checkpoint)
+	sys, size, err := loadSnapshot(m.Checkpoint, decodeWorkerSnapshot)
 	sp.End(obs.NoVirtual, obs.F("bytes", float64(size)))
 	if err != nil {
 		return nil, fmt.Errorf("core: worker checkpoint: %w", err)
@@ -419,7 +456,7 @@ func RunNetWorker(membershipPath string, rank int, opts NetWorkerOptions) (*Elas
 		return nil, err
 	}
 	var out rankOut
-	if err := rankPipeline(sys, c, &out).run(c.CompletedRounds()+1, c.JoinSeed()); err != nil {
+	if err := netPipeline(sys, c, &out).run(c.CompletedRounds()+1, c.JoinSeed()); err != nil {
 		opts.Obs.DumpFlight("worker-error")
 		c.Close()
 		return nil, err

@@ -161,6 +161,50 @@ func TestNetWorkerHelper(t *testing.T) {
 	}
 }
 
+// helperSpawner returns a NetOptions.Spawn that starts rank as a real worker
+// process (TestNetWorkerHelper, shipping telemetry) and arms the first
+// incarnation of victim to SIGKILL itself entering collective killColl;
+// its respawn survives. The processes are killed when t ends.
+func helperSpawner(t *testing.T, exe, membership string, victim, killColl int) func(rank int) error {
+	var mu sync.Mutex
+	killArmed := true
+	var procs []*exec.Cmd
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, cmd := range procs {
+			if cmd.Process != nil {
+				cmd.Process.Kill()
+			}
+		}
+	})
+	return func(rank int) error {
+		cmd := exec.Command(exe, "-test.run", "^TestNetWorkerHelper$")
+		env := append(os.Environ(),
+			"GBPOL_NET_HELPER=1",
+			"GBPOL_NET_RANK="+strconv.Itoa(rank),
+			"GBPOL_NET_MEMBERSHIP="+membership,
+			"GBPOL_NET_TELEMETRY=1",
+		)
+		mu.Lock()
+		if killArmed && rank == victim {
+			killArmed = false // the respawned incarnation must survive
+			env = append(env, "GBPOL_NET_KILL="+strconv.Itoa(killColl))
+		}
+		mu.Unlock()
+		cmd.Env = env
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			return err
+		}
+		mu.Lock()
+		procs = append(procs, cmd)
+		mu.Unlock()
+		go cmd.Wait()
+		return nil
+	}
+}
+
 // The chaos acceptance run: REAL worker processes, one SIGKILLed at a
 // seeded random collective boundary, respawned and re-admitted — and the
 // energy still matches the shared-memory reference to 1e-12 (or the run
@@ -188,51 +232,13 @@ func TestNetChaosSIGKILL(t *testing.T) {
 	}
 
 	membership, checkpoint := netPaths(t)
-	var mu sync.Mutex
-	killArmed := true
-	var procs []*exec.Cmd
-	spawn := func(rank int) error {
-		cmd := exec.Command(exe, "-test.run", "^TestNetWorkerHelper$")
-		env := append(os.Environ(),
-			"GBPOL_NET_HELPER=1",
-			"GBPOL_NET_RANK="+strconv.Itoa(rank),
-			"GBPOL_NET_MEMBERSHIP="+membership,
-			"GBPOL_NET_TELEMETRY=1",
-		)
-		mu.Lock()
-		if killArmed && rank == victim {
-			killArmed = false // the respawned incarnation must survive
-			env = append(env, "GBPOL_NET_KILL="+strconv.Itoa(killColl))
-		}
-		mu.Unlock()
-		cmd.Env = env
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return err
-		}
-		mu.Lock()
-		procs = append(procs, cmd)
-		mu.Unlock()
-		go cmd.Wait()
-		return nil
-	}
-	t.Cleanup(func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, cmd := range procs {
-			if cmd.Process != nil {
-				cmd.Process.Kill()
-			}
-		}
-	})
-
 	coObs := obs.New()
 	flightDir := filepath.Join(t.TempDir(), "flight")
 	res, err := RunNetCoordinator(context.Background(), sys, NetOptions{
 		Procs:             4,
 		MembershipPath:    membership,
 		CheckpointPath:    checkpoint,
-		Spawn:             spawn,
+		Spawn:             helperSpawner(t, exe, membership, victim, killColl),
 		RespawnDead:       true,
 		StallTimeout:      60 * time.Second,
 		HeartbeatInterval: 50 * time.Millisecond,
@@ -381,5 +387,152 @@ func TestNetWorkerLateJoin(t *testing.T) {
 	}
 	if !outs[1].Completed || outs[1].Epol != res.Epol {
 		t.Fatalf("founding worker: %+v vs %.17g", outs[1], res.Epol)
+	}
+}
+
+// phaseSpans groups the phase spans of events by name.
+func phaseSpans(events []obs.Event) map[string][]obs.Event {
+	spans := map[string][]obs.Event{}
+	for _, ev := range events {
+		if ev.Ph == "X" && ev.Cat == "phase" {
+			spans[ev.Name] = append(spans[ev.Name], ev)
+		}
+	}
+	return spans
+}
+
+// checkBornOnRankZero fails t unless the Born and push phases ran on rank 0
+// alone, each over all of its rows with none inherited, as a TCP run
+// divides them (pipeline.holders).
+func checkBornOnRankZero(t *testing.T, sys *System, spans map[string][]obs.Event) {
+	t.Helper()
+	for name, rows := range map[string]int{"born": len(sys.QPts.Leaves()), "push": sys.Mol.NumAtoms()} {
+		if len(spans[name]) != 1 {
+			t.Fatalf("%d %s spans, want rank 0's one: %+v", len(spans[name]), name, spans[name])
+		}
+		ev := spans[name][0]
+		if ev.Rank != 0 || ev.Args["rows"] != float64(rows) || ev.Args["inherited"] != 0 {
+			t.Fatalf("%s span on rank %d over %v rows, %v inherited; want rank 0 over all %d, none inherited",
+				name, ev.Rank, ev.Args["rows"], ev.Args["inherited"], rows)
+		}
+	}
+}
+
+// In a TCP run the Born and push phases are rank 0's: it alone holds the
+// surface side, and a worker decodes only the E_pol side of the checkpoint.
+// In 2- and 3-rank runs no worker's trace holds a born or push span, every
+// worker sweeps E_pol rows, and the energy and every Born radius are the
+// shared runner's to 1e-12.
+func TestNetPhasesOnHolders(t *testing.T) {
+	sys, _, _ := testSystem(t, 1200, 41, DefaultParams())
+	want, err := RunShared(sys, SharedOptions{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{2, 3} {
+		t.Run(fmt.Sprintf("P%d", procs), func(t *testing.T) {
+			membership, checkpoint := netPaths(t)
+			workerObs := make([]*obs.Obs, procs)
+			errs := make([]error, procs)
+			var wg sync.WaitGroup
+			for r := 1; r < procs; r++ {
+				workerObs[r] = obs.New()
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					_, errs[r] = RunNetWorker(membership, r, NetWorkerOptions{
+						StallTimeout:   60 * time.Second,
+						JoinBudget:     60 * time.Second,
+						HealthInterval: -1,
+						Obs:            workerObs[r],
+					})
+				}(r)
+			}
+			coObs := obs.New()
+			res, err := RunNetCoordinator(context.Background(), sys, NetOptions{
+				Procs:          procs,
+				MembershipPath: membership,
+				CheckpointPath: checkpoint,
+				StallTimeout:   60 * time.Second,
+				HealthInterval: -1,
+				Obs:            coObs,
+			})
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Report.Faults.Degraded {
+				t.Fatalf("clean run degraded: %+v", res.Report.Faults)
+			}
+			for r := 1; r < procs; r++ {
+				if errs[r] != nil {
+					t.Fatalf("worker rank %d: %v", r, errs[r])
+				}
+				spans := phaseSpans(workerObs[r].Trace.Events())
+				if len(spans["born"])+len(spans["push"]) != 0 {
+					t.Fatalf("worker rank %d ran %d born and %d push spans", r, len(spans["born"]), len(spans["push"]))
+				}
+				if len(spans["epol"]) != 1 || spans["epol"][0].Args["rows"] == 0 {
+					t.Fatalf("worker rank %d swept no E_pol rows: %+v", r, spans["epol"])
+				}
+			}
+			checkBornOnRankZero(t, sys, phaseSpans(coObs.Trace.Events()))
+			if e := relErr(res.Epol, want.Epol); e > 1e-12 {
+				t.Fatalf("net E_pol %.17g vs shared %.17g (rel %g)", res.Epol, want.Epol, e)
+			}
+			for i := range want.BornRadii {
+				if e := relErr(res.BornRadii[i], want.BornRadii[i]); e > 1e-12 {
+					t.Fatalf("Born radius %d: net %.17g vs shared %.17g", i, res.BornRadii[i], want.BornRadii[i])
+				}
+			}
+		})
+	}
+}
+
+// A worker process SIGKILLed entering its first collective — the Born
+// Allreduce — and respawned: the survivors heal and the run still matches
+// the shared runner to 1e-12. No Born or push row moves: those phases are
+// rank 0's whatever the membership log says, so no rank inherits one.
+func TestNetKilledAtBornRespawned(t *testing.T) {
+	atoms := 1500
+	if testing.Short() {
+		atoms = 500
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, _, _ := testSystem(t, atoms, 35, DefaultParams())
+	want, err := RunShared(sys, SharedOptions{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	membership, checkpoint := netPaths(t)
+	coObs := obs.New()
+	res, err := RunNetCoordinator(context.Background(), sys, NetOptions{
+		Procs:             3,
+		MembershipPath:    membership,
+		CheckpointPath:    checkpoint,
+		Spawn:             helperSpawner(t, exe, membership, 1, 1),
+		RespawnDead:       true,
+		StallTimeout:      60 * time.Second,
+		HeartbeatInterval: 50 * time.Millisecond,
+		HealthInterval:    -1,
+		Obs:               coObs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr := res.Report.Faults; fr.Degraded || fr.Crashes < 1 {
+		t.Fatalf("want a healed crash, got %+v", fr)
+	}
+	checkBornOnRankZero(t, sys, phaseSpans(coObs.Trace.Events()))
+	if e := relErr(res.Epol, want.Epol); e > 1e-12 {
+		t.Fatalf("healed E_pol %.17g vs shared %.17g (rel %g)", res.Epol, want.Epol, e)
+	}
+	for i := range want.BornRadii {
+		if e := relErr(res.BornRadii[i], want.BornRadii[i]); e > 1e-12 {
+			t.Fatalf("Born radius %d: healed %.17g vs shared %.17g", i, res.BornRadii[i], want.BornRadii[i])
+		}
 	}
 }

@@ -20,13 +20,19 @@ import (
 //   - the phase kernel: compiled list rows, or the recursive reference
 //     traversal.
 //
-// A rank's rows are always ElasticSpans(n, cost, P, events)[rank] — the
-// paper's node–node division (Section IV.A): while the membership log is
-// empty, static parts of leaf rows or of the units a kernel takes whole (the
-// compiled sweeps' tiles, InteractionLists.TileOff, cut at equal estimated
-// cost, tileCosts) — so a part, a healed set of spans, a stolen batch and
-// "all rows" are the same call to sweep, and every collective sits in one
-// detect–heal–retry loop.
+// A rank's rows are always ElasticSpans(n, cost, ranks, events)[rank] — the
+// paper's node–node division (Section IV.A) among the ranks that hold the
+// phase's inputs: while the membership log is empty, static parts of leaf
+// rows or of the units a kernel takes whole (the compiled sweeps' tiles,
+// InteractionLists.TileOff, cut at equal estimated cost, tileCosts) — so a
+// part, a healed set of spans, a stolen batch and "all rows" are the same
+// call to sweep, and every collective sits in one detect–heal–retry loop.
+// Every rank holds what E_pol reads; the Born and push phases are divided
+// among the ranks that hold the surface side too (pipeline.holders): every
+// rank of the modeled cluster, rank 0 alone in a TCP run, whose workers
+// decode only the E_pol side of the checkpoint (decodeWorkerSnapshot). A
+// rank past the holders deposits an empty share — zeros — to the Born
+// Allreduce and nothing to the radii Allgatherv.
 //
 // The consistency argument the protocol leans on: transports admit joins
 // ONLY at a successful collective — which is also the only point a phase
@@ -76,7 +82,10 @@ type pipeline struct {
 	out   *rankOut
 
 	P, rank, p int
-	clockS     float64 // the one-rank machine's modeled clock
+	// holders is how many ranks, 0 to holders−1, hold the surface side and
+	// divide the Born and push phases among them.
+	holders int
+	clockS  float64 // the one-rank machine's modeled clock
 
 	lists *CompiledLists
 	accs  []*bornAccum // per-worker s-fields; accs[0] doubles as the merged/reduced field
@@ -90,10 +99,11 @@ type pipeline struct {
 	epolRows                     int
 }
 
-// rankPipeline builds the rank body for one rank of a transport.
+// rankPipeline builds the rank body for one rank of a transport, every rank
+// holding the surface side.
 func rankPipeline(sys *System, c cluster.Transport, out *rankOut) *pipeline {
 	return &pipeline{sys: sys, c: c, o: c.Obs(), rate: c.OpsPerSecond(), out: out,
-		P: c.Size(), rank: c.Rank(), p: c.Threads()}
+		P: c.Size(), rank: c.Rank(), p: c.Threads(), holders: c.Size()}
 }
 
 func (pl *pipeline) clock() float64 {
@@ -177,13 +187,14 @@ func (pl *pipeline) pass(name string, rows, inherited int, work func() (ops, cha
 
 // rowUnits cuts a phase's n rows into the units its kernel takes whole:
 // unit u is the rows [off[u], off[u+1]) — a compiled tile — or, off nil,
-// row u alone. The ranks divide the units at equal cost: cost holds the
-// compiled tiles' estimates (tileCosts) in a run of two or more ranks, and
-// is nil — every unit costing 1 — otherwise.
+// row u alone. The ranks 0 to ranks−1 divide the units at equal cost: cost
+// holds the compiled tiles' estimates (tileCosts) when they are two or
+// more, and is nil — every unit costing 1 — otherwise.
 type rowUnits struct {
-	n    int
-	off  []int32
-	cost costs
+	n     int
+	off   []int32
+	cost  costs
+	ranks int
 }
 
 // count returns the number of units.
@@ -210,9 +221,14 @@ func (u rowUnits) rows(s Span) int {
 // the rows of it outside the rank's fault-free segment: work inherited from
 // dead ranks. Within one phase the log grows by deaths alone, which only
 // ever APPEND spans to a survivor's ElasticSpans share, so the spans past
-// the ones already done are exactly the dead ranks' lost work.
+// the ones already done are exactly the dead ranks' lost work. A rank past
+// u.ranks is assigned nothing, whatever the log says: ElasticSpans ignores
+// the events of ranks past its P.
 func (pl *pipeline) claim(u rowUnits, events []cluster.MemberEvent, done *[]Span) (sel []Span, rows, inherited int) {
-	owned := ElasticSpans(u.count(), u.cost, pl.P, events)[pl.rank]
+	if pl.rank >= u.ranks {
+		return nil, 0, 0
+	}
+	owned := ElasticSpans(u.count(), u.cost, u.ranks, events)[pl.rank]
 	sel = owned[len(*done):]
 	for _, s := range sel {
 		rows += u.rows(s)
@@ -225,7 +241,7 @@ func (pl *pipeline) claim(u rowUnits, events []cluster.MemberEvent, done *[]Span
 // inherited counts the rows of units s outside this rank's static part of
 // the units u.
 func (pl *pipeline) inherited(u rowUnits, s Span) int {
-	own := u.static(pl.P, pl.rank)
+	own := u.static(u.ranks, pl.rank)
 	return u.rows(s) - u.rows(Span{max(s.Lo, own.Lo), min(s.Hi, own.Hi)})
 }
 
@@ -234,9 +250,10 @@ func (pl *pipeline) inherited(u rowUnits, s Span) int {
 func (u rowUnits) static(P, rank int) Span { return u.cost.part(Span{0, u.count()}, P, rank) }
 
 // share claims this rank's not-yet-done part of a phase over the units u
-// and sweeps it; it returns the rows claimed. row is called once per unit.
+// and sweeps it; it returns the rows claimed. kernel makes, inside the
+// phase span, the function the sweep calls once per unit.
 func (pl *pipeline) share(name string, kind rowKind, u rowUnits, done *[]Span, events []cluster.MemberEvent,
-	meter func(w int) *workMeter, row func(unit, w int)) int {
+	meter func(w int) *workMeter, kernel func() func(unit, w int)) int {
 	sel, rows, inherited := pl.claim(u, events, done)
 	if rows == 0 {
 		return 0
@@ -250,7 +267,7 @@ func (pl *pipeline) share(name string, kind rowKind, u rowUnits, done *[]Span, e
 		grain = rowGrain(units, pl.p)
 	}
 	pl.pass(name, rows, inherited, func() (float64, float64) {
-		return pl.sweep(sel, grain, meter, row)
+		return pl.sweep(sel, grain, meter, kernel())
 	})
 	return rows
 }
@@ -377,11 +394,7 @@ func (pl *pipeline) run(startPhase int, seed []float64) error {
 	// Phase 3 (steps 6–7): E_pol over the owned atom-leaf rows under the
 	// run's schedule, then the reduction of the partial energies — an
 	// Allreduce, so every rank returns the final value.
-	pl.ectx = NewEpolContext(sys, pl.radii)
 	pl.eaccs = make([]epolAccum, pl.p)
-	if pl.kern.epol == rowCompiled {
-		pl.scr = newEpolScratch(pl.ectx, pl.lists.Epol, pl.p)
-	}
 	epol := pl.epolPass
 	if pl.steal != nil {
 		epol = pl.stealEpol()
@@ -405,30 +418,34 @@ func (pl *pipeline) run(startPhase int, seed []float64) error {
 		recordEpolSweep(pl.o, pl.epolRows, pl.eaccs)
 	}
 	pl.o.Counter("sched.steals").Add(pl.pool.Steals() - steals0)
-	*pl.out = rankOut{epol: pl.ectx.Finish(total[0]), radii: pl.radii, ops: pl.out.ops,
+	*pl.out = rankOut{epol: pl.epolContext().Finish(total[0]), radii: pl.radii, ops: pl.out.ops,
 		model: pl.clockS, wall: time.Since(start).Seconds(), ok: true}
 	return nil
 }
 
 // bornPass evaluates the Born rows the log newly assigns this rank and
 // folds the workers' s-fields into accs[0]; the other accumulators live
-// only for the pass.
+// only for the pass. A rank past the holders has no surface side: its
+// share is empty, and accs[0] stays zero.
 func (pl *pipeline) bornPass(events []cluster.MemberEvent) error {
+	if pl.rank >= pl.holders {
+		return nil
+	}
 	accs := pl.accs
 	for w := 1; w < len(accs); w++ {
 		accs[w] = newBornAccum(pl.sys)
 	}
 	// The compiled sweep divides the rows by whole tiles: a tile's shared far
 	// run is swept once, for all of its rows.
-	u := rowUnits{n: len(pl.sys.QPts.Leaves())}
+	u := rowUnits{n: len(pl.sys.QPts.Leaves()), ranks: pl.holders}
 	if pl.kern.born == rowCompiled {
 		u.off = pl.lists.Born.TileOff
-		if pl.P > 1 {
-			u.cost, _ = pl.lists.unitCosts(pl.sys)
+		if u.ranks > 1 {
+			u.cost = pl.lists.unitCosts(pl.sys, phaseBorn)
 		}
 	}
 	rows := pl.share("born", pl.kern.born, u, &pl.bornDone, events,
-		func(w int) *workMeter { return &accs[w].workMeter }, pl.bornKernel())
+		func(w int) *workMeter { return &accs[w].workMeter }, pl.bornKernel)
 	for w := 1; w < len(accs); w++ {
 		accs[0].add(accs[w])
 		accs[w] = nil
@@ -454,7 +471,7 @@ func (pl *pipeline) bornKernel() func(unit, w int) {
 // pushPass inverts the reduced integrals to Born radii for the atom slots
 // the log newly assigns this rank.
 func (pl *pipeline) pushPass(events []cluster.MemberEvent) error {
-	sel, rows, inherited := pl.claim(rowUnits{n: len(pl.radii)}, events, &pl.pushDone)
+	sel, rows, inherited := pl.claim(rowUnits{n: len(pl.radii), ranks: pl.holders}, events, &pl.pushDone)
 	if rows == 0 {
 		return nil
 	}
@@ -470,22 +487,26 @@ func (pl *pipeline) pushPass(events []cluster.MemberEvent) error {
 }
 
 // shareRadii is Figure 4's step 5. While the membership log is empty the
-// owned slots are the contiguous static segments and it is the paper's
-// Allgatherv; once the log records a death, ownership is a set of spans
-// and the radii travel as an Allreduce of zero-padded full vectors — each
-// slot is written by exactly one live rank, so the sum reproduces each
-// value exactly. Every deposit that can complete a round was made under
-// the same log, so the ranks agree on the collective.
+// owned slots are the holders' contiguous static segments and it is the
+// paper's Allgatherv, every other rank contributing none; once the log
+// records a death, ownership is a set of spans and the radii travel as an
+// Allreduce of zero-padded full vectors — each slot is written by exactly
+// one live rank, so the sum reproduces each value exactly. Every deposit
+// that can complete a round was made under the same log, so the ranks agree
+// on the collective.
 func (pl *pipeline) shareRadii(events []cluster.MemberEvent) ([]float64, error) {
 	n := len(pl.radii)
 	if len(events) == 0 {
 		counts := make([]int, pl.P)
-		for r := range counts {
-			lo, hi := segment(n, pl.P, r)
+		var own []float64
+		for r := range pl.holders {
+			lo, hi := segment(n, pl.holders, r)
 			counts[r] = hi - lo
+			if r == pl.rank {
+				own = pl.radii[lo:hi]
+			}
 		}
-		lo, hi := segment(n, pl.P, pl.rank)
-		return pl.c.Allgatherv(pl.radii[lo:hi], counts)
+		return pl.c.Allgatherv(own, counts)
 	}
 	vec := make([]float64, n)
 	for _, s := range pl.pushDone {
@@ -497,7 +518,7 @@ func (pl *pipeline) shareRadii(events []cluster.MemberEvent) ([]float64, error) 
 // epolPass is the static E_pol schedule: evaluate the energy rows the log
 // newly assigns this rank.
 func (pl *pipeline) epolPass(events []cluster.MemberEvent) error {
-	pl.epolRows += pl.share("epol", pl.kern.epol, pl.epolUnits(), &pl.epolDone, events, pl.epolMeter, pl.epolKernel())
+	pl.epolRows += pl.share("epol", pl.kern.epol, pl.epolUnits(), &pl.epolDone, events, pl.epolMeter, pl.epolKernel)
 	return nil
 }
 
@@ -507,20 +528,33 @@ func (pl *pipeline) epolMeter(w int) *workMeter { return &pl.eaccs[w].workMeter 
 // compiled lists' tiles — a tile's shared runs are swept once, for all of
 // its rows — or the recursive traversal's atom-leaf rows.
 func (pl *pipeline) epolUnits() rowUnits {
-	u := rowUnits{n: len(pl.sys.Atoms.Leaves())}
+	u := rowUnits{n: len(pl.sys.Atoms.Leaves()), ranks: pl.P}
 	if pl.kern.epol == rowCompiled {
 		u.off = pl.lists.Epol.TileOff
-		if pl.P > 1 {
-			_, u.cost = pl.lists.unitCosts(pl.sys)
+		if u.ranks > 1 {
+			u.cost = pl.lists.unitCosts(pl.sys, phaseEpol)
 		}
 	}
 	return u
 }
 
+// epolContext returns the energy phase's context over the reduced Born
+// radii and, for the compiled sweep, makes the workers' scratch, both once:
+// inside the rank's first epol span, whose time they are.
+func (pl *pipeline) epolContext() *EpolContext {
+	if pl.ectx == nil {
+		pl.ectx = NewEpolContext(pl.sys, pl.radii)
+		if pl.kern.epol == rowCompiled {
+			pl.scr = newEpolScratch(pl.ectx, pl.lists.Epol, pl.p)
+		}
+	}
+	return pl.ectx
+}
+
 // epolKernel returns the energy phase's evaluation of one unit: a compiled
 // tile, or one atom-leaf row of the recursive traversal.
 func (pl *pipeline) epolKernel() func(unit, w int) {
-	ctx, eaccs := pl.ectx, pl.eaccs
+	ctx, eaccs := pl.epolContext(), pl.eaccs
 	if pl.kern.epol == rowCompiled {
 		il, scr := pl.lists.Epol, pl.scr // row i is aLeaves[i]
 		return func(tile, w int) { epolTile(ctx, il, tile, &scr[w], &eaccs[w]) }

@@ -61,7 +61,7 @@ type SharedOptions struct {
 func RunShared(sys *System, opts SharedOptions) (*Result, error) {
 	var out rankOut
 	pl := pipeline{sys: sys, pool: opts.Pool, p: opts.Threads, o: opts.Obs,
-		rate: opts.OpsPerSecond, out: &out, P: 1}
+		rate: opts.OpsPerSecond, out: &out, P: 1, holders: 1}
 	if pl.rate <= 0 {
 		pl.rate = CalibratedOpsPerSecond()
 	}

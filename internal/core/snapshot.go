@@ -160,7 +160,21 @@ func EncodeSnapshot(sys *System) ([]byte, error) {
 // that is the point of checkpointing. The System keeps no byte of data:
 // every array is copied out of it (loadSnapshot unmaps a mapped file once
 // this returns).
-func DecodeSnapshot(data []byte) (*System, error) {
+func DecodeSnapshot(data []byte) (*System, error) { return decodeSnapshot(data, false) }
+
+// decodeWorkerSnapshot is what a worker of a TCP run decodes: the E_pol
+// phase's side of the snapshot, since the Born and push phases belong to
+// rank 0 (pipeline.go, holders). It checks the whole file's CRC as
+// DecodeSnapshot does, decodes and validates the parameters, the molecule,
+// the atoms tree and the E_pol lists, and steps over the surface, the
+// q-point tree and the Born lists by their length prefixes, each
+// bounds-checked, none of their bytes read. The System holds no surface
+// side — Surf, QPts, WN, QNodeWN and the lists' Born phase are nil — and a
+// snapshot without lists is refused: a worker could not compile them.
+func decodeWorkerSnapshot(data []byte) (*System, error) { return decodeSnapshot(data, true) }
+
+// decodeSnapshot is DecodeSnapshot, or with worker decodeWorkerSnapshot.
+func decodeSnapshot(data []byte, worker bool) (*System, error) {
 	if len(data) < len(snapshotMagic)+2+4 || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
 	}
@@ -192,8 +206,11 @@ func DecodeSnapshot(data []byte) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	surf, err := decodeSurface(r)
-	if err != nil {
+	var surf *surface.Surface
+	if worker {
+		r.Next(4 + 4 + 8) // the level, the degree, the area
+		r.SkipArray(8)    // the q-points
+	} else if surf, err = decodeSurface(r); err != nil {
 		return nil, err
 	}
 
@@ -204,15 +221,22 @@ func DecodeSnapshot(data []byte) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: atoms octree: %v", ErrSnapshotCorrupt, err)
 	}
-	tq, err := octree.DecodeTree(r, len(surf.Points), func(i int) geom.Vec3 { return surf.Points[i].Pos })
-	if err != nil {
+	var tq *octree.Tree
+	if worker {
+		octree.SkipTree(r)
+	} else if tq, err = octree.DecodeTree(r, len(surf.Points), func(i int) geom.Vec3 { return surf.Points[i].Pos }); err != nil {
 		return nil, fmt.Errorf("%w: q-points octree: %v", ErrSnapshotCorrupt, err)
 	}
 
 	var lists *CompiledLists
 	if r.Bool() {
 		cl := &CompiledLists{bornMAC: r.F64(), epolFar: r.F64()}
-		cl.Born, cl.Epol = decodeIL(r), decodeIL(r)
+		if worker {
+			skipIL(r)
+		} else {
+			cl.Born = decodeIL(r)
+		}
+		cl.Epol = decodeIL(r)
 		if r.Err() != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, r.Err())
 		}
@@ -220,8 +244,12 @@ func DecodeSnapshot(data []byte) (*System, error) {
 		// the one reported when both fail.
 		var errs [2]error
 		sched.Together(
-			func() { cl.cost[0], errs[0] = validateIL("born", cl.Born, tq, ta) },
-			func() { cl.cost[1], errs[1] = validateIL("epol", cl.Epol, ta, ta) })
+			func() {
+				if !worker {
+					cl.cost[phaseBorn], errs[0] = validateIL("born", cl.Born, tq, ta)
+				}
+			},
+			func() { cl.cost[phaseEpol], errs[1] = validateIL("epol", cl.Epol, ta, ta) })
 		if err := cmp.Or(errs[0], errs[1]); err != nil {
 			return nil, err
 		}
@@ -232,6 +260,9 @@ func DecodeSnapshot(data []byte) (*System, error) {
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, r.Remaining())
+	}
+	if worker && lists == nil {
+		return nil, fmt.Errorf("core: a worker's snapshot carries no compiled lists")
 	}
 
 	sys := assembleSystem(mol, surf, ta, tq, params)
@@ -495,6 +526,18 @@ var badMasks = func() (bad [tileLanes + 1][2][256]bool) {
 	return bad
 }()
 
+// skipIL steps over what appendIL wrote, reading only its lengths.
+func skipIL(r *wire.Reader) {
+	r.SkipArray(4) // the rows
+	for _, c := range (&InteractionLists{}).arrays() {
+		r.SkipArray(4) // the offsets
+		r.SkipArray(4) // the entries
+		if c.masks != nil {
+			r.SkipArray(1)
+		}
+	}
+}
+
 // decodeIL reads what appendIL wrote.
 func decodeIL(r *wire.Reader) *InteractionLists {
 	il := &InteractionLists{Rows: r.I32s()}
@@ -609,7 +652,7 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // mismatch — a checkpoint from a differently-configured run must not be
 // silently resumed).
 func LoadSnapshot(path string, want Params) (*System, error) {
-	sys, _, err := loadSnapshot(path)
+	sys, _, err := loadSnapshot(path, DecodeSnapshot)
 	if err != nil {
 		return nil, err
 	}
@@ -625,20 +668,21 @@ func LoadSnapshot(path string, want Params) (*System, error) {
 // engine reload) where the snapshot itself is the parameter source. The
 // stamp's self-consistency is still verified by DecodeSnapshot.
 func LoadSnapshotAnyParams(path string) (*System, error) {
-	sys, _, err := loadSnapshot(path)
+	sys, _, err := loadSnapshot(path, DecodeSnapshot)
 	return sys, err
 }
 
-// loadSnapshot decodes the snapshot file at path, mapped where the host
-// maps it (mapSnapshot), and returns its size too. Nothing decoded keeps a
-// byte of the file.
-func loadSnapshot(path string) (*System, int, error) {
+// loadSnapshot decodes the snapshot file at path with decode
+// (DecodeSnapshot, or a worker's decodeWorkerSnapshot), mapped where the
+// host maps it (mapSnapshot), and returns its size too. Nothing decoded
+// keeps a byte of the file.
+func loadSnapshot(path string, decode func([]byte) (*System, error)) (*System, int, error) {
 	data, release, err := mapSnapshot(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer release()
-	sys, err := DecodeSnapshot(data)
+	sys, err := decode(data)
 	return sys, len(data), err
 }
 

@@ -11,9 +11,12 @@ import (
 	"hash/fnv"
 	"io/fs"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"gbpolar/internal/geom"
@@ -150,6 +153,126 @@ func TestSnapshotCorruptions(t *testing.T) {
 				t.Fatalf("got %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// workerSkips returns where the sections the worker decode steps over lie
+// in image, a snapshot with lists: the surface, the q-point tree and the
+// Born lists, each [start, end), each opening with a length prefix but the
+// surface, whose first one is 16 bytes in.
+func workerSkips(t testing.TB, image []byte) (sections [3][2]int) {
+	t.Helper()
+	r := wire.NewReader(image[:len(image)-4])
+	at := func() int { return len(image) - 4 - r.Remaining() }
+	r.Next(len(snapshotMagic) + 2 + 8)
+	if _, err := decodeParams(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeMolecule(r); err != nil {
+		t.Fatal(err)
+	}
+	start := at()
+	r.Next(4 + 4 + 8)
+	r.SkipArray(8)
+	sections[0] = [2]int{start, at()}
+	octree.SkipTree(r) // the atoms tree
+	start = at()
+	octree.SkipTree(r)
+	sections[1] = [2]int{start, at()}
+	r.Next(1 + 8 + 8) // the list flag and the opening criteria
+	start = at()
+	skipIL(r)
+	sections[2] = [2]int{start, at()}
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return sections
+}
+
+// The worker decode on the ledger's two fixtures: its molecule, atoms tree,
+// E_pol lists and their tile costs are DecodeSnapshot's, and it holds no
+// surface side. A flipped byte anywhere in the file, in the sections it
+// steps over too, fails with ErrSnapshotCorrupt (the version's bytes with
+// ErrSnapshotVersion, as DecodeSnapshot's), and so does a length prefix in
+// a section it steps over that runs past the end, the file re-stamped so
+// that its CRC holds. A snapshot without lists is refused.
+func TestSnapshotWorkerDecode(t *testing.T) {
+	fixtures := []int{4000, 20000}
+	if testing.Short() || raceEnabled {
+		fixtures = fixtures[:1]
+	}
+	for _, atoms := range fixtures {
+		t.Run(fmt.Sprintf("%dk", atoms/1000), func(t *testing.T) {
+			sys, _, _ := testSystem(t, atoms, 2, mortonParams())
+			sys.Lists(nil)
+			data, err := EncodeSnapshot(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := DecodeSnapshot(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := decodeWorkerSnapshot(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.Surf != nil || w.QPts != nil || w.WN != nil || w.QNodeWN != nil || w.lists.Born != nil {
+				t.Fatal("the worker decode holds the surface side")
+			}
+			for name, equal := range map[string]bool{
+				"molecule":         reflect.DeepEqual(w.Mol, full.Mol),
+				"atoms tree":       reflect.DeepEqual(w.Atoms, full.Atoms),
+				"E_pol lists":      reflect.DeepEqual(w.lists.Epol, full.lists.Epol),
+				"E_pol tile costs": slices.Equal(w.lists.cost[phaseEpol], full.lists.cost[phaseEpol]),
+				"atom payloads":    slices.Equal(w.Charge, full.Charge) && slices.Equal(w.Radius, full.Radius),
+			} {
+				if !equal {
+					t.Errorf("the worker decode's %s differ from DecodeSnapshot's", name)
+				}
+			}
+
+			sections := workerSkips(t, data)
+			rng := rand.New(rand.NewSource(int64(atoms)))
+			flips := []int{0, len(data) - 1}
+			for _, s := range sections {
+				flips = append(flips, s[0], (s[0]+s[1])/2, s[1]-1, s[0]+rng.Intn(s[1]-s[0]))
+			}
+			for range 16 {
+				flips = append(flips, rng.Intn(len(data)))
+			}
+			buf := append([]byte(nil), data...)
+			for _, i := range flips {
+				want := ErrSnapshotCorrupt
+				if i == 8 || i == 9 {
+					want = ErrSnapshotVersion
+				}
+				buf[i] ^= 0x5a
+				if _, err := decodeWorkerSnapshot(buf); !errors.Is(err, want) {
+					t.Fatalf("byte %d of %d flipped: got %v, want %v", i, len(data), err, want)
+				}
+				buf[i] ^= 0x5a
+			}
+
+			for k, prefix := range []int{sections[0][0] + 16, sections[1][0], sections[2][0]} {
+				for _, count := range []uint32{math.MaxUint32, uint32(len(data))} {
+					copy(buf, data)
+					binary.LittleEndian.PutUint32(buf[prefix:], count)
+					restamp(buf)
+					for name, decode := range map[string]func([]byte) (*System, error){
+						"worker": decodeWorkerSnapshot, "full": DecodeSnapshot} {
+						if _, err := decode(buf); !errors.Is(err, ErrSnapshotCorrupt) {
+							t.Fatalf("%s decode, section %d's prefix at %d set to %d: got %v, want ErrSnapshotCorrupt",
+								name, k, prefix, count, err)
+						}
+					}
+				}
+			}
+		})
+	}
+	_, bare := snapshotFixture(t, false)
+	if _, err := decodeWorkerSnapshot(bare); err == nil {
+		t.Fatal("the worker decode accepted a snapshot without lists")
 	}
 }
 
@@ -934,6 +1057,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(v6Image(f, data))
 	f.Add(v4Image(f, data, 0))
 	f.Fuzz(func(t *testing.T, b []byte) {
+		w, werr := decodeWorkerSnapshot(b)
+		if werr != nil && w != nil {
+			t.Fatal("non-nil worker system alongside error")
+		}
 		sys, err := DecodeSnapshot(b)
 		if err != nil {
 			if sys != nil {
@@ -943,6 +1070,19 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		if sys.Mol.NumAtoms() == 0 || sys.Surf.NumPoints() == 0 {
 			t.Fatal("decoded system with empty inputs")
+		}
+		// What the full decode accepts with lists, the worker decode accepts
+		// too, and the two agree on the E_pol side.
+		if sys.lists == nil {
+			return
+		}
+		if werr != nil {
+			t.Fatalf("the worker decode refused a snapshot DecodeSnapshot accepts: %v", werr)
+		}
+		if !reflect.DeepEqual(w.Mol, sys.Mol) || !reflect.DeepEqual(w.Atoms, sys.Atoms) ||
+			!reflect.DeepEqual(w.lists.Epol, sys.lists.Epol) ||
+			!slices.Equal(w.lists.cost[phaseEpol], sys.lists.cost[phaseEpol]) {
+			t.Fatal("the worker decode and DecodeSnapshot disagree on the E_pol side")
 		}
 	})
 }

@@ -223,7 +223,9 @@ func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*S
 // out so the snapshot loader (snapshot.go) can reconstruct a System from
 // serialized trees without rebuilding them. params must already be
 // defaulted and validated, and the trees must index mol/surf (ta over
-// the atom positions, tq over the q-point positions).
+// the atom positions, tq over the q-point positions). A worker's snapshot
+// (decodeWorkerSnapshot) has no surface side: surf and tq nil, and the
+// System derives nothing from them.
 func assembleSystem(mol *molecule.Molecule, surf *surface.Surface, ta, tq *octree.Tree, params Params) *System {
 	s := &System{Mol: mol, Surf: surf, Atoms: ta, QPts: tq, Params: params}
 	// Everything derived from T_A on one side, everything derived from T_Q
@@ -239,6 +241,9 @@ func assembleSystem(mol *molecule.Molecule, surf *surface.Surface, ta, tq *octre
 			s.refreshAtomSoA()
 		},
 		func() {
+			if tq == nil {
+				return
+			}
 			s.WN = make([]geom.Vec3, surf.NumPoints())
 			for slot, orig := range tq.Index {
 				p := surf.Points[orig]
@@ -441,10 +446,11 @@ func qNodeAggregates(t *octree.Tree, wn []geom.Vec3) []geom.Vec3 {
 // times over (at 20 000 atoms the lists alone are 10× it). Memory reports
 // those.
 func (s *System) MemoryBytes() int64 {
-	return s.Mol.MemoryBytes() + s.Surf.MemoryBytes() +
-		s.Atoms.MemoryBytes() + s.QPts.MemoryBytes() +
-		int64(len(s.Charge)+len(s.Radius))*8 +
-		int64(len(s.WN)+len(s.QNodeWN))*24
+	n := s.Mol.MemoryBytes() + s.Atoms.MemoryBytes() + int64(len(s.Charge)+len(s.Radius))*8
+	if s.QPts != nil { // a worker's system holds no surface side
+		n += s.Surf.MemoryBytes() + s.QPts.MemoryBytes() + int64(len(s.WN)+len(s.QNodeWN))*24
+	}
+	return n
 }
 
 // Memory is what a System holds, in bytes by structure.

@@ -213,3 +213,48 @@ func BenchmarkReadPQR20k(b *testing.B) {
 		})
 	}
 }
+
+// FuzzReadPQR feeds arbitrary bytes to both parsers (`make fuzz`; the seeds
+// are the oracle corpus above, the committed corpus in testdata/fuzz). Neither
+// panics; each returns a molecule of at least one atom or an error, never
+// both; what it reads its writer writes back readable, atom for atom; and on
+// ASCII input each agrees with its oracle, atom for atom and error for error
+// (the oracles split fields on Unicode white space, the parsers on ASCII's).
+func FuzzReadPQR(f *testing.F) {
+	for _, src := range parserCorpus {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		ascii := true
+		for _, c := range src {
+			ascii = ascii && c < 0x80
+		}
+		for _, p := range []struct {
+			name         string
+			read, oracle func(io.Reader) (*Molecule, error)
+			write        func(io.Writer, *Molecule) error
+		}{{"pqr", ReadPQR, readPQROracle, WritePQR}, {"xyzqr", ReadXYZQR, readXYZQROracle, WriteXYZQR}} {
+			m, err := p.read(bytes.NewReader(src))
+			if (err == nil) == (m == nil) || err == nil && m.NumAtoms() == 0 {
+				t.Fatalf("%s: molecule %v beside error %v", p.name, m, err)
+			}
+			if ascii {
+				want, wantErr := p.oracle(bytes.NewReader(src))
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprint(m) != fmt.Sprint(want) {
+					t.Fatalf("%s: %v, %v; the oracle reads %v, %v", p.name, m, err, want, wantErr)
+				}
+			}
+			if err != nil {
+				continue
+			}
+			var out bytes.Buffer
+			if err := p.write(&out, m); err != nil {
+				t.Fatal(err)
+			}
+			back, err := p.read(&out)
+			if err != nil || back.NumAtoms() != m.NumAtoms() {
+				t.Fatalf("%s: %d atoms written back read as %v, %v", p.name, m.NumAtoms(), back, err)
+			}
+		}
+	})
+}

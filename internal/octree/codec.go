@@ -70,6 +70,17 @@ func (t *Tree) AppendTo(w *wire.Writer) {
 	}
 }
 
+// SkipTree steps over a tree encoded by AppendTo, reading only its lengths —
+// the permutation's, the keys' and the node count — each checked against
+// the bytes remaining: one that runs past the end leaves r failed with
+// wire.ErrTruncated. Nothing is allocated and nothing validated.
+func SkipTree(r *wire.Reader) {
+	r.SkipArray(4)         // the permutation
+	r.Next(4 + 6*8 + 1)    // the leaf capacity, the root box, the builder
+	r.SkipArray(8)         // the Morton keys
+	r.SkipArray(nodeBytes) // the node count and the node block
+}
+
 // DecodeTree reads a tree encoded by AppendTo over the caller's n points,
 // point i at pos(i), and re-validates every structural invariant, so a
 // corrupted input yields an error rather than a tree that panics inside a

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -61,6 +62,33 @@ func FuzzDecodeTree(f *testing.F) {
 			}
 		}
 	})
+}
+
+// SkipTree steps over exactly what DecodeTree reads, and an encoding cut
+// anywhere short leaves the reader failed with wire.ErrTruncated.
+func TestSkipTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(287))
+	pts := randPts(rng, 300, 12)
+	for _, b := range []Builder{BuilderRecursive, BuilderMorton} {
+		tr, err := Build(pts, Options{LeafCap: 8, Builder: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w wire.Writer
+		tr.AppendTo(&w)
+		w.U8(7) // what follows the tree
+		r := wire.NewReader(w.Bytes())
+		if SkipTree(r); r.Err() != nil || r.U8() != 7 || r.Remaining() != 0 {
+			t.Fatalf("builder %d: err %v, did not land on what follows", b, r.Err())
+		}
+		enc := w.Bytes()[:w.Len()-1]
+		for cut := 1; cut < len(enc); cut += 1 + cut/4 {
+			r := wire.NewReader(enc[:len(enc)-cut])
+			if SkipTree(r); !errors.Is(r.Err(), wire.ErrTruncated) {
+				t.Fatalf("builder %d, %d bytes short: err %v", b, cut, r.Err())
+			}
+		}
+	}
 }
 
 // A permutation that is not one — a slot holding a point twice, or one

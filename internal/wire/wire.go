@@ -280,3 +280,9 @@ func (r *Reader) U64s() []uint64 { return array[uint64](r, r.count(8), 8) }
 // U8s reads a length-prefixed []uint8. Returns nil for count 0. The
 // returned slice is a copy, never a view into the input buffer.
 func (r *Reader) U8s() []uint8 { return array[uint8](r, r.count(1), 1) }
+
+// SkipArray steps over a length-prefixed array of width-byte elements —
+// what U8s, I32s, F64s or U64s would read (width 1, 4, 8, 8), or any block
+// of records behind a count — unread and unallocated. Its count is checked against the bytes remaining as theirs
+// is: one that runs past the end fails with ErrTruncated.
+func (r *Reader) SkipArray(width int) { r.take(r.count(width) * width) }

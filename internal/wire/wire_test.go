@@ -333,6 +333,41 @@ func TestHostileCountAllocatesNothing(t *testing.T) {
 	}
 }
 
+// SkipArray steps over exactly what the array read of its width would
+// consume, allocating nothing, and refuses a count that runs past the end
+// as that read does, consuming no more than the count.
+func TestSkipArray(t *testing.T) {
+	for _, width := range []int{1, 4, 8, 119} {
+		for _, count := range []uint32{0, 3} {
+			for short := range min(count, 1) + 1 { // a byte short of a non-empty array too
+				var w Writer
+				w.U32(count)
+				w.Raw(make([]byte, int(count)*width-int(short)))
+				if short == 0 {
+					w.U8(7) // what follows the array
+				}
+				r := NewReader(w.Bytes())
+				allocs := testing.AllocsPerRun(10, func() {
+					*r = Reader{buf: w.Bytes()}
+					r.SkipArray(width)
+				})
+				switch {
+				case allocs != 0:
+					t.Errorf("width %d, count %d: %v allocations", width, count, allocs)
+				case short == 0 && (r.Err() != nil || r.U8() != 7):
+					t.Errorf("width %d, count %d: err %v, did not land on what follows", width, count, r.Err())
+				case short == 1 && (!errors.Is(r.Err(), ErrTruncated) || r.Remaining() != len(w.Bytes())-4):
+					t.Errorf("width %d, count %d, one byte short: err %v, %d left", width, count, r.Err(), r.Remaining())
+				}
+			}
+		}
+		r := NewReader(append([]byte{0xff, 0xff, 0xff, 0xff}, make([]byte, 64)...))
+		if r.SkipArray(width); !errors.Is(r.Err(), ErrTruncated) {
+			t.Errorf("width %d: a maximal count skipped: err %v", width, r.Err())
+		}
+	}
+}
+
 // chunks records the sizes of the writes a stream Writer makes.
 type chunks struct {
 	bytes.Buffer
