@@ -7,7 +7,7 @@ GO ?= go
 # hosts. Usage: make bench-lanes GOAMD64=v3
 GOAMD64 ?=
 
-.PHONY: check build test vet fmt bigendian race faults fuzz bench-warm bench-lanes bench-lists bench-kernels bench-snapshot obs net kernels loc
+.PHONY: check build test vet fmt bigendian race faults fuzz bench-warm bench-lanes bench-lists bench-kernels bench-snapshot bench-net obs net kernels loc
 
 # comma is a literal comma inside a $(call ...) argument.
 comma := ,
@@ -74,13 +74,15 @@ build:
 ## fuzz: each native fuzz target for 10 s past its seeds and its committed
 ## corpus (testdata/fuzz): the wire reader, the snapshot decoders (the full
 ## one and a TCP worker's) and the octree decoder, the TCP transport's frame
-## decode and the PQR/XYZQR parsers. A failing input is written to the
-## package's testdata/fuzz, where `go test` replays it from then on.
+## decode, the telemetry batch a worker ships to the coordinator and the
+## PQR/XYZQR parsers. A failing input is written to the package's
+## testdata/fuzz, where `go test` replays it from then on.
 fuzz:
 	$(call fuzz_listed,FuzzReader,./internal/wire/)
 	$(call fuzz_listed,FuzzDecodeSnapshot,./internal/core/)
 	$(call fuzz_listed,FuzzDecodeTree,./internal/octree/)
 	$(call fuzz_listed,FuzzFrame,./internal/cluster/net/)
+	$(call fuzz_listed,FuzzDecodeTelemetry,./internal/obs/)
 	$(call fuzz_listed,FuzzReadPQR,./internal/molecule/)
 
 vet:
@@ -231,6 +233,14 @@ bench-kernels:
 ## (EXPERIMENTS.md "Checkpoint codec", "Born beside the checkpoint").
 bench-snapshot:
 	$(call bench_listed,BenchmarkSnapshotEncode|BenchmarkSnapshotSave|BenchmarkSnapshotDecode|BenchmarkSnapshotLoad,-benchtime 5x -count 2 -benchmem,./internal/core/)
+
+## bench-net: the net_run workload's op in process — a two-rank TCP run of
+## the 4 000-atom molecule over loopback, the worker rank a goroutine running
+## the real worker entry point, each op after a forced collection — with bytes
+## and objects allocated and the collections that ran inside the ops per op
+## (gc/op) (EXPERIMENTS.md "A TCP run without a garbage collection").
+bench-net:
+	$(call bench_listed,BenchmarkNetRun4k,-benchtime 100x -count 3 -benchmem,./internal/core/)
 
 ## bench-cold: the cold path, PQR bytes to first E_pol — the five public
 ## calls at the ledger's fixture, per stage in wall ms and cores kept busy

@@ -3,12 +3,14 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/mathx"
 	"gbpolar/internal/molecule"
+	"gbpolar/internal/octree"
 	"gbpolar/internal/surface"
 )
 
@@ -199,6 +201,10 @@ func TestErrorAndWorkTrendWithEps(t *testing.T) {
 	}
 }
 
+// The compacted histograms are the dense bottom-up ones — every node's
+// charges binned by Born radius, a leaf's summed in slot order and an
+// internal node's from its children's in child order — bit for bit with
+// their zero bins dropped, and each sums to the charge under its node.
 func TestHistogramsConserveCharge(t *testing.T) {
 	sys, mol, _ := testSystem(t, 400, 74, DefaultParams())
 	radii := make([]float64, mol.NumAtoms())
@@ -206,27 +212,51 @@ func TestHistogramsConserveCharge(t *testing.T) {
 		radii[i] = 1.5 + 0.1*float64(i%20)
 	}
 	ctx := NewEpolContext(sys, radii)
-	// Root histogram sums to total charge.
-	var rootSum float64
-	for _, q := range ctx.hist[sys.Atoms.Root()] {
-		rootSum += q
+	tr := sys.Atoms
+	dense := make([][]float64, tr.NumNodes())
+	for i := tr.NumNodes() - 1; i >= 0; i-- {
+		n := &tr.Nodes[i]
+		dense[i] = make([]float64, ctx.MEps)
+		if n.IsLeaf {
+			for s := n.Start; s < n.End; s++ {
+				dense[i][ctx.binOf(radii[s])] += sys.Charge[s]
+			}
+			continue
+		}
+		for _, c := range n.Children {
+			if c != octree.NoChild {
+				for k, v := range dense[c] {
+					dense[i][k] += v
+				}
+			}
+		}
 	}
-	if relErr(rootSum, mol.TotalCharge()) > 1e-9 {
-		t.Errorf("root histogram sum %v, total charge %v", rootSum, mol.TotalCharge())
-	}
-	// Every node's histogram sums to the charge under it.
-	for ni := range sys.Atoms.Nodes {
-		n := &sys.Atoms.Nodes[ni]
-		var want float64
+	for ni := range tr.Nodes {
+		n := &tr.Nodes[ni]
+		var want, got float64
 		for s := n.Start; s < n.End; s++ {
 			want += sys.Charge[s]
 		}
-		var got float64
-		for _, q := range ctx.hist[ni] {
+		var bins []int32
+		var qs []float64
+		for k, q := range dense[ni] {
+			if q != 0 {
+				bins, qs = append(bins, int32(k)), append(qs, q)
+			}
+		}
+		lo, hi := ctx.nzOff[ni], ctx.nzOff[ni+1]
+		if !slices.Equal(ctx.nzBin[lo:hi], bins) || !slices.Equal(ctx.nzQ[lo:hi], qs) {
+			t.Fatalf("node %d: bins %v charges %v, the dense histogram's %v %v",
+				ni, ctx.nzBin[lo:hi], ctx.nzQ[lo:hi], bins, qs)
+		}
+		for _, q := range qs {
 			got += q
 		}
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("node %d histogram sum %v, charge %v", ni, got, want)
+		}
+		if ni == int(tr.Root()) && relErr(got, mol.TotalCharge()) > 1e-9 {
+			t.Errorf("root histogram sum %v, total charge %v", got, mol.TotalCharge())
 		}
 	}
 }

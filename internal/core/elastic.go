@@ -1,11 +1,9 @@
 package core
 
 import (
-	"math/bits"
 	"sort"
 
 	"gbpolar/internal/cluster"
-	"gbpolar/internal/octree"
 )
 
 // This file is the ownership function of the rank body (pipeline.go):
@@ -174,29 +172,36 @@ func (c costs) carveTail(spans []Span, k int) (kept, carved []Span) {
 // mutual pair once, as the sweep takes it — and a far entry one term for
 // each row that takes it.
 
-// tileCosts returns the cumulative estimated cost of il's tiles (rows from
-// rowTree, entries from atoms): tile t costs cost[t+1] − cost[t]. The lists
-// were validated, or compiled.
-func tileCosts(il *InteractionLists, rowTree, atoms *octree.Tree) []int64 {
-	cost, _ := scanTiles("", il, rowTree, atoms, false)
-	return cost
+// listScan is what one pass over a phase's lists learns (scanTiles): the
+// cumulative estimated costs of its tiles — tile t costs cost[t+1] −
+// cost[t] — and the longest near streams a sweep of them gathers.
+type listScan struct {
+	cost []int64
+	near nearExtents
 }
 
-// laneSums is the row points of a tile's lanes summed over any lane mask:
-// the low four lanes' sum and the high four's, one table each.
-type laneSums struct{ lo, hi [16]int64 }
+// nearExtents is the most atoms a sweep gathers of one tile's near entries
+// into one stream: of its shared Near and Sym runs (shared), and of lane
+// l's share of its own ones (lanes[l]). The E_pol scratch is sized by it
+// (newEpolScratch), or by a bound of its shape that covers far runs too
+// (boundExtents).
+type nearExtents struct {
+	shared int
+	lanes  [tileLanes]int
+}
 
-func newLaneSums(pts *[tileLanes]int64) (s laneSums) {
+// nibbleLanes returns, for each lane l of a nibble, the sum of by[m] over
+// the nibbles m with bit l set.
+func nibbleLanes(by *[16]int64) (lanes [4]int64) {
 	for m := 1; m < 16; m++ {
-		l := bits.TrailingZeros8(uint8(m))
-		s.lo[m] = s.lo[m&(m-1)] + pts[l]
-		s.hi[m] = s.hi[m&(m-1)] + pts[4+l]
+		for l := range lanes {
+			if m>>l&1 != 0 {
+				lanes[l] += by[m]
+			}
+		}
 	}
-	return s
+	return lanes
 }
-
-// of returns the points of the lanes set in m.
-func (s *laneSums) of(m uint8) int64 { return s.lo[m&15] + s.hi[m>>4] }
 
 // ElasticOut carries one worker rank's outputs from RunNetWorker.
 type ElasticOut struct {

@@ -21,12 +21,11 @@ type EpolContext struct {
 	MEps int
 	// RMin and RMax are the Born-radius extremes over all atoms.
 	RMin, RMax float64
-	// hist[n] is q_U[·] for node n.
-	hist [][]float64
-	// nzOff/nzBin/nzQ are the histograms compacted to their nonzero bins
-	// (CSR over nodes): node n's populated bins are nzBin[nzOff[n]:
-	// nzOff[n+1]] with charges nzQ[...]. The compiled far-field kernel
-	// (kernels.go) sweeps these instead of testing every bin for zero.
+	// nzOff/nzBin/nzQ are the histograms q_U[·], compacted to their
+	// nonzero bins (CSR over nodes): node n's populated bins are
+	// nzBin[nzOff[n]:nzOff[n+1]], ascending, with charges nzQ[...]. Both
+	// far-field kernels read these and no bin that is zero; a node no walk
+	// from the root reaches has none.
 	nzOff []int32
 	nzBin []int32
 	nzQ   []float64
@@ -77,9 +76,8 @@ func (ctx *EpolContext) binOf(r float64) int {
 	return k
 }
 
-// NewEpolContext builds the histograms (bottom-up over the linearized
-// tree: leaves sum their atoms, internal nodes sum their children) and
-// the bin-product table.
+// NewEpolContext builds the histograms (histograms) and the bin-product
+// table.
 func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 	eps := sys.Params.EpsEpol
 	ctx := &EpolContext{
@@ -117,58 +115,11 @@ func NewEpolContext(sys *System, slotRadii []float64) *EpolContext {
 
 	ctx.lnBase = math.Log(1 + eps)
 
-	t := sys.Atoms
-	ctx.hist = make([][]float64, t.NumNodes())
-	flat := make([]float64, t.NumNodes()*ctx.MEps)
-	for i := range ctx.hist {
-		ctx.hist[i] = flat[i*ctx.MEps : (i+1)*ctx.MEps]
+	bins := make([]uint8, len(slotRadii)) // MEps ≤ 256
+	for i, r := range slotRadii {
+		bins[i] = uint8(ctx.binOf(r))
 	}
-	for i := t.NumNodes() - 1; i >= 0; i-- {
-		n := &t.Nodes[i]
-		h := ctx.hist[i]
-		if n.IsLeaf {
-			for s := n.Start; s < n.End; s++ {
-				h[ctx.binOf(slotRadii[s])] += sys.Charge[s]
-			}
-			continue
-		}
-		for _, c := range n.Children {
-			if c == octree.NoChild {
-				continue
-			}
-			for k, v := range ctx.hist[c] {
-				h[k] += v
-			}
-		}
-	}
-
-	// Compact the histograms to their nonzero bins: proteins bin charges
-	// into a handful of the M_ε bins per node, so the far-field double
-	// loop over (i, j) wastes most iterations on the zero test. The CSR
-	// form lets the compiled kernel touch populated bins only.
-	ctx.nzOff = make([]int32, t.NumNodes()+1)
-	nnz := 0
-	for _, h := range ctx.hist {
-		for _, q := range h {
-			if q != 0 {
-				nnz++
-			}
-		}
-	}
-	ctx.nzBin = make([]int32, nnz)
-	ctx.nzQ = make([]float64, nnz)
-	at := int32(0)
-	for n, h := range ctx.hist {
-		ctx.nzOff[n] = at
-		for k, q := range h {
-			if q != 0 {
-				ctx.nzBin[at] = int32(k)
-				ctx.nzQ[at] = q
-				at++
-			}
-		}
-	}
-	ctx.nzOff[t.NumNodes()] = at
+	ctx.nzOff, ctx.nzBin, ctx.nzQ = histograms(sys.Atoms, sys.Charge, bins, ctx.MEps)
 
 	ctx.rr = make([]float64, 2*ctx.MEps-1)
 	for k := range ctx.rr {
@@ -259,17 +210,12 @@ func ApproxEpol(ctx *EpolContext, uNode, vLeaf int32, acc *epolAccum) {
 		// Far enough: interact the charge histograms bin-by-bin, using
 		// R_min²(1+ε)^{i+j} as the R_u·R_v surrogate.
 		exp, rsqrt := ctx.kern.Exp, ctx.kern.RSqrt
-		hu, hv := ctx.hist[uNode], ctx.hist[vLeaf]
+		vb, vq := ctx.nzBin[ctx.nzOff[vLeaf]:ctx.nzOff[vLeaf+1]], ctx.nzQ[ctx.nzOff[vLeaf]:ctx.nzOff[vLeaf+1]]
 		var s float64
-		for i, qi := range hu {
-			if qi == 0 {
-				continue
-			}
-			for j, qj := range hv {
-				if qj == 0 {
-					continue
-				}
-				rr := ctx.rr[i+j]
+		for a := ctx.nzOff[uNode]; a < ctx.nzOff[uNode+1]; a++ {
+			i, qi := ctx.nzBin[a], ctx.nzQ[a]
+			for j, qj := range vq {
+				rr := ctx.rr[i+vb[j]]
 				f2 := d2 + rr*exp(-d2/(4*rr))
 				s += qi * qj * rsqrt(f2)
 				acc.ops++
@@ -283,6 +229,79 @@ func ApproxEpol(ctx *EpolContext, uNode, vLeaf int32, acc *epolAccum) {
 			ApproxEpol(ctx, child, vLeaf, acc)
 		}
 	}
+}
+
+// histograms returns the charge histograms of t's nodes, each compacted to
+// its nonzero bins (EpolContext.nzOff, nzBin, nzQ); slot s holds charge[s]
+// in bin bins[s] of m. A walk from the root builds each node's histogram as
+// a dense row of m bins — a leaf sums its atoms' charges in slot order, an
+// internal node its children's rows in child order — one row a depth, so
+// only the rows of one root path are ever held, and writes its nonzero bins
+// out as it leaves the node; they are then put in node order. A node no
+// walk from the root reaches has none.
+func histograms(t *octree.Tree, charge []float64, bins []uint8, m int) (off, bin []int32, q []float64) {
+	// A node holds 1.2–1.4 nonzero bins at the ledger's molecules.
+	nn := t.NumNodes()
+	h := histWalk{t: t, charge: charge, bins: bins, m: m, rows: make([]float64, 0, 32*m),
+		bin: make([]int32, 0, nn+nn/2), q: make([]float64, 0, nn+nn/2), at: make([]int32, nn)}
+	off = make([]int32, nn+1)
+	h.cnt = off[1:]
+	h.node(t.Root(), 0)
+	for n := range nn {
+		off[n+1] += off[n]
+	}
+	bin, q = make([]int32, len(h.bin)), make([]float64, len(h.q))
+	for n := range nn {
+		copy(bin[off[n]:off[n+1]], h.bin[h.at[n]:])
+		copy(q[off[n]:off[n+1]], h.q[h.at[n]:])
+	}
+	return off, bin, q
+}
+
+// histWalk is histograms' walk: rows[d·m:(d+1)·m] is the row of depth d, and
+// node n's nonzero bins, written out as the walk leaves it, are cnt[n]
+// entries of bin and q from at[n].
+type histWalk struct {
+	t       *octree.Tree
+	charge  []float64
+	bins    []uint8
+	m       int
+	rows    []float64
+	bin     []int32
+	q       []float64
+	at, cnt []int32
+}
+
+// node builds node n's row at depth d and writes its nonzero bins out.
+func (h *histWalk) node(n int32, d int) {
+	if len(h.rows) < (d+1)*h.m {
+		h.rows = append(h.rows, make([]float64, h.m)...)
+	}
+	row := h.rows[d*h.m : (d+1)*h.m]
+	clear(row)
+	if nd := &h.t.Nodes[n]; nd.IsLeaf {
+		for s := nd.Start; s < nd.End; s++ {
+			row[h.bins[s]] += h.charge[s]
+		}
+	} else {
+		for _, c := range nd.Children {
+			if c == octree.NoChild {
+				continue
+			}
+			h.node(c, d+1)
+			row = h.rows[d*h.m : (d+1)*h.m] // the walk below may have grown rows
+			for k, v := range h.rows[(d+1)*h.m : (d+2)*h.m] {
+				row[k] += v
+			}
+		}
+	}
+	h.at[n] = int32(len(h.bin))
+	for k, v := range row {
+		if v != 0 {
+			h.bin, h.q = append(h.bin, int32(k)), append(h.q, v)
+		}
+	}
+	h.cnt[n] = int32(len(h.bin)) - h.at[n]
 }
 
 // Finish converts the accumulated raw pair sum into E_pol in kcal/mol.

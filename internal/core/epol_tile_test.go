@@ -33,11 +33,11 @@ func TestEpolTileKernelMatchesRows(t *testing.T) {
 			ctx := NewEpolContext(f.sys, f.radii)
 			var want, got epolAccum
 			perRow := rows.tiled()
-			sc := newEpolScratch(ctx, perRow, 1)
+			sc := listScratch(ctx, perRow, 1)
 			for tile := range perRow.tiles() {
 				epolTile(ctx, perRow, tile, &sc[0], &want)
 			}
-			tsc := newEpolScratch(ctx, il, 1)
+			tsc := listScratch(ctx, il, 1)
 			for tile := range il.tiles() {
 				epolTile(ctx, il, tile, &tsc[0], &got)
 			}

@@ -227,11 +227,14 @@ type CompiledLists struct {
 	// (Figure 3).
 	Born, Epol *InteractionLists
 
-	// costMu guards cost: the Born (phaseBorn) and the E_pol phase's
-	// (phaseEpol) tileCosts, each priced when two or more ranks first divide
-	// its tiles (unitCosts), or by the decode that validated its lists.
-	costMu sync.Mutex
-	cost   [2][]int64
+	// costMu guards cost and epolNear: the Born (phaseBorn) and the E_pol
+	// phase's (phaseEpol) tile costs, and the E_pol tiles' nearExtents,
+	// each phase's learned in one pass over its lists (scanTiles) when two
+	// or more ranks first divide its tiles (unitCosts), or by the decode
+	// that validated them.
+	costMu   sync.Mutex
+	cost     [2][]int64
+	epolNear nearExtents
 }
 
 // The phases' indices in CompiledLists.cost.
@@ -241,19 +244,38 @@ const (
 )
 
 // unitCosts returns the cumulative estimated costs of phase ph's tiles
-// (tileCosts), pricing them on first use. It reads only that phase's side
+// (listScan), pricing them on first use. It reads only that phase's side
 // of sys: a worker's system, which holds no surface side, asks for E_pol's.
 func (cl *CompiledLists) unitCosts(sys *System, ph int) costs {
 	cl.costMu.Lock()
 	defer cl.costMu.Unlock()
-	if cl.cost[ph] == nil {
-		if ph == phaseBorn {
-			cl.cost[ph] = tileCosts(cl.Born, sys.QPts, sys.Atoms)
-		} else {
-			cl.cost[ph] = tileCosts(cl.Epol, sys.Atoms, sys.Atoms)
-		}
-	}
+	cl.scan(sys, ph)
 	return cl.cost[ph]
+}
+
+// epolExtents returns the E_pol tiles' nearExtents and true if the pass
+// that prices the tiles has measured them (unitCosts, or the decode), and
+// false otherwise: a run of one rank never prices them, and counting every
+// run for the scratch alone would cost a trajectory step, whose lists are
+// new every step, more than the scratch it saves.
+func (cl *CompiledLists) epolExtents() (nearExtents, bool) {
+	cl.costMu.Lock()
+	defer cl.costMu.Unlock()
+	return cl.epolNear, cl.cost[phaseEpol] != nil
+}
+
+// scan makes phase ph's listScan, once; the caller holds costMu.
+func (cl *CompiledLists) scan(sys *System, ph int) {
+	if cl.cost[ph] != nil {
+		return
+	}
+	if ph == phaseBorn {
+		s, _ := scanTiles("", cl.Born, sys.QPts, sys.Atoms, false)
+		cl.cost[ph] = s.cost
+		return
+	}
+	s, _ := scanTiles("", cl.Epol, sys.Atoms, sys.Atoms, false)
+	cl.cost[ph], cl.epolNear = s.cost, s.near
 }
 
 // matches reports whether the cached lists were compiled under the

@@ -67,11 +67,16 @@ type soa struct {
 	flat              []float64
 }
 
+// soaSize is the backing array length of an n-atom SoA.
+func soaSize(n int) int { return srcFields * (n + gatherPad) }
+
 // newSoa allocates an n-atom SoA over one backing array, every field
 // followed by gatherPad elements of slack.
-func newSoa(n int) soa {
+func newSoa(n int) soa { return soaOver(make([]float64, soaSize(n)), n) }
+
+// soaOver lays an n-atom SoA out over flat, soaSize(n) elements long.
+func soaOver(flat []float64, n int) soa {
 	st := n + gatherPad
-	flat := make([]float64, srcFields*st)
 	field := func(f int) []float64 { return flat[f*st : f*st+n : f*st+n] }
 	return soa{x: field(0), y: field(1), z: field(2), q: field(3), r: field(4), ir: field(5), flat: flat}
 }
@@ -138,10 +143,21 @@ type laneStreams struct {
 	s      [tileLanes]soa
 }
 
-// newLaneStreams allocates lane streams with room for n elements each.
-func newLaneStreams(n int) (ls laneStreams) {
-	for l := range ls.s {
-		ls.set(l, newSoa(n))
+// lanesSize is the backing array length of lane streams with room for
+// n[l] elements in lane l.
+func lanesSize(n *[tileLanes]int) (size int) {
+	for _, c := range n {
+		size += soaSize(c)
+	}
+	return size
+}
+
+// newLaneStreams lays lane streams with room for n[l] elements in lane l out
+// over flat, at least lanesSize(n) elements long.
+func newLaneStreams(flat []float64, n *[tileLanes]int) (ls laneStreams) {
+	for l, c := range n {
+		ls.set(l, soaOver(flat[:soaSize(c):soaSize(c)], c))
+		flat = flat[soaSize(c):]
 	}
 	return ls
 }
@@ -226,10 +242,12 @@ type epolTier struct {
 // epolScratch is one worker's gather-then-stream scratch: the storage of a
 // stream (s), of a tile's lane streams (lanes) and of an outer operand (o),
 // and the two operand views handed to the kernel — kept here because
-// arguments of an indirect call escape.
+// arguments of an indirect call escape. maxBins is the most occupied bins
+// of any node: a far run's stream is at most that many a node (fitFar).
 type epolScratch struct {
 	s, o, outer, stream soa
 	lanes               laneStreams
+	maxBins             int
 }
 
 // sweep gathers the stream — src's blocks [lo[e], hi[e]) of the entries e
@@ -252,40 +270,80 @@ func (sc *epolScratch) sweepStream(tk *epolTier, src []float64, lo, hi, self []i
 	return tk.sweep(&sc.outer, &sc.stream), nv
 }
 
-// newEpolScratch allocates p workers' scratch for sweeping il under ctx.
-// The stream's capacity is sized once from the lists: no shared run set
-// gathers more than its near+sym entry count times the largest leaf, nor
-// than its far entry count times the most occupied bins of any node. A
-// lane stream starts with room for the longest own run of a tile, near and
-// Sym together or far, in entries, times the mean atoms of a leaf or
-// occupied bins of a node — about the longest lane stream at the ledger's
-// sizes, where the largest leaf's would be four times it, eight lanes
-// over — and one that needs more grows (laneStreams.fill). An outer operand
-// is a tile's leaves, at most eight leaves' atoms or eight nodes' bins.
-func newEpolScratch(ctx *EpolContext, il *InteractionLists, p int) []epolScratch {
-	var maxLeaf, maxBins int32
+// newEpolScratch allocates p workers' scratch for the E_pol sweep under
+// ctx of lists whose streams near measures: exactly (nearExtents, counted
+// by the pass that prices the tiles), or else bounds (boundExtents). A
+// stream holds what the lists' entries gather into it — a tile's shared
+// runs, lane l's share of its own ones — the shared stream over the lanes'
+// storage. A far run gathers a node's occupied bins, which are known only
+// once the histograms are: the shared stream makes room for a far run that
+// may not fit when it meets one (fitFar), and a lane stream grows when an
+// entry does not fit (laneStreams.fill). An outer operand is a tile's
+// leaves, at most eight leaves' atoms or eight nodes' bins.
+func newEpolScratch(ctx *EpolContext, near nearExtents, p int) []epolScratch {
+	maxLeaf, maxBins := largestBlocks(ctx)
+	sc := make([]epolScratch, p)
+	for w := range sc {
+		// A tile's shared runs are swept before its lane streams are filled
+		// (epolTile): the shared stream lies over the lanes' storage.
+		flat := make([]float64, max(lanesSize(&near.lanes), soaSize(near.shared)))
+		sc[w].s, sc[w].lanes = soaOver(flat[:soaSize(near.shared)], near.shared), newLaneStreams(flat, &near.lanes)
+		sc[w].o, sc[w].maxBins = newSoa(tileLanes*int(max(maxLeaf, maxBins))), int(maxBins)
+	}
+	return sc
+}
+
+// boundExtents bounds the streams of il's tiles from its runs' lengths
+// alone, for lists whose nearExtents are not known. A tile's shared runs
+// gather at most their near and Sym entries times the largest leaf, or
+// their far entries times the most occupied bins of any node. Each lane
+// starts with room for the longest own run of a tile, near and Sym together
+// or far, in entries, times the mean atoms of a leaf or occupied bins of a
+// node — about the longest lane's at the ledger's molecules — and grows if
+// it needs more (laneStreams.fill).
+func boundExtents(ctx *EpolContext, il *InteractionLists) (near nearExtents) {
+	maxLeaf, maxBins := largestBlocks(ctx)
+	ownNear, ownFar := 0, 0
+	for t := range il.tiles() {
+		sh, ow := il.tileRuns(t), il.ownRuns(t)
+		near.shared = max(near.shared, (len(sh[kindNear])+len(sh[kindSym]))*int(maxLeaf), len(sh[runFar])*int(maxBins))
+		ownNear = max(ownNear, len(ow.runs[kindNear])+len(ow.runs[kindSym]))
+		ownFar = max(ownFar, len(ow.runs[runFar]))
+	}
+	meanLeaf := float64(len(ctx.Radii)) / float64(len(ctx.sys.Atoms.Leaves()))
+	meanBins := float64(len(ctx.nzQ)) / float64(len(ctx.aLo))
+	for l := range near.lanes {
+		near.lanes[l] = int(max(float64(ownNear)*meanLeaf, float64(ownFar)*meanBins))
+	}
+	return near
+}
+
+// largestBlocks returns the most atoms of any leaf and the most occupied
+// bins of any node under ctx.
+func largestBlocks(ctx *EpolContext) (maxLeaf, maxBins int32) {
 	for _, l := range ctx.sys.Atoms.Leaves() {
 		maxLeaf = max(maxLeaf, ctx.aHi[l]-ctx.aLo[l])
 	}
 	for n := range ctx.aLo {
 		maxBins = max(maxBins, ctx.nzOff[n+1]-ctx.nzOff[n])
 	}
-	n, near, far := 0, 0, 0
-	for t := range il.tiles() {
-		shared, own := il.tileRuns(t), il.ownRuns(t)
-		n = max(n, (len(shared[kindNear])+len(shared[kindSym]))*int(maxLeaf), len(shared[runFar])*int(maxBins))
-		near = max(near, len(own.runs[kindNear])+len(own.runs[kindSym]))
-		far = max(far, len(own.runs[runFar]))
+	return maxLeaf, maxBins
+}
+
+// fitFar makes the stream room for the occupied bins of the far nodes far:
+// at most maxBins a node, and when that bound passes the stream's room, the
+// nodes' count of them and a quarter more.
+func (sc *epolScratch) fitFar(ctx *EpolContext, far []int32) {
+	if len(far)*sc.maxBins <= len(sc.s.x) {
+		return
 	}
-	meanLeaf := float64(len(ctx.Radii)) / float64(len(ctx.sys.Atoms.Leaves()))
-	meanBins := float64(len(ctx.nzQ)) / float64(len(ctx.aLo))
-	nl := int(max(float64(near)*meanLeaf, float64(far)*meanBins))
-	no := tileLanes * int(max(maxLeaf, maxBins))
-	sc := make([]epolScratch, p)
-	for w := range sc {
-		sc[w].s, sc[w].o, sc[w].lanes = newSoa(n), newSoa(no), newLaneStreams(nl)
+	n := 0
+	for _, e := range far {
+		n += int(ctx.nzOff[e+1] - ctx.nzOff[e])
 	}
-	return sc
+	if n > len(sc.s.x) {
+		sc.s = newSoa(n + n/4)
+	}
 }
 
 // epolTile evaluates E_pol tile t of il into acc: the runs every row of the
@@ -344,6 +402,7 @@ func (sc *epolScratch) sweepRuns(ctx *EpolContext, self []int32, runs *[runFar +
 		acc.addNear(e, nNear, n, nv, rows, len(near)+len(sym))
 	}
 	if far := runs[runFar]; len(far) > 0 {
+		sc.fitFar(ctx, far)
 		e, _, n, nv := sc.sweep(tk, tk.bins, ctx.nzOff, ctx.nzOff[1:], self, far, nil)
 		acc.addFar(e, n, nv, rows, len(far))
 	}

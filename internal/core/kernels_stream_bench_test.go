@@ -40,7 +40,7 @@ func benchEpolFixture(b *testing.B, p Precision, asm bool) (*EpolContext, *Inter
 	b.Cleanup(func() { useAsmKernels = host })
 	useAsmKernels = asm
 	ctx := NewEpolContext(sys, slotRadii)
-	return ctx, il, &newEpolScratch(ctx, il, 1)[0], res
+	return ctx, il, &listScratch(ctx, il, 1)[0], res
 }
 
 func benchEpolStream(b *testing.B, p Precision, asm bool) {
@@ -207,7 +207,7 @@ func benchEpolSweep(b *testing.B, tiles bool) {
 			if !tiles {
 				il = perRowLists(il, ctx.sys.Atoms).tiled()
 			}
-			sc := &newEpolScratch(ctx, il, 1)[0]
+			sc := &listScratch(ctx, il, 1)[0]
 			sweep := func(acc *epolAccum) {
 				for tile := range il.tiles() {
 					epolTile(ctx, il, tile, sc, acc)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gbpolar/internal/geom"
@@ -102,12 +103,19 @@ func streamFixtures(t testing.TB, params Params) []streamFixture {
 	}
 }
 
+// listScratch is newEpolScratch for p workers sweeping il, sized by the pass
+// over il's runs that prices its tiles (scanTiles, as unitCosts makes it).
+func listScratch(ctx *EpolContext, il *InteractionLists, p int) []epolScratch {
+	scan, _ := scanTiles("", il, ctx.sys.Atoms, ctx.sys.Atoms, false)
+	return newEpolScratch(ctx, scan.near, p)
+}
+
 // sweep evaluates every compiled tile with the production sweep on a pool
 // of p workers.
 func (f streamFixture) sweep(ctx *EpolContext, il *InteractionLists, p int) epolAccum {
 	pool := sched.NewPool(p)
 	defer pool.Close()
-	scratch := newEpolScratch(ctx, il, p)
+	scratch := listScratch(ctx, il, p)
 	accs := make([]epolAccum, p)
 	tiles := il.tiles()
 	sched.ParallelFor(pool, tiles, rowGrain(tiles, p), func(lo, hi, w int) {
@@ -125,6 +133,161 @@ func (f streamFixture) sweep(ctx *EpolContext, il *InteractionLists, p int) epol
 		sum.gatherSpans += a.gatherSpans
 	}
 	return sum
+}
+
+// longestStreams returns the longest streams the sweep of il under ctx
+// gathers, in atoms and occupied bins: into the shared stream — a tile's
+// shared Near and Sym runs, or its shared far run — and into lane l's — its
+// share of the tile's own Near and Sym runs (near[l]), or of its own far run.
+func longestStreams(ctx *EpolContext, il *InteractionLists) (shared int, lanes, near [tileLanes]int) {
+	atoms := func(e int32) int { return int(ctx.aHi[e] - ctx.aLo[e]) }
+	bins := func(e int32) int { return int(ctx.nzOff[e+1] - ctx.nzOff[e]) }
+	for t := range il.tiles() {
+		sh, own := il.tileRuns(t), il.ownRuns(t)
+		var n, f int
+		for _, e := range slices.Concat(sh[kindNear], sh[kindSym]) {
+			n += atoms(e)
+		}
+		for _, e := range sh[runFar] {
+			f += bins(e)
+		}
+		shared = max(shared, n, f)
+		for l := range tileLanes {
+			var n, f int
+			for r := range own.runs {
+				for k, e := range own.runs[r] {
+					switch {
+					case own.masks[r][k]>>l&1 == 0:
+					case r == runFar:
+						f += bins(e)
+					default:
+						n += atoms(e)
+					}
+				}
+			}
+			near[l] = max(near[l], n)
+			lanes[l] = max(lanes[l], n, f)
+		}
+	}
+	return shared, lanes, near
+}
+
+// pricedScratch is one worker's scratch for f's E_pol lists made as a run
+// of two or more ranks makes it: from the nearExtents that the pass pricing
+// the tiles measured (unitCosts).
+func pricedScratch(f streamFixture, ctx *EpolContext) *epolScratch {
+	cl := f.sys.Lists(nil)
+	cl.unitCosts(f.sys, phaseEpol)
+	near, ok := cl.epolExtents()
+	if !ok {
+		panic("the lists' nearExtents are not known once their tiles are priced")
+	}
+	return &newEpolScratch(ctx, near, 1)[0]
+}
+
+// boundScratch is one worker's scratch for f's E_pol lists made as a run of
+// one rank makes it, whose lists are never priced: from boundExtents.
+func boundScratch(f streamFixture, ctx *EpolContext) *epolScratch {
+	return &newEpolScratch(ctx, boundExtents(ctx, f.sys.Lists(nil).Epol), 1)[0]
+}
+
+// sweepSized sweeps every tile of f's E_pol lists on sc and returns the sum,
+// its streams' room before the sweep, and the tiles during which a stream
+// grew.
+func sweepSized(f streamFixture, ctx *EpolContext, sc *epolScratch) (acc epolAccum, shared int, lanes [tileLanes]int, grew int) {
+	il := f.sys.Lists(nil).Epol
+	shared, lanes = len(sc.s.x), sc.lanes.cap
+	for t := range il.tiles() {
+		s, l := len(sc.s.x), sc.lanes.cap
+		epolTile(ctx, il, t, sc, &acc)
+		if len(sc.s.x) != s || sc.lanes.cap != l {
+			grew++
+		}
+	}
+	return acc, shared, lanes, grew
+}
+
+// The E_pol scratch is sized from the lists, not grown to fit. At the
+// ledger's two molecules, on both tiers, what a run of two or more ranks
+// allocates (pricedScratch) holds every tile's shared stream and every
+// lane's share of a tile's own near runs without growing — and so, there,
+// every far run too — at no more than 1.1× the longest stream the sweep
+// gathers into it. What a run of one rank allocates (boundScratch), the
+// bound from the runs' lengths, holds every stream there without growing
+// too, at up to 3.7× the longest. One leaf an
+// atom makes far runs longer than any near one: there the shared stream and
+// the lanes grow (fitFar, laneStreams.fill), to the same sum a sweep on the
+// grown scratch reads, within the tier's tolerance of the per-entry oracle.
+func TestEpolScratchSized(t *testing.T) {
+	for _, fx := range []struct {
+		name        string
+		atoms, seed int
+	}{{"4k", 4000, 2}, {"20k", 20000, 1}} {
+		if fx.atoms > 4000 && (testing.Short() || raceEnabled) {
+			t.Logf("%s: skipped under -short and -race", fx.name)
+			continue
+		}
+		f := newStreamFixture(t, fx.name, molecule.GenProtein("bench", fx.atoms, int64(fx.seed)), mortonParams())
+		for _, tier := range streamTiers {
+			f.sys.Params.Precision = tier.prec
+			ctx := NewEpolContext(f.sys, f.radii)
+			longShared, longLanes, near := longestStreams(ctx, f.sys.Lists(nil).Epol)
+			_, shared, lanes, grew := sweepSized(f, ctx, pricedScratch(f, ctx))
+			t.Logf("%s/%s priced: shared stream %d for the longest %d; lanes %v for %v (near %v)",
+				fx.name, tier.name, shared, longShared, lanes, longLanes, near)
+			if grew > 0 {
+				t.Errorf("%s/%s: a stream grew during %d tiles of the sweep", fx.name, tier.name, grew)
+			}
+			if float64(shared) > 1.1*float64(longShared) {
+				t.Errorf("%s/%s: shared stream room %d for a longest stream of %d", fx.name, tier.name, shared, longShared)
+			}
+			for l := range tileLanes {
+				if lanes[l] < near[l] || float64(lanes[l]) > 1.1*float64(longLanes[l]) {
+					t.Errorf("%s/%s: lane %d room %d for a longest near run of %d and stream of %d",
+						fx.name, tier.name, l, lanes[l], near[l], longLanes[l])
+				}
+			}
+
+			_, shared, lanes, grew = sweepSized(f, ctx, boundScratch(f, ctx))
+			t.Logf("%s/%s bound: shared stream %d for the longest %d; lanes %v; grew in %d of %d tiles",
+				fx.name, tier.name, shared, longShared, lanes, grew, f.sys.Lists(nil).Epol.tiles())
+			if shared < longShared || grew > 0 {
+				t.Errorf("%s/%s: bound scratch: shared stream room %d for a longest stream of %d; grew in %d tiles",
+					fx.name, tier.name, shared, longShared, grew)
+			}
+		}
+	}
+
+	p := DefaultParams()
+	p.LeafCap = 1
+	f := newStreamFixture(t, "leafcap1", molecule.GenProtein("bits", 600, 8), p)
+	for _, tier := range streamTiers {
+		f.sys.Params.Precision = tier.prec
+		ctx := NewEpolContext(f.sys, f.radii)
+		longShared, longLanes, _ := longestStreams(ctx, f.sys.Lists(nil).Epol)
+		sc := pricedScratch(f, ctx)
+		got, shared, lanes, grew := sweepSized(f, ctx, sc)
+		t.Logf("leafcap1/%s: shared stream %d for the longest %d; lanes %v for %v", tier.name, shared, longShared, lanes, longLanes)
+		if grew == 0 || shared >= longShared || lanes == longLanes {
+			t.Fatalf("leafcap1/%s: the fixture no longer outgrows its scratch (shared %d of %d, lanes %v of %v)",
+				tier.name, shared, longShared, lanes, longLanes)
+		}
+		again, _, _, grewAgain := sweepSized(f, ctx, sc)
+		if grewAgain > 0 || got.energy != again.energy || got.ops != again.ops {
+			t.Errorf("leafcap1/%s: growing sweep %v (%v ops), again on the grown scratch %v (%v ops, grew in %d tiles)",
+				tier.name, got.energy, got.ops, again.energy, again.ops, grewAgain)
+		}
+		oracle := newEpolOracle(ctx)
+		rows := perRowLists(f.sys.Lists(nil).Epol, f.sys.Atoms)
+		conv := make([]float64, len(ctx.rr))
+		var want epolAccum
+		for row := range rows.Rows {
+			epolRowOracle(oracle, rows, row, conv, &want)
+		}
+		if e := relErr(got.energy, want.energy); !(e <= tier.asmTol) {
+			t.Errorf("leafcap1/%s: pair sum %.17g vs oracle %.17g (rel %.3g)", tier.name, got.energy, want.energy, e)
+		}
+	}
 }
 
 // The differential harness of the gather-then-stream driver: against the

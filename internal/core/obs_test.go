@@ -284,7 +284,7 @@ func TestKernelHotLoopZeroAllocs(t *testing.T) {
 	for _, tier := range []Precision{PrecisionExact, PrecisionLanes} {
 		sys.Params.Precision = tier
 		ctx := NewEpolContext(sys, slotRadii)
-		scratch := newEpolScratch(ctx, lists.Epol, 1)
+		scratch := listScratch(ctx, lists.Epol, 1)
 		var eacc epolAccum
 		tiles, tile := lists.Epol.tiles(), 0
 		if a := testing.AllocsPerRun(2*tiles, func() {

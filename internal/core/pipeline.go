@@ -24,7 +24,7 @@ import (
 // paper's node–node division (Section IV.A) among the ranks that hold the
 // phase's inputs: while the membership log is empty, static parts of leaf
 // rows or of the units a kernel takes whole (the compiled sweeps' tiles,
-// InteractionLists.TileOff, cut at equal estimated cost, tileCosts) — so a
+// InteractionLists.TileOff, cut at equal estimated cost, listScan) — so a
 // part, a healed set of spans, a stolen batch and "all rows" are the same
 // call to sweep, and every collective sits in one detect–heal–retry loop.
 // Every rank holds what E_pol reads; the Born and push phases are divided
@@ -188,7 +188,7 @@ func (pl *pipeline) pass(name string, rows, inherited int, work func() (ops, cha
 // rowUnits cuts a phase's n rows into the units its kernel takes whole:
 // unit u is the rows [off[u], off[u+1]) — a compiled tile — or, off nil,
 // row u alone. The ranks 0 to ranks−1 divide the units at equal cost: cost
-// holds the compiled tiles' estimates (tileCosts) when they are two or
+// holds the compiled tiles' estimates (listScan) when they are two or
 // more, and is nil — every unit costing 1 — otherwise.
 type rowUnits struct {
 	n     int
@@ -545,7 +545,11 @@ func (pl *pipeline) epolContext() *EpolContext {
 	if pl.ectx == nil {
 		pl.ectx = NewEpolContext(pl.sys, pl.radii)
 		if pl.kern.epol == rowCompiled {
-			pl.scr = newEpolScratch(pl.ectx, pl.lists.Epol, pl.p)
+			near, ok := pl.lists.epolExtents()
+			if !ok {
+				near = boundExtents(pl.ectx, pl.lists.Epol)
+			}
+			pl.scr = newEpolScratch(pl.ectx, near, pl.p)
 		}
 	}
 	return pl.ectx

@@ -39,7 +39,7 @@ func TestLanesTierBitCompatible(t *testing.T) {
 	lanes := NewEpolContext(f.sys, f.radii)
 	oracle := *lanes
 	oracle.stream.sweep = epolStreamApprox
-	scr := newEpolScratch(lanes, il, 1)
+	scr := listScratch(lanes, il, 1)
 	far := 0
 	for tile := range il.tiles() {
 		var got, want epolAccum

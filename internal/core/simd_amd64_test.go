@@ -168,9 +168,9 @@ func TestGatherCanariesStayDead(t *testing.T) {
 			}
 			return acc
 		}
-		clean := sweep(&newEpolScratch(ctx, il, 1)[0])
+		clean := sweep(&listScratch(ctx, il, 1)[0])
 
-		scratch := newEpolScratch(ctx, il, 2)
+		scratch := listScratch(ctx, il, 2)
 		flats := func(sc *epolScratch) [][]float64 {
 			fl := [][]float64{sc.s.flat, sc.o.flat}
 			for l := range sc.lanes.s {

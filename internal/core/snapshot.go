@@ -242,17 +242,19 @@ func decodeSnapshot(data []byte, worker bool) (*System, error) {
 		}
 		// The phases are checked side by side; the Born phase's failure is
 		// the one reported when both fail.
+		var scans [2]listScan
 		var errs [2]error
 		sched.Together(
 			func() {
 				if !worker {
-					cl.cost[phaseBorn], errs[0] = validateIL("born", cl.Born, tq, ta)
+					scans[phaseBorn], errs[0] = validateIL("born", cl.Born, tq, ta)
 				}
 			},
-			func() { cl.cost[phaseEpol], errs[1] = validateIL("epol", cl.Epol, ta, ta) })
+			func() { scans[phaseEpol], errs[1] = validateIL("epol", cl.Epol, ta, ta) })
 		if err := cmp.Or(errs[0], errs[1]); err != nil {
 			return nil, err
 		}
+		cl.cost[phaseBorn], cl.cost[phaseEpol], cl.epolNear = scans[phaseBorn].cost, scans[phaseEpol].cost, scans[phaseEpol].near
 		lists = cl
 	}
 	if r.Err() != nil {
@@ -363,17 +365,17 @@ func decodeSurface(r *wire.Reader) (*surface.Surface, error) {
 // make (listPhase.cutTiles), which sizes every run, and refuses Born lists
 // with shared near runs, which bornTile would not read. A list that passes
 // cannot make a kernel or a repair index out of bounds. The entries are
-// checked in one pass (scanTiles), which prices the tiles on the way: it
-// returns their tileCosts.
-func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree) ([]int64, error) {
+// checked in one pass (scanTiles), which prices the tiles and measures their
+// near streams on the way: it returns what that pass learned.
+func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tree) (listScan, error) {
 	leaves := rowTree.Leaves()
 	if len(il.Rows) != len(leaves) {
-		return nil, fmt.Errorf("%w: %s lists have %d rows for %d leaves",
+		return listScan{}, fmt.Errorf("%w: %s lists have %d rows for %d leaves",
 			ErrSnapshotCorrupt, phase, len(il.Rows), len(leaves))
 	}
 	for i, row := range il.Rows {
 		if row != leaves[i] {
-			return nil, fmt.Errorf("%w: %s list row %d is node %d, leaf order says %d",
+			return listScan{}, fmt.Errorf("%w: %s list row %d is node %d, leaf order says %d",
 				ErrSnapshotCorrupt, phase, i, row, leaves[i])
 		}
 	}
@@ -390,24 +392,24 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 		}
 		off, entries := *c.off, *c.ents
 		if len(off) != il.tiles()+1 {
-			return nil, fmt.Errorf("%w: %s %s offsets sized %d for %d tiles",
+			return listScan{}, fmt.Errorf("%w: %s %s offsets sized %d for %d tiles",
 				ErrSnapshotCorrupt, phase, name, len(off), il.tiles())
 		}
 		if off[0] != 0 || int(off[len(off)-1]) != len(entries) {
-			return nil, fmt.Errorf("%w: %s %s offsets span [%d,%d] over %d entries",
+			return listScan{}, fmt.Errorf("%w: %s %s offsets span [%d,%d] over %d entries",
 				ErrSnapshotCorrupt, phase, name, off[0], off[len(off)-1], len(entries))
 		}
 		for i := 1; i < len(off); i++ {
 			if off[i] < off[i-1] {
-				return nil, fmt.Errorf("%w: %s %s offsets decrease at %d",
+				return listScan{}, fmt.Errorf("%w: %s %s offsets decrease at %d",
 					ErrSnapshotCorrupt, phase, name, i-1)
 			}
 		}
 		if ph.up == nil && shared && r != runFar && len(entries) > 0 {
-			return nil, fmt.Errorf("%w: %s lists share %d %s entries", ErrSnapshotCorrupt, phase, len(entries), runNames[r])
+			return listScan{}, fmt.Errorf("%w: %s lists share %d %s entries", ErrSnapshotCorrupt, phase, len(entries), runNames[r])
 		}
 		if !shared && len(*c.masks) != len(entries) {
-			return nil, fmt.Errorf("%w: %s %s run has %d masks for %d entries",
+			return listScan{}, fmt.Errorf("%w: %s %s run has %d masks for %d entries",
 				ErrSnapshotCorrupt, phase, name, len(*c.masks), len(entries))
 		}
 	}
@@ -415,11 +417,11 @@ func validateIL(phase string, il *InteractionLists, rowTree, atomTree *octree.Tr
 }
 
 // scanTiles walks il's runs once, tile by tile and class by class, and
-// returns the tiles' cumulative estimated costs (tileCosts). With check it
-// first re-establishes, in each run while it is in cache, what validateIL
-// asks of an entry (runCheck.runs). The CSR shapes and the rows have been
-// checked, or the lists compiled.
-func scanTiles(phase string, il *InteractionLists, rowTree, atoms *octree.Tree, check bool) ([]int64, error) {
+// returns the tiles' cumulative estimated costs and the near streams' extents
+// (listScan). With check it first re-establishes, in each run while it is in
+// cache, what validateIL asks of an entry (runCheck.runs). The CSR shapes and
+// the rows have been checked, or the lists compiled.
+func scanTiles(phase string, il *InteractionLists, rowTree, atoms *octree.Tree, check bool) (listScan, error) {
 	nNodes := int32(atoms.NumNodes())
 	rc := runCheck{phase: phase, nNodes: nNodes}
 	if check {
@@ -431,15 +433,19 @@ func scanTiles(phase string, il *InteractionLists, rowTree, atoms *octree.Tree, 
 	}
 	born := rowTree != atoms // the Born phase shares no near leaves: a full near mask is its own
 	own, shared := il.ownCSR(), il.tileCSR()
-	cost := make([]int64, il.tiles()+1)
+	scan := listScan{cost: make([]int64, il.tiles()+1)}
 	for t := range il.tiles() {
 		lo, hi := il.tileRows(t)
 		var pts [tileLanes]int64 // the tile's row points, lane by lane
+		var all int64
 		for l := range hi - lo {
 			pts[l] = int64(rowTree.Nodes[il.Rows[lo+l]].Count())
+			all += pts[l]
 		}
-		lanes := newLaneSums(&pts)
-		all := lanes.of(uint8(1)<<(hi-lo) - 1)
+		// The atoms of the tile's shared near entries, and of its own ones by
+		// the low and the high half of their lane masks.
+		var sharedAtoms int64
+		var byLo, byHi [16]int64
 		c := int64(hi-lo)*int64(len(shared[runFar].run(t))) + int64(popcount(own[runFar].runMasks(t)))
 		for r := range own {
 			sh, ow, masks := shared[r].run(t), own[r].run(t), own[r].runMasks(t)
@@ -449,22 +455,34 @@ func scanTiles(phase string, il *InteractionLists, rowTree, atoms *octree.Tree, 
 					allowFull = 1
 				}
 				if err := rc.runs(t, r, sh, ow, masks, &badMasks[hi-lo][allowFull]); err != nil {
-					return nil, err
+					return listScan{}, err
 				}
 			}
 			if r == runFar {
 				continue
 			}
 			for _, e := range sh {
-				c += all * count[e]
+				sharedAtoms += count[e]
 			}
 			for n, e := range ow {
-				c += lanes.of(masks[n]) * count[e]
+				m := masks[n]
+				byLo[m&15] += count[e]
+				byHi[m>>4] += count[e]
 			}
 		}
-		cost[t+1] = cost[t] + c
+		// A shared entry is swept against every row point of the tile, an own
+		// one against those of the lanes of its mask.
+		c += all * sharedAtoms
+		scan.near.shared = max(scan.near.shared, int(sharedAtoms))
+		halves := [2][4]int64{nibbleLanes(&byLo), nibbleLanes(&byHi)}
+		for l := range tileLanes {
+			atoms := halves[l/4][l%4]
+			c += pts[l] * atoms
+			scan.near.lanes[l] = max(scan.near.lanes[l], int(atoms))
+		}
+		scan.cost[t+1] = scan.cost[t] + c
 	}
-	return cost, nil
+	return scan, nil
 }
 
 // runCheck re-establishes what validateIL asks of a tile's runs of one

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -122,6 +123,42 @@ func TestTelemetryCorruptionFuzz(t *testing.T) {
 		rng.Read(b)
 		DecodeTelemetry(b)
 	}
+}
+
+// FuzzDecodeTelemetry holds DecodeTelemetry to its contract on any input:
+// it never panics, and what it accepts round-trips — the decoded batch
+// encodes to bytes that decode again, to a batch that encodes to the same
+// bytes. (An accepted input need not be those bytes itself: a repeated
+// argument key or a HasVirt byte other than 0 or 1 decodes, and encodes
+// canonically.) The seeds are valid batches, an empty one, one cut short
+// and one of another version; the committed corpus (testdata/fuzz) adds
+// non-canonical and hostile ones. Run with `go test -fuzz=FuzzDecodeTelemetry`
+// to explore (`make fuzz` does, for a few seconds).
+func FuzzDecodeTelemetry(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for range 3 {
+		f.Add(randTelemetry(rng).Encode())
+	}
+	f.Add((&Telemetry{}).Encode())
+	full := randTelemetry(rng).Encode()
+	f.Add(full[:len(full)/2])
+	bad := (&Telemetry{Gauges: []GaugeValue{{Name: "g", Value: 1}}}).Encode()
+	bad[0]++
+	f.Add(bad)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tl, err := DecodeTelemetry(b)
+		if err != nil {
+			return
+		}
+		canon := tl.Encode()
+		again, err := DecodeTelemetry(canon)
+		if err != nil {
+			t.Fatalf("the encoding of an accepted batch does not decode: %v", err)
+		}
+		if enc := again.Encode(); !bytes.Equal(enc, canon) {
+			t.Fatalf("an accepted batch re-encodes to %d bytes unlike its first %d", len(enc), len(canon))
+		}
+	})
 }
 
 // The shipper drains incrementally: each Collect returns exactly what is

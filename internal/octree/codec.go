@@ -26,18 +26,23 @@ import (
 // byte, 0 or 1), all little-endian. nodeBytes is one node's share of it.
 const nodeBytes = 4*8 + 8*4 + 2*4 + 2 + 1
 
+// nodeWidths are the node block's columns' widths, in block order.
+var nodeWidths = [...]int{8, 8, 8, 8, 32, 4, 4, 2, 1}
+
 // nodeColumns cuts a block of n nodes into its columns.
 func nodeColumns(b []byte, n int) (x, y, z, r, children, start, end, depth, leaf []byte) {
-	next := func(width int) (col []byte) {
-		col, b = b[:n*width], b[n*width:]
-		return col
+	var c [len(nodeWidths)][]byte
+	for i, width := range nodeWidths {
+		c[i], b = b[:n*width], b[n*width:]
 	}
-	return next(8), next(8), next(8), next(8), next(32), next(4), next(4), next(2), next(1)
+	return c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], c[8]
 }
 
 // AppendTo encodes the tree onto w: the slot permutation, the leaf
 // capacity, the root box, the builder, the Morton keys, then the node count
-// and the node block.
+// and the node block. The block goes out column by column, each column in
+// pieces a stream Writer's buffer holds (wire.ReserveMax), so saving a tree
+// to a stream allocates nothing.
 func (t *Tree) AppendTo(w *wire.Writer) {
 	w.I32s(t.Index)
 	w.U32(uint32(t.leafCap))
@@ -48,24 +53,60 @@ func (t *Tree) AppendTo(w *wire.Writer) {
 	w.U8(uint8(t.builder))
 	w.U64s(t.keys)
 	w.U32(uint32(len(t.Nodes)))
-	x, y, z, r, children, start, end, depth, leaf := nodeColumns(w.Reserve(len(t.Nodes)*nodeBytes), len(t.Nodes))
-	le := binary.LittleEndian
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		le.PutUint64(x[8*i:], math.Float64bits(n.Center.X))
-		le.PutUint64(y[8*i:], math.Float64bits(n.Center.Y))
-		le.PutUint64(z[8*i:], math.Float64bits(n.Center.Z))
-		le.PutUint64(r[8*i:], math.Float64bits(n.Radius))
-		kids := children[32*i:][:32]
-		for j, c := range n.Children {
-			le.PutUint32(kids[4*j:], uint32(c))
+	for col, width := range nodeWidths {
+		for lo := 0; lo < len(t.Nodes); {
+			hi := min(len(t.Nodes), lo+wire.ReserveMax/width)
+			putColumn(w.Reserve((hi-lo)*width), t.Nodes[lo:hi], col)
+			lo = hi
 		}
-		le.PutUint32(start[4*i:], uint32(n.Start))
-		le.PutUint32(end[4*i:], uint32(n.End))
-		le.PutUint16(depth[2*i:], uint16(n.Depth))
-		leaf[i] = 0
-		if n.IsLeaf {
-			leaf[i] = 1
+	}
+}
+
+// putColumn writes column col (nodeWidths' index) of nodes into b.
+func putColumn(b []byte, nodes []Node, col int) {
+	le := binary.LittleEndian
+	switch col {
+	case 0:
+		for i := range nodes {
+			le.PutUint64(b[8*i:], math.Float64bits(nodes[i].Center.X))
+		}
+	case 1:
+		for i := range nodes {
+			le.PutUint64(b[8*i:], math.Float64bits(nodes[i].Center.Y))
+		}
+	case 2:
+		for i := range nodes {
+			le.PutUint64(b[8*i:], math.Float64bits(nodes[i].Center.Z))
+		}
+	case 3:
+		for i := range nodes {
+			le.PutUint64(b[8*i:], math.Float64bits(nodes[i].Radius))
+		}
+	case 4:
+		for i := range nodes {
+			kids := b[32*i:][:32]
+			for j, c := range nodes[i].Children {
+				le.PutUint32(kids[4*j:], uint32(c))
+			}
+		}
+	case 5:
+		for i := range nodes {
+			le.PutUint32(b[4*i:], uint32(nodes[i].Start))
+		}
+	case 6:
+		for i := range nodes {
+			le.PutUint32(b[4*i:], uint32(nodes[i].End))
+		}
+	case 7:
+		for i := range nodes {
+			le.PutUint16(b[2*i:], uint16(nodes[i].Depth))
+		}
+	case 8:
+		for i := range nodes {
+			b[i] = 0
+			if nodes[i].IsLeaf {
+				b[i] = 1
+			}
 		}
 	}
 }

@@ -84,9 +84,15 @@ func (w *Writer) write(b []byte) {
 	}
 }
 
+// ReserveMax is the largest block a stream Writer's Reserve hands out of
+// the buffer it has: an encoder that reserves a wider block in pieces of at
+// most ReserveMax bytes makes the Writer allocate nothing.
+const ReserveMax = streamBuf
+
 // Reserve appends n bytes for the caller to fill and returns them: a block
 // it encodes in place, each value written once, every byte of it. A stream
-// Writer first hands the stream what it holds.
+// Writer first hands the stream what it holds, and grows its buffer only
+// for a block wider than ReserveMax.
 func (w *Writer) Reserve(n int) []byte {
 	if w.out != nil && len(w.buf)+n > streamBuf {
 		w.Flush()
