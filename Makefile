@@ -7,7 +7,7 @@ GO ?= go
 # hosts. Usage: make bench-lanes GOAMD64=v3
 GOAMD64 ?=
 
-.PHONY: check build test vet fmt bigendian race faults fuzz bench-warm bench-lanes bench-lists bench-kernels bench-snapshot bench-net obs net kernels loc
+.PHONY: check build test vet fmt bigendian race faults fuzz mem bench-warm bench-lanes bench-lists bench-kernels bench-snapshot bench-net obs net kernels loc
 
 # comma is a literal comma inside a $(call ...) argument.
 comma := ,
@@ -51,7 +51,8 @@ endef
 ## (benchmarks/ has its own go.mod, which nothing else compiles before a
 ## ledger run), the kernels with and without their assembly, race
 ## detector, the fault-injection matrix, ten seconds of each fuzz target,
-## the observability suite and the real network transport. Performance is judged by the benchmark ledger
+## the heap budget of a built System, the observability suite and the real
+## network transport. Performance is judged by the benchmark ledger
 ## (benchmarks/), not here.
 check:
 	$(MAKE) fmt
@@ -65,6 +66,7 @@ check:
 	$(MAKE) race
 	$(MAKE) faults
 	$(MAKE) fuzz
+	$(MAKE) mem
 	$(MAKE) obs
 	$(MAKE) net
 
@@ -84,6 +86,13 @@ fuzz:
 	$(call fuzz_listed,FuzzFrame,./internal/cluster/net/)
 	$(call fuzz_listed,FuzzDecodeTelemetry,./internal/obs/)
 	$(call fuzz_listed,FuzzReadPQR,./internal/molecule/)
+
+## mem: the heap a built System retains, lists excluded, against its
+## budget at the ledger's two molecules (4 000 and 20 000 atoms), and what
+## System.Memory reports against the heap a System and its lists retain
+## (DESIGN.md "Who owns each point set").
+mem:
+	$(call run_listed,-count=1 -v,TestSystemRetainedHeap|TestMemoryMatchesHeap,./internal/core/)
 
 vet:
 	$(GO) vet ./...

@@ -242,13 +242,15 @@ func (c *Comm) Barrier() error {
 
 // Allreduce combines data element-wise across ranks with op and returns
 // the combined vector to every rank. All live ranks must pass equal
-// lengths; dead ranks simply contribute nothing.
+// lengths; dead ranks simply contribute nothing, and so does an empty Sum
+// deposit, whose rank receives nil.
 func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
+	none := op == Sum && len(data) == 0
 	res, err := c.rendezvous("allreduce", data, len(data), func(contribs [][]float64, present []bool) []float64 {
 		var out []float64
 		first := true
 		for r := range contribs {
-			if !present[r] {
+			if !present[r] || op == Sum && len(contribs[r]) == 0 {
 				continue
 			}
 			if first {
@@ -264,7 +266,7 @@ func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
 		}
 		return out
 	}, func(res []float64) float64 { return c.w.treeCost(len(res)) })
-	if err != nil {
+	if err != nil || none {
 		return nil, err
 	}
 	// Each rank gets its own copy so callers can mutate freely.

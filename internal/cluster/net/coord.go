@@ -751,7 +751,7 @@ func (co *Coordinator) completeRoundLocked(deps []*member) {
 		appendEvents(&w, co.events)
 		res := result
 		if perRank != nil {
-			res = perRank(m.rank)
+			res = perRank(m.rank, dep)
 		}
 		w.F64s(res)
 		if werr := m.fc.writeFrame(mRoundOK, w.Bytes()); werr != nil {
@@ -764,8 +764,10 @@ func (co *Coordinator) completeRoundLocked(deps []*member) {
 }
 
 // combine folds the deposits of one round in rank order. perRank, when
-// non-nil, selects each rank's share of the result (Reduce: root only).
-func combine(kind uint8, deps []*member, size int) (result []float64, perRank func(rank int) []float64, err error) {
+// non-nil, is what the round returns to rank's deposit dep instead of the
+// result. An empty Sum deposit is no contribution, and its rank receives
+// nothing back (cluster.Transport.Allreduce).
+func combine(kind uint8, deps []*member, size int) (result []float64, perRank func(rank int, dep *deposit) []float64, err error) {
 	switch kind {
 	case kindBarrier:
 		return nil, nil, nil
@@ -776,6 +778,9 @@ func combine(kind uint8, deps []*member, size int) (result []float64, perRank fu
 		}
 		var out []float64
 		for _, m := range deps {
+			if op == cluster.Sum && len(m.dep.data) == 0 {
+				continue
+			}
 			if out == nil {
 				out = append([]float64(nil), m.dep.data...)
 				continue
@@ -785,16 +790,13 @@ func combine(kind uint8, deps []*member, size int) (result []float64, perRank fu
 			}
 			applyOp(op, out, m.dep.data)
 		}
-		if kind == kindReduce {
-			root := int(deps[0].dep.root)
-			return out, func(rank int) []float64 {
-				if rank == root {
-					return out
-				}
+		root := int(deps[0].dep.root)
+		return out, func(rank int, dep *deposit) []float64 {
+			if kind == kindReduce && rank != root || op == cluster.Sum && len(dep.data) == 0 {
 				return nil
-			}, nil
-		}
-		return out, nil, nil
+			}
+			return out
+		}, nil
 	case kindBcast:
 		root := deps[0].dep.root
 		for _, m := range deps {

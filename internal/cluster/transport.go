@@ -57,6 +57,8 @@ type Transport interface {
 	// Reduce combines data across ranks; only root receives the result.
 	Reduce(root int, data []float64, op Op) ([]float64, error)
 	// Allreduce combines data element-wise and returns it to every rank.
+	// An empty Sum deposit is no contribution, and its rank receives nil:
+	// a rank with no share of a reduction neither sends nor gets a vector.
 	Allreduce(data []float64, op Op) ([]float64, error)
 	// Allgatherv concatenates contributions in rank order.
 	Allgatherv(contrib []float64, counts []int) ([]float64, error)

@@ -166,12 +166,12 @@ func ApproxIntegrals(sys *System, acc *bornAccum, aNode, qLeaf int32, mac float6
 			pa := sys.Atoms.Pts[ai]
 			var s float64
 			for qi := q.Start; qi < q.End; qi++ {
-				dv := sys.QPts.Pts[qi].Sub(pa)
+				dv := geom.Vec3{X: sys.QX[qi], Y: sys.QY[qi], Z: sys.QZ[qi]}.Sub(pa)
 				r2 := dv.Norm2()
 				if r2 == 0 {
 					continue
 				}
-				s += sys.WN[qi].Dot(dv) / bornDenom(r2, kern)
+				s += geom.Vec3{X: sys.WNX[qi], Y: sys.WNY[qi], Z: sys.WNZ[qi]}.Dot(dv) / bornDenom(r2, kern)
 			}
 			acc.atom[ai] += s
 		}

@@ -73,7 +73,9 @@ func hashSurface(s *surface.Surface) string {
 	return b.sum()
 }
 
-func (b *bitHash) tree(t *octree.Tree) {
+// tree hashes t over pts, its points in slot order: the atoms tree's own,
+// the q-point tree's the System's columns (qPoints).
+func (b *bitHash) tree(t *octree.Tree, pts []geom.Vec3) {
 	b.u64(uint64(len(t.Nodes)))
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
@@ -86,18 +88,30 @@ func (b *bitHash) tree(t *octree.Tree) {
 		}
 	}
 	b.i32s(t.Index)
-	b.vecs(t.Pts)
+	b.vecs(pts)
 	b.i32s(t.Leaves())
+}
+
+// joinVecs is the vectors of three component columns.
+func joinVecs(x, y, z []float64) []geom.Vec3 {
+	out := make([]geom.Vec3, len(x))
+	for i := range out {
+		out[i] = geom.Vec3{X: x[i], Y: y[i], Z: z[i]}
+	}
+	return out
 }
 
 // hashSystem covers everything NewSystem derives: both trees, the
 // slot-ordered payloads, the node aggregates and the SoA mirrors over their
-// whole padded capacity.
+// whole padded capacity. The q-point positions and weighted normals are
+// hashed twice, as the tree's points and the vectors the System once kept
+// beside its columns, then as the columns: the digests below were taken
+// when each was a separate array.
 func hashSystem(s *System) string {
 	b := newBitHash()
-	b.tree(s.Atoms)
-	b.tree(s.QPts)
-	b.vecs(s.WN)
+	b.tree(s.Atoms, s.Atoms.Pts)
+	b.tree(s.QPts, joinVecs(s.QX, s.QY, s.QZ))
+	b.vecs(joinVecs(s.WNX, s.WNY, s.WNZ))
 	b.vecs(s.QNodeWN)
 	for _, a := range [][]float64{s.Charge, s.Radius,
 		s.AtomX, s.AtomY, s.AtomZ, s.QX, s.QY, s.QZ,
@@ -210,7 +224,7 @@ func TestReposeSplitMatchesSerial(t *testing.T) {
 	split, pool2 := build(8)
 	defer pool2.Close()
 	atoms0 := append([]geom.Vec3(nil), split.Atoms.Pts...)
-	wn0 := append([]geom.Vec3(nil), split.WN...)
+	q0, wn0 := joinVecs(split.QX, split.QY, split.QZ), joinVecs(split.WNX, split.WNY, split.WNZ)
 
 	poses := []geom.Transform{
 		geom.Translate(geom.V(17, -4, 9)).Compose(geom.RotateAxis(geom.V(1, 2, 3), 0.8)),
@@ -224,7 +238,7 @@ func TestReposeSplitMatchesSerial(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 
 		if got, want := hashSystem(split), hashSystem(serial); got != want {
-			t.Fatalf("pose %d: trees, WN or SoA mirrors differ from the serial re-pose", step)
+			t.Fatalf("pose %d: trees or columns differ from the serial re-pose", step)
 		}
 		if err := split.checkSoAPadding(); err != nil {
 			t.Fatalf("pose %d: %v", step, err)
@@ -239,9 +253,11 @@ func TestReposeSplitMatchesSerial(t *testing.T) {
 					t.Fatalf("atom slot %d is %v, want %v", i, split.Atoms.Pts[i], tr.Apply(p))
 				}
 			}
-			for i, n := range wn0 {
-				if split.WN[i] != tr.ApplyVector(n) {
-					t.Fatalf("weighted normal %d is %v, want %v", i, split.WN[i], tr.ApplyVector(n))
+			q, wn := joinVecs(split.QX, split.QY, split.QZ), joinVecs(split.WNX, split.WNY, split.WNZ)
+			for i, p := range q0 {
+				if q[i] != tr.Apply(p) || wn[i] != tr.ApplyVector(wn0[i]) {
+					t.Fatalf("q-point slot %d is at %v, weighted normal %v, want %v, %v",
+						i, q[i], wn[i], tr.Apply(p), tr.ApplyVector(wn0[i]))
 				}
 			}
 		}

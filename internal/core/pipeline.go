@@ -31,8 +31,8 @@ import (
 // among the ranks that hold the surface side too (pipeline.holders): every
 // rank of the modeled cluster, rank 0 alone in a TCP run, whose workers
 // decode only the E_pol side of the checkpoint (decodeWorkerSnapshot). A
-// rank past the holders deposits an empty share — zeros — to the Born
-// Allreduce and nothing to the radii Allgatherv.
+// rank past the holders deposits nothing to the Born Allreduce (and gets
+// nothing back) or to the radii Allgatherv.
 //
 // The consistency argument the protocol leans on: transports admit joins
 // ONLY at a successful collective — which is also the only point a phase
@@ -365,13 +365,17 @@ func (pl *pipeline) run(startPhase int, seed []float64) error {
 	} else {
 		var err error
 		seed, err = pl.phase(pl.bornPass, func([]cluster.MemberEvent) ([]float64, error) {
-			return pl.c.Allreduce(merged.appendVec(make([]float64, 0, merged.vecLen())), cluster.Sum)
+			var share []float64 // past the holders: none (cluster.Transport.Allreduce)
+			if pl.rank < pl.holders {
+				share = merged.appendVec(make([]float64, 0, merged.vecLen()))
+			}
+			return pl.c.Allreduce(share, cluster.Sum)
 		})
 		if err != nil {
 			return err
 		}
 	}
-	if startPhase <= 2 && seed != nil {
+	if startPhase <= 2 && len(seed) > 0 {
 		merged.readVec(seed)
 	}
 

@@ -95,7 +95,7 @@ func ParamsFingerprint(p Params) uint64 {
 // place but not the input structures): the loader re-derives payloads
 // from the inputs and would silently restore pre-transform state.
 func snapshotLists(sys *System) (*CompiledLists, error) {
-	if err := checkGeometryConsistent(sys.Mol, sys.Surf, sys.Atoms, sys.QPts); err != nil {
+	if err := checkGeometryConsistent(sys); err != nil {
 		return nil, fmt.Errorf("core: snapshot of transformed system: %v", err)
 	}
 	sys.listsMu.Lock()
@@ -583,8 +583,10 @@ func appendIL(w *wire.Writer, il *InteractionLists) {
 }
 
 // checkGeometryConsistent verifies the trees index exactly the
-// molecule/surface geometry (slot s holds input point Index[s]).
-func checkGeometryConsistent(mol *molecule.Molecule, surf *surface.Surface, ta, tq *octree.Tree) error {
+// molecule/surface geometry: atoms-tree slot s holds atom Index[s], and
+// q-point slot s, at (QX, QY, QZ)[s], q-point QPts.Index[s].
+func checkGeometryConsistent(sys *System) error {
+	mol, surf, ta, tq := sys.Mol, sys.Surf, sys.Atoms, sys.QPts
 	if ta.NumPoints() != mol.NumAtoms() {
 		return fmt.Errorf("atoms tree has %d points for %d atoms", ta.NumPoints(), mol.NumAtoms())
 	}
@@ -597,7 +599,7 @@ func checkGeometryConsistent(mol *molecule.Molecule, surf *surface.Surface, ta, 
 		}
 	}
 	for slot, orig := range tq.Index {
-		if tq.Pts[slot] != surf.Points[orig].Pos {
+		if (geom.Vec3{X: sys.QX[slot], Y: sys.QY[slot], Z: sys.QZ[slot]}) != surf.Points[orig].Pos {
 			return fmt.Errorf("q-points tree slot %d diverged from q-point %d", slot, orig)
 		}
 	}

@@ -217,7 +217,7 @@ func TestSnapshotWorkerDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w.Surf != nil || w.QPts != nil || w.WN != nil || w.QNodeWN != nil || w.lists.Born != nil {
+			if w.Surf != nil || w.QPts != nil || w.QX != nil || w.WNX != nil || w.QNodeWN != nil || w.lists.Born != nil {
 				t.Fatal("the worker decode holds the surface side")
 			}
 			for name, equal := range map[string]bool{
@@ -445,8 +445,9 @@ func skipTreeV8(t testing.TB, r *wire.Reader) {
 // nodeBytesV8 is one node's share of a version-8 tree.
 const nodeBytesV8 = 3*8 + 8 + 8*4 + 4 + 4 + 4 + 1
 
-// appendTreeV8 writes tr as versions up to 8 did (skipTreeV8).
-func appendTreeV8(w *wire.Writer, tr *octree.Tree) {
+// appendTreeV8 writes tr over pts, its points in slot order, as versions up
+// to 8 did (skipTreeV8).
+func appendTreeV8(w *wire.Writer, tr *octree.Tree, pts []geom.Vec3) {
 	w.U32(uint32(len(tr.Nodes)))
 	for i := range tr.Nodes {
 		n := &tr.Nodes[i]
@@ -463,8 +464,8 @@ func appendTreeV8(w *wire.Writer, tr *octree.Tree) {
 		w.Bool(n.IsLeaf)
 	}
 	w.I32s(tr.Index)
-	w.U32(uint32(len(tr.Pts)))
-	wire.PutF64Run(w, tr.Pts)
+	w.U32(uint32(len(pts)))
+	wire.PutF64Run(w, pts)
 	// The leaf capacity, root box, builder and keys: in this version's
 	// layout they sit between the permutation and the node block.
 	v9 := enc(tr.AppendTo)
@@ -490,8 +491,8 @@ func v8Image(t testing.TB, image []byte) []byte {
 	treesAt := slots[slotAtomsMoments] - len(enc(sys.Atoms.AppendTo))
 	var w wire.Writer
 	w.Raw(image[:treesAt])
-	appendTreeV8(&w, sys.Atoms)
-	appendTreeV8(&w, sys.QPts)
+	appendTreeV8(&w, sys.Atoms, sys.Atoms.Pts)
+	appendTreeV8(&w, sys.QPts, joinVecs(sys.QX, sys.QY, sys.QZ))
 	w.Raw(image[slots[slotQPtsMoments]:])
 	out := w.Bytes()
 	binary.LittleEndian.PutUint16(out[len(snapshotMagic):], 8)
@@ -878,13 +879,16 @@ func TestSnapshotSaveLoadParams(t *testing.T) {
 // 7, which writes each tile's own runs once, an entry beside its lane mask,
 // in place of its rows' own runs (648 579 bytes), version 8, which writes
 // no Cede runs: the mutual pairs a row's lower partner sweeps (640 063
-// bytes), and — the last re-recording — version 9, which writes each tree's
-// nodes as one block of columns and not its points, which the molecule and
-// the surface give. With its trees written in version 8's layout (v8Image)
-// the same system gives version 8's bytes exactly; from those, in version
-// 7's layout (v7Image), its Cede runs derived from the Sym runs, version 7's,
-// in version 6's (v6Image) version 6's, in version 5's (v5Image) version
-// 5's, and with the retired places filled back in version 4's. The digest
+// bytes), version 9, which writes each tree's nodes as one block of columns
+// and not its points, which the molecule and the surface give (532 403
+// bytes), and — the last re-recording — version 9 with an empty key array
+// for the q-point tree, which keeps none (an index: octree.Tree.DropPoints;
+// 30 720 bytes less, 8 a q-point). With its trees written in version 8's
+// layout (v8Image) the same system gives version 8's bytes exactly, but for
+// the q-point tree's keys, written empty too; from those, in version 7's
+// layout (v7Image), its Cede runs derived from the Sym runs, version 7's, in
+// version 6's (v6Image) version 6's, in version 5's (v5Image) version 5's,
+// and with the retired places filled back in version 4's. The digest
 // covers computed floats (the surface), hence one architecture: elsewhere
 // the compiler may fuse multiply-adds.
 func TestSnapshotBytesStable(t *testing.T) {
@@ -903,12 +907,12 @@ func TestSnapshotBytesStable(t *testing.T) {
 		size    int
 		sha     string
 	}{
-		{snapshotVersion, data, 532403, "e2c038f971a34a3623f8d0baa53233da9f155a6b15826b252d23c78f8eb466a9"},
-		{8, v8Image(t, data), 640063, "fa33824f1da7897a4de6729c2338aa7dddae3f48303cc8c7034467c3b2ef5c85"},
-		{7, v7Image(t, data), 648579, "db5e8654df805fd336f2505bd700ee4a00e33ec33281c028ea5b3d338e941c63"},
-		{6, v6Image(t, data), 801560, "6289beb4b4aa83b3688d480298c63001f5c3b567dacf3f2967525825d573d5fc"},
-		{5, v5Image(t, data), 799640, "7d20438fb3681a0a5a86189afa32e075ccd3fe5f04ee88eeacf45c5f1c23aceb"},
-		{4, v4Image(t, data, 0), 799719, "359563886babcb17bc37de67187b2e5fd48c1e774f86e198bc8736b57b3ba50e"},
+		{snapshotVersion, data, 501683, "0b270574a0bfebdfc7b50eada3405f3be9bb12e785cfca8b8b106203465edd49"},
+		{8, v8Image(t, data), 609343, "1526565e649a7f52a791500a4bd153743f9db250616f0cf305e4d06870542c93"},
+		{7, v7Image(t, data), 617859, "e764f488fb069f22ddbaf15564fa7c6c1abd33a7c4400cb1e43df53dffb793d0"},
+		{6, v6Image(t, data), 770840, "ea06297fadce68b213cc7de18fbf5160f2632c1e9131ca9a0e0f6808167b1437"},
+		{5, v5Image(t, data), 768920, "e046c27a155236d59d3e984e3ce9c4cb001b21c5cc373e43ab8df9e2067e9da0"},
+		{4, v4Image(t, data, 0), 768999, "1c1f3b3ab2778f54bd4b05f72c0bd2e1d1d02e3a07ad701a8e17174c39904d3d"},
 	} {
 		sum := sha256.Sum256(c.image)
 		if got := hex.EncodeToString(sum[:]); len(c.image) != c.size || got != c.sha {

@@ -125,28 +125,25 @@ type System struct {
 	Surf *surface.Surface
 	// Atoms is T_A; slot i corresponds to atom Atoms.Index[i].
 	Atoms *octree.Tree
-	// QPts is T_Q; slot i corresponds to q-point QPts.Index[i].
+	// QPts is T_Q, an index without points (octree.Tree.DropPoints): slot
+	// i is q-point QPts.Index[i], at (QX, QY, QZ)[i].
 	QPts *octree.Tree
 
 	// Charge and Radius are atom payloads in T_A slot order.
 	Charge, Radius []float64
-	// WN is the weight-premultiplied surface normal w_q·n_q per q-point
-	// in T_Q slot order.
-	WN []geom.Vec3
 	// QNodeWN is Σ w_q·n_q over the q-points under each T_Q node — the
 	// ñ_Q aggregate of the paper's APPROX-INTEGRALS.
 	QNodeWN []geom.Vec3
 
-	// SoA mirrors for the batched kernels (kernels.go), all in tree-slot
-	// order: atom positions, q-point positions, the weight-premultiplied
-	// surface normals, and the atoms-octree node centers. The flat
-	// component arrays let the inner loops run without Vec3 struct loads
-	// or Node pointer chasing; they are refreshed whenever the underlying
-	// geometry moves (UpdateAtomsRepair, ApplyRigidTransform). Each array is
-	// allocated with its capacity rounded up to mathx.LaneWidth and the
-	// pad slots kept at zero (checkSoAPadding asserts this under
-	// DebugCheckLists), so lane-blocked sweeps can run whole blocks with no
-	// bounds-check tail.
+	// Columns for the batched kernels (kernels.go), all in tree-slot
+	// order: atom positions (a mirror of Atoms.Pts, which the tracked update
+	// reads), q-point positions and weighted normals w_q·n_q (the System's
+	// only copy of either), and the atoms-octree node centers. They spare
+	// the inner loops Vec3 loads and Node pointer chasing, and move with the
+	// geometry (UpdateAtomsRepair, ApplyRigidTransform). Each is allocated
+	// at a capacity rounded up to mathx.LaneWidth, its pad slots kept zero
+	// (checkSoAPadding asserts it under DebugCheckLists), so lane-blocked
+	// sweeps run whole blocks with no bounds-check tail.
 	AtomX, AtomY, AtomZ    []float64
 	QX, QY, QZ             []float64
 	WNX, WNY, WNZ          []float64
@@ -219,13 +216,12 @@ func NewSystem(mol *molecule.Molecule, surf *surface.Surface, params Params) (*S
 }
 
 // assembleSystem derives the slot-ordered payloads, node aggregates and
-// SoA mirrors for ALREADY-BUILT octrees — the tail of NewSystem, split
-// out so the snapshot loader (snapshot.go) can reconstruct a System from
-// serialized trees without rebuilding them. params must already be
-// defaulted and validated, and the trees must index mol/surf (ta over
-// the atom positions, tq over the q-point positions). A worker's snapshot
-// (decodeWorkerSnapshot) has no surface side: surf and tq nil, and the
-// System derives nothing from them.
+// columns of ALREADY-BUILT octrees — the tail of NewSystem, which the
+// snapshot loader (snapshot.go) shares to skip the rebuild. params must be
+// defaulted and validated, and ta and tq must index mol's atoms and surf's
+// q-points; tq's points are dropped once the columns are gathered. A
+// worker's snapshot (decodeWorkerSnapshot) has no surface side: surf and
+// tq are nil, and the System derives nothing from them.
 func assembleSystem(mol *molecule.Molecule, surf *surface.Surface, ta, tq *octree.Tree, params Params) *System {
 	s := &System{Mol: mol, Surf: surf, Atoms: ta, QPts: tq, Params: params}
 	// Everything derived from T_A on one side, everything derived from T_Q
@@ -244,13 +240,19 @@ func assembleSystem(mol *molecule.Molecule, surf *surface.Surface, ta, tq *octre
 			if tq == nil {
 				return
 			}
-			s.WN = make([]geom.Vec3, surf.NumPoints())
-			for slot, orig := range tq.Index {
-				p := surf.Points[orig]
-				s.WN[slot] = p.Normal.Scale(p.Weight)
-			}
-			s.QNodeWN = qNodeAggregates(tq, s.WN)
-			s.refreshQPointSoA()
+			n := len(tq.Index)
+			col := func() []float64 { return make([]float64, n, padLanes(n)) }
+			s.QX, s.QY, s.QZ, s.WNX, s.WNY, s.WNZ = col(), col(), col(), col(), col(), col()
+			sched.Fan(n, fanGrain, func(lo, hi int) {
+				for slot := lo; slot < hi; slot++ {
+					p := &surf.Points[tq.Index[slot]]
+					wn := p.Normal.Scale(p.Weight)
+					s.QX[slot], s.QY[slot], s.QZ[slot] = p.Pos.X, p.Pos.Y, p.Pos.Z
+					s.WNX[slot], s.WNY[slot], s.WNZ[slot] = wn.X, wn.Y, wn.Z
+				}
+			})
+			s.QNodeWN = qNodeAggregates(tq, s.WNX, s.WNY, s.WNZ)
+			tq.DropPoints()
 		})
 	return s
 }
@@ -259,20 +261,18 @@ func assembleSystem(mol *molecule.Molecule, surf *surface.Surface, ta, tq *octre
 // node-range arrays from the atoms octree (after construction, update or
 // rigid motion).
 func (s *System) refreshAtomSoA() {
-	s.AtomX, s.AtomY, s.AtomZ = splitVecs(s.Atoms.Pts, s.AtomX, s.AtomY, s.AtomZ)
-	n := s.Atoms.NumNodes()
-	p := padLanes(n)
-	if cap(s.ANodeX) < p {
-		s.ANodeX = make([]float64, p)
-		s.ANodeY = make([]float64, p)
-		s.ANodeZ = make([]float64, p)
-	}
-	s.ANodeX, s.ANodeY, s.ANodeZ = s.ANodeX[:n], s.ANodeY[:n], s.ANodeZ[:n]
-	zeroPad(s.ANodeX, s.ANodeY, s.ANodeZ)
+	pts, n := s.Atoms.Pts, s.Atoms.NumNodes()
+	s.AtomX, s.AtomY, s.AtomZ = padded3(len(pts), s.AtomX, s.AtomY, s.AtomZ)
+	s.ANodeX, s.ANodeY, s.ANodeZ = padded3(n, s.ANodeX, s.ANodeY, s.ANodeZ)
 	if cap(s.ANodeLo) < n {
 		s.ANodeLo, s.ANodeHi = make([]int32, n), make([]int32, n)
 	}
 	s.ANodeLo, s.ANodeHi = s.ANodeLo[:n], s.ANodeHi[:n]
+	sched.Fan(len(pts), fanGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s.AtomX[i], s.AtomY[i], s.AtomZ[i] = pts[i].X, pts[i].Y, pts[i].Z
+		}
+	})
 	sched.Fan(n, fanGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			nd := &s.Atoms.Nodes[i]
@@ -280,13 +280,6 @@ func (s *System) refreshAtomSoA() {
 			s.ANodeLo[i], s.ANodeHi[i] = nd.Start, nd.End
 		}
 	})
-}
-
-// refreshQPointSoA rebuilds the flat q-point position and weighted-normal
-// arrays from the q-points octree and WN.
-func (s *System) refreshQPointSoA() {
-	s.QX, s.QY, s.QZ = splitVecs(s.QPts.Pts, s.QX, s.QY, s.QZ)
-	s.WNX, s.WNY, s.WNZ = splitVecs(s.WN, s.WNX, s.WNY, s.WNZ)
 }
 
 // fanGrain is the chunk of the element-wise loops that run through
@@ -312,23 +305,14 @@ func zeroPad(arrs ...[]float64) {
 	}
 }
 
-// splitVecs scatters an AoS Vec3 slice into three component arrays,
-// reusing the destination capacity when possible. Arrays are allocated
-// with lane-padded capacity and zeroed pad slots (see padLanes).
-func splitVecs(src []geom.Vec3, x, y, z []float64) (ox, oy, oz []float64) {
-	p := padLanes(len(src))
-	if cap(x) < p {
-		x = make([]float64, p)
-		y = make([]float64, p)
-		z = make([]float64, p)
+// padded3 reslices three component arrays to n, reallocating them at the
+// lane-padded capacity (padLanes) when short, and zeroes their pad slots.
+func padded3(n int, x, y, z []float64) ([]float64, []float64, []float64) {
+	if p := padLanes(n); cap(x) < p {
+		x, y, z = make([]float64, p), make([]float64, p), make([]float64, p)
 	}
-	x, y, z = x[:len(src)], y[:len(src)], z[:len(src)]
+	x, y, z = x[:n], y[:n], z[:n]
 	zeroPad(x, y, z)
-	sched.Fan(len(src), fanGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i], y[i], z[i] = src[i].X, src[i].Y, src[i].Z
-		}
-	})
 	return x, y, z
 }
 
@@ -336,7 +320,12 @@ func splitVecs(src []geom.Vec3, x, y, z []float64) (ox, oy, oz []float64) {
 // component array: capacity rounded up to mathx.LaneWidth with zeroed
 // pad slots. Run by RecheckLists, i.e. under Params.DebugCheckLists.
 func (s *System) checkSoAPadding() error {
-	check := func(name string, a []float64) error {
+	for name, a := range map[string][]float64{
+		"Charge": s.Charge, "Radius": s.Radius,
+		"AtomX": s.AtomX, "AtomY": s.AtomY, "AtomZ": s.AtomZ,
+		"QX": s.QX, "QY": s.QY, "QZ": s.QZ, "WNX": s.WNX, "WNY": s.WNY, "WNZ": s.WNZ,
+		"ANodeX": s.ANodeX, "ANodeY": s.ANodeY, "ANodeZ": s.ANodeZ,
+	} {
 		p := padLanes(len(a))
 		if cap(a) < p {
 			return fmt.Errorf("core: SoA array %s has cap %d < padded len %d (lane width %d)",
@@ -347,45 +336,33 @@ func (s *System) checkSoAPadding() error {
 				return fmt.Errorf("core: SoA array %s pad slot %d is %g, want 0", name, i, a[:p][i])
 			}
 		}
-		return nil
-	}
-	for _, c := range []struct {
-		name string
-		a    []float64
-	}{
-		{"Charge", s.Charge}, {"Radius", s.Radius},
-		{"AtomX", s.AtomX}, {"AtomY", s.AtomY}, {"AtomZ", s.AtomZ},
-		{"QX", s.QX}, {"QY", s.QY}, {"QZ", s.QZ},
-		{"WNX", s.WNX}, {"WNY", s.WNY}, {"WNZ", s.WNZ},
-		{"ANodeX", s.ANodeX}, {"ANodeY", s.ANodeY}, {"ANodeZ", s.ANodeZ},
-	} {
-		if err := check(c.name, c.a); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
 // ApplyRigidTransform rigidly moves the whole system — both octrees, the
-// weighted normals and the SoA mirrors — without rebuilding anything,
-// every element-wise loop of it split across the cores (sched.Fan).
-// Rigid motion preserves every pairwise distance and every node radius,
-// so the near/far classification of the compiled interaction lists stays
-// valid and the lists are deliberately NOT invalidated (the reuse
-// invariant of DESIGN.md §6; Params.DebugCheckLists re-verifies it at
-// every evaluation).
+// q-point columns, the node aggregates and the atom mirrors — in place,
+// every element-wise loop split across the cores (sched.Fan). Rigid motion
+// preserves every pairwise distance and node radius, so the compiled lists
+// stay valid and are deliberately NOT invalidated (the reuse invariant of
+// DESIGN.md §6; Params.DebugCheckLists re-verifies it at every evaluation).
 func (s *System) ApplyRigidTransform(t geom.Transform) {
 	s.Atoms.ApplyTransform(t)
-	s.QPts.ApplyTransform(t)
-	for _, vecs := range [][]geom.Vec3{s.WN, s.QNodeWN} {
-		sched.Fan(len(vecs), fanGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				vecs[i] = t.ApplyVector(vecs[i])
-			}
-		})
-	}
+	s.QPts.ApplyTransform(t) // its nodes: the columns are its points
+	sched.Fan(len(s.QX), fanGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := t.Apply(geom.Vec3{X: s.QX[i], Y: s.QY[i], Z: s.QZ[i]})
+			n := t.ApplyVector(geom.Vec3{X: s.WNX[i], Y: s.WNY[i], Z: s.WNZ[i]})
+			s.QX[i], s.QY[i], s.QZ[i] = p.X, p.Y, p.Z
+			s.WNX[i], s.WNY[i], s.WNZ[i] = n.X, n.Y, n.Z
+		}
+	})
+	sched.Fan(len(s.QNodeWN), fanGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s.QNodeWN[i] = t.ApplyVector(s.QNodeWN[i])
+		}
+	})
 	s.refreshAtomSoA()
-	s.refreshQPointSoA()
 }
 
 // InvalidateLists drops the cached interaction lists; the next Compute*
@@ -423,12 +400,12 @@ func (s *System) releaseNodeScratch(buf []float64) {
 	s.scratchMu.Unlock()
 }
 
-// qNodeAggregates computes Σ w·n per node from a prefix sum over the
-// contiguous slot ranges.
-func qNodeAggregates(t *octree.Tree, wn []geom.Vec3) []geom.Vec3 {
-	prefix := make([]geom.Vec3, len(wn)+1)
-	for i, v := range wn {
-		prefix[i+1] = prefix[i].Add(v)
+// qNodeAggregates computes Σ w·n per node from a prefix sum, in slot
+// order, of the weighted-normal columns over the contiguous slot ranges.
+func qNodeAggregates(t *octree.Tree, wx, wy, wz []float64) []geom.Vec3 {
+	prefix := make([]geom.Vec3, len(wx)+1)
+	for i := range wx {
+		prefix[i+1] = prefix[i].Add(geom.Vec3{X: wx[i], Y: wy[i], Z: wz[i]})
 	}
 	out := make([]geom.Vec3, t.NumNodes())
 	for i := range t.Nodes {
@@ -438,39 +415,48 @@ func qNodeAggregates(t *octree.Tree, wn []geom.Vec3) []geom.Vec3 {
 	return out
 }
 
-// MemoryBytes is the paper's Section V.B per-rank quantity — the inputs,
-// the two octrees and their per-slot payloads, which every MPI rank
-// replicates — and nothing else: it EXCLUDES the compiled interaction
-// lists and the SoA mirrors, structures of this implementation that the
-// paper's comparison has no counterpart for and that outweigh it several
-// times over (at 20 000 atoms the lists alone are 10× it). Memory reports
-// those.
+// MemoryBytes is the paper's Section V.B per-rank quantity: the inputs,
+// the two octrees and their per-slot payloads (the q-point columns among
+// them), which every MPI rank replicates. It excludes the compiled lists
+// and the atom-side mirrors, which the paper has no counterpart for (at
+// 20 000 atoms the lists alone are 10× it); Memory reports everything.
 func (s *System) MemoryBytes() int64 {
-	n := s.Mol.MemoryBytes() + s.Atoms.MemoryBytes() + int64(len(s.Charge)+len(s.Radius))*8
+	n := s.Mol.MemoryBytes() + s.Atoms.MemoryBytes() + int64(cap(s.Charge)+cap(s.Radius))*8
 	if s.QPts != nil { // a worker's system holds no surface side
-		n += s.Surf.MemoryBytes() + s.QPts.MemoryBytes() + int64(len(s.WN)+len(s.QNodeWN))*24
+		n += s.Surf.MemoryBytes() + s.QPts.MemoryBytes() + int64(cap(s.QNodeWN))*24 +
+			columnBytes(s.QX, s.QY, s.QZ, s.WNX, s.WNY, s.WNZ)
+	}
+	return n
+}
+
+// columnBytes is the heap of float64 columns, at their padded capacity.
+func columnBytes(cols ...[]float64) (n int64) {
+	for _, c := range cols {
+		n += int64(cap(c)) * 8
 	}
 	return n
 }
 
 // Memory is what a System holds, in bytes by structure.
 type Memory struct {
-	// Octrees is both trees: nodes, permutations and points.
+	// Octrees is both trees: nodes, permutations and leaf lists, and the
+	// atoms tree's points and Morton keys (the q-point tree has neither).
 	Octrees int64 `json:"octree_bytes"`
-	// SoA is the flat float64 component mirrors the batch kernels read, at
-	// their padded capacity.
+	// SoA is every table beside the trees, at its capacity: the columns and
+	// node tables the batch kernels read, and QNodeWN.
 	SoA int64 `json:"soa_bytes"`
 	// ListIndex is the compiled lists (ilist.go) — a list is its index:
 	// 0 before the first compile, and the same size compiled or repaired.
 	ListIndex int64 `json:"list_index_bytes"`
 }
 
-// Memory reports what the system holds now.
+// Memory reports what the system holds now, inputs excluded.
 func (s *System) Memory() Memory {
-	m := Memory{Octrees: s.Atoms.MemoryBytes() + s.QPts.MemoryBytes()}
-	for _, a := range [][]float64{s.AtomX, s.AtomY, s.AtomZ, s.QX, s.QY, s.QZ,
-		s.WNX, s.WNY, s.WNZ, s.ANodeX, s.ANodeY, s.ANodeZ} {
-		m.SoA += int64(cap(a)) * 8
+	m := Memory{
+		Octrees: s.Atoms.MemoryBytes() + s.QPts.MemoryBytes(),
+		SoA: columnBytes(s.Charge, s.Radius, s.AtomX, s.AtomY, s.AtomZ, s.QX, s.QY, s.QZ,
+			s.WNX, s.WNY, s.WNZ, s.ANodeX, s.ANodeY, s.ANodeZ) +
+			int64(cap(s.ANodeLo)+cap(s.ANodeHi))*4 + int64(cap(s.QNodeWN))*24,
 	}
 	s.listsMu.Lock()
 	defer s.listsMu.Unlock()

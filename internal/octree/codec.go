@@ -201,7 +201,7 @@ func DecodeTree(r *wire.Reader, n int, pos func(i int) geom.Vec3) (*Tree, error)
 		nd.Depth = int16(le.Uint16(depth[2*i:]))
 		nd.IsLeaf = leaf[i] != 0
 	}
-	leaves, err := t.validateNodes()
+	leaves, err := t.validateNodes(t.Pts)
 	if err != nil {
 		return nil, err
 	}

@@ -11,11 +11,11 @@ import (
 
 // FuzzDecodeTree pins that DecodeTree never panics on arbitrary input and
 // that every tree it returns passes Validate. The seeds are encodings of a
-// recursive tree, a Morton tree and a Morton tree after tracked updates
+// recursive tree, a Morton tree, a Morton tree after tracked updates
 // (which leave materialized leaves at the end of Nodes and pruned ones in
-// it), each whole and cut short; every input is decoded over the points of
-// the first two and over the moved ones. Run with `go test
-// -fuzz=FuzzDecodeTree` to explore.
+// it) and a Morton tree whose points were dropped (no keys), each whole and
+// cut short; every input is decoded over the points of the first two and
+// over the moved ones. Run with `go test -fuzz=FuzzDecodeTree` to explore.
 func FuzzDecodeTree(f *testing.F) {
 	rng := rand.New(rand.NewSource(285))
 	pts := randPts(rng, 300, 12)
@@ -38,8 +38,13 @@ func FuzzDecodeTree(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	keyless, err := Build(built, Options{LeafCap: 8, Builder: BuilderMorton})
+	if err != nil {
+		f.Fatal(err)
+	}
+	keyless.DropPoints()
 	f.Add([]byte{})
-	for _, tr := range []*Tree{rec, mor, moved} {
+	for _, tr := range []*Tree{rec, mor, moved, keyless} {
 		var w wire.Writer
 		tr.AppendTo(&w)
 		b := w.Bytes()

@@ -13,6 +13,7 @@ package octree
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/sched"
@@ -22,7 +23,7 @@ import (
 const NoChild int32 = -1
 
 // Node is one octree node. Points under a node occupy the contiguous
-// range Index[Start:End] (and the parallel Pts slice).
+// range Index[Start:End] (and the parallel Pts slice, if kept).
 type Node struct {
 	// Center is the geometric center (centroid) of the points under the
 	// node — where the paper places the pseudo-atom / pseudo-q-point of
@@ -54,15 +55,15 @@ type Tree struct {
 	Index []int32
 	// Pts holds the point positions in tree order (Pts[i] is the
 	// position of original point Index[i]). Kernels iterate leaf ranges
-	// of Pts directly for locality.
+	// of Pts directly for locality. nil once DropPoints has run.
 	Pts []geom.Vec3
 
 	leaves  []int32
 	leafCap int
 	rootBox geom.AABB
 
-	// keys holds the Morton key of each slot for Morton-built trees
-	// (nil otherwise); UpdateTracked keeps it current. builder/pool let
+	// keys holds the Morton key of each slot of a Morton-built tree that
+	// keeps its points; UpdateTracked keeps it current. builder/pool let
 	// incremental rebuilds reconstruct with the same algorithm and
 	// parallelism as Build.
 	keys    []uint64
@@ -236,7 +237,12 @@ func inflate(b geom.AABB, f float64) geom.AABB {
 func (t *Tree) Root() int32 { return 0 }
 
 // NumPoints returns the number of points in the tree.
-func (t *Tree) NumPoints() int { return len(t.Pts) }
+func (t *Tree) NumPoints() int { return len(t.Index) }
+
+// DropPoints makes the tree an index over points its caller keeps in slot
+// order: nodes, permutation and leaf list, no points and no Morton keys
+// (ApplyTransform moves the nodes alone; an update rebuilds).
+func (t *Tree) DropPoints() { t.Pts, t.keys = nil, nil }
 
 // NumNodes returns the number of nodes.
 func (t *Tree) NumNodes() int { return len(t.Nodes) }
@@ -259,11 +265,11 @@ func (t *Tree) Depth() int {
 	return d
 }
 
-// MemoryBytes estimates the resident size of the tree (nodes + index +
-// points), used by the cluster runtime's per-rank memory accounting.
+// MemoryBytes is the heap the tree holds, each array at its capacity:
+// nodes, permutation, leaf list, points and Morton keys.
 func (t *Tree) MemoryBytes() int64 {
-	const nodeBytes = 8*8 + 4*8 + 4*2 + 8 // center+radius, children, range+depth, flags/padding
-	return int64(len(t.Nodes))*nodeBytes + int64(len(t.Index))*4 + int64(len(t.Pts))*24
+	return int64(cap(t.Nodes))*int64(unsafe.Sizeof(Node{})) + int64(cap(t.Index)+cap(t.leaves))*4 +
+		int64(cap(t.Pts))*24 + int64(cap(t.keys))*8
 }
 
 // fanGrain is the chunk of the element-wise loops ApplyTransform splits
@@ -300,7 +306,8 @@ func (t *Tree) ApplyTransform(tr geom.Transform) {
 // children exactly partition their parent's range, each node's ball
 // contains its points, and leaves respect the capacity (unless the depth
 // cap forced a larger leaf). It is used by tests and available to callers
-// that construct trees from untrusted inputs.
+// that construct trees from untrusted inputs, against the tree's own
+// points: a tree without them (DropPoints) fails.
 func (t *Tree) Validate() error {
 	seen := make([]bool, len(t.Index))
 	for _, idx := range t.Index {
@@ -309,18 +316,19 @@ func (t *Tree) Validate() error {
 		}
 		seen[idx] = true
 	}
-	_, err := t.validateNodes()
+	_, err := t.validateNodes(t.Pts)
 	return err
 }
 
-// validateNodes is Validate's check of the nodes, and returns the reachable
-// leaves in id order. Only nodes reachable from the root are checked:
-// incremental updates (see dynamic.go) can orphan old entries until
-// CompactNodes runs. A node's children follow it in Nodes (Build appends
-// them after it, an update appends a split leaf's after it too), so one
-// pass in id order reaches them all, and a child that does not follow its
-// parent, or has a second parent, is invalid.
-func (t *Tree) validateNodes() (leaves []int32, err error) {
+// validateNodes is Validate's check of the nodes against pts, the points in
+// slot order, and returns the reachable leaves in id order. Only nodes
+// reachable from the root are checked: incremental updates (see
+// dynamic.go) can orphan old entries until CompactNodes runs. A node's
+// children follow it in Nodes (Build appends them after it, an update
+// appends a split leaf's after it too), so one pass in id order reaches
+// them all, and a child that does not follow its parent, or has a second
+// parent, is invalid.
+func (t *Tree) validateNodes(pts []geom.Vec3) (leaves []int32, err error) {
 	reach := make([]bool, len(t.Nodes))
 	reach[0] = true
 	const slack = 1 + 1e-9
@@ -329,7 +337,7 @@ func (t *Tree) validateNodes() (leaves []int32, err error) {
 			continue
 		}
 		n := &t.Nodes[i]
-		if n.Start < 0 || n.Start > n.End || n.End > int32(len(t.Pts)) {
+		if n.Start < 0 || n.Start > n.End || n.End > int32(len(pts)) {
 			return nil, fmt.Errorf("octree: node %d has bad range [%d,%d)", i, n.Start, n.End)
 		}
 		if n.Count() == 0 {
@@ -338,7 +346,7 @@ func (t *Tree) validateNodes() (leaves []int32, err error) {
 		// A point is outside when its distance exceeds the bound: compared
 		// squared, so no point costs a square root.
 		bound := n.Radius*slack + 1e-12
-		for j, p := range t.Pts[n.Start:n.End] {
+		for j, p := range pts[n.Start:n.End] {
 			if d2 := n.Center.Dist2(p); bound < 0 || d2 > bound*bound {
 				return nil, fmt.Errorf("octree: node %d point %d outside ball (%g > %g)", i, int(n.Start)+j, math.Sqrt(d2), n.Radius)
 			}

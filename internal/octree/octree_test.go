@@ -3,11 +3,14 @@ package octree
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"gbpolar/internal/geom"
 	"gbpolar/internal/molecule"
+	"gbpolar/internal/wire"
 )
 
 func randPts(rng *rand.Rand, n int, scale float64) []geom.Vec3 {
@@ -286,6 +289,78 @@ func TestMemoryBytesPositiveAndLinear(t *testing.T) {
 	ratio := float64(big.MemoryBytes()) / float64(small.MemoryBytes())
 	if ratio < 20 || ratio > 500 {
 		t.Errorf("memory scaling ratio %v for 100x points", ratio)
+	}
+}
+
+// MemoryBytes is the heap a built tree retains — its nodes, permutation,
+// leaf list, points and Morton keys — to 2 %.
+func TestMemoryBytesMatchesHeap(t *testing.T) {
+	pts := randPts(rand.New(rand.NewSource(43)), 20000, 30)
+	var a, b runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&a)
+	tr, err := Build(pts, Options{LeafCap: 8, Builder: BuilderMorton})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&b)
+	live := int64(b.HeapAlloc) - int64(a.HeapAlloc)
+	if d := float64(tr.MemoryBytes())/float64(live) - 1; d > 0.02 || d < -0.02 {
+		t.Errorf("MemoryBytes %d, the tree retains %d bytes (%+.1f %%)", tr.MemoryBytes(), live, 100*d)
+	}
+	runtime.KeepAlive(tr)
+	runtime.KeepAlive(pts)
+}
+
+// A tree whose points are dropped is an index: its nodes, permutation and
+// leaf list, no points and no Morton keys, 32 bytes a point less. A rigid
+// transform moves its nodes as it moves a whole tree's; its encoding
+// carries an empty key array and decodes over the caller's points; an
+// update rebuilds it over the points it is given.
+func TestDropPoints(t *testing.T) {
+	pts := randPts(rand.New(rand.NewSource(289)), 3000, 12)
+	whole, err := Build(pts, Options{LeafCap: 8, Builder: BuilderMorton})
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, _ := Build(pts, Options{LeafCap: 8, Builder: BuilderMorton})
+	index.DropPoints()
+	if index.Pts != nil || index.Keys() != nil || index.NumPoints() != len(pts) || index.Tracks(pts) {
+		t.Fatalf("dropped tree: %d points stored, %d keys, NumPoints %d, tracks %v",
+			len(index.Pts), len(index.Keys()), index.NumPoints(), index.Tracks(pts))
+	}
+	if got, want := whole.MemoryBytes()-index.MemoryBytes(), int64(32*len(pts)); got != want {
+		t.Errorf("dropping the points freed %d bytes, want %d", got, want)
+	}
+	tr := geom.Translate(geom.V(3, -1, 7)).Compose(geom.RotateAxis(geom.V(1, 2, -1), 0.7))
+	whole.ApplyTransform(tr)
+	index.ApplyTransform(tr)
+	if !reflect.DeepEqual(whole.Nodes, index.Nodes) || !reflect.DeepEqual(whole.Index, index.Index) {
+		t.Fatal("a transform moved the index's nodes otherwise than the whole tree's")
+	}
+	var w, full wire.Writer
+	index.AppendTo(&w)
+	whole.AppendTo(&full)
+	if got := full.Len() - w.Len(); got != 8*len(pts) {
+		t.Errorf("the index's encoding is %d bytes shorter than the whole tree's, want %d (its keys)", got, 8*len(pts))
+	}
+	dec, err := DecodeTree(wire.NewReader(w.Bytes()), len(pts), func(i int) geom.Vec3 { return whole.Pts[0] })
+	if err == nil {
+		t.Fatal("an index decoded over points outside its balls")
+	}
+	moved := make([]geom.Vec3, len(pts))
+	for slot, orig := range whole.Index {
+		moved[orig] = whole.Pts[slot]
+	}
+	if dec, err = DecodeTree(wire.NewReader(w.Bytes()), len(pts), func(i int) geom.Vec3 { return moved[i] }); err != nil {
+		t.Fatal(err)
+	}
+	if dec.Keys() != nil || !reflect.DeepEqual(dec.Nodes, index.Nodes) || !reflect.DeepEqual(dec.Leaves(), index.Leaves()) {
+		t.Fatal("the decoded index differs from the encoded one")
+	}
+	if up, err := index.UpdateTracked(pts); err != nil || !up.Rebuilt || index.Validate() != nil {
+		t.Fatalf("an update of the index: rebuilt %v, err %v, Validate %v", up.Rebuilt, err, index.Validate())
 	}
 }
 

@@ -70,13 +70,13 @@ func (t *Tree) Tracks(newPts []geom.Vec3) bool {
 // keys, as a recursive build has none, or a point outside the root cube)
 // is rebuilt with its own builder.
 func (t *Tree) UpdateTracked(newPts []geom.Vec3) (TrackedUpdate, error) {
-	if len(newPts) != len(t.Pts) {
-		return TrackedUpdate{}, fmt.Errorf("octree: UpdateTracked with %d points, tree has %d", len(newPts), len(t.Pts))
+	n := t.NumPoints()
+	if len(newPts) != n {
+		return TrackedUpdate{}, fmt.Errorf("octree: UpdateTracked with %d points, tree has %d", len(newPts), n)
 	}
 	if err := CheckFinite(newPts); err != nil {
 		return TrackedUpdate{}, err
 	}
-	n := len(t.Pts)
 	if !t.Tracks(newPts) {
 		return TrackedUpdate{Moved: n, Rebuilt: true}, t.rebuild(newPts)
 	}
